@@ -568,6 +568,7 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 			"wal_entries":         st.Persist.WALEntries,
 			"wal_bytes":           st.Persist.WALBytes,
 			"snapshots":           st.Persist.Snapshots,
+			"journal_bytes":       st.Persist.JournalBytes,
 			"journal_size":        st.Persist.JournalSize,
 			"journal_hits":        st.Persist.JournalHits,
 		},

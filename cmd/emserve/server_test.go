@@ -294,6 +294,9 @@ func TestServerPersistenceAcrossRestart(t *testing.T) {
 	if pb["recovered_records"].(float64) != 3 || pb["recovered_resolves"].(float64) != 1 {
 		t.Errorf("recovery counters = %v", pb)
 	}
+	if pb["journal_bytes"].(float64) <= 0 || pb["recovered_decisions"].(float64) == 0 {
+		t.Errorf("journal.log not recovered: %v", pb)
+	}
 	// The pre-restart merge survived.
 	resp, body := getJSON(t, srv2.URL+"/entities/r1")
 	if resp.StatusCode != http.StatusOK || body["entity_id"] != "q1" {

@@ -1,8 +1,11 @@
 package persist
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 
 	"llm4em/internal/entity"
 )
@@ -13,11 +16,13 @@ type RecordEntry struct {
 	Record entity.Record `json:"record"`
 }
 
-// DecisionEntry is one decided candidate pair inside a ResolveEntry
-// or a snapshot journal — everything needed to short-circuit the pair
-// on a later resolve without re-running the cascade or the LLM.
+// DecisionEntry is one decided candidate pair inside a ResolveEntry,
+// a RedecideEntry or a JournalEntry — everything needed to
+// short-circuit the pair on a later resolve without re-running the
+// cascade or the LLM. The JSON tags here and below decode version-1
+// payloads and encode snapshot.json's totals and deferred queue.
 type DecisionEntry struct {
-	QueryID     string  `json:"query_id,omitempty"` // set in snapshots; implied by the entry in the WAL
+	QueryID     string  `json:"query_id,omitempty"` // set in version-1 snapshots; implied by the entry on the wire
 	CandidateID string  `json:"candidate_id"`
 	BlockScore  float64 `json:"block_score"`
 	Probability float64 `json:"probability"`
@@ -43,20 +48,17 @@ type ReportEntry struct {
 	PromptTokens     int     `json:"prompt_tokens"`
 	CompletionTokens int     `json:"completion_tokens"`
 	Cents            float64 `json:"cents"`
-	// Batch accounting of the micro-batching dispatcher. Absent in
-	// logs written before the dispatcher existed, so both omitempty
-	// and the zero default keep old and new builds interchangeable.
+	// Batch accounting of the micro-batching dispatcher. Absent, so
+	// zero, in the oldest version-1 logs, like every field below.
 	BatchedPairs   int `json:"batched_pairs,omitempty"`
 	BatchFallbacks int `json:"batch_fallbacks,omitempty"`
 	// DeferredPairs counts pairs this resolve degraded to their local
-	// verdict because the LLM backend was unavailable. Absent in older
-	// logs.
+	// verdict because the LLM backend was unavailable.
 	DeferredPairs int `json:"deferred_pairs,omitempty"`
-	// Strategy accounting of the tiered prompt strategies. Like the
-	// batch fields, absent in older logs and zero-defaulted, so old
-	// and new builds stay interchangeable. The per-decision strategy
-	// provenance itself lives in DecisionEntry.Method ("llm-compare",
-	// "llm-select", "llm-reason"), which replay reuses LLM-free.
+	// Strategy accounting of the tiered prompt strategies. The
+	// per-decision strategy provenance itself lives in
+	// DecisionEntry.Method ("llm-compare", "llm-select", "llm-reason"),
+	// which replay reuses LLM-free.
 	GroupFallbacks  int           `json:"group_fallbacks,omitempty"`
 	MatchStrategy   StrategyEntry `json:"strategy_match"`
 	CompareStrategy StrategyEntry `json:"strategy_compare"`
@@ -77,6 +79,10 @@ type StrategyEntry struct {
 // the decisions made fresh in this call (journal hits were logged by
 // an earlier entry) and the call's cost report.
 type ResolveEntry struct {
+	// Seq is the call's ordinal among the store's lifetime resolves: a
+	// replay onto a snapshot that already counts it (a crash between
+	// rename and WAL reset) skips the report. Zero in version-1 logs.
+	Seq       uint64          `json:"-"`
 	Query     entity.Record   `json:"query"`
 	Decisions []DecisionEntry `json:"decisions"`
 	Report    ReportEntry     `json:"report"`
@@ -88,11 +94,21 @@ type ResolveEntry struct {
 // pair's journal entry, folds the match into the entity graph, and
 // removes the pair from the rebuilt deferred queue.
 type RedecideEntry struct {
+	// Seq is the ordinal among lifetime re-decisions, as ResolveEntry.Seq.
+	Seq              uint64        `json:"-"`
 	QueryID          string        `json:"query_id"`
 	Decision         DecisionEntry `json:"decision"`
 	PromptTokens     int           `json:"prompt_tokens,omitempty"`
 	CompletionTokens int           `json:"completion_tokens,omitempty"`
 	Cents            float64       `json:"cents,omitempty"`
+}
+
+// JournalEntry is the payload of an EntryJournal: the decisions one
+// resolve or re-decision journaled for a query. Later frames of
+// journal.log overwrite earlier ones pair by pair.
+type JournalEntry struct {
+	QueryID   string
+	Decisions []DecisionEntry
 }
 
 // DeferredEntry is one pair awaiting re-escalation inside a snapshot.
@@ -105,44 +121,239 @@ type DeferredEntry struct {
 	Probability float64       `json:"probability"`
 }
 
+// binaryV1 opens every payload this build writes. Version-1 stores
+// wrote JSON objects, whose first byte is '{'; those stay readable.
+const binaryV1 = 0x01
+
+var errPayload = errors.New("malformed binary payload")
+
+// codec walks an entry's fields in wire order, appending each to b
+// when encoding and consuming it from b when decoding, so every
+// layout is written down once: unsigned varints for counts, lengths,
+// integers and flags, length-prefixed strings, float64 as its eight
+// raw little-endian bits so decisions replay bit for bit. A decode
+// checks every count against the bytes that remain before it makes
+// anything, so it never allocates more than the payload holds.
+type codec struct {
+	b      []byte
+	decode bool
+	err    error
+}
+
+func (c *codec) fail() { c.err, c.b = errPayload, nil }
+
+// take consumes n bytes, or fails the decode and returns nil.
+func (c *codec) take(n int) []byte {
+	if c.err != nil || n < 0 || n > len(c.b) {
+		c.fail()
+		return nil
+	}
+	p := c.b[:n]
+	c.b = c.b[n:]
+	return p
+}
+
+func (c *codec) uvarint(p *uint64) {
+	if !c.decode {
+		c.b = binary.AppendUvarint(c.b, *p)
+		return
+	}
+	v, n := binary.Uvarint(c.b)
+	if n <= 0 || c.err != nil {
+		c.fail() // torn or overlong
+		return
+	}
+	*p, c.b = v, c.b[n:]
+}
+
+func (c *codec) int(p *int) {
+	v := uint64(*p)
+	c.uvarint(&v)
+	*p = int(v)
+}
+
+// count codes a sequence length whose elements take at least min
+// bytes each and returns it.
+func (c *codec) count(n, min int) int {
+	v := uint64(n)
+	c.uvarint(&v)
+	if c.decode && v > uint64(len(c.b)/min) {
+		c.fail()
+		return 0
+	}
+	return int(v)
+}
+
+func (c *codec) str(p *string) {
+	if n := c.count(len(*p), 1); c.decode {
+		*p = string(c.take(n))
+	} else {
+		c.b = append(c.b, *p...)
+	}
+}
+
+func (c *codec) f64(p *float64) {
+	if !c.decode {
+		c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(*p))
+	} else if b := c.take(8); b != nil {
+		*p = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+}
+
+// Record: ID, attribute count, then name and value of each attribute.
+func (c *codec) record(r *entity.Record) {
+	c.str(&r.ID)
+	if n := c.count(len(r.Attrs), 2); c.decode && n > 0 {
+		r.Attrs = make([]entity.Attr, n)
+	}
+	for i := range r.Attrs {
+		c.str(&r.Attrs[i].Name)
+		c.str(&r.Attrs[i].Value)
+	}
+}
+
+// Decision: candidate ID, block score, probability, flags (1 match,
+// 2 deferred), method, answer — at least 20 bytes.
+func (c *codec) decision(d *DecisionEntry) {
+	c.str(&d.CandidateID)
+	c.f64(&d.BlockScore)
+	c.f64(&d.Probability)
+	var flags uint64
+	if d.Match {
+		flags |= 1
+	}
+	if d.Deferred {
+		flags |= 2
+	}
+	if c.uvarint(&flags); flags > 3 {
+		c.fail() // a bit no field owns
+	}
+	d.Match, d.Deferred = flags&1 != 0, flags&2 != 0
+	c.str(&d.Method)
+	c.str(&d.Answer)
+}
+
+func (c *codec) decisions(ds *[]DecisionEntry) {
+	if n := c.count(len(*ds), 20); c.decode && n > 0 {
+		*ds = make([]DecisionEntry, n)
+	}
+	for i := range *ds {
+		c.decision(&(*ds)[i])
+	}
+}
+
+// Report: the twelve counters in declaration order, cents, then the
+// four strategies (match, compare, select, reason) of four counters.
+func (c *codec) report(r *ReportEntry) {
+	for _, p := range [...]*int{&r.Candidates, &r.LocalAccepts, &r.LocalRejects, &r.LLMPairs,
+		&r.BudgetDecided, &r.JournalHits, &r.PromptTokens, &r.CompletionTokens,
+		&r.BatchedPairs, &r.BatchFallbacks, &r.DeferredPairs, &r.GroupFallbacks} {
+		c.int(p)
+	}
+	c.f64(&r.Cents)
+	for _, s := range [...]*StrategyEntry{&r.MatchStrategy, &r.CompareStrategy, &r.SelectStrategy, &r.ReasonStrategy} {
+		c.int(&s.Calls)
+		c.int(&s.Pairs)
+		c.int(&s.PromptTokens)
+		c.int(&s.CompletionTokens)
+	}
+}
+
+func (c *codec) recordEntry(e *RecordEntry) { c.record(&e.Record) }
+
+// Resolve: sequence number, query record, decisions, report.
+func (c *codec) resolve(e *ResolveEntry) {
+	c.uvarint(&e.Seq)
+	c.record(&e.Query)
+	c.decisions(&e.Decisions)
+	c.report(&e.Report)
+}
+
+// Redecide: sequence number, query ID, decision, prompt tokens,
+// completion tokens, cents.
+func (c *codec) redecide(e *RedecideEntry) {
+	c.uvarint(&e.Seq)
+	c.str(&e.QueryID)
+	c.decision(&e.Decision)
+	c.int(&e.PromptTokens)
+	c.int(&e.CompletionTokens)
+	c.f64(&e.Cents)
+}
+
+// Journal: query ID, decisions.
+func (c *codec) journal(e *JournalEntry) {
+	c.str(&e.QueryID)
+	c.decisions(&e.Decisions)
+}
+
+// encoder starts a payload of about size bytes.
+func encoder(size int) codec { return codec{b: append(make([]byte, 0, size), binaryV1)} }
+
+// decodeEntry parses a payload of this build, rejecting trailing
+// bytes, or a version-1 JSON payload.
+func decodeEntry[T any](what string, payload []byte, walk func(*codec, *T)) (e T, err error) {
+	switch {
+	case len(payload) > 0 && payload[0] == '{':
+		err = json.Unmarshal(payload, &e)
+	case len(payload) > 0 && payload[0] == binaryV1:
+		c := codec{b: payload[1:], decode: true}
+		walk(&c, &e)
+		if err = c.err; err == nil && len(c.b) > 0 {
+			err = fmt.Errorf("%d trailing bytes", len(c.b))
+		}
+	default:
+		err = errors.New("unknown payload format")
+	}
+	if err != nil {
+		err = fmt.Errorf("persist: decode %s entry: %w", what, err)
+	}
+	return e, err
+}
+
 // EncodeRecord frames a record for Append.
 func EncodeRecord(r entity.Record) ([]byte, error) {
-	return json.Marshal(RecordEntry{Record: r})
+	c := encoder(256)
+	c.record(&r)
+	return c.b, nil
 }
 
 // DecodeRecord parses an EntryRecord payload.
 func DecodeRecord(payload []byte) (RecordEntry, error) {
-	var e RecordEntry
-	if err := json.Unmarshal(payload, &e); err != nil {
-		return RecordEntry{}, fmt.Errorf("persist: decode record entry: %w", err)
-	}
-	return e, nil
+	return decodeEntry("record", payload, (*codec).recordEntry)
 }
 
 // EncodeResolve frames a resolve call for Append.
 func EncodeResolve(e ResolveEntry) ([]byte, error) {
-	return json.Marshal(e)
+	c := encoder(384 + 64*len(e.Decisions))
+	c.resolve(&e)
+	return c.b, nil
 }
 
 // DecodeResolve parses an EntryResolve payload.
 func DecodeResolve(payload []byte) (ResolveEntry, error) {
-	var e ResolveEntry
-	if err := json.Unmarshal(payload, &e); err != nil {
-		return ResolveEntry{}, fmt.Errorf("persist: decode resolve entry: %w", err)
-	}
-	return e, nil
+	return decodeEntry("resolve", payload, (*codec).resolve)
 }
 
 // EncodeRedecide frames a re-escalated decision for Append.
 func EncodeRedecide(e RedecideEntry) ([]byte, error) {
-	return json.Marshal(e)
+	c := encoder(128)
+	c.redecide(&e)
+	return c.b, nil
 }
 
 // DecodeRedecide parses an EntryRedecide payload.
 func DecodeRedecide(payload []byte) (RedecideEntry, error) {
-	var e RedecideEntry
-	if err := json.Unmarshal(payload, &e); err != nil {
-		return RedecideEntry{}, fmt.Errorf("persist: decode redecide entry: %w", err)
-	}
-	return e, nil
+	return decodeEntry("redecide", payload, (*codec).redecide)
+}
+
+// JournalFrame encodes a query's decisions as a journal.log entry.
+func JournalFrame(query string, ds []DecisionEntry) Entry {
+	c := encoder(32 + 64*len(ds))
+	c.journal(&JournalEntry{QueryID: query, Decisions: ds})
+	return Entry{Type: EntryJournal, Payload: c.b}
+}
+
+// DecodeJournal parses an EntryJournal payload.
+func DecodeJournal(payload []byte) (JournalEntry, error) {
+	return decodeEntry("journal", payload, (*codec).journal)
 }

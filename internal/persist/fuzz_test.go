@@ -6,7 +6,10 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+
+	"llm4em/internal/entity"
 )
 
 // frame builds one well-formed WAL frame, for fuzz seeds.
@@ -27,14 +30,17 @@ func frame(t EntryType, payload []byte) []byte {
 // truncation, stable replay across reopen, and appendability on top of
 // whatever survived.
 func FuzzWALReplay(f *testing.F) {
-	valid := frame(EntryRecord, []byte(`{"id":"r1"}`))
-	two := append(append([]byte{}, valid...), frame(EntryResolve, []byte("decisions"))...)
+	rec, res, _, _ := fuzzEntries()
+	valid := frame(EntryRecord, mustEncode(EncodeRecord(rec.Record)))
+	two := append(append([]byte{}, valid...), frame(EntryResolve, mustEncode(EncodeResolve(res)))...)
+	legacy := frame(EntryRecord, []byte(`{"record":{"ID":"r1","Attrs":null}}`))
 	huge := frame(EntryRecord, nil)
 	binary.LittleEndian.PutUint32(huge[1:], 1<<30) // corrupt length field
 	for _, seed := range [][]byte{
 		nil,
 		valid,
 		two,
+		append(legacy, two...),         // a version-1 JSON payload ahead of binary ones
 		valid[:len(valid)-3],           // torn checksum
 		two[:len(two)-7],               // torn second frame
 		append([]byte{}, huge...),      // absurd length
@@ -91,6 +97,128 @@ func FuzzWALReplay(f *testing.F) {
 		last := rec2.Entries[len(rec2.Entries)-1]
 		if last.Type != EntryResolve || string(last.Payload) != "post-recovery" {
 			t.Fatalf("appended entry replayed as %+v", last)
+		}
+	})
+}
+
+// fuzzEntries returns one populated entry of each binary payload type.
+func fuzzEntries() (RecordEntry, ResolveEntry, RedecideEntry, JournalEntry) {
+	q := entity.Record{ID: "q1", Attrs: []entity.Attr{{Name: "title", Value: "sony dsc-120b cybershot"}, {Name: "price", Value: ""}}}
+	ds := []DecisionEntry{
+		{CandidateID: "r1", BlockScore: 7.25, Probability: 0.9731, Match: true, Method: "llm", Answer: "Yes."},
+		{CandidateID: "r2", BlockScore: 1.5, Probability: 0.31, Method: "deferred-local", Deferred: true},
+	}
+	report := ReportEntry{Candidates: 2, LocalAccepts: 1, LLMPairs: 1, PromptTokens: 412, CompletionTokens: 3,
+		Cents: 0.0173, BatchedPairs: 1, DeferredPairs: 1, MatchStrategy: StrategyEntry{Calls: 1, Pairs: 1, PromptTokens: 412, CompletionTokens: 3}}
+	return RecordEntry{Record: q},
+		ResolveEntry{Query: q, Decisions: ds, Report: report},
+		RedecideEntry{QueryID: "q1", Decision: ds[0], PromptTokens: 412, CompletionTokens: 3, Cents: 0.0173},
+		JournalEntry{QueryID: "q1", Decisions: ds}
+}
+
+func encodeJournal(e JournalEntry) ([]byte, error) {
+	return JournalFrame(e.QueryID, e.Decisions).Payload, nil
+}
+
+func mustEncode(p []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// entryCodecs pairs each binary payload type's decoder with its
+// encoder, as functions over payload bytes.
+var entryCodecs = []struct {
+	name   string
+	recode func([]byte) ([]byte, error)
+}{
+	{"record", func(p []byte) ([]byte, error) {
+		e, err := DecodeRecord(p)
+		if err != nil {
+			return nil, err
+		}
+		return EncodeRecord(e.Record)
+	}},
+	{"resolve", func(p []byte) ([]byte, error) {
+		e, err := DecodeResolve(p)
+		if err != nil {
+			return nil, err
+		}
+		return EncodeResolve(e)
+	}},
+	{"redecide", func(p []byte) ([]byte, error) {
+		e, err := DecodeRedecide(p)
+		if err != nil {
+			return nil, err
+		}
+		return EncodeRedecide(e)
+	}},
+	{"journal", func(p []byte) ([]byte, error) {
+		e, err := DecodeJournal(p)
+		if err != nil {
+			return nil, err
+		}
+		return encodeJournal(e)
+	}},
+}
+
+// FuzzDecodeEntries feeds arbitrary bytes to every binary payload
+// decoder — what a CRC-valid frame of a hostile or bit-rotted log
+// could carry — and pins the decoding contract: no panic, no
+// allocation beyond a small multiple of the payload length however
+// large the counts it announces (a decoded attribute is 16 times
+// wider than its two-byte minimum on the wire, nothing is wider),
+// decode → encode → decode stable, and trailing bytes rejected.
+func FuzzDecodeEntries(f *testing.F) {
+	rec, res, red, jou := fuzzEntries()
+	for _, valid := range [][]byte{
+		mustEncode(EncodeRecord(rec.Record)),
+		mustEncode(EncodeResolve(res)),
+		mustEncode(EncodeRedecide(red)),
+		mustEncode(encodeJournal(jou)),
+	} {
+		f.Add(valid)
+		f.Add(valid[:len(valid)/2])                    // truncation
+		f.Add(valid[:len(valid)-1])                    // one byte short
+		f.Add(append(append([]byte{}, valid...), 0x0)) // trailing byte
+	}
+	// Absurd lengths: a 2^63 string, a 2^40-attribute record, a
+	// 2^35-decision journal entry, an overlong varint.
+	f.Add(append([]byte{binaryV1}, binary.AppendUvarint(nil, 1<<63)...))
+	f.Add(append([]byte{binaryV1, 1, 'r'}, binary.AppendUvarint(nil, 1<<40)...))
+	f.Add(append([]byte{binaryV1, 1, 'q'}, binary.AppendUvarint(nil, 1<<35)...))
+	f.Add(append([]byte{binaryV1}, bytes.Repeat([]byte{0xff}, 11)...))
+	f.Add([]byte{})
+	f.Add([]byte{0x7f, 0x00})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 0 && data[0] == '{' {
+			return // the version-1 JSON reader is encoding/json's to fuzz
+		}
+		for _, c := range entryCodecs {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			first, err := c.recode(data)
+			runtime.ReadMemStats(&m1)
+			if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(32*len(data)+64<<10); got > limit {
+				t.Fatalf("%s: %d bytes allocated decoding %d", c.name, got, len(data))
+			}
+			if err != nil {
+				continue
+			}
+			if len(first) > len(data) {
+				t.Fatalf("%s: %d payload bytes re-encode to %d", c.name, len(data), len(first))
+			}
+			second, err := c.recode(first)
+			if err != nil {
+				t.Fatalf("%s: re-encoded payload does not decode: %v", c.name, err)
+			}
+			if !bytes.Equal(first, second) {
+				t.Fatalf("%s: decode → encode → decode is not stable:\n%x\n%x", c.name, first, second)
+			}
+			if _, err := c.recode(append(append([]byte{}, first...), 0)); err == nil {
+				t.Fatalf("%s: trailing byte accepted", c.name)
+			}
 		}
 	})
 }

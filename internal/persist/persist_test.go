@@ -2,6 +2,9 @@ package persist
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -193,13 +196,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			ID:    "r1",
 			Attrs: []entity.Attr{{Name: "title", Value: "sony camera"}},
 		}}},
-		Groups: [][]string{{"q1", "r1"}, {"r2"}},
-		Journal: []DecisionEntry{{
-			QueryID: "q1", CandidateID: "r1", Probability: 0.97,
-			Match: true, Method: "cascade-accept",
-		}},
-		Totals:   ReportEntry{Candidates: 3, LLMPairs: 1, Cents: 0.25},
-		Resolves: 2,
+		Groups:       [][]string{{"q1", "r1"}, {"r2"}},
+		JournalBytes: 4096,
+		Totals:       ReportEntry{Candidates: 3, LLMPairs: 1, Cents: 0.25},
+		Resolves:     2,
 	}
 	if err := WriteSnapshot(dir, s); err != nil {
 		t.Fatal(err)
@@ -301,5 +301,215 @@ func TestIndexFileCleanup(t *testing.T) {
 		if exists := err == nil; exists != want {
 			t.Errorf("%s exists=%v, want %v", name, exists, want)
 		}
+	}
+}
+
+// TestBinaryCodecs pins the binary payloads: every entry type round
+// trips bit for bit (NaN and negative zero included), stays well under
+// its JSON size, and the version-1 JSON payloads still decode.
+func TestBinaryCodecs(t *testing.T) {
+	rec, res, red, jou := fuzzEntries()
+	res.Decisions[0].Probability = math.Float64frombits(0x7ff8000000000123) // a NaN with a payload
+	res.Decisions[1].BlockScore = math.Copysign(0, -1)
+	p := mustEncode(EncodeResolve(res))
+	got, err := DecodeResolve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := mustEncode(EncodeResolve(got)); !bytes.Equal(again, p) {
+		t.Errorf("resolve entry not bit-identical across a round trip:\n%x\n%x", p, again)
+	}
+	res.Decisions[0].Probability = 0.9731 // encoding/json refuses NaN
+	asJSON, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p = mustEncode(EncodeResolve(res)); 3*len(p) > len(asJSON) {
+		t.Errorf("binary resolve entry is %d bytes, JSON %d: want at least 3x smaller", len(p), len(asJSON))
+	}
+	// Version-1 payloads: JSON objects.
+	if got, err = DecodeResolve(asJSON); err != nil || !reflect.DeepEqual(got, res) {
+		t.Errorf("version-1 resolve payload: %+v err=%v", got, err)
+	}
+	recJSON, _ := json.Marshal(rec)
+	if got, err := DecodeRecord(recJSON); err != nil || !reflect.DeepEqual(got, rec) {
+		t.Errorf("version-1 record payload: %+v err=%v", got, err)
+	}
+	redJSON, _ := json.Marshal(red)
+	if got, err := DecodeRedecide(redJSON); err != nil || !reflect.DeepEqual(got, red) {
+		t.Errorf("version-1 redecide payload: %+v err=%v", got, err)
+	}
+	if got, err := DecodeRedecide(mustEncode(EncodeRedecide(red))); err != nil || !reflect.DeepEqual(got, red) {
+		t.Errorf("redecide codec: %+v err=%v", got, err)
+	}
+	if got, err := DecodeJournal(mustEncode(encodeJournal(jou))); err != nil || !reflect.DeepEqual(got, jou) {
+		t.Errorf("journal codec: %+v err=%v", got, err)
+	}
+	for name, bad := range map[string][]byte{
+		"empty":          {},
+		"unknown format": {0x02, 0x00},
+		"unowned flag":   append(append([]byte{binaryV1, 1, 'q', 1, 1, 'r'}, make([]byte, 16)...), 0x04, 0, 0),
+	} {
+		if _, err := DecodeJournal(bad); err == nil {
+			t.Errorf("%s payload accepted", name)
+		}
+	}
+}
+
+// countingFS counts the Write calls of the files it opens and fails
+// the one at failAt (1-based) after writing half its bytes.
+type countingFS struct {
+	writes, failAt int
+}
+
+type countingFile struct {
+	File
+	fs *countingFS
+}
+
+func (c *countingFS) OpenFile(path string) (File, error) {
+	f, err := OS.OpenFile(path)
+	return &countingFile{File: f, fs: c}, err
+}
+
+func (f *countingFile) Write(p []byte) (int, error) {
+	if f.fs.writes++; f.fs.writes == f.fs.failAt {
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, errors.New("injected short write")
+	}
+	return f.File.Write(p)
+}
+
+// TestAppendEntriesOneWrite pins the batch append: any number of
+// entries cost one write, and a failed write rolls the whole batch
+// back to the previous entry boundary, leaving the log appendable.
+func TestAppendEntriesOneWrite(t *testing.T) {
+	path := walPath(t)
+	fsys := &countingFS{failAt: 2}
+	w, _, err := OpenWALFS(fsys, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Entry, 200)
+	for i := range batch {
+		batch[i] = Entry{Type: EntryRecord, Payload: []byte{byte(i), 'x'}}
+	}
+	if err := w.AppendEntries(batch); err != nil {
+		t.Fatal(err)
+	}
+	if fsys.writes != 1 || w.Entries() != 200 {
+		t.Fatalf("200 entries took %d writes and count %d, want 1 and 200", fsys.writes, w.Entries())
+	}
+	size := w.Bytes()
+	if err := w.AppendEntries(batch); !errors.Is(err, ErrWALWrite) {
+		t.Fatalf("faulted batch = %v, want ErrWALWrite", err)
+	}
+	if w.Bytes() != size || w.Entries() != 200 {
+		t.Errorf("failed batch moved the log to %d bytes, %d entries", w.Bytes(), w.Entries())
+	}
+	if err := w.Append(EntryResolve, []byte("after")); err != nil {
+		t.Fatalf("append after rollback: %v", err)
+	}
+	w.Close()
+	_, rec := mustOpen(t, path)
+	if rec.TruncatedTail || len(rec.Entries) != 201 || string(rec.Entries[200].Payload) != "after" {
+		t.Errorf("reopen: truncated=%v entries=%d, want 201 clean", rec.TruncatedTail, len(rec.Entries))
+	}
+}
+
+// TestOpenJournal covers the committed-prefix contract: bytes beyond
+// the committed size — whole frames or a torn one — are cut away,
+// while a file that ends or breaks inside it fails with the typed
+// error and is left untouched.
+func TestOpenJournal(t *testing.T) {
+	_, _, _, jou := fuzzEntries()
+	payload := mustEncode(encodeJournal(jou))
+	two := append(frame(EntryJournal, payload), frame(EntryJournal, payload)...)
+	committed := int64(len(two))
+	for name, tc := range map[string]struct {
+		file    []byte
+		wantErr bool
+	}{
+		"exact":                   {file: two},
+		"whole frame beyond":      {file: append(append([]byte{}, two...), frame(EntryJournal, payload)...)},
+		"torn frame beyond":       {file: append(append([]byte{}, two...), frame(EntryJournal, payload)[:9]...)},
+		"shorter than committed":  {file: two[:len(two)-1], wantErr: true},
+		"empty":                   {wantErr: true},
+		"bit flip inside":         {file: append(append([]byte{}, two[:20]...), append([]byte{two[20] ^ 1}, two[21:]...)...), wantErr: true},
+		"frames straddle the end": {file: append(append([]byte{}, two[:len(two)-4]...), make([]byte, 64)...), wantErr: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), JournalFile)
+			if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			w, rec, err := OpenJournal(OS, path, committed)
+			if tc.wantErr {
+				if !errors.Is(err, ErrJournalTorn) {
+					t.Fatalf("err = %v, want ErrJournalTorn", err)
+				}
+				if after, _ := os.ReadFile(path); !bytes.Equal(after, tc.file) {
+					t.Error("a refused journal was modified")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if len(rec.Entries) != 2 || !bytes.Equal(rec.Entries[1].Payload, payload) || rec.TruncatedTail != (len(tc.file) > len(two)) {
+				t.Errorf("recovery = %+v, want the two committed entries", rec)
+			}
+			if fi, _ := os.Stat(path); fi.Size() != committed || w.Bytes() != committed {
+				t.Errorf("journal is %d bytes on disk, %d in the handle, want %d", fi.Size(), w.Bytes(), committed)
+			}
+		})
+	}
+	// Nothing committed: whatever a crashed first checkpoint left goes.
+	path := filepath.Join(t.TempDir(), JournalFile)
+	if err := os.WriteFile(path, two, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, rec, err := OpenJournal(OS, path, 0)
+	if err != nil || len(rec.Entries) != 0 || w.Bytes() != 0 {
+		t.Fatalf("uncommitted journal: entries=%d err=%v", len(rec.Entries), err)
+	}
+	w.Close()
+}
+
+// TestReadSnapshotVersion1 pins the decode-only legacy reader: the
+// inline journal surfaces as LegacyJournal, and writing the snapshot
+// back produces version 2 without a journal key.
+func TestReadSnapshotVersion1(t *testing.T) {
+	dir := t.TempDir()
+	v1 := `{"version":1,"records":null,"groups":[["q1","r1"]],"resolves":1,"totals":{"candidates":1},
+		"journal":[{"query_id":"q1","candidate_id":"r1","block_score":3.5,"probability":0.9,"match":true,"method":"llm","answer":"Yes"}]}`
+	if err := os.WriteFile(filepath.Join(dir, SnapshotFile), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ok, err := ReadSnapshot(dir)
+	if err != nil || !ok {
+		t.Fatalf("ReadSnapshot: ok=%v err=%v", ok, err)
+	}
+	want := []DecisionEntry{{QueryID: "q1", CandidateID: "r1", BlockScore: 3.5, Probability: 0.9, Match: true, Method: "llm", Answer: "Yes"}}
+	if !reflect.DeepEqual(s.LegacyJournal, want) || s.JournalBytes != 0 || s.Resolves != 1 {
+		t.Errorf("version-1 snapshot = %+v", s)
+	}
+	if err := WriteSnapshot(dir, s); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, SnapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, has := keys["journal"]; has || string(keys["version"]) != "2" {
+		t.Errorf("rewritten snapshot: version %s, journal key present=%v", keys["version"], has)
+	}
+	if _, has := keys["journal_bytes"]; !has {
+		t.Error("rewritten snapshot lacks journal_bytes")
 	}
 }

@@ -14,18 +14,22 @@ import (
 const (
 	SnapshotFile = "snapshot.json"
 	WALFile      = "wal.log"
+	JournalFile  = "journal.log"
 	snapshotTmp  = "snapshot.json.tmp"
 )
 
-// snapshotVersion guards the on-disk schema; a mismatch fails loudly
-// rather than replaying state under wrong semantics.
-const snapshotVersion = 1
+// snapshotVersion guards the on-disk schema; an unknown version fails
+// loudly rather than replaying state under wrong semantics. Version 1
+// kept the decision journal inline and is read, never written.
+const snapshotVersion = 2
 
-// Snapshot is the compacted full state of a resolution store: every
-// ingested record, the entity groups, the decision journal and the
-// lifetime cost totals. Replaying the WAL on top of it must be
-// idempotent — a crash between snapshot rename and WAL reset leaves
-// entries in the log that the snapshot already contains.
+// Snapshot is the compacted state of a resolution store apart from
+// its decision journal: the entity groups, the lifetime cost totals,
+// the deferred queue and the bindings to the files holding the rest —
+// the records (index epoch) and the journal (JournalBytes). Replaying
+// the WAL on top of it must be idempotent — a crash between snapshot
+// rename and WAL reset leaves entries in the log that the snapshot
+// already contains.
 type Snapshot struct {
 	Version int `json:"version"`
 	// Records are the ingested (indexed) records.
@@ -34,8 +38,13 @@ type Snapshot struct {
 	// rebuild the union-find exactly, since canonical roots are the
 	// smallest members regardless of union order.
 	Groups [][]string `json:"groups"`
-	// Journal holds every decided pair keyed by query and candidate ID.
-	Journal []DecisionEntry `json:"journal"`
+	// JournalBytes is the length of the journal.log prefix this snapshot
+	// commits: every decision journaled before it was cut.
+	JournalBytes int64 `json:"journal_bytes"`
+	// LegacyJournal is the inline journal of a version-1 snapshot, read
+	// and never written: WriteSnapshot drops it, and the store's first
+	// checkpoint moves it into journal.log.
+	LegacyJournal []DecisionEntry `json:"journal,omitempty"`
 	// Totals are the lifetime cost counters.
 	Totals ReportEntry `json:"totals"`
 	// Resolves is the lifetime resolve-call count.
@@ -127,7 +136,7 @@ func MaxIndexEpoch(dir string) uint64 {
 // snapshot, so a crash at any point leaves either the old or the new
 // snapshot intact — never a partial one.
 func WriteSnapshot(dir string, s *Snapshot) error {
-	s.Version = snapshotVersion
+	s.Version, s.LegacyJournal = snapshotVersion, nil
 	data, err := json.Marshal(s)
 	if err != nil {
 		return fmt.Errorf("persist: marshal snapshot: %w", err)
@@ -172,8 +181,8 @@ func ReadSnapshot(dir string) (s *Snapshot, ok bool, err error) {
 	if err := json.Unmarshal(data, s); err != nil {
 		return nil, false, fmt.Errorf("persist: decode snapshot: %w", err)
 	}
-	if s.Version != snapshotVersion {
-		return nil, false, fmt.Errorf("persist: snapshot version %d, this build reads %d", s.Version, snapshotVersion)
+	if s.Version != 1 && s.Version != snapshotVersion {
+		return nil, false, fmt.Errorf("persist: snapshot version %d, this build reads 1 to %d", s.Version, snapshotVersion)
 	}
 	return s, true, nil
 }

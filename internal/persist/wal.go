@@ -1,22 +1,35 @@
 // Package persist is the durability layer of the online resolution
-// store: an append-only write-ahead log (WAL) of typed,
-// length-prefixed, CRC-checked entries plus an atomically written
-// snapshot file. Together they make a store's state survive process
-// restarts without re-paying LLM calls: the snapshot captures a
-// compacted full state, the WAL the tail of mutations since.
+// store: append-only logs of typed, length-prefixed, CRC-checked
+// frames plus an atomically written snapshot file. Together they make
+// a store's state survive process restarts without re-paying LLM
+// calls, at a cost per checkpoint that follows what happened since
+// the last one, not the store's lifetime.
 //
 // Durability layout inside a persistence directory:
 //
-//	snapshot.json   last compacted state (atomic tmp+rename write)
-//	wal.log         entries appended since that snapshot
+//	snapshot.json      groups, totals, deferred queue, index epoch and
+//	                   journal_bytes (atomic tmp+rename: the commit point)
+//	journal.log        every decided pair, append-only; only its first
+//	                   journal_bytes bytes are committed
+//	wal.log            entries appended since that snapshot
+//	index-<e>-<n>.emx  the records, written by the blocking layer
 //
-// Recovery reads the snapshot (if any) and replays the WAL on top.
-// The WAL tolerates a torn tail: a crash mid-append leaves a partial
-// or CRC-broken final entry, which OpenWAL detects, drops, and
-// truncates away so the log is append-clean again. Replay must be
-// idempotent on the caller's side — a crash between snapshot rename
-// and WAL reset legitimately replays entries already contained in the
-// snapshot (duplicate record adds, repeated merges).
+// Every frame is [type:1][len:4 LE][payload:len][crc32:4 LE]. Payloads
+// open with a format byte (0x01) followed by unsigned varints,
+// length-prefixed strings and raw float64 bits, in the field order the
+// codec in entries.go spells out. Version-1 stores wrote JSON payloads
+// (first byte '{') and kept the journal inline in snapshot.json; both
+// stay readable, neither is written any more.
+//
+// A checkpoint writes the index files, appends the decisions
+// journaled since the last checkpoint to journal.log and fsyncs it,
+// renames snapshot.json into place and resets wal.log. Recovery reads
+// the snapshot and the committed prefix of journal.log, truncating
+// what a crashed checkpoint left beyond it, and replays wal.log on
+// top; a torn WAL tail (a crash mid-append) is detected, dropped and
+// truncated away. Replay must be idempotent on the caller's side: a
+// crash between snapshot rename and WAL reset replays entries the
+// snapshot and the journal already contain.
 //
 // The package is deliberately single-writer: one process owns a
 // persistence directory at a time.
@@ -29,6 +42,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"time"
 
 	"llm4em/internal/telemetry"
@@ -50,6 +64,9 @@ const (
 	// it; builds predating the resilience layer skip it as an unknown
 	// type.
 	EntryRedecide EntryType = 3
+	// EntryJournal is one query's journaled decisions (JournalEntry),
+	// the frame type of journal.log.
+	EntryJournal EntryType = 4
 )
 
 // Entry is one typed WAL payload.
@@ -68,6 +85,9 @@ const (
 	// otherwise ask recovery to allocate gigabytes; anything larger
 	// than this is treated as tail corruption.
 	maxPayload = 1 << 26 // 64 MiB
+	// maxKeptBuffer bounds the frame buffer a WAL keeps between appends;
+	// a larger one (a checkpoint's journal delta) is dropped after use.
+	maxKeptBuffer = 1 << 20
 )
 
 // ErrClosed marks operations on a closed WAL.
@@ -80,6 +100,10 @@ var ErrClosed = errors.New("persist: WAL is closed")
 // file back to the previous entry boundary, and recovery's torn-tail
 // truncation covers the case where even the rollback failed.
 var ErrWALWrite = errors.New("persist: WAL write failed")
+
+// ErrJournalTorn marks a journal.log that no longer holds the bytes
+// its snapshot committed.
+var ErrJournalTorn = errors.New("persist: journal.log is shorter than or corrupt within the committed journal_bytes")
 
 // File is the handle the WAL writes through. *os.File satisfies it;
 // the chaos harness (internal/chaos) substitutes a fault-injecting
@@ -109,7 +133,8 @@ func (osFS) OpenFile(path string) (File, error) {
 // OS is the real-filesystem FS.
 var OS FS = osFS{}
 
-// WAL is an append-only log file. It is not safe for concurrent use;
+// WAL is an append-only log file: wal.log, and journal.log through
+// OpenJournal. It is not safe for concurrent use;
 // callers serialize access (internal/resolve does).
 type WAL struct {
 	f       File
@@ -120,6 +145,7 @@ type WAL struct {
 	// matches the file, so further appends would write after a torn
 	// frame and be silently dropped by the next recovery scan.
 	failed bool
+	buf    []byte // frame buffer reused across appends
 	// met instruments append and fsync latency; the zero value is
 	// disabled (SetMetrics wires it).
 	met telemetry.PersistMetrics
@@ -151,116 +177,155 @@ func OpenWAL(path string) (*WAL, Recovery, error) {
 
 // OpenWALFS is OpenWAL over an injected filesystem.
 func OpenWALFS(fsys FS, path string) (*WAL, Recovery, error) {
+	return openLog(fsys, path, -1)
+}
+
+// OpenJournal opens (creating if absent) the decision journal at path
+// and returns the entries of its first size bytes, the prefix a
+// snapshot's journal_bytes committed. Whatever lies beyond was left by
+// a checkpoint that crashed before its rename — wal.log still holds
+// those decisions — and is truncated away. A file shorter than size,
+// or a prefix that is not a run of intact frames, fails with
+// ErrJournalTorn rather than forget paid-for verdicts silently.
+func OpenJournal(fsys FS, path string, size int64) (*WAL, Recovery, error) {
+	return openLog(fsys, path, size)
+}
+
+// openLog opens the log at path. With limit < 0 it keeps the longest
+// intact prefix; otherwise it keeps exactly limit bytes or fails.
+func openLog(fsys FS, path string, limit int64) (*WAL, Recovery, error) {
 	f, err := fsys.OpenFile(path)
 	if err != nil {
-		return nil, Recovery{}, fmt.Errorf("persist: open WAL: %w", err)
+		return nil, Recovery{}, fmt.Errorf("persist: open %s: %w", filepath.Base(path), err)
 	}
-	rec, validBytes, err := scan(f)
+	rec, validBytes, err := scan(f, limit)
+	if err == nil && rec.TruncatedTail {
+		if err = f.Truncate(validBytes); err != nil {
+			err = fmt.Errorf("persist: truncate torn tail: %w", err)
+		}
+	}
+	if err == nil {
+		if _, err = f.Seek(validBytes, io.SeekStart); err != nil {
+			err = fmt.Errorf("persist: seek log end: %w", err)
+		}
+	}
 	if err != nil {
 		f.Close()
 		return nil, Recovery{}, err
 	}
-	if rec.TruncatedTail {
-		if err := f.Truncate(validBytes); err != nil {
-			f.Close()
-			return nil, Recovery{}, fmt.Errorf("persist: truncate torn tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(validBytes, io.SeekStart); err != nil {
-		f.Close()
-		return nil, Recovery{}, fmt.Errorf("persist: seek WAL end: %w", err)
-	}
 	return &WAL{f: f, bytes: validBytes}, rec, nil
 }
 
-// scan reads frames from the start of f, returning the valid entries
-// and the byte offset where validity ends.
-func scan(f File) (Recovery, int64, error) {
+// scan reads f in one pass and splits it into frames, returning the
+// valid entries — their payloads alias the one read buffer — and the
+// byte offset where validity ends. With limit >= 0 only that prefix is
+// read, and it must hold intact frames from end to end.
+func scan(f File, limit int64) (Recovery, int64, error) {
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
-		return Recovery{}, 0, fmt.Errorf("persist: size WAL: %w", err)
+		return Recovery{}, 0, fmt.Errorf("persist: size log: %w", err)
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return Recovery{}, 0, fmt.Errorf("persist: rewind WAL: %w", err)
+		return Recovery{}, 0, fmt.Errorf("persist: rewind log: %w", err)
+	}
+	committed := limit >= 0
+	if limit > size {
+		return Recovery{}, 0, fmt.Errorf("%w: %d bytes on disk, %d committed", ErrJournalTorn, size, limit)
+	}
+	if limit < 0 {
+		limit = size
+	}
+	buf := make([]byte, limit)
+	if _, err := io.ReadFull(f, buf); err != nil {
+		return Recovery{}, 0, fmt.Errorf("persist: read log: %w", err)
 	}
 	var rec Recovery
-	var off int64
-	header := make([]byte, headerSize)
-	for off < size {
-		if size-off < headerSize {
-			break // torn header
+	off := 0
+	for len(buf)-off >= headerSize+crcSize {
+		n := binary.LittleEndian.Uint32(buf[off+1:])
+		end := off + headerSize + int(n)
+		if n > maxPayload || end+crcSize > len(buf) ||
+			crc32.ChecksumIEEE(buf[off:end]) != binary.LittleEndian.Uint32(buf[end:]) {
+			break // corrupt length, torn payload or checksum, bit rot
 		}
-		if _, err := io.ReadFull(f, header); err != nil {
-			return Recovery{}, 0, fmt.Errorf("persist: read WAL header: %w", err)
-		}
-		payloadLen := int64(binary.LittleEndian.Uint32(header[1:]))
-		if payloadLen > maxPayload || size-off-headerSize < payloadLen+crcSize {
-			break // corrupt length or torn payload/checksum
-		}
-		body := make([]byte, payloadLen+crcSize)
-		if _, err := io.ReadFull(f, body); err != nil {
-			return Recovery{}, 0, fmt.Errorf("persist: read WAL entry: %w", err)
-		}
-		sum := crc32.NewIEEE()
-		sum.Write(header)
-		sum.Write(body[:payloadLen])
-		if sum.Sum32() != binary.LittleEndian.Uint32(body[payloadLen:]) {
-			break // bit rot or torn rewrite
-		}
-		rec.Entries = append(rec.Entries, Entry{
-			Type:    EntryType(header[0]),
-			Payload: body[:payloadLen:payloadLen],
-		})
-		off += headerSize + payloadLen + crcSize
+		rec.Entries = append(rec.Entries, Entry{Type: EntryType(buf[off]), Payload: buf[off+headerSize : end : end]})
+		off = end + crcSize
 	}
-	if off < size {
+	if committed && off < len(buf) {
+		return Recovery{}, 0, fmt.Errorf("%w: broken frame at byte %d of %d committed", ErrJournalTorn, off, limit)
+	}
+	if int64(off) < size {
 		rec.TruncatedTail = true
-		rec.DroppedBytes = size - off
+		rec.DroppedBytes = size - int64(off)
 	}
-	return rec, off, nil
+	return rec, int64(off), nil
 }
 
 // Append writes one entry to the log. Durability against OS crashes
 // additionally needs Sync; a process crash alone never loses an
 // appended entry.
 func (w *WAL) Append(t EntryType, payload []byte) error {
+	return w.AppendEntries([]Entry{{Type: t, Payload: payload}})
+}
+
+// AppendEntries frames the entries into one buffer and appends them
+// with a single write: all of them land or, on a failed write, none.
+func (w *WAL) AppendEntries(entries []Entry) error {
 	if w.f == nil {
 		return ErrClosed
 	}
 	if w.failed {
 		return fmt.Errorf("%w: log poisoned by an earlier unrecovered write failure", ErrWALWrite)
 	}
-	if int64(len(payload)) > maxPayload {
-		return fmt.Errorf("persist: entry payload %d bytes exceeds limit", len(payload))
-	}
 	var t0 time.Time
 	if w.met.AppendSeconds != nil {
 		t0 = time.Now()
 	}
-	frame := make([]byte, headerSize+len(payload)+crcSize)
-	frame[0] = byte(t)
-	binary.LittleEndian.PutUint32(frame[1:], uint32(len(payload)))
-	copy(frame[headerSize:], payload)
-	sum := crc32.NewIEEE()
-	sum.Write(frame[:headerSize+len(payload)])
-	binary.LittleEndian.PutUint32(frame[headerSize+len(payload):], sum.Sum32())
-	if n, err := w.f.Write(frame); err != nil {
-		// Roll the partial frame back to the previous entry boundary so
+	buf := w.buf[:0]
+	for _, e := range entries {
+		if len(e.Payload) > maxPayload {
+			return fmt.Errorf("persist: entry payload %d bytes exceeds limit", len(e.Payload))
+		}
+		start := len(buf)
+		buf = append(buf, byte(e.Type))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Payload)))
+		buf = append(buf, e.Payload...)
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+	}
+	if cap(buf) <= maxKeptBuffer {
+		w.buf = buf
+	}
+	if n, err := w.f.Write(buf); err != nil {
+		// Roll the partial frames back to the previous entry boundary so
 		// the log stays append-clean; if even that fails, poison the
 		// handle — appending after a torn frame would be silently
 		// dropped by the next recovery scan.
-		if _, serr := w.f.Seek(w.bytes, io.SeekStart); serr != nil {
-			w.failed = true
-		} else if terr := w.f.Truncate(w.bytes); terr != nil {
+		if w.truncate(w.bytes) != nil {
 			w.failed = true
 		}
-		return fmt.Errorf("%w: append entry (%d of %d bytes): %v", ErrWALWrite, n, len(frame), err)
+		return fmt.Errorf("%w: append %d entries (%d of %d bytes): %v", ErrWALWrite, len(entries), n, len(buf), err)
 	}
-	w.entries++
-	w.bytes += int64(len(frame))
+	w.entries += uint64(len(entries))
+	w.bytes += int64(len(buf))
 	if !t0.IsZero() {
 		w.met.AppendSeconds.ObserveSince(t0)
 	}
+	return nil
+}
+
+// truncate cuts the log back to size bytes, an earlier entry
+// boundary, and appends continue from there.
+func (w *WAL) truncate(size int64) error {
+	if w.f == nil {
+		return ErrClosed
+	}
+	if _, err := w.f.Seek(size, io.SeekStart); err != nil {
+		return fmt.Errorf("persist: rewind log: %w", err)
+	}
+	if err := w.f.Truncate(size); err != nil {
+		return fmt.Errorf("persist: truncate log: %w", err)
+	}
+	w.bytes = size
 	return nil
 }
 
@@ -286,16 +351,9 @@ func (w *WAL) Sync() error {
 // Reset empties the log — called right after a snapshot has captured
 // everything the log held.
 func (w *WAL) Reset() error {
-	if w.f == nil {
-		return ErrClosed
+	if err := w.truncate(0); err != nil {
+		return err
 	}
-	if err := w.f.Truncate(0); err != nil {
-		return fmt.Errorf("persist: reset WAL: %w", err)
-	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("persist: rewind WAL: %w", err)
-	}
-	w.bytes = 0
 	return w.f.Sync()
 }
 

@@ -217,3 +217,85 @@ func benchmarkStoreAdd(b *testing.B, opts Options) {
 		}
 	}
 }
+
+// benchPersistentStore builds the 10k-record store of benchStore on a
+// persistence directory with the given number of decisions already in
+// journal.log (growJournal's synthetic ones: the journal grows while
+// records, groups and totals stay put) and checkpoints it.
+func benchPersistentStore(b *testing.B, journal int) (*Store, Options) {
+	b.Helper()
+	mem, _ := benchStore(b, 10000)
+	recs := make([]entity.Record, 0, 10000)
+	for _, sh := range mem.shards {
+		for pos := 0; pos < sh.ix.Len(); pos++ {
+			recs = append(recs, sh.ix.Record(pos))
+		}
+	}
+	opts := Options{PersistDir: b.TempDir(), SnapshotEvery: -1}
+	s, err := Open(benchClient{}, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.AddBatch(recs); err != nil {
+		b.Fatal(err)
+	}
+	growJournal(s, "old", journal)
+	if err := s.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	return s, opts
+}
+
+// BenchmarkStoreCheckpoint measures a checkpoint carrying the same
+// delta — a hundred fresh decisions — over the same 10k-record store
+// with 10k and with 100k decisions journaled before. The regression
+// gate holds the second to 1.5x the first: a checkpoint costs what
+// happened since the last one, whatever the journal's size.
+func BenchmarkStoreCheckpoint(b *testing.B) {
+	for _, journal := range []int{10000, 100000} {
+		b.Run(fmt.Sprintf("journal=%dk", journal/1000), func(b *testing.B) {
+			s, _ := benchPersistentStore(b, journal)
+			defer s.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				growJournal(s, fmt.Sprintf("new%d", i), 100)
+				b.StartTimer()
+				if err := s.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(s.Stats().Persist.JournalBytes)/float64(journal+100*b.N), "journal-B/decision")
+		})
+	}
+}
+
+// BenchmarkStoreOpen measures resolve.Open — snapshot, journal.log,
+// mapped index shards, WAL — on the checkpointed 10k-record store at
+// both journal sizes: the store-level restart figure.
+func BenchmarkStoreOpen(b *testing.B) {
+	for _, journal := range []int{10000, 100000} {
+		b.Run(fmt.Sprintf("journal=%dk", journal/1000), func(b *testing.B) {
+			s, opts := benchPersistentStore(b, journal)
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				again, err := Open(benchClient{}, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if got := again.Stats().Persist.JournalSize; got != uint64(journal) {
+					b.Fatalf("reopened with %d journaled decisions, want %d", got, journal)
+				}
+				if err := again.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}

@@ -316,20 +316,21 @@ func (s *Store) redecide(dp deferredPair) bool {
 	}
 
 	if s.wal != nil {
+		// persistMu spans append, fold and totals, as in ResolveContext: a
+		// checkpoint in between would reset the WAL entry away and commit
+		// groups and totals that lack it.
 		s.persistMu.Lock()
+		defer s.persistMu.Unlock()
 		if s.pstate.closed {
-			s.persistMu.Unlock()
 			return false
 		}
-		err := s.appendRedecideLocked(persist.RedecideEntry{
+		if err := s.appendRedecideLocked(persist.RedecideEntry{
 			QueryID:          dp.query.ID,
 			Decision:         de,
 			PromptTokens:     resp.PromptTokens,
 			CompletionTokens: resp.CompletionTokens,
 			Cents:            cents,
-		})
-		s.persistMu.Unlock()
-		if err != nil {
+		}); err != nil {
 			return false
 		}
 	}
@@ -348,6 +349,13 @@ func (s *Store) redecide(dp deferredPair) bool {
 	s.statsMu.Unlock()
 	s.res.met.Redecided.Inc()
 	s.res.remove(key)
+	if s.wal != nil {
+		// The cadences run last, so a checkpoint they trigger holds the
+		// fold and the totals of the entry it resets away. The re-decision
+		// itself is committed: a failed sync or checkpoint is retried by
+		// the next append's cadence, not by re-deciding the pair.
+		_ = s.afterAppendLocked(1)
+	}
 	return true
 }
 

@@ -279,8 +279,9 @@ func TestDeferredConvergesToHealthyRun(t *testing.T) {
 		return snap
 	}
 
-	healthy := run(t.TempDir(), false)
-	recovered := run(t.TempDir(), true)
+	healthyDir, recoveredDir := t.TempDir(), t.TempDir()
+	healthy := run(healthyDir, false)
+	recovered := run(recoveredDir, true)
 
 	if !reflect.DeepEqual(healthy.Groups, recovered.Groups) {
 		t.Errorf("groups diverged:\nhealthy:   %v\nrecovered: %v",
@@ -295,7 +296,7 @@ func TestDeferredConvergesToHealthyRun(t *testing.T) {
 		}
 		return m
 	}
-	hj, rj := toMap(healthy.Journal), toMap(recovered.Journal)
+	hj, rj := toMap(committedJournal(t, healthyDir)), toMap(committedJournal(t, recoveredDir))
 	if !reflect.DeepEqual(hj, rj) {
 		t.Errorf("journals diverged:\nhealthy:   %v\nrecovered: %v", hj, rj)
 	}
@@ -400,17 +401,16 @@ func TestDeferredQueueSurvivesCrash(t *testing.T) {
 	if err := s2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	snap, ok, err := persist.ReadSnapshot(dir)
-	if err != nil || !ok {
-		t.Fatalf("ReadSnapshot: ok=%v err=%v", ok, err)
-	}
-	for _, j := range snap.Journal {
+	var final *persist.DecisionEntry
+	for _, j := range committedJournal(t, dir) {
 		if j.QueryID == "q1" && j.CandidateID == "r1" {
-			if j.Deferred || j.Method != string(MethodLLM) || !j.Match {
-				t.Errorf("journal entry after recovery = %+v, want final llm match", j)
-			}
-			return
+			final = &j
 		}
 	}
-	t.Error("journal entry for q1|r1 not found")
+	if final == nil {
+		t.Fatal("journal entry for q1|r1 not found")
+	}
+	if final.Deferred || final.Method != string(MethodLLM) || !final.Match {
+		t.Errorf("journal entry after recovery = %+v, want final llm match", *final)
+	}
 }

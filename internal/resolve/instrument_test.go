@@ -158,6 +158,11 @@ func TestResolveTelemetryPersist(t *testing.T) {
 	if tel.Persist.SnapshotBytes.Value() <= 0 {
 		t.Errorf("snapshot bytes = %d, want > 0", tel.Persist.SnapshotBytes.Value())
 	}
+	// em_journal_bytes is journal.log as the checkpoint committed it —
+	// the stat reports the same file.
+	if got, want := tel.Persist.JournalBytes.Value(), s.Stats().Persist.JournalBytes; got <= 0 || got != want {
+		t.Errorf("journal bytes gauge = %d, stat = %d, want equal and > 0", got, want)
+	}
 }
 
 // TestResolveContextTrace: a trace attached to the context collects

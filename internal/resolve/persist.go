@@ -1,6 +1,7 @@
 package resolve
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,10 +20,11 @@ import (
 // PersistDir, Open is New). Opening an existing directory recovers
 // the previous state — ingested records, entity groups, the decision
 // journal and the lifetime cost totals — by loading the last snapshot
-// and replaying the write-ahead log on top, without a single LLM
-// call. A torn WAL tail (crash mid-append) is detected, dropped and
-// truncated; replaying entries the snapshot already contains (crash
-// between snapshot and log reset) is idempotent.
+// and the journal.log prefix it commits and replaying the write-ahead
+// log on top, without a single LLM call. A torn WAL tail (crash
+// mid-append) is detected, dropped and truncated; replaying entries
+// the snapshot already contains (crash between snapshot and log
+// reset) is idempotent.
 //
 // Pairs found in the recovered decision journal short-circuit later
 // Resolve calls: the durable decision is reused instead of re-running
@@ -40,31 +42,53 @@ func Open(client llm.Client, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resolve: create persist dir: %w", err)
 	}
-	snap, ok, err := persist.ReadSnapshot(dir)
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		if err := s.installSnapshot(snap); err != nil {
-			return nil, err
-		}
-	}
 	fsys := s.opts.WALFS
 	if fsys == nil {
 		fsys = persist.OS
 	}
-	wal, rec, err := persist.OpenWALFS(fsys, filepath.Join(dir, persist.WALFile))
+	snap, ok, err := persist.ReadSnapshot(dir)
 	if err != nil {
 		return nil, err
 	}
-	if s.opts.Telemetry != nil {
-		wal.SetMetrics(s.opts.Telemetry.Persist)
+	if !ok {
+		// No snapshot commits no journal bytes: whatever a crashed first
+		// checkpoint left in journal.log is cut away.
+		snap = &persist.Snapshot{}
 	}
-	if err := s.replay(rec.Entries); err != nil {
-		wal.Close()
+	// The journal loads first: installSnapshot filters the deferred
+	// queue against it.
+	jlog, jrec, err := persist.OpenJournal(fsys, filepath.Join(dir, persist.JournalFile), snap.JournalBytes)
+	if err != nil {
 		return nil, err
 	}
-	s.wal = wal
+	for _, e := range jrec.Entries {
+		je, err := persist.DecodeJournal(e.Payload)
+		if err != nil {
+			jlog.Close()
+			return nil, err
+		}
+		for _, d := range je.Decisions {
+			s.journal[pairID{query: je.QueryID, candidate: d.CandidateID}] = d
+		}
+	}
+	wal, rec, err := persist.OpenWALFS(fsys, filepath.Join(dir, persist.WALFile))
+	if err == nil {
+		if err = s.installSnapshot(snap); err == nil {
+			err = s.replay(rec.Entries)
+		}
+		if err != nil {
+			wal.Close()
+		}
+	}
+	if err != nil {
+		jlog.Close()
+		return nil, err
+	}
+	if tel := s.opts.Telemetry; tel != nil {
+		wal.SetMetrics(tel.Persist)
+		tel.Persist.JournalBytes.Set(jlog.Bytes())
+	}
+	s.wal, s.jlog = wal, jlog
 	s.pstate.truncatedTail = rec.TruncatedTail
 	s.startResilience()
 	return s, nil
@@ -80,6 +104,11 @@ type persistState struct {
 	sinceSnapshot      int
 	sinceSync          int
 	closed             bool
+	// journalDelta holds, framed for journal.log, the decisions journaled
+	// since it was last extended; the next checkpoint appends them. They
+	// are those of the resolve and redecide frames now in wal.log, or a
+	// version-1 snapshot's inline journal.
+	journalDelta []persist.Entry
 	// indexEpoch is the generation of the per-shard mmap index
 	// snapshots the last committed snapshot.json references (zero
 	// before the first mapped checkpoint); mappedShards counts shards
@@ -142,10 +171,14 @@ func (s *Store) installSnapshot(snap *persist.Snapshot) error {
 			s.graph.Union(g[0], id)
 		}
 	}
-	for _, je := range snap.Journal {
-		key := pairID{query: je.QueryID, candidate: je.CandidateID}
+	legacy := map[string][]persist.DecisionEntry{}
+	for _, je := range snap.LegacyJournal {
+		q := je.QueryID
 		je.QueryID = ""
-		s.journal[key] = je
+		legacy[q] = append(legacy[q], je)
+	}
+	for q, ds := range legacy {
+		s.journalDecisions(q, ds)
 	}
 	// Rebuild the deferred queue from the snapshot's carried query
 	// records. A snapshot cut mid-redecide can hold a queue entry whose
@@ -165,28 +198,9 @@ func (s *Store) installSnapshot(snap *persist.Snapshot) error {
 			})
 		}
 	}
-	s.totals = totals{
-		resolves:         snap.Resolves,
-		candidates:       uint64(snap.Totals.Candidates),
-		localAccepts:     uint64(snap.Totals.LocalAccepts),
-		localRejects:     uint64(snap.Totals.LocalRejects),
-		llmPairs:         uint64(snap.Totals.LLMPairs),
-		batchedPairs:     uint64(snap.Totals.BatchedPairs),
-		batchFallbacks:   uint64(snap.Totals.BatchFallbacks),
-		groupFallbacks:   uint64(snap.Totals.GroupFallbacks),
-		budgetDecided:    uint64(snap.Totals.BudgetDecided),
-		journalHits:      uint64(snap.Totals.JournalHits),
-		deferredPairs:    uint64(snap.Totals.DeferredPairs),
-		redecided:        snap.Redecided,
-		promptTokens:     uint64(snap.Totals.PromptTokens),
-		completionTokens: uint64(snap.Totals.CompletionTokens),
-		cents:            snap.Totals.Cents,
-		match:            strategyTotalsOf(snap.Totals.MatchStrategy),
-		compare:          strategyTotalsOf(snap.Totals.CompareStrategy),
-		sel:              strategyTotalsOf(snap.Totals.SelectStrategy),
-		reason:           strategyTotalsOf(snap.Totals.ReasonStrategy),
-	}
-	s.pstate.recoveredDecisions += len(snap.Journal)
+	s.totals = totals{resolves: snap.Resolves, redecided: snap.Redecided}
+	s.addReport(snap.Totals)
+	s.pstate.recoveredDecisions += len(s.journal)
 	s.pstate.recoveredResolves += snap.Resolves
 	return nil
 }
@@ -292,8 +306,8 @@ func (s *Store) replay(entries []persist.Entry) error {
 				return err
 			}
 			s.graph.Add(rv.Query.ID)
+			s.journalDecisions(rv.Query.ID, rv.Decisions)
 			for _, d := range rv.Decisions {
-				s.journal[pairID{query: rv.Query.ID, candidate: d.CandidateID}] = d
 				// Deferred matches are tentative — the union waits for the
 				// EntryRedecide, exactly as on the live path.
 				if d.Match && !d.Deferred {
@@ -309,15 +323,20 @@ func (s *Store) replay(entries []persist.Entry) error {
 				}
 				s.pstate.recoveredDecisions++
 			}
-			s.applyReport(rv.Report)
-			s.pstate.recoveredResolves++
+			// A report the snapshot already counts (the crash fell between
+			// its rename and the WAL reset) must not count twice.
+			if rv.Seq == 0 || rv.Seq > s.totals.resolves {
+				s.totals.resolves++
+				s.addReport(rv.Report)
+				s.pstate.recoveredResolves++
+			}
 		case persist.EntryRedecide:
 			rd, err := persist.DecodeRedecide(e.Payload)
 			if err != nil {
 				return err
 			}
 			key := pairID{query: rd.QueryID, candidate: rd.Decision.CandidateID}
-			s.journal[key] = rd.Decision
+			s.journalDecisions(rd.QueryID, []persist.DecisionEntry{rd.Decision})
 			if rd.Decision.Match {
 				s.graph.Add(rd.QueryID)
 				s.graph.Add(rd.Decision.CandidateID)
@@ -326,10 +345,12 @@ func (s *Store) replay(entries []persist.Entry) error {
 			if s.res != nil {
 				s.res.remove(key)
 			}
-			s.totals.redecided++
-			s.totals.promptTokens += uint64(rd.PromptTokens)
-			s.totals.completionTokens += uint64(rd.CompletionTokens)
-			s.totals.cents += rd.Cents
+			if rd.Seq == 0 || rd.Seq > s.totals.redecided {
+				s.totals.redecided++
+				s.totals.promptTokens += uint64(rd.PromptTokens)
+				s.totals.completionTokens += uint64(rd.CompletionTokens)
+				s.totals.cents += rd.Cents
+			}
 		default:
 			// Unknown entry types are skipped so older builds can read
 			// logs written by newer ones.
@@ -338,9 +359,9 @@ func (s *Store) replay(entries []persist.Entry) error {
 	return nil
 }
 
-// applyReport folds a replayed cost report into the lifetime totals.
-func (s *Store) applyReport(r persist.ReportEntry) {
-	s.totals.resolves++
+// addReport folds a replayed cost report, or a snapshot's totals, into
+// the lifetime totals.
+func (s *Store) addReport(r persist.ReportEntry) {
 	s.totals.candidates += uint64(r.Candidates)
 	s.totals.localAccepts += uint64(r.LocalAccepts)
 	s.totals.localRejects += uint64(r.LocalRejects)
@@ -354,42 +375,15 @@ func (s *Store) applyReport(r persist.ReportEntry) {
 	s.totals.promptTokens += uint64(r.PromptTokens)
 	s.totals.completionTokens += uint64(r.CompletionTokens)
 	s.totals.cents += r.Cents
-	s.totals.match.add(strategyUsageOf(r.MatchStrategy))
-	s.totals.compare.add(strategyUsageOf(r.CompareStrategy))
-	s.totals.sel.add(strategyUsageOf(r.SelectStrategy))
-	s.totals.reason.add(strategyUsageOf(r.ReasonStrategy))
+	s.totals.match.add(StrategyUsage(r.MatchStrategy))
+	s.totals.compare.add(StrategyUsage(r.CompareStrategy))
+	s.totals.sel.add(StrategyUsage(r.SelectStrategy))
+	s.totals.reason.add(StrategyUsage(r.ReasonStrategy))
 }
 
-// strategyEntryOf, strategyUsageOf and strategyTotalsOf convert
-// between the journal's StrategyEntry and the in-memory per-call and
-// lifetime strategy accounting.
-func strategyEntryOf(u StrategyUsage) persist.StrategyEntry {
-	return persist.StrategyEntry{
-		Calls:            u.Calls,
-		Pairs:            u.Pairs,
-		PromptTokens:     u.PromptTokens,
-		CompletionTokens: u.CompletionTokens,
-	}
-}
-
-func strategyUsageOf(e persist.StrategyEntry) StrategyUsage {
-	return StrategyUsage{
-		Calls:            e.Calls,
-		Pairs:            e.Pairs,
-		PromptTokens:     e.PromptTokens,
-		CompletionTokens: e.CompletionTokens,
-	}
-}
-
-func strategyTotalsOf(e persist.StrategyEntry) StrategyTotals {
-	return StrategyTotals{
-		Calls:            uint64(e.Calls),
-		Pairs:            uint64(e.Pairs),
-		PromptTokens:     uint64(e.PromptTokens),
-		CompletionTokens: uint64(e.CompletionTokens),
-	}
-}
-
+// strategyEntryOfTotals narrows lifetime strategy totals to the
+// snapshot's StrategyEntry; the per-call StrategyUsage converts to and
+// from it directly, field for field.
 func strategyEntryOfTotals(t StrategyTotals) persist.StrategyEntry {
 	return persist.StrategyEntry{
 		Calls:            int(t.Calls),
@@ -399,17 +393,45 @@ func strategyEntryOfTotals(t StrategyTotals) persist.StrategyEntry {
 	}
 }
 
-// appendRecordLocked journals one ingested record. Caller holds
-// persistMu.
-func (s *Store) appendRecordLocked(r entity.Record) error {
-	payload, err := persist.EncodeRecord(r)
-	if err != nil {
-		return err
+// journalDecisions installs a query's decisions into the in-memory
+// journal and queues them for the next checkpoint's journal.log
+// append. Caller holds persistMu (or, during Open, owns the store).
+func (s *Store) journalDecisions(query string, ds []persist.DecisionEntry) {
+	for _, d := range ds {
+		s.journal[pairID{query: query, candidate: d.CandidateID}] = d
 	}
-	if err := s.wal.Append(persist.EntryRecord, payload); err != nil {
-		return err
+	if len(ds) > 0 {
+		s.pstate.journalDelta = append(s.pstate.journalDelta, persist.JournalFrame(query, ds))
 	}
-	return s.afterAppendLocked()
+}
+
+// appendRecordsLocked journals ingested records with one WAL write —
+// all of them land or none — or two when the batch straddles the
+// snapshot cadence, so checkpoints fall every SnapshotEvery appends
+// whatever the batch size. Caller holds persistMu.
+func (s *Store) appendRecordsLocked(rs []entity.Record) error {
+	entries := make([]persist.Entry, len(rs))
+	for i, r := range rs {
+		payload, err := persist.EncodeRecord(r)
+		if err != nil {
+			return err
+		}
+		entries[i] = persist.Entry{Type: persist.EntryRecord, Payload: payload}
+	}
+	for len(entries) > 0 {
+		n := len(entries)
+		if room := s.opts.SnapshotEvery - s.pstate.sinceSnapshot; room > 0 && room < n {
+			n = room
+		}
+		if err := s.wal.AppendEntries(entries[:n]); err != nil {
+			return err
+		}
+		if err := s.afterAppendLocked(n); err != nil {
+			return err
+		}
+		entries = entries[n:]
+	}
+	return nil
 }
 
 // appendResolveLocked journals one resolve call's fresh decisions and
@@ -417,7 +439,11 @@ func (s *Store) appendRecordLocked(r entity.Record) error {
 // — only after the WAL append succeeded, so a journal hit never
 // vouches for a decision that is not on disk. Caller holds persistMu.
 func (s *Store) appendResolveLocked(q entity.Record, decisions []persist.DecisionEntry, report CostReport) error {
+	s.statsMu.Lock()
+	seq := s.totals.resolves // recordTotals has counted this call
+	s.statsMu.Unlock()
 	payload, err := persist.EncodeResolve(persist.ResolveEntry{
+		Seq:       seq,
 		Query:     q,
 		Decisions: decisions,
 		Report: persist.ReportEntry{
@@ -434,10 +460,10 @@ func (s *Store) appendResolveLocked(q entity.Record, decisions []persist.Decisio
 			BatchFallbacks:   report.BatchFallbacks,
 			DeferredPairs:    report.DeferredPairs,
 			GroupFallbacks:   report.GroupFallbacks,
-			MatchStrategy:    strategyEntryOf(report.MatchUsage),
-			CompareStrategy:  strategyEntryOf(report.CompareUsage),
-			SelectStrategy:   strategyEntryOf(report.SelectUsage),
-			ReasonStrategy:   strategyEntryOf(report.ReasonUsage),
+			MatchStrategy:    persist.StrategyEntry(report.MatchUsage),
+			CompareStrategy:  persist.StrategyEntry(report.CompareUsage),
+			SelectStrategy:   persist.StrategyEntry(report.SelectUsage),
+			ReasonStrategy:   persist.StrategyEntry(report.ReasonUsage),
 		},
 	})
 	if err != nil {
@@ -446,16 +472,19 @@ func (s *Store) appendResolveLocked(q entity.Record, decisions []persist.Decisio
 	if err := s.wal.Append(persist.EntryResolve, payload); err != nil {
 		return err
 	}
-	for _, d := range decisions {
-		s.journal[pairID{query: q.ID, candidate: d.CandidateID}] = d
-	}
-	return s.afterAppendLocked()
+	s.journalDecisions(q.ID, decisions)
+	return s.afterAppendLocked(1)
 }
 
 // appendRedecideLocked journals one background re-decision and
 // installs it into the in-memory journal — after the WAL append
-// succeeded, like appendResolveLocked. Caller holds persistMu.
+// succeeded, like appendResolveLocked. Caller holds persistMu, and
+// before releasing it counts the re-decision into the totals and runs
+// afterAppendLocked.
 func (s *Store) appendRedecideLocked(e persist.RedecideEntry) error {
+	s.statsMu.Lock()
+	e.Seq = s.totals.redecided + 1
+	s.statsMu.Unlock()
 	payload, err := persist.EncodeRedecide(e)
 	if err != nil {
 		return err
@@ -463,15 +492,15 @@ func (s *Store) appendRedecideLocked(e persist.RedecideEntry) error {
 	if err := s.wal.Append(persist.EntryRedecide, payload); err != nil {
 		return err
 	}
-	s.journal[pairID{query: e.QueryID, candidate: e.Decision.CandidateID}] = e.Decision
-	return s.afterAppendLocked()
+	s.journalDecisions(e.QueryID, []persist.DecisionEntry{e.Decision})
+	return nil
 }
 
-// afterAppendLocked runs the sync and snapshot cadences after one WAL
-// append. Caller holds persistMu.
-func (s *Store) afterAppendLocked() error {
-	s.pstate.sinceSnapshot++
-	s.pstate.sinceSync++
+// afterAppendLocked runs the sync and snapshot cadences after a WAL
+// append of n entries. Caller holds persistMu.
+func (s *Store) afterAppendLocked(n int) error {
+	s.pstate.sinceSnapshot += n
+	s.pstate.sinceSync += n
 	if s.opts.SyncEvery > 0 && s.pstate.sinceSync >= s.opts.SyncEvery {
 		if err := s.wal.Sync(); err != nil {
 			return err
@@ -484,10 +513,15 @@ func (s *Store) afterAppendLocked() error {
 	return nil
 }
 
-// checkpointLocked writes a snapshot of the full store state and
-// resets the WAL. Caller holds persistMu, which blocks concurrent
-// appends; any in-memory mutation not yet journaled lands in the
-// snapshot and its late WAL entry replays idempotently.
+// checkpointLocked commits the store's state and resets the WAL, in
+// five ordered steps: write the index files, append the decisions
+// journaled since the last checkpoint to journal.log, fsync it, write
+// and rename snapshot.json — the single commit point, carrying groups,
+// totals, the deferred queue and the journal.log length it vouches
+// for — and reset wal.log (docs/ARCHITECTURE.md walks the crash
+// windows). Caller holds persistMu, which blocks concurrent appends;
+// any in-memory mutation not yet journaled lands in the snapshot and
+// its late WAL entry replays idempotently.
 //
 // The ingested records normally go out as per-shard EMIX index
 // snapshots (records, postings and token table in one mmap-ready
@@ -501,6 +535,10 @@ func (s *Store) afterAppendLocked() error {
 // WriteSnapshot itself is plain file I/O and would succeed), or when
 // any index write fails.
 func (s *Store) checkpointLocked() error {
+	var t0 time.Time
+	if tel := s.opts.Telemetry; tel != nil && tel.Persist.SnapshotSeconds != nil {
+		t0 = time.Now()
+	}
 	snap := &persist.Snapshot{}
 	emxOK := blocking.MmapSupported
 	var epoch uint64
@@ -564,11 +602,6 @@ func (s *Store) checkpointLocked() error {
 		}
 		snap.Groups = kept
 	}
-	snap.Journal = make([]persist.DecisionEntry, 0, len(s.journal))
-	for key, je := range s.journal {
-		je.QueryID = key.query
-		snap.Journal = append(snap.Journal, je)
-	}
 	if s.res != nil {
 		s.res.mu.Lock()
 		for _, dp := range s.res.queue {
@@ -605,11 +638,23 @@ func (s *Store) checkpointLocked() error {
 		SelectStrategy:   strategyEntryOfTotals(t.sel),
 		ReasonStrategy:   strategyEntryOfTotals(t.reason),
 	}
-	var t0 time.Time
-	if tel := s.opts.Telemetry; tel != nil && tel.Persist.SnapshotSeconds != nil {
-		t0 = time.Now()
+	// The journal extension commits only with the rename below; should
+	// that fail, it stays an uncommitted tail that a later checkpoint
+	// commits or a reopen cuts away, with wal.log holding the decisions.
+	var err error
+	if len(s.pstate.journalDelta) > 0 {
+		if err = s.jlog.AppendEntries(s.pstate.journalDelta); err == nil {
+			err = s.jlog.Sync()
+		}
+		if err == nil {
+			s.pstate.journalDelta = nil
+		}
 	}
-	if err := persist.WriteSnapshot(s.opts.PersistDir, snap); err != nil {
+	if err == nil {
+		snap.JournalBytes = s.jlog.Bytes()
+		err = persist.WriteSnapshot(s.opts.PersistDir, snap)
+	}
+	if err != nil {
 		if emxOK {
 			// snapshot.json still references the previous epoch — drop
 			// the orphaned new files, keep the referenced generation.
@@ -633,6 +678,7 @@ func (s *Store) checkpointLocked() error {
 		if fi, err := os.Stat(filepath.Join(s.opts.PersistDir, persist.SnapshotFile)); err == nil {
 			tel.Persist.SnapshotBytes.Set(fi.Size())
 		}
+		tel.Persist.JournalBytes.Set(snap.JournalBytes)
 	}
 	s.pstate.snapshots++
 	s.pstate.sinceSnapshot = 0
@@ -698,13 +744,9 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.pstate.closed = true
-	snapErr := s.checkpointLocked()
-	closeErr := s.wal.Close()
+	err := errors.Join(s.checkpointLocked(), s.wal.Close(), s.jlog.Close())
 	s.closeShards()
-	if snapErr != nil {
-		return snapErr
-	}
-	return closeErr
+	return err
 }
 
 // closeShards releases the shard indexes' mmaps — a no-op per shard
@@ -747,11 +789,13 @@ type PersistStats struct {
 	WALEntries uint64
 	WALBytes   int64
 	Snapshots  uint64
-	// JournalSize is the number of durably decided pairs;
+	// JournalBytes is the size of journal.log, which checkpoints only
+	// ever extend. JournalSize is the number of durably decided pairs;
 	// JournalHits counts Resolve decisions served from them (lifetime,
 	// survives restarts).
-	JournalSize uint64
-	JournalHits uint64
+	JournalBytes int64
+	JournalSize  uint64
+	JournalHits  uint64
 }
 
 // persistStats gathers PersistStats under persistMu.
@@ -777,6 +821,7 @@ func (s *Store) persistStats() PersistStats {
 		WALEntries:         s.wal.Entries(),
 		WALBytes:           s.wal.Bytes(),
 		Snapshots:          s.pstate.snapshots,
+		JournalBytes:       s.jlog.Bytes(),
 		JournalSize:        uint64(len(s.journal)),
 		JournalHits:        hits,
 	}

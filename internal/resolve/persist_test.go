@@ -24,6 +24,34 @@ func mustOpen(t *testing.T, dir string, opts Options) (*Store, *countingClient) 
 	return s, client
 }
 
+// committedJournal reads the decisions dir's snapshot commits out of
+// journal.log, in append order with QueryID set: a later entry of a
+// pair supersedes an earlier one.
+func committedJournal(t *testing.T, dir string) []persist.DecisionEntry {
+	t.Helper()
+	snap, ok, err := persist.ReadSnapshot(dir)
+	if err != nil || !ok {
+		t.Fatalf("ReadSnapshot: ok=%v err=%v", ok, err)
+	}
+	jl, rec, err := persist.OpenJournal(persist.OS, filepath.Join(dir, persist.JournalFile), snap.JournalBytes)
+	if err != nil {
+		t.Fatalf("OpenJournal: %v", err)
+	}
+	jl.Close()
+	var out []persist.DecisionEntry
+	for _, e := range rec.Entries {
+		je, err := persist.DecodeJournal(e.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range je.Decisions {
+			d.QueryID = je.QueryID
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 // persistedStats strips the process-lifetime parts of Stats — engine
 // counters and durability bookkeeping — leaving exactly the state
 // recovery must reproduce.
@@ -310,11 +338,20 @@ func TestSnapshotCadence(t *testing.T) {
 	if _, ok, err := persist.ReadSnapshot(dir); err != nil || !ok {
 		t.Fatalf("snapshot file missing after cadence compaction: ok=%v err=%v", ok, err)
 	}
+	// A batch keeps the cadence: one append is in the log since the
+	// snapshot, so seven more records cross it at the 2nd and the 5th.
+	_, batch := widgetRecords(14)
+	if err := s.AddBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if ps := s.Stats().Persist; ps.Snapshots != 3 || ps.WALBytes == 0 {
+		t.Errorf("after a 7-record batch: %d snapshots, %d WAL bytes, want 3 and the last two records in the log", ps.Snapshots, ps.WALBytes)
+	}
 	// Crash and recover: cadence snapshots alone must carry the state.
 	b, _ := mustOpen(t, dir, Options{})
 	defer b.Close()
-	if b.Len() != 4 {
-		t.Errorf("recovered %d records, want 4", b.Len())
+	if b.Len() != 11 {
+		t.Errorf("recovered %d records, want 11", b.Len())
 	}
 }
 

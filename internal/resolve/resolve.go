@@ -279,6 +279,7 @@ type Store struct {
 	// Open, so wal == nil reliably selects the in-memory fast path.
 	persistMu sync.Mutex
 	wal       *persist.WAL
+	jlog      *persist.WAL // journal.log, extended by checkpoints only
 	journal   map[pairID]persist.DecisionEntry
 	pstate    persistState
 }
@@ -627,7 +628,7 @@ func (s *Store) Add(r entity.Record) error {
 
 	if s.wal != nil {
 		s.persistMu.Lock()
-		err := s.appendRecordLocked(r)
+		err := s.appendRecordsLocked([]entity.Record{r})
 		s.persistMu.Unlock()
 		if err != nil {
 			return fmt.Errorf("resolve: journal record %q: %w", r.ID, err)
@@ -720,17 +721,15 @@ insert:
 	// the durable log must cover the in-memory state.
 	if s.wal != nil && len(inserted) > 0 {
 		s.persistMu.Lock()
-		for _, r := range inserted {
-			if err := s.appendRecordLocked(r); err != nil {
-				s.persistMu.Unlock()
-				// Keep a pending insert error (e.g. the duplicate ID
-				// that stopped the batch) visible alongside the journal
-				// failure, so errors.Is still finds the typed cause.
-				return &BatchError{Added: len(inserted),
-					Err: errors.Join(insertErr, fmt.Errorf("journal record %q: %w", r.ID, err))}
-			}
-		}
+		err := s.appendRecordsLocked(inserted)
 		s.persistMu.Unlock()
+		if err != nil {
+			// Keep a pending insert error (e.g. the duplicate ID that
+			// stopped the batch) visible alongside the journal failure,
+			// so errors.Is still finds the typed cause.
+			return &BatchError{Added: len(inserted),
+				Err: errors.Join(insertErr, fmt.Errorf("journal %d records: %w", len(inserted), err))}
+		}
 	}
 	if insertErr != nil {
 		return &BatchError{Added: len(inserted), Err: insertErr}

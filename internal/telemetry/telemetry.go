@@ -106,11 +106,13 @@ type PersistMetrics struct {
 	// AppendSeconds/FsyncSeconds observe WAL append and fsync latency.
 	AppendSeconds *Histogram
 	FsyncSeconds  *Histogram
-	// SnapshotSeconds observes full snapshot+compaction duration;
-	// SnapshotBytes is the last snapshot's size; Snapshots counts
-	// compactions.
+	// SnapshotSeconds observes a whole checkpoint: index files, journal
+	// append, snapshot.json and the WAL reset. SnapshotBytes is the size
+	// of the last snapshot.json alone, JournalBytes that of journal.log
+	// as the last checkpoint committed it; Snapshots counts checkpoints.
 	SnapshotSeconds *Histogram
 	SnapshotBytes   *Gauge
+	JournalBytes    *Gauge
 	Snapshots       *Counter
 }
 
@@ -241,8 +243,9 @@ func New(opts Options) *Telemetry {
 	t.Persist = PersistMetrics{
 		AppendSeconds:   reg.Histogram("em_wal_append_seconds", "WAL append latency", DurationBuckets()),
 		FsyncSeconds:    reg.Histogram("em_wal_fsync_seconds", "WAL fsync latency", DurationBuckets()),
-		SnapshotSeconds: reg.Histogram("em_snapshot_seconds", "Snapshot+compaction duration", DurationBuckets()),
-		SnapshotBytes:   reg.Gauge("em_snapshot_bytes", "Size of the last written snapshot"),
+		SnapshotSeconds: reg.Histogram("em_snapshot_seconds", "Whole-checkpoint duration: index files, journal append, snapshot.json, WAL reset", DurationBuckets()),
+		SnapshotBytes:   reg.Gauge("em_snapshot_bytes", "Size of the last written snapshot.json"),
+		JournalBytes:    reg.Gauge("em_journal_bytes", "Size of journal.log as of the last checkpoint"),
 		Snapshots:       reg.Counter("em_snapshots_total", "Snapshot compactions written"),
 	}
 	return t

@@ -38,6 +38,11 @@
 #    snapshot) against the absolute open_mapped_100k_ns baseline in
 #    BENCH_index10m.json x restart_slack (INDEX_RESTART_SLACK
 #    overrides; like HOTPATH_SLACK, raise it on much slower hosts).
+# 8. Measures a checkpoint of the same 10k-record store carrying the
+#    same delta with 10k and with 100k decisions already journaled
+#    (BenchmarkStoreCheckpoint, both on the SAME host, same run) and
+#    fails if the second costs more than CHECKPOINT_SCALING (default
+#    1.5) times the first: checkpoints are O(delta), not O(journal).
 #
 # With ARTIFACT_DIR set, the full output is teed into
 # $ARTIFACT_DIR/bench_output.txt and the dispatcher gate writes its
@@ -147,6 +152,26 @@ main() {
             exit 1
         }
         print "OK: mmap restart gate passed"
+    }'
+
+    echo ""
+    echo "== O(delta) checkpoint gate (100k-decision journal relative to 10k) =="
+    SCALING="${CHECKPOINT_SCALING:-1.5}"
+    CKPT_OUT="$(go test -run '^$' -bench 'BenchmarkStoreCheckpoint$' -benchtime=20x ./internal/resolve/)"
+    SMALL_NS="$(printf '%s\n' "$CKPT_OUT" | awk '/^BenchmarkStoreCheckpoint\/journal=10k/ {print $3; exit}')"
+    LARGE_NS="$(printf '%s\n' "$CKPT_OUT" | awk '/^BenchmarkStoreCheckpoint\/journal=100k/ {print $3; exit}')"
+    if [ -z "$SMALL_NS" ] || [ -z "$LARGE_NS" ]; then
+        echo "FAIL: could not measure the BenchmarkStoreCheckpoint pair" >&2
+        exit 1
+    fi
+    awk -v small="$SMALL_NS" -v large="$LARGE_NS" -v scaling="$SCALING" 'BEGIN {
+        limit = small * scaling
+        printf "checkpoint: %.0f ns/op at 100k journaled decisions vs %.0f at 10k (limit %.0f = 10k x %.2f)\n", large, small, limit, scaling
+        if (large + 0 > limit) {
+            print "FAIL: checkpoint cost grows with the journal, not with the delta"
+            exit 1
+        }
+        print "OK: O(delta) checkpoint gate passed"
     }'
 }
 

@@ -11,8 +11,9 @@
 #   - /metrics shows the breaker open (em_llm_breaker_state) and the
 #     degraded pairs counted (em_deferred_pairs_total),
 #   - once the outage window closes, the background re-escalator
-#     drains the deferred queue and the final snapshot journals the
-#     pairs as ordinary LLM decisions, no longer deferred.
+#     drains the deferred queue, and a restart on the directory
+#     recovers the pairs as ordinary journaled LLM decisions, no
+#     longer deferred.
 #
 # Environment:
 #   EMSERVE_ADDR  listen address (default 127.0.0.1:18081)
@@ -129,10 +130,39 @@ STATUS=0
 wait "$SRV_PID" || STATUS=$?
 SRV_PID=""
 [ "$STATUS" -eq 0 ] || fail "server exited with status $STATUS"
-jq -e '([.journal[] | select(.deferred == true)] | length == 0) and
-       ([.journal[] | select(.method == "llm")] | length >= 2)' "$TMP/data/snapshot.json" >/dev/null \
-    || fail "final snapshot still carries deferred verdicts"
 jq -e '.deferred == null or (.deferred | length == 0)' "$TMP/data/snapshot.json" >/dev/null \
     || fail "final snapshot still queues deferred pairs"
+
+echo "== restart: the journal holds the re-decisions, nothing is deferred =="
+"$TMP/emserve" -addr "$ADDR" -persist "$TMP/data" -log-format json >"$TMP/server2.log" 2>&1 &
+SRV_PID=$!
+up=""
+for _ in $(seq 1 100); do
+    if curl -fsS "http://$ADDR/v1/stats" >"$TMP/stats2.json" 2>/dev/null; then
+        up=1
+        break
+    fi
+    kill -0 "$SRV_PID" 2>/dev/null || fail "server died during restart"
+    sleep 0.1
+done
+[ -n "$up" ] || fail "server did not come back on $ADDR within 10s"
+jq -e '.persist.recovered_decisions >= 2 and .persist.journal_bytes > 0
+       and .resilience.deferred_queue == 0' "$TMP/stats2.json" >/dev/null \
+    || fail "restart did not recover the journaled decisions: $(jq -c '{persist, resilience}' "$TMP/stats2.json")"
+# The same queries again: served from the recovered journal, as the
+# LLM verdicts the re-escalator wrote over the deferred ones.
+for q in 2 3; do
+    curl -fsS -X POST "http://$ADDR/v1/resolve" \
+        -d "{\"id\":\"q$((q - 1))\",\"attrs\":[{\"name\":\"title\",\"value\":\"alpha beta epsilon zeta sameent000$q\"}]}" \
+        | jq -e '(.decisions | length >= 1)
+                 and all(.decisions[]; .journaled == true and .deferred != true)
+                 and ([.decisions[] | select(.method == "llm")] | length >= 1)' >/dev/null \
+        || fail "q$((q - 1)) after restart is not served from journaled LLM decisions"
+done
+kill -TERM "$SRV_PID"
+STATUS=0
+wait "$SRV_PID" || STATUS=$?
+SRV_PID=""
+[ "$STATUS" -eq 0 ] || fail "restarted server exited with status $STATUS"
 
 echo "OK: chaos smoke passed"

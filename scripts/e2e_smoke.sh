@@ -154,5 +154,12 @@ jq -e '.index_shards > 0 and .index_epoch > 0 and (.records | length) == 0' \
     || fail "snapshot does not reference a committed index generation"
 ls "$TMP"/data/index-*.emx >/dev/null 2>&1 \
     || fail "no mmap index snapshot files on disk"
+# Decisions live in the append-only journal.log; snapshot.json commits
+# a length of it and never carries the journal inline.
+[ -s "$TMP/data/journal.log" ] || fail "journal.log missing or empty"
+jq -e '(has("journal") | not) and .journal_bytes > 0' "$TMP/data/snapshot.json" >/dev/null \
+    || fail "snapshot.json still carries the journal inline or commits no journal bytes"
+[ "$(jq '.journal_bytes' "$TMP/data/snapshot.json")" -eq "$(wc -c <"$TMP/data/journal.log")" ] \
+    || fail "journal.log is not the length the final snapshot committed"
 
 echo "OK: e2e smoke passed"
