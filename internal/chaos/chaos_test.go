@@ -176,19 +176,19 @@ func committedJournal(t *testing.T, dir string) []persist.DecisionEntry {
 	if err != nil || !ok {
 		t.Fatalf("ReadSnapshot: ok=%v err=%v", ok, err)
 	}
-	jl, rec, err := persist.OpenJournal(persist.OS, filepath.Join(dir, persist.JournalFile), snap.JournalBytes)
+	jl, rec, err := persist.OpenLog(persist.OS, filepath.Join(dir, persist.JournalFile), snap.JournalBytes)
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("open journal.log: %v", err)
 	}
 	jl.Close()
 	var out []persist.DecisionEntry
 	for _, e := range rec.Entries {
-		je, err := persist.DecodeJournal(e.Payload)
+		q, ds, err := persist.DecodeJournal(e.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range je.Decisions {
-			d.QueryID = je.QueryID
+		for _, d := range ds {
+			d.QueryID = q
 			out = append(out, d)
 		}
 	}
@@ -382,10 +382,8 @@ func TestOutageDifferential(t *testing.T) {
 		}
 		if outage {
 			st := s.Stats().Resilience
-			// Open, or half-open once the 1 ms cooldown has run out and the
-			// next probe has not failed yet — never closed.
-			if st.BreakerState == "closed" {
-				t.Fatalf("breaker closed during outage, want open")
+			if st.BreakerState != "open" {
+				t.Fatalf("breaker %s during outage, want open", st.BreakerState)
 			}
 			if st.DeferredQueue == 0 || st.DeferredPairs == 0 {
 				t.Fatalf("no deferred pairs queued during outage: %+v", st)

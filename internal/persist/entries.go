@@ -16,13 +16,11 @@ type RecordEntry struct {
 	Record entity.Record `json:"record"`
 }
 
-// DecisionEntry is one decided candidate pair inside a ResolveEntry,
-// a RedecideEntry or a JournalEntry — everything needed to
-// short-circuit the pair on a later resolve without re-running the
-// cascade or the LLM. The JSON tags here and below decode version-1
-// payloads and encode snapshot.json's totals and deferred queue.
+// DecisionEntry is one decided candidate pair inside a ResolveEntry
+// or a snapshot journal — everything needed to short-circuit the pair
+// on a later resolve without re-running the cascade or the LLM.
 type DecisionEntry struct {
-	QueryID     string  `json:"query_id,omitempty"` // set in version-1 snapshots; implied by the entry on the wire
+	QueryID     string  `json:"query_id,omitempty"` // set in snapshots; implied by the entry in the WAL
 	CandidateID string  `json:"candidate_id"`
 	BlockScore  float64 `json:"block_score"`
 	Probability float64 `json:"probability"`
@@ -48,17 +46,20 @@ type ReportEntry struct {
 	PromptTokens     int     `json:"prompt_tokens"`
 	CompletionTokens int     `json:"completion_tokens"`
 	Cents            float64 `json:"cents"`
-	// Batch accounting of the micro-batching dispatcher. Absent, so
-	// zero, in the oldest version-1 logs, like every field below.
+	// Batch accounting of the micro-batching dispatcher. Absent in
+	// logs written before the dispatcher existed, so both omitempty
+	// and the zero default keep old and new builds interchangeable.
 	BatchedPairs   int `json:"batched_pairs,omitempty"`
 	BatchFallbacks int `json:"batch_fallbacks,omitempty"`
 	// DeferredPairs counts pairs this resolve degraded to their local
-	// verdict because the LLM backend was unavailable.
+	// verdict because the LLM backend was unavailable. Absent in older
+	// logs.
 	DeferredPairs int `json:"deferred_pairs,omitempty"`
-	// Strategy accounting of the tiered prompt strategies. The
-	// per-decision strategy provenance itself lives in
-	// DecisionEntry.Method ("llm-compare", "llm-select", "llm-reason"),
-	// which replay reuses LLM-free.
+	// Strategy accounting of the tiered prompt strategies. Like the
+	// batch fields, absent in older logs and zero-defaulted, so old
+	// and new builds stay interchangeable. The per-decision strategy
+	// provenance itself lives in DecisionEntry.Method ("llm-compare",
+	// "llm-select", "llm-reason"), which replay reuses LLM-free.
 	GroupFallbacks  int           `json:"group_fallbacks,omitempty"`
 	MatchStrategy   StrategyEntry `json:"strategy_match"`
 	CompareStrategy StrategyEntry `json:"strategy_compare"`
@@ -79,10 +80,9 @@ type StrategyEntry struct {
 // the decisions made fresh in this call (journal hits were logged by
 // an earlier entry) and the call's cost report.
 type ResolveEntry struct {
-	// Seq is the call's ordinal among the store's lifetime resolves: a
-	// replay onto a snapshot that already counts it (a crash between
-	// rename and WAL reset) skips the report. Zero in version-1 logs.
-	Seq       uint64          `json:"-"`
+	// Seq is the call's ordinal among lifetime resolves: replay skips the
+	// report of one the snapshot already counts. Zero in version-1 logs.
+	Seq       int             `json:"-"`
 	Query     entity.Record   `json:"query"`
 	Decisions []DecisionEntry `json:"decisions"`
 	Report    ReportEntry     `json:"report"`
@@ -95,20 +95,12 @@ type ResolveEntry struct {
 // removes the pair from the rebuilt deferred queue.
 type RedecideEntry struct {
 	// Seq is the ordinal among lifetime re-decisions, as ResolveEntry.Seq.
-	Seq              uint64        `json:"-"`
+	Seq              int           `json:"-"`
 	QueryID          string        `json:"query_id"`
 	Decision         DecisionEntry `json:"decision"`
 	PromptTokens     int           `json:"prompt_tokens,omitempty"`
 	CompletionTokens int           `json:"completion_tokens,omitempty"`
 	Cents            float64       `json:"cents,omitempty"`
-}
-
-// JournalEntry is the payload of an EntryJournal: the decisions one
-// resolve or re-decision journaled for a query. Later frames of
-// journal.log overwrite earlier ones pair by pair.
-type JournalEntry struct {
-	QueryID   string
-	Decisions []DecisionEntry
 }
 
 // DeferredEntry is one pair awaiting re-escalation inside a snapshot.
@@ -121,19 +113,17 @@ type DeferredEntry struct {
 	Probability float64       `json:"probability"`
 }
 
-// binaryV1 opens every payload this build writes. Version-1 stores
-// wrote JSON objects, whose first byte is '{'; those stay readable.
+// binaryV1 opens a binary payload; version-1 payloads are JSON and open '{'.
 const binaryV1 = 0x01
 
 var errPayload = errors.New("malformed binary payload")
 
 // codec walks an entry's fields in wire order, appending each to b
 // when encoding and consuming it from b when decoding, so every
-// layout is written down once: unsigned varints for counts, lengths,
-// integers and flags, length-prefixed strings, float64 as its eight
-// raw little-endian bits so decisions replay bit for bit. A decode
-// checks every count against the bytes that remain before it makes
-// anything, so it never allocates more than the payload holds.
+// layout is written down once: integers as unsigned varints, strings
+// length-prefixed, float64 as its eight raw little-endian bits. A
+// decode checks every count against the bytes that remain and grows
+// slices element by element: it allocates for what it has consumed.
 type codec struct {
 	b      []byte
 	decode bool
@@ -153,9 +143,9 @@ func (c *codec) take(n int) []byte {
 	return p
 }
 
-func (c *codec) uvarint(p *uint64) {
+func (c *codec) int(p *int) {
 	if !c.decode {
-		c.b = binary.AppendUvarint(c.b, *p)
+		c.b = binary.AppendUvarint(c.b, uint64(*p))
 		return
 	}
 	v, n := binary.Uvarint(c.b)
@@ -163,25 +153,17 @@ func (c *codec) uvarint(p *uint64) {
 		c.fail() // torn or overlong
 		return
 	}
-	*p, c.b = v, c.b[n:]
-}
-
-func (c *codec) int(p *int) {
-	v := uint64(*p)
-	c.uvarint(&v)
-	*p = int(v)
+	*p, c.b = int(v), c.b[n:]
 }
 
 // count codes a sequence length whose elements take at least min
 // bytes each and returns it.
 func (c *codec) count(n, min int) int {
-	v := uint64(n)
-	c.uvarint(&v)
-	if c.decode && v > uint64(len(c.b)/min) {
+	if c.int(&n); c.decode && (n < 0 || n > len(c.b)/min) {
 		c.fail()
 		return 0
 	}
-	return int(v)
+	return n
 }
 
 func (c *codec) str(p *string) {
@@ -203,10 +185,10 @@ func (c *codec) f64(p *float64) {
 // Record: ID, attribute count, then name and value of each attribute.
 func (c *codec) record(r *entity.Record) {
 	c.str(&r.ID)
-	if n := c.count(len(r.Attrs), 2); c.decode && n > 0 {
-		r.Attrs = make([]entity.Attr, n)
-	}
-	for i := range r.Attrs {
+	for i, n := 0, c.count(len(r.Attrs), 2); i < n && c.err == nil; i++ {
+		if c.decode {
+			r.Attrs = append(r.Attrs, entity.Attr{})
+		}
 		c.str(&r.Attrs[i].Name)
 		c.str(&r.Attrs[i].Value)
 	}
@@ -218,14 +200,14 @@ func (c *codec) decision(d *DecisionEntry) {
 	c.str(&d.CandidateID)
 	c.f64(&d.BlockScore)
 	c.f64(&d.Probability)
-	var flags uint64
+	var flags int
 	if d.Match {
 		flags |= 1
 	}
 	if d.Deferred {
 		flags |= 2
 	}
-	if c.uvarint(&flags); flags > 3 {
+	if c.int(&flags); flags&^3 != 0 {
 		c.fail() // a bit no field owns
 	}
 	d.Match, d.Deferred = flags&1 != 0, flags&2 != 0
@@ -234,10 +216,10 @@ func (c *codec) decision(d *DecisionEntry) {
 }
 
 func (c *codec) decisions(ds *[]DecisionEntry) {
-	if n := c.count(len(*ds), 20); c.decode && n > 0 {
-		*ds = make([]DecisionEntry, n)
-	}
-	for i := range *ds {
+	for i, n := 0, c.count(len(*ds), 20); i < n && c.err == nil; i++ {
+		if c.decode {
+			*ds = append(*ds, DecisionEntry{})
+		}
 		c.decision(&(*ds)[i])
 	}
 }
@@ -259,11 +241,9 @@ func (c *codec) report(r *ReportEntry) {
 	}
 }
 
-func (c *codec) recordEntry(e *RecordEntry) { c.record(&e.Record) }
-
 // Resolve: sequence number, query record, decisions, report.
 func (c *codec) resolve(e *ResolveEntry) {
-	c.uvarint(&e.Seq)
+	c.int(&e.Seq)
 	c.record(&e.Query)
 	c.decisions(&e.Decisions)
 	c.report(&e.Report)
@@ -272,18 +252,12 @@ func (c *codec) resolve(e *ResolveEntry) {
 // Redecide: sequence number, query ID, decision, prompt tokens,
 // completion tokens, cents.
 func (c *codec) redecide(e *RedecideEntry) {
-	c.uvarint(&e.Seq)
+	c.int(&e.Seq)
 	c.str(&e.QueryID)
 	c.decision(&e.Decision)
 	c.int(&e.PromptTokens)
 	c.int(&e.CompletionTokens)
 	c.f64(&e.Cents)
-}
-
-// Journal: query ID, decisions.
-func (c *codec) journal(e *JournalEntry) {
-	c.str(&e.QueryID)
-	c.decisions(&e.Decisions)
 }
 
 // encoder starts a payload of about size bytes.
@@ -319,7 +293,7 @@ func EncodeRecord(r entity.Record) ([]byte, error) {
 
 // DecodeRecord parses an EntryRecord payload.
 func DecodeRecord(payload []byte) (RecordEntry, error) {
-	return decodeEntry("record", payload, (*codec).recordEntry)
+	return decodeEntry("record", payload, func(c *codec, e *RecordEntry) { c.record(&e.Record) })
 }
 
 // EncodeResolve frames a resolve call for Append.
@@ -346,14 +320,20 @@ func DecodeRedecide(payload []byte) (RedecideEntry, error) {
 	return decodeEntry("redecide", payload, (*codec).redecide)
 }
 
-// JournalFrame encodes a query's decisions as a journal.log entry.
+// JournalFrame encodes the decisions journaled for a query as a
+// journal.log entry (query ID, decisions); later frames win pair by pair.
 func JournalFrame(query string, ds []DecisionEntry) Entry {
 	c := encoder(32 + 64*len(ds))
-	c.journal(&JournalEntry{QueryID: query, Decisions: ds})
+	c.str(&query)
+	c.decisions(&ds)
 	return Entry{Type: EntryJournal, Payload: c.b}
 }
 
 // DecodeJournal parses an EntryJournal payload.
-func DecodeJournal(payload []byte) (JournalEntry, error) {
-	return decodeEntry("journal", payload, (*codec).journal)
+func DecodeJournal(payload []byte) (query string, ds []DecisionEntry, err error) {
+	ds, err = decodeEntry("journal", payload, func(c *codec, ds *[]DecisionEntry) {
+		c.str(&query)
+		c.decisions(ds)
+	})
+	return query, ds, err
 }

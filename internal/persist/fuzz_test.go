@@ -101,8 +101,14 @@ func FuzzWALReplay(f *testing.F) {
 	})
 }
 
+// journalEntry is a journal.log payload's content, for the tests.
+type journalEntry struct {
+	QueryID   string
+	Decisions []DecisionEntry
+}
+
 // fuzzEntries returns one populated entry of each binary payload type.
-func fuzzEntries() (RecordEntry, ResolveEntry, RedecideEntry, JournalEntry) {
+func fuzzEntries() (RecordEntry, ResolveEntry, RedecideEntry, journalEntry) {
 	q := entity.Record{ID: "q1", Attrs: []entity.Attr{{Name: "title", Value: "sony dsc-120b cybershot"}, {Name: "price", Value: ""}}}
 	ds := []DecisionEntry{
 		{CandidateID: "r1", BlockScore: 7.25, Probability: 0.9731, Match: true, Method: "llm", Answer: "Yes."},
@@ -113,11 +119,16 @@ func fuzzEntries() (RecordEntry, ResolveEntry, RedecideEntry, JournalEntry) {
 	return RecordEntry{Record: q},
 		ResolveEntry{Query: q, Decisions: ds, Report: report},
 		RedecideEntry{QueryID: "q1", Decision: ds[0], PromptTokens: 412, CompletionTokens: 3, Cents: 0.0173},
-		JournalEntry{QueryID: "q1", Decisions: ds}
+		journalEntry{QueryID: "q1", Decisions: ds}
 }
 
-func encodeJournal(e JournalEntry) ([]byte, error) {
+func encodeJournal(e journalEntry) ([]byte, error) {
 	return JournalFrame(e.QueryID, e.Decisions).Payload, nil
+}
+
+func decodeJournal(p []byte) (journalEntry, error) {
+	q, ds, err := DecodeJournal(p)
+	return journalEntry{QueryID: q, Decisions: ds}, err
 }
 
 func mustEncode(p []byte, err error) []byte {
@@ -155,7 +166,7 @@ var entryCodecs = []struct {
 		return EncodeRedecide(e)
 	}},
 	{"journal", func(p []byte) ([]byte, error) {
-		e, err := DecodeJournal(p)
+		e, err := decodeJournal(p)
 		if err != nil {
 			return nil, err
 		}
@@ -165,10 +176,11 @@ var entryCodecs = []struct {
 
 // FuzzDecodeEntries feeds arbitrary bytes to every binary payload
 // decoder — what a CRC-valid frame of a hostile or bit-rotted log
-// could carry — and pins the decoding contract: no panic, no
-// allocation beyond a small multiple of the payload length however
-// large the counts it announces (a decoded attribute is 16 times
-// wider than its two-byte minimum on the wire, nothing is wider),
+// could carry — and pins the decoding contract: no panic, allocation
+// in proportion to the payload length however large the counts it
+// announces (a decoded attribute is 16 times wider than its two-byte
+// minimum on the wire, nothing is wider, and growing a slice element
+// by element allocates up to five times its final size in all),
 // decode → encode → decode stable, and trailing bytes rejected.
 func FuzzDecodeEntries(f *testing.F) {
 	rec, res, red, jou := fuzzEntries()
@@ -200,7 +212,7 @@ func FuzzDecodeEntries(f *testing.F) {
 			runtime.ReadMemStats(&m0)
 			first, err := c.recode(data)
 			runtime.ReadMemStats(&m1)
-			if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(32*len(data)+64<<10); got > limit {
+			if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(128*len(data)+64<<10); got > limit {
 				t.Fatalf("%s: %d bytes allocated decoding %d", c.name, got, len(data))
 			}
 			if err != nil {

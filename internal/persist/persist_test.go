@@ -2,12 +2,14 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"llm4em/internal/entity"
@@ -342,7 +344,7 @@ func TestBinaryCodecs(t *testing.T) {
 	if got, err := DecodeRedecide(mustEncode(EncodeRedecide(red))); err != nil || !reflect.DeepEqual(got, red) {
 		t.Errorf("redecide codec: %+v err=%v", got, err)
 	}
-	if got, err := DecodeJournal(mustEncode(encodeJournal(jou))); err != nil || !reflect.DeepEqual(got, jou) {
+	if got, err := decodeJournal(mustEncode(encodeJournal(jou))); err != nil || !reflect.DeepEqual(got, jou) {
 		t.Errorf("journal codec: %+v err=%v", got, err)
 	}
 	for name, bad := range map[string][]byte{
@@ -350,9 +352,26 @@ func TestBinaryCodecs(t *testing.T) {
 		"unknown format": {0x02, 0x00},
 		"unowned flag":   append(append([]byte{binaryV1, 1, 'q', 1, 1, 'r'}, make([]byte, 16)...), 0x04, 0, 0),
 	} {
-		if _, err := DecodeJournal(bad); err == nil {
+		if _, _, err := DecodeJournal(bad); err == nil {
 			t.Errorf("%s payload accepted", name)
 		}
+	}
+}
+
+// TestDecodeAllocatesWhatItConsumes: a record announcing half a
+// million attributes that the payload could hold, with garbage where
+// the third should start, fails before it allocates for the rest.
+func TestDecodeAllocatesWhatItConsumes(t *testing.T) {
+	const n = 1 << 19
+	p := append([]byte{binaryV1, 0}, binary.AppendUvarint(nil, n)...)
+	p = append(p, make([]byte, 2*n)...)
+	copy(p[len(p)-2*n+4:], bytes.Repeat([]byte{0xff}, 11)) // an overlong length
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := DecodeRecord(p)
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; err == nil || got > 4<<10 {
+		t.Errorf("decode of a 1 MiB payload broken at its third attribute: err=%v, %d bytes allocated", err, got)
 	}
 }
 
@@ -386,7 +405,7 @@ func (f *countingFile) Write(p []byte) (int, error) {
 func TestAppendEntriesOneWrite(t *testing.T) {
 	path := walPath(t)
 	fsys := &countingFS{failAt: 2}
-	w, _, err := OpenWALFS(fsys, path)
+	w, _, err := OpenLog(fsys, path, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,11 +436,11 @@ func TestAppendEntriesOneWrite(t *testing.T) {
 	}
 }
 
-// TestOpenJournal covers the committed-prefix contract: bytes beyond
+// TestOpenLogCommitted covers the committed-prefix contract: bytes beyond
 // the committed size — whole frames or a torn one — are cut away,
 // while a file that ends or breaks inside it fails with the typed
 // error and is left untouched.
-func TestOpenJournal(t *testing.T) {
+func TestOpenLogCommitted(t *testing.T) {
 	_, _, _, jou := fuzzEntries()
 	payload := mustEncode(encodeJournal(jou))
 	two := append(frame(EntryJournal, payload), frame(EntryJournal, payload)...)
@@ -443,7 +462,7 @@ func TestOpenJournal(t *testing.T) {
 			if err := os.WriteFile(path, tc.file, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			w, rec, err := OpenJournal(OS, path, committed)
+			w, rec, err := OpenLog(OS, path, committed)
 			if tc.wantErr {
 				if !errors.Is(err, ErrJournalTorn) {
 					t.Fatalf("err = %v, want ErrJournalTorn", err)
@@ -470,7 +489,7 @@ func TestOpenJournal(t *testing.T) {
 	if err := os.WriteFile(path, two, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, rec, err := OpenJournal(OS, path, 0)
+	w, rec, err := OpenLog(OS, path, 0)
 	if err != nil || len(rec.Entries) != 0 || w.Bytes() != 0 {
 		t.Fatalf("uncommitted journal: entries=%d err=%v", len(rec.Entries), err)
 	}

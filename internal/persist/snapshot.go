@@ -19,17 +19,15 @@ const (
 )
 
 // snapshotVersion guards the on-disk schema; an unknown version fails
-// loudly rather than replaying state under wrong semantics. Version 1
-// kept the decision journal inline and is read, never written.
+// loudly. Version 1, with the journal inline, is read, never written.
 const snapshotVersion = 2
 
-// Snapshot is the compacted state of a resolution store apart from
-// its decision journal: the entity groups, the lifetime cost totals,
-// the deferred queue and the bindings to the files holding the rest —
-// the records (index epoch) and the journal (JournalBytes). Replaying
-// the WAL on top of it must be idempotent — a crash between snapshot
-// rename and WAL reset leaves entries in the log that the snapshot
-// already contains.
+// Snapshot is the compacted state of a resolution store: the entity
+// groups, the lifetime cost totals, the deferred queue, and which
+// index files and journal.log prefix hold the records and decisions.
+// Replaying the WAL on top of it must be idempotent — a crash between
+// snapshot rename and WAL reset leaves entries in the log that the
+// snapshot already contains.
 type Snapshot struct {
 	Version int `json:"version"`
 	// Records are the ingested (indexed) records.
@@ -41,9 +39,8 @@ type Snapshot struct {
 	// JournalBytes is the length of the journal.log prefix this snapshot
 	// commits: every decision journaled before it was cut.
 	JournalBytes int64 `json:"journal_bytes"`
-	// LegacyJournal is the inline journal of a version-1 snapshot, read
-	// and never written: WriteSnapshot drops it, and the store's first
-	// checkpoint moves it into journal.log.
+	// LegacyJournal is a version-1 snapshot's inline journal: read, never
+	// written. The store's first checkpoint moves it into journal.log.
 	LegacyJournal []DecisionEntry `json:"journal,omitempty"`
 	// Totals are the lifetime cost counters.
 	Totals ReportEntry `json:"totals"`

@@ -2,8 +2,8 @@
 // store: append-only logs of typed, length-prefixed, CRC-checked
 // frames plus an atomically written snapshot file. Together they make
 // a store's state survive process restarts without re-paying LLM
-// calls, at a cost per checkpoint that follows what happened since
-// the last one, not the store's lifetime.
+// calls, at a checkpoint cost that follows what happened since the
+// last one, not the store's lifetime.
 //
 // Durability layout inside a persistence directory:
 //
@@ -14,22 +14,17 @@
 //	wal.log            entries appended since that snapshot
 //	index-<e>-<n>.emx  the records, written by the blocking layer
 //
-// Every frame is [type:1][len:4 LE][payload:len][crc32:4 LE]. Payloads
-// open with a format byte (0x01) followed by unsigned varints,
-// length-prefixed strings and raw float64 bits, in the field order the
-// codec in entries.go spells out. Version-1 stores wrote JSON payloads
-// (first byte '{') and kept the journal inline in snapshot.json; both
-// stay readable, neither is written any more.
-//
-// A checkpoint writes the index files, appends the decisions
-// journaled since the last checkpoint to journal.log and fsyncs it,
-// renames snapshot.json into place and resets wal.log. Recovery reads
-// the snapshot and the committed prefix of journal.log, truncating
-// what a crashed checkpoint left beyond it, and replays wal.log on
-// top; a torn WAL tail (a crash mid-append) is detected, dropped and
-// truncated away. Replay must be idempotent on the caller's side: a
-// crash between snapshot rename and WAL reset replays entries the
-// snapshot and the journal already contain.
+// A checkpoint writes the index files, appends the decisions journaled
+// since the last one to journal.log and fsyncs it, renames
+// snapshot.json into place and resets wal.log. Recovery reads the
+// snapshot and the committed prefix of journal.log, truncating what a
+// crashed checkpoint left beyond it, and replays wal.log on top; a
+// torn WAL tail (a crash mid-append) is dropped and truncated away.
+// Replay must be idempotent on the caller's side: a crash between
+// snapshot rename and WAL reset replays entries the snapshot and the
+// journal already contain. Payloads are the binary layouts of
+// entries.go; version-1 stores wrote JSON payloads and kept the journal
+// inline in snapshot.json — both stay readable, neither is written.
 //
 // The package is deliberately single-writer: one process owns a
 // persistence directory at a time.
@@ -64,8 +59,7 @@ const (
 	// it; builds predating the resilience layer skip it as an unknown
 	// type.
 	EntryRedecide EntryType = 3
-	// EntryJournal is one query's journaled decisions (JournalEntry),
-	// the frame type of journal.log.
+	// EntryJournal is one query's journaled decisions (JournalFrame).
 	EntryJournal EntryType = 4
 )
 
@@ -85,8 +79,7 @@ const (
 	// otherwise ask recovery to allocate gigabytes; anything larger
 	// than this is treated as tail corruption.
 	maxPayload = 1 << 26 // 64 MiB
-	// maxKeptBuffer bounds the frame buffer a WAL keeps between appends;
-	// a larger one (a checkpoint's journal delta) is dropped after use.
+	// maxKeptBuffer bounds the frame buffer a WAL keeps between appends.
 	maxKeptBuffer = 1 << 20
 )
 
@@ -101,8 +94,7 @@ var ErrClosed = errors.New("persist: WAL is closed")
 // truncation covers the case where even the rollback failed.
 var ErrWALWrite = errors.New("persist: WAL write failed")
 
-// ErrJournalTorn marks a journal.log that no longer holds the bytes
-// its snapshot committed.
+// ErrJournalTorn marks a journal.log lacking bytes its snapshot committed.
 var ErrJournalTorn = errors.New("persist: journal.log is shorter than or corrupt within the committed journal_bytes")
 
 // File is the handle the WAL writes through. *os.File satisfies it;
@@ -133,8 +125,7 @@ func (osFS) OpenFile(path string) (File, error) {
 // OS is the real-filesystem FS.
 var OS FS = osFS{}
 
-// WAL is an append-only log file: wal.log, and journal.log through
-// OpenJournal. It is not safe for concurrent use;
+// WAL is an append-only log file. It is not safe for concurrent use;
 // callers serialize access (internal/resolve does).
 type WAL struct {
 	f       File
@@ -172,33 +163,25 @@ type Recovery struct {
 // valid entries and truncates any torn tail so subsequent Appends
 // extend a clean log.
 func OpenWAL(path string) (*WAL, Recovery, error) {
-	return OpenWALFS(OS, path)
+	return OpenLog(OS, path, -1)
 }
 
-// OpenWALFS is OpenWAL over an injected filesystem.
-func OpenWALFS(fsys FS, path string) (*WAL, Recovery, error) {
-	return openLog(fsys, path, -1)
-}
-
-// OpenJournal opens (creating if absent) the decision journal at path
-// and returns the entries of its first size bytes, the prefix a
-// snapshot's journal_bytes committed. Whatever lies beyond was left by
-// a checkpoint that crashed before its rename — wal.log still holds
-// those decisions — and is truncated away. A file shorter than size,
-// or a prefix that is not a run of intact frames, fails with
-// ErrJournalTorn rather than forget paid-for verdicts silently.
-func OpenJournal(fsys FS, path string, size int64) (*WAL, Recovery, error) {
-	return openLog(fsys, path, size)
-}
-
-// openLog opens the log at path. With limit < 0 it keeps the longest
-// intact prefix; otherwise it keeps exactly limit bytes or fails.
-func openLog(fsys FS, path string, limit int64) (*WAL, Recovery, error) {
+// OpenLog is OpenWAL over an injected filesystem when committed < 0.
+// Otherwise it opens the decision journal and returns the entries of
+// its first committed bytes, the prefix a snapshot's journal_bytes
+// vouches for. What lies beyond was left by a checkpoint that crashed
+// before its rename — wal.log still holds those decisions — and is
+// truncated away; a shorter file, or a prefix that is not a run of
+// intact frames, fails with ErrJournalTorn and is left untouched.
+func OpenLog(fsys FS, path string, committed int64) (*WAL, Recovery, error) {
 	f, err := fsys.OpenFile(path)
 	if err != nil {
 		return nil, Recovery{}, fmt.Errorf("persist: open %s: %w", filepath.Base(path), err)
 	}
-	rec, validBytes, err := scan(f, limit)
+	rec, validBytes, err := scan(f, committed)
+	if err == nil && committed >= 0 && validBytes != committed {
+		err = fmt.Errorf("%w: %d intact bytes of %d committed", ErrJournalTorn, validBytes, committed)
+	}
 	if err == nil && rec.TruncatedTail {
 		if err = f.Truncate(validBytes); err != nil {
 			err = fmt.Errorf("persist: truncate torn tail: %w", err)
@@ -216,10 +199,9 @@ func openLog(fsys FS, path string, limit int64) (*WAL, Recovery, error) {
 	return &WAL{f: f, bytes: validBytes}, rec, nil
 }
 
-// scan reads f in one pass and splits it into frames, returning the
-// valid entries — their payloads alias the one read buffer — and the
-// byte offset where validity ends. With limit >= 0 only that prefix is
-// read, and it must hold intact frames from end to end.
+// scan reads f in one pass and returns its valid entries — payloads
+// alias the one read buffer — and the byte offset where validity ends.
+// With limit >= 0 at most that prefix is read.
 func scan(f File, limit int64) (Recovery, int64, error) {
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
@@ -228,11 +210,7 @@ func scan(f File, limit int64) (Recovery, int64, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return Recovery{}, 0, fmt.Errorf("persist: rewind log: %w", err)
 	}
-	committed := limit >= 0
-	if limit > size {
-		return Recovery{}, 0, fmt.Errorf("%w: %d bytes on disk, %d committed", ErrJournalTorn, size, limit)
-	}
-	if limit < 0 {
+	if limit < 0 || limit > size {
 		limit = size
 	}
 	buf := make([]byte, limit)
@@ -250,9 +228,6 @@ func scan(f File, limit int64) (Recovery, int64, error) {
 		}
 		rec.Entries = append(rec.Entries, Entry{Type: EntryType(buf[off]), Payload: buf[off+headerSize : end : end]})
 		off = end + crcSize
-	}
-	if committed && off < len(buf) {
-		return Recovery{}, 0, fmt.Errorf("%w: broken frame at byte %d of %d committed", ErrJournalTorn, off, limit)
 	}
 	if int64(off) < size {
 		rec.TruncatedTail = true
@@ -313,8 +288,7 @@ func (w *WAL) AppendEntries(entries []Entry) error {
 	return nil
 }
 
-// truncate cuts the log back to size bytes, an earlier entry
-// boundary, and appends continue from there.
+// truncate cuts the log back to size bytes, an entry boundary.
 func (w *WAL) truncate(size int64) error {
 	if w.f == nil {
 		return ErrClosed

@@ -352,9 +352,11 @@ func (s *Store) redecide(dp deferredPair) bool {
 	if s.wal != nil {
 		// The cadences run last, so a checkpoint they trigger holds the
 		// fold and the totals of the entry it resets away. The re-decision
-		// itself is committed: a failed sync or checkpoint is retried by
-		// the next append's cadence, not by re-deciding the pair.
-		_ = s.afterAppendLocked(1)
+		// itself is committed: a failed sync or checkpoint is logged and
+		// retried by the next append's cadence, not by re-deciding the pair.
+		if err := s.afterAppendLocked(1); err != nil {
+			s.opts.Telemetry.Warn("re-decision committed, but its sync or checkpoint failed", err)
+		}
 	}
 	return true
 }

@@ -157,11 +157,30 @@ func TestCheckpointCrashWindows(t *testing.T) {
 	garbage := []byte{byte(persist.EntryJournal), 0x40, 0, 0, 0, 'x', 'y'}
 	flipped := append([]byte{}, journal...)
 	flipped[j0/2] ^= 0x10
+	// CRC-intact frames that are no journal frames.
+	frame := func(typ persist.EntryType, payload []byte) []byte {
+		path := filepath.Join(t.TempDir(), "frame")
+		w, _, err := persist.OpenWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := errors.Join(w.Append(typ, payload), w.Close()); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	foreign := frame(persist.EntryResolve, persist.JournalFrame("q", []persist.DecisionEntry{{CandidateID: "r"}}).Payload)
+	undecodable := frame(persist.EntryJournal, []byte{0x01, 0xff})
 
 	for name, tc := range map[string]struct {
 		base    string            // directory the crash happened in
 		files   map[string]string // name -> directory to take it from instead
 		journal []byte            // journal.log contents, when not nil
+		rebind  bool              // the snapshot commits exactly journal
 		torn    bool              // reopen must fail with ErrJournalTorn
 	}{
 		// Steps 1-3 ran, the rename did not.
@@ -178,6 +197,8 @@ func TestCheckpointCrashWindows(t *testing.T) {
 		"journal shorter than journal_bytes": {base: after, journal: journal[:j1-1], torn: true},
 		"journal missing":                    {base: after, journal: []byte{}, torn: true},
 		"bit flip inside journal_bytes":      {base: after, journal: flipped, torn: true},
+		"foreign frame inside journal_bytes": {base: after, journal: foreign, rebind: true, torn: true},
+		"undecodable inside journal_bytes":   {base: after, journal: undecodable, rebind: true, torn: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -187,6 +208,16 @@ func TestCheckpointCrashWindows(t *testing.T) {
 			}
 			if tc.journal != nil {
 				if err := os.WriteFile(filepath.Join(dir, persist.JournalFile), tc.journal, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.rebind {
+				snap, _, err := persist.ReadSnapshot(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				snap.JournalBytes = int64(len(tc.journal))
+				if err := persist.WriteSnapshot(dir, snap); err != nil {
 					t.Fatal(err)
 				}
 			}

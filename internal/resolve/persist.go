@@ -20,11 +20,10 @@ import (
 // PersistDir, Open is New). Opening an existing directory recovers
 // the previous state — ingested records, entity groups, the decision
 // journal and the lifetime cost totals — by loading the last snapshot
-// and the journal.log prefix it commits and replaying the write-ahead
-// log on top, without a single LLM call. A torn WAL tail (crash
-// mid-append) is detected, dropped and truncated; replaying entries
-// the snapshot already contains (crash between snapshot and log
-// reset) is idempotent.
+// with its journal.log prefix and replaying the write-ahead log on
+// top, without a single LLM call. A torn WAL tail (crash mid-append)
+// is detected, dropped and truncated; replaying entries the snapshot
+// already contains (crash between snapshot and log reset) is idempotent.
 //
 // Pairs found in the recovered decision journal short-circuit later
 // Resolve calls: the durable decision is reused instead of re-running
@@ -51,36 +50,35 @@ func Open(client llm.Client, opts Options) (*Store, error) {
 		return nil, err
 	}
 	if !ok {
-		// No snapshot commits no journal bytes: whatever a crashed first
-		// checkpoint left in journal.log is cut away.
-		snap = &persist.Snapshot{}
+		snap = &persist.Snapshot{} // commits no journal bytes
 	}
-	// The journal loads first: installSnapshot filters the deferred
-	// queue against it.
-	jlog, jrec, err := persist.OpenJournal(fsys, filepath.Join(dir, persist.JournalFile), snap.JournalBytes)
+	jlog, jrec, err := persist.OpenLog(fsys, filepath.Join(dir, persist.JournalFile), snap.JournalBytes)
 	if err != nil {
 		return nil, err
 	}
+	wal, rec, err := persist.OpenLog(fsys, filepath.Join(dir, persist.WALFile), -1)
+	if err != nil {
+		jlog.Close()
+		return nil, err
+	}
+	// The journal first: installSnapshot filters the deferred queue by it.
 	for _, e := range jrec.Entries {
-		je, err := persist.DecodeJournal(e.Payload)
-		if err != nil {
-			jlog.Close()
-			return nil, err
+		q, ds, derr := persist.DecodeJournal(e.Payload)
+		if e.Type != persist.EntryJournal || derr != nil {
+			err = fmt.Errorf("%w: committed frame of type %d: %v", persist.ErrJournalTorn, e.Type, derr)
+			break
 		}
-		for _, d := range je.Decisions {
-			s.journal[pairID{query: je.QueryID, candidate: d.CandidateID}] = d
+		for _, d := range ds {
+			s.journal[pairID{query: q, candidate: d.CandidateID}] = d
 		}
 	}
-	wal, rec, err := persist.OpenWALFS(fsys, filepath.Join(dir, persist.WALFile))
 	if err == nil {
 		if err = s.installSnapshot(snap); err == nil {
 			err = s.replay(rec.Entries)
 		}
-		if err != nil {
-			wal.Close()
-		}
 	}
 	if err != nil {
+		wal.Close()
 		jlog.Close()
 		return nil, err
 	}
@@ -105,9 +103,8 @@ type persistState struct {
 	sinceSync          int
 	closed             bool
 	// journalDelta holds, framed for journal.log, the decisions journaled
-	// since it was last extended; the next checkpoint appends them. They
-	// are those of the resolve and redecide frames now in wal.log, or a
-	// version-1 snapshot's inline journal.
+	// since the last checkpoint extended it — those of wal.log's frames,
+	// or a version-1 snapshot's inline journal; the next one appends them.
 	journalDelta []persist.Entry
 	// indexEpoch is the generation of the per-shard mmap index
 	// snapshots the last committed snapshot.json references (zero
@@ -171,14 +168,10 @@ func (s *Store) installSnapshot(snap *persist.Snapshot) error {
 			s.graph.Union(g[0], id)
 		}
 	}
-	legacy := map[string][]persist.DecisionEntry{}
 	for _, je := range snap.LegacyJournal {
 		q := je.QueryID
 		je.QueryID = ""
-		legacy[q] = append(legacy[q], je)
-	}
-	for q, ds := range legacy {
-		s.journalDecisions(q, ds)
+		s.journalDecisions(q, []persist.DecisionEntry{je})
 	}
 	// Rebuild the deferred queue from the snapshot's carried query
 	// records. A snapshot cut mid-redecide can hold a queue entry whose
@@ -323,9 +316,9 @@ func (s *Store) replay(entries []persist.Entry) error {
 				}
 				s.pstate.recoveredDecisions++
 			}
-			// A report the snapshot already counts (the crash fell between
-			// its rename and the WAL reset) must not count twice.
-			if rv.Seq == 0 || rv.Seq > s.totals.resolves {
+			// After a crash between rename and WAL reset the snapshot
+			// already counts this report.
+			if rv.Seq == 0 || uint64(rv.Seq) > s.totals.resolves {
 				s.totals.resolves++
 				s.addReport(rv.Report)
 				s.pstate.recoveredResolves++
@@ -345,7 +338,7 @@ func (s *Store) replay(entries []persist.Entry) error {
 			if s.res != nil {
 				s.res.remove(key)
 			}
-			if rd.Seq == 0 || rd.Seq > s.totals.redecided {
+			if rd.Seq == 0 || uint64(rd.Seq) > s.totals.redecided {
 				s.totals.redecided++
 				s.totals.promptTokens += uint64(rd.PromptTokens)
 				s.totals.completionTokens += uint64(rd.CompletionTokens)
@@ -359,8 +352,7 @@ func (s *Store) replay(entries []persist.Entry) error {
 	return nil
 }
 
-// addReport folds a replayed cost report, or a snapshot's totals, into
-// the lifetime totals.
+// addReport folds a replayed cost report or a snapshot's totals in.
 func (s *Store) addReport(r persist.ReportEntry) {
 	s.totals.candidates += uint64(r.Candidates)
 	s.totals.localAccepts += uint64(r.LocalAccepts)
@@ -381,9 +373,8 @@ func (s *Store) addReport(r persist.ReportEntry) {
 	s.totals.reason.add(StrategyUsage(r.ReasonStrategy))
 }
 
-// strategyEntryOfTotals narrows lifetime strategy totals to the
-// snapshot's StrategyEntry; the per-call StrategyUsage converts to and
-// from it directly, field for field.
+// strategyEntryOfTotals narrows lifetime strategy totals to a
+// StrategyEntry; the per-call StrategyUsage converts directly.
 func strategyEntryOfTotals(t StrategyTotals) persist.StrategyEntry {
 	return persist.StrategyEntry{
 		Calls:            int(t.Calls),
@@ -394,8 +385,7 @@ func strategyEntryOfTotals(t StrategyTotals) persist.StrategyEntry {
 }
 
 // journalDecisions installs a query's decisions into the in-memory
-// journal and queues them for the next checkpoint's journal.log
-// append. Caller holds persistMu (or, during Open, owns the store).
+// journal and queues them for journal.log. Caller holds persistMu.
 func (s *Store) journalDecisions(query string, ds []persist.DecisionEntry) {
 	for _, d := range ds {
 		s.journal[pairID{query: query, candidate: d.CandidateID}] = d
@@ -405,10 +395,8 @@ func (s *Store) journalDecisions(query string, ds []persist.DecisionEntry) {
 	}
 }
 
-// appendRecordsLocked journals ingested records with one WAL write —
-// all of them land or none — or two when the batch straddles the
-// snapshot cadence, so checkpoints fall every SnapshotEvery appends
-// whatever the batch size. Caller holds persistMu.
+// appendRecordsLocked journals ingested records with one WAL write:
+// all of them land or none. Caller holds persistMu.
 func (s *Store) appendRecordsLocked(rs []entity.Record) error {
 	entries := make([]persist.Entry, len(rs))
 	for i, r := range rs {
@@ -418,20 +406,10 @@ func (s *Store) appendRecordsLocked(rs []entity.Record) error {
 		}
 		entries[i] = persist.Entry{Type: persist.EntryRecord, Payload: payload}
 	}
-	for len(entries) > 0 {
-		n := len(entries)
-		if room := s.opts.SnapshotEvery - s.pstate.sinceSnapshot; room > 0 && room < n {
-			n = room
-		}
-		if err := s.wal.AppendEntries(entries[:n]); err != nil {
-			return err
-		}
-		if err := s.afterAppendLocked(n); err != nil {
-			return err
-		}
-		entries = entries[n:]
+	if err := s.wal.AppendEntries(entries); err != nil {
+		return err
 	}
-	return nil
+	return s.afterAppendLocked(len(entries))
 }
 
 // appendResolveLocked journals one resolve call's fresh decisions and
@@ -440,7 +418,7 @@ func (s *Store) appendRecordsLocked(rs []entity.Record) error {
 // vouches for a decision that is not on disk. Caller holds persistMu.
 func (s *Store) appendResolveLocked(q entity.Record, decisions []persist.DecisionEntry, report CostReport) error {
 	s.statsMu.Lock()
-	seq := s.totals.resolves // recordTotals has counted this call
+	seq := int(s.totals.resolves) // recordTotals has counted this call
 	s.statsMu.Unlock()
 	payload, err := persist.EncodeResolve(persist.ResolveEntry{
 		Seq:       seq,
@@ -478,12 +456,11 @@ func (s *Store) appendResolveLocked(q entity.Record, decisions []persist.Decisio
 
 // appendRedecideLocked journals one background re-decision and
 // installs it into the in-memory journal — after the WAL append
-// succeeded, like appendResolveLocked. Caller holds persistMu, and
-// before releasing it counts the re-decision into the totals and runs
-// afterAppendLocked.
+// succeeded, like appendResolveLocked. Caller holds persistMu and,
+// before releasing it, counts the totals and runs afterAppendLocked.
 func (s *Store) appendRedecideLocked(e persist.RedecideEntry) error {
 	s.statsMu.Lock()
-	e.Seq = s.totals.redecided + 1
+	e.Seq = int(s.totals.redecided) + 1
 	s.statsMu.Unlock()
 	payload, err := persist.EncodeRedecide(e)
 	if err != nil {
@@ -513,15 +490,14 @@ func (s *Store) afterAppendLocked(n int) error {
 	return nil
 }
 
-// checkpointLocked commits the store's state and resets the WAL, in
-// five ordered steps: write the index files, append the decisions
-// journaled since the last checkpoint to journal.log, fsync it, write
-// and rename snapshot.json — the single commit point, carrying groups,
-// totals, the deferred queue and the journal.log length it vouches
-// for — and reset wal.log (docs/ARCHITECTURE.md walks the crash
-// windows). Caller holds persistMu, which blocks concurrent appends;
-// any in-memory mutation not yet journaled lands in the snapshot and
-// its late WAL entry replays idempotently.
+// checkpointLocked commits the store's state in five ordered steps:
+// write the index files, append the decisions journaled since the last
+// checkpoint to journal.log, fsync it, write and rename snapshot.json
+// — the single commit point, vouching for that journal.log length —
+// and reset the WAL (docs/ARCHITECTURE.md walks the crash windows).
+// Caller holds persistMu, which blocks concurrent appends; any
+// in-memory mutation not yet journaled lands in the snapshot and its
+// late WAL entry replays idempotently.
 //
 // The ingested records normally go out as per-shard EMIX index
 // snapshots (records, postings and token table in one mmap-ready
@@ -638,9 +614,8 @@ func (s *Store) checkpointLocked() error {
 		SelectStrategy:   strategyEntryOfTotals(t.sel),
 		ReasonStrategy:   strategyEntryOfTotals(t.reason),
 	}
-	// The journal extension commits only with the rename below; should
-	// that fail, it stays an uncommitted tail that a later checkpoint
-	// commits or a reopen cuts away, with wal.log holding the decisions.
+	// Until the rename below the extension is an uncommitted tail: a
+	// reopen cuts it away, and wal.log still holds its decisions.
 	var err error
 	if len(s.pstate.journalDelta) > 0 {
 		if err = s.jlog.AppendEntries(s.pstate.journalDelta); err == nil {
@@ -789,10 +764,9 @@ type PersistStats struct {
 	WALEntries uint64
 	WALBytes   int64
 	Snapshots  uint64
-	// JournalBytes is the size of journal.log, which checkpoints only
-	// ever extend. JournalSize is the number of durably decided pairs;
-	// JournalHits counts Resolve decisions served from them (lifetime,
-	// survives restarts).
+	// JournalBytes is journal.log's size, JournalSize the number of
+	// durably decided pairs; JournalHits counts Resolve decisions served
+	// from them (lifetime, survives restarts).
 	JournalBytes int64
 	JournalSize  uint64
 	JournalHits  uint64

@@ -33,19 +33,19 @@ func committedJournal(t *testing.T, dir string) []persist.DecisionEntry {
 	if err != nil || !ok {
 		t.Fatalf("ReadSnapshot: ok=%v err=%v", ok, err)
 	}
-	jl, rec, err := persist.OpenJournal(persist.OS, filepath.Join(dir, persist.JournalFile), snap.JournalBytes)
+	jl, rec, err := persist.OpenLog(persist.OS, filepath.Join(dir, persist.JournalFile), snap.JournalBytes)
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("open journal.log: %v", err)
 	}
 	jl.Close()
 	var out []persist.DecisionEntry
 	for _, e := range rec.Entries {
-		je, err := persist.DecodeJournal(e.Payload)
+		q, ds, err := persist.DecodeJournal(e.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range je.Decisions {
-			d.QueryID = je.QueryID
+		for _, d := range ds {
+			d.QueryID = q
 			out = append(out, d)
 		}
 	}
@@ -338,14 +338,14 @@ func TestSnapshotCadence(t *testing.T) {
 	if _, ok, err := persist.ReadSnapshot(dir); err != nil || !ok {
 		t.Fatalf("snapshot file missing after cadence compaction: ok=%v err=%v", ok, err)
 	}
-	// A batch keeps the cadence: one append is in the log since the
-	// snapshot, so seven more records cross it at the 2nd and the 5th.
+	// A batch is one WAL write and runs the cadence once, after it: one
+	// append is in the log since the snapshot, seven more cross it.
 	_, batch := widgetRecords(14)
 	if err := s.AddBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if ps := s.Stats().Persist; ps.Snapshots != 3 || ps.WALBytes == 0 {
-		t.Errorf("after a 7-record batch: %d snapshots, %d WAL bytes, want 3 and the last two records in the log", ps.Snapshots, ps.WALBytes)
+	if ps := s.Stats().Persist; ps.Snapshots != 2 || ps.WALBytes != 0 {
+		t.Errorf("after a 7-record batch: %d snapshots, %d WAL bytes, want 2 and an empty log", ps.Snapshots, ps.WALBytes)
 	}
 	// Crash and recover: cadence snapshots alone must carry the state.
 	b, _ := mustOpen(t, dir, Options{})

@@ -142,7 +142,8 @@ type Options struct {
 	PersistDir string
 	// SnapshotEvery is the number of WAL appends between automatic
 	// snapshot+compaction runs (default DefaultSnapshotEvery; negative
-	// disables the cadence — Checkpoint and Close still compact).
+	// disables the cadence — Checkpoint and Close still compact). A
+	// batch is one write and runs the cadence once, after it.
 	SnapshotEvery int
 	// SyncEvery fsyncs the WAL after every N appends (default 0: sync
 	// only on snapshot, Flush and Close; 1 makes every append durable

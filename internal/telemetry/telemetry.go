@@ -279,6 +279,14 @@ func (t *Telemetry) SlowThreshold() time.Duration {
 	return t.slowThreshold
 }
 
+// Warn logs a failure of background work, which has no caller to
+// return it to. No-op on a nil receiver.
+func (t *Telemetry) Warn(msg string, err error) {
+	if t != nil {
+		t.logger.LogAttrs(context.Background(), slog.LevelWarn, msg, slog.Any("error", err))
+	}
+}
+
 // MaybeLogSlow counts and possibly logs one finished resolve against
 // the slow threshold. The stage array is passed by value so the
 // caller's observer never escapes to the heap on the fast path; the

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"errors"
 	"log/slog"
 	"math"
 	"strings"
@@ -370,6 +371,15 @@ func TestTelemetryNilSafety(t *testing.T) {
 		t.Error("nil telemetry wrote exposition")
 	}
 	tel.MaybeLogSlow("t", "q", time.Hour, StageDurations{})
+	tel.Warn("background failure", errors.New("boom"))
+}
+
+func TestWarn(t *testing.T) {
+	capt := &captureHandler{}
+	New(Options{Logger: slog.New(capt)}).Warn("background failure", errors.New("boom"))
+	if capt.count() != 1 || capt.records[0].Level != slog.LevelWarn || capt.records[0].Message != "background failure" {
+		t.Errorf("Warn logged %+v, want one warning", capt.records)
+	}
 }
 
 func TestTelemetryDisabledSlowLogging(t *testing.T) {

@@ -41,8 +41,8 @@
 # 8. Measures a checkpoint of the same 10k-record store carrying the
 #    same delta with 10k and with 100k decisions already journaled
 #    (BenchmarkStoreCheckpoint, both on the SAME host, same run) and
-#    fails if the second costs more than CHECKPOINT_SCALING (default
-#    1.5) times the first: checkpoints are O(delta), not O(journal).
+#    fails if the second costs more than 1.5 times the first:
+#    checkpoints are O(delta), not O(journal).
 #
 # With ARTIFACT_DIR set, the full output is teed into
 # $ARTIFACT_DIR/bench_output.txt and the dispatcher gate writes its
@@ -156,7 +156,7 @@ main() {
 
     echo ""
     echo "== O(delta) checkpoint gate (100k-decision journal relative to 10k) =="
-    SCALING="${CHECKPOINT_SCALING:-1.5}"
+    SCALING=1.5
     CKPT_OUT="$(go test -run '^$' -bench 'BenchmarkStoreCheckpoint$' -benchtime=20x ./internal/resolve/)"
     SMALL_NS="$(printf '%s\n' "$CKPT_OUT" | awk '/^BenchmarkStoreCheckpoint\/journal=10k/ {print $3; exit}')"
     LARGE_NS="$(printf '%s\n' "$CKPT_OUT" | awk '/^BenchmarkStoreCheckpoint\/journal=100k/ {print $3; exit}')"
