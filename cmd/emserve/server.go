@@ -29,19 +29,16 @@ import (
 //	GET  /v1/healthz       — liveness: store can still serve mutations
 //	GET  /v1/readyz        — readiness: recovery/preload done and store live
 //
-// Every route is also served unprefixed (POST /records, …) with the
-// same shapes for pre-v1 clients; those aliases answer with a
-// "Deprecation: true" header and a Link to the /v1 successor so
-// callers can migrate without a flag day.
+// Unprefixed paths (POST /records, …) are not routes: they answer 404.
 type server struct {
 	store *llm4em.Store
 	tel   *llm4em.Telemetry
 	log   *slog.Logger
 	ready *atomic.Bool
-	// resolveTimeout bounds each POST /resolve; zero means unbounded.
+	// resolveTimeout bounds each POST /v1/resolve; zero means unbounded.
 	resolveTimeout time.Duration
 
-	// statsMu/statsIn single-flight concurrent GET /stats calls: the
+	// statsMu/statsIn single-flight concurrent GET /v1/stats calls: the
 	// snapshot walks every shard and several locks, so simultaneous
 	// scrapers share one computation instead of piling onto the store.
 	// Sequential calls always compute fresh.
@@ -53,15 +50,15 @@ type server struct {
 type handlerConfig struct {
 	store *llm4em.Store
 	// tel carries the process metrics; the HTTP layer registers its
-	// request families on the same registry so GET /metrics covers
+	// request families on the same registry so GET /v1/metrics covers
 	// everything. Nil disables HTTP metrics and tracing IDs still work.
 	tel *llm4em.Telemetry
 	// log receives per-request access lines. Nil falls back to
 	// slog.Default().
 	log *slog.Logger
-	// ready gates GET /readyz; nil means always ready.
+	// ready gates GET /v1/readyz; nil means always ready.
 	ready *atomic.Bool
-	// resolveTimeout caps each POST /resolve's wall clock (the
+	// resolveTimeout caps each POST /v1/resolve's wall clock (the
 	// -resolve-timeout flag); zero leaves requests unbounded. The
 	// deadline propagates through the store into in-flight LLM calls;
 	// with the resilience layer enabled an expired escalation degrades
@@ -95,23 +92,8 @@ func newHandler(cfg handlerConfig) http.Handler {
 	}
 	for _, rt := range routes {
 		mux.HandleFunc(rt.method+" /v1"+rt.path, s.instrument(rt.name, rt.h))
-		mux.HandleFunc(rt.method+" "+rt.path, s.instrument(rt.name, deprecatedAlias(rt.h)))
 	}
 	return mux
-}
-
-// deprecatedAlias wraps a handler serving a legacy unprefixed route:
-// the response carries a Deprecation header (RFC 9745) and a Link to
-// the /v1 successor of the exact request path, so clients still on
-// the pre-v1 surface learn where to move without breaking. The link
-// target uses the escaped path — the percent-decoded r.URL.Path would
-// not round-trip an ID like a%2Fb back to the same resource.
-func deprecatedAlias(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.EscapedPath()))
-		h(w, r)
-	}
 }
 
 // probeRoutes are scraped/polled constantly; their access lines log at
@@ -297,7 +279,7 @@ func fromCost(c llm4em.CostReport) costJSON {
 	}
 }
 
-// addRecords handles POST /records. Accepted bodies:
+// addRecords handles POST /v1/records. Accepted bodies:
 //
 //	{"records":[{...},...]}   wrapper object (original form)
 //	[{...},...]               bare JSON array of records
@@ -308,9 +290,10 @@ func fromCost(c llm4em.CostReport) costJSON {
 // handler and one lock round-trip per shard instead of one per
 // record.
 func (s *server) addRecords(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxRecordsBody)
 	recs, err := decodeRecordsBody(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, bodyErrorStatus(err), err)
 		return
 	}
 	if len(recs) == 0 {
@@ -340,7 +323,26 @@ func (s *server) addRecords(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decodeRecordsBody parses the accepted POST /records body shapes
+// Request body bounds. One request may not take the process's memory:
+// a body past its bound is answered 413. The records bound leaves
+// three orders of magnitude over a 200-record batch (≈60 KB); a
+// resolve body is one record.
+const (
+	maxRecordsBody = 32 << 20
+	maxResolveBody = 1 << 20
+)
+
+// bodyErrorStatus maps a body decode failure to its status: 413 when
+// the body ran past its http.MaxBytesReader bound, 400 otherwise.
+func bodyErrorStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// decodeRecordsBody parses the accepted POST /v1/records body shapes
 // into a record list.
 func decodeRecordsBody(r *http.Request) ([]recordJSON, error) {
 	if strings.Contains(r.Header.Get("Content-Type"), "ndjson") {
@@ -386,13 +388,14 @@ func decodeRecordsBody(r *http.Request) ([]recordJSON, error) {
 	return nil, nil
 }
 
-// resolve handles POST /resolve. The request context carries the
+// resolve handles POST /v1/resolve. The request context carries the
 // trace the instrument middleware attached, so the store's per-stage
 // spans land under this request's X-Request-ID.
 func (s *server) resolve(w http.ResponseWriter, r *http.Request) {
 	var body recordJSON
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResolveBody)).Decode(&body); err != nil {
+		err = fmt.Errorf("decode body: %w", err)
+		writeError(w, bodyErrorStatus(err), err)
 		return
 	}
 	ctx := r.Context()
@@ -444,7 +447,7 @@ func (s *server) resolve(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// entity handles GET /entities/{id}.
+// entity handles GET /v1/entities/{id}.
 func (s *server) entity(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	members, ok := s.store.Entity(id)
@@ -467,7 +470,7 @@ func (s *server) entity(w http.ResponseWriter, r *http.Request) {
 }
 
 // statsCall is one in-flight Stats snapshot shared by concurrent
-// GET /stats callers.
+// GET /v1/stats callers.
 type statsCall struct {
 	done chan struct{}
 	val  llm4em.StoreStats
@@ -496,7 +499,7 @@ func (s *server) snapshotStats() llm4em.StoreStats {
 	return c.val
 }
 
-// stats handles GET /stats.
+// stats handles GET /v1/stats.
 func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 	st := s.snapshotStats()
 	w.Header().Set("Cache-Control", "no-store")
@@ -577,7 +580,7 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 }
 
 // telemetryJSON surfaces the headline telemetry counters in the JSON
-// stats for callers that do not scrape /metrics. All reads are
+// stats for callers that do not scrape /v1/metrics. All reads are
 // nil-safe, so a telemetry-less server reports zeros with
 // "enabled": false.
 func (s *server) telemetryJSON() map[string]any {
@@ -595,7 +598,7 @@ func (s *server) telemetryJSON() map[string]any {
 	return out
 }
 
-// metrics handles GET /metrics: the Prometheus text exposition of
+// metrics handles GET /v1/metrics: the Prometheus text exposition of
 // every registered family (empty without telemetry).
 func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -603,7 +606,7 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.tel.WritePrometheus(w)
 }
 
-// healthz handles GET /healthz: 200 while the store can serve
+// healthz handles GET /v1/healthz: 200 while the store can serve
 // mutations, 503 once the dispatcher or WAL has been closed.
 func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 	if !s.store.Live() {
@@ -613,7 +616,7 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// readyz handles GET /readyz: 200 once recovery/preload finished and
+// readyz handles GET /v1/readyz: 200 once recovery/preload finished and
 // the store is live — the gate for load balancers and rollout probes.
 // A store serving degraded (LLM breaker open, uncertain pairs
 // answered locally and deferred) stays ready — pulling the replica

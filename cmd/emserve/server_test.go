@@ -145,94 +145,67 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestAPIVersioning pins the /v1 surface: canonical routes answer
-// without deprecation metadata, while the legacy unprefixed aliases
-// serve the same shapes and flag themselves with a Deprecation header
-// plus a Link to the /v1 successor.
+// TestAPIVersioning pins the /v1 surface: the prefixed routes are the
+// only ones, and a bare pre-v1 path answers 404.
 func TestAPIVersioning(t *testing.T) {
 	srv := newTestServer(t)
 	if resp, body := postJSON(t, srv.URL+"/v1/records", seedBody); resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /v1/records = %d: %v", resp.StatusCode, body)
 	}
-
-	// Canonical routes carry no deprecation metadata.
-	resp, _ := getJSON(t, srv.URL+"/v1/stats")
-	if resp.StatusCode != http.StatusOK {
+	if resp, _ := getJSON(t, srv.URL+"/v1/stats"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /v1/stats = %d", resp.StatusCode)
 	}
-	if d := resp.Header.Get("Deprecation"); d != "" {
-		t.Errorf("/v1/stats carries Deprecation %q", d)
-	}
-
-	// Legacy aliases serve the same shapes, flagged as deprecated.
-	for _, path := range []string{"/stats", "/entities/r1", "/healthz", "/readyz"} {
-		resp, body := getJSON(t, srv.URL+path)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d: %v", path, resp.StatusCode, body)
+	for _, path := range []string{"/stats", "/entities/r1", "/healthz", "/readyz", "/metrics"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if d := resp.Header.Get("Deprecation"); d != "true" {
-			t.Errorf("GET %s: Deprecation = %q, want \"true\"", path, d)
-		}
-		want := fmt.Sprintf("</v1%s>; rel=\"successor-version\"", path)
-		if l := resp.Header.Get("Link"); l != want {
-			t.Errorf("GET %s: Link = %q, want %q", path, l, want)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, resp.StatusCode)
 		}
 	}
-
-	// The Link target preserves percent-escapes: a decoded path would
-	// point an ID like a%2Fb at a different resource.
-	resp, _ = getJSON(t, srv.URL+"/entities/a%2Fb")
-	if want := `</v1/entities/a%2Fb>; rel="successor-version"`; resp.Header.Get("Link") != want {
-		t.Errorf("escaped-ID alias Link = %q, want %q", resp.Header.Get("Link"), want)
-	}
-
-	// Legacy and /v1 answer from the same store.
-	_, legacy := getJSON(t, srv.URL+"/stats")
-	_, v1 := getJSON(t, srv.URL+"/v1/stats")
-	if legacy["records"] != v1["records"] || legacy["records"].(float64) != 3 {
-		t.Errorf("alias and /v1 disagree: legacy %v, v1 %v", legacy["records"], v1["records"])
-	}
-
-	// A versioned POST alias too: resolve through the legacy route.
-	resp, body := postJSON(t, srv.URL+"/resolve",
-		`{"id":"q-alias","attrs":[{"name":"title","value":"epson workforce 845 printer"}]}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy POST /resolve = %d: %v", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy POST /resolve missing Deprecation header")
+	for _, path := range []string{"/records", "/resolve"} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(seedBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s = %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 
 func TestServerErrorPaths(t *testing.T) {
 	srv := newTestServer(t)
 
-	resp, _ := postJSON(t, srv.URL+"/records", `{"records":[]}`)
+	resp, _ := postJSON(t, srv.URL+"/v1/records", `{"records":[]}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty ingest = %d, want 400", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, srv.URL+"/records", `not json`)
+	resp, _ = postJSON(t, srv.URL+"/v1/records", `not json`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad JSON = %d, want 400", resp.StatusCode)
 	}
-	if _, body := postJSON(t, srv.URL+"/records", seedBody); body["added"].(float64) != 3 {
+	if _, body := postJSON(t, srv.URL+"/v1/records", seedBody); body["added"].(float64) != 3 {
 		t.Fatalf("seed failed: %v", body)
 	}
-	resp, body := postJSON(t, srv.URL+"/records",
+	resp, body := postJSON(t, srv.URL+"/v1/records",
 		`{"records":[{"id":"r1","attrs":[{"name":"title","value":"again"}]}]}`)
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("duplicate ingest = %d, want 409: %v", resp.StatusCode, body)
 	}
-	resp, _ = postJSON(t, srv.URL+"/resolve", `{"attrs":[{"name":"title","value":"no id"}]}`)
+	resp, _ = postJSON(t, srv.URL+"/v1/resolve", `{"attrs":[{"name":"title","value":"no id"}]}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("resolve without ID = %d, want 400", resp.StatusCode)
 	}
-	resp, _ = getJSON(t, srv.URL+"/entities/ghost")
+	resp, _ = getJSON(t, srv.URL+"/v1/entities/ghost")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown entity = %d, want 404", resp.StatusCode)
 	}
 	// Wrong methods fall through to 405 via the method-scoped mux.
-	resp, err := http.Get(srv.URL + "/resolve")
+	resp, err := http.Get(srv.URL + "/v1/resolve")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,14 +239,14 @@ func TestServerPersistenceAcrossRestart(t *testing.T) {
 	}
 
 	store, srv := open()
-	if resp, body := postJSON(t, srv.URL+"/records", seedBody); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, srv.URL+"/v1/records", seedBody); resp.StatusCode != http.StatusOK {
 		t.Fatalf("seed: %v", body)
 	}
 	resolveBody := `{"id":"q1","attrs":[{"name":"title","value":"Sony DSC-120B Cybershot camera (black)"},{"name":"price","value":"351.00"}]}`
-	if resp, body := postJSON(t, srv.URL+"/resolve", resolveBody); resp.StatusCode != http.StatusOK || body["matched"] != true {
+	if resp, body := postJSON(t, srv.URL+"/v1/resolve", resolveBody); resp.StatusCode != http.StatusOK || body["matched"] != true {
 		t.Fatalf("resolve: %v", body)
 	}
-	_, body := getJSON(t, srv.URL+"/stats")
+	_, body := getJSON(t, srv.URL+"/v1/stats")
 	persistBlock, _ := body["persist"].(map[string]any)
 	if persistBlock == nil || persistBlock["enabled"] != true || persistBlock["wal_entries"].(float64) == 0 {
 		t.Fatalf("stats persist block = %v", persistBlock)
@@ -286,7 +259,7 @@ func TestServerPersistenceAcrossRestart(t *testing.T) {
 
 	_, srv2 := open()
 	defer srv2.Close()
-	_, body = getJSON(t, srv2.URL+"/stats")
+	_, body = getJSON(t, srv2.URL+"/v1/stats")
 	if body["records"].(float64) != 3 || body["resolves"].(float64) != 1 {
 		t.Fatalf("recovered stats = %v", body)
 	}
@@ -298,12 +271,12 @@ func TestServerPersistenceAcrossRestart(t *testing.T) {
 		t.Errorf("journal.log not recovered: %v", pb)
 	}
 	// The pre-restart merge survived.
-	resp, body := getJSON(t, srv2.URL+"/entities/r1")
+	resp, body := getJSON(t, srv2.URL+"/v1/entities/r1")
 	if resp.StatusCode != http.StatusOK || body["entity_id"] != "q1" {
 		t.Errorf("recovered entity = %v", body)
 	}
 	// Re-resolving the same query replays the journal: no LLM pairs.
-	_, body = postJSON(t, srv2.URL+"/resolve", resolveBody)
+	_, body = postJSON(t, srv2.URL+"/v1/resolve", resolveBody)
 	cost, _ := body["cost"].(map[string]any)
 	if cost["llm_pairs"].(float64) != 0 || cost["journal_hits"].(float64) == 0 {
 		t.Errorf("re-resolve cost after restart = %v", cost)
@@ -320,7 +293,7 @@ func TestServerPersistenceAcrossRestart(t *testing.T) {
 // requests — the serving scenario the store's sharding exists for.
 func TestServerConcurrentResolves(t *testing.T) {
 	srv := newTestServer(t)
-	if resp, body := postJSON(t, srv.URL+"/records", seedBody); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, srv.URL+"/v1/records", seedBody); resp.StatusCode != http.StatusOK {
 		t.Fatalf("seed: %v", body)
 	}
 	done := make(chan error, 8)
@@ -328,7 +301,7 @@ func TestServerConcurrentResolves(t *testing.T) {
 		go func(i int) {
 			body := fmt.Sprintf(
 				`{"id":"q%d","attrs":[{"name":"title","value":"sony dsc120b cybershot camera black"}]}`, i)
-			resp, err := http.Post(srv.URL+"/resolve", "application/json", strings.NewReader(body))
+			resp, err := http.Post(srv.URL+"/v1/resolve", "application/json", strings.NewReader(body))
 			if err == nil {
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
@@ -343,12 +316,12 @@ func TestServerConcurrentResolves(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, body := getJSON(t, srv.URL+"/stats")
+	_, body := getJSON(t, srv.URL+"/v1/stats")
 	if body["resolves"].(float64) != 8 {
 		t.Errorf("resolves = %v, want 8", body["resolves"])
 	}
 	// All eight queries joined r1's entity.
-	_, body = getJSON(t, srv.URL+"/entities/r1")
+	_, body = getJSON(t, srv.URL+"/v1/entities/r1")
 	if members := body["members"].([]any); len(members) != 9 {
 		t.Errorf("entity has %d members, want 9", len(members))
 	}
@@ -370,7 +343,7 @@ func TestServerDispatchStats(t *testing.T) {
 	srv := httptest.NewServer(newHandler(handlerConfig{store: store}))
 	t.Cleanup(srv.Close)
 
-	if resp, body := postJSON(t, srv.URL+"/records", seedBody); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, srv.URL+"/v1/records", seedBody); resp.StatusCode != http.StatusOK {
 		t.Fatalf("seed: %v", body)
 	}
 	done := make(chan error, 8)
@@ -378,7 +351,7 @@ func TestServerDispatchStats(t *testing.T) {
 		go func(i int) {
 			body := fmt.Sprintf(
 				`{"id":"q%d","attrs":[{"name":"title","value":"sony dsc120b cybershot camera black"}]}`, i)
-			resp, err := http.Post(srv.URL+"/resolve", "application/json", strings.NewReader(body))
+			resp, err := http.Post(srv.URL+"/v1/resolve", "application/json", strings.NewReader(body))
 			if err == nil {
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
@@ -394,7 +367,7 @@ func TestServerDispatchStats(t *testing.T) {
 		}
 	}
 
-	_, body := getJSON(t, srv.URL+"/stats")
+	_, body := getJSON(t, srv.URL+"/v1/stats")
 	dispatch, ok := body["dispatch"].(map[string]any)
 	if !ok {
 		t.Fatalf("stats carry no dispatch block: %v", body)
@@ -430,16 +403,16 @@ func TestMetricsHealthReady(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	// Not ready until the gate flips; healthy the whole time.
-	resp, _ := getJSON(t, srv.URL+"/readyz")
+	resp, _ := getJSON(t, srv.URL+"/v1/readyz")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("readyz before gate = %d, want 503", resp.StatusCode)
 	}
-	resp, _ = getJSON(t, srv.URL+"/healthz")
+	resp, _ = getJSON(t, srv.URL+"/v1/healthz")
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz = %d, want 200", resp.StatusCode)
 	}
 	ready.Store(true)
-	resp, _ = getJSON(t, srv.URL+"/readyz")
+	resp, _ = getJSON(t, srv.URL+"/v1/readyz")
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("readyz after gate = %d, want 200", resp.StatusCode)
 	}
@@ -448,7 +421,7 @@ func TestMetricsHealthReady(t *testing.T) {
 	}
 
 	// Inbound request IDs are propagated.
-	req, _ := http.NewRequest("GET", srv.URL+"/healthz", nil)
+	req, _ := http.NewRequest("GET", srv.URL+"/v1/healthz", nil)
 	req.Header.Set("X-Request-ID", "trace-from-lb")
 	echoResp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -460,15 +433,15 @@ func TestMetricsHealthReady(t *testing.T) {
 	}
 
 	// Drive traffic so the store-level families populate.
-	if resp, body := postJSON(t, srv.URL+"/records", seedBody); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, srv.URL+"/v1/records", seedBody); resp.StatusCode != http.StatusOK {
 		t.Fatalf("seed: %v", body)
 	}
-	if resp, body := postJSON(t, srv.URL+"/resolve",
+	if resp, body := postJSON(t, srv.URL+"/v1/resolve",
 		`{"id":"q1","attrs":[{"name":"title","value":"sony dsc120b cybershot camera black"}]}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("resolve: %v", body)
 	}
 
-	mresp, err := http.Get(srv.URL + "/metrics")
+	mresp, err := http.Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,11 +484,11 @@ func TestMetricsHealthReady(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	resp, _ = getJSON(t, srv.URL+"/healthz")
+	resp, _ = getJSON(t, srv.URL+"/v1/healthz")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("healthz after close = %d, want 503", resp.StatusCode)
 	}
-	resp, _ = getJSON(t, srv.URL+"/readyz")
+	resp, _ = getJSON(t, srv.URL+"/v1/readyz")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("readyz after close = %d, want 503", resp.StatusCode)
 	}
@@ -533,14 +506,14 @@ func TestStatsTelemetryBlock(t *testing.T) {
 	srv := httptest.NewServer(newHandler(handlerConfig{store: store, tel: tel}))
 	t.Cleanup(srv.Close)
 
-	if resp, body := postJSON(t, srv.URL+"/records", seedBody); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, srv.URL+"/v1/records", seedBody); resp.StatusCode != http.StatusOK {
 		t.Fatalf("seed: %v", body)
 	}
-	if resp, body := postJSON(t, srv.URL+"/resolve",
+	if resp, body := postJSON(t, srv.URL+"/v1/resolve",
 		`{"id":"q1","attrs":[{"name":"title","value":"sony dsc120b cybershot camera black"}]}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("resolve: %v", body)
 	}
-	resp, body := getJSON(t, srv.URL+"/stats")
+	resp, body := getJSON(t, srv.URL+"/v1/stats")
 	if cc := resp.Header.Get("Cache-Control"); cc != "no-store" {
 		t.Errorf("Cache-Control = %q, want no-store", cc)
 	}
@@ -559,7 +532,7 @@ func TestStatsTelemetryBlock(t *testing.T) {
 	done := make(chan error, 4)
 	for i := 0; i < 4; i++ {
 		go func() {
-			resp, err := http.Get(srv.URL + "/stats")
+			resp, err := http.Get(srv.URL + "/v1/stats")
 			if err == nil {
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
@@ -582,7 +555,7 @@ func TestAddRecordsBodyShapes(t *testing.T) {
 	srv := newTestServer(t)
 
 	// Bare JSON array.
-	resp, body := postJSON(t, srv.URL+"/records",
+	resp, body := postJSON(t, srv.URL+"/v1/records",
 		`[{"id":"a1","attrs":[{"name":"title","value":"sony camera"}]},
 		  {"id":"a2","attrs":[{"name":"title","value":"epson printer"}]}]`)
 	if resp.StatusCode != http.StatusOK || body["added"].(float64) != 2 {
@@ -590,7 +563,7 @@ func TestAddRecordsBodyShapes(t *testing.T) {
 	}
 
 	// Single record object.
-	resp, body = postJSON(t, srv.URL+"/records",
+	resp, body = postJSON(t, srv.URL+"/v1/records",
 		`{"id":"a3","attrs":[{"name":"title","value":"makita drill"}]}`)
 	if resp.StatusCode != http.StatusOK || body["added"].(float64) != 1 {
 		t.Fatalf("single-object body: %d %v", resp.StatusCode, body)
@@ -600,7 +573,7 @@ func TestAddRecordsBodyShapes(t *testing.T) {
 	nd := `{"id":"a4","attrs":[{"name":"title","value":"canon eos camera"}]}
 {"id":"a5","attrs":[{"name":"title","value":"bose soundlink speaker"}]}
 `
-	httpResp, err := http.Post(srv.URL+"/records", "application/x-ndjson", strings.NewReader(nd))
+	httpResp, err := http.Post(srv.URL+"/v1/records", "application/x-ndjson", strings.NewReader(nd))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,13 +586,58 @@ func TestAddRecordsBodyShapes(t *testing.T) {
 	}
 
 	// A batch with an in-batch duplicate is rejected atomically.
-	resp, body = postJSON(t, srv.URL+"/records",
+	resp, body = postJSON(t, srv.URL+"/v1/records",
 		`[{"id":"d1","attrs":[{"name":"title","value":"x"}]},
 		  {"id":"d1","attrs":[{"name":"title","value":"y"}]}]`)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("in-batch duplicate: status %d, want 409 (%v)", resp.StatusCode, body)
 	}
-	if _, getOne := getJSON(t, srv.URL+"/entities/d1"); getOne["error"] == nil {
+	if _, getOne := getJSON(t, srv.URL+"/v1/entities/d1"); getOne["error"] == nil {
 		t.Fatal("rejected batch leaked a record into the store")
+	}
+}
+
+// TestRequestBodyBounds: a body past its bound is answered 413 on every
+// decode path — JSON array, NDJSON stream, resolve — and adds nothing
+// to the store, the NDJSON records decoded before the bound was hit
+// included.
+func TestRequestBodyBounds(t *testing.T) {
+	model, err := llm4em.NewModel(llm4em.GPTMini)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := llm4em.NewStore(model, llm4em.StoreOptions{Domain: llm4em.Product})
+	h := newHandler(handlerConfig{store: store})
+	record := func(id string, valueBytes int) string {
+		return fmt.Sprintf(`{"id":%q,"attrs":[{"name":"title","value":%q}]}`, id, strings.Repeat("x", valueBytes))
+	}
+	var ndjson strings.Builder
+	for i := 0; ndjson.Len() <= maxRecordsBody; i++ {
+		ndjson.WriteString(record(fmt.Sprintf("n%d", i), 1<<20) + "\n")
+	}
+	for _, tc := range []struct {
+		name, path, contentType, body string
+	}{
+		{"json-array", "/v1/records", "application/json", "[" + record("big", maxRecordsBody) + "]"},
+		{"ndjson", "/v1/records", "application/x-ndjson", ndjson.String()},
+		{"resolve", "/v1/resolve", "application/json", record("q", maxResolveBody)},
+	} {
+		req := httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body))
+		req.Header.Set("Content-Type", tc.contentType)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: %d-byte body = %d, want 413 (%s)", tc.name, len(tc.body), rec.Code, rec.Body.String())
+		}
+		if n := store.Len(); n != 0 {
+			t.Errorf("%s: store holds %d records after a rejected body", tc.name, n)
+		}
+	}
+	// The bound is not a ban on large bodies: one just under it passes.
+	req := httptest.NewRequest("POST", "/v1/resolve", strings.NewReader(record("q", maxResolveBody/2)))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Errorf("half-bound resolve body = %d, want 200 (%s)", rec.Code, rec.Body.String())
 	}
 }

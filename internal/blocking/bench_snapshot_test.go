@@ -6,37 +6,6 @@ import (
 	"testing"
 )
 
-// benchmarkQueryOpts measures one bounded Query against a prebuilt
-// index of n records under the given options, reporting postings
-// bytes/record so the compression benchmarks double as the size
-// measurement BENCH_index10m.json records.
-func benchmarkQueryOpts(b *testing.B, n int, opts IndexOptions) {
-	records := syntheticRecords(n)
-	ix := BuildIndex(records, opts)
-	queries := make([]string, 256)
-	for i := range queries {
-		queries[i] = records[(i*37)%n].Serialize()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ix.Query(queries[i%len(queries)], 10, 1.0)
-	}
-	// After ResetTimer: it clears previously reported custom metrics.
-	b.ReportMetric(float64(ix.PostingsBytes())/float64(n), "postings-B/record")
-}
-
-// The compressed+pruned default against the raw reference postings at
-// 100k records — the pair the bench_regression.sh size/speed gate
-// compares.
-func BenchmarkIndexQueryCompressed100k(b *testing.B) {
-	benchmarkQueryOpts(b, 100000, IndexOptions{Compression: CompressionVarint, Pruning: PruningBlockMax})
-}
-
-func BenchmarkIndexQueryRaw100k(b *testing.B) {
-	benchmarkQueryOpts(b, 100000, IndexOptions{Compression: CompressionNone})
-}
-
 // BenchmarkSnapshotWrite measures writing the mmap snapshot of a
 // 100k-record index.
 func BenchmarkSnapshotWrite(b *testing.B) {

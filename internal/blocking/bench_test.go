@@ -81,7 +81,7 @@ func BenchmarkCandidatesIndexReuse(b *testing.B) {
 	records := syntheticRecords(10000)
 	queries := records[:100]
 	blocker := &TokenBlocker{MaxCandidates: 5}
-	ix := NewIndex(records, 0.2)
+	ix := BuildIndex(records, IndexOptions{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -90,10 +90,12 @@ func BenchmarkCandidatesIndexReuse(b *testing.B) {
 }
 
 // benchmarkIndexQuery measures one Query call against a prebuilt
-// index of n records — the per-request blocking hot path.
+// index of n synthetic records — 2 scoring postings a query, so the
+// figure is the fixed per-query cost — reporting postings bytes/record
+// so it doubles as the size measurement BENCH_index10m.json records.
 func benchmarkIndexQuery(b *testing.B, n int) {
 	records := syntheticRecords(n)
-	ix := NewIndex(records, 0.2)
+	ix := BuildIndex(records, IndexOptions{})
 	queries := make([]string, 256)
 	for i := range queries {
 		queries[i] = records[(i*37)%n].Serialize()
@@ -103,17 +105,70 @@ func benchmarkIndexQuery(b *testing.B, n int) {
 	for i := 0; i < b.N; i++ {
 		_ = ix.Query(queries[i%len(queries)], 10, 1.0)
 	}
+	// After ResetTimer: it clears previously reported custom metrics.
+	b.ReportMetric(float64(ix.PostingsBytes())/float64(n), "postings-B/record")
 }
 
 func BenchmarkIndexQuery10k(b *testing.B)  { benchmarkIndexQuery(b, 10000) }
 func BenchmarkIndexQuery100k(b *testing.B) { benchmarkIndexQuery(b, 100000) }
+
+// wdcCorpus draws the benchmark-shaped collection bench/ serves:
+// datasets.GroupedPairs("wdc") with two candidates a group, the stored
+// records every pair's B, the queries every group's A serialized —
+// 20–30 tokens of mid-frequency terms, hundreds of scoring postings a
+// query where the synthetic corpus above has two.
+func wdcCorpus(tb testing.TB, n int) (records []entity.Record, queries []string) {
+	pairs, err := datasets.GroupedPairs("wdc", "blocking-bench", n/2, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, p := range pairs {
+		records = append(records, p.B)
+		if i%2 == 0 {
+			queries = append(queries, p.A.Serialize())
+		}
+	}
+	return records, queries
+}
+
+// BenchmarkIndexQueryWDC measures benchmark-shaped queries on both
+// sides of the scorer cutover at two sizes: a shard of the 32k-record
+// benchmark store and an index just under denseScoreRecords. default
+// is the path the size rule picks (the dense scan at both sizes),
+// cursor the document-at-a-time path forced onto the same index — the
+// pair behind the table on denseScoreRecords and gate 6 of
+// scripts/bench_regression.sh.
+func BenchmarkIndexQueryWDC(b *testing.B) {
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"4k", 4000}, {"256k", 256000}} {
+		b.Run("records="+size.name, func(b *testing.B) {
+			records, queries := wdcCorpus(b, size.n)
+			ix := BuildIndex(records, IndexOptions{})
+			queries = queries[:256]
+			for _, path := range []string{"default", "cursor"} {
+				b.Run(path, func(b *testing.B) {
+					if path == "cursor" {
+						forceCursorPath(b)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						_ = ix.Query(queries[i%len(queries)], 10, 1.0)
+					}
+				})
+			}
+		})
+	}
+}
 
 // BenchmarkIndexAdd measures incremental index growth per record.
 func BenchmarkIndexAdd(b *testing.B) {
 	records := syntheticRecords(10000)
 	b.ReportAllocs()
 	b.ResetTimer()
-	ix := NewIndex(nil, 0.2)
+	ix := BuildIndex(nil, IndexOptions{})
 	for i := 0; i < b.N; i++ {
 		ix.Add(records[i%len(records)])
 	}

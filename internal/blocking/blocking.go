@@ -4,17 +4,15 @@
 // integration pipelines" of the introduction) first needs a blocker
 // that reduces the quadratic pair space to likely candidates, and a
 // clusterer that turns pairwise decisions into entity groups.
+//
+// The candidate index (Index) has one postings representation —
+// delta+varint streams, postings.go — one size rule that picks between
+// its two scorers (denseScoreRecords in index.go; wand.go is the
+// large-index one), an mmap snapshot format (snapshot.go) and one
+// options struct, IndexOptions, holding the two thresholds.
 package blocking
 
 import "llm4em/internal/entity"
-
-// ExplicitZero requests a literal zero for the deprecated TokenBlocker
-// threshold fields whose zero value selects a package default.
-//
-// Deprecated: set the corresponding IndexOptions field in
-// TokenBlocker.Opts to Float(0) instead — the explicit pointer fields
-// distinguish "unset" from "literal zero" without a sentinel.
-const ExplicitZero = -1
 
 // TokenBlocker generates candidate pairs by shared-token overlap with
 // inverse-document-frequency weighting: pairs sharing rare tokens
@@ -23,28 +21,11 @@ type TokenBlocker struct {
 	// MaxCandidates is the maximum number of candidates kept per left
 	// record (default 10).
 	MaxCandidates int
-	// Opts configures thresholds and the index representation: explicit
-	// MinScore/StopDocFrac (nil selects the default, Float(0) a literal
-	// zero) plus the Compression and Pruning knobs Candidates builds
-	// its throwaway index with. A set Opts field wins over the
-	// deprecated flat field below.
+	// Opts carries the thresholds: the MinScore floor every candidate
+	// must reach and the StopDocFrac that Candidates builds its
+	// throwaway index with (nil selects the default, Float(0) a
+	// literal zero).
 	Opts IndexOptions
-	// MinScore is the minimum summed IDF weight for a candidate. The
-	// zero value selects the default 1.0; a negative value
-	// (ExplicitZero) accepts any positive overlap.
-	//
-	// Deprecated: set Opts.MinScore (Float(v); Float(0) replaces the
-	// sentinel).
-	MinScore float64
-	// StopDocFrac drops tokens occurring in more than this fraction of
-	// records (and in at least 5 of them) from the index. The zero
-	// value selects the default 0.2; a negative value (ExplicitZero)
-	// requests a literal zero fraction, any value >= 1 disables
-	// stop-token filtering.
-	//
-	// Deprecated: set Opts.StopDocFrac (Float(v); Float(0) replaces the
-	// sentinel).
-	StopDocFrac float64
 }
 
 func (b *TokenBlocker) maxCandidates() int {
@@ -54,30 +35,13 @@ func (b *TokenBlocker) maxCandidates() int {
 	return b.MaxCandidates
 }
 
-// indexOptions folds the deprecated flat threshold fields into the v1
-// options struct: a set Opts pointer field wins, a non-zero legacy
-// field (sentinels included — the IndexOptions resolvers map negatives
-// to literal zero the same way) fills an unset one.
-func (b *TokenBlocker) indexOptions() IndexOptions {
-	o := b.Opts
-	if o.MinScore == nil && b.MinScore != 0 {
-		o.MinScore = Float(b.MinScore)
-	}
-	if o.StopDocFrac == nil && b.StopDocFrac != 0 {
-		o.StopDocFrac = Float(b.StopDocFrac)
-	}
-	return o
-}
-
-func (b *TokenBlocker) minScore() float64 { return b.indexOptions().minScore() }
-
 // Candidates blocks two record collections and returns unlabelled
 // candidate pairs, ranked per left record by IDF-weighted token
 // overlap. The index over right is built afresh; callers blocking
 // repeatedly against a stable collection should build an Index once
 // and use CandidatesIndexed.
 func (b *TokenBlocker) Candidates(left, right []entity.Record) []entity.Pair {
-	return b.CandidatesIndexed(left, BuildIndex(right, b.indexOptions()))
+	return b.CandidatesIndexed(left, BuildIndex(right, b.Opts))
 }
 
 // CandidatesIndexed blocks the left records against a prebuilt Index,
@@ -86,7 +50,7 @@ func (b *TokenBlocker) Candidates(left, right []entity.Record) []entity.Pair {
 func (b *TokenBlocker) CandidatesIndexed(left []entity.Record, ix *Index) []entity.Pair {
 	var out []entity.Pair
 	for _, l := range left {
-		for _, c := range ix.Query(l.Serialize(), b.maxCandidates(), b.minScore()) {
+		for _, c := range ix.Query(l.Serialize(), b.maxCandidates(), b.Opts.EffectiveMinScore()) {
 			r := ix.Record(c.Pos)
 			out = append(out, entity.Pair{
 				ID: l.ID + "|" + r.ID,

@@ -3,7 +3,6 @@ package blocking
 import (
 	"fmt"
 	"math"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -92,18 +91,24 @@ func randomRecords(rng *detrand.RNG, n int) []entity.Record {
 	return recs
 }
 
-// TestQueryMatchesReference is the differential test of the hot-path
-// rewrite: interned-ID postings + cached IDF + epoch scratch + top-K
-// heap must rank byte-identically (order AND scores, including ties)
-// to the old map-and-sort implementation, across randomized
-// workloads, stop-token settings, bounds and score floors.
+// TestQueryMatchesReference is the differential test of the query
+// path: interned-ID postings + cached IDF + epoch scratch + top-K heap
+// must rank byte-identically (order AND scores, including ties) to
+// the map-and-sort oracle, across randomized workloads, stop-token
+// settings, bounds and score floors. Twenty rounds draw tie-heavy
+// 1–4-token titles; the last scores benchmark-shaped records (the WDC
+// grouped corpus of bench/: 20–30 tokens, mid-frequency terms).
 func TestQueryMatchesReference(t *testing.T) {
 	rng := detrand.New("hotpath-differential")
-	for round := 0; round < 20; round++ {
-		n := 5 + rng.Intn(60)
-		recs := randomRecords(rng, n)
+	wdc, _ := wdcCorpus(t, 300)
+	for round := 0; round <= 20; round++ {
+		recs := wdc
+		if round < 20 {
+			recs = randomRecords(rng, 5+rng.Intn(60))
+		}
+		n := len(recs)
 		stopFrac := []float64{0, 0.2, 0.5, 1}[rng.Intn(4)]
-		ix := NewIndex(recs, stopFrac)
+		ix := BuildIndex(recs, IndexOptions{StopDocFrac: Float(stopFrac)})
 		for q := 0; q < 15; q++ {
 			var text string
 			if rng.Intn(3) == 0 {
@@ -131,7 +136,7 @@ func TestQueryMatchesReference(t *testing.T) {
 func TestQueryTokensMatchesQuery(t *testing.T) {
 	rng := detrand.New("hotpath-tokens")
 	recs := randomRecords(rng, 40)
-	ix := NewIndex(recs, 0.2)
+	ix := BuildIndex(recs, IndexOptions{})
 	for q := 0; q < 25; q++ {
 		text := recs[rng.Intn(len(recs))].Serialize() + " Extra-Words x100"
 		got := ix.QueryTokens(tokenize.Words(text), 5, 0)
@@ -149,7 +154,7 @@ func TestQueryTokensMatchesQuery(t *testing.T) {
 // or one emptied of matching tokens — returns nil instead of relying
 // on every downstream loop tolerating the degenerate state.
 func TestIndexQueryEmpty(t *testing.T) {
-	ix := NewIndex(nil, 0.2)
+	ix := BuildIndex(nil, IndexOptions{})
 	if got := ix.Query("sony camera", 10, 0); got != nil {
 		t.Fatalf("empty-index Query = %v, want nil", got)
 	}
@@ -171,9 +176,9 @@ func TestIndexQueryEmpty(t *testing.T) {
 // serialization to the index is exactly Add.
 func TestAddSerializedMatchesAdd(t *testing.T) {
 	r := rec("a", "sony camera x100")
-	viaAdd := NewIndex(nil, 0.2)
+	viaAdd := BuildIndex(nil, IndexOptions{})
 	viaAdd.Add(r)
-	viaText := NewIndex(nil, 0.2)
+	viaText := BuildIndex(nil, IndexOptions{})
 	viaText.AddSerialized(r, r.Serialize())
 	a := viaAdd.Query("sony camera x100", 0, 0)
 	b := viaText.Query("sony camera x100", 0, 0)
@@ -182,76 +187,114 @@ func TestAddSerializedMatchesAdd(t *testing.T) {
 	}
 }
 
-// TestQueryAllocBudget pins Query's allocation budget: with a warm
-// scratch pool, a bounded query allocates only its result slice. The
-// pre-rewrite implementation used 14 allocations on this workload; a
-// budget of 2 leaves room for a pool miss without masking a
-// regression back to per-token or per-map allocation.
+// forceCursorPath makes every query of the test take the
+// document-at-a-time scorer an index above denseScoreRecords uses.
+func forceCursorPath(tb testing.TB) {
+	old := denseScoreRecords
+	denseScoreRecords = 0
+	tb.Cleanup(func() { denseScoreRecords = old })
+}
+
+// TestQueryAllocBudget pins the allocation budget of both scorers:
+// over a warm scratch a query allocates exactly its result slice — no
+// per-token, per-cursor or per-map allocation. The scratch is the
+// test's own rather than Query's pooled one, because sync.Pool drops
+// entries at random under the race detector.
 func TestQueryAllocBudget(t *testing.T) {
 	rng := detrand.New("hotpath-allocs")
 	recs := randomRecords(rng, 200)
-	ix := NewIndex(recs, 0.2)
+	// Ten pool words over 200 records are all stop tokens at the
+	// default fraction; keep them scoring.
+	ix := BuildIndex(recs, IndexOptions{StopDocFrac: Float(1)})
 	text := recs[7].Serialize()
-	ix.Query(text, 5, 0) // warm the scratch pool
-	avg := testing.AllocsPerRun(200, func() {
-		ix.Query(text, 5, 0)
-	})
-	if avg > 2 {
-		t.Fatalf("Query allocates %.1f times per call, budget 2", avg)
+	for _, side := range []string{"dense", "cursor"} {
+		t.Run(side, func(t *testing.T) {
+			if side == "cursor" {
+				forceCursorPath(t)
+			}
+			sc := &queryScratch{}
+			query := func() []Candidate {
+				sc.ids, sc.buf = ix.vocab.AppendKnownIDs(sc.ids[:0], sc.buf, text)
+				return ix.queryIDs(sc, 5, 0)
+			}
+			if len(query()) != 5 { // also warms the scratch
+				t.Fatal("query did not fill its top 5; the budget would be vacuous")
+			}
+			if avg := testing.AllocsPerRun(200, func() { query() }); avg != 1 {
+				t.Fatalf("a query allocates %.1f times, want 1 (the result)", avg)
+			}
+		})
 	}
 }
 
-// TestQuerySparseMatchesDense forces the sparse accumulator (the
-// large-collection exhaustive path, normally gated behind
-// denseScoreRecords) and pins it byte-identical to the reference
-// oracle across every storage mode: fresh compressed, CompressionNone
-// and mmap-snapshot-backed, with bounded, unbounded, floored and
-// tie-heavy workloads.
-func TestQuerySparseMatchesDense(t *testing.T) {
-	old := denseScoreRecords
-	denseScoreRecords = 1 // every query takes the sparse path
-	defer func() { denseScoreRecords = old }()
-
-	rng := detrand.New("sparse-differential")
-	for round := 0; round < 10; round++ {
-		n := 5 + rng.Intn(120)
+// TestQueryCutoverMatchesReference pins both sides of the one scorer
+// cutover byte-identical to the reference oracle on every storage
+// mode: with denseScoreRecords at its default (the dense scan) and
+// forced below the collection size (the cursor path a large index
+// takes), fresh, mapped and mapped-with-overlay indexes must rank
+// exactly as referenceQuery for every K — zero is the unbounded cursor
+// merge — and every score floor, on tie-heavy collections large enough
+// to seal posting blocks.
+func TestQueryCutoverMatchesReference(t *testing.T) {
+	rng := detrand.New("cutover-differential")
+	type round struct {
+		recs     []entity.Record
+		stopFrac float64
+		queries  []string
+		indexes  map[string]*Index
+	}
+	var rounds []round
+	for r := 0; r < 6; r++ {
+		n := []int{8, 90, 700}[r%3]
 		recs := randomRecords(rng, n)
 		stopFrac := []float64{0, 0.2, 0.5, 1}[rng.Intn(4)]
-		fresh := BuildIndex(recs, IndexOptions{StopDocFrac: Float(stopFrac), Pruning: PruningOff})
-		raw := BuildIndex(recs, IndexOptions{
-			StopDocFrac: Float(stopFrac),
-			Compression: CompressionNone,
-			Pruning:     PruningOff,
+		opts := IndexOptions{StopDocFrac: Float(stopFrac)}
+		open := func(ix *Index) *Index {
+			m, err := OpenMapped(writeTestSnapshot(t, ix), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { m.Close() })
+			return m
+		}
+		// The overlay index maps the first two thirds and Adds the rest,
+		// so its posting lists span a mapped and a heap segment.
+		overlay := open(BuildIndex(recs[:2*n/3], opts))
+		for _, rec := range recs[2*n/3:] {
+			overlay.Add(rec)
+		}
+		fresh := BuildIndex(recs, opts)
+		queries := []string{"unknown tokens only zzz"}
+		for q := 0; q < 4; q++ {
+			queries = append(queries, recs[rng.Intn(n)].Serialize()+" "+recs[rng.Intn(n)].Serialize())
+		}
+		rounds = append(rounds, round{recs, stopFrac, queries,
+			map[string]*Index{"fresh": fresh, "mapped": open(fresh), "overlay": overlay}})
+	}
+	for _, side := range []string{"dense", "cursor"} {
+		t.Run(side, func(t *testing.T) {
+			if side == "cursor" {
+				forceCursorPath(t)
+			}
+			for ri, r := range rounds {
+				for _, text := range r.queries {
+					for _, k := range []int{0, 1, 3, 10, 1000} {
+						for _, minScore := range []float64{0, 0.5, 1} {
+							want := referenceQuery(r.recs, r.stopFrac, text, k, minScore)
+							for label, ix := range r.indexes {
+								got := ix.Query(text, k, minScore)
+								if len(got) == 0 && len(want) == 0 {
+									continue
+								}
+								if !reflect.DeepEqual(got, want) {
+									t.Fatalf("round %d %s query %q (max=%d min=%v stop=%v):\n got %v\nwant %v",
+										ri, label, text, k, minScore, r.stopFrac, got, want)
+								}
+							}
+						}
+					}
+				}
+			}
 		})
-		path := filepath.Join(t.TempDir(), "sparse.emx")
-		if err := fresh.WriteSnapshot(path); err != nil {
-			t.Fatal(err)
-		}
-		mapped, err := OpenMapped(path, IndexOptions{StopDocFrac: Float(stopFrac), Pruning: PruningOff})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for q := 0; q < 10; q++ {
-			var text string
-			if rng.Intn(3) == 0 {
-				text = "unknown tokens only zzz"
-			} else {
-				text = recs[rng.Intn(n)].Serialize() + " " + recs[rng.Intn(n)].Serialize()
-			}
-			maxCandidates := []int{0, 1, 3, 10, 1000}[rng.Intn(5)]
-			minScore := []float64{0, 0.5, 1.0}[rng.Intn(3)]
-			want := referenceQuery(recs, stopFrac, text, maxCandidates, minScore)
-			for label, ix := range map[string]*Index{"fresh": fresh, "raw": raw, "mapped": mapped} {
-				got := ix.Query(text, maxCandidates, minScore)
-				if len(got) == 0 && len(want) == 0 {
-					continue
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("round %d %s query %q (max=%d min=%v stop=%v):\n got %v\nwant %v",
-						round, label, text, maxCandidates, minScore, stopFrac, got, want)
-				}
-			}
-		}
-		mapped.Close()
 	}
 }

@@ -2,7 +2,6 @@ package blocking
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -17,18 +16,16 @@ import (
 // callers — the online resolution store, repeated blocking runs over a
 // stable collection — keep the Index and amortize construction.
 //
-// Internally the index is built for the serving hot path: token
-// strings are interned into dense uint32 IDs (tokenize.Vocab), the
-// postings are delta+varint compressed streams over those IDs
-// (postings.go) with sealed-block skip metadata, per-token IDF weights
-// are cached between queries, and bounded results come from top-K heap
-// selection. Bounded queries on a pruned index run document-at-a-time
-// with WAND pruning (wand.go), skipping posting blocks that cannot
-// reach the heap floor; the exhaustive term-at-a-time scan remains as
-// the unbounded/reference path, over a pooled flat scratch on small
-// collections and a sparse accumulator on large ones
-// (denseScoreRecords). Query and QueryTokens allocate only the
-// returned slice.
+// There is one postings representation: token strings are interned
+// into dense uint32 IDs (tokenize.Vocab) and each token's ascending
+// record positions are a delta+varint stream with sealed-block skip
+// metadata (postings.go). Per-token IDF weights are cached between
+// queries and results come from top-K heap selection. One size test
+// picks the scorer (see denseScoreRecords): small collections run the
+// exhaustive term-at-a-time scan over a pooled flat accumulator, large
+// ones the document-at-a-time cursor path with WAND pruning (wand.go),
+// whose memory is O(query terms). Both rank byte-identically. Query
+// and QueryTokens allocate only the returned slice.
 //
 // An Index comes in two storage modes. A fresh index (BuildIndex)
 // holds everything on the heap. A mapped index (OpenMapped) serves
@@ -40,33 +37,27 @@ import (
 // Token weights are derived from document frequencies at query time
 // (IDF = log(1 + n/df)), so an Index stays correct as records are
 // added: a token that was rare can become a stop token later without
-// any rebuild. Stop tokens — tokens occurring in more than StopFrac of
-// the records and in at least stopMinDocs of them — are skipped when
-// scoring, mirroring the build-time filter the TokenBlocker previously
-// applied.
+// any rebuild. Stop tokens — tokens occurring in more than StopDocFrac
+// of the records and in at least stopMinDocs of them — are skipped
+// when scoring.
 //
 // An Index is not safe for concurrent mutation; guard Add against
 // concurrent Query with a lock (internal/resolve shards do).
 // Concurrent Queries are safe with each other.
 type Index struct {
-	stopFrac   float64
-	compressed bool
-	pruned     bool
-	vocab      *tokenize.Vocab
+	stopFrac float64
+	vocab    *tokenize.Vocab
 	// snap is the mmap'ed base of an OpenMapped index; nil for a fresh
 	// one. When set, vocab holds only tokens first seen after the open,
 	// their IDs offset by snap.nTokens, and records holds only records
 	// added after it, their positions offset by snap.nRecords.
 	snap    *mappedIndex
 	records []entity.Record
-	// Exactly one postings representation is active. posts (fresh,
-	// compressed) is dense by token ID; overlay (mapped, compressed) is
-	// sparse because post-restart Adds touch few of the snapshot's
-	// tokens; postsRaw is the CompressionNone reference: raw ascending
-	// positions, length = document frequency.
-	posts    []postingList
-	overlay  map[uint32]*postingList
-	postsRaw [][]int32
+	// posts (fresh index) is dense by token ID; overlay (mapped index)
+	// is sparse because post-restart Adds touch few of the snapshot's
+	// tokens. Exactly one of them is in use.
+	posts   []postingList
+	overlay map[uint32]*postingList
 	// idfBits/idfAtN cache math.Float64bits of each token's IDF weight
 	// and the record count n it was computed at. Queries fill the
 	// cache through atomics: concurrent fillers write identical values
@@ -119,13 +110,6 @@ type queryScratch struct {
 	cursors []plCursor
 	weights []float64
 	order   []int32
-	// sparse replaces the flat scores/epoch accumulator on collections
-	// larger than denseScoreRecords: the flat arrays cost 12 bytes per
-	// indexed record and live on in the pool after the query, which at
-	// 10M records would retain ~120MB per pooled scratch — multiplied
-	// by concurrent queries. The map's retained size tracks the
-	// documents one query touches instead.
-	sparse map[int32]float64
 }
 
 // scoreTerm is one deduplicated, stop-filtered query token with its
@@ -140,30 +124,15 @@ type scoreTerm struct {
 // of an mmap'ed snapshot instead of rebuilding, see OpenMapped.
 func BuildIndex(records []entity.Record, opts IndexOptions) *Index {
 	ix := &Index{
-		stopFrac:   opts.stopDocFrac(),
-		compressed: opts.compressed(),
-		pruned:     opts.pruned(),
-		vocab:      tokenize.NewVocab(),
-		records:    make([]entity.Record, 0, len(records)),
+		stopFrac: opts.stopDocFrac(),
+		vocab:    tokenize.NewVocab(),
+		records:  make([]entity.Record, 0, len(records)),
 	}
 	ix.scratch.New = func() any { return &queryScratch{} }
 	for _, r := range records {
 		ix.Add(r)
 	}
 	return ix
-}
-
-// NewIndex builds an index over the records. stopFrac is the stop-token
-// document-frequency fraction; values below zero disable no tokens
-// explicitly (a literal zero), values of one or more disable stop-token
-// filtering entirely.
-//
-// Deprecated: use BuildIndex with IndexOptions — the explicit
-// StopDocFrac field replaces both the positional parameter and its
-// negative sentinel. This shim selects the v1 defaults (varint
-// compression, block-max pruning).
-func NewIndex(records []entity.Record, stopFrac float64) *Index {
-	return BuildIndex(records, IndexOptions{StopDocFrac: Float(stopFrac)})
 }
 
 // snapTokens returns the number of token IDs owned by the mapped base.
@@ -214,19 +183,16 @@ func (ix *Index) AddSerialized(r entity.Record, text string) int {
 		if dup {
 			continue
 		}
-		switch {
-		case !ix.compressed:
-			ix.postsRaw[id] = append(ix.postsRaw[id], int32(pos))
-		case ix.snap == nil:
+		if ix.snap == nil {
 			ix.posts[id].add(int32(pos), -1)
-		default:
-			pl := ix.overlay[id]
-			if pl == nil {
-				pl = &postingList{}
-				ix.overlay[id] = pl
-			}
-			pl.add(int32(pos), ix.overlayBase(id))
+			continue
 		}
+		pl := ix.overlay[id]
+		if pl == nil {
+			pl = &postingList{}
+			ix.overlay[id] = pl
+		}
+		pl.add(int32(pos), ix.overlayBase(id))
 	}
 	ix.addIDs = ids[:0]
 	return pos
@@ -262,12 +228,7 @@ func (ix *Index) growTokens() {
 		ix.idfBits = append(ix.idfBits, 0)
 		ix.idfAtN = append(ix.idfAtN, 0)
 	}
-	switch {
-	case !ix.compressed:
-		for len(ix.postsRaw) < n {
-			ix.postsRaw = append(ix.postsRaw, nil)
-		}
-	case ix.snap == nil:
+	if ix.snap == nil {
 		for len(ix.posts) < n {
 			ix.posts = append(ix.posts, postingList{})
 		}
@@ -277,9 +238,6 @@ func (ix *Index) growTokens() {
 // tokenDF returns the document frequency of a token across the mapped
 // base and the live overlay.
 func (ix *Index) tokenDF(id uint32) int {
-	if !ix.compressed {
-		return len(ix.postsRaw[id])
-	}
 	if ix.snap == nil {
 		return int(ix.posts[id].df)
 	}
@@ -415,45 +373,45 @@ func (ix *Index) QueryTokens(tokens []string, maxCandidates int, minScore float6
 	return out
 }
 
-// wandMinPostings is the scoring-postings volume below which a bounded
-// query skips the WAND machinery: cursor setup, per-round sorting and
-// heap bookkeeping carry a fixed cost that only pruning large posting
-// lists can repay, while the flat accumulator scans a few hundred
-// postings in the same time. Both paths rank identically, so the
-// cutover is purely a cost decision.
-const wandMinPostings = 4 * postingBlock
-
-// wandThreshold is the cutover volume for a bounded query: the fixed
-// floor, or a multiple of the requested K when that is larger (a big K
-// keeps the heap floor low, so pruning starts paying later).
-func wandThreshold(maxCandidates int) int {
-	if t := 8 * maxCandidates; t > wandMinPostings {
-		return t
-	}
-	return wandMinPostings
-}
+// denseScoreRecords is the one cutover between the two scorers: an
+// index of at most this many records runs the exhaustive term-at-a-time
+// scan into flat scores/epoch arrays (queryDense), a larger one runs
+// the document-at-a-time cursor path (queryWAND). Measured with
+// Index.Query(text, 10, 1.0) over datasets.GroupedPairs("wdc") records
+// (the corpus of bench/: 20–30 tokens a query, ≈600 scoring postings
+// on a 4k-record shard), ns/op, go1.24, 2 vCPU, median of 3:
+//
+//	records in the index    queryDense    queryWAND
+//	    4 000 (bench shard)      9 700       41 800
+//	   32 000                   70 400      189 700
+//	  256 000                  721 000      930 000
+//	1 000 000                3 597 000    2 509 000
+//
+// Dense wins at every size below the cap. Above it the cursor path is
+// faster and holds O(query terms) of memory, where the flat arrays cost
+// 12 bytes a record in every pooled scratch for the life of the process
+// (12 MB at 1M, ~120 MB at the 10M target, times the concurrent
+// queries). The hash-map accumulator that used to serve large indexes
+// measured 3.6× slower than the cursor path at 1M and was never the
+// fastest at any size. BenchmarkIndexQueryWDC re-measures both sides
+// at 4k and 256k. A variable only so tests can force either side on a
+// small collection.
+var denseScoreRecords = 1 << 18
 
 // queryIDs scores the postings of sc.ids and selects the ranked
 // result. Read-only on the index, so concurrent queries are safe; sc
-// is owned by this call. The filtering pass below feeds every scorer:
-// bounded queries on a pruned index with enough scoring postings
-// (wandThreshold) take the document-at-a-time WAND path; everything
-// else scans term-at-a-time — into the flat accumulator, or into the
-// sparse one when the collection is too large to pool flat arrays for
-// (denseScoreRecords). All paths produce byte-identical rankings
-// (scores are summed in the same token order), which the differential
-// tests pin.
+// is owned by this call. Both scorers consume the filtered terms and
+// produce byte-identical rankings (scores are summed in the same token
+// order), which the differential tests pin.
 func (ix *Index) queryIDs(sc *queryScratch, maxCandidates int, minScore float64) []Candidate {
 	n := ix.Len()
 	nf := float64(n)
 
-	// One filtering pass shared by both scorers: deduplicate the query
-	// tokens, drop unknown and stop tokens (frequent both relatively
-	// and absolutely, so tiny collections keep their vocabulary), and
-	// total the scoring postings — the volume the WAND cutover weighs.
+	// Deduplicate the query tokens and drop unknown and stop tokens
+	// (frequent both relatively and absolutely, so tiny collections
+	// keep their vocabulary).
 	terms := sc.terms[:0]
 	var stopSkipped uint64
-	total := 0
 	ids := sc.ids
 	for i, id := range ids {
 		dup := false
@@ -475,18 +433,25 @@ func (ix *Index) queryIDs(sc *queryScratch, maxCandidates int, minScore float64)
 			continue
 		}
 		terms = append(terms, scoreTerm{id: id, df: int32(df)})
-		total += df
 	}
 	sc.terms = terms
 
-	if ix.pruned && maxCandidates > 0 && total >= wandThreshold(maxCandidates) {
-		return ix.queryWAND(sc, maxCandidates, minScore, stopSkipped)
+	// An unbounded query is a bounded one whose heap never fills.
+	if maxCandidates <= 0 {
+		maxCandidates = math.MaxInt
 	}
-
-	if n > denseScoreRecords {
-		return ix.querySparse(sc, maxCandidates, minScore, stopSkipped)
+	if n <= denseScoreRecords {
+		return ix.queryDense(sc, maxCandidates, minScore, stopSkipped)
 	}
+	return ix.queryWAND(sc, maxCandidates, minScore, stopSkipped)
+}
 
+// queryDense is the exhaustive term-at-a-time scorer: every posting of
+// every term in sc.terms is added into a flat per-record accumulator,
+// epoch-marked so nothing is cleared between queries, and the touched
+// records go through the top-K heap.
+func (ix *Index) queryDense(sc *queryScratch, maxCandidates int, minScore float64, stopSkipped uint64) []Candidate {
+	n := ix.Len()
 	if len(sc.scores) < n {
 		sc.scores = append(sc.scores, make([]float64, n-len(sc.scores))...)
 		sc.epoch = append(sc.epoch, make([]uint32, n-len(sc.epoch))...)
@@ -503,22 +468,10 @@ func (ix *Index) queryIDs(sc *queryScratch, maxCandidates int, minScore float64)
 	// the scoring loop.
 	var scanned, heapPushes uint64
 
-	for _, t := range terms {
+	for _, t := range sc.terms {
 		id, df := t.id, int(t.df)
 		scanned += uint64(df)
 		w := ix.idfWeight(id, n, df)
-		if !ix.compressed {
-			for _, pos := range ix.postsRaw[id] {
-				if sc.epoch[pos] != sc.cur {
-					sc.epoch[pos] = sc.cur
-					sc.scores[pos] = w
-					touched = append(touched, pos)
-				} else {
-					sc.scores[pos] += w
-				}
-			}
-			continue
-		}
 		if ix.snap == nil {
 			// Live list: one heap segment, decoded inline — the cursor's
 			// segment/block state machine costs more than these few
@@ -554,26 +507,9 @@ func (ix *Index) queryIDs(sc *queryScratch, maxCandidates int, minScore float64)
 	}
 	sc.touched = touched
 
-	if maxCandidates <= 0 {
-		// Unbounded: collect everything above the floor and sort. Not
-		// the serving path — bounded queries go through the heap.
-		ix.met.Queries.Inc()
-		ix.met.PostingsScanned.Add(scanned)
-		ix.met.StopTokensSkipped.Add(stopSkipped)
-		out := make([]Candidate, 0, len(touched))
-		for _, pos := range touched {
-			if s := sc.scores[pos]; s >= minScore {
-				out = append(out, Candidate{Pos: int(pos), Score: s})
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return candidateBefore(out[i], out[j]) })
-		return out
-	}
-
-	// Bounded: keep the top K in a min-heap rooted at the worst kept
-	// candidate, then sort the heap into rank order. Same total order
-	// as the sort above — score descending, position ascending on
-	// ties — so the result is byte-identical to sort-then-truncate.
+	// Keep the top K in a min-heap rooted at the worst kept candidate,
+	// then sort the heap into rank order: score descending, position
+	// ascending on ties — byte-identical to sort-then-truncate.
 	h := sc.heap[:0]
 	for _, pos := range touched {
 		s := sc.scores[pos]
@@ -588,98 +524,12 @@ func (ix *Index) queryIDs(sc *queryScratch, maxCandidates int, minScore float64)
 	ix.met.PostingsScanned.Add(scanned)
 	ix.met.StopTokensSkipped.Add(stopSkipped)
 	ix.met.HeapPushes.Add(heapPushes)
-	if len(h) == 0 {
-		return nil
-	}
-	SortTopK(h, candidateBefore)
-	out := make([]Candidate, len(h))
-	copy(out, h)
-	return out
+	return rankedCopy(h)
 }
 
-// denseScoreRecords is the record count above which the exhaustive
-// scan accumulates into the sparse map instead of the flat
-// scores/epoch arrays. Below it the arrays cost at most ~3MB per
-// pooled scratch — cheap and branch-free on the hot path; above it
-// their footprint grows with the collection (12 bytes per record,
-// ~120MB at the 10M target) and is retained by the scratch pool for
-// the life of the process, so one rare-token or unbounded query per
-// pooled scratch would pin gigabytes across concurrent queries. A
-// variable only so the differential tests can force the sparse path
-// on small collections.
-var denseScoreRecords = 1 << 18
-
-// querySparse is the exhaustive term-at-a-time scorer over a hash-map
-// accumulator, taken when the flat accumulator would be too large to
-// pool (see denseScoreRecords). Ranking is byte-identical to the flat
-// path and to WAND: each document's weights are summed in the same
-// deduplicated token order (map insertion order never affects a sum),
-// and both the bounded heap and the unbounded sort select by the
-// strict total order candidateBefore, so the map's iteration order
-// cannot leak into the result.
-func (ix *Index) querySparse(sc *queryScratch, maxCandidates int, minScore float64, stopSkipped uint64) []Candidate {
-	n := ix.Len()
-	if sc.sparse == nil {
-		sc.sparse = make(map[int32]float64)
-	} else {
-		clear(sc.sparse)
-	}
-	acc := sc.sparse
-	var scanned, heapPushes uint64
-	for _, t := range sc.terms {
-		id, df := t.id, int(t.df)
-		scanned += uint64(df)
-		w := ix.idfWeight(id, n, df)
-		switch {
-		case !ix.compressed:
-			for _, pos := range ix.postsRaw[id] {
-				acc[pos] += w
-			}
-		case ix.snap == nil:
-			pl := &ix.posts[id]
-			pos, off := int32(-1), 0
-			for k := int32(0); k < pl.df; k++ {
-				d, m := uvarint(pl.stream, off)
-				off += m
-				pos += int32(d)
-				acc[pos] += w
-			}
-		default:
-			c := &sc.cursor
-			ix.initCursor(c, id)
-			for c.next() {
-				acc[c.cur] += w
-			}
-		}
-	}
-
-	if maxCandidates <= 0 {
-		ix.met.Queries.Inc()
-		ix.met.PostingsScanned.Add(scanned)
-		ix.met.StopTokensSkipped.Add(stopSkipped)
-		out := make([]Candidate, 0, len(acc))
-		for pos, s := range acc {
-			if s >= minScore {
-				out = append(out, Candidate{Pos: int(pos), Score: s})
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return candidateBefore(out[i], out[j]) })
-		return out
-	}
-
-	h := sc.heap[:0]
-	for pos, s := range acc {
-		if s < minScore {
-			continue
-		}
-		heapPushes++
-		h = PushBounded(h, maxCandidates, Candidate{Pos: int(pos), Score: s}, candidateBefore)
-	}
-	sc.heap = h[:0]
-	ix.met.Queries.Inc()
-	ix.met.PostingsScanned.Add(scanned)
-	ix.met.StopTokensSkipped.Add(stopSkipped)
-	ix.met.HeapPushes.Add(heapPushes)
+// rankedCopy sorts a top-K heap into rank order and returns it as the
+// query's one allocation (nil for an empty result).
+func rankedCopy(h []Candidate) []Candidate {
 	if len(h) == 0 {
 		return nil
 	}

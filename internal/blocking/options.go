@@ -1,17 +1,14 @@
 package blocking
 
-// IndexOptions is the v1 configuration of the blocking layer — the
-// Index constructor (BuildIndex) and the TokenBlocker both consume it.
-// It replaces the positional NewIndex(records, stopFrac) constructor
-// and the ExplicitZero = -1 sentinel: thresholds whose zero value used
-// to be ambiguous ("default or literal zero?") are now explicit
-// *float64 fields, where nil selects the package default and a set
-// pointer — including Float(0) — is taken literally.
+// IndexOptions configures the blocking layer — BuildIndex, OpenMapped,
+// the TokenBlocker and the resolve store all consume it. The zero
+// value selects every default: a nil threshold means "the package
+// default", a set pointer — including Float(0) — is taken literally.
 type IndexOptions struct {
-	// MinScore is the minimum summed IDF weight for a candidate. Only
-	// the TokenBlocker applies it (Index.Query takes the floor per
-	// call). nil selects the default 1.0; Float(0) accepts any
-	// positive token overlap.
+	// MinScore is the minimum summed IDF weight for a candidate. The
+	// TokenBlocker and the resolve store apply it (Index.Query takes
+	// the floor per call). nil selects the default 1.0; Float(0)
+	// accepts any positive token overlap.
 	MinScore *float64
 	// StopDocFrac is the stop-token document-frequency fraction:
 	// tokens occurring in more than this fraction of the records (and
@@ -19,98 +16,32 @@ type IndexOptions struct {
 	// default 0.2; Float(0) treats every token above the absolute
 	// floor as a stop token; values >= 1 disable the filter.
 	StopDocFrac *float64
-	// Compression selects the postings representation.
-	Compression Compression
-	// Pruning selects the top-K scoring strategy.
-	Pruning Pruning
 }
 
-// Float returns a pointer to v — the set-flag form the explicit
-// IndexOptions threshold fields take: opts.MinScore = blocking.Float(0)
-// requests a literal zero where nil would select the default.
+// Float returns a pointer to v — the set form of the IndexOptions
+// threshold fields: opts.MinScore = blocking.Float(0) requests a
+// literal zero where nil would select the default.
 func Float(v float64) *float64 { return &v }
 
-// Compression selects how an Index stores its postings.
-type Compression int
-
-const (
-	// CompressionAuto selects the package default, CompressionVarint.
-	CompressionAuto Compression = iota
-	// CompressionVarint stores each token's ascending record positions
-	// delta-encoded as uvarints in sealed blocks of postingBlock
-	// entries, each sealed block carrying skip metadata (last position
-	// + end offset). Roughly 2 bytes per posting on dense collections
-	// against 4 for raw int32, append-friendly, and the only
-	// representation the mmap snapshot path (WriteSnapshot/OpenMapped)
-	// supports.
-	CompressionVarint
-	// CompressionNone keeps the pre-v1 raw []int32 posting slices. It
-	// exists as the reference implementation for differential tests
-	// and benchmarks; indexes built with it cannot be snapshotted into
-	// the mmap format's compressed form any faster, but WriteSnapshot
-	// still encodes them.
-	CompressionNone
-)
-
-// Pruning selects how bounded (top-K) queries are scored.
-type Pruning int
-
-const (
-	// PruningAuto selects PruningBlockMax when the postings are
-	// compressed and the query is bounded, PruningOff otherwise.
-	PruningAuto Pruning = iota
-	// PruningBlockMax scores bounded queries document-at-a-time with
-	// WAND-style pruning over the sealed-block skip metadata: posting
-	// blocks whose maximum possible contribution cannot reach the
-	// current heap floor (or the query's score floor) are skipped
-	// without decoding. Rankings are byte-identical to the exhaustive
-	// scan — scores are summed in the same token order — which the
-	// differential tests pin. Requires CompressionVarint.
-	PruningBlockMax
-	// PruningOff scores every posting of every query token
-	// term-at-a-time into the flat accumulator — the exhaustive
-	// reference path.
-	PruningOff
-)
-
-// Defaults the explicit threshold fields select when nil.
+// Defaults the threshold fields select when nil.
 const (
 	DefaultMinScore    = 1.0
 	DefaultStopDocFrac = 0.2
 )
 
-// minScore resolves the explicit field against its default.
-func (o IndexOptions) minScore() float64 {
-	if o.MinScore == nil {
-		return DefaultMinScore
+// EffectiveMinScore is the candidate score floor the options select:
+// the default for nil, zero for a negative value.
+func (o IndexOptions) EffectiveMinScore() float64 { return threshold(o.MinScore, DefaultMinScore) }
+
+func (o IndexOptions) stopDocFrac() float64 { return threshold(o.StopDocFrac, DefaultStopDocFrac) }
+
+// threshold is the one nil/negative resolution rule of the layer.
+func threshold(v *float64, def float64) float64 {
+	if v == nil {
+		return def
 	}
-	if *o.MinScore < 0 {
+	if *v < 0 {
 		return 0
 	}
-	return *o.MinScore
-}
-
-// stopDocFrac resolves the explicit field against its default.
-func (o IndexOptions) stopDocFrac() float64 {
-	if o.StopDocFrac == nil {
-		return DefaultStopDocFrac
-	}
-	if *o.StopDocFrac < 0 {
-		return 0
-	}
-	return *o.StopDocFrac
-}
-
-// compressed reports whether the options select varint postings.
-func (o IndexOptions) compressed() bool { return o.Compression != CompressionNone }
-
-// pruned reports whether bounded queries should use the block-max
-// path. Pruning requires the compressed representation; PruningAuto
-// resolves accordingly and an explicit PruningBlockMax over
-// CompressionNone degrades to the exhaustive scan.
-func (o IndexOptions) pruned() bool {
-	if !o.compressed() {
-		return false
-	}
-	return o.Pruning == PruningAuto || o.Pruning == PruningBlockMax
+	return *v
 }

@@ -310,43 +310,33 @@ func (ix *Index) tokenOf(id uint32) string {
 
 // postingsForWrite produces one token's full posting stream and block
 // metadata (little-endian 8-byte entries) for the snapshot writer.
-// Fresh compressed lists and untouched mapped segments are returned
-// verbatim; overlay extensions of mapped tokens are re-encoded through
-// a cursor so sealed-block boundaries stay aligned to postingBlock
-// entries; CompressionNone postings are varint-encoded here (the
-// snapshot format is always compressed).
+// Fresh lists and untouched mapped segments are returned verbatim;
+// overlay extensions of mapped tokens are re-encoded through a cursor
+// so sealed-block boundaries stay aligned to postingBlock entries.
 func (ix *Index) postingsForWrite(id uint32) (stream, meta []byte, df uint32, lastPos int32) {
-	switch {
-	case !ix.compressed:
-		var pl postingList
-		for _, pos := range ix.postsRaw[id] {
-			pl.add(pos, -1)
-		}
-		return pl.stream, plMetaLE(&pl), uint32(pl.df), pl.lastPos
-	case ix.snap == nil:
+	if ix.snap == nil {
 		pl := &ix.posts[id]
 		return pl.stream, plMetaLE(pl), uint32(pl.df), pl.lastPos
-	default:
-		base := id < ix.snap.nTokens && ix.snap.tokenDF(id) > 0
-		ov := ix.overlay[id]
-		if ov == nil || ov.df == 0 {
-			if !base {
-				return nil, nil, 0, -1
-			}
-			seg := ix.snap.tokenSeg(id)
-			return seg.stream, seg.metaLE, uint32(seg.count), seg.lastPos
-		}
-		if !base {
-			return ov.stream, plMetaLE(ov), uint32(ov.df), ov.lastPos
-		}
-		var c plCursor
-		ix.initCursor(&c, id)
-		var pl postingList
-		for c.next() {
-			pl.add(c.cur, -1)
-		}
-		return pl.stream, plMetaLE(&pl), uint32(pl.df), pl.lastPos
 	}
+	base := id < ix.snap.nTokens && ix.snap.tokenDF(id) > 0
+	ov := ix.overlay[id]
+	if ov == nil || ov.df == 0 {
+		if !base {
+			return nil, nil, 0, -1
+		}
+		seg := ix.snap.tokenSeg(id)
+		return seg.stream, seg.metaLE, uint32(seg.count), seg.lastPos
+	}
+	if !base {
+		return ov.stream, plMetaLE(ov), uint32(ov.df), ov.lastPos
+	}
+	var c plCursor
+	ix.initCursor(&c, id)
+	var pl postingList
+	for c.next() {
+		pl.add(c.cur, -1)
+	}
+	return pl.stream, plMetaLE(&pl), uint32(pl.df), pl.lastPos
 }
 
 // plMetaLE converts a live list's block metadata to the wire encoding.
@@ -361,10 +351,8 @@ func plMetaLE(p *postingList) []byte {
 
 // WriteSnapshot writes the index to path in the EMIX mmap format,
 // atomically (temp file + rename). The written file reopens with
-// OpenMapped regardless of this index's storage mode — raw
-// (CompressionNone) postings are varint-encoded on the way out, and a
-// mapped index with overlay appends merges them back into single
-// streams.
+// OpenMapped regardless of this index's storage mode — a mapped index
+// with overlay appends merges them back into single streams.
 func (ix *Index) WriteSnapshot(path string) (err error) {
 	nTok := int(ix.snapTokens()) + ix.vocab.Len()
 	n := ix.Len()
@@ -603,9 +591,6 @@ func syncDir(dir string) error {
 // instead. The returned index accepts Add — post-open records live on
 // the heap as extensions chained onto the mapped streams — and must be
 // Closed to release the mapping.
-//
-// The Compression option is ignored: a mapped index always serves the
-// compressed representation. Pruning applies as for BuildIndex.
 func OpenMapped(path string, opts IndexOptions) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -629,14 +614,12 @@ func OpenMapped(path string, opts IndexOptions) (*Index, error) {
 		return nil, err
 	}
 	ix := &Index{
-		stopFrac:   opts.stopDocFrac(),
-		compressed: true,
-		pruned:     opts.Pruning == PruningAuto || opts.Pruning == PruningBlockMax,
-		vocab:      tokenize.NewVocab(),
-		snap:       m,
-		overlay:    map[uint32]*postingList{},
-		idfBits:    make([]uint64, m.nTokens),
-		idfAtN:     make([]uint64, m.nTokens),
+		stopFrac: opts.stopDocFrac(),
+		vocab:    tokenize.NewVocab(),
+		snap:     m,
+		overlay:  map[uint32]*postingList{},
+		idfBits:  make([]uint64, m.nTokens),
+		idfAtN:   make([]uint64, m.nTokens),
 	}
 	ix.scratch.New = func() any { return &queryScratch{} }
 	return ix, nil
@@ -779,27 +762,18 @@ func (ix *Index) RecordID(pos int) string {
 
 // PostingsBytes reports the bytes the posting lists occupy, skip
 // metadata included — the numerator of the bytes-per-record benchmark
-// the snapshot format is sized by. For CompressionNone it is the raw
-// int32 footprint.
+// the snapshot format is sized by.
 func (ix *Index) PostingsBytes() int {
-	switch {
-	case !ix.compressed:
-		total := 0
-		for _, p := range ix.postsRaw {
-			total += 4 * len(p)
-		}
-		return total
-	case ix.snap == nil:
+	if ix.snap == nil {
 		total := 0
 		for i := range ix.posts {
 			total += len(ix.posts[i].stream) + 8*len(ix.posts[i].last)
 		}
 		return total
-	default:
-		total := len(ix.snap.posts) + len(ix.snap.meta)
-		for _, p := range ix.overlay {
-			total += len(p.stream) + 8*len(p.last)
-		}
-		return total
 	}
+	total := len(ix.snap.posts) + len(ix.snap.meta)
+	for _, p := range ix.overlay {
+		total += len(p.stream) + 8*len(p.last)
+	}
+	return total
 }

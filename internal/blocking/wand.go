@@ -27,10 +27,13 @@ package blocking
 // needlessly scored document.
 const wandSlack = 1 + 1e-12
 
-// queryWAND is the bounded-query scorer of a pruned index. It consumes
-// the deduplicated, stop-filtered sc.terms the shared filtering pass
+// queryWAND is the scorer of an index above denseScoreRecords. It
+// consumes the deduplicated, stop-filtered sc.terms the filtering pass
 // in queryIDs produced (stopSkipped rides along for the telemetry
-// flush); sc is owned by this call; maxCandidates > 0.
+// flush); sc is owned by this call; maxCandidates > 0, math.MaxInt for
+// an unbounded query — the heap then never fills, no floor ever rises,
+// and the loop below is a plain merge of the cursors that skips only
+// what cannot reach minScore.
 func (ix *Index) queryWAND(sc *queryScratch, maxCandidates int, minScore float64, stopSkipped uint64) []Candidate {
 	n := ix.Len()
 	var heapPushes uint64
@@ -143,13 +146,7 @@ func (ix *Index) queryWAND(sc *queryScratch, maxCandidates int, minScore float64
 	ix.met.StopTokensSkipped.Add(stopSkipped)
 	ix.met.HeapPushes.Add(heapPushes)
 
-	if len(h) == 0 {
-		return nil
-	}
-	SortTopK(h, candidateBefore)
-	out := make([]Candidate, len(h))
-	copy(out, h)
-	return out
+	return rankedCopy(h)
 }
 
 // cursorBefore orders live cursors by current position, ties broken by

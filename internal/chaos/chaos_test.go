@@ -351,10 +351,16 @@ func TestOutageDifferential(t *testing.T) {
 
 	run := func(dir string, outage bool) *persist.Snapshot {
 		wrapped := chaos.Wrap(&matchClient{}, chaos.ClientOptions{Seed: 42})
+		// The breaker's clock stands still until the outage is lifted, so
+		// the 1 ms cooldown cannot lapse (open reads half-open once it
+		// has) before the strict open-state assertion below.
+		var breakerNow atomic.Int64
+		res := chaosResilience()
+		res.Breaker.Clock = func() time.Time { return time.Unix(0, breakerNow.Load()) }
 		s, err := resolve.Open(wrapped, resolve.Options{
 			Cascade:    resolve.CascadeOptions{Disable: true},
 			PersistDir: dir,
-			Resilience: chaosResilience(),
+			Resilience: res,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -392,6 +398,7 @@ func TestOutageDifferential(t *testing.T) {
 				t.Fatalf("chaos client injected no outage failures")
 			}
 			wrapped.SetOutage(false)
+			breakerNow.Add(int64(res.Breaker.Cooldown))
 			deadline := time.Now().Add(5 * time.Second)
 			for s.Stats().Resilience.DeferredQueue != 0 {
 				if time.Now().After(deadline) {

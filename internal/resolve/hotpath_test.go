@@ -46,24 +46,28 @@ func decisionsKey(r Result) []string {
 // implementation.
 func TestParallelFanoutMatchesSerial(t *testing.T) {
 	rng := detrand.New("resolve-hotpath")
-	serial, recs := hotpathStore(t, rng, 300, Options{FanoutRecords: -1})
+	serial, recs := hotpathStore(t, rng, 300, Options{})
 	rng2 := detrand.New("resolve-hotpath")
-	parallel, _ := hotpathStore(t, rng2, 300, Options{FanoutRecords: 1})
+	parallel, _ := hotpathStore(t, rng2, 300, Options{})
 
+	resolveSide := func(s *Store, query entity.Record, threshold int64) Result {
+		old := fanoutRecords
+		fanoutRecords = threshold
+		defer func() { fanoutRecords = old }()
+		r, err := s.Resolve(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
 	for q := 0; q < 60; q++ {
 		base := recs[rng.Intn(len(recs))]
 		query := entity.Record{
 			ID:    fmt.Sprintf("q%04d", q),
 			Attrs: []entity.Attr{{Name: "title", Value: base.Attrs[0].Value + " extra"}},
 		}
-		rs, err := serial.Resolve(query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rp, err := parallel.Resolve(query)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rs := resolveSide(serial, query, 1<<62)
+		rp := resolveSide(parallel, query, 1)
 		if !reflect.DeepEqual(decisionsKey(rs), decisionsKey(rp)) {
 			t.Fatalf("query %s: serial %v != parallel %v", query.ID, decisionsKey(rs), decisionsKey(rp))
 		}
@@ -94,7 +98,7 @@ func TestMergeMatchesSortReference(t *testing.T) {
 		var ref []flat
 		for _, sh := range s.shards {
 			sh.mu.RLock()
-			for _, c := range sh.ix.Query(text, s.opts.MaxCandidates, s.opts.MinScore) {
+			for _, c := range sh.ix.Query(text, s.opts.MaxCandidates, s.opts.Blocking.EffectiveMinScore()) {
 				r := sh.ix.Record(c.Pos)
 				if r.ID == qid {
 					continue

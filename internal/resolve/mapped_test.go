@@ -2,6 +2,7 @@ package resolve
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -9,7 +10,9 @@ import (
 	"testing"
 
 	"llm4em/internal/blocking"
+	"llm4em/internal/entity"
 	"llm4em/internal/persist"
+	"llm4em/internal/tokenize"
 )
 
 // TestMappedRestart is the acceptance test of the mmap restart path: a
@@ -337,35 +340,38 @@ func TestDeferExtractionPersistent(t *testing.T) {
 	}
 }
 
-// TestBlockingOptionsPrecedence pins the v1 Options.Blocking wiring: a
-// set pointer field wins over the flat sentinel fields, and the
-// sentinel encoding still resolves for old callers.
+// TestBlockingOptionsPrecedence pins the Options.Blocking wiring: the
+// store takes its score floor and its shard indexes' stop-token
+// fraction from the one options value — defaults for the zero value,
+// blocking.Float(0) a literal zero — and resolves neither itself.
 func TestBlockingOptionsPrecedence(t *testing.T) {
+	// Six records share "sharedtok" (a stop token at any fraction below
+	// 1) and each owns a rare token whose IDF is log(1+6/1) ≈ 1.95.
+	var recs []entity.Record
+	for i := 0; i < 6; i++ {
+		recs = append(recs, entity.Record{ID: fmt.Sprintf("r%d", i),
+			Attrs: []entity.Attr{{Name: "title", Value: fmt.Sprintf("sharedtok rare%d", i)}}})
+	}
 	cases := []struct {
-		name            string
-		opts            Options
-		minScore, dfrac float64
+		name       string
+		blocking   blocking.IndexOptions
+		query      string
+		candidates int
 	}{
-		{"defaults", Options{}, DefaultMinScore, DefaultStopDocFrac},
-		{"flat-sentinels", Options{MinScore: -1, StopDocFrac: -1}, 0, 0},
-		{"blocking-explicit-zero", Options{
-			MinScore: 3, StopDocFrac: 0.9,
-			Blocking: &blocking.IndexOptions{MinScore: blocking.Float(0), StopDocFrac: blocking.Float(0)},
-		}, 0, 0},
-		{"blocking-values", Options{
-			Blocking: &blocking.IndexOptions{MinScore: blocking.Float(2.5), StopDocFrac: blocking.Float(0.4)},
-		}, 2.5, 0.4},
+		{"defaults-rare-token-passes", blocking.IndexOptions{}, "rare3", 1},
+		{"defaults-stop-token-skipped", blocking.IndexOptions{}, "sharedtok", 0},
+		{"stop-filter-off-floor-zero", blocking.IndexOptions{MinScore: blocking.Float(0), StopDocFrac: blocking.Float(1)}, "sharedtok", 6},
+		{"stop-filter-off-default-floor", blocking.IndexOptions{StopDocFrac: blocking.Float(1)}, "sharedtok", 0},
+		{"high-floor", blocking.IndexOptions{MinScore: blocking.Float(2.5)}, "rare3", 0},
 	}
 	for _, tc := range cases {
-		o := tc.opts.withDefaults()
-		if o.MinScore != tc.minScore || o.StopDocFrac != tc.dfrac {
-			t.Errorf("%s: resolved (MinScore=%v, StopDocFrac=%v), want (%v, %v)",
-				tc.name, o.MinScore, o.StopDocFrac, tc.minScore, tc.dfrac)
+		s := New(benchClient{}, Options{Shards: 1, Blocking: tc.blocking})
+		if err := s.AddBatch(recs); err != nil {
+			t.Fatal(err)
 		}
-		b := o.blockingOptions()
-		if *b.MinScore != tc.minScore || *b.StopDocFrac != tc.dfrac {
-			t.Errorf("%s: blockingOptions (MinScore=%v, StopDocFrac=%v), want (%v, %v)",
-				tc.name, *b.MinScore, *b.StopDocFrac, tc.minScore, tc.dfrac)
+		got := s.blockCandidates("q", tokenize.Words(tc.query))
+		if len(got) != tc.candidates {
+			t.Errorf("%s: %d candidates for %q, want %d", tc.name, len(got), tc.query, tc.candidates)
 		}
 	}
 }

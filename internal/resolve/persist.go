@@ -221,7 +221,7 @@ func (s *Store) installMapped(snap *persist.Snapshot) {
 	dir := s.opts.PersistDir
 	opened := make([]*blocking.Index, 0, snap.IndexShards)
 	for i := 0; i < snap.IndexShards; i++ {
-		ix, err := blocking.OpenMapped(filepath.Join(dir, persist.IndexFileName(snap.IndexEpoch, i)), s.opts.blockingOptions())
+		ix, err := blocking.OpenMapped(filepath.Join(dir, persist.IndexFileName(snap.IndexEpoch, i)), s.opts.Blocking)
 		if err != nil {
 			for _, o := range opened {
 				o.Close()

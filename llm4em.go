@@ -169,33 +169,16 @@ type (
 	BatchError = resolve.BatchError
 )
 
-// Blocking index configuration (v1). Set StoreOptions.Blocking to a
-// BlockingOptions value to tune the candidate index explicitly; the
-// nil-vs-set pointer fields distinguish "use the default" from a
-// literal zero where the old flat float fields could not.
-type (
-	// BlockingOptions is the v1 configuration of the candidate index:
-	// explicit *float64 thresholds (nil selects the default, a set
-	// pointer — including BlockingFloat(0) — is taken literally) plus
-	// the postings Compression and top-K Pruning knobs.
-	BlockingOptions = blocking.IndexOptions
-	// BlockingCompression selects the postings representation of the
-	// candidate index.
-	BlockingCompression = blocking.Compression
-	// BlockingPruning selects the top-K scoring strategy of the
-	// candidate index.
-	BlockingPruning = blocking.Pruning
-)
-
-// Candidate-index compression and pruning modes.
-const (
-	CompressionAuto   = blocking.CompressionAuto
-	CompressionVarint = blocking.CompressionVarint
-	CompressionNone   = blocking.CompressionNone
-	PruningAuto       = blocking.PruningAuto
-	PruningBlockMax   = blocking.PruningBlockMax
-	PruningOff        = blocking.PruningOff
-)
+// Blocking index configuration. StoreOptions.Blocking takes a
+// BlockingOptions value; its zero value selects every default, and a
+// nil threshold ("use the default") is distinct from a literal zero.
+//
+// BlockingOptions configures the candidate index and score floor:
+// *float64 thresholds MinScore and StopDocFrac (nil selects the
+// default, a set pointer — including BlockingFloat(0) — is taken
+// literally). The index itself has no representation knobs: postings
+// are delta+varint streams and the scorer is chosen by index size.
+type BlockingOptions = blocking.IndexOptions
 
 // BlockingFloat returns a pointer to v — the set form the explicit
 // BlockingOptions threshold fields take. BlockingFloat(0) requests a

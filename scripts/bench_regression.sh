@@ -28,12 +28,14 @@
 #    TELEMETRY_OVERHEAD (default 1.5 = +50%). Relative to a same-run
 #    measurement, the gate is immune to hardware differences that the
 #    absolute baseline gate needs HOTPATH_SLACK for.
-# 6. Measures the compressed vs raw blocking postings at 100k records
-#    (both sides on the SAME host, same run) and fails if the
-#    compressed representation shrinks less than the min_reduction_x
-#    recorded in BENCH_index10m.json (INDEX_MIN_REDUCTION overrides)
-#    or queries more than query_parity_slack slower than raw
-#    (INDEX_QUERY_SLACK overrides).
+# 6. Checks the blocking postings and the scorer cutover: the
+#    deterministic synthetic 100k index must cost at most half of raw
+#    int32 positions (4 B a posting, by arithmetic:
+#    TestPostingsBytesCompression), and on benchmark-shaped queries
+#    over a 4k-record index — a shard of the bench/ store — the path
+#    the size rule picks must not be slower than the cursor path forced
+#    onto the same index (BenchmarkIndexQueryWDC, both on the SAME
+#    host, same run).
 # 7. Measures the mmap restart path (BenchmarkOpenMapped, 100k-record
 #    snapshot) against the absolute open_mapped_100k_ns baseline in
 #    BENCH_index10m.json x restart_slack (INDEX_RESTART_SLACK
@@ -105,33 +107,22 @@ main() {
     }'
 
     echo ""
-    echo "== postings compression + query-parity gate vs BENCH_index10m.json =="
-    MIN_REDUCTION="${INDEX_MIN_REDUCTION:-$(python3 -c "import json; print(json.load(open('BENCH_index10m.json'))['gates']['min_reduction_x'])")}"
-    QUERY_SLACK="${INDEX_QUERY_SLACK:-$(python3 -c "import json; print(json.load(open('BENCH_index10m.json'))['gates']['query_parity_slack'])")}"
-    IDX_OUT="$(go test -run '^$' -bench 'BenchmarkIndexQuery(Compressed|Raw)100k' -benchtime=0.5s ./internal/blocking/)"
-    COMP_NS="$(printf '%s\n' "$IDX_OUT" | awk '/^BenchmarkIndexQueryCompressed100k/ {print $3; exit}')"
-    COMP_BPR="$(printf '%s\n' "$IDX_OUT" | awk '/^BenchmarkIndexQueryCompressed100k/ {print $5; exit}')"
-    RAW_NS="$(printf '%s\n' "$IDX_OUT" | awk '/^BenchmarkIndexQueryRaw100k/ {print $3; exit}')"
-    RAW_BPR="$(printf '%s\n' "$IDX_OUT" | awk '/^BenchmarkIndexQueryRaw100k/ {print $5; exit}')"
-    if [ -z "$COMP_NS" ] || [ -z "$COMP_BPR" ] || [ -z "$RAW_NS" ] || [ -z "$RAW_BPR" ]; then
-        echo "FAIL: could not measure the 100k compressed/raw index benchmark pair" >&2
+    echo "== postings compression + scorer cutover gate =="
+    go test -count=1 -run 'TestPostingsBytesCompression$' -v ./internal/blocking/
+    WDC_OUT="$(go test -run '^$' -bench 'BenchmarkIndexQueryWDC/records=4k' -benchtime=0.5s ./internal/blocking/)"
+    DEFAULT_NS="$(printf '%s\n' "$WDC_OUT" | awk '/^BenchmarkIndexQueryWDC\/records=4k\/default/ {print $3; exit}')"
+    CURSOR_NS="$(printf '%s\n' "$WDC_OUT" | awk '/^BenchmarkIndexQueryWDC\/records=4k\/cursor/ {print $3; exit}')"
+    if [ -z "$DEFAULT_NS" ] || [ -z "$CURSOR_NS" ]; then
+        echo "FAIL: could not measure the BenchmarkIndexQueryWDC/records=4k pair" >&2
         exit 1
     fi
-    awk -v cns="$COMP_NS" -v cbpr="$COMP_BPR" -v rns="$RAW_NS" -v rbpr="$RAW_BPR" \
-        -v minred="$MIN_REDUCTION" -v slack="$QUERY_SLACK" 'BEGIN {
-        red = rbpr / cbpr
-        printf "postings size: compressed %.2f B/record vs raw %.2f (reduction %.2fx, floor %.2fx)\n", cbpr, rbpr, red, minred
-        if (red < minred) {
-            printf "FAIL: compressed postings shrink only %.2fx, below the %.2fx floor\n", red, minred
+    awk -v def="$DEFAULT_NS" -v cur="$CURSOR_NS" 'BEGIN {
+        printf "4k-record WDC query: default path %.0f ns/op vs forced cursor path %.0f\n", def, cur
+        if (def + 0 > cur + 0) {
+            print "FAIL: the scorer the size rule picks is slower than the one it rejects"
             exit 1
         }
-        limit = rns * slack
-        printf "query parity: compressed %.0f ns/op vs raw %.0f (limit %.0f = raw x %.2f)\n", cns, rns, limit, slack
-        if (cns + 0 > limit) {
-            printf "FAIL: compressed query is more than %.0f%% slower than raw\n", (slack - 1) * 100
-            exit 1
-        }
-        print "OK: postings compression + query-parity gate passed"
+        print "OK: postings compression + scorer cutover gate passed"
     }'
 
     echo ""
