@@ -9,6 +9,8 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"runtime/debug"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -93,7 +95,56 @@ func newHandler(cfg handlerConfig) http.Handler {
 	for _, rt := range routes {
 		mux.HandleFunc(rt.method+" /v1"+rt.path, s.instrument(rt.name, rt.h))
 	}
-	return mux
+	if reg := s.tel.Registry(); reg != nil {
+		// Read when scraped: no request pays for them.
+		reg.GaugeFunc("em_heap_alloc_bytes", "Bytes of live heap objects (runtime HeapAlloc)",
+			func() float64 { return float64(heapAllocBytes()) })
+		reg.GaugeFunc("em_graph_ids", "IDs the entity graph holds explicitly (resolved or merged; other stored records are implicit singletons)",
+			func() float64 { return float64(s.store.GraphIDs()) })
+	}
+	return s.recoverPanics(mux)
+}
+
+// heapAllocBytes reads runtime.MemStats.HeapAlloc without stopping the
+// world.
+func heapAllocBytes() uint64 {
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(sample)
+	return sample[0].Value.Uint64()
+}
+
+// recoverPanics is the outermost middleware: a panic in a handler (or
+// in the instrument middleware around it) answers 500 with the usual
+// JSON error body, counts em_http_panics_total and logs one error line
+// with the request ID and the stack, instead of net/http closing the
+// connection with nothing but a stderr trace. The process and the
+// store keep serving.
+func (s *server) recoverPanics(h http.Handler) http.Handler {
+	var panics *telemetry.Counter
+	if reg := s.tel.Registry(); reg != nil {
+		panics = reg.Counter("em_http_panics_total", "Handler panics recovered to a 500 response")
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			v := recover()
+			if v == nil {
+				return
+			}
+			if v == http.ErrAbortHandler {
+				panic(v) // net/http's own abort protocol, not a bug
+			}
+			panics.Inc()
+			s.log.LogAttrs(r.Context(), slog.LevelError, "handler panic",
+				slog.String("trace_id", w.Header().Get("X-Request-ID")), // set by instrument
+				slog.String("method", r.Method),
+				slog.String("path", r.URL.Path),
+				slog.Any("panic", v),
+				slog.String("stack", string(debug.Stack())),
+			)
+			writeError(w, http.StatusInternalServerError, errors.New("internal error"))
+		}()
+		h.ServeHTTP(w, r)
+	})
 }
 
 // probeRoutes are scraped/polled constantly; their access lines log at
@@ -574,6 +625,12 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 			"journal_bytes":       st.Persist.JournalBytes,
 			"journal_size":        st.Persist.JournalSize,
 			"journal_hits":        st.Persist.JournalHits,
+		},
+		"memory": map[string]any{
+			"heap_alloc_bytes":   heapAllocBytes(),
+			"graph_ids":          s.store.GraphIDs(),
+			"journal_entries":    st.Persist.JournalSize,
+			"extractions_cached": st.Extractions,
 		},
 		"telemetry": s.telemetryJSON(),
 	})

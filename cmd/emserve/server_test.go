@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -639,5 +641,133 @@ func TestRequestBodyBounds(t *testing.T) {
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Errorf("half-bound resolve body = %d, want 200 (%s)", rec.Code, rec.Body.String())
+	}
+}
+
+// TestStatsMemoryBlock: /v1/stats and /v1/metrics say what the process
+// holds in memory. Three stored records, one resolve that merges q1
+// with r1: the entity graph holds those two IDs only, while r2 — never
+// part of a resolve — still answers as its own entity.
+func TestStatsMemoryBlock(t *testing.T) {
+	model, err := llm4em.NewModel(llm4em.GPTMini)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := llm4em.NewTelemetry(llm4em.TelemetryOptions{})
+	store := llm4em.NewStore(model, llm4em.StoreOptions{Domain: llm4em.Product, Telemetry: tel})
+	srv := httptest.NewServer(newHandler(handlerConfig{store: store, tel: tel}))
+	t.Cleanup(srv.Close)
+
+	if resp, body := postJSON(t, srv.URL+"/v1/records", seedBody); resp.StatusCode != http.StatusOK {
+		t.Fatalf("seed: %v", body)
+	}
+	if resp, body := postJSON(t, srv.URL+"/v1/resolve",
+		`{"id":"q1","attrs":[{"name":"title","value":"sony dsc120b cybershot camera black"}]}`); resp.StatusCode != http.StatusOK || body["entity_id"] != "q1" || body["matched"] != true {
+		t.Fatalf("resolve: %d %v", resp.StatusCode, body)
+	}
+	_, body := getJSON(t, srv.URL+"/v1/stats")
+	mem, _ := body["memory"].(map[string]any)
+	if mem == nil {
+		t.Fatalf("stats has no memory block: %v", body)
+	}
+	if mem["graph_ids"].(float64) != 2 || mem["extractions_cached"].(float64) != 3 || mem["journal_entries"].(float64) != 0 {
+		t.Errorf("memory block = %v, want graph_ids 2, extractions_cached 3, journal_entries 0", mem)
+	}
+	if mem["heap_alloc_bytes"].(float64) <= 0 {
+		t.Errorf("memory.heap_alloc_bytes = %v, want > 0", mem["heap_alloc_bytes"])
+	}
+	if body["entities"].(float64) != 3 { // {q1,r1}, r2, r3
+		t.Errorf("entities = %v, want 3", body["entities"])
+	}
+	resp, ent := getJSON(t, srv.URL+"/v1/entities/r2")
+	if members, _ := ent["members"].([]any); resp.StatusCode != http.StatusOK || len(members) != 1 || members[0] != "r2" {
+		t.Errorf("GET /v1/entities/r2 = %d %v, want the implicit singleton [r2]", resp.StatusCode, ent)
+	}
+
+	mresp, err := http.Get(srv.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	raw, err := io.ReadAll(mresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"# TYPE em_heap_alloc_bytes gauge", "\nem_graph_ids 2\n", "\nem_http_panics_total 0\n"} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// TestPanicRecovery: a handler that panics answers 500 with the JSON
+// error body, is counted and logged once with its request ID and
+// stack, and the server goes on serving — the next request on the same
+// connection pool answers 200.
+func TestPanicRecovery(t *testing.T) {
+	model, err := llm4em.NewModel(llm4em.GPTMini)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := llm4em.NewTelemetry(llm4em.TelemetryOptions{})
+	var logged bytes.Buffer
+	ready := &atomic.Bool{}
+	ready.Store(true)
+	s := &server{
+		store: llm4em.NewStore(model, llm4em.StoreOptions{Domain: llm4em.Product}),
+		tel:   tel,
+		log:   slog.New(slog.NewJSONHandler(&logged, nil)),
+		ready: ready,
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/boom", s.instrument("boom", func(http.ResponseWriter, *http.Request) {
+		var m map[string]int
+		m["nil map write"] = 1
+	}))
+	mux.HandleFunc("GET /v1/healthz", s.instrument("healthz", s.healthz))
+	srv := httptest.NewServer(s.recoverPanics(mux))
+	t.Cleanup(srv.Close)
+
+	req, _ := http.NewRequest("GET", srv.URL+"/v1/boom", nil)
+	req.Header.Set("X-Request-ID", "trace-of-the-panic")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("panicking request got no response: %v", err)
+	}
+	body := decodeBody(t, resp)
+	if resp.StatusCode != http.StatusInternalServerError || body["error"] != "internal error" {
+		t.Errorf("panicking request = %d %v, want 500 with the JSON error body", resp.StatusCode, body)
+	}
+	if resp, body := getJSON(t, srv.URL+"/v1/healthz"); resp.StatusCode != http.StatusOK {
+		t.Errorf("request after the panic = %d %v, want 200", resp.StatusCode, body)
+	}
+
+	var exposition strings.Builder
+	if err := tel.WritePrometheus(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(exposition.String(), "\nem_http_panics_total 1\n") {
+		t.Error("em_http_panics_total did not count the panic")
+	}
+	var line map[string]any
+	for _, l := range strings.Split(strings.TrimSpace(logged.String()), "\n") {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(l), &m); err != nil {
+			t.Fatalf("log line %q: %v", l, err)
+		}
+		if m["msg"] == "handler panic" {
+			if line != nil {
+				t.Error("panic logged more than once")
+			}
+			line = m
+		}
+	}
+	if line == nil {
+		t.Fatalf("no panic log line in %q", logged.String())
+	}
+	stack, _ := line["stack"].(string)
+	if line["level"] != "ERROR" || line["trace_id"] != "trace-of-the-panic" ||
+		!strings.Contains(fmt.Sprint(line["panic"]), "nil map") || !strings.Contains(stack, "TestPanicRecovery") {
+		t.Errorf("panic log line = %v, want level ERROR, the request ID, the panic value and a stack through the handler", line)
 	}
 }

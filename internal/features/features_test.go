@@ -279,3 +279,36 @@ func TestVenueFusedToken(t *testing.T) {
 		}
 	}
 }
+
+// TestStoredKeepsPairFeatures: the Stored part of an extraction scores
+// against a whole query-side extraction exactly as the whole one does,
+// in either argument position, on generated strings and on the shapes
+// where a fallback is all there is (no word tokens, no title left).
+func TestStoredKeepsPairFeatures(t *testing.T) {
+	q := ExtractText("new sony dsc120 camera 299.00")
+	same := func(s string) bool {
+		whole := ExtractText(s)
+		stored := whole.Stored()
+		v1, p1 := PairFeatures(q, whole)
+		v2, p2 := PairFeatures(q, stored)
+		v3, p3 := PairFeatures(stored, q)
+		v4, p4 := PairFeatures(whole, q)
+		return v1 == v2 && p1 == p2 && v3 == v4 && p3 == p4
+	}
+	for _, s := range []string{"", "?!", "sony", "348.00", "Sony Cybershot DSC-120B digital camera black 348.00",
+		"J. Smith, A. Jones. Query optimization. VLDB 2004"} {
+		if !same(s) {
+			t.Errorf("Stored() changes the features of %q", s)
+		}
+	}
+	if err := quick.Check(same, nil); err != nil {
+		t.Fatal(err)
+	}
+	stored := ExtractText("Sony Cybershot DSC-120B digital camera black 348.00").Stored()
+	if stored.Raw != "" || stored.Tokens != nil || len(stored.TitleTokens) == 0 || len(stored.WordTokens) == 0 {
+		t.Errorf("Stored() = %+v, want no Raw and no Tokens beside its title and word tokens", stored)
+	}
+	if bare := ExtractText("348.00").Stored(); len(bare.TitleTokens) != 0 || len(bare.Tokens) != 1 {
+		t.Errorf("Stored() = %+v, want a price-only text to keep Tokens, its title fallback", bare)
+	}
+}

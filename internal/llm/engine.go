@@ -276,18 +276,53 @@ func (m *Model) decide(pp ParsedPrompt) decision {
 	return decision{yes: yes, logit: logit, vector: v, present: pres, weights: w, extA: extA, extB: extB}
 }
 
+// extractCacheCap bounds the extraction memo: a serving process sees an
+// endless stream of distinct descriptions, and what recurs — a
+// prompt's demonstrations, the query of a resolve's candidate pairs —
+// recurs within a few prompts.
+const extractCacheCap = 2048
+
 // extractCache memoizes feature extraction of serialized entity
 // descriptions: demonstrations and query pairs recur across prompts,
-// models and experiment configurations, and extraction is pure.
-var extractCache sync.Map // string -> features.Extracted
+// models and experiment configurations, and extraction is pure (a miss
+// costs time, never a different answer). It holds two generations of
+// at most extractCacheCap/2 entries: a hit in the old one is promoted,
+// and when the current one is full the old one is dropped.
+var extractCache struct {
+	sync.Mutex
+	cur, old map[string]features.Extracted
+}
 
 func extractCached(s string) features.Extracted {
-	if v, ok := extractCache.Load(s); ok {
-		return v.(features.Extracted)
+	c := &extractCache
+	c.Lock()
+	e, ok := c.cur[s]
+	if !ok {
+		if e, ok = c.old[s]; ok {
+			putExtractedLocked(e)
+		}
 	}
-	e := features.ExtractText(s)
-	extractCache.Store(s, e)
+	c.Unlock()
+	if ok {
+		return e
+	}
+	// Descriptions arrive as substrings of prompts: extracting from a
+	// clone keeps a cached entry from pinning the whole prompt.
+	e = features.ExtractText(strings.Clone(s))
+	c.Lock()
+	putExtractedLocked(e)
+	c.Unlock()
 	return e
+}
+
+// putExtractedLocked files an extraction under its own (cloned) text
+// in the current generation, starting a new one when that is full.
+func putExtractedLocked(e features.Extracted) {
+	c := &extractCache
+	if c.cur == nil || len(c.cur) >= extractCacheCap/2 {
+		c.cur, c.old = make(map[string]features.Extracted, extractCacheCap/2), c.cur
+	}
+	c.cur[e.Raw] = e
 }
 
 // baseWeights returns the model's innate (or fine-tuned) weighting.

@@ -218,14 +218,14 @@ func benchmarkStoreAdd(b *testing.B, opts Options) {
 	}
 }
 
-// benchPersistentStore builds the 10k-record store of benchStore on a
-// persistence directory with the given number of decisions already in
-// journal.log (growJournal's synthetic ones: the journal grows while
-// records, groups and totals stay put) and checkpoints it.
-func benchPersistentStore(b *testing.B, journal int) (*Store, Options) {
+// benchPersistentStore builds benchStore's records on a persistence
+// directory with the given number of decisions already in journal.log
+// (growJournal's synthetic ones: the journal grows while records,
+// groups and totals stay put) and checkpoints it.
+func benchPersistentStore(b *testing.B, records, journal int) (*Store, Options) {
 	b.Helper()
-	mem, _ := benchStore(b, 10000)
-	recs := make([]entity.Record, 0, 10000)
+	mem, _ := benchStore(b, records)
+	recs := make([]entity.Record, 0, records)
 	for _, sh := range mem.shards {
 		for pos := 0; pos < sh.ix.Len(); pos++ {
 			recs = append(recs, sh.ix.Record(pos))
@@ -254,7 +254,7 @@ func benchPersistentStore(b *testing.B, journal int) (*Store, Options) {
 func BenchmarkStoreCheckpoint(b *testing.B) {
 	for _, journal := range []int{10000, 100000} {
 		b.Run(fmt.Sprintf("journal=%dk", journal/1000), func(b *testing.B) {
-			s, _ := benchPersistentStore(b, journal)
+			s, _ := benchPersistentStore(b, 10000, journal)
 			defer s.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -272,12 +272,24 @@ func BenchmarkStoreCheckpoint(b *testing.B) {
 }
 
 // BenchmarkStoreOpen measures resolve.Open — snapshot, journal.log,
-// mapped index shards, WAL — on the checkpointed 10k-record store at
-// both journal sizes: the store-level restart figure.
+// mapped index shards, WAL — on a checkpointed store: the store-level
+// restart figure. journal= grows the journal under 10k records;
+// records= grows the records under an empty journal and no resolves,
+// and the regression gate holds 100k records to a small multiple of
+// 10k: no record is walked at open (what still grows is the mapped
+// vocabulary each shard sweeps).
 func BenchmarkStoreOpen(b *testing.B) {
-	for _, journal := range []int{10000, 100000} {
-		b.Run(fmt.Sprintf("journal=%dk", journal/1000), func(b *testing.B) {
-			s, opts := benchPersistentStore(b, journal)
+	for _, size := range []struct {
+		name             string
+		records, journal int
+	}{
+		{"journal=10k", 10000, 10000},
+		{"journal=100k", 10000, 100000},
+		{"records=10k", 10000, 0},
+		{"records=100k", 100000, 0},
+	} {
+		b.Run(size.name, func(b *testing.B) {
+			s, opts := benchPersistentStore(b, size.records, size.journal)
 			if err := s.Close(); err != nil {
 				b.Fatal(err)
 			}
@@ -288,8 +300,9 @@ func BenchmarkStoreOpen(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StopTimer()
-				if got := again.Stats().Persist.JournalSize; got != uint64(journal) {
-					b.Fatalf("reopened with %d journaled decisions, want %d", got, journal)
+				if st := again.Stats(); st.Persist.JournalSize != uint64(size.journal) || st.Records != size.records {
+					b.Fatalf("reopened with %d records and %d journaled decisions, want %d and %d",
+						st.Records, st.Persist.JournalSize, size.records, size.journal)
 				}
 				if err := again.Close(); err != nil {
 					b.Fatal(err)

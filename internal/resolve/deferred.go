@@ -336,8 +336,6 @@ func (s *Store) redecide(dp deferredPair) bool {
 	}
 	if de.Match {
 		s.graphMu.Lock()
-		s.graph.Add(dp.query.ID)
-		s.graph.Add(dp.candidateID)
 		s.graph.Union(dp.query.ID, dp.candidateID)
 		s.graphMu.Unlock()
 	}

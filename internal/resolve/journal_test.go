@@ -54,7 +54,9 @@ func copyDir(t *testing.T, from, to string) {
 		t.Fatal(err)
 	}
 	for _, f := range files {
-		copyFile(t, filepath.Join(from, f.Name()), filepath.Join(to, f.Name()))
+		if !f.IsDir() {
+			copyFile(t, filepath.Join(from, f.Name()), filepath.Join(to, f.Name()))
+		}
 	}
 }
 

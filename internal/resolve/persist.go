@@ -155,17 +155,19 @@ func (s *Store) installSnapshot(snap *persist.Snapshot) error {
 		sh := s.shardFor(r.ID)
 		text := r.Serialize()
 		sh.insertLocked(r, text, s.extractFor(text))
-		s.graph.Add(r.ID)
 	}
-	s.count.Store(int64(s.Len()))
+	for _, sh := range s.shards {
+		s.count.Add(int64(sh.ix.Len()))
+	}
 	s.pstate.recoveredRecords = s.Len()
 	for _, g := range snap.Groups {
-		if len(g) == 0 {
+		// A stored record's singleton group — every inline-records
+		// snapshot of an older build lists them — is implicit in memory.
+		if len(g) == 1 && s.stored(g[0]) {
 			continue
 		}
-		s.graph.Add(g[0])
-		for _, id := range g[1:] {
-			s.graph.Union(g[0], id)
+		for _, id := range g {
+			s.graph.Union(g[0], id) // adds g[0] itself first
 		}
 	}
 	for _, je := range snap.LegacyJournal {
@@ -203,8 +205,8 @@ func (s *Store) installSnapshot(snap *persist.Snapshot) error {
 // records included — is mmap'ed into place instead of replaying the
 // ingest, so no record is re-serialized, re-extracted or re-indexed at
 // open; extractions materialize lazily as records surface as resolve
-// candidates, and the entity graph's singleton groups rebuild from a
-// cheap ID walk of the maps (non-singleton groups and resolved-query
+// candidates, and no record is walked into the entity graph, where
+// singleton groups are implicit (non-singleton groups and resolved-query
 // singletons ride snap.Groups as always).
 //
 // Degradation is deliberate and silent at the API: a torn, truncated,
@@ -249,11 +251,7 @@ func (s *Store) installMapped(snap *persist.Snapshot) {
 			ix.SetMetrics(bm)
 			sh := s.shards[i]
 			sh.ix = ix
-			n := ix.Len()
-			sh.ext = make([]*features.Extracted, n)
-			for pos := 0; pos < n; pos++ {
-				s.graph.Add(ix.RecordID(pos))
-			}
+			sh.ext = make([]*features.Extracted, ix.Len())
 			s.pstate.mappedShards++
 		}
 		return
@@ -264,7 +262,6 @@ func (s *Store) installMapped(snap *persist.Snapshot) {
 			sh := s.shardFor(r.ID)
 			text := r.Serialize()
 			sh.insertLocked(r, text, s.extractFor(text))
-			s.graph.Add(r.ID)
 		}
 		ix.Close()
 	}
@@ -285,13 +282,12 @@ func (s *Store) replay(entries []persist.Entry) error {
 			}
 			r := re.Record
 			sh := s.shardFor(r.ID)
-			if sh.hasLocked(r.ID) {
+			if _, ok := sh.posLocked(r.ID); ok {
 				continue // already in the snapshot
 			}
 			text := r.Serialize()
 			sh.insertLocked(r, text, s.extractFor(text))
 			s.count.Add(1)
-			s.graph.Add(r.ID)
 			s.pstate.recoveredRecords++
 		case persist.EntryResolve:
 			rv, err := persist.DecodeResolve(e.Payload)
@@ -331,8 +327,6 @@ func (s *Store) replay(entries []persist.Entry) error {
 			key := pairID{query: rd.QueryID, candidate: rd.Decision.CandidateID}
 			s.journalDecisions(rd.QueryID, []persist.DecisionEntry{rd.Decision})
 			if rd.Decision.Match {
-				s.graph.Add(rd.QueryID)
-				s.graph.Add(rd.Decision.CandidateID)
 				s.graph.Union(rd.QueryID, rd.Decision.CandidateID)
 			}
 			if s.res != nil {
@@ -556,28 +550,11 @@ func (s *Store) checkpointLocked() error {
 			sh.mu.RUnlock()
 		}
 	}
+	// Only what took part in a resolve: stored records the graph has
+	// not seen are singletons on disk as in memory, by their absence.
 	s.graphMu.Lock()
 	snap.Groups = s.graph.Groups()
 	s.graphMu.Unlock()
-	if emxOK {
-		// Singleton groups of stored records rebuild from an ID walk of
-		// the mapped indexes at open — only matched groups and singleton
-		// resolved queries need the JSON to carry them.
-		kept := snap.Groups[:0]
-		for _, g := range snap.Groups {
-			if len(g) == 1 {
-				sh := s.shardFor(g[0])
-				sh.mu.RLock()
-				stored := sh.hasLocked(g[0])
-				sh.mu.RUnlock()
-				if stored {
-					continue
-				}
-			}
-			kept = append(kept, g)
-		}
-		snap.Groups = kept
-	}
 	if s.res != nil {
 		s.res.mu.Lock()
 		for _, dp := range s.res.queue {

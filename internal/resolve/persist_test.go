@@ -53,11 +53,13 @@ func committedJournal(t *testing.T, dir string) []persist.DecisionEntry {
 }
 
 // persistedStats strips the process-lifetime parts of Stats — engine
-// counters and durability bookkeeping — leaving exactly the state
-// recovery must reproduce.
+// counters, durability bookkeeping and the extractions this process
+// happens to hold (a mapped restart extracts lazily) — leaving exactly
+// the state recovery must reproduce.
 func persistedStats(st Stats) Stats {
 	st.Engine = pipeline.Stats{}
 	st.Persist = PersistStats{}
+	st.Extractions = 0
 	return st
 }
 

@@ -16,12 +16,12 @@
 //
 // A Store is safe for concurrent use. Index reads take per-shard
 // read locks, record inserts take one shard's write lock, and entity
-// folding takes the graph lock, so Adds and Resolves on different
-// shards proceed in parallel. Resolving against a fixed store is
-// deterministic regardless of concurrency: index queries are pure
-// reads, the simulated models are deterministic at temperature 0, and
-// union-find folding is order-independent (canonical roots are the
-// smallest member IDs).
+// folding takes the graph lock, which inserts never take, so Adds and
+// Resolves on different shards proceed in parallel. Resolving against a
+// fixed store is deterministic regardless of concurrency: index queries
+// are pure reads, the simulated models are deterministic at temperature
+// 0, and union-find folding is order-independent (canonical roots are
+// the smallest member IDs).
 package resolve
 
 import (
@@ -204,6 +204,8 @@ type Store struct {
 	// rscratch pools per-resolve candidate buffers (*resolveScratch).
 	rscratch sync.Pool
 
+	// graph holds only the IDs a resolve or a union touched; Entity,
+	// Snapshot and Stats supply every other stored record's singleton.
 	graphMu sync.Mutex
 	graph   *blocking.UnionFind
 
@@ -227,52 +229,42 @@ type Store struct {
 type shard struct {
 	mu sync.RWMutex
 	ix *blocking.Index
-	// recs maps the IDs of records inserted since the store was built
-	// or opened. A store restarted from a mapped index snapshot keeps
-	// its base records in the mmap — hasLocked/recordLocked consult the
-	// snapshot's on-disk ID hash for those instead of duplicating them
-	// here.
-	recs map[string]entity.Record
+	// live maps the IDs of records inserted since the store was built
+	// or opened to their positions in ix. The mapped base of a restarted
+	// store is not in it: posLocked asks the snapshot's on-disk ID hash.
+	live map[string]int32
 	// ext caches each record's feature extraction, position-aligned
 	// with ix, so the cascade scores candidates without re-extracting
-	// (or re-serializing) them on every Resolve. Entries are nil for
-	// records whose extraction is deferred (Options.DeferExtraction, or
-	// any record behind a mapped restart) until fillExtracted
-	// materializes them. Pointers are handed out to queries and stay
-	// valid across append growth; the pointed-to extractions are
-	// immutable once stored — PairFeatures only reads them.
+	// (or re-serializing) them on every Resolve. It keeps what
+	// features.Extracted.Stored keeps — no Raw, no Tokens beside
+	// TitleTokens — so a record's text dies with its ingest. Entries
+	// stay nil while extraction is deferred (Options.DeferExtraction,
+	// any record behind a mapped restart) until fillExtracted fills
+	// them. Pointers are handed out to queries and stay valid across
+	// append growth; what they point to is immutable once stored.
 	ext []*features.Extracted
+	// cached counts the non-nil entries of ext.
+	cached int
 }
 
 // insertLocked indexes one pre-serialized record (ext may be nil for
 // deferred extraction). The caller holds mu (or has exclusive access
 // during recovery) and has already rejected duplicates.
 func (sh *shard) insertLocked(r entity.Record, text string, ext *features.Extracted) {
-	sh.recs[r.ID] = r
-	sh.ix.AddSerialized(r, text)
+	sh.live[r.ID] = int32(sh.ix.AddSerialized(r, text))
 	sh.ext = append(sh.ext, ext)
+	if ext != nil {
+		sh.cached++
+	}
 }
 
-// hasLocked reports whether a record ID is stored in the shard —
+// posLocked returns the index position of a stored record ID —
 // inserted live, or part of the mapped base. Caller holds mu.
-func (sh *shard) hasLocked(id string) bool {
-	if _, ok := sh.recs[id]; ok {
-		return true
+func (sh *shard) posLocked(id string) (int, bool) {
+	if pos, ok := sh.live[id]; ok {
+		return int(pos), true
 	}
-	_, ok := sh.ix.RecordPos(id)
-	return ok
-}
-
-// recordLocked returns a stored record by ID, decoding from the mapped
-// base when the live map misses. Caller holds mu.
-func (sh *shard) recordLocked(id string) (entity.Record, bool) {
-	if r, ok := sh.recs[id]; ok {
-		return r, true
-	}
-	if pos, ok := sh.ix.RecordPos(id); ok {
-		return sh.ix.Record(pos), true
-	}
-	return entity.Record{}, false
+	return sh.ix.RecordPos(id)
 }
 
 // collect queries one shard for blocking candidates and copies the
@@ -312,14 +304,13 @@ func (sh *shard) fillExtracted(cs []scored) {
 		if cs[i].ext != nil {
 			continue
 		}
-		e := features.ExtractText(cs[i].rec.Serialize())
+		e := features.ExtractText(cs[i].rec.Serialize()).Stored()
 		sh.mu.Lock()
-		if cur := sh.ext[cs[i].pos]; cur != nil {
-			cs[i].ext = cur
-		} else {
+		if sh.ext[cs[i].pos] == nil {
 			sh.ext[cs[i].pos] = &e
-			cs[i].ext = &e
+			sh.cached++
 		}
+		cs[i].ext = sh.ext[cs[i].pos]
 		sh.mu.Unlock()
 	}
 }
@@ -520,7 +511,7 @@ func newStore(client llm.Client, opts Options) *Store {
 	for i := range s.shards {
 		s.shards[i] = &shard{
 			ix:   blocking.BuildIndex(nil, o.Blocking),
-			recs: map[string]entity.Record{},
+			live: map[string]int32{},
 		}
 		s.shards[i].ix.SetMetrics(bm)
 	}
@@ -533,7 +524,7 @@ func (s *Store) extractFor(text string) *features.Extracted {
 	if s.opts.DeferExtraction {
 		return nil
 	}
-	e := features.ExtractText(text)
+	e := features.ExtractText(text).Stored()
 	return &e
 }
 
@@ -560,17 +551,13 @@ func (s *Store) Add(r entity.Record) error {
 	ext := s.extractFor(text)
 	sh := s.shardFor(r.ID)
 	sh.mu.Lock()
-	if sh.hasLocked(r.ID) {
+	if _, dup := sh.posLocked(r.ID); dup {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrDuplicateID, r.ID)
 	}
 	sh.insertLocked(r, text, ext)
 	sh.mu.Unlock()
 	s.count.Add(1)
-
-	s.graphMu.Lock()
-	s.graph.Add(r.ID)
-	s.graphMu.Unlock()
 
 	if s.wal != nil {
 		s.persistMu.Lock()
@@ -597,13 +584,12 @@ func (e *BatchError) Error() string {
 
 func (e *BatchError) Unwrap() error { return e.Err }
 
-// AddBatch inserts the records, paying each lock — shard, entity
-// graph, persistence — once per batch instead of once per record.
-// Records with empty IDs or IDs duplicated within the batch reject
-// the whole batch upfront; an ID already in the store stops the
-// insert with a *BatchError reporting how many records made it in
-// (records of a failed batch are not rolled back). Records are
-// processed grouped by shard, not in input order.
+// AddBatch inserts the records, paying each lock — shard, persistence
+// — once per batch instead of once per record. Records with empty IDs
+// or IDs duplicated within the batch reject the whole batch upfront; an
+// ID already in the store stops the insert with a *BatchError reporting
+// how many records made it in (records of a failed batch are not rolled
+// back). Records are processed grouped by shard, not in input order.
 func (s *Store) AddBatch(rs []entity.Record) error {
 	if len(rs) == 0 {
 		return nil
@@ -643,7 +629,7 @@ insert:
 		sh := s.shards[i]
 		sh.mu.Lock()
 		for _, p := range group {
-			if sh.hasLocked(p.rec.ID) {
+			if _, dup := sh.posLocked(p.rec.ID); dup {
 				insertErr = fmt.Errorf("%w: %q", ErrDuplicateID, p.rec.ID)
 				sh.mu.Unlock()
 				break insert
@@ -654,14 +640,6 @@ insert:
 		sh.mu.Unlock()
 	}
 	s.count.Add(int64(len(inserted)))
-
-	if len(inserted) > 0 {
-		s.graphMu.Lock()
-		for _, r := range inserted {
-			s.graph.Add(r.ID)
-		}
-		s.graphMu.Unlock()
-	}
 
 	// Journal everything that was inserted, even on a failed batch:
 	// the durable log must cover the in-memory state.
@@ -687,21 +665,24 @@ insert:
 func (s *Store) Record(id string) (entity.Record, bool) {
 	sh := s.shardFor(id)
 	sh.mu.RLock()
-	r, ok := sh.recordLocked(id)
-	sh.mu.RUnlock()
-	return r, ok
+	defer sh.mu.RUnlock()
+	if pos, ok := sh.posLocked(id); ok {
+		return sh.ix.Record(pos), true
+	}
+	return entity.Record{}, false
+}
+
+// stored reports whether a record with the ID is in the store.
+func (s *Store) stored(id string) bool {
+	sh := s.shardFor(id)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	_, ok := sh.posLocked(id)
+	return ok
 }
 
 // Len returns the number of stored records.
-func (s *Store) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		n += sh.ix.Len()
-		sh.mu.RUnlock()
-	}
-	return n
-}
+func (s *Store) Len() int { return int(s.count.Load()) }
 
 // Result is the outcome of resolving one query record.
 type Result struct {
@@ -1004,22 +985,46 @@ func (s *Store) recordTotals(r CostReport) {
 }
 
 // Entity returns the sorted member IDs of the entity containing the
-// ID, which may be a stored record or a previously resolved query.
+// ID, which may be a stored record or a previously resolved query. A
+// stored record that never took part in a resolve is its own entity.
 func (s *Store) Entity(id string) ([]string, bool) {
 	s.graphMu.Lock()
-	defer s.graphMu.Unlock()
-	if _, ok := s.graph.Find(id); !ok {
-		return nil, false
+	members := s.graph.Members(id)
+	s.graphMu.Unlock()
+	if members == nil && s.stored(id) {
+		members = []string{id}
 	}
-	return s.graph.Members(id), true
+	return members, members != nil
+}
+
+// GraphIDs returns the number of IDs the entity graph holds: those a
+// resolve or a union touched. O(1), unlike Stats, which walks them.
+func (s *Store) GraphIDs() int {
+	s.graphMu.Lock()
+	defer s.graphMu.Unlock()
+	return s.graph.Len()
 }
 
 // Snapshot returns all entity groups as sorted member slices in
-// deterministic order.
+// deterministic order: the explicit graph built on demand, the store's
+// groups plus a singleton per remaining record. It walks every record.
 func (s *Store) Snapshot() [][]string {
+	all := blocking.NewUnionFind()
 	s.graphMu.Lock()
-	defer s.graphMu.Unlock()
-	return s.graph.Groups()
+	for _, g := range s.graph.Groups() {
+		for _, id := range g {
+			all.Union(g[0], id)
+		}
+	}
+	s.graphMu.Unlock()
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		for pos := 0; pos < sh.ix.Len(); pos++ {
+			all.Add(sh.ix.RecordID(pos))
+		}
+		sh.mu.RUnlock()
+	}
+	return all.Groups()
 }
 
 // Stats is a snapshot of the store's lifetime counters.
@@ -1028,6 +1033,9 @@ type Stats struct {
 	// number of entity groups, which also counts resolved queries.
 	Records  int
 	Entities int
+	// Extractions is the number of records whose feature extraction is
+	// resident: after a mapped restart, the ones resolves have surfaced.
+	Extractions int
 	// Resolves is the number of Resolve calls served.
 	Resolves uint64
 	// Candidates is the total candidate pairs blocking produced;
@@ -1101,17 +1109,34 @@ func (s *Store) Stats() Stats {
 	// graphMu or statsMu held — gather it first.
 	ps := s.persistStats()
 
+	records, cached := s.Len(), 0
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		cached += sh.cached
+		sh.mu.RUnlock()
+	}
+	// Entities are the graph's sets plus the stored records outside the
+	// graph; counting the latter walks the graph's IDs, not the records.
 	s.graphMu.Lock()
-	entities := s.graph.Sets()
+	groups := s.graph.Groups()
 	s.graphMu.Unlock()
+	entities := len(groups) + records
+	for _, g := range groups {
+		for _, id := range g {
+			if s.stored(id) {
+				entities--
+			}
+		}
+	}
 
 	s.statsMu.Lock()
 	t := s.totals
 	s.statsMu.Unlock()
 
 	st := Stats{
-		Records:          s.Len(),
+		Records:          records,
 		Entities:         entities,
+		Extractions:      cached,
 		Resolves:         t.resolves,
 		Candidates:       t.candidates,
 		LocalAccepts:     t.localAccepts,

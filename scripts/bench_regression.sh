@@ -45,6 +45,15 @@
 #    (BenchmarkStoreCheckpoint, both on the SAME host, same run) and
 #    fails if the second costs more than 1.5 times the first:
 #    checkpoints are O(delta), not O(journal).
+# 9. Measures resolve.Open of a checkpointed store holding 10k and
+#    100k records, empty journal, no resolves (BenchmarkStoreOpen
+#    records=, both on the SAME host, same run) and fails if the second
+#    costs more than 8 times the first. Measured 2.8-6.1x, median 5
+#    (0.3-0.6 ms -> 1.6-2.0 ms over six runs: the small side is noise-
+#    sized, and what still grows is blocking.OpenMapped's sweep of a
+#    vocabulary this synthetic corpus grows in step with its records)
+#    against 10.6-12.0x (4.4-7.0 ms -> 52-74 ms) when open walked
+#    every record into the entity graph.
 #
 # With ARTIFACT_DIR set, the full output is teed into
 # $ARTIFACT_DIR/bench_output.txt and the dispatcher gate writes its
@@ -163,6 +172,25 @@ main() {
             exit 1
         }
         print "OK: O(delta) checkpoint gate passed"
+    }'
+
+    echo ""
+    echo "== store open gate (100k records relative to 10k) =="
+    OPEN_OUT="$(go test -run '^$' -bench 'BenchmarkStoreOpen/records=' -benchtime=20x ./internal/resolve/)"
+    OPEN_SMALL_NS="$(printf '%s\n' "$OPEN_OUT" | awk '/^BenchmarkStoreOpen\/records=10k/ {print $3; exit}')"
+    OPEN_LARGE_NS="$(printf '%s\n' "$OPEN_OUT" | awk '/^BenchmarkStoreOpen\/records=100k/ {print $3; exit}')"
+    if [ -z "$OPEN_SMALL_NS" ] || [ -z "$OPEN_LARGE_NS" ]; then
+        echo "FAIL: could not measure the BenchmarkStoreOpen/records= pair" >&2
+        exit 1
+    fi
+    awk -v small="$OPEN_SMALL_NS" -v large="$OPEN_LARGE_NS" 'BEGIN {
+        limit = small * 8
+        printf "open: %.0f ns/op at 100k records vs %.0f at 10k (limit %.0f = 10k x 8)\n", large, small, limit
+        if (large + 0 > limit) {
+            print "FAIL: resolve.Open walks the records again"
+            exit 1
+        }
+        print "OK: store open gate passed"
     }'
 }
 
