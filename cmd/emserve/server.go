@@ -277,29 +277,13 @@ type strategyJSON struct {
 	Reason  usageJSON `json:"reason"`
 }
 
+// usageJSON is the wire form of llm4em.StrategyUsage: the same fields
+// in the same order, so a value converts directly.
 type usageJSON struct {
-	Calls            uint64 `json:"calls"`
-	Pairs            uint64 `json:"pairs"`
-	PromptTokens     uint64 `json:"prompt_tokens"`
-	CompletionTokens uint64 `json:"completion_tokens"`
-}
-
-func fromUsage(u llm4em.StrategyUsage) usageJSON {
-	return usageJSON{
-		Calls:            uint64(u.Calls),
-		Pairs:            uint64(u.Pairs),
-		PromptTokens:     uint64(u.PromptTokens),
-		CompletionTokens: uint64(u.CompletionTokens),
-	}
-}
-
-func fromTotals(t llm4em.StrategyTotals) usageJSON {
-	return usageJSON{
-		Calls:            t.Calls,
-		Pairs:            t.Pairs,
-		PromptTokens:     t.PromptTokens,
-		CompletionTokens: t.CompletionTokens,
-	}
+	Calls            int `json:"calls"`
+	Pairs            int `json:"pairs"`
+	PromptTokens     int `json:"prompt_tokens"`
+	CompletionTokens int `json:"completion_tokens"`
 }
 
 func fromCost(c llm4em.CostReport) costJSON {
@@ -321,12 +305,16 @@ func fromCost(c llm4em.CostReport) costJSON {
 		Cents:            c.Cents,
 		Priced:           c.Priced,
 		LocalFraction:    c.LocalFraction(),
-		Strategies: strategyJSON{
-			Match:   fromUsage(c.MatchUsage),
-			Compare: fromUsage(c.CompareUsage),
-			Select:  fromUsage(c.SelectUsage),
-			Reason:  fromUsage(c.ReasonUsage),
-		},
+		Strategies:       fromStrategies(c),
+	}
+}
+
+func fromStrategies(c llm4em.CostReport) strategyJSON {
+	return strategyJSON{
+		Match:   usageJSON(c.MatchUsage),
+		Compare: usageJSON(c.CompareUsage),
+		Select:  usageJSON(c.SelectUsage),
+		Reason:  usageJSON(c.ReasonUsage),
 	}
 }
 
@@ -572,12 +560,7 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 		"completion_tokens": st.CompletionTokens,
 		"cents":             st.Cents,
 		"priced":            st.Priced,
-		"strategies": strategyJSON{
-			Match:   fromTotals(st.MatchStrategy),
-			Compare: fromTotals(st.CompareStrategy),
-			Select:  fromTotals(st.SelectStrategy),
-			Reason:  fromTotals(st.ReasonStrategy),
-		},
+		"strategies":        fromStrategies(st.Report),
 		"engine": map[string]any{
 			"client_calls": st.Engine.ClientCalls,
 			"cache_hits":   st.Engine.CacheHits,
@@ -624,7 +607,7 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 			"snapshots":           st.Persist.Snapshots,
 			"journal_bytes":       st.Persist.JournalBytes,
 			"journal_size":        st.Persist.JournalSize,
-			"journal_hits":        st.Persist.JournalHits,
+			"journal_hits":        st.JournalHits,
 		},
 		"memory": map[string]any{
 			"heap_alloc_bytes":   heapAllocBytes(),

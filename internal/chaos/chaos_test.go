@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"llm4em/internal/blocking"
 	"llm4em/internal/chaos"
 	"llm4em/internal/entity"
 	"llm4em/internal/llm"
@@ -195,6 +196,41 @@ func committedJournal(t *testing.T, dir string) []persist.DecisionEntry {
 	return out
 }
 
+// checkJournalClosure checks the invariant the store owes its users,
+// from outside it: the groups of more than one member that a reopen of
+// dir reports are exactly the transitive closure of the matches its
+// committed journal holds — non-deferred, a later frame of a pair
+// superseding an earlier one.
+func checkJournalClosure(t *testing.T, dir string) {
+	t.Helper()
+	s, err := resolve.Open(&matchClient{}, resolve.Options{PersistDir: dir})
+	if err != nil {
+		t.Fatalf("store not reopenable: %v", err)
+	}
+	var got [][]string
+	for _, g := range s.Snapshot() {
+		if len(g) > 1 {
+			got = append(got, g)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	final := map[[2]string]persist.DecisionEntry{}
+	for _, d := range committedJournal(t, dir) {
+		final[[2]string{d.QueryID, d.CandidateID}] = d
+	}
+	uf := blocking.NewUnionFind()
+	for pair, d := range final {
+		if d.Match && !d.Deferred {
+			uf.Union(pair[0], pair[1])
+		}
+	}
+	if want := uf.Groups(); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+		t.Errorf("groups are not the closure of the journaled matches:\ngroups:  %v\nclosure: %v", got, want)
+	}
+}
+
 // TestWALFsyncError injects an fsync failure and checks it surfaces
 // as the typed durability error while the store itself stays usable
 // and reopenable.
@@ -237,30 +273,92 @@ func TestWALENOSPC(t *testing.T) {
 	testWALAppendFault(t, chaos.FSOptions{ENOSPCAt: 3})
 }
 
+// testWALAppendFault runs the contract twice: with a healthy LLM, where
+// the failed resolve would have merged q1 into r1, and under an outage,
+// where it would have deferred the pair. Log-then-apply: the failed
+// call must leave graph, totals, journal and deferred queue untouched,
+// in this process and after a reopen.
 func testWALAppendFault(t *testing.T, faults chaos.FSOptions) {
-	dir := t.TempDir()
-	fsys := chaos.NewFS(faults)
-	s := seedStore(t, dir, fsys, resolve.Options{})
+	for _, outage := range []bool{false, true} {
+		name := "healthy"
+		if outage {
+			name = "outage"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			client := chaos.Wrap(&matchClient{}, chaos.ClientOptions{Seed: 7})
+			opts := resolve.Options{PersistDir: dir, WALFS: chaos.NewFS(faults)}
+			if outage {
+				// Every pair reaches the LLM, and its failure degrades.
+				opts.Cascade.Disable = true
+				opts.Resilience = chaosResilience()
+			}
+			s, err := resolve.Open(client, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One at a time, so the WAL write ordinals are fixed: writes 1
+			// and 2 are the records, write 3 is the first resolve.
+			for _, r := range []entity.Record{rec("r1", "alpha beta sameent0001"), rec("r2", "gamma delta sameent0002")} {
+				if err := s.Add(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			unapplied := func(s *resolve.Store, resolves uint64, when string) {
+				t.Helper()
+				if m, ok := s.Entity("q1"); ok {
+					t.Errorf("%s: Entity(q1) = %v, want unknown: its resolve never reached the log", when, m)
+				}
+				if m, _ := s.Entity("r1"); !reflect.DeepEqual(m, []string{"r1"}) {
+					t.Errorf("%s: Entity(r1) = %v, want [r1]", when, m)
+				}
+				if st := s.Stats(); st.Resolves != resolves || st.Resilience.DeferredQueue != 0 {
+					t.Errorf("%s: %d resolves counted, %d pairs queued, want %d and 0",
+						when, st.Resolves, st.Resilience.DeferredQueue, resolves)
+				}
+			}
 
-	// Write 3: the decision entry hits the injected fault.
-	_, err := s.Resolve(rec("q1", "alpha beta sameent0001"))
-	if !errors.Is(err, persist.ErrWALWrite) {
-		t.Fatalf("resolve over faulted append = %v, want ErrWALWrite", err)
-	}
-	// The log rolled back cleanly, so the store keeps accepting work.
-	if _, err := s.Resolve(rec("q2", "gamma delta other0001")); err != nil {
-		t.Fatalf("resolve after rollback: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+			// Write 3: the decision entry hits the injected fault.
+			client.SetOutage(outage)
+			_, err = s.Resolve(rec("q1", "alpha beta sameent0001"))
+			if !errors.Is(err, persist.ErrWALWrite) {
+				t.Fatalf("resolve over faulted append = %v, want ErrWALWrite", err)
+			}
+			unapplied(s, 0, "after the failed append")
+			client.SetOutage(false)
+			// The log rolled back cleanly, so the store keeps accepting work.
+			if _, err := s.Resolve(rec("q2", "gamma delta sameent0002")); err != nil {
+				t.Fatalf("resolve after rollback: %v", err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for s.Stats().Resilience.DeferredQueue != 0 { // q2 met the open breaker
+				if time.Now().After(deadline) {
+					t.Fatalf("deferred queue never drained: %+v", s.Stats().Resilience)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	j := reopenJournal(t, dir)
-	if _, ok := j["q1|r1"]; ok {
-		t.Errorf("failed append q1|r1 reappeared after reopen")
-	}
-	if d, ok := j["q2|r2"]; !ok || !d.Match {
-		t.Errorf("post-rollback decision q2|r2 not durable: %+v ok=%v", d, ok)
+			j := reopenJournal(t, dir)
+			if _, ok := j["q1|r1"]; ok {
+				t.Errorf("failed append q1|r1 reappeared after reopen")
+			}
+			if d, ok := j["q2|r2"]; !ok || !d.Match || d.Deferred {
+				t.Errorf("post-rollback decision q2|r2 not durable: %+v ok=%v", d, ok)
+			}
+			opts.WALFS = nil
+			s, err = resolve.Open(client, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unapplied(s, 1, "after reopen")
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			checkJournalClosure(t, dir)
+		})
 	}
 }
 
@@ -442,6 +540,8 @@ func TestOutageDifferential(t *testing.T) {
 	if len(recovered.Deferred) != 0 {
 		t.Errorf("recovered snapshot still carries %d deferred pairs", len(recovered.Deferred))
 	}
+	checkJournalClosure(t, healthyDir)
+	checkJournalClosure(t, recoveredDir)
 }
 
 // TestFaultMixStillConverges runs the richer fault mix — transient

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 
+	"llm4em/internal/cost"
 	"llm4em/internal/entity"
 )
 
@@ -33,48 +34,12 @@ type DecisionEntry struct {
 	Deferred bool `json:"deferred,omitempty"`
 }
 
-// ReportEntry carries one resolve call's cost accounting so replay
-// can rebuild the store's lifetime totals without recomputing
-// anything.
-type ReportEntry struct {
-	Candidates       int     `json:"candidates"`
-	LocalAccepts     int     `json:"local_accepts"`
-	LocalRejects     int     `json:"local_rejects"`
-	LLMPairs         int     `json:"llm_pairs"`
-	BudgetDecided    int     `json:"budget_decided"`
-	JournalHits      int     `json:"journal_hits"`
-	PromptTokens     int     `json:"prompt_tokens"`
-	CompletionTokens int     `json:"completion_tokens"`
-	Cents            float64 `json:"cents"`
-	// Batch accounting of the micro-batching dispatcher. Absent in
-	// logs written before the dispatcher existed, so both omitempty
-	// and the zero default keep old and new builds interchangeable.
-	BatchedPairs   int `json:"batched_pairs,omitempty"`
-	BatchFallbacks int `json:"batch_fallbacks,omitempty"`
-	// DeferredPairs counts pairs this resolve degraded to their local
-	// verdict because the LLM backend was unavailable. Absent in older
-	// logs.
-	DeferredPairs int `json:"deferred_pairs,omitempty"`
-	// Strategy accounting of the tiered prompt strategies. Like the
-	// batch fields, absent in older logs and zero-defaulted, so old
-	// and new builds stay interchangeable. The per-decision strategy
-	// provenance itself lives in DecisionEntry.Method ("llm-compare",
-	// "llm-select", "llm-reason"), which replay reuses LLM-free.
-	GroupFallbacks  int           `json:"group_fallbacks,omitempty"`
-	MatchStrategy   StrategyEntry `json:"strategy_match"`
-	CompareStrategy StrategyEntry `json:"strategy_compare"`
-	SelectStrategy  StrategyEntry `json:"strategy_select"`
-	ReasonStrategy  StrategyEntry `json:"strategy_reason"`
-}
-
-// StrategyEntry is one prompt strategy's share of a resolve call's
-// LLM activity inside a ReportEntry.
-type StrategyEntry struct {
-	Calls            int `json:"calls,omitempty"`
-	Pairs            int `json:"pairs,omitempty"`
-	PromptTokens     int `json:"prompt_tokens,omitempty"`
-	CompletionTokens int `json:"completion_tokens,omitempty"`
-}
+// ReportEntry is the cost ledger (cost.Report) in its on-disk role: one
+// resolve call's accounting inside a ResolveEntry, the lifetime totals
+// inside a Snapshot. Replay rebuilds the totals from it without
+// recomputing anything. The per-decision strategy provenance lives in
+// DecisionEntry.Method ("llm-compare", "llm-select", "llm-reason").
+type ReportEntry = cost.Report
 
 // ResolveEntry is the payload of an EntryResolve: the query record,
 // the decisions made fresh in this call (journal hits were logged by
@@ -224,8 +189,10 @@ func (c *codec) decisions(ds *[]DecisionEntry) {
 	}
 }
 
-// Report: the twelve counters in declaration order, cents, then the
-// four strategies (match, compare, select, reason) of four counters.
+// Report: twelve counters, cents, then the four strategies (match,
+// compare, select, reason) of four counters. Beside cost.Report.Add
+// this is the only list of the ledger's fields; the per-call fields
+// (cost.Report.Persisted) are not on it.
 func (c *codec) report(r *ReportEntry) {
 	for _, p := range [...]*int{&r.Candidates, &r.LocalAccepts, &r.LocalRejects, &r.LLMPairs,
 		&r.BudgetDecided, &r.JournalHits, &r.PromptTokens, &r.CompletionTokens,
@@ -233,11 +200,11 @@ func (c *codec) report(r *ReportEntry) {
 		c.int(p)
 	}
 	c.f64(&r.Cents)
-	for _, s := range [...]*StrategyEntry{&r.MatchStrategy, &r.CompareStrategy, &r.SelectStrategy, &r.ReasonStrategy} {
-		c.int(&s.Calls)
-		c.int(&s.Pairs)
-		c.int(&s.PromptTokens)
-		c.int(&s.CompletionTokens)
+	for _, u := range [...]*cost.Usage{&r.MatchUsage, &r.CompareUsage, &r.SelectUsage, &r.ReasonUsage} {
+		c.int(&u.Calls)
+		c.int(&u.Pairs)
+		c.int(&u.PromptTokens)
+		c.int(&u.CompletionTokens)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"llm4em/internal/cost"
 	"llm4em/internal/entity"
 )
 
@@ -115,7 +116,7 @@ func fuzzEntries() (RecordEntry, ResolveEntry, RedecideEntry, journalEntry) {
 		{CandidateID: "r2", BlockScore: 1.5, Probability: 0.31, Method: "deferred-local", Deferred: true},
 	}
 	report := ReportEntry{Candidates: 2, LocalAccepts: 1, LLMPairs: 1, PromptTokens: 412, CompletionTokens: 3,
-		Cents: 0.0173, BatchedPairs: 1, DeferredPairs: 1, MatchStrategy: StrategyEntry{Calls: 1, Pairs: 1, PromptTokens: 412, CompletionTokens: 3}}
+		Cents: 0.0173, BatchedPairs: 1, DeferredPairs: 1, MatchUsage: cost.Usage{Calls: 1, Pairs: 1, PromptTokens: 412, CompletionTokens: 3}}
 	return RecordEntry{Record: q},
 		ResolveEntry{Query: q, Decisions: ds, Report: report},
 		RedecideEntry{QueryID: "q1", Decision: ds[0], PromptTokens: 412, CompletionTokens: 3, Cents: 0.0173},

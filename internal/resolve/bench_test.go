@@ -180,7 +180,7 @@ func benchmarkDispatch(b *testing.B, dispatchPairs int) {
 	})
 	b.StopTimer()
 	st := s.Stats()
-	routed := st.LLMPairs // unbatched: every pair is its own call
+	routed := uint64(st.LLMPairs) // unbatched: every pair is its own call
 	if st.Dispatch.Enabled {
 		routed = st.Dispatch.BatchedPairs + st.Dispatch.SinglePairCalls + st.Dispatch.FallbackPairs
 		coalesced := st.Dispatch.SingleFlightHits + st.Dispatch.CacheHits

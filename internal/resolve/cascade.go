@@ -3,6 +3,7 @@ package resolve
 import (
 	"sort"
 
+	"llm4em/internal/cost"
 	"llm4em/internal/features"
 	"llm4em/internal/prompt"
 )
@@ -173,87 +174,13 @@ type PairDecision struct {
 }
 
 // CostReport accounts one Resolve call: how the cascade split the
-// candidate pairs and what the LLM share cost.
-type CostReport struct {
-	// Candidates is the number of candidate pairs blocking produced.
-	Candidates int
-	// LocalAccepts and LocalRejects are pairs the local scorer decided
-	// confidently.
-	LocalAccepts int
-	LocalRejects int
-	// LLMPairs is the number of pairs escalated to the LLM.
-	LLMPairs int
-	// CacheHits counts escalated pairs answered by the prompt cache
-	// rather than a fresh client call.
-	CacheHits int
-	// BatchedPairs counts LLM pairs answered from a cross-request
-	// batched prompt; Batches is the number of distinct batched
-	// round-trips they rode. Batches are shared across concurrent
-	// Resolve calls, so summing Batches over calls can exceed the
-	// dispatcher's own round-trip count.
-	BatchedPairs int
-	Batches      int
-	// BatchFallbacks counts pairs answered by an individual per-pair
-	// prompt after their batched reply failed to parse cleanly.
-	BatchFallbacks int
-	// BudgetDecided is the number of uncertain pairs decided locally
-	// because the LLM or cost budget was exhausted.
-	BudgetDecided int
-	// JournalHits is the number of pairs replayed from the durable
-	// decision journal of a persistent store.
-	JournalHits int
-	// DeferredPairs is the number of uncertain pairs this call degraded
-	// to their tentative local verdict because the LLM backend was
-	// unavailable (see PairDecision.Deferred).
-	DeferredPairs int
-	// PromptTokens and CompletionTokens sum the LLM usage (cached
-	// decisions carry the accounting of the original request).
-	PromptTokens     int
-	CompletionTokens int
-	// GroupFallbacks counts pairs answered by an individual pairwise
-	// prompt after their grouped compare/select reply failed strict
-	// parsing.
-	GroupFallbacks int
-	// MatchUsage, CompareUsage, SelectUsage and ReasonUsage split the
-	// call's LLM activity by the prompt strategy that produced it:
-	// pairwise match prompts (including batch-dispatcher traffic and
-	// grouped-reply fallbacks), grouped compare prompts, grouped
-	// select prompts, and reason-tier prompts. Reading Calls against
-	// Pairs shows the grouped strategies' saving — one call deciding
-	// several pairs.
-	MatchUsage   StrategyUsage
-	CompareUsage StrategyUsage
-	SelectUsage  StrategyUsage
-	ReasonUsage  StrategyUsage
-	// Cents is the estimated spend under the client's hosted pricing;
-	// Priced reports whether a price entry exists for the model.
-	Cents  float64
-	Priced bool
-}
+// candidate pairs and what the LLM share cost. It is the ledger type
+// the store's lifetime totals and the WAL also use (see cost.Report).
+type CostReport = cost.Report
 
 // StrategyUsage accounts one prompt strategy's share of a Resolve
 // call (or, in Stats, of the store's lifetime).
-type StrategyUsage struct {
-	// Calls is the number of fresh client round-trips the strategy
-	// issued; cache-served answers cost none, and a grouped or batched
-	// prompt counts once however many pairs rode it.
-	Calls int
-	// Pairs is the number of pair decisions the strategy produced.
-	Pairs int
-	// PromptTokens and CompletionTokens sum the strategy's share of
-	// the LLM usage.
-	PromptTokens     int
-	CompletionTokens int
-}
-
-// LocalFraction returns the fraction of candidate pairs decided
-// without an LLM call — the cascade's saving.
-func (c CostReport) LocalFraction() float64 {
-	if c.Candidates == 0 {
-		return 1
-	}
-	return 1 - float64(c.LLMPairs)/float64(c.Candidates)
-}
+type StrategyUsage = cost.Usage
 
 // cascadePlan partitions scored candidate pairs into locally decided
 // ones and the LLM band, honoring thresholds and budget.

@@ -9,7 +9,6 @@ import (
 	"llm4em/internal/cost"
 	"llm4em/internal/entity"
 	"llm4em/internal/persist"
-	"llm4em/internal/prompt"
 	"llm4em/internal/resilience"
 	"llm4em/internal/telemetry"
 )
@@ -95,7 +94,6 @@ type resilienceState struct {
 	shed    *resilience.Shedder
 	met     telemetry.ResilienceMetrics
 	retry   time.Duration
-	spec    prompt.Spec
 
 	mu     sync.Mutex
 	queue  []deferredPair
@@ -113,7 +111,7 @@ type resilienceState struct {
 	stopOnce  sync.Once
 }
 
-func newResilienceState(o ResilienceOptions, spec prompt.Spec, met telemetry.ResilienceMetrics) *resilienceState {
+func newResilienceState(o ResilienceOptions, met telemetry.ResilienceMetrics) *resilienceState {
 	o = o.withDefaults()
 	o.Breaker.Metrics = met
 	o.Shed.Metrics = met
@@ -123,7 +121,6 @@ func newResilienceState(o ResilienceOptions, spec prompt.Spec, met telemetry.Res
 		shed:    resilience.NewShedder(o.Shed),
 		met:     met,
 		retry:   o.RetryInterval,
-		spec:    spec,
 		queued:  map[pairID]bool{},
 		wake:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
@@ -217,12 +214,14 @@ func (s *Store) stopResilience() {
 }
 
 // degrade resolves every pair the LLM pass left undecided to its
-// tentative local verdict and queues it for re-escalation. Undecided
-// pairs are exactly those with an empty Method: the local tiers and
-// the budget stamp theirs during planning, and a failed escalation
-// fills none (a failed reason tier leaves the first pass's decisions
-// standing, so there is nothing to degrade).
-func (s *Store) degrade(q entity.Record, plan *cascadePlan) {
+// tentative local verdict. Undecided pairs are exactly those with an
+// empty Method: the local tiers and the budget stamp theirs during
+// planning, and a failed escalation fills none (a failed reason tier
+// leaves the first pass's decisions standing, so there is nothing to
+// degrade). Queueing for re-escalation is applyResolve's: a resolve
+// that never reaches the log leaves nothing for the re-escalator to
+// commit.
+func (s *Store) degrade(plan *cascadePlan) {
 	for _, di := range plan.llm {
 		d := &plan.decisions[di]
 		if d.Method != "" {
@@ -233,12 +232,6 @@ func (s *Store) degrade(q entity.Record, plan *cascadePlan) {
 		d.Deferred = true
 		plan.report.DeferredPairs++
 		s.res.met.DeferredPairs.Inc()
-		s.res.enqueue(deferredPair{
-			query:       q,
-			candidateID: d.CandidateID,
-			blockScore:  d.BlockScore,
-			probability: d.Probability,
-		})
 	}
 }
 
@@ -283,75 +276,61 @@ func (s *Store) drainDeferred() {
 }
 
 // redecide sends one deferred pair through the healthy escalation
-// path and commits the verdict: WAL (EntryRedecide), journal
-// overwrite, entity-graph union, totals. Returns false when the LLM
-// call or the commit failed and the pair should stay queued.
+// path and commits the verdict like a resolve (commit.go): WAL append
+// (EntryRedecide), applyRedecide, cadences. Returns false when the LLM
+// call or the append failed and the pair should stay queued.
 func (s *Store) redecide(dp deferredPair) bool {
-	key := pairID{query: dp.query.ID, candidate: dp.candidateID}
 	cand, ok := s.Record(dp.candidateID)
 	if !ok {
 		// The candidate left the store (records are never deleted
 		// today, so this is future-proofing): drop the entry rather
 		// than retrying forever.
-		s.res.remove(key)
+		s.res.remove(pairID{query: dp.query.ID, candidate: dp.candidateID})
 		return true
 	}
 	pair := entity.Pair{ID: dp.query.ID + "|" + dp.candidateID, A: dp.query, B: cand}
-	resp, _, err := s.eng.CompleteContext(s.res.ctx, s.res.spec.Build(pair))
+	resp, _, err := s.eng.CompleteContext(s.res.ctx, s.esc.spec.Build(pair))
 	if err != nil {
 		return false
 	}
-	de := persist.DecisionEntry{
-		CandidateID: dp.candidateID,
-		BlockScore:  dp.blockScore,
-		Probability: dp.probability,
-		Match:       core.ParseAnswer(resp.Content),
-		Method:      string(MethodLLM),
-		Answer:      resp.Content,
+	e := persist.RedecideEntry{
+		QueryID: dp.query.ID,
+		Decision: persist.DecisionEntry{
+			CandidateID: dp.candidateID,
+			BlockScore:  dp.blockScore,
+			Probability: dp.probability,
+			Match:       core.ParseAnswer(resp.Content),
+			Method:      string(MethodLLM),
+			Answer:      resp.Content,
+		},
+		PromptTokens:     resp.PromptTokens,
+		CompletionTokens: resp.CompletionTokens,
 	}
-	cents := 0.0
 	if s.priced {
-		cents = cost.PerPromptCents(s.pricing,
+		e.Cents = cost.PerPromptCents(s.pricing,
 			float64(resp.PromptTokens), float64(resp.CompletionTokens))
 	}
-
 	if s.wal != nil {
-		// persistMu spans append, fold and totals, as in ResolveContext: a
-		// checkpoint in between would reset the WAL entry away and commit
-		// groups and totals that lack it.
 		s.persistMu.Lock()
 		defer s.persistMu.Unlock()
 		if s.pstate.closed {
 			return false
 		}
-		if err := s.appendRedecideLocked(persist.RedecideEntry{
-			QueryID:          dp.query.ID,
-			Decision:         de,
-			PromptTokens:     resp.PromptTokens,
-			CompletionTokens: resp.CompletionTokens,
-			Cents:            cents,
-		}); err != nil {
+		e.Seq = int(s.lifetime().redecided) + 1
+		payload, err := persist.EncodeRedecide(e)
+		if err == nil {
+			err = s.wal.Append(persist.EntryRedecide, payload)
+		}
+		if err != nil {
 			return false
 		}
 	}
-	if de.Match {
-		s.graphMu.Lock()
-		s.graph.Union(dp.query.ID, dp.candidateID)
-		s.graphMu.Unlock()
-	}
-	s.statsMu.Lock()
-	s.totals.redecided++
-	s.totals.promptTokens += uint64(resp.PromptTokens)
-	s.totals.completionTokens += uint64(resp.CompletionTokens)
-	s.totals.cents += cents
-	s.statsMu.Unlock()
+	s.applyRedecide(e, true)
 	s.res.met.Redecided.Inc()
-	s.res.remove(key)
 	if s.wal != nil {
-		// The cadences run last, so a checkpoint they trigger holds the
-		// fold and the totals of the entry it resets away. The re-decision
-		// itself is committed: a failed sync or checkpoint is logged and
-		// retried by the next append's cadence, not by re-deciding the pair.
+		// The re-decision is committed: a failed sync or checkpoint is
+		// logged and retried by the next append's cadence, not by
+		// re-deciding the pair.
 		if err := s.afterAppendLocked(1); err != nil {
 			s.opts.Telemetry.Warn("re-decision committed, but its sync or checkpoint failed", err)
 		}

@@ -191,7 +191,7 @@ func TestDispatchDifferentialByteIdentical(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return pinned, s.Snapshot(), calls, st.LLMPairs, st
+		return pinned, s.Snapshot(), calls, uint64(st.LLMPairs), st
 	}
 
 	unbatched, uSnap, uCalls, uPairs, _ := run(0, false)

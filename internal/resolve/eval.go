@@ -109,10 +109,7 @@ func EvaluatePairs(client llm.Client, opts EvalOptions, pairs []entity.Pair) (Ev
 			Match:       d.Match,
 			Method:      d.Method,
 		}
-		res.Report.Candidates++
-		res.Report.LocalAccepts += plan.report.LocalAccepts
-		res.Report.LocalRejects += plan.report.LocalRejects
-		res.Report.BudgetDecided += plan.report.BudgetDecided
+		res.Report.Add(plan.report) // the local half; the LLM pass below adds its own
 		if len(plan.llm) > 0 {
 			escalate = append(escalate, i)
 		}

@@ -58,16 +58,16 @@ func TestResolveTelemetryCounters(t *testing.T) {
 	if got := tel.ResolveTotal.Value(); got != st.Resolves {
 		t.Errorf("em_resolve_total = %d, stats resolves = %d", got, st.Resolves)
 	}
-	if got := tel.Candidates.Value(); got != st.Candidates {
+	if got := tel.Candidates.Value(); got != uint64(st.Candidates) {
 		t.Errorf("em_resolve_candidates_total = %d, stats = %d", got, st.Candidates)
 	}
-	if got := tel.OutcomeAccept.Value(); got != st.LocalAccepts {
+	if got := tel.OutcomeAccept.Value(); got != uint64(st.LocalAccepts) {
 		t.Errorf("outcome accept = %d, stats = %d", got, st.LocalAccepts)
 	}
-	if got := tel.OutcomeReject.Value(); got != st.LocalRejects {
+	if got := tel.OutcomeReject.Value(); got != uint64(st.LocalRejects) {
 		t.Errorf("outcome reject = %d, stats = %d", got, st.LocalRejects)
 	}
-	if got := tel.OutcomeLLM.Value(); got != st.LLMPairs {
+	if got := tel.OutcomeLLM.Value(); got != uint64(st.LLMPairs) {
 		t.Errorf("outcome llm = %d, stats = %d", got, st.LLMPairs)
 	}
 	if tel.ResolveErrors.Value() != 0 {

@@ -257,6 +257,7 @@ func TestCheckpointCrashWindows(t *testing.T) {
 			if fi, err := os.Stat(filepath.Join(dir, persist.WALFile)); err != nil || fi.Size() != 0 {
 				t.Errorf("wal.log after the healing checkpoint: %v, want empty", fi)
 			}
+			checkJournalClosure(t, dir, c)
 		})
 	}
 }

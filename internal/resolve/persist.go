@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"llm4em/internal/blocking"
-	"llm4em/internal/entity"
 	"llm4em/internal/features"
 	"llm4em/internal/llm"
 	"llm4em/internal/persist"
@@ -61,6 +60,9 @@ func Open(client llm.Client, opts Options) (*Store, error) {
 		jlog.Close()
 		return nil, err
 	}
+	// Set before recovery: the apply functions journal on a store that
+	// has a WAL, at replay as live.
+	s.wal, s.jlog = wal, jlog
 	// The journal first: installSnapshot filters the deferred queue by it.
 	for _, e := range jrec.Entries {
 		q, ds, derr := persist.DecodeJournal(e.Payload)
@@ -86,7 +88,6 @@ func Open(client llm.Client, opts Options) (*Store, error) {
 		wal.SetMetrics(tel.Persist)
 		tel.Persist.JournalBytes.Set(jlog.Bytes())
 	}
-	s.wal, s.jlog = wal, jlog
 	s.pstate.truncatedTail = rec.TruncatedTail
 	s.startResilience()
 	return s, nil
@@ -193,8 +194,7 @@ func (s *Store) installSnapshot(snap *persist.Snapshot) error {
 			})
 		}
 	}
-	s.totals = totals{resolves: snap.Resolves, redecided: snap.Redecided}
-	s.addReport(snap.Totals)
+	s.totals = totals{resolves: snap.Resolves, redecided: snap.Redecided, report: snap.Totals}
 	s.pstate.recoveredDecisions += len(s.journal)
 	s.pstate.recoveredResolves += snap.Resolves
 	return nil
@@ -267,11 +267,13 @@ func (s *Store) installMapped(snap *persist.Snapshot) {
 	}
 }
 
-// replay applies WAL entries on top of the snapshot state. Duplicate
-// record entries — the legitimate residue of a crash between snapshot
-// rename and WAL reset — are skipped; decision replays overwrite the
-// journal with identical values and re-union merged groups, both
-// idempotent. No LLM call is ever issued here.
+// replay applies WAL entries on top of the snapshot state, decisions
+// through the apply functions the live path uses. Duplicate record
+// entries — the legitimate residue of a crash between snapshot rename
+// and WAL reset — are skipped; decision replays overwrite the journal
+// with identical values and re-union merged groups, both idempotent,
+// and the entries' sequence numbers keep their reports from counting
+// twice. No LLM call is ever issued here.
 func (s *Store) replay(entries []persist.Entry) error {
 	for _, e := range entries {
 		switch e.Type {
@@ -294,29 +296,16 @@ func (s *Store) replay(entries []persist.Entry) error {
 			if err != nil {
 				return err
 			}
-			s.graph.Add(rv.Query.ID)
-			s.journalDecisions(rv.Query.ID, rv.Decisions)
-			for _, d := range rv.Decisions {
-				// Deferred matches are tentative — the union waits for the
-				// EntryRedecide, exactly as on the live path.
-				if d.Match && !d.Deferred {
-					s.graph.Union(rv.Query.ID, d.CandidateID)
-				}
-				if d.Deferred && s.res != nil {
-					s.res.enqueue(deferredPair{
-						query:       rv.Query,
-						candidateID: d.CandidateID,
-						blockScore:  d.BlockScore,
-						probability: d.Probability,
-					})
-				}
-				s.pstate.recoveredDecisions++
+			res := Result{Query: rv.Query, Decisions: make([]PairDecision, len(rv.Decisions)), Cost: rv.Report}
+			for i, d := range rv.Decisions {
+				res.Decisions[i] = decisionOf(d)
 			}
 			// After a crash between rename and WAL reset the snapshot
 			// already counts this report.
-			if rv.Seq == 0 || uint64(rv.Seq) > s.totals.resolves {
-				s.totals.resolves++
-				s.addReport(rv.Report)
+			counted := rv.Seq == 0 || uint64(rv.Seq) > s.totals.resolves
+			s.applyResolve(&res, rv.Decisions, counted)
+			s.pstate.recoveredDecisions += len(rv.Decisions)
+			if counted {
 				s.pstate.recoveredResolves++
 			}
 		case persist.EntryRedecide:
@@ -324,162 +313,11 @@ func (s *Store) replay(entries []persist.Entry) error {
 			if err != nil {
 				return err
 			}
-			key := pairID{query: rd.QueryID, candidate: rd.Decision.CandidateID}
-			s.journalDecisions(rd.QueryID, []persist.DecisionEntry{rd.Decision})
-			if rd.Decision.Match {
-				s.graph.Union(rd.QueryID, rd.Decision.CandidateID)
-			}
-			if s.res != nil {
-				s.res.remove(key)
-			}
-			if rd.Seq == 0 || uint64(rd.Seq) > s.totals.redecided {
-				s.totals.redecided++
-				s.totals.promptTokens += uint64(rd.PromptTokens)
-				s.totals.completionTokens += uint64(rd.CompletionTokens)
-				s.totals.cents += rd.Cents
-			}
+			s.applyRedecide(rd, rd.Seq == 0 || uint64(rd.Seq) > s.totals.redecided)
 		default:
 			// Unknown entry types are skipped so older builds can read
 			// logs written by newer ones.
 		}
-	}
-	return nil
-}
-
-// addReport folds a replayed cost report or a snapshot's totals in.
-func (s *Store) addReport(r persist.ReportEntry) {
-	s.totals.candidates += uint64(r.Candidates)
-	s.totals.localAccepts += uint64(r.LocalAccepts)
-	s.totals.localRejects += uint64(r.LocalRejects)
-	s.totals.llmPairs += uint64(r.LLMPairs)
-	s.totals.batchedPairs += uint64(r.BatchedPairs)
-	s.totals.batchFallbacks += uint64(r.BatchFallbacks)
-	s.totals.groupFallbacks += uint64(r.GroupFallbacks)
-	s.totals.budgetDecided += uint64(r.BudgetDecided)
-	s.totals.journalHits += uint64(r.JournalHits)
-	s.totals.deferredPairs += uint64(r.DeferredPairs)
-	s.totals.promptTokens += uint64(r.PromptTokens)
-	s.totals.completionTokens += uint64(r.CompletionTokens)
-	s.totals.cents += r.Cents
-	s.totals.match.add(StrategyUsage(r.MatchStrategy))
-	s.totals.compare.add(StrategyUsage(r.CompareStrategy))
-	s.totals.sel.add(StrategyUsage(r.SelectStrategy))
-	s.totals.reason.add(StrategyUsage(r.ReasonStrategy))
-}
-
-// strategyEntryOfTotals narrows lifetime strategy totals to a
-// StrategyEntry; the per-call StrategyUsage converts directly.
-func strategyEntryOfTotals(t StrategyTotals) persist.StrategyEntry {
-	return persist.StrategyEntry{
-		Calls:            int(t.Calls),
-		Pairs:            int(t.Pairs),
-		PromptTokens:     int(t.PromptTokens),
-		CompletionTokens: int(t.CompletionTokens),
-	}
-}
-
-// journalDecisions installs a query's decisions into the in-memory
-// journal and queues them for journal.log. Caller holds persistMu.
-func (s *Store) journalDecisions(query string, ds []persist.DecisionEntry) {
-	for _, d := range ds {
-		s.journal[pairID{query: query, candidate: d.CandidateID}] = d
-	}
-	if len(ds) > 0 {
-		s.pstate.journalDelta = append(s.pstate.journalDelta, persist.JournalFrame(query, ds))
-	}
-}
-
-// appendRecordsLocked journals ingested records with one WAL write:
-// all of them land or none. Caller holds persistMu.
-func (s *Store) appendRecordsLocked(rs []entity.Record) error {
-	entries := make([]persist.Entry, len(rs))
-	for i, r := range rs {
-		payload, err := persist.EncodeRecord(r)
-		if err != nil {
-			return err
-		}
-		entries[i] = persist.Entry{Type: persist.EntryRecord, Payload: payload}
-	}
-	if err := s.wal.AppendEntries(entries); err != nil {
-		return err
-	}
-	return s.afterAppendLocked(len(entries))
-}
-
-// appendResolveLocked journals one resolve call's fresh decisions and
-// cost report, and installs the decisions into the in-memory journal
-// — only after the WAL append succeeded, so a journal hit never
-// vouches for a decision that is not on disk. Caller holds persistMu.
-func (s *Store) appendResolveLocked(q entity.Record, decisions []persist.DecisionEntry, report CostReport) error {
-	s.statsMu.Lock()
-	seq := int(s.totals.resolves) // recordTotals has counted this call
-	s.statsMu.Unlock()
-	payload, err := persist.EncodeResolve(persist.ResolveEntry{
-		Seq:       seq,
-		Query:     q,
-		Decisions: decisions,
-		Report: persist.ReportEntry{
-			Candidates:       report.Candidates,
-			LocalAccepts:     report.LocalAccepts,
-			LocalRejects:     report.LocalRejects,
-			LLMPairs:         report.LLMPairs,
-			BudgetDecided:    report.BudgetDecided,
-			JournalHits:      report.JournalHits,
-			PromptTokens:     report.PromptTokens,
-			CompletionTokens: report.CompletionTokens,
-			Cents:            report.Cents,
-			BatchedPairs:     report.BatchedPairs,
-			BatchFallbacks:   report.BatchFallbacks,
-			DeferredPairs:    report.DeferredPairs,
-			GroupFallbacks:   report.GroupFallbacks,
-			MatchStrategy:    persist.StrategyEntry(report.MatchUsage),
-			CompareStrategy:  persist.StrategyEntry(report.CompareUsage),
-			SelectStrategy:   persist.StrategyEntry(report.SelectUsage),
-			ReasonStrategy:   persist.StrategyEntry(report.ReasonUsage),
-		},
-	})
-	if err != nil {
-		return err
-	}
-	if err := s.wal.Append(persist.EntryResolve, payload); err != nil {
-		return err
-	}
-	s.journalDecisions(q.ID, decisions)
-	return s.afterAppendLocked(1)
-}
-
-// appendRedecideLocked journals one background re-decision and
-// installs it into the in-memory journal — after the WAL append
-// succeeded, like appendResolveLocked. Caller holds persistMu and,
-// before releasing it, counts the totals and runs afterAppendLocked.
-func (s *Store) appendRedecideLocked(e persist.RedecideEntry) error {
-	s.statsMu.Lock()
-	e.Seq = int(s.totals.redecided) + 1
-	s.statsMu.Unlock()
-	payload, err := persist.EncodeRedecide(e)
-	if err != nil {
-		return err
-	}
-	if err := s.wal.Append(persist.EntryRedecide, payload); err != nil {
-		return err
-	}
-	s.journalDecisions(e.QueryID, []persist.DecisionEntry{e.Decision})
-	return nil
-}
-
-// afterAppendLocked runs the sync and snapshot cadences after a WAL
-// append of n entries. Caller holds persistMu.
-func (s *Store) afterAppendLocked(n int) error {
-	s.pstate.sinceSnapshot += n
-	s.pstate.sinceSync += n
-	if s.opts.SyncEvery > 0 && s.pstate.sinceSync >= s.opts.SyncEvery {
-		if err := s.wal.Sync(); err != nil {
-			return err
-		}
-		s.pstate.sinceSync = 0
-	}
-	if s.opts.SnapshotEvery > 0 && s.pstate.sinceSnapshot >= s.opts.SnapshotEvery {
-		return s.checkpointLocked()
 	}
 	return nil
 }
@@ -567,30 +405,8 @@ func (s *Store) checkpointLocked() error {
 		}
 		s.res.mu.Unlock()
 	}
-	s.statsMu.Lock()
-	t := s.totals
-	s.statsMu.Unlock()
-	snap.Resolves = t.resolves
-	snap.Redecided = t.redecided
-	snap.Totals = persist.ReportEntry{
-		Candidates:       int(t.candidates),
-		LocalAccepts:     int(t.localAccepts),
-		LocalRejects:     int(t.localRejects),
-		LLMPairs:         int(t.llmPairs),
-		BudgetDecided:    int(t.budgetDecided),
-		JournalHits:      int(t.journalHits),
-		PromptTokens:     int(t.promptTokens),
-		CompletionTokens: int(t.completionTokens),
-		Cents:            t.cents,
-		BatchedPairs:     int(t.batchedPairs),
-		BatchFallbacks:   int(t.batchFallbacks),
-		DeferredPairs:    int(t.deferredPairs),
-		GroupFallbacks:   int(t.groupFallbacks),
-		MatchStrategy:    strategyEntryOfTotals(t.match),
-		CompareStrategy:  strategyEntryOfTotals(t.compare),
-		SelectStrategy:   strategyEntryOfTotals(t.sel),
-		ReasonStrategy:   strategyEntryOfTotals(t.reason),
-	}
+	t := s.lifetime()
+	snap.Resolves, snap.Redecided, snap.Totals = t.resolves, t.redecided, t.report
 	// Until the rename below the extension is an uncommitted tail: a
 	// reopen cuts it away, and wal.log still holds its decisions.
 	var err error
@@ -742,11 +558,10 @@ type PersistStats struct {
 	WALBytes   int64
 	Snapshots  uint64
 	// JournalBytes is journal.log's size, JournalSize the number of
-	// durably decided pairs; JournalHits counts Resolve decisions served
-	// from them (lifetime, survives restarts).
+	// durably decided pairs (Stats.JournalHits counts the Resolve
+	// decisions served from them).
 	JournalBytes int64
 	JournalSize  uint64
-	JournalHits  uint64
 }
 
 // persistStats gathers PersistStats under persistMu.
@@ -756,9 +571,6 @@ func (s *Store) persistStats() PersistStats {
 	}
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
-	s.statsMu.Lock()
-	hits := s.totals.journalHits
-	s.statsMu.Unlock()
 	return PersistStats{
 		Enabled:            true,
 		Dir:                s.opts.PersistDir,
@@ -774,6 +586,5 @@ func (s *Store) persistStats() PersistStats {
 		Snapshots:          s.pstate.snapshots,
 		JournalBytes:       s.jlog.Bytes(),
 		JournalSize:        uint64(len(s.journal)),
-		JournalHits:        hits,
 	}
 }

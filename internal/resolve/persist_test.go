@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"llm4em/internal/blocking"
 	"llm4em/internal/entity"
 	"llm4em/internal/persist"
 	"llm4em/internal/pipeline"
@@ -50,6 +51,34 @@ func committedJournal(t *testing.T, dir string) []persist.DecisionEntry {
 		}
 	}
 	return out
+}
+
+// checkJournalClosure checks the invariant the store owes its users
+// against the directory alone: the groups of more than one member that
+// s — a store just opened on dir — reports are exactly the transitive
+// closure of the matches dir's committed journal holds, non-deferred, a
+// later frame of a pair superseding an earlier one.
+func checkJournalClosure(t *testing.T, dir string, s *Store) {
+	t.Helper()
+	var got [][]string
+	for _, g := range s.Snapshot() {
+		if len(g) > 1 {
+			got = append(got, g)
+		}
+	}
+	final := map[pairID]persist.DecisionEntry{}
+	for _, d := range committedJournal(t, dir) {
+		final[pairID{query: d.QueryID, candidate: d.CandidateID}] = d
+	}
+	uf := blocking.NewUnionFind()
+	for pair, d := range final {
+		if d.Match && !d.Deferred {
+			uf.Union(pair.query, pair.candidate)
+		}
+	}
+	if want := uf.Groups(); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+		t.Errorf("groups are not the closure of the journaled matches:\ngroups:  %v\nclosure: %v", got, want)
+	}
 }
 
 // persistedStats strips the process-lifetime parts of Stats — engine

@@ -54,14 +54,14 @@ func TestLLMCallRegression(t *testing.T) {
 	t.Logf("workload: %d candidate pairs, %d LLM pairs (baseline %d / %d)",
 		st.Candidates, st.LLMPairs, baseline.Cascade.CandidatePairs, baseline.Cascade.LLMPairsWithCascade)
 
-	if st.Candidates != baseline.Cascade.CandidatePairs {
+	if uint64(st.Candidates) != baseline.Cascade.CandidatePairs {
 		t.Errorf("candidate pairs = %d, baseline %d — blocking changed; if intentional, regenerate BENCH_resolve.json in this PR",
 			st.Candidates, baseline.Cascade.CandidatePairs)
 	}
-	if st.LLMPairs > baseline.Cascade.LLMPairsWithCascade {
+	if uint64(st.LLMPairs) > baseline.Cascade.LLMPairsWithCascade {
 		t.Errorf("LLM pairs = %d, baseline %d — the cascade now escalates more pairs (cost regression); if intentional, regenerate BENCH_resolve.json in this PR",
 			st.LLMPairs, baseline.Cascade.LLMPairsWithCascade)
-	} else if st.LLMPairs < baseline.Cascade.LLMPairsWithCascade {
+	} else if uint64(st.LLMPairs) < baseline.Cascade.LLMPairsWithCascade {
 		t.Logf("improvement: %d LLM pairs vs baseline %d — consider regenerating BENCH_resolve.json",
 			st.LLMPairs, baseline.Cascade.LLMPairsWithCascade)
 	}

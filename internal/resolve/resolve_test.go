@@ -272,7 +272,7 @@ func TestCascadeSendsFewerPairsToLLM(t *testing.T) {
 			}
 		}
 		st := s.Stats()
-		return client.calls.Load(), st.Candidates, st.LLMPairs
+		return client.calls.Load(), uint64(st.Candidates), uint64(st.LLMPairs)
 	}
 
 	cascadeCalls, cascadePairs, cascadeLLM := run(CascadeOptions{})

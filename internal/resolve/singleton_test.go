@@ -256,9 +256,17 @@ func TestImplicitSingletonsMatchExplicitGraph(t *testing.T) {
 				defer s.Close()
 				oracle.check(t, s, "after close and reopen")
 				round(gs[9:12], "fourth round")
-				if st := s.Stats(); st.DeferredPairs == 0 || st.Redecided != st.DeferredPairs {
+				if st := s.Stats(); st.DeferredPairs == 0 || st.Redecided != uint64(st.DeferredPairs) {
 					t.Errorf("script deferred %d pairs and re-decided %d, want some and all", st.DeferredPairs, st.Redecided)
 				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if s, err = Open(client, opts); err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				checkJournalClosure(t, crashed, s)
 			})
 		}
 	}

@@ -16,7 +16,7 @@ import (
 // over a query's uncertain pairs under the configured Strategy
 // (pairwise match, grouped compare, grouped select) and the optional
 // reason-tier second pass. It is shared between the serving path
-// (Store.escalate, dispatcher-backed) and offline evaluation
+// (Store.esc, dispatcher-backed) and offline evaluation
 // (EvaluateGroups, engine-direct).
 type escalator struct {
 	eng     *pipeline.Engine

@@ -175,8 +175,8 @@ func TestCompareStrategyAnswersBandInOneCall(t *testing.T) {
 		t.Errorf("report %+v leaked into the match path", r)
 	}
 	st := s.Stats()
-	if st.CompareStrategy.Calls != 1 || st.CompareStrategy.Pairs != 2 {
-		t.Errorf("lifetime CompareStrategy = %+v, want the call's usage", st.CompareStrategy)
+	if st.CompareUsage.Calls != 1 || st.CompareUsage.Pairs != 2 {
+		t.Errorf("lifetime CompareUsage = %+v, want the call's usage", st.CompareUsage)
 	}
 }
 

@@ -128,40 +128,10 @@ func EvaluateGroups(client llm.Client, opts EvalOptions, groups []CandidateGroup
 			})
 			res.Confusion.Add(g.Gold[i], d.Match)
 		}
-		addReport(&res.Report, plan.report)
+		res.Report.Add(plan.report)
 	}
 	res.ClientCalls = eng.Stats().ClientCalls
 	return res, nil
-}
-
-// addReport folds one plan's cost report into an aggregate.
-func addReport(dst *CostReport, src CostReport) {
-	dst.Candidates += src.Candidates
-	dst.LocalAccepts += src.LocalAccepts
-	dst.LocalRejects += src.LocalRejects
-	dst.LLMPairs += src.LLMPairs
-	dst.CacheHits += src.CacheHits
-	dst.BatchedPairs += src.BatchedPairs
-	dst.Batches += src.Batches
-	dst.BatchFallbacks += src.BatchFallbacks
-	dst.BudgetDecided += src.BudgetDecided
-	dst.JournalHits += src.JournalHits
-	dst.PromptTokens += src.PromptTokens
-	dst.CompletionTokens += src.CompletionTokens
-	dst.GroupFallbacks += src.GroupFallbacks
-	addUsage(&dst.MatchUsage, src.MatchUsage)
-	addUsage(&dst.CompareUsage, src.CompareUsage)
-	addUsage(&dst.SelectUsage, src.SelectUsage)
-	addUsage(&dst.ReasonUsage, src.ReasonUsage)
-	dst.Cents += src.Cents
-}
-
-// addUsage folds one strategy usage into an aggregate.
-func addUsage(dst *StrategyUsage, src StrategyUsage) {
-	dst.Calls += src.Calls
-	dst.Pairs += src.Pairs
-	dst.PromptTokens += src.PromptTokens
-	dst.CompletionTokens += src.CompletionTokens
 }
 
 // GroupPairs rebuilds labelled candidate groups from a flat pair

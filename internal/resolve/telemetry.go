@@ -20,6 +20,10 @@ type stageObserver struct {
 	start time.Time
 	last  time.Time
 	durs  telemetry.StageDurations
+	// seen marks the stages the call went through: finish observes each
+	// one's histogram once, however many laps fed it (commit laps persist
+	// on either side of fold).
+	seen uint32
 }
 
 // newStageObserver builds the observer for one call, picking up the
@@ -65,17 +69,16 @@ func (o *stageObserver) lapLLM(modelLatency time.Duration) {
 	o.add(telemetry.StageDispatchWait, d-modelLatency)
 }
 
-// add attributes a duration to a stage in both sinks.
+// add attributes a duration to a stage.
 func (o *stageObserver) add(st telemetry.Stage, d time.Duration) {
 	o.durs[st] += d
-	if o.tel != nil {
-		o.tel.Stage[st].Observe(d.Seconds())
-	}
+	o.seen |= 1 << st
 	o.tr.Add(st, d)
 }
 
-// finish records the call-level counters and runs the slow-resolve
-// check. err is the call's outcome; report may be zero on failures.
+// finish records the stage histograms and the call-level counters and
+// runs the slow-resolve check. err is the call's outcome; report may be
+// zero on failures.
 func (o *stageObserver) finish(queryID string, report CostReport, err error) {
 	if o.tel == nil {
 		return
@@ -87,6 +90,11 @@ func (o *stageObserver) finish(queryID string, report CostReport, err error) {
 	}
 	total := time.Since(o.start)
 	t.ResolveSeconds.Observe(total.Seconds())
+	for st, d := range o.durs {
+		if o.seen&(1<<st) != 0 {
+			t.Stage[st].Observe(d.Seconds())
+		}
+	}
 	t.Candidates.Add(uint64(report.Candidates))
 	t.OutcomeAccept.Add(uint64(report.LocalAccepts))
 	t.OutcomeReject.Add(uint64(report.LocalRejects))

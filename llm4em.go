@@ -147,13 +147,14 @@ type (
 	// CostReport accounts one Resolve call: cascade split, LLM spend
 	// and per-strategy usage.
 	CostReport = resolve.CostReport
-	// StrategyUsage is one prompt strategy's share of a Resolve call's
-	// LLM activity inside a CostReport (calls, pairs, tokens).
+	// StrategyUsage is one prompt strategy's share of the LLM activity
+	// inside a CostReport (calls, pairs, tokens) — of one Resolve call,
+	// or of the store's lifetime in StoreStats, which embeds a
+	// CostReport where it once had a separate StrategyTotals type.
 	StrategyUsage = resolve.StrategyUsage
-	// StrategyTotals is the lifetime counterpart of StrategyUsage
-	// inside StoreStats.
-	StrategyTotals = resolve.StrategyTotals
-	// StoreStats snapshots a store's lifetime counters.
+	// StoreStats snapshots a store's lifetime counters: an embedded
+	// CostReport folding every served call, beside the store's own
+	// counts.
 	StoreStats = resolve.Stats
 	// StoreDispatchStats snapshots the cross-request micro-batching
 	// dispatcher's counters (batches issued, pairs batched, fallbacks,
