@@ -23,11 +23,11 @@
 // text exposition covering per-stage resolve latency, cascade
 // outcomes, dispatcher batching, LLM calls and WAL/snapshot
 // durability; GET /v1/healthz and GET /v1/readyz are the liveness and
-// readiness probes (readiness flips on after recovery and preload
-// finish). Every response carries an X-Request-ID header (inbound
-// values are propagated), access logs are structured (-log-format
-// json|text), and resolves slower than -slow-resolve emit one
-// structured exemplar line with the trace ID and per-stage durations.
+// readiness probes (readiness flips on once recovery finishes). Every
+// response carries an X-Request-ID header (inbound values are
+// propagated), access logs are structured (-log-format json|text), and
+// resolves slower than -slow-resolve emit one structured exemplar line
+// with the trace ID and per-stage durations.
 //
 // LLM escalations are fault-tolerant by default (-resilience): a
 // circuit breaker trips after repeated backend failures
@@ -54,7 +54,6 @@
 // Usage:
 //
 //	emserve -addr :8080 -model GPT-mini
-//	emserve -demo -records 200              # preload WDC offers
 //	emserve -persist ./emserve-data         # durable store
 //	emserve -pprof 6060                     # profiling on 127.0.0.1:6060
 //	emserve -log-format json -slow-resolve 250ms
@@ -97,8 +96,6 @@ import (
 
 	"llm4em"
 	"llm4em/internal/chaos"
-	"llm4em/internal/datasets"
-	"llm4em/internal/entity"
 )
 
 func main() {
@@ -115,12 +112,8 @@ func main() {
 	reasonTier := flag.Bool("reason-tier", false, "re-decide pairs whose LLM verdict conflicts with the local scorer via a structured reasoning prompt")
 	shards := flag.Int("shards", 0, "index shards (0 = default)")
 	candidates := flag.Int("candidates", 0, "max blocking candidates per resolve (0 = default)")
-	deferExtraction := flag.Bool("defer-extraction", false, "skip feature extraction at ingest; extract lazily (and cache) when a record first surfaces as a candidate — faster bulk loads")
-	workers := flag.Int("workers", 0, "LLM pipeline workers (0 = default)")
 	dispatchPairs := flag.Int("dispatch-pairs", 16, "coalesce uncertain pairs from concurrent resolves into batched prompts of up to N pairs (0 = one round-trip per pair)")
 	dispatchFlush := flag.Duration("dispatch-flush", 0, "max wait for batch-mates before a partial batch is flushed (0 = default)")
-	demo := flag.Bool("demo", false, "preload records derived from WDC Products")
-	records := flag.Int("records", 200, "number of records to preload in -demo mode")
 	persistDir := flag.String("persist", "", "durability directory (WAL + snapshots); empty = in-memory")
 	pprofPort := flag.Int("pprof", 0, "expose net/http/pprof on 127.0.0.1:<port> (0 = disabled)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "WAL appends between snapshots (0 = default, negative = only on shutdown)")
@@ -173,23 +166,21 @@ func main() {
 		SlowResolve: *slowResolve,
 	})
 
-	// Readiness stays false until recovery and preload are done, so a
-	// load balancer never routes to a replica still replaying its WAL.
+	// Readiness stays false until recovery is done, so a load balancer
+	// never routes to a replica still replaying its WAL.
 	ready := &atomic.Bool{}
 
 	store, err := llm4em.OpenStore(client, llm4em.StoreOptions{
-		Shards:          *shards,
-		MaxCandidates:   *candidates,
-		DeferExtraction: *deferExtraction,
-		Design:          design,
-		Domain:          domain,
-		Workers:         *workers,
-		DispatchPairs:   *dispatchPairs,
-		DispatchFlush:   *dispatchFlush,
-		PersistDir:      *persistDir,
-		SnapshotEvery:   *snapshotEvery,
-		SyncEvery:       *syncEvery,
-		Telemetry:       tel,
+		Shards:        *shards,
+		MaxCandidates: *candidates,
+		Design:        design,
+		Domain:        domain,
+		DispatchPairs: *dispatchPairs,
+		DispatchFlush: *dispatchFlush,
+		PersistDir:    *persistDir,
+		SnapshotEvery: *snapshotEvery,
+		SyncEvery:     *syncEvery,
+		Telemetry:     tel,
 		Resilience: llm4em.ResilienceOptions{
 			Enabled: *resilienceOn,
 			Breaker: llm4em.BreakerOptions{
@@ -222,23 +213,6 @@ func main() {
 			"torn_tail", ps.TruncatedTail)
 	}
 
-	if *demo {
-		// Per-record, skipping duplicates: a recovered store holds some
-		// or all of the demo collection already, and a batch insert
-		// would stop at the first one.
-		added := 0
-		for _, r := range demoCollection(*records) {
-			switch err := store.Add(r); {
-			case err == nil:
-				added++
-			case errors.Is(err, llm4em.ErrDuplicateRecordID):
-				// already recovered from disk
-			default:
-				fail(err)
-			}
-		}
-		srvLog.Info("demo records preloaded", "added", added, "stored", store.Len())
-	}
 	ready.Store(true)
 
 	var pprofSrv *http.Server
@@ -330,26 +304,6 @@ func buildLogger(format, level string) (*slog.Logger, error) {
 	default:
 		return nil, fmt.Errorf("unknown log format %q (want text or json)", format)
 	}
-}
-
-// demoCollection builds a dirty record collection from the WDC test
-// split, as cmd/emblock does.
-func demoCollection(n int) []entity.Record {
-	ds := datasets.MustLoad("wdc")
-	var recs []entity.Record
-	seen := map[string]bool{}
-	for _, p := range ds.Test {
-		for _, r := range []entity.Record{p.A, p.B} {
-			if !seen[r.ID] {
-				recs = append(recs, r)
-				seen[r.ID] = true
-			}
-			if len(recs) == n {
-				return recs
-			}
-		}
-	}
-	return recs
 }
 
 func fail(err error) {

@@ -29,7 +29,7 @@ import (
 //	GET  /v1/stats         — store and engine counters (JSON)
 //	GET  /v1/metrics       — Prometheus text exposition
 //	GET  /v1/healthz       — liveness: store can still serve mutations
-//	GET  /v1/readyz        — readiness: recovery/preload done and store live
+//	GET  /v1/readyz        — readiness: recovery done and store live
 //
 // Unprefixed paths (POST /records, …) are not routes: they answer 404.
 type server struct {
@@ -432,7 +432,18 @@ func decodeRecordsBody(r *http.Request) ([]recordJSON, error) {
 // spans land under this request's X-Request-ID.
 func (s *server) resolve(w http.ResponseWriter, r *http.Request) {
 	var body recordJSON
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResolveBody)).Decode(&body); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResolveBody))
+	err := dec.Decode(&body)
+	if err == nil {
+		// One record per body: anything but whitespace after it is an
+		// error, not a second query to drop silently.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("trailing data after the record")
+		}
+	}
+	if err != nil {
 		err = fmt.Errorf("decode body: %w", err)
 		writeError(w, bodyErrorStatus(err), err)
 		return
@@ -656,7 +667,7 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// readyz handles GET /v1/readyz: 200 once recovery/preload finished and
+// readyz handles GET /v1/readyz: 200 once recovery finished and
 // the store is live — the gate for load balancers and rollout probes.
 // A store serving degraded (LLM breaker open, uncertain pairs
 // answered locally and deferred) stays ready — pulling the replica

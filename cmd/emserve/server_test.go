@@ -644,10 +644,43 @@ func TestRequestBodyBounds(t *testing.T) {
 	}
 }
 
+// TestResolveTrailingData: a resolve body is one record. A second JSON
+// value after it is answered 400 and resolves nothing instead of being
+// dropped silently, while trailing whitespace is still just the end of
+// the body.
+func TestResolveTrailingData(t *testing.T) {
+	model, err := llm4em.NewModel(llm4em.GPTMini)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := llm4em.NewStore(model, llm4em.StoreOptions{Domain: llm4em.Product})
+	h := newHandler(handlerConfig{store: store})
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		resolves   uint64
+	}{
+		{"second-record", `{"id":"q1"}{"id":"q2"}`, http.StatusBadRequest, 0},
+		{"garbage", `{"id":"q1"} x`, http.StatusBadRequest, 0},
+		{"whitespace", "{\"id\":\"q1\"} \r\n\t\n", http.StatusOK, 1},
+	} {
+		req := httptest.NewRequest("POST", "/v1/resolve", strings.NewReader(tc.body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != tc.status {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.status, rec.Body.String())
+		}
+		if got := store.Stats().Resolves; got != tc.resolves {
+			t.Errorf("%s: store served %d resolves, want %d", tc.name, got, tc.resolves)
+		}
+	}
+}
+
 // TestStatsMemoryBlock: /v1/stats and /v1/metrics say what the process
 // holds in memory. Three stored records, one resolve that merges q1
 // with r1: the entity graph holds those two IDs only, while r2 — never
-// part of a resolve — still answers as its own entity.
+// part of a resolve — still answers as its own entity, and only r1,
+// q1's one blocking candidate, has its extraction cached.
 func TestStatsMemoryBlock(t *testing.T) {
 	model, err := llm4em.NewModel(llm4em.GPTMini)
 	if err != nil {
@@ -670,8 +703,8 @@ func TestStatsMemoryBlock(t *testing.T) {
 	if mem == nil {
 		t.Fatalf("stats has no memory block: %v", body)
 	}
-	if mem["graph_ids"].(float64) != 2 || mem["extractions_cached"].(float64) != 3 || mem["journal_entries"].(float64) != 0 {
-		t.Errorf("memory block = %v, want graph_ids 2, extractions_cached 3, journal_entries 0", mem)
+	if mem["graph_ids"].(float64) != 2 || mem["extractions_cached"].(float64) != 1 || mem["journal_entries"].(float64) != 0 {
+		t.Errorf("memory block = %v, want graph_ids 2, extractions_cached 1, journal_entries 0", mem)
 	}
 	if mem["heap_alloc_bytes"].(float64) <= 0 {
 		t.Errorf("memory.heap_alloc_bytes = %v, want > 0", mem["heap_alloc_bytes"])

@@ -159,8 +159,8 @@ func (ix *Index) Add(r entity.Record) int {
 
 // AddSerialized appends a record whose serialized text the caller
 // already computed (it must equal r.Serialize()), sparing the index a
-// re-serialization — the resolve store serializes once per record for
-// its feature-extraction cache and hands the same text here.
+// re-serialization — the resolve store serializes before it takes the
+// shard lock, so only the insert itself runs under it.
 func (ix *Index) AddSerialized(r entity.Record, text string) int {
 	pos := ix.Len()
 	ix.records = append(ix.records, r)

@@ -60,12 +60,6 @@ type Options struct {
 	// [0, cap) so batched retries don't stampede the backend in
 	// lockstep; a RetryAfter hint on the error overrides the draw.
 	Backoff time.Duration
-	// Hedge, when positive, launches a second identical client request
-	// if the first has not answered within this duration; the first
-	// response to arrive wins. It trims tail latency at the cost of
-	// duplicate backend work, so it only makes sense against remote
-	// clients with real latency variance (default 0: disabled).
-	Hedge time.Duration
 	// Metrics are the telemetry instruments the engine records into
 	// (call counts, per-attempt latency, retries, cache hits). The
 	// zero value disables them at the cost of nil checks.
@@ -104,8 +98,6 @@ type Stats struct {
 	CacheHits uint64
 	// Retries is the number of extra attempts after transient errors.
 	Retries uint64
-	// Hedged is the number of hedged second requests launched.
-	Hedged uint64
 }
 
 // Engine executes prompts against one client with bounded
@@ -119,7 +111,6 @@ type Engine struct {
 
 	clientCalls atomic.Uint64
 	retries     atomic.Uint64
-	hedged      atomic.Uint64
 
 	// sleep is swapped in tests to avoid real backoff waits; rand is
 	// swapped to pin the jitter draw.
@@ -148,7 +139,6 @@ func (e *Engine) Stats() Stats {
 	s := Stats{
 		ClientCalls: e.clientCalls.Load(),
 		Retries:     e.retries.Load(),
-		Hedged:      e.hedged.Load(),
 	}
 	if e.cache != nil {
 		s.CacheHits = e.cache.hits.Load()
@@ -219,6 +209,7 @@ func (e *Engine) chat(ctx context.Context, prompt string) (llm.Response, error) 
 	e.opts.Metrics.Calls.Inc()
 	timed := e.opts.Metrics.CallSeconds != nil
 	backoff := e.opts.Backoff
+	msgs := []llm.Message{{Role: llm.User, Content: prompt}}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -228,7 +219,7 @@ func (e *Engine) chat(ctx context.Context, prompt string) (llm.Response, error) 
 		if timed {
 			t0 = time.Now()
 		}
-		resp, err := e.attempt(ctx, prompt)
+		resp, err := llm.ChatContext(ctx, e.client, msgs)
 		if timed {
 			e.opts.Metrics.CallSeconds.ObserveSince(t0)
 		}
@@ -251,44 +242,6 @@ func (e *Engine) chat(ctx context.Context, prompt string) (llm.Response, error) 
 		backoff *= 2
 	}
 	return llm.Response{}, lastErr
-}
-
-// attempt issues one request, hedging a second identical one when the
-// first is slower than Options.Hedge; the first response wins and the
-// loser is left to finish (or be cancelled by ctx) in the background.
-func (e *Engine) attempt(ctx context.Context, prompt string) (llm.Response, error) {
-	msgs := []llm.Message{{Role: llm.User, Content: prompt}}
-	if e.opts.Hedge <= 0 {
-		return llm.ChatContext(ctx, e.client, msgs)
-	}
-	type result struct {
-		resp llm.Response
-		err  error
-	}
-	ch := make(chan result, 2)
-	issue := func() {
-		resp, err := llm.ChatContext(ctx, e.client, msgs)
-		ch <- result{resp, err}
-	}
-	go issue()
-	hedge := time.NewTimer(e.opts.Hedge)
-	defer hedge.Stop()
-	select {
-	case r := <-ch:
-		return r.resp, r.err
-	case <-ctx.Done():
-		return llm.Response{}, ctx.Err()
-	case <-hedge.C:
-	}
-	e.hedged.Add(1)
-	e.opts.Metrics.Hedged.Inc()
-	go issue()
-	select {
-	case r := <-ch:
-		return r.resp, r.err
-	case <-ctx.Done():
-		return llm.Response{}, ctx.Err()
-	}
 }
 
 // sleepCtx waits d, returning false if the context expired first. A

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -197,42 +196,5 @@ func TestCompleteContextExpiredBeforeAttempt(t *testing.T) {
 	}
 	if client.calls.Load() != 0 {
 		t.Fatal("expired context still reached the client")
-	}
-}
-
-// slowThenFastClient hangs on its first request and answers later
-// ones instantly, so a hedged second request wins.
-type slowThenFastClient struct {
-	release chan struct{}
-	n       atomic.Int64
-}
-
-func (c *slowThenFastClient) Name() string { return "slowfast" }
-
-func (c *slowThenFastClient) Chat(messages []llm.Message) (llm.Response, error) {
-	return c.ChatContext(context.Background(), messages)
-}
-
-func (c *slowThenFastClient) ChatContext(ctx context.Context, messages []llm.Message) (llm.Response, error) {
-	if c.n.Add(1) == 1 {
-		select {
-		case <-c.release:
-		case <-ctx.Done():
-			return llm.Response{}, ctx.Err()
-		}
-	}
-	return llm.Response{Content: "Yes."}, nil
-}
-
-func TestHedgedRequestWinsOverStall(t *testing.T) {
-	client := &slowThenFastClient{release: make(chan struct{})}
-	defer close(client.release)
-	e := New(client, Options{Workers: 1, Hedge: 5 * time.Millisecond})
-	resp, _, err := e.Complete("p")
-	if err != nil || resp.Content != "Yes." {
-		t.Fatalf("Complete = %q, %v; want Yes., nil", resp.Content, err)
-	}
-	if s := e.Stats(); s.Hedged != 1 {
-		t.Fatalf("hedged = %d, want 1", s.Hedged)
 	}
 }

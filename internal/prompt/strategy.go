@@ -31,12 +31,6 @@ const (
 	StrategySelect Strategy = "select"
 )
 
-// Strategies returns the uncertain-band strategies in the order of
-// the ablation tables.
-func Strategies() []Strategy {
-	return []Strategy{StrategyMatch, StrategyCompare, StrategySelect}
-}
-
 // ParseStrategy maps a flag value to a Strategy. The empty string
 // selects StrategyMatch, the default.
 func ParseStrategy(name string) (Strategy, error) {

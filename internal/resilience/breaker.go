@@ -47,27 +47,26 @@ func (s State) String() string {
 	return "unknown"
 }
 
+// The error-rate rule: a closed breaker also trips when at least
+// minSamples results landed in the rolling window and errorRate of
+// them failed. The window is realised as two rotating half-window
+// buckets.
+const (
+	errorRate  = 0.5
+	minSamples = 20
+	window     = 10 * time.Second
+)
+
 // BreakerOptions configures a Breaker. The zero value of every field
 // selects a sensible default (see withDefaults).
 type BreakerOptions struct {
 	// ConsecutiveFailures trips the breaker after this many back-to-back
 	// failures regardless of the windowed error rate (default 5).
 	ConsecutiveFailures int
-	// ErrorRate trips the breaker when the failure fraction over the
-	// rolling window reaches this value (default 0.5), provided at
-	// least MinSamples results landed in the window (default 20).
-	ErrorRate  float64
-	MinSamples int
-	// Window is the rolling error-rate window (default 10s), realised
-	// as two rotating half-window buckets.
-	Window time.Duration
-	// Cooldown is how long an open breaker waits before letting
-	// half-open probes through (default 2s).
+	// Cooldown is how long an open breaker waits before letting one
+	// half-open probe through (default 2s). The probe's failure
+	// re-opens the breaker; its success closes it.
 	Cooldown time.Duration
-	// HalfOpenProbes is how many trial requests one half-open period
-	// admits (default 1). The first probe failure re-opens; a probe
-	// success closes.
-	HalfOpenProbes int
 	// Clock supplies the current time (default time.Now); tests and the
 	// chaos harness inject a fake for determinism.
 	Clock func() time.Time
@@ -80,20 +79,8 @@ func (o BreakerOptions) withDefaults() BreakerOptions {
 	if o.ConsecutiveFailures <= 0 {
 		o.ConsecutiveFailures = 5
 	}
-	if o.ErrorRate <= 0 {
-		o.ErrorRate = 0.5
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = 20
-	}
-	if o.Window <= 0 {
-		o.Window = 10 * time.Second
-	}
 	if o.Cooldown <= 0 {
 		o.Cooldown = 2 * time.Second
-	}
-	if o.HalfOpenProbes <= 0 {
-		o.HalfOpenProbes = 1
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
@@ -122,7 +109,7 @@ type Breaker struct {
 	cur      bucket // rotating half-window buckets
 	prev     bucket
 	openedAt time.Time
-	probes   int // probes admitted this half-open period
+	probed   bool // this half-open period's probe was admitted
 
 	trips atomic.Uint64
 }
@@ -137,8 +124,8 @@ func NewBreaker(opts BreakerOptions) *Breaker {
 
 // Allow reports whether a request may proceed right now. An open
 // breaker whose cooldown has elapsed transitions to half-open and
-// admits up to HalfOpenProbes trial requests; everything else is
-// rejected until a probe closes it again.
+// admits one trial request; everything else is rejected until the
+// probe closes it again.
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -150,13 +137,13 @@ func (b *Breaker) Allow() bool {
 			return false
 		}
 		b.setStateLocked(HalfOpen)
-		b.probes = 0
+		b.probed = false
 		fallthrough
 	case HalfOpen:
-		if b.probes >= b.opts.HalfOpenProbes {
+		if b.probed {
 			return false
 		}
-		b.probes++
+		b.probed = true
 		return true
 	}
 	return true
@@ -197,7 +184,7 @@ func (b *Breaker) Report(err error) {
 		}
 		total := b.cur.total + b.prev.total
 		failures := b.cur.failures + b.prev.failures
-		if total >= b.opts.MinSamples && float64(failures) >= b.opts.ErrorRate*float64(total) {
+		if total >= minSamples && float64(failures) >= errorRate*float64(total) {
 			b.tripLocked()
 		}
 	case Open:
@@ -208,14 +195,14 @@ func (b *Breaker) Report(err error) {
 
 // rotateLocked advances the two half-window buckets past stale time.
 func (b *Breaker) rotateLocked() {
-	half := b.opts.Window / 2
+	const half = window / 2
 	now := b.opts.Clock()
 	for now.Sub(b.cur.start) >= half {
 		b.prev = b.cur
 		b.cur = bucket{start: b.cur.start.Add(half)}
 		// If the breaker sat idle for more than a full window, fast-
 		// forward instead of looping per half-window.
-		if now.Sub(b.cur.start) >= b.opts.Window {
+		if now.Sub(b.cur.start) >= window {
 			b.prev = bucket{}
 			b.cur = bucket{start: now}
 		}
@@ -246,7 +233,7 @@ func (b *Breaker) State() State {
 	defer b.mu.Unlock()
 	if b.state == Open && b.opts.Clock().Sub(b.openedAt) >= b.opts.Cooldown {
 		b.setStateLocked(HalfOpen)
-		b.probes = 0
+		b.probed = false
 	}
 	return b.state
 }

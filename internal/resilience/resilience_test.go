@@ -61,18 +61,25 @@ func TestBreakerConsecutiveFailuresTrip(t *testing.T) {
 	}
 }
 
+// report feeds the breaker n outcomes of the same kind, each admitted
+// by Allow first.
+func report(b *Breaker, n int, err error) {
+	for i := 0; i < n; i++ {
+		b.Allow()
+		b.Report(err)
+	}
+}
+
 func TestBreakerSuccessResetsConsecutive(t *testing.T) {
 	clk := newFakeClock()
-	// MinSamples is raised so only the consecutive-failure rule is in
-	// play (the 2/3 failure mix would trip the rate rule otherwise).
-	b := NewBreaker(BreakerOptions{ConsecutiveFailures: 3, MinSamples: 1000, Clock: clk.Now})
+	b := NewBreaker(BreakerOptions{ConsecutiveFailures: 3, Clock: clk.Now})
 	for i := 0; i < 10; i++ {
-		b.Allow()
-		b.Report(errBoom)
-		b.Allow()
-		b.Report(errBoom)
-		b.Allow()
-		b.Report(nil) // breaks the streak
+		report(b, 2, errBoom)
+		report(b, 1, nil) // breaks the streak
+		// Each cycle lands in a fresh rolling window, so only the
+		// consecutive-failure rule is in play (the 2/3 failure mix would
+		// trip the rate rule once minSamples results accumulated).
+		clk.Advance(window + time.Second)
 	}
 	if got := b.State(); got != Closed {
 		t.Fatalf("state = %v, want closed (streak never reached 3)", got)
@@ -83,24 +90,24 @@ func TestBreakerErrorRateTrip(t *testing.T) {
 	clk := newFakeClock()
 	b := NewBreaker(BreakerOptions{
 		ConsecutiveFailures: 1000, // only the rate can trip
-		ErrorRate:           0.5,
-		MinSamples:          10,
-		Window:              10 * time.Second,
 		Clock:               clk.Now,
 	})
-	// Alternate success/failure: 50% error rate, trips once MinSamples
-	// results are in the window. The rate is only evaluated on failure
-	// reports, so the sequence ends on one.
-	for i := 0; i < 10; i++ {
-		b.Allow()
+	// Alternate success/failure, one result short of minSamples: still
+	// closed. The rate is only evaluated on failure reports.
+	for i := 0; i < minSamples-1; i++ {
 		if i%2 == 1 {
-			b.Report(errBoom)
+			report(b, 1, errBoom)
 		} else {
-			b.Report(nil)
+			report(b, 1, nil)
 		}
 	}
+	if got := b.State(); got != Closed {
+		t.Fatalf("state after %d samples = %v, want closed", minSamples-1, got)
+	}
+	// The minSamples-th result is a failure: 50% over a full sample trips.
+	report(b, 1, errBoom)
 	if got := b.State(); got != Open {
-		t.Fatalf("state after 10 samples at 50%% failure = %v, want open", got)
+		t.Fatalf("state after %d samples at 50%% failure = %v, want open", minSamples, got)
 	}
 }
 
@@ -108,18 +115,12 @@ func TestBreakerErrorRateNeedsMinSamples(t *testing.T) {
 	clk := newFakeClock()
 	b := NewBreaker(BreakerOptions{
 		ConsecutiveFailures: 1000,
-		ErrorRate:           0.5,
-		MinSamples:          10,
 		Clock:               clk.Now,
 	})
-	// 100% failure rate but below MinSamples, with successes breaking
-	// no streak rule: interleave to stay under both thresholds.
-	for i := 0; i < 9; i++ {
-		b.Allow()
-		b.Report(errBoom)
-	}
+	// 100% failure rate but below minSamples, and below the streak rule.
+	report(b, minSamples-1, errBoom)
 	if got := b.State(); got != Closed {
-		t.Fatalf("state with 9 < MinSamples failures = %v, want closed", got)
+		t.Fatalf("state with %d < minSamples failures = %v, want closed", minSamples-1, got)
 	}
 }
 
@@ -127,23 +128,15 @@ func TestBreakerWindowExpiresOldFailures(t *testing.T) {
 	clk := newFakeClock()
 	b := NewBreaker(BreakerOptions{
 		ConsecutiveFailures: 1000,
-		ErrorRate:           0.5,
-		MinSamples:          4,
-		Window:              10 * time.Second,
 		Clock:               clk.Now,
 	})
-	for i := 0; i < 3; i++ {
-		b.Allow()
-		b.Report(errBoom)
-	}
+	report(b, minSamples-1, errBoom)
 	// Let the failures age out of the rolling window entirely.
-	clk.Advance(11 * time.Second)
-	for i := 0; i < 3; i++ {
-		b.Allow()
-		b.Report(nil)
-	}
-	b.Allow()
-	b.Report(errBoom)
+	clk.Advance(window + time.Second)
+	// A full sample at a quarter failure rate: below errorRate on its
+	// own, far above it if the aged-out failures still counted.
+	report(b, minSamples*3/4, nil)
+	report(b, minSamples/4, errBoom)
 	if got := b.State(); got != Closed {
 		t.Fatalf("state = %v, want closed: aged-out failures still counted", got)
 	}
@@ -154,7 +147,6 @@ func TestBreakerHalfOpenProbeAndRecovery(t *testing.T) {
 	b := NewBreaker(BreakerOptions{
 		ConsecutiveFailures: 2,
 		Cooldown:            time.Second,
-		HalfOpenProbes:      1,
 		Clock:               clk.Now,
 	})
 	b.Allow()

@@ -195,17 +195,10 @@ func benchmarkDispatch(b *testing.B, dispatchPairs int) {
 	s.Close()
 }
 
-// BenchmarkStoreAdd measures incremental ingestion with the default
-// eager feature extraction.
-func BenchmarkStoreAdd(b *testing.B) { benchmarkStoreAdd(b, Options{}) }
-
-// BenchmarkStoreAddDeferred measures the DeferExtraction batch-ingest
-// mode: extraction is skipped at Add time and paid lazily (cached) the
-// first time a record surfaces as a candidate.
-func BenchmarkStoreAddDeferred(b *testing.B) { benchmarkStoreAdd(b, Options{DeferExtraction: true}) }
-
-func benchmarkStoreAdd(b *testing.B, opts Options) {
-	s := New(benchClient{}, opts)
+// BenchmarkStoreAdd measures incremental ingestion: serialize and
+// index, with feature extraction left to the record's first candidacy.
+func BenchmarkStoreAdd(b *testing.B) {
+	s := New(benchClient{}, Options{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -60,10 +60,6 @@ type ResilienceOptions struct {
 	// (default DefaultRetryInterval). Enqueues wake it immediately
 	// when the breaker is closed.
 	RetryInterval time.Duration
-	// Hedge launches a second identical LLM request when the first is
-	// slower than this; the first response wins (see
-	// pipeline.Options.Hedge). Zero disables hedging.
-	Hedge time.Duration
 }
 
 func (o ResilienceOptions) withDefaults() ResilienceOptions {

@@ -5,38 +5,27 @@ import (
 	"fmt"
 
 	"llm4em/internal/entity"
-	"llm4em/internal/features"
 	"llm4em/internal/persist"
 )
 
-// extractFor runs ingest-time feature extraction — or defers it to the
-// first resolve that surfaces the record (Options.DeferExtraction).
-func (s *Store) extractFor(text string) *features.Extracted {
-	if s.opts.DeferExtraction {
-		return nil
-	}
-	e := features.ExtractText(text).Stored()
-	return &e
-}
-
 // Add inserts a record into the store: it becomes findable by Resolve
 // and forms a singleton entity until matched. Records with empty or
-// duplicate IDs are rejected. Serialization and feature extraction
-// run before the shard lock is taken, so concurrent Adds contend only
-// on the map/index insert itself.
+// duplicate IDs are rejected. Serialization runs before the shard lock
+// is taken, so concurrent Adds contend only on the map/index insert
+// itself; feature extraction waits until the record first comes up as
+// a resolve candidate (shard.fillExtracted).
 func (s *Store) Add(r entity.Record) error {
 	if r.ID == "" {
 		return ErrNoID
 	}
 	text := r.Serialize()
-	ext := s.extractFor(text)
 	sh := s.shardFor(r.ID)
 	sh.mu.Lock()
 	if _, dup := sh.posLocked(r.ID); dup {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrDuplicateID, r.ID)
 	}
-	sh.insertLocked(r, text, ext)
+	sh.insertLocked(r, text)
 	sh.mu.Unlock()
 	s.count.Add(1)
 
@@ -86,18 +75,16 @@ func (s *Store) AddBatch(rs []entity.Record) error {
 		seen[r.ID] = true
 	}
 
-	// Serialize and extract outside any lock, then insert shard by
-	// shard under one lock acquisition each.
+	// Serialize outside any lock, then insert shard by shard under one
+	// lock acquisition each.
 	type prepared struct {
 		rec  entity.Record
 		text string
-		ext  *features.Extracted
 	}
 	byShard := make([][]prepared, len(s.shards))
 	for _, r := range rs {
-		text := r.Serialize()
 		i := s.shardIndex(r.ID)
-		byShard[i] = append(byShard[i], prepared{rec: r, text: text, ext: s.extractFor(text)})
+		byShard[i] = append(byShard[i], prepared{rec: r, text: r.Serialize()})
 	}
 
 	var inserted []entity.Record
@@ -115,7 +102,7 @@ insert:
 				sh.mu.Unlock()
 				break insert
 			}
-			sh.insertLocked(p.rec, p.text, p.ext)
+			sh.insertLocked(p.rec, p.text)
 			inserted = append(inserted, p.rec)
 		}
 		sh.mu.Unlock()

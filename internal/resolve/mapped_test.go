@@ -7,10 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"llm4em/internal/blocking"
 	"llm4em/internal/entity"
+	"llm4em/internal/features"
 	"llm4em/internal/persist"
 	"llm4em/internal/tokenize"
 )
@@ -260,59 +262,166 @@ func TestMappedReshard(t *testing.T) {
 	}
 }
 
-// TestDeferExtraction pins the deferred-extraction ingest mode:
-// resolve results are identical to the eager store's, and the lazily
-// materialized extractions are cached after the first touch.
-func TestDeferExtraction(t *testing.T) {
-	seed, queries := wdcStoreRecords(t, 30)
-
-	eager := New(&countingClient{}, Options{})
-	deferred := New(&countingClient{}, Options{DeferExtraction: true})
-	if err := eager.AddBatch(seed); err != nil {
-		t.Fatal(err)
+// prefillExtractions is the oracle of the one extraction path: every
+// stored record's extraction filled up front, as an ingest-time
+// extraction would leave it.
+func prefillExtractions(s *Store) {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for pos, e := range sh.ext {
+			if e == nil {
+				x := features.ExtractText(sh.ix.Record(pos).Serialize()).Stored()
+				sh.ext[pos] = &x
+				sh.cached++
+			}
+		}
+		sh.mu.Unlock()
 	}
-	if err := deferred.AddBatch(seed); err != nil {
-		t.Fatal(err)
+}
+
+// candidateRecords returns the distinct stored records the queries
+// bring up as blocking candidates in any shard: the records a resolve
+// of each query extracts. Call it with no resolve in flight.
+func candidateRecords(s *Store, queries []entity.Record) map[string]bool {
+	ids := map[string]bool{}
+	minScore := s.opts.Blocking.EffectiveMinScore()
+	for _, q := range queries {
+		words := features.ExtractText(q.Serialize()).WordTokens
+		for _, sh := range s.shards {
+			for _, c := range sh.ix.QueryTokens(words, s.opts.MaxCandidates, minScore) {
+				if id := sh.ix.RecordID(c.Pos); id != q.ID {
+					ids[id] = true
+				}
+			}
+		}
+	}
+	return ids
+}
+
+// extractionPointers copies every shard's extraction slots.
+func extractionPointers(s *Store) [][]*features.Extracted {
+	out := make([][]*features.Extracted, len(s.shards))
+	for i, sh := range s.shards {
+		sh.mu.RLock()
+		out[i] = append([]*features.Extracted(nil), sh.ext...)
+		sh.mu.RUnlock()
+	}
+	return out
+}
+
+// TestLazyExtractionMatchesPrefilled pins the one extraction path: a
+// store that extracts a record on its first candidacy decides and
+// groups exactly like one whose every record was extracted up front,
+// and extracts each record that came up as a candidate once.
+func TestLazyExtractionMatchesPrefilled(t *testing.T) {
+	seed, queries := wdcStoreRecords(t, 30)
+	oracle := New(&countingClient{}, Options{})
+	lazy := New(&countingClient{}, Options{})
+	for _, s := range []*Store{oracle, lazy} {
+		if err := s.AddBatch(seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prefillExtractions(oracle)
+	if got := lazy.Stats().Extractions; got != 0 {
+		t.Fatalf("%d extractions after ingest, want 0", got)
 	}
 	for _, q := range queries {
-		a, err := eager.Resolve(q)
+		a, err := oracle.Resolve(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := deferred.Resolve(q)
+		b, err := lazy.Resolve(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(a.Decisions, b.Decisions) {
-			t.Fatalf("query %s: deferred decisions differ\ngot  %+v\nwant %+v", q.ID, b.Decisions, a.Decisions)
+			t.Fatalf("query %s: lazy decisions differ\ngot  %+v\nwant %+v", q.ID, b.Decisions, a.Decisions)
 		}
 	}
-	if !reflect.DeepEqual(eager.Snapshot(), deferred.Snapshot()) {
-		t.Error("deferred-extraction store groups records differently")
+	if !reflect.DeepEqual(oracle.Snapshot(), lazy.Snapshot()) {
+		t.Error("lazily extracting store groups records differently")
 	}
-	// Candidates touched above now have cached extractions.
-	cached := 0
-	for _, sh := range deferred.shards {
-		sh.mu.RLock()
-		for _, e := range sh.ext {
-			if e != nil {
-				cached++
-			}
+	touched := candidateRecords(lazy, queries)
+	if got := lazy.Stats().Extractions; got != len(touched) || got == 0 {
+		t.Fatalf("%d extractions, want one per candidate record (%d)", got, len(touched))
+	}
+	// A second pass finds every extraction in place: none is redone.
+	before := extractionPointers(lazy)
+	for _, q := range queries {
+		if _, err := lazy.Resolve(q); err != nil {
+			t.Fatal(err)
 		}
-		sh.mu.RUnlock()
 	}
-	if cached == 0 {
-		t.Error("no extraction was cached by the lazy fill")
+	if !reflect.DeepEqual(extractionPointers(lazy), before) {
+		t.Error("re-resolving replaced a cached extraction")
 	}
 }
 
-// TestDeferExtractionPersistent: the deferred mode survives a
-// checkpoint + mapped reopen (which defers every mapped record's
-// extraction regardless of the option).
+// TestLazyExtractionConcurrent: resolves racing on records that have
+// not been extracted yet converge on one extraction per record, and
+// decide as a serial run does. Run it under -race.
+func TestLazyExtractionConcurrent(t *testing.T) {
+	const goroutines = 8
+	seed, queries := wdcStoreRecords(t, 40)
+	serial := New(&countingClient{}, Options{})
+	conc := New(&countingClient{}, Options{})
+	for _, s := range []*Store{serial, conc} {
+		if err := s.AddBatch(seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string][]PairDecision{}
+	for _, q := range queries {
+		res, err := serial.Resolve(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[q.ID] = stripReplay(res.Decisions)
+	}
+
+	got := make([]map[string][]PairDecision, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		got[g] = map[string][]PairDecision{}
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Every goroutine resolves every query, each from its own
+			// starting point, so first candidacies overlap.
+			for i := range queries {
+				q := queries[(i+g*len(queries)/goroutines)%len(queries)]
+				res, err := conc.Resolve(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g][q.ID] = stripReplay(res.Decisions)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if !reflect.DeepEqual(got[g], want) {
+			t.Fatalf("goroutine %d: concurrent decisions differ from the serial run", g)
+		}
+	}
+	if !reflect.DeepEqual(conc.Snapshot(), serial.Snapshot()) {
+		t.Error("concurrent store groups records differently")
+	}
+	touched := candidateRecords(conc, queries)
+	if got := conc.Stats().Extractions; got != len(touched) {
+		t.Errorf("%d extractions, want one per candidate record (%d)", got, len(touched))
+	}
+}
+
+// TestDeferExtractionPersistent: extraction on first candidacy
+// survives a checkpoint + mapped reopen, where every mapped record
+// starts unextracted.
 func TestDeferExtractionPersistent(t *testing.T) {
 	seed, queries := wdcStoreRecords(t, 15)
 	dir := t.TempDir()
-	a, _ := mustOpen(t, dir, Options{DeferExtraction: true})
+	a, _ := mustOpen(t, dir, Options{})
 	if err := a.AddBatch(seed); err != nil {
 		t.Fatal(err)
 	}
@@ -327,15 +436,18 @@ func TestDeferExtractionPersistent(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := mustOpen(t, dir, Options{DeferExtraction: true})
+	b, _ := mustOpen(t, dir, Options{})
 	defer b.Close()
+	if got := b.Stats().Extractions; got != 0 {
+		t.Fatalf("%d extractions after a mapped reopen, want 0", got)
+	}
 	for _, q := range queries {
 		res, err := b.Resolve(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(stripReplay(res.Decisions), stripReplay(control[q.ID].Decisions)) {
-			t.Fatalf("query %s: decisions differ after deferred recovery", q.ID)
+			t.Fatalf("query %s: decisions differ after a mapped reopen", q.ID)
 		}
 	}
 }

@@ -153,9 +153,7 @@ func (s *Store) installSnapshot(snap *persist.Snapshot) error {
 		if r.ID == "" {
 			return fmt.Errorf("resolve: snapshot record without ID")
 		}
-		sh := s.shardFor(r.ID)
-		text := r.Serialize()
-		sh.insertLocked(r, text, s.extractFor(text))
+		s.shardFor(r.ID).insertLocked(r, r.Serialize())
 	}
 	for _, sh := range s.shards {
 		s.count.Add(int64(sh.ix.Len()))
@@ -259,9 +257,7 @@ func (s *Store) installMapped(snap *persist.Snapshot) {
 	for _, ix := range opened {
 		for pos := 0; pos < ix.Len(); pos++ {
 			r := ix.Record(pos)
-			sh := s.shardFor(r.ID)
-			text := r.Serialize()
-			sh.insertLocked(r, text, s.extractFor(text))
+			s.shardFor(r.ID).insertLocked(r, r.Serialize())
 		}
 		ix.Close()
 	}
@@ -287,8 +283,7 @@ func (s *Store) replay(entries []persist.Entry) error {
 			if _, ok := sh.posLocked(r.ID); ok {
 				continue // already in the snapshot
 			}
-			text := r.Serialize()
-			sh.insertLocked(r, text, s.extractFor(text))
+			sh.insertLocked(r, r.Serialize())
 			s.count.Add(1)
 			s.pstate.recoveredRecords++
 		case persist.EntryResolve:

@@ -94,13 +94,6 @@ type Options struct {
 	// blocking.Float(0) is a literal zero. The zero value selects the
 	// defaults.
 	Blocking blocking.IndexOptions
-	// DeferExtraction skips per-record feature extraction at ingest:
-	// Add and AddBatch only serialize and index, and a record's
-	// extraction materializes lazily — and is cached — the first time
-	// the record surfaces as a resolve candidate. Bulk ingest gets
-	// markedly cheaper; the first Resolve touching a cold record pays
-	// the extraction instead. Recovery replay honors it too.
-	DeferExtraction bool
 	// Design is the prompt design for escalated pairs (zero value
 	// selects DefaultDesign).
 	Design prompt.Design
@@ -108,11 +101,9 @@ type Options struct {
 	Domain entity.Domain
 	// Cascade tunes the cascade matcher.
 	Cascade CascadeOptions
-	// Workers, CacheSize and MaxRetries tune the LLM pipeline engine;
-	// zero values select the pipeline defaults.
-	Workers    int
-	CacheSize  int
-	MaxRetries int
+	// CacheSize is the LLM pipeline engine's prompt-cache capacity
+	// (zero selects pipeline.DefaultCacheSize, negative disables it).
+	CacheSize int
 	// DispatchPairs enables the cross-request micro-batching
 	// dispatcher (internal/dispatch): uncertain pairs from concurrent
 	// Resolve calls are coalesced into paper-style batched prompts of
@@ -149,9 +140,8 @@ type Options struct {
 	// serving code leaves it nil.
 	WALFS persist.FS
 	// Resilience enables the fault-tolerance layer: circuit breaker
-	// around the LLM client, escalation load shedding, request
-	// hedging, and deferred-decision graceful degradation (see
-	// ResilienceOptions).
+	// around the LLM client, escalation load shedding, and
+	// deferred-decision graceful degradation (see ResilienceOptions).
 	Resilience ResilienceOptions
 	// Telemetry wires the store (and the pipeline, dispatcher, index
 	// shards and WAL underneath it) into a telemetry handle: per-stage
@@ -267,7 +257,6 @@ func newStore(client llm.Client, opts Options) *Store {
 	}
 	spec := prompt.Spec{Design: o.Design, Domain: o.Domain}
 	var res *resilienceState
-	var hedge time.Duration
 	if o.Resilience.Enabled {
 		res = newResilienceState(o.Resilience, rm)
 		// The breaker wraps the client BEFORE the pipeline engine, so
@@ -276,18 +265,11 @@ func newStore(client llm.Client, opts Options) *Store {
 		// (resilience.ErrOpen is not transient, so the retry loop stops
 		// immediately).
 		client = resilience.Guard(client, res.breaker)
-		hedge = o.Resilience.Hedge
 	}
 	s := &Store{
-		opts: o,
-		res:  res,
-		eng: pipeline.New(client, pipeline.Options{
-			Workers:    o.Workers,
-			CacheSize:  o.CacheSize,
-			MaxRetries: o.MaxRetries,
-			Hedge:      hedge,
-			Metrics:    pm,
-		}),
+		opts:    o,
+		res:     res,
+		eng:     pipeline.New(client, pipeline.Options{CacheSize: o.CacheSize, Metrics: pm}),
 		shards:  make([]*shard, o.Shards),
 		graph:   blocking.NewUnionFind(),
 		journal: map[pairID]persist.DecisionEntry{},

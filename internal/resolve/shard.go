@@ -23,25 +23,22 @@ type shard struct {
 	// with ix, so the cascade scores candidates without re-extracting
 	// (or re-serializing) them on every Resolve. It keeps what
 	// features.Extracted.Stored keeps — no Raw, no Tokens beside
-	// TitleTokens — so a record's text dies with its ingest. Entries
-	// stay nil while extraction is deferred (Options.DeferExtraction,
-	// any record behind a mapped restart) until fillExtracted fills
-	// them. Pointers are handed out to queries and stay valid across
-	// append growth; what they point to is immutable once stored.
+	// TitleTokens. An entry stays nil until the record first comes up
+	// as a resolve candidate and fillExtracted fills it, whether the
+	// record was added, replayed or mapped. Pointers are handed out to
+	// queries and stay valid across append growth; what they point to
+	// is immutable once stored.
 	ext []*features.Extracted
 	// cached counts the non-nil entries of ext.
 	cached int
 }
 
-// insertLocked indexes one pre-serialized record (ext may be nil for
-// deferred extraction). The caller holds mu (or has exclusive access
-// during recovery) and has already rejected duplicates.
-func (sh *shard) insertLocked(r entity.Record, text string, ext *features.Extracted) {
+// insertLocked indexes one pre-serialized record. The caller holds mu
+// (or has exclusive access during recovery) and has already rejected
+// duplicates.
+func (sh *shard) insertLocked(r entity.Record, text string) {
 	sh.live[r.ID] = int32(sh.ix.AddSerialized(r, text))
-	sh.ext = append(sh.ext, ext)
-	if ext != nil {
-		sh.cached++
-	}
+	sh.ext = append(sh.ext, nil)
 }
 
 // posLocked returns the index position of a stored record ID —
@@ -56,8 +53,8 @@ func (sh *shard) posLocked(id string) (int, bool) {
 // collect queries one shard for blocking candidates and copies the
 // matching records out under the read lock, appending to dst (a
 // reusable buffer owned by the caller). words is the pre-split query
-// tokenization shared by every shard. Candidates whose extraction was
-// deferred are materialized after the read lock drops.
+// tokenization shared by every shard. Candidates not yet extracted are
+// extracted after the read lock drops.
 func (sh *shard) collect(dst []scored, qid string, words []string, maxCandidates int, minScore float64) []scored {
 	start := len(dst)
 	lazy := false
@@ -80,8 +77,8 @@ func (sh *shard) collect(dst []scored, qid string, words []string, maxCandidates
 	return dst
 }
 
-// fillExtracted materializes deferred feature extractions for
-// collected candidates. Extraction (pure, deterministic) runs outside
+// fillExtracted extracts the features of collected candidates on their
+// first candidacy. Extraction (pure, deterministic) runs outside
 // any lock; the result publishes under a brief write lock with a
 // double-check, so concurrent Resolves racing on the same cold record
 // converge on one cached pointer.

@@ -28,7 +28,8 @@ type Stats struct {
 	Records  int
 	Entities int
 	// Extractions is the number of records whose feature extraction is
-	// resident: after a mapped restart, the ones resolves have surfaced.
+	// resident: the stored records that have come up as a resolve
+	// candidate since the store was built or opened.
 	Extractions int
 	// Resolves is the number of Resolve calls served; Redecided the
 	// number of deferred pairs the background re-escalator has since

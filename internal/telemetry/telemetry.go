@@ -75,8 +75,6 @@ type PipelineMetrics struct {
 	CallSeconds *Histogram
 	Retries     *Counter
 	CacheHits   *Counter
-	// Hedged counts second (hedged) requests launched for tail latency.
-	Hedged *Counter
 }
 
 // ResilienceMetrics instruments the fault-tolerance layer
@@ -230,7 +228,6 @@ func New(opts Options) *Telemetry {
 		CallSeconds: reg.Histogram("em_llm_call_seconds", "Wall-clock latency of LLM client attempts", DurationBuckets()),
 		Retries:     reg.Counter("em_llm_retries_total", "LLM client retries after transient errors"),
 		CacheHits:   reg.Counter("em_llm_cache_hits_total", "Requests answered by the prompt cache"),
-		Hedged:      reg.Counter("em_llm_hedged_total", "Hedged second LLM requests launched for tail latency"),
 	}
 	t.Resilience = ResilienceMetrics{
 		BreakerState:  reg.Gauge("em_llm_breaker_state", "LLM circuit breaker state (0=closed, 1=half-open, 2=open)"),

@@ -38,7 +38,6 @@ package llm4em
 
 import (
 	"context"
-	"time"
 
 	"llm4em/internal/blocking"
 	"llm4em/internal/core"
@@ -133,7 +132,7 @@ type (
 	// HTTP.
 	Store = resolve.Store
 	// StoreOptions configures a Store (shards, blocking thresholds,
-	// prompt design, cascade, pipeline knobs).
+	// prompt design, cascade, batching, persistence, resilience).
 	StoreOptions = resolve.Options
 	// CascadeOptions tunes the cascade matcher's accept/reject
 	// thresholds, LLM/cost budgets, and the prompt strategy for the
@@ -222,7 +221,7 @@ var (
 // reports the active degraded mode for readiness probes.
 type (
 	// ResilienceOptions enables and tunes the store's fault-tolerance
-	// layer (breaker, shedder, deferred re-escalation, hedging).
+	// layer (breaker, shedder, deferred re-escalation).
 	ResilienceOptions = resolve.ResilienceOptions
 	// BreakerOptions tunes the circuit breaker's trip and recovery
 	// behaviour.
@@ -247,23 +246,7 @@ var (
 	// ErrOverloaded marks an escalation rejected by the load shedder;
 	// callers should retry later (emserve answers 503).
 	ErrOverloaded = resilience.ErrShed
-	// ErrBreakerOpen marks a call rejected by an open circuit breaker.
-	// Stores degrade instead of surfacing it; direct users of the
-	// resilience guard see it.
-	ErrBreakerOpen = resilience.ErrOpen
 )
-
-// TransientErrorAfter is TransientError carrying a retry-after hint,
-// the way a 429 response carries a Retry-After header: the pipeline
-// sleeps exactly the hinted duration before the next attempt instead
-// of its jittered exponential backoff.
-func TransientErrorAfter(err error, retryAfter time.Duration) error {
-	return pipeline.TransientAfter(err, retryAfter)
-}
-
-// RetryAfterHint extracts the retry-after hint attached by
-// TransientErrorAfter, reporting false when err carries none.
-func RetryAfterHint(err error) (time.Duration, bool) { return pipeline.RetryAfter(err) }
 
 // Telemetry and request tracing.
 type (
@@ -295,9 +278,6 @@ func NewTrace(id string) *Trace { return telemetry.NewTrace(id) }
 func ContextWithTrace(ctx context.Context, t *Trace) context.Context {
 	return telemetry.WithTrace(ctx, t)
 }
-
-// TraceFromContext returns the trace attached to the context, or nil.
-func TraceFromContext(ctx context.Context) *Trace { return telemetry.FromContext(ctx) }
 
 // Language models.
 type (
@@ -349,15 +329,9 @@ const (
 	StrategySelect  = prompt.StrategySelect
 )
 
-// Strategies returns the uncertain-band strategies in ablation order.
-func Strategies() []Strategy { return prompt.Strategies() }
-
 // ParseStrategy maps a flag value ("match", "compare", "select"; ""
 // selects StrategyMatch) to a Strategy.
 func ParseStrategy(name string) (Strategy, error) { return prompt.ParseStrategy(name) }
-
-// Designs returns the ten prompt designs of the study.
-func Designs() []Design { return prompt.Designs() }
 
 // DesignByName returns a design by its table name, e.g.
 // "general-complex-force".

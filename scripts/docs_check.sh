@@ -11,6 +11,8 @@
 #    canonical /v1 path in the OPERATIONS endpoint table.
 # 4. The testable Example functions of the facade keep compiling and
 #    producing their pinned output.
+# 5. Knob ratchet: the emserve flag count and the resolve.Options field
+#    count stay at or under their ceilings.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -96,8 +98,36 @@ if ! go test . -run Example -count=1 >/dev/null; then
   fail=1
 fi
 
+# --- 5. knob ratchet --------------------------------------------------
+# The emserve flag count and the resolve.Options field count may only
+# shrink: adding a knob means raising its ceiling here, in the same
+# change, on purpose.
+max_flags=31
+max_options=15
+nflags=$(printf '%s\n' "$actual" | wc -l)
+# Field declarations of `type Options struct`; "A, B T" declares two.
+noptions=$(awk '
+  /^type Options struct \{/ { in_struct = 1; next }
+  in_struct && /^\}/ { exit }
+  in_struct && /^\t[A-Z]/ { n += 1 + gsub(/, [A-Z]/, "") }
+  END { print n + 0 }
+' internal/resolve/resolve.go)
+echo "docs_check: emserve flags: $nflags (max $max_flags); resolve.Options fields: $noptions (max $max_options)"
+if [ "$noptions" -eq 0 ]; then
+  echo "docs_check: could not parse resolve.Options out of internal/resolve/resolve.go" >&2
+  fail=1
+fi
+if [ "$nflags" -gt "$max_flags" ]; then
+  echo "docs_check: emserve has $nflags flags, more than the $max_flags ceiling" >&2
+  fail=1
+fi
+if [ "$noptions" -gt "$max_options" ]; then
+  echo "docs_check: resolve.Options has $noptions fields, more than the $max_options ceiling" >&2
+  fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "docs_check: FAILED" >&2
   exit 1
 fi
-echo "docs_check: OK (links, emserve flag tables, /v1 routes, examples)"
+echo "docs_check: OK (links, emserve flag tables, /v1 routes, examples, knob ratchet)"
