@@ -3,25 +3,19 @@
 package blocking
 
 import (
-	"errors"
+	"io"
 	"os"
 )
 
-// mmapSupported gates the mmap snapshot serving path per platform.
-// Callers that would write snapshots only an OpenMapped can read back
-// (the resolve store's emx-authoritative checkpoints) must consult
-// MmapSupported and keep their records in a format this platform can
-// reopen.
 const mmapSupported = false
 
-// errMmapUnsupported makes OpenMapped fail cleanly on platforms
-// without mmap; callers fall back to rebuilding the index from
-// whatever non-mmap state they kept (the resolve store inlines its
-// records in the JSON snapshot on these platforms — see
-// MmapSupported — so recovery replays snapshot+WAL as before the
-// mmap path existed).
-var errMmapUnsupported = errors.New("blocking: mmap is not supported on this platform")
-
-func mmapFile(*os.File, int) ([]byte, func() error, error) {
-	return nil, nil, errMmapUnsupported
+// mmapFile reads size bytes of f into the heap on platforms without
+// mmap, so OpenMapped serves the same files everywhere; the release
+// function has nothing to unmap.
+func mmapFile(f *os.File, size int) ([]byte, func() error, error) {
+	data := make([]byte, size)
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, nil, err
+	}
+	return data, func() error { return nil }, nil
 }

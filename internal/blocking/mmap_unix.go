@@ -7,7 +7,6 @@ import (
 	"syscall"
 )
 
-// mmapSupported gates the mmap snapshot serving path per platform.
 const mmapSupported = true
 
 // mmapFile maps size bytes of f read-only. The returned release

@@ -49,24 +49,20 @@ import (
 // plus one structural sweep of the token table's per-entry offsets,
 // so damaged data pages (bit rot past the rename's atomicity) that
 // would send tokenSeg out of range surface as ErrSnapshotTorn at
-// open — where callers can rebuild — not as a panic at query time.
-// The hash tables and the record index are range-clamped at each
-// probe/decode instead of swept (keeping the open O(nTokens), which
-// the restart benchmarks gate); only the varint stream bytes stay
-// trusted — validating them would mean decoding every posting, the
-// replay cost the format exists to avoid.
+// open, not as a panic at query time. The hash tables and the record
+// index are range-clamped at each probe/decode, and every probe ends
+// after one pass over its table, instead of being swept (keeping the
+// open O(nTokens), which the restart benchmarks gate); only the varint
+// stream bytes stay trusted — validating them would mean decoding every
+// posting, the replay cost the format exists to avoid.
 
-// MmapSupported reports whether this platform can serve index
-// snapshots through OpenMapped. A WriteSnapshot succeeds everywhere
-// (plain file I/O), so a caller about to make an index snapshot the
-// authoritative carrier of its records — the resolve store's
-// checkpoints — must consult this first: committing a snapshot the
-// same build can never map back silently degrades the next open to
-// whatever other state exists.
+// MmapSupported reports whether OpenMapped maps (true) or reads into
+// memory (false) an index snapshot on this platform. Either way it
+// serves the same files.
 const MmapSupported = mmapSupported
 
-// Typed snapshot errors. Callers that open snapshots opportunistically
-// (the resolve store) match these to fall back to an ingest replay.
+// Typed snapshot errors. The resolve store fails Open with them: the
+// index snapshots are the only place its records live.
 var (
 	// ErrSnapshotVersion reports a snapshot written by an incompatible
 	// format version — newer, or older after a breaking bump.
@@ -158,13 +154,14 @@ func (m *mappedIndex) tokenSeg(id uint32) segView {
 	}
 }
 
-// lookup probes the mapped token hash for a token given as bytes. A
-// slot whose value exceeds the token count is data rot (the hash
-// pages are not CRC-covered) and reads as a miss rather than indexing
-// the token table out of range.
+// lookup probes the mapped token hash for a token given as bytes. The
+// hash pages are not CRC-covered, so rot is bounded twice: a slot whose
+// value exceeds the token count reads as a miss rather than indexing
+// the token table out of range, and a table with no empty slot left
+// reads as a miss after one pass instead of spinning.
 func (m *mappedIndex) lookup(tok []byte) (uint32, bool) {
 	i := uint32(fnv64(tok)) & m.hashMask
-	for {
+	for range int(m.hashMask) + 1 {
 		v := binary.LittleEndian.Uint32(m.tokHash[i*4:])
 		if v == 0 || v > m.nTokens {
 			return 0, false
@@ -174,12 +171,13 @@ func (m *mappedIndex) lookup(tok []byte) (uint32, bool) {
 		}
 		i = (i + 1) & m.hashMask
 	}
+	return 0, false
 }
 
 // lookupString is lookup for a string token, allocation-free.
 func (m *mappedIndex) lookupString(tok string) (uint32, bool) {
 	i := uint32(fnv64String(tok)) & m.hashMask
-	for {
+	for range int(m.hashMask) + 1 {
 		v := binary.LittleEndian.Uint32(m.tokHash[i*4:])
 		if v == 0 || v > m.nTokens {
 			return 0, false
@@ -189,6 +187,7 @@ func (m *mappedIndex) lookupString(tok string) (uint32, bool) {
 		}
 		i = (i + 1) & m.hashMask
 	}
+	return 0, false
 }
 
 // record decodes the record at a mapped position. Field strings are
@@ -241,11 +240,12 @@ func (m *mappedIndex) recordID(pos int) []byte {
 
 // recordPos probes the mapped record-ID hash. With duplicate IDs in
 // the snapshotted collection (legal for a bare Index; the resolve
-// store never produces them) the lowest position wins. A slot value
-// past the record count is data rot and reads as a miss.
+// store never produces them) the lowest position wins. Rot is bounded
+// as in lookup: a slot value past the record count, or a pass over the
+// whole table, reads as a miss.
 func (m *mappedIndex) recordPos(id string) (int32, bool) {
 	i := uint32(fnv64String(id)) & m.recMask
-	for {
+	for range int(m.recMask) + 1 {
 		v := binary.LittleEndian.Uint32(m.recHash[i*4:])
 		if v == 0 || v > m.nRecords {
 			return 0, false
@@ -255,6 +255,7 @@ func (m *mappedIndex) recordPos(id string) (int32, bool) {
 		}
 		i = (i + 1) & m.recMask
 	}
+	return 0, false
 }
 
 // readLenPrefixed decodes one uvarint-framed string. A frame the
@@ -516,7 +517,8 @@ func (ix *Index) WriteSnapshot(path string) (err error) {
 	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
-	return syncDir(filepath.Dir(path))
+	syncDir(filepath.Dir(path))
+	return nil
 }
 
 // appendRecord encodes one record: uvarint-framed ID, attribute count,
@@ -569,28 +571,28 @@ func (p *pageWriter) flushErr() error {
 
 func (p *pageWriter) flush() error { return p.w.Flush() }
 
-// syncDir fsyncs a directory so a rename into it is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
+// syncDir fsyncs a directory so a rename into it is durable, where it
+// can: some filesystems refuse to fsync a directory, and Windows cannot
+// flush the read-only handle os.Open returns. The rename is atomic
+// either way, so a failure here is not the write's.
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
 	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return err
-	}
-	return d.Close()
 }
 
 // OpenMapped opens an EMIX snapshot written by WriteSnapshot, serving
 // postings, token table and records straight out of the mmap'ed file —
 // no ingest replay, no IDF precomputation (weights materialize lazily
-// per token on first use). Validation is O(1): magic, version, header
-// CRC and section-size consistency; ErrSnapshotVersion and
-// ErrSnapshotTorn (both wrapped with detail) tell callers to rebuild
-// instead. The returned index accepts Add — post-open records live on
-// the heap as extensions chained onto the mapped streams — and must be
-// Closed to release the mapping.
+// per token on first use). Validation is O(vocabulary): magic, version,
+// header CRC, section-size consistency and the token-table sweep; a
+// file that fails it is refused with ErrSnapshotVersion or
+// ErrSnapshotTorn (both wrapped with detail). Where MmapSupported is
+// false the file is read into memory instead. The returned index
+// accepts Add — post-open records live on the heap as extensions
+// chained onto the mapped streams — and must be Closed to release the
+// mapping.
 func OpenMapped(path string, opts IndexOptions) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -677,14 +679,14 @@ func parseMapped(data []byte, unmap func() error) (*mappedIndex, error) {
 	// CRC only vouches for the header page; these offsets come from
 	// data pages, and a snapshot whose data rotted (bit damage past the
 	// rename's atomicity) would otherwise slice the map out of range in
-	// tokenSeg at query time — a panic inside serving, where no
-	// fallback exists, instead of a typed error here where callers
-	// rebuild. One 36-bytes-per-token pass keeps the open fast (the
-	// restart benchmarks gate it); the hash tables and the record index
-	// are instead range-clamped at each probe/decode — a branch per
-	// access, not a scan per open — and the varint stream bytes
-	// themselves stay trusted: validating them would mean decoding
-	// every posting, the replay cost the format exists to avoid.
+	// tokenSeg at query time — a panic inside serving instead of a
+	// typed error here. One 36-bytes-per-token pass keeps the open
+	// fast (the restart benchmarks gate it); the hash tables and the
+	// record index are instead range-clamped at each probe/decode — a
+	// branch per access, not a scan per open — and the varint stream
+	// bytes themselves stay trusted: validating them would mean
+	// decoding every posting, the replay cost the format exists to
+	// avoid.
 	postSecLen := uint64(len(sec[secPostings]))
 	tokSecLen := uint64(len(sec[secTokenBytes]))
 	for id, tab := uint64(0), sec[secTokenTable]; id < nTokens; id, tab = id+1, tab[tokEntrySize:] {

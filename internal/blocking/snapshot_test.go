@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"llm4em/internal/detrand"
 	"llm4em/internal/entity"
@@ -200,7 +201,7 @@ func TestMappedOverlayAppend(t *testing.T) {
 
 // TestSnapshotTornTyped pins the typed failure modes of OpenMapped on
 // damaged files: truncation, corrupt magic and a corrupt header CRC
-// all surface ErrSnapshotTorn so callers fall back to a rebuild.
+// all surface ErrSnapshotTorn.
 func TestSnapshotTornTyped(t *testing.T) {
 	rng := detrand.New("snapshot-torn")
 	path := writeTestSnapshot(t, BuildIndex(randomRecords(rng, 120), IndexOptions{}))
@@ -363,12 +364,11 @@ func TestPostingsBytesCompression(t *testing.T) {
 // TestSnapshotCorruptEntriesTyped pins the two-tier handling of
 // damaged data pages under an intact header CRC (the CRC covers only
 // the header page). Token-table offsets — the ones tokenSeg slices
-// with — are swept at open and must surface as ErrSnapshotTorn there,
-// where callers fall back to a rebuild. Hash-table entries and the
-// record index are range-clamped at each probe/decode instead: open
-// succeeds, and corrupted entries degrade to lookup misses or empty
-// records. Neither tier may ever reach an out-of-range panic inside
-// serving.
+// with — are swept at open and must surface as ErrSnapshotTorn there.
+// Hash-table entries and the record index are range-clamped at each
+// probe/decode instead: open succeeds, and corrupted entries degrade to
+// lookup misses or empty records. Neither tier may ever reach an
+// out-of-range panic inside serving.
 func TestSnapshotCorruptEntriesTyped(t *testing.T) {
 	rng := detrand.New("snapshot-corrupt-entries")
 	recs := randomRecords(rng, 120)
@@ -452,5 +452,51 @@ func TestSnapshotCorruptEntriesTyped(t *testing.T) {
 		if err := ix.Close(); err != nil {
 			t.Fatalf("%s: Close: %v", name, err)
 		}
+	}
+}
+
+// TestMappedProbesEnd: the hash pages are outside the header CRC, so
+// rot can fill a table with in-range values and leave no empty slot to
+// end a probe. Lookups of absent keys through both tables must still
+// return, as misses.
+func TestMappedProbesEnd(t *testing.T) {
+	rng := detrand.New("snapshot-probes-end")
+	path := writeTestSnapshot(t, BuildIndex(randomRecords(rng, 40), IndexOptions{}))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range []int{secTokenHash, secRecordHash} {
+		off := binary.LittleEndian.Uint64(b[40+sec*16:])
+		end := off + binary.LittleEndian.Uint64(b[48+sec*16:])
+		for o := off; o < end; o += 4 {
+			binary.LittleEndian.PutUint32(b[o:], 1)
+		}
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := OpenMapped(path, IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if got := ix.Query("zzzabsent", 10, 0); len(got) != 0 {
+			t.Errorf("Query of an absent token = %v, want none", got)
+		}
+		if got := ix.QueryTokens([]string{"zzzabsent"}, 10, 0); len(got) != 0 {
+			t.Errorf("QueryTokens of an absent token = %v, want none", got)
+		}
+		if _, ok := ix.RecordPos("no-such-id"); ok {
+			t.Error("RecordPos found an absent ID")
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a probe of a table with no empty slot never ended")
 	}
 }

@@ -163,15 +163,21 @@ func reopenJournal(t *testing.T, dir string) map[string]persist.DecisionEntry {
 	}
 	m := map[string]persist.DecisionEntry{}
 	for _, j := range committedJournal(t, dir) {
-		m[j.QueryID+"|"+j.CandidateID] = j
+		m[j.query+"|"+j.CandidateID] = j.DecisionEntry
 	}
 	return m
 }
 
+// journaled is one committed journal.log decision beside its query.
+type journaled struct {
+	query string
+	persist.DecisionEntry
+}
+
 // committedJournal reads the decisions dir's snapshot commits out of
-// journal.log, in append order with QueryID set: a later entry of a
-// pair supersedes an earlier one.
-func committedJournal(t *testing.T, dir string) []persist.DecisionEntry {
+// journal.log, in append order: a later entry of a pair supersedes an
+// earlier one.
+func committedJournal(t *testing.T, dir string) []journaled {
 	t.Helper()
 	snap, ok, err := persist.ReadSnapshot(dir)
 	if err != nil || !ok {
@@ -182,15 +188,14 @@ func committedJournal(t *testing.T, dir string) []persist.DecisionEntry {
 		t.Fatalf("open journal.log: %v", err)
 	}
 	jl.Close()
-	var out []persist.DecisionEntry
+	var out []journaled
 	for _, e := range rec.Entries {
 		q, ds, err := persist.DecodeJournal(e.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, d := range ds {
-			d.QueryID = q
-			out = append(out, d)
+			out = append(out, journaled{q, d})
 		}
 	}
 	return out
@@ -218,7 +223,7 @@ func checkJournalClosure(t *testing.T, dir string) {
 	}
 	final := map[[2]string]persist.DecisionEntry{}
 	for _, d := range committedJournal(t, dir) {
-		final[[2]string{d.QueryID, d.CandidateID}] = d
+		final[[2]string{d.query, d.CandidateID}] = d.DecisionEntry
 	}
 	uf := blocking.NewUnionFind()
 	for pair, d := range final {
@@ -526,10 +531,10 @@ func TestOutageDifferential(t *testing.T) {
 		t.Errorf("groups diverged:\nhealthy:   %v\nrecovered: %v",
 			healthy.Groups, recovered.Groups)
 	}
-	toMap := func(js []persist.DecisionEntry) map[string]persist.DecisionEntry {
+	toMap := func(js []journaled) map[string]persist.DecisionEntry {
 		m := map[string]persist.DecisionEntry{}
 		for _, j := range js {
-			m[j.QueryID+"|"+j.CandidateID] = j
+			m[j.query+"|"+j.CandidateID] = j.DecisionEntry
 		}
 		return m
 	}

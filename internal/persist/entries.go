@@ -2,7 +2,6 @@ package persist
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -11,27 +10,21 @@ import (
 	"llm4em/internal/entity"
 )
 
-// RecordEntry is the payload of an EntryRecord: one record ingested
-// into the store.
-type RecordEntry struct {
-	Record entity.Record `json:"record"`
-}
-
 // DecisionEntry is one decided candidate pair inside a ResolveEntry
-// or a snapshot journal — everything needed to short-circuit the pair
-// on a later resolve without re-running the cascade or the LLM.
+// or a journal.log frame, whose query it belongs to — everything needed
+// to short-circuit the pair on a later resolve without re-running the
+// cascade or the LLM.
 type DecisionEntry struct {
-	QueryID     string  `json:"query_id,omitempty"` // set in snapshots; implied by the entry in the WAL
-	CandidateID string  `json:"candidate_id"`
-	BlockScore  float64 `json:"block_score"`
-	Probability float64 `json:"probability"`
-	Match       bool    `json:"match"`
-	Method      string  `json:"method"`
-	Answer      string  `json:"answer,omitempty"`
+	CandidateID string
+	BlockScore  float64
+	Probability float64
+	Match       bool
+	Method      string
+	Answer      string
 	// Deferred marks a tentative local verdict recorded while the LLM
 	// backend was unavailable; a later EntryRedecide replaces it with
-	// the healthy-path decision. Absent in older logs.
-	Deferred bool `json:"deferred,omitempty"`
+	// the healthy-path decision.
+	Deferred bool
 }
 
 // ReportEntry is the cost ledger (cost.Report) in its on-disk role: one
@@ -45,12 +38,12 @@ type ReportEntry = cost.Report
 // the decisions made fresh in this call (journal hits were logged by
 // an earlier entry) and the call's cost report.
 type ResolveEntry struct {
-	// Seq is the call's ordinal among lifetime resolves: replay skips the
-	// report of one the snapshot already counts. Zero in version-1 logs.
-	Seq       int             `json:"-"`
-	Query     entity.Record   `json:"query"`
-	Decisions []DecisionEntry `json:"decisions"`
-	Report    ReportEntry     `json:"report"`
+	// Seq is the call's ordinal among lifetime resolves, from 1: replay
+	// skips the report of one the snapshot already counts.
+	Seq       int
+	Query     entity.Record
+	Decisions []DecisionEntry
+	Report    ReportEntry
 }
 
 // RedecideEntry is the payload of an EntryRedecide: the background
@@ -60,12 +53,12 @@ type ResolveEntry struct {
 // removes the pair from the rebuilt deferred queue.
 type RedecideEntry struct {
 	// Seq is the ordinal among lifetime re-decisions, as ResolveEntry.Seq.
-	Seq              int           `json:"-"`
-	QueryID          string        `json:"query_id"`
-	Decision         DecisionEntry `json:"decision"`
-	PromptTokens     int           `json:"prompt_tokens,omitempty"`
-	CompletionTokens int           `json:"completion_tokens,omitempty"`
-	Cents            float64       `json:"cents,omitempty"`
+	Seq              int
+	QueryID          string
+	Decision         DecisionEntry
+	PromptTokens     int
+	CompletionTokens int
+	Cents            float64
 }
 
 // DeferredEntry is one pair awaiting re-escalation inside a snapshot.
@@ -78,7 +71,7 @@ type DeferredEntry struct {
 	Probability float64       `json:"probability"`
 }
 
-// binaryV1 opens a binary payload; version-1 payloads are JSON and open '{'.
+// binaryV1 opens every payload.
 const binaryV1 = 0x01
 
 var errPayload = errors.New("malformed binary payload")
@@ -230,20 +223,16 @@ func (c *codec) redecide(e *RedecideEntry) {
 // encoder starts a payload of about size bytes.
 func encoder(size int) codec { return codec{b: append(make([]byte, 0, size), binaryV1)} }
 
-// decodeEntry parses a payload of this build, rejecting trailing
-// bytes, or a version-1 JSON payload.
+// decodeEntry parses a payload, rejecting trailing bytes.
 func decodeEntry[T any](what string, payload []byte, walk func(*codec, *T)) (e T, err error) {
-	switch {
-	case len(payload) > 0 && payload[0] == '{':
-		err = json.Unmarshal(payload, &e)
-	case len(payload) > 0 && payload[0] == binaryV1:
+	if len(payload) == 0 || payload[0] != binaryV1 {
+		err = errors.New("unknown payload format")
+	} else {
 		c := codec{b: payload[1:], decode: true}
 		walk(&c, &e)
 		if err = c.err; err == nil && len(c.b) > 0 {
 			err = fmt.Errorf("%d trailing bytes", len(c.b))
 		}
-	default:
-		err = errors.New("unknown payload format")
 	}
 	if err != nil {
 		err = fmt.Errorf("persist: decode %s entry: %w", what, err)
@@ -259,8 +248,8 @@ func EncodeRecord(r entity.Record) ([]byte, error) {
 }
 
 // DecodeRecord parses an EntryRecord payload.
-func DecodeRecord(payload []byte) (RecordEntry, error) {
-	return decodeEntry("record", payload, func(c *codec, e *RecordEntry) { c.record(&e.Record) })
+func DecodeRecord(payload []byte) (entity.Record, error) {
+	return decodeEntry("record", payload, (*codec).record)
 }
 
 // EncodeResolve frames a resolve call for Append.

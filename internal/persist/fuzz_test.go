@@ -31,17 +31,17 @@ func frame(t EntryType, payload []byte) []byte {
 // truncation, stable replay across reopen, and appendability on top of
 // whatever survived.
 func FuzzWALReplay(f *testing.F) {
-	rec, res, _, _ := fuzzEntries()
-	valid := frame(EntryRecord, mustEncode(EncodeRecord(rec.Record)))
+	rec, res, red, jou := fuzzEntries()
+	valid := frame(EntryRecord, mustEncode(EncodeRecord(rec)))
 	two := append(append([]byte{}, valid...), frame(EntryResolve, mustEncode(EncodeResolve(res)))...)
-	legacy := frame(EntryRecord, []byte(`{"record":{"ID":"r1","Attrs":null}}`))
+	others := append(frame(EntryRedecide, mustEncode(EncodeRedecide(red))), frame(EntryJournal, mustEncode(encodeJournal(jou)))...)
 	huge := frame(EntryRecord, nil)
 	binary.LittleEndian.PutUint32(huge[1:], 1<<30) // corrupt length field
 	for _, seed := range [][]byte{
 		nil,
 		valid,
 		two,
-		append(legacy, two...),         // a version-1 JSON payload ahead of binary ones
+		append(others, two...),         // every entry type
 		valid[:len(valid)-3],           // torn checksum
 		two[:len(two)-7],               // torn second frame
 		append([]byte{}, huge...),      // absurd length
@@ -109,7 +109,7 @@ type journalEntry struct {
 }
 
 // fuzzEntries returns one populated entry of each binary payload type.
-func fuzzEntries() (RecordEntry, ResolveEntry, RedecideEntry, journalEntry) {
+func fuzzEntries() (entity.Record, ResolveEntry, RedecideEntry, journalEntry) {
 	q := entity.Record{ID: "q1", Attrs: []entity.Attr{{Name: "title", Value: "sony dsc-120b cybershot"}, {Name: "price", Value: ""}}}
 	ds := []DecisionEntry{
 		{CandidateID: "r1", BlockScore: 7.25, Probability: 0.9731, Match: true, Method: "llm", Answer: "Yes."},
@@ -117,7 +117,7 @@ func fuzzEntries() (RecordEntry, ResolveEntry, RedecideEntry, journalEntry) {
 	}
 	report := ReportEntry{Candidates: 2, LocalAccepts: 1, LLMPairs: 1, PromptTokens: 412, CompletionTokens: 3,
 		Cents: 0.0173, BatchedPairs: 1, DeferredPairs: 1, MatchUsage: cost.Usage{Calls: 1, Pairs: 1, PromptTokens: 412, CompletionTokens: 3}}
-	return RecordEntry{Record: q},
+	return q,
 		ResolveEntry{Query: q, Decisions: ds, Report: report},
 		RedecideEntry{QueryID: "q1", Decision: ds[0], PromptTokens: 412, CompletionTokens: 3, Cents: 0.0173},
 		journalEntry{QueryID: "q1", Decisions: ds}
@@ -150,7 +150,7 @@ var entryCodecs = []struct {
 		if err != nil {
 			return nil, err
 		}
-		return EncodeRecord(e.Record)
+		return EncodeRecord(e)
 	}},
 	{"resolve", func(p []byte) ([]byte, error) {
 		e, err := DecodeResolve(p)
@@ -186,7 +186,7 @@ var entryCodecs = []struct {
 func FuzzDecodeEntries(f *testing.F) {
 	rec, res, red, jou := fuzzEntries()
 	for _, valid := range [][]byte{
-		mustEncode(EncodeRecord(rec.Record)),
+		mustEncode(EncodeRecord(rec)),
 		mustEncode(EncodeResolve(res)),
 		mustEncode(EncodeRedecide(red)),
 		mustEncode(encodeJournal(jou)),
@@ -205,9 +205,6 @@ func FuzzDecodeEntries(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x7f, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 0 && data[0] == '{' {
-			return // the version-1 JSON reader is encoding/json's to fuzz
-		}
 		for _, c := range entryCodecs {
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)

@@ -3,13 +3,13 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"llm4em/internal/entity"
@@ -194,10 +194,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("empty dir: ok=%v err=%v", ok, err)
 	}
 	s := &Snapshot{
-		Records: []RecordEntry{{Record: entity.Record{
-			ID:    "r1",
-			Attrs: []entity.Attr{{Name: "title", Value: "sony camera"}},
-		}}},
 		Groups:       [][]string{{"q1", "r1"}, {"r2"}},
 		JournalBytes: 4096,
 		Totals:       ReportEntry{Candidates: 3, LLMPairs: 1, Cents: 0.25},
@@ -228,13 +224,34 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotVersionMismatch: every snapshot.json this build cannot
+// read in full is refused with the upgrade path, never opened without
+// part of its state; the "records": null an older build wrote beside
+// its index files is not such a part.
 func TestSnapshotVersionMismatch(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, SnapshotFile), []byte(`{"version":99}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ReadSnapshot(dir); err == nil {
-		t.Error("future snapshot version accepted")
+	for name, tc := range map[string]struct {
+		json string
+		ok   bool
+	}{
+		"future version":  {json: `{"version":99}`},
+		"version 1":       {json: `{"version":1,"records":null,"groups":[["q1","r1"]],"journal":[{"query_id":"q1","candidate_id":"r1"}]}`},
+		"inline records":  {json: `{"version":2,"records":[{"record":{"ID":"r1","Attrs":null}}],"journal_bytes":0}`},
+		"records == null": {json: `{"version":2,"records":null,"groups":[["q1","r1"]],"index_epoch":3,"index_shards":8}`, ok: true},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, SnapshotFile), []byte(tc.json), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, ok, err := ReadSnapshot(dir)
+		if tc.ok {
+			if err != nil || !ok || s.IndexEpoch != 3 || s.IndexShards != 8 || len(s.Groups) != 1 {
+				t.Errorf("%s: ReadSnapshot = %+v, %v, %v", name, s, ok, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "Upgrading a persistence directory") {
+			t.Errorf("%s: ReadSnapshot error = %v, want a refusal naming the upgrade path", name, err)
+		}
 	}
 }
 
@@ -244,9 +261,9 @@ func TestEntryCodecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := DecodeRecord(p)
-	if err != nil || !reflect.DeepEqual(re.Record, r) {
-		t.Errorf("record codec: %+v err=%v", re, err)
+	got, err := DecodeRecord(p)
+	if err != nil || !reflect.DeepEqual(got, r) {
+		t.Errorf("record codec: %+v err=%v", got, err)
 	}
 	rv := ResolveEntry{
 		Query: entity.Record{ID: "q1"},
@@ -259,9 +276,9 @@ func TestEntryCodecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeResolve(p)
-	if err != nil || !reflect.DeepEqual(got, rv) {
-		t.Errorf("resolve codec: %+v err=%v", got, err)
+	gotRV, err := DecodeResolve(p)
+	if err != nil || !reflect.DeepEqual(gotRV, rv) {
+		t.Errorf("resolve codec: %+v err=%v", gotRV, err)
 	}
 	if _, err := DecodeRecord([]byte("{")); err == nil {
 		t.Error("malformed record payload accepted")
@@ -273,8 +290,8 @@ func TestEntryCodecs(t *testing.T) {
 
 // TestIndexFileCleanup pins the index-generation housekeeping:
 // MaxIndexEpoch reads the highest epoch off the file names, and
-// RemoveIndexFiles keeps every listed generation — the committed one
-// plus any quarantined unreadable one — while sweeping the rest.
+// RemoveIndexFiles keeps the listed generation while sweeping the
+// rest, temporary files of any epoch included.
 func TestIndexFileCleanup(t *testing.T) {
 	dir := t.TempDir()
 	if got := MaxIndexEpoch(dir); got != 0 {
@@ -283,7 +300,7 @@ func TestIndexFileCleanup(t *testing.T) {
 	for _, name := range []string{
 		IndexFileName(1, 0), IndexFileName(1, 1),
 		IndexFileName(2, 0),
-		IndexFileName(12, 0),
+		IndexFileName(12, 0), IndexFileName(12, 1) + ".tmp",
 	} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
@@ -292,12 +309,13 @@ func TestIndexFileCleanup(t *testing.T) {
 	if got := MaxIndexEpoch(dir); got != 12 {
 		t.Fatalf("MaxIndexEpoch = %d, want 12", got)
 	}
-	RemoveIndexFiles(dir, 12, 1)
+	RemoveIndexFiles(dir, 12)
 	for name, want := range map[string]bool{
-		IndexFileName(1, 0):  true,
-		IndexFileName(1, 1):  true,
-		IndexFileName(2, 0):  false,
-		IndexFileName(12, 0): true,
+		IndexFileName(1, 0):           false,
+		IndexFileName(1, 1):           false,
+		IndexFileName(2, 0):           false,
+		IndexFileName(12, 0):          true,
+		IndexFileName(12, 1) + ".tmp": false,
 	} {
 		_, err := os.Stat(filepath.Join(dir, name))
 		if exists := err == nil; exists != want {
@@ -307,10 +325,11 @@ func TestIndexFileCleanup(t *testing.T) {
 }
 
 // TestBinaryCodecs pins the binary payloads: every entry type round
-// trips bit for bit (NaN and negative zero included), stays well under
-// its JSON size, and the version-1 JSON payloads still decode.
+// trips bit for bit (NaN and negative zero included), and a payload of
+// another format is refused.
 func TestBinaryCodecs(t *testing.T) {
-	rec, res, red, jou := fuzzEntries()
+	_, _, red, jou := fuzzEntries()
+	_, res, _, _ := fuzzEntries()                                           // decisions of its own: the NaN stays out of jou
 	res.Decisions[0].Probability = math.Float64frombits(0x7ff8000000000123) // a NaN with a payload
 	res.Decisions[1].BlockScore = math.Copysign(0, -1)
 	p := mustEncode(EncodeResolve(res))
@@ -321,26 +340,6 @@ func TestBinaryCodecs(t *testing.T) {
 	if again := mustEncode(EncodeResolve(got)); !bytes.Equal(again, p) {
 		t.Errorf("resolve entry not bit-identical across a round trip:\n%x\n%x", p, again)
 	}
-	res.Decisions[0].Probability = 0.9731 // encoding/json refuses NaN
-	asJSON, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p = mustEncode(EncodeResolve(res)); 3*len(p) > len(asJSON) {
-		t.Errorf("binary resolve entry is %d bytes, JSON %d: want at least 3x smaller", len(p), len(asJSON))
-	}
-	// Version-1 payloads: JSON objects.
-	if got, err = DecodeResolve(asJSON); err != nil || !reflect.DeepEqual(got, res) {
-		t.Errorf("version-1 resolve payload: %+v err=%v", got, err)
-	}
-	recJSON, _ := json.Marshal(rec)
-	if got, err := DecodeRecord(recJSON); err != nil || !reflect.DeepEqual(got, rec) {
-		t.Errorf("version-1 record payload: %+v err=%v", got, err)
-	}
-	redJSON, _ := json.Marshal(red)
-	if got, err := DecodeRedecide(redJSON); err != nil || !reflect.DeepEqual(got, red) {
-		t.Errorf("version-1 redecide payload: %+v err=%v", got, err)
-	}
 	if got, err := DecodeRedecide(mustEncode(EncodeRedecide(red))); err != nil || !reflect.DeepEqual(got, red) {
 		t.Errorf("redecide codec: %+v err=%v", got, err)
 	}
@@ -350,6 +349,7 @@ func TestBinaryCodecs(t *testing.T) {
 	for name, bad := range map[string][]byte{
 		"empty":          {},
 		"unknown format": {0x02, 0x00},
+		"JSON":           []byte(`{"query_id":"q1","decisions":[]}`),
 		"unowned flag":   append(append([]byte{binaryV1, 1, 'q', 1, 1, 'r'}, make([]byte, 16)...), 0x04, 0, 0),
 	} {
 		if _, _, err := DecodeJournal(bad); err == nil {
@@ -494,41 +494,4 @@ func TestOpenLogCommitted(t *testing.T) {
 		t.Fatalf("uncommitted journal: entries=%d err=%v", len(rec.Entries), err)
 	}
 	w.Close()
-}
-
-// TestReadSnapshotVersion1 pins the decode-only legacy reader: the
-// inline journal surfaces as LegacyJournal, and writing the snapshot
-// back produces version 2 without a journal key.
-func TestReadSnapshotVersion1(t *testing.T) {
-	dir := t.TempDir()
-	v1 := `{"version":1,"records":null,"groups":[["q1","r1"]],"resolves":1,"totals":{"candidates":1},
-		"journal":[{"query_id":"q1","candidate_id":"r1","block_score":3.5,"probability":0.9,"match":true,"method":"llm","answer":"Yes"}]}`
-	if err := os.WriteFile(filepath.Join(dir, SnapshotFile), []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, ok, err := ReadSnapshot(dir)
-	if err != nil || !ok {
-		t.Fatalf("ReadSnapshot: ok=%v err=%v", ok, err)
-	}
-	want := []DecisionEntry{{QueryID: "q1", CandidateID: "r1", BlockScore: 3.5, Probability: 0.9, Match: true, Method: "llm", Answer: "Yes"}}
-	if !reflect.DeepEqual(s.LegacyJournal, want) || s.JournalBytes != 0 || s.Resolves != 1 {
-		t.Errorf("version-1 snapshot = %+v", s)
-	}
-	if err := WriteSnapshot(dir, s); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, SnapshotFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &keys); err != nil {
-		t.Fatal(err)
-	}
-	if _, has := keys["journal"]; has || string(keys["version"]) != "2" {
-		t.Errorf("rewritten snapshot: version %s, journal key present=%v", keys["version"], has)
-	}
-	if _, has := keys["journal_bytes"]; !has {
-		t.Error("rewritten snapshot lacks journal_bytes")
-	}
 }

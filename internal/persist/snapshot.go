@@ -18,8 +18,8 @@ const (
 	snapshotTmp  = "snapshot.json.tmp"
 )
 
-// snapshotVersion guards the on-disk schema; an unknown version fails
-// loudly. Version 1, with the journal inline, is read, never written.
+// snapshotVersion guards the on-disk schema; any other version fails
+// loudly.
 const snapshotVersion = 2
 
 // Snapshot is the compacted state of a resolution store: the entity
@@ -30,8 +30,6 @@ const snapshotVersion = 2
 // snapshot already contains.
 type Snapshot struct {
 	Version int `json:"version"`
-	// Records are the ingested (indexed) records.
-	Records []RecordEntry `json:"records"`
 	// Groups are the entity groups as sorted member slices — enough to
 	// rebuild the union-find exactly, since canonical roots are the
 	// smallest members regardless of union order.
@@ -39,9 +37,6 @@ type Snapshot struct {
 	// JournalBytes is the length of the journal.log prefix this snapshot
 	// commits: every decision journaled before it was cut.
 	JournalBytes int64 `json:"journal_bytes"`
-	// LegacyJournal is a version-1 snapshot's inline journal: read, never
-	// written. The store's first checkpoint moves it into journal.log.
-	LegacyJournal []DecisionEntry `json:"journal,omitempty"`
 	// Totals are the lifetime cost counters.
 	Totals ReportEntry `json:"totals"`
 	// Resolves is the lifetime resolve-call count.
@@ -54,14 +49,12 @@ type Snapshot struct {
 	// decisions, so the queue carries the query records needed to
 	// rebuild their prompts. Absent in older snapshots.
 	Deferred []DeferredEntry `json:"deferred,omitempty"`
-	// IndexEpoch and IndexShards bind the per-shard mmap index
-	// snapshots (IndexFileName, written by the blocking layer) to this
-	// snapshot: IndexShards > 0 says the ingested records live in those
-	// files instead of Records, and IndexEpoch names the generation
-	// this snapshot committed — files of any other epoch are leftovers
-	// of an interrupted checkpoint and must be ignored. Zero means a
-	// records-inline snapshot (an older store, or the index snapshot
-	// write failed and the checkpoint fell back).
+	// IndexEpoch and IndexShards bind the per-shard index snapshots
+	// (IndexFileName, written by the blocking layer) to this snapshot:
+	// the ingested records live in those files and nowhere else, and
+	// IndexEpoch names the generation this snapshot committed — files of
+	// any other epoch are leftovers of an interrupted checkpoint and must
+	// be ignored.
 	IndexEpoch  uint64 `json:"index_epoch,omitempty"`
 	IndexShards int    `json:"index_shards,omitempty"`
 }
@@ -75,28 +68,15 @@ func IndexFileName(epoch uint64, shard int) string {
 	return fmt.Sprintf("index-%d-%03d.emx", epoch, shard)
 }
 
-// RemoveIndexFiles deletes the index snapshots of every epoch not
-// listed in keep — best-effort cleanup of generations no snapshot
-// references. A store that degraded at open (mappedFallback) passes
-// the generation it could not read as a second keep, quarantining
-// files a differently-versioned binary may still recover instead of
-// turning the degradation into permanent loss.
-func RemoveIndexFiles(dir string, keep ...uint64) {
-	matches, _ := filepath.Glob(filepath.Join(dir, "index-*.emx"))
-	prefixes := make([]string, len(keep))
-	for i, k := range keep {
-		prefixes[i] = fmt.Sprintf("index-%d-", k)
-	}
+// RemoveIndexFiles deletes the index snapshots of every epoch but
+// keep, and every temporary file an interrupted index write left —
+// best-effort cleanup of what no snapshot references. No index write
+// may be in flight: a temporary file is swept whatever its epoch.
+func RemoveIndexFiles(dir string, keep uint64) {
+	matches, _ := filepath.Glob(filepath.Join(dir, "index-*.emx*"))
+	kept := fmt.Sprintf("index-%d-", keep)
 	for _, m := range matches {
-		base := filepath.Base(m)
-		kept := false
-		for _, p := range prefixes {
-			if strings.HasPrefix(base, p) {
-				kept = true
-				break
-			}
-		}
-		if !kept {
+		if base := filepath.Base(m); !strings.HasPrefix(base, kept) || strings.HasSuffix(base, ".tmp") {
 			os.Remove(m)
 		}
 	}
@@ -104,13 +84,12 @@ func RemoveIndexFiles(dir string, keep ...uint64) {
 
 // MaxIndexEpoch reports the highest epoch any index snapshot file in
 // dir carries, zero when there are none. Checkpoint writers derive
-// the next generation from this rather than a purely in-memory
-// counter: after a mapped-fallback open or an interrupted checkpoint
-// the counter can lag the files on disk, and re-using an epoch number
-// that the committed snapshot.json still references would rename new
-// shard files over the referenced generation one by one — a crash
-// midway through would leave a committed snapshot pointing at a mix
-// of generations under one epoch.
+// the next generation from this rather than from the committed epoch
+// alone: a crash during an index write leaves files of an uncommitted
+// epoch, and re-using that number would commit a generation whose name
+// also covers the crashed pass's shard files the new pass does not
+// rewrite (a store reopened with fewer shards) — two generations mixed
+// under one epoch.
 func MaxIndexEpoch(dir string) uint64 {
 	matches, _ := filepath.Glob(filepath.Join(dir, "index-*.emx"))
 	var max uint64
@@ -131,9 +110,10 @@ func MaxIndexEpoch(dir string) uint64 {
 // WriteSnapshot atomically replaces the snapshot in dir: the state is
 // written to a temporary file, synced, and renamed over the previous
 // snapshot, so a crash at any point leaves either the old or the new
-// snapshot intact — never a partial one.
+// snapshot intact — never a partial one. An error means the rename
+// did not happen: the previous snapshot is still the committed one.
 func WriteSnapshot(dir string, s *Snapshot) error {
-	s.Version, s.LegacyJournal = snapshotVersion, nil
+	s.Version = snapshotVersion
 	data, err := json.Marshal(s)
 	if err != nil {
 		return fmt.Errorf("persist: marshal snapshot: %w", err)
@@ -161,11 +141,14 @@ func WriteSnapshot(dir string, s *Snapshot) error {
 		os.Remove(tmp)
 		return fmt.Errorf("persist: install snapshot: %w", err)
 	}
-	return syncDir(dir)
+	syncDir(dir)
+	return nil
 }
 
 // ReadSnapshot loads the snapshot from dir. ok is false when no
-// snapshot exists yet (a fresh or WAL-only directory).
+// snapshot exists yet (a fresh or WAL-only directory). A version-1
+// snapshot, or one with its records inline under "records", is
+// refused: opening it would drop what this build no longer reads.
 func ReadSnapshot(dir string) (s *Snapshot, ok bool, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, SnapshotFile))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -174,25 +157,29 @@ func ReadSnapshot(dir string) (s *Snapshot, ok bool, err error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("persist: read snapshot: %w", err)
 	}
-	s = &Snapshot{}
-	if err := json.Unmarshal(data, s); err != nil {
+	var v struct {
+		Snapshot
+		Records []json.RawMessage `json:"records"`
+	}
+	if err := json.Unmarshal(data, &v); err != nil {
 		return nil, false, fmt.Errorf("persist: decode snapshot: %w", err)
 	}
-	if s.Version != 1 && s.Version != snapshotVersion {
-		return nil, false, fmt.Errorf("persist: snapshot version %d, this build reads 1 to %d", s.Version, snapshotVersion)
+	if v.Version != snapshotVersion || len(v.Records) > 0 {
+		return nil, false, fmt.Errorf("persist: snapshot version %d with %d inline records, this build reads version %d "+
+			`with none; see "Upgrading a persistence directory" in docs/OPERATIONS.md`, v.Version, len(v.Records), snapshotVersion)
 	}
-	return s, true, nil
+	return &v.Snapshot, true, nil
 }
 
-// syncDir makes a rename durable by syncing the containing directory.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("persist: open dir for sync: %w", err)
+// syncDir makes a rename durable by syncing the containing directory,
+// where it can. Some filesystems reject fsync on directories, and a
+// directory that cannot be opened (EMFILE, permissions) cannot be
+// synced; the rename itself is still atomic, so degrade silently — an
+// error after the rename would tell the caller the old snapshot still
+// stands when the new one has committed.
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
 	}
-	defer d.Close()
-	// Some filesystems reject fsync on directories; the rename itself
-	// is still atomic, so degrade silently.
-	_ = d.Sync()
-	return nil
 }

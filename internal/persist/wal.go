@@ -23,8 +23,8 @@
 // Replay must be idempotent on the caller's side: a crash between
 // snapshot rename and WAL reset replays entries the snapshot and the
 // journal already contain. Payloads are the binary layouts of
-// entries.go; version-1 stores wrote JSON payloads and kept the journal
-// inline in snapshot.json — both stay readable, neither is written.
+// entries.go. The records live only in the index files: a damaged one
+// fails recovery, as a damaged committed journal.log prefix does.
 //
 // The package is deliberately single-writer: one process owns a
 // persistence directory at a time.
@@ -48,7 +48,7 @@ type EntryType uint8
 
 // WAL entry types.
 const (
-	// EntryRecord is a record ingested into the store (RecordEntry).
+	// EntryRecord is a record ingested into the store (EncodeRecord).
 	EntryRecord EntryType = 1
 	// EntryResolve is one resolve call's fresh decisions and cost
 	// accounting (ResolveEntry).

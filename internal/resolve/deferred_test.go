@@ -287,12 +287,10 @@ func TestDeferredConvergesToHealthyRun(t *testing.T) {
 		t.Errorf("groups diverged:\nhealthy:   %v\nrecovered: %v",
 			healthy.Groups, recovered.Groups)
 	}
-	toMap := func(js []persist.DecisionEntry) map[string]persist.DecisionEntry {
+	toMap := func(js []journaled) map[string]persist.DecisionEntry {
 		m := map[string]persist.DecisionEntry{}
 		for _, j := range js {
-			key := j.QueryID + "|" + j.CandidateID
-			j.QueryID = ""
-			m[key] = j
+			m[j.query+"|"+j.CandidateID] = j.DecisionEntry
 		}
 		return m
 	}
@@ -403,8 +401,8 @@ func TestDeferredQueueSurvivesCrash(t *testing.T) {
 	}
 	var final *persist.DecisionEntry
 	for _, j := range committedJournal(t, dir) {
-		if j.QueryID == "q1" && j.CandidateID == "r1" {
-			final = &j
+		if j.query == "q1" && j.CandidateID == "r1" {
+			final = &j.DecisionEntry
 		}
 	}
 	if final == nil {

@@ -1,7 +1,6 @@
 package resolve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -259,84 +258,6 @@ func TestCheckpointCrashWindows(t *testing.T) {
 			}
 			checkJournalClosure(t, dir, c)
 		})
-	}
-}
-
-// TestVersion1DirectoryUpgrades opens the checked-in version-1
-// directory (testdata/v1store: JSON WAL payloads, journal inline in
-// snapshot.json), serves repeats of its queries from the recovered
-// journal without an LLM call, checkpoints it into the new layout and
-// reopens equal.
-func TestVersion1DirectoryUpgrades(t *testing.T) {
-	dir := t.TempDir()
-	copyDir(t, filepath.Join("testdata", "v1store"), dir)
-	os.Remove(filepath.Join(dir, "README.md"))
-	opts := Options{Shards: 1, Cascade: CascadeOptions{Disable: true}}
-	s, client := mustOpen(t, dir, opts)
-	st := s.Stats()
-	if st.Records != 7 || st.Resolves != 4 || st.Persist.RecoveredDecisions != 9 || st.LLMPairs != 9 {
-		t.Fatalf("recovered records=%d resolves=%d decisions=%d llm pairs=%d, want 7 4 9 9",
-			st.Records, st.Resolves, st.Persist.RecoveredDecisions, st.LLMPairs)
-	}
-	// q2 and q3 were journaled in the snapshot, q4 in the WAL. (q1 would
-	// meet r7, which arrived after it was resolved.)
-	for q, text := range map[string]string{"q2": "sameent0003 widget02", "q3": "sameent0005 widget03", "q4": "sameent0007 widget01"} {
-		res, err := s.Resolve(rec(q, "alpha beta "+text))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Decisions) < 2 {
-			t.Fatalf("%s: %d decisions, want the fixture's two or three", q, len(res.Decisions))
-		}
-		for _, d := range res.Decisions {
-			if !d.Journaled {
-				t.Errorf("%s|%s re-decided, want a journal hit", q, d.CandidateID)
-			}
-		}
-	}
-	if got := client.calls.Load(); got != 0 {
-		t.Fatalf("version-1 journal cost %d LLM calls, want 0", got)
-	}
-	want := stateOf(s)
-	if len(want.Journal) != 9 {
-		t.Fatalf("journal holds %d pairs, want 9", len(want.Journal))
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	raw, err := os.ReadFile(filepath.Join(dir, persist.SnapshotFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &keys); err != nil {
-		t.Fatal(err)
-	}
-	if _, has := keys["journal"]; has || string(keys["version"]) != "2" {
-		t.Errorf("checkpointed snapshot.json: version %s, journal key present=%v", keys["version"], has)
-	}
-	committed := map[pairID]persist.DecisionEntry{}
-	for _, d := range committedJournal(t, dir) {
-		key := pairID{query: d.QueryID, candidate: d.CandidateID}
-		d.QueryID = ""
-		committed[key] = d
-	}
-	if !reflect.DeepEqual(committed, want.Journal) {
-		t.Errorf("journal.log holds %v, want %v", committed, want.Journal)
-	}
-	entries, err := os.ReadFile(filepath.Join(dir, persist.WALFile))
-	if err != nil || len(entries) != 0 {
-		t.Errorf("wal.log after the upgrade checkpoint: %d bytes err=%v, want empty", len(entries), err)
-	}
-
-	s2, client2 := mustOpen(t, dir, opts)
-	defer s2.Close()
-	if got := stateOf(s2); !reflect.DeepEqual(got, want) {
-		t.Errorf("reopened upgraded store differs:\ngot  %+v\nwant %+v", got, want)
-	}
-	if got := client2.calls.Load(); got != 0 {
-		t.Errorf("reopen made %d LLM calls", got)
 	}
 }
 

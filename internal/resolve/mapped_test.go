@@ -2,11 +2,15 @@ package resolve
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -48,7 +52,7 @@ func TestMappedRestart(t *testing.T) {
 	b, client := mustOpen(t, dir, Options{})
 	defer b.Close()
 	ps := b.Stats().Persist
-	if ps.MappedShards != DefaultShards || ps.MappedFallback {
+	if ps.MappedShards != DefaultShards {
 		t.Fatalf("mapped recovery stats: %+v, want %d mapped shards", ps, DefaultShards)
 	}
 	if got := client.calls.Load(); got != 0 {
@@ -157,33 +161,57 @@ func TestMappedCheckpointCycles(t *testing.T) {
 	}
 }
 
-// TestMappedTornFallsBack pins satellite robustness: damaged index
-// snapshots — truncated, or written by a future format version — never
-// fail Open. Recovery flags the fallback, keeps the JSON snapshot and
-// WAL contents, and the store serves and grows normally.
-func TestMappedTornFallsBack(t *testing.T) {
-	damage := map[string]func(t *testing.T, path string){
-		"truncated": func(t *testing.T, path string) {
-			if err := os.Truncate(path, 64); err != nil {
-				t.Fatal(err)
-			}
-		},
-		"version-bump": func(t *testing.T, path string) {
-			b, err := os.ReadFile(path)
+// dirFiles reads every regular file of dir, by name.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, e := range entries {
+		if e.Type().IsRegular() {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Flip the 64-bit version and fix the header CRC up, so only
-			// the typed version check can object.
+			files[e.Name()] = string(b)
+		}
+	}
+	return files
+}
+
+// TestMappedDamageFailsOpen: the index files are the only place the
+// stored records live, so a committed one that is truncated, of another
+// format version, missing, or whose token table points outside its
+// sections fails Open with the typed error naming the file — and leaves
+// every byte of the directory as it was, for a restore or a build that
+// reads it.
+func TestMappedDamageFailsOpen(t *testing.T) {
+	const end = 8 + 32 + 8*16 // the header bytes the CRC covers
+	damage := map[string]struct {
+		want error
+		do   func(t *testing.T, path string, b []byte) []byte
+	}{
+		"truncated": {blocking.ErrSnapshotTorn, func(t *testing.T, _ string, b []byte) []byte { return b[:64] }},
+		"version-bump": {blocking.ErrSnapshotVersion, func(t *testing.T, _ string, b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[8:], 999)
-			end := 8 + 32 + 8*16
 			binary.LittleEndian.PutUint32(b[end:], crc32.ChecksumIEEE(b[:end]))
-			if err := os.WriteFile(path, b, 0o644); err != nil {
+			return b
+		}},
+		"missing": {fs.ErrNotExist, func(t *testing.T, path string, _ []byte) []byte {
+			if err := os.Remove(path); err != nil {
 				t.Fatal(err)
 			}
-		},
+			return nil
+		}},
+		"token-table-out-of-range": {blocking.ErrSnapshotTorn, func(t *testing.T, _ string, b []byte) []byte {
+			tokenTable := binary.LittleEndian.Uint64(b[40:]) // section 0's offset
+			binary.LittleEndian.PutUint64(b[tokenTable:], 1<<60)
+			return b
+		}},
 	}
-	for name, damage := range damage {
+	for name, tc := range damage {
 		t.Run(name, func(t *testing.T) {
 			seed, _ := wdcStoreRecords(t, 10)
 			dir := t.TempDir()
@@ -194,33 +222,178 @@ func TestMappedTornFallsBack(t *testing.T) {
 			if err := a.Close(); err != nil {
 				t.Fatal(err)
 			}
-			damage(t, filepath.Join(dir, persist.IndexFileName(1, 0)))
+			file := persist.IndexFileName(1, 0)
+			path := filepath.Join(dir, file)
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b = tc.do(t, path, b); b != nil {
+				if err := os.WriteFile(path, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := dirFiles(t, dir)
 
-			b, _ := mustOpen(t, dir, Options{})
-			defer b.Close()
-			ps := b.Stats().Persist
-			if !ps.MappedFallback || ps.MappedShards != 0 {
-				t.Fatalf("persist stats after damage: %+v, want fallback with no mapped shards", ps)
+			_, err = Open(&countingClient{}, Options{PersistDir: dir})
+			if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), file) {
+				t.Fatalf("Open = %v, want %v naming %s", err, tc.want, file)
 			}
-			// The mapped generation carried the records, so the degraded
-			// store starts without them — but it must serve and grow
-			// cleanly, and the next checkpoint re-establishes a healthy
-			// generation.
-			if err := b.Add(rec("after-damage", "recovered ingest path")); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Close(); err != nil {
-				t.Fatal(err)
-			}
-			c, _ := mustOpen(t, dir, Options{})
-			defer c.Close()
-			if got := c.Stats().Persist.MappedShards; got != DefaultShards {
-				t.Fatalf("re-checkpointed store mapped %d shards, want %d", got, DefaultShards)
-			}
-			if _, ok := c.Record("after-damage"); !ok {
-				t.Error("record added after the damage did not survive the next cycle")
+			if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+				t.Error("a refused Open changed the directory")
 			}
 		})
+	}
+}
+
+// TestCheckpointIndexWriteFails: a checkpoint whose index write fails
+// fails as a whole and leaves the directory as it found it — the
+// decisions since the last one stay in wal.log — while the store keeps
+// serving; once the obstruction is gone, the closing checkpoint commits
+// a store a reopen finds equal.
+func TestCheckpointIndexWriteFails(t *testing.T) {
+	seed, queries := widgetRecords(16)
+	dir := t.TempDir()
+	opts := Options{Shards: 2, Cascade: CascadeOptions{Disable: true}}
+	s, _ := mustOpen(t, dir, opts)
+	resolveAll := func(qs []entity.Record) {
+		t.Helper()
+		for _, q := range qs {
+			if _, err := s.Resolve(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.AddBatch(seed[:8]); err != nil {
+		t.Fatal(err)
+	}
+	resolveAll(queries[:2])
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddBatch(seed[8:]); err != nil {
+		t.Fatal(err)
+	}
+	resolveAll(queries[2:4])
+	// os.Create of shard 1's temporary file fails on a directory, and one
+	// that is not empty survives the checkpoint's sweep.
+	block := filepath.Join(dir, persist.IndexFileName(2, 1)+".tmp")
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(block, "keep"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+	if err := s.Checkpoint(); err == nil {
+		t.Fatal("a checkpoint whose index write failed succeeded")
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Error("a failed checkpoint changed the directory")
+	}
+	resolveAll(queries[4:])
+	if err := s.Add(rec("late", "alpha beta added after the failure")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(block); err != nil {
+		t.Fatal(err)
+	}
+	want := stateOf(s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := mustOpen(t, dir, opts)
+	defer b.Close()
+	if got := stateOf(b); !reflect.DeepEqual(got, want) {
+		t.Errorf("reopened state differs:\ngot  %+v\nwant %+v", got, want)
+	}
+	if b.Len() != len(seed)+1 || b.Stats().Persist.MappedShards != 2 {
+		t.Errorf("reopen: %d records, %d mapped shards, want %d and 2", b.Len(), b.Stats().Persist.MappedShards, len(seed)+1)
+	}
+	checkJournalClosure(t, dir, b)
+}
+
+// TestCheckpointSweepsStrayFiles: what a crash during an index write
+// leaves — shard files of an uncommitted epoch and a temporary file — is
+// gone after the next checkpoint, which leaves only its own generation.
+func TestCheckpointSweepsStrayFiles(t *testing.T) {
+	seed, _ := widgetRecords(8)
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, Options{Shards: 2})
+	defer s.Close()
+	if err := s.AddBatch(seed); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil { // commits epoch 1
+		t.Fatal(err)
+	}
+	// Epoch 2's write crashed between the renames of shards 0 and 1.
+	for _, name := range []string{persist.IndexFileName(2, 0), persist.IndexFileName(2, 1) + ".tmp"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for name := range dirFiles(t, dir) {
+		got = append(got, name)
+	}
+	sort.Strings(got)
+	want := []string{persist.IndexFileName(3, 0), persist.IndexFileName(3, 1), persist.JournalFile, persist.SnapshotFile, persist.WALFile}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("directory after the checkpoint = %v, want %v", got, want)
+	}
+}
+
+// TestCheckpointDirSyncFails: a directory that cannot be opened for the
+// fsync after a rename — fd exhaustion, permissions as here, or a
+// platform that cannot flush a directory — does not fail the
+// checkpoint. The renames have committed, and a failed checkpoint would
+// sweep the index generation the new snapshot.json names.
+func TestCheckpointDirSyncFails(t *testing.T) {
+	seed, queries := widgetRecords(8)
+	dir := t.TempDir()
+	t.Cleanup(func() { os.Chmod(dir, 0o700) }) // before TempDir's removal
+	s, _ := mustOpen(t, dir, Options{Shards: 2, Cascade: CascadeOptions{Disable: true}})
+	if err := s.AddBatch(seed); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Resolve(queries[0]); err != nil {
+		t.Fatal(err)
+	}
+	// Write and search but no read: files are created and renamed, the
+	// directory itself does not open.
+	if err := os.Chmod(dir, 0o300); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := os.Open(dir); err == nil {
+		d.Close()
+		s.Close()
+		t.Skip("directory permissions are not enforced here")
+	}
+	err := s.Checkpoint()
+	if cerr := os.Chmod(dir, 0o700); cerr != nil {
+		t.Fatal(cerr)
+	}
+	if err != nil {
+		t.Fatalf("Checkpoint with an unopenable directory: %v", err)
+	}
+	if got := s.Stats().Persist.IndexEpoch; got != 1 {
+		t.Fatalf("committed index epoch %d, want 1", got)
+	}
+	want := stateOf(s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := mustOpen(t, dir, Options{Shards: 2, Cascade: CascadeOptions{Disable: true}})
+	defer b.Close()
+	if got := stateOf(b); !reflect.DeepEqual(got, want) {
+		t.Errorf("reopened state differs:\ngot  %+v\nwant %+v", got, want)
+	}
+	if b.Len() != len(seed) || b.Stats().Persist.MappedShards != 2 {
+		t.Errorf("reopen: %d records, %d mapped shards, want %d and 2", b.Len(), b.Stats().Persist.MappedShards, len(seed))
 	}
 }
 
@@ -241,8 +414,8 @@ func TestMappedReshard(t *testing.T) {
 	b, client := mustOpen(t, dir, Options{Shards: 3})
 	defer b.Close()
 	ps := b.Stats().Persist
-	if ps.MappedShards != 0 || ps.MappedFallback {
-		t.Fatalf("reshard persist stats: %+v, want a rebuilt (not mapped, not fallback) store", ps)
+	if ps.MappedShards != 0 {
+		t.Fatalf("reshard persist stats: %+v, want a rebuilt (not mapped) store", ps)
 	}
 	if b.Len() != len(seed) {
 		t.Fatalf("resharded Len = %d, want %d", b.Len(), len(seed))
@@ -485,79 +658,5 @@ func TestBlockingOptionsPrecedence(t *testing.T) {
 		if len(got) != tc.candidates {
 			t.Errorf("%s: %d candidates for %q, want %d", tc.name, len(got), tc.query, tc.candidates)
 		}
-	}
-}
-
-// TestMappedFallbackQuarantine pins the degraded-open housekeeping: a
-// generation this build cannot read is never garbage-collected (a
-// correctly-versioned binary may still recover it), and the next
-// checkpoint commits a fresh epoch number instead of renaming new
-// shard files over the one snapshot.json still references.
-func TestMappedFallbackQuarantine(t *testing.T) {
-	seed, _ := wdcStoreRecords(t, 10)
-	dir := t.TempDir()
-	a, _ := mustOpen(t, dir, Options{})
-	if err := a.AddBatch(seed); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Close(); err != nil { // commits epoch 1
-		t.Fatal(err)
-	}
-	// Bump the format version of one epoch-1 shard (CRC fixed up) so
-	// only the typed version check rejects it — the version-skew shape
-	// of fallback, where the bytes are valuable to another binary.
-	path := filepath.Join(dir, persist.IndexFileName(1, 0))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint64(raw[8:], 999)
-	end := 8 + 32 + 8*16
-	binary.LittleEndian.PutUint32(raw[end:], crc32.ChecksumIEEE(raw[:end]))
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	b, _ := mustOpen(t, dir, Options{})
-	if !b.Stats().Persist.MappedFallback {
-		t.Fatal("damaged generation did not trigger fallback")
-	}
-	if err := b.Add(rec("post-fallback", "added while degraded")); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil { // checkpoints a fresh generation
-		t.Fatal(err)
-	}
-
-	// Every epoch-1 file survives, untouched where damaged.
-	for i := 0; i < DefaultShards; i++ {
-		if _, err := os.Stat(filepath.Join(dir, persist.IndexFileName(1, i))); err != nil {
-			t.Errorf("quarantined epoch-1 shard %d missing: %v", i, err)
-		}
-	}
-	got, err := os.ReadFile(path)
-	if err != nil || !reflect.DeepEqual(got, raw) {
-		t.Errorf("quarantined shard file was rewritten (err=%v)", err)
-	}
-
-	// The committed binding moved past the unreadable epoch.
-	snap, ok, err := persist.ReadSnapshot(dir)
-	if err != nil || !ok {
-		t.Fatalf("ReadSnapshot: ok=%v err=%v", ok, err)
-	}
-	if snap.IndexShards == 0 || snap.IndexEpoch <= 1 {
-		t.Fatalf("post-fallback checkpoint bound epoch %d over %d shards, want a fresh epoch > 1",
-			snap.IndexEpoch, snap.IndexShards)
-	}
-
-	// And the fresh generation serves: fully mapped, record intact.
-	c, _ := mustOpen(t, dir, Options{})
-	defer c.Close()
-	ps := c.Stats().Persist
-	if ps.MappedShards != DefaultShards || ps.MappedFallback {
-		t.Fatalf("reopen after quarantine: %+v, want %d mapped shards", ps, DefaultShards)
-	}
-	if _, ok := c.Record("post-fallback"); !ok {
-		t.Error("record added while degraded did not survive")
 	}
 }

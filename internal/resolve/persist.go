@@ -23,6 +23,10 @@ import (
 // top, without a single LLM call. A torn WAL tail (crash mid-append)
 // is detected, dropped and truncated; replaying entries the snapshot
 // already contains (crash between snapshot and log reset) is idempotent.
+// Damaged committed state — an index file the snapshot references that
+// is torn, missing or of another format version, or a short or corrupt
+// committed journal.log prefix — fails Open with a typed error before
+// any file is touched.
 //
 // Pairs found in the recovered decision journal short-circuit later
 // Resolve calls: the durable decision is reused instead of re-running
@@ -51,13 +55,19 @@ func Open(client llm.Client, opts Options) (*Store, error) {
 	if !ok {
 		snap = &persist.Snapshot{} // commits no journal bytes
 	}
+	// The index files before the logs, whose opening truncates tails.
+	if err := s.installMapped(snap); err != nil {
+		return nil, err
+	}
 	jlog, jrec, err := persist.OpenLog(fsys, filepath.Join(dir, persist.JournalFile), snap.JournalBytes)
 	if err != nil {
+		s.closeShards()
 		return nil, err
 	}
 	wal, rec, err := persist.OpenLog(fsys, filepath.Join(dir, persist.WALFile), -1)
 	if err != nil {
 		jlog.Close()
+		s.closeShards()
 		return nil, err
 	}
 	// Set before recovery: the apply functions journal on a store that
@@ -75,13 +85,13 @@ func Open(client llm.Client, opts Options) (*Store, error) {
 		}
 	}
 	if err == nil {
-		if err = s.installSnapshot(snap); err == nil {
-			err = s.replay(rec.Entries)
-		}
+		s.installSnapshot(snap)
+		err = s.replay(rec.Entries)
 	}
 	if err != nil {
 		wal.Close()
 		jlog.Close()
+		s.closeShards()
 		return nil, err
 	}
 	if tel := s.opts.Telemetry; tel != nil {
@@ -104,35 +114,15 @@ type persistState struct {
 	sinceSync          int
 	closed             bool
 	// journalDelta holds, framed for journal.log, the decisions journaled
-	// since the last checkpoint extended it — those of wal.log's frames,
-	// or a version-1 snapshot's inline journal; the next one appends them.
+	// since the last checkpoint extended it — those of wal.log's frames;
+	// the next one appends them.
 	journalDelta []persist.Entry
-	// indexEpoch is the generation of the per-shard mmap index
-	// snapshots the last committed snapshot.json references (zero
-	// before the first mapped checkpoint); mappedShards counts shards
-	// served straight from an mmap at open, and mappedFallback reports
-	// that referenced index snapshots existed but could not be mapped
-	// (torn, truncated, version-mismatched or mmap-unsupported), so
-	// recovery degraded to the JSON snapshot and WAL contents. On a
-	// fallback, fallbackEpoch records the generation that could not be
-	// read: checkpoints quarantine its files (a binary of the right
-	// version may still recover them) instead of garbage-collecting
-	// them with the other unreferenced epochs.
-	indexEpoch     uint64
-	mappedShards   int
-	mappedFallback bool
-	fallbackEpoch  uint64
-}
-
-// keepEpochs lists the index generations a cleanup pass must retain:
-// the generation primary (normally the one the committed snapshot
-// references), plus — on a store that degraded at open — the
-// generation recovery could not map.
-func (s *Store) keepEpochs(primary uint64) []uint64 {
-	if s.pstate.mappedFallback {
-		return []uint64{primary, s.pstate.fallbackEpoch}
-	}
-	return []uint64{primary}
+	// indexEpoch is the generation of the per-shard index snapshots the
+	// last committed snapshot.json references (zero before the first
+	// checkpoint); mappedShards counts shards served straight from their
+	// index snapshot at open.
+	indexEpoch   uint64
+	mappedShards int
 }
 
 // pairID keys the decision journal. A struct key keeps arbitrary
@@ -142,37 +132,24 @@ type pairID struct {
 	query, candidate string
 }
 
-// installSnapshot loads a compacted state into a fresh store. Called
-// before the store is shared, so field access needs no locks.
-func (s *Store) installSnapshot(snap *persist.Snapshot) error {
-	if snap.IndexShards > 0 {
-		s.installMapped(snap)
-	}
-	for _, re := range snap.Records {
-		r := re.Record
-		if r.ID == "" {
-			return fmt.Errorf("resolve: snapshot record without ID")
-		}
-		s.shardFor(r.ID).insertLocked(r, r.Serialize())
-	}
+// installSnapshot loads the rest of a compacted state — the records
+// are in place (installMapped) and the journal is loaded — into a fresh
+// store. Called before the store is shared, so field access needs no
+// locks.
+func (s *Store) installSnapshot(snap *persist.Snapshot) {
 	for _, sh := range s.shards {
 		s.count.Add(int64(sh.ix.Len()))
 	}
 	s.pstate.recoveredRecords = s.Len()
 	for _, g := range snap.Groups {
-		// A stored record's singleton group — every inline-records
-		// snapshot of an older build lists them — is implicit in memory.
+		// A stored record's singleton group — snapshots of older builds
+		// list every one — is implicit in memory.
 		if len(g) == 1 && s.stored(g[0]) {
 			continue
 		}
 		for _, id := range g {
 			s.graph.Union(g[0], id) // adds g[0] itself first
 		}
-	}
-	for _, je := range snap.LegacyJournal {
-		q := je.QueryID
-		je.QueryID = ""
-		s.journalDecisions(q, []persist.DecisionEntry{je})
 	}
 	// Rebuild the deferred queue from the snapshot's carried query
 	// records. A snapshot cut mid-redecide can hold a queue entry whose
@@ -195,47 +172,33 @@ func (s *Store) installSnapshot(snap *persist.Snapshot) error {
 	s.totals = totals{resolves: snap.Resolves, redecided: snap.Redecided, report: snap.Totals}
 	s.pstate.recoveredDecisions += len(s.journal)
 	s.pstate.recoveredResolves += snap.Resolves
-	return nil
 }
 
 // installMapped adopts the per-shard EMIX index snapshots the JSON
-// snapshot binds to (IndexEpoch/IndexShards): each shard's index —
-// records included — is mmap'ed into place instead of replaying the
-// ingest, so no record is re-serialized, re-extracted or re-indexed at
-// open; extractions materialize lazily as records surface as resolve
-// candidates, and no record is walked into the entity graph, where
-// singleton groups are implicit (non-singleton groups and resolved-query
-// singletons ride snap.Groups as always).
+// snapshot binds to (IndexEpoch/IndexShards), the only place the
+// stored records live: each shard's index — records included — is
+// mapped into place instead of replaying the ingest, so no record is
+// re-serialized, re-extracted or re-indexed at open; extractions
+// materialize lazily as records surface as resolve candidates, and no
+// record is walked into the entity graph, where singleton groups are
+// implicit (non-singleton groups and resolved-query singletons ride
+// snap.Groups as always). A shard-count change re-inserts every mapped
+// record under the new routing (a full rebuild).
 //
-// Degradation is deliberate and silent at the API: a torn, truncated,
-// missing or version-mismatched index file — or a directory written
-// by an mmap-capable build opened on a platform without mmap — leaves
-// the fresh empty shards in place and recovery continues with
-// whatever the JSON snapshot and the WAL carry, while the unreadable
-// generation's files are quarantined (never garbage-collected) so a
-// correct binary can still recover them; a shard-count change
-// re-inserts every mapped record under the new routing (a full
-// rebuild, exactly the pre-mmap cost). Called before the store is
-// shared, so field access needs no locks.
-func (s *Store) installMapped(snap *persist.Snapshot) {
-	dir := s.opts.PersistDir
+// A torn, missing or version-skewed file fails with an error that wraps
+// blocking.ErrSnapshotTorn, blocking.ErrSnapshotVersion or
+// fs.ErrNotExist and names the file; nothing has been written then.
+// Called before the store is shared, so field access needs no locks.
+func (s *Store) installMapped(snap *persist.Snapshot) error {
 	opened := make([]*blocking.Index, 0, snap.IndexShards)
 	for i := 0; i < snap.IndexShards; i++ {
-		ix, err := blocking.OpenMapped(filepath.Join(dir, persist.IndexFileName(snap.IndexEpoch, i)), s.opts.Blocking)
+		name := persist.IndexFileName(snap.IndexEpoch, i)
+		ix, err := blocking.OpenMapped(filepath.Join(s.opts.PersistDir, name), s.opts.Blocking)
 		if err != nil {
 			for _, o := range opened {
 				o.Close()
 			}
-			// The committed generation stays the committed generation even
-			// though this build cannot read it: later checkpoints must not
-			// re-use its epoch number (renaming over still-referenced
-			// files would let a crash commit a mixed-generation store) and
-			// must quarantine its files rather than delete state a
-			// correctly-versioned binary could still recover.
-			s.pstate.mappedFallback = true
-			s.pstate.fallbackEpoch = snap.IndexEpoch
-			s.pstate.indexEpoch = snap.IndexEpoch
-			return
+			return fmt.Errorf("resolve: index snapshot %s: %w", name, err)
 		}
 		opened = append(opened, ix)
 	}
@@ -252,7 +215,7 @@ func (s *Store) installMapped(snap *persist.Snapshot) {
 			sh.ext = make([]*features.Extracted, ix.Len())
 			s.pstate.mappedShards++
 		}
-		return
+		return nil
 	}
 	for _, ix := range opened {
 		for pos := 0; pos < ix.Len(); pos++ {
@@ -261,6 +224,7 @@ func (s *Store) installMapped(snap *persist.Snapshot) {
 		}
 		ix.Close()
 	}
+	return nil
 }
 
 // replay applies WAL entries on top of the snapshot state, decisions
@@ -274,11 +238,10 @@ func (s *Store) replay(entries []persist.Entry) error {
 	for _, e := range entries {
 		switch e.Type {
 		case persist.EntryRecord:
-			re, err := persist.DecodeRecord(e.Payload)
+			r, err := persist.DecodeRecord(e.Payload)
 			if err != nil {
 				return err
 			}
-			r := re.Record
 			sh := s.shardFor(r.ID)
 			if _, ok := sh.posLocked(r.ID); ok {
 				continue // already in the snapshot
@@ -297,7 +260,7 @@ func (s *Store) replay(entries []persist.Entry) error {
 			}
 			// After a crash between rename and WAL reset the snapshot
 			// already counts this report.
-			counted := rv.Seq == 0 || uint64(rv.Seq) > s.totals.resolves
+			counted := uint64(rv.Seq) > s.totals.resolves
 			s.applyResolve(&res, rv.Decisions, counted)
 			s.pstate.recoveredDecisions += len(rv.Decisions)
 			if counted {
@@ -308,7 +271,7 @@ func (s *Store) replay(entries []persist.Entry) error {
 			if err != nil {
 				return err
 			}
-			s.applyRedecide(rd, rd.Seq == 0 || uint64(rd.Seq) > s.totals.redecided)
+			s.applyRedecide(rd, uint64(rd.Seq) > s.totals.redecided)
 		default:
 			// Unknown entry types are skipped so older builds can read
 			// logs written by newer ones.
@@ -326,61 +289,31 @@ func (s *Store) replay(entries []persist.Entry) error {
 // in-memory mutation not yet journaled lands in the snapshot and its
 // late WAL entry replays idempotently.
 //
-// The ingested records normally go out as per-shard EMIX index
-// snapshots (records, postings and token table in one mmap-ready
-// file), written for a fresh epoch before snapshot.json commits the
-// binding — the next Open then maps the shards instead of replaying
-// the ingest. Each shard's file is written under its read lock, so
-// Adds to that shard wait out its write. The records are inlined in
-// the JSON snapshot — exactly the pre-mmap format — instead whenever
-// the index files would not be authoritative: on platforms whose
-// OpenMapped cannot read them back (blocking.MmapSupported is false;
-// WriteSnapshot itself is plain file I/O and would succeed), or when
-// any index write fails.
+// The ingested records go out as per-shard EMIX index snapshots
+// (records, postings and token table in one mmap-ready file), written
+// for a fresh epoch before snapshot.json commits the binding — the next
+// Open then maps the shards instead of replaying the ingest. Each
+// shard's file is written under its read lock, so Adds to that shard
+// wait out its write. A failed index write fails the checkpoint like a
+// failed snapshot.json write: the WAL is not reset, so nothing is lost,
+// and the next cadence retries.
 func (s *Store) checkpointLocked() error {
 	var t0 time.Time
 	if tel := s.opts.Telemetry; tel != nil && tel.Persist.SnapshotSeconds != nil {
 		t0 = time.Now()
 	}
-	snap := &persist.Snapshot{}
-	emxOK := blocking.MmapSupported
-	var epoch uint64
-	if emxOK {
-		// The new generation's number must be fresh against both the
-		// committed binding and every file on disk: after a
-		// mapped-fallback open the in-memory counter alone can lag what
-		// snapshot.json references, and renaming shard files over a
-		// still-referenced generation would let a crash mid-checkpoint
-		// commit a mix of generations under one epoch.
-		epoch = s.pstate.indexEpoch + 1
-		if m := persist.MaxIndexEpoch(s.opts.PersistDir); m >= epoch {
-			epoch = m + 1
-		}
-		for i, sh := range s.shards {
-			p := filepath.Join(s.opts.PersistDir, persist.IndexFileName(epoch, i))
-			sh.mu.RLock()
-			err := sh.ix.WriteSnapshot(p)
-			sh.mu.RUnlock()
-			if err != nil {
-				emxOK = false
-				// Drop whatever the failed pass wrote of the new epoch
-				// (the previous epoch stays — the committed snapshot
-				// references it until the rename below).
-				persist.RemoveIndexFiles(s.opts.PersistDir, s.keepEpochs(s.pstate.indexEpoch)...)
-				break
-			}
-		}
+	dir := s.opts.PersistDir
+	snap := &persist.Snapshot{
+		IndexEpoch:  max(s.pstate.indexEpoch, persist.MaxIndexEpoch(dir)) + 1,
+		IndexShards: len(s.shards),
 	}
-	if emxOK {
-		snap.IndexEpoch = epoch
-		snap.IndexShards = len(s.shards)
-	} else {
-		for _, sh := range s.shards {
-			sh.mu.RLock()
-			for pos := 0; pos < sh.ix.Len(); pos++ {
-				snap.Records = append(snap.Records, persist.RecordEntry{Record: sh.ix.Record(pos)})
-			}
-			sh.mu.RUnlock()
+	var err error
+	for i, sh := range s.shards {
+		sh.mu.RLock()
+		err = sh.ix.WriteSnapshot(filepath.Join(dir, persist.IndexFileName(snap.IndexEpoch, i)))
+		sh.mu.RUnlock()
+		if err != nil {
+			break
 		}
 	}
 	// Only what took part in a resolve: stored records the graph has
@@ -404,8 +337,7 @@ func (s *Store) checkpointLocked() error {
 	snap.Resolves, snap.Redecided, snap.Totals = t.resolves, t.redecided, t.report
 	// Until the rename below the extension is an uncommitted tail: a
 	// reopen cuts it away, and wal.log still holds its decisions.
-	var err error
-	if len(s.pstate.journalDelta) > 0 {
+	if err == nil && len(s.pstate.journalDelta) > 0 {
 		if err = s.jlog.AppendEntries(s.pstate.journalDelta); err == nil {
 			err = s.jlog.Sync()
 		}
@@ -415,21 +347,19 @@ func (s *Store) checkpointLocked() error {
 	}
 	if err == nil {
 		snap.JournalBytes = s.jlog.Bytes()
-		err = persist.WriteSnapshot(s.opts.PersistDir, snap)
+		err = persist.WriteSnapshot(dir, snap)
 	}
 	if err != nil {
-		if emxOK {
-			// snapshot.json still references the previous epoch — drop
-			// the orphaned new files, keep the referenced generation.
-			persist.RemoveIndexFiles(s.opts.PersistDir, s.keepEpochs(s.pstate.indexEpoch)...)
-		}
+		// WriteSnapshot fails only before its rename, so snapshot.json
+		// still references the previous epoch — drop what this pass wrote
+		// of the new one, keep the referenced generation.
+		persist.RemoveIndexFiles(dir, s.pstate.indexEpoch)
 		return err
 	}
-	// The rename committed: snap.IndexEpoch (or, on fallback, the
-	// inline records) is now authoritative — every other index
-	// generation is garbage, except a quarantined unreadable one.
+	// The rename committed: snap.IndexEpoch is now authoritative and
+	// every other index generation is garbage.
 	s.pstate.indexEpoch = snap.IndexEpoch
-	persist.RemoveIndexFiles(s.opts.PersistDir, s.keepEpochs(snap.IndexEpoch)...)
+	persist.RemoveIndexFiles(dir, snap.IndexEpoch)
 	if err := s.wal.Reset(); err != nil {
 		return err
 	}
@@ -438,7 +368,7 @@ func (s *Store) checkpointLocked() error {
 			tel.Persist.SnapshotSeconds.ObserveSince(t0)
 		}
 		tel.Persist.Snapshots.Inc()
-		if fi, err := os.Stat(filepath.Join(s.opts.PersistDir, persist.SnapshotFile)); err == nil {
+		if fi, err := os.Stat(filepath.Join(dir, persist.SnapshotFile)); err == nil {
 			tel.Persist.SnapshotBytes.Set(fi.Size())
 		}
 		tel.Persist.JournalBytes.Set(snap.JournalBytes)
@@ -537,15 +467,12 @@ type PersistStats struct {
 	// TruncatedTail reports that recovery dropped a torn final WAL
 	// entry — the signature of a crash mid-append.
 	TruncatedTail bool
-	// MappedShards counts shards served straight from an mmap'ed index
-	// snapshot at open (no ingest replay); MappedFallback reports that
-	// the snapshot referenced index files recovery could not map —
-	// torn, truncated, wrong version or no mmap support — so the store
-	// degraded to the JSON snapshot and WAL contents.
-	MappedShards   int
-	MappedFallback bool
+	// MappedShards counts shards served straight from their index
+	// snapshot at open (no ingest replay; zero after a shard-count
+	// change, which re-inserts every record).
+	MappedShards int
 	// IndexEpoch is the committed generation of the per-shard index
-	// snapshots (zero before the first mapped checkpoint).
+	// snapshots (zero before the first checkpoint).
 	IndexEpoch uint64
 	// WALEntries and WALBytes describe appends since open; Snapshots
 	// counts compactions since open.
@@ -574,7 +501,6 @@ func (s *Store) persistStats() PersistStats {
 		RecoveredResolves:  s.pstate.recoveredResolves,
 		TruncatedTail:      s.pstate.truncatedTail,
 		MappedShards:       s.pstate.mappedShards,
-		MappedFallback:     s.pstate.mappedFallback,
 		IndexEpoch:         s.pstate.indexEpoch,
 		WALEntries:         s.wal.Entries(),
 		WALBytes:           s.wal.Bytes(),

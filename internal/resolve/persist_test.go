@@ -25,10 +25,16 @@ func mustOpen(t *testing.T, dir string, opts Options) (*Store, *countingClient) 
 	return s, client
 }
 
+// journaled is one committed journal.log decision beside its query.
+type journaled struct {
+	query string
+	persist.DecisionEntry
+}
+
 // committedJournal reads the decisions dir's snapshot commits out of
-// journal.log, in append order with QueryID set: a later entry of a
-// pair supersedes an earlier one.
-func committedJournal(t *testing.T, dir string) []persist.DecisionEntry {
+// journal.log, in append order: a later entry of a pair supersedes an
+// earlier one.
+func committedJournal(t *testing.T, dir string) []journaled {
 	t.Helper()
 	snap, ok, err := persist.ReadSnapshot(dir)
 	if err != nil || !ok {
@@ -39,15 +45,14 @@ func committedJournal(t *testing.T, dir string) []persist.DecisionEntry {
 		t.Fatalf("open journal.log: %v", err)
 	}
 	jl.Close()
-	var out []persist.DecisionEntry
+	var out []journaled
 	for _, e := range rec.Entries {
 		q, ds, err := persist.DecodeJournal(e.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, d := range ds {
-			d.QueryID = q
-			out = append(out, d)
+			out = append(out, journaled{q, d})
 		}
 	}
 	return out
@@ -68,7 +73,7 @@ func checkJournalClosure(t *testing.T, dir string, s *Store) {
 	}
 	final := map[pairID]persist.DecisionEntry{}
 	for _, d := range committedJournal(t, dir) {
-		final[pairID{query: d.QueryID, candidate: d.CandidateID}] = d
+		final[pairID{query: d.query, candidate: d.CandidateID}] = d.DecisionEntry
 	}
 	uf := blocking.NewUnionFind()
 	for pair, d := range final {

@@ -2,8 +2,6 @@ package resolve
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -107,18 +105,14 @@ func (g singletonGroup) records() []entity.Record {
 // settles, a checkpoint, more of the same into the WAL, a kill and a
 // reopen, more again, a clean close and another reopen — and compares
 // the store with the explicit-singleton oracle after every step, on the
-// three ways records come back at open: mapped EMIX shards, records
-// inline in snapshot.json (what a build without mmap writes, forced
-// here by making the index writes fail), and mapped files re-inserted
-// under a different shard count.
+// two ways records come back at open: mapped EMIX shards, and mapped
+// files re-inserted under a different shard count.
 func TestImplicitSingletonsMatchExplicitGraph(t *testing.T) {
 	paths := []struct {
 		name         string
-		inline       bool
 		reopenShards int
 	}{
 		{name: "emix", reopenShards: 4},
-		{name: "inline", inline: true, reopenShards: 4},
 		{name: "reshard", reopenShards: 3},
 	}
 	for _, path := range paths {
@@ -127,17 +121,6 @@ func TestImplicitSingletonsMatchExplicitGraph(t *testing.T) {
 				rng := detrand.New("implicit-singletons", seed)
 				gs := singletonGroups(rng, 12)
 				dir := t.TempDir()
-				// failIndexWrites makes the inline path: os.Create of shard
-				// 0's temporary file fails on a directory, for every epoch
-				// the script can reach.
-				failIndexWrites := func(dir string) {
-					for epoch := uint64(1); path.inline && epoch <= 8; epoch++ {
-						if err := os.Mkdir(filepath.Join(dir, persist.IndexFileName(epoch, 0)+".tmp"), 0o755); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				failIndexWrites(dir)
 				opts := Options{Shards: 4, PersistDir: dir, SnapshotEvery: -1,
 					Cascade: CascadeOptions{Disable: true}, Resilience: resilientOptions()}
 				client := &outageClient{}
@@ -217,9 +200,8 @@ func TestImplicitSingletonsMatchExplicitGraph(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if inline := snap.IndexShards == 0 && len(snap.Records) > 0; inline != path.inline {
-					t.Fatalf("checkpoint wrote %d index shards and %d inline records, want inline=%v",
-						snap.IndexShards, len(snap.Records), path.inline)
+				if snap.IndexShards != 4 {
+					t.Fatalf("checkpoint wrote %d index shards, want 4", snap.IndexShards)
 				}
 				for _, g := range snap.Groups {
 					if _, stored := s.Record(g[0]); len(g) == 1 && stored && g[0] != gs[0].b.ID {
@@ -232,7 +214,6 @@ func TestImplicitSingletonsMatchExplicitGraph(t *testing.T) {
 				// Kill: the directory as it is, no Close, no checkpoint.
 				crashed := t.TempDir()
 				copyDir(t, dir, crashed)
-				failIndexWrites(crashed) // copyDir leaves directories behind
 				if err := s.Close(); err != nil {
 					t.Fatal(err)
 				}
@@ -241,7 +222,7 @@ func TestImplicitSingletonsMatchExplicitGraph(t *testing.T) {
 					t.Fatal(err)
 				}
 				if ps := s.Stats().Persist; path.name == "emix" && ps.MappedShards != 4 ||
-					path.name != "emix" && ps.MappedShards != 0 || ps.MappedFallback {
+					path.name != "emix" && ps.MappedShards != 0 {
 					t.Fatalf("reopen on the %s path: %+v", path.name, ps)
 				}
 				oracle.check(t, s, "after kill and reopen")
