@@ -214,7 +214,7 @@ func TestQueryAllocBudget(t *testing.T) {
 			}
 			sc := &queryScratch{}
 			query := func() []Candidate {
-				sc.ids, sc.buf = ix.vocab.AppendKnownIDs(sc.ids[:0], sc.buf, text)
+				ix.knownIDs(sc, text)
 				return ix.queryIDs(sc, 5, 0)
 			}
 			if len(query()) != 5 { // also warms the scratch

@@ -16,23 +16,23 @@ import (
 // callers — the online resolution store, repeated blocking runs over a
 // stable collection — keep the Index and amortize construction.
 //
-// There is one postings representation: token strings are interned
-// into dense uint32 IDs (tokenize.Vocab) and each token's ascending
-// record positions are a delta+varint stream with sealed-block skip
-// metadata (postings.go). Per-token IDF weights are cached between
-// queries and results come from top-K heap selection. One size test
-// picks the scorer (see denseScoreRecords): small collections run the
-// exhaustive term-at-a-time scan over a pooled flat accumulator, large
-// ones the document-at-a-time cursor path with WAND pruning (wand.go),
-// whose memory is O(query terms). Both rank byte-identically. Query
-// and QueryTokens allocate only the returned slice.
+// There is one postings representation: token strings map to dense
+// uint32 IDs and each token's ascending record positions are a
+// delta+varint stream with sealed-block skip metadata (postings.go).
+// Per-token IDF weights are cached between queries and results come
+// from top-K heap selection. One size test picks the scorer (see
+// denseScoreRecords): small collections run the exhaustive
+// term-at-a-time scan over a pooled flat accumulator, large ones the
+// document-at-a-time cursor path with WAND pruning (wand.go), whose
+// memory is O(query terms). Both rank byte-identically. Query and
+// QueryTokens allocate only the returned slice.
 //
-// An Index comes in two storage modes. A fresh index (BuildIndex)
-// holds everything on the heap. A mapped index (OpenMapped) serves
-// postings, token table and records straight out of an mmap'ed
-// snapshot file (snapshot.go) and overlays post-open Adds as heap
-// extensions chained onto the mapped streams — reopening at 10M
-// records costs milliseconds, not an ingest replay.
+// There is one layout: an immutable base plus one heap tail. The base
+// is the mmap'ed EMIX snapshot of OpenMapped (snapshot.go) — reopening
+// at 10M records costs milliseconds, not an ingest replay — or an
+// empty base for BuildIndex. Every Add lands in the tail, whose
+// postings chain onto the base's streams, so every read, write and
+// snapshot path runs the same code however the index was created.
 //
 // Token weights are derived from document frequencies at query time
 // (IDF = log(1 + n/df)), so an Index stays correct as records are
@@ -46,33 +46,31 @@ import (
 // Concurrent Queries are safe with each other.
 type Index struct {
 	stopFrac float64
-	vocab    *tokenize.Vocab
-	// snap is the mmap'ed base of an OpenMapped index; nil for a fresh
-	// one. When set, vocab holds only tokens first seen after the open,
-	// their IDs offset by snap.nTokens, and records holds only records
-	// added after it, their positions offset by snap.nRecords.
-	snap    *mappedIndex
+	// base owns token IDs below base.nTokens and positions below
+	// base.nRecords. vocab interns the tokens first seen since, their
+	// IDs offset by base.nTokens; records holds the records added
+	// since, their positions offset by base.nRecords.
+	base    *mappedIndex
+	vocab   *tokenize.Vocab
 	records []entity.Record
-	// posts (fresh index) is dense by token ID; overlay (mapped index)
-	// is sparse because post-restart Adds touch few of the snapshot's
-	// tokens. Exactly one of them is in use.
-	posts   []postingList
-	overlay map[uint32]*postingList
+	// posts is the tail: by token ID, the postings added since the
+	// base, for base tokens and new tokens alike. Add grows it on
+	// demand to the highest token ID it touches.
+	posts []postingList
 	// idfBits/idfAtN cache math.Float64bits of each token's IDF weight
 	// and the record count n it was computed at. Queries fill the
 	// cache through atomics: concurrent fillers write identical values
 	// (n and df are fixed while queries run), so the worst case is a
 	// redundant Log, never a torn or stale read — a reader only trusts
-	// idfBits after observing the matching idfAtN. On a mapped index
-	// the slices are allocated zeroed at open (zeroed pages, not a
-	// replayed computation): IDF materializes lazily per token on first
-	// use, as the snapshot stores none.
+	// idfBits after observing the matching idfAtN. Base tokens get
+	// zeroed slots at open (zeroed pages, not a replayed computation):
+	// IDF materializes lazily per token on first use, as the snapshot
+	// stores none.
 	idfBits []uint64
 	idfAtN  []uint64
-	// addIDs/addBuf are the tokenization scratch of Add (mutation path,
-	// so single shared buffers are safe).
-	addIDs []uint32
-	addBuf []byte
+	// addScan is the tokenizer of Add (mutation path, so one shared
+	// scanner is safe).
+	addScan tokenize.Scanner
 	// scratch pools per-query state so concurrent queries do not
 	// contend and repeated ones do not allocate.
 	scratch sync.Pool
@@ -92,21 +90,20 @@ func (ix *Index) SetMetrics(m telemetry.BlockingMetrics) { ix.met = m }
 // their vocabulary.
 const stopMinDocs = 5
 
-// queryScratch is the reusable per-query state: token IDs, the flat
-// score accumulator with its epoch marks (term-at-a-time path), the
-// touched-position list, the top-K heap, and the cursor set of the
-// document-at-a-time path.
+// queryScratch is the reusable per-query state: the tokenizer, token
+// IDs with their dedupe set, the flat score accumulator with its epoch
+// marks (term-at-a-time path), the touched-position list, the top-K
+// heap, and the cursor set of the document-at-a-time path.
 type queryScratch struct {
-	ids     []uint32
-	buf     []byte
 	scan    tokenize.Scanner
+	ids     []uint32
+	set     []uint32
 	terms   []scoreTerm
 	scores  []float64
 	epoch   []uint32
 	cur     uint32
 	touched []int32
 	heap    []Candidate
-	cursor  plCursor
 	cursors []plCursor
 	weights []float64
 	order   []int32
@@ -120,36 +117,29 @@ type scoreTerm struct {
 }
 
 // BuildIndex builds an index over the records with the given options
-// (the zero IndexOptions selects all defaults). To serve an index out
-// of an mmap'ed snapshot instead of rebuilding, see OpenMapped.
+// (the zero IndexOptions selects all defaults): an empty base, every
+// record in the tail. To serve an index out of an mmap'ed snapshot
+// instead of rebuilding, see OpenMapped.
 func BuildIndex(records []entity.Record, opts IndexOptions) *Index {
-	ix := &Index{
-		stopFrac: opts.stopDocFrac(),
-		vocab:    tokenize.NewVocab(),
-		records:  make([]entity.Record, 0, len(records)),
-	}
-	ix.scratch.New = func() any { return &queryScratch{} }
+	ix := newIndex(emptyBase(), opts)
+	ix.records = make([]entity.Record, 0, len(records))
 	for _, r := range records {
 		ix.Add(r)
 	}
 	return ix
 }
 
-// snapTokens returns the number of token IDs owned by the mapped base.
-func (ix *Index) snapTokens() uint32 {
-	if ix.snap == nil {
-		return 0
+// newIndex returns an index over base with an empty tail.
+func newIndex(base *mappedIndex, opts IndexOptions) *Index {
+	ix := &Index{
+		stopFrac: opts.stopDocFrac(),
+		base:     base,
+		vocab:    tokenize.NewVocab(),
+		idfBits:  make([]uint64, base.nTokens),
+		idfAtN:   make([]uint64, base.nTokens),
 	}
-	return ix.snap.nTokens
-}
-
-// snapRecords returns the number of record positions owned by the
-// mapped base.
-func (ix *Index) snapRecords() int {
-	if ix.snap == nil {
-		return 0
-	}
-	return int(ix.snap.nRecords)
+	ix.scratch.New = func() any { return &queryScratch{} }
+	return ix
 }
 
 // Add appends one record to the index and returns its position.
@@ -160,141 +150,98 @@ func (ix *Index) Add(r entity.Record) int {
 // AddSerialized appends a record whose serialized text the caller
 // already computed (it must equal r.Serialize()), sparing the index a
 // re-serialization — the resolve store serializes before it takes the
-// shard lock, so only the insert itself runs under it.
+// shard lock, so only the insert itself runs under it. Each token keeps
+// its base ID when the base holds it and is interned into the vocab
+// otherwise.
 func (ix *Index) AddSerialized(r entity.Record, text string) int {
-	pos := ix.Len()
+	pos := int32(ix.Len())
 	ix.records = append(ix.records, r)
-	var ids []uint32
-	if ix.snap == nil {
-		ids = ix.vocab.AppendIDs(ix.addIDs[:0], text)
-	} else {
-		ids = ix.appendInternIDs(ix.addIDs[:0], text)
-	}
-	ix.growTokens()
-	// First occurrence per record only: df counts documents.
-	for i, id := range ids {
-		dup := false
-		for _, prev := range ids[:i] {
-			if prev == id {
-				dup = true
-				break
-			}
+	sc := &ix.addScan
+	sc.Reset(text, sc.Buf())
+	for tok, ok := sc.Next(); ok; tok, ok = sc.Next() {
+		id, known := ix.base.lookup(tok)
+		if !known {
+			id = ix.base.nTokens + ix.vocab.IDBytes(tok)
 		}
-		if dup {
+		pl := ix.tail(id)
+		// First occurrence per record only: df counts documents, and a
+		// repeat is a tail already ending at this record.
+		if pl.df > 0 && pl.lastPos == pos {
 			continue
 		}
-		if ix.snap == nil {
-			ix.posts[id].add(int32(pos), -1)
-			continue
-		}
-		pl := ix.overlay[id]
-		if pl == nil {
-			pl = &postingList{}
-			ix.overlay[id] = pl
-		}
-		pl.add(int32(pos), ix.overlayBase(id))
+		pl.add(pos, ix.overlayBase(id))
 	}
-	ix.addIDs = ids[:0]
-	return pos
+	return int(pos)
 }
 
-// appendInternIDs tokenizes text for the mapped-index Add path:
-// tokens already in the snapshot's table keep their mapped ID, new
-// ones are interned into the live vocab with IDs offset past the
-// snapshot's.
-func (ix *Index) appendInternIDs(dst []uint32, text string) []uint32 {
-	var sc tokenize.Scanner
-	sc.Reset(text, ix.addBuf)
-	for {
-		tok, ok := sc.Next()
-		if !ok {
-			break
-		}
-		if id, ok := ix.snap.lookup(tok); ok {
-			dst = append(dst, id)
-			continue
-		}
-		dst = append(dst, ix.snap.nTokens+ix.vocab.IDBytes(tok))
+// tail returns a token's tail, growing the per-token slices to cover
+// its ID (the IDF slices start at the base's token count, so they are
+// never shorter than posts).
+func (ix *Index) tail(id uint32) *postingList {
+	if n := int(id) + 1; n > len(ix.posts) {
+		ix.posts = grow(ix.posts, n)
+		ix.idfBits = grow(ix.idfBits, n)
+		ix.idfAtN = grow(ix.idfAtN, n)
 	}
-	ix.addBuf = sc.Buf()
-	return dst
+	return &ix.posts[id]
 }
 
-// growTokens sizes the per-token parallel slices to the current token
-// count (mapped base + live vocab).
-func (ix *Index) growTokens() {
-	n := int(ix.snapTokens()) + ix.vocab.Len()
-	for len(ix.idfBits) < n {
-		ix.idfBits = append(ix.idfBits, 0)
-		ix.idfAtN = append(ix.idfAtN, 0)
+// grow extends s with zero values to at least n elements.
+func grow[T any](s []T, n int) []T {
+	if n > len(s) {
+		s = append(s, make([]T, n-len(s))...)
 	}
-	if ix.snap == nil {
-		for len(ix.posts) < n {
-			ix.posts = append(ix.posts, postingList{})
-		}
-	}
+	return s
 }
 
-// tokenDF returns the document frequency of a token across the mapped
-// base and the live overlay.
+// tokenDF returns the document frequency of a token across the base
+// and the tail.
 func (ix *Index) tokenDF(id uint32) int {
-	if ix.snap == nil {
-		return int(ix.posts[id].df)
-	}
-	df := 0
-	if id < ix.snap.nTokens {
-		df = int(ix.snap.tokenDF(id))
-	}
-	if pl := ix.overlay[id]; pl != nil {
-		df += int(pl.df)
+	df := int(ix.base.tokenDF(id))
+	if int(id) < len(ix.posts) {
+		df += int(ix.posts[id].df)
 	}
 	return df
 }
 
-// overlayBase returns the delta base for the live extension of a
-// token: the mapped segment's last position, or -1 when the token has
-// no mapped postings.
+// overlayBase returns the delta base of a token's tail: the base
+// segment's last position, or -1 when the base holds no postings of
+// the token.
 func (ix *Index) overlayBase(id uint32) int32 {
-	if id < ix.snap.nTokens && ix.snap.tokenDF(id) > 0 {
-		return ix.snap.tokenLastPos(id)
+	if ix.base.tokenDF(id) > 0 {
+		return ix.base.tokenLastPos(id)
 	}
 	return -1
 }
 
-// initCursor points a cursor at the (up to two) posting segments of a
-// token. Callers only construct cursors for tokens with df > 0.
-func (ix *Index) initCursor(c *plCursor, id uint32) {
-	var segs [2]segView
-	n := 0
-	if ix.snap != nil {
-		if id < ix.snap.nTokens && ix.snap.tokenDF(id) > 0 {
-			segs[n] = ix.snap.tokenSeg(id)
-			n++
-		}
-		if pl := ix.overlay[id]; pl != nil && pl.df > 0 {
-			segs[n] = liveSeg(pl, ix.overlayBase(id))
-			n++
-		}
-	} else if pl := &ix.posts[id]; pl.df > 0 {
-		segs[n] = liveSeg(pl, -1)
+// segments returns a token's non-empty posting segments in position
+// order — the base's, then the tail's — and how many there are.
+func (ix *Index) segments(id uint32) (segs [2]segView, n int) {
+	if s := ix.base.tokenSeg(id); s.count > 0 {
+		segs[n] = s
 		n++
 	}
-	c.reset(segs, n)
+	if int(id) < len(ix.posts) && ix.posts[id].df > 0 {
+		segs[n] = ix.posts[id].seg(ix.overlayBase(id))
+		n++
+	}
+	return segs, n
 }
 
-// Len returns the number of indexed records.
-func (ix *Index) Len() int { return ix.snapRecords() + len(ix.records) }
+// initCursor points a cursor at the segments of a token.
+func (ix *Index) initCursor(c *plCursor, id uint32) { c.reset(ix.segments(id)) }
 
-// Record returns the record at an index position. On a mapped index,
-// positions below the snapshot's record count decode from the map per
-// call — bounded queries surface only the top K, so callers touch a
-// handful per query.
+// Len returns the number of indexed records.
+func (ix *Index) Len() int { return int(ix.base.nRecords) + len(ix.records) }
+
+// Record returns the record at an index position. Base positions
+// decode from the map per call — bounded queries surface only the top
+// K, so callers touch a handful per query.
 func (ix *Index) Record(pos int) entity.Record {
-	s := ix.snapRecords()
-	if pos < s {
-		return ix.snap.record(pos)
+	if b := int(ix.base.nRecords); pos >= b {
+		return ix.records[pos-b]
 	}
-	return ix.records[pos-s]
+	return ix.base.record(pos)
 }
 
 // Candidate is one query result: an index position and its summed IDF
@@ -313,36 +260,25 @@ func (ix *Index) Query(text string, maxCandidates int, minScore float64) []Candi
 		return nil
 	}
 	sc := ix.scratch.Get().(*queryScratch)
-	if ix.snap == nil {
-		sc.ids, sc.buf = ix.vocab.AppendKnownIDs(sc.ids[:0], sc.buf, text)
-	} else {
-		ix.appendKnownIDsMapped(sc, text)
-	}
+	ix.knownIDs(sc, text)
 	out := ix.queryIDs(sc, maxCandidates, minScore)
 	ix.scratch.Put(sc)
 	return out
 }
 
-// appendKnownIDsMapped resolves the tokens of text against the mapped
-// token table first, then the live vocab, into sc.ids. Unknown tokens
-// are skipped (zero document frequency). Read-only on the index.
-func (ix *Index) appendKnownIDsMapped(sc *queryScratch, text string) {
+// knownIDs tokenizes text into sc.ids: each token's base ID, else its
+// vocab ID. Tokens the index has never seen are skipped (zero document
+// frequency). Read-only on the index.
+func (ix *Index) knownIDs(sc *queryScratch, text string) {
 	sc.ids = sc.ids[:0]
-	sc.scan.Reset(text, sc.buf)
-	for {
-		tok, ok := sc.scan.Next()
-		if !ok {
-			break
-		}
-		if id, ok := ix.snap.lookup(tok); ok {
+	sc.scan.Reset(text, sc.scan.Buf())
+	for tok, ok := sc.scan.Next(); ok; tok, ok = sc.scan.Next() {
+		if id, ok := ix.base.lookup(tok); ok {
 			sc.ids = append(sc.ids, id)
-			continue
-		}
-		if id, ok := ix.vocab.LookupBytes(tok); ok {
-			sc.ids = append(sc.ids, ix.snap.nTokens+id)
+		} else if id, ok := ix.vocab.LookupBytes(tok); ok {
+			sc.ids = append(sc.ids, ix.base.nTokens+id)
 		}
 	}
-	sc.buf = sc.scan.Buf()
 }
 
 // QueryTokens is Query over pre-split tokens (as produced by
@@ -354,18 +290,12 @@ func (ix *Index) QueryTokens(tokens []string, maxCandidates int, minScore float6
 		return nil
 	}
 	sc := ix.scratch.Get().(*queryScratch)
-	if ix.snap == nil {
-		sc.ids = ix.vocab.AppendKnownTokenIDs(sc.ids[:0], tokens)
-	} else {
-		sc.ids = sc.ids[:0]
-		for _, t := range tokens {
-			if id, ok := ix.snap.lookupString(t); ok {
-				sc.ids = append(sc.ids, id)
-				continue
-			}
-			if id, ok := ix.vocab.Lookup(t); ok {
-				sc.ids = append(sc.ids, ix.snap.nTokens+id)
-			}
+	sc.ids = sc.ids[:0]
+	for _, t := range tokens {
+		if id, ok := ix.base.lookupString(t); ok {
+			sc.ids = append(sc.ids, id)
+		} else if id, ok := ix.vocab.Lookup(t); ok {
+			sc.ids = append(sc.ids, ix.base.nTokens+id)
 		}
 	}
 	out := ix.queryIDs(sc, maxCandidates, minScore)
@@ -410,20 +340,10 @@ func (ix *Index) queryIDs(sc *queryScratch, maxCandidates int, minScore float64)
 	// Deduplicate the query tokens and drop unknown and stop tokens
 	// (frequent both relatively and absolutely, so tiny collections
 	// keep their vocabulary).
+	sc.dedupe()
 	terms := sc.terms[:0]
 	var stopSkipped uint64
-	ids := sc.ids
-	for i, id := range ids {
-		dup := false
-		for _, prev := range ids[:i] {
-			if prev == id {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
+	for _, id := range sc.ids {
 		df := ix.tokenDF(id)
 		if df == 0 {
 			continue
@@ -449,7 +369,8 @@ func (ix *Index) queryIDs(sc *queryScratch, maxCandidates int, minScore float64)
 // queryDense is the exhaustive term-at-a-time scorer: every posting of
 // every term in sc.terms is added into a flat per-record accumulator,
 // epoch-marked so nothing is cleared between queries, and the touched
-// records go through the top-K heap.
+// records go through the top-K heap. Each segment is decoded inline —
+// the cursor's block state machine costs more than these few additions.
 func (ix *Index) queryDense(sc *queryScratch, maxCandidates int, minScore float64, stopSkipped uint64) []Candidate {
 	n := ix.Len()
 	if len(sc.scores) < n {
@@ -472,14 +393,12 @@ func (ix *Index) queryDense(sc *queryScratch, maxCandidates int, minScore float6
 		id, df := t.id, int(t.df)
 		scanned += uint64(df)
 		w := ix.idfWeight(id, n, df)
-		if ix.snap == nil {
-			// Live list: one heap segment, decoded inline — the cursor's
-			// segment/block state machine costs more than these few
-			// additions for typical short lists.
-			pl := &ix.posts[id]
-			pos, off := int32(-1), 0
-			for k := int32(0); k < pl.df; k++ {
-				d, m := uvarint(pl.stream, off)
+		segs, ns := ix.segments(id)
+		for i := range segs[:ns] {
+			s := &segs[i]
+			pos, off := s.base, 0
+			for range s.count {
+				d, m := uvarint(s.stream, off)
 				off += m
 				pos += int32(d)
 				if sc.epoch[pos] != sc.cur {
@@ -489,19 +408,6 @@ func (ix *Index) queryDense(sc *queryScratch, maxCandidates int, minScore float6
 				} else {
 					sc.scores[pos] += w
 				}
-			}
-			continue
-		}
-		c := &sc.cursor
-		ix.initCursor(c, id)
-		for c.next() {
-			pos := c.cur
-			if sc.epoch[pos] != sc.cur {
-				sc.epoch[pos] = sc.cur
-				sc.scores[pos] = w
-				touched = append(touched, pos)
-			} else {
-				sc.scores[pos] += w
 			}
 		}
 	}
@@ -525,6 +431,33 @@ func (ix *Index) queryDense(sc *queryScratch, maxCandidates int, minScore float6
 	ix.met.StopTokensSkipped.Add(stopSkipped)
 	ix.met.HeapPushes.Add(heapPushes)
 	return rankedCopy(h)
+}
+
+// dedupe drops repeated token IDs from sc.ids, keeping first
+// occurrences in order (scores are summed in that order). The set is
+// open-addressing over at least twice the query's tokens, cleared per
+// query, so the pass is O(q) however long an untrusted query is.
+func (sc *queryScratch) dedupe() {
+	bits := 4
+	for 1<<bits < 2*len(sc.ids) {
+		bits++
+	}
+	sc.set = grow(sc.set, 1<<bits)
+	set := sc.set[:1<<bits]
+	clear(set)
+	mask := uint32(len(set) - 1)
+	kept := sc.ids[:0]
+	for _, id := range sc.ids {
+		i := id * 0x9e3779b1 >> (32 - bits) // Fibonacci hashing
+		for set[i] != 0 && set[i] != id+1 {
+			i = (i + 1) & mask
+		}
+		if set[i] == 0 {
+			set[i] = id + 1
+			kept = append(kept, id)
+		}
+	}
+	sc.ids = kept
 }
 
 // rankedCopy sorts a top-K heap into rank order and returns it as the

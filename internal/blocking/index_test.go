@@ -3,7 +3,9 @@ package blocking
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"llm4em/internal/datasets"
 	"llm4em/internal/entity"
@@ -160,5 +162,47 @@ func TestLiteralZeroThresholds(t *testing.T) {
 	zeroStop := BuildIndex(recs, IndexOptions{StopDocFrac: Float(0)})
 	if got := zeroStop.Query("sharedtok", 0, 0); len(got) != 0 {
 		t.Errorf("literal-zero StopDocFrac still matched %d records via a frequent token", len(got))
+	}
+}
+
+// TestLongRecordLinear: a record or query of 200 000 distinct tokens
+// (≈1.5 MB, well inside the 32 MiB records body) goes through Add,
+// Query and QueryTokens in linear time. Token dedupe used to be a
+// nested scan — ≈7 s each at this size — and Add runs under the shard's
+// write lock.
+func TestLongRecordLinear(t *testing.T) {
+	words := make([]string, 200000)
+	for i := range words {
+		words[i] = fmt.Sprintf("w%d", i)
+	}
+	// Every token is distinct but the first and last, which repeat.
+	words = append(words, "w0", "w199999")
+	text := strings.Join(words, " ")
+	ix := BuildIndex([]entity.Record{rec("small", "w1 w2 w3")}, IndexOptions{StopDocFrac: Float(1)})
+	timed := func(label string, f func()) {
+		t.Helper()
+		start := time.Now()
+		f()
+		d := time.Since(start)
+		t.Logf("%s: %v", label, d)
+		if d > 2*time.Second {
+			t.Fatalf("%s of a 200 000-token text took %v, want < 2s", label, d)
+		}
+	}
+	timed("Add", func() { ix.Add(rec("long", text)) })
+	// A repeated token counts once.
+	for tok, want := range map[string]int{"w1": 2, "w199999": 1} {
+		if id, ok := ix.vocab.Lookup(tok); !ok || ix.tokenDF(id) != want {
+			t.Fatalf("df(%s) = %d, want %d", tok, ix.tokenDF(id), want)
+		}
+	}
+	var got []Candidate
+	timed("Query", func() { got = ix.Query(text, 0, 0) })
+	if len(got) != 2 || got[0].Pos != 1 {
+		t.Fatalf("Query ranks %v, want the long record first of 2", got)
+	}
+	timed("QueryTokens", func() { got = ix.QueryTokens(words, 0, 0) })
+	if len(got) != 2 || got[0].Pos != 1 {
+		t.Fatalf("QueryTokens ranks %v, want the long record first of 2", got)
 	}
 }

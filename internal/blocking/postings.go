@@ -5,37 +5,36 @@ import "encoding/binary"
 // Compressed postings: each token's ascending record positions are
 // delta-encoded as uvarints into one contiguous byte stream, sealed
 // into blocks of postingBlock entries. Every sealed block carries skip
-// metadata — its last position and its end offset in the stream — so
-// a seeking cursor (the block-max pruning path) jumps over blocks
+// metadata — its last position and its end offset in the stream, as
+// little-endian {last u32, end u32}, the bytes the EMIX file stores —
+// so a seeking cursor (the block-max pruning path) jumps over blocks
 // whose last position cannot reach the target without decoding a
 // byte. The stream stays append-friendly: a new position appends one
 // uvarint and, on a block boundary, one metadata entry.
 //
-// A posting list can span at most two segments: an immutable base
-// aliasing an mmap'ed snapshot (see snapshot.go) and a heap extension
-// receiving post-open Adds. Both present the same segView shape to
-// the cursor; live indexes have only the heap segment.
+// A token's postings span at most two segments: the immutable base's
+// (an mmap'ed snapshot, see snapshot.go; none for a built index) and
+// the heap tail receiving every Add. Both present the same segView.
 
 // postingBlock is the number of postings per sealed block. 128 keeps
 // block metadata under 7% of the stream bytes while skipping decodes
 // in useful chunks.
 const postingBlock = 128
 
-// postingList is the live (heap) representation of one token's
-// postings. The zero value is an empty list; the delta base of the
-// first entry is passed into add, so an overlay list extending a
-// mapped segment chains its deltas off the segment's last position.
+// postingList is a token's heap tail. The zero value is an empty list;
+// the delta base of the first entry is passed into add, so a tail
+// extending a base segment chains its deltas off the segment's last
+// position.
 type postingList struct {
 	df      int32  // postings in this list (document frequency share)
 	lastPos int32  // last appended position
 	stream  []byte // uvarint deltas: sealed blocks then the unsealed tail
-	last    []int32
-	end     []uint32
+	meta    []byte // per sealed block: little-endian {last u32, end u32}
 }
 
 // add appends one position (strictly greater than the previous). base
-// is the position preceding the list's first entry: -1 for a fresh
-// list, the mapped segment's last position for an overlay extension.
+// is the position preceding the list's first entry: -1 for a token the
+// base does not hold, the base segment's last position otherwise.
 func (p *postingList) add(pos, base int32) {
 	prev := p.lastPos
 	if p.df == 0 {
@@ -45,52 +44,34 @@ func (p *postingList) add(pos, base int32) {
 	p.df++
 	p.lastPos = pos
 	if p.df%postingBlock == 0 {
-		p.last = append(p.last, pos)
-		p.end = append(p.end, uint32(len(p.stream)))
+		p.meta = binary.LittleEndian.AppendUint32(p.meta, uint32(pos))
+		p.meta = binary.LittleEndian.AppendUint32(p.meta, uint32(len(p.stream)))
 	}
 }
 
-// segView is one posting segment as the cursor sees it: the varint
-// stream plus sealed-block skip metadata in one of two encodings —
-// metaLE for mapped segments (8 bytes per block, little-endian
-// {last u32, end u32}, read straight off the map) or lastS/endS for
-// live lists.
+// segView is one posting segment as the cursor and the dense scan see
+// it: the varint stream plus its sealed-block metadata.
 type segView struct {
 	stream  []byte
-	metaLE  []byte
-	lastS   []int32
-	endS    []uint32
-	nBlocks int
+	meta    []byte
 	count   int
 	base    int32 // position preceding the first entry
 	lastPos int32 // last position in the segment
 }
 
+func (s *segView) nBlocks() int { return len(s.meta) / 8 }
+
 func (s *segView) blockLast(i int) int32 {
-	if s.metaLE != nil {
-		return int32(binary.LittleEndian.Uint32(s.metaLE[i*8:]))
-	}
-	return s.lastS[i]
+	return int32(binary.LittleEndian.Uint32(s.meta[i*8:]))
 }
 
 func (s *segView) blockEnd(i int) uint32 {
-	if s.metaLE != nil {
-		return binary.LittleEndian.Uint32(s.metaLE[i*8+4:])
-	}
-	return s.endS[i]
+	return binary.LittleEndian.Uint32(s.meta[i*8+4:])
 }
 
-// liveSeg wraps a postingList as a segView.
-func liveSeg(p *postingList, base int32) segView {
-	return segView{
-		stream:  p.stream,
-		lastS:   p.last,
-		endS:    p.end,
-		nBlocks: len(p.last),
-		count:   int(p.df),
-		base:    base,
-		lastPos: p.lastPos,
-	}
+// seg views a tail as a segment whose first entry follows base.
+func (p *postingList) seg(base int32) segView {
+	return segView{stream: p.stream, meta: p.meta, count: int(p.df), base: base, lastPos: p.lastPos}
 }
 
 // plCursor iterates one token's postings across its segments in
@@ -101,7 +82,7 @@ type plCursor struct {
 	nseg int
 
 	seg  int   // current segment
-	blk  int   // current block (nBlocks = the unsealed tail)
+	blk  int   // current block (nBlocks() = the unsealed tail)
 	brem int   // entries left to decode in the current block
 	idx  int   // entries consumed in the current segment
 	off  int   // byte offset of the next uvarint in the segment stream
@@ -141,10 +122,10 @@ func (c *plCursor) enterSegment() {
 // blockEntries returns how many entries block i holds (sealed blocks
 // are full; the tail holds the remainder).
 func (c *plCursor) blockEntries(s *segView, i int) int {
-	if i < s.nBlocks {
+	if i < s.nBlocks() {
 		return postingBlock
 	}
-	return s.count - s.nBlocks*postingBlock
+	return s.count - s.nBlocks()*postingBlock
 }
 
 // next advances to the following posting. Returns false when the
@@ -201,7 +182,7 @@ func (c *plCursor) seek(target int32) bool {
 		// Skip sealed blocks that end below the target. brem counts the
 		// undecoded remainder of the current block; a skipped block
 		// contributes all of it.
-		for c.blk < s.nBlocks && s.blockLast(c.blk) < target {
+		for c.blk < s.nBlocks() && s.blockLast(c.blk) < target {
 			c.skipped += uint64(c.brem)
 			c.cur = s.blockLast(c.blk)
 			c.off = int(s.blockEnd(c.blk))

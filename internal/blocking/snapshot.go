@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 
 	"llm4em/internal/entity"
-	"llm4em/internal/tokenize"
 )
 
 // EMIX v1 — the mmap-friendly index snapshot format. Everything a
@@ -96,10 +95,11 @@ const (
 	secRecordHash
 )
 
-// mappedIndex is the read-only mmap'ed base of an OpenMapped Index:
-// section slices aliasing the map, plus the counts the header pins.
+// mappedIndex is the immutable base of an Index: section slices
+// aliasing an OpenMapped snapshot, plus the counts the header pins, or
+// all empty for BuildIndex (emptyBase). Every probe answers for an
+// empty base as for a snapshot holding nothing.
 type mappedIndex struct {
-	data     []byte
 	unmap    func() error
 	nRecords uint32
 	nTokens  uint32
@@ -115,11 +115,22 @@ type mappedIndex struct {
 	recHash  []byte
 }
 
+// emptyBase returns the zero-count base of a built index: every probe
+// misses and there is no mapping to release.
+func emptyBase() *mappedIndex {
+	return &mappedIndex{unmap: func() error { return nil }}
+}
+
 func (m *mappedIndex) entry(id uint32) []byte {
 	return m.tokTab[int(id)*tokEntrySize : int(id)*tokEntrySize+tokEntrySize]
 }
 
+// tokenDF returns a token's base document frequency: 0 for an ID the
+// base does not hold.
 func (m *mappedIndex) tokenDF(id uint32) int32 {
+	if id >= m.nTokens {
+		return 0
+	}
 	return int32(binary.LittleEndian.Uint32(m.entry(id)[12:]))
 }
 
@@ -134,9 +145,13 @@ func (m *mappedIndex) token(id uint32) []byte {
 	return m.tokBytes[off : off+n]
 }
 
-// tokenSeg wraps a token's mapped postings as the cursor's segment
-// view: stream bytes and block metadata straight off the map.
+// tokenSeg wraps a token's base postings as a segment view: stream
+// bytes and block metadata straight off the map, or an empty segment
+// for an ID the base does not hold.
 func (m *mappedIndex) tokenSeg(id uint32) segView {
+	if id >= m.nTokens {
+		return segView{}
+	}
 	e := m.entry(id)
 	postOff := binary.LittleEndian.Uint64(e[0:])
 	postLen := binary.LittleEndian.Uint32(e[8:])
@@ -146,8 +161,7 @@ func (m *mappedIndex) tokenSeg(id uint32) segView {
 	nBlocks := binary.LittleEndian.Uint32(e[24:])
 	return segView{
 		stream:  m.posts[postOff : postOff+uint64(postLen)],
-		metaLE:  m.meta[blockOff*8 : (blockOff+nBlocks)*8],
-		nBlocks: int(nBlocks),
+		meta:    m.meta[blockOff*8 : (blockOff+nBlocks)*8],
 		count:   int(df),
 		base:    -1,
 		lastPos: lastPos,
@@ -158,8 +172,12 @@ func (m *mappedIndex) tokenSeg(id uint32) segView {
 // hash pages are not CRC-covered, so rot is bounded twice: a slot whose
 // value exceeds the token count reads as a miss rather than indexing
 // the token table out of range, and a table with no empty slot left
-// reads as a miss after one pass instead of spinning.
+// reads as a miss after one pass instead of spinning. An empty base
+// misses before hashing, keeping FNV off a built index's token path.
 func (m *mappedIndex) lookup(tok []byte) (uint32, bool) {
+	if m.nTokens == 0 {
+		return 0, false
+	}
 	i := uint32(fnv64(tok)) & m.hashMask
 	for range int(m.hashMask) + 1 {
 		v := binary.LittleEndian.Uint32(m.tokHash[i*4:])
@@ -176,6 +194,9 @@ func (m *mappedIndex) lookup(tok []byte) (uint32, bool) {
 
 // lookupString is lookup for a string token, allocation-free.
 func (m *mappedIndex) lookupString(tok string) (uint32, bool) {
+	if m.nTokens == 0 {
+		return 0, false
+	}
 	i := uint32(fnv64String(tok)) & m.hashMask
 	for range int(m.hashMask) + 1 {
 		v := binary.LittleEndian.Uint32(m.tokHash[i*4:])
@@ -244,6 +265,9 @@ func (m *mappedIndex) recordID(pos int) []byte {
 // as in lookup: a slot value past the record count, or a pass over the
 // whole table, reads as a miss.
 func (m *mappedIndex) recordPos(id string) (int32, bool) {
+	if m.nRecords == 0 {
+		return 0, false
+	}
 	i := uint32(fnv64String(id)) & m.recMask
 	for range int(m.recMask) + 1 {
 		v := binary.LittleEndian.Uint32(m.recHash[i*4:])
@@ -300,62 +324,44 @@ func bytesEqString(b []byte, s string) bool {
 	return true
 }
 
-// tokenOf returns the token string of an ID across the mapped base and
-// the live vocab (snapshot-writer path; allocates for mapped tokens).
+// tokenOf returns the token string of an ID across the base and the
+// vocab (snapshot-writer path; allocates for base tokens).
 func (ix *Index) tokenOf(id uint32) string {
-	if s := ix.snapTokens(); id >= s {
-		return ix.vocab.Token(id - s)
+	if b := ix.base.nTokens; id >= b {
+		return ix.vocab.Token(id - b)
 	}
-	return string(ix.snap.token(id))
+	return string(ix.base.token(id))
 }
 
 // postingsForWrite produces one token's full posting stream and block
-// metadata (little-endian 8-byte entries) for the snapshot writer.
-// Fresh lists and untouched mapped segments are returned verbatim;
-// overlay extensions of mapped tokens are re-encoded through a cursor
-// so sealed-block boundaries stay aligned to postingBlock entries.
+// metadata for the snapshot writer. A token with one segment — base
+// only or tail only — is written verbatim; one with both is re-encoded
+// through a cursor, so sealed-block boundaries stay aligned to
+// postingBlock entries and the file is a function of the collection,
+// not of its build history.
 func (ix *Index) postingsForWrite(id uint32) (stream, meta []byte, df uint32, lastPos int32) {
-	if ix.snap == nil {
-		pl := &ix.posts[id]
-		return pl.stream, plMetaLE(pl), uint32(pl.df), pl.lastPos
-	}
-	base := id < ix.snap.nTokens && ix.snap.tokenDF(id) > 0
-	ov := ix.overlay[id]
-	if ov == nil || ov.df == 0 {
-		if !base {
-			return nil, nil, 0, -1
-		}
-		seg := ix.snap.tokenSeg(id)
-		return seg.stream, seg.metaLE, uint32(seg.count), seg.lastPos
-	}
-	if !base {
-		return ov.stream, plMetaLE(ov), uint32(ov.df), ov.lastPos
+	segs, n := ix.segments(id)
+	switch n {
+	case 0:
+		return nil, nil, 0, -1
+	case 1:
+		return segs[0].stream, segs[0].meta, uint32(segs[0].count), segs[0].lastPos
 	}
 	var c plCursor
-	ix.initCursor(&c, id)
+	c.reset(segs, n)
 	var pl postingList
 	for c.next() {
 		pl.add(c.cur, -1)
 	}
-	return pl.stream, plMetaLE(&pl), uint32(pl.df), pl.lastPos
-}
-
-// plMetaLE converts a live list's block metadata to the wire encoding.
-func plMetaLE(p *postingList) []byte {
-	m := make([]byte, 0, len(p.last)*8)
-	for i := range p.last {
-		m = binary.LittleEndian.AppendUint32(m, uint32(p.last[i]))
-		m = binary.LittleEndian.AppendUint32(m, p.end[i])
-	}
-	return m
+	return pl.stream, pl.meta, uint32(pl.df), pl.lastPos
 }
 
 // WriteSnapshot writes the index to path in the EMIX mmap format,
 // atomically (temp file + rename). The written file reopens with
-// OpenMapped regardless of this index's storage mode — a mapped index
-// with overlay appends merges them back into single streams.
+// OpenMapped, and is the same file BuildIndex over the same collection
+// would write: a token's base and tail merge back into one stream.
 func (ix *Index) WriteSnapshot(path string) (err error) {
-	nTok := int(ix.snapTokens()) + ix.vocab.Len()
+	nTok := int(ix.base.nTokens) + ix.vocab.Len()
 	n := ix.Len()
 
 	// Per-token pass: table entries plus references to each token's
@@ -589,9 +595,9 @@ func syncDir(dir string) {
 // header CRC, section-size consistency and the token-table sweep; a
 // file that fails it is refused with ErrSnapshotVersion or
 // ErrSnapshotTorn (both wrapped with detail). Where MmapSupported is
-// false the file is read into memory instead. The returned index
-// accepts Add — post-open records live on the heap as extensions
-// chained onto the mapped streams — and must be Closed to release the
+// false the file is read into memory instead. The file is the
+// returned index's base: it accepts Add into its heap tail, allocating
+// nothing per token at open, and must be Closed to release the
 // mapping.
 func OpenMapped(path string, opts IndexOptions) (*Index, error) {
 	f, err := os.Open(path)
@@ -615,16 +621,7 @@ func OpenMapped(path string, opts IndexOptions) (*Index, error) {
 		unmap()
 		return nil, err
 	}
-	ix := &Index{
-		stopFrac: opts.stopDocFrac(),
-		vocab:    tokenize.NewVocab(),
-		snap:     m,
-		overlay:  map[uint32]*postingList{},
-		idfBits:  make([]uint64, m.nTokens),
-		idfAtN:   make([]uint64, m.nTokens),
-	}
-	ix.scratch.New = func() any { return &queryScratch{} }
-	return ix, nil
+	return newIndex(m, opts), nil
 }
 
 // parseMapped validates the header and carves the section slices.
@@ -707,7 +704,6 @@ func parseMapped(data []byte, unmap func() error) (*mappedIndex, error) {
 		}
 	}
 	return &mappedIndex{
-		data:     data,
 		unmap:    unmap,
 		nRecords: uint32(nRecords),
 		nTokens:  uint32(nTokens),
@@ -724,58 +720,43 @@ func parseMapped(data []byte, unmap func() error) (*mappedIndex, error) {
 	}, nil
 }
 
-// Close releases the mmap of an OpenMapped index; on a fresh index it
-// is a no-op. The index must not be used after Close.
+// Close releases the mmap of an OpenMapped index; on a built index it
+// releases nothing. The index must not be used after Close.
 func (ix *Index) Close() error {
-	if ix.snap == nil {
-		return nil
-	}
-	m := ix.snap
-	ix.snap = nil
+	m := ix.base
+	ix.base = emptyBase()
 	return m.unmap()
 }
 
 // RecordPos returns the position of the record with the given ID in
-// the snapshot a mapped index was opened from, answered by the
-// snapshot's on-disk hash section — O(1), no per-record decode, no
-// rebuilt in-memory map. Only the mapped base is covered: records
-// added after OpenMapped (and every record of a fresh index) return
+// the base, answered by the snapshot's on-disk hash section — O(1), no
+// per-record decode, no rebuilt in-memory map. Only the base is
+// covered: records added since (every record of a built index) return
 // false, and callers track those themselves — the resolve store keeps
 // its post-open records in a per-shard map and consults this for the
 // rest.
 func (ix *Index) RecordPos(id string) (int, bool) {
-	if ix.snap == nil {
-		return 0, false
-	}
-	pos, ok := ix.snap.recordPos(id)
+	pos, ok := ix.base.recordPos(id)
 	return int(pos), ok
 }
 
 // RecordID returns the ID of the record at an index position without
-// decoding its attributes — the cheap accessor for callers walking a
-// mapped index's identity space (e.g. rebuilding an entity graph).
+// decoding its attributes — the cheap accessor for callers walking the
+// index's identity space (e.g. rebuilding an entity graph).
 func (ix *Index) RecordID(pos int) string {
-	s := ix.snapRecords()
-	if pos < s {
-		return string(ix.snap.recordID(pos))
+	if b := int(ix.base.nRecords); pos >= b {
+		return ix.records[pos-b].ID
 	}
-	return ix.records[pos-s].ID
+	return string(ix.base.recordID(pos))
 }
 
 // PostingsBytes reports the bytes the posting lists occupy, skip
 // metadata included — the numerator of the bytes-per-record benchmark
 // the snapshot format is sized by.
 func (ix *Index) PostingsBytes() int {
-	if ix.snap == nil {
-		total := 0
-		for i := range ix.posts {
-			total += len(ix.posts[i].stream) + 8*len(ix.posts[i].last)
-		}
-		return total
-	}
-	total := len(ix.snap.posts) + len(ix.snap.meta)
-	for _, p := range ix.overlay {
-		total += len(p.stream) + 8*len(p.last)
+	total := len(ix.base.posts) + len(ix.base.meta)
+	for i := range ix.posts {
+		total += len(ix.posts[i].stream) + len(ix.posts[i].meta)
 	}
 	return total
 }

@@ -152,8 +152,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // TestMappedOverlayAppend pins the append path of a mapped index:
 // records added after OpenMapped — repeating snapshot tokens and
 // introducing new ones — must score exactly as if the whole collection
-// had been indexed live, and a re-snapshot of the grown index (merged
-// streams) must reopen identically too.
+// had been indexed live, and a re-snapshot of the grown base+tail index
+// (merged streams) must be byte-identical to the snapshot BuildIndex
+// writes over the same collection: the file is a function of the
+// collection, not of its build history.
 func TestMappedOverlayAppend(t *testing.T) {
 	rng := detrand.New("snapshot-overlay")
 	base := randomRecords(rng, 400)
@@ -182,8 +184,8 @@ func TestMappedOverlayAppend(t *testing.T) {
 	}
 	queryBoth(t, "overlay-vs-live", mapped, live, queries)
 
-	// Re-snapshot the grown index: overlay extensions merge back into
-	// single per-token streams.
+	// Re-snapshot the grown index: each token's base and tail merge back
+	// into a single stream.
 	path2 := filepath.Join(t.TempDir(), "index2.emx")
 	if err := mapped.WriteSnapshot(path2); err != nil {
 		t.Fatalf("re-WriteSnapshot: %v", err)
@@ -194,6 +196,17 @@ func TestMappedOverlayAppend(t *testing.T) {
 	}
 	defer mapped2.Close()
 	queryBoth(t, "resnapshot-vs-live", mapped2, live, queries)
+	grown, err := os.ReadFile(path2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := os.ReadFile(writeTestSnapshot(t, live))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(grown, built) {
+		t.Fatal("snapshot of the mapped index grown by Add differs from BuildIndex's over the same records")
+	}
 	if got := mapped2.Record(len(base)); !reflect.DeepEqual(got, extra[0]) {
 		t.Fatalf("resnapshot Record(%d) = %+v, want %+v", len(base), got, extra[0])
 	}
@@ -269,7 +282,7 @@ func TestSnapshotEmptyIndex(t *testing.T) {
 	if got := mapped.Query("sony camera", 10, 0); got != nil {
 		t.Fatalf("empty mapped Query = %v, want nil", got)
 	}
-	// And it grows from empty exactly like a fresh index.
+	// And it grows from empty exactly like a built index.
 	mapped.Add(rec("a", "sony camera"))
 	if got := mapped.Query("sony camera", 10, 0); len(got) != 1 || got[0].Pos != 0 {
 		t.Fatalf("post-Add mapped Query = %v, want the added record", got)
@@ -293,7 +306,7 @@ func TestCursorSeek(t *testing.T) {
 
 	// Full iteration decodes every posting in order.
 	var c plCursor
-	c.reset([2]segView{liveSeg(&pl, -1)}, 1)
+	c.reset([2]segView{pl.seg(-1)}, 1)
 	for i, w := range want {
 		if !c.next() {
 			t.Fatalf("next() exhausted at %d of %d", i, len(want))
@@ -309,7 +322,7 @@ func TestCursorSeek(t *testing.T) {
 	// Seeks from the start to arbitrary targets.
 	for trial := 0; trial < 50; trial++ {
 		target := int32(rng.Intn(int(pos) + 10))
-		c.reset([2]segView{liveSeg(&pl, -1)}, 1)
+		c.reset([2]segView{pl.seg(-1)}, 1)
 		c.next()
 		// Expected: first posting >= target.
 		exp := int32(-1)

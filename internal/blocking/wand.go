@@ -6,7 +6,7 @@ package blocking
 // its weight: keeping the term cursors sorted by current position, the
 // smallest prefix whose cumulative weight could still beat the heap
 // floor names a pivot position, and every cursor below it seeks
-// forward — skipping sealed posting blocks (and whole mapped segments)
+// forward — skipping sealed posting blocks (and whole base segments)
 // whose last position is below the pivot without decoding a byte.
 //
 // The result is byte-identical to the exhaustive term-at-a-time scan:

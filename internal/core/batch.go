@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -112,32 +110,16 @@ func (m *BatchMatcher) MatchBatch(pairs []entity.Pair) ([]bool, llm.Response, er
 // ParseBatchAnswers reads numbered Yes/No lines ("3. Yes", "3) Yes"
 // or "3: Yes") into a decision slice of length n. Absent or
 // out-of-range numbers default to false; when a number appears on
-// several lines, the last occurrence wins.
+// several lines, the last occurrence wins. SplitBatchAnswers is its
+// strict counterpart.
 func ParseBatchAnswers(answer string, n int) []bool {
 	out := make([]bool, n)
-	for _, line := range strings.Split(answer, "\n") {
-		trimmed := strings.TrimSpace(line)
-		num, rest, ok := cutNumbered(trimmed)
-		if !ok {
-			continue
+	for idx, rest := range numberedLines(answer) {
+		if idx >= 1 && idx <= n {
+			out[idx-1] = ParseAnswer(rest)
 		}
-		idx, err := strconv.Atoi(strings.TrimSpace(num))
-		if err != nil || idx < 1 || idx > n {
-			continue
-		}
-		out[idx-1] = ParseAnswer(rest)
 	}
 	return out
-}
-
-// cutNumbered splits a "3. Yes"-style line at the first list
-// separator — ".", ")" or ":" — returning the number part and the
-// answer part.
-func cutNumbered(line string) (num, rest string, ok bool) {
-	if i := strings.IndexAny(line, ".):"); i >= 0 {
-		return line[:i], line[i+1:], true
-	}
-	return "", "", false
 }
 
 // MeanLatencyPerPair returns the mean simulated latency per matched

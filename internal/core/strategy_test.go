@@ -2,8 +2,134 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+
+	"llm4em/internal/datasets"
+	"llm4em/internal/entity"
+	"llm4em/internal/llm"
+	"llm4em/internal/prompt"
 )
+
+// TestSplitBatchAnswers pins the strict batch parser the dispatcher
+// splits batched replies with: it reads lines exactly as
+// ParseBatchAnswers does (last occurrence wins, out-of-range numbers
+// ignored) and fails where that lenient parse would default a pair to
+// No — a missing pair, or one whose last answer is empty.
+func TestSplitBatchAnswers(t *testing.T) {
+	cases := []struct {
+		name   string
+		answer string
+		n      int
+		want   []string
+		ok     bool
+	}{
+		{"clean", "1. Yes\n2. No", 2, []string{"Yes", "No"}, true},
+		{"separators", "1) Yes\n2: No.", 2, []string{"Yes", "No."}, true},
+		{"last wins", "1. No\n1. Yes", 1, []string{"Yes"}, true},
+		{"missing index", "1. Yes\n3. No", 3, nil, false},
+		{"empty answer", "1. Yes\n2.", 2, nil, false},
+		{"empty last occurrence", "1. Yes\n1.", 1, nil, false},
+		{"garbage", "I cannot answer in that format.", 2, nil, false},
+		{"out of range ignored", "1. Yes\n2. No\n7. Yes", 2, []string{"Yes", "No"}, true},
+		// "1 . Yes" has a space before the separator; the number still
+		// parses after trimming, so it is accepted.
+		{"lenient separator", "1 . Yes\n2. No", 2, []string{"Yes", "No"}, true},
+	}
+	for _, tc := range cases {
+		got, ok := SplitBatchAnswers(tc.answer, tc.n)
+		if ok != tc.ok {
+			t.Errorf("%s: ok = %v, want %v", tc.name, ok, tc.ok)
+			continue
+		}
+		if ok && !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: answers = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+	// The lenient parse of that reply is unchanged: the empty last
+	// occurrence decides No.
+	if got := ParseBatchAnswers("1. Yes\n1.", 1); got[0] {
+		t.Errorf("ParseBatchAnswers(empty last occurrence) = %v, want [false]", got)
+	}
+}
+
+// FuzzParseReplies feeds arbitrary model replies to every reply parser
+// — LLM output is untrusted, and grouped formats are where models
+// deviate — with a candidate count n in 0..64 drawn from the input. No
+// parser may panic, and the strict parsers must agree with the lenient
+// one wherever they accept: a strict batch or compare parse yields n
+// answers that decide exactly as ParseBatchAnswers does, a select
+// parse picks a candidate in 0..n, and a reason parse succeeds exactly
+// when some trimmed line starts with "Final Answer:". The seeds are
+// the simulated models' replies to each strategy's prompt.
+func FuzzParseReplies(f *testing.F) {
+	// Four matches then four non-matches; the grouped prompts set the
+	// first match's B among three non-matching candidates.
+	var pairs []entity.Pair
+	for _, want := range []bool{true, false} {
+		k := 0
+		for _, p := range datasets.MustLoad("wdc").Test {
+			if p.Match == want && k < 4 {
+				pairs = append(pairs, p)
+				k++
+			}
+		}
+	}
+	domain := entity.Product
+	query, cands := pairs[0].A, []entity.Record{pairs[4].B, pairs[0].B, pairs[5].B, pairs[6].B}
+	for _, name := range []string{"GPT-4", "Llama2", "Mixtral"} {
+		m := llm.MustNew(name)
+		for _, p := range []struct {
+			text string
+			n    uint8
+		}{
+			{prompt.BuildBatch(domain, pairs[:4]), 4},
+			{prompt.BuildBatch(domain, pairs[2:8]), 6},
+			{prompt.BuildCompare(domain, query, cands), 4},
+			{prompt.BuildSelect(domain, query, cands), 4},
+			{prompt.BuildReason(domain, pairs[0]), 1},
+			{prompt.BuildReason(domain, pairs[4]), 1},
+		} {
+			resp, err := m.Chat([]llm.Message{{Role: llm.User, Content: p.text}})
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(resp.Content, p.n)
+		}
+	}
+	f.Add("1. Yes\n1.", uint8(1))
+	f.Fuzz(func(t *testing.T, reply string, nIn uint8) {
+		n := int(nIn) % 65
+		_ = ParseAnswer(reply)
+		batch := ParseBatchAnswers(reply, n)
+		if len(batch) != n {
+			t.Fatalf("ParseBatchAnswers returned %d decisions, want %d", len(batch), n)
+		}
+		if answers, ok := SplitBatchAnswers(reply, n); ok {
+			if len(answers) != n {
+				t.Fatalf("SplitBatchAnswers returned %d answers, want %d", len(answers), n)
+			}
+			for i, a := range answers {
+				if ParseAnswer(a) != batch[i] {
+					t.Fatalf("pair %d: strict answer %q decides %v, ParseBatchAnswers %v", i+1, a, !batch[i], batch[i])
+				}
+			}
+		}
+		if verdicts, ok := ParseCompareAnswers(reply, n); ok && !reflect.DeepEqual(verdicts, batch) {
+			t.Fatalf("ParseCompareAnswers = %v, ParseBatchAnswers = %v", verdicts, batch)
+		}
+		if k, ok := ParseSelectAnswer(reply, n); ok && (k < 0 || k > n) {
+			t.Fatalf("ParseSelectAnswer picked %d of %d candidates", k, n)
+		}
+		final := false
+		for _, line := range strings.Split(reply, "\n") {
+			final = final || strings.HasPrefix(strings.TrimSpace(line), "Final Answer:")
+		}
+		if _, ok := ParseReasonAnswer(reply); ok != final {
+			t.Fatalf("ParseReasonAnswer ok = %v, want %v", ok, final)
+		}
+	})
+}
 
 // TestParseCompareAnswers pins the strict compare parser: clean
 // replies in the tolerated numbering styles parse; every ambiguity —

@@ -34,8 +34,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -465,7 +463,7 @@ func (d *Dispatcher) execute(batch []*call, seq uint64) {
 		return
 	}
 
-	answers, ok := splitBatchAnswers(resp.Content, len(batch))
+	answers, ok := core.SplitBatchAnswers(resp.Content, len(batch))
 	if !ok {
 		// The reply did not contain a clean numbered answer for every
 		// pair — answer the whole batch individually rather than guess
@@ -537,41 +535,6 @@ func (d *Dispatcher) settle(batch []*call) {
 		}
 		close(c.ready)
 	}
-}
-
-// splitBatchAnswers is the strict counterpart of
-// core.ParseBatchAnswers: it extracts the answer text of each
-// numbered line ("3. Yes", "3) Yes" or "3: Yes"; the last occurrence
-// of a number wins) and reports ok only if every pair 1..n received a
-// non-empty answer. Where it succeeds, core.ParseBatchAnswers parses
-// the same decisions; where it fails, the dispatcher falls back to
-// per-pair prompts instead of defaulting the missing pairs to No.
-func splitBatchAnswers(answer string, n int) ([]string, bool) {
-	out := make([]string, n)
-	seen := make([]bool, n)
-	for _, line := range strings.Split(answer, "\n") {
-		trimmed := strings.TrimSpace(line)
-		i := strings.IndexAny(trimmed, ".):")
-		if i < 0 {
-			continue
-		}
-		idx, err := strconv.Atoi(strings.TrimSpace(trimmed[:i]))
-		if err != nil || idx < 1 || idx > n {
-			continue
-		}
-		rest := strings.TrimSpace(trimmed[i+1:])
-		if rest == "" {
-			continue
-		}
-		out[idx-1] = rest
-		seen[idx-1] = true
-	}
-	for _, s := range seen {
-		if !s {
-			return nil, false
-		}
-	}
-	return out, true
 }
 
 // splitUsage divides one batched request's accounting evenly across

@@ -3,7 +3,6 @@ package dispatch
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -426,40 +425,6 @@ type failingClient struct{}
 func (failingClient) Name() string { return "failing" }
 func (failingClient) Chat([]llm.Message) (llm.Response, error) {
 	return llm.Response{}, errors.New("boom")
-}
-
-func TestSplitBatchAnswers(t *testing.T) {
-	cases := []struct {
-		name   string
-		answer string
-		n      int
-		want   []string
-		ok     bool
-	}{
-		{"clean", "1. Yes\n2. No", 2, []string{"Yes", "No"}, true},
-		{"separators", "1) Yes\n2: No.", 2, []string{"Yes", "No."}, true},
-		{"last wins", "1. No\n1. Yes", 1, []string{"Yes"}, true},
-		{"missing index", "1. Yes\n3. No", 3, nil, false},
-		{"empty answer", "1. Yes\n2.", 2, nil, false},
-		{"garbage", "I cannot answer in that format.", 2, nil, false},
-		{"out of range ignored", "1. Yes\n2. No\n7. Yes", 2, []string{"Yes", "No"}, true},
-	}
-	for _, tc := range cases {
-		got, ok := splitBatchAnswers(tc.answer, tc.n)
-		if ok != tc.ok {
-			t.Errorf("%s: ok = %v, want %v", tc.name, ok, tc.ok)
-			continue
-		}
-		if ok && !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: answers = %q, want %q", tc.name, got, tc.want)
-		}
-	}
-	// "1 . Yes" has a space before the separator; Atoi of "1 " with
-	// TrimSpace still parses, so it is accepted — pin that leniency.
-	got, ok := splitBatchAnswers("1 . Yes\n2. No", 2)
-	if !ok || got[0] != "Yes" {
-		t.Errorf("lenient separator: %q %v", got, ok)
-	}
 }
 
 func TestSplitUsageSumsExactly(t *testing.T) {

@@ -6,12 +6,11 @@ import (
 )
 
 // Scanner yields the tokens of a string one at a time — maximal
-// lower-cased runs of letters and digits, exactly the split Words and
-// Vocab.AppendIDs apply — without materializing token strings. Callers
-// that map tokens against more than one lookup structure (the blocking
-// index probes an mmap'ed snapshot's token table before its live
-// vocabulary) drive the split themselves through a Scanner instead of
-// the Vocab append helpers.
+// lower-cased runs of letters and digits, exactly the split Words
+// applies — without materializing token strings. It is the one
+// tokenizer of the blocking index: Add and Query scan each text once
+// and map every token against the index's base token table, then its
+// Vocab.
 //
 // The byte slice Next returns aliases the scanner's scratch buffer and
 // is valid only until the following Next or Reset. A Scanner is
@@ -36,11 +35,23 @@ func (sc *Scanner) Reset(s string, buf []byte) {
 func (sc *Scanner) Next() (tok []byte, ok bool) {
 	buf := sc.buf[:0]
 	for sc.i < len(sc.s) {
-		r, n := utf8.DecodeRuneInString(sc.s[sc.i:])
-		sc.i += n
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			buf = utf8.AppendRune(buf, unicode.ToLower(r))
-			continue
+		if c := sc.s[sc.i]; c < utf8.RuneSelf {
+			// ASCII: the split and case fold below, without the tables.
+			sc.i++
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if 'a' <= c && c <= 'z' || '0' <= c && c <= '9' {
+				buf = append(buf, c)
+				continue
+			}
+		} else {
+			r, n := utf8.DecodeRuneInString(sc.s[sc.i:])
+			sc.i += n
+			if unicode.IsLetter(r) || unicode.IsDigit(r) {
+				buf = utf8.AppendRune(buf, unicode.ToLower(r))
+				continue
+			}
 		}
 		if len(buf) > 0 {
 			sc.buf = buf

@@ -1,27 +1,21 @@
 package tokenize
 
-import (
-	"unicode"
-	"unicode/utf8"
-)
-
 // Vocab interns token strings into dense uint32 IDs, so hot paths can
 // carry token identity as integers instead of re-hashing strings.
 // IDs are assigned in first-seen order, starting at zero, and are
 // never reused, which makes them safe to use as indexes into parallel
-// slices (postings lists, IDF tables).
+// slices (postings lists, IDF tables). A Vocab holds no tokenizer:
+// callers split text with a Scanner (or Words) and intern or look up
+// each token, which lets the blocking index probe its base's token
+// table first.
 //
-// A Vocab is not safe for concurrent mutation: guard ID/AppendIDs
-// against concurrent use the same way the owning index guards its
-// postings. The read-only methods (Lookup, AppendKnownIDs, Token,
-// Len) are safe to call concurrently with each other.
+// A Vocab is not safe for concurrent mutation: guard IDBytes against
+// concurrent use the same way the owning index guards its postings.
+// The read-only methods (Lookup, LookupBytes, Token, Len) are safe to
+// call concurrently with each other.
 type Vocab struct {
 	ids  map[string]uint32
 	toks []string
-	// buf is the lower-casing scratch of AppendIDs. Keeping it on the
-	// Vocab is safe because AppendIDs is mutation-path-only and
-	// therefore externally serialized.
-	buf []byte
 }
 
 // NewVocab returns an empty vocabulary.
@@ -34,18 +28,6 @@ func (v *Vocab) Len() int { return len(v.toks) }
 
 // Token returns the token string of an ID.
 func (v *Vocab) Token(id uint32) string { return v.toks[id] }
-
-// ID interns the token and returns its dense ID, assigning the next
-// free one on first sight.
-func (v *Vocab) ID(tok string) uint32 {
-	if id, ok := v.ids[tok]; ok {
-		return id
-	}
-	id := uint32(len(v.toks))
-	v.toks = append(v.toks, tok)
-	v.ids[tok] = id
-	return id
-}
 
 // Lookup returns the ID of a token without interning it.
 func (v *Vocab) Lookup(tok string) (uint32, bool) {
@@ -61,41 +43,11 @@ func (v *Vocab) LookupBytes(tok []byte) (uint32, bool) {
 	return id, ok
 }
 
-// IDBytes interns a token given as bytes (as a Scanner yields them),
-// allocating its string only on first sight. Mutation path: callers
-// must serialize it with ID/AppendIDs and with each other.
-func (v *Vocab) IDBytes(tok []byte) uint32 { return v.internBytes(tok) }
-
-// AppendIDs tokenizes s exactly like Words — maximal lower-cased runs
-// of letters and digits — interning every token, and appends the IDs
-// to dst in token order (duplicates included). It allocates only when
-// a token has never been seen before or dst must grow; known tokens
-// are looked up through the shared lower-casing buffer without
-// materializing a string. Mutation path: callers must serialize it
-// with ID and with each other.
-func (v *Vocab) AppendIDs(dst []uint32, s string) []uint32 {
-	buf := v.buf[:0]
-	for _, r := range s {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			buf = utf8.AppendRune(buf, unicode.ToLower(r))
-			continue
-		}
-		if len(buf) > 0 {
-			dst = append(dst, v.internBytes(buf))
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		dst = append(dst, v.internBytes(buf))
-		buf = buf[:0]
-	}
-	v.buf = buf
-	return dst
-}
-
-// internBytes interns one token given as bytes, allocating its string
-// only on first sight.
-func (v *Vocab) internBytes(tok []byte) uint32 {
+// IDBytes interns a token given as bytes (as a Scanner yields them)
+// and returns its dense ID, assigning the next free one on first
+// sight; only then does it allocate the token's string. Mutation path:
+// callers must serialize it with each other.
+func (v *Vocab) IDBytes(tok []byte) uint32 {
 	if id, ok := v.ids[string(tok)]; ok { // no-alloc map probe
 		return id
 	}
@@ -104,46 +56,4 @@ func (v *Vocab) internBytes(tok []byte) uint32 {
 	v.toks = append(v.toks, t)
 	v.ids[t] = id
 	return id
-}
-
-// AppendKnownIDs tokenizes s exactly like Words and appends the ID of
-// every already-interned token to dst (duplicates included); unknown
-// tokens are skipped, which for an IDF index is equivalent to their
-// zero document frequency. buf is the caller-owned lower-casing
-// scratch — passing it in keeps the method free of shared mutable
-// state, so it is safe to call concurrently with other readers. It
-// returns dst and the (possibly grown) buf for reuse.
-func (v *Vocab) AppendKnownIDs(dst []uint32, buf []byte, s string) ([]uint32, []byte) {
-	buf = buf[:0]
-	for _, r := range s {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			buf = utf8.AppendRune(buf, unicode.ToLower(r))
-			continue
-		}
-		if len(buf) > 0 {
-			if id, ok := v.ids[string(buf)]; ok { // no-alloc map probe
-				dst = append(dst, id)
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if id, ok := v.ids[string(buf)]; ok {
-			dst = append(dst, id)
-		}
-		buf = buf[:0]
-	}
-	return dst, buf
-}
-
-// AppendKnownTokenIDs maps pre-split tokens (as produced by Words) to
-// their IDs, appending to dst and skipping unknown tokens. Read-only;
-// safe to call concurrently with other readers.
-func (v *Vocab) AppendKnownTokenIDs(dst []uint32, tokens []string) []uint32 {
-	for _, t := range tokens {
-		if id, ok := v.ids[t]; ok {
-			dst = append(dst, id)
-		}
-	}
-	return dst
 }

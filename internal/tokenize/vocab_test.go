@@ -1,25 +1,30 @@
 package tokenize
 
 import (
-	"reflect"
 	"testing"
 )
 
 func TestVocabInterning(t *testing.T) {
 	v := NewVocab()
-	a := v.ID("sony")
-	b := v.ID("camera")
+	a := v.IDBytes([]byte("sony"))
+	b := v.IDBytes([]byte("camera"))
 	if a == b {
 		t.Fatal("distinct tokens share an ID")
 	}
-	if got := v.ID("sony"); got != a {
+	if got := v.IDBytes([]byte("sony")); got != a {
 		t.Fatalf("re-interning changed the ID: %d vs %d", got, a)
 	}
 	if got, ok := v.Lookup("camera"); !ok || got != b {
 		t.Fatalf("Lookup(camera) = %d,%v want %d,true", got, ok, b)
 	}
+	if got, ok := v.LookupBytes([]byte("camera")); !ok || got != b {
+		t.Fatalf("LookupBytes(camera) = %d,%v want %d,true", got, ok, b)
+	}
 	if _, ok := v.Lookup("unknown"); ok {
 		t.Fatal("Lookup invented an ID")
+	}
+	if _, ok := v.LookupBytes([]byte("unknown")); ok {
+		t.Fatal("LookupBytes invented an ID")
 	}
 	if v.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", v.Len())
@@ -29,10 +34,11 @@ func TestVocabInterning(t *testing.T) {
 	}
 }
 
-// TestAppendIDsMatchesWords: the interning tokenizer must split
-// exactly like Words, including unicode case folding and mixed
-// alphanumerics.
-func TestAppendIDsMatchesWords(t *testing.T) {
+// TestScannerMatchesWords: the Scanner must split exactly like Words,
+// including unicode case folding and mixed alphanumerics, and scanning
+// known tokens into a reused buffer — the blocking index's Add and
+// Query paths — must not allocate.
+func TestScannerMatchesWords(t *testing.T) {
 	inputs := []string{
 		"Sony DSC-120B Camera (black)",
 		"  multiple   spaces\tand\npunctuation!!",
@@ -42,62 +48,52 @@ func TestAppendIDsMatchesWords(t *testing.T) {
 		"...",
 		"a",
 	}
+	var sc Scanner
 	for _, s := range inputs {
-		v := NewVocab()
-		ids := v.AppendIDs(nil, s)
-		words := Words(s)
-		if len(ids) != len(words) {
-			t.Fatalf("%q: %d IDs vs %d words", s, len(ids), len(words))
+		var got []string
+		sc.Reset(s, sc.Buf())
+		for tok, ok := sc.Next(); ok; tok, ok = sc.Next() {
+			got = append(got, string(tok))
 		}
-		for i, id := range ids {
-			if v.Token(id) != words[i] {
-				t.Fatalf("%q token %d: ID maps to %q, Words says %q", s, i, v.Token(id), words[i])
+		words := Words(s)
+		if len(got) != len(words) {
+			t.Fatalf("%q: Scanner yields %q, Words %q", s, got, words)
+		}
+		for i := range got {
+			if got[i] != words[i] {
+				t.Fatalf("%q token %d: Scanner yields %q, Words says %q", s, i, got[i], words[i])
 			}
 		}
-
-		// Known-ID tokenization sees the same tokens once they are
-		// interned…
-		known, _ := v.AppendKnownIDs(nil, nil, s)
-		if !reflect.DeepEqual(known, ids) {
-			t.Fatalf("%q: AppendKnownIDs %v != AppendIDs %v", s, known, ids)
-		}
-		// …and maps pre-split tokens identically.
-		fromTokens := v.AppendKnownTokenIDs(nil, words)
-		if !reflect.DeepEqual(fromTokens, ids) {
-			t.Fatalf("%q: AppendKnownTokenIDs %v != AppendIDs %v", s, fromTokens, ids)
-		}
 	}
-}
 
-// TestAppendKnownIDsSkipsUnknown: tokens never interned are dropped —
-// for an IDF index the exact equivalent of a zero document frequency.
-func TestAppendKnownIDsSkipsUnknown(t *testing.T) {
-	v := NewVocab()
-	sony := v.ID("sony")
-	ids, _ := v.AppendKnownIDs(nil, nil, "Sony unknownbrand camera")
-	if !reflect.DeepEqual(ids, []uint32{sony}) {
-		t.Fatalf("known IDs = %v, want [%d]", ids, sony)
-	}
-}
-
-// TestAppendIDsAllocs pins the allocation behavior the blocking hot
-// path depends on: repeated tokenization of known tokens into a
-// reused buffer does not allocate.
-func TestAppendIDsAllocs(t *testing.T) {
 	v := NewVocab()
 	text := "sony camera model500 pro kit"
-	ids := v.AppendIDs(nil, text) // intern everything once
-	var buf []byte
-	avg := testing.AllocsPerRun(100, func() {
-		ids, buf = v.AppendKnownIDs(ids[:0], buf, text)
-	})
-	if avg > 0 {
-		t.Fatalf("AppendKnownIDs allocates %.1f times per call on known tokens, want 0", avg)
+	for _, w := range Words(text) {
+		v.IDBytes([]byte(w))
 	}
-	avg = testing.AllocsPerRun(100, func() {
-		ids = v.AppendIDs(ids[:0], text)
-	})
-	if avg > 0 {
-		t.Fatalf("AppendIDs allocates %.1f times per call on interned tokens, want 0", avg)
+	ids := make([]uint32, 0, 8)
+	lookup := func() {
+		ids = ids[:0]
+		sc.Reset(text, sc.Buf())
+		for tok, ok := sc.Next(); ok; tok, ok = sc.Next() {
+			if id, ok := v.LookupBytes(tok); ok {
+				ids = append(ids, id)
+			}
+		}
+	}
+	if avg := testing.AllocsPerRun(100, lookup); avg > 0 {
+		t.Fatalf("Scanner + LookupBytes allocates %.1f times per text, want 0", avg)
+	}
+	if len(ids) != 5 {
+		t.Fatalf("looked up %d known tokens, want 5", len(ids))
+	}
+	intern := func() {
+		sc.Reset(text, sc.Buf())
+		for tok, ok := sc.Next(); ok; tok, ok = sc.Next() {
+			v.IDBytes(tok)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, intern); avg > 0 {
+		t.Fatalf("Scanner + IDBytes allocates %.1f times per text of interned tokens, want 0", avg)
 	}
 }
