@@ -7,9 +7,10 @@
 //
 // Uncertain pairs from concurrent resolves are coalesced into
 // batched prompts by a cross-request micro-batching dispatcher
-// (-dispatch-pairs, default 16; 0 disables), so heavy traffic pays
-// far fewer LLM round-trips than it resolves pairs. GET /v1/stats
-// reports the dispatcher's batch counters under "dispatch".
+// (-dispatch-pairs, default 16; 0 or 1 sends each pair alone), so
+// heavy traffic pays far fewer LLM round-trips than it resolves pairs.
+// GET /v1/stats reports the dispatcher's batch counters under
+// "dispatch".
 //
 // The prompt formulation for the uncertain band is selectable with
 // -strategy (match|compare|select): compare and select answer all of

@@ -578,7 +578,6 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 			"retries":      st.Engine.Retries,
 		},
 		"dispatch": map[string]any{
-			"enabled":            st.Dispatch.Enabled,
 			"batches":            st.Dispatch.Batches,
 			"batched_pairs":      st.Dispatch.BatchedPairs,
 			"mean_batch_size":    st.Dispatch.MeanBatchSize(),
@@ -586,10 +585,6 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 			"parse_fallbacks":    st.Dispatch.ParseFallbacks,
 			"fallback_pairs":     st.Dispatch.FallbackPairs,
 			"single_flight_hits": st.Dispatch.SingleFlightHits,
-			"group_calls":        st.Dispatch.GroupCalls,
-			"grouped_pairs":      st.Dispatch.GroupedPairs,
-			"group_fallbacks":    st.Dispatch.GroupParseFallbacks,
-			"group_fb_pairs":     st.Dispatch.GroupFallbackPairs,
 			"cache_hits":         st.Dispatch.CacheHits,
 			"size_flushes":       st.Dispatch.SizeFlushes,
 			"deadline_flushes":   st.Dispatch.DeadlineFlushes,

@@ -329,10 +329,9 @@ func TestServerConcurrentResolves(t *testing.T) {
 	}
 }
 
-// TestServerDispatchStats: a dispatcher-enabled store serves
-// concurrent resolves through batched prompts and reports the batch
-// counters under /stats "dispatch"; shutdown via store.Close drains
-// cleanly.
+// TestServerDispatchStats: a store batching 8 pairs a prompt serves
+// concurrent resolves and reports the batch counters under /stats
+// "dispatch"; shutdown via store.Close drains cleanly.
 func TestServerDispatchStats(t *testing.T) {
 	model, err := llm4em.NewModel(llm4em.GPTMini)
 	if err != nil {
@@ -374,14 +373,20 @@ func TestServerDispatchStats(t *testing.T) {
 	if !ok {
 		t.Fatalf("stats carry no dispatch block: %v", body)
 	}
-	if dispatch["enabled"] != true {
-		t.Errorf("dispatch.enabled = %v, want true", dispatch["enabled"])
+	for _, k := range []string{"batches", "batched_pairs", "single_pair_calls", "cache_hits"} {
+		if _, ok := dispatch[k]; !ok {
+			t.Errorf("dispatch block lacks %q: %v", k, dispatch)
+		}
+	}
+	// group_fallbacks has one meaning: the top-level count of pairs.
+	if _, ok := dispatch["group_fallbacks"]; ok {
+		t.Errorf("dispatch block still carries group_fallbacks: %v", dispatch)
 	}
 	if body["resolves"].(float64) != 8 {
 		t.Errorf("resolves = %v, want 8", body["resolves"])
 	}
 	if err := store.Close(); err != nil {
-		t.Fatalf("close dispatcher-enabled store: %v", err)
+		t.Fatalf("close store: %v", err)
 	}
 }
 
@@ -481,8 +486,7 @@ func TestMetricsHealthReady(t *testing.T) {
 		}
 	}
 
-	// Closing the dispatcher-enabled store degrades health and
-	// readiness.
+	// Closing the store degrades health and readiness.
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -25,12 +25,16 @@
 //
 // The dispatcher never changes which pairs are escalated — budgets
 // and cost caps are applied by the caller before submission — only
-// how many client round-trips the escalated pairs cost. Close drains:
-// pending pairs are flushed immediately and in-flight batches awaited,
-// so graceful shutdown never abandons a waiting caller.
+// how many client round-trips the escalated pairs cost. A batch's
+// client calls run under a context that is cancelled once no caller
+// waits on any of its pairs any more; while one does, the batch runs
+// to completion and seeds the cache. Close drains: pending pairs are
+// flushed immediately and in-flight batches awaited, so graceful
+// shutdown never abandons a waiting caller.
 package dispatch
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -62,8 +66,8 @@ const (
 type Options struct {
 	// MaxBatchPairs is the maximum number of pairs packed into one
 	// batched prompt; reaching it flushes immediately (default
-	// DefaultMaxBatchPairs). 1 degenerates to per-pair prompts issued
-	// through the dispatcher.
+	// DefaultMaxBatchPairs). 1 cuts every pair as it arrives: one
+	// per-pair prompt per round-trip, no flush timer.
 	MaxBatchPairs int
 	// FlushInterval is the longest a pending pair waits for batch-mates
 	// before a partial batch is flushed (default DefaultFlushInterval).
@@ -84,7 +88,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ErrClosed is returned by Do/DoAll after Close.
+// ErrClosed is returned by DoAllContext and DoGroupContext after Close.
 var ErrClosed = errors.New("dispatch: dispatcher is closed")
 
 // Result is the outcome of one submitted pair.
@@ -114,7 +118,7 @@ type Result struct {
 	// instead.
 	FellBack bool
 	// Grouped reports that a grouped compare/select prompt decided the
-	// pair (see DoGroup); GroupSize is the number of pairs that rode
+	// pair (see DoGroupContext); GroupSize is the number of pairs that rode
 	// that prompt.
 	Grouped   bool
 	GroupSize int
@@ -137,8 +141,8 @@ type Stats struct {
 	ParseFallbacks uint64
 	FallbackPairs  uint64
 	// SingleFlightHits counts submissions coalesced onto an identical
-	// in-flight pair; CacheHits submissions answered from the per-pair
-	// prompt cache before entering the queue.
+	// in-flight pair; CacheHits submissions — batched or grouped —
+	// answered from the per-pair prompt cache before any round-trip.
 	SingleFlightHits uint64
 	CacheHits        uint64
 	// SizeFlushes, DeadlineFlushes and DrainFlushes count why batches
@@ -146,15 +150,6 @@ type Stats struct {
 	SizeFlushes     uint64
 	DeadlineFlushes uint64
 	DrainFlushes    uint64
-	// GroupCalls is the number of grouped compare/select round-trips
-	// issued; GroupedPairs the pairs they answered.
-	GroupCalls   uint64
-	GroupedPairs uint64
-	// GroupParseFallbacks counts grouped replies that failed strict
-	// parsing; GroupFallbackPairs the pairs re-routed to individual
-	// prompts because of them.
-	GroupParseFallbacks uint64
-	GroupFallbackPairs  uint64
 }
 
 // MeanBatchSize returns the average pairs per batched round-trip.
@@ -176,7 +171,34 @@ type call struct {
 	// enqueued is when the call entered the pending queue; only set
 	// (and only read) when the wait-latency histogram is wired.
 	enqueued time.Time
+	// waiters counts the callers blocked on ready; b is the batch the
+	// call rides once cut. Both are guarded by Dispatcher.mu.
+	waiters int
+	b       *batch
 }
+
+// batch is one cut batch. Its client calls run under ctx, which is
+// cancelled once waiters — the sum of its calls' waiters — drops to
+// zero.
+type batch struct {
+	calls   []*call
+	seq     uint64
+	waiters int // guarded by Dispatcher.mu
+	ctx     context.Context
+	cancel  context.CancelFunc
+}
+
+// join adds one waiter to the call. Caller holds mu.
+func (c *call) join() {
+	c.waiters++
+	if c.b != nil {
+		c.b.waiters++
+	}
+}
+
+// joinable reports whether a new submission may wait on the call: not
+// once its batch was cancelled for want of waiters. Caller holds mu.
+func (c *call) joinable() bool { return c.b == nil || c.b.waiters > 0 }
 
 // Dispatcher coalesces per-pair matching calls into batched prompts.
 // Safe for concurrent use.
@@ -192,8 +214,6 @@ type Dispatcher struct {
 		parseFallbacks, fallbackPairs            atomic.Uint64
 		singleFlightHits, cacheHits              atomic.Uint64
 		sizeFlushes, deadlineFlushes, drainFlush atomic.Uint64
-		groupCalls, groupedPairs                 atomic.Uint64
-		groupParseFallbacks, groupFallbackPairs  atomic.Uint64
 	}
 
 	mu         sync.Mutex
@@ -221,45 +241,27 @@ func New(eng *pipeline.Engine, buildPair func(entity.Pair) string, buildBatch fu
 // Stats returns a snapshot of the dispatcher's counters.
 func (d *Dispatcher) Stats() Stats {
 	return Stats{
-		Batches:             d.stats.batches.Load(),
-		BatchedPairs:        d.stats.batchedPairs.Load(),
-		SinglePairCalls:     d.stats.singlePairCalls.Load(),
-		ParseFallbacks:      d.stats.parseFallbacks.Load(),
-		FallbackPairs:       d.stats.fallbackPairs.Load(),
-		SingleFlightHits:    d.stats.singleFlightHits.Load(),
-		CacheHits:           d.stats.cacheHits.Load(),
-		SizeFlushes:         d.stats.sizeFlushes.Load(),
-		DeadlineFlushes:     d.stats.deadlineFlushes.Load(),
-		DrainFlushes:        d.stats.drainFlush.Load(),
-		GroupCalls:          d.stats.groupCalls.Load(),
-		GroupedPairs:        d.stats.groupedPairs.Load(),
-		GroupParseFallbacks: d.stats.groupParseFallbacks.Load(),
-		GroupFallbackPairs:  d.stats.groupFallbackPairs.Load(),
+		Batches:          d.stats.batches.Load(),
+		BatchedPairs:     d.stats.batchedPairs.Load(),
+		SinglePairCalls:  d.stats.singlePairCalls.Load(),
+		ParseFallbacks:   d.stats.parseFallbacks.Load(),
+		FallbackPairs:    d.stats.fallbackPairs.Load(),
+		SingleFlightHits: d.stats.singleFlightHits.Load(),
+		CacheHits:        d.stats.cacheHits.Load(),
+		SizeFlushes:      d.stats.sizeFlushes.Load(),
+		DeadlineFlushes:  d.stats.deadlineFlushes.Load(),
+		DrainFlushes:     d.stats.drainFlush.Load(),
 	}
 }
 
-// Do submits one pair and blocks until it is decided.
-func (d *Dispatcher) Do(pair entity.Pair) (Result, error) {
-	rs, err := d.DoAll([]entity.Pair{pair})
-	if err != nil {
-		return Result{}, err
-	}
-	return rs[0], nil
-}
-
-// DoAll submits the pairs — typically one Resolve call's uncertain
-// band — and blocks until every one is decided, returning results in
-// input order. The pairs may be answered by several different batches
-// (shared with other concurrent callers), by the prompt cache, or by
-// per-pair fallbacks; the first error of any of them is returned.
-func (d *Dispatcher) DoAll(pairs []entity.Pair) ([]Result, error) {
-	return d.DoAllContext(context.Background(), pairs)
-}
-
-// DoAllContext is DoAll with cancellation. A batch is shared with
-// other callers, so an expired context abandons this caller's wait —
-// the batch itself keeps executing in the background and its answers
-// still seed the prompt cache — and the context error is returned.
+// DoAllContext submits the pairs — typically one Resolve call's
+// uncertain band — and blocks until every one is decided, returning
+// results in input order. The pairs may be answered by several
+// different batches (shared with other concurrent callers), by the
+// prompt cache, or by per-pair fallbacks; the first error of any of
+// them is returned. An expired context abandons this caller's wait and
+// returns the context error; a batch nobody waits on any more is
+// cancelled, one another caller still waits on runs to completion.
 func (d *Dispatcher) DoAllContext(ctx context.Context, pairs []entity.Pair) ([]Result, error) {
 	if len(pairs) == 0 {
 		return nil, nil
@@ -294,14 +296,16 @@ func (d *Dispatcher) DoAllContext(ctx context.Context, pairs []entity.Pair) ([]R
 			continue
 		}
 		// Layer 2: single-flight — an identical pair already pending or
-		// riding a batch answers this submission too.
-		if c, ok := d.inflight[keys[i]]; ok {
+		// riding a live batch answers this submission too.
+		if c, ok := d.inflight[keys[i]]; ok && c.joinable() {
 			d.stats.singleFlightHits.Add(1)
+			c.join()
 			calls[i] = c
 			shared[i] = true
 			continue
 		}
-		c := &call{pair: p, key: keys[i], ready: make(chan struct{})}
+		// A cancelled twin still settling is replaced, not joined.
+		c := &call{pair: p, key: keys[i], ready: make(chan struct{}), waiters: 1}
 		if d.opts.Metrics.WaitSeconds != nil {
 			c.enqueued = time.Now()
 		}
@@ -325,17 +329,11 @@ func (d *Dispatcher) DoAllContext(ctx context.Context, pairs []entity.Pair) ([]R
 			continue
 		}
 		c := calls[i]
-		if done := ctx.Done(); done != nil {
-			select {
-			case <-c.ready:
-			case <-done:
-				if firstErr == nil {
-					firstErr = ctx.Err()
-				}
-				continue
-			}
-		} else {
-			<-c.ready
+		select {
+		case <-c.ready:
+		case <-ctx.Done():
+			d.abandon(calls[i:])
+			return nil, cmp.Or(firstErr, ctx.Err())
 		}
 		if c.err != nil {
 			if firstErr == nil {
@@ -352,6 +350,24 @@ func (d *Dispatcher) DoAllContext(ctx context.Context, pairs []entity.Pair) ([]R
 		return nil, firstErr
 	}
 	return out, nil
+}
+
+// abandon drops one waiter from each call; a batch left with none is
+// cancelled.
+func (d *Dispatcher) abandon(calls []*call) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, c := range calls {
+		if c == nil {
+			continue // answered from the cache
+		}
+		c.waiters--
+		if c.b != nil {
+			if c.b.waiters--; c.b.waiters == 0 {
+				c.b.cancel()
+			}
+		}
+	}
 }
 
 // cutFullLocked launches every full batch in the pending queue.
@@ -382,11 +398,19 @@ func (d *Dispatcher) flushAllLocked() {
 }
 
 // launchLocked starts one batch executing. Caller holds mu.
-func (d *Dispatcher) launchLocked(batch []*call) {
-	d.opts.Metrics.BatchPairs.Observe(float64(len(batch)))
+func (d *Dispatcher) launchLocked(calls []*call) {
+	d.opts.Metrics.BatchPairs.Observe(float64(len(calls)))
+	b := &batch{calls: calls, seq: d.batchSeq.Add(1)}
+	b.ctx, b.cancel = context.WithCancel(context.Background())
+	for _, c := range calls {
+		c.b = b
+		b.waiters += c.waiters
+	}
+	if b.waiters == 0 {
+		b.cancel() // every waiter left while the pairs were pending
+	}
 	d.wg.Add(1)
-	seq := d.batchSeq.Add(1)
-	go d.execute(batch, seq)
+	go d.execute(b)
 }
 
 // deadlineFlush fires when the oldest pending pair has waited
@@ -412,8 +436,9 @@ func (d *Dispatcher) deadlineFlush() {
 
 // Close drains the dispatcher: pending pairs are flushed immediately
 // — their waiters still receive real answers — and in-flight batches
-// are awaited. Subsequent Do/DoAll calls return ErrClosed. Idempotent
-// and safe to call concurrently with submissions.
+// are awaited; a batch nobody waits on is cancelled, not waited out.
+// Later submissions return ErrClosed. Idempotent and safe to call
+// concurrently with submissions.
 func (d *Dispatcher) Close() {
 	d.mu.Lock()
 	if !d.closed {
@@ -438,13 +463,16 @@ func (d *Dispatcher) Closed() bool {
 	return d.closed
 }
 
-// execute runs one cut batch to completion: a batched prompt for ≥2
-// pairs, an ordinary per-pair prompt for a singleton flush.
-func (d *Dispatcher) execute(batch []*call, seq uint64) {
+// execute runs one cut batch to completion under its context: a
+// batched prompt for ≥2 pairs, an ordinary per-pair prompt for a
+// singleton flush.
+func (d *Dispatcher) execute(b *batch) {
 	defer d.wg.Done()
+	defer b.cancel()
+	batch := b.calls
 	if len(batch) == 1 {
 		d.stats.singlePairCalls.Add(1)
-		d.completePair(batch[0], false)
+		d.completePair(b.ctx, batch[0], false)
 		d.settle(batch)
 		return
 	}
@@ -453,7 +481,7 @@ func (d *Dispatcher) execute(batch []*call, seq uint64) {
 	for i, c := range batch {
 		pairs[i] = c.pair
 	}
-	resp, batchCached, err := d.eng.Complete(d.buildBatch(pairs))
+	resp, batchCached, err := d.eng.CompleteContext(b.ctx, d.buildBatch(pairs))
 	if err != nil {
 		werr := fmt.Errorf("dispatch: batch of %d: %w", len(batch), err)
 		for _, c := range batch {
@@ -471,7 +499,7 @@ func (d *Dispatcher) execute(batch []*call, seq uint64) {
 		d.stats.parseFallbacks.Add(1)
 		d.stats.fallbackPairs.Add(uint64(len(batch)))
 		_ = pipeline.ForEach(len(batch), d.eng.Workers(), func(i int) error {
-			d.completePair(batch[i], true)
+			d.completePair(b.ctx, batch[i], true)
 			return nil
 		})
 		d.settle(batch)
@@ -488,7 +516,7 @@ func (d *Dispatcher) execute(batch []*call, seq uint64) {
 			Usage:     shares[i],
 			Cached:    batchCached,
 			Batched:   true,
-			BatchID:   seq,
+			BatchID:   b.seq,
 			BatchSize: len(batch),
 		}
 		// Layer the extracted answer onto the per-pair prompt cache:
@@ -503,8 +531,8 @@ func (d *Dispatcher) execute(batch []*call, seq uint64) {
 // completePair answers one pair with its ordinary per-pair prompt.
 // Routing stats are the caller's job — they count re-routed pairs
 // whether or not this call succeeds.
-func (d *Dispatcher) completePair(c *call, fellBack bool) {
-	resp, cached, err := d.eng.Complete(c.key)
+func (d *Dispatcher) completePair(ctx context.Context, c *call, fellBack bool) {
+	resp, cached, err := d.eng.CompleteContext(ctx, c.key)
 	if err != nil {
 		c.err = fmt.Errorf("dispatch: pair %s: %w", c.pair.ID, err)
 		return

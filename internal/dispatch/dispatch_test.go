@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -100,6 +101,15 @@ func newTestDispatcher(client llm.Client, opts Options) *Dispatcher {
 	return New(eng, testBuildPair, testBuildBatch, opts)
 }
 
+// doOne submits one pair and blocks until it is decided.
+func doOne(d *Dispatcher, p entity.Pair) (Result, error) {
+	rs, err := d.DoAllContext(context.Background(), []entity.Pair{p})
+	if err != nil {
+		return Result{}, err
+	}
+	return rs[0], nil
+}
+
 // TestBatchesCoalesceConcurrentCalls is the core behavior: many
 // concurrent submissions ride far fewer client round-trips, every
 // caller gets its own correct answer.
@@ -115,7 +125,7 @@ func TestBatchesCoalesceConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := d.Do(pair(i, i%2 == 0))
+			r, err := doOne(d, pair(i, i%2 == 0))
 			if err != nil {
 				t.Error(err)
 				return
@@ -164,7 +174,7 @@ func TestFlushOnCloseWithPendingPairs(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = d.Do(pair(i, true))
+			results[i], errs[i] = doOne(d, pair(i, true))
 		}(i)
 	}
 
@@ -205,8 +215,8 @@ func TestFlushOnCloseWithPendingPairs(t *testing.T) {
 	if st.BatchedPairs != n {
 		t.Errorf("BatchedPairs = %d, want %d (one drained batch)", st.BatchedPairs, n)
 	}
-	if _, err := d.Do(pair(99, true)); !errors.Is(err, ErrClosed) {
-		t.Errorf("Do after Close: %v, want ErrClosed", err)
+	if _, err := doOne(d, pair(99, true)); !errors.Is(err, ErrClosed) {
+		t.Errorf("submission after Close: %v, want ErrClosed", err)
 	}
 	d.Close() // idempotent
 }
@@ -230,7 +240,7 @@ func TestDeadlineFlushRacesFullBatch(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				res, err := d.Do(pair(i, i%3 == 0))
+				res, err := doOne(d, pair(i, i%3 == 0))
 				if err != nil {
 					t.Error(err)
 					return
@@ -275,7 +285,7 @@ func TestBatchParseFailureFallsBackPerPair(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := d.Do(pair(i, i%2 == 0))
+			r, err := doOne(d, pair(i, i%2 == 0))
 			if err != nil {
 				t.Error(err)
 				return
@@ -317,10 +327,10 @@ func TestSingleFlightAndCacheLayering(t *testing.T) {
 	defer d.Close()
 
 	// Two distinct pairs plus a duplicate of the first, submitted in
-	// one call: DoAll enqueues all three under one lock acquisition, so
+	// one call: DoAllContext enqueues all three under one lock acquisition, so
 	// the duplicate deterministically coalesces onto the in-flight twin
 	// and the two distinct pairs form exactly one full batch.
-	rs, err := d.DoAll([]entity.Pair{pair(0, true), pair(1, true), pair(0, true)})
+	rs, err := d.DoAllContext(context.Background(), []entity.Pair{pair(0, true), pair(1, true), pair(0, true)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +352,7 @@ func TestSingleFlightAndCacheLayering(t *testing.T) {
 	}
 
 	// A later repeat is served from the seeded per-pair cache.
-	r, err := d.Do(pair(0, true))
+	r, err := doOne(d, pair(0, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +376,7 @@ func TestDoAllMixedWithinOneCall(t *testing.T) {
 	// batch of 3, a deadline-flushed partial of 1 (the duplicate
 	// coalesces onto its twin).
 	pairs := []entity.Pair{pair(0, true), pair(1, false), pair(2, true), pair(0, true), pair(3, false)}
-	rs, err := d.DoAll(pairs)
+	rs, err := d.DoAllContext(context.Background(), pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,8 +396,8 @@ func TestDoAllMixedWithinOneCall(t *testing.T) {
 		t.Errorf("singleton flush marked batched: %+v", rs[4])
 	}
 
-	if rs2, err := d.DoAll(nil); err != nil || rs2 != nil {
-		t.Errorf("DoAll(nil) = %v, %v", rs2, err)
+	if rs2, err := d.DoAllContext(context.Background(), nil); err != nil || rs2 != nil {
+		t.Errorf("DoAllContext(nil) = %v, %v", rs2, err)
 	}
 }
 
@@ -402,7 +412,7 @@ func TestClientErrorPropagates(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = d.Do(pair(i, true))
+			_, errs[i] = doOne(d, pair(i, true))
 		}(i)
 	}
 	wg.Wait()

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -10,7 +11,6 @@ import (
 
 	"llm4em/internal/entity"
 	"llm4em/internal/llm"
-	"llm4em/internal/pipeline"
 )
 
 // The grouped test format: "group:\n<i> | <a> | <b>" lines, answered
@@ -93,7 +93,7 @@ func (c *groupClient) Chat(messages []llm.Message) (llm.Response, error) {
 // groupPairs builds n pairs sharing one query record, each candidate
 // distinct, matching where the index is even (those candidates are
 // "variant" renderings the test client recognizes) — the shape
-// DoGroup receives from a Resolve call.
+// DoGroupContext receives from a Resolve call.
 func groupPairs(n int) []entity.Pair {
 	q := entity.Record{ID: "q", Attrs: []entity.Attr{{Name: "title", Value: "query item"}}}
 	pairs := make([]entity.Pair, n)
@@ -112,15 +112,15 @@ func groupPairs(n int) []entity.Pair {
 }
 
 // TestDoGroupAnswersAllPairsInOneCall is the core behavior: one
-// grouped round-trip decides every pair, verdicts match the per-pair
-// formulation, and the stats record one group call.
+// grouped round-trip decides every pair and verdicts match the
+// per-pair formulation.
 func TestDoGroupAnswersAllPairsInOneCall(t *testing.T) {
 	client := &groupClient{}
 	d := newTestDispatcher(client, Options{})
 	defer d.Close()
 	pairs := groupPairs(4)
 
-	results, err := d.DoGroup(pairs, testGroupSpec())
+	results, err := d.DoGroupContext(context.Background(), pairs, testGroupSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,12 +139,8 @@ func TestDoGroupAnswersAllPairsInOneCall(t *testing.T) {
 			t.Errorf("pair %d unexpectedly cached=%v fellBack=%v", i, r.Cached, r.FellBack)
 		}
 	}
-	if got := client.calls.Load(); got != 1 {
-		t.Errorf("client saw %d calls, want 1", got)
-	}
-	st := d.Stats()
-	if st.GroupCalls != 1 || st.GroupedPairs != 4 || st.GroupParseFallbacks != 0 {
-		t.Errorf("stats = %+v, want 1 group call, 4 grouped pairs, 0 fallbacks", st)
+	if got, groups := client.calls.Load(), client.groupCalls.Load(); got != 1 || groups != 1 {
+		t.Errorf("client saw %d calls (%d grouped), want 1 grouped", got, groups)
 	}
 }
 
@@ -157,11 +153,11 @@ func TestDoGroupSeedsPerPairCache(t *testing.T) {
 	defer d.Close()
 	pairs := groupPairs(3)
 
-	if _, err := d.DoGroup(pairs, testGroupSpec()); err != nil {
+	if _, err := d.DoGroupContext(context.Background(), pairs, testGroupSpec()); err != nil {
 		t.Fatal(err)
 	}
 	// The same pair pairwise: answered from the seeded cache.
-	res, err := d.Do(pairs[1])
+	res, err := doOne(d, pairs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +169,7 @@ func TestDoGroupSeedsPerPairCache(t *testing.T) {
 	}
 	// A second group overlapping the first: the repeats come from the
 	// cache, no new client call for a fully covered group.
-	results, err := d.DoGroup(pairs[:2], testGroupSpec())
+	results, err := d.DoGroupContext(context.Background(), pairs[:2], testGroupSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,22 +185,21 @@ func TestDoGroupSeedsPerPairCache(t *testing.T) {
 
 // TestGroupParseFailureFallsBackPerPair pins the degradation
 // contract: a malformed grouped reply falls back to one pairwise
-// prompt per pair — deterministically, without dropping any pair —
-// and the stats count the fallback.
+// prompt per pair — deterministically, without dropping any pair.
 func TestGroupParseFailureFallsBackPerPair(t *testing.T) {
-	run := func() ([]Result, Stats, int64) {
+	run := func() ([]Result, *groupClient) {
 		client := &groupClient{garbleGroups: true}
 		d := newTestDispatcher(client, Options{})
 		defer d.Close()
 		pairs := groupPairs(4)
-		results, err := d.DoGroup(pairs, testGroupSpec())
+		results, err := d.DoGroupContext(context.Background(), pairs, testGroupSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return results, d.Stats(), client.calls.Load()
+		return results, client
 	}
 
-	results, st, calls := run()
+	results, client := run()
 	if len(results) != 4 {
 		t.Fatalf("fallback dropped pairs: got %d results, want 4", len(results))
 	}
@@ -218,15 +213,12 @@ func TestGroupParseFailureFallsBackPerPair(t *testing.T) {
 		}
 	}
 	// One wasted group round-trip plus one pairwise call per pair.
-	if calls != 5 {
-		t.Errorf("client saw %d calls, want 5 (1 group + 4 fallback pairs)", calls)
-	}
-	if st.GroupParseFallbacks != 1 || st.GroupFallbackPairs != 4 || st.GroupCalls != 0 {
-		t.Errorf("stats = %+v, want 1 parse fallback, 4 fallback pairs, 0 group calls", st)
+	if groups, pairwise := client.groupCalls.Load(), client.pairCalls.Load(); groups != 1 || pairwise != 4 {
+		t.Errorf("client saw %d group + %d pairwise calls, want 1 + 4", groups, pairwise)
 	}
 
 	// Deterministic: a rerun produces identical verdicts and flags.
-	again, _, _ := run()
+	again, _ := run()
 	if !reflect.DeepEqual(results, again) {
 		t.Errorf("fallback results differ across reruns:\n%+v\n%+v", results, again)
 	}
@@ -236,8 +228,8 @@ func TestGroupParseFailureFallsBackPerPair(t *testing.T) {
 func TestDoGroupAfterCloseErrors(t *testing.T) {
 	d := newTestDispatcher(&groupClient{}, Options{})
 	d.Close()
-	if _, err := d.DoGroup(groupPairs(2), testGroupSpec()); !errors.Is(err, ErrClosed) {
-		t.Fatalf("DoGroup after Close returned %v, want ErrClosed", err)
+	if _, err := d.DoGroupContext(context.Background(), groupPairs(2), testGroupSpec()); !errors.Is(err, ErrClosed) {
+		t.Fatalf("DoGroupContext after Close returned %v, want ErrClosed", err)
 	}
 }
 
@@ -245,25 +237,26 @@ func TestDoGroupAfterCloseErrors(t *testing.T) {
 func TestDoGroupEmpty(t *testing.T) {
 	d := newTestDispatcher(&groupClient{}, Options{})
 	defer d.Close()
-	results, err := d.DoGroup(nil, testGroupSpec())
+	results, err := d.DoGroupContext(context.Background(), nil, testGroupSpec())
 	if err != nil || results != nil {
-		t.Fatalf("DoGroup(nil) = %v, %v; want nil, nil", results, err)
+		t.Fatalf("DoGroupContext(nil) = %v, %v; want nil, nil", results, err)
 	}
 }
 
-// TestRunGroupMixedCache pins the peek layering of the engine-direct
-// path: pre-answered pairs are served from the cache and only the
-// remainder rides the grouped prompt.
+// TestRunGroupMixedCache pins the peek layering of the grouped path:
+// pre-answered pairs are served from the cache and only the remainder
+// rides the grouped prompt.
 func TestRunGroupMixedCache(t *testing.T) {
 	client := &groupClient{}
-	eng := pipeline.New(client, pipeline.Options{Workers: 4})
+	d := newTestDispatcher(client, Options{})
+	defer d.Close()
 	pairs := groupPairs(3)
 
 	// Answer one pair pairwise first so its key is cached.
-	if _, _, err := eng.Complete(testBuildPair(pairs[0])); err != nil {
+	if _, _, err := d.eng.Complete(testBuildPair(pairs[0])); err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunGroup(eng, testBuildPair, pairs, testGroupSpec())
+	results, err := d.DoGroupContext(context.Background(), pairs, testGroupSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,5 +270,8 @@ func TestRunGroupMixedCache(t *testing.T) {
 	}
 	if got := client.groupCalls.Load(); got != 1 {
 		t.Errorf("client saw %d group calls, want 1", got)
+	}
+	if st := d.Stats(); st.CacheHits != 1 {
+		t.Errorf("stats %+v: want the pre-answered pair counted as 1 cache hit", st)
 	}
 }

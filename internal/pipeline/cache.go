@@ -3,9 +3,9 @@ package pipeline
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 
 	"llm4em/internal/llm"
+	"llm4em/internal/telemetry"
 )
 
 // promptCache is an LRU response cache with single-flight semantics:
@@ -16,7 +16,11 @@ import (
 // later request can retry it.
 type promptCache struct {
 	capacity int
-	hits     atomic.Uint64
+	// hits counts completed lookups answered from the cache — waited-on
+	// in-flight entries and peeks alike. It is the engine's
+	// telemetry counter when one is wired, so Stats and the exposition
+	// read the same count.
+	hits *telemetry.Counter
 
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -32,9 +36,13 @@ type cacheEntry struct {
 	err   error
 }
 
-func newPromptCache(capacity int) *promptCache {
+func newPromptCache(capacity int, hits *telemetry.Counter) *promptCache {
+	if hits == nil {
+		hits = &telemetry.Counter{}
+	}
 	return &promptCache{
 		capacity: capacity,
+		hits:     hits,
 		entries:  map[string]*cacheEntry{},
 		order:    list.New(),
 	}
@@ -53,7 +61,7 @@ func (c *promptCache) do(key string, fn func() (llm.Response, error)) (llm.Respo
 		if e.err != nil {
 			return llm.Response{}, false, e.err
 		}
-		c.hits.Add(1)
+		c.hits.Inc()
 		return e.resp, true, nil
 	}
 	e := &cacheEntry{key: key, ready: make(chan struct{})}
@@ -115,7 +123,7 @@ func (c *promptCache) peek(key string) (llm.Response, bool) {
 	}
 	c.order.MoveToFront(e.elem)
 	c.mu.Unlock()
-	c.hits.Add(1)
+	c.hits.Inc()
 	return e.resp, true
 }
 

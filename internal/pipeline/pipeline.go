@@ -123,7 +123,7 @@ func New(client llm.Client, opts Options) *Engine {
 	o := opts.withDefaults()
 	e := &Engine{client: client, opts: o, sleep: time.Sleep, rand: rand.Float64}
 	if o.CacheSize > 0 {
-		e.cache = newPromptCache(o.CacheSize)
+		e.cache = newPromptCache(o.CacheSize, o.Metrics.CacheHits)
 	}
 	return e
 }
@@ -141,7 +141,7 @@ func (e *Engine) Stats() Stats {
 		Retries:     e.retries.Load(),
 	}
 	if e.cache != nil {
-		s.CacheHits = e.cache.hits.Load()
+		s.CacheHits = e.cache.hits.Value()
 	}
 	return s
 }
@@ -165,13 +165,9 @@ func (e *Engine) CompleteContext(ctx context.Context, prompt string) (llm.Respon
 		return resp, false, err
 	}
 	key := e.client.Name() + "\x00" + prompt
-	resp, cached, err := e.cache.do(key, func() (llm.Response, error) {
+	return e.cache.do(key, func() (llm.Response, error) {
 		return e.chat(ctx, prompt)
 	})
-	if cached {
-		e.opts.Metrics.CacheHits.Inc()
-	}
-	return resp, cached, err
 }
 
 // Peek returns the cached response for a prompt without issuing a

@@ -180,16 +180,13 @@ func benchmarkDispatch(b *testing.B, dispatchPairs int) {
 	})
 	b.StopTimer()
 	st := s.Stats()
-	routed := uint64(st.LLMPairs) // unbatched: every pair is its own call
-	if st.Dispatch.Enabled {
-		routed = st.Dispatch.BatchedPairs + st.Dispatch.SinglePairCalls + st.Dispatch.FallbackPairs
-		coalesced := st.Dispatch.SingleFlightHits + st.Dispatch.CacheHits
-		b.ReportMetric(float64(coalesced)/float64(st.LLMPairs), "coalesced/pair")
-	}
+	routed := st.Dispatch.BatchedPairs + st.Dispatch.SinglePairCalls + st.Dispatch.FallbackPairs
+	coalesced := st.Dispatch.SingleFlightHits + st.Dispatch.CacheHits
+	b.ReportMetric(float64(coalesced)/float64(st.LLMPairs), "coalesced/pair")
 	if routed > 0 {
 		b.ReportMetric(float64(st.Engine.ClientCalls)/float64(routed), "client-calls/pair")
 	}
-	if st.Dispatch.Enabled && st.Dispatch.Batches > 0 {
+	if st.Dispatch.Batches > 0 {
 		b.ReportMetric(st.Dispatch.MeanBatchSize(), "pairs/batch")
 	}
 	s.Close()

@@ -285,7 +285,7 @@ func (s *Store) redecide(dp deferredPair) bool {
 		return true
 	}
 	pair := entity.Pair{ID: dp.query.ID + "|" + dp.candidateID, A: dp.query, B: cand}
-	resp, _, err := s.eng.CompleteContext(s.res.ctx, s.esc.spec.Build(pair))
+	resp, _, err := s.esc.eng.CompleteContext(s.res.ctx, s.esc.spec.Build(pair))
 	if err != nil {
 		return false
 	}
@@ -302,8 +302,8 @@ func (s *Store) redecide(dp deferredPair) bool {
 		PromptTokens:     resp.PromptTokens,
 		CompletionTokens: resp.CompletionTokens,
 	}
-	if s.priced {
-		e.Cents = cost.PerPromptCents(s.pricing,
+	if s.esc.priced {
+		e.Cents = cost.PerPromptCents(s.esc.pricing,
 			float64(resp.PromptTokens), float64(resp.CompletionTokens))
 	}
 	if s.wal != nil {

@@ -120,30 +120,46 @@ func TestDegradeAndReescalate(t *testing.T) {
 }
 
 func TestDeadlineDegradesWithoutTrippingBreaker(t *testing.T) {
-	block := make(chan struct{})
-	defer close(block)
-	s := New(&hangingClient{block: block}, Options{
-		Cascade:    CascadeOptions{Disable: true},
-		Resilience: resilientOptions(),
-	})
-	defer s.Close()
-	if err := s.Add(rec("r1", "alpha beta sameent0001")); err != nil {
-		t.Fatal(err)
-	}
+	for _, dispatchPairs := range []int{0, 16} {
+		t.Run(fmt.Sprintf("dispatch=%d", dispatchPairs), func(t *testing.T) {
+			block := make(chan struct{})
+			defer close(block)
+			s := New(&hangingClient{block: block}, Options{
+				Cascade:       CascadeOptions{Disable: true},
+				Resilience:    resilientOptions(),
+				DispatchPairs: dispatchPairs,
+			})
+			if err := s.Add(rec("r1", "alpha beta sameent0001")); err != nil {
+				t.Fatal(err)
+			}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	res, err := s.ResolveContext(ctx, rec("q1", "alpha beta sameent0001"))
-	if err != nil {
-		t.Fatalf("ResolveContext with spent deadline: %v", err)
-	}
-	if !res.Decisions[0].Deferred {
-		t.Fatalf("decision = %+v, want deferred", res.Decisions[0])
-	}
-	// Deadline failures say nothing about backend health; the breaker
-	// must stay closed.
-	if st := s.Stats().Resilience; st.BreakerState != "closed" {
-		t.Errorf("breaker state = %q after deadline, want closed", st.BreakerState)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+			defer cancel()
+			res, err := s.ResolveContext(ctx, rec("q1", "alpha beta sameent0001"))
+			if err != nil {
+				t.Fatalf("ResolveContext with spent deadline: %v", err)
+			}
+			if !res.Decisions[0].Deferred {
+				t.Fatalf("decision = %+v, want deferred", res.Decisions[0])
+			}
+			// Deadline failures say nothing about backend health; the
+			// breaker must stay closed.
+			if st := s.Stats().Resilience; st.BreakerState != "closed" {
+				t.Errorf("breaker state = %q after deadline, want closed", st.BreakerState)
+			}
+			// The abandoned model call was cancelled with the deadline, so
+			// Close does not wait out the hung backend.
+			closed := make(chan error, 1)
+			go func() { closed <- s.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("Close still blocked on the abandoned model call after 1s")
+			}
+		})
 	}
 }
 

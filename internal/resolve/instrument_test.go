@@ -242,6 +242,35 @@ func TestResolveSlowLogEmission(t *testing.T) {
 	}
 }
 
+// TestCacheHitsMetricMatchesStats: em_llm_cache_hits_total and
+// Stats().Engine.CacheHits count the same hits, including the ones the
+// dispatcher serves from the per-pair cache before any round-trip.
+func TestCacheHitsMetricMatchesStats(t *testing.T) {
+	for _, dispatchPairs := range []int{0, 16} {
+		t.Run(fmt.Sprintf("dispatch=%d", dispatchPairs), func(t *testing.T) {
+			tel := telemetry.New(telemetry.Options{})
+			s := New(&countingClient{}, Options{DispatchPairs: dispatchPairs, Telemetry: tel})
+			defer s.Close()
+			qText, cText := midBandPair(t, 7)
+			if err := s.Add(rec("r1", cText)); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if _, err := s.Resolve(rec("q1", qText)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := s.Stats()
+			if st.Engine.CacheHits != 2 {
+				t.Fatalf("engine cache hits = %d after three identical escalations, want 2", st.Engine.CacheHits)
+			}
+			if got := tel.Pipeline.CacheHits.Value(); got != st.Engine.CacheHits {
+				t.Errorf("em_llm_cache_hits_total = %d, Stats().Engine.CacheHits = %d", got, st.Engine.CacheHits)
+			}
+		})
+	}
+}
+
 // minAllocsPerRun reports the minimum over attempts AllocsPerRun
 // windows. A stray allocation from a background goroutine (GC
 // finalizers, the race runtime's shadow bookkeeping) occasionally

@@ -408,25 +408,23 @@ func (s *Store) Flush() error {
 	return s.wal.Sync()
 }
 
-// Close shuts the store down: the micro-batching dispatcher (if
-// enabled) is drained — pending uncertain pairs are flushed and their
-// waiting Resolve calls complete — then the WAL is flushed, finally
-// snapshotted and closed. The store must not be used afterwards:
-// mutations would fail with a closed-WAL or closed-dispatcher error.
-// Idempotent; an in-memory store only drains the dispatcher.
+// Close shuts the store down: the micro-batching dispatcher is drained
+// — pending uncertain pairs are flushed and their waiting Resolve calls
+// complete — then the WAL is flushed, finally snapshotted and closed.
+// The store must not be used afterwards: mutations would fail with a
+// closed-WAL or closed-dispatcher error. Idempotent; an in-memory store
+// only drains the dispatcher.
 func (s *Store) Close() error {
 	// The re-escalator goes first: it issues LLM calls and WAL appends
 	// of its own, which must not race the final snapshot. Pairs still
 	// queued land in the snapshot's Deferred set and resume after the
 	// next Open.
 	s.stopResilience()
-	if s.disp != nil {
-		// Drained first so no batch is abandoned mid-flight. Callers
-		// wanting the drained decisions in the final snapshot must wait
-		// for their Resolve calls to return before closing — emserve
-		// does, by draining the HTTP server ahead of the store.
-		s.disp.Close()
-	}
+	// Drained first so no awaited batch is abandoned mid-flight. Callers
+	// wanting the drained decisions in the final snapshot must wait for
+	// their Resolve calls to return before closing — emserve does, by
+	// draining the HTTP server ahead of the store.
+	s.esc.disp.Close()
 	if s.wal == nil {
 		s.closeShards()
 		return nil

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"llm4em/internal/blocking"
+	"llm4em/internal/dispatch"
 	"llm4em/internal/entity"
 	"llm4em/internal/persist"
 	"llm4em/internal/pipeline"
@@ -87,11 +88,12 @@ func checkJournalClosure(t *testing.T, dir string, s *Store) {
 }
 
 // persistedStats strips the process-lifetime parts of Stats — engine
-// counters, durability bookkeeping and the extractions this process
-// happens to hold (a mapped restart extracts lazily) — leaving exactly
-// the state recovery must reproduce.
+// and dispatcher counters, durability bookkeeping and the extractions
+// this process happens to hold (a mapped restart extracts lazily) —
+// leaving exactly the state recovery must reproduce.
 func persistedStats(st Stats) Stats {
 	st.Engine = pipeline.Stats{}
+	st.Dispatch = dispatch.Stats{}
 	st.Persist = PersistStats{}
 	st.Extractions = 0
 	return st

@@ -76,7 +76,7 @@ const (
 	DefaultSnapshotEvery = 4096
 	// DefaultDispatchFlush is the longest an uncertain pair waits for
 	// batch-mates before the micro-batching dispatcher flushes a
-	// partial batch (only meaningful with Options.DispatchPairs > 0).
+	// partial batch (only meaningful with Options.DispatchPairs > 1).
 	DefaultDispatchFlush = dispatch.DefaultFlushInterval
 )
 
@@ -104,20 +104,21 @@ type Options struct {
 	// CacheSize is the LLM pipeline engine's prompt-cache capacity
 	// (zero selects pipeline.DefaultCacheSize, negative disables it).
 	CacheSize int
-	// DispatchPairs enables the cross-request micro-batching
-	// dispatcher (internal/dispatch): uncertain pairs from concurrent
-	// Resolve calls are coalesced into paper-style batched prompts of
-	// at most this many pairs, cutting LLM round-trips under load.
-	// Zero (or negative) disables it: every uncertain pair is its own
-	// client round-trip. Whether batched answers equal per-pair
-	// answers is the client's contract — the dispatcher preserves
-	// decisions exactly for clients that answer batch positions
-	// consistently with per-pair prompts, while simulated study models
-	// add the paper's position-dependent batch noise.
+	// DispatchPairs is the batch size of the cross-request
+	// micro-batching dispatcher (internal/dispatch) every escalation
+	// goes through: uncertain pairs from concurrent Resolve calls are
+	// coalesced into paper-style batched prompts of at most this many
+	// pairs, cutting LLM round-trips under load. Zero, negative and one
+	// all mean batches of one: every uncertain pair is its own client
+	// round-trip with the per-pair prompt. Whether batched answers equal
+	// per-pair answers is the client's contract — the dispatcher
+	// preserves decisions exactly for clients that answer batch
+	// positions consistently with per-pair prompts, while simulated
+	// study models add the paper's position-dependent batch noise.
 	DispatchPairs int
 	// DispatchFlush bounds how long a pending uncertain pair waits for
 	// batch-mates before a partial batch is flushed (default
-	// DefaultDispatchFlush). Only meaningful with DispatchPairs > 0.
+	// DefaultDispatchFlush). Only meaningful with DispatchPairs > 1.
 	DispatchFlush time.Duration
 	// PersistDir enables durability: the store journals every ingested
 	// record and fresh match decision to a write-ahead log in this
@@ -169,9 +170,6 @@ func (o Options) withDefaults() Options {
 	if o.SyncEvery < 0 {
 		o.SyncEvery = 0
 	}
-	if o.DispatchPairs < 0 {
-		o.DispatchPairs = 0
-	}
 	if o.DispatchFlush <= 0 {
 		o.DispatchFlush = DefaultDispatchFlush
 	}
@@ -190,17 +188,12 @@ var (
 
 // Store is the online entity-resolution store.
 type Store struct {
-	opts    Options
-	eng     *pipeline.Engine
-	pricing cost.Pricing
-	priced  bool
-	// esc runs the cascade's LLM tier (strategy.go) over eng and disp;
-	// esc.spec builds the per-pair prompt everything keys on.
-	esc escalator
-	// disp is the cross-request micro-batching dispatcher for the
-	// cascade's uncertain band; nil when Options.DispatchPairs is 0.
-	// Shared by every Resolve call, drained by Close.
-	disp *dispatch.Dispatcher
+	opts Options
+	// esc runs the cascade's LLM tier (strategy.go): its engine, the
+	// dispatcher every Resolve call's escalation goes through (drained
+	// by Close), the model's pricing, and esc.spec, which builds the
+	// per-pair prompt everything keys on.
+	esc *escalator
 	// res is the fault-tolerance layer — breaker, shedder, deferred
 	// queue, re-escalator; nil when Options.Resilience.Enabled is
 	// false, which keeps the hot path at a single nil check.
@@ -255,7 +248,6 @@ func newStore(client llm.Client, opts Options) *Store {
 		pm, dm, bm = o.Telemetry.Pipeline, o.Telemetry.Dispatch, o.Telemetry.Blocking
 		rm = o.Telemetry.Resilience
 	}
-	spec := prompt.Spec{Design: o.Design, Domain: o.Domain}
 	var res *resilienceState
 	if o.Resilience.Enabled {
 		res = newResilienceState(o.Resilience, rm)
@@ -267,24 +259,15 @@ func newStore(client llm.Client, opts Options) *Store {
 		client = resilience.Guard(client, res.breaker)
 	}
 	s := &Store{
-		opts:    o,
-		res:     res,
-		eng:     pipeline.New(client, pipeline.Options{CacheSize: o.CacheSize, Metrics: pm}),
+		opts: o,
+		res:  res,
+		esc: newEscalator(pipeline.New(client, pipeline.Options{CacheSize: o.CacheSize, Metrics: pm}),
+			prompt.Spec{Design: o.Design, Domain: o.Domain}, o.Cascade,
+			dispatch.Options{MaxBatchPairs: o.DispatchPairs, FlushInterval: o.DispatchFlush, Metrics: dm}),
 		shards:  make([]*shard, o.Shards),
 		graph:   blocking.NewUnionFind(),
 		journal: map[pairID]persist.DecisionEntry{},
 	}
-	s.pricing, s.priced = cost.For(client.Name())
-	if o.DispatchPairs > 0 {
-		// The per-pair builder is the same prompt Resolve's unbatched
-		// path sends, so the dispatcher's dedupe and cache layering key
-		// on exactly the prompts the rest of the system uses.
-		s.disp = dispatch.New(s.eng, spec.Build,
-			func(ps []entity.Pair) string { return prompt.BuildBatch(o.Domain, ps) },
-			dispatch.Options{MaxBatchPairs: o.DispatchPairs, FlushInterval: o.DispatchFlush, Metrics: dm})
-	}
-	s.esc = escalator{eng: s.eng, disp: s.disp, opts: o.Cascade, spec: spec,
-		domain: o.Domain, pricing: s.pricing, priced: s.priced}
 	s.rscratch.New = func() any { return &resolveScratch{} }
 	for i := range s.shards {
 		s.shards[i] = &shard{
@@ -427,20 +410,20 @@ func (s *Store) planFresh(q entity.Record, qext features.Extracted, cands []scor
 		scores[fi] = cands[ci].score
 	}
 	var estimateCents func(i int) float64
-	if s.priced {
+	if s.esc.priced {
 		// Price the pair's actual prompt plus a typical completion,
 		// so the cost budget tracks the configured design's real
 		// prompt sizes.
 		estimateCents = func(i int) float64 {
 			built := s.esc.spec.Build(entity.Pair{ID: q.ID + "|" + ids[i], A: q, B: cands[fresh[i]].rec})
-			return cost.PerPromptCents(s.pricing,
+			return cost.PerPromptCents(s.esc.pricing,
 				float64(tokenize.EstimateTokens(built)), EstCompletionTokens)
 		}
 	}
 	plan := s.opts.Cascade.plan(qext, ids, exts, scores, estimateCents)
 	plan.report.Candidates = len(cands)
 	plan.report.JournalHits = len(cands) - len(fresh)
-	plan.report.Priced = s.priced
+	plan.report.Priced = s.esc.priced
 	return plan
 }
 

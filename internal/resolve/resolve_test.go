@@ -436,7 +436,7 @@ func TestCostBudgetCapsEscalation(t *testing.T) {
 	probe := New(model, Options{})
 	spec := prompt.Spec{Design: probe.opts.Design, Domain: probe.opts.Domain}
 	built := spec.Build(entity.Pair{ID: "q1|r1", A: rec("q1", qText), B: rec("r1", c1)})
-	perPair := cost.PerPromptCents(probe.pricing,
+	perPair := cost.PerPromptCents(probe.esc.pricing,
 		float64(tokenize.EstimateTokens(built)), EstCompletionTokens)
 	if perPair <= 0 {
 		t.Fatalf("per-pair estimate = %v", perPair)

@@ -44,10 +44,8 @@ type Stats struct {
 	// Engine counts client calls, cache hits and retries of the
 	// underlying pipeline engine.
 	Engine pipeline.Stats
-	// Dispatch reports the micro-batching dispatcher's counters;
-	// Dispatch.Enabled is false when Options.DispatchPairs is 0 and
-	// every embedded counter is then zero.
-	Dispatch DispatchStats
+	// Dispatch reports the micro-batching dispatcher's counters.
+	Dispatch dispatch.Stats
 	// Persist reports the durability side: recovery counts, WAL and
 	// snapshot activity. Persist.Enabled is false for in-memory
 	// stores.
@@ -92,13 +90,11 @@ func (s *Store) Stats() Stats {
 		Resolves:    t.resolves,
 		Redecided:   t.redecided,
 		Report:      t.report,
-		Engine:      s.eng.Stats(),
+		Engine:      s.esc.eng.Stats(),
+		Dispatch:    s.esc.disp.Stats(),
 		Persist:     ps,
 	}
-	st.Priced = s.priced
-	if s.disp != nil {
-		st.Dispatch = DispatchStats{Enabled: true, Stats: s.disp.Stats()}
-	}
+	st.Priced = s.esc.priced
 	if s.res != nil {
 		st.Resilience = ResilienceStats{
 			Enabled:       true,
@@ -113,12 +109,4 @@ func (s *Store) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// DispatchStats snapshots the micro-batching dispatcher's counters.
-// Enabled reports whether the store was built with
-// Options.DispatchPairs > 0.
-type DispatchStats struct {
-	Enabled bool
-	dispatch.Stats
 }

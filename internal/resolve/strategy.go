@@ -15,17 +15,30 @@ import (
 // escalator runs the strategy tier of the cascade: the first LLM pass
 // over a query's uncertain pairs under the configured Strategy
 // (pairwise match, grouped compare, grouped select) and the optional
-// reason-tier second pass. It is shared between the serving path
-// (Store.esc, dispatcher-backed) and offline evaluation
-// (EvaluateGroups, engine-direct).
+// reason-tier second pass. The serving path (Store.esc) and offline
+// evaluation (EvaluateGroups) both build it with newEscalator, and the
+// first pass reaches the model only through its dispatcher.
 type escalator struct {
 	eng     *pipeline.Engine
 	disp    *dispatch.Dispatcher
 	opts    CascadeOptions
 	spec    prompt.Spec
-	domain  entity.Domain
 	pricing cost.Pricing
 	priced  bool
+}
+
+// newEscalator builds the strategy tier over the engine and its
+// dispatcher. dopts.MaxBatchPairs of 0 or 1 both cut every pair alone:
+// one per-pair prompt per round-trip. The per-pair builder is the
+// prompt the rest of the system sends, so the dispatcher's dedupe and
+// cache layering key on exactly the engine's cache keys.
+func newEscalator(eng *pipeline.Engine, spec prompt.Spec, cascade CascadeOptions, dopts dispatch.Options) *escalator {
+	e := &escalator{eng: eng, opts: cascade, spec: spec}
+	e.pricing, e.priced = cost.For(eng.Client().Name())
+	dopts.MaxBatchPairs = max(1, dopts.MaxBatchPairs)
+	e.disp = dispatch.New(eng, spec.Build,
+		func(ps []entity.Pair) string { return prompt.BuildBatch(spec.Domain, ps) }, dopts)
+	return e
 }
 
 // run decides the planned uncertain pairs and fills their decisions
@@ -73,72 +86,49 @@ func (e *escalator) accountUsage(plan *cascadePlan, u *StrategyUsage, promptToke
 }
 
 // runMatch is the pairwise first pass: each uncertain pair is its own
-// prompt, coalesced into cross-request batches when the dispatcher is
-// enabled.
+// prompt, coalesced into cross-request batches when the dispatcher's
+// batches hold more than one pair.
 func (e *escalator) runMatch(ctx context.Context, pairs []entity.Pair, plan *cascadePlan) (time.Duration, error) {
-	var modelLat time.Duration
-	if e.disp != nil {
-		results, err := e.disp.DoAllContext(ctx, pairs)
-		if err != nil {
-			return 0, err
-		}
-		batchesSeen := map[uint64]bool{}
-		callBatches := map[uint64]bool{}
-		for i, r := range results {
-			d := &plan.decisions[plan.llm[i]]
-			d.Match = r.Match
-			d.Method = MethodLLM
-			d.Answer = r.Answer
-			d.Cached = r.Cached
-			d.Batched = r.Batched
-			plan.report.LLMPairs++
-			if r.Cached {
-				plan.report.CacheHits++
-			}
-			if r.Batched {
-				plan.report.BatchedPairs++
-				if !batchesSeen[r.BatchID] {
-					batchesSeen[r.BatchID] = true
-					plan.report.Batches++
-				}
-			}
-			if r.FellBack {
-				plan.report.BatchFallbacks++
-			}
-			switch {
-			case r.Cached:
-			case r.Batched:
-				if !callBatches[r.BatchID] {
-					callBatches[r.BatchID] = true
-					plan.report.MatchUsage.Calls++
-				}
-			default:
-				plan.report.MatchUsage.Calls++
-			}
-			modelLat += r.Usage.Latency
-			e.accountUsage(plan, &plan.report.MatchUsage, r.Usage.PromptTokens, r.Usage.CompletionTokens)
-		}
-		return modelLat, nil
-	}
-
-	decided, err := e.eng.MatchContext(ctx, pairs, e.spec.Build, core.ParseAnswer)
+	results, err := e.disp.DoAllContext(ctx, pairs)
 	if err != nil {
 		return 0, err
 	}
-	for i, pd := range decided {
+	var modelLat time.Duration
+	batchesSeen := map[uint64]bool{}
+	callBatches := map[uint64]bool{}
+	for i, r := range results {
 		d := &plan.decisions[plan.llm[i]]
-		d.Match = pd.Match
+		d.Match = r.Match
 		d.Method = MethodLLM
-		d.Answer = pd.Answer
-		d.Cached = pd.Cached
+		d.Answer = r.Answer
+		d.Cached = r.Cached
+		d.Batched = r.Batched
 		plan.report.LLMPairs++
-		if pd.Cached {
+		if r.Cached {
 			plan.report.CacheHits++
-		} else {
+		}
+		if r.Batched {
+			plan.report.BatchedPairs++
+			if !batchesSeen[r.BatchID] {
+				batchesSeen[r.BatchID] = true
+				plan.report.Batches++
+			}
+		}
+		if r.FellBack {
+			plan.report.BatchFallbacks++
+		}
+		switch {
+		case r.Cached:
+		case r.Batched:
+			if !callBatches[r.BatchID] {
+				callBatches[r.BatchID] = true
+				plan.report.MatchUsage.Calls++
+			}
+		default:
 			plan.report.MatchUsage.Calls++
 		}
-		modelLat += pd.Usage.Latency
-		e.accountUsage(plan, &plan.report.MatchUsage, pd.Usage.PromptTokens, pd.Usage.CompletionTokens)
+		modelLat += r.Usage.Latency
+		e.accountUsage(plan, &plan.report.MatchUsage, r.Usage.PromptTokens, r.Usage.CompletionTokens)
 	}
 	return modelLat, nil
 }
@@ -156,7 +146,7 @@ func (e *escalator) groupSpec() (dispatch.GroupSpec, Method) {
 	if e.opts.strategy() == prompt.StrategySelect {
 		return dispatch.GroupSpec{
 			Build: func(ps []entity.Pair) string {
-				return prompt.BuildSelect(e.domain, ps[0].A, records(ps))
+				return prompt.BuildSelect(e.spec.Domain, ps[0].A, records(ps))
 			},
 			Parse: func(answer string, n int) ([]bool, bool) {
 				chosen, ok := core.ParseSelectAnswer(answer, n)
@@ -173,7 +163,7 @@ func (e *escalator) groupSpec() (dispatch.GroupSpec, Method) {
 	}
 	return dispatch.GroupSpec{
 		Build: func(ps []entity.Pair) string {
-			return prompt.BuildCompare(e.domain, ps[0].A, records(ps))
+			return prompt.BuildCompare(e.spec.Domain, ps[0].A, records(ps))
 		},
 		Parse: core.ParseCompareAnswers,
 	}, MethodCompare
@@ -190,13 +180,7 @@ func (e *escalator) runGrouped(ctx context.Context, pairs []entity.Pair, plan *c
 		usage = &plan.report.SelectUsage
 	}
 
-	var results []dispatch.Result
-	var err error
-	if e.disp != nil {
-		results, err = e.disp.DoGroupContext(ctx, pairs, gspec)
-	} else {
-		results, err = dispatch.RunGroupContext(ctx, e.eng, e.spec.Build, pairs, gspec)
-	}
+	results, err := e.disp.DoGroupContext(ctx, pairs, gspec)
 	if err != nil {
 		return 0, err
 	}
@@ -266,7 +250,7 @@ func (e *escalator) runReason(ctx context.Context, pairs []entity.Pair, plan *ca
 		return core.ParseAnswer(answer)
 	}
 	decided, err := e.eng.MatchContext(ctx, rpairs, func(p entity.Pair) string {
-		return prompt.BuildReason(e.domain, p)
+		return prompt.BuildReason(e.spec.Domain, p)
 	}, parse)
 	if err != nil {
 		return 0, err

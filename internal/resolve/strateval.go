@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"llm4em/internal/cost"
+	"llm4em/internal/dispatch"
 	"llm4em/internal/entity"
 	"llm4em/internal/eval"
 	"llm4em/internal/features"
@@ -66,22 +66,15 @@ func EvaluateGroups(client llm.Client, opts EvalOptions, groups []CandidateGroup
 	if len(groups) == 0 {
 		return res, nil
 	}
-	pricing, priced := cost.For(client.Name())
-	res.Report.Priced = priced
-
-	eng := pipeline.New(client, pipeline.Options{
+	// Batches of one: every pair is its own round-trip, as in serving
+	// with DispatchPairs ≤ 1.
+	esc := newEscalator(pipeline.New(client, pipeline.Options{
 		Workers:    o.Workers,
 		CacheSize:  o.CacheSize,
 		MaxRetries: o.MaxRetries,
-	})
-	esc := &escalator{
-		eng:     eng,
-		opts:    o.Cascade,
-		spec:    prompt.Spec{Design: o.Design, Domain: o.Domain},
-		domain:  o.Domain,
-		pricing: pricing,
-		priced:  priced,
-	}
+	}), prompt.Spec{Design: o.Design, Domain: o.Domain}, o.Cascade, dispatch.Options{})
+	defer esc.disp.Close()
+	res.Report.Priced = esc.priced
 
 	for gi, g := range groups {
 		if len(g.Candidates) != len(g.Gold) {
@@ -130,7 +123,7 @@ func EvaluateGroups(client llm.Client, opts EvalOptions, groups []CandidateGroup
 		}
 		res.Report.Add(plan.report)
 	}
-	res.ClientCalls = eng.Stats().ClientCalls
+	res.ClientCalls = esc.eng.Stats().ClientCalls
 	return res, nil
 }
 

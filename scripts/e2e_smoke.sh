@@ -98,8 +98,12 @@ echo "== read entity and stats back =="
 curl -fsS "http://$ADDR/v1/entities/q1" | jq -e '.members | length >= 2' >/dev/null \
     || fail "entity q1 has fewer than 2 members"
 curl -fsS "http://$ADDR/v1/stats" \
-    | jq -e '.records == 3 and .resolves == 2 and .dispatch.enabled == true and .persist.enabled == true' >/dev/null \
+    | jq -e '.records == 3 and .resolves == 2 and .persist.enabled == true' >/dev/null \
     || fail "stats do not reflect the workload"
+# The escalated resolve reached the model through the dispatcher.
+curl -fsS "http://$ADDR/v1/stats" \
+    | jq -e '(.dispatch.single_pair_calls + .dispatch.batched_pairs) >= 1' >/dev/null \
+    || fail "the dispatcher did not carry the escalated resolve"
 curl -fsS "http://$ADDR/v1/stats" \
     | jq -e '.telemetry.enabled == true and .telemetry.resolve_total == 2' >/dev/null \
     || fail "stats lack the telemetry block"
