@@ -30,11 +30,11 @@
 // resolves slower than -slow-resolve emit one structured exemplar line
 // with the trace ID and per-stage durations.
 //
-// LLM escalations are fault-tolerant by default (-resilience): a
-// circuit breaker trips after repeated backend failures
-// (-breaker-failures, -breaker-cooldown) and a load shedder bounds
-// concurrent and queued escalations (-llm-concurrency, -llm-queue;
-// shed resolves answer 503 with Retry-After). While the breaker is
+// LLM escalations are always fault-tolerant: a circuit breaker trips
+// after repeated backend failures (-breaker-failures,
+// -breaker-cooldown) and a load shedder bounds concurrent escalations
+// (-llm-concurrency) and queues four times as many; beyond that,
+// resolves answer 503 with Retry-After. While the breaker is
 // open — or a -resolve-timeout deadline expires mid-escalation — the
 // uncertain band is answered by the local scorer with decisions
 // marked "deferred", and a background re-escalator replays them
@@ -123,11 +123,9 @@ func main() {
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	slowResolve := flag.Duration("slow-resolve", time.Second, "resolve latency above which one structured exemplar line is logged (0 = disabled)")
-	resilienceOn := flag.Bool("resilience", true, "enable the fault-tolerance layer: circuit breaker, load shedding and deferred-decision degradation for LLM escalations")
 	breakerFailures := flag.Int("breaker-failures", 0, "consecutive LLM failures that trip the circuit breaker (0 = default)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before the backend is probed again (0 = default)")
-	llmConcurrency := flag.Int("llm-concurrency", 0, "max concurrent LLM escalations before callers queue (0 = default)")
-	llmQueue := flag.Int("llm-queue", 0, "max queued LLM escalations before resolves are shed with 503 (0 = default)")
+	llmConcurrency := flag.Int("llm-concurrency", 0, "max concurrent LLM escalations; four times as many may queue before resolves are shed with 503 (0 = default)")
 	deferredRetry := flag.Duration("deferred-retry", 0, "poll interval for re-escalating deferred pairs once the breaker closes (0 = default)")
 	resolveTimeout := flag.Duration("resolve-timeout", 0, "per-request deadline for POST /v1/resolve; expired escalations degrade to deferred local verdicts (0 = none)")
 	chaosOutage := flag.Duration("chaos-outage", 0, "chaos harness: fail every LLM call for this long after boot (0 = disabled)")
@@ -183,15 +181,11 @@ func main() {
 		SyncEvery:     *syncEvery,
 		Telemetry:     tel,
 		Resilience: llm4em.ResilienceOptions{
-			Enabled: *resilienceOn,
 			Breaker: llm4em.BreakerOptions{
 				ConsecutiveFailures: *breakerFailures,
 				Cooldown:            *breakerCooldown,
 			},
-			Shed: llm4em.ShedOptions{
-				MaxConcurrent: *llmConcurrency,
-				MaxQueue:      *llmQueue,
-			},
+			Shed:          llm4em.ShedOptions{MaxConcurrent: *llmConcurrency},
 			RetryInterval: *deferredRetry,
 		},
 		Cascade: llm4em.CascadeOptions{

@@ -18,7 +18,6 @@ import (
 // quickly.
 func fastResilience() llm4em.ResilienceOptions {
 	return llm4em.ResilienceOptions{
-		Enabled: true,
 		Breaker: llm4em.BreakerOptions{
 			ConsecutiveFailures: 1,
 			// Long enough that the breaker is still open (not probing
@@ -103,7 +102,7 @@ func TestServerDegradedModeUnderOutage(t *testing.T) {
 
 	_, body = getJSON(t, srv.URL+"/v1/stats")
 	res := body["resilience"].(map[string]any)
-	if res["enabled"] != true || res["breaker_state"] != "open" {
+	if res["breaker_state"] != "open" {
 		t.Fatalf("stats resilience block during outage: %v", res)
 	}
 	if res["deferred_pairs"].(float64) == 0 || res["deferred_queue"].(float64) == 0 {
@@ -148,9 +147,9 @@ func (c *gateClient) Chat(messages []llm.Message) (llm.Response, error) {
 // hint instead of piling on.
 func TestServerShedsWith503(t *testing.T) {
 	client := newGateClient()
+	// One slot queues four waiters.
 	opts := llm4em.StoreOptions{Resilience: llm4em.ResilienceOptions{
-		Enabled: true,
-		Shed:    llm4em.ShedOptions{MaxConcurrent: 1, MaxQueue: 1},
+		Shed: llm4em.ShedOptions{MaxConcurrent: 1},
 	}}
 	srv := newResilientServer(t, client, opts)
 
@@ -164,9 +163,10 @@ func TestServerShedsWith503(t *testing.T) {
 	resolveBody := func(i byte) string {
 		return `{"id":"qs` + string('0'+i) + `","attrs":[{"name":"title","value":"sony dsc120b cybershot camera black v` + string('0'+i) + `"}]}`
 	}
-	statuses := make(chan int, 2)
+	const held = 1 + 4
+	statuses := make(chan int, held)
 	var wg sync.WaitGroup
-	for i := byte(1); i <= 2; i++ {
+	for i := byte(1); i <= held; i++ {
 		wg.Add(1)
 		go func(i byte) {
 			defer wg.Done()
@@ -179,14 +179,14 @@ func TestServerShedsWith503(t *testing.T) {
 			statuses <- resp.StatusCode
 		}(i)
 	}
-	// First escalation holds the slot; the second waits in the queue.
+	// One escalation holds the slot; the other four wait in the queue.
 	<-client.entered
-	waitStats(t, srv.URL, "one queued escalation", func(res map[string]any) bool {
-		return res["waiting"].(float64) == 1
+	waitStats(t, srv.URL, "four queued escalations", func(res map[string]any) bool {
+		return res["waiting"].(float64) == held-1
 	})
 
-	// Slot and queue full: the third resolve is shed immediately.
-	resp, body = postJSON(t, srv.URL+"/v1/resolve", resolveBody(3))
+	// Slot and queue full: the next resolve is shed immediately.
+	resp, body = postJSON(t, srv.URL+"/v1/resolve", resolveBody(held+1))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("shed resolve = %d: %v, want 503", resp.StatusCode, body)
 	}
@@ -194,7 +194,7 @@ func TestServerShedsWith503(t *testing.T) {
 		t.Fatal("503 without Retry-After header")
 	}
 
-	close(client.release) // let the two held resolves finish
+	close(client.release) // let the held resolves finish
 	wg.Wait()
 	close(statuses)
 	for s := range statuses {
@@ -204,52 +204,40 @@ func TestServerShedsWith503(t *testing.T) {
 	}
 }
 
-// TestServerResolveTimeout pins the two deadline behaviours: with
-// resilience enabled an expired escalation degrades into deferred
-// local verdicts (200), and without it the request surfaces 504.
+// TestServerResolveTimeout pins the deadline behaviour: an expired
+// escalation degrades into deferred local verdicts (200).
 func TestServerResolveTimeout(t *testing.T) {
 	model, err := llm4em.NewModel(llm4em.GPTMini)
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(resilient bool) *httptest.Server {
-		wrapped := chaos.Wrap(model, chaos.ClientOptions{HangRate: 1})
-		store := llm4em.NewStore(wrapped, llm4em.StoreOptions{
-			Domain:  llm4em.Product,
-			Cascade: llm4em.CascadeOptions{Disable: true},
-			Resilience: llm4em.ResilienceOptions{
-				Enabled:       resilient,
-				RetryInterval: time.Hour, // keep the re-escalator quiet
-			},
-		})
-		t.Cleanup(func() { store.Close() })
-		srv := httptest.NewServer(newHandler(handlerConfig{
-			store:          store,
-			resolveTimeout: 50 * time.Millisecond,
-		}))
-		t.Cleanup(srv.Close)
-		resp, body := postJSON(t, srv.URL+"/v1/records", seedBody)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST /records = %d: %v", resp.StatusCode, body)
-		}
-		return srv
-	}
-	query := `{"id":"q1","attrs":[{"name":"title","value":"sony dsc120b cybershot camera black"}]}`
-
-	srv := build(true)
-	resp, body := postJSON(t, srv.URL+"/v1/resolve", query)
+	wrapped := chaos.Wrap(model, chaos.ClientOptions{HangRate: 1})
+	store := llm4em.NewStore(wrapped, llm4em.StoreOptions{
+		Domain:  llm4em.Product,
+		Cascade: llm4em.CascadeOptions{Disable: true},
+		Resilience: llm4em.ResilienceOptions{
+			RetryInterval: time.Hour, // keep the re-escalator quiet
+		},
+	})
+	t.Cleanup(func() { store.Close() })
+	srv := httptest.NewServer(newHandler(handlerConfig{
+		store:          store,
+		resolveTimeout: 50 * time.Millisecond,
+	}))
+	t.Cleanup(srv.Close)
+	resp, body := postJSON(t, srv.URL+"/v1/records", seedBody)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("resolve with deadline+resilience = %d: %v, want 200", resp.StatusCode, body)
+		t.Fatalf("POST /records = %d: %v", resp.StatusCode, body)
+	}
+
+	resp, body = postJSON(t, srv.URL+"/v1/resolve",
+		`{"id":"q1","attrs":[{"name":"title","value":"sony dsc120b cybershot camera black"}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("resolve with deadline = %d: %v, want 200", resp.StatusCode, body)
 	}
 	for _, d := range body["decisions"].([]any) {
 		if dm := d.(map[string]any); dm["deferred"] != true {
 			t.Fatalf("deadline-expired decision not deferred: %v", dm)
 		}
-	}
-
-	srv = build(false)
-	resp, body = postJSON(t, srv.URL+"/v1/resolve", query)
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("resolve with deadline, no resilience = %d: %v, want 504", resp.StatusCode, body)
 	}
 }

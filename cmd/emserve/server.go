@@ -62,9 +62,9 @@ type handlerConfig struct {
 	ready *atomic.Bool
 	// resolveTimeout caps each POST /v1/resolve's wall clock (the
 	// -resolve-timeout flag); zero leaves requests unbounded. The
-	// deadline propagates through the store into in-flight LLM calls;
-	// with the resilience layer enabled an expired escalation degrades
-	// to a deferred local verdict instead of failing the request.
+	// deadline propagates through the store into in-flight LLM calls,
+	// and an expired escalation degrades to a deferred local verdict
+	// instead of failing the request.
 	resolveTimeout time.Duration
 }
 
@@ -456,9 +456,10 @@ func (s *server) resolve(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.store.ResolveContext(ctx, body.toRecord())
 	if err != nil {
-		// Malformed queries are the caller's fault, shed load asks the
-		// client to back off, an expired deadline is a gateway timeout;
-		// anything else is a matching-backend failure.
+		// Malformed queries are the caller's fault and shed load asks the
+		// client to back off; anything else is a matching-backend failure.
+		// An expired deadline never lands here: it degrades the
+		// escalation to deferred local verdicts.
 		status := http.StatusBadGateway
 		switch {
 		case errors.Is(err, llm4em.ErrNoRecordID):
@@ -466,8 +467,6 @@ func (s *server) resolve(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, llm4em.ErrOverloaded):
 			status = http.StatusServiceUnavailable
 			w.Header().Set("Retry-After", "1")
-		case errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusGatewayTimeout
 		}
 		writeError(w, status, err)
 		return
@@ -591,7 +590,6 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 			"drain_flushes":      st.Dispatch.DrainFlushes,
 		},
 		"resilience": map[string]any{
-			"enabled":        st.Resilience.Enabled,
 			"breaker_state":  st.Resilience.BreakerState,
 			"breaker_trips":  st.Resilience.BreakerTrips,
 			"shed":           st.Resilience.Shed,

@@ -423,7 +423,6 @@ func TestAddBatchOneWrite(t *testing.T) {
 // converge fast.
 func chaosResilience() resolve.ResilienceOptions {
 	return resolve.ResilienceOptions{
-		Enabled: true,
 		Breaker: resilience.BreakerOptions{
 			ConsecutiveFailures: 1,
 			Cooldown:            time.Millisecond,

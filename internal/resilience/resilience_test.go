@@ -213,7 +213,7 @@ func TestBreakerIgnoresContextErrors(t *testing.T) {
 }
 
 func TestShedderConcurrencyAndQueue(t *testing.T) {
-	s := NewShedder(ShedOptions{MaxConcurrent: 2, MaxQueue: 1})
+	s := NewShedder(ShedOptions{MaxConcurrent: 2})
 	ctx := context.Background()
 	if err := s.Acquire(ctx); err != nil {
 		t.Fatalf("acquire 1: %v", err)
@@ -225,21 +225,26 @@ func TestShedderConcurrencyAndQueue(t *testing.T) {
 		t.Fatalf("inflight = %d, want 2", got)
 	}
 
-	// Third caller queues; fourth is shed.
-	queued := make(chan error, 1)
-	go func() { queued <- s.Acquire(ctx) }()
-	waitFor(t, func() bool { return s.Waiting() == 1 })
+	// Four waiters per slot queue; the next caller is shed.
+	const queue = 4 * 2
+	queued := make(chan error, queue)
+	for i := 0; i < queue; i++ {
+		go func() { queued <- s.Acquire(ctx) }()
+	}
+	waitFor(t, func() bool { return s.Waiting() == queue })
 	if err := s.Acquire(ctx); !errors.Is(err, ErrShed) {
-		t.Fatalf("4th acquire err = %v, want ErrShed", err)
+		t.Fatalf("acquire beyond slots and queue err = %v, want ErrShed", err)
 	}
 	if s.Shed() != 1 {
 		t.Fatalf("shed = %d, want 1", s.Shed())
 	}
 
-	// A release lets the queued caller in.
-	s.Release()
-	if err := <-queued; err != nil {
-		t.Fatalf("queued acquire: %v", err)
+	// Each release lets one queued caller in.
+	for i := 0; i < queue; i++ {
+		s.Release()
+		if err := <-queued; err != nil {
+			t.Fatalf("queued acquire: %v", err)
+		}
 	}
 	s.Release()
 	s.Release()
@@ -249,7 +254,7 @@ func TestShedderConcurrencyAndQueue(t *testing.T) {
 }
 
 func TestShedderContextCancelWhileQueued(t *testing.T) {
-	s := NewShedder(ShedOptions{MaxConcurrent: 1, MaxQueue: 4})
+	s := NewShedder(ShedOptions{MaxConcurrent: 1})
 	if err := s.Acquire(context.Background()); err != nil {
 		t.Fatalf("acquire: %v", err)
 	}

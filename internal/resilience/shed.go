@@ -16,10 +16,9 @@ var ErrShed = errors.New("resilience: overloaded, escalation shed")
 // ShedOptions configures a Shedder.
 type ShedOptions struct {
 	// MaxConcurrent bounds escalations running at once (default 64).
+	// Up to four times as many callers wait for a slot; the next one
+	// is shed immediately rather than queued.
 	MaxConcurrent int
-	// MaxQueue bounds callers waiting for a slot (default 256); the
-	// MaxQueue+1'th waiter is shed immediately rather than queued.
-	MaxQueue int
 	// Metrics receives the shed counter; zero value disabled.
 	Metrics telemetry.ResilienceMetrics
 }
@@ -28,16 +27,17 @@ func (o ShedOptions) withDefaults() ShedOptions {
 	if o.MaxConcurrent <= 0 {
 		o.MaxConcurrent = 64
 	}
-	if o.MaxQueue <= 0 {
-		o.MaxQueue = 256
-	}
 	return o
 }
 
+// queuePerSlot is how many waiting callers a Shedder admits per
+// concurrency slot before it sheds: 256 at the default 64 slots.
+const queuePerSlot = 4
+
 // Shedder is a concurrency limiter with a bounded wait queue: up to
-// MaxConcurrent acquisitions proceed, up to MaxQueue more wait (still
-// honouring their context), and everyone beyond that is rejected with
-// ErrShed. Acquire/Release are allocation-free.
+// MaxConcurrent acquisitions proceed, up to queuePerSlot×MaxConcurrent
+// more wait (still honouring their context), and everyone beyond that
+// is rejected with ErrShed. Acquire/Release are allocation-free.
 type Shedder struct {
 	opts    ShedOptions
 	slots   chan struct{} // buffered; a held token = a running escalation
@@ -64,7 +64,7 @@ func (s *Shedder) Acquire(ctx context.Context) error {
 		return nil
 	default:
 	}
-	if s.waiting.Add(1) > int64(s.opts.MaxQueue) {
+	if s.waiting.Add(1) > int64(queuePerSlot*cap(s.slots)) {
 		s.waiting.Add(-1)
 		s.shed.Add(1)
 		s.opts.Metrics.Shed.Inc()

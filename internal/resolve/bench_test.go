@@ -79,27 +79,6 @@ func BenchmarkStoreResolveTelemetry(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreResolveResilience is BenchmarkStoreResolve with the
-// fault-tolerance layer enabled — breaker, shedder and deferred-queue
-// checks live on the healthy hot path. The regression gate compares
-// it against the same baseline as the plain benchmark, so the layer's
-// cost must stay inside the normal slack.
-func BenchmarkStoreResolveResilience(b *testing.B) {
-	s, queries := benchStoreOpts(b, 10000, Options{
-		Resilience: ResilienceOptions{Enabled: true, RetryInterval: time.Hour},
-	})
-	defer s.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := queries[i%len(queries)]
-		q.ID = fmt.Sprintf("%s-%d", q.ID, i)
-		if _, err := s.Resolve(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func benchmarkStoreResolve(b *testing.B, n int) {
 	s, queries := benchStore(b, n)
 	b.ReportAllocs()
@@ -161,7 +140,8 @@ func benchmarkDispatch(b *testing.B, dispatchPairs int) {
 	// off) cannot match — so the round-trip metric below divides by
 	// the pairs that actually consumed a batch seat or their own
 	// call, keeping the two variants comparable.
-	s := New(client, Options{DispatchPairs: dispatchPairs, CacheSize: -1})
+	disablePromptCache(b)
+	s := New(client, Options{DispatchPairs: dispatchPairs})
 	if err := s.AddBatch(seed); err != nil {
 		b.Fatal(err)
 	}

@@ -107,9 +107,6 @@ func (s *Store) applyResolve(res *Result, fresh []persist.DecisionEntry, counted
 		s.totals.report.Add(res.Cost.Persisted())
 		s.statsMu.Unlock()
 	}
-	if s.res == nil {
-		return
-	}
 	for _, d := range res.Decisions {
 		if d.Deferred && !d.Journaled {
 			s.res.enqueue(deferredPair{
@@ -143,9 +140,7 @@ func (s *Store) applyRedecide(e persist.RedecideEntry, counted bool) {
 			PromptTokens: e.PromptTokens, CompletionTokens: e.CompletionTokens, Cents: e.Cents})
 		s.statsMu.Unlock()
 	}
-	if s.res != nil {
-		s.res.remove(pairID{query: e.QueryID, candidate: e.Decision.CandidateID})
-	}
+	s.res.remove(pairID{query: e.QueryID, candidate: e.Decision.CandidateID})
 }
 
 // journalDecisions installs a query's decisions into the in-memory

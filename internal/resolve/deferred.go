@@ -41,12 +41,14 @@ import (
 // checks the deferred queue when no enqueue has woken it.
 const DefaultRetryInterval = 200 * time.Millisecond
 
-// ResilienceOptions wires the fault-tolerance layer into a store.
+// ResilienceOptions tunes the fault-tolerance layer every store runs:
+// the LLM client is wrapped in a circuit breaker, escalations pass
+// through the load shedder, and unavailable-backend escalations degrade
+// to deferred local verdicts instead of failing the Resolve.
 type ResilienceOptions struct {
-	// Enabled turns the layer on: the LLM client is wrapped in a
-	// circuit breaker, escalations pass through the load shedder, and
-	// unavailable-backend escalations degrade to deferred local
-	// verdicts instead of failing the Resolve.
+	// Enabled is ignored: the layer is always on. It remains only
+	// because the benchmark's probe (bench/probe.go) still sets it, and
+	// goes with the benchmark revision ROADMAP.md plans as item 1.
 	Enabled bool
 	// Breaker tunes the per-backend circuit breaker (zero value
 	// selects the resilience package defaults).
@@ -186,9 +188,6 @@ func (rs *resilienceState) depth() int {
 // rebuilt the queue, so the drain never races recovery's lock-free
 // state building.
 func (s *Store) startResilience() {
-	if s.res == nil {
-		return
-	}
 	s.res.startOnce.Do(func() {
 		s.res.started = true
 		go s.reescalate()
@@ -197,9 +196,6 @@ func (s *Store) startResilience() {
 
 // stopResilience shuts the re-escalator down and waits for it.
 func (s *Store) stopResilience() {
-	if s.res == nil {
-		return
-	}
 	s.res.stopOnce.Do(func() {
 		close(s.res.stop)
 		s.res.cancel()
@@ -285,6 +281,13 @@ func (s *Store) redecide(dp deferredPair) bool {
 		return true
 	}
 	pair := entity.Pair{ID: dp.query.ID + "|" + dp.candidateID, A: dp.query, B: cand}
+	// The two paths to the model that bypass the dispatcher are this one
+	// and the reason tier (escalator.runReason), both on purpose. Here
+	// the verdict is the per-pair prompt's own answer, never a batch
+	// position's, which keeps convergence byte-identical. The reason
+	// tier's prompt cannot ride the dispatcher: it keys its cache and
+	// single-flight on the per-pair match prompt, so a reason prompt
+	// sent through it would be answered from the match cache.
 	resp, _, err := s.esc.eng.CompleteContext(s.res.ctx, s.esc.spec.Build(pair))
 	if err != nil {
 		return false
@@ -337,9 +340,9 @@ func (s *Store) redecide(dp deferredPair) bool {
 // Degraded names the store's degraded condition for readiness
 // reporting: "llm_breaker_open" while the circuit breaker is open
 // (local resolution still serves, LLM verdicts are deferred), ""
-// when healthy or when the resilience layer is disabled.
+// when healthy.
 func (s *Store) Degraded() string {
-	if s.res != nil && s.res.breaker.State() == resilience.Open {
+	if s.res.breaker.State() == resilience.Open {
 		return "llm_breaker_open"
 	}
 	return ""
@@ -347,9 +350,6 @@ func (s *Store) Degraded() string {
 
 // ResilienceStats snapshots the fault-tolerance layer of a store.
 type ResilienceStats struct {
-	// Enabled reports whether the layer is on; every other field is
-	// zero when it is not.
-	Enabled bool
 	// BreakerState is the circuit breaker's current state ("closed",
 	// "half-open", "open"); BreakerTrips counts closed→open
 	// transitions.

@@ -43,7 +43,6 @@ func (c *outageClient) Chat(messages []llm.Message) (llm.Response, error) {
 // the first failure, recover within milliseconds.
 func resilientOptions() ResilienceOptions {
 	return ResilienceOptions{
-		Enabled: true,
 		Breaker: resilience.BreakerOptions{
 			ConsecutiveFailures: 1,
 			Cooldown:            time.Millisecond,
@@ -188,7 +187,7 @@ func TestShedSurfacesAsError(t *testing.T) {
 	release := make(chan struct{})
 	client := &gateClient{enter: enter, release: release}
 	opts := resilientOptions()
-	opts.Shed = resilience.ShedOptions{MaxConcurrent: 1, MaxQueue: 1}
+	opts.Shed = resilience.ShedOptions{MaxConcurrent: 1} // one slot queues four waiters
 	s := New(client, Options{
 		Cascade:    CascadeOptions{Disable: true},
 		Resilience: opts,
@@ -198,34 +197,40 @@ func TestShedSurfacesAsError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	done := make(chan error, 2)
-	go func() {
-		_, err := s.Resolve(rec("q1", "alpha beta sameent0001"))
+	// Distinct titles keep the prompts distinct — identical prompts
+	// would coalesce in the engine's single-flight cache and never reach
+	// the shedder-guarded client.
+	query := func(i int) entity.Record {
+		return rec(fmt.Sprintf("q%d", i), fmt.Sprintf("alpha beta sameent%04d", i))
+	}
+	const held = 1 + 4
+	done := make(chan error, held)
+	resolveAsync := func(i int) {
+		_, err := s.Resolve(query(i))
 		done <- err
-	}()
-	<-enter // first resolve holds the only slot, blocked in Chat
-	go func() {
-		// Distinct titles keep the three prompts distinct — identical
-		// prompts would coalesce in the engine's single-flight cache and
-		// never reach the shedder-guarded client.
-		_, err := s.Resolve(rec("q2", "alpha beta sameent0002"))
-		done <- err
-	}()
-	waitForStore(t, "second resolve to queue", func() bool {
-		return s.Stats().Resilience.Waiting == 1
+	}
+	go resolveAsync(1)
+	<-enter // the first resolve holds the only slot, blocked in Chat
+	for i := 2; i <= held; i++ {
+		go resolveAsync(i)
+	}
+	waitForStore(t, "four resolves to queue", func() bool {
+		return s.Stats().Resilience.Waiting == held-1
 	})
 
-	_, err := s.Resolve(rec("q3", "alpha beta sameent0003"))
+	_, err := s.Resolve(query(held + 1))
 	if !errors.Is(err, resilience.ErrShed) {
-		t.Fatalf("third concurrent resolve: %v, want ErrShed", err)
+		t.Fatalf("resolve beyond slot and queue: %v, want ErrShed", err)
 	}
 	if s.Stats().Resilience.Shed != 1 {
 		t.Errorf("Shed = %d, want 1", s.Stats().Resilience.Shed)
 	}
 
 	close(release)
-	<-enter // admit the queued second resolve
-	for i := 0; i < 2; i++ {
+	for i := 1; i < held; i++ {
+		<-enter // admit the queued resolves one at a time
+	}
+	for i := 0; i < held; i++ {
 		if err := <-done; err != nil {
 			t.Errorf("blocked resolve: %v", err)
 		}
@@ -319,112 +324,85 @@ func TestDeferredConvergesToHealthyRun(t *testing.T) {
 	}
 }
 
-// TestResolveAllocBudgetWithResilience pins the fault-tolerance cost
-// on the healthy hot path: a resolve with the full resilience layer
-// enabled allocates exactly as much as one without — the breaker and
-// shedder are atomics and channel operations, and the degradation
-// machinery is never touched while the backend answers.
-func TestResolveAllocBudgetWithResilience(t *testing.T) {
-	build := func(opts Options) *Store {
-		s := New(benchClient{}, opts)
-		for i := 0; i < 500; i++ {
-			if err := s.Add(rec(fmt.Sprintf("r%04d", i),
-				fmt.Sprintf("sony camera model%04d", i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return s
-	}
-	measure := func(s *Store) float64 {
-		defer s.Close()
-		q := rec("q0001", "sony camera digital model0001")
-		for i := 0; i < 10; i++ {
-			if _, err := s.Resolve(q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return minAllocsPerRun(3, func() {
-			if _, err := s.Resolve(q); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	base := measure(build(Options{}))
-	// A long retry interval keeps the idle re-escalator's ticker out of
-	// the measurement window.
-	resilient := measure(build(Options{Resilience: ResilienceOptions{
-		Enabled:       true,
-		RetryInterval: time.Hour,
-	}}))
-	slack := 0.0
-	if raceEnabled {
-		slack = 1
-	}
-	if resilient > base+slack {
-		t.Errorf("resilience added allocations: %v allocs/op with, %v without", resilient, base)
-	}
-}
-
 // TestDeferredQueueSurvivesCrash resolves during an outage, abandons
-// the store without Close (the crash), and reopens the directory: the
-// WAL replay must rebuild the deferred queue and the re-escalator
-// must settle it.
+// the store without Close (the crash), and reopens the directory with a
+// healthy client: recovery must rebuild the deferred queue — from the
+// WAL, or from the snapshot when a checkpoint ran before the crash —
+// and the re-escalator must settle it, whatever the reopen's resilience
+// options.
 func TestDeferredQueueSurvivesCrash(t *testing.T) {
-	dir := t.TempDir()
-	client1 := &outageClient{}
-	s1, err := Open(client1, Options{
-		Cascade:    CascadeOptions{Disable: true},
-		PersistDir: dir,
-		Resilience: resilientOptions(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.Add(rec("r1", "alpha beta sameent0001")); err != nil {
-		t.Fatal(err)
-	}
-	client1.down.Store(true)
-	if _, err := s1.Resolve(rec("q1", "alpha beta sameent0001")); err != nil {
-		t.Fatal(err)
-	}
-	// Crash: stop the background goroutine (its client stays down, so
-	// it would otherwise keep probing the shared directory) and drop
-	// the store without Close. The WAL keeps the deferred entry.
-	s1.stopResilience()
+	for _, tc := range []struct {
+		name       string
+		checkpoint bool
+		reopen     ResilienceOptions
+	}{
+		{"resilient", false, resilientOptions()},
+		{"defaults", false, ResilienceOptions{}},
+		{"defaults after checkpoint", true, ResilienceOptions{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			client1 := &outageClient{}
+			s1, err := Open(client1, Options{
+				Cascade:    CascadeOptions{Disable: true},
+				PersistDir: dir,
+				Resilience: resilientOptions(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s1.Add(rec("r1", "alpha beta sameent0001")); err != nil {
+				t.Fatal(err)
+			}
+			client1.down.Store(true)
+			if _, err := s1.Resolve(rec("q1", "alpha beta sameent0001")); err != nil {
+				t.Fatal(err)
+			}
+			if tc.checkpoint {
+				if err := s1.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Crash: stop the background goroutine (its client stays down,
+			// so it would otherwise keep probing the shared directory) and
+			// drop the store without Close. The WAL or the snapshot keeps
+			// the deferred entry.
+			s1.stopResilience()
 
-	s2, err := Open(&outageClient{}, Options{
-		Cascade:    CascadeOptions{Disable: true},
-		PersistDir: dir,
-		Resilience: resilientOptions(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	waitForStore(t, "replayed deferred queue drain", func() bool {
-		return s2.Stats().Resilience.DeferredQueue == 0
-	})
-	members, ok := s2.Entity("q1")
-	if !ok || len(members) != 2 {
-		t.Fatalf("entity after crash recovery = %v (ok=%v), want {q1,r1}", members, ok)
-	}
-	if st := s2.Stats(); st.Redecided != 1 {
-		t.Errorf("Redecided = %d, want 1", st.Redecided)
-	}
-	// The journal entry must now be the final LLM verdict.
-	if err := s2.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	var final *persist.DecisionEntry
-	for _, j := range committedJournal(t, dir) {
-		if j.query == "q1" && j.CandidateID == "r1" {
-			final = &j.DecisionEntry
-		}
-	}
-	if final == nil {
-		t.Fatal("journal entry for q1|r1 not found")
-	}
-	if final.Deferred || final.Method != string(MethodLLM) || !final.Match {
-		t.Errorf("journal entry after recovery = %+v, want final llm match", *final)
+			s2, err := Open(&outageClient{}, Options{
+				Cascade:    CascadeOptions{Disable: true},
+				PersistDir: dir,
+				Resilience: tc.reopen,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			waitForStore(t, "recovered deferred queue drain", func() bool {
+				st := s2.Stats()
+				return st.Redecided == 1 && st.Resilience.DeferredQueue == 0
+			})
+			members, ok := s2.Entity("q1")
+			if !ok || len(members) != 2 {
+				t.Fatalf("entity after crash recovery = %v (ok=%v), want {q1,r1}", members, ok)
+			}
+			// The journal entry must now be the final LLM verdict.
+			if err := s2.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			var final *persist.DecisionEntry
+			for _, j := range committedJournal(t, dir) {
+				if j.query == "q1" && j.CandidateID == "r1" {
+					final = &j.DecisionEntry
+				}
+			}
+			if final == nil {
+				t.Fatal("journal entry for q1|r1 not found")
+			}
+			if final.Deferred || final.Method != string(MethodLLM) || !final.Match {
+				t.Errorf("journal entry after recovery = %+v, want final llm match", *final)
+			}
+			checkJournalClosure(t, dir, s2)
+		})
 	}
 }

@@ -1,10 +1,10 @@
 package resolve
 
 import (
+	"context"
 	"fmt"
 
-	"llm4em/internal/core"
-	"llm4em/internal/cost"
+	"llm4em/internal/dispatch"
 	"llm4em/internal/entity"
 	"llm4em/internal/eval"
 	"llm4em/internal/features"
@@ -32,11 +32,10 @@ type EvalOptions struct {
 	Design prompt.Design
 	// Domain is the topical domain baked into escalation prompts.
 	Domain entity.Domain
-	// Workers, CacheSize and MaxRetries tune the pipeline engine; zero
-	// values select the pipeline defaults.
-	Workers    int
-	CacheSize  int
-	MaxRetries int
+	// Workers sizes the pipeline engine's worker pool and bounds the
+	// pairs EvaluatePairs and LLMVerdicts have in flight (zero selects
+	// pipeline.DefaultWorkers).
+	Workers int
 }
 
 func (o EvalOptions) withDefaults() EvalOptions {
@@ -44,6 +43,27 @@ func (o EvalOptions) withDefaults() EvalOptions {
 		o.Design, _ = prompt.DesignByName(DefaultDesign)
 	}
 	return o
+}
+
+// escalator is the serving escalator over a fresh engine, with batches
+// of one: every escalated pair is its own round-trip, as in serving
+// with DispatchPairs ≤ 1. The caller closes its dispatcher.
+func (o EvalOptions) escalator(client llm.Client) *escalator {
+	return newEscalator(pipeline.New(client, pipeline.Options{Workers: o.Workers}),
+		prompt.Spec{Design: o.Design, Domain: o.Domain}, o.Cascade, dispatch.Options{})
+}
+
+// runEach is the offline pairwise pass: plans[i] is pairs[i]'s own
+// one-pair plan, and each plan with the pair in its band sends it
+// through runMatch, at most Workers pairs at a time.
+func (e *escalator) runEach(pairs []entity.Pair, plans []cascadePlan) error {
+	return pipeline.ForEach(len(pairs), e.eng.Workers(), func(i int) error {
+		if len(plans[i].llm) == 0 {
+			return nil
+		}
+		_, err := e.runMatch(context.Background(), pairs[i:i+1], &plans[i])
+		return err
+	})
 }
 
 // PairOutcome is the cascade's verdict on one labelled pair.
@@ -76,10 +96,11 @@ type EvalResult struct {
 func (r EvalResult) F1() float64 { return r.Confusion.F1() }
 
 // EvaluatePairs runs labelled pairs through the cascade matcher: the
-// local scorer decides the confident ones, the band between the
-// thresholds is escalated to the client in one engine batch. The
-// returned result carries per-pair outcomes, the confusion against
-// the gold labels and the aggregated cost report.
+// local scorer decides the confident ones, and the band between the
+// thresholds goes to the client through the serving escalator's
+// pairwise pass, whatever Cascade.Strategy says. The returned result
+// carries per-pair outcomes, the confusion against the gold labels and
+// the aggregated cost report.
 //
 // Evaluation is deterministic for the deterministic simulated models
 // regardless of Workers, so corrupted sweeps are reproducible from
@@ -90,18 +111,22 @@ func EvaluatePairs(client llm.Client, opts EvalOptions, pairs []entity.Pair) (Ev
 	if len(pairs) == 0 {
 		return res, nil
 	}
-	pricing, priced := cost.For(client.Name())
-	res.Report.Priced = priced
-
-	// Local pass: score every pair, collect the uncertain band. Each
-	// pair is its own single-candidate plan, so Store semantics —
+	// Each pair is its own single-candidate plan, so Store semantics —
 	// thresholds, hardness ordering, budgets — apply unchanged.
-	var escalate []int
+	plans := make([]cascadePlan, len(pairs))
 	for i, p := range pairs {
 		ea := features.ExtractText(p.A.Serialize())
 		eb := features.ExtractText(p.B.Serialize())
-		plan := o.Cascade.plan(ea, []string{p.B.ID}, []*features.Extracted{&eb}, []float64{0}, nil)
-		d := plan.decisions[0]
+		plans[i] = o.Cascade.plan(ea, []string{p.B.ID}, []*features.Extracted{&eb}, []float64{0}, nil)
+	}
+	esc := o.escalator(client)
+	defer esc.disp.Close()
+	if err := esc.runEach(pairs, plans); err != nil {
+		return EvalResult{}, fmt.Errorf("resolve: evaluate pairs: %w", err)
+	}
+	res.Report.Priced = esc.priced
+	for i, p := range pairs {
+		d := plans[i].decisions[0]
 		res.Outcomes[i] = PairOutcome{
 			PairID:      p.ID,
 			Gold:        p.Match,
@@ -109,47 +134,8 @@ func EvaluatePairs(client llm.Client, opts EvalOptions, pairs []entity.Pair) (Ev
 			Match:       d.Match,
 			Method:      d.Method,
 		}
-		res.Report.Add(plan.report) // the local half; the LLM pass below adds its own
-		if len(plan.llm) > 0 {
-			escalate = append(escalate, i)
-		}
-	}
-
-	// LLM pass: one engine batch over the whole uncertain band.
-	if len(escalate) > 0 {
-		eng := pipeline.New(client, pipeline.Options{
-			Workers:    o.Workers,
-			CacheSize:  o.CacheSize,
-			MaxRetries: o.MaxRetries,
-		})
-		spec := prompt.Spec{Design: o.Design, Domain: o.Domain}
-		batch := make([]entity.Pair, len(escalate))
-		for bi, i := range escalate {
-			batch[bi] = pairs[i]
-		}
-		decided, err := eng.Match(batch, spec.Build, core.ParseAnswer)
-		if err != nil {
-			return EvalResult{}, fmt.Errorf("resolve: evaluate pairs: %w", err)
-		}
-		for bi, d := range decided {
-			out := &res.Outcomes[escalate[bi]]
-			out.Match = d.Match
-			out.Method = MethodLLM
-			res.Report.LLMPairs++
-			if d.Cached {
-				res.Report.CacheHits++
-			}
-			res.Report.PromptTokens += d.Usage.PromptTokens
-			res.Report.CompletionTokens += d.Usage.CompletionTokens
-			if priced {
-				res.Report.Cents += cost.PerPromptCents(pricing,
-					float64(d.Usage.PromptTokens), float64(d.Usage.CompletionTokens))
-			}
-		}
-	}
-
-	for _, out := range res.Outcomes {
-		res.Confusion.Add(out.Gold, out.Match)
+		res.Confusion.Add(p.Match, d.Match)
+		res.Report.Add(plans[i].report)
 	}
 	return res, nil
 }
@@ -172,42 +158,31 @@ func LocalProbabilities(ws *features.Weights, pairs []entity.Pair) []float64 {
 	return probs
 }
 
-// LLMVerdicts answers every pair with the client directly (no local
-// scorer, no thresholds) and returns the binary verdicts plus the
-// summed usage. Threshold calibration uses it to price and judge the
-// widest candidate band once, then sweeps thresholds arithmetically.
+// LLMVerdicts answers every pair with the client (no local scorer, no
+// thresholds) through the serving escalator's pairwise pass and returns
+// the binary verdicts plus the summed usage. Threshold calibration uses
+// it to price and judge the widest candidate band once, then sweeps
+// thresholds arithmetically.
 func LLMVerdicts(client llm.Client, opts EvalOptions, pairs []entity.Pair) ([]bool, CostReport, error) {
 	o := opts.withDefaults()
 	var report CostReport
 	if len(pairs) == 0 {
 		return nil, report, nil
 	}
-	pricing, priced := cost.For(client.Name())
-	report.Priced = priced
-	eng := pipeline.New(client, pipeline.Options{
-		Workers:    o.Workers,
-		CacheSize:  o.CacheSize,
-		MaxRetries: o.MaxRetries,
-	})
-	spec := prompt.Spec{Design: o.Design, Domain: o.Domain}
-	decided, err := eng.Match(pairs, spec.Build, core.ParseAnswer)
-	if err != nil {
+	plans := make([]cascadePlan, len(pairs))
+	for i := range plans {
+		plans[i] = cascadePlan{decisions: make([]PairDecision, 1), llm: []int{0}, report: CostReport{Candidates: 1}}
+	}
+	esc := o.escalator(client)
+	defer esc.disp.Close()
+	if err := esc.runEach(pairs, plans); err != nil {
 		return nil, report, fmt.Errorf("resolve: llm verdicts: %w", err)
 	}
-	verdicts := make([]bool, len(decided))
-	for i, d := range decided {
-		verdicts[i] = d.Match
-		report.Candidates++
-		report.LLMPairs++
-		if d.Cached {
-			report.CacheHits++
-		}
-		report.PromptTokens += d.Usage.PromptTokens
-		report.CompletionTokens += d.Usage.CompletionTokens
-		if priced {
-			report.Cents += cost.PerPromptCents(pricing,
-				float64(d.Usage.PromptTokens), float64(d.Usage.CompletionTokens))
-		}
+	report.Priced = esc.priced
+	verdicts := make([]bool, len(pairs))
+	for i, plan := range plans {
+		verdicts[i] = plan.decisions[0].Match
+		report.Add(plan.report)
 	}
 	return verdicts, report, nil
 }

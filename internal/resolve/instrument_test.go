@@ -35,7 +35,8 @@ func (h *telCapture) WithGroup(string) slog.Handler      { return h }
 func TestResolveTelemetryCounters(t *testing.T) {
 	tel := telemetry.New(telemetry.Options{})
 	client := &countingClient{}
-	s := New(client, Options{CacheSize: -1, Telemetry: tel})
+	disablePromptCache(t)
+	s := New(client, Options{Telemetry: tel})
 
 	qText, cText := midBandPair(t, 7)
 	if err := s.AddBatch([]entity.Record{

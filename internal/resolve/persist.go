@@ -155,19 +155,17 @@ func (s *Store) installSnapshot(snap *persist.Snapshot) {
 	// records. A snapshot cut mid-redecide can hold a queue entry whose
 	// journal decision is already final (removal happens after commit);
 	// the journal check filters those.
-	if s.res != nil {
-		for _, de := range snap.Deferred {
-			je, ok := s.journal[pairID{query: de.Query.ID, candidate: de.CandidateID}]
-			if !ok || !je.Deferred {
-				continue
-			}
-			s.res.enqueue(deferredPair{
-				query:       de.Query,
-				candidateID: de.CandidateID,
-				blockScore:  de.BlockScore,
-				probability: de.Probability,
-			})
+	for _, de := range snap.Deferred {
+		je, ok := s.journal[pairID{query: de.Query.ID, candidate: de.CandidateID}]
+		if !ok || !je.Deferred {
+			continue
 		}
+		s.res.enqueue(deferredPair{
+			query:       de.Query,
+			candidateID: de.CandidateID,
+			blockScore:  de.BlockScore,
+			probability: de.Probability,
+		})
 	}
 	s.totals = totals{resolves: snap.Resolves, redecided: snap.Redecided, report: snap.Totals}
 	s.pstate.recoveredDecisions += len(s.journal)
@@ -321,18 +319,16 @@ func (s *Store) checkpointLocked() error {
 	s.graphMu.Lock()
 	snap.Groups = s.graph.Groups()
 	s.graphMu.Unlock()
-	if s.res != nil {
-		s.res.mu.Lock()
-		for _, dp := range s.res.queue {
-			snap.Deferred = append(snap.Deferred, persist.DeferredEntry{
-				Query:       dp.query,
-				CandidateID: dp.candidateID,
-				BlockScore:  dp.blockScore,
-				Probability: dp.probability,
-			})
-		}
-		s.res.mu.Unlock()
+	s.res.mu.Lock()
+	for _, dp := range s.res.queue {
+		snap.Deferred = append(snap.Deferred, persist.DeferredEntry{
+			Query:       dp.query,
+			CandidateID: dp.candidateID,
+			BlockScore:  dp.blockScore,
+			Probability: dp.probability,
+		})
 	}
+	s.res.mu.Unlock()
 	t := s.lifetime()
 	snap.Resolves, snap.Redecided, snap.Totals = t.resolves, t.redecided, t.report
 	// Until the rename below the extension is an uncommitted tail: a

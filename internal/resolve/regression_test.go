@@ -41,7 +41,8 @@ func TestLLMCallRegression(t *testing.T) {
 	// The reference workload of BENCH_resolve.json: 120 WDC seed
 	// records queried by 120 A-side records, default cascade.
 	seed, queries := wdcStoreRecords(t, 120)
-	s := New(&countingClient{}, Options{CacheSize: -1})
+	disablePromptCache(t)
+	s := New(&countingClient{}, Options{})
 	if err := s.AddBatch(seed); err != nil {
 		t.Fatal(err)
 	}

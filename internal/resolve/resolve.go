@@ -101,9 +101,6 @@ type Options struct {
 	Domain entity.Domain
 	// Cascade tunes the cascade matcher.
 	Cascade CascadeOptions
-	// CacheSize is the LLM pipeline engine's prompt-cache capacity
-	// (zero selects pipeline.DefaultCacheSize, negative disables it).
-	CacheSize int
 	// DispatchPairs is the batch size of the cross-request
 	// micro-batching dispatcher (internal/dispatch) every escalation
 	// goes through: uncertain pairs from concurrent Resolve calls are
@@ -140,9 +137,10 @@ type Options struct {
 	// one). The chaos harness injects fault-wrapping implementations;
 	// serving code leaves it nil.
 	WALFS persist.FS
-	// Resilience enables the fault-tolerance layer: circuit breaker
-	// around the LLM client, escalation load shedding, and
-	// deferred-decision graceful degradation (see ResilienceOptions).
+	// Resilience tunes the fault-tolerance layer every store runs:
+	// circuit breaker around the LLM client, escalation load shedding,
+	// and deferred-decision graceful degradation (see
+	// ResilienceOptions). The zero value selects the defaults.
 	Resilience ResilienceOptions
 	// Telemetry wires the store (and the pipeline, dispatcher, index
 	// shards and WAL underneath it) into a telemetry handle: per-stage
@@ -176,6 +174,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// promptCacheSize is the store engine's prompt-cache capacity (zero
+// selects pipeline.DefaultCacheSize). A variable only so tests that
+// count client calls can turn the cache off with a negative value.
+var promptCacheSize int
+
 // Typed errors, for callers (e.g. the HTTP front end) that map
 // failure classes to response codes.
 var (
@@ -195,8 +198,7 @@ type Store struct {
 	// per-pair prompt everything keys on.
 	esc *escalator
 	// res is the fault-tolerance layer — breaker, shedder, deferred
-	// queue, re-escalator; nil when Options.Resilience.Enabled is
-	// false, which keeps the hot path at a single nil check.
+	// queue, re-escalator.
 	res *resilienceState
 
 	shards []*shard
@@ -248,20 +250,16 @@ func newStore(client llm.Client, opts Options) *Store {
 		pm, dm, bm = o.Telemetry.Pipeline, o.Telemetry.Dispatch, o.Telemetry.Blocking
 		rm = o.Telemetry.Resilience
 	}
-	var res *resilienceState
-	if o.Resilience.Enabled {
-		res = newResilienceState(o.Resilience, rm)
-		// The breaker wraps the client BEFORE the pipeline engine, so
-		// every retry attempt — not just whole chat calls — consults
-		// and reports it, and an open breaker fails attempts fast
-		// (resilience.ErrOpen is not transient, so the retry loop stops
-		// immediately).
-		client = resilience.Guard(client, res.breaker)
-	}
+	res := newResilienceState(o.Resilience, rm)
+	// The breaker wraps the client BEFORE the pipeline engine, so every
+	// retry attempt — not just whole chat calls — consults and reports
+	// it, and an open breaker fails attempts fast (resilience.ErrOpen is
+	// not transient, so the retry loop stops immediately).
+	client = resilience.Guard(client, res.breaker)
 	s := &Store{
 		opts: o,
 		res:  res,
-		esc: newEscalator(pipeline.New(client, pipeline.Options{CacheSize: o.CacheSize, Metrics: pm}),
+		esc: newEscalator(pipeline.New(client, pipeline.Options{CacheSize: promptCacheSize, Metrics: pm}),
 			prompt.Spec{Design: o.Design, Domain: o.Domain}, o.Cascade,
 			dispatch.Options{MaxBatchPairs: o.DispatchPairs, FlushInterval: o.DispatchFlush, Metrics: dm}),
 		shards:  make([]*shard, o.Shards),
@@ -318,11 +316,10 @@ func (s *Store) Resolve(q entity.Record) (Result, error) {
 // under the request's trace ID, alongside the store-level telemetry
 // handle. And the context's deadline/cancellation bounds the LLM
 // escalation: in-flight model work is abandoned when it fires (the
-// local stages always run to completion — they are microseconds).
-// Without the resilience layer an expired context fails the call with
-// ctx.Err(); with it (Options.Resilience.Enabled) a spent deadline
-// degrades the undecided pairs to deferred local verdicts instead —
-// see deferred.go.
+// local stages always run to completion — they are microseconds). A
+// spent deadline degrades the undecided pairs to deferred local
+// verdicts rather than failing the call (see escalateBand and
+// deferred.go); a cancelled context fails it with context.Canceled.
 //
 // The call is the trace's stages in order: extract, block, journal
 // lookup, score, escalate, commit (fold and persist).
@@ -428,14 +425,24 @@ func (s *Store) planFresh(q entity.Record, qext features.Extracted, cands []scor
 }
 
 // escalateBand is the escalate stage: the planned uncertain pairs go to
-// the LLM — through the escalator, which honors Cascade.Strategy and
-// the reason tier and fills their decisions and the report's LLM
-// accounting — behind the fault-tolerance layer when it is on. The plan
-// has already applied LLMBudget and MaxCentsPerResolve, so the strategy
-// only changes how many round-trips the pairs cost, never which pairs
-// are escalated. The returned duration sums the model-side latency the
-// answers report, letting the stage observer split the escalation
-// wall-clock into model time and dispatch wait.
+// the LLM through the escalator, which honors Cascade.Strategy and the
+// reason tier and fills their decisions and the report's LLM
+// accounting. The plan has already applied LLMBudget and
+// MaxCentsPerResolve, so the strategy only changes how many round-trips
+// the pairs cost, never which pairs are escalated. The returned
+// duration sums the model-side latency the answers report, letting the
+// stage observer split the escalation wall-clock into model time and
+// dispatch wait.
+//
+// Escalations pass through the load shedder, and an unavailable
+// backend — breaker open, deadline spent, retries exhausted — degrades
+// the undecided pairs to deferred local verdicts instead of failing the
+// Resolve. Three errors surface: resilience.ErrShed (the server is full
+// — the backend is fine, so degrading would silently shed load as fake
+// answers), context.Canceled (the caller gave up; there is no one to
+// serve a degraded answer to, and a call that fails is never committed,
+// so it queues nothing) and dispatch.ErrClosed (the store is closed, so
+// no re-escalator would ever drain the queue).
 func (s *Store) escalateBand(ctx context.Context, q entity.Record, cands []scored, fresh []int, plan *cascadePlan) (time.Duration, error) {
 	pairs := make([]entity.Pair, len(plan.llm))
 	for i, di := range plan.llm {
@@ -445,22 +452,6 @@ func (s *Store) escalateBand(ctx context.Context, q entity.Record, cands []score
 			B:  cands[fresh[di]].rec,
 		}
 	}
-	if s.res != nil {
-		return s.escalateResilient(ctx, pairs, plan)
-	}
-	return s.esc.run(ctx, pairs, plan)
-}
-
-// escalateResilient is the escalation behind the fault-tolerance layer:
-// escalations pass through the load shedder, and an unavailable
-// backend — breaker open, deadline spent, retries exhausted —
-// degrades the undecided pairs to deferred local verdicts instead of
-// failing the Resolve. Only two errors can surface: resilience.ErrShed
-// (the server is full — the backend is fine, so degrading would
-// silently shed load as fake answers) and context.Canceled (the
-// caller gave up; there is no one to serve a degraded answer to, and
-// a call that fails is never committed, so it queues nothing).
-func (s *Store) escalateResilient(ctx context.Context, pairs []entity.Pair, plan *cascadePlan) (time.Duration, error) {
 	// Fast-path degrade: a known-open breaker or an already-expired
 	// deadline makes the LLM attempt pointless — skip the shedder
 	// queue entirely and answer locally.
@@ -484,7 +475,7 @@ func (s *Store) escalateResilient(ctx context.Context, pairs []entity.Pair, plan
 	if err == nil {
 		return modelLat, nil
 	}
-	if errors.Is(err, context.Canceled) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, dispatch.ErrClosed) {
 		return 0, err
 	}
 	s.degrade(plan)

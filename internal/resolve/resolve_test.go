@@ -41,6 +41,15 @@ func rec(id, title string) entity.Record {
 	return entity.Record{ID: id, Attrs: []entity.Attr{{Name: "title", Value: title}}}
 }
 
+// disablePromptCache turns off the prompt cache of every store the
+// test builds, so each escalation reaches the client, and restores it
+// when the test ends.
+func disablePromptCache(tb testing.TB) {
+	old := promptCacheSize
+	promptCacheSize = -1
+	tb.Cleanup(func() { promptCacheSize = old })
+}
+
 // wdcStoreRecords derives a seed collection and query set from the
 // WDC benchmark: B-side records seed the store, A-side records query
 // it.
@@ -175,8 +184,9 @@ func midBandPair(t testing.TB, salt int) (a, b string) {
 }
 
 func TestUncertainBandGoesToLLM(t *testing.T) {
+	disablePromptCache(t)
 	client := &countingClient{}
-	s := New(client, Options{CacheSize: -1})
+	s := New(client, Options{})
 	qText, cText := midBandPair(t, 1)
 	if err := s.Add(rec("r1", cText)); err != nil {
 		t.Fatal(err)
@@ -206,11 +216,9 @@ func TestUncertainBandGoesToLLM(t *testing.T) {
 }
 
 func TestLLMBudgetCapsEscalation(t *testing.T) {
+	disablePromptCache(t)
 	client := &countingClient{}
-	s := New(client, Options{
-		CacheSize: -1,
-		Cascade:   CascadeOptions{LLMBudget: 1},
-	})
+	s := New(client, Options{Cascade: CascadeOptions{LLMBudget: 1}})
 	qText, c1 := midBandPair(t, 2)
 	_, c2 := midBandPair(t, 2) // same shape, different record
 	if err := s.AddBatch([]entity.Record{rec("r1", c1), rec("r2", c2+" extra")}); err != nil {
@@ -231,10 +239,7 @@ func TestLLMBudgetCapsEscalation(t *testing.T) {
 	}
 
 	// A negative budget disables LLM calls entirely.
-	s2 := New(&countingClient{}, Options{
-		CacheSize: -1,
-		Cascade:   CascadeOptions{LLMBudget: -1},
-	})
+	s2 := New(&countingClient{}, Options{Cascade: CascadeOptions{LLMBudget: -1}})
 	if err := s2.Add(rec("r1", c1)); err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +257,12 @@ func TestLLMBudgetCapsEscalation(t *testing.T) {
 // strictly fewer client calls than a no-cascade store while deciding
 // every candidate pair.
 func TestCascadeSendsFewerPairsToLLM(t *testing.T) {
+	disablePromptCache(t)
 	seed, queries := wdcStoreRecords(t, 120)
 
 	run := func(cascade CascadeOptions) (int64, uint64, uint64) {
 		client := &countingClient{}
-		s := New(client, Options{CacheSize: -1, Cascade: cascade})
+		s := New(client, Options{Cascade: cascade})
 		if err := s.AddBatch(seed); err != nil {
 			t.Fatal(err)
 		}
@@ -374,8 +380,9 @@ func stripCached(ds []PairDecision) []PairDecision {
 }
 
 func TestStatsAccumulate(t *testing.T) {
+	disablePromptCache(t)
 	client := &countingClient{}
-	s := New(client, Options{CacheSize: -1})
+	s := New(client, Options{})
 	if err := s.Add(rec("r1", "sony dsc120b cybershot camera silver")); err != nil {
 		t.Fatal(err)
 	}

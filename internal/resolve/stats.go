@@ -51,8 +51,7 @@ type Stats struct {
 	// stores.
 	Persist PersistStats
 	// Resilience reports the fault-tolerance layer: breaker state,
-	// shed count, deferred queue depth. Resilience.Enabled is false
-	// when Options.Resilience.Enabled is.
+	// shed count, deferred queue depth.
 	Resilience ResilienceStats
 }
 
@@ -93,11 +92,7 @@ func (s *Store) Stats() Stats {
 		Engine:      s.esc.eng.Stats(),
 		Dispatch:    s.esc.disp.Stats(),
 		Persist:     ps,
-	}
-	st.Priced = s.esc.priced
-	if s.res != nil {
-		st.Resilience = ResilienceStats{
-			Enabled:       true,
+		Resilience: ResilienceStats{
 			BreakerState:  s.res.breaker.State().String(),
 			BreakerTrips:  s.res.breaker.Trips(),
 			Shed:          s.res.shed.Shed(),
@@ -106,7 +101,8 @@ func (s *Store) Stats() Stats {
 			DeferredQueue: s.res.depth(),
 			DeferredPairs: uint64(t.report.DeferredPairs),
 			Redecided:     t.redecided,
-		}
+		},
 	}
+	st.Priced = s.esc.priced
 	return st
 }

@@ -16,8 +16,9 @@ import (
 // over a query's uncertain pairs under the configured Strategy
 // (pairwise match, grouped compare, grouped select) and the optional
 // reason-tier second pass. The serving path (Store.esc) and offline
-// evaluation (EvaluateGroups) both build it with newEscalator, and the
-// first pass reaches the model only through its dispatcher.
+// evaluation (EvaluateGroups, EvaluatePairs, LLMVerdicts) all build it
+// with newEscalator, and the first pass reaches the model only through
+// its dispatcher.
 type escalator struct {
 	eng     *pipeline.Engine
 	disp    *dispatch.Dispatcher

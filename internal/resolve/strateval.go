@@ -4,13 +4,10 @@ import (
 	"context"
 	"fmt"
 
-	"llm4em/internal/dispatch"
 	"llm4em/internal/entity"
 	"llm4em/internal/eval"
 	"llm4em/internal/features"
 	"llm4em/internal/llm"
-	"llm4em/internal/pipeline"
-	"llm4em/internal/prompt"
 )
 
 // This file is the offline entry point of the strategy tier: it runs
@@ -66,13 +63,7 @@ func EvaluateGroups(client llm.Client, opts EvalOptions, groups []CandidateGroup
 	if len(groups) == 0 {
 		return res, nil
 	}
-	// Batches of one: every pair is its own round-trip, as in serving
-	// with DispatchPairs ≤ 1.
-	esc := newEscalator(pipeline.New(client, pipeline.Options{
-		Workers:    o.Workers,
-		CacheSize:  o.CacheSize,
-		MaxRetries: o.MaxRetries,
-	}), prompt.Spec{Design: o.Design, Domain: o.Domain}, o.Cascade, dispatch.Options{})
+	esc := o.escalator(client)
 	defer esc.disp.Close()
 	res.Report.Priced = esc.priced
 

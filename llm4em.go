@@ -206,9 +206,9 @@ var (
 	ErrDuplicateRecordID = resolve.ErrDuplicateID
 )
 
-// Fault tolerance. With StoreOptions.Resilience enabled, a store
-// wraps its LLM escalations in a circuit breaker and a concurrency
-// shedder, and degrades gracefully when the backend is down: the
+// Fault tolerance. Every store wraps its LLM escalations in a circuit
+// breaker and a concurrency shedder, tuned by StoreOptions.Resilience,
+// and degrades gracefully when the backend is down: the
 // uncertain band is answered by the local scorer, the decisions are
 // marked Deferred, and a background re-escalator replays them against
 // the LLM once the breaker closes — converging to the decisions a
@@ -216,13 +216,14 @@ var (
 // per-request deadline into in-flight LLM work; Store.Degraded
 // reports the active degraded mode for readiness probes.
 type (
-	// ResilienceOptions enables and tunes the store's fault-tolerance
-	// layer (breaker, shedder, deferred re-escalation).
+	// ResilienceOptions tunes the store's fault-tolerance layer
+	// (breaker, shedder, deferred re-escalation).
 	ResilienceOptions = resolve.ResilienceOptions
 	// BreakerOptions tunes the circuit breaker's trip and recovery
 	// behaviour.
 	BreakerOptions = resilience.BreakerOptions
-	// ShedOptions bounds concurrent and queued LLM escalations.
+	// ShedOptions bounds concurrent LLM escalations, and with them the
+	// queue behind them.
 	ShedOptions = resilience.ShedOptions
 	// ResilienceStats snapshots the fault-tolerance layer inside
 	// StoreStats: breaker state, shed counts, deferred queue depth.

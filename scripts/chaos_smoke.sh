@@ -90,7 +90,7 @@ curl -fsS "http://$ADDR/v1/readyz" >"$TMP/readyz.json" || fail "/readyz not 200 
 jq -e '.status == "ready" and .degraded == "llm_breaker_open"' "$TMP/readyz.json" >/dev/null \
     || fail "/readyz lacks the degraded annotation: $(cat "$TMP/readyz.json")"
 curl -fsS "http://$ADDR/v1/stats" \
-    | jq -e '.resilience.enabled == true and .resilience.breaker_state != "closed"
+    | jq -e '.resilience.breaker_state != "closed"
              and .resilience.deferred_pairs >= 2 and .resilience.deferred_queue >= 1' >/dev/null \
     || fail "/stats resilience block does not reflect the outage"
 

@@ -107,10 +107,10 @@ curl -fsS "http://$ADDR/v1/stats" \
 curl -fsS "http://$ADDR/v1/stats" \
     | jq -e '.telemetry.enabled == true and .telemetry.resolve_total == 2' >/dev/null \
     || fail "stats lack the telemetry block"
-# The fault-tolerance layer is on by default and idle on a healthy
+# The fault-tolerance layer is always on and idle on a healthy
 # backend: breaker closed, nothing shed, deferred queue empty.
 curl -fsS "http://$ADDR/v1/stats" \
-    | jq -e '.resilience.enabled == true and .resilience.breaker_state == "closed"
+    | jq -e '.resilience.breaker_state == "closed"
              and .resilience.shed == 0 and .resilience.deferred_queue == 0' >/dev/null \
     || fail "stats lack the resilience block"
 curl -fsSi "http://$ADDR/v1/stats" | grep -qi '^cache-control: no-store' \
