@@ -285,6 +285,21 @@ func JournalFrame(query string, ds []DecisionEntry) Entry {
 	return Entry{Type: EntryJournal, Payload: c.b}
 }
 
+// JournalQuery parses an EntryJournal payload's header alone: the
+// query ID and the number of decisions the frame announces, checked
+// against the bytes that follow but not decoded.
+func JournalQuery(payload []byte) (query string, n int, err error) {
+	if len(payload) == 0 || payload[0] != binaryV1 {
+		return "", 0, errors.New("persist: decode journal header: unknown payload format")
+	}
+	c := codec{b: payload[1:], decode: true}
+	c.str(&query)
+	if n = c.count(0, 20); c.err != nil {
+		return "", 0, fmt.Errorf("persist: decode journal header: %w", c.err)
+	}
+	return query, n, nil
+}
+
 // DecodeJournal parses an EntryJournal payload.
 func DecodeJournal(payload []byte) (query string, ds []DecisionEntry, err error) {
 	ds, err = decodeEntry("journal", payload, func(c *codec, ds *[]DecisionEntry) {

@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -28,8 +29,9 @@ func frame(t EntryType, payload []byte) []byte {
 // FuzzWALReplay feeds arbitrary bytes to OpenWAL as a pre-existing log
 // file — the on-disk state after any crash, partial write or bit flip —
 // and pins the recovery contract: no panic, a clean log after
-// truncation, stable replay across reopen, and appendability on top of
-// whatever survived.
+// truncation, stable replay across reopen, every replayed entry read
+// back where its Offset says, and appendability on top of whatever
+// survived.
 func FuzzWALReplay(f *testing.F) {
 	rec, res, red, jou := fuzzEntries()
 	valid := frame(EntryRecord, mustEncode(EncodeRecord(rec)))
@@ -63,6 +65,12 @@ func FuzzWALReplay(f *testing.F) {
 			if int64(len(e.Payload)) > maxPayload {
 				t.Fatalf("entry %d payload %d bytes exceeds the limit scan enforces", i, len(e.Payload))
 			}
+			if got, err := w.ReadEntry(e.Offset, len(e.Payload)); err != nil || got.Type != e.Type || !bytes.Equal(got.Payload, e.Payload) {
+				t.Fatalf("entry %d read back at %d as %+v, %v", i, e.Offset, got, err)
+			}
+		}
+		if _, err := w.ReadEntry(w.Bytes(), 1); !errors.Is(err, ErrJournalTorn) {
+			t.Fatalf("ReadEntry past the log end = %v, want ErrJournalTorn", err)
 		}
 		if rec.TruncatedTail && rec.DroppedBytes <= 0 {
 			t.Fatal("truncated tail reported without dropped bytes")
@@ -182,7 +190,9 @@ var entryCodecs = []struct {
 // announces (a decoded attribute is 16 times wider than its two-byte
 // minimum on the wire, nothing is wider, and growing a slice element
 // by element allocates up to five times its final size in all),
-// decode → encode → decode stable, and trailing bytes rejected.
+// decode → encode → decode stable, and trailing bytes rejected. The
+// journal header decoder runs too, and agrees with DecodeJournal on the
+// query ID and the decision count of every payload that decodes whole.
 func FuzzDecodeEntries(f *testing.F) {
 	rec, res, red, jou := fuzzEntries()
 	for _, valid := range [][]byte{
@@ -205,12 +215,22 @@ func FuzzDecodeEntries(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x7f, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		limit := uint64(128*len(data) + 64<<10)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		q, n, herr := JournalQuery(data)
+		runtime.ReadMemStats(&m1)
+		if got := m1.TotalAlloc - m0.TotalAlloc; got > limit {
+			t.Fatalf("journal header: %d bytes allocated decoding %d", got, len(data))
+		}
+		if jq, ds, err := DecodeJournal(data); err == nil && (herr != nil || q != jq || n != len(ds)) {
+			t.Fatalf("journal header = %q, %d, %v; DecodeJournal = %q with %d decisions", q, n, herr, jq, len(ds))
+		}
 		for _, c := range entryCodecs {
-			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			first, err := c.recode(data)
 			runtime.ReadMemStats(&m1)
-			if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(128*len(data)+64<<10); got > limit {
+			if got := m1.TotalAlloc - m0.TotalAlloc; got > limit {
 				t.Fatalf("%s: %d bytes allocated decoding %d", c.name, got, len(data))
 			}
 			if err != nil {

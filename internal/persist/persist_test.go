@@ -436,6 +436,56 @@ func TestAppendEntriesOneWrite(t *testing.T) {
 	}
 }
 
+// TestReadEntry pins reading a frame back where AppendEntries and
+// recovery say it is, and the typed failure of a frame damaged since.
+func TestReadEntry(t *testing.T) {
+	path := walPath(t)
+	w, _, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(EntryRecord, []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	batch := []Entry{{Type: EntryJournal, Payload: []byte("second")}, {Type: EntryJournal, Payload: []byte("third")}}
+	if err := w.AppendEntries(batch); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	w, rec := mustOpen(t, path)
+	defer w.Close()
+	if len(rec.Entries) != 3 || rec.Entries[1].Offset != batch[0].Offset || rec.Entries[2].Offset != batch[1].Offset {
+		t.Fatalf("recovered offsets %+v, appended %d and %d", rec.Entries, batch[0].Offset, batch[1].Offset)
+	}
+	for _, e := range rec.Entries {
+		got, err := w.ReadEntry(e.Offset, len(e.Payload))
+		if err != nil || got.Type != e.Type || !bytes.Equal(got.Payload, e.Payload) {
+			t.Errorf("ReadEntry(%d) = %+v, %v, want %+v", e.Offset, got, err, e)
+		}
+	}
+	// Damage the second frame's payload underneath the handle.
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{'S'}, batch[0].Offset+headerSize); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for name, read := range map[string]func() error{
+		"flipped payload": func() error { _, err := w.ReadEntry(batch[0].Offset, len("second")); return err },
+		"wrong length":    func() error { _, err := w.ReadEntry(batch[1].Offset, len("third")+1); return err },
+		"past the end":    func() error { _, err := w.ReadEntry(w.Bytes(), 1); return err },
+	} {
+		if err := read(); !errors.Is(err, ErrJournalTorn) {
+			t.Errorf("%s: ReadEntry = %v, want ErrJournalTorn", name, err)
+		}
+	}
+	if _, err := w.ReadEntry(batch[1].Offset, len("third")); err != nil {
+		t.Errorf("intact frame beside the damaged one: %v", err)
+	}
+}
+
 // TestOpenLogCommitted covers the committed-prefix contract: bytes beyond
 // the committed size — whole frames or a torn one — are cut away,
 // while a file that ends or breaks inside it fails with the typed

@@ -17,14 +17,20 @@
 // A checkpoint writes the index files, appends the decisions journaled
 // since the last one to journal.log and fsyncs it, renames
 // snapshot.json into place and resets wal.log. Recovery reads the
-// snapshot and the committed prefix of journal.log, truncating what a
-// crashed checkpoint left beyond it, and replays wal.log on top; a
-// torn WAL tail (a crash mid-append) is dropped and truncated away.
+// snapshot and scans the committed prefix of journal.log, truncating
+// what a crashed checkpoint left beyond it, and replays wal.log on top;
+// a torn WAL tail (a crash mid-append) is dropped and truncated away.
 // Replay must be idempotent on the caller's side: a crash between
 // snapshot rename and WAL reset replays entries the snapshot and the
 // journal already contain. Payloads are the binary layouts of
 // entries.go. The records live only in the index files: a damaged one
-// fails recovery, as a damaged committed journal.log prefix does.
+// fails recovery, as a committed journal.log prefix that is not a run
+// of intact frames does.
+//
+// journal.log is read again after recovery: the store keeps only where
+// each query's frames are (Entry.Offset, JournalQuery) and reads a
+// query's decisions back with ReadEntry when it resolves again. A frame
+// damaged since recovery fails that read with ErrJournalTorn.
 //
 // The package is deliberately single-writer: one process owns a
 // persistence directory at a time.
@@ -67,6 +73,10 @@ const (
 type Entry struct {
 	Type    EntryType
 	Payload []byte
+	// Offset is the frame's byte offset in its log, where ReadEntry
+	// finds it again: recovery sets it on the entries it replays, and a
+	// successful AppendEntries on the entries it was given.
+	Offset int64
 }
 
 // Frame layout: [type:1][len:4 LE][payload:len][crc32:4 LE], where the
@@ -97,11 +107,13 @@ var ErrWALWrite = errors.New("persist: WAL write failed")
 // ErrJournalTorn marks a journal.log lacking bytes its snapshot committed.
 var ErrJournalTorn = errors.New("persist: journal.log is shorter than or corrupt within the committed journal_bytes")
 
-// File is the handle the WAL writes through. *os.File satisfies it;
-// the chaos harness (internal/chaos) substitutes a fault-injecting
-// implementation to test the write path's failure behaviour.
+// File is the handle the WAL writes and reads frames back through.
+// *os.File satisfies it; the chaos harness (internal/chaos) substitutes
+// a fault-injecting implementation to test the write path's failure
+// behaviour.
 type File interface {
 	io.Reader
+	io.ReaderAt
 	io.Writer
 	io.Seeker
 	io.Closer
@@ -226,7 +238,7 @@ func scan(f File, limit int64) (Recovery, int64, error) {
 			crc32.ChecksumIEEE(buf[off:end]) != binary.LittleEndian.Uint32(buf[end:]) {
 			break // corrupt length, torn payload or checksum, bit rot
 		}
-		rec.Entries = append(rec.Entries, Entry{Type: EntryType(buf[off]), Payload: buf[off+headerSize : end : end]})
+		rec.Entries = append(rec.Entries, Entry{Type: EntryType(buf[off]), Payload: buf[off+headerSize : end : end], Offset: int64(off)})
 		off = end + crcSize
 	}
 	if int64(off) < size {
@@ -245,6 +257,8 @@ func (w *WAL) Append(t EntryType, payload []byte) error {
 
 // AppendEntries frames the entries into one buffer and appends them
 // with a single write: all of them land or, on a failed write, none.
+// Each entry's Offset is set to where its frame lands; the values mean
+// nothing when the append fails.
 func (w *WAL) AppendEntries(entries []Entry) error {
 	if w.f == nil {
 		return ErrClosed
@@ -257,11 +271,12 @@ func (w *WAL) AppendEntries(entries []Entry) error {
 		t0 = time.Now()
 	}
 	buf := w.buf[:0]
-	for _, e := range entries {
+	for i, e := range entries {
 		if len(e.Payload) > maxPayload {
 			return fmt.Errorf("persist: entry payload %d bytes exceeds limit", len(e.Payload))
 		}
 		start := len(buf)
+		entries[i].Offset = w.bytes + int64(start)
 		buf = append(buf, byte(e.Type))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Payload)))
 		buf = append(buf, e.Payload...)
@@ -286,6 +301,30 @@ func (w *WAL) AppendEntries(entries []Entry) error {
 		w.met.AppendSeconds.ObserveSince(t0)
 	}
 	return nil
+}
+
+// ReadEntry reads back the frame at off whose payload is size bytes —
+// an Offset and payload length recovery or AppendEntries reported —
+// checking its length field and checksum. A frame that fails either,
+// or that the file no longer holds, fails with ErrJournalTorn: the log
+// is damaged underneath its writer.
+func (w *WAL) ReadEntry(off int64, size int) (Entry, error) {
+	if w.f == nil {
+		return Entry{}, ErrClosed
+	}
+	if size < 0 || size > maxPayload {
+		return Entry{}, fmt.Errorf("%w: frame at %d: payload of %d bytes", ErrJournalTorn, off, size)
+	}
+	buf := make([]byte, headerSize+size+crcSize)
+	if _, err := w.f.ReadAt(buf, off); err != nil {
+		return Entry{}, fmt.Errorf("%w: read frame at %d: %v", ErrJournalTorn, off, err)
+	}
+	end := headerSize + size
+	if binary.LittleEndian.Uint32(buf[1:]) != uint32(size) ||
+		crc32.ChecksumIEEE(buf[:end]) != binary.LittleEndian.Uint32(buf[end:]) {
+		return Entry{}, fmt.Errorf("%w: frame at %d fails its checksum", ErrJournalTorn, off)
+	}
+	return Entry{Type: EntryType(buf[0]), Payload: buf[headerSize:end:end], Offset: off}, nil
 }
 
 // truncate cuts the log back to size bytes, an entry boundary.

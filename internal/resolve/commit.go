@@ -143,14 +143,12 @@ func (s *Store) applyRedecide(e persist.RedecideEntry, counted bool) {
 	s.res.remove(pairID{query: e.QueryID, candidate: e.Decision.CandidateID})
 }
 
-// journalDecisions installs a query's decisions into the in-memory
-// journal and queues them for journal.log. Caller holds persistMu.
+// journalDecisions journals a query's decisions: one frame, queued for
+// journal.log, which later lookups read them back from. Caller holds
+// persistMu.
 func (s *Store) journalDecisions(query string, ds []persist.DecisionEntry) {
-	for _, d := range ds {
-		s.journal[pairID{query: query, candidate: d.CandidateID}] = d
-	}
 	if len(ds) > 0 {
-		s.pstate.journalDelta = append(s.pstate.journalDelta, persist.JournalFrame(query, ds))
+		s.journal.add(query, ds)
 	}
 }
 

@@ -82,6 +82,13 @@ type deferredPair struct {
 	probability float64
 }
 
+// pairID keys the deferred queue. A struct key keeps arbitrary
+// caller-supplied IDs unambiguous — a string concatenation would
+// collide for IDs containing the separator.
+type pairID struct {
+	query, candidate string
+}
+
 // resilienceState is the store-side of the fault-tolerance layer:
 // breaker and shedder handles, the deferred queue, and the background
 // re-escalator's lifecycle. The queue mutex mu is a leaf lock — held

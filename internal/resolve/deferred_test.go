@@ -65,9 +65,15 @@ func waitForStore(t *testing.T, what string, cond func() bool) {
 
 func TestDegradeAndReescalate(t *testing.T) {
 	client := &outageClient{}
+	// The breaker's clock stands still until the outage is lifted, so the
+	// 1 ms cooldown cannot lapse (open reads half-open once it has)
+	// before the strict open-state assertion below.
+	var breakerNow atomic.Int64
+	ropts := resilientOptions()
+	ropts.Breaker.Clock = func() time.Time { return time.Unix(0, breakerNow.Load()) }
 	s := New(client, Options{
 		Cascade:    CascadeOptions{Disable: true},
-		Resilience: resilientOptions(),
+		Resilience: ropts,
 	})
 	defer s.Close()
 	if err := s.Add(rec("r1", "alpha beta sameent0001")); err != nil {
@@ -102,6 +108,7 @@ func TestDegradeAndReescalate(t *testing.T) {
 	}
 
 	client.down.Store(false)
+	breakerNow.Add(int64(ropts.Breaker.Cooldown))
 	waitForStore(t, "deferred queue drain", func() bool {
 		return s.Stats().Resilience.DeferredQueue == 0
 	})

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"llm4em/internal/chaos"
 	"llm4em/internal/entity"
 	"llm4em/internal/persist"
 )
@@ -25,12 +26,7 @@ type durableState struct {
 func stateOf(s *Store) durableState {
 	st := persistedStats(s.Stats())
 	st.Resilience = ResilienceStats{} // breaker state is process-local
-	ds := durableState{Groups: s.Snapshot(), Journal: map[pairID]persist.DecisionEntry{}, Totals: st}
-	s.persistMu.Lock()
-	for k, v := range s.journal {
-		ds.Journal[k] = v
-	}
-	s.persistMu.Unlock()
+	ds := durableState{Groups: s.Snapshot(), Journal: journalMap(s), Totals: st}
 	if s.res != nil {
 		s.res.mu.Lock()
 		ds.Deferred = append(ds.Deferred, s.res.queue...)
@@ -41,6 +37,29 @@ func stateOf(s *Store) durableState {
 		})
 	}
 	return ds
+}
+
+// journalMap decodes the store's whole decision journal into the map
+// it replaced: every journaled pair's newest decision.
+func journalMap(s *Store) map[pairID]persist.DecisionEntry {
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
+	m := map[pairID]persist.DecisionEntry{}
+	for q := range s.journal.newest {
+		var frames [][]persist.DecisionEntry // newest first
+		if err := s.journal.each(q, func(ds []persist.DecisionEntry) bool {
+			frames = append(frames, ds)
+			return true
+		}); err != nil {
+			panic(err)
+		}
+		for i := len(frames) - 1; i >= 0; i-- {
+			for _, d := range frames[i] {
+				m[pairID{query: q, candidate: d.CandidateID}] = d
+			}
+		}
+	}
+	return m
 }
 
 func copyDir(t *testing.T, from, to string) {
@@ -240,6 +259,11 @@ func TestCheckpointCrashWindows(t *testing.T) {
 			if got := stateOf(b); !reflect.DeepEqual(got, want) {
 				t.Errorf("reopened state differs from the uncrashed store:\ngot  %+v\nwant %+v", got, want)
 			}
+			// Recovered decisions are the distinct pairs recovered, however
+			// many frames and WAL entries repeat them.
+			if got := b.Stats().Persist.RecoveredDecisions; got != len(want.Journal) {
+				t.Errorf("RecoveredDecisions = %d, want the %d journaled pairs", got, len(want.Journal))
+			}
 			// A checkpoint heals the directory: the next reopen is equal
 			// again and replays nothing.
 			if err := b.Checkpoint(); err != nil {
@@ -320,5 +344,252 @@ func TestCheckpointBytesIndependentOfJournal(t *testing.T) {
 	// The journal_bytes value itself is a few digits longer.
 	if diff := snapLarge - snapSmall; diff < 0 || diff > 8 {
 		t.Errorf("snapshot.json is %d bytes after 1k decisions, %d after 50k", snapSmall, snapLarge)
+	}
+}
+
+// journalOracle rebuilds the decision journal from dir's files alone —
+// the committed journal.log frames, then wal.log's resolve and redecide
+// entries, a later frame of a pair superseding an earlier one — reading
+// a copy, so that a live store's files are left alone.
+func journalOracle(t *testing.T, dir string) map[pairID]persist.DecisionEntry {
+	t.Helper()
+	tmp := t.TempDir()
+	copyDir(t, dir, tmp)
+	snap, ok, err := persist.ReadSnapshot(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed int64
+	if ok {
+		committed = snap.JournalBytes
+	}
+	jl, jrec, err := persist.OpenLog(persist.OS, filepath.Join(tmp, persist.JournalFile), committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal, wrec, err := persist.OpenWAL(filepath.Join(tmp, persist.WALFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(jl.Close(), wal.Close()); err != nil {
+		t.Fatal(err)
+	}
+	m := map[pairID]persist.DecisionEntry{}
+	put := func(q string, ds []persist.DecisionEntry) {
+		for _, d := range ds {
+			m[pairID{query: q, candidate: d.CandidateID}] = d
+		}
+	}
+	for _, e := range jrec.Entries {
+		q, ds, err := persist.DecodeJournal(e.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		put(q, ds)
+	}
+	for _, e := range wrec.Entries {
+		switch e.Type {
+		case persist.EntryResolve:
+			rv, err := persist.DecodeResolve(e.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			put(rv.Query.ID, rv.Decisions)
+		case persist.EntryRedecide:
+			rd, err := persist.DecodeRedecide(e.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			put(rd.QueryID, []persist.DecisionEntry{rd.Decision})
+		}
+	}
+	return m
+}
+
+// checkJournalIndex compares the store's journal lookup with the oracle
+// rebuilt from dir: every journaled pair's decision, one never-journaled
+// candidate per query and one never-journaled query, and JournalSize
+// against the oracle's distinct pairs.
+func checkJournalIndex(t *testing.T, s *Store, dir, when string) {
+	t.Helper()
+	want := journalOracle(t, dir)
+	if len(want) == 0 {
+		t.Fatalf("%s: the oracle holds no decision", when)
+	}
+	cands := map[string][]scored{}
+	for k := range want {
+		cands[k.query] = append(cands[k.query], scored{rec: entity.Record{ID: k.candidate}, score: float64(len(cands[k.query]) + 1)})
+	}
+	cands["never-journaled"] = nil
+	for q, cs := range cands {
+		cs = append(cs, scored{rec: entity.Record{ID: "never-journaled"}})
+		got, fresh, err := s.journalLookup(q, cs)
+		if err != nil {
+			t.Fatalf("%s: journalLookup(%q): %v", when, q, err)
+		}
+		if len(fresh) != 1 || fresh[0] != len(cs)-1 {
+			t.Errorf("%s: journalLookup(%q) leaves %v fresh, want only the never-journaled candidate", when, q, fresh)
+		}
+		for i, c := range cs[:len(cs)-1] {
+			w := decisionOf(want[pairID{query: q, candidate: c.rec.ID}])
+			w.BlockScore, w.Journaled = c.score, true
+			if !reflect.DeepEqual(got[i], w) {
+				t.Errorf("%s: journalLookup(%q) on %q = %+v, want %+v", when, q, c.rec.ID, got[i], w)
+			}
+		}
+	}
+	if got := s.Stats().Persist.JournalSize; got != uint64(len(want)) {
+		t.Errorf("%s: JournalSize = %d, want the oracle's %d pairs", when, got, len(want))
+	}
+}
+
+// TestJournalIndexMatchesOracle drives a store through every way a
+// journal frame comes to be — a resolve, a repeat (no frame), a repeat
+// with a new candidate (a second frame), a deferral and its re-decision
+// (a superseding frame), a checkpoint, a WAL tail, a kill and a clean
+// reopen, a crash between the snapshot rename and the WAL reset
+// (duplicate frames), a failed journal.log fsync and its retry — and
+// compares the frame index with the journal rebuilt from the files
+// after every step. A byte flipped in a committed frame then fails that
+// query's resolve, and no other.
+func TestJournalIndexMatchesOracle(t *testing.T) {
+	seed, queries := widgetRecords(16)
+	client := &outageClient{}
+	opts := Options{Shards: 2, SnapshotEvery: -1, Cascade: CascadeOptions{Disable: true}, Resilience: resilientOptions()}
+	open := func(dir string, fsys persist.FS) *Store {
+		t.Helper()
+		o := opts
+		o.PersistDir, o.WALFS = dir, fsys
+		s, err := Open(client, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	resolve := func(s *Store, qs ...entity.Record) []Result {
+		t.Helper()
+		var out []Result
+		for _, q := range qs {
+			res, err := s.Resolve(q)
+			if err != nil {
+				t.Fatalf("resolve %s: %v", q.ID, err)
+			}
+			out = append(out, res)
+		}
+		return out
+	}
+	closeStore := func(s *Store) {
+		t.Helper()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	live := t.TempDir()
+	s := open(live, nil)
+	if err := s.AddBatch(seed); err != nil {
+		t.Fatal(err)
+	}
+	resolve(s, queries[:3]...)
+	checkJournalIndex(t, s, live, "resolve")
+	for _, res := range resolve(s, queries[:3]...) {
+		for _, d := range res.Decisions {
+			if !d.Journaled {
+				t.Fatalf("re-resolve of %s decided %s afresh", res.Query.ID, d.CandidateID)
+			}
+		}
+	}
+	checkJournalIndex(t, s, live, "re-resolve")
+	if err := s.Add(rec("n1", "alpha beta sameent0001 widget01 gadget")); err != nil {
+		t.Fatal(err)
+	}
+	resolve(s, queries[0])
+	if ds := journalMap(s); ds[pairID{query: "q1", candidate: "n1"}].Method == "" {
+		t.Fatal("re-resolve with a new candidate journaled no decision on it")
+	}
+	checkJournalIndex(t, s, live, "re-resolve with a new candidate")
+	client.down.Store(true)
+	resolve(s, queries[3])
+	client.down.Store(false)
+	waitForStore(t, "deferred queue drain", func() bool { return s.Stats().Resilience.DeferredQueue == 0 })
+	checkJournalIndex(t, s, live, "outage-defer and redecide")
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	checkJournalIndex(t, s, live, "checkpoint")
+	resolve(s, queries[4])
+	checkJournalIndex(t, s, live, "WAL tail")
+
+	// Kill: the directory as it is, no Close, no checkpoint.
+	crashed := t.TempDir()
+	copyDir(t, live, crashed)
+	closeStore(s)
+	s = open(crashed, nil)
+	checkJournalIndex(t, s, crashed, "kill and reopen")
+	closeStore(s)
+	s = open(crashed, nil)
+	checkJournalIndex(t, s, crashed, "close and reopen")
+
+	// A crash after the snapshot rename, before the WAL reset: the WAL
+	// replays frames journal.log already holds.
+	resolve(s, queries[5])
+	before := t.TempDir()
+	copyDir(t, crashed, before)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	dup := t.TempDir()
+	copyDir(t, crashed, dup)
+	copyFile(t, filepath.Join(before, persist.WALFile), filepath.Join(dup, persist.WALFile))
+	closeStore(s)
+	s = open(dup, nil)
+	checkJournalIndex(t, s, dup, "snapshot renamed, WAL not reset")
+	closeStore(s)
+
+	// The first fsync after this open is the checkpoint's journal.log
+	// sync: its frames are appended but not committed, and stay delta
+	// until the retry commits them.
+	s = open(dup, chaos.NewFS(chaos.FSOptions{FailSyncAt: 1}))
+	resolve(s, queries[6])
+	if err := s.Checkpoint(); !errors.Is(err, persist.ErrWALWrite) {
+		t.Fatalf("checkpoint over a failed journal.log fsync = %v, want ErrWALWrite", err)
+	}
+	checkJournalIndex(t, s, dup, "failed journal.log fsync")
+	resolve(s, queries[7])
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint retry: %v", err)
+	}
+	checkJournalIndex(t, s, dup, "checkpoint retry")
+	closeStore(s)
+
+	// A byte flipped inside a committed frame after Open.
+	s = open(dup, nil)
+	defer s.Close()
+	checkJournalIndex(t, s, dup, "reopen")
+	f := s.journal.frames[s.journal.newest["q1"]]
+	jf, err := os.OpenFile(filepath.Join(dup, persist.JournalFile), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	off := f.off + 5 + int64(f.size)/2 // inside the payload
+	if _, err := jf.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x10
+	if _, err := jf.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	if err := jf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Resolve(queries[0]); !errors.Is(err, persist.ErrJournalTorn) {
+		t.Errorf("resolve over a damaged frame = %v, want ErrJournalTorn", err)
+	}
+	for _, res := range resolve(s, queries[1:8]...) {
+		if res.Cost.JournalHits != len(res.Decisions) {
+			t.Errorf("resolve of %s beside the damaged frame: %d journal hits of %d decisions",
+				res.Query.ID, res.Cost.JournalHits, len(res.Decisions))
+		}
 	}
 }

@@ -19,6 +19,15 @@ const (
 	heapPerRecordExtracted = 1350
 )
 
+// The decision journal's memory gates: retained heap bytes per
+// journaled decision, ten to a frame. Committed decisions cost only
+// their frame's index entry; decisions since the last checkpoint also
+// hold their encoded frame until it is appended to journal.log.
+const (
+	heapPerDecisionCommitted = 24
+	heapPerDecisionDelta     = 100
+)
+
 // benchCorpusRecords is the stored side of the bench/ corpus: every
 // pair's B of a seeded datasets.GroupedPairs("wdc") draw.
 func benchCorpusRecords(t testing.TB, n int) []entity.Record {
@@ -82,4 +91,46 @@ func TestStoreHeapPerRecord(t *testing.T) {
 		})
 	}
 	runtime.KeepAlive(recs)
+}
+
+// TestJournalHeapPerDecision journals 100 000 decisions, ten to a query,
+// on a persistent store and holds what the journal retains per decision
+// under the gates: before the checkpoint that appends them to
+// journal.log, after it, and after a reopen indexes them from the file.
+func TestJournalHeapPerDecision(t *testing.T) {
+	const n = 100000
+	dir := t.TempDir()
+	opts := Options{PersistDir: dir, SnapshotEvery: -1}
+	check := func(when string, before uint64, limit int) {
+		t.Helper()
+		perDecision := (float64(heapAlloc()) - float64(before)) / n
+		t.Logf("heap retained by %d journaled decisions %s: %.1f B/decision (limit %d)", n, when, perDecision, limit)
+		if perDecision > float64(limit) {
+			t.Errorf("%s: the journal retains %.1f B/decision, want <= %d", when, perDecision, limit)
+		}
+	}
+	s, err := Open(benchClient{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := heapAlloc()
+	growJournal(s, "q", n)
+	check("before the checkpoint", before, heapPerDecisionDelta)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check("after the checkpoint", before, heapPerDecisionCommitted)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = nil
+	before = heapAlloc()
+	if s, err = Open(benchClient{}, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check("after a reopen", before, heapPerDecisionCommitted)
+	if got := s.Stats().Persist.JournalSize; got != n {
+		t.Errorf("JournalSize = %d after the reopen, want %d", got, n)
+	}
 }

@@ -18,11 +18,13 @@ import (
 // by opts.PersistDir when that field is set (with an empty
 // PersistDir, Open is New). Opening an existing directory recovers
 // the previous state — ingested records, entity groups, the decision
-// journal and the lifetime cost totals — by loading the last snapshot
-// with its journal.log prefix and replaying the write-ahead log on
-// top, without a single LLM call. A torn WAL tail (crash mid-append)
-// is detected, dropped and truncated; replaying entries the snapshot
-// already contains (crash between snapshot and log reset) is idempotent.
+// journal and the lifetime cost totals — by loading the last snapshot,
+// indexing the journal.log frames it commits (their decisions stay on
+// disk until their query resolves again) and replaying the write-ahead
+// log on top, without a single LLM call. A torn WAL tail (crash
+// mid-append) is detected, dropped and truncated; replaying entries the
+// snapshot already contains (crash between snapshot and log reset) is
+// idempotent.
 // Damaged committed state — an index file the snapshot references that
 // is torn, missing or of another format version, or a short or corrupt
 // committed journal.log prefix — fails Open with a typed error before
@@ -72,20 +74,13 @@ func Open(client llm.Client, opts Options) (*Store, error) {
 	}
 	// Set before recovery: the apply functions journal on a store that
 	// has a WAL, at replay as live.
-	s.wal, s.jlog = wal, jlog
+	s.wal, s.journal.log = wal, jlog
 	// The journal first: installSnapshot filters the deferred queue by it.
-	for _, e := range jrec.Entries {
-		q, ds, derr := persist.DecodeJournal(e.Payload)
-		if e.Type != persist.EntryJournal || derr != nil {
-			err = fmt.Errorf("%w: committed frame of type %d: %v", persist.ErrJournalTorn, e.Type, derr)
-			break
-		}
-		for _, d := range ds {
-			s.journal[pairID{query: q, candidate: d.CandidateID}] = d
-		}
+	err = s.journal.load(jrec.Entries)
+	if err == nil {
+		err = s.installSnapshot(snap)
 	}
 	if err == nil {
-		s.installSnapshot(snap)
 		err = s.replay(rec.Entries)
 	}
 	if err != nil {
@@ -99,6 +94,7 @@ func Open(client llm.Client, opts Options) (*Store, error) {
 		tel.Persist.JournalBytes.Set(jlog.Bytes())
 	}
 	s.pstate.truncatedTail = rec.TruncatedTail
+	s.pstate.recoveredDecisions = int(s.journal.pairs)
 	s.startResilience()
 	return s, nil
 }
@@ -113,10 +109,6 @@ type persistState struct {
 	sinceSnapshot      int
 	sinceSync          int
 	closed             bool
-	// journalDelta holds, framed for journal.log, the decisions journaled
-	// since the last checkpoint extended it — those of wal.log's frames;
-	// the next one appends them.
-	journalDelta []persist.Entry
 	// indexEpoch is the generation of the per-shard index snapshots the
 	// last committed snapshot.json references (zero before the first
 	// checkpoint); mappedShards counts shards served straight from their
@@ -125,18 +117,11 @@ type persistState struct {
 	mappedShards int
 }
 
-// pairID keys the decision journal. A struct key keeps arbitrary
-// caller-supplied IDs unambiguous — a string concatenation would
-// collide for IDs containing the separator.
-type pairID struct {
-	query, candidate string
-}
-
 // installSnapshot loads the rest of a compacted state — the records
-// are in place (installMapped) and the journal is loaded — into a fresh
-// store. Called before the store is shared, so field access needs no
-// locks.
-func (s *Store) installSnapshot(snap *persist.Snapshot) {
+// are in place (installMapped) and the journal is indexed — into a
+// fresh store. Called before the store is shared, so field access needs
+// no locks.
+func (s *Store) installSnapshot(snap *persist.Snapshot) error {
 	for _, sh := range s.shards {
 		s.count.Add(int64(sh.ix.Len()))
 	}
@@ -156,7 +141,10 @@ func (s *Store) installSnapshot(snap *persist.Snapshot) {
 	// journal decision is already final (removal happens after commit);
 	// the journal check filters those.
 	for _, de := range snap.Deferred {
-		je, ok := s.journal[pairID{query: de.Query.ID, candidate: de.CandidateID}]
+		je, ok, err := s.journal.decided(de.Query.ID, de.CandidateID)
+		if err != nil {
+			return err
+		}
 		if !ok || !je.Deferred {
 			continue
 		}
@@ -168,8 +156,8 @@ func (s *Store) installSnapshot(snap *persist.Snapshot) {
 		})
 	}
 	s.totals = totals{resolves: snap.Resolves, redecided: snap.Redecided, report: snap.Totals}
-	s.pstate.recoveredDecisions += len(s.journal)
 	s.pstate.recoveredResolves += snap.Resolves
+	return nil
 }
 
 // installMapped adopts the per-shard EMIX index snapshots the JSON
@@ -260,7 +248,6 @@ func (s *Store) replay(entries []persist.Entry) error {
 			// already counts this report.
 			counted := uint64(rv.Seq) > s.totals.resolves
 			s.applyResolve(&res, rv.Decisions, counted)
-			s.pstate.recoveredDecisions += len(rv.Decisions)
 			if counted {
 				s.pstate.recoveredResolves++
 			}
@@ -332,17 +319,19 @@ func (s *Store) checkpointLocked() error {
 	t := s.lifetime()
 	snap.Resolves, snap.Redecided, snap.Totals = t.resolves, t.redecided, t.report
 	// Until the rename below the extension is an uncommitted tail: a
-	// reopen cuts it away, and wal.log still holds its decisions.
-	if err == nil && len(s.pstate.journalDelta) > 0 {
-		if err = s.jlog.AppendEntries(s.pstate.journalDelta); err == nil {
-			err = s.jlog.Sync()
+	// reopen cuts it away, and wal.log still holds its decisions. Once it
+	// is synced, lookups read those frames from journal.log, which holds
+	// them for this process whether or not the rename succeeds.
+	if j := &s.journal; err == nil && len(j.delta) > 0 {
+		if err = j.log.AppendEntries(j.delta); err == nil {
+			err = j.log.Sync()
 		}
 		if err == nil {
-			s.pstate.journalDelta = nil
+			j.committed()
 		}
 	}
 	if err == nil {
-		snap.JournalBytes = s.jlog.Bytes()
+		snap.JournalBytes = s.journal.log.Bytes()
 		err = persist.WriteSnapshot(dir, snap)
 	}
 	if err != nil {
@@ -431,7 +420,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.pstate.closed = true
-	err := errors.Join(s.checkpointLocked(), s.wal.Close(), s.jlog.Close())
+	err := errors.Join(s.checkpointLocked(), s.wal.Close(), s.journal.log.Close())
 	s.closeShards()
 	return err
 }
@@ -454,7 +443,9 @@ type PersistStats struct {
 	// Dir is the persistence directory.
 	Dir string
 	// RecoveredRecords, RecoveredDecisions and RecoveredResolves count
-	// the state rebuilt from disk when the store was opened.
+	// the state rebuilt from disk when the store was opened;
+	// RecoveredDecisions is JournalSize as Open left it, each decided
+	// pair once however many frames and WAL entries repeat it.
 	RecoveredRecords   int
 	RecoveredDecisions int
 	RecoveredResolves  uint64
@@ -499,7 +490,7 @@ func (s *Store) persistStats() PersistStats {
 		WALEntries:         s.wal.Entries(),
 		WALBytes:           s.wal.Bytes(),
 		Snapshots:          s.pstate.snapshots,
-		JournalBytes:       s.jlog.Bytes(),
-		JournalSize:        uint64(len(s.journal)),
+		JournalBytes:       s.journal.log.Bytes(),
+		JournalSize:        s.journal.pairs,
 	}
 }

@@ -36,10 +36,11 @@
 // totals are a cost.Report, the type a Resolve call's CostReport and
 // the WAL's report payload also are; its Add is the only fold.
 //
-// Files follow the stages of a resolve: shard.go (block), cascade.go
-// and strategy.go (score, escalate), deferred.go (degraded escalation
-// and its re-decisions), commit.go (fold, persist), with ingest.go for
-// Add, persist.go for Open, checkpoints and Close, and stats.go.
+// Files follow the stages of a resolve: shard.go (block), journal.go
+// (the decision journal's frame index over journal.log), cascade.go and
+// strategy.go (score, escalate), deferred.go (degraded escalation and
+// its re-decisions), commit.go (fold, persist), with ingest.go for Add,
+// persist.go for Open, checkpoints and Close, and stats.go.
 package resolve
 
 import (
@@ -223,8 +224,7 @@ type Store struct {
 	// Open, so wal == nil reliably selects the in-memory fast path.
 	persistMu sync.Mutex
 	wal       *persist.WAL
-	jlog      *persist.WAL // journal.log, extended by checkpoints only
-	journal   map[pairID]persist.DecisionEntry
+	journal   journal
 	pstate    persistState
 }
 
@@ -262,9 +262,8 @@ func newStore(client llm.Client, opts Options) *Store {
 		esc: newEscalator(pipeline.New(client, pipeline.Options{CacheSize: promptCacheSize, Metrics: pm}),
 			prompt.Spec{Design: o.Design, Domain: o.Domain}, o.Cascade,
 			dispatch.Options{MaxBatchPairs: o.DispatchPairs, FlushInterval: o.DispatchFlush, Metrics: dm}),
-		shards:  make([]*shard, o.Shards),
-		graph:   blocking.NewUnionFind(),
-		journal: map[pairID]persist.DecisionEntry{},
+		shards: make([]*shard, o.Shards),
+		graph:  blocking.NewUnionFind(),
 	}
 	s.rscratch.New = func() any { return &resolveScratch{} }
 	for i := range s.shards {
@@ -337,8 +336,12 @@ func (s *Store) ResolveContext(ctx context.Context, q entity.Record) (Result, er
 	cands := s.blockCandidates(q.ID, qext.WordTokens)
 	obs.lap(telemetry.StageBlock)
 
-	decisions, fresh := s.journalLookup(q.ID, cands)
+	decisions, fresh, err := s.journalLookup(q.ID, cands)
 	obs.lap(telemetry.StageJournal)
+	if err != nil {
+		obs.finish(q.ID, CostReport{}, err)
+		return Result{}, err
+	}
 
 	plan := s.planFresh(q, qext, cands, fresh)
 	obs.lap(telemetry.StageScore)
@@ -357,7 +360,7 @@ func (s *Store) ResolveContext(ctx context.Context, q entity.Record) (Result, er
 	}
 
 	res := Result{Query: q, Decisions: decisions, Cost: plan.report}
-	err := s.commit(&res, &obs)
+	err = s.commit(&res, &obs)
 	obs.finish(q.ID, plan.report, err)
 	if err != nil {
 		return Result{}, err
@@ -369,28 +372,41 @@ func (s *Store) ResolveContext(ctx context.Context, q entity.Record) (Result, er
 // — possibly before a restart — replay their durable decision instead
 // of re-running the cascade or re-paying the LLM. It returns one
 // decision slot per candidate, the journaled ones filled, and the
-// indices into cands still needing a decision.
-func (s *Store) journalLookup(qid string, cands []scored) (decisions []PairDecision, fresh []int) {
+// indices into cands still needing a decision. The query's journal
+// frames are read back newest first, the first verdict found on a
+// candidate winning; a never-journaled query reads nothing. A frame
+// that cannot be read back fails the call (persist.ErrJournalTorn)
+// rather than re-paying the model for a decision already bought.
+func (s *Store) journalLookup(qid string, cands []scored) (decisions []PairDecision, fresh []int, err error) {
 	decisions = make([]PairDecision, len(cands))
-	if s.wal == nil {
-		fresh = make([]int, len(cands))
-		for i := range cands {
-			fresh[i] = i
+	if s.wal != nil {
+		s.persistMu.Lock()
+		left := len(cands)
+		err = s.journal.each(qid, func(ds []persist.DecisionEntry) bool {
+			for k := len(ds) - 1; k >= 0; k-- {
+				for i, c := range cands {
+					if !decisions[i].Journaled && c.rec.ID == ds[k].CandidateID {
+						decisions[i] = decisionOf(ds[k])
+						decisions[i].BlockScore = c.score
+						decisions[i].Journaled = true
+						left--
+					}
+				}
+			}
+			return left > 0
+		})
+		s.persistMu.Unlock()
+		if err != nil {
+			return nil, nil, err
 		}
-		return decisions, fresh
 	}
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	for i, c := range cands {
-		if je, ok := s.journal[pairID{query: qid, candidate: c.rec.ID}]; ok {
-			decisions[i] = decisionOf(je)
-			decisions[i].BlockScore = c.score
-			decisions[i].Journaled = true
-		} else {
+	fresh = make([]int, 0, len(cands))
+	for i := range decisions {
+		if !decisions[i].Journaled {
 			fresh = append(fresh, i)
 		}
 	}
-	return decisions, fresh
+	return decisions, fresh, nil
 }
 
 // planFresh is the score stage — the cascade's local half: the scorer

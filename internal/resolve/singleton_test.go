@@ -37,13 +37,11 @@ func (o *explicitOracle) check(t *testing.T, s *Store, when string) {
 	for _, id := range o.ids {
 		uf.Add(id)
 	}
-	s.persistMu.Lock()
-	for k, d := range s.journal {
+	for k, d := range journalMap(s) {
 		if d.Match && !d.Deferred {
 			uf.Union(k.query, k.candidate)
 		}
 	}
-	s.persistMu.Unlock()
 	if uf.Len() != len(o.ids) {
 		t.Fatalf("%s: the journal names IDs the script never used", when)
 	}
