@@ -38,7 +38,7 @@
 // open — or a -resolve-timeout deadline expires mid-escalation — the
 // uncertain band is answered by the local scorer with decisions
 // marked "deferred", and a background re-escalator replays them
-// against the LLM once it recovers (-deferred-retry). GET /v1/readyz
+// against the LLM once it recovers (every -breaker-cooldown). GET /v1/readyz
 // stays 200 but annotates the degraded mode; GET /v1/stats reports
 // breaker state, shed counts and deferred queue depth under
 // "resilience". The -chaos-outage flag fails every LLM call for a
@@ -104,11 +104,10 @@ func main() {
 	model := flag.String("model", "GPT-mini", "matching model for the uncertain band")
 	designName := flag.String("design", "domain-complex-force", "prompt design")
 	domainName := flag.String("domain", "product", "topical domain: product or publication")
-	accept := flag.Float64("accept", 0, "cascade accept-above probability (0 = default)")
-	reject := flag.Float64("reject", 0, "cascade reject-below probability (0 = default)")
+	accept := flag.Float64("accept", 0, "cascade accept-above probability (0 = default, negative = never accept locally)")
+	reject := flag.Float64("reject", 0, "cascade reject-below probability (0 = default, negative = never reject locally; -accept -1 -reject -1 sends every candidate pair to the LLM)")
 	llmBudget := flag.Int("llm-budget", 0, "max LLM pairs per resolve (0 = unlimited, negative = none)")
 	maxCents := flag.Float64("max-cents", 0, "max estimated cents per resolve (0 = uncapped)")
-	noCascade := flag.Bool("no-cascade", false, "send every candidate pair to the LLM")
 	strategyName := flag.String("strategy", "match", "uncertain-band prompt strategy: match, compare or select")
 	reasonTier := flag.Bool("reason-tier", false, "re-decide pairs whose LLM verdict conflicts with the local scorer via a structured reasoning prompt")
 	shards := flag.Int("shards", 0, "index shards (0 = default)")
@@ -124,9 +123,8 @@ func main() {
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	slowResolve := flag.Duration("slow-resolve", time.Second, "resolve latency above which one structured exemplar line is logged (0 = disabled)")
 	breakerFailures := flag.Int("breaker-failures", 0, "consecutive LLM failures that trip the circuit breaker (0 = default)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before the backend is probed again (0 = default)")
+	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before the backend is probed again, and the interval at which deferred pairs are retried (0 = default)")
 	llmConcurrency := flag.Int("llm-concurrency", 0, "max concurrent LLM escalations; four times as many may queue before resolves are shed with 503 (0 = default)")
-	deferredRetry := flag.Duration("deferred-retry", 0, "poll interval for re-escalating deferred pairs once the breaker closes (0 = default)")
 	resolveTimeout := flag.Duration("resolve-timeout", 0, "per-request deadline for POST /v1/resolve; expired escalations degrade to deferred local verdicts (0 = none)")
 	chaosOutage := flag.Duration("chaos-outage", 0, "chaos harness: fail every LLM call for this long after boot (0 = disabled)")
 	flag.Parse()
@@ -185,15 +183,13 @@ func main() {
 				ConsecutiveFailures: *breakerFailures,
 				Cooldown:            *breakerCooldown,
 			},
-			Shed:          llm4em.ShedOptions{MaxConcurrent: *llmConcurrency},
-			RetryInterval: *deferredRetry,
+			Shed: llm4em.ShedOptions{MaxConcurrent: *llmConcurrency},
 		},
 		Cascade: llm4em.CascadeOptions{
 			AcceptAbove:        *accept,
 			RejectBelow:        *reject,
 			LLMBudget:          *llmBudget,
 			MaxCentsPerResolve: *maxCents,
-			Disable:            *noCascade,
 			Strategy:           strategy,
 			ReasonTier:         *reasonTier,
 		},

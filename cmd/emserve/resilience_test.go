@@ -11,10 +11,11 @@ import (
 	"llm4em"
 	"llm4em/internal/chaos"
 	"llm4em/internal/llm"
+	"llm4em/internal/resolve"
 )
 
-// fastResilience trips the breaker on the first failure and drains
-// the deferred queue within milliseconds, so outage tests converge
+// fastResilience trips the breaker on the first failure and retries
+// the deferred queue every half second, so outage tests converge
 // quickly.
 func fastResilience() llm4em.ResilienceOptions {
 	return llm4em.ResilienceOptions{
@@ -25,17 +26,22 @@ func fastResilience() llm4em.ResilienceOptions {
 			// enough that recovery converges well inside the wait bound.
 			Cooldown: 500 * time.Millisecond,
 		},
-		RetryInterval: 2 * time.Millisecond,
 	}
+}
+
+// noCascade is the no-cascade baseline: both thresholds negative, so
+// every candidate pair goes to the LLM.
+func noCascade() llm4em.CascadeOptions {
+	return llm4em.CascadeOptions{AcceptAbove: -1, RejectBelow: -1}
 }
 
 // newResilientServer builds a handler over a store with the given
 // client and resilience configuration, every candidate pair routed to
-// the LLM (cascade disabled) so outages are guaranteed to matter.
+// the LLM (noCascade) so outages are guaranteed to matter.
 func newResilientServer(t *testing.T, client llm4em.Client, opts llm4em.StoreOptions) *httptest.Server {
 	t.Helper()
 	opts.Domain = llm4em.Product
-	opts.Cascade = llm4em.CascadeOptions{Disable: true}
+	opts.Cascade = noCascade()
 	store := llm4em.NewStore(client, opts)
 	t.Cleanup(func() { store.Close() })
 	srv := httptest.NewServer(newHandler(handlerConfig{store: store}))
@@ -87,7 +93,7 @@ func TestServerDegradedModeUnderOutage(t *testing.T) {
 	}
 	for _, d := range decisions {
 		dm := d.(map[string]any)
-		if dm["deferred"] != true || dm["method"] != string(llm4em.MethodDeferred) {
+		if dm["deferred"] != true || dm["method"] != string(resolve.MethodDeferred) {
 			t.Fatalf("outage decision not deferred: %v", dm)
 		}
 	}
@@ -214,9 +220,10 @@ func TestServerResolveTimeout(t *testing.T) {
 	wrapped := chaos.Wrap(model, chaos.ClientOptions{HangRate: 1})
 	store := llm4em.NewStore(wrapped, llm4em.StoreOptions{
 		Domain:  llm4em.Product,
-		Cascade: llm4em.CascadeOptions{Disable: true},
+		Cascade: noCascade(),
 		Resilience: llm4em.ResilienceOptions{
-			RetryInterval: time.Hour, // keep the re-escalator quiet
+			// An hour between ticks keeps the re-escalator quiet.
+			Breaker: llm4em.BreakerOptions{Cooldown: time.Hour},
 		},
 	})
 	t.Cleanup(func() { store.Close() })

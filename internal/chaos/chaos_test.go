@@ -295,7 +295,7 @@ func testWALAppendFault(t *testing.T, faults chaos.FSOptions) {
 			opts := resolve.Options{PersistDir: dir, WALFS: chaos.NewFS(faults)}
 			if outage {
 				// Every pair reaches the LLM, and its failure degrades.
-				opts.Cascade.Disable = true
+				opts.Cascade = noCascade()
 				opts.Resilience = chaosResilience()
 			}
 			s, err := resolve.Open(client, opts)
@@ -418,17 +418,22 @@ func TestAddBatchOneWrite(t *testing.T) {
 
 // --- differential chaos run (tentpole part d) ---
 
-// chaosResilience trips the breaker on the first failure and retries
-// deferred pairs every couple of milliseconds, so outage tests
-// converge fast.
+// chaosResilience trips the breaker on the first failure and, with a
+// millisecond cooldown, retries deferred pairs every millisecond, so
+// outage tests converge fast.
 func chaosResilience() resolve.ResilienceOptions {
 	return resolve.ResilienceOptions{
 		Breaker: resilience.BreakerOptions{
 			ConsecutiveFailures: 1,
 			Cooldown:            time.Millisecond,
 		},
-		RetryInterval: 2 * time.Millisecond,
 	}
+}
+
+// noCascade is the no-cascade baseline: both thresholds negative, so
+// every candidate pair goes to the LLM.
+func noCascade() resolve.CascadeOptions {
+	return resolve.CascadeOptions{AcceptAbove: -1, RejectBelow: -1}
 }
 
 // TestOutageDifferential is the acceptance check for graceful
@@ -460,7 +465,7 @@ func TestOutageDifferential(t *testing.T) {
 		res := chaosResilience()
 		res.Breaker.Clock = func() time.Time { return time.Unix(0, breakerNow.Load()) }
 		s, err := resolve.Open(wrapped, resolve.Options{
-			Cascade:    resolve.CascadeOptions{Disable: true},
+			Cascade:    noCascade(),
 			PersistDir: dir,
 			Resilience: res,
 		})
@@ -561,7 +566,7 @@ func TestFaultMixStillConverges(t *testing.T) {
 		LatencySpike:  time.Millisecond,
 	})
 	s := resolve.New(wrapped, resolve.Options{
-		Cascade:    resolve.CascadeOptions{Disable: true},
+		Cascade:    noCascade(),
 		Resilience: chaosResilience(),
 	})
 	defer s.Close()

@@ -46,9 +46,6 @@ func WrapFS(inner persist.FS, o FSOptions) *FS {
 // Writes returns the number of Write calls seen across all files.
 func (f *FS) Writes() int64 { return f.writes.Load() }
 
-// Syncs returns the number of Sync calls seen across all files.
-func (f *FS) Syncs() int64 { return f.syncs.Load() }
-
 // OpenFile opens path through the inner FS and wraps the handle so
 // its writes and fsyncs draw from this FS's fault schedule.
 func (f *FS) OpenFile(path string) (persist.File, error) {

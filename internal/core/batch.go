@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"llm4em/internal/entity"
 	"llm4em/internal/llm"
@@ -95,18 +94,6 @@ func (m *BatchMatcher) Evaluate(pairs []entity.Pair) (Result, error) {
 	return r, nil
 }
 
-// MatchBatch sends one batched request and parses the per-pair
-// decisions. Missing answers count as non-matches, mirroring the
-// paper's conservative answer parsing.
-func (m *BatchMatcher) MatchBatch(pairs []entity.Pair) ([]bool, llm.Response, error) {
-	p := prompt.BuildBatch(m.Domain, pairs)
-	resp, err := m.Client.Chat([]llm.Message{{Role: llm.User, Content: p}})
-	if err != nil {
-		return nil, llm.Response{}, fmt.Errorf("core: batch chat: %w", err)
-	}
-	return ParseBatchAnswers(resp.Content, len(pairs)), resp, nil
-}
-
 // ParseBatchAnswers reads numbered Yes/No lines ("3. Yes", "3) Yes"
 // or "3: Yes") into a decision slice of length n. Absent or
 // out-of-range numbers default to false; when a number appears on
@@ -120,13 +107,4 @@ func ParseBatchAnswers(answer string, n int) []bool {
 		}
 	}
 	return out
-}
-
-// MeanLatencyPerPair returns the mean simulated latency per matched
-// pair (requests are shared across batched pairs).
-func MeanLatencyPerPair(r Result, pairs int) time.Duration {
-	if pairs == 0 {
-		return 0
-	}
-	return r.TotalLatency / time.Duration(pairs)
 }

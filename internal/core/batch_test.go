@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"llm4em/internal/datasets"
-	"llm4em/internal/entity"
 	"llm4em/internal/llm"
 )
 
@@ -144,18 +143,6 @@ func TestBatchSizeDefaultsToOne(t *testing.T) {
 	if r.Requests != 4 {
 		t.Errorf("requests = %d, want 4", r.Requests)
 	}
-}
-
-func TestMeanLatencyPerPair(t *testing.T) {
-	var r Result
-	if MeanLatencyPerPair(r, 0) != 0 {
-		t.Error("zero pairs should yield zero latency")
-	}
-	r.TotalLatency = 100
-	if MeanLatencyPerPair(r, 10) != 10 {
-		t.Error("latency division wrong")
-	}
-	_ = entity.Pair{}
 }
 
 func TestParseBatchAnswersProperty(t *testing.T) {

@@ -323,19 +323,6 @@ func (c Corruptor) CorruptPairs(pairs []entity.Pair) []entity.Pair {
 	return out
 }
 
-// CorruptDataset returns a corrupted deep copy of the dataset: every
-// split corrupted, name suffixed with the corruptor's description.
-// The schema is kept as-is; schema-divergent records deliberately no
-// longer validate against it.
-func (c Corruptor) CorruptDataset(d *Dataset) *Dataset {
-	out := *d
-	out.Name = d.Name + " (" + c.String() + ")"
-	out.Train = c.CorruptPairs(d.Train)
-	out.Val = c.CorruptPairs(d.Val)
-	out.Test = c.CorruptPairs(d.Test)
-	return &out
-}
-
 // String describes the active knobs, e.g. "embed-3+typo-0.16".
 func (c Corruptor) String() string {
 	var parts []string
@@ -361,22 +348,6 @@ func (c Corruptor) String() string {
 		return "clean"
 	}
 	return strings.Join(parts, "+")
-}
-
-// ChangedFields counts the attribute slots whose name or value differ
-// between an original record and its corrupted version, plus any
-// length difference — the realized corruption the monotonicity tests
-// assert on.
-func ChangedFields(orig, corrupted entity.Record) int {
-	n := 0
-	common := min(len(orig.Attrs), len(corrupted.Attrs))
-	for i := 0; i < common; i++ {
-		if orig.Attrs[i] != corrupted.Attrs[i] {
-			n++
-		}
-	}
-	n += len(orig.Attrs) - common + len(corrupted.Attrs) - common
-	return n
 }
 
 // itoa formats a small non-negative int without fmt overhead.

@@ -94,6 +94,21 @@ func TestCorruptorLevelZeroIdentity(t *testing.T) {
 	}
 }
 
+// changedFields counts the attribute slots whose name or value differ
+// between an original record and its corrupted version, plus any
+// length difference: the realized corruption.
+func changedFields(orig, corrupted entity.Record) int {
+	n := 0
+	common := min(len(orig.Attrs), len(corrupted.Attrs))
+	for i := 0; i < common; i++ {
+		if orig.Attrs[i] != corrupted.Attrs[i] {
+			n++
+		}
+	}
+	n += len(orig.Attrs) - common + len(corrupted.Attrs) - common
+	return n
+}
+
 // TestCorruptorLevelMonotone pins the level semantics: for every
 // kind, a higher level changes at least as many attribute slots of
 // every fixture as a lower level.
@@ -103,7 +118,7 @@ func TestCorruptorLevelMonotone(t *testing.T) {
 			prev := -1
 			for level := 0; level <= 4; level++ {
 				got := ForLevel("mono", kind, level).Corrupt(r)
-				changed := ChangedFields(r, got)
+				changed := changedFields(r, got)
 				if changed < prev {
 					t.Fatalf("%s on %s: level %d changes %d fields, level %d changed %d (not monotone)",
 						kind, r.ID, level, changed, level-1, prev)
@@ -225,36 +240,6 @@ func TestCorruptorSchemaDivergence(t *testing.T) {
 		if n != 0 {
 			t.Errorf("schema divergence changed value multiset at %q (delta %d)", v, n)
 		}
-	}
-}
-
-// TestCorruptDatasetSplits pins CorruptDataset: label and size
-// preservation, name suffix, original untouched.
-func TestCorruptDatasetSplits(t *testing.T) {
-	ds := MustLoad("ag")
-	origCounts := ds.Counts()
-	c := ForLevel("ds-test", CorruptTypo, 2)
-	got := c.CorruptDataset(ds)
-	if got.Counts() != origCounts {
-		t.Fatalf("corruption changed split counts: %+v -> %+v", origCounts, got.Counts())
-	}
-	if !strings.Contains(got.Name, "typo") {
-		t.Errorf("corrupted dataset name %q does not describe the corruption", got.Name)
-	}
-	if ds.Counts() != origCounts || strings.Contains(ds.Name, "typo") {
-		t.Error("CorruptDataset mutated the cached original")
-	}
-	changedPairs := 0
-	for i := range got.Test {
-		if got.Test[i].Match != ds.Test[i].Match {
-			t.Fatal("corruption flipped a gold label")
-		}
-		if !reflect.DeepEqual(got.Test[i].A, ds.Test[i].A) {
-			changedPairs++
-		}
-	}
-	if changedPairs == 0 {
-		t.Error("typo level 2 corrupted no test pair at all")
 	}
 }
 

@@ -129,22 +129,8 @@ func MustLoad(key string) *Dataset {
 	return d
 }
 
-// All materializes every dataset in presentation order.
-func All() []*Dataset {
-	out := make([]*Dataset, 0, len(Keys()))
-	for _, k := range Keys() {
-		out = append(out, MustLoad(k))
-	}
-	return out
-}
-
-// PaperCounts returns the Table 1 split statistics for the dataset
-// key. Generators are required (and tested) to reproduce these counts
-// exactly.
-func PaperCounts(key string) SplitCounts {
-	return paperCounts[key]
-}
-
+// paperCounts are the Table 1 split statistics per dataset key, which
+// the generators reproduce exactly.
 var paperCounts = map[string]SplitCounts{
 	"wdc": {TrainPos: 500, TrainNeg: 2000, ValPos: 500, ValNeg: 2000, TestPos: 259, TestNeg: 989},
 	"ab":  {TrainPos: 616, TrainNeg: 5127, ValPos: 206, ValNeg: 1710, TestPos: 206, TestNeg: 1000},

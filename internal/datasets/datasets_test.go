@@ -13,7 +13,7 @@ func TestAllDatasetsMatchPaperCounts(t *testing.T) {
 	for _, key := range Keys() {
 		d := MustLoad(key)
 		got := d.Counts()
-		want := PaperCounts(key)
+		want := paperCounts[key]
 		if got != want {
 			t.Errorf("%s: counts = %+v, want Table 1 counts %+v", key, got, want)
 		}

@@ -124,11 +124,6 @@ type Pair struct {
 	Match bool
 }
 
-// SerializeBoth returns the serialized forms of both records.
-func (p Pair) SerializeBoth() (a, b string) {
-	return p.A.Serialize(), p.B.Serialize()
-}
-
 // Key returns a stable identity for the pair based on the record IDs.
 func (p Pair) Key() string {
 	return p.A.ID + "|" + p.B.ID

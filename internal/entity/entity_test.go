@@ -105,17 +105,13 @@ func TestDomainStrings(t *testing.T) {
 	}
 }
 
-func TestPairKeyAndSerializeBoth(t *testing.T) {
+func TestPairKey(t *testing.T) {
 	p := Pair{
 		A: Record{ID: "l1", Attrs: []Attr{{Name: "t", Value: "x"}}},
 		B: Record{ID: "r9", Attrs: []Attr{{Name: "t", Value: "y"}}},
 	}
 	if p.Key() != "l1|r9" {
 		t.Errorf("Key() = %q", p.Key())
-	}
-	a, b := p.SerializeBoth()
-	if a != "x" || b != "y" {
-		t.Errorf("SerializeBoth() = %q, %q", a, b)
 	}
 }
 

@@ -72,7 +72,10 @@ func CalibrateThresholds(client llm.Client, workers int, sets []CalibrationSet) 
 		}
 		setVerdicts := make([]bool, len(set.Pairs))
 		if len(band) > 0 {
-			vs, _, err := resolve.LLMVerdicts(client, resolve.EvalOptions{
+			// Both thresholds negative: the no-cascade band, in which the
+			// model answers every pair.
+			res, err := resolve.EvaluatePairs(client, resolve.EvalOptions{
+				Cascade: resolve.CascadeOptions{AcceptAbove: -1, RejectBelow: -1},
 				Domain:  set.Domain,
 				Workers: workers,
 			}, band)
@@ -80,7 +83,7 @@ func CalibrateThresholds(client llm.Client, workers int, sets []CalibrationSet) 
 				return ThresholdCalibration{}, fmt.Errorf("experiments: calibrate: %w", err)
 			}
 			for bi, gi := range bandIdx {
-				setVerdicts[gi-len(probs)] = vs[bi]
+				setVerdicts[gi-len(probs)] = res.Outcomes[bi].Match
 			}
 		}
 		probs = append(probs, ps...)

@@ -200,41 +200,3 @@ func splitLines(s string) []string {
 	}
 	return out
 }
-
-// TestTemperatureAddsNoise pins the Section 2 statement: temperature 0
-// is deterministic; raising it flips borderline decisions.
-func TestTemperatureAddsNoise(t *testing.T) {
-	ds := datasets.MustLoad("wdc")
-	base := MustNew(GPTMini)
-	hot := base.WithTemperature(1.5)
-	if base.Temperature() != 0 || hot.Temperature() != 1.5 {
-		t.Fatalf("temperatures: %v / %v", base.Temperature(), hot.Temperature())
-	}
-	d, _ := prompt.DesignByName("general-complex-force")
-	spec := prompt.Spec{Design: d, Domain: ds.Schema.Domain}
-	flips := 0
-	for _, p := range ds.Test[:300] {
-		content := spec.Build(p)
-		rb, err := base.Chat([]Message{{Role: User, Content: content}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rh, err := hot.Chat([]Message{{Role: User, Content: content}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parseYes(rb.Content) != parseYes(rh.Content) {
-			flips++
-		}
-	}
-	if flips == 0 {
-		t.Error("temperature 1.5 flipped no decisions over 300 pairs")
-	}
-	if flips > 150 {
-		t.Errorf("temperature 1.5 flipped %d/300 decisions — too chaotic", flips)
-	}
-	// Clamping.
-	if got := base.WithTemperature(99).Temperature(); got != 2 {
-		t.Errorf("temperature not clamped: %v", got)
-	}
-}

@@ -25,9 +25,8 @@ type Adapter struct {
 // Model is one simulated LLM. The zero value is unusable; construct
 // with New or NewFineTuned.
 type Model struct {
-	profile     Profile
-	adapter     *Adapter
-	temperature float64
+	profile Profile
+	adapter *Adapter
 }
 
 // New returns the simulated model with the given table name
@@ -59,20 +58,6 @@ func NewFineTuned(name string, adapter Adapter) (*Model, error) {
 	m.adapter = &adapter
 	return m, nil
 }
-
-// WithTemperature returns a copy of the model sampling at the given
-// temperature. The study fixes temperature to 0 "to reduce
-// randomness" (Section 2); positive temperatures add
-// deterministically seeded sampling noise to the decision, modelling
-// what the paper avoids. Temperatures are clamped to [0, 2].
-func (m *Model) WithTemperature(t float64) *Model {
-	cp := *m
-	cp.temperature = clamp(t, 0, 2)
-	return &cp
-}
-
-// Temperature returns the model's sampling temperature.
-func (m *Model) Temperature() float64 { return m.temperature }
 
 // Name returns the model's table name; fine-tuned variants append the
 // training dataset ("GPT-mini-ft-wdc").
@@ -259,13 +244,6 @@ func (m *Model) decide(pp ParsedPrompt) decision {
 		noise *= 1 - 0.4*clamp(quality, 0, 1)
 	case quality < 0:
 		noise *= 1 + 0.8*clamp(-quality, 0, 1)
-	}
-
-	// Sampling temperature (Section 2): the study runs at 0; positive
-	// temperatures add sampling noise on top of the model's intrinsic
-	// decision noise.
-	if m.temperature > 0 {
-		noise += m.temperature * 0.8 * detrand.Gauss(m.profile.Name, "temperature", pp.QueryA, pp.QueryB)
 	}
 
 	logit := score + shift + noise

@@ -56,9 +56,6 @@ type Response struct {
 	Latency time.Duration
 }
 
-// TotalTokens returns prompt plus completion tokens.
-func (r Response) TotalTokens() int { return r.PromptTokens + r.CompletionTokens }
-
 // Client is the chat interface shared by all models. The simulation
 // implements it locally; a production deployment would implement it
 // with an HTTP client against a hosted API.

@@ -250,11 +250,8 @@ func TestModelListsArePaperColumns(t *testing.T) {
 			t.Fatalf("StudyModels()[%d] = %s, want %s", i, got[i], want[i])
 		}
 	}
-	if len(HostedModels()) != 3 || len(OpenSourceModels()) != 3 {
-		t.Error("hosted/open-source split wrong")
-	}
-	if len(FineTunableModels()) != 3 {
-		t.Error("fine-tunable models wrong")
+	if len(HostedModels()) != 3 {
+		t.Error("hosted models wrong")
 	}
 }
 

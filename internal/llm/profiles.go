@@ -222,19 +222,9 @@ func StudyModels() []string {
 	return []string{GPTMini, GPT4, GPT4o, Llama2, Llama31, Mixtral}
 }
 
-// OpenSourceModels returns the locally runnable models.
-func OpenSourceModels() []string {
-	return []string{Llama2, Llama31, Mixtral}
-}
-
 // HostedModels returns the OpenAI-hosted models of the cost analysis.
 func HostedModels() []string {
 	return []string{GPTMini, GPT4, GPT4o}
-}
-
-// FineTunableModels returns the models fine-tuned in Section 4.3.
-func FineTunableModels() []string {
-	return []string{Llama2, Llama31, GPTMini}
 }
 
 // ProfileByName returns the calibrated profile of a model.

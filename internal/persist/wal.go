@@ -347,6 +347,16 @@ func (w *WAL) Sync() error {
 	if w.f == nil {
 		return ErrClosed
 	}
+	if err := w.fsync(); err != nil {
+		return fmt.Errorf("%w: fsync: %v", ErrWALWrite, err)
+	}
+	return nil
+}
+
+// fsync syncs the file. Every fsync of the log goes through it — the
+// sync cadence's, a reset's and a close's — so FsyncSeconds times them
+// all.
+func (w *WAL) fsync() error {
 	var t0 time.Time
 	if w.met.FsyncSeconds != nil {
 		t0 = time.Now()
@@ -355,10 +365,7 @@ func (w *WAL) Sync() error {
 	if !t0.IsZero() {
 		w.met.FsyncSeconds.ObserveSince(t0)
 	}
-	if err != nil {
-		return fmt.Errorf("%w: fsync: %v", ErrWALWrite, err)
-	}
-	return nil
+	return err
 }
 
 // Reset empties the log — called right after a snapshot has captured
@@ -367,7 +374,7 @@ func (w *WAL) Reset() error {
 	if err := w.truncate(0); err != nil {
 		return err
 	}
-	return w.f.Sync()
+	return w.fsync()
 }
 
 // Entries returns the number of entries appended through this handle
@@ -382,7 +389,7 @@ func (w *WAL) Close() error {
 	if w.f == nil {
 		return nil
 	}
-	syncErr := w.f.Sync()
+	syncErr := w.fsync()
 	closeErr := w.f.Close()
 	w.f = nil
 	if syncErr != nil {

@@ -240,3 +240,7 @@ func (b *Breaker) State() State {
 
 // Trips returns how many times the breaker has opened.
 func (b *Breaker) Trips() uint64 { return b.trips.Load() }
+
+// Cooldown returns how long the breaker stays open before it admits a
+// half-open probe: BreakerOptions.Cooldown or its default.
+func (b *Breaker) Cooldown() time.Duration { return b.opts.Cooldown }

@@ -29,9 +29,10 @@ type CascadeOptions struct {
 	// non-rejected pair.
 	AcceptAbove float64
 	// RejectBelow rejects a pair locally when its probability is at
-	// most this value (default DefaultRejectBelow; negative selects a
-	// literal zero, i.e. never reject locally on the low side unless
-	// the probability is exactly zero).
+	// most this value (default DefaultRejectBelow). The zero value
+	// selects the default; a negative value never rejects locally.
+	// Both thresholds negative send every candidate pair to the LLM:
+	// the no-cascade baseline.
 	RejectBelow float64
 	// Weights are the local scorer's calibrated weights (nil selects
 	// features.Ideal).
@@ -49,9 +50,6 @@ type CascadeOptions struct {
 	// or negative means uncapped, as does a client without a price
 	// entry.
 	MaxCentsPerResolve float64
-	// Disable routes every candidate pair to the LLM, bypassing the
-	// local scorer — the no-cascade baseline.
-	Disable bool
 	// Strategy selects the prompt formulation for the uncertain band
 	// ("Match, Compare, or Select?", Wang et al.): StrategyMatch (the
 	// zero value) sends one independent pairwise prompt per uncertain
@@ -80,7 +78,7 @@ func (o CascadeOptions) acceptAbove() float64 {
 
 func (o CascadeOptions) rejectBelow() float64 {
 	if o.RejectBelow < 0 {
-		return 0
+		return -1 // never reject locally
 	}
 	if o.RejectBelow == 0 {
 		return DefaultRejectBelow
@@ -213,8 +211,6 @@ func (o CascadeOptions) plan(query features.Extracted, candIDs []string, candExt
 			Probability: prob,
 		}
 		switch {
-		case o.Disable:
-			uncertain = append(uncertain, i)
 		case prob >= accept:
 			d.Match = true
 			d.Method = MethodAccept

@@ -18,8 +18,8 @@ func TestCascadeOptionEdges(t *testing.T) {
 	if o.acceptAbove() <= 1 {
 		t.Errorf("negative AcceptAbove must never accept locally, got threshold %v", o.acceptAbove())
 	}
-	if o.rejectBelow() != 0 {
-		t.Errorf("negative RejectBelow = %v, want literal 0", o.rejectBelow())
+	if o.rejectBelow() >= 0 {
+		t.Errorf("negative RejectBelow must never reject locally, got threshold %v", o.rejectBelow())
 	}
 	o = CascadeOptions{AcceptAbove: 0.8, RejectBelow: 0.3}
 	if o.acceptAbove() != 0.8 || o.rejectBelow() != 0.3 {
@@ -41,6 +41,33 @@ func TestCascadeOptionEdges(t *testing.T) {
 	}
 	if (Stats{}).LocalFraction() != 1 {
 		t.Error("empty Stats.LocalFraction != 1")
+	}
+}
+
+// TestPlanThresholdEdges pins where a pair at probability exactly 0
+// or 1 goes: a negative threshold leaves it in the LLM band, so both
+// thresholds negative escalate every pair.
+func TestPlanThresholdEdges(t *testing.T) {
+	zero, one := features.Weights{Bias: -1e4}, features.Weights{Bias: 1e4}
+	query, cand := features.ExtractText("alpha beta"), features.ExtractText("gamma delta")
+	for _, tc := range []struct {
+		name string
+		opts CascadeOptions
+		want Method // "" means escalated to the LLM
+	}{
+		{"p=0, default reject", CascadeOptions{Weights: &zero}, MethodReject},
+		{"p=0, negative reject", CascadeOptions{Weights: &zero, RejectBelow: -1}, ""},
+		{"p=1, default accept", CascadeOptions{Weights: &one}, MethodAccept},
+		{"p=1, negative accept", CascadeOptions{Weights: &one, AcceptAbove: -1}, ""},
+		{"p=0, both negative", CascadeOptions{Weights: &zero, AcceptAbove: -1, RejectBelow: -1}, ""},
+		{"p=1, both negative", CascadeOptions{Weights: &one, AcceptAbove: -1, RejectBelow: -1}, ""},
+	} {
+		p := tc.opts.plan(query, []string{"c1"}, []*features.Extracted{&cand}, []float64{1}, nil)
+		d, escalated := p.decisions[0], len(p.llm) == 1
+		if d.Method != tc.want || escalated != (tc.want == "") {
+			t.Errorf("%s: probability %v decided by %q (escalated %v), want %q",
+				tc.name, d.Probability, d.Method, escalated, tc.want)
+		}
 	}
 }
 

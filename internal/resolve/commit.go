@@ -98,15 +98,13 @@ func (s *Store) applyResolve(res *Result, fresh []persist.DecisionEntry, counted
 	}
 	res.EntityID, _ = s.graph.Find(q)
 	res.Members = s.graph.Members(q)
+	if counted {
+		s.totals.resolves++
+		s.totals.report.Add(res.Cost.Persisted())
+	}
 	s.graphMu.Unlock()
 
 	s.journalDecisions(q, fresh)
-	if counted {
-		s.statsMu.Lock()
-		s.totals.resolves++
-		s.totals.report.Add(res.Cost.Persisted())
-		s.statsMu.Unlock()
-	}
 	for _, d := range res.Decisions {
 		if d.Deferred && !d.Journaled {
 			s.res.enqueue(deferredPair{
@@ -128,18 +126,16 @@ func (s *Store) applyRedecide(e persist.RedecideEntry, counted bool) {
 	if s.wal != nil {
 		s.journalDecisions(e.QueryID, []persist.DecisionEntry{e.Decision})
 	}
+	s.graphMu.Lock()
 	if e.Decision.Match {
-		s.graphMu.Lock()
 		s.graph.Union(e.QueryID, e.Decision.CandidateID)
-		s.graphMu.Unlock()
 	}
 	if counted {
-		s.statsMu.Lock()
 		s.totals.redecided++
 		s.totals.report.Add(cost.Report{
 			PromptTokens: e.PromptTokens, CompletionTokens: e.CompletionTokens, Cents: e.Cents})
-		s.statsMu.Unlock()
 	}
+	s.graphMu.Unlock()
 	s.res.remove(pairID{query: e.QueryID, candidate: e.Decision.CandidateID})
 }
 

@@ -37,10 +37,6 @@ import (
 // re-escalates alone, so it converges to the pairwise verdict instead
 // of the grouped one.
 
-// DefaultRetryInterval is how often the background re-escalator
-// checks the deferred queue when no enqueue has woken it.
-const DefaultRetryInterval = 200 * time.Millisecond
-
 // ResilienceOptions tunes the fault-tolerance layer every store runs:
 // the LLM client is wrapped in a circuit breaker, escalations pass
 // through the load shedder, and unavailable-backend escalations degrade
@@ -58,17 +54,6 @@ type ResilienceOptions struct {
 	// resilience.ErrShed — the caller's signal to return 503 — and do
 	// NOT degrade: the backend is healthy, the server is just full.
 	Shed resilience.ShedOptions
-	// RetryInterval is the background re-escalator's poll cadence
-	// (default DefaultRetryInterval). Enqueues wake it immediately
-	// when the breaker is closed.
-	RetryInterval time.Duration
-}
-
-func (o ResilienceOptions) withDefaults() ResilienceOptions {
-	if o.RetryInterval <= 0 {
-		o.RetryInterval = DefaultRetryInterval
-	}
-	return o
 }
 
 // deferredPair is one queued pair awaiting re-escalation. The full
@@ -98,7 +83,6 @@ type resilienceState struct {
 	breaker *resilience.Breaker
 	shed    *resilience.Shedder
 	met     telemetry.ResilienceMetrics
-	retry   time.Duration
 
 	mu     sync.Mutex
 	queue  []deferredPair
@@ -117,7 +101,6 @@ type resilienceState struct {
 }
 
 func newResilienceState(o ResilienceOptions, met telemetry.ResilienceMetrics) *resilienceState {
-	o = o.withDefaults()
 	o.Breaker.Metrics = met
 	o.Shed.Metrics = met
 	ctx, cancel := context.WithCancel(context.Background())
@@ -125,7 +108,6 @@ func newResilienceState(o ResilienceOptions, met telemetry.ResilienceMetrics) *r
 		breaker: resilience.NewBreaker(o.Breaker),
 		shed:    resilience.NewShedder(o.Shed),
 		met:     met,
-		retry:   o.RetryInterval,
 		queued:  map[pairID]bool{},
 		wake:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
@@ -236,10 +218,12 @@ func (s *Store) degrade(plan *cascadePlan) {
 
 // reescalate is the background drain loop: whenever the breaker is
 // not open it re-sends queued pairs to the LLM, oldest first, and
-// commits each healthy-path verdict. Runs until Close.
+// commits each healthy-path verdict. Runs until Close. An enqueue wakes
+// it at once; the tick is there to notice the breaker leaving Open,
+// which takes a cooldown, so it fires once per breaker cooldown.
 func (s *Store) reescalate() {
 	defer close(s.res.done)
-	t := time.NewTicker(s.res.retry)
+	t := time.NewTicker(s.res.breaker.Cooldown())
 	defer t.Stop()
 	for {
 		select {

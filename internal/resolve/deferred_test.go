@@ -40,16 +40,20 @@ func (c *outageClient) Chat(messages []llm.Message) (llm.Response, error) {
 }
 
 // resilientOptions is the fast-converging test configuration: trip on
-// the first failure, recover within milliseconds.
+// the first failure, recover and retry deferred pairs within
+// milliseconds.
 func resilientOptions() ResilienceOptions {
 	return ResilienceOptions{
 		Breaker: resilience.BreakerOptions{
 			ConsecutiveFailures: 1,
 			Cooldown:            time.Millisecond,
 		},
-		RetryInterval: 2 * time.Millisecond,
 	}
 }
+
+// noCascade is the no-cascade baseline: both thresholds negative, so
+// every candidate pair goes to the LLM.
+func noCascade() CascadeOptions { return CascadeOptions{AcceptAbove: -1, RejectBelow: -1} }
 
 func waitForStore(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -72,7 +76,7 @@ func TestDegradeAndReescalate(t *testing.T) {
 	ropts := resilientOptions()
 	ropts.Breaker.Clock = func() time.Time { return time.Unix(0, breakerNow.Load()) }
 	s := New(client, Options{
-		Cascade:    CascadeOptions{Disable: true},
+		Cascade:    noCascade(),
 		Resilience: ropts,
 	})
 	defer s.Close()
@@ -131,7 +135,7 @@ func TestDeadlineDegradesWithoutTrippingBreaker(t *testing.T) {
 			block := make(chan struct{})
 			defer close(block)
 			s := New(&hangingClient{block: block}, Options{
-				Cascade:       CascadeOptions{Disable: true},
+				Cascade:       noCascade(),
 				Resilience:    resilientOptions(),
 				DispatchPairs: dispatchPairs,
 			})
@@ -196,7 +200,7 @@ func TestShedSurfacesAsError(t *testing.T) {
 	opts := resilientOptions()
 	opts.Shed = resilience.ShedOptions{MaxConcurrent: 1} // one slot queues four waiters
 	s := New(client, Options{
-		Cascade:    CascadeOptions{Disable: true},
+		Cascade:    noCascade(),
 		Resilience: opts,
 	})
 	defer s.Close()
@@ -275,7 +279,7 @@ func TestDeferredConvergesToHealthyRun(t *testing.T) {
 	run := func(dir string, outage bool) *persist.Snapshot {
 		client := &outageClient{}
 		s, err := Open(client, Options{
-			Cascade:    CascadeOptions{Disable: true},
+			Cascade:    noCascade(),
 			PersistDir: dir,
 			Resilience: resilientOptions(),
 		})
@@ -351,7 +355,7 @@ func TestDeferredQueueSurvivesCrash(t *testing.T) {
 			dir := t.TempDir()
 			client1 := &outageClient{}
 			s1, err := Open(client1, Options{
-				Cascade:    CascadeOptions{Disable: true},
+				Cascade:    noCascade(),
 				PersistDir: dir,
 				Resilience: resilientOptions(),
 			})
@@ -377,7 +381,7 @@ func TestDeferredQueueSurvivesCrash(t *testing.T) {
 			s1.stopResilience()
 
 			s2, err := Open(&outageClient{}, Options{
-				Cascade:    CascadeOptions{Disable: true},
+				Cascade:    noCascade(),
 				PersistDir: dir,
 				Resilience: tc.reopen,
 			})

@@ -33,7 +33,7 @@ type EvalOptions struct {
 	// Domain is the topical domain baked into escalation prompts.
 	Domain entity.Domain
 	// Workers sizes the pipeline engine's worker pool and bounds the
-	// pairs EvaluatePairs and LLMVerdicts have in flight (zero selects
+	// pairs EvaluatePairs has in flight (zero selects
 	// pipeline.DefaultWorkers).
 	Workers int
 }
@@ -156,33 +156,4 @@ func LocalProbabilities(ws *features.Weights, pairs []entity.Pair) []float64 {
 		probs[i] = w.Probability(v, pres)
 	}
 	return probs
-}
-
-// LLMVerdicts answers every pair with the client (no local scorer, no
-// thresholds) through the serving escalator's pairwise pass and returns
-// the binary verdicts plus the summed usage. Threshold calibration uses
-// it to price and judge the widest candidate band once, then sweeps
-// thresholds arithmetically.
-func LLMVerdicts(client llm.Client, opts EvalOptions, pairs []entity.Pair) ([]bool, CostReport, error) {
-	o := opts.withDefaults()
-	var report CostReport
-	if len(pairs) == 0 {
-		return nil, report, nil
-	}
-	plans := make([]cascadePlan, len(pairs))
-	for i := range plans {
-		plans[i] = cascadePlan{decisions: make([]PairDecision, 1), llm: []int{0}, report: CostReport{Candidates: 1}}
-	}
-	esc := o.escalator(client)
-	defer esc.disp.Close()
-	if err := esc.runEach(pairs, plans); err != nil {
-		return nil, report, fmt.Errorf("resolve: llm verdicts: %w", err)
-	}
-	report.Priced = esc.priced
-	verdicts := make([]bool, len(pairs))
-	for i, plan := range plans {
-		verdicts[i] = plan.decisions[0].Match
-		report.Add(plan.report)
-	}
-	return verdicts, report, nil
 }

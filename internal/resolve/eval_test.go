@@ -179,27 +179,28 @@ func TestLocalProbabilitiesMatchOutcomes(t *testing.T) {
 	}
 }
 
-// TestLLMVerdictsAnswersEveryPair pins the calibration primitive:
-// every pair gets a verdict and the usage is accounted.
-func TestLLMVerdictsAnswersEveryPair(t *testing.T) {
+// TestEvaluatePairsNoCascadeBand pins the calibration primitive: with
+// both thresholds negative every pair gets the model's verdict and the
+// usage is accounted.
+func TestEvaluatePairsNoCascadeBand(t *testing.T) {
 	model, err := llm.New("GPT-mini")
 	if err != nil {
 		t.Fatal(err)
 	}
 	pairs := evalTestPairs(t, "ds", 40)
-	verdicts, report, err := LLMVerdicts(model, EvalOptions{Domain: entity.Publication}, pairs)
+	res, err := EvaluatePairs(model, EvalOptions{Cascade: noCascade(), Domain: entity.Publication}, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(verdicts) != len(pairs) {
-		t.Fatalf("verdicts %d, want %d", len(verdicts), len(pairs))
-	}
-	if report.LLMPairs != len(pairs) || report.PromptTokens == 0 {
+	if report := res.Report; report.LLMPairs != len(pairs) || report.PromptTokens == 0 {
 		t.Fatalf("verdict usage not accounted: %+v", report)
 	}
 	agree := 0
-	for i, v := range verdicts {
-		if v == pairs[i].Match {
+	for i, out := range res.Outcomes {
+		if out.Method != MethodLLM {
+			t.Fatalf("pair %d decided by %q, want the LLM", i, out.Method)
+		}
+		if out.Match == pairs[i].Match {
 			agree++
 		}
 	}

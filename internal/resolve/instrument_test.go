@@ -166,6 +166,30 @@ func TestResolveTelemetryPersist(t *testing.T) {
 	}
 }
 
+// TestCheckpointFsyncsObserved: at the default SyncEvery nothing calls
+// WAL.Sync, yet a checkpoint fsyncs journal.log and resets the WAL;
+// em_wal_fsync_seconds times both.
+func TestCheckpointFsyncsObserved(t *testing.T) {
+	tel := telemetry.New(telemetry.Options{})
+	s, err := Open(&countingClient{}, Options{PersistDir: t.TempDir(), Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Add(rec("r1", "sony dsc120b cybershot camera silver")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Resolve(rec("q1", "sony dsc120b cybershot camera silver")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tel.Persist.FsyncSeconds.Count(); got < 2 {
+		t.Errorf("em_wal_fsync_seconds count after a checkpoint = %d, want at least 2: journal.log's and the WAL reset's", got)
+	}
+}
+
 // TestResolveContextTrace: a trace attached to the context collects
 // the per-stage span tree of exactly its own request.
 func TestResolveContextTrace(t *testing.T) {

@@ -118,7 +118,7 @@ func widgetRecords(n int) (seed, queries []entity.Record) {
 // and still queued; checkpoint two. `before` is the directory as
 // checkpoint two found it, `after` as it left it.
 func TestCheckpointCrashWindows(t *testing.T) {
-	opts := Options{Shards: 2, Cascade: CascadeOptions{Disable: true}, Resilience: resilientOptions()}
+	opts := Options{Shards: 2, Cascade: noCascade(), Resilience: resilientOptions()}
 	seed, queries := widgetRecords(12)
 	live, before, after := t.TempDir(), t.TempDir(), t.TempDir()
 	client := &outageClient{}
@@ -455,7 +455,7 @@ func checkJournalIndex(t *testing.T, s *Store, dir, when string) {
 func TestJournalIndexMatchesOracle(t *testing.T) {
 	seed, queries := widgetRecords(16)
 	client := &outageClient{}
-	opts := Options{Shards: 2, SnapshotEvery: -1, Cascade: CascadeOptions{Disable: true}, Resilience: resilientOptions()}
+	opts := Options{Shards: 2, SnapshotEvery: -1, Cascade: noCascade(), Resilience: resilientOptions()}
 	open := func(dir string, fsys persist.FS) *Store {
 		t.Helper()
 		o := opts

@@ -254,7 +254,7 @@ func TestMappedDamageFailsOpen(t *testing.T) {
 func TestCheckpointIndexWriteFails(t *testing.T) {
 	seed, queries := widgetRecords(16)
 	dir := t.TempDir()
-	opts := Options{Shards: 2, Cascade: CascadeOptions{Disable: true}}
+	opts := Options{Shards: 2, Cascade: noCascade()}
 	s, _ := mustOpen(t, dir, opts)
 	resolveAll := func(qs []entity.Record) {
 		t.Helper()
@@ -356,7 +356,7 @@ func TestCheckpointDirSyncFails(t *testing.T) {
 	seed, queries := widgetRecords(8)
 	dir := t.TempDir()
 	t.Cleanup(func() { os.Chmod(dir, 0o700) }) // before TempDir's removal
-	s, _ := mustOpen(t, dir, Options{Shards: 2, Cascade: CascadeOptions{Disable: true}})
+	s, _ := mustOpen(t, dir, Options{Shards: 2, Cascade: noCascade()})
 	if err := s.AddBatch(seed); err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestCheckpointDirSyncFails(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := mustOpen(t, dir, Options{Shards: 2, Cascade: CascadeOptions{Disable: true}})
+	b, _ := mustOpen(t, dir, Options{Shards: 2, Cascade: noCascade()})
 	defer b.Close()
 	if got := stateOf(b); !reflect.DeepEqual(got, want) {
 		t.Errorf("reopened state differs:\ngot  %+v\nwant %+v", got, want)

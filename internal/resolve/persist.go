@@ -91,6 +91,9 @@ func Open(client llm.Client, opts Options) (*Store, error) {
 	}
 	if tel := s.opts.Telemetry; tel != nil {
 		wal.SetMetrics(tel.Persist)
+		// journal.log's appends are checkpoint work, which
+		// em_snapshot_seconds times; its fsyncs are timed with the WAL's.
+		jlog.SetMetrics(telemetry.PersistMetrics{FsyncSeconds: tel.Persist.FsyncSeconds})
 		tel.Persist.JournalBytes.Set(jlog.Bytes())
 	}
 	s.pstate.truncatedTail = rec.TruncatedTail
@@ -305,6 +308,7 @@ func (s *Store) checkpointLocked() error {
 	// not seen are singletons on disk as in memory, by their absence.
 	s.graphMu.Lock()
 	snap.Groups = s.graph.Groups()
+	snap.Resolves, snap.Redecided, snap.Totals = s.totals.resolves, s.totals.redecided, s.totals.report
 	s.graphMu.Unlock()
 	s.res.mu.Lock()
 	for _, dp := range s.res.queue {
@@ -316,8 +320,6 @@ func (s *Store) checkpointLocked() error {
 		})
 	}
 	s.res.mu.Unlock()
-	t := s.lifetime()
-	snap.Resolves, snap.Redecided, snap.Totals = t.resolves, t.redecided, t.report
 	// Until the rename below the extension is an uncommitted tail: a
 	// reopen cuts it away, and wal.log still holds its decisions. Once it
 	// is synced, lookups read those frames from journal.log, which holds

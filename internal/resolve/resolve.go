@@ -22,8 +22,8 @@
 // are pure reads, the simulated models are deterministic at temperature
 // 0, and union-find folding is order-independent (canonical roots are
 // the smallest member IDs). Lock order: persistMu, then any of graphMu,
-// a shard lock, statsMu and the deferred queue's mutex, none of which
-// is held while taking another.
+// a shard lock and the deferred queue's mutex, none of which is held
+// while taking another.
 //
 // Decisions are logged, then applied. A decision changes the store —
 // entity graph, decision journal, lifetime totals, deferred queue —
@@ -212,15 +212,14 @@ type Store struct {
 
 	// graph holds only the IDs a resolve or a union touched; Entity,
 	// Snapshot and Stats supply every other stored record's singleton.
+	// graphMu also guards totals, which the same folds update.
 	graphMu sync.Mutex
 	graph   *blocking.UnionFind
-
-	statsMu sync.Mutex
 	totals  totals
 
 	// persistMu serializes WAL appends, journal writes and snapshots.
-	// Lock order: persistMu before graphMu/shard locks/statsMu, never
-	// the other way around. All persistence fields are static after
+	// Lock order: persistMu before graphMu and shard locks, never the
+	// other way around. All persistence fields are static after
 	// Open, so wal == nil reliably selects the in-memory fast path.
 	persistMu sync.Mutex
 	wal       *persist.WAL

@@ -282,7 +282,7 @@ func TestCascadeSendsFewerPairsToLLM(t *testing.T) {
 	}
 
 	cascadeCalls, cascadePairs, cascadeLLM := run(CascadeOptions{})
-	baselineCalls, baselinePairs, baselineLLM := run(CascadeOptions{Disable: true})
+	baselineCalls, baselinePairs, baselineLLM := run(noCascade())
 
 	if cascadePairs == 0 || cascadePairs != baselinePairs {
 		t.Fatalf("candidate pairs differ: cascade %d baseline %d", cascadePairs, baselinePairs)

@@ -120,7 +120,7 @@ func TestImplicitSingletonsMatchExplicitGraph(t *testing.T) {
 				gs := singletonGroups(rng, 12)
 				dir := t.TempDir()
 				opts := Options{Shards: 4, PersistDir: dir, SnapshotEvery: -1,
-					Cascade: CascadeOptions{Disable: true}, Resilience: resilientOptions()}
+					Cascade: noCascade(), Resilience: resilientOptions()}
 				client := &outageClient{}
 				s, err := Open(client, opts)
 				if err != nil {

@@ -6,8 +6,9 @@ import (
 	"llm4em/internal/pipeline"
 )
 
-// totals are the store-lifetime counters, guarded by statsMu. Only
-// applyResolve and applyRedecide change them once the store is open.
+// totals are the store-lifetime counters, guarded by graphMu. Only
+// applyResolve and applyRedecide change them once the store is open,
+// in the graphMu section that folds the same decisions into the graph.
 type totals struct {
 	resolves  uint64
 	redecided uint64
@@ -16,8 +17,8 @@ type totals struct {
 
 // lifetime returns a copy of the lifetime counters.
 func (s *Store) lifetime() totals {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
+	s.graphMu.Lock()
+	defer s.graphMu.Unlock()
 	return s.totals
 }
 
@@ -58,7 +59,7 @@ type Stats struct {
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	// persistStats locks persistMu, which must never be acquired with
-	// graphMu or statsMu held — gather it first.
+	// graphMu held — gather it first.
 	ps := s.persistStats()
 
 	records, cached := s.Len(), 0
@@ -71,6 +72,7 @@ func (s *Store) Stats() Stats {
 	// graph; counting the latter walks the graph's IDs, not the records.
 	s.graphMu.Lock()
 	groups := s.graph.Groups()
+	t := s.totals
 	s.graphMu.Unlock()
 	entities := len(groups) + records
 	for _, g := range groups {
@@ -81,7 +83,6 @@ func (s *Store) Stats() Stats {
 		}
 	}
 
-	t := s.lifetime()
 	st := Stats{
 		Records:     records,
 		Entities:    entities,

@@ -16,7 +16,7 @@ import (
 // over a query's uncertain pairs under the configured Strategy
 // (pairwise match, grouped compare, grouped select) and the optional
 // reason-tier second pass. The serving path (Store.esc) and offline
-// evaluation (EvaluateGroups, EvaluatePairs, LLMVerdicts) all build it
+// evaluation (EvaluateGroups, EvaluatePairs) all build it
 // with newEscalator, and the first pass reaches the model only through
 // its dispatcher.
 type escalator struct {

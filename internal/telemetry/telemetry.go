@@ -239,7 +239,7 @@ func New(opts Options) *Telemetry {
 	}
 	t.Persist = PersistMetrics{
 		AppendSeconds:   reg.Histogram("em_wal_append_seconds", "WAL append latency", DurationBuckets()),
-		FsyncSeconds:    reg.Histogram("em_wal_fsync_seconds", "WAL fsync latency", DurationBuckets()),
+		FsyncSeconds:    reg.Histogram("em_wal_fsync_seconds", "Latency of every wal.log and journal.log fsync: sync cadence, Flush, checkpoint, WAL reset, close", DurationBuckets()),
 		SnapshotSeconds: reg.Histogram("em_snapshot_seconds", "Whole-checkpoint duration: index files, journal append, snapshot.json, WAL reset", DurationBuckets()),
 		SnapshotBytes:   reg.Gauge("em_snapshot_bytes", "Size of the last written snapshot.json"),
 		JournalBytes:    reg.Gauge("em_journal_bytes", "Size of journal.log as of the last checkpoint"),
@@ -265,15 +265,6 @@ func (t *Telemetry) WritePrometheus(w io.Writer) error {
 		return nil
 	}
 	return t.reg.WritePrometheus(w)
-}
-
-// SlowThreshold returns the configured slow-resolve threshold (zero
-// when disabled or on a nil receiver).
-func (t *Telemetry) SlowThreshold() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return t.slowThreshold
 }
 
 // Warn logs a failure of background work, which has no caller to

@@ -2,7 +2,7 @@
 // throughout the paper: token-set Jaccard, the Generalized Jaccard
 // measure used for "related" demonstration selection (Section 4.1),
 // Cosine similarity over token vectors (Section 6.1), character-level
-// edit measures (Levenshtein, Jaro, Jaro-Winkler), the Monge-Elkan
+// measures (Jaro, Jaro-Winkler), the Monge-Elkan
 // hybrid, numeric-attribute similarity, and the Pearson correlation
 // used to validate model-generated similarity scores.
 package textsim
@@ -10,7 +10,6 @@ package textsim
 import (
 	"math"
 	"sort"
-	"strings"
 
 	"llm4em/internal/tokenize"
 )
@@ -293,45 +292,6 @@ func CosineStrings(a, b string) float64 {
 	return Cosine(tokenize.Words(a), tokenize.Words(b))
 }
 
-// Levenshtein returns the edit distance between a and b (unit costs).
-func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min(prev[j]+1, min(cur[j-1]+1, prev[j-1]+cost))
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-// LevenshteinSim returns 1 − dist/maxLen, a normalized similarity in
-// [0, 1]. Two empty strings have similarity 1.
-func LevenshteinSim(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	d := Levenshtein(a, b)
-	return 1 - float64(d)/float64(max(la, lb))
-}
-
 // maxJaroRunes caps the length Jaro examines: its match window scan
 // is quadratic for near-identical strings, so one megabyte-sized
 // degenerate token must not stall a comparison — GeneralizedJaccard
@@ -497,27 +457,4 @@ func Pearson(xs, ys []float64) float64 {
 		return 0
 	}
 	return cov / math.Sqrt(vx*vy)
-}
-
-// PrefixSim reports how much of the shorter string is a prefix of the
-// longer one, in [0, 1]. Useful for venue-abbreviation comparison.
-func PrefixSim(a, b string) float64 {
-	a, b = strings.ToLower(a), strings.ToLower(b)
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(a) == 0 {
-		if len(b) == 0 {
-			return 1
-		}
-		return 0
-	}
-	n := 0
-	for i := 0; i < len(a); i++ {
-		if a[i] != b[i] {
-			break
-		}
-		n++
-	}
-	return float64(n) / float64(len(a))
 }

@@ -62,48 +62,6 @@ func TestOverlapAndContainment(t *testing.T) {
 	}
 }
 
-func TestLevenshtein(t *testing.T) {
-	tests := []struct {
-		a, b string
-		want int
-	}{
-		{"kitten", "sitting", 3},
-		{"", "abc", 3},
-		{"abc", "", 3},
-		{"same", "same", 0},
-		{"flaw", "lawn", 2},
-	}
-	for _, tt := range tests {
-		if got := Levenshtein(tt.a, tt.b); got != tt.want {
-			t.Errorf("Levenshtein(%q,%q) = %d, want %d", tt.a, tt.b, got, tt.want)
-		}
-	}
-}
-
-func TestLevenshteinProperties(t *testing.T) {
-	f := func(a, b string) bool {
-		d := Levenshtein(a, b)
-		if d != Levenshtein(b, a) {
-			return false
-		}
-		if (a == b) != (d == 0) {
-			return false
-		}
-		la, lb := len([]rune(a)), len([]rune(b))
-		return d <= max(la, lb) && d >= abs(la-lb)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 func TestJaro(t *testing.T) {
 	// Classic reference values.
 	if got := Jaro("martha", "marhta"); !(got > 0.94 && got < 0.95) {
@@ -250,33 +208,6 @@ func TestPearson(t *testing.T) {
 	}
 	if got := Pearson(xs, []float64{3, 3, 3, 3, 3}); got != 0 {
 		t.Errorf("zero-variance correlation = %v, want 0", got)
-	}
-}
-
-func TestPrefixSim(t *testing.T) {
-	if got := PrefixSim("VLDB", "VLDB Journal"); !almost(got, 1) {
-		t.Errorf("PrefixSim = %v, want 1", got)
-	}
-	if got := PrefixSim("ICDE", "SIGMOD"); !almost(got, 0) {
-		t.Errorf("PrefixSim = %v, want 0", got)
-	}
-	if got := PrefixSim("", ""); !almost(got, 1) {
-		t.Errorf("PrefixSim empties = %v, want 1", got)
-	}
-	if got := PrefixSim("", "x"); !almost(got, 0) {
-		t.Errorf("PrefixSim('',x) = %v, want 0", got)
-	}
-}
-
-func TestLevenshteinSim(t *testing.T) {
-	if !almost(LevenshteinSim("", ""), 1) {
-		t.Error("empty LevenshteinSim should be 1")
-	}
-	if !almost(LevenshteinSim("abc", "abc"), 1) {
-		t.Error("identical LevenshteinSim should be 1")
-	}
-	if got := LevenshteinSim("abcd", "abce"); !almost(got, 0.75) {
-		t.Errorf("LevenshteinSim = %v, want 0.75", got)
 	}
 }
 

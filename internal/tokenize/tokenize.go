@@ -1,8 +1,7 @@
 // Package tokenize provides the tokenization primitives used across
 // the system: lower-cased word tokenization for string-similarity
-// computation, character n-grams for the PLM feature extractors, and
-// an API-style subword token estimator for the cost analysis of
-// Section 5.
+// computation and an API-style subword token estimator for the cost
+// analysis of Section 5.
 package tokenize
 
 import (
@@ -92,25 +91,6 @@ func Counts(tokens []string) map[string]int {
 		m[t]++
 	}
 	return m
-}
-
-// CharNGrams returns the character n-grams of s (lower-cased, with
-// word-boundary padding using '#'), used by the PLM feature hasher.
-// It returns nil if n <= 0.
-func CharNGrams(s string, n int) []string {
-	if n <= 0 {
-		return nil
-	}
-	padded := "#" + strings.ToLower(s) + "#"
-	runes := []rune(padded)
-	if len(runes) < n {
-		return []string{string(runes)}
-	}
-	grams := make([]string, 0, len(runes)-n+1)
-	for i := 0; i+n <= len(runes); i++ {
-		grams = append(grams, string(runes[i:i+n]))
-	}
-	return grams
 }
 
 // HasDigit reports whether the token contains at least one digit.

@@ -70,38 +70,6 @@ func TestSetAndCounts(t *testing.T) {
 	}
 }
 
-func TestCharNGrams(t *testing.T) {
-	got := CharNGrams("ab", 2)
-	want := []string{"#a", "ab", "b#"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("CharNGrams(ab,2) = %v, want %v", got, want)
-	}
-	if CharNGrams("x", 0) != nil {
-		t.Error("n=0 should return nil")
-	}
-	short := CharNGrams("", 5)
-	if len(short) != 1 || short[0] != "##" {
-		t.Errorf("short input should return whole padded string, got %v", short)
-	}
-}
-
-func TestCharNGramsCount(t *testing.T) {
-	// Property: for n <= len(padded), number of n-grams equals
-	// len(padded) - n + 1 over runes.
-	f := func(s string) bool {
-		n := 3
-		padded := len([]rune("#" + strings.ToLower(s) + "#"))
-		grams := CharNGrams(s, n)
-		if padded < n {
-			return len(grams) == 1
-		}
-		return len(grams) == padded-n+1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPredicates(t *testing.T) {
 	if !HasDigit("abc1") || HasDigit("abc") {
 		t.Error("HasDigit wrong")

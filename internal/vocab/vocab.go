@@ -316,16 +316,6 @@ var Venues = []Venue{
 	{"Data Engineering Bulletin", []string{"IEEE Data Eng. Bull.", "DEBU"}, true},
 }
 
-// VenueNames returns the full venue names; the simulated LLM uses
-// this as its venue lexicon.
-func VenueNames() []string {
-	names := make([]string, len(Venues))
-	for i, v := range Venues {
-		names[i] = v.Full
-	}
-	return names
-}
-
 // Abbreviate returns a crude word-abbreviation of s used by the noisy
 // bibliographic source: it keeps the first prefixLen letters of words
 // longer than that, appending a period.

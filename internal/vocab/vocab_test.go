@@ -47,9 +47,6 @@ func TestVenuesHaveVariants(t *testing.T) {
 	if conf < 5 || journal < 3 {
 		t.Errorf("venue mix: %d conferences, %d journals", conf, journal)
 	}
-	if len(VenueNames()) != len(Venues) {
-		t.Error("VenueNames length mismatch")
-	}
 }
 
 func TestNamePools(t *testing.T) {

@@ -10,12 +10,12 @@
 //	matcher := llm4em.Matcher{Client: model, Design: design, Domain: llm4em.Product}
 //	decision, err := matcher.MatchPair(pair)
 //
-// Evaluations over pair sets (Matcher.Evaluate, Matcher.Stream,
-// BatchMatcher.Evaluate) run on a concurrent matching pipeline: a
-// bounded worker pool that deduplicates identical prompts through an
-// LRU response cache and retries transient client errors with
-// backoff. The Workers, CacheSize and MaxRetries fields of Matcher
-// and BatchMatcher tune it; zero values select sensible defaults.
+// Evaluations over pair sets (Matcher.Evaluate, Matcher.Stream) run on
+// a concurrent matching pipeline: a bounded worker pool that
+// deduplicates identical prompts through an LRU response cache and
+// retries transient client errors with backoff. The Workers, CacheSize
+// and MaxRetries fields of Matcher tune it; zero values select
+// sensible defaults.
 //
 // For online serving, llm4em.NewStore returns an incremental
 // entity-resolution store: records are indexed as they arrive,
@@ -29,12 +29,14 @@
 // HTTP JSON.
 //
 // Training data can be plugged in as in-context demonstrations
-// (llm4em.NewRelatedSelector, …), textual matching rules
-// (llm4em.HandwrittenRules, llm4em.LearnRules) or fine-tuning
-// (llm4em.FineTune). The six synthetic benchmark datasets of the
-// paper are available through llm4em.LoadDataset, and the experiment
-// harness regenerating the paper's tables through the emexperiments
-// command.
+// (llm4em.NewRelatedSelector), textual matching rules
+// (llm4em.HandwrittenRules) or fine-tuning (llm4em.FineTune). The six
+// synthetic benchmark datasets of the paper are available through
+// llm4em.LoadDataset, and the experiment harness regenerating the
+// paper's tables through the emexperiments command.
+//
+// The facade exports what the commands, the examples and the Example
+// tests use, plus the types those names take and return.
 package llm4em
 
 import (
@@ -48,7 +50,6 @@ import (
 	"llm4em/internal/finetune"
 	"llm4em/internal/icl"
 	"llm4em/internal/llm"
-	"llm4em/internal/pipeline"
 	"llm4em/internal/prompt"
 	"llm4em/internal/resilience"
 	"llm4em/internal/resolve"
@@ -80,8 +81,6 @@ const (
 type (
 	// Matcher is the LLM-based matching pipeline.
 	Matcher = core.Matcher
-	// BatchMatcher packs several pairs into one prompt (Section 8).
-	BatchMatcher = core.BatchMatcher
 	// Decision is the outcome of matching one pair.
 	Decision = core.Decision
 	// Result aggregates an evaluation run.
@@ -93,34 +92,6 @@ type (
 // ParseAnswer converts a model reply into a matching decision using
 // the paper's rule (lower-case, parse for the word "yes").
 func ParseAnswer(answer string) bool { return core.ParseAnswer(answer) }
-
-// ParseBatchAnswers reads the numbered Yes/No lines of a batched
-// reply into a decision slice of length n.
-func ParseBatchAnswers(answer string, n int) []bool { return core.ParseBatchAnswers(answer, n) }
-
-// Concurrent execution engine.
-type (
-	// Engine is the concurrent prompt-execution engine underneath
-	// Matcher and BatchMatcher: bounded worker pool, LRU prompt cache,
-	// transient-error retry. Use it directly to run raw prompts or
-	// custom matching loops at scale.
-	Engine = pipeline.Engine
-	// EngineOptions tunes an Engine.
-	EngineOptions = pipeline.Options
-	// EngineStats counts client calls, cache hits and retries.
-	EngineStats = pipeline.Stats
-)
-
-// NewEngine returns a concurrent execution engine over the client.
-func NewEngine(client Client, opts EngineOptions) *Engine { return pipeline.New(client, opts) }
-
-// TransientError marks an error as retryable so the pipeline retries
-// it with backoff. Custom Client implementations wrap rate limits,
-// timeouts and 5xx-style failures with it.
-func TransientError(err error) error { return pipeline.Transient(err) }
-
-// IsTransientError reports whether an error is marked retryable.
-func IsTransientError(err error) bool { return pipeline.IsTransient(err) }
 
 // Online entity resolution.
 type (
@@ -137,7 +108,8 @@ type (
 	StoreOptions = resolve.Options
 	// CascadeOptions tunes the cascade matcher's accept/reject
 	// thresholds, LLM/cost budgets, and the prompt strategy for the
-	// uncertain band (Strategy, ReasonTier).
+	// uncertain band (Strategy, ReasonTier). Both thresholds negative
+	// send every candidate pair to the LLM.
 	CascadeOptions = resolve.CascadeOptions
 	// ResolveResult is the outcome of resolving one query record.
 	ResolveResult = resolve.Result
@@ -165,21 +137,14 @@ type (
 	BatchError = resolve.BatchError
 )
 
-// Blocking index configuration. StoreOptions.Blocking takes a
-// BlockingOptions value; its zero value selects every default, and a
-// nil threshold ("use the default") is distinct from a literal zero.
-//
-// BlockingOptions configures the candidate index and score floor:
-// *float64 thresholds MinScore and StopDocFrac (nil selects the
-// default, a set pointer — including BlockingFloat(0) — is taken
-// literally). The index itself has no representation knobs: postings
-// are delta+varint streams and the scorer is chosen by index size.
+// BlockingOptions configures a store's candidate index and score
+// floor (StoreOptions.Blocking); its zero value selects every default.
+// The *float64 thresholds MinScore and StopDocFrac select the default
+// when nil and are taken literally when set, so a pointer to 0
+// requests a literal zero. The index itself has no representation
+// knobs: postings are delta+varint streams and the scorer is chosen by
+// index size.
 type BlockingOptions = blocking.IndexOptions
-
-// BlockingFloat returns a pointer to v — the set form the explicit
-// BlockingOptions threshold fields take. BlockingFloat(0) requests a
-// literal zero where nil would select the default.
-func BlockingFloat(v float64) *float64 { return blocking.Float(v) }
 
 // NewStore returns an empty online resolution store over the client.
 // The store is in-memory; use OpenStore for a durable one.
@@ -217,10 +182,10 @@ var (
 // reports the active degraded mode for readiness probes.
 type (
 	// ResilienceOptions tunes the store's fault-tolerance layer
-	// (breaker, shedder, deferred re-escalation).
+	// (breaker, shedder).
 	ResilienceOptions = resolve.ResilienceOptions
 	// BreakerOptions tunes the circuit breaker's trip and recovery
-	// behaviour.
+	// behaviour; its Cooldown also paces the re-escalator.
 	BreakerOptions = resilience.BreakerOptions
 	// ShedOptions bounds concurrent LLM escalations, and with them the
 	// queue behind them.
@@ -228,15 +193,7 @@ type (
 	// ResilienceStats snapshots the fault-tolerance layer inside
 	// StoreStats: breaker state, shed counts, deferred queue depth.
 	ResilienceStats = resolve.ResilienceStats
-	// ContextClient is the optional context-aware extension of Client:
-	// implement it so per-request deadlines cancel in-flight calls.
-	ContextClient = llm.ContextClient
 )
-
-// MethodDeferred marks a decision answered by the local scorer while
-// the LLM was unavailable; the re-escalator later replaces it with
-// the model's verdict.
-const MethodDeferred = resolve.MethodDeferred
 
 // Typed fault-tolerance errors, matched with errors.Is.
 var (
@@ -286,8 +243,6 @@ type (
 	Message = llm.Message
 	// Response is a chat reply with usage accounting.
 	Response = llm.Response
-	// Adapter is the state of a fine-tuned model variant.
-	Adapter = llm.Adapter
 )
 
 // Model names of the study.
@@ -295,7 +250,6 @@ const (
 	GPTMini = llm.GPTMini
 	GPT4    = llm.GPT4
 	GPT4o   = llm.GPT4o
-	Llama2  = llm.Llama2
 	Llama31 = llm.Llama31
 	Mixtral = llm.Mixtral
 )
@@ -303,31 +257,24 @@ const (
 // NewModel returns the simulated model with the given study name.
 func NewModel(name string) (*Model, error) { return llm.New(name) }
 
-// StudyModels lists the six models of the study.
-func StudyModels() []string { return llm.StudyModels() }
-
 // Prompt construction.
 type (
 	// Design is a zero-shot prompt design.
 	Design = prompt.Design
-	// Spec fully describes a prompt to build.
-	Spec = prompt.Spec
 	// Strategy selects the prompt formulation for a query's uncertain
-	// candidate band: StrategyMatch (independent pairwise prompts),
-	// StrategyCompare or StrategySelect (one grouped prompt per
-	// escalated query). Set it via CascadeOptions.Strategy.
+	// candidate band: independent pairwise prompts ("match", the zero
+	// value) or one grouped prompt per escalated query ("compare" or
+	// "select"). Set it via CascadeOptions.Strategy; ParseStrategy
+	// reads the names.
 	Strategy = prompt.Strategy
 )
 
-// Uncertain-band prompt strategies.
-const (
-	StrategyMatch   = prompt.StrategyMatch
-	StrategyCompare = prompt.StrategyCompare
-	StrategySelect  = prompt.StrategySelect
-)
+// StrategyCompare answers all of a query's uncertain candidates with
+// one grouped compare prompt.
+const StrategyCompare = prompt.StrategyCompare
 
 // ParseStrategy maps a flag value ("match", "compare", "select"; ""
-// selects StrategyMatch) to a Strategy.
+// selects match) to a Strategy.
 func ParseStrategy(name string) (Strategy, error) { return prompt.ParseStrategy(name) }
 
 // DesignByName returns a design by its table name, e.g.
@@ -343,35 +290,16 @@ type Dataset = datasets.Dataset
 // da.
 func LoadDataset(key string) (*Dataset, error) { return datasets.Load(key) }
 
-// DatasetKeys lists the benchmark keys in the paper's order.
-func DatasetKeys() []string { return datasets.Keys() }
-
 // In-context learning.
-
-// NewRandomSelector selects demonstrations uniformly from the pool.
-func NewRandomSelector(pool []Pair, seed string) DemoSelector { return icl.NewRandom(pool, seed) }
 
 // NewRelatedSelector selects the most similar demonstrations by
 // Generalized Jaccard similarity.
 func NewRelatedSelector(pool []Pair) DemoSelector { return icl.NewRelated(pool) }
 
-// NewHandpickedSelector serves a fixed, curated demonstration set.
-func NewHandpickedSelector(demos []Pair) DemoSelector { return icl.NewHandpicked(demos) }
-
-// CurateHandpicked emulates a data engineer curating diverse
-// corner-case demonstrations from a training pool.
-func CurateHandpicked(pool []Pair, n int) []Pair { return icl.CurateHandpicked(pool, n) }
-
 // Matching rules.
 
 // HandwrittenRules returns the handwritten rule set for a domain.
 func HandwrittenRules(domain Domain) []string { return rules.Handwritten(domain) }
-
-// LearnRules asks a model to derive matching rules from labelled
-// examples.
-func LearnRules(client Client, domain Domain, examples []Pair) ([]string, error) {
-	return rules.Learn(client, domain, examples)
-}
 
 // Fine-tuning.
 

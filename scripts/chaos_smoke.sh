@@ -45,10 +45,11 @@ go build -o "$TMP/emserve" ./cmd/emserve
 
 echo "== start with an 8s LLM outage window =="
 # Aggressive resilience settings so the breaker trips on the first
-# failed call and deferred pairs are retried quickly after recovery.
+# failed call and deferred pairs are retried every half second (the
+# re-escalator ticks at the breaker cooldown) after recovery.
 "$TMP/emserve" -addr "$ADDR" -persist "$TMP/data" \
     -chaos-outage 8s -breaker-failures 1 -breaker-cooldown 500ms \
-    -deferred-retry 100ms -log-format json \
+    -log-format json \
     >"$TMP/server.log" 2>&1 &
 SRV_PID=$!
 
