@@ -23,14 +23,15 @@ import (
 )
 
 // Extracted is the structured reading of one serialized entity
-// description. A long-lived cache of candidates keeps the Stored part:
-// every field but Raw, and Tokens only where TitleTokens is empty.
+// description. A long-lived cache of candidates keeps its stored form,
+// packed (see Packed): every field but Raw, and Tokens only where
+// TitleTokens is empty.
 type Extracted struct {
-	// Raw is the original serialized string. Empty on a Stored
+	// Raw is the original serialized string. Empty on a stored
 	// extraction that has WordTokens.
 	Raw string
 	// Tokens is the full lower-cased token sequence (model numbers
-	// kept together). Nil on a Stored extraction that has TitleTokens.
+	// kept together). Nil on a stored extraction that has TitleTokens.
 	Tokens []string
 	// WordTokens is the plain word tokenization of Raw
 	// (tokenize.Words: alphanumeric runs, model numbers split), cached

@@ -179,23 +179,6 @@ func PairFeatures(a, b Extracted) (Vector, Presence) {
 	return v, p
 }
 
-// Stored returns the part of the extraction a stored candidate needs:
-// exactly what PairFeatures reads from it. Raw goes once WordTokens
-// stands in for it, Tokens once TitleTokens does — PairFeatures reads
-// either only as the fallback for the other. What is left no longer
-// keeps the serialized text or the full token slice alive, which is
-// what a long-lived per-record cache pays for; query-side extractions
-// and internal/llm's own (which read Raw and Tokens) stay whole.
-func (e Extracted) Stored() Extracted {
-	if e.WordTokens != nil {
-		e.Raw = ""
-	}
-	if len(e.TitleTokens) > 0 {
-		e.Tokens = nil
-	}
-	return e
-}
-
 // PairFeaturesText extracts both sides and computes their features.
 func PairFeaturesText(a, b string) (Vector, Presence) {
 	return PairFeatures(ExtractText(a), ExtractText(b))

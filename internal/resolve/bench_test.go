@@ -173,7 +173,8 @@ func benchmarkDispatch(b *testing.B, dispatchPairs int) {
 }
 
 // BenchmarkStoreAdd measures incremental ingestion: serialize and
-// index, with feature extraction left to the record's first candidacy.
+// index, with feature extraction left to the first resolve that scores
+// the record.
 func BenchmarkStoreAdd(b *testing.B) {
 	s := New(benchClient{}, Options{})
 	b.ReportAllocs()

@@ -195,7 +195,7 @@ type cascadePlan struct {
 // the store's per-record cache. estimateCents prices one pair's
 // prospective LLM call for the cost budget; nil disables the cost cap
 // (no hosted pricing).
-func (o CascadeOptions) plan(query features.Extracted, candIDs []string, candExts []*features.Extracted, blockScores []float64, estimateCents func(i int) float64) cascadePlan {
+func (o CascadeOptions) plan(query features.Extracted, candIDs []string, candExts []features.Extracted, blockScores []float64, estimateCents func(i int) float64) cascadePlan {
 	p := cascadePlan{decisions: make([]PairDecision, len(candIDs))}
 	p.report.Candidates = len(candIDs)
 
@@ -203,7 +203,7 @@ func (o CascadeOptions) plan(query features.Extracted, candIDs []string, candExt
 	ws := o.weights()
 	var uncertain []int
 	for i, id := range candIDs {
-		v, pres := features.PairFeatures(query, *candExts[i])
+		v, pres := features.PairFeatures(query, candExts[i])
 		prob := ws.Probability(v, pres)
 		d := PairDecision{
 			CandidateID: id,

@@ -62,7 +62,7 @@ func TestPlanThresholdEdges(t *testing.T) {
 		{"p=0, both negative", CascadeOptions{Weights: &zero, AcceptAbove: -1, RejectBelow: -1}, ""},
 		{"p=1, both negative", CascadeOptions{Weights: &one, AcceptAbove: -1, RejectBelow: -1}, ""},
 	} {
-		p := tc.opts.plan(query, []string{"c1"}, []*features.Extracted{&cand}, []float64{1}, nil)
+		p := tc.opts.plan(query, []string{"c1"}, []features.Extracted{cand}, []float64{1}, nil)
 		d, escalated := p.decisions[0], len(p.llm) == 1
 		if d.Method != tc.want || escalated != (tc.want == "") {
 			t.Errorf("%s: probability %v decided by %q (escalated %v), want %q",

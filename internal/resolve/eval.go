@@ -117,7 +117,7 @@ func EvaluatePairs(client llm.Client, opts EvalOptions, pairs []entity.Pair) (Ev
 	for i, p := range pairs {
 		ea := features.ExtractText(p.A.Serialize())
 		eb := features.ExtractText(p.B.Serialize())
-		plans[i] = o.Cascade.plan(ea, []string{p.B.ID}, []*features.Extracted{&eb}, []float64{0}, nil)
+		plans[i] = o.Cascade.plan(ea, []string{p.B.ID}, []features.Extracted{eb}, []float64{0}, nil)
 	}
 	esc := o.escalator(client)
 	defer esc.disp.Close()

@@ -12,8 +12,8 @@ import (
 // and forms a singleton entity until matched. Records with empty or
 // duplicate IDs are rejected. Serialization runs before the shard lock
 // is taken, so concurrent Adds contend only on the map/index insert
-// itself; feature extraction waits until the record first comes up as
-// a resolve candidate (shard.fillExtracted).
+// itself; feature extraction waits until a resolve first scores the
+// record as a candidate (shard.extract).
 func (s *Store) Add(r entity.Record) error {
 	if r.ID == "" {
 		return ErrNoID

@@ -442,9 +442,8 @@ func prefillExtractions(s *Store) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for pos, e := range sh.ext {
-			if e == nil {
-				x := features.ExtractText(sh.ix.Record(pos).Serialize()).Stored()
-				sh.ext[pos] = &x
+			if e.IsZero() {
+				sh.ext[pos] = features.Pack(features.ExtractText(sh.ix.Record(pos).Serialize()))
 				sh.cached++
 			}
 		}
@@ -452,82 +451,111 @@ func prefillExtractions(s *Store) {
 	}
 }
 
-// candidateRecords returns the distinct stored records the queries
-// bring up as blocking candidates in any shard: the records a resolve
-// of each query extracts. Call it with no resolve in flight.
+// candidateRecords returns the distinct stored records the queries'
+// resolves score, which are the records they extract: per query, the
+// global top MaxCandidates of every shard's blocking candidates (score
+// descending, ties by ID), the query itself left out. It is for a
+// store without a journal, where no candidate is a journal hit. Call it
+// with no resolve in flight.
 func candidateRecords(s *Store, queries []entity.Record) map[string]bool {
+	type cand struct {
+		id    string
+		score float64
+	}
 	ids := map[string]bool{}
 	minScore := s.opts.Blocking.EffectiveMinScore()
 	for _, q := range queries {
 		words := features.ExtractText(q.Serialize()).WordTokens
+		var cs []cand
 		for _, sh := range s.shards {
 			for _, c := range sh.ix.QueryTokens(words, s.opts.MaxCandidates, minScore) {
 				if id := sh.ix.RecordID(c.Pos); id != q.ID {
-					ids[id] = true
+					cs = append(cs, cand{id, c.Score})
 				}
 			}
+		}
+		sort.Slice(cs, func(i, j int) bool {
+			if cs[i].score != cs[j].score {
+				return cs[i].score > cs[j].score
+			}
+			return cs[i].id < cs[j].id
+		})
+		for _, c := range cs[:min(len(cs), s.opts.MaxCandidates)] {
+			ids[c.id] = true
 		}
 	}
 	return ids
 }
 
-// extractionPointers copies every shard's extraction slots.
-func extractionPointers(s *Store) [][]*features.Extracted {
-	out := make([][]*features.Extracted, len(s.shards))
+// extractionSlots copies every shard's extraction slots.
+func extractionSlots(s *Store) [][]features.Packed {
+	out := make([][]features.Packed, len(s.shards))
 	for i, sh := range s.shards {
 		sh.mu.RLock()
-		out[i] = append([]*features.Extracted(nil), sh.ext...)
+		out[i] = append([]features.Packed(nil), sh.ext...)
 		sh.mu.RUnlock()
 	}
 	return out
 }
 
 // TestLazyExtractionMatchesPrefilled pins the one extraction path: a
-// store that extracts a record on its first candidacy decides and
-// groups exactly like one whose every record was extracted up front,
-// and extracts each record that came up as a candidate once.
+// store that extracts a record the first time a resolve scores it
+// decides and groups exactly like one whose every record was extracted
+// up front, and extracts once each record a resolve scored: the merged
+// top-K candidates, not every shard's. At two candidates a resolve the
+// shards bring up more records than the merge keeps.
 func TestLazyExtractionMatchesPrefilled(t *testing.T) {
-	seed, queries := wdcStoreRecords(t, 30)
-	oracle := New(&countingClient{}, Options{})
-	lazy := New(&countingClient{}, Options{})
-	for _, s := range []*Store{oracle, lazy} {
-		if err := s.AddBatch(seed); err != nil {
-			t.Fatal(err)
-		}
-	}
-	prefillExtractions(oracle)
-	if got := lazy.Stats().Extractions; got != 0 {
-		t.Fatalf("%d extractions after ingest, want 0", got)
-	}
-	for _, q := range queries {
-		a, err := oracle.Resolve(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := lazy.Resolve(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a.Decisions, b.Decisions) {
-			t.Fatalf("query %s: lazy decisions differ\ngot  %+v\nwant %+v", q.ID, b.Decisions, a.Decisions)
-		}
-	}
-	if !reflect.DeepEqual(oracle.Snapshot(), lazy.Snapshot()) {
-		t.Error("lazily extracting store groups records differently")
-	}
-	touched := candidateRecords(lazy, queries)
-	if got := lazy.Stats().Extractions; got != len(touched) || got == 0 {
-		t.Fatalf("%d extractions, want one per candidate record (%d)", got, len(touched))
-	}
-	// A second pass finds every extraction in place: none is redone.
-	before := extractionPointers(lazy)
-	for _, q := range queries {
-		if _, err := lazy.Resolve(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(extractionPointers(lazy), before) {
-		t.Error("re-resolving replaced a cached extraction")
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{}},
+		{"top-2", Options{MaxCandidates: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seed, queries := wdcStoreRecords(t, 30)
+			oracle := New(&countingClient{}, tc.opts)
+			lazy := New(&countingClient{}, tc.opts)
+			for _, s := range []*Store{oracle, lazy} {
+				if err := s.AddBatch(seed); err != nil {
+					t.Fatal(err)
+				}
+			}
+			prefillExtractions(oracle)
+			if got := lazy.Stats().Extractions; got != 0 {
+				t.Fatalf("%d extractions after ingest, want 0", got)
+			}
+			for _, q := range queries {
+				a, err := oracle.Resolve(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := lazy.Resolve(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(a.Decisions, b.Decisions) {
+					t.Fatalf("query %s: lazy decisions differ\ngot  %+v\nwant %+v", q.ID, b.Decisions, a.Decisions)
+				}
+			}
+			if !reflect.DeepEqual(oracle.Snapshot(), lazy.Snapshot()) {
+				t.Error("lazily extracting store groups records differently")
+			}
+			touched := candidateRecords(lazy, queries)
+			if got := lazy.Stats().Extractions; got != len(touched) || got == 0 {
+				t.Fatalf("%d extractions, want one per scored candidate record (%d)", got, len(touched))
+			}
+			// A second pass finds every extraction in place: none is redone.
+			before := extractionSlots(lazy)
+			for _, q := range queries {
+				if _, err := lazy.Resolve(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(extractionSlots(lazy), before) || lazy.Stats().Extractions != len(touched) {
+				t.Error("re-resolving replaced a cached extraction")
+			}
+		})
 	}
 }
 
@@ -588,9 +616,10 @@ func TestLazyExtractionConcurrent(t *testing.T) {
 	}
 }
 
-// TestDeferExtractionPersistent: extraction on first candidacy
+// TestDeferExtractionPersistent: extraction on a record's first scoring
 // survives a checkpoint + mapped reopen, where every mapped record
-// starts unextracted.
+// starts unextracted. Journal hits extract nothing; the same queries
+// under new IDs extract and decide as before the reopen.
 func TestDeferExtractionPersistent(t *testing.T) {
 	seed, queries := wdcStoreRecords(t, 15)
 	dir := t.TempDir()
@@ -622,6 +651,23 @@ func TestDeferExtractionPersistent(t *testing.T) {
 		if !reflect.DeepEqual(stripReplay(res.Decisions), stripReplay(control[q.ID].Decisions)) {
 			t.Fatalf("query %s: decisions differ after a mapped reopen", q.ID)
 		}
+	}
+	if got := b.Stats().Extractions; got != 0 {
+		t.Fatalf("%d extractions after journal-hit resolves, want 0", got)
+	}
+	for _, q := range queries {
+		want := control[q.ID]
+		q.ID += "-again"
+		res, err := b.Resolve(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(stripReplay(res.Decisions), stripReplay(want.Decisions)) {
+			t.Fatalf("query %s: decisions differ after a mapped reopen", q.ID)
+		}
+	}
+	if b.Stats().Extractions == 0 {
+		t.Fatal("no extraction after resolving new queries on a mapped reopen")
 	}
 }
 

@@ -10,13 +10,15 @@ import (
 
 // The store-level memory gates: retained heap bytes per stored record,
 // measured where the benchmark's rss_mb is paid (Store.AddBatch), not
-// at the index. heapPerRecordIngest holds a record that has not come
-// up as a resolve candidate: 309 B/record measured (go1.24, amd64;
-// 322 under -race), plus 10%. heapPerRecordExtracted holds one whose
-// cached extraction is resident too: 1 215 B/record measured.
+// at the index. heapPerRecordIngest holds a record no resolve has
+// scored yet: 316 B/record measured (go1.24, amd64; 326 under -race),
+// its empty 32 B extraction slot included. heapPerRecordExtracted
+// holds one whose cached extraction is resident too, packed
+// (features.Packed): 460 B/record measured (470 under -race), plus
+// 10%.
 const (
 	heapPerRecordIngest    = 340
-	heapPerRecordExtracted = 1350
+	heapPerRecordExtracted = 510
 )
 
 // The decision journal's memory gates: retained heap bytes per

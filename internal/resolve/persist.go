@@ -201,7 +201,7 @@ func (s *Store) installMapped(snap *persist.Snapshot) error {
 			ix.SetMetrics(bm)
 			sh := s.shards[i]
 			sh.ix = ix
-			sh.ext = make([]*features.Extracted, ix.Len())
+			sh.ext = make([]features.Packed, ix.Len())
 			s.pstate.mappedShards++
 		}
 		return nil

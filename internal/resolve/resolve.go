@@ -410,17 +410,27 @@ func (s *Store) journalLookup(qid string, cands []scored) (decisions []PairDecis
 
 // planFresh is the score stage — the cascade's local half: the scorer
 // decides the confident fresh pairs and plans the uncertain band for the
-// LLM. The candidate extractions come from the shard cache — no
-// candidate is re-serialized or re-extracted here.
+// LLM. Candidate extractions come from the shard cache, expanded into
+// pooled scratch; a candidate scored for the first time is extracted
+// here, so only merged, non-journaled candidates are ever extracted.
 func (s *Store) planFresh(q entity.Record, qext features.Extracted, cands []scored, fresh []int) cascadePlan {
+	sc := s.rscratch.Get().(*resolveScratch)
+	defer s.rscratch.Put(sc)
 	ids := make([]string, len(fresh))
-	exts := make([]*features.Extracted, len(fresh))
 	scores := make([]float64, len(fresh))
+	exts, toks := sc.exts[:0], sc.toks[:0]
 	for fi, ci := range fresh {
-		ids[fi] = cands[ci].rec.ID
-		exts[fi] = cands[ci].ext
-		scores[fi] = cands[ci].score
+		c := &cands[ci]
+		if c.ext.IsZero() {
+			c.sh.extract(c)
+		}
+		var e features.Extracted
+		e, toks = c.ext.Expand(toks)
+		exts = append(exts, e)
+		ids[fi] = c.rec.ID
+		scores[fi] = c.score
 	}
+	sc.exts, sc.toks = exts, toks
 	var estimateCents func(i int) float64
 	if s.esc.priced {
 		// Price the pair's actual prompt plus a typical completion,

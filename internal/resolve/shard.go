@@ -19,17 +19,16 @@ type shard struct {
 	// or opened to their positions in ix. The mapped base of a restarted
 	// store is not in it: posLocked asks the snapshot's on-disk ID hash.
 	live map[string]int32
-	// ext caches each record's feature extraction, position-aligned
-	// with ix, so the cascade scores candidates without re-extracting
-	// (or re-serializing) them on every Resolve. It keeps what
-	// features.Extracted.Stored keeps — no Raw, no Tokens beside
-	// TitleTokens. An entry stays nil until the record first comes up
-	// as a resolve candidate and fillExtracted fills it, whether the
-	// record was added, replayed or mapped. Pointers are handed out to
-	// queries and stay valid across append growth; what they point to
-	// is immutable once stored.
-	ext []*features.Extracted
-	// cached counts the non-nil entries of ext.
+	// ext caches each record's feature extraction, packed
+	// (features.Packed), position-aligned with ix, so the cascade
+	// scores candidates without re-extracting (or re-serializing) them
+	// on every Resolve. A slot stays zero until the record is first
+	// scored as a resolve candidate and extract fills it, whether the
+	// record was added, replayed or mapped. Slots are values: read
+	// under the read lock, published once under the write lock, and
+	// never changed after.
+	ext []features.Packed
+	// cached counts the filled slots of ext.
 	cached int
 }
 
@@ -38,7 +37,7 @@ type shard struct {
 // duplicates.
 func (sh *shard) insertLocked(r entity.Record, text string) {
 	sh.live[r.ID] = int32(sh.ix.AddSerialized(r, text))
-	sh.ext = append(sh.ext, nil)
+	sh.ext = append(sh.ext, features.Packed{})
 }
 
 // posLocked returns the index position of a stored record ID —
@@ -51,59 +50,48 @@ func (sh *shard) posLocked(id string) (int, bool) {
 }
 
 // collect queries one shard for blocking candidates and copies the
-// matching records out under the read lock, appending to dst (a
-// reusable buffer owned by the caller). words is the pre-split query
-// tokenization shared by every shard. Candidates not yet extracted are
-// extracted after the read lock drops.
+// matching records and their cached extractions out under the read
+// lock, appending to dst (a reusable buffer owned by the caller). words
+// is the pre-split query tokenization shared by every shard. A
+// candidate not extracted yet keeps a zero extraction until the score
+// stage needs it (extract).
 func (sh *shard) collect(dst []scored, qid string, words []string, maxCandidates int, minScore float64) []scored {
-	start := len(dst)
-	lazy := false
 	sh.mu.RLock()
 	for _, c := range sh.ix.QueryTokens(words, maxCandidates, minScore) {
 		r := sh.ix.Record(c.Pos)
 		if r.ID == qid {
 			continue // re-resolving an added record
 		}
-		ext := sh.ext[c.Pos]
-		if ext == nil {
-			lazy = true
-		}
-		dst = append(dst, scored{rec: r, ext: ext, score: c.Score, pos: c.Pos})
+		dst = append(dst, scored{rec: r, ext: sh.ext[c.Pos], sh: sh, score: c.Score, pos: c.Pos})
 	}
 	sh.mu.RUnlock()
-	if lazy {
-		sh.fillExtracted(dst[start:])
-	}
 	return dst
 }
 
-// fillExtracted extracts the features of collected candidates on their
-// first candidacy. Extraction (pure, deterministic) runs outside
-// any lock; the result publishes under a brief write lock with a
-// double-check, so concurrent Resolves racing on the same cold record
-// converge on one cached pointer.
-func (sh *shard) fillExtracted(cs []scored) {
-	for i := range cs {
-		if cs[i].ext != nil {
-			continue
-		}
-		e := features.ExtractText(cs[i].rec.Serialize()).Stored()
-		sh.mu.Lock()
-		if sh.ext[cs[i].pos] == nil {
-			sh.ext[cs[i].pos] = &e
-			sh.cached++
-		}
-		cs[i].ext = sh.ext[cs[i].pos]
-		sh.mu.Unlock()
+// extract fills a candidate's extraction the first time a resolve
+// scores it. Extraction (pure, deterministic) runs outside any lock;
+// the result publishes under a brief write lock with a double-check,
+// so concurrent Resolves racing on the same cold record converge on
+// one cached extraction.
+func (sh *shard) extract(c *scored) {
+	p := features.Pack(features.ExtractText(c.rec.Serialize()))
+	sh.mu.Lock()
+	if sh.ext[c.pos].IsZero() {
+		sh.ext[c.pos] = p
+		sh.cached++
 	}
+	c.ext = sh.ext[c.pos]
+	sh.mu.Unlock()
 }
 
 // scored is one blocking candidate copied out of a shard: the record,
-// its cached feature extraction, the summed-IDF blocking score and the
-// shard-index position it came from.
+// its cached feature extraction (zero until extracted), the
+// summed-IDF blocking score and the shard and index position it came
+// from.
 type scored struct {
 	rec   entity.Record
-	ext   *features.Extracted
+	ext   features.Packed
+	sh    *shard
 	score float64
 	pos   int
 }
@@ -117,11 +105,16 @@ type scored struct {
 var fanoutRecords int64 = 1 << 20
 
 // resolveScratch pools the per-shard candidate buffers of
-// blockCandidates. Only the buffers are pooled: the merged result
-// holds value copies, so handing the scratch back never aliases a
-// returned candidate.
+// blockCandidates and the candidate extractions planFresh expands.
+// Only buffers are pooled: the merged result holds value copies, and
+// the expansions are dead once the plan is made, so handing the
+// scratch back never aliases a returned candidate or decision.
 type resolveScratch struct {
 	perShard [][]scored
+	// exts holds the expanded extractions of one resolve's fresh
+	// candidates; toks is the arena their token lists are cut from.
+	exts []features.Extracted
+	toks []string
 }
 
 // blockCandidates fans the pre-tokenized query out to every shard and

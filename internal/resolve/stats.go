@@ -29,8 +29,9 @@ type Stats struct {
 	Records  int
 	Entities int
 	// Extractions is the number of records whose feature extraction is
-	// resident: the stored records that have come up as a resolve
-	// candidate since the store was built or opened.
+	// resident: the stored records a resolve has scored as a candidate
+	// (merged into its top-K and not answered by the journal) since the
+	// store was built or opened.
 	Extractions int
 	// Resolves is the number of Resolve calls served; Redecided the
 	// number of deferred pairs the background re-escalator has since

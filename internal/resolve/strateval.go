@@ -77,12 +77,11 @@ func EvaluateGroups(client llm.Client, opts EvalOptions, groups []CandidateGroup
 		}
 		query := features.ExtractText(g.Query.Serialize())
 		candIDs := make([]string, len(g.Candidates))
-		candExts := make([]*features.Extracted, len(g.Candidates))
+		candExts := make([]features.Extracted, len(g.Candidates))
 		blockScores := make([]float64, len(g.Candidates))
 		for i, c := range g.Candidates {
 			candIDs[i] = c.ID
-			ext := features.ExtractText(c.Serialize())
-			candExts[i] = &ext
+			candExts[i] = features.ExtractText(c.Serialize())
 		}
 		plan := o.Cascade.plan(query, candIDs, candExts, blockScores, nil)
 
