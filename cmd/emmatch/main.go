@@ -95,7 +95,7 @@ func main() {
 			fmt.Printf("%s gold=%v predicted=%v (%.0fms)\n  A: %s\n  B: %s\n  answer: %s\n",
 				verdict, p.Match, d.Match, float64(d.Usage.Latency.Milliseconds()), p.A.Serialize(), p.B.Serialize(), d.Answer)
 			if *verbose {
-				fmt.Printf("  prompt:\n%s\n", d.Prompt)
+				fmt.Printf("  prompt:\n%s\n", matcher.BuildPrompt(p))
 			}
 		}
 		_, err = wait()
@@ -117,7 +117,7 @@ func main() {
 	d, err := matcher.MatchPair(pair)
 	fail(err)
 	if *verbose {
-		fmt.Printf("[PROMPT]\n%s\n\n", d.Prompt)
+		fmt.Printf("[PROMPT]\n%s\n\n", matcher.BuildPrompt(pair))
 	}
 	fmt.Printf("[%s ANSWER]\n%s\n\n[DECISION] match=%v (prompt %d tokens, completion %d tokens, %.2fs)\n",
 		*model, d.Answer, d.Match, d.Usage.PromptTokens, d.Usage.CompletionTokens, d.Usage.Latency.Seconds())

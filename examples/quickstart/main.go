@@ -42,9 +42,10 @@ func main() {
 	fmt.Printf("model answer: %q\nparsed decision: match=%v\n\n", decision.Answer, decision.Match)
 
 	// 3. Evaluate on a slice of the WDC Products benchmark.
-	// Evaluation runs on the concurrent matching pipeline; Workers,
-	// CacheSize and MaxRetries tune its pool, prompt cache and retry
-	// (zero values select the defaults).
+	// Each pair goes to the model through the dispatcher that serves
+	// the online store, as its own batch of one; Workers bounds the
+	// pairs in flight, and CacheSize and MaxRetries tune the prompt
+	// cache and retry beneath (zero values select the defaults).
 	ds, err := llm4em.LoadDataset("wdc")
 	if err != nil {
 		log.Fatal(err)

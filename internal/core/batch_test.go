@@ -1,12 +1,93 @@
 package core
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"llm4em/internal/datasets"
+	"llm4em/internal/entity"
 	"llm4em/internal/llm"
+	"llm4em/internal/prompt"
 )
+
+// ParseBatchAnswers is the lenient batch parse of the reference loop
+// below: numbered Yes/No lines ("3. Yes", "3) Yes" or "3: Yes") into a
+// decision slice of length n. Absent or out-of-range numbers default
+// to false; when a number appears on several lines, the last
+// occurrence wins. prompt.SplitBatchAnswers is its strict counterpart.
+func ParseBatchAnswers(answer string, n int) []bool {
+	out := make([]bool, n)
+	for _, line := range strings.Split(answer, "\n") {
+		trimmed := strings.TrimSpace(line)
+		i := strings.IndexAny(trimmed, ".):")
+		if i < 0 {
+			continue
+		}
+		idx, err := strconv.Atoi(strings.TrimSpace(trimmed[:i]))
+		if err == nil && idx >= 1 && idx <= n {
+			out[idx-1] = prompt.ParseAnswer(strings.TrimSpace(trimmed[i+1:]))
+		}
+	}
+	return out
+}
+
+// referenceBatch is BatchMatcher's evaluation before it rode the
+// dispatcher: consecutive BatchSize chunks in input order, one
+// BuildBatch prompt per chunk sent straight to the client, the reply
+// read by the lenient ParseBatchAnswers.
+func referenceBatch(t *testing.T, m *BatchMatcher, pairs []entity.Pair) Result {
+	t.Helper()
+	size := max(1, m.BatchSize)
+	var r Result
+	for start := 0; start < len(pairs); start += size {
+		batch := pairs[start:min(start+size, len(pairs))]
+		resp, err := m.Client.Chat([]llm.Message{{Role: llm.User, Content: prompt.BuildBatch(m.Domain, batch)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		decisions := ParseBatchAnswers(resp.Content, len(batch))
+		for j, p := range batch {
+			r.Confusion.Add(p.Match, decisions[j])
+		}
+		r.PromptTokens += resp.PromptTokens
+		r.CompletionTokens += resp.CompletionTokens
+		r.TotalLatency += resp.Latency
+		r.Requests++
+	}
+	return r
+}
+
+// TestBatchMatcherMatchesOracle pins that routing the batched-prompt
+// ablation through the dispatcher changed nothing it reports: on every
+// row the dispatcher's strict parse accepts every reply, and its usage
+// split sums back to each request, so quality, tokens, latency and
+// request count equal the direct chunking loop's.
+func TestBatchMatcherMatchesOracle(t *testing.T) {
+	for _, key := range []string{"wdc", "ds"} {
+		ds := datasets.MustLoad(key)
+		// 500 pairs keep the 20 rows near 5 s under -race; the full test
+		// sets agree as well.
+		pairs := ds.Test[:500]
+		for _, model := range []string{llm.GPTMini, llm.GPT4} {
+			client := llm.MustNew(model)
+			for _, size := range []int{1, 2, 5, 10, 20} {
+				m := &BatchMatcher{Client: client, Domain: ds.Schema.Domain, BatchSize: size}
+				got, err := m.Evaluate(pairs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := referenceBatch(t, m, pairs)
+				if got.Confusion != want.Confusion || got.PromptTokens != want.PromptTokens ||
+					got.CompletionTokens != want.CompletionTokens || got.TotalLatency != want.TotalLatency ||
+					got.Requests != want.Requests {
+					t.Errorf("%s/%s/batch %d: dispatcher %+v, reference %+v", key, model, size, got, want)
+				}
+			}
+		}
+	}
+}
 
 func TestParseBatchAnswers(t *testing.T) {
 	answer := "1. Yes\n2. No\n3. Yes"

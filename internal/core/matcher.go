@@ -6,20 +6,26 @@
 // binary matching decision using the paper's rule (Section 2):
 // lower-case the answer and look for the word "yes".
 //
-// Evaluations over pair sets run through internal/pipeline: a bounded
-// worker pool with an LRU prompt cache and transient-error retry. The
-// Workers, CacheSize and MaxRetries fields of Matcher and
-// BatchMatcher tune it; their zero values select the pipeline
-// defaults. Since the simulated models are deterministic, concurrent
-// cached evaluation returns exactly the results of a sequential run.
+// Both matchers reach the model through the serving dispatcher
+// (internal/dispatch) that answers /v1/resolve's uncertain band, so
+// the paper's F1 and cost columns describe the production path: its
+// strict batch parse, its per-pair fallback and its usage split. A
+// Matcher submits each pair as its own batch of one on a bounded
+// worker pool over an engine with an LRU prompt cache and
+// transient-error retry; its Workers, CacheSize and MaxRetries fields
+// tune them, and their zero values select the pipeline defaults. A
+// BatchMatcher cuts BatchSize pairs per batched prompt. Since the
+// simulated models are deterministic, concurrent cached evaluation
+// returns exactly the results of a sequential run.
 package core
 
 import (
+	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
+	"llm4em/internal/dispatch"
 	"llm4em/internal/entity"
 	"llm4em/internal/eval"
 	"llm4em/internal/llm"
@@ -51,8 +57,8 @@ type Matcher struct {
 	Demos DemoSelector
 	Shots int
 
-	// Workers bounds the concurrent model calls of Evaluate and Stream
-	// (0 selects pipeline.DefaultWorkers).
+	// Workers bounds the pairs Evaluate, EvaluateKeeping and Stream
+	// have in flight (0 selects pipeline.DefaultWorkers).
 	Workers int
 	// CacheSize is the LRU prompt-cache capacity in entries (0 selects
 	// pipeline.DefaultCacheSize; negative disables caching).
@@ -61,19 +67,23 @@ type Matcher struct {
 	// selects pipeline.DefaultMaxRetries; negative disables retrying).
 	MaxRetries int
 
-	// mu guards the lazily built engine shared across evaluations, so
-	// the prompt cache persists from one Evaluate/Stream call to the
-	// next. Do not copy a Matcher after calling its methods.
+	// mu guards the lazily built engine and dispatcher shared across
+	// evaluations, so the prompt cache persists from one
+	// Evaluate/Stream call to the next. Do not copy a Matcher after
+	// calling its methods.
 	mu        sync.Mutex
 	eng       *pipeline.Engine
+	disp      *dispatch.Dispatcher
 	engClient llm.Client
 	engOpts   pipeline.Options
 }
 
-// engine returns the matching engine configured by the matcher's
-// concurrency knobs, reusing the previous engine (and its prompt
-// cache) while the client and knobs are unchanged.
-func (m *Matcher) engine() *pipeline.Engine {
+// dispatcher returns the matcher's batch-of-one dispatcher and its
+// engine, reusing them (and the prompt cache) while the client and
+// knobs are unchanged. A replaced dispatcher is left unclosed: at
+// batch size 1 every pair is cut as it arrives, so it holds no pending
+// pair and no flush timer between calls.
+func (m *Matcher) dispatcher() (*dispatch.Dispatcher, *pipeline.Engine) {
 	opts := pipeline.Options{
 		Workers:    m.Workers,
 		CacheSize:  m.CacheSize,
@@ -83,9 +93,10 @@ func (m *Matcher) engine() *pipeline.Engine {
 	defer m.mu.Unlock()
 	if m.eng == nil || m.engClient != m.Client || m.engOpts != opts {
 		m.eng = pipeline.New(m.Client, opts)
+		m.disp = dispatch.New(m.eng, m.BuildPrompt, nil, dispatch.Options{MaxBatchPairs: 1})
 		m.engClient, m.engOpts = m.Client, opts
 	}
-	return m.eng
+	return m.disp, m.eng
 }
 
 // Decision is the outcome of matching one pair.
@@ -96,26 +107,13 @@ type Decision struct {
 	Match bool
 	// Answer is the model's raw reply.
 	Answer string
-	// Prompt is the full prompt that was sent.
-	Prompt string
 	// Usage is the model's token and latency accounting. Cached
 	// decisions carry the accounting of the original request.
 	Usage llm.Response
-	// Cached reports whether the response was served by the pipeline's
-	// prompt cache instead of a fresh model request.
+	// Cached reports whether the response was served by the prompt
+	// cache, or coalesced onto an identical pair in flight, instead of
+	// a fresh model request.
 	Cached bool
-}
-
-// fromPipeline converts a pipeline decision to the core form.
-func fromPipeline(d pipeline.Decision) Decision {
-	return Decision{
-		Pair:   d.Pair,
-		Match:  d.Match,
-		Answer: d.Answer,
-		Prompt: d.Prompt,
-		Usage:  d.Usage,
-		Cached: d.Cached,
-	}
 }
 
 // Correct reports whether the decision agrees with the gold label.
@@ -132,42 +130,33 @@ func (m *Matcher) BuildPrompt(pair entity.Pair) string {
 
 // MatchPair runs the pipeline on a single pair.
 func (m *Matcher) MatchPair(pair entity.Pair) (Decision, error) {
-	p := m.BuildPrompt(pair)
-	resp, err := m.Client.Chat([]llm.Message{{Role: llm.User, Content: p}})
+	var d Decision
+	err := m.each([]entity.Pair{pair}, func(_ int, got Decision) { d = got })
+	return d, err
+}
+
+// ParseAnswer applies the paper's decision rule; see prompt.ParseAnswer.
+// It remains only because the benchmark probe (bench/probe.go) times
+// it by this name.
+func ParseAnswer(answer string) bool { return prompt.ParseAnswer(answer) }
+
+// each decides every pair as its own batch-of-one dispatcher
+// submission, at most Workers at a time, and hands each decision to
+// yield as it completes. The first error stops new submissions.
+func (m *Matcher) each(pairs []entity.Pair, yield func(i int, d Decision)) error {
+	disp, eng := m.dispatcher()
+	err := pipeline.ForEach(len(pairs), eng.Workers(), func(i int) error {
+		rs, err := disp.DoAllContext(context.Background(), pairs[i:i+1])
+		if err != nil {
+			return err
+		}
+		yield(i, Decision{Pair: pairs[i], Match: rs[0].Match, Answer: rs[0].Answer, Usage: rs[0].Usage, Cached: rs[0].Cached})
+		return nil
+	})
 	if err != nil {
-		return Decision{}, fmt.Errorf("core: chat for pair %s: %w", pair.ID, err)
+		return fmt.Errorf("core: %w", err)
 	}
-	return Decision{
-		Pair:   pair,
-		Match:  ParseAnswer(resp.Content),
-		Answer: resp.Content,
-		Prompt: p,
-		Usage:  resp,
-	}, nil
-}
-
-// ParseAnswer converts a model reply into a binary matching decision
-// using the paper's parsing rule: lower-case the answer and parse for
-// the word "yes"; any other reply counts as a non-match.
-func ParseAnswer(answer string) bool {
-	lower := strings.ToLower(answer)
-	// Word-level containment: "yes" must appear as its own token.
-	start := 0
-	for i := 0; i <= len(lower)-3; i++ {
-		if lower[i:i+3] != "yes" {
-			continue
-		}
-		beforeOK := i == start || !isWordByte(lower[i-1])
-		afterOK := i+3 == len(lower) || !isWordByte(lower[i+3])
-		if beforeOK && afterOK {
-			return true
-		}
-	}
-	return false
-}
-
-func isWordByte(b byte) bool {
-	return b >= 'a' && b <= 'z' || b >= '0' && b <= '9'
+	return nil
 }
 
 // Result aggregates the evaluation of a matcher over a pair set.
@@ -179,7 +168,8 @@ type Result struct {
 	CompletionTokens int
 	// TotalLatency is the summed simulated request latency.
 	TotalLatency time.Duration
-	// Requests is the number of pairs evaluated.
+	// Requests is the number of pairs a Matcher evaluated, or of model
+	// requests a BatchMatcher issued.
 	Requests int
 	// Decisions holds per-pair outcomes when requested via
 	// EvaluateKeeping.
@@ -239,20 +229,16 @@ func (m *Matcher) EvaluateKeeping(pairs []entity.Pair) (Result, error) {
 }
 
 func (m *Matcher) evaluate(pairs []entity.Pair, keep bool) (Result, error) {
-	decisions, err := m.engine().Match(pairs, m.BuildPrompt, ParseAnswer)
-	if err != nil {
-		return Result{}, fmt.Errorf("core: %w", err)
+	decisions := make([]Decision, len(pairs))
+	if err := m.each(pairs, func(i int, d Decision) { decisions[i] = d }); err != nil {
+		return Result{}, err
 	}
 	var r Result
-	if keep {
-		r.Decisions = make([]Decision, 0, len(pairs))
-	}
-	for _, pd := range decisions {
-		d := fromPipeline(pd)
+	for _, d := range decisions {
 		r.add(d)
-		if keep {
-			r.Decisions = append(r.Decisions, d)
-		}
+	}
+	if keep {
+		r.Decisions = decisions
 	}
 	return r, nil
 }
@@ -265,30 +251,28 @@ func (m *Matcher) evaluate(pairs []entity.Pair, keep bool) (Result, error) {
 // so abandoning it early leaks nothing (the remaining pairs are still
 // evaluated).
 func (m *Matcher) Stream(pairs []entity.Pair) (<-chan Decision, func() (Result, error)) {
-	pd, wait := m.engine().Stream(pairs, m.BuildPrompt, ParseAnswer)
 	out := make(chan Decision, len(pairs))
-	resc := make(chan Result, 1)
+	done := make(chan struct{})
+	var (
+		mu  sync.Mutex
+		res Result
+		err error
+	)
 	go func() {
-		var r Result
-		for d := range pd {
-			cd := fromPipeline(d)
-			r.add(cd)
-			out <- cd
+		err = m.each(pairs, func(_ int, d Decision) {
+			mu.Lock()
+			res.add(d)
+			mu.Unlock()
+			out <- d
+		})
+		if err != nil {
+			res = Result{}
 		}
 		close(out)
-		resc <- r
+		close(done)
 	}()
-	var once sync.Once
-	var res Result
-	var err error
 	return out, func() (Result, error) {
-		once.Do(func() {
-			if werr := wait(); werr != nil {
-				err = fmt.Errorf("core: %w", werr)
-				return
-			}
-			res = <-resc
-		})
+		<-done
 		return res, err
 	}
 }

@@ -75,8 +75,17 @@ func TestMatchPair(t *testing.T) {
 	if d.Usage.PromptTokens == 0 || d.Usage.Latency == 0 {
 		t.Error("usage accounting missing")
 	}
-	if !strings.Contains(d.Prompt, "DSC-120B") {
-		t.Error("prompt not retained on decision")
+	if !strings.Contains(m.BuildPrompt(d.Pair), "DSC-120B") {
+		t.Error("prompt does not carry the pair")
+	}
+	// A second MatchPair of the same pair is answered by the matcher's
+	// prompt cache.
+	again, err := m.MatchPair(testPair(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Cached || again.Answer != d.Answer || again.Usage != d.Usage {
+		t.Errorf("repeat MatchPair = %+v, want the cached first answer", again)
 	}
 }
 
@@ -135,6 +144,12 @@ func TestMatchPairPropagatesErrors(t *testing.T) {
 	}
 	if _, err := m.Evaluate([]entity.Pair{testPair(true)}); err == nil {
 		t.Fatal("Evaluate should propagate errors")
+	}
+	ch, wait := m.Stream([]entity.Pair{testPair(true), testPair(false)})
+	for range ch {
+	}
+	if r, err := wait(); err == nil || r.Requests != 0 {
+		t.Fatalf("Stream wait() = %+v, %v; want the client error and no result", r, err)
 	}
 }
 

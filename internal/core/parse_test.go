@@ -2,14 +2,17 @@ package core
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
-	"llm4em/internal/datasets"
-	"llm4em/internal/entity"
-	"llm4em/internal/llm"
 	"llm4em/internal/prompt"
 )
+
+// Tables for the reply parsers both matchers read the model with
+// through the dispatcher. The parsers live in internal/prompt beside
+// their builders, and FuzzParseReplies fuzzes them there; these tables
+// stay beside ParseBatchAnswers, the lenient parse of the batched-
+// prompt reference loop (batch_test.go) that the strict batch parse is
+// checked against.
 
 // TestSplitBatchAnswers pins the strict batch parser the dispatcher
 // splits batched replies with: it reads lines exactly as
@@ -37,7 +40,7 @@ func TestSplitBatchAnswers(t *testing.T) {
 		{"lenient separator", "1 . Yes\n2. No", 2, []string{"Yes", "No"}, true},
 	}
 	for _, tc := range cases {
-		got, ok := SplitBatchAnswers(tc.answer, tc.n)
+		got, ok := prompt.SplitBatchAnswers(tc.answer, tc.n)
 		if ok != tc.ok {
 			t.Errorf("%s: ok = %v, want %v", tc.name, ok, tc.ok)
 			continue
@@ -51,84 +54,6 @@ func TestSplitBatchAnswers(t *testing.T) {
 	if got := ParseBatchAnswers("1. Yes\n1.", 1); got[0] {
 		t.Errorf("ParseBatchAnswers(empty last occurrence) = %v, want [false]", got)
 	}
-}
-
-// FuzzParseReplies feeds arbitrary model replies to every reply parser
-// — LLM output is untrusted, and grouped formats are where models
-// deviate — with a candidate count n in 0..64 drawn from the input. No
-// parser may panic, and the strict parsers must agree with the lenient
-// one wherever they accept: a strict batch or compare parse yields n
-// answers that decide exactly as ParseBatchAnswers does, a select
-// parse picks a candidate in 0..n, and a reason parse succeeds exactly
-// when some trimmed line starts with "Final Answer:". The seeds are
-// the simulated models' replies to each strategy's prompt.
-func FuzzParseReplies(f *testing.F) {
-	// Four matches then four non-matches; the grouped prompts set the
-	// first match's B among three non-matching candidates.
-	var pairs []entity.Pair
-	for _, want := range []bool{true, false} {
-		k := 0
-		for _, p := range datasets.MustLoad("wdc").Test {
-			if p.Match == want && k < 4 {
-				pairs = append(pairs, p)
-				k++
-			}
-		}
-	}
-	domain := entity.Product
-	query, cands := pairs[0].A, []entity.Record{pairs[4].B, pairs[0].B, pairs[5].B, pairs[6].B}
-	for _, name := range []string{"GPT-4", "Llama2", "Mixtral"} {
-		m := llm.MustNew(name)
-		for _, p := range []struct {
-			text string
-			n    uint8
-		}{
-			{prompt.BuildBatch(domain, pairs[:4]), 4},
-			{prompt.BuildBatch(domain, pairs[2:8]), 6},
-			{prompt.BuildCompare(domain, query, cands), 4},
-			{prompt.BuildSelect(domain, query, cands), 4},
-			{prompt.BuildReason(domain, pairs[0]), 1},
-			{prompt.BuildReason(domain, pairs[4]), 1},
-		} {
-			resp, err := m.Chat([]llm.Message{{Role: llm.User, Content: p.text}})
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(resp.Content, p.n)
-		}
-	}
-	f.Add("1. Yes\n1.", uint8(1))
-	f.Fuzz(func(t *testing.T, reply string, nIn uint8) {
-		n := int(nIn) % 65
-		_ = ParseAnswer(reply)
-		batch := ParseBatchAnswers(reply, n)
-		if len(batch) != n {
-			t.Fatalf("ParseBatchAnswers returned %d decisions, want %d", len(batch), n)
-		}
-		if answers, ok := SplitBatchAnswers(reply, n); ok {
-			if len(answers) != n {
-				t.Fatalf("SplitBatchAnswers returned %d answers, want %d", len(answers), n)
-			}
-			for i, a := range answers {
-				if ParseAnswer(a) != batch[i] {
-					t.Fatalf("pair %d: strict answer %q decides %v, ParseBatchAnswers %v", i+1, a, !batch[i], batch[i])
-				}
-			}
-		}
-		if verdicts, ok := ParseCompareAnswers(reply, n); ok && !reflect.DeepEqual(verdicts, batch) {
-			t.Fatalf("ParseCompareAnswers = %v, ParseBatchAnswers = %v", verdicts, batch)
-		}
-		if k, ok := ParseSelectAnswer(reply, n); ok && (k < 0 || k > n) {
-			t.Fatalf("ParseSelectAnswer picked %d of %d candidates", k, n)
-		}
-		final := false
-		for _, line := range strings.Split(reply, "\n") {
-			final = final || strings.HasPrefix(strings.TrimSpace(line), "Final Answer:")
-		}
-		if _, ok := ParseReasonAnswer(reply); ok != final {
-			t.Fatalf("ParseReasonAnswer ok = %v, want %v", ok, final)
-		}
-	})
 }
 
 // TestParseCompareAnswers pins the strict compare parser: clean
@@ -157,12 +82,12 @@ func TestParseCompareAnswers(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, ok := ParseCompareAnswers(tc.answer, tc.n)
+			got, ok := prompt.ParseCompareAnswers(tc.answer, tc.n)
 			if ok != tc.ok {
-				t.Fatalf("ParseCompareAnswers(%q, %d) ok = %v, want %v", tc.answer, tc.n, ok, tc.ok)
+				t.Fatalf("prompt.ParseCompareAnswers(%q, %d) ok = %v, want %v", tc.answer, tc.n, ok, tc.ok)
 			}
 			if tc.ok && !reflect.DeepEqual(got, tc.want) {
-				t.Fatalf("ParseCompareAnswers(%q, %d) = %v, want %v", tc.answer, tc.n, got, tc.want)
+				t.Fatalf("prompt.ParseCompareAnswers(%q, %d) = %v, want %v", tc.answer, tc.n, got, tc.want)
 			}
 			if !tc.ok && got != nil {
 				t.Fatalf("failed parse returned verdicts %v, want nil", got)
@@ -198,12 +123,12 @@ func TestParseSelectAnswer(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, ok := ParseSelectAnswer(tc.answer, tc.n)
+			got, ok := prompt.ParseSelectAnswer(tc.answer, tc.n)
 			if ok != tc.ok {
-				t.Fatalf("ParseSelectAnswer(%q, %d) ok = %v, want %v", tc.answer, tc.n, ok, tc.ok)
+				t.Fatalf("prompt.ParseSelectAnswer(%q, %d) ok = %v, want %v", tc.answer, tc.n, ok, tc.ok)
 			}
 			if tc.ok && got != tc.want {
-				t.Fatalf("ParseSelectAnswer(%q, %d) = %d, want %d", tc.answer, tc.n, got, tc.want)
+				t.Fatalf("prompt.ParseSelectAnswer(%q, %d) = %d, want %d", tc.answer, tc.n, got, tc.want)
 			}
 		})
 	}
@@ -227,12 +152,12 @@ func TestParseReasonAnswer(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			match, ok := ParseReasonAnswer(tc.answer)
+			match, ok := prompt.ParseReasonAnswer(tc.answer)
 			if ok != tc.ok {
-				t.Fatalf("ParseReasonAnswer(%q) ok = %v, want %v", tc.answer, ok, tc.ok)
+				t.Fatalf("prompt.ParseReasonAnswer(%q) ok = %v, want %v", tc.answer, ok, tc.ok)
 			}
 			if tc.ok && match != tc.match {
-				t.Fatalf("ParseReasonAnswer(%q) = %v, want %v", tc.answer, match, tc.match)
+				t.Fatalf("prompt.ParseReasonAnswer(%q) = %v, want %v", tc.answer, match, tc.match)
 			}
 		})
 	}

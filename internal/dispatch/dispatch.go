@@ -23,6 +23,12 @@
 // that batch, so a model that ignores the batch format degrades to
 // the unbatched path instead of mis-answering.
 //
+// The paper's evaluations ride the same dispatcher: core.Matcher
+// submits each pair as a batch of one, and core.BatchMatcher submits a
+// whole test split to a dispatcher cutting BatchSize pairs per batched
+// prompt, so their tables measure this strict parse, fallback and
+// usage split.
+//
 // The dispatcher never changes which pairs are escalated — budgets
 // and cost caps are applied by the caller before submission — only
 // how many client round-trips the escalated pairs cost. A batch's
@@ -42,10 +48,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"llm4em/internal/core"
 	"llm4em/internal/entity"
 	"llm4em/internal/llm"
 	"llm4em/internal/pipeline"
+	"llm4em/internal/prompt"
 	"llm4em/internal/telemetry"
 )
 
@@ -100,8 +106,9 @@ type Result struct {
 	// cached, singleton and fallback pairs.
 	Answer string
 	// Usage is the token and latency accounting. Batched pairs carry
-	// an even share of the batch request (remainders go to the earliest
-	// pairs, so shares always sum to the request exactly).
+	// an even share of the batch request (token and nanosecond
+	// remainders go to the earliest pairs, so shares always sum to the
+	// request exactly).
 	Usage llm.Response
 	// Cached reports that the answer came from the per-pair prompt
 	// cache or was coalesced onto an identical in-flight pair.
@@ -227,7 +234,8 @@ type Dispatcher struct {
 // New returns a dispatcher issuing requests through the engine.
 // buildPair renders the ordinary per-pair prompt (the dedupe/cache
 // key and the fallback request); buildBatch renders the batched
-// prompt for a flush. Both must be pure and safe for concurrent use.
+// prompt for a flush, and may be nil when MaxBatchPairs is 1. Both
+// must be pure and safe for concurrent use.
 func New(eng *pipeline.Engine, buildPair func(entity.Pair) string, buildBatch func([]entity.Pair) string, opts Options) *Dispatcher {
 	return &Dispatcher{
 		eng:        eng,
@@ -288,7 +296,7 @@ func (d *Dispatcher) DoAllContext(ctx context.Context, pairs []entity.Pair) ([]R
 		if resp, ok := d.eng.Peek(keys[i]); ok {
 			d.stats.cacheHits.Add(1)
 			cached[i] = &Result{
-				Match:  core.ParseAnswer(resp.Content),
+				Match:  prompt.ParseAnswer(resp.Content),
 				Answer: resp.Content,
 				Usage:  resp,
 				Cached: true,
@@ -491,7 +499,7 @@ func (d *Dispatcher) execute(b *batch) {
 		return
 	}
 
-	answers, ok := core.SplitBatchAnswers(resp.Content, len(batch))
+	answers, ok := prompt.SplitBatchAnswers(resp.Content, len(batch))
 	if !ok {
 		// The reply did not contain a clean numbered answer for every
 		// pair — answer the whole batch individually rather than guess
@@ -511,7 +519,7 @@ func (d *Dispatcher) execute(b *batch) {
 	shares := splitUsage(resp, len(batch))
 	for i, c := range batch {
 		c.res = Result{
-			Match:     core.ParseAnswer(answers[i]),
+			Match:     prompt.ParseAnswer(answers[i]),
 			Answer:    answers[i],
 			Usage:     shares[i],
 			Cached:    batchCached,
@@ -538,7 +546,7 @@ func (d *Dispatcher) completePair(ctx context.Context, c *call, fellBack bool) {
 		return
 	}
 	c.res = Result{
-		Match:    core.ParseAnswer(resp.Content),
+		Match:    prompt.ParseAnswer(resp.Content),
 		Answer:   resp.Content,
 		Usage:    resp,
 		Cached:   cached,
@@ -566,8 +574,8 @@ func (d *Dispatcher) settle(batch []*call) {
 }
 
 // splitUsage divides one batched request's accounting evenly across
-// its pairs; remainders go to the earliest pairs so the shares sum to
-// the request exactly.
+// its pairs; remainders — tokens and latency nanoseconds alike — go to
+// the earliest pairs so the shares sum to the request exactly.
 func splitUsage(resp llm.Response, n int) []llm.Response {
 	out := make([]llm.Response, n)
 	for i := range out {
@@ -576,12 +584,15 @@ func splitUsage(resp llm.Response, n int) []llm.Response {
 			CompletionTokens: resp.CompletionTokens / n,
 			Latency:          resp.Latency / time.Duration(n),
 		}
-	}
-	for i := 0; i < resp.PromptTokens%n; i++ {
-		out[i].PromptTokens++
-	}
-	for i := 0; i < resp.CompletionTokens%n; i++ {
-		out[i].CompletionTokens++
+		if i < resp.PromptTokens%n {
+			out[i].PromptTokens++
+		}
+		if i < resp.CompletionTokens%n {
+			out[i].CompletionTokens++
+		}
+		if time.Duration(i) < resp.Latency%time.Duration(n) {
+			out[i].Latency++
+		}
 	}
 	return out
 }

@@ -438,17 +438,20 @@ func (failingClient) Chat([]llm.Message) (llm.Response, error) {
 }
 
 func TestSplitUsageSumsExactly(t *testing.T) {
-	resp := llm.Response{PromptTokens: 107, CompletionTokens: 23, Latency: 700 * time.Millisecond}
+	// 700 ms + 3 ns leaves a 3 ns remainder over 5 pairs.
+	resp := llm.Response{PromptTokens: 107, CompletionTokens: 23, Latency: 700*time.Millisecond + 3}
 	shares := splitUsage(resp, 5)
 	var pt, ct int
+	var lat time.Duration
 	for _, s := range shares {
 		pt += s.PromptTokens
 		ct += s.CompletionTokens
+		lat += s.Latency
 	}
-	if pt != 107 || ct != 23 {
-		t.Errorf("shares sum to %d/%d, want 107/23", pt, ct)
+	if pt != 107 || ct != 23 || lat != resp.Latency {
+		t.Errorf("shares sum to %d/%d/%v, want 107/23/%v", pt, ct, lat, resp.Latency)
 	}
-	if shares[0].PromptTokens < shares[4].PromptTokens {
+	if shares[0].PromptTokens < shares[4].PromptTokens || shares[0].Latency < shares[4].Latency {
 		t.Errorf("remainder should go to the earliest pairs: %+v", shares)
 	}
 }

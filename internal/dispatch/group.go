@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"llm4em/internal/core"
 	"llm4em/internal/entity"
 	"llm4em/internal/pipeline"
+	"llm4em/internal/prompt"
 )
 
 // Grouped dispatch: the compare/select strategies ("Match, Compare,
@@ -65,7 +65,7 @@ func (d *Dispatcher) DoGroupContext(ctx context.Context, pairs []entity.Pair, sp
 		if resp, ok := d.eng.Peek(keys[i]); ok {
 			d.stats.cacheHits.Add(1)
 			out[i] = Result{
-				Match:  core.ParseAnswer(resp.Content),
+				Match:  prompt.ParseAnswer(resp.Content),
 				Answer: resp.Content,
 				Usage:  resp,
 				Cached: true,
@@ -101,7 +101,7 @@ func (d *Dispatcher) DoGroupContext(ctx context.Context, pairs []entity.Pair, sp
 				return nil
 			}
 			out[i] = Result{
-				Match:    core.ParseAnswer(presp.Content),
+				Match:    prompt.ParseAnswer(presp.Content),
 				Answer:   presp.Content,
 				Usage:    presp,
 				Cached:   pcached,

@@ -9,6 +9,7 @@ import (
 	"llm4em/internal/entity"
 	"llm4em/internal/eval"
 	"llm4em/internal/llm"
+	"llm4em/internal/prompt"
 	"llm4em/internal/promptsearch"
 )
 
@@ -108,7 +109,7 @@ func AblationBatch(s *Session, dataset, model string) (*Table, error) {
 	pairs := s.Cfg.testPairs(ds)
 	pricing, hosted := cost.For(model)
 	for _, size := range []int{1, 2, 5, 10, 20} {
-		m := &core.BatchMatcher{Client: s.Model(model), Domain: ds.Schema.Domain, BatchSize: size, Workers: s.Cfg.Workers}
+		m := &core.BatchMatcher{Client: s.Model(model), Domain: ds.Schema.Domain, BatchSize: size}
 		r, err := m.Evaluate(pairs)
 		if err != nil {
 			return nil, err
@@ -198,7 +199,7 @@ func AblationPromptSearch(s *Session, dataset, model string) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			conf.Add(p.Match, core.ParseAnswer(resp.Content))
+			conf.Add(p.Match, prompt.ParseAnswer(resp.Content))
 		}
 		t.AddRow(c.Task, fmt.Sprintf("%v", c.Force), f2(c.F1), f2(conf.F1()))
 	}

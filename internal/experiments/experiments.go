@@ -32,8 +32,9 @@ type Config struct {
 	// FTEpochs is the number of fine-tuning epochs (default 10, as in
 	// the paper).
 	FTEpochs int
-	// Workers bounds the per-evaluation worker pool of the matching
-	// pipeline (0 selects the pipeline default). The sessions' own
+	// Workers bounds the pairs a pairwise evaluation has in flight (0
+	// selects the pipeline default); the batched-prompt ablation
+	// submits all pairs at once. The sessions' own
 	// prefetch parallelism is CPU-bound and independently capped at
 	// GOMAXPROCS.
 	Workers int

@@ -39,3 +39,23 @@ func TestWriteReport(t *testing.T) {
 		t.Errorf("report has only %d sections", strings.Count(out, "### "))
 	}
 }
+
+// TestWriteReportSmallSample pins that a small test split still yields
+// a whole report: at 60 pairs the GPT-4 reference run on WA has no
+// error in one direction, and the error-profile section says so
+// instead of failing the report.
+func TestWriteReportSmallSample(t *testing.T) {
+	if testing.Short() {
+		t.Skip("report generation is slow")
+	}
+	cfg := Quick(60)
+	cfg.Models = []string{"GPT-4", "GPT-mini"}
+	cfg.Datasets = []string{"wa"}
+	var b strings.Builder
+	if err := WriteReport(&b, NewSession(cfg)); err != nil {
+		t.Fatal(err)
+	}
+	if out := b.String(); !strings.Contains(out, "### Future work (§7.2)") || !strings.Contains(out, "| Skipped |") {
+		t.Errorf("report lacks the skipped error-profile table:\n%s", out[strings.LastIndex(out, "###"):])
+	}
+}

@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 
-	"llm4em/internal/core"
 	"llm4em/internal/entity"
 	"llm4em/internal/eval"
 	"llm4em/internal/features"
@@ -61,7 +60,7 @@ func Generate(client llm.Client, design prompt.Design, domain entity.Domain, pai
 	}
 	return Explanation{
 		Pair:       pair,
-		Predicted:  core.ParseAnswer(first.Content),
+		Predicted:  prompt.ParseAnswer(first.Content),
 		Attributes: Parse(second.Content),
 		Raw:        second.Content,
 	}, nil

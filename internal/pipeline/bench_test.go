@@ -45,14 +45,13 @@ func benchPairs(n int) []entity.Pair {
 // workers pay ≈ 8ms.
 func benchMatch(b *testing.B, workers int) {
 	client := &delayedClient{inner: llm.MustNew(llm.GPT4), delay: 2 * time.Millisecond}
-	pairs := benchPairs(32)
-	build := func(p entity.Pair) string { return "match? " + p.A.Serialize() + " vs " + p.B.Serialize() }
+	prompts := pairPrompts(benchPairs(32), buildPrompt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// A fresh engine per iteration keeps the cache cold, so every
 		// iteration measures real client traffic.
 		e := New(client, Options{Workers: workers, CacheSize: -1})
-		if _, err := e.Match(pairs, build, parseYes); err != nil {
+		if _, _, err := completeAll(e, prompts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,15 +66,14 @@ func BenchmarkMatchWorkers8(b *testing.B)   { benchMatch(b, 8) }
 // simulated network latency.
 func BenchmarkMatchCached(b *testing.B) {
 	client := &delayedClient{inner: llm.MustNew(llm.GPT4), delay: 2 * time.Millisecond}
-	pairs := benchPairs(32)
-	build := func(p entity.Pair) string { return "match? " + p.A.Serialize() + " vs " + p.B.Serialize() }
+	prompts := pairPrompts(benchPairs(32), buildPrompt)
 	e := New(client, Options{Workers: 8})
-	if _, err := e.Match(pairs, build, parseYes); err != nil {
+	if _, _, err := completeAll(e, prompts); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Match(pairs, build, parseYes); err != nil {
+		if _, _, err := completeAll(e, prompts); err != nil {
 			b.Fatal(err)
 		}
 	}

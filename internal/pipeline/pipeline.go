@@ -1,31 +1,23 @@
-// Package pipeline is the concurrent matching engine of the system.
-// It evaluates sets of entity pairs (or raw prompts) against an
-// llm.Client on a bounded worker pool, deduplicates identical prompts
-// through an in-memory LRU response cache keyed by (model, prompt),
-// retries transient client errors with exponential backoff, and
-// offers both a deterministic bulk API and a streaming API that
-// delivers decisions in completion order for incremental progress
-// reporting.
-//
-// The package sits between the llm layer (which answers single
-// prompts) and the core layer (which knows how to build prompts and
-// parse answers): core.Matcher and core.BatchMatcher route their
-// evaluations through an Engine, and the experiment harness reuses
-// the same worker pool via ForEach. Because all simulated models are
-// deterministic at temperature 0, concurrent evaluation and response
-// caching never change results — only how fast they arrive.
+// Package pipeline is the model-call engine under the batching
+// dispatcher (internal/dispatch). An Engine answers prompts against an
+// llm.Client: it deduplicates identical prompts through an in-memory
+// LRU response cache keyed by (model, prompt), coalesces identical
+// prompts in flight, and retries transient client errors with
+// full-jitter backoff. ForEach is the bounded worker pool that callers
+// — core.Matcher's per-pair submissions, the dispatcher's per-pair
+// fallbacks, the experiment harness — fan work out on. Because all
+// simulated models are deterministic at temperature 0, concurrency and
+// response caching never change results — only how fast they arrive.
 package pipeline
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"llm4em/internal/entity"
 	"llm4em/internal/llm"
 	"llm4em/internal/telemetry"
 )
@@ -44,8 +36,8 @@ const (
 // negative CacheSize disables caching and negative MaxRetries
 // disables retrying.
 type Options struct {
-	// Workers bounds the number of concurrent client calls
-	// (default DefaultWorkers).
+	// Workers is the worker-pool size callers fan the engine's client
+	// calls out on with ForEach (default DefaultWorkers).
 	Workers int
 	// CacheSize is the capacity of the LRU response cache in entries
 	// (default DefaultCacheSize; negative disables caching).
@@ -259,126 +251,6 @@ func (e *Engine) sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// Decision is the outcome of matching one pair through the engine.
-type Decision struct {
-	// Index is the pair's position in the input slice, so streaming
-	// consumers can restore input order.
-	Index int
-	// Pair is the evaluated pair.
-	Pair entity.Pair
-	// Prompt is the full prompt that was (or would have been) sent.
-	Prompt string
-	// Answer is the model's raw reply.
-	Answer string
-	// Match is the parsed decision.
-	Match bool
-	// Usage is the model's token and latency accounting. Cached
-	// decisions carry the accounting of the original request.
-	Usage llm.Response
-	// Cached reports whether the response came from the prompt cache.
-	Cached bool
-}
-
-// Match evaluates all pairs on the worker pool and returns decisions
-// in input order. build renders the prompt for a pair and parse turns
-// a model reply into a binary decision; both must be safe for
-// concurrent use. The first error cancels outstanding work.
-func (e *Engine) Match(pairs []entity.Pair, build func(entity.Pair) string, parse func(string) bool) ([]Decision, error) {
-	return e.MatchContext(context.Background(), pairs, build, parse)
-}
-
-// MatchContext is Match with cancellation: the context bounds every
-// client call issued for the pair set, so a deadline cancels the whole
-// evaluation.
-func (e *Engine) MatchContext(ctx context.Context, pairs []entity.Pair, build func(entity.Pair) string, parse func(string) bool) ([]Decision, error) {
-	out := make([]Decision, len(pairs))
-	err := ForEach(len(pairs), e.opts.Workers, func(i int) error {
-		d, err := e.matchOne(ctx, i, pairs[i], build, parse)
-		if err != nil {
-			return err
-		}
-		out[i] = d
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Stream evaluates all pairs on the worker pool and delivers
-// decisions in completion order on the returned channel, which is
-// closed when the run ends. wait blocks until then, returns the
-// first error, and may be called any number of times. The channel is
-// buffered for the full pair set, so workers never block on a slow
-// (or absent) consumer: abandoning the channel early leaks nothing,
-// though the remaining pairs are still evaluated.
-func (e *Engine) Stream(pairs []entity.Pair, build func(entity.Pair) string, parse func(string) bool) (<-chan Decision, func() error) {
-	out := make(chan Decision, len(pairs))
-	errc := make(chan error, 1)
-	go func() {
-		errc <- ForEach(len(pairs), e.opts.Workers, func(i int) error {
-			d, err := e.matchOne(context.Background(), i, pairs[i], build, parse)
-			if err != nil {
-				return err
-			}
-			out <- d
-			return nil
-		})
-		close(out)
-	}()
-	var once sync.Once
-	var err error
-	return out, func() error {
-		once.Do(func() { err = <-errc })
-		return err
-	}
-}
-
-func (e *Engine) matchOne(ctx context.Context, i int, pair entity.Pair, build func(entity.Pair) string, parse func(string) bool) (Decision, error) {
-	p := build(pair)
-	resp, cached, err := e.CompleteContext(ctx, p)
-	if err != nil {
-		return Decision{}, fmt.Errorf("pipeline: pair %s: %w", pair.ID, err)
-	}
-	return Decision{
-		Index:  i,
-		Pair:   pair,
-		Prompt: p,
-		Answer: resp.Content,
-		Match:  parse(resp.Content),
-		Usage:  resp,
-		Cached: cached,
-	}, nil
-}
-
-// Completion is one prompt-level result of CompleteAll.
-type Completion struct {
-	// Response is the model's reply.
-	Response llm.Response
-	// Cached reports whether it came from the prompt cache.
-	Cached bool
-}
-
-// CompleteAll answers all prompts on the worker pool and returns
-// completions in input order. The first error cancels outstanding
-// work.
-func (e *Engine) CompleteAll(prompts []string) ([]Completion, error) {
-	out := make([]Completion, len(prompts))
-	err := ForEach(len(prompts), e.opts.Workers, func(i int) error {
-		resp, cached, err := e.Complete(prompts[i])
-		if err != nil {
-			return fmt.Errorf("pipeline: prompt %d: %w", i, err)
-		}
-		out[i] = Completion{Response: resp, Cached: cached}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // ForEach runs job(0..n-1) on a bounded worker pool and returns the

@@ -72,59 +72,96 @@ func parseYes(answer string) bool {
 	return strings.Contains(strings.ToLower(answer), "yes")
 }
 
+// completeAll answers every prompt on ForEach at the engine's worker
+// count — the loop core.Matcher runs with one batch-of-one dispatcher
+// submission per pair — and returns the responses and cache flags in
+// input order. The first error stops new work.
+func completeAll(e *Engine, prompts []string) ([]llm.Response, []bool, error) {
+	resps := make([]llm.Response, len(prompts))
+	cached := make([]bool, len(prompts))
+	err := ForEach(len(prompts), e.Workers(), func(i int) error {
+		resp, c, err := e.Complete(prompts[i])
+		if err != nil {
+			return fmt.Errorf("prompt %d: %w", i, err)
+		}
+		resps[i], cached[i] = resp, c
+		return nil
+	})
+	return resps, cached, err
+}
+
+func pairPrompts(pairs []entity.Pair, build func(entity.Pair) string) []string {
+	prompts := make([]string, len(pairs))
+	for i, p := range pairs {
+		prompts[i] = build(p)
+	}
+	return prompts
+}
+
 func TestMatchDeterministicOrder(t *testing.T) {
 	pairs := makePairs(40)
 	e := New(&fakeClient{}, Options{Workers: 8})
-	ds, err := e.Match(pairs, buildPrompt, parseYes)
+	resps, _, err := completeAll(e, pairPrompts(pairs, buildPrompt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ds) != len(pairs) {
-		t.Fatalf("got %d decisions, want %d", len(ds), len(pairs))
+	if len(resps) != len(pairs) {
+		t.Fatalf("got %d responses, want %d", len(resps), len(pairs))
 	}
-	for i, d := range ds {
-		if d.Index != i || d.Pair.ID != pairs[i].ID {
-			t.Fatalf("decision %d out of order: index %d pair %s", i, d.Index, d.Pair.ID)
+	for i, r := range resps {
+		if parseYes(r.Content) != pairs[i].Match {
+			t.Errorf("pair %s: match = %v, want %v", pairs[i].ID, parseYes(r.Content), pairs[i].Match)
 		}
-		if d.Match != pairs[i].Match {
-			t.Errorf("pair %s: match = %v, want %v", d.Pair.ID, d.Match, pairs[i].Match)
+		if r.PromptTokens != len(buildPrompt(pairs[i])) {
+			t.Fatalf("response %d answers another pair's prompt", i)
 		}
 	}
 }
 
 func TestMatchAgreesWithSequential(t *testing.T) {
-	pairs := makePairs(30)
-	seq, err := New(&fakeClient{}, Options{Workers: 1, CacheSize: -1}).Match(pairs, buildPrompt, parseYes)
+	prompts := pairPrompts(makePairs(30), buildPrompt)
+	seq, _, err := completeAll(New(&fakeClient{}, Options{Workers: 1, CacheSize: -1}), prompts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, err := New(&fakeClient{}, Options{Workers: 8}).Match(pairs, buildPrompt, parseYes)
+	conc, _, err := completeAll(New(&fakeClient{}, Options{Workers: 8}), prompts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range seq {
-		if seq[i].Match != conc[i].Match || seq[i].Answer != conc[i].Answer {
-			t.Fatalf("pair %d: sequential and concurrent runs disagree", i)
+		if seq[i] != conc[i] {
+			t.Fatalf("prompt %d: sequential and concurrent runs disagree", i)
 		}
 	}
 }
 
+// TestStreamDeliversAll pins the streaming shape core.Matcher.Stream
+// builds on the pool: every job hands its answer to a channel buffered
+// for the whole set, each exactly once.
 func TestStreamDeliversAll(t *testing.T) {
-	pairs := makePairs(25)
+	prompts := pairPrompts(makePairs(25), buildPrompt)
 	e := New(&fakeClient{}, Options{Workers: 4})
-	ch, wait := e.Stream(pairs, buildPrompt, parseYes)
-	seen := map[int]bool{}
-	for d := range ch {
-		if seen[d.Index] {
-			t.Fatalf("index %d delivered twice", d.Index)
+	ch := make(chan int, len(prompts))
+	err := ForEach(len(prompts), e.Workers(), func(i int) error {
+		if _, _, err := e.Complete(prompts[i]); err != nil {
+			return err
 		}
-		seen[d.Index] = true
-	}
-	if err := wait(); err != nil {
+		ch <- i
+		return nil
+	})
+	close(ch)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != len(pairs) {
-		t.Fatalf("streamed %d decisions, want %d", len(seen), len(pairs))
+	seen := map[int]bool{}
+	for i := range ch {
+		if seen[i] {
+			t.Fatalf("index %d delivered twice", i)
+		}
+		seen[i] = true
+	}
+	if len(seen) != len(prompts) {
+		t.Fatalf("streamed %d answers, want %d", len(seen), len(prompts))
 	}
 }
 
@@ -137,11 +174,8 @@ func TestStreamPropagatesError(t *testing.T) {
 		return nil
 	}}
 	e := New(client, Options{Workers: 4})
-	ch, wait := e.Stream(makePairs(20), buildPrompt, parseYes)
-	for range ch {
-	}
-	if err := wait(); !errors.Is(err, boom) {
-		t.Fatalf("wait() = %v, want wrapped boom", err)
+	if _, _, err := completeAll(e, pairPrompts(makePairs(20), buildPrompt)); !errors.Is(err, boom) {
+		t.Fatalf("completeAll = %v, want wrapped boom", err)
 	}
 }
 
@@ -156,7 +190,7 @@ func TestCacheDeduplicatesPrompts(t *testing.T) {
 		}
 		return "match? different thing"
 	}
-	ds, err := e.Match(pairs, samePrompt, parseYes)
+	_, cachedFlags, err := completeAll(e, pairPrompts(pairs, samePrompt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,13 +198,13 @@ func TestCacheDeduplicatesPrompts(t *testing.T) {
 		t.Fatalf("client saw %d calls for 2 unique prompts, want 2", got)
 	}
 	cached := 0
-	for _, d := range ds {
-		if d.Cached {
+	for _, c := range cachedFlags {
+		if c {
 			cached++
 		}
 	}
 	if cached != len(pairs)-2 {
-		t.Fatalf("got %d cached decisions, want %d", cached, len(pairs)-2)
+		t.Fatalf("got %d cached answers, want %d", cached, len(pairs)-2)
 	}
 	if s := e.Stats(); s.ClientCalls != 2 || s.CacheHits != uint64(len(pairs)-2) {
 		t.Fatalf("stats = %+v, want 2 calls and %d hits", s, len(pairs)-2)
@@ -180,12 +214,12 @@ func TestCacheDeduplicatesPrompts(t *testing.T) {
 func TestCacheSharedAcrossRuns(t *testing.T) {
 	client := &fakeClient{}
 	e := New(client, Options{Workers: 4})
-	pairs := makePairs(10)
-	if _, err := e.Match(pairs, buildPrompt, parseYes); err != nil {
+	prompts := pairPrompts(makePairs(10), buildPrompt)
+	if _, _, err := completeAll(e, prompts); err != nil {
 		t.Fatal(err)
 	}
 	first := client.calls.Load()
-	if _, err := e.Match(pairs, buildPrompt, parseYes); err != nil {
+	if _, _, err := completeAll(e, prompts); err != nil {
 		t.Fatal(err)
 	}
 	if got := client.calls.Load(); got != first {
@@ -197,7 +231,7 @@ func TestCacheDisabled(t *testing.T) {
 	client := &fakeClient{}
 	e := New(client, Options{Workers: 2, CacheSize: -1})
 	prompts := []string{"p", "p", "p", "p"}
-	if _, err := e.CompleteAll(prompts); err != nil {
+	if _, _, err := completeAll(e, prompts); err != nil {
 		t.Fatal(err)
 	}
 	if got := client.calls.Load(); got != int64(len(prompts)) {
@@ -412,12 +446,12 @@ func TestForEachStopsOnError(t *testing.T) {
 // sequential evaluation.
 func TestConcurrencySpeedup(t *testing.T) {
 	const delay = 4 * time.Millisecond
-	pairs := makePairs(32)
+	prompts := pairPrompts(makePairs(32), buildPrompt)
 
 	run := func(workers int) time.Duration {
 		e := New(&fakeClient{delay: delay}, Options{Workers: workers, CacheSize: -1})
 		start := time.Now()
-		if _, err := e.Match(pairs, buildPrompt, parseYes); err != nil {
+		if _, _, err := completeAll(e, prompts); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)
@@ -436,19 +470,16 @@ func TestMatchRaceSimulatedModel(t *testing.T) {
 	model := llm.MustNew(llm.GPT4)
 	pairs := makePairs(24)
 	e := New(model, Options{Workers: 8})
-	ds, err := e.Match(pairs, buildPrompt, parseYes)
+	resps, _, err := completeAll(e, pairPrompts(pairs, buildPrompt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ds) != len(pairs) {
-		t.Fatalf("got %d decisions, want %d", len(ds), len(pairs))
+	if len(resps) != len(pairs) {
+		t.Fatalf("got %d responses, want %d", len(resps), len(pairs))
 	}
-	for i, d := range ds {
-		if d.Index != i {
-			t.Fatalf("decision %d carries index %d", i, d.Index)
-		}
-		if d.Answer == "" {
-			t.Fatalf("pair %s: empty answer", d.Pair.ID)
+	for i, r := range resps {
+		if r.Content == "" {
+			t.Fatalf("pair %s: empty answer", pairs[i].ID)
 		}
 	}
 }
@@ -462,7 +493,7 @@ func TestCacheRace(t *testing.T) {
 	for i := range prompts {
 		prompts[i] = fmt.Sprintf("p%d", i%8)
 	}
-	if _, err := e.CompleteAll(prompts); err != nil {
+	if _, _, err := completeAll(e, prompts); err != nil {
 		t.Fatal(err)
 	}
 	if n := e.cache.len(); n > 4 {

@@ -1,4 +1,4 @@
-package core
+package prompt
 
 import (
 	"iter"
@@ -6,20 +6,44 @@ import (
 	"strings"
 )
 
-// Strict parsers for the batched and grouped compare/select replies
-// and the reason tier's final verdict. They are deliberately stricter
-// than ParseBatchAnswers: a batched or grouped reply decides several
-// pairs at once, so any ambiguity — a missing candidate, an empty
-// answer, and for grouped replies a duplicated index or an
+// The reply parsers of every prompt format this package builds.
+// ParseAnswer is the paper's decision rule for a free-form reply. The
+// batched, compare and select parsers and the reason tier's verdict
+// parser are deliberately strict: a batched or grouped reply decides
+// several pairs at once, so any ambiguity — a missing candidate, an
+// empty answer, and for grouped replies a duplicated index or an
 // out-of-range reference — rejects the whole reply and the caller
 // degrades to per-pair pairwise prompts instead of guessing at a
 // partial mapping.
+
+// ParseAnswer converts a model reply into a binary matching decision
+// using the paper's parsing rule (Section 2): lower-case the answer
+// and parse for the word "yes"; any other reply counts as a non-match.
+func ParseAnswer(answer string) bool {
+	lower := strings.ToLower(answer)
+	// Word-level containment: "yes" must appear as its own token.
+	for i := 0; i <= len(lower)-3; i++ {
+		if lower[i:i+3] != "yes" {
+			continue
+		}
+		beforeOK := i == 0 || !isWordByte(lower[i-1])
+		afterOK := i+3 == len(lower) || !isWordByte(lower[i+3])
+		if beforeOK && afterOK {
+			return true
+		}
+	}
+	return false
+}
+
+func isWordByte(b byte) bool {
+	return b >= 'a' && b <= 'z' || b >= '0' && b <= '9'
+}
 
 // numberedLines yields the number and the trimmed answer text of each
 // numbered line of a reply ("3. Yes", "3) Yes" or "3: Yes"), in reply
 // order: a line splits at its first ".", ")" or ":", and the part
 // before must read as an integer. It is the one line scanner of
-// ParseBatchAnswers, SplitBatchAnswers and ParseCompareAnswers.
+// SplitBatchAnswers and ParseCompareAnswers.
 func numberedLines(answer string) iter.Seq2[int, string] {
 	return func(yield func(int, string) bool) {
 		for _, line := range strings.Split(answer, "\n") {
@@ -39,14 +63,12 @@ func numberedLines(answer string) iter.Seq2[int, string] {
 	}
 }
 
-// SplitBatchAnswers is the strict counterpart of ParseBatchAnswers for
-// a caller that can re-ask: it returns the answer text of each pair
-// 1..n, read exactly as ParseBatchAnswers reads it (out-of-range
+// SplitBatchAnswers reads a reply to BuildBatch for a caller that can
+// re-ask: it returns the answer text of each pair 1..n (out-of-range
 // numbers ignored, the last occurrence of a number wins), and reports
-// ok only if every one of those texts is non-empty. Where it succeeds,
-// ParseAnswer of each text is ParseBatchAnswers' decision; where a pair
-// is missing or its last answer is empty, it fails and the caller
-// falls back to per-pair prompts instead of defaulting the pair to No.
+// ok only if every one of those texts is non-empty. Where a pair is
+// missing or its last answer is empty, it fails and the caller falls
+// back to per-pair prompts instead of defaulting the pair to No.
 func SplitBatchAnswers(answer string, n int) ([]string, bool) {
 	out := make([]string, n)
 	for idx, rest := range numberedLines(answer) {

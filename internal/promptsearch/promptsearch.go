@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strings"
 
-	"llm4em/internal/core"
 	"llm4em/internal/detrand"
 	"llm4em/internal/entity"
 	"llm4em/internal/eval"
@@ -201,7 +200,7 @@ func evaluate(client llm.Client, domain entity.Domain, c Candidate, pairs []enti
 		if err != nil {
 			return 0, fmt.Errorf("promptsearch: evaluating %q: %w", c.Task, err)
 		}
-		conf.Add(p.Match, core.ParseAnswer(resp.Content))
+		conf.Add(p.Match, prompt.ParseAnswer(resp.Content))
 	}
 	return conf.F1(), nil
 }

@@ -5,10 +5,10 @@ import (
 	"sync"
 	"time"
 
-	"llm4em/internal/core"
 	"llm4em/internal/cost"
 	"llm4em/internal/entity"
 	"llm4em/internal/persist"
+	"llm4em/internal/prompt"
 	"llm4em/internal/resilience"
 	"llm4em/internal/telemetry"
 )
@@ -272,13 +272,9 @@ func (s *Store) redecide(dp deferredPair) bool {
 		return true
 	}
 	pair := entity.Pair{ID: dp.query.ID + "|" + dp.candidateID, A: dp.query, B: cand}
-	// The two paths to the model that bypass the dispatcher are this one
-	// and the reason tier (escalator.runReason), both on purpose. Here
-	// the verdict is the per-pair prompt's own answer, never a batch
-	// position's, which keeps convergence byte-identical. The reason
-	// tier's prompt cannot ride the dispatcher: it keys its cache and
-	// single-flight on the per-pair match prompt, so a reason prompt
-	// sent through it would be answered from the match cache.
+	// This is the one path to the model that bypasses a dispatcher, on
+	// purpose: the verdict is the per-pair prompt's own answer, never a
+	// batch position's, which keeps convergence byte-identical.
 	resp, _, err := s.esc.eng.CompleteContext(s.res.ctx, s.esc.spec.Build(pair))
 	if err != nil {
 		return false
@@ -289,7 +285,7 @@ func (s *Store) redecide(dp deferredPair) bool {
 			CandidateID: dp.candidateID,
 			BlockScore:  dp.blockScore,
 			Probability: dp.probability,
-			Match:       core.ParseAnswer(resp.Content),
+			Match:       prompt.ParseAnswer(resp.Content),
 			Method:      string(MethodLLM),
 			Answer:      resp.Content,
 		},

@@ -47,7 +47,7 @@ func (o EvalOptions) withDefaults() EvalOptions {
 
 // escalator is the serving escalator over a fresh engine, with batches
 // of one: every escalated pair is its own round-trip, as in serving
-// with DispatchPairs ≤ 1. The caller closes its dispatcher.
+// with DispatchPairs ≤ 1. The caller closes it.
 func (o EvalOptions) escalator(client llm.Client) *escalator {
 	return newEscalator(pipeline.New(client, pipeline.Options{Workers: o.Workers}),
 		prompt.Spec{Design: o.Design, Domain: o.Domain}, o.Cascade, dispatch.Options{})
@@ -120,7 +120,7 @@ func EvaluatePairs(client llm.Client, opts EvalOptions, pairs []entity.Pair) (Ev
 		plans[i] = o.Cascade.plan(ea, []string{p.B.ID}, []features.Extracted{eb}, []float64{0}, nil)
 	}
 	esc := o.escalator(client)
-	defer esc.disp.Close()
+	defer esc.close()
 	if err := esc.runEach(pairs, plans); err != nil {
 		return EvalResult{}, fmt.Errorf("resolve: evaluate pairs: %w", err)
 	}

@@ -411,7 +411,7 @@ func (s *Store) Close() error {
 	// wanting the drained decisions in the final snapshot must wait for
 	// their Resolve calls to return before closing — emserve does, by
 	// draining the HTTP server ahead of the store.
-	s.esc.disp.Close()
+	s.esc.close()
 	if s.wal == nil {
 		s.closeShards()
 		return nil

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"llm4em/internal/core"
 	"llm4em/internal/cost"
 	"llm4em/internal/dispatch"
 	"llm4em/internal/entity"
@@ -16,12 +15,16 @@ import (
 // over a query's uncertain pairs under the configured Strategy
 // (pairwise match, grouped compare, grouped select) and the optional
 // reason-tier second pass. The serving path (Store.esc) and offline
-// evaluation (EvaluateGroups, EvaluatePairs) all build it
-// with newEscalator, and the first pass reaches the model only through
-// its dispatcher.
+// evaluation (EvaluateGroups, EvaluatePairs) all build it with
+// newEscalator, and both passes reach the model only through its
+// dispatchers.
 type escalator struct {
-	eng     *pipeline.Engine
-	disp    *dispatch.Dispatcher
+	eng  *pipeline.Engine
+	disp *dispatch.Dispatcher
+	// reason is the reason tier's batch-of-one dispatcher, keyed on the
+	// reason prompt so its cache and single-flight never answer a reason
+	// prompt with a match prompt's reply.
+	reason  *dispatch.Dispatcher
 	opts    CascadeOptions
 	spec    prompt.Spec
 	pricing cost.Pricing
@@ -39,7 +42,15 @@ func newEscalator(eng *pipeline.Engine, spec prompt.Spec, cascade CascadeOptions
 	dopts.MaxBatchPairs = max(1, dopts.MaxBatchPairs)
 	e.disp = dispatch.New(eng, spec.Build,
 		func(ps []entity.Pair) string { return prompt.BuildBatch(spec.Domain, ps) }, dopts)
+	e.reason = dispatch.New(eng, func(p entity.Pair) string { return prompt.BuildReason(spec.Domain, p) },
+		nil, dispatch.Options{MaxBatchPairs: 1})
 	return e
+}
+
+// close drains both dispatchers.
+func (e *escalator) close() {
+	e.disp.Close()
+	e.reason.Close()
 }
 
 // run decides the planned uncertain pairs and fills their decisions
@@ -150,7 +161,7 @@ func (e *escalator) groupSpec() (dispatch.GroupSpec, Method) {
 				return prompt.BuildSelect(e.spec.Domain, ps[0].A, records(ps))
 			},
 			Parse: func(answer string, n int) ([]bool, bool) {
-				chosen, ok := core.ParseSelectAnswer(answer, n)
+				chosen, ok := prompt.ParseSelectAnswer(answer, n)
 				if !ok {
 					return nil, false
 				}
@@ -166,7 +177,7 @@ func (e *escalator) groupSpec() (dispatch.GroupSpec, Method) {
 		Build: func(ps []entity.Pair) string {
 			return prompt.BuildCompare(e.spec.Domain, ps[0].A, records(ps))
 		},
-		Parse: core.ParseCompareAnswers,
+		Parse: prompt.ParseCompareAnswers,
 	}, MethodCompare
 }
 
@@ -242,35 +253,30 @@ func (e *escalator) runReason(ctx context.Context, pairs []entity.Pair, plan *ca
 	for j, i := range conflicted {
 		rpairs[j] = pairs[i]
 	}
-	parse := func(answer string) bool {
-		if m, ok := core.ParseReasonAnswer(answer); ok {
-			return m
-		}
-		// No "Final Answer:" line — fall back to the word-level parse
-		// over the free-form reply.
-		return core.ParseAnswer(answer)
-	}
-	decided, err := e.eng.MatchContext(ctx, rpairs, func(p entity.Pair) string {
-		return prompt.BuildReason(e.spec.Domain, p)
-	}, parse)
+	results, err := e.reason.DoAllContext(ctx, rpairs)
 	if err != nil {
 		return 0, err
 	}
 
 	var modelLat time.Duration
-	for j, pd := range decided {
+	for j, r := range results {
 		d := &plan.decisions[plan.llm[conflicted[j]]]
-		d.Match = pd.Match
+		// The verdict is the "Final Answer:" line; without one, the
+		// word-level parse of the whole reply the dispatcher already made.
+		d.Match = r.Match
+		if m, ok := prompt.ParseReasonAnswer(r.Answer); ok {
+			d.Match = m
+		}
 		d.Method = MethodReason
-		d.Answer = pd.Answer
-		d.Cached = pd.Cached
-		if pd.Cached {
+		d.Answer = r.Answer
+		d.Cached = r.Cached
+		if r.Cached {
 			plan.report.CacheHits++
 		} else {
 			plan.report.ReasonUsage.Calls++
 		}
-		modelLat += pd.Usage.Latency
-		e.accountUsage(plan, &plan.report.ReasonUsage, pd.Usage.PromptTokens, pd.Usage.CompletionTokens)
+		modelLat += r.Usage.Latency
+		e.accountUsage(plan, &plan.report.ReasonUsage, r.Usage.PromptTokens, r.Usage.CompletionTokens)
 	}
 	return modelLat, nil
 }

@@ -64,7 +64,7 @@ func EvaluateGroups(client llm.Client, opts EvalOptions, groups []CandidateGroup
 		return res, nil
 	}
 	esc := o.escalator(client)
-	defer esc.disp.Close()
+	defer esc.close()
 	res.Report.Priced = esc.priced
 
 	for gi, g := range groups {

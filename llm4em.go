@@ -10,12 +10,13 @@
 //	matcher := llm4em.Matcher{Client: model, Design: design, Domain: llm4em.Product}
 //	decision, err := matcher.MatchPair(pair)
 //
-// Evaluations over pair sets (Matcher.Evaluate, Matcher.Stream) run on
-// a concurrent matching pipeline: a bounded worker pool that
-// deduplicates identical prompts through an LRU response cache and
-// retries transient client errors with backoff. The Workers, CacheSize
-// and MaxRetries fields of Matcher tune it; zero values select
-// sensible defaults.
+// Every Matcher call (MatchPair, Evaluate, Stream) reaches the model
+// through the same micro-batching dispatcher that serves the online
+// store below, one pair per submission on a bounded worker pool, over
+// an engine that deduplicates identical prompts through an LRU
+// response cache and retries transient client errors with backoff.
+// The Workers, CacheSize and MaxRetries fields of Matcher tune it;
+// zero values select sensible defaults.
 //
 // For online serving, llm4em.NewStore returns an incremental
 // entity-resolution store: records are indexed as they arrive,
@@ -91,7 +92,7 @@ type (
 
 // ParseAnswer converts a model reply into a matching decision using
 // the paper's rule (lower-case, parse for the word "yes").
-func ParseAnswer(answer string) bool { return core.ParseAnswer(answer) }
+func ParseAnswer(answer string) bool { return prompt.ParseAnswer(answer) }
 
 // Online entity resolution.
 type (
