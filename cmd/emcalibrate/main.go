@@ -3,9 +3,11 @@
 //
 //	emcalibrate oracle            # ideal-weight F1 per dataset (difficulty bands)
 //	emcalibrate inspect wdc       # hardest matches / easiest non-matches
-//	emcalibrate zeroshot [keys]   # Table 2/3-style zero-shot matrix
-//	emcalibrate plm               # PLM in-domain and unseen-transfer check
 //	emcalibrate plmsweep wdc ag   # PLM training hyperparameter sweep
+//	emcalibrate profiles          # calibrated capability constants per model
+//
+// The zero-shot matrix and the PLM baselines are paper tables:
+// `emexperiments -table 2`, `-table 3` and `-table 4` print them.
 package main
 
 import (
@@ -30,15 +32,6 @@ func main() {
 			usage()
 		}
 		inspect(os.Args[2], 8)
-	case "zeroshot":
-		keys := datasets.Keys()
-		if len(os.Args) > 2 {
-			keys = os.Args[2:]
-		}
-		models := []string{"GPT-mini", "GPT-4", "GPT-4o", "Llama2", "Llama3.1", "Mixtral"}
-		zeroShotTable(keys, models)
-	case "plm":
-		plmCheck()
 	case "plmsweep":
 		plmSweep(os.Args[2:])
 	case "profiles":
@@ -49,7 +42,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: emcalibrate oracle | inspect <dataset> | zeroshot [datasets] | plm | plmsweep <datasets> | profiles")
+	fmt.Fprintln(os.Stderr, "usage: emcalibrate oracle | inspect <dataset> | plmsweep <datasets> | profiles")
 	os.Exit(2)
 }
 

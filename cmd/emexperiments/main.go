@@ -131,118 +131,46 @@ func main() {
 	if *report != "" {
 		f, err := os.Create(*report)
 		fail(err)
-		defer f.Close()
 		fail(experiments.WriteReport(f, s))
+		fail(f.Close())
 		fmt.Println("wrote", *report)
 		return
 	}
 
-	if *futurework {
-		t, err := experiments.ErrorProfiles(s, "wa", []string{"GPT-4", "GPT-mini", "Llama3.1"})
-		fail(err)
-		t.Fprint(os.Stdout)
-		return
-	}
-
-	if *pr {
+	name := *table
+	switch {
+	case *futurework:
+		name = "futurework"
+	case *pr:
 		ts, err := experiments.PrecisionRecall(s)
 		fail(err)
 		for _, t := range ts {
-			t.Fprint(os.Stdout)
-			fmt.Println()
+			renderOne(t)
 		}
 		return
-	}
-
-	if *ablations {
-		ts, err := experiments.Ablations(s)
-		fail(err)
-		for _, t := range ts {
-			t.Fprint(os.Stdout)
-			fmt.Println()
-		}
-		return
-	}
-
-	if *figure != 0 {
+	case *ablations:
+		name = "ablations"
+	case *figure != 0:
 		out, err := experiments.Figure(s, *figure)
 		fail(err)
 		fmt.Println(out)
 		return
 	}
-
-	var numbers []int
-	if *table == "all" {
-		for i := 1; i <= 13; i++ {
-			numbers = append(numbers, i)
+	printed := false
+	for _, sec := range experiments.Sections() {
+		// "all" selects the numbered sections, the paper's Tables 1–13.
+		_, notNumbered := strconv.Atoi(sec.Name)
+		if sec.Name == name || name == "all" && notNumbered == nil {
+			ts, err := sec.Run(s)
+			fail(err)
+			for _, t := range ts {
+				renderOne(t)
+			}
+			printed = true
 		}
-	} else {
-		n, err := strconv.Atoi(*table)
-		fail(err)
-		numbers = []int{n}
 	}
-	for _, n := range numbers {
-		fail(printTable(s, n))
-		fmt.Println()
-	}
-}
-
-func printTable(s *experiments.Session, n int) error {
-	render := func(t *experiments.Table) {
-		if renderMarkdown {
-			fmt.Println(t.Markdown())
-			return
-		}
-		t.Fprint(os.Stdout)
-	}
-	single := func(t *experiments.Table, err error) error {
-		if err != nil {
-			return err
-		}
-		render(t)
-		return nil
-	}
-	multi := func(ts []*experiments.Table, err error) error {
-		if err != nil {
-			return err
-		}
-		for _, t := range ts {
-			render(t)
-			fmt.Println()
-		}
-		return nil
-	}
-	switch n {
-	case 1:
-		t := experiments.Table1(s.Cfg)
-		render(t)
-		return nil
-	case 2:
-		return multi(experiments.Table2(s))
-	case 3:
-		return single(experiments.Table3(s))
-	case 4:
-		return single(experiments.Table4(s))
-	case 5:
-		return multi(experiments.Table5(s))
-	case 6:
-		return single(experiments.Table6(s))
-	case 7:
-		return single(experiments.Table7(s, experiments.FTDefaults()))
-	case 8:
-		return single(experiments.Table8(s))
-	case 9:
-		return single(experiments.Table9(s))
-	case 10:
-		return multi(experiments.Table10(s))
-	case 11:
-		return single(experiments.Table11(s))
-	case 12:
-		return single(experiments.Table12(s))
-	case 13:
-		return single(experiments.Table13(s))
-	default:
-		return fmt.Errorf("unknown table %d (tables 1-13 exist)", n)
+	if !printed {
+		fail(fmt.Errorf("unknown table %s (tables 1-13 exist)", name))
 	}
 }
 

@@ -7,9 +7,7 @@ import (
 	"llm4em/internal/cost"
 	"llm4em/internal/datasets"
 	"llm4em/internal/entity"
-	"llm4em/internal/eval"
 	"llm4em/internal/llm"
-	"llm4em/internal/prompt"
 	"llm4em/internal/promptsearch"
 )
 
@@ -193,15 +191,11 @@ func AblationPromptSearch(s *Session, dataset, model string) (*Table, error) {
 		}
 	}
 	for _, c := range top {
-		var conf eval.Confusion
-		for _, p := range pairs {
-			resp, err := client.Chat([]llm.Message{{Role: llm.User, Content: c.Render(ds.Schema.Domain, p)}})
-			if err != nil {
-				return nil, err
-			}
-			conf.Add(p.Match, prompt.ParseAnswer(resp.Content))
+		f1, err := promptsearch.Evaluate(client, ds.Schema.Domain, c, pairs)
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow(c.Task, fmt.Sprintf("%v", c.Force), f2(c.F1), f2(conf.F1()))
+		t.AddRow(c.Task, fmt.Sprintf("%v", c.Force), f2(c.F1), f2(f1))
 	}
 	return t, nil
 }

@@ -1,9 +1,12 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation. Each TableN function reproduces the
-// corresponding table; Figure rendering lives in figures.go. A
-// Session caches expensive intermediate results (zero-shot matrices,
-// trained baselines, fine-tuned adapters, explanation sets) so that
-// tables sharing inputs do not recompute them.
+// corresponding table; Figure rendering lives in figures.go.
+// Sections lists the tables, the ablations and the future-work
+// analysis in report order; WriteReport and emexperiments both print
+// from it. A Session caches expensive intermediate results (zero-shot
+// matrices, trained baselines, fine-tuned adapters, explanation sets)
+// in one single-flight cache, so that tables sharing inputs do not
+// recompute them, not even when prefetch workers ask concurrently.
 package experiments
 
 import (

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"llm4em/internal/datasets"
 	"llm4em/internal/plm"
@@ -73,6 +77,67 @@ func TestZeroShotCaching(t *testing.T) {
 	}
 	if r1.F1() != r2.F1() || r1.Requests != r2.Requests {
 		t.Error("cached zero-shot result differs")
+	}
+}
+
+func TestSessionCached(t *testing.T) {
+	s := NewSession(Quick(10))
+
+	// Concurrent callers of one key share a single computation.
+	// The computation lasts until every caller has arrived.
+	var calls atomic.Int32
+	var arrived, wg sync.WaitGroup
+	got := make([]int, 16)
+	arrived.Add(len(got))
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			arrived.Done()
+			got[i], _ = cached(s, "k|shared", func() (int, error) {
+				calls.Add(1)
+				arrived.Wait()
+				return 42, nil
+			})
+		}(i)
+	}
+	wg.Wait()
+	if n := calls.Load(); n != 1 {
+		t.Errorf("compute ran %d times for one key, want 1", n)
+	}
+	for i, v := range got {
+		if v != 42 {
+			t.Errorf("caller %d got %d, want 42", i, v)
+		}
+	}
+
+	// A failed computation is not kept.
+	boom := errors.New("boom")
+	if _, err := cached(s, "k|flaky", func() (int, error) { return 0, boom }); err != boom {
+		t.Fatalf("first call error = %v, want boom", err)
+	}
+	v, err := cached(s, "k|flaky", func() (int, error) { return 7, nil })
+	if err != nil || v != 7 {
+		t.Errorf("retry after failure = %d, %v; want 7, nil", v, err)
+	}
+
+	// A computation may use the cache for another key: no lock is
+	// held while it runs.
+	done := make(chan string, 1)
+	go func() {
+		v, _ := cached(s, "k|outer", func() (string, error) {
+			inner, err := cached(s, "k|inner", func() (string, error) { return "in", nil })
+			return "out+" + inner, err
+		})
+		done <- v
+	}()
+	select {
+	case v := <-done:
+		if v != "out+in" {
+			t.Errorf("nested compute = %q, want out+in", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("nested cached call deadlocked")
 	}
 }
 

@@ -24,37 +24,25 @@ var explainDatasets = []string{"ds", "wa"}
 // dataset, using GPT-4 with its best zero-shot prompt, as the paper
 // does.
 func (s *Session) explanations(dataset string) (explanationData, error) {
-	s.mu.Lock()
-	if s.explainData == nil {
-		s.explainData = map[string]explanationData{}
-	}
-	if d, ok := s.explainData[dataset]; ok {
-		s.mu.Unlock()
-		return d, nil
-	}
-	s.mu.Unlock()
-
-	design, _, err := s.BestZeroShot(llm.GPT4, dataset)
-	if err != nil {
-		return explanationData{}, err
-	}
-	ds := datasets.MustLoad(dataset)
-	pairs := s.Cfg.testPairs(ds)
-	client := s.Model(llm.GPT4)
-	matcher := &core.Matcher{Client: client, Design: design, Domain: ds.Schema.Domain, Workers: s.Cfg.Workers}
-	res, err := matcher.EvaluateKeeping(pairs)
-	if err != nil {
-		return explanationData{}, err
-	}
-	exps, err := explain.GenerateAll(client, design, ds.Schema.Domain, pairs)
-	if err != nil {
-		return explanationData{}, err
-	}
-	d := explanationData{decisions: res.Decisions, explanations: exps}
-	s.mu.Lock()
-	s.explainData[dataset] = d
-	s.mu.Unlock()
-	return d, nil
+	return cached(s, "explanations|"+dataset, func() (explanationData, error) {
+		design, _, err := s.BestZeroShot(llm.GPT4, dataset)
+		if err != nil {
+			return explanationData{}, err
+		}
+		ds := datasets.MustLoad(dataset)
+		pairs := s.Cfg.testPairs(ds)
+		client := s.Model(llm.GPT4)
+		matcher := &core.Matcher{Client: client, Design: design, Domain: ds.Schema.Domain, Workers: s.Cfg.Workers}
+		res, err := matcher.EvaluateKeeping(pairs)
+		if err != nil {
+			return explanationData{}, err
+		}
+		exps, err := explain.GenerateAll(client, design, ds.Schema.Domain, pairs)
+		if err != nil {
+			return explanationData{}, err
+		}
+		return explanationData{decisions: res.Decisions, explanations: exps}, nil
+	})
 }
 
 // Table10 reproduces the global attribute-importance insights for

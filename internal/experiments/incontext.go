@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"llm4em/internal/datasets"
 	"llm4em/internal/eval"
 )
@@ -259,6 +257,3 @@ func Table7(s *Session, ftModels []string) (*Table, error) {
 // FTDefaults returns the fine-tunable models of the study in the
 // paper's row order.
 func FTDefaults() []string { return []string{"Llama2", "Llama3.1", "GPT-mini"} }
-
-// fmtCheck keeps fmt imported even if row building changes.
-var _ = fmt.Sprintf

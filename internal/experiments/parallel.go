@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"llm4em/internal/datasets"
 	"llm4em/internal/pipeline"
 	"llm4em/internal/prompt"
 )
@@ -10,7 +9,7 @@ import (
 // (bounded by GOMAXPROCS — experiment evaluations are CPU-bound local
 // simulation) and returns the first error. Jobs must be independent;
 // all experiment evaluations are pure and their results land in the
-// session caches, so parallel prefetching never changes results — it
+// session cache, so parallel prefetching never changes results — it
 // only reorders when they are computed.
 func runParallel(n int, job func(i int) error) error {
 	return pipeline.ForEach(n, 0, job)
@@ -41,20 +40,9 @@ func (s *Session) PrefetchZeroShot() error {
 
 // PrefetchInContext evaluates the Section 4 grid (few-shot methods ×
 // shot counts plus both rule kinds, per model and dataset) in
-// parallel. Rule sets and demonstration selectors are built up front
-// to avoid duplicate construction across workers.
+// parallel. Workers that need one rule set or demonstration selector
+// share its single computation through the session cache.
 func (s *Session) PrefetchInContext() error {
-	for _, key := range s.Cfg.datasets() {
-		for _, method := range DemoMethods() {
-			s.selector(method, key)
-		}
-		domain := datasets.MustLoad(key).Schema.Domain
-		for _, kind := range []RuleKind{RulesHandwritten, RulesLearned} {
-			if _, err := s.RuleSet(kind, domain); err != nil {
-				return err
-			}
-		}
-	}
 	type job struct {
 		model, dataset string
 		method         DemoMethod

@@ -21,17 +21,16 @@ import (
 type Session struct {
 	Cfg Config
 
-	mu          sync.Mutex
-	zeroShot    map[string]core.Result // model|design|dataset
-	fewShot     map[string]core.Result // model|dataset|method|k
-	ruleRuns    map[string]core.Result // model|dataset|kind
-	ftRuns      map[string]core.Result // model|trainedOn|dataset
-	adapters    map[string]llm.Adapter // model|dataset
-	plms        map[string]*plm.Model  // variant|dataset
-	ruleSets    map[string][]string    // kind|domain
-	selectors   map[string]core.DemoSelector
-	models      map[string]*llm.Model
-	explainData map[string]explanationData
+	mu    sync.Mutex
+	cache map[string]*cacheEntry
+}
+
+// cacheEntry is one value of the session cache; ready is closed once
+// val and err are filled in.
+type cacheEntry struct {
+	ready chan struct{}
+	val   any
+	err   error
 }
 
 // NewSession prepares a session for the configuration.
@@ -39,53 +38,61 @@ func NewSession(cfg Config) *Session {
 	if cfg.FTEpochs == 0 {
 		cfg.FTEpochs = 10
 	}
-	return &Session{
-		Cfg:       cfg,
-		zeroShot:  map[string]core.Result{},
-		fewShot:   map[string]core.Result{},
-		ruleRuns:  map[string]core.Result{},
-		ftRuns:    map[string]core.Result{},
-		adapters:  map[string]llm.Adapter{},
-		plms:      map[string]*plm.Model{},
-		ruleSets:  map[string][]string{},
-		selectors: map[string]core.DemoSelector{},
-		models:    map[string]*llm.Model{},
+	return &Session{Cfg: cfg, cache: map[string]*cacheEntry{}}
+}
+
+// cached returns the value of key, computing it on first use.
+// Concurrent callers of one key wait for a single computation. A
+// failed computation is not kept: its waiters get the error and the
+// next call computes again. No lock is held while compute runs, so it
+// may call cached for other keys. Keys start with the name of the
+// cached kind, which keeps the value types apart.
+func cached[T any](s *Session, key string, compute func() (T, error)) (T, error) {
+	s.mu.Lock()
+	e, ok := s.cache[key]
+	if !ok {
+		e = &cacheEntry{ready: make(chan struct{})}
+		s.cache[key] = e
 	}
+	s.mu.Unlock()
+	if !ok {
+		e.val, e.err = compute()
+		if e.err != nil {
+			s.mu.Lock()
+			delete(s.cache, key)
+			s.mu.Unlock()
+		}
+		close(e.ready)
+	}
+	<-e.ready
+	if e.err != nil {
+		var zero T
+		return zero, e.err
+	}
+	v, _ := e.val.(T) // a nil interface value is stored as a nil any
+	return v, nil
 }
 
 // Model returns the (cached) simulated model.
 func (s *Session) Model(name string) *llm.Model {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m, ok := s.models[name]; ok {
-		return m
-	}
-	m := llm.MustNew(name)
-	s.models[name] = m
+	m, _ := cached(s, "model|"+name, func() (*llm.Model, error) {
+		return llm.MustNew(name), nil
+	})
 	return m
 }
 
 // ZeroShot evaluates one model with one prompt design on one
 // dataset's test split.
 func (s *Session) ZeroShot(model string, design prompt.Design, dataset string) (core.Result, error) {
-	key := model + "|" + design.Name + "|" + dataset
-	s.mu.Lock()
-	if r, ok := s.zeroShot[key]; ok {
-		s.mu.Unlock()
+	return cached(s, "zeroshot|"+model+"|"+design.Name+"|"+dataset, func() (core.Result, error) {
+		ds := datasets.MustLoad(dataset)
+		m := &core.Matcher{Client: s.Model(model), Design: design, Domain: ds.Schema.Domain, Workers: s.Cfg.Workers}
+		r, err := m.Evaluate(s.Cfg.testPairs(ds))
+		if err != nil {
+			return core.Result{}, fmt.Errorf("experiments: zero-shot %s/%s/%s: %w", model, design.Name, dataset, err)
+		}
 		return r, nil
-	}
-	s.mu.Unlock()
-
-	ds := datasets.MustLoad(dataset)
-	m := &core.Matcher{Client: s.Model(model), Design: design, Domain: ds.Schema.Domain, Workers: s.Cfg.Workers}
-	r, err := m.Evaluate(s.Cfg.testPairs(ds))
-	if err != nil {
-		return core.Result{}, fmt.Errorf("experiments: zero-shot %s/%s/%s: %w", model, design.Name, dataset, err)
-	}
-	s.mu.Lock()
-	s.zeroShot[key] = r
-	s.mu.Unlock()
-	return r, nil
+	})
 }
 
 // BestZeroShot returns the best zero-shot design and its result for a
@@ -127,37 +134,28 @@ func DemoMethods() []DemoMethod {
 // training pool for product datasets and from DBLP-Scholar for
 // publication datasets, as in the paper.
 func (s *Session) selector(method DemoMethod, dataset string) core.DemoSelector {
-	key := string(method) + "|" + dataset
-	s.mu.Lock()
-	if sel, ok := s.selectors[key]; ok {
-		s.mu.Unlock()
-		return sel
-	}
-	s.mu.Unlock()
-
-	ds := datasets.MustLoad(dataset)
-	var sel core.DemoSelector
-	switch method {
-	case DemoRandom:
-		sel = icl.NewRandom(ds.TrainVal(), dataset)
-	case DemoRelated:
-		sel = icl.NewRelated(ds.TrainVal())
-	case DemoHandpicked:
-		sourceKey := "wdc"
-		if ds.Schema.Domain == entity.Publication {
-			sourceKey = "ds"
+	sel, _ := cached(s, "selector|"+string(method)+"|"+dataset, func() (core.DemoSelector, error) {
+		ds := datasets.MustLoad(dataset)
+		var sel core.DemoSelector
+		switch method {
+		case DemoRandom:
+			sel = icl.NewRandom(ds.TrainVal(), dataset)
+		case DemoRelated:
+			sel = icl.NewRelated(ds.TrainVal())
+		case DemoHandpicked:
+			sourceKey := "wdc"
+			if ds.Schema.Domain == entity.Publication {
+				sourceKey = "ds"
+			}
+			source := datasets.MustLoad(sourceKey)
+			sel = icl.NewHandpicked(icl.CurateHandpicked(source.Train, 10))
+		default:
+			panic("experiments: unknown demo method " + string(method))
 		}
-		source := datasets.MustLoad(sourceKey)
-		sel = icl.NewHandpicked(icl.CurateHandpicked(source.Train, 10))
-	default:
-		panic("experiments: unknown demo method " + string(method))
-	}
-	// Selection depends only on the query and k, not on the model;
-	// memoize it so the six models share one selection pass.
-	sel = &memoSelector{inner: sel}
-	s.mu.Lock()
-	s.selectors[key] = sel
-	s.mu.Unlock()
+		// Selection depends only on the query and k, not on the model;
+		// memoize it so the six models share one selection pass.
+		return &memoSelector{inner: sel}, nil
+	})
 	return sel
 }
 
@@ -229,30 +227,22 @@ func mustDesign(name string) prompt.Design {
 // given method.
 func (s *Session) FewShot(model, dataset string, method DemoMethod, k int) (core.Result, error) {
 	key := fmt.Sprintf("%s|%s|%s|%d", model, dataset, method, k)
-	s.mu.Lock()
-	if r, ok := s.fewShot[key]; ok {
-		s.mu.Unlock()
+	return cached(s, "fewshot|"+key, func() (core.Result, error) {
+		ds := datasets.MustLoad(dataset)
+		m := &core.Matcher{
+			Client:  s.Model(model),
+			Design:  fewShotDesign,
+			Domain:  ds.Schema.Domain,
+			Demos:   s.selector(method, dataset),
+			Shots:   k,
+			Workers: s.Cfg.Workers,
+		}
+		r, err := m.Evaluate(s.Cfg.testPairs(ds))
+		if err != nil {
+			return core.Result{}, fmt.Errorf("experiments: few-shot %s: %w", key, err)
+		}
 		return r, nil
-	}
-	s.mu.Unlock()
-
-	ds := datasets.MustLoad(dataset)
-	m := &core.Matcher{
-		Client:  s.Model(model),
-		Design:  fewShotDesign,
-		Domain:  ds.Schema.Domain,
-		Demos:   s.selector(method, dataset),
-		Shots:   k,
-		Workers: s.Cfg.Workers,
-	}
-	r, err := m.Evaluate(s.Cfg.testPairs(ds))
-	if err != nil {
-		return core.Result{}, fmt.Errorf("experiments: few-shot %s: %w", key, err)
-	}
-	s.mu.Lock()
-	s.fewShot[key] = r
-	s.mu.Unlock()
-	return r, nil
+	})
 }
 
 // RuleKind distinguishes handwritten from learned rules.
@@ -268,137 +258,84 @@ const (
 // Learned rules are generated by GPT-4 from the hand-picked
 // demonstration pool of the domain, per the paper.
 func (s *Session) RuleSet(kind RuleKind, domain entity.Domain) ([]string, error) {
-	key := string(kind) + "|" + domain.String()
-	s.mu.Lock()
-	if rs, ok := s.ruleSets[key]; ok {
-		s.mu.Unlock()
-		return rs, nil
-	}
-	s.mu.Unlock()
-
-	var rs []string
-	if kind == RulesHandwritten {
-		rs = rules.Handwritten(domain)
-	} else {
+	return cached(s, "ruleset|"+string(kind)+"|"+domain.String(), func() ([]string, error) {
+		if kind == RulesHandwritten {
+			return rules.Handwritten(domain), nil
+		}
 		sourceKey := "wdc"
 		if domain == entity.Publication {
 			sourceKey = "ds"
 		}
 		examples := icl.CurateHandpicked(datasets.MustLoad(sourceKey).Train, 10)
-		var err error
-		rs, err = rules.Learn(s.Model(llm.GPT4), domain, examples)
-		if err != nil {
-			return nil, err
-		}
-	}
-	s.mu.Lock()
-	s.ruleSets[key] = rs
-	s.mu.Unlock()
-	return rs, nil
+		return rules.Learn(s.Model(llm.GPT4), domain, examples)
+	})
 }
 
 // WithRules evaluates a model with a rule-augmented prompt.
 func (s *Session) WithRules(model, dataset string, kind RuleKind) (core.Result, error) {
 	key := model + "|" + dataset + "|" + string(kind)
-	s.mu.Lock()
-	if r, ok := s.ruleRuns[key]; ok {
-		s.mu.Unlock()
+	return cached(s, "rules|"+key, func() (core.Result, error) {
+		ds := datasets.MustLoad(dataset)
+		rs, err := s.RuleSet(kind, ds.Schema.Domain)
+		if err != nil {
+			return core.Result{}, err
+		}
+		m := &core.Matcher{
+			Client:  s.Model(model),
+			Design:  fewShotDesign,
+			Domain:  ds.Schema.Domain,
+			Rules:   rs,
+			Workers: s.Cfg.Workers,
+		}
+		r, err := m.Evaluate(s.Cfg.testPairs(ds))
+		if err != nil {
+			return core.Result{}, fmt.Errorf("experiments: rules %s: %w", key, err)
+		}
 		return r, nil
-	}
-	s.mu.Unlock()
-
-	ds := datasets.MustLoad(dataset)
-	rs, err := s.RuleSet(kind, ds.Schema.Domain)
-	if err != nil {
-		return core.Result{}, err
-	}
-	m := &core.Matcher{
-		Client:  s.Model(model),
-		Design:  fewShotDesign,
-		Domain:  ds.Schema.Domain,
-		Rules:   rs,
-		Workers: s.Cfg.Workers,
-	}
-	r, err := m.Evaluate(s.Cfg.testPairs(ds))
-	if err != nil {
-		return core.Result{}, fmt.Errorf("experiments: rules %s: %w", key, err)
-	}
-	s.mu.Lock()
-	s.ruleRuns[key] = r
-	s.mu.Unlock()
-	return r, nil
+	})
 }
 
 // Adapter fine-tunes (or returns the cached adapter of) a model on a
 // dataset.
 func (s *Session) Adapter(model, dataset string) (llm.Adapter, error) {
-	key := model + "|" + dataset
-	s.mu.Lock()
-	if a, ok := s.adapters[key]; ok {
-		s.mu.Unlock()
-		return a, nil
-	}
-	s.mu.Unlock()
-
-	a, err := finetune.Train(model, datasets.MustLoad(dataset), finetune.Options{Epochs: s.Cfg.FTEpochs})
-	if err != nil {
-		return llm.Adapter{}, err
-	}
-	s.mu.Lock()
-	s.adapters[key] = a
-	s.mu.Unlock()
-	return a, nil
+	return cached(s, "adapter|"+model+"|"+dataset, func() (llm.Adapter, error) {
+		return finetune.Train(model, datasets.MustLoad(dataset), finetune.Options{Epochs: s.Cfg.FTEpochs})
+	})
 }
 
 // FineTuned evaluates a model fine-tuned on trainedOn against another
 // dataset's test split (the Table 7 transfer matrix).
 func (s *Session) FineTuned(model, trainedOn, dataset string) (core.Result, error) {
 	key := model + "|" + trainedOn + "|" + dataset
-	s.mu.Lock()
-	if r, ok := s.ftRuns[key]; ok {
-		s.mu.Unlock()
+	return cached(s, "finetuned|"+key, func() (core.Result, error) {
+		adapter, err := s.Adapter(model, trainedOn)
+		if err != nil {
+			return core.Result{}, err
+		}
+		client, err := llm.NewFineTuned(model, adapter)
+		if err != nil {
+			return core.Result{}, err
+		}
+		ds := datasets.MustLoad(dataset)
+		m := &core.Matcher{Client: client, Design: ftDesign, Domain: ds.Schema.Domain, Workers: s.Cfg.Workers}
+		r, err := m.Evaluate(s.Cfg.testPairs(ds))
+		if err != nil {
+			return core.Result{}, fmt.Errorf("experiments: fine-tuned %s: %w", key, err)
+		}
 		return r, nil
-	}
-	s.mu.Unlock()
-
-	adapter, err := s.Adapter(model, trainedOn)
-	if err != nil {
-		return core.Result{}, err
-	}
-	client, err := llm.NewFineTuned(model, adapter)
-	if err != nil {
-		return core.Result{}, err
-	}
-	ds := datasets.MustLoad(dataset)
-	m := &core.Matcher{Client: client, Design: ftDesign, Domain: ds.Schema.Domain, Workers: s.Cfg.Workers}
-	r, err := m.Evaluate(s.Cfg.testPairs(ds))
-	if err != nil {
-		return core.Result{}, fmt.Errorf("experiments: fine-tuned %s: %w", key, err)
-	}
-	s.mu.Lock()
-	s.ftRuns[key] = r
-	s.mu.Unlock()
-	return r, nil
+	})
 }
 
 // PLM trains (or returns the cached) baseline of a variant on a
 // dataset, with its decision threshold fitted on the validation
 // split.
 func (s *Session) PLM(variant plm.Variant, dataset string) *plm.Model {
-	key := variant.String() + "|" + dataset
-	s.mu.Lock()
-	if m, ok := s.plms[key]; ok {
-		s.mu.Unlock()
-		return m
-	}
-	s.mu.Unlock()
-
-	ds := datasets.MustLoad(dataset)
-	m := plm.New(variant)
-	m.Train(ds.TrainVal(), dataset, plm.DefaultOptions())
-	m.FitThreshold(ds.Val)
-	s.mu.Lock()
-	s.plms[key] = m
-	s.mu.Unlock()
+	m, _ := cached(s, "plm|"+variant.String()+"|"+dataset, func() (*plm.Model, error) {
+		ds := datasets.MustLoad(dataset)
+		m := plm.New(variant)
+		m.Train(ds.TrainVal(), dataset, plm.DefaultOptions())
+		m.FitThreshold(ds.Val)
+		return m, nil
+	})
 	return m
 }

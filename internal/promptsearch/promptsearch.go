@@ -110,7 +110,7 @@ func Search(client llm.Client, domain entity.Domain, validation []entity.Pair, o
 	rng := detrand.New(opts.Seed, client.Name())
 	pop := initialPopulation(rng, opts.Population)
 	for i := range pop {
-		f1, err := evaluate(client, domain, pop[i], validation)
+		f1, err := Evaluate(client, domain, pop[i], validation)
 		if err != nil {
 			return nil, err
 		}
@@ -128,7 +128,7 @@ func Search(client llm.Client, domain entity.Domain, validation []entity.Pair, o
 		for len(next) < opts.Population {
 			parent := next[rng.Intn(keep)]
 			child := mutate(rng, parent)
-			f1, err := evaluate(client, domain, child, validation)
+			f1, err := Evaluate(client, domain, child, validation)
 			if err != nil {
 				return nil, err
 			}
@@ -193,7 +193,9 @@ func lastSentence(task string) string {
 	return task
 }
 
-func evaluate(client llm.Client, domain entity.Domain, c Candidate, pairs []entity.Pair) (float64, error) {
+// Evaluate returns the F1 of the candidate's prompts on the pairs,
+// asking the model one pair at a time.
+func Evaluate(client llm.Client, domain entity.Domain, c Candidate, pairs []entity.Pair) (float64, error) {
 	var conf eval.Confusion
 	for _, p := range pairs {
 		resp, err := client.Chat([]llm.Message{{Role: llm.User, Content: c.Render(domain, p)}})
