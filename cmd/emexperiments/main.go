@@ -34,7 +34,7 @@ func main() {
 	futurework := flag.Bool("futurework", false, "run the Section 7.2 future-work error-profile comparison")
 	maxTest := flag.Int("maxtest", 0, "cap test pairs per dataset (0 = full)")
 	epochs := flag.Int("epochs", 10, "fine-tuning epochs")
-	workers := flag.Int("workers", 0, "pairs in flight per pairwise evaluation (0 = pipeline default); batched-prompt rows submit all pairs at once")
+	workers := flag.Int("workers", 0, "pairs in flight per pairwise evaluation, candidate groups in flight for -robustness/-crossdomain/-strategies (0 = pipeline default); batched-prompt rows submit all pairs at once")
 	format := flag.String("format", "text", "output format: text or md")
 	report := flag.String("report", "", "write the complete markdown report to this file")
 	diagnostics := flag.Bool("diagnostics", false, "print the benchmark difficulty diagnostics")

@@ -110,7 +110,6 @@ func main() {
 	maxCents := flag.Float64("max-cents", 0, "max estimated cents per resolve (0 = uncapped)")
 	strategyName := flag.String("strategy", "match", "uncertain-band prompt strategy: match, compare or select")
 	reasonTier := flag.Bool("reason-tier", false, "re-decide pairs whose LLM verdict conflicts with the local scorer via a structured reasoning prompt")
-	shards := flag.Int("shards", 0, "index shards (0 = default)")
 	candidates := flag.Int("candidates", 0, "max blocking candidates per resolve (0 = default)")
 	dispatchPairs := flag.Int("dispatch-pairs", 16, "coalesce uncertain pairs from concurrent resolves into batched prompts of up to N pairs (0 = one round-trip per pair)")
 	dispatchFlush := flag.Duration("dispatch-flush", 0, "max wait for batch-mates before a partial batch is flushed (0 = default)")
@@ -168,7 +167,6 @@ func main() {
 	ready := &atomic.Bool{}
 
 	store, err := llm4em.OpenStore(client, llm4em.StoreOptions{
-		Shards:        *shards,
 		MaxCandidates: *candidates,
 		Design:        design,
 		Domain:        domain,

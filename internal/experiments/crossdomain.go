@@ -74,11 +74,11 @@ func CalibrateThresholds(client llm.Client, workers int, sets []CalibrationSet) 
 		if len(band) > 0 {
 			// Both thresholds negative: the no-cascade band, in which the
 			// model answers every pair.
-			res, err := resolve.EvaluatePairs(client, resolve.EvalOptions{
+			res, err := resolve.Evaluate(client, resolve.EvalOptions{
 				Cascade: resolve.CascadeOptions{AcceptAbove: -1, RejectBelow: -1},
 				Domain:  set.Domain,
 				Workers: workers,
-			}, band)
+			}, resolve.PerPair(band))
 			if err != nil {
 				return ThresholdCalibration{}, fmt.Errorf("experiments: calibrate: %w", err)
 			}
@@ -161,7 +161,8 @@ type CrossDomainConfig struct {
 	// held-out domain (0 = all).
 	MaxCalibration int
 	MaxTest        int
-	// Workers bounds the engine worker pool (0 = pipeline default).
+	// Workers sizes the engine worker pool and bounds the candidate
+	// groups evaluated at once (0 = pipeline default).
 	Workers int
 }
 
@@ -238,14 +239,14 @@ func CrossDomain(cfg CrossDomainConfig) ([]CrossDomainRow, error) {
 		}
 		test := Config{MaxTest: c.MaxTest}.testPairs(loaded[i])
 		evalWith := func(th ThresholdCalibration) (resolve.EvalResult, error) {
-			return resolve.EvaluatePairs(client, resolve.EvalOptions{
+			return resolve.Evaluate(client, resolve.EvalOptions{
 				Cascade: resolve.CascadeOptions{
 					AcceptAbove: th.AcceptAbove,
 					RejectBelow: th.RejectBelow,
 				},
 				Domain:  loaded[i].Schema.Domain,
 				Workers: c.Workers,
-			}, test)
+			}, resolve.PerPair(test))
 		}
 		tRes, err := evalWith(transferred)
 		if err != nil {

@@ -59,7 +59,8 @@ type RobustnessConfig struct {
 	// Cascade tunes the cascade under test; the zero value is the
 	// production default (0.9/0.15 thresholds, ideal weights).
 	Cascade resolve.CascadeOptions
-	// Workers bounds the engine worker pool (0 = pipeline default).
+	// Workers sizes the engine worker pool and bounds the candidate
+	// groups evaluated at once (0 = pipeline default).
 	Workers int
 }
 
@@ -135,7 +136,7 @@ func Robustness(cfg RobustnessConfig) ([]RobustnessCell, error) {
 		}
 		evalCell := func(kind datasets.CorruptionKind, level int) (RobustnessCell, error) {
 			cor := datasets.ForLevel(c.Seed, kind, level)
-			res, err := resolve.EvaluatePairs(client, opts, cor.CorruptPairs(pairs))
+			res, err := resolve.Evaluate(client, opts, resolve.PerPair(cor.CorruptPairs(pairs)))
 			if err != nil {
 				return RobustnessCell{}, fmt.Errorf("experiments: robustness %s/%s level %d: %w",
 					dom.Name, kind, level, err)

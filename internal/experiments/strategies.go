@@ -55,7 +55,8 @@ type StrategiesConfig struct {
 	// Bands are the uncertain-band widths to sweep (nil means
 	// StrategyBands).
 	Bands []StrategyBand
-	// Workers bounds the engine worker pool (0 = pipeline default).
+	// Workers sizes the engine worker pool and bounds the candidate
+	// groups evaluated at once (0 = pipeline default).
 	Workers int
 }
 
@@ -161,7 +162,7 @@ func Strategies(cfg StrategiesConfig) ([]StrategyCell, error) {
 				Domain:  ds.Schema.Domain,
 				Workers: c.Workers,
 			}
-			res, err := resolve.EvaluateGroups(client, opts, groups)
+			res, err := resolve.Evaluate(client, opts, groups)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: strategies %s/%s: %w", v.label, band.Name, err)
 			}

@@ -10,6 +10,7 @@ import (
 	"llm4em/internal/detrand"
 	"llm4em/internal/entity"
 	"llm4em/internal/features"
+	"llm4em/internal/textsim"
 	"llm4em/internal/tokenize"
 )
 
@@ -327,7 +328,7 @@ func formatKey(pp ParsedPrompt) string {
 }
 
 // meanDemoSimilarity measures how related the demonstrations are to
-// the query pair (Generalized-Jaccard token overlap of serialized
+// the query pair (mean Jaccard token-set overlap of the serialized
 // strings), in [0, 1].
 func meanDemoSimilarity(demos []Demo, query string) float64 {
 	if len(demos) == 0 {
@@ -337,34 +338,9 @@ func meanDemoSimilarity(demos []Demo, query string) float64 {
 	total := 0.0
 	for _, d := range demos {
 		dTokens := tokenize.Words(d.A + " " + d.B)
-		total += jaccard(qTokens, dTokens)
+		total += textsim.Jaccard(qTokens, dTokens)
 	}
 	return total / float64(len(demos))
-}
-
-func jaccard(a, b []string) float64 {
-	sa := map[string]bool{}
-	for _, t := range a {
-		sa[t] = true
-	}
-	sb := map[string]bool{}
-	for _, t := range b {
-		sb[t] = true
-	}
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	inter := 0
-	for t := range sa {
-		if sb[t] {
-			inter++
-		}
-	}
-	union := len(sa) + len(sb) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
 }
 
 // ruleFeatureMentions maps rule keywords to feature dimensions.

@@ -14,18 +14,17 @@ import (
 )
 
 // This file is the offline-evaluation entry point of the cascade: it
-// runs labelled pairs — typically corrupted ones from the dirty-data
-// harness (internal/datasets.Corruptor, internal/experiments
-// robustness sweep) — through exactly the scorer-then-LLM routing a
-// live Store applies to blocking candidates, and reports quality and
-// cost per pair set. Blocking, the entity graph and persistence are
-// deliberately out of scope: the harness measures the matcher, not
-// the index.
+// runs labelled candidate groups — one query record against its
+// candidates, the shape a live Store escalates — through the scorer
+// and the serving escalator, so thresholds, budgets, strategies and
+// the reason tier are measured as deployed. Blocking, the entity
+// graph and persistence are out of scope: the harness measures the
+// matcher, not the index.
 
 // EvalOptions configures an offline cascade evaluation.
 type EvalOptions struct {
-	// Cascade tunes the thresholds, weights and budgets, exactly as on
-	// a live Store.
+	// Cascade tunes the thresholds, weights, budgets, strategy and
+	// reason tier, exactly as on a live Store.
 	Cascade CascadeOptions
 	// Design is the prompt design for escalated pairs (zero value
 	// selects DefaultDesign, as on a Store).
@@ -33,37 +32,9 @@ type EvalOptions struct {
 	// Domain is the topical domain baked into escalation prompts.
 	Domain entity.Domain
 	// Workers sizes the pipeline engine's worker pool and bounds the
-	// pairs EvaluatePairs has in flight (zero selects
+	// groups Evaluate has in flight (zero selects
 	// pipeline.DefaultWorkers).
 	Workers int
-}
-
-func (o EvalOptions) withDefaults() EvalOptions {
-	if o.Design.Name == "" {
-		o.Design, _ = prompt.DesignByName(DefaultDesign)
-	}
-	return o
-}
-
-// escalator is the serving escalator over a fresh engine, with batches
-// of one: every escalated pair is its own round-trip, as in serving
-// with DispatchPairs ≤ 1. The caller closes it.
-func (o EvalOptions) escalator(client llm.Client) *escalator {
-	return newEscalator(pipeline.New(client, pipeline.Options{Workers: o.Workers}),
-		prompt.Spec{Design: o.Design, Domain: o.Domain}, o.Cascade, dispatch.Options{})
-}
-
-// runEach is the offline pairwise pass: plans[i] is pairs[i]'s own
-// one-pair plan, and each plan with the pair in its band sends it
-// through runMatch, at most Workers pairs at a time.
-func (e *escalator) runEach(pairs []entity.Pair, plans []cascadePlan) error {
-	return pipeline.ForEach(len(pairs), e.eng.Workers(), func(i int) error {
-		if len(plans[i].llm) == 0 {
-			return nil
-		}
-		_, err := e.runMatch(context.Background(), pairs[i:i+1], &plans[i])
-		return err
-	})
 }
 
 // PairOutcome is the cascade's verdict on one labelled pair.
@@ -82,62 +53,128 @@ type PairOutcome struct {
 
 // EvalResult aggregates one offline cascade evaluation.
 type EvalResult struct {
-	// Outcomes holds the per-pair verdicts in input order.
+	// Outcomes holds the per-pair verdicts, groups in input order and
+	// pairs in group order.
 	Outcomes []PairOutcome
 	// Confusion tallies decisions against gold labels; its F1 is the
 	// headline quality number.
 	Confusion eval.Confusion
-	// Report sums the cascade accounting over all pairs: local
-	// accepts/rejects, LLM pairs, token usage and cents.
+	// Report sums the cascade accounting over all groups: local
+	// accepts/rejects, LLM pairs, token usage, cents and the
+	// per-strategy usage split.
 	Report CostReport
+	// EscalatedGroups counts groups with at least one uncertain pair —
+	// the denominator for calls-per-escalated-query comparisons.
+	EscalatedGroups int
+	// ClientCalls is the engine's fresh client round-trip count over
+	// the whole evaluation (grouped prompts count once, cache hits not
+	// at all).
+	ClientCalls uint64
 }
 
 // F1 returns the F1 score of the evaluation in [0, 100].
 func (r EvalResult) F1() float64 { return r.Confusion.F1() }
 
-// EvaluatePairs runs labelled pairs through the cascade matcher: the
-// local scorer decides the confident ones, and the band between the
-// thresholds goes to the client through the serving escalator's
-// pairwise pass, whatever Cascade.Strategy says. The returned result
-// carries per-pair outcomes, the confusion against the gold labels and
-// the aggregated cost report.
+// Evaluate runs labelled candidate groups through the cascade matcher.
+// Each group is one query's labelled pairs, all sharing pair.A: the
+// local scorer decides the confident pairs, and the group's uncertain
+// band is escalated exactly as a live Resolve call would — per-pair
+// match prompts, or one grouped compare/select prompt under
+// Cascade.Strategy, plus the optional reason-tier second pass. Every
+// prompt is its own round-trip, as in serving with DispatchPairs ≤ 1.
 //
-// Evaluation is deterministic for the deterministic simulated models
-// regardless of Workers, so corrupted sweeps are reproducible from
+// Groups run at most Workers at a time and fold in input order, so
+// the result is deterministic for the deterministic simulated models
+// regardless of Workers, and corrupted sweeps are reproducible from
 // the corruption seed alone.
-func EvaluatePairs(client llm.Client, opts EvalOptions, pairs []entity.Pair) (EvalResult, error) {
-	o := opts.withDefaults()
-	res := EvalResult{Outcomes: make([]PairOutcome, len(pairs))}
-	if len(pairs) == 0 {
-		return res, nil
+func Evaluate(client llm.Client, opts EvalOptions, groups [][]entity.Pair) (EvalResult, error) {
+	if opts.Design.Name == "" {
+		opts.Design, _ = prompt.DesignByName(DefaultDesign)
 	}
-	// Each pair is its own single-candidate plan, so Store semantics —
-	// thresholds, hardness ordering, budgets — apply unchanged.
-	plans := make([]cascadePlan, len(pairs))
-	for i, p := range pairs {
-		ea := features.ExtractText(p.A.Serialize())
-		eb := features.ExtractText(p.B.Serialize())
-		plans[i] = o.Cascade.plan(ea, []string{p.B.ID}, []features.Extracted{eb}, []float64{0}, nil)
-	}
-	esc := o.escalator(client)
+	esc := newEscalator(pipeline.New(client, pipeline.Options{Workers: opts.Workers}),
+		prompt.Spec{Design: opts.Design, Domain: opts.Domain}, opts.Cascade, dispatch.Options{})
 	defer esc.close()
-	if err := esc.runEach(pairs, plans); err != nil {
-		return EvalResult{}, fmt.Errorf("resolve: evaluate pairs: %w", err)
-	}
-	res.Report.Priced = esc.priced
-	for i, p := range pairs {
-		d := plans[i].decisions[0]
-		res.Outcomes[i] = PairOutcome{
-			PairID:      p.ID,
-			Gold:        p.Match,
-			Probability: d.Probability,
-			Match:       d.Match,
-			Method:      d.Method,
+
+	plans := make([]cascadePlan, len(groups))
+	err := pipeline.ForEach(len(groups), esc.eng.Workers(), func(gi int) error {
+		g := groups[gi]
+		if len(g) == 0 {
+			return nil
 		}
-		res.Confusion.Add(p.Match, d.Match)
-		res.Report.Add(plans[i].report)
+		candIDs := make([]string, len(g))
+		candExts := make([]features.Extracted, len(g))
+		for i, p := range g {
+			candIDs[i] = p.B.ID
+			candExts[i] = features.ExtractText(p.B.Serialize())
+		}
+		plan := opts.Cascade.plan(features.ExtractText(g[0].A.Serialize()),
+			candIDs, candExts, make([]float64, len(g)), nil)
+		if len(plan.llm) > 0 {
+			band := make([]entity.Pair, len(plan.llm))
+			for j, i := range plan.llm {
+				band[j] = g[i]
+			}
+			if _, err := esc.run(context.Background(), band, &plan); err != nil {
+				return fmt.Errorf("resolve: evaluate: group %d: %w", gi, err)
+			}
+		}
+		plans[gi] = plan
+		return nil
+	})
+	if err != nil {
+		return EvalResult{}, err
+	}
+
+	res := EvalResult{ClientCalls: esc.eng.Stats().ClientCalls}
+	res.Report.Priced = esc.priced
+	for gi, g := range groups {
+		if len(plans[gi].llm) > 0 {
+			res.EscalatedGroups++
+		}
+		for i, p := range g {
+			d := plans[gi].decisions[i]
+			res.Outcomes = append(res.Outcomes, PairOutcome{
+				PairID:      p.ID,
+				Gold:        p.Match,
+				Probability: d.Probability,
+				Match:       d.Match,
+				Method:      d.Method,
+			})
+			res.Confusion.Add(p.Match, d.Match)
+		}
+		res.Report.Add(plans[gi].report)
 	}
 	return res, nil
+}
+
+// PerPair makes each labelled pair its own group of one: the shape of
+// the dirty-data and calibration sweeps, which measure the matcher
+// pair by pair.
+func PerPair(pairs []entity.Pair) [][]entity.Pair {
+	groups := make([][]entity.Pair, len(pairs))
+	for i := range pairs {
+		groups[i] = pairs[i : i+1 : i+1]
+	}
+	return groups
+}
+
+// GroupPairs regroups a flat pair list by query record (pair.A),
+// consecutive or not. Groups come out in first-appearance order with
+// pairs in input order — the fixture shape the strategy ablation
+// sweeps.
+func GroupPairs(pairs []entity.Pair) [][]entity.Pair {
+	index := map[string]int{}
+	var groups [][]entity.Pair
+	for _, p := range pairs {
+		gi, ok := index[p.A.ID]
+		if !ok {
+			gi = len(groups)
+			index[p.A.ID] = gi
+			groups = append(groups, nil)
+		}
+		groups[gi] = append(groups[gi], p)
+	}
+	return groups
 }
 
 // LocalProbabilities returns the local scorer's match probability for

@@ -8,6 +8,7 @@ import (
 	"llm4em/internal/datasets"
 	"llm4em/internal/entity"
 	"llm4em/internal/llm"
+	"llm4em/internal/prompt"
 )
 
 // evalTestPairs caps a dataset's test split for eval tests, keeping
@@ -30,7 +31,7 @@ func TestEvaluatePairsSplitsCascade(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := evalTestPairs(t, "wdc", 150)
-	res, err := EvaluatePairs(model, EvalOptions{Domain: entity.Product}, pairs)
+	res, err := Evaluate(model, EvalOptions{Domain: entity.Product}, PerPair(pairs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,25 +79,56 @@ func TestEvaluatePairsSplitsCascade(t *testing.T) {
 	}
 }
 
-// TestEvaluatePairsDeterministic pins that evaluation is a pure
-// function of (client, options, pairs), including under worker
-// concurrency.
-func TestEvaluatePairsDeterministic(t *testing.T) {
+// TestEvaluateDeterministic pins that evaluation is a pure function
+// of (client, options, groups), including under worker concurrency:
+// corrupted pairs as groups of one, and grouped fixtures under compare
+// and select with the reason tier on.
+func TestEvaluateDeterministic(t *testing.T) {
 	model, err := llm.New("GPT-mini")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := datasets.ForLevel("det", datasets.CorruptEmbed, 2).CorruptPairs(evalTestPairs(t, "ag", 100))
-	a, err := EvaluatePairs(model, EvalOptions{Domain: entity.Product, Workers: 1}, pairs)
+	fixtures, err := datasets.GroupedPairs("wdc", "det", 12, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EvaluatePairs(model, EvalOptions{Domain: entity.Product, Workers: 8}, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Outcomes, b.Outcomes) || a.Confusion != b.Confusion {
-		t.Fatal("evaluation outcomes depend on worker concurrency")
+	corrupted := datasets.ForLevel("det", datasets.CorruptEmbed, 2).CorruptPairs(evalTestPairs(t, "ag", 100))
+	for _, tc := range []struct {
+		name    string
+		cascade CascadeOptions
+		groups  [][]entity.Pair
+	}{
+		{"per-pair", CascadeOptions{}, PerPair(corrupted)},
+		{"compare", CascadeOptions{Strategy: prompt.StrategyCompare, ReasonTier: true}, GroupPairs(fixtures)},
+		{"select", CascadeOptions{Strategy: prompt.StrategySelect, ReasonTier: true}, GroupPairs(fixtures)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(workers int) EvalResult {
+				res, err := Evaluate(model, EvalOptions{Domain: entity.Product, Cascade: tc.cascade, Workers: workers}, tc.groups)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			a, b := run(1), run(8)
+			if a.Report.LLMPairs == 0 {
+				t.Fatal("no pair escalated; the concurrency comparison is vacuous")
+			}
+			i := 0
+			for _, g := range tc.groups {
+				for _, p := range g {
+					if a.Outcomes[i].PairID != p.ID {
+						t.Fatalf("outcome %d has PairID %q, want the input pair's %q", i, a.Outcomes[i].PairID, p.ID)
+					}
+					i++
+				}
+			}
+			if !reflect.DeepEqual(a.Outcomes, b.Outcomes) || a.Confusion != b.Confusion ||
+				!reflect.DeepEqual(a.Report, b.Report) || a.ClientCalls != b.ClientCalls {
+				t.Fatalf("evaluation depends on worker concurrency:\n workers 1: %+v %d calls\n workers 8: %+v %d calls",
+					a.Report, a.ClientCalls, b.Report, b.ClientCalls)
+			}
+		})
 	}
 }
 
@@ -109,12 +141,12 @@ func TestEvaluatePairsCorruptionDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := evalTestPairs(t, "wdc", 200)
-	clean, err := EvaluatePairs(model, EvalOptions{Domain: entity.Product}, pairs)
+	clean, err := Evaluate(model, EvalOptions{Domain: entity.Product}, PerPair(pairs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirty, err := EvaluatePairs(model, EvalOptions{Domain: entity.Product},
-		datasets.Corruptor{Seed: "degrade", NullOut: 0.6, TypoRate: 0.3, NoiseWords: 3}.CorruptPairs(pairs))
+	dirty, err := Evaluate(model, EvalOptions{Domain: entity.Product},
+		PerPair(datasets.Corruptor{Seed: "degrade", NullOut: 0.6, TypoRate: 0.3, NoiseWords: 3}.CorruptPairs(pairs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +165,10 @@ func TestEvaluatePairsCorruptionDegrades(t *testing.T) {
 func TestEvaluatePairsLLMBudget(t *testing.T) {
 	client := &countingClient{}
 	pairs := evalTestPairs(t, "wdc", 80)
-	res, err := EvaluatePairs(client, EvalOptions{
+	res, err := Evaluate(client, EvalOptions{
 		Domain:  entity.Product,
 		Cascade: CascadeOptions{LLMBudget: -1},
-	}, pairs)
+	}, PerPair(pairs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +185,7 @@ func TestEvaluatePairsLLMBudget(t *testing.T) {
 
 // TestEvaluatePairsEmpty pins the degenerate input.
 func TestEvaluatePairsEmpty(t *testing.T) {
-	res, err := EvaluatePairs(&countingClient{}, EvalOptions{}, nil)
+	res, err := Evaluate(&countingClient{}, EvalOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +195,11 @@ func TestEvaluatePairsEmpty(t *testing.T) {
 }
 
 // TestLocalProbabilitiesMatchOutcomes pins that the threshold-free
-// scorer half agrees with the probabilities EvaluatePairs reports.
+// scorer half agrees with the probabilities Evaluate reports.
 func TestLocalProbabilitiesMatchOutcomes(t *testing.T) {
 	pairs := evalTestPairs(t, "ds", 60)
 	probs := LocalProbabilities(nil, pairs)
-	res, err := EvaluatePairs(&countingClient{}, EvalOptions{Domain: entity.Publication}, pairs)
+	res, err := Evaluate(&countingClient{}, EvalOptions{Domain: entity.Publication}, PerPair(pairs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +220,7 @@ func TestEvaluatePairsNoCascadeBand(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := evalTestPairs(t, "ds", 40)
-	res, err := EvaluatePairs(model, EvalOptions{Cascade: noCascade(), Domain: entity.Publication}, pairs)
+	res, err := Evaluate(model, EvalOptions{Cascade: noCascade(), Domain: entity.Publication}, PerPair(pairs))
 	if err != nil {
 		t.Fatal(err)
 	}

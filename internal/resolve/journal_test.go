@@ -118,7 +118,8 @@ func widgetRecords(n int) (seed, queries []entity.Record) {
 // and still queued; checkpoint two. `before` is the directory as
 // checkpoint two found it, `after` as it left it.
 func TestCheckpointCrashWindows(t *testing.T) {
-	opts := Options{Shards: 2, Cascade: noCascade(), Resilience: resilientOptions()}
+	withShards(t, 2)
+	opts := Options{Cascade: noCascade(), Resilience: resilientOptions()}
 	seed, queries := widgetRecords(12)
 	live, before, after := t.TempDir(), t.TempDir(), t.TempDir()
 	client := &outageClient{}
@@ -306,9 +307,10 @@ func growJournal(s *Store, tag string, n int) {
 // snapshot.json plus the journal.log extension — is the same for the
 // same delta whether 1 000 or 50 000 decisions were journaled before.
 func TestCheckpointBytesIndependentOfJournal(t *testing.T) {
+	withShards(t, 2)
 	written := func(journaled int) (snapshotBytes, journalDelta int64) {
 		dir := t.TempDir()
-		s, _ := mustOpen(t, dir, Options{Shards: 2})
+		s, _ := mustOpen(t, dir, Options{})
 		defer s.Close()
 		seed, queries := widgetRecords(40)
 		if err := s.AddBatch(seed); err != nil {
@@ -455,7 +457,8 @@ func checkJournalIndex(t *testing.T, s *Store, dir, when string) {
 func TestJournalIndexMatchesOracle(t *testing.T) {
 	seed, queries := widgetRecords(16)
 	client := &outageClient{}
-	opts := Options{Shards: 2, SnapshotEvery: -1, Cascade: noCascade(), Resilience: resilientOptions()}
+	withShards(t, 2)
+	opts := Options{SnapshotEvery: -1, Cascade: noCascade(), Resilience: resilientOptions()}
 	open := func(dir string, fsys persist.FS) *Store {
 		t.Helper()
 		o := opts

@@ -52,8 +52,8 @@ func TestMappedRestart(t *testing.T) {
 	b, client := mustOpen(t, dir, Options{})
 	defer b.Close()
 	ps := b.Stats().Persist
-	if ps.MappedShards != DefaultShards {
-		t.Fatalf("mapped recovery stats: %+v, want %d mapped shards", ps, DefaultShards)
+	if ps.MappedShards != defaultShards {
+		t.Fatalf("mapped recovery stats: %+v, want %d mapped shards", ps, defaultShards)
 	}
 	if got := client.calls.Load(); got != 0 {
 		t.Fatalf("mapped recovery made %d LLM calls, want 0", got)
@@ -121,8 +121,8 @@ func TestMappedCheckpointCycles(t *testing.T) {
 	}
 
 	b, _ := mustOpen(t, dir, Options{})
-	if got := b.Stats().Persist.MappedShards; got != DefaultShards {
-		t.Fatalf("first reopen mapped %d shards, want %d", got, DefaultShards)
+	if got := b.Stats().Persist.MappedShards; got != defaultShards {
+		t.Fatalf("first reopen mapped %d shards, want %d", got, defaultShards)
 	}
 	if err := b.AddBatch(seed[6:]); err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestMappedCheckpointCycles(t *testing.T) {
 	c, _ := mustOpen(t, dir, Options{})
 	defer c.Close()
 	ps := c.Stats().Persist
-	if ps.MappedShards != DefaultShards || ps.IndexEpoch != 2 {
+	if ps.MappedShards != defaultShards || ps.IndexEpoch != 2 {
 		t.Fatalf("second reopen persist stats: %+v, want epoch 2 fully mapped", ps)
 	}
 	if c.Len() != len(seed) {
@@ -150,10 +150,10 @@ func TestMappedCheckpointCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(matches) != DefaultShards {
-		t.Fatalf("%d emx files on disk after cleanup, want %d: %v", len(matches), DefaultShards, matches)
+	if len(matches) != defaultShards {
+		t.Fatalf("%d emx files on disk after cleanup, want %d: %v", len(matches), defaultShards, matches)
 	}
-	for i := 0; i < DefaultShards; i++ {
+	for i := 0; i < defaultShards; i++ {
 		p := filepath.Join(dir, persist.IndexFileName(2, i))
 		if _, err := os.Stat(p); err != nil {
 			t.Errorf("epoch-2 shard file missing: %v", err)
@@ -254,7 +254,8 @@ func TestMappedDamageFailsOpen(t *testing.T) {
 func TestCheckpointIndexWriteFails(t *testing.T) {
 	seed, queries := widgetRecords(16)
 	dir := t.TempDir()
-	opts := Options{Shards: 2, Cascade: noCascade()}
+	withShards(t, 2)
+	opts := Options{Cascade: noCascade()}
 	s, _ := mustOpen(t, dir, opts)
 	resolveAll := func(qs []entity.Record) {
 		t.Helper()
@@ -319,7 +320,8 @@ func TestCheckpointIndexWriteFails(t *testing.T) {
 func TestCheckpointSweepsStrayFiles(t *testing.T) {
 	seed, _ := widgetRecords(8)
 	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, Options{Shards: 2})
+	withShards(t, 2)
+	s, _ := mustOpen(t, dir, Options{})
 	defer s.Close()
 	if err := s.AddBatch(seed); err != nil {
 		t.Fatal(err)
@@ -356,7 +358,8 @@ func TestCheckpointDirSyncFails(t *testing.T) {
 	seed, queries := widgetRecords(8)
 	dir := t.TempDir()
 	t.Cleanup(func() { os.Chmod(dir, 0o700) }) // before TempDir's removal
-	s, _ := mustOpen(t, dir, Options{Shards: 2, Cascade: noCascade()})
+	withShards(t, 2)
+	s, _ := mustOpen(t, dir, Options{Cascade: noCascade()})
 	if err := s.AddBatch(seed); err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +390,7 @@ func TestCheckpointDirSyncFails(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := mustOpen(t, dir, Options{Shards: 2, Cascade: noCascade()})
+	b, _ := mustOpen(t, dir, Options{Cascade: noCascade()})
 	defer b.Close()
 	if got := stateOf(b); !reflect.DeepEqual(got, want) {
 		t.Errorf("reopened state differs:\ngot  %+v\nwant %+v", got, want)
@@ -411,7 +414,8 @@ func TestMappedReshard(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b, client := mustOpen(t, dir, Options{Shards: 3})
+	withShards(t, 3)
+	b, client := mustOpen(t, dir, Options{})
 	defer b.Close()
 	ps := b.Stats().Persist
 	if ps.MappedShards != 0 {
@@ -695,8 +699,9 @@ func TestBlockingOptionsPrecedence(t *testing.T) {
 		{"stop-filter-off-default-floor", blocking.IndexOptions{StopDocFrac: blocking.Float(1)}, "sharedtok", 0},
 		{"high-floor", blocking.IndexOptions{MinScore: blocking.Float(2.5)}, "rare3", 0},
 	}
+	withShards(t, 1)
 	for _, tc := range cases {
-		s := New(benchClient{}, Options{Shards: 1, Blocking: tc.blocking})
+		s := New(benchClient{}, Options{Blocking: tc.blocking})
 		if err := s.AddBatch(recs); err != nil {
 			t.Fatal(err)
 		}

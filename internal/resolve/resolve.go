@@ -68,7 +68,6 @@ import (
 // Store defaults used when an Options field is left at its zero
 // value.
 const (
-	DefaultShards        = 8
 	DefaultMaxCandidates = 10
 	DefaultMinScore      = blocking.DefaultMinScore
 	DefaultDesign        = "domain-complex-force"
@@ -84,8 +83,6 @@ const (
 // Options configures a Store. The zero value selects sensible
 // defaults throughout.
 type Options struct {
-	// Shards is the number of index shards (default DefaultShards).
-	Shards int
 	// MaxCandidates bounds the candidate pairs per Resolve call
 	// (default DefaultMaxCandidates).
 	MaxCandidates int
@@ -152,9 +149,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = DefaultShards
-	}
 	if o.MaxCandidates <= 0 {
 		o.MaxCandidates = DefaultMaxCandidates
 	}
@@ -174,6 +168,18 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// defaultShards is the number of index shards a store partitions its
+// records across. It is part of the matcher, not a throughput knob:
+// IDF and the stop-token set are computed per shard, so the count
+// changes blocking candidates and therefore decisions.
+const defaultShards = 8
+
+// indexShards is the shard count New and Open build with
+// (defaultShards). A variable only so tests can build stores of one to
+// four shards; a directory written under another count reopens by
+// re-inserting its records.
+var indexShards = defaultShards
 
 // promptCacheSize is the store engine's prompt-cache capacity (zero
 // selects pipeline.DefaultCacheSize). A variable only so tests that
@@ -261,7 +267,7 @@ func newStore(client llm.Client, opts Options) *Store {
 		esc: newEscalator(pipeline.New(client, pipeline.Options{CacheSize: promptCacheSize, Metrics: pm}),
 			prompt.Spec{Design: o.Design, Domain: o.Domain}, o.Cascade,
 			dispatch.Options{MaxBatchPairs: o.DispatchPairs, FlushInterval: o.DispatchFlush, Metrics: dm}),
-		shards: make([]*shard, o.Shards),
+		shards: make([]*shard, indexShards),
 		graph:  blocking.NewUnionFind(),
 	}
 	s.rscratch.New = func() any { return &resolveScratch{} }

@@ -50,6 +50,14 @@ func disablePromptCache(tb testing.TB) {
 	tb.Cleanup(func() { promptCacheSize = old })
 }
 
+// withShards builds every store the test opens with n index shards,
+// and restores the default when the test ends.
+func withShards(tb testing.TB, n int) {
+	old := indexShards
+	indexShards = n
+	tb.Cleanup(func() { indexShards = old })
+}
+
 // wdcStoreRecords derives a seed collection and query set from the
 // WDC benchmark: B-side records seed the store, A-side records query
 // it.

@@ -119,7 +119,8 @@ func TestImplicitSingletonsMatchExplicitGraph(t *testing.T) {
 				rng := detrand.New("implicit-singletons", seed)
 				gs := singletonGroups(rng, 12)
 				dir := t.TempDir()
-				opts := Options{Shards: 4, PersistDir: dir, SnapshotEvery: -1,
+				withShards(t, 4)
+				opts := Options{PersistDir: dir, SnapshotEvery: -1,
 					Cascade: noCascade(), Resilience: resilientOptions()}
 				client := &outageClient{}
 				s, err := Open(client, opts)
@@ -215,7 +216,8 @@ func TestImplicitSingletonsMatchExplicitGraph(t *testing.T) {
 				if err := s.Close(); err != nil {
 					t.Fatal(err)
 				}
-				opts.PersistDir, opts.Shards = crashed, path.reopenShards
+				opts.PersistDir = crashed
+				withShards(t, path.reopenShards)
 				if s, err = Open(client, opts); err != nil {
 					t.Fatal(err)
 				}

@@ -15,7 +15,7 @@ import (
 // over a query's uncertain pairs under the configured Strategy
 // (pairwise match, grouped compare, grouped select) and the optional
 // reason-tier second pass. The serving path (Store.esc) and offline
-// evaluation (EvaluateGroups, EvaluatePairs) all build it with
+// evaluation (Evaluate) both build it with
 // newEscalator, and both passes reach the model only through its
 // dispatchers.
 type escalator struct {

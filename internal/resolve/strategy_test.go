@@ -434,13 +434,13 @@ func TestEvaluateGroupsStrategiesDiffer(t *testing.T) {
 		t.Fatalf("GroupPairs regrouped %d pairs into %d groups, want 24", len(pairs), len(groups))
 	}
 	for _, g := range groups {
-		if len(g.Candidates) != 4 || len(g.Gold) != 4 {
-			t.Fatalf("group of %d candidates / %d gold, want 4", len(g.Candidates), len(g.Gold))
+		if len(g) != 4 {
+			t.Fatalf("group of %d candidates, want 4", len(g))
 		}
 	}
 
-	eval := func(c CascadeOptions) GroupEvalResult {
-		res, err := EvaluateGroups(model, EvalOptions{Domain: entity.Product, Cascade: c}, groups)
+	eval := func(c CascadeOptions) EvalResult {
+		res, err := Evaluate(model, EvalOptions{Domain: entity.Product, Cascade: c}, groups)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,7 +104,7 @@ type (
 	// groups. Safe for concurrent use; cmd/emserve exposes it over
 	// HTTP.
 	Store = resolve.Store
-	// StoreOptions configures a Store (shards, blocking thresholds,
+	// StoreOptions configures a Store (candidates, blocking thresholds,
 	// prompt design, cascade, batching, persistence, resilience).
 	StoreOptions = resolve.Options
 	// CascadeOptions tunes the cascade matcher's accept/reject

@@ -14,6 +14,10 @@
 # 5. Knob ratchet: the emserve flag count, the resolve.Options field
 #    count and the facade's exported-name count stay at or under their
 #    ceilings.
+# 6. Every Test…, Benchmark… and Fuzz… name cited in a tracked *.md
+#    file is a func in some tracked _test.go. The top-level notes
+#    (every *.md at the repository root except README.md, e.g. the
+#    change log CHANGES.md and ROADMAP.md) may name retired tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -103,8 +107,8 @@ fi
 # The emserve flag count, the resolve.Options field count and the
 # facade's exported-name count may only shrink: adding a knob or a
 # name means raising its ceiling here, in the same change, on purpose.
-max_flags=27
-max_options=14
+max_flags=26
+max_options=13
 max_facade=62
 nflags=$(printf '%s\n' "$actual" | wc -l)
 # Exported names of llm4em.go: top-level declarations and the entries
@@ -139,8 +143,25 @@ if [ "$noptions" -gt "$max_options" ]; then
   fail=1
 fi
 
+# --- 6. cited tests exist --------------------------------------------
+defined=$(git ls-files '*_test.go' | xargs grep -hoE '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]*' |
+  sed 's/^func //' | sort -u)
+if [ -z "$defined" ]; then
+  echo "docs_check: could not parse any test functions out of the _test.go files" >&2
+  exit 1
+fi
+while IFS= read -r md; do
+  while IFS= read -r name; do
+    [ -n "$name" ] || continue
+    if ! grep -qxF -- "$name" <<<"$defined"; then
+      echo "docs_check: $md cites $name, which no _test.go defines" >&2
+      fail=1
+    fi
+  done < <(grep -oE '\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' "$md" | sort -u)
+done < <(git ls-files '*.md' | grep -vxE '[^/]+\.md' ; echo README.md)
+
 if [ "$fail" -ne 0 ]; then
   echo "docs_check: FAILED" >&2
   exit 1
 fi
-echo "docs_check: OK (links, emserve flag tables, /v1 routes, examples, knob ratchet)"
+echo "docs_check: OK (links, emserve flag tables, /v1 routes, examples, knob ratchet, cited tests)"
