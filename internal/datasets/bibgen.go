@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"llm4em/internal/detrand"
-	"llm4em/internal/entity"
 	"llm4em/internal/vocab"
 )
 
@@ -44,23 +43,11 @@ type bibStyle struct {
 	lowercaseProb   float64
 }
 
-// bibConfig describes one bibliographic benchmark.
-type bibConfig struct {
-	key, name, abbrev string
-	counts            SplitCounts
-	schema            entity.Schema
-
-	families       int
-	cornerNegRate  float64
-	hardMatchRate  float64
-	styleA, styleB bibStyle
-}
-
 // buildBibUniverse creates cfg.families publication families. Each
 // family contains a base paper plus 1-2 siblings: an extended journal
 // version (same authors and topic, later year, journal venue) and/or
 // a same-topic paper with an overlapping author list.
-func buildBibUniverse(cfg bibConfig) []publication {
+func buildBibUniverse(cfg config[bibStyle]) []publication {
 	rng := detrand.New("universe", cfg.key)
 	confVenues, journalVenues := splitVenues()
 	var all []publication
@@ -133,8 +120,19 @@ func splitVenues() (conf, journal []vocab.Venue) {
 	return conf, journal
 }
 
-// renderBib produces one record for a publication under a style.
-func renderBib(cfg bibConfig, p publication, st bibStyle, rng *detrand.RNG, id string) entity.Record {
+// bibSampler draws a bibliographic benchmark's pairs.
+func bibSampler(cfg config[bibStyle]) sampler[publication, bibStyle] {
+	return sampler[publication, bibStyle]{
+		config:   cfg,
+		universe: buildBibUniverse(cfg),
+		family:   func(p publication) int { return p.family },
+		render:   renderBib,
+		harden:   hardenBib,
+	}
+}
+
+// renderBib renders a publication's attribute values under a style.
+func renderBib(p publication, st bibStyle, rng *detrand.RNG) map[string]string {
 	// Authors.
 	var names []string
 	for i, a := range p.authors {
@@ -181,89 +179,16 @@ func renderBib(cfg bibConfig, p publication, st bibStyle, rng *detrand.RNG, id s
 		year = ""
 	}
 
-	values := map[string]string{"authors": authors, "title": title, "venue": venue, "year": year}
-	r := entity.Record{ID: id, Attrs: make([]entity.Attr, len(cfg.schema.Attributes))}
-	for i, a := range cfg.schema.Attributes {
-		r.Attrs[i] = entity.Attr{Name: a, Value: values[a]}
-	}
-	return r
+	return map[string]string{"authors": authors, "title": title, "venue": venue, "year": year}
 }
 
 // hardenBib intensifies a style for corner-case matches.
 func hardenBib(st bibStyle) bibStyle {
-	st.initialsProb = minf(st.initialsProb+0.5, 0.95)
-	st.dropAuthorProb = minf(st.dropAuthorProb+0.3, 0.6)
-	st.venueVariantP = minf(st.venueVariantP+0.4, 0.95)
-	st.titleTruncProb = minf(st.titleTruncProb+0.3, 0.6)
-	st.titleAbbrevProb = minf(st.titleAbbrevProb+0.2, 0.5)
-	st.missingYearP = minf(st.missingYearP+0.25, 0.5)
+	st.initialsProb = min(st.initialsProb+0.5, 0.95)
+	st.dropAuthorProb = min(st.dropAuthorProb+0.3, 0.6)
+	st.venueVariantP = min(st.venueVariantP+0.4, 0.95)
+	st.titleTruncProb = min(st.titleTruncProb+0.3, 0.6)
+	st.titleAbbrevProb = min(st.titleAbbrevProb+0.2, 0.5)
+	st.missingYearP = min(st.missingYearP+0.25, 0.5)
 	return st
-}
-
-// generateBibPairs materializes one split of a bibliographic
-// benchmark.
-func generateBibPairs(cfg bibConfig, universe []publication, split string, pos, neg int) []entity.Pair {
-	rng := detrand.New("pairs", cfg.key, split)
-	pairs := make([]entity.Pair, 0, pos+neg)
-	families := map[int][]int{}
-	for i, p := range universe {
-		families[p.family] = append(families[p.family], i)
-	}
-
-	for i := 0; i < pos; i++ {
-		p := universe[rng.Intn(len(universe))]
-		stB := cfg.styleB
-		if rng.Bool(cfg.hardMatchRate) {
-			stB = hardenBib(stB)
-		}
-		a := renderBib(cfg, p, cfg.styleA, rng, fmt.Sprintf("%s-%s-p%d-a", cfg.key, split, i))
-		b := renderBib(cfg, p, stB, rng, fmt.Sprintf("%s-%s-p%d-b", cfg.key, split, i))
-		pairs = append(pairs, entity.Pair{ID: fmt.Sprintf("%s-%s-pos-%d", cfg.key, split, i), A: a, B: b, Match: true})
-	}
-	for i := 0; i < neg; i++ {
-		pi := rng.Intn(len(universe))
-		p := universe[pi]
-		var q publication
-		if rng.Bool(cfg.cornerNegRate) {
-			sibs := families[p.family]
-			qi := sibs[rng.Intn(len(sibs))]
-			for qi == pi && len(sibs) > 1 {
-				qi = sibs[rng.Intn(len(sibs))]
-			}
-			if qi == pi {
-				qi = (pi + 1) % len(universe)
-			}
-			q = universe[qi]
-		} else {
-			qi := rng.Intn(len(universe))
-			for universe[qi].family == p.family {
-				qi = rng.Intn(len(universe))
-			}
-			q = universe[qi]
-		}
-		a := renderBib(cfg, p, cfg.styleA, rng, fmt.Sprintf("%s-%s-n%d-a", cfg.key, split, i))
-		b := renderBib(cfg, q, cfg.styleB, rng, fmt.Sprintf("%s-%s-n%d-b", cfg.key, split, i))
-		pairs = append(pairs, entity.Pair{ID: fmt.Sprintf("%s-%s-neg-%d", cfg.key, split, i), A: a, B: b, Match: false})
-	}
-	// Shuffle so matches and non-matches interleave, as in the
-	// published benchmark files; any prefix of a split keeps a
-	// realistic class mix.
-	detrand.Shuffle(detrand.New("shuffle", cfg.key, split), pairs)
-	return pairs
-}
-
-// generateBibDataset materializes a bibliographic benchmark.
-func generateBibDataset(cfg bibConfig) *Dataset {
-	universe := buildBibUniverse(cfg)
-	c := cfg.counts
-	return &Dataset{
-		Name:     cfg.name,
-		Key:      cfg.key,
-		Abbrev:   cfg.abbrev,
-		Schema:   cfg.schema,
-		Scenario: CleanClean,
-		Train:    generateBibPairs(cfg, universe, "train", c.TrainPos, c.TrainNeg),
-		Val:      generateBibPairs(cfg, universe, "val", c.ValPos, c.ValNeg),
-		Test:     generateBibPairs(cfg, universe, "test", c.TestPos, c.TestNeg),
-	}
 }

@@ -13,116 +13,122 @@ import (
 // DBLP-Scholar around 89-90 and Abt-Buy around 95.
 
 func generateWDCProducts() *Dataset {
-	return generateProductDataset(wdcProductConfig())
+	return productSampler(wdcProductConfig()).dataset()
 }
 
 func wdcProductConfig() productConfig {
 	return productConfig{
-		key:        "wdc",
-		name:       "WDC Products",
-		abbrev:     "WDC",
-		categories: []vocab.Category{vocab.Electronics, vocab.Tools, vocab.Clothing, vocab.Kitchen},
-		counts:     paperCounts["wdc"],
-		schema: entity.Schema{
-			Domain:     entity.Product,
-			Attributes: []string{"brand", "title", "currency", "price"},
+		config: config[sourceStyle]{
+			key:    "wdc",
+			name:   "WDC Products",
+			abbrev: "WDC",
+			counts: paperCounts["wdc"],
+			schema: entity.Schema{
+				Domain:     entity.Product,
+				Attributes: []string{"brand", "title", "currency", "price"},
+			},
+			scenario:      DirtyDirty,
+			families:      520,
+			cornerNegRate: 0.80, // "most difficult version ... 80% corner-cases"
+			hardMatchRate: 0.45,
+			styleA: sourceStyle{
+				noiseWordProb: 0.35, sellerProb: 0.15, abbrevProb: 0.10,
+				dropBrandProb: 0.12, modelCompactPro: 0.25, dropModelProb: 0.05,
+				featureProb: 0.25, priceJitter: 0.03, missingPriceP: 0.10,
+				typoProb: 0.08, dropTypeProb: 0.10,
+			},
+			styleB: sourceStyle{
+				noiseWordProb: 0.45, sellerProb: 0.25, abbrevProb: 0.18,
+				dropBrandProb: 0.18, modelCompactPro: 0.40, dropModelProb: 0.06,
+				featureProb: 0.20, priceJitter: 0.05, missingPriceP: 0.15,
+				typoProb: 0.12, dropTypeProb: 0.15,
+			},
 		},
-		scenario:      DirtyDirty,
-		families:      520,
-		cornerNegRate: 0.80, // "most difficult version ... 80% corner-cases"
-		hardMatchRate: 0.45,
+		categories:    []vocab.Category{vocab.Electronics, vocab.Tools, vocab.Clothing, vocab.Kitchen},
 		ambiguousRate: 0.03,
-		styleA: sourceStyle{
-			noiseWordProb: 0.35, sellerProb: 0.15, abbrevProb: 0.10,
-			dropBrandProb: 0.12, modelCompactPro: 0.25, dropModelProb: 0.05,
-			featureProb: 0.25, priceJitter: 0.03, missingPriceP: 0.10,
-			typoProb: 0.08, dropTypeProb: 0.10,
-		},
-		styleB: sourceStyle{
-			noiseWordProb: 0.45, sellerProb: 0.25, abbrevProb: 0.18,
-			dropBrandProb: 0.18, modelCompactPro: 0.40, dropModelProb: 0.06,
-			featureProb: 0.20, priceJitter: 0.05, missingPriceP: 0.15,
-			typoProb: 0.12, dropTypeProb: 0.15,
-		},
 	}
 }
 
 func generateAbtBuy() *Dataset {
-	return generateProductDataset(abProductConfig())
+	return productSampler(abProductConfig()).dataset()
 }
 
 func abProductConfig() productConfig {
 	return productConfig{
-		key:        "ab",
-		name:       "Abt-Buy",
-		abbrev:     "A-B",
-		categories: []vocab.Category{vocab.Electronics, vocab.Kitchen},
-		counts:     paperCounts["ab"],
-		schema: entity.Schema{
-			Domain:     entity.Product,
-			Attributes: []string{"title", "price"},
+		config: config[sourceStyle]{
+			key:    "ab",
+			name:   "Abt-Buy",
+			abbrev: "A-B",
+			counts: paperCounts["ab"],
+			schema: entity.Schema{
+				Domain:     entity.Product,
+				Attributes: []string{"title", "price"},
+			},
+			scenario:      CleanClean,
+			families:      700,
+			cornerNegRate: 0.35,
+			hardMatchRate: 0.15,
+			styleA: sourceStyle{
+				noiseWordProb: 0.15, sellerProb: 0.05, abbrevProb: 0.04,
+				dropBrandProb: 0.05, modelCompactPro: 0.20, dropModelProb: 0.04,
+				featureProb: 0.70, priceJitter: 0.02, missingPriceP: 0.12,
+				typoProb: 0.04, dropTypeProb: 0.04,
+			},
+			styleB: sourceStyle{
+				noiseWordProb: 0.25, sellerProb: 0.10, abbrevProb: 0.09,
+				dropBrandProb: 0.10, modelCompactPro: 0.30, dropModelProb: 0.06,
+				featureProb: 0.55, priceJitter: 0.04, missingPriceP: 0.15,
+				typoProb: 0.06, dropTypeProb: 0.06,
+			},
 		},
-		scenario:      CleanClean,
-		families:      700,
+		categories:    []vocab.Category{vocab.Electronics, vocab.Kitchen},
 		brandMod:      2,
 		brandRem:      0,
-		cornerNegRate: 0.35,
-		hardMatchRate: 0.15,
 		ambiguousRate: 0.02,
-		styleA: sourceStyle{
-			noiseWordProb: 0.15, sellerProb: 0.05, abbrevProb: 0.04,
-			dropBrandProb: 0.05, modelCompactPro: 0.20, dropModelProb: 0.04,
-			featureProb: 0.70, priceJitter: 0.02, missingPriceP: 0.12,
-			typoProb: 0.04, dropTypeProb: 0.04,
-		},
-		styleB: sourceStyle{
-			noiseWordProb: 0.25, sellerProb: 0.10, abbrevProb: 0.09,
-			dropBrandProb: 0.10, modelCompactPro: 0.30, dropModelProb: 0.06,
-			featureProb: 0.55, priceJitter: 0.04, missingPriceP: 0.15,
-			typoProb: 0.06, dropTypeProb: 0.06,
-		},
 	}
 }
 
 func generateWalmartAmazon() *Dataset {
-	return generateProductDataset(waProductConfig())
+	return productSampler(waProductConfig()).dataset()
 }
 
 func waProductConfig() productConfig {
 	return productConfig{
-		key:        "wa",
-		name:       "Walmart-Amazon",
-		abbrev:     "W-A",
-		categories: []vocab.Category{vocab.Electronics, vocab.Tools, vocab.Kitchen},
-		counts:     paperCounts["wa"],
-		schema: entity.Schema{
-			Domain:     entity.Product,
-			Attributes: []string{"brand", "title", "modelno", "price"},
+		config: config[sourceStyle]{
+			key:    "wa",
+			name:   "Walmart-Amazon",
+			abbrev: "W-A",
+			counts: paperCounts["wa"],
+			schema: entity.Schema{
+				Domain:     entity.Product,
+				Attributes: []string{"brand", "title", "modelno", "price"},
+			},
+			scenario:      DirtyDirty,
+			families:      650,
+			cornerNegRate: 0.48,
+			hardMatchRate: 0.26,
+			styleA: sourceStyle{
+				noiseWordProb: 0.20, sellerProb: 0.08, abbrevProb: 0.08,
+				dropBrandProb: 0.08, modelCompactPro: 0.20, dropModelProb: 0.06,
+				featureProb: 0.30, priceJitter: 0.03, missingPriceP: 0.12,
+				typoProb: 0.06, dropTypeProb: 0.08,
+			},
+			styleB: sourceStyle{
+				noiseWordProb: 0.35, sellerProb: 0.15, abbrevProb: 0.15,
+				dropBrandProb: 0.15, modelCompactPro: 0.35, dropModelProb: 0.10,
+				featureProb: 0.25, priceJitter: 0.06, missingPriceP: 0.18,
+				typoProb: 0.10, dropTypeProb: 0.12,
+			},
 		},
-		scenario:      DirtyDirty,
-		families:      650,
+		categories:    []vocab.Category{vocab.Electronics, vocab.Tools, vocab.Kitchen},
 		brandMod:      2,
 		brandRem:      1,
-		cornerNegRate: 0.48,
-		hardMatchRate: 0.26,
 		ambiguousRate: 0.05,
-		styleA: sourceStyle{
-			noiseWordProb: 0.20, sellerProb: 0.08, abbrevProb: 0.08,
-			dropBrandProb: 0.08, modelCompactPro: 0.20, dropModelProb: 0.06,
-			featureProb: 0.30, priceJitter: 0.03, missingPriceP: 0.12,
-			typoProb: 0.06, dropTypeProb: 0.08,
-		},
-		styleB: sourceStyle{
-			noiseWordProb: 0.35, sellerProb: 0.15, abbrevProb: 0.15,
-			dropBrandProb: 0.15, modelCompactPro: 0.35, dropModelProb: 0.10,
-			featureProb: 0.25, priceJitter: 0.06, missingPriceP: 0.18,
-			typoProb: 0.10, dropTypeProb: 0.12,
-		},
 	}
 }
 
 func generateAmazonGoogle() *Dataset {
-	return generateSoftwareDataset(softwareConfig{
+	return softwareSampler(config[softwareStyle]{
 		key:    "ag",
 		name:   "Amazon-Google",
 		abbrev: "A-G",
@@ -131,6 +137,7 @@ func generateAmazonGoogle() *Dataset {
 			Domain:     entity.Product,
 			Attributes: []string{"brand", "title", "price"},
 		},
+		scenario:      CleanClean,
 		families:      620,
 		cornerNegRate: 0.68,
 		hardMatchRate: 0.42,
@@ -144,11 +151,11 @@ func generateAmazonGoogle() *Dataset {
 			versionReformat: 0.22, noiseWordProb: 0.30, priceJitter: 0.10,
 			missingPriceP: 0.25, wordShuffleProb: 0.30,
 		},
-	})
+	}).dataset()
 }
 
 func generateDBLPScholar() *Dataset {
-	return generateBibDataset(bibConfig{
+	return bibSampler(config[bibStyle]{
 		key:    "ds",
 		name:   "DBLP-Scholar",
 		abbrev: "D-S",
@@ -157,6 +164,7 @@ func generateDBLPScholar() *Dataset {
 			Domain:     entity.Publication,
 			Attributes: []string{"authors", "title", "venue", "year"},
 		},
+		scenario:      CleanClean,
 		families:      1400,
 		cornerNegRate: 0.55,
 		hardMatchRate: 0.35,
@@ -174,11 +182,11 @@ func generateDBLPScholar() *Dataset {
 			titleAbbrevProb: 0.08, titleTruncProb: 0.15, typoProb: 0.08,
 			lowercaseProb: 0.60,
 		},
-	})
+	}).dataset()
 }
 
 func generateDBLPACM() *Dataset {
-	return generateBibDataset(bibConfig{
+	return bibSampler(config[bibStyle]{
 		key:    "da",
 		name:   "DBLP-ACM",
 		abbrev: "D-A",
@@ -187,6 +195,7 @@ func generateDBLPACM() *Dataset {
 			Domain:     entity.Publication,
 			Attributes: []string{"authors", "title", "venue", "year"},
 		},
+		scenario:      CleanClean,
 		families:      1100,
 		cornerNegRate: 0.30,
 		hardMatchRate: 0.10,
@@ -202,5 +211,5 @@ func generateDBLPACM() *Dataset {
 			titleAbbrevProb: 0.02, titleTruncProb: 0.04, typoProb: 0.03,
 			lowercaseProb: 0.25,
 		},
-	})
+	}).dataset()
 }

@@ -89,10 +89,33 @@ func TestHardenMonotone(t *testing.T) {
 	if hh.abbrevProb > 0.40+1e-9 || hh.dropModelProb > 0.45+1e-9 {
 		t.Errorf("harden exceeded caps: %+v", hh)
 	}
+
+	bib := bibStyle{initialsProb: 0.2, dropAuthorProb: 0.05, venueVariantP: 0.3, titleTruncProb: 0.04, titleAbbrevProb: 0.02, missingYearP: 0.03}
+	hb := hardenBib(bib)
+	if hb.initialsProb <= bib.initialsProb || hb.dropAuthorProb <= bib.dropAuthorProb || hb.venueVariantP <= bib.venueVariantP ||
+		hb.titleTruncProb <= bib.titleTruncProb || hb.titleAbbrevProb <= bib.titleAbbrevProb || hb.missingYearP <= bib.missingYearP {
+		t.Errorf("hardenBib should intensify perturbations: %+v", hb)
+	}
+	hhb := hardenBib(hardenBib(hardenBib(bib)))
+	if hhb.initialsProb > 0.95+1e-9 || hhb.dropAuthorProb > 0.6+1e-9 || hhb.venueVariantP > 0.95+1e-9 ||
+		hhb.titleTruncProb > 0.6+1e-9 || hhb.titleAbbrevProb > 0.5+1e-9 || hhb.missingYearP > 0.5+1e-9 {
+		t.Errorf("hardenBib exceeded caps: %+v", hhb)
+	}
+
+	sw := softwareStyle{dropVersionProb: 0.14, dropEditionProb: 0.28, versionReformat: 0.22, priceJitter: 0.1}
+	hs := hardenSoftware(sw)
+	if hs.dropVersionProb <= sw.dropVersionProb || hs.dropEditionProb <= sw.dropEditionProb ||
+		hs.versionReformat <= sw.versionReformat || hs.priceJitter <= sw.priceJitter {
+		t.Errorf("hardenSoftware should intensify perturbations: %+v", hs)
+	}
+	hhs := hardenSoftware(hardenSoftware(hardenSoftware(sw)))
+	if hhs.dropVersionProb > 0.9+1e-9 || hhs.dropEditionProb > 0.95+1e-9 || hhs.versionReformat > 0.45+1e-9 {
+		t.Errorf("hardenSoftware exceeded caps: %+v", hhs)
+	}
 }
 
 func TestSiblingProductsDiffer(t *testing.T) {
-	cfg := productConfig{key: "sibling-test", families: 50, categories: []vocab.Category{vocab.Electronics}}
+	cfg := productConfig{config: config[sourceStyle]{key: "sibling-test", families: 50}, categories: []vocab.Category{vocab.Electronics}}
 	universe := buildUniverse(cfg)
 	byFamily := map[int][]product{}
 	for _, p := range universe {

@@ -47,19 +47,14 @@ func GroupedPairs(key, seed string, groups, candidates int) ([]entity.Pair, erro
 	if groups <= 0 || candidates <= 0 {
 		return nil, fmt.Errorf("datasets: grouped fixtures need positive groups and candidates, got %d×%d", groups, candidates)
 	}
-	universe := buildUniverse(cfg)
-	families := map[int][]int{}
-	for i, p := range universe {
-		families[p.family] = append(families[p.family], i)
-	}
-
+	s := productSampler(cfg)
+	families := s.siblings()
 	rng := detrand.New("groups", cfg.key, seed)
 	pairs := make([]entity.Pair, 0, groups*candidates)
 	for g := 0; g < groups; g++ {
-		pi := rng.Intn(len(universe))
-		p := universe[pi]
-		query := renderOffer(cfg, p, cfg.styleA, rng,
-			fmt.Sprintf("%s-grp%d-q", cfg.key, g))
+		pi := rng.Intn(len(s.universe))
+		p := s.universe[pi]
+		query := s.record(fmt.Sprintf("%s-grp%d-q", cfg.key, g), renderOffer(p, cfg.styleA, rng))
 
 		// Candidate products: the true match first, then family
 		// siblings (the corner-case non-matches grouped prompts must
@@ -74,15 +69,15 @@ func GroupedPairs(key, seed string, groups, candidates int) ([]entity.Pair, erro
 				break
 			}
 			if si != pi {
-				cands = append(cands, cand{prod: universe[si]})
+				cands = append(cands, cand{prod: s.universe[si]})
 			}
 		}
 		for len(cands) < candidates {
-			qi := rng.Intn(len(universe))
-			if universe[qi].family == p.family {
+			qi := rng.Intn(len(s.universe))
+			if s.universe[qi].family == p.family {
 				continue
 			}
-			cands = append(cands, cand{prod: universe[qi]})
+			cands = append(cands, cand{prod: s.universe[qi]})
 		}
 		detrand.Shuffle(rng, cands)
 
@@ -94,14 +89,13 @@ func GroupedPairs(key, seed string, groups, candidates int) ([]entity.Pair, erro
 			if !cd.gold && cd.prod.family == p.family && rng.Bool(cfg.ambiguousRate) {
 				// The hardest corner case: hide the distinguishing
 				// model number on the candidate side.
-				st.dropModelProb = 1
+				st = hideModel(st)
 			}
-			b := renderOffer(cfg, cd.prod, st, rng,
-				fmt.Sprintf("%s-grp%d-c%d", cfg.key, g, c))
+			id := fmt.Sprintf("%s-grp%d-c%d", cfg.key, g, c)
 			pairs = append(pairs, entity.Pair{
-				ID:    fmt.Sprintf("%s-grp%d-c%d", cfg.key, g, c),
+				ID:    id,
 				A:     query,
-				B:     b,
+				B:     s.record(id, renderOffer(cd.prod, st, rng)),
 				Match: cd.gold,
 			})
 		}

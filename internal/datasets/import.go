@@ -11,9 +11,11 @@ import (
 
 // ReadCSVPairs parses labelled pairs from CSV in the layout WriteCSV
 // produces: a header of pair_id, label, left_<attr>..., right_<attr>...
-// followed by one row per pair. It returns the attribute schema
-// implied by the header and the pairs. Domain is guessed from the
-// attribute names (authors/venue/year mean publications).
+// followed by one row per pair. A label is 1, 0, true or false in any
+// case; any other label is an error naming its line. It returns the
+// attribute schema implied by the header and the pairs. Domain is
+// guessed from the attribute names (authors/venue/year mean
+// publications).
 func ReadCSVPairs(r io.Reader) (entity.Schema, []entity.Pair, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -50,15 +52,31 @@ func ReadCSVPairs(r io.Reader) (entity.Schema, []entity.Pair, error) {
 		if err != nil {
 			return entity.Schema{}, nil, fmt.Errorf("datasets: read csv line %d: %w", line, err)
 		}
-		p := entity.Pair{
+		match, ok := parseLabel(row[1])
+		if !ok {
+			at, _ := cr.FieldPos(1)
+			return entity.Schema{}, nil, fmt.Errorf("datasets: csv line %d: label %q is not 1, 0, true or false", at, row[1])
+		}
+		pairs = append(pairs, entity.Pair{
 			ID:    row[0],
 			A:     schema.NewRecord(row[0]+"-a", row[2:2+len(attrs)]...),
 			B:     schema.NewRecord(row[0]+"-b", row[2+len(attrs):]...),
-			Match: row[1] == "1" || strings.EqualFold(row[1], "true"),
-		}
-		pairs = append(pairs, p)
+			Match: match,
+		})
 	}
 	return schema, pairs, nil
+}
+
+// parseLabel reads a CSV label: 1 or true is a match, 0 or false a
+// non-match, in any case; anything else is rejected.
+func parseLabel(s string) (match, ok bool) {
+	switch strings.ToLower(s) {
+	case "1", "true":
+		return true, true
+	case "0", "false":
+		return false, true
+	}
+	return false, false
 }
 
 // guessDomain infers the topical domain from attribute names.

@@ -2,6 +2,7 @@ package datasets
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -68,12 +69,63 @@ func TestReadCSVPairsRejectsBadHeaders(t *testing.T) {
 }
 
 func TestReadCSVPairsLabelForms(t *testing.T) {
-	csv := "pair_id,label,left_title,right_title\np1,1,a,b\np2,0,c,d\np3,true,e,f\n"
+	csv := "pair_id,label,left_title,right_title\np1,1,a,b\np2,0,c,d\np3,true,e,f\np4,FALSE,g,h\np5,True,i,j\n"
 	_, pairs, err := ReadCSVPairs(strings.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pairs[0].Match || pairs[1].Match || !pairs[2].Match {
-		t.Errorf("labels parsed wrong: %v %v %v", pairs[0].Match, pairs[1].Match, pairs[2].Match)
+	want := []bool{true, false, true, false, true}
+	for i, p := range pairs {
+		if p.Match != want[i] {
+			t.Errorf("pair %s: label parsed as %v, want %v", p.ID, p.Match, want[i])
+		}
 	}
+	if len(pairs) != len(want) {
+		t.Fatalf("read %d pairs, want %d", len(pairs), len(want))
+	}
+	// Any other label is an error naming its line, never a silent
+	// non-match.
+	for _, label := range []string{"yes", "2", "", "-1", "t", " 1"} {
+		csv := "pair_id,label,left_title,right_title\np1,1,a,b\np2," + label + ",c,d\n"
+		_, _, err := ReadCSVPairs(strings.NewReader(csv))
+		if err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("label %q: err = %v, want an error naming line 3", label, err)
+		}
+	}
+}
+
+// FuzzReadCSVPairs checks that arbitrary bytes never panic the reader
+// and that WriteCSV → ReadCSVPairs returns every pair ID, label and
+// attribute value exactly.
+func FuzzReadCSVPairs(f *testing.F) {
+	f.Add([]byte("pair_id,label,left_title,right_title\np1,1,a,b\n"), "p1", "sony a7", "19.99", "sony \"a7\", black", "", true)
+	f.Add([]byte("pair_id,label,left_a,right_a\nx,yes,\"\n"), "q,2", "line\nbreak", " 3 ", "\\.", "x", false)
+	f.Fuzz(func(t *testing.T, raw []byte, id, titleA, priceA, titleB, priceB string, match bool) {
+		ReadCSVPairs(bytes.NewReader(raw))
+
+		// encoding/csv reads a quoted "\r\n" back as "\n".
+		for _, s := range []string{id, titleA, priceA, titleB, priceB} {
+			if strings.Contains(s, "\r\n") {
+				t.Skip()
+			}
+		}
+		d := &Dataset{Schema: entity.Schema{Attributes: []string{"title", "price"}}}
+		in := entity.Pair{
+			ID:    id,
+			A:     d.Schema.NewRecord(id+"-a", titleA, priceA),
+			B:     d.Schema.NewRecord(id+"-b", titleB, priceB),
+			Match: match,
+		}
+		var buf bytes.Buffer
+		if err := d.WriteCSV(&buf, []entity.Pair{in}); err != nil {
+			t.Fatal(err)
+		}
+		_, out, err := ReadCSVPairs(&buf)
+		if err != nil {
+			t.Fatalf("read back %q: %v", buf.String(), err)
+		}
+		if len(out) != 1 || !reflect.DeepEqual(out[0], in) {
+			t.Fatalf("round trip of %q:\n got %+v\nwant %+v", buf.String(), out, in)
+		}
+	})
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"llm4em/internal/detrand"
-	"llm4em/internal/entity"
 	"llm4em/internal/vocab"
 )
 
@@ -80,19 +79,9 @@ type sourceStyle struct {
 
 // productConfig fully describes one product-domain benchmark.
 type productConfig struct {
-	key        string
-	name       string
-	abbrev     string
-	categories []vocab.Category
-	counts     SplitCounts
-	schema     entity.Schema
-	scenario   Scenario
-
-	families       int     // number of product families in the universe
-	cornerNegRate  float64 // fraction of negatives drawn from sibling products
-	hardMatchRate  float64 // fraction of matches rendered with heavy perturbation
-	ambiguousRate  float64 // fraction of corner negatives with the model hidden
-	styleA, styleB sourceStyle
+	config[sourceStyle]
+	categories    []vocab.Category
+	ambiguousRate float64 // fraction of corner negatives with the model hidden
 	// brandMod/brandRem restrict the brand catalog of the dataset to
 	// the indices i with i % brandMod == brandRem (brandMod 0 keeps
 	// all brands). Real product benchmarks cover largely disjoint
@@ -100,6 +89,21 @@ type productConfig struct {
 	// limited vocabulary overlap that makes transferred PLM matchers
 	// degrade on unseen entities (Table 4).
 	brandMod, brandRem int
+}
+
+// productSampler draws a product benchmark's pairs from its universe.
+// A sibling negative hides its B side's model number with probability
+// ambiguousRate: the most difficult corner-case non-matches.
+func productSampler(cfg productConfig) sampler[product, sourceStyle] {
+	return sampler[product, sourceStyle]{
+		config:   cfg.config,
+		universe: buildUniverse(cfg),
+		family:   func(p product) int { return p.family },
+		render:   renderOffer,
+		harden:   harden,
+		hide:     hideModel,
+		hideRate: cfg.ambiguousRate,
+	}
 }
 
 // buildUniverse deterministically creates the product universe for a
@@ -223,10 +227,10 @@ func pickVariant(rng *detrand.RNG, cat vocab.Category) string {
 	}
 }
 
-// renderOffer produces one record for a product under a source style.
-// The record follows cfg.schema; attributes not in the schema are
-// folded into the title, as in the original benchmarks.
-func renderOffer(cfg productConfig, p product, st sourceStyle, rng *detrand.RNG, id string) entity.Record {
+// renderOffer renders one offer for a product under a source style.
+// Attributes a benchmark's schema lacks are folded into the title, as
+// in the original benchmarks.
+func renderOffer(p product, st sourceStyle, rng *detrand.RNG) map[string]string {
 	includeBrand := !rng.Bool(st.dropBrandProb)
 	includeModel := !rng.Bool(st.dropModelProb)
 	includeType := !rng.Bool(st.dropTypeProb)
@@ -295,12 +299,7 @@ func renderOffer(cfg productConfig, p product, st sourceStyle, rng *detrand.RNG,
 	if !includeModel && rng.Bool(0.3) {
 		values["modelno"] = ""
 	}
-
-	r := entity.Record{ID: id, Attrs: make([]entity.Attr, len(cfg.schema.Attributes))}
-	for i, a := range cfg.schema.Attributes {
-		r.Attrs[i] = entity.Attr{Name: a, Value: values[a]}
-	}
-	return r
+	return values
 }
 
 // maybeAbbreviate abbreviates each word of s independently with
@@ -357,104 +356,17 @@ func maybeTypo(s string, p float64, rng *detrand.RNG) string {
 // product is rendered so differently that naive surface comparison
 // suggests a non-match.
 func harden(st sourceStyle) sourceStyle {
-	st.abbrevProb = minf(st.abbrevProb+0.18, 0.40)
-	st.dropModelProb = minf(st.dropModelProb+0.22, 0.45)
-	st.dropBrandProb = minf(st.dropBrandProb+0.15, 0.40)
+	st.abbrevProb = min(st.abbrevProb+0.18, 0.40)
+	st.dropModelProb = min(st.dropModelProb+0.22, 0.45)
+	st.dropBrandProb = min(st.dropBrandProb+0.15, 0.40)
 	st.priceJitter = st.priceJitter * 2
-	st.noiseWordProb = minf(st.noiseWordProb+0.2, 0.8)
-	st.typoProb = minf(st.typoProb+0.08, 0.25)
+	st.noiseWordProb = min(st.noiseWordProb+0.2, 0.8)
+	st.typoProb = min(st.typoProb+0.08, 0.25)
 	return st
 }
 
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// generateProductPairs materializes one split of a product benchmark.
-func generateProductPairs(cfg productConfig, universe []product, split string, pos, neg int) []entity.Pair {
-	rng := detrand.New("pairs", cfg.key, split)
-	pairs := make([]entity.Pair, 0, pos+neg)
-
-	// Index families for sibling lookup.
-	families := map[int][]int{}
-	for i, p := range universe {
-		families[p.family] = append(families[p.family], i)
-	}
-
-	for i := 0; i < pos; i++ {
-		p := universe[rng.Intn(len(universe))]
-		stB := cfg.styleB
-		if rng.Bool(cfg.hardMatchRate) {
-			stB = harden(stB)
-		}
-		idA := fmt.Sprintf("%s-%s-p%d-a", cfg.key, split, i)
-		idB := fmt.Sprintf("%s-%s-p%d-b", cfg.key, split, i)
-		a := renderOffer(cfg, p, cfg.styleA, rng, idA)
-		b := renderOffer(cfg, p, stB, rng, idB)
-		pairs = append(pairs, entity.Pair{
-			ID: fmt.Sprintf("%s-%s-pos-%d", cfg.key, split, i), A: a, B: b, Match: true,
-		})
-	}
-
-	for i := 0; i < neg; i++ {
-		pi := rng.Intn(len(universe))
-		p := universe[pi]
-		var q product
-		if rng.Bool(cfg.cornerNegRate) {
-			// Corner case: a sibling from the same family.
-			sibs := families[p.family]
-			qi := sibs[rng.Intn(len(sibs))]
-			for qi == pi && len(sibs) > 1 {
-				qi = sibs[rng.Intn(len(sibs))]
-			}
-			if qi == pi {
-				qi = (pi + 1) % len(universe)
-			}
-			q = universe[qi]
-		} else {
-			qi := rng.Intn(len(universe))
-			for universe[qi].family == p.family {
-				qi = rng.Intn(len(universe))
-			}
-			q = universe[qi]
-		}
-		stA, stB := cfg.styleA, cfg.styleB
-		if q.family == p.family && rng.Bool(cfg.ambiguousRate) {
-			// Hide the distinguishing model number on one side: the most
-			// difficult corner-case non-matches.
-			stB.dropModelProb = 1
-		}
-		idA := fmt.Sprintf("%s-%s-n%d-a", cfg.key, split, i)
-		idB := fmt.Sprintf("%s-%s-n%d-b", cfg.key, split, i)
-		a := renderOffer(cfg, p, stA, rng, idA)
-		b := renderOffer(cfg, q, stB, rng, idB)
-		pairs = append(pairs, entity.Pair{
-			ID: fmt.Sprintf("%s-%s-neg-%d", cfg.key, split, i), A: a, B: b, Match: false,
-		})
-	}
-	// Shuffle so matches and non-matches interleave, as in the
-	// published benchmark files; any prefix of a split keeps a
-	// realistic class mix.
-	detrand.Shuffle(detrand.New("shuffle", cfg.key, split), pairs)
-	return pairs
-}
-
-// generateProductDataset materializes a full product benchmark from
-// its config.
-func generateProductDataset(cfg productConfig) *Dataset {
-	universe := buildUniverse(cfg)
-	c := cfg.counts
-	return &Dataset{
-		Name:     cfg.name,
-		Key:      cfg.key,
-		Abbrev:   cfg.abbrev,
-		Schema:   cfg.schema,
-		Scenario: cfg.scenario,
-		Train:    generateProductPairs(cfg, universe, "train", c.TrainPos, c.TrainNeg),
-		Val:      generateProductPairs(cfg, universe, "val", c.ValPos, c.ValNeg),
-		Test:     generateProductPairs(cfg, universe, "test", c.TestPos, c.TestNeg),
-	}
+// hideModel drops the model number from every offer of a style.
+func hideModel(st sourceStyle) sourceStyle {
+	st.dropModelProb = 1
+	return st
 }

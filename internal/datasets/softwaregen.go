@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"llm4em/internal/detrand"
-	"llm4em/internal/entity"
 	"llm4em/internal/vocab"
 )
 
@@ -27,18 +26,6 @@ type softwareItem struct {
 	editionCritical bool
 }
 
-// softwareConfig describes the Amazon-Google style benchmark.
-type softwareConfig struct {
-	key, name, abbrev string
-	counts            SplitCounts
-	schema            entity.Schema
-
-	families       int
-	cornerNegRate  float64
-	hardMatchRate  float64
-	styleA, styleB softwareStyle
-}
-
 // softwareStyle controls how a source renders software offers.
 type softwareStyle struct {
 	dropVendorProb  float64
@@ -53,7 +40,7 @@ type softwareStyle struct {
 
 // buildSoftwareUniverse creates cfg.families product families of 2-4
 // version/edition siblings each.
-func buildSoftwareUniverse(cfg softwareConfig) []softwareItem {
+func buildSoftwareUniverse(cfg config[softwareStyle]) []softwareItem {
 	rng := detrand.New("universe", cfg.key)
 	var all []softwareItem
 	versionsFor := func() []string {
@@ -114,8 +101,20 @@ func buildSoftwareUniverse(cfg softwareConfig) []softwareItem {
 	return all
 }
 
-// renderSoftware produces one record for a software item.
-func renderSoftware(cfg softwareConfig, it softwareItem, st softwareStyle, rng *detrand.RNG, id string) entity.Record {
+// softwareSampler draws the software benchmark's pairs.
+func softwareSampler(cfg config[softwareStyle]) sampler[softwareItem, softwareStyle] {
+	return sampler[softwareItem, softwareStyle]{
+		config:   cfg,
+		universe: buildSoftwareUniverse(cfg),
+		family:   func(it softwareItem) int { return it.family },
+		render:   renderSoftware,
+		harden:   hardenSoftware,
+	}
+}
+
+// renderSoftware renders a software offer's attribute values under a
+// style.
+func renderSoftware(it softwareItem, st softwareStyle, rng *detrand.RNG) map[string]string {
 	var words []string
 	if !rng.Bool(st.dropVendorProb) {
 		words = append(words, it.vendor)
@@ -155,12 +154,17 @@ func renderSoftware(cfg softwareConfig, it softwareItem, st softwareStyle, rng *
 	if rng.Bool(st.dropVendorProb) {
 		brand = ""
 	}
-	values := map[string]string{"brand": brand, "title": title, "price": price}
-	r := entity.Record{ID: id, Attrs: make([]entity.Attr, len(cfg.schema.Attributes))}
-	for i, a := range cfg.schema.Attributes {
-		r.Attrs[i] = entity.Attr{Name: a, Value: values[a]}
-	}
-	return r
+	return map[string]string{"brand": brand, "title": title, "price": price}
+}
+
+// hardenSoftware intensifies a style for corner-case matches: the
+// version and edition words that tell siblings apart go missing.
+func hardenSoftware(st softwareStyle) softwareStyle {
+	st.dropVersionProb = min(st.dropVersionProb+0.5, 0.9)
+	st.dropEditionProb = min(st.dropEditionProb+0.5, 0.95)
+	st.priceJitter *= 2
+	st.versionReformat = 0.45
+	return st
 }
 
 // reformatVersion maps between common version surface forms:
@@ -173,77 +177,5 @@ func reformatVersion(v string) string {
 		return v[2:]
 	default:
 		return "v" + v
-	}
-}
-
-// generateSoftwarePairs materializes one split of the software
-// benchmark.
-func generateSoftwarePairs(cfg softwareConfig, universe []softwareItem, split string, pos, neg int) []entity.Pair {
-	rng := detrand.New("pairs", cfg.key, split)
-	pairs := make([]entity.Pair, 0, pos+neg)
-	families := map[int][]int{}
-	for i, it := range universe {
-		families[it.family] = append(families[it.family], i)
-	}
-
-	for i := 0; i < pos; i++ {
-		it := universe[rng.Intn(len(universe))]
-		stB := cfg.styleB
-		if rng.Bool(cfg.hardMatchRate) {
-			stB.dropVersionProb = minf(stB.dropVersionProb+0.5, 0.9)
-			stB.dropEditionProb = minf(stB.dropEditionProb+0.5, 0.95)
-			stB.priceJitter *= 2
-			stB.versionReformat = 0.45
-		}
-		a := renderSoftware(cfg, it, cfg.styleA, rng, fmt.Sprintf("%s-%s-p%d-a", cfg.key, split, i))
-		b := renderSoftware(cfg, it, stB, rng, fmt.Sprintf("%s-%s-p%d-b", cfg.key, split, i))
-		pairs = append(pairs, entity.Pair{ID: fmt.Sprintf("%s-%s-pos-%d", cfg.key, split, i), A: a, B: b, Match: true})
-	}
-	for i := 0; i < neg; i++ {
-		pi := rng.Intn(len(universe))
-		it := universe[pi]
-		var other softwareItem
-		if rng.Bool(cfg.cornerNegRate) {
-			sibs := families[it.family]
-			qi := sibs[rng.Intn(len(sibs))]
-			for qi == pi && len(sibs) > 1 {
-				qi = sibs[rng.Intn(len(sibs))]
-			}
-			if qi == pi {
-				qi = (pi + 1) % len(universe)
-			}
-			other = universe[qi]
-		} else {
-			qi := rng.Intn(len(universe))
-			for universe[qi].family == it.family {
-				qi = rng.Intn(len(universe))
-			}
-			other = universe[qi]
-		}
-		a := renderSoftware(cfg, it, cfg.styleA, rng, fmt.Sprintf("%s-%s-n%d-a", cfg.key, split, i))
-		b := renderSoftware(cfg, other, cfg.styleB, rng, fmt.Sprintf("%s-%s-n%d-b", cfg.key, split, i))
-		pairs = append(pairs, entity.Pair{ID: fmt.Sprintf("%s-%s-neg-%d", cfg.key, split, i), A: a, B: b, Match: false})
-	}
-	// Shuffle so matches and non-matches interleave, as in the
-	// published benchmark files; any prefix of a split keeps a
-	// realistic class mix.
-	detrand.Shuffle(detrand.New("shuffle", cfg.key, split), pairs)
-	return pairs
-}
-
-// generateSoftwareDataset materializes the Amazon-Google style
-// benchmark.
-func generateSoftwareDataset(cfg softwareConfig) *Dataset {
-	universe := buildSoftwareUniverse(cfg)
-	c := cfg.counts
-	return &Dataset{
-		Name:     cfg.name,
-		Key:      cfg.key,
-		Abbrev:   cfg.abbrev,
-		Schema:   cfg.schema,
-		Scenario: CleanClean,
-		Train:    generateSoftwarePairs(cfg, universe, "train", c.TrainPos, c.TrainNeg),
-		Val:      generateSoftwarePairs(cfg, universe, "val", c.ValPos, c.ValNeg),
-		Test:     generateSoftwarePairs(cfg, universe, "test", c.TestPos, c.TestNeg),
 	}
 }

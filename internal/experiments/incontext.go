@@ -58,48 +58,14 @@ func Table5(s *Session) ([]*Table, error) {
 			Title:   "Few-shot and rule-based F1 on " + ds.Name,
 			Columns: append([]string{"Prompt"}, s.Cfg.models()...),
 		}
-		perModel := map[string][]float64{}
-		bestFew := map[string]float64{}
-		bestRules := map[string]float64{}
-		for _, row := range fewShotRowSpec() {
-			cells := []string{row.label}
-			for _, mn := range s.Cfg.models() {
-				f1, err := s.rowResult(row, mn, key)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, f2(f1))
-				perModel[mn] = append(perModel[mn], f1)
-				if row.shots > 0 {
-					if f1 > bestFew[mn] {
-						bestFew[mn] = f1
-					}
-				} else if f1 > bestRules[mn] {
-					bestRules[mn] = f1
-				}
-			}
-			t.AddRow(cells...)
+		err := s.inContextBody(t, "Best zero-shot", func(row fewShotRow, mn string) (float64, error) {
+			return s.rowResult(row, mn, key)
+		}, func(mn string) (float64, error) {
+			return s.bestZeroShotF1(mn, key)
+		})
+		if err != nil {
+			return nil, err
 		}
-		meanRow, sdRow := []string{"Mean"}, []string{"Standard deviation"}
-		zsRow := []string{"Best zero-shot"}
-		dFew := []string{"Δ Few-shot/zero-shot"}
-		dRules := []string{"Δ Rules/zero-shot"}
-		for _, mn := range s.Cfg.models() {
-			meanRow = append(meanRow, f2(eval.Mean(perModel[mn])))
-			sdRow = append(sdRow, f2(eval.StdDev(perModel[mn])))
-			_, best, err := s.BestZeroShot(mn, key)
-			if err != nil {
-				return nil, err
-			}
-			zsRow = append(zsRow, f2(best.F1()))
-			dFew = append(dFew, signed(bestFew[mn]-best.F1()))
-			dRules = append(dRules, signed(bestRules[mn]-best.F1()))
-		}
-		t.AddRow(meanRow...)
-		t.AddRow(sdRow...)
-		t.AddRow(zsRow...)
-		t.AddRow(dFew...)
-		t.AddRow(dRules...)
 		out = append(out, t)
 	}
 	return out, nil
@@ -115,59 +81,83 @@ func Table6(s *Session) (*Table, error) {
 		Title:   "Mean few-shot and rule-based F1 over all datasets",
 		Columns: append([]string{"Prompt"}, s.Cfg.models()...),
 	}
+	err := s.inContextBody(t, "Best zero-shot (mean)", func(row fewShotRow, mn string) (float64, error) {
+		return s.meanOverDatasets(func(key string) (float64, error) { return s.rowResult(row, mn, key) })
+	}, func(mn string) (float64, error) {
+		return s.meanOverDatasets(func(key string) (float64, error) { return s.bestZeroShotF1(mn, key) })
+	})
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// inContextBody adds the Table 5/6 rows to t: one row per
+// fewShotRowSpec entry with the F1 that rowF1 reports per model, then
+// the Mean / Standard deviation block, the zeroShot F1 under zsLabel
+// and the best few-shot and rule rows' Δ against it.
+func (s *Session) inContextBody(t *Table, zsLabel string, rowF1 func(fewShotRow, string) (float64, error), zeroShot func(string) (float64, error)) error {
 	perModel := map[string][]float64{}
 	bestFew := map[string]float64{}
 	bestRules := map[string]float64{}
 	for _, row := range fewShotRowSpec() {
 		cells := []string{row.label}
+		best := bestRules
+		if row.shots > 0 {
+			best = bestFew
+		}
 		for _, mn := range s.Cfg.models() {
-			var xs []float64
-			for _, key := range s.Cfg.datasets() {
-				f1, err := s.rowResult(row, mn, key)
-				if err != nil {
-					return nil, err
-				}
-				xs = append(xs, f1)
+			f1, err := rowF1(row, mn)
+			if err != nil {
+				return err
 			}
-			avg := eval.Mean(xs)
-			cells = append(cells, f2(avg))
-			perModel[mn] = append(perModel[mn], avg)
-			if row.shots > 0 {
-				if avg > bestFew[mn] {
-					bestFew[mn] = avg
-				}
-			} else if avg > bestRules[mn] {
-				bestRules[mn] = avg
+			cells = append(cells, f2(f1))
+			perModel[mn] = append(perModel[mn], f1)
+			if f1 > best[mn] {
+				best[mn] = f1
 			}
 		}
 		t.AddRow(cells...)
 	}
 	meanRow, sdRow := []string{"Mean"}, []string{"Standard deviation"}
-	zsRow := []string{"Best zero-shot (mean)"}
+	zsRow := []string{zsLabel}
 	dFew := []string{"Δ Few-shot/zero-shot"}
 	dRules := []string{"Δ Rules/zero-shot"}
 	for _, mn := range s.Cfg.models() {
 		meanRow = append(meanRow, f2(eval.Mean(perModel[mn])))
 		sdRow = append(sdRow, f2(eval.StdDev(perModel[mn])))
-		var zs []float64
-		for _, key := range s.Cfg.datasets() {
-			_, best, err := s.BestZeroShot(mn, key)
-			if err != nil {
-				return nil, err
-			}
-			zs = append(zs, best.F1())
+		zs, err := zeroShot(mn)
+		if err != nil {
+			return err
 		}
-		zsMean := eval.Mean(zs)
-		zsRow = append(zsRow, f2(zsMean))
-		dFew = append(dFew, signed(bestFew[mn]-zsMean))
-		dRules = append(dRules, signed(bestRules[mn]-zsMean))
+		zsRow = append(zsRow, f2(zs))
+		dFew = append(dFew, signed(bestFew[mn]-zs))
+		dRules = append(dRules, signed(bestRules[mn]-zs))
 	}
-	t.AddRow(meanRow...)
-	t.AddRow(sdRow...)
-	t.AddRow(zsRow...)
-	t.AddRow(dFew...)
-	t.AddRow(dRules...)
-	return t, nil
+	for _, r := range [][]string{meanRow, sdRow, zsRow, dFew, dRules} {
+		t.AddRow(r...)
+	}
+	return nil
+}
+
+// bestZeroShotF1 is the F1 of a model's best zero-shot prompt on a
+// dataset.
+func (s *Session) bestZeroShotF1(model, dataset string) (float64, error) {
+	_, best, err := s.BestZeroShot(model, dataset)
+	return best.F1(), err
+}
+
+// meanOverDatasets averages f over the configured datasets.
+func (s *Session) meanOverDatasets(f func(key string) (float64, error)) (float64, error) {
+	var xs []float64
+	for _, key := range s.Cfg.datasets() {
+		x, err := f(key)
+		if err != nil {
+			return 0, err
+		}
+		xs = append(xs, x)
+	}
+	return eval.Mean(xs), nil
 }
 
 // Table7 reproduces the fine-tuning results: each fine-tunable model

@@ -18,6 +18,10 @@
 #    file is a func in some tracked _test.go. The top-level notes
 #    (every *.md at the repository root except README.md, e.g. the
 #    change log CHANGES.md and ROADMAP.md) may name retired tests.
+# 7. No backticked bare emserve route (`/stats`, `GET /readyz`, …) in
+#    README.md or docs/*.md: every route lives under /v1 and the bare
+#    paths answer 404. An **Upgrading:** paragraph, which names the
+#    removed paths on purpose, is exempt.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -160,8 +164,17 @@ while IFS= read -r md; do
   done < <(grep -oE '\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' "$md" | sort -u)
 done < <(git ls-files '*.md' | grep -vxE '[^/]+\.md' ; echo README.md)
 
+# --- 7. no bare emserve routes ---------------------------------------
+bare='`((GET|POST) )?/(records|resolve|entities|stats|metrics|healthz|readyz)([^A-Za-z0-9_-]|$)'
+for md in README.md docs/*.md; do
+  while IFS= read -r hit; do
+    echo "docs_check: $md names a bare emserve route (use /v1/…): $hit" >&2
+    fail=1
+  done < <(awk -v RS= '!/\*\*Upgrading:\*\*/' "$md" | grep -E -- "$bare" || true)
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "docs_check: FAILED" >&2
   exit 1
 fi
-echo "docs_check: OK (links, emserve flag tables, /v1 routes, examples, knob ratchet, cited tests)"
+echo "docs_check: OK (links, emserve flag tables, /v1 routes, examples, knob ratchet, cited tests, no bare routes)"
