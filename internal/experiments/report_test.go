@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -40,22 +42,38 @@ func TestWriteReport(t *testing.T) {
 	}
 }
 
-// TestWriteReportSmallSample pins that a small test split still yields
-// a whole report: at 60 pairs the GPT-4 reference run on WA has no
-// error in one direction, and the error-profile section says so
-// instead of failing the report.
-func TestWriteReportSmallSample(t *testing.T) {
+// reportDigest is the SHA-256 of WriteReport's output for the
+// TestReportPinned configuration. A change that means to move a table
+// updates it; testdata/report.sha256 pins the full-size report the
+// same way.
+const reportDigest = "04e2a9414089aeb6e741a540778225849337fea854ec2710668221637f9ad091"
+
+// TestReportPinned pins the whole report byte for byte on a small
+// sample, rendered with one worker and with the default pool: every
+// table of the paper, the ablations and the future-work analysis must
+// come out identical. At 60 pairs the GPT-4 reference run on WA has no
+// error in one direction, so it also pins that the error-profile
+// section says so instead of failing the report.
+func TestReportPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("report generation is slow")
 	}
-	cfg := Quick(60)
-	cfg.Models = []string{"GPT-4", "GPT-mini"}
-	cfg.Datasets = []string{"wa"}
-	var b strings.Builder
-	if err := WriteReport(&b, NewSession(cfg)); err != nil {
-		t.Fatal(err)
-	}
-	if out := b.String(); !strings.Contains(out, "### Future work (§7.2)") || !strings.Contains(out, "| Skipped |") {
-		t.Errorf("report lacks the skipped error-profile table:\n%s", out[strings.LastIndex(out, "###"):])
+	for _, workers := range []int{1, 0} {
+		cfg := Quick(60)
+		cfg.Models = []string{"GPT-4", "GPT-mini"}
+		cfg.Datasets = []string{"wa"}
+		cfg.Workers = workers
+		var b strings.Builder
+		if err := WriteReport(&b, NewSession(cfg)); err != nil {
+			t.Fatal(err)
+		}
+		out := b.String()
+		if !strings.Contains(out, "### Future work (§7.2)") || !strings.Contains(out, "| Skipped |") {
+			t.Errorf("workers %d: report lacks the skipped error-profile table:\n%s", workers, out[strings.LastIndex(out, "###"):])
+		}
+		sum := sha256.Sum256([]byte(out))
+		if got := hex.EncodeToString(sum[:]); got != reportDigest {
+			t.Errorf("workers %d: report digest %s, pinned %s", workers, got, reportDigest)
+		}
 	}
 }
