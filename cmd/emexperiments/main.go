@@ -5,6 +5,7 @@
 //
 //	emexperiments -table 3            # print one table
 //	emexperiments -table all          # print every table (1-13)
+//	emexperiments -table ablations    # the ablation studies (also: futurework)
 //	emexperiments -figure 4           # print one figure
 //	emexperiments -maxtest 200        # scale down the test splits
 //	emexperiments -robustness         # dirty-data corruption sweep
@@ -27,12 +28,10 @@ import (
 var renderMarkdown bool
 
 func main() {
-	table := flag.String("table", "", "table number 1-13, or 'all'")
+	table := flag.String("table", "", "table number 1-13, 'all', 'ablations' or 'futurework'")
 	figure := flag.Int("figure", 0, "figure number 1-6")
-	ablations := flag.Bool("ablations", false, "run the ablation studies")
 	pr := flag.Bool("pr", false, "print zero-shot precision/recall instead of F1 tables")
-	futurework := flag.Bool("futurework", false, "run the Section 7.2 future-work error-profile comparison")
-	maxTest := flag.Int("maxtest", 0, "cap test pairs per dataset (0 = full)")
+	maxTest := flag.Int("maxtest", 0, "cap test pairs per dataset, and the -robustness/-crossdomain pairs per domain (0 = full)")
 	epochs := flag.Int("epochs", 10, "fine-tuning epochs")
 	workers := flag.Int("workers", 0, "pairs in flight per pairwise evaluation, candidate groups in flight for -robustness/-crossdomain/-strategies (0 = pipeline default); batched-prompt rows submit all pairs at once")
 	format := flag.String("format", "text", "output format: text or md")
@@ -43,13 +42,13 @@ func main() {
 	seed := flag.String("seed", "", "sweep seed for -robustness/-strategies (defaults per harness)")
 	kinds := flag.String("kinds", "", "comma-separated corruption kinds for -robustness (default all)")
 	levels := flag.String("levels", "", "comma-separated corruption levels for -robustness (default 1,2,3)")
-	model := flag.String("model", llm.GPTMini, "model answering the uncertain band for -robustness/-crossdomain")
+	model := flag.String("model", llm.GPTMini, "model answering the uncertain band for -robustness/-crossdomain/-strategies")
 	robustOut := flag.String("robust-out", "", "write the full robustness markdown report to this file")
 	strategies := flag.Bool("strategies", false, "run the prompt-strategy × band-width ablation")
 	strategiesOut := flag.String("strategies-out", "", "write the full strategy ablation markdown report to this file")
 	flag.Parse()
 
-	if *table == "" && *figure == 0 && !*ablations && !*pr && !*futurework && *report == "" &&
+	if *table == "" && *figure == 0 && !*pr && *report == "" &&
 		!*diagnostics && !*robustness && !*crossdomain && *robustOut == "" &&
 		!*strategies && *strategiesOut == "" {
 		flag.Usage()
@@ -106,12 +105,7 @@ func main() {
 			renderOne(experiments.RobustnessTable(cells))
 		}
 		if *crossdomain {
-			rows, err := experiments.CrossDomain(experiments.CrossDomainConfig{
-				Model:          *model,
-				MaxCalibration: *maxTest,
-				MaxTest:        *maxTest,
-				Workers:        *workers,
-			})
+			rows, err := experiments.CrossDomain(rcfg)
 			fail(err)
 			renderOne(experiments.CrossDomainTable(rows))
 		}
@@ -139,8 +133,6 @@ func main() {
 
 	name := *table
 	switch {
-	case *futurework:
-		name = "futurework"
 	case *pr:
 		ts, err := experiments.PrecisionRecall(s)
 		fail(err)
@@ -148,8 +140,6 @@ func main() {
 			renderOne(t)
 		}
 		return
-	case *ablations:
-		name = "ablations"
 	case *figure != 0:
 		out, err := experiments.Figure(s, *figure)
 		fail(err)

@@ -23,26 +23,23 @@ func AblationSerialization(s *Session, dataset string) (*Table, error) {
 		Title:   "Serialization with vs. without attribute names, " + ds.Name + " (F1)",
 		Columns: []string{"Model", "Values only (paper)", "With attribute names", "Δ"},
 	}
-	design := mustDesign("general-complex-force")
-	pairs := s.Cfg.testPairs(ds)
 	for _, mn := range s.Cfg.models() {
-		m := &core.Matcher{Client: s.Model(mn), Design: design, Domain: ds.Schema.Domain, Workers: s.Cfg.Workers}
-		plain, err := m.Evaluate(pairs)
+		plain, err := s.f1(cell{model: mn, dataset: dataset})
 		if err != nil {
 			return nil, err
 		}
-		named, err := m.Evaluate(withNamedSerialization(pairs, ds.Schema))
+		named, err := s.f1(cell{model: mn, dataset: dataset, named: true})
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(mn, f2(plain.F1()), f2(named.F1()), signed(named.F1()-plain.F1()))
+		t.AddRow(mn, f2(plain), f2(named), signed(named-plain))
 	}
 	return t, nil
 }
 
 // withNamedSerialization rewrites pairs so that each attribute value
 // is prefixed with its attribute name ("brand: Sony title: ...").
-func withNamedSerialization(pairs []entity.Pair, schema entity.Schema) []entity.Pair {
+func withNamedSerialization(pairs []entity.Pair) []entity.Pair {
 	out := make([]entity.Pair, len(pairs))
 	for i, p := range pairs {
 		out[i] = entity.Pair{ID: p.ID, A: nameRecord(p.A), B: nameRecord(p.B), Match: p.Match}
@@ -74,18 +71,8 @@ func AblationShots(s *Session, dataset string, model string) (*Table, error) {
 		return nil, err
 	}
 	t.AddRow("0 (best zero-shot)", f2(zs.F1()), fmt.Sprintf("%.0f", zs.MeanPromptTokens()))
-	sel := s.selector(DemoRelated, dataset)
-	pairs := s.Cfg.testPairs(ds)
 	for _, k := range []int{2, 4, 6, 8, 10} {
-		m := &core.Matcher{
-			Client:  s.Model(model),
-			Design:  fewShotDesign,
-			Domain:  ds.Schema.Domain,
-			Demos:   sel,
-			Shots:   k,
-			Workers: s.Cfg.Workers,
-		}
-		r, err := m.Evaluate(pairs)
+		r, err := s.result(cell{model: model, dataset: dataset, demos: DemoRelated, shots: k})
 		if err != nil {
 			return nil, err
 		}

@@ -44,7 +44,7 @@ func (s *Session) bestScenarioResult(sc scenario, model, dataset string) (core.R
 		var best core.Result
 		bestF1 := -1.0
 		for _, method := range DemoMethods() {
-			r, err := s.FewShot(model, dataset, method, k)
+			r, err := s.result(cell{model: model, dataset: dataset, demos: method, shots: k})
 			if err != nil {
 				return core.Result{}, err
 			}
@@ -54,11 +54,11 @@ func (s *Session) bestScenarioResult(sc scenario, model, dataset string) (core.R
 		}
 		return best, nil
 	case scRulesWritten:
-		return s.WithRules(model, dataset, RulesHandwritten)
+		return s.result(cell{model: model, dataset: dataset, rules: RulesHandwritten})
 	case scRulesLearned:
-		return s.WithRules(model, dataset, RulesLearned)
+		return s.result(cell{model: model, dataset: dataset, rules: RulesLearned})
 	case scFineTune:
-		return s.FineTuned(model, dataset, dataset)
+		return s.result(cell{model: model, dataset: dataset, trainedOn: dataset})
 	default:
 		return core.Result{}, fmt.Errorf("experiments: unknown scenario %q", sc)
 	}
@@ -78,19 +78,19 @@ func Table8(s *Session) (*Table, error) {
 		},
 	}
 
-	type cell struct {
+	type costs struct {
 		f1, meanPrompt, meanCompl, costCents float64
 	}
-	cells := map[scenario]map[string]cell{}
+	cells := map[scenario]map[string]costs{}
 	for _, sc := range costScenarios() {
-		cells[sc] = map[string]cell{}
+		cells[sc] = map[string]costs{}
 		for _, mn := range llm.HostedModels() {
 			r, err := s.bestScenarioResult(sc, mn, dataset)
 			if err != nil {
 				return nil, err
 			}
 			pricing, _ := cost.For(mn)
-			cells[sc][mn] = cell{
+			cells[sc][mn] = costs{
 				f1:         r.F1(),
 				meanPrompt: r.MeanPromptTokens(),
 				meanCompl:  r.MeanCompletionTokens(),

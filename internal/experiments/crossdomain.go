@@ -150,35 +150,6 @@ func CalibrateThresholds(client llm.Client, workers int, sets []CalibrationSet) 
 	return chosen, nil
 }
 
-// CrossDomainConfig scales the leave-one-dataset-out evaluation.
-type CrossDomainConfig struct {
-	// Model is the LLM table name (default GPT-mini).
-	Model string
-	// Domains are the generator families (nil means RobustDomains).
-	Domains []RobustDomain
-	// MaxCalibration caps calibration pairs drawn from each domain's
-	// train split (0 = 300); MaxTest caps evaluated test pairs per
-	// held-out domain (0 = all).
-	MaxCalibration int
-	MaxTest        int
-	// Workers sizes the engine worker pool and bounds the candidate
-	// groups evaluated at once (0 = pipeline default).
-	Workers int
-}
-
-func (c CrossDomainConfig) withDefaults() CrossDomainConfig {
-	if c.Model == "" {
-		c.Model = llm.GPTMini
-	}
-	if len(c.Domains) == 0 {
-		c.Domains = RobustDomains()
-	}
-	if c.MaxCalibration <= 0 {
-		c.MaxCalibration = 300
-	}
-	return c
-}
-
 // CrossDomainRow is one held-out domain's transfer outcome.
 type CrossDomainRow struct {
 	// HeldOut is the domain evaluated with foreign thresholds.
@@ -207,9 +178,16 @@ func calibrationPairs(ds *datasets.Dataset, maxPairs int) CalibrationSet {
 }
 
 // CrossDomain runs the leave-one-dataset-out threshold transfer
-// evaluation over the generator domains.
-func CrossDomain(cfg CrossDomainConfig) ([]CrossDomainRow, error) {
+// evaluation over the configured generator domains. MaxPairs caps both
+// the calibration pairs drawn from each domain's train split (300 when
+// zero) and the evaluated test pairs per held-out domain (0 = all);
+// Seed, Kinds and Levels are not used.
+func CrossDomain(cfg RobustnessConfig) ([]CrossDomainRow, error) {
 	c := cfg.withDefaults()
+	maxCalibration := c.MaxPairs
+	if maxCalibration <= 0 {
+		maxCalibration = 300
+	}
 	client, err := llm.New(c.Model)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: cross-domain: %w", err)
@@ -225,7 +203,7 @@ func CrossDomain(cfg CrossDomainConfig) ([]CrossDomainRow, error) {
 		var foreign []CalibrationSet
 		for j := range c.Domains {
 			if j != i {
-				foreign = append(foreign, calibrationPairs(loaded[j], c.MaxCalibration))
+				foreign = append(foreign, calibrationPairs(loaded[j], maxCalibration))
 			}
 		}
 		transferred, err := CalibrateThresholds(client, c.Workers, foreign)
@@ -233,11 +211,11 @@ func CrossDomain(cfg CrossDomainConfig) ([]CrossDomainRow, error) {
 			return nil, fmt.Errorf("experiments: cross-domain %s: %w", dom.Name, err)
 		}
 		inDomain, err := CalibrateThresholds(client, c.Workers,
-			[]CalibrationSet{calibrationPairs(loaded[i], c.MaxCalibration)})
+			[]CalibrationSet{calibrationPairs(loaded[i], maxCalibration)})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: cross-domain %s: %w", dom.Name, err)
 		}
-		test := Config{MaxTest: c.MaxTest}.testPairs(loaded[i])
+		test := Config{MaxTest: c.MaxPairs}.testPairs(loaded[i])
 		evalWith := func(th ThresholdCalibration) (resolve.EvalResult, error) {
 			return resolve.Evaluate(client, resolve.EvalOptions{
 				Cascade: resolve.CascadeOptions{

@@ -23,7 +23,6 @@ import (
 // one row that says so.
 func ErrorProfiles(s *Session, dataset string, models []string) (*Table, error) {
 	ds := datasets.MustLoad(dataset)
-	pairs := s.Cfg.testPairs(ds)
 	turbo := s.Model(llm.GPT4Turbo)
 
 	// Reference classes from the GPT-4 run of Section 6/7.
@@ -64,8 +63,7 @@ func ErrorProfiles(s *Session, dataset string, models []string) (*Table, error) 
 		if err != nil {
 			return nil, err
 		}
-		matcher := &core.Matcher{Client: s.Model(mn), Design: design, Domain: ds.Schema.Domain, Workers: s.Cfg.Workers}
-		res, err := matcher.EvaluateKeeping(pairs)
+		res, err := s.result(cell{model: mn, dataset: dataset, design: design, keep: true})
 		if err != nil {
 			return nil, err
 		}

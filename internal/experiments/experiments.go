@@ -3,8 +3,9 @@
 // corresponding table; Figure rendering lives in figures.go.
 // Sections lists the tables, the ablations and the future-work
 // analysis in report order; WriteReport and emexperiments both print
-// from it. A Session caches expensive intermediate results (zero-shot
-// matrices, trained baselines, fine-tuned adapters, explanation sets)
+// from it. A Session evaluates every matcher configuration through one
+// result method and caches it, with the other expensive intermediate
+// results (trained baselines, fine-tuned adapters, explanation sets),
 // in one single-flight cache, so that tables sharing inputs do not
 // recompute them, not even when prefetch workers ask concurrently.
 package experiments

@@ -13,14 +13,15 @@ import (
 	"llm4em/internal/prompt"
 )
 
-// quickSession returns a session over a reduced workload: two models,
-// two datasets, capped test splits.
-func quickSession() *Session {
+// quickSession is the session the shape tests share, so each cell is
+// computed once per test binary: two models, two datasets, capped test
+// splits.
+var quickSession = sync.OnceValue(func() *Session {
 	cfg := Quick(120)
 	cfg.Models = []string{"GPT-4", "Mixtral"}
 	cfg.Datasets = []string{"wdc", "ds"}
 	return NewSession(cfg)
-}
+})
 
 func TestTableRendering(t *testing.T) {
 	tb := &Table{ID: "T", Title: "demo", Columns: []string{"a", "bb"}}
@@ -66,12 +67,12 @@ func TestTable1MatchesPaperCounts(t *testing.T) {
 
 func TestZeroShotCaching(t *testing.T) {
 	s := quickSession()
-	d := prompt.Designs()[0]
-	r1, err := s.ZeroShot("GPT-4", d, "wdc")
+	c := cell{model: "GPT-4", dataset: "wdc", design: prompt.Designs()[0]}
+	r1, err := s.result(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.ZeroShot("GPT-4", d, "wdc")
+	r2, err := s.result(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestBestZeroShotIsMaximum(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range prompt.Designs() {
-		r, err := s.ZeroShot("Mixtral", d, "wdc")
+		r, err := s.result(cell{model: "Mixtral", dataset: "wdc", design: d})
 		if err != nil {
 			t.Fatal(err)
 		}

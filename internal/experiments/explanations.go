@@ -29,15 +29,12 @@ func (s *Session) explanations(dataset string) (explanationData, error) {
 		if err != nil {
 			return explanationData{}, err
 		}
-		ds := datasets.MustLoad(dataset)
-		pairs := s.Cfg.testPairs(ds)
-		client := s.Model(llm.GPT4)
-		matcher := &core.Matcher{Client: client, Design: design, Domain: ds.Schema.Domain, Workers: s.Cfg.Workers}
-		res, err := matcher.EvaluateKeeping(pairs)
+		res, err := s.result(cell{model: llm.GPT4, dataset: dataset, design: design, keep: true})
 		if err != nil {
 			return explanationData{}, err
 		}
-		exps, err := explain.GenerateAll(client, design, ds.Schema.Domain, pairs)
+		ds := datasets.MustLoad(dataset)
+		exps, err := explain.GenerateAll(s.Model(llm.GPT4), design, ds.Schema.Domain, s.Cfg.testPairs(ds))
 		if err != nil {
 			return explanationData{}, err
 		}

@@ -5,49 +5,33 @@ import (
 	"llm4em/internal/eval"
 )
 
-// fewShotRows enumerates the Table 5/6 row specification: the three
-// selection heuristics at 6 and 10 shots, then the two rule kinds.
+// fewShotRow is one row of Tables 5 and 6: a label and the cell it
+// evaluates per model and dataset.
 type fewShotRow struct {
-	label  string
-	method DemoMethod
-	shots  int
-	rules  RuleKind // set when shots == 0
+	label string
+	cell  cell
 }
 
+// fewShotRowSpec enumerates the rows: the three selection heuristics
+// at 6 and 10 shots, then the two rule kinds.
 func fewShotRowSpec() []fewShotRow {
 	return []fewShotRow{
-		{"Fewshot-related (6)", DemoRelated, 6, ""},
-		{"Fewshot-related (10)", DemoRelated, 10, ""},
-		{"Fewshot-random (6)", DemoRandom, 6, ""},
-		{"Fewshot-random (10)", DemoRandom, 10, ""},
-		{"Fewshot-handpicked (6)", DemoHandpicked, 6, ""},
-		{"Fewshot-handpicked (10)", DemoHandpicked, 10, ""},
-		{"Hand-written rules", "", 0, RulesHandwritten},
-		{"Learned rules", "", 0, RulesLearned},
+		{"Fewshot-related (6)", cell{demos: DemoRelated, shots: 6}},
+		{"Fewshot-related (10)", cell{demos: DemoRelated, shots: 10}},
+		{"Fewshot-random (6)", cell{demos: DemoRandom, shots: 6}},
+		{"Fewshot-random (10)", cell{demos: DemoRandom, shots: 10}},
+		{"Fewshot-handpicked (6)", cell{demos: DemoHandpicked, shots: 6}},
+		{"Fewshot-handpicked (10)", cell{demos: DemoHandpicked, shots: 10}},
+		{"Hand-written rules", cell{rules: RulesHandwritten}},
+		{"Learned rules", cell{rules: RulesLearned}},
 	}
-}
-
-// rowResult evaluates one Table 5 row cell.
-func (s *Session) rowResult(row fewShotRow, model, dataset string) (float64, error) {
-	if row.shots > 0 {
-		r, err := s.FewShot(model, dataset, row.method, row.shots)
-		if err != nil {
-			return 0, err
-		}
-		return r.F1(), nil
-	}
-	r, err := s.WithRules(model, dataset, row.rules)
-	if err != nil {
-		return 0, err
-	}
-	return r.F1(), nil
 }
 
 // Table5 reproduces the few-shot and rule-based results per dataset,
 // with the mean/standard-deviation block and the comparison rows
 // against the best zero-shot prompt.
 func Table5(s *Session) ([]*Table, error) {
-	if err := s.PrefetchInContext(); err != nil {
+	if err := s.prefetch(s.inContextCells()); err != nil {
 		return nil, err
 	}
 	var out []*Table
@@ -59,7 +43,7 @@ func Table5(s *Session) ([]*Table, error) {
 			Columns: append([]string{"Prompt"}, s.Cfg.models()...),
 		}
 		err := s.inContextBody(t, "Best zero-shot", func(row fewShotRow, mn string) (float64, error) {
-			return s.rowResult(row, mn, key)
+			return s.f1(row.cell.on(mn, key))
 		}, func(mn string) (float64, error) {
 			return s.bestZeroShotF1(mn, key)
 		})
@@ -73,7 +57,7 @@ func Table5(s *Session) ([]*Table, error) {
 
 // Table6 reproduces the in-context learning means over all datasets.
 func Table6(s *Session) (*Table, error) {
-	if err := s.PrefetchInContext(); err != nil {
+	if err := s.prefetch(s.inContextCells()); err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -82,7 +66,7 @@ func Table6(s *Session) (*Table, error) {
 		Columns: append([]string{"Prompt"}, s.Cfg.models()...),
 	}
 	err := s.inContextBody(t, "Best zero-shot (mean)", func(row fewShotRow, mn string) (float64, error) {
-		return s.meanOverDatasets(func(key string) (float64, error) { return s.rowResult(row, mn, key) })
+		return s.meanOverDatasets(func(key string) (float64, error) { return s.f1(row.cell.on(mn, key)) })
 	}, func(mn string) (float64, error) {
 		return s.meanOverDatasets(func(key string) (float64, error) { return s.bestZeroShotF1(mn, key) })
 	})
@@ -103,7 +87,7 @@ func (s *Session) inContextBody(t *Table, zsLabel string, rowF1 func(fewShotRow,
 	for _, row := range fewShotRowSpec() {
 		cells := []string{row.label}
 		best := bestRules
-		if row.shots > 0 {
+		if row.cell.shots > 0 {
 			best = bestFew
 		}
 		for _, mn := range s.Cfg.models() {
@@ -186,7 +170,7 @@ func Table7(s *Session, ftModels []string) (*Table, error) {
 		for _, mn := range ftModels {
 			row := []string{datasets.MustLoad(trainKey).Name, mn}
 			for _, evalKey := range keys {
-				r, err := s.FineTuned(mn, trainKey, evalKey)
+				r, err := s.result(cell{model: mn, dataset: evalKey, trainedOn: trainKey})
 				if err != nil {
 					return nil, err
 				}

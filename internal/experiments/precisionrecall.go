@@ -24,7 +24,7 @@ func PrecisionRecall(s *Session) ([]*Table, error) {
 		for _, d := range prompt.Designs() {
 			row := []string{d.Name}
 			for _, mn := range s.Cfg.models() {
-				r, err := s.ZeroShot(mn, d, key)
+				r, err := s.result(cell{model: mn, dataset: key, design: d})
 				if err != nil {
 					return nil, err
 				}

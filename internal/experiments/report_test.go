@@ -7,18 +7,14 @@ import (
 	"testing"
 )
 
-// TestWriteReport runs the consolidated report end to end on a
-// reduced workload and checks that every section is present.
+// TestWriteReport runs the consolidated report end to end on the
+// shared reduced workload and checks that every section is present.
 func TestWriteReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("report generation is slow")
 	}
-	cfg := Quick(150)
-	cfg.Models = []string{"GPT-4", "GPT-mini", "Llama3.1"}
-	cfg.Datasets = []string{"wdc", "wa", "ds"}
-	s := NewSession(cfg)
 	var b strings.Builder
-	if err := WriteReport(&b, s); err != nil {
+	if err := WriteReport(&b, quickSession()); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

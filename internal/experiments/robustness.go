@@ -51,14 +51,12 @@ type RobustnessConfig struct {
 	// Level 0 — the clean baseline — is always reported once per
 	// domain, regardless of Levels.
 	Levels []int
-	// Domains are the generator families (nil means RobustDomains).
+	// Domains are the generator families of the sweep and of the
+	// cross-domain transfer eval (nil means RobustDomains).
 	Domains []RobustDomain
 	// MaxPairs caps the evaluated test pairs per domain (0 = all),
 	// sampling proportionally from matches and non-matches.
 	MaxPairs int
-	// Cascade tunes the cascade under test; the zero value is the
-	// production default (0.9/0.15 thresholds, ideal weights).
-	Cascade resolve.CascadeOptions
 	// Workers sizes the engine worker pool and bounds the candidate
 	// groups evaluated at once (0 = pipeline default).
 	Workers int
@@ -129,11 +127,7 @@ func Robustness(cfg RobustnessConfig) ([]RobustnessCell, error) {
 			return nil, fmt.Errorf("experiments: robustness: %w", err)
 		}
 		pairs := Config{MaxTest: c.MaxPairs}.testPairs(ds)
-		opts := resolve.EvalOptions{
-			Cascade: c.Cascade,
-			Domain:  ds.Schema.Domain,
-			Workers: c.Workers,
-		}
+		opts := resolve.EvalOptions{Domain: ds.Schema.Domain, Workers: c.Workers}
 		evalCell := func(kind datasets.CorruptionKind, level int) (RobustnessCell, error) {
 			cor := datasets.ForLevel(c.Seed, kind, level)
 			res, err := resolve.Evaluate(client, opts, resolve.PerPair(cor.CorruptPairs(pairs)))
@@ -211,12 +205,7 @@ func WriteRobustnessReport(w io.Writer, cfg RobustnessConfig) error {
 		return err
 	}
 	fmt.Fprintln(w, RobustnessTable(cells).Markdown())
-	rows, err := CrossDomain(CrossDomainConfig{
-		Model:          c.Model,
-		MaxCalibration: c.MaxPairs,
-		MaxTest:        c.MaxPairs,
-		Workers:        c.Workers,
-	})
+	rows, err := CrossDomain(c)
 	if err != nil {
 		return err
 	}

@@ -115,7 +115,7 @@ func TestRobustnessTableRenders(t *testing.T) {
 // the calibration F1 beats the degenerate always-local extreme badly
 // enough to be meaningful.
 func TestCalibrateThresholds(t *testing.T) {
-	cfg := CrossDomainConfig{}.withDefaults()
+	cfg := RobustnessConfig{}.withDefaults()
 	ds := datasets.MustLoad("wdc")
 	set := calibrationPairs(ds, 200)
 	if len(set.Pairs) == 0 {
@@ -168,7 +168,7 @@ func TestCalibrateThresholdsEmpty(t *testing.T) {
 // held-out domain, transferred thresholds calibrated without the
 // held-out data, and a coherent delta.
 func TestCrossDomainTransfer(t *testing.T) {
-	rows, err := CrossDomain(CrossDomainConfig{MaxCalibration: 80, MaxTest: 60})
+	rows, err := CrossDomain(RobustnessConfig{MaxPairs: 60})
 	if err != nil {
 		t.Fatal(err)
 	}

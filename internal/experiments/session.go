@@ -10,6 +10,7 @@ import (
 	"llm4em/internal/finetune"
 	"llm4em/internal/icl"
 	"llm4em/internal/llm"
+	"llm4em/internal/pipeline"
 	"llm4em/internal/plm"
 	"llm4em/internal/prompt"
 	"llm4em/internal/rules"
@@ -81,18 +82,126 @@ func (s *Session) Model(name string) *llm.Model {
 	return m
 }
 
-// ZeroShot evaluates one model with one prompt design on one
-// dataset's test split.
-func (s *Session) ZeroShot(model string, design prompt.Design, dataset string) (core.Result, error) {
-	return cached(s, "zeroshot|"+model+"|"+design.Name+"|"+dataset, func() (core.Result, error) {
-		ds := datasets.MustLoad(dataset)
-		m := &core.Matcher{Client: s.Model(model), Design: design, Domain: ds.Schema.Domain, Workers: s.Cfg.Workers}
-		r, err := m.Evaluate(s.Cfg.testPairs(ds))
+// cell is one matcher configuration of the evaluation grid: a model
+// on a dataset's capped test split under a prompt design, optionally
+// with demonstrations, rules or an adapter fine-tuned on trainedOn.
+type cell struct {
+	model, dataset string
+	// design is the prompt design; the zero value selects
+	// fewShotDesign, or ftDesign when trainedOn is set.
+	design prompt.Design
+	// demos selects shots demonstrations per query (Section 4.1).
+	demos DemoMethod
+	shots int
+	// rules adds a rule set to the prompt (Section 4.2).
+	rules RuleKind
+	// trainedOn fine-tunes the model on this dataset (Section 4.3).
+	trainedOn string
+	// named serializes attribute names with their values (Ablation A1).
+	named bool
+	// keep retains the per-pair decisions in the result.
+	keep bool
+}
+
+// result evaluates one cell. It builds the harness's only
+// core.Matcher, and the cache key names the resolved design, so a cell
+// reached from two tables is computed once.
+func (s *Session) result(c cell) (core.Result, error) {
+	if c.design.Name == "" {
+		c.design = fewShotDesign
+		if c.trainedOn != "" {
+			c.design = ftDesign
+		}
+	}
+	key := fmt.Sprintf("result|%s|%s|%s|%s|%d|%s|%s|%t|%t",
+		c.model, c.dataset, c.design.Name, c.demos, c.shots, c.rules, c.trainedOn, c.named, c.keep)
+	return cached(s, key, func() (core.Result, error) {
+		ds := datasets.MustLoad(c.dataset)
+		m := &core.Matcher{Client: s.Model(c.model), Design: c.design, Domain: ds.Schema.Domain, Workers: s.Cfg.Workers}
+		if c.shots > 0 {
+			m.Demos, m.Shots = s.selector(c.demos, c.dataset), c.shots
+		}
+		var err error
+		if c.rules != "" {
+			if m.Rules, err = s.RuleSet(c.rules, ds.Schema.Domain); err != nil {
+				return core.Result{}, err
+			}
+		}
+		if c.trainedOn != "" {
+			adapter, err := s.Adapter(c.model, c.trainedOn)
+			if err != nil {
+				return core.Result{}, err
+			}
+			if m.Client, err = llm.NewFineTuned(c.model, adapter); err != nil {
+				return core.Result{}, err
+			}
+		}
+		pairs := s.Cfg.testPairs(ds)
+		if c.named {
+			pairs = withNamedSerialization(pairs)
+		}
+		evaluate := m.Evaluate
+		if c.keep {
+			evaluate = m.EvaluateKeeping
+		}
+		r, err := evaluate(pairs)
 		if err != nil {
-			return core.Result{}, fmt.Errorf("experiments: zero-shot %s/%s/%s: %w", model, design.Name, dataset, err)
+			return core.Result{}, fmt.Errorf("experiments: evaluate %s: %w", key, err)
 		}
 		return r, nil
 	})
+}
+
+// on returns the cell for a model and dataset.
+func (c cell) on(model, dataset string) cell {
+	c.model, c.dataset = model, dataset
+	return c
+}
+
+// f1 is the F1 of a cell's result.
+func (s *Session) f1(c cell) (float64, error) {
+	r, err := s.result(c)
+	return r.F1(), err
+}
+
+// prefetch evaluates cells on the shared worker pool, bounded by
+// GOMAXPROCS (the evaluations are CPU-bound local simulation), and
+// returns the first error. Every result lands in the session cache, so
+// prefetching never changes a table; it only reorders when cells are
+// computed.
+func (s *Session) prefetch(cells []cell) error {
+	return pipeline.ForEach(len(cells), 0, func(i int) error {
+		_, err := s.result(cells[i])
+		return err
+	})
+}
+
+// zeroShotCells enumerates the zero-shot grid of Tables 2–4: models ×
+// prompt designs × datasets.
+func (s *Session) zeroShotCells() []cell {
+	var cells []cell
+	for _, mn := range s.Cfg.models() {
+		for _, d := range prompt.Designs() {
+			for _, key := range s.Cfg.datasets() {
+				cells = append(cells, cell{model: mn, dataset: key, design: d})
+			}
+		}
+	}
+	return cells
+}
+
+// inContextCells enumerates the Section 4 grid of Tables 5 and 6: every
+// fewShotRowSpec row per model and dataset.
+func (s *Session) inContextCells() []cell {
+	var cells []cell
+	for _, mn := range s.Cfg.models() {
+		for _, key := range s.Cfg.datasets() {
+			for _, row := range fewShotRowSpec() {
+				cells = append(cells, row.cell.on(mn, key))
+			}
+		}
+	}
+	return cells
 }
 
 // BestZeroShot returns the best zero-shot design and its result for a
@@ -102,7 +211,7 @@ func (s *Session) BestZeroShot(model, dataset string) (prompt.Design, core.Resul
 	var best core.Result
 	bestF1 := -1.0
 	for _, d := range prompt.Designs() {
-		r, err := s.ZeroShot(model, d, dataset)
+		r, err := s.result(cell{model: model, dataset: dataset, design: d})
 		if err != nil {
 			return prompt.Design{}, core.Result{}, err
 		}
@@ -223,28 +332,6 @@ func mustDesign(name string) prompt.Design {
 	return d
 }
 
-// FewShot evaluates a model with k demonstrations selected by the
-// given method.
-func (s *Session) FewShot(model, dataset string, method DemoMethod, k int) (core.Result, error) {
-	key := fmt.Sprintf("%s|%s|%s|%d", model, dataset, method, k)
-	return cached(s, "fewshot|"+key, func() (core.Result, error) {
-		ds := datasets.MustLoad(dataset)
-		m := &core.Matcher{
-			Client:  s.Model(model),
-			Design:  fewShotDesign,
-			Domain:  ds.Schema.Domain,
-			Demos:   s.selector(method, dataset),
-			Shots:   k,
-			Workers: s.Cfg.Workers,
-		}
-		r, err := m.Evaluate(s.Cfg.testPairs(ds))
-		if err != nil {
-			return core.Result{}, fmt.Errorf("experiments: few-shot %s: %w", key, err)
-		}
-		return r, nil
-	})
-}
-
 // RuleKind distinguishes handwritten from learned rules.
 type RuleKind string
 
@@ -271,58 +358,11 @@ func (s *Session) RuleSet(kind RuleKind, domain entity.Domain) ([]string, error)
 	})
 }
 
-// WithRules evaluates a model with a rule-augmented prompt.
-func (s *Session) WithRules(model, dataset string, kind RuleKind) (core.Result, error) {
-	key := model + "|" + dataset + "|" + string(kind)
-	return cached(s, "rules|"+key, func() (core.Result, error) {
-		ds := datasets.MustLoad(dataset)
-		rs, err := s.RuleSet(kind, ds.Schema.Domain)
-		if err != nil {
-			return core.Result{}, err
-		}
-		m := &core.Matcher{
-			Client:  s.Model(model),
-			Design:  fewShotDesign,
-			Domain:  ds.Schema.Domain,
-			Rules:   rs,
-			Workers: s.Cfg.Workers,
-		}
-		r, err := m.Evaluate(s.Cfg.testPairs(ds))
-		if err != nil {
-			return core.Result{}, fmt.Errorf("experiments: rules %s: %w", key, err)
-		}
-		return r, nil
-	})
-}
-
 // Adapter fine-tunes (or returns the cached adapter of) a model on a
 // dataset.
 func (s *Session) Adapter(model, dataset string) (llm.Adapter, error) {
 	return cached(s, "adapter|"+model+"|"+dataset, func() (llm.Adapter, error) {
 		return finetune.Train(model, datasets.MustLoad(dataset), finetune.Options{Epochs: s.Cfg.FTEpochs})
-	})
-}
-
-// FineTuned evaluates a model fine-tuned on trainedOn against another
-// dataset's test split (the Table 7 transfer matrix).
-func (s *Session) FineTuned(model, trainedOn, dataset string) (core.Result, error) {
-	key := model + "|" + trainedOn + "|" + dataset
-	return cached(s, "finetuned|"+key, func() (core.Result, error) {
-		adapter, err := s.Adapter(model, trainedOn)
-		if err != nil {
-			return core.Result{}, err
-		}
-		client, err := llm.NewFineTuned(model, adapter)
-		if err != nil {
-			return core.Result{}, err
-		}
-		ds := datasets.MustLoad(dataset)
-		m := &core.Matcher{Client: client, Design: ftDesign, Domain: ds.Schema.Domain, Workers: s.Cfg.Workers}
-		r, err := m.Evaluate(s.Cfg.testPairs(ds))
-		if err != nil {
-			return core.Result{}, fmt.Errorf("experiments: fine-tuned %s: %w", key, err)
-		}
-		return r, nil
 	})
 }
 

@@ -36,7 +36,7 @@ func Table1(cfg Config) *Table {
 // F1 per prompt design and model, plus the per-model mean and
 // standard deviation rows.
 func Table2(s *Session) ([]*Table, error) {
-	if err := s.PrefetchZeroShot(); err != nil {
+	if err := s.prefetch(s.zeroShotCells()); err != nil {
 		return nil, err
 	}
 	var out []*Table
@@ -51,7 +51,7 @@ func Table2(s *Session) ([]*Table, error) {
 		for _, d := range prompt.Designs() {
 			row := []string{d.Name}
 			for _, mn := range s.Cfg.models() {
-				r, err := s.ZeroShot(mn, d, key)
+				r, err := s.result(cell{model: mn, dataset: key, design: d})
 				if err != nil {
 					return nil, err
 				}
@@ -74,7 +74,7 @@ func Table2(s *Session) ([]*Table, error) {
 
 // Table3 reproduces the zero-shot averages over all datasets.
 func Table3(s *Session) (*Table, error) {
-	if err := s.PrefetchZeroShot(); err != nil {
+	if err := s.prefetch(s.zeroShotCells()); err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -88,7 +88,7 @@ func Table3(s *Session) (*Table, error) {
 		for _, mn := range s.Cfg.models() {
 			var xs []float64
 			for _, key := range s.Cfg.datasets() {
-				r, err := s.ZeroShot(mn, d, key)
+				r, err := s.result(cell{model: mn, dataset: key, design: d})
 				if err != nil {
 					return nil, err
 				}
