@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -20,10 +21,10 @@ func decodeBounded(body []byte, contentType string, limit int64) ([]recordJSON, 
 }
 
 // FuzzDecodeRecordsBody: the POST /v1/records body is untrusted. No
-// input panics the decoder; every accepted body yields records whose
-// re-encoded {"records":[...]} wrapper decodes to the same records;
-// and a body cut short by its bound fails with an error that maps to
-// 413.
+// input panics the decoder; every accepted body yields records within
+// the per-record bounds, whose re-encoded {"records":[...]} wrapper
+// decodes to the same records; and a body cut short by its bound fails
+// with an error that maps to 413.
 func FuzzDecodeRecordsBody(f *testing.F) {
 	for _, seed := range []struct {
 		body   string
@@ -37,6 +38,7 @@ func FuzzDecodeRecordsBody(f *testing.F) {
 {"id":"a5","attrs":[{"name":"title","value":"bose soundlink speaker"}]}
 `, true},
 		{`{"records":[]}`, false},
+		{`{"id":"a6","attrs":[{"name":"` + strings.Repeat("n", maxAttrNameBytes+1) + `","value":"x"}]}`, false},
 		{`not json`, false},
 	} {
 		f.Add([]byte(seed.body), seed.ndjson)
@@ -48,6 +50,16 @@ func FuzzDecodeRecordsBody(f *testing.F) {
 		}
 		recs, err := decodeBounded(body, contentType, maxRecordsBody)
 		if err == nil {
+			for _, r := range recs {
+				if len(r.ID) > maxIDBytes || len(r.Attrs) > maxAttrs {
+					t.Fatalf("accepted a record past a bound: %d-byte ID, %d attributes", len(r.ID), len(r.Attrs))
+				}
+				for _, a := range r.Attrs {
+					if len(a.Name) > maxAttrNameBytes || len(a.Value) > maxAttrValueBytes {
+						t.Fatalf("accepted a %d-byte attribute name or %d-byte value", len(a.Name), len(a.Value))
+					}
+				}
+			}
 			wrapped, merr := json.Marshal(map[string][]recordJSON{"records": recs})
 			if merr != nil {
 				t.Fatalf("re-encode accepted records: %v", merr)

@@ -101,6 +101,8 @@ func newHandler(cfg handlerConfig) http.Handler {
 			func() float64 { return float64(heapAllocBytes()) })
 		reg.GaugeFunc("em_graph_ids", "IDs the entity graph holds explicitly (resolved or merged; other stored records are implicit singletons)",
 			func() float64 { return float64(s.store.GraphIDs()) })
+		reg.GaugeFunc("em_heap_records", "Stored records held on the heap, added since the last checkpoint (the rest are served from the mapped index files)",
+			func() float64 { return float64(s.store.HeapRecords()) })
 	}
 	return s.recoverPanics(mux)
 }
@@ -216,6 +218,35 @@ type recordJSON struct {
 type attrJSON struct {
 	Name  string `json:"name"`
 	Value string `json:"value"`
+}
+
+// Per-record bounds, below the body bounds: a record past one is
+// answered 400 naming it, before it is stored, extracted or put in a
+// prompt.
+const (
+	maxIDBytes        = 1 << 10
+	maxAttrs          = 256
+	maxAttrNameBytes  = 256
+	maxAttrValueBytes = 64 << 10
+)
+
+// check rejects a record past a per-record bound.
+func (r recordJSON) check() error {
+	if len(r.ID) > maxIDBytes {
+		return fmt.Errorf("record ID is %d bytes, over the %d-byte ID bound", len(r.ID), maxIDBytes)
+	}
+	if len(r.Attrs) > maxAttrs {
+		return fmt.Errorf("record %q has %d attributes, over the %d-attribute bound", r.ID, len(r.Attrs), maxAttrs)
+	}
+	for _, a := range r.Attrs {
+		if len(a.Name) > maxAttrNameBytes {
+			return fmt.Errorf("record %q: an attribute name is %d bytes, over the %d-byte name bound", r.ID, len(a.Name), maxAttrNameBytes)
+		}
+		if len(a.Value) > maxAttrValueBytes {
+			return fmt.Errorf("record %q: attribute %q is %d bytes, over the %d-byte value bound", r.ID, a.Name, len(a.Value), maxAttrValueBytes)
+		}
+	}
+	return nil
 }
 
 func (r recordJSON) toRecord() llm4em.Record {
@@ -382,8 +413,22 @@ func bodyErrorStatus(err error) int {
 }
 
 // decodeRecordsBody parses the accepted POST /v1/records body shapes
-// into a record list.
+// into a record list, every record within the per-record bounds.
 func decodeRecordsBody(r *http.Request) ([]recordJSON, error) {
+	recs, err := parseRecordsBody(r)
+	if err != nil {
+		return nil, err
+	}
+	for _, rec := range recs {
+		if err := rec.check(); err != nil {
+			return nil, err
+		}
+	}
+	return recs, nil
+}
+
+// parseRecordsBody parses the body shapes.
+func parseRecordsBody(r *http.Request) ([]recordJSON, error) {
 	if strings.Contains(r.Header.Get("Content-Type"), "ndjson") {
 		dec := json.NewDecoder(r.Body)
 		var out []recordJSON
@@ -446,6 +491,10 @@ func (s *server) resolve(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		err = fmt.Errorf("decode body: %w", err)
 		writeError(w, bodyErrorStatus(err), err)
+		return
+	}
+	if err := body.check(); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx := r.Context()
@@ -616,6 +665,7 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 		"memory": map[string]any{
 			"heap_alloc_bytes":   heapAllocBytes(),
 			"graph_ids":          s.store.GraphIDs(),
+			"heap_records":       s.store.HeapRecords(),
 			"journal_entries":    st.Persist.JournalSize,
 			"extractions_cached": st.Extractions,
 		},

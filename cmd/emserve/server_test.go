@@ -639,8 +639,13 @@ func TestRequestBodyBounds(t *testing.T) {
 			t.Errorf("%s: store holds %d records after a rejected body", tc.name, n)
 		}
 	}
-	// The bound is not a ban on large bodies: one just under it passes.
-	req := httptest.NewRequest("POST", "/v1/resolve", strings.NewReader(record("q", maxResolveBody/2)))
+	// The bound is not a ban on large bodies: one just under it, its
+	// attributes within the per-record bounds, passes.
+	attrs := make([]string, 8)
+	for i := range attrs {
+		attrs[i] = fmt.Sprintf(`{"name":"a%d","value":%q}`, i, strings.Repeat("x", maxResolveBody/16))
+	}
+	req := httptest.NewRequest("POST", "/v1/resolve", strings.NewReader(`{"id":"q","attrs":[`+strings.Join(attrs, ",")+`]}`))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
@@ -707,8 +712,8 @@ func TestStatsMemoryBlock(t *testing.T) {
 	if mem == nil {
 		t.Fatalf("stats has no memory block: %v", body)
 	}
-	if mem["graph_ids"].(float64) != 2 || mem["extractions_cached"].(float64) != 1 || mem["journal_entries"].(float64) != 0 {
-		t.Errorf("memory block = %v, want graph_ids 2, extractions_cached 1, journal_entries 0", mem)
+	if mem["graph_ids"].(float64) != 2 || mem["extractions_cached"].(float64) != 1 || mem["journal_entries"].(float64) != 0 || mem["heap_records"].(float64) != 3 {
+		t.Errorf("memory block = %v, want graph_ids 2, extractions_cached 1, journal_entries 0, heap_records 3", mem)
 	}
 	if mem["heap_alloc_bytes"].(float64) <= 0 {
 		t.Errorf("memory.heap_alloc_bytes = %v, want > 0", mem["heap_alloc_bytes"])
@@ -730,9 +735,94 @@ func TestStatsMemoryBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"# TYPE em_heap_alloc_bytes gauge", "\nem_graph_ids 2\n", "\nem_http_panics_total 0\n"} {
+	for _, want := range []string{"# TYPE em_heap_alloc_bytes gauge", "\nem_graph_ids 2\n", "\nem_heap_records 3\n", "\nem_http_panics_total 0\n"} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// TestStatsHeapRecordsAfterCheckpoint: on a persistent store,
+// memory.heap_records counts the records added since the last
+// checkpoint — the checkpoint hands the rest to the mapped index files.
+func TestStatsHeapRecordsAfterCheckpoint(t *testing.T) {
+	model, err := llm4em.NewModel(llm4em.GPTMini)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := llm4em.OpenStore(model, llm4em.StoreOptions{Domain: llm4em.Product, PersistDir: t.TempDir(), SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	srv := httptest.NewServer(newHandler(handlerConfig{store: store}))
+	t.Cleanup(srv.Close)
+	heapRecords := func() float64 {
+		t.Helper()
+		_, body := getJSON(t, srv.URL+"/v1/stats")
+		return body["memory"].(map[string]any)["heap_records"].(float64)
+	}
+
+	if resp, body := postJSON(t, srv.URL+"/v1/records", seedBody); resp.StatusCode != http.StatusOK {
+		t.Fatalf("seed: %v", body)
+	}
+	if got := heapRecords(); got != 3 {
+		t.Errorf("heap_records = %v before the checkpoint, want 3", got)
+	}
+	if err := store.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := heapRecords(); got != 0 {
+		t.Errorf("heap_records = %v after the checkpoint, want 0", got)
+	}
+	if resp, body := postJSON(t, srv.URL+"/v1/records", `{"id":"r4","attrs":[{"name":"title","value":"bose soundlink speaker"}]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("add: %v", body)
+	}
+	if got := heapRecords(); got != 1 {
+		t.Errorf("heap_records = %v after one more record, want 1", got)
+	}
+}
+
+// TestRecordBounds covers each per-record bound at its limit, which
+// both write routes accept, and one past it, which both answer 400
+// naming the bound.
+func TestRecordBounds(t *testing.T) {
+	srv := newTestServer(t)
+	attrs := func(n int, name, value string) string {
+		a := make([]string, n)
+		for i := range a {
+			a[i] = fmt.Sprintf(`{"name":%q,"value":%q}`, fmt.Sprint(name, i), value)
+		}
+		return "[" + strings.Join(a, ",") + "]"
+	}
+	for _, tc := range []struct {
+		name, bound string
+		record      func(id string, over int) string
+	}{
+		{"id", "1024-byte ID bound", func(id string, over int) string {
+			return fmt.Sprintf(`{"id":%q,"attrs":[{"name":"title","value":"sony camera"}]}`, id+strings.Repeat("i", maxIDBytes-len(id)+over))
+		}},
+		{"attrs", "256-attribute bound", func(id string, over int) string {
+			return fmt.Sprintf(`{"id":%q,"attrs":%s}`, id, attrs(maxAttrs+over, "a", "sony camera"))
+		}},
+		{"name", "256-byte name bound", func(id string, over int) string {
+			return fmt.Sprintf(`{"id":%q,"attrs":[{"name":%q,"value":"sony camera"}]}`, id, strings.Repeat("n", maxAttrNameBytes+over))
+		}},
+		{"value", "65536-byte value bound", func(id string, over int) string {
+			return fmt.Sprintf(`{"id":%q,"attrs":[{"name":"title","value":%q}]}`, id, "sony camera "+strings.Repeat("v", maxAttrValueBytes-12+over))
+		}},
+	} {
+		for _, route := range []string{"records", "resolve"} {
+			for over := 0; over <= 1; over++ {
+				body := tc.record(fmt.Sprintf("%s-%s-%d", tc.name, route, over), over)
+				resp, got := postJSON(t, srv.URL+"/v1/"+route, body)
+				switch {
+				case over == 0 && resp.StatusCode != http.StatusOK:
+					t.Errorf("%s at its limit on /v1/%s: %d %v, want 200", tc.name, route, resp.StatusCode, got)
+				case over == 1 && (resp.StatusCode != http.StatusBadRequest || !strings.Contains(fmt.Sprint(got["error"]), tc.bound)):
+					t.Errorf("%s one past its limit on /v1/%s: %d %v, want 400 naming the %s", tc.name, route, resp.StatusCode, got, tc.bound)
+				}
+			}
 		}
 	}
 }

@@ -32,7 +32,12 @@ import (
 // at 10M records costs milliseconds, not an ingest replay — or an
 // empty base for BuildIndex. Every Add lands in the tail, whose
 // postings chain onto the base's streams, so every read, write and
-// snapshot path runs the same code however the index was created.
+// snapshot path runs the same code however the index was created. The
+// tail is sparse: it holds postings only for the tokens an Add touched,
+// so its heap tracks the records added since the base, not the base's
+// vocabulary. The resolve store leans on that: each checkpoint makes
+// the file it just wrote a shard's new base, leaving in the tail only
+// the records added since.
 //
 // Token weights are derived from document frequencies at query time
 // (IDF = log(1 + n/df)), so an Index stays correct as records are
@@ -53,21 +58,15 @@ type Index struct {
 	base    *mappedIndex
 	vocab   *tokenize.Vocab
 	records []entity.Record
-	// posts is the tail: by token ID, the postings added since the
-	// base, for base tokens and new tokens alike. Add grows it on
-	// demand to the highest token ID it touches.
-	posts []postingList
-	// idfBits/idfAtN cache math.Float64bits of each token's IDF weight
-	// and the record count n it was computed at. Queries fill the
-	// cache through atomics: concurrent fillers write identical values
-	// (n and df are fixed while queries run), so the worst case is a
-	// redundant Log, never a torn or stale read — a reader only trusts
-	// idfBits after observing the matching idfAtN. Base tokens get
-	// zeroed slots at open (zeroed pages, not a replayed computation):
-	// IDF materializes lazily per token on first use, as the snapshot
-	// stores none.
-	idfBits []uint64
-	idfAtN  []uint64
+	// The tail, keyed by touched token: posts holds the tokens new
+	// since the base, by ID - base.nTokens, with their IDF slots;
+	// basePosts the tail postings of the base tokens an Add touched.
+	posts     []tailToken
+	basePosts map[uint32]*postingList
+	// idf holds the base tokens' IDF slots, by ID: zeroed slots at open
+	// (zeroed pages, not a replayed computation), as the snapshot stores
+	// no weights.
+	idf []idfSlot
 	// addScan is the tokenizer of Add (mutation path, so one shared
 	// scanner is safe).
 	addScan tokenize.Scanner
@@ -84,6 +83,21 @@ type Index struct {
 // the index serves concurrent queries (the resolve store does, at
 // construction).
 func (ix *Index) SetMetrics(m telemetry.BlockingMetrics) { ix.met = m }
+
+// tailToken is a token new since the base: its postings and its IDF
+// slot.
+type tailToken struct {
+	postingList
+	idf idfSlot
+}
+
+// idfSlot caches math.Float64bits of a token's IDF weight and the
+// record count n it was computed at. Queries fill it through atomics:
+// concurrent fillers write identical values (n and df are fixed while
+// queries run), so the worst case is a redundant Log, never a torn or
+// stale read — a reader only trusts bits after observing the matching
+// atN. IDF materializes lazily per token on first use.
+type idfSlot struct{ bits, atN uint64 }
 
 // stopMinDocs is the absolute document-frequency floor below which a
 // token is never treated as a stop token, so tiny collections keep
@@ -132,11 +146,11 @@ func BuildIndex(records []entity.Record, opts IndexOptions) *Index {
 // newIndex returns an index over base with an empty tail.
 func newIndex(base *mappedIndex, opts IndexOptions) *Index {
 	ix := &Index{
-		stopFrac: opts.stopDocFrac(),
-		base:     base,
-		vocab:    tokenize.NewVocab(),
-		idfBits:  make([]uint64, base.nTokens),
-		idfAtN:   make([]uint64, base.nTokens),
+		stopFrac:  opts.stopDocFrac(),
+		base:      base,
+		vocab:     tokenize.NewVocab(),
+		basePosts: map[uint32]*postingList{},
+		idf:       make([]idfSlot, base.nTokens),
 	}
 	ix.scratch.New = func() any { return &queryScratch{} }
 	return ix
@@ -174,16 +188,28 @@ func (ix *Index) AddSerialized(r entity.Record, text string) int {
 	return int(pos)
 }
 
-// tail returns a token's tail, growing the per-token slices to cover
-// its ID (the IDF slices start at the base's token count, so they are
-// never shorter than posts).
+// tail returns a token's tail for an Add, creating it on first touch.
 func (ix *Index) tail(id uint32) *postingList {
-	if n := int(id) + 1; n > len(ix.posts) {
-		ix.posts = grow(ix.posts, n)
-		ix.idfBits = grow(ix.idfBits, n)
-		ix.idfAtN = grow(ix.idfAtN, n)
+	b := ix.base.nTokens
+	if id >= b {
+		ix.posts = grow(ix.posts, int(id-b)+1)
+		return &ix.posts[id-b].postingList
 	}
-	return &ix.posts[id]
+	pl := ix.basePosts[id]
+	if pl == nil {
+		pl = new(postingList)
+		ix.basePosts[id] = pl
+	}
+	return pl
+}
+
+// tailOf returns a known token's tail: nil for a base token no Add
+// touched. Every new token got its slot from the Add that interned it.
+func (ix *Index) tailOf(id uint32) *postingList {
+	if b := ix.base.nTokens; id >= b {
+		return &ix.posts[id-b].postingList
+	}
+	return ix.basePosts[id]
 }
 
 // grow extends s with zero values to at least n elements.
@@ -198,8 +224,8 @@ func grow[T any](s []T, n int) []T {
 // and the tail.
 func (ix *Index) tokenDF(id uint32) int {
 	df := int(ix.base.tokenDF(id))
-	if int(id) < len(ix.posts) {
-		df += int(ix.posts[id].df)
+	if pl := ix.tailOf(id); pl != nil {
+		df += int(pl.df)
 	}
 	return df
 }
@@ -221,8 +247,8 @@ func (ix *Index) segments(id uint32) (segs [2]segView, n int) {
 		segs[n] = s
 		n++
 	}
-	if int(id) < len(ix.posts) && ix.posts[id].df > 0 {
-		segs[n] = ix.posts[id].seg(ix.overlayBase(id))
+	if pl := ix.tailOf(id); pl != nil && pl.df > 0 {
+		segs[n] = pl.seg(ix.overlayBase(id))
 		n++
 	}
 	return segs, n
@@ -475,14 +501,20 @@ func rankedCopy(h []Candidate) []Candidate {
 // idfWeight returns log(1 + n/df) for a token, serving it from the
 // per-token cache when it was computed at the same record count.
 func (ix *Index) idfWeight(id uint32, n, df int) float64 {
-	if atomic.LoadUint64(&ix.idfAtN[id]) == uint64(n) {
-		return math.Float64frombits(atomic.LoadUint64(&ix.idfBits[id]))
+	var slot *idfSlot
+	if b := ix.base.nTokens; id >= b {
+		slot = &ix.posts[id-b].idf
+	} else {
+		slot = &ix.idf[id]
+	}
+	if atomic.LoadUint64(&slot.atN) == uint64(n) {
+		return math.Float64frombits(atomic.LoadUint64(&slot.bits))
 	}
 	w := math.Log(1 + float64(n)/float64(df))
 	// Bits first, count second: a reader that sees the matching count
 	// is guaranteed to read these (identical) bits or newer.
-	atomic.StoreUint64(&ix.idfBits[id], math.Float64bits(w))
-	atomic.StoreUint64(&ix.idfAtN[id], uint64(n))
+	atomic.StoreUint64(&slot.bits, math.Float64bits(w))
+	atomic.StoreUint64(&slot.atN, uint64(n))
 	return w
 }
 

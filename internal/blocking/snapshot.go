@@ -758,5 +758,8 @@ func (ix *Index) PostingsBytes() int {
 	for i := range ix.posts {
 		total += len(ix.posts[i].stream) + len(ix.posts[i].meta)
 	}
+	for _, pl := range ix.basePosts {
+		total += len(pl.stream) + len(pl.meta)
+	}
 	return total
 }

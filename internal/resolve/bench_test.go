@@ -32,7 +32,10 @@ func benchStoreOpts(b *testing.B, n int, opts Options) (*Store, []entity.Record)
 	brands := []string{"sony", "canon", "epson", "makita"}
 	cats := []string{"camera", "printer", "drill", "laptop"}
 	rng := detrand.New("resolve-bench")
-	s := New(benchClient{}, opts)
+	s, err := Open(benchClient{}, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
 	queries := make([]entity.Record, 0, n)
 	for i := 0; i < n; i++ {
 		brand := brands[rng.Intn(len(brands))]
@@ -79,8 +82,32 @@ func BenchmarkStoreResolveTelemetry(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreResolveMapped is BenchmarkStoreResolve on a persistent
+// store after a Checkpoint, whose shards serve the EMIX files it wrote:
+// blocking walks mapped postings and candidates decode from the file.
+// BenchmarkStoreResolvePersistent is the same store before the
+// checkpoint, every record on the heap.
+func BenchmarkStoreResolveMapped(b *testing.B)     { benchmarkStoreResolvePersistent(b, true) }
+func BenchmarkStoreResolvePersistent(b *testing.B) { benchmarkStoreResolvePersistent(b, false) }
+
+func benchmarkStoreResolvePersistent(b *testing.B, checkpoint bool) {
+	s, queries := benchStoreOpts(b, 10000, Options{PersistDir: b.TempDir(), SnapshotEvery: -1})
+	defer s.Close()
+	if checkpoint {
+		if err := s.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchResolves(b, s, queries)
+}
+
 func benchmarkStoreResolve(b *testing.B, n int) {
 	s, queries := benchStore(b, n)
+	benchResolves(b, s, queries)
+}
+
+// benchResolves resolves a fresh variant of a query per iteration.
+func benchResolves(b *testing.B, s *Store, queries []entity.Record) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -159,6 +160,157 @@ func TestMappedCheckpointCycles(t *testing.T) {
 			t.Errorf("epoch-2 shard file missing: %v", err)
 		}
 	}
+}
+
+// syncHookFS is the real filesystem with a hook on journal.log's
+// fsync: the checkpoint step that runs after every shard's index file
+// is written and before snapshot.json commits them.
+type syncHookFS struct{ onJournalSync func() }
+
+func (fs *syncHookFS) OpenFile(path string) (persist.File, error) {
+	f, err := persist.OS.OpenFile(path)
+	if err != nil || filepath.Base(path) != persist.JournalFile {
+		return f, err
+	}
+	return hookedFile{f, fs}, nil
+}
+
+type hookedFile struct {
+	persist.File
+	fs *syncHookFS
+}
+
+func (f hookedFile) Sync() error {
+	if h := f.fs.onJournalSync; h != nil {
+		f.fs.onJournalSync = nil
+		h()
+	}
+	return f.File.Sync()
+}
+
+// TestCheckpointServesMapped is the differential test of the swap: a
+// store whose checkpoints make each shard serve the EMIX file it just
+// wrote holds every stored ID at the same position, returns the same
+// records and extraction slots, and blocks and decides a query set
+// exactly like a store that never checkpointed — records that reach a
+// shard between its write and the swap included, and across a second
+// checkpoint over an already-swapped base.
+func TestCheckpointServesMapped(t *testing.T) {
+	seed, queries := wdcStoreRecords(t, 120)
+	if len(seed) < 100 || len(queries) < 60 {
+		t.Fatalf("corpus too small: %d records, %d queries", len(seed), len(queries))
+	}
+	hook := &syncHookFS{}
+	got, _ := mustOpen(t, t.TempDir(), Options{SnapshotEvery: -1, WALFS: hook})
+	defer got.Close()
+	want, _ := mustOpen(t, t.TempDir(), Options{SnapshotEvery: -1})
+	defer want.Close()
+	var stored []entity.Record
+
+	add := func(rs []entity.Record) {
+		t.Helper()
+		for _, s := range []*Store{got, want} {
+			if err := s.AddBatch(rs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stored = append(stored, rs...)
+	}
+	resolve := func(qs []entity.Record) {
+		t.Helper()
+		for _, q := range qs {
+			g, err := got.Resolve(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := want.Resolve(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(g.Decisions, w.Decisions) || !reflect.DeepEqual(g.Members, w.Members) {
+				t.Fatalf("resolve %s:\ngot  %+v %v\nwant %+v %v", q.ID, g.Decisions, g.Members, w.Decisions, w.Members)
+			}
+		}
+	}
+	// checkpoint checkpoints got while late records reach its shards
+	// after their index writes, then adds them to want too.
+	checkpoint := func(late []entity.Record) {
+		t.Helper()
+		target := got.Len() + len(late)
+		done := make(chan error, 1)
+		hook.onJournalSync = func() {
+			// The Add blocks on persistMu after inserting; wait for the
+			// inserts only.
+			go func() { done <- got.AddBatch(late) }()
+			for got.Len() < target {
+				runtime.Gosched()
+			}
+		}
+		if err := got.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if hook.onJournalSync != nil {
+			t.Fatal("the checkpoint never synced journal.log")
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if err := want.AddBatch(late); err != nil {
+			t.Fatal(err)
+		}
+		stored = append(stored, late...)
+		if h := got.HeapRecords(); h != len(late) {
+			t.Fatalf("HeapRecords = %d after the checkpoint, want the %d late records", h, len(late))
+		}
+	}
+	compare := func(when string) {
+		t.Helper()
+		for _, r := range stored {
+			gs, ws := got.shardFor(r.ID), want.shardFor(r.ID)
+			gs.mu.RLock()
+			gp, gok := gs.posLocked(r.ID)
+			gs.mu.RUnlock()
+			ws.mu.RLock()
+			wp, wok := ws.posLocked(r.ID)
+			ws.mu.RUnlock()
+			if !gok || !wok || gp != wp {
+				t.Fatalf("%s: position of %q = %d,%v, want %d,%v", when, r.ID, gp, gok, wp, wok)
+			}
+			if rec, ok := got.Record(r.ID); !ok || !reflect.DeepEqual(rec, r) {
+				t.Fatalf("%s: Record(%q) = %+v,%v, want %+v", when, r.ID, rec, ok, r)
+			}
+		}
+		if !reflect.DeepEqual(extractionSlots(got), extractionSlots(want)) {
+			t.Fatalf("%s: extraction slots differ", when)
+		}
+		for _, q := range queries {
+			words := tokenize.Words(q.Serialize())
+			g, w := got.blockCandidates(q.ID, words), want.blockCandidates(q.ID, words)
+			if len(g) != len(w) {
+				t.Fatalf("%s: query %s: %d candidates, want %d", when, q.ID, len(g), len(w))
+			}
+			for i := range g {
+				if !reflect.DeepEqual(g[i].rec, w[i].rec) || g[i].ext != w[i].ext || g[i].score != w[i].score || g[i].pos != w[i].pos {
+					t.Fatalf("%s: query %s candidate %d = %+v, want %+v", when, q.ID, i, g[i], w[i])
+				}
+			}
+		}
+	}
+
+	add(seed[:50])
+	resolve(queries[:20])
+	compare("before the first checkpoint")
+	checkpoint(seed[50:60])
+	compare("after the first swap")
+	resolve(queries[20:40])
+	add(seed[60:90])
+	resolve(queries[40:50])
+	checkpoint(seed[90:100])
+	compare("after the second swap")
+	resolve(queries)
+	add(seed[100:])
+	resolve(queries[50:])
+	compare("after growing the swapped base")
 }
 
 // dirFiles reads every regular file of dir, by name.

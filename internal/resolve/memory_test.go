@@ -1,6 +1,7 @@
 package resolve
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -15,10 +16,14 @@ import (
 // its empty 32 B extraction slot included. heapPerRecordExtracted
 // holds one whose cached extraction is resident too, packed
 // (features.Packed): 460 B/record measured (470 under -race), plus
-// 10%.
+// 10%. heapPerRecordCheckpointed holds one a checkpoint wrote to its
+// shard's EMIX file, which the shard then serves from, after one Add
+// of an unseen token per shard: the extraction slot plus the base
+// vocabulary's IDF slots.
 const (
-	heapPerRecordIngest    = 340
-	heapPerRecordExtracted = 510
+	heapPerRecordIngest       = 340
+	heapPerRecordExtracted    = 510
+	heapPerRecordCheckpointed = 60
 )
 
 // The decision journal's memory gates: retained heap bytes per
@@ -55,22 +60,33 @@ func heapAlloc() uint64 {
 
 // TestStoreHeapPerRecord bulk-loads the benchmark's 32 000 records the
 // way emserve's set-up does and holds what the store retains per
-// record under the gate: after ingest alone, and once every record's
-// extraction is resident.
+// record under the gate: after ingest alone, once every record's
+// extraction is resident, and on a persistent store after a checkpoint
+// followed by one Add of an unseen token to every shard — the Add that
+// would regrow a tail keyed densely by token ID to the base vocabulary.
 func TestStoreHeapPerRecord(t *testing.T) {
 	const n = 32000
 	recs := benchCorpusRecords(t, n)
 	for _, tc := range []struct {
-		name      string
-		extracted bool
-		limit     int
+		name                    string
+		extracted, checkpointed bool
+		limit                   int
 	}{
-		{"ingest", false, heapPerRecordIngest},
-		{"extracted", true, heapPerRecordExtracted},
+		{"ingest", false, false, heapPerRecordIngest},
+		{"extracted", true, false, heapPerRecordExtracted},
+		{"checkpointed", false, true, heapPerRecordCheckpointed},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := heapAlloc()
-			s := New(benchClient{}, Options{})
+			opts := Options{}
+			if tc.checkpointed {
+				opts = Options{PersistDir: t.TempDir(), SnapshotEvery: -1}
+			}
+			s, err := Open(benchClient{}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
 			for i := 0; i < n; i += 200 {
 				// A copy per batch, as a decoded request body is: the records'
 				// strings must not be kept alive by the test's own slice alone.
@@ -81,14 +97,33 @@ func TestStoreHeapPerRecord(t *testing.T) {
 			if tc.extracted {
 				prefillExtractions(s)
 			}
+			want := n
+			if tc.checkpointed {
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				for i := range s.shards {
+					id := ""
+					for k := 0; id == "" || s.shardIndex(id) != i; k++ {
+						id = fmt.Sprintf("unseen-%d", k)
+					}
+					if err := s.Add(entity.Record{ID: id, Attrs: []entity.Attr{{Name: "title", Value: "zqxunseen" + id}}}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want += len(s.shards)
+				if got := s.HeapRecords(); got != len(s.shards) {
+					t.Errorf("HeapRecords = %d after the checkpoint and %d Adds, want %d", got, len(s.shards), len(s.shards))
+				}
+			}
 			after := heapAlloc()
 			perRecord := float64(after-before) / n
 			t.Logf("heap retained by %d AddBatch'ed records: %.0f B/record (limit %d)", n, perRecord, tc.limit)
 			if perRecord > float64(tc.limit) {
 				t.Errorf("store retains %.0f B/record, want <= %d", perRecord, tc.limit)
 			}
-			if got := s.Stats(); got.Records != n || got.Entities != n {
-				t.Errorf("records=%d entities=%d, want %d singleton entities", got.Records, got.Entities, n)
+			if got := s.Stats(); got.Records != want || got.Entities != want {
+				t.Errorf("records=%d entities=%d, want %d singleton entities", got.Records, got.Entities, want)
 			}
 		})
 	}

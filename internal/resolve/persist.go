@@ -193,12 +193,8 @@ func (s *Store) installMapped(snap *persist.Snapshot) error {
 	}
 	s.pstate.indexEpoch = snap.IndexEpoch
 	if snap.IndexShards == len(s.shards) {
-		var bm telemetry.BlockingMetrics
-		if s.opts.Telemetry != nil {
-			bm = s.opts.Telemetry.Blocking
-		}
 		for i, ix := range opened {
-			ix.SetMetrics(bm)
+			ix.SetMetrics(s.blockingMetrics())
 			sh := s.shards[i]
 			sh.ix = ix
 			sh.ext = make([]features.Packed, ix.Len())
@@ -214,6 +210,15 @@ func (s *Store) installMapped(snap *persist.Snapshot) error {
 		ix.Close()
 	}
 	return nil
+}
+
+// blockingMetrics returns the index instruments of the store's
+// telemetry, disabled without one.
+func (s *Store) blockingMetrics() telemetry.BlockingMetrics {
+	if s.opts.Telemetry == nil {
+		return telemetry.BlockingMetrics{}
+	}
+	return s.opts.Telemetry.Blocking
 }
 
 // replay applies WAL entries on top of the snapshot state, decisions
@@ -279,8 +284,8 @@ func (s *Store) replay(entries []persist.Entry) error {
 //
 // The ingested records go out as per-shard EMIX index snapshots
 // (records, postings and token table in one mmap-ready file), written
-// for a fresh epoch before snapshot.json commits the binding — the next
-// Open then maps the shards instead of replaying the ingest. Each
+// for a fresh epoch before snapshot.json commits the binding; then the
+// shards serve them (serveWritten), as the next Open maps them. Each
 // shard's file is written under its read lock, so Adds to that shard
 // wait out its write. A failed index write fails the checkpoint like a
 // failed snapshot.json write: the WAL is not reset, so nothing is lost,
@@ -296,8 +301,10 @@ func (s *Store) checkpointLocked() error {
 		IndexShards: len(s.shards),
 	}
 	var err error
+	written := make([]int, len(s.shards))
 	for i, sh := range s.shards {
 		sh.mu.RLock()
+		written[i] = sh.ix.Len()
 		err = sh.ix.WriteSnapshot(filepath.Join(dir, persist.IndexFileName(snap.IndexEpoch, i)))
 		sh.mu.RUnlock()
 		if err != nil {
@@ -347,6 +354,9 @@ func (s *Store) checkpointLocked() error {
 	// every other index generation is garbage.
 	s.pstate.indexEpoch = snap.IndexEpoch
 	persist.RemoveIndexFiles(dir, snap.IndexEpoch)
+	if !s.pstate.closed {
+		s.serveWritten(snap.IndexEpoch, written)
+	}
 	if err := s.wal.Reset(); err != nil {
 		return err
 	}
@@ -364,6 +374,35 @@ func (s *Store) checkpointLocked() error {
 	s.pstate.sinceSnapshot = 0
 	s.pstate.sinceSync = 0
 	return nil
+}
+
+// serveWritten makes the EMIX file a committed checkpoint wrote each
+// shard's base, so the heap keeps only what was added since: the
+// records that reached a shard after its write (written[i] records
+// went out) are re-added to the new tail. Positions are stable — the
+// writer emits base then tail in position order — so every ext slot
+// and stored position survives. The old index is released after the
+// lock; a shard whose file fails to open stays on the heap.
+func (s *Store) serveWritten(epoch uint64, written []int) {
+	for i, sh := range s.shards {
+		name := persist.IndexFileName(epoch, i)
+		ix, err := blocking.OpenMapped(filepath.Join(s.opts.PersistDir, name), s.opts.Blocking)
+		if err != nil {
+			s.opts.Telemetry.Warn("resolve: shard stays on the heap, "+name+" did not open", err)
+			continue
+		}
+		ix.SetMetrics(s.blockingMetrics())
+		sh.mu.Lock()
+		old := sh.ix
+		live := make(map[string]int32, old.Len()-written[i])
+		for pos := written[i]; pos < old.Len(); pos++ {
+			r := old.Record(pos)
+			live[r.ID] = int32(ix.AddSerialized(r, r.Serialize()))
+		}
+		sh.ix, sh.live = ix, live
+		sh.mu.Unlock()
+		old.Close()
+	}
 }
 
 // Checkpoint forces a snapshot+compaction now, independent of the

@@ -534,6 +534,19 @@ func (s *Store) GraphIDs() int {
 	return s.graph.Len()
 }
 
+// HeapRecords returns the number of stored records the shards hold on
+// the heap: those added since the last checkpoint (or since the store
+// was built or opened). The rest are served from mapped index files.
+func (s *Store) HeapRecords() int {
+	n := 0
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		n += len(sh.live)
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
 // Snapshot returns all entity groups as sorted member slices in
 // deterministic order: the explicit graph built on demand, the store's
 // groups plus a singleton per remaining record. It walks every record.

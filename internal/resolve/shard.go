@@ -15,9 +15,10 @@ import (
 type shard struct {
 	mu sync.RWMutex
 	ix *blocking.Index
-	// live maps the IDs of records inserted since the store was built
-	// or opened to their positions in ix. The mapped base of a restarted
-	// store is not in it: posLocked asks the snapshot's on-disk ID hash.
+	// live maps the IDs of the records in ix's heap tail — inserted
+	// since the last checkpoint, or since the store was built or opened
+	// — to their positions. The mapped base is not in it: posLocked asks
+	// the snapshot's on-disk ID hash.
 	live map[string]int32
 	// ext caches each record's feature extraction, packed
 	// (features.Packed), position-aligned with ix, so the cascade
