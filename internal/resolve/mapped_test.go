@@ -313,6 +313,47 @@ func TestCheckpointServesMapped(t *testing.T) {
 	compare("after growing the swapped base")
 }
 
+// TestCheckpointKeepsShardOnHeap: a shard whose freshly written index
+// file fails to open stays on the heap and keeps serving its records,
+// the other shards swap, and the next checkpoint writes the shard out
+// from the heap.
+func TestCheckpointKeepsShardOnHeap(t *testing.T) {
+	seed, queries := wdcStoreRecords(t, 40)
+	dir := t.TempDir()
+	hook := &syncHookFS{}
+	s, _ := mustOpen(t, dir, Options{SnapshotEvery: -1, WALFS: hook})
+	if err := s.AddBatch(seed); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Resolve(queries[0]); err != nil { // journals, so the checkpoint syncs journal.log
+		t.Fatal(err)
+	}
+	hook.onJournalSync = func() {
+		if err := os.WriteFile(filepath.Join(dir, persist.IndexFileName(1, 0)), []byte("torn"), 0o644); err != nil {
+			t.Error(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.HeapRecords(), s.shards[0].ix.Len(); got != want || want == 0 {
+		t.Fatalf("HeapRecords = %d after shard 0's swap failed, want its %d records", got, want)
+	}
+	for _, r := range seed {
+		if got, ok := s.Record(r.ID); !ok || !reflect.DeepEqual(got, r) {
+			t.Fatalf("Record(%q) = %+v,%v after the checkpoint", r.ID, got, ok)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := mustOpen(t, dir, Options{})
+	defer b.Close()
+	if b.Len() != len(seed) || b.Stats().Persist.MappedShards != defaultShards {
+		t.Fatalf("reopen: Len %d, %d mapped shards, want %d and %d", b.Len(), b.Stats().Persist.MappedShards, len(seed), defaultShards)
+	}
+}
+
 // dirFiles reads every regular file of dir, by name.
 func dirFiles(t *testing.T, dir string) map[string]string {
 	t.Helper()
