@@ -301,10 +301,8 @@ func (s *Store) checkpointLocked() error {
 		IndexShards: len(s.shards),
 	}
 	var err error
-	written := make([]int, len(s.shards))
 	for i, sh := range s.shards {
 		sh.mu.RLock()
-		written[i] = sh.ix.Len()
 		err = sh.ix.WriteSnapshot(filepath.Join(dir, persist.IndexFileName(snap.IndexEpoch, i)))
 		sh.mu.RUnlock()
 		if err != nil {
@@ -355,7 +353,7 @@ func (s *Store) checkpointLocked() error {
 	s.pstate.indexEpoch = snap.IndexEpoch
 	persist.RemoveIndexFiles(dir, snap.IndexEpoch)
 	if !s.pstate.closed {
-		s.serveWritten(snap.IndexEpoch, written)
+		s.serveWritten(snap.IndexEpoch)
 	}
 	if err := s.wal.Reset(); err != nil {
 		return err
@@ -378,12 +376,12 @@ func (s *Store) checkpointLocked() error {
 
 // serveWritten makes the EMIX file a committed checkpoint wrote each
 // shard's base, so the heap keeps only what was added since: the
-// records that reached a shard after its write (written[i] records
-// went out) are re-added to the new tail. Positions are stable — the
-// writer emits base then tail in position order — so every ext slot
-// and stored position survives. The old index is released after the
-// lock; a shard whose file fails to open stays on the heap.
-func (s *Store) serveWritten(epoch uint64, written []int) {
+// records that reached a shard after its write, past the file's Len,
+// are re-added to the new tail. Positions are stable — the writer
+// emits base then tail in position order — so every ext slot and
+// stored position survives. The old index is released after the lock;
+// a shard whose file fails to open stays on the heap.
+func (s *Store) serveWritten(epoch uint64) {
 	for i, sh := range s.shards {
 		name := persist.IndexFileName(epoch, i)
 		ix, err := blocking.OpenMapped(filepath.Join(s.opts.PersistDir, name), s.opts.Blocking)
@@ -394,8 +392,8 @@ func (s *Store) serveWritten(epoch uint64, written []int) {
 		ix.SetMetrics(s.blockingMetrics())
 		sh.mu.Lock()
 		old := sh.ix
-		live := make(map[string]int32, old.Len()-written[i])
-		for pos := written[i]; pos < old.Len(); pos++ {
+		live := make(map[string]int32, old.Len()-ix.Len())
+		for pos := ix.Len(); pos < old.Len(); pos++ {
 			r := old.Record(pos)
 			live[r.ID] = int32(ix.AddSerialized(r, r.Serialize()))
 		}
