@@ -53,8 +53,7 @@ func main() {
 	}
 	fmt.Printf("collection: %d records\n", len(recs))
 
-	blocker := &blocking.TokenBlocker{MaxCandidates: *candidates}
-	cands := blocker.Dedup(recs)
+	cands := blocking.Dedup(recs, *candidates)
 	fmt.Printf("blocking: %d candidate pairs\n", len(cands))
 
 	client, err := llm4em.NewModel(*model)

@@ -35,8 +35,7 @@ func main() {
 	fmt.Printf("collection: %d offers\n", len(records))
 
 	// 1. Blocking: reduce the quadratic pair space.
-	blocker := &blocking.TokenBlocker{MaxCandidates: 5}
-	candidates := blocker.Dedup(records)
+	candidates := blocking.Dedup(records, 5)
 	total := len(records) * (len(records) - 1) / 2
 	fmt.Printf("blocking: %d candidate pairs (%.1f%% of the %d possible)\n",
 		len(candidates), 100*float64(len(candidates))/float64(total), total)

@@ -7,6 +7,7 @@ import (
 	"llm4em/internal/datasets"
 	"llm4em/internal/detrand"
 	"llm4em/internal/entity"
+	"llm4em/internal/tokenize"
 )
 
 // BenchmarkDedup measures candidate generation over a dirty
@@ -29,11 +30,10 @@ func BenchmarkDedup(b *testing.B) {
 			break
 		}
 	}
-	blocker := &TokenBlocker{MaxCandidates: 5}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = blocker.Dedup(recs)
+		_ = Dedup(recs, 5)
 	}
 }
 
@@ -61,49 +61,22 @@ func syntheticRecords(n int) []entity.Record {
 	return recs
 }
 
-// BenchmarkCandidatesRebuild measures the old TokenBlocker path that
-// rebuilds the inverted index on every Candidates call: 100 queries
-// against 10k records, index rebuilt each iteration.
-func BenchmarkCandidatesRebuild(b *testing.B) {
-	records := syntheticRecords(10000)
-	queries := records[:100]
-	blocker := &TokenBlocker{MaxCandidates: 5}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = blocker.Candidates(queries, records)
-	}
-}
-
-// BenchmarkCandidatesIndexReuse measures the same workload through a
-// prebuilt Index: 100 queries against 10k records, index built once.
-func BenchmarkCandidatesIndexReuse(b *testing.B) {
-	records := syntheticRecords(10000)
-	queries := records[:100]
-	blocker := &TokenBlocker{MaxCandidates: 5}
-	ix := BuildIndex(records, IndexOptions{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = blocker.CandidatesIndexed(queries, ix)
-	}
-}
-
-// benchmarkIndexQuery measures one Query call against a prebuilt
-// index of n synthetic records — 2 scoring postings a query, so the
-// figure is the fixed per-query cost — reporting postings bytes/record
-// so it doubles as the size measurement BENCH_index10m.json records.
+// benchmarkIndexQuery measures one QueryTokens call, over a pre-split
+// query, against a prebuilt index of n synthetic records — 2 scoring
+// postings a query, so the figure is the fixed per-query cost —
+// reporting postings bytes/record so it doubles as the size
+// measurement BENCH_index10m.json records.
 func benchmarkIndexQuery(b *testing.B, n int) {
 	records := syntheticRecords(n)
 	ix := BuildIndex(records, IndexOptions{})
-	queries := make([]string, 256)
+	queries := make([][]string, 256)
 	for i := range queries {
-		queries[i] = records[(i*37)%n].Serialize()
+		queries[i] = tokenize.Words(records[(i*37)%n].Serialize())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ix.Query(queries[i%len(queries)], 10, 1.0)
+		_ = ix.QueryTokens(queries[i%len(queries)], 10, 1.0)
 	}
 	// After ResetTimer: it clears previously reported custom metrics.
 	b.ReportMetric(float64(ix.PostingsBytes())/float64(n), "postings-B/record")
@@ -114,10 +87,10 @@ func BenchmarkIndexQuery100k(b *testing.B) { benchmarkIndexQuery(b, 100000) }
 
 // wdcCorpus draws the benchmark-shaped collection bench/ serves:
 // datasets.GroupedPairs("wdc") with two candidates a group, the stored
-// records every pair's B, the queries every group's A serialized —
-// 20–30 tokens of mid-frequency terms, hundreds of scoring postings a
-// query where the synthetic corpus above has two.
-func wdcCorpus(tb testing.TB, n int) (records []entity.Record, queries []string) {
+// records every pair's B, the queries every group's A serialized and
+// split — 20–30 tokens of mid-frequency terms, hundreds of scoring
+// postings a query where the synthetic corpus above has two.
+func wdcCorpus(tb testing.TB, n int) (records []entity.Record, queries [][]string) {
 	pairs, err := datasets.GroupedPairs("wdc", "blocking-bench", n/2, 2)
 	if err != nil {
 		tb.Fatal(err)
@@ -125,7 +98,7 @@ func wdcCorpus(tb testing.TB, n int) (records []entity.Record, queries []string)
 	for i, p := range pairs {
 		records = append(records, p.B)
 		if i%2 == 0 {
-			queries = append(queries, p.A.Serialize())
+			queries = append(queries, tokenize.Words(p.A.Serialize()))
 		}
 	}
 	return records, queries
@@ -155,7 +128,7 @@ func BenchmarkIndexQueryWDC(b *testing.B) {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						_ = ix.Query(queries[i%len(queries)], 10, 1.0)
+						_ = ix.QueryTokens(queries[i%len(queries)], 10, 1.0)
 					}
 				})
 			}

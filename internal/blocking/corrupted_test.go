@@ -76,7 +76,7 @@ func TestQueryMatchesReferenceCorrupted(t *testing.T) {
 		}
 		for qi, text := range queries {
 			for _, maxCandidates := range []int{0, 3, 1000} {
-				got := ix.Query(text, maxCandidates, 0)
+				got := queryText(ix, text, maxCandidates, 0)
 				want := referenceQuery(recs, stopFrac, text, maxCandidates, 0)
 				if len(got) == 0 && len(want) == 0 {
 					continue

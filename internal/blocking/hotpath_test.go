@@ -12,11 +12,11 @@ import (
 	"llm4em/internal/tokenize"
 )
 
-// referenceQuery is the pre-interning Index.Query implementation —
+// referenceQuery is the pre-interning query implementation —
 // string-keyed postings rebuilt per call, map scratch, full sort —
 // kept as the semantic oracle for the hot-path rewrite. It must
 // produce byte-identical rankings (order and float64 scores) to
-// Index.Query on any input.
+// Index.QueryTokens over the text's Words (queryText) on any input.
 func referenceQuery(records []entity.Record, stopFrac float64, text string, maxCandidates int, minScore float64) []Candidate {
 	stopFrac = math.Max(stopFrac, 0)
 	postings := map[string][]int{}
@@ -66,6 +66,12 @@ func referenceQuery(records []entity.Record, stopFrac float64, text string, maxC
 		cands = cands[:maxCandidates]
 	}
 	return cands
+}
+
+// queryText queries the index with the Words of a text — the split
+// Add applies to the records it indexes.
+func queryText(ix *Index, text string, maxCandidates int, minScore float64) []Candidate {
+	return ix.QueryTokens(tokenize.Words(text), maxCandidates, minScore)
 }
 
 // randomRecords generates a collection with deliberate score ties:
@@ -118,7 +124,7 @@ func TestQueryMatchesReference(t *testing.T) {
 			}
 			maxCandidates := []int{0, 1, 3, 10, 1000}[rng.Intn(5)]
 			minScore := []float64{0, 0.5, 1.0}[rng.Intn(3)]
-			got := ix.Query(text, maxCandidates, minScore)
+			got := queryText(ix, text, maxCandidates, minScore)
 			want := referenceQuery(recs, stopFrac, text, maxCandidates, minScore)
 			if len(got) == 0 && len(want) == 0 {
 				continue
@@ -131,31 +137,12 @@ func TestQueryMatchesReference(t *testing.T) {
 	}
 }
 
-// TestQueryTokensMatchesQuery: the pre-split fanout entry point must
-// be exactly Query over the same text.
-func TestQueryTokensMatchesQuery(t *testing.T) {
-	rng := detrand.New("hotpath-tokens")
-	recs := randomRecords(rng, 40)
-	ix := BuildIndex(recs, IndexOptions{})
-	for q := 0; q < 25; q++ {
-		text := recs[rng.Intn(len(recs))].Serialize() + " Extra-Words x100"
-		got := ix.QueryTokens(tokenize.Words(text), 5, 0)
-		want := ix.Query(text, 5, 0)
-		if len(got) == 0 && len(want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %q: QueryTokens %v != Query %v", text, got, want)
-		}
-	}
-}
-
 // TestIndexQueryEmpty pins the n==0 guard: querying an empty index —
 // or one emptied of matching tokens — returns nil instead of relying
 // on every downstream loop tolerating the degenerate state.
 func TestIndexQueryEmpty(t *testing.T) {
 	ix := BuildIndex(nil, IndexOptions{})
-	if got := ix.Query("sony camera", 10, 0); got != nil {
+	if got := queryText(ix, "sony camera", 10, 0); got != nil {
 		t.Fatalf("empty-index Query = %v, want nil", got)
 	}
 	if got := ix.QueryTokens([]string{"sony"}, 10, 0); got != nil {
@@ -164,7 +151,7 @@ func TestIndexQueryEmpty(t *testing.T) {
 	// The guard is about emptiness, not brokenness: the index works
 	// normally once the first record arrives.
 	ix.Add(rec("a", "sony camera"))
-	if got := ix.Query("sony camera", 10, 0); len(got) != 1 || got[0].Pos != 0 {
+	if got := queryText(ix, "sony camera", 10, 0); len(got) != 1 || got[0].Pos != 0 {
 		t.Fatalf("post-Add Query = %v, want the added record", got)
 	}
 	if got := ix.QueryTokens(nil, 10, 0); got != nil {
@@ -180,8 +167,8 @@ func TestAddSerializedMatchesAdd(t *testing.T) {
 	viaAdd.Add(r)
 	viaText := BuildIndex(nil, IndexOptions{})
 	viaText.AddSerialized(r, r.Serialize())
-	a := viaAdd.Query("sony camera x100", 0, 0)
-	b := viaText.Query("sony camera x100", 0, 0)
+	a := queryText(viaAdd, "sony camera x100", 0, 0)
+	b := queryText(viaText, "sony camera x100", 0, 0)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("AddSerialized diverges from Add: %v vs %v", a, b)
 	}
@@ -198,7 +185,7 @@ func forceCursorPath(tb testing.TB) {
 // TestQueryAllocBudget pins the allocation budget of both scorers:
 // over a warm scratch a query allocates exactly its result slice — no
 // per-token, per-cursor or per-map allocation. The scratch is the
-// test's own rather than Query's pooled one, because sync.Pool drops
+// test's own rather than QueryTokens' pooled one, because sync.Pool drops
 // entries at random under the race detector.
 func TestQueryAllocBudget(t *testing.T) {
 	rng := detrand.New("hotpath-allocs")
@@ -213,8 +200,9 @@ func TestQueryAllocBudget(t *testing.T) {
 				forceCursorPath(t)
 			}
 			sc := &queryScratch{}
+			words := tokenize.Words(text)
 			query := func() []Candidate {
-				ix.knownIDs(sc, text)
+				ix.tokenIDs(sc, words)
 				return ix.queryIDs(sc, 5, 0)
 			}
 			if len(query()) != 5 { // also warms the scratch
@@ -282,7 +270,7 @@ func TestQueryCutoverMatchesReference(t *testing.T) {
 						for _, minScore := range []float64{0, 0.5, 1} {
 							want := referenceQuery(r.recs, r.stopFrac, text, k, minScore)
 							for label, ix := range r.indexes {
-								got := ix.Query(text, k, minScore)
+								got := queryText(ix, text, k, minScore)
 								if len(got) == 0 && len(want) == 0 {
 									continue
 								}

@@ -11,10 +11,9 @@ import (
 )
 
 // Index is an inverted IDF token index over a record collection:
-// build it (or grow it with Add) once and query it many times.
-// TokenBlocker routes Candidates through a throwaway Index; long-lived
-// callers — the online resolution store, repeated blocking runs over a
-// stable collection — keep the Index and amortize construction.
+// build it (or grow it with Add) once and query it many times. Dedup
+// blocks through a throwaway Index; the online resolution store keeps
+// one per shard and amortizes construction.
 //
 // There is one postings representation: token strings map to dense
 // uint32 IDs and each token's ascending record positions are a
@@ -24,15 +23,18 @@ import (
 // denseScoreRecords): small collections run the exhaustive
 // term-at-a-time scan over a pooled flat accumulator, large ones the
 // document-at-a-time cursor path with WAND pruning (wand.go), whose
-// memory is O(query terms). Both rank byte-identically. Query and
-// QueryTokens allocate only the returned slice.
+// memory is O(query terms). Both rank byte-identically. QueryTokens,
+// the one query entry point, allocates only the returned slice.
 //
 // There is one layout: an immutable base plus one heap tail. The base
 // is the mmap'ed EMIX snapshot of OpenMapped (snapshot.go) — reopening
 // at 10M records costs milliseconds, not an ingest replay — or an
 // empty base for BuildIndex. Every Add lands in the tail, whose
 // postings chain onto the base's streams, so every read, write and
-// snapshot path runs the same code however the index was created. The
+// snapshot path runs the same code however the index was created.
+// The index owns its records: Record and RecordID decode them, and
+// RecordPos finds any of them by ID, the base through its on-disk hash
+// and the tail through an ID map kept beside it. The
 // tail is sparse: it holds postings only for the tokens an Add touched,
 // so its heap tracks the records added since the base, not the base's
 // vocabulary. The resolve store leans on that: each checkpoint makes
@@ -47,17 +49,19 @@ import (
 // when scoring.
 //
 // An Index is not safe for concurrent mutation; guard Add against
-// concurrent Query with a lock (internal/resolve shards do).
-// Concurrent Queries are safe with each other.
+// concurrent QueryTokens with a lock (internal/resolve shards do).
+// Concurrent queries are safe with each other.
 type Index struct {
 	stopFrac float64
 	// base owns token IDs below base.nTokens and positions below
 	// base.nRecords. vocab interns the tokens first seen since, their
 	// IDs offset by base.nTokens; records holds the records added
-	// since, their positions offset by base.nRecords.
+	// since, their positions offset by base.nRecords, and ids the
+	// first of those positions for each of their IDs.
 	base    *mappedIndex
 	vocab   *tokenize.Vocab
 	records []entity.Record
+	ids     map[string]int32
 	// The tail, keyed by touched token: posts holds the tokens new
 	// since the base, by ID - base.nTokens, with their IDF slots;
 	// basePosts the tail postings of the base tokens an Add touched.
@@ -104,12 +108,11 @@ type idfSlot struct{ bits, atN uint64 }
 // their vocabulary.
 const stopMinDocs = 5
 
-// queryScratch is the reusable per-query state: the tokenizer, token
-// IDs with their dedupe set, the flat score accumulator with its epoch
+// queryScratch is the reusable per-query state: the token IDs with
+// their dedupe set, the flat score accumulator with its epoch
 // marks (term-at-a-time path), the touched-position list, the top-K
 // heap, and the cursor set of the document-at-a-time path.
 type queryScratch struct {
-	scan    tokenize.Scanner
 	ids     []uint32
 	set     []uint32
 	terms   []scoreTerm
@@ -149,6 +152,7 @@ func newIndex(base *mappedIndex, opts IndexOptions) *Index {
 		stopFrac:  opts.stopDocFrac(),
 		base:      base,
 		vocab:     tokenize.NewVocab(),
+		ids:       map[string]int32{},
 		basePosts: map[uint32]*postingList{},
 		idf:       make([]idfSlot, base.nTokens),
 	}
@@ -170,6 +174,9 @@ func (ix *Index) Add(r entity.Record) int {
 func (ix *Index) AddSerialized(r entity.Record, text string) int {
 	pos := int32(ix.Len())
 	ix.records = append(ix.records, r)
+	if _, ok := ix.ids[r.ID]; !ok {
+		ix.ids[r.ID] = pos
+	}
 	sc := &ix.addScan
 	sc.Reset(text, sc.Buf())
 	for tok, ok := sc.Next(); ok; tok, ok = sc.Next() {
@@ -260,6 +267,10 @@ func (ix *Index) initCursor(c *plCursor, id uint32) { c.reset(ix.segments(id)) }
 // Len returns the number of indexed records.
 func (ix *Index) Len() int { return int(ix.base.nRecords) + len(ix.records) }
 
+// TailLen returns the number of records held on the heap: those added
+// since the base (every record of a built index).
+func (ix *Index) TailLen() int { return len(ix.records) }
+
 // Record returns the record at an index position. Base positions
 // decode from the map per call — bounded queries surface only the top
 // K, so callers touch a handful per query.
@@ -277,45 +288,28 @@ type Candidate struct {
 	Score float64
 }
 
-// Query scores the indexed records against the text by IDF-weighted
-// token overlap and returns candidates with score >= minScore, ranked
-// by decreasing score (ties broken by position). maxCandidates bounds
-// the result; zero or negative means unbounded.
-func (ix *Index) Query(text string, maxCandidates int, minScore float64) []Candidate {
-	if ix.Len() == 0 {
-		return nil
-	}
-	sc := ix.scratch.Get().(*queryScratch)
-	ix.knownIDs(sc, text)
-	out := ix.queryIDs(sc, maxCandidates, minScore)
-	ix.scratch.Put(sc)
-	return out
-}
-
-// knownIDs tokenizes text into sc.ids: each token's base ID, else its
-// vocab ID. Tokens the index has never seen are skipped (zero document
-// frequency). Read-only on the index.
-func (ix *Index) knownIDs(sc *queryScratch, text string) {
-	sc.ids = sc.ids[:0]
-	sc.scan.Reset(text, sc.scan.Buf())
-	for tok, ok := sc.scan.Next(); ok; tok, ok = sc.scan.Next() {
-		if id, ok := ix.base.lookup(tok); ok {
-			sc.ids = append(sc.ids, id)
-		} else if id, ok := ix.vocab.LookupBytes(tok); ok {
-			sc.ids = append(sc.ids, ix.base.nTokens+id)
-		}
-	}
-}
-
-// QueryTokens is Query over pre-split tokens (as produced by
-// tokenize.Words): callers resolving one text against many indexes —
-// the sharded store — tokenize once and fan the tokens out. Duplicate
-// tokens are ignored, exactly as Query ignores repeated words.
+// QueryTokens scores the indexed records against pre-split tokens —
+// tokenize.Words of the query text, the split Add applies — by
+// IDF-weighted token overlap and returns candidates with score >=
+// minScore, ranked by decreasing score (ties broken by position).
+// maxCandidates bounds the result; zero or negative means unbounded.
+// Duplicate tokens are ignored. Callers resolving one text against many
+// indexes — the sharded store — tokenize once and fan the tokens out.
 func (ix *Index) QueryTokens(tokens []string, maxCandidates int, minScore float64) []Candidate {
 	if ix.Len() == 0 || len(tokens) == 0 {
 		return nil
 	}
 	sc := ix.scratch.Get().(*queryScratch)
+	ix.tokenIDs(sc, tokens)
+	out := ix.queryIDs(sc, maxCandidates, minScore)
+	ix.scratch.Put(sc)
+	return out
+}
+
+// tokenIDs maps tokens into sc.ids: each token's base ID, else its
+// vocab ID. Tokens the index has never seen are skipped (zero document
+// frequency). Read-only on the index.
+func (ix *Index) tokenIDs(sc *queryScratch, tokens []string) {
 	sc.ids = sc.ids[:0]
 	for _, t := range tokens {
 		if id, ok := ix.base.lookupString(t); ok {
@@ -324,16 +318,13 @@ func (ix *Index) QueryTokens(tokens []string, maxCandidates int, minScore float6
 			sc.ids = append(sc.ids, ix.base.nTokens+id)
 		}
 	}
-	out := ix.queryIDs(sc, maxCandidates, minScore)
-	ix.scratch.Put(sc)
-	return out
 }
 
 // denseScoreRecords is the one cutover between the two scorers: an
 // index of at most this many records runs the exhaustive term-at-a-time
 // scan into flat scores/epoch arrays (queryDense), a larger one runs
-// the document-at-a-time cursor path (queryWAND). Measured with
-// Index.Query(text, 10, 1.0) over datasets.GroupedPairs("wdc") records
+// the document-at-a-time cursor path (queryWAND). Measured with top-10,
+// floor-1.0 queries over datasets.GroupedPairs("wdc") records
 // (the corpus of bench/: 20–30 tokens a query, ≈600 scoring postings
 // on a 4k-record shard), ns/op, go1.24, 2 vCPU, median of 3:
 //

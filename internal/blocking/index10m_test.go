@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"llm4em/internal/tokenize"
 )
 
 // TestIndex10M is the 10M-record scale measurement behind
@@ -43,15 +45,15 @@ func TestIndex10M(t *testing.T) {
 	// Query latency at scale (same query set as the 100k benchmark: 2
 	// scoring postings a query, scored by the cursor path above
 	// denseScoreRecords).
-	queries := make([]string, 256)
+	queries := make([][]string, 256)
 	for i := range queries {
-		queries[i] = records[(i*37)%n].Serialize()
+		queries[i] = tokenize.Words(records[(i*37)%n].Serialize())
 	}
 	measure := func(ix *Index) time.Duration {
 		const rounds = 20000
 		start := time.Now()
 		for i := 0; i < rounds; i++ {
-			_ = ix.Query(queries[i%len(queries)], 10, 1.0)
+			_ = ix.QueryTokens(queries[i%len(queries)], 10, 1.0)
 		}
 		return time.Since(start) / rounds
 	}

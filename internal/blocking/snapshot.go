@@ -728,15 +728,16 @@ func (ix *Index) Close() error {
 	return m.unmap()
 }
 
-// RecordPos returns the position of the record with the given ID in
-// the base, answered by the snapshot's on-disk hash section — O(1), no
-// per-record decode, no rebuilt in-memory map. Only the base is
-// covered: records added since (every record of a built index) return
-// false, and callers track those themselves — the resolve store keeps
-// its post-open records in a per-shard map and consults this for the
-// rest.
+// RecordPos returns the position of the record with the given ID,
+// for every record the index holds: the base answers through the
+// snapshot's on-disk hash section — O(1), no per-record decode, no
+// rebuilt in-memory map — and the tail through the ID map Add keeps. A
+// repeated ID resolves to its first position.
 func (ix *Index) RecordPos(id string) (int, bool) {
-	pos, ok := ix.base.recordPos(id)
+	if pos, ok := ix.base.recordPos(id); ok {
+		return int(pos), true
+	}
+	pos, ok := ix.ids[id]
 	return int(pos), ok
 }
 

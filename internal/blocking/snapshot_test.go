@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -33,8 +34,8 @@ func queryBoth(t *testing.T, label string, got, want *Index, queries []string) {
 	for _, text := range queries {
 		for _, maxC := range []int{0, 1, 5, 1000} {
 			for _, minS := range []float64{0, 1.0} {
-				g := got.Query(text, maxC, minS)
-				w := want.Query(text, maxC, minS)
+				g := queryText(got, text, maxC, minS)
+				w := queryText(want, text, maxC, minS)
 				if len(g) == 0 && len(w) == 0 {
 					continue
 				}
@@ -54,7 +55,7 @@ func queryReference(t *testing.T, label string, got *Index, recs []entity.Record
 	for _, text := range queries {
 		for _, maxC := range []int{0, 1, 5, 1000} {
 			for _, minS := range []float64{0, 1.0} {
-				g := got.Query(text, maxC, minS)
+				g := queryText(got, text, maxC, minS)
 				w := referenceQuery(recs, stopFrac, text, maxC, minS)
 				if len(g) == 0 && len(w) == 0 {
 					continue
@@ -146,6 +147,54 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if _, ok := mapped.RecordPos("no-such-id"); ok {
 		t.Fatal("RecordPos found a record that was never indexed")
+	}
+}
+
+// TestRecordPosCoversTail: RecordPos answers for every record of a
+// mapped index, the base through the on-disk hash and the records added
+// since through the tail's ID map, and a repeated ID — of a base record
+// or within the tail — resolves to its first position.
+func TestRecordPosCoversTail(t *testing.T) {
+	var base []entity.Record
+	for i := 0; i < 20; i++ {
+		base = append(base, rec(fmt.Sprintf("b%02d", i), fmt.Sprintf("widget model%d", i)))
+	}
+	ix, err := OpenMapped(writeTestSnapshot(t, BuildIndex(base, IndexOptions{})), IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	tail := []entity.Record{
+		rec("t0", "gadget alpha"),
+		rec("b07", "a repeat of a base ID"),
+		rec("t1", "gadget beta"),
+		rec("t0", "a repeat within the tail"),
+		rec("t2", "gadget gamma"),
+	}
+	for _, r := range tail {
+		ix.Add(r)
+	}
+	first := map[string]int{}
+	for pos := 0; pos < ix.Len(); pos++ {
+		id := ix.RecordID(pos)
+		if _, seen := first[id]; !seen {
+			first[id] = pos
+		}
+	}
+	for pos := 0; pos < ix.Len(); pos++ {
+		id := ix.RecordID(pos)
+		if got, ok := ix.RecordPos(id); !ok || got != first[id] {
+			t.Errorf("RecordPos(%q) = %d,%v, want %d", id, got, ok, first[id])
+		}
+	}
+	if first["b07"] != 7 || first["t0"] != len(base) {
+		t.Fatalf("first positions %v: the test's repeats are not where it put them", first)
+	}
+	if _, ok := ix.RecordPos("no-such-id"); ok {
+		t.Fatal("RecordPos found a record that was never indexed")
+	}
+	if got := ix.TailLen(); got != len(tail) {
+		t.Fatalf("TailLen = %d, want the %d added records", got, len(tail))
 	}
 }
 
@@ -279,12 +328,12 @@ func TestSnapshotEmptyIndex(t *testing.T) {
 		t.Fatalf("OpenMapped(empty): %v", err)
 	}
 	defer mapped.Close()
-	if got := mapped.Query("sony camera", 10, 0); got != nil {
+	if got := queryText(mapped, "sony camera", 10, 0); got != nil {
 		t.Fatalf("empty mapped Query = %v, want nil", got)
 	}
 	// And it grows from empty exactly like a built index.
 	mapped.Add(rec("a", "sony camera"))
-	if got := mapped.Query("sony camera", 10, 0); len(got) != 1 || got[0].Pos != 0 {
+	if got := queryText(mapped, "sony camera", 10, 0); len(got) != 1 || got[0].Pos != 0 {
 		t.Fatalf("post-Add mapped Query = %v, want the added record", got)
 	}
 }
@@ -457,7 +506,7 @@ func TestSnapshotCorruptEntriesTyped(t *testing.T) {
 			_ = ix.RecordID(pos) // may be ""; must not panic
 		}
 		for _, r := range recs {
-			_ = ix.Query(r.Serialize(), 10, 0) // may miss; must not panic
+			_ = queryText(ix, r.Serialize(), 10, 0) // may miss; must not panic
 			if _, ok := ix.RecordPos(r.ID); ok && name == "record-hash-entries" {
 				t.Fatalf("%s: RecordPos(%q) hit through a corrupted hash table", name, r.ID)
 			}
@@ -497,7 +546,7 @@ func TestMappedProbesEnd(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if got := ix.Query("zzzabsent", 10, 0); len(got) != 0 {
+		if got := queryText(ix, "zzzabsent", 10, 0); len(got) != 0 {
 			t.Errorf("Query of an absent token = %v, want none", got)
 		}
 		if got := ix.QueryTokens([]string{"zzzabsent"}, 10, 0); len(got) != 0 {

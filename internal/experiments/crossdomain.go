@@ -61,7 +61,7 @@ func CalibrateThresholds(client llm.Client, workers int, sets []CalibrationSet) 
 	var verdicts []bool // aligned with probs; meaningful inside the widest band
 	widestReject, widestAccept := rejectGrid[0], acceptGrid[len(acceptGrid)-1]
 	for _, set := range sets {
-		ps := resolve.LocalProbabilities(nil, set.Pairs)
+		ps := resolve.LocalProbabilities(set.Pairs)
 		var band []entity.Pair
 		var bandIdx []int
 		for i, p := range ps {

@@ -178,15 +178,11 @@ func GroupPairs(pairs []entity.Pair) [][]entity.Pair {
 }
 
 // LocalProbabilities returns the local scorer's match probability for
-// every pair under the given weights (nil selects features.Ideal) —
-// the threshold-free half of the cascade, used by threshold
-// calibration to sweep candidate thresholds without re-running any
-// model.
-func LocalProbabilities(ws *features.Weights, pairs []entity.Pair) []float64 {
+// every pair under features.Ideal — the threshold-free half of the
+// cascade, used by threshold calibration to sweep candidate thresholds
+// without re-running any model.
+func LocalProbabilities(pairs []entity.Pair) []float64 {
 	w := features.Ideal()
-	if ws != nil {
-		w = *ws
-	}
 	probs := make([]float64, len(pairs))
 	for i, p := range pairs {
 		v, pres := features.PairFeaturesText(p.A.Serialize(), p.B.Serialize())

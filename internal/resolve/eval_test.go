@@ -198,7 +198,7 @@ func TestEvaluatePairsEmpty(t *testing.T) {
 // scorer half agrees with the probabilities Evaluate reports.
 func TestLocalProbabilitiesMatchOutcomes(t *testing.T) {
 	pairs := evalTestPairs(t, "ds", 60)
-	probs := LocalProbabilities(nil, pairs)
+	probs := LocalProbabilities(pairs)
 	res, err := Evaluate(&countingClient{}, EvalOptions{Domain: entity.Publication}, PerPair(pairs))
 	if err != nil {
 		t.Fatal(err)

@@ -89,7 +89,7 @@ func TestMergeMatchesSortReference(t *testing.T) {
 		text := base.Serialize() + " pro"
 		qid := fmt.Sprintf("m%04d", q)
 
-		// Reference: every shard's full Query output, sorted globally
+		// Reference: every shard's full query output, sorted globally
 		// by (score desc, ID asc), truncated.
 		type flat struct {
 			id    string
@@ -98,7 +98,7 @@ func TestMergeMatchesSortReference(t *testing.T) {
 		var ref []flat
 		for _, sh := range s.shards {
 			sh.mu.RLock()
-			for _, c := range sh.ix.Query(text, s.opts.MaxCandidates, s.opts.Blocking.EffectiveMinScore()) {
+			for _, c := range sh.ix.QueryTokens(tokenize.Words(text), s.opts.MaxCandidates, DefaultMinScore) {
 				r := sh.ix.Record(c.Pos)
 				if r.ID == qid {
 					continue

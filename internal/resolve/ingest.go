@@ -21,7 +21,7 @@ func (s *Store) Add(r entity.Record) error {
 	text := r.Serialize()
 	sh := s.shardFor(r.ID)
 	sh.mu.Lock()
-	if _, dup := sh.posLocked(r.ID); dup {
+	if _, dup := sh.ix.RecordPos(r.ID); dup {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrDuplicateID, r.ID)
 	}
@@ -97,7 +97,7 @@ insert:
 		sh := s.shards[i]
 		sh.mu.Lock()
 		for _, p := range group {
-			if _, dup := sh.posLocked(p.rec.ID); dup {
+			if _, dup := sh.ix.RecordPos(p.rec.ID); dup {
 				insertErr = fmt.Errorf("%w: %q", ErrDuplicateID, p.rec.ID)
 				sh.mu.Unlock()
 				break insert
@@ -134,7 +134,7 @@ func (s *Store) Record(id string) (entity.Record, bool) {
 	sh := s.shardFor(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if pos, ok := sh.posLocked(id); ok {
+	if pos, ok := sh.ix.RecordPos(id); ok {
 		return sh.ix.Record(pos), true
 	}
 	return entity.Record{}, false
@@ -145,7 +145,7 @@ func (s *Store) stored(id string) bool {
 	sh := s.shardFor(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	_, ok := sh.posLocked(id)
+	_, ok := sh.ix.RecordPos(id)
 	return ok
 }
 

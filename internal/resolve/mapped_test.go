@@ -3,7 +3,6 @@ package resolve
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io/fs"
 	"os"
@@ -268,10 +267,10 @@ func TestCheckpointServesMapped(t *testing.T) {
 		for _, r := range stored {
 			gs, ws := got.shardFor(r.ID), want.shardFor(r.ID)
 			gs.mu.RLock()
-			gp, gok := gs.posLocked(r.ID)
+			gp, gok := gs.ix.RecordPos(r.ID)
 			gs.mu.RUnlock()
 			ws.mu.RLock()
-			wp, wok := ws.posLocked(r.ID)
+			wp, wok := ws.ix.RecordPos(r.ID)
 			ws.mu.RUnlock()
 			if !gok || !wok || gp != wp {
 				t.Fatalf("%s: position of %q = %d,%v, want %d,%v", when, r.ID, gp, gok, wp, wok)
@@ -660,12 +659,11 @@ func candidateRecords(s *Store, queries []entity.Record) map[string]bool {
 		score float64
 	}
 	ids := map[string]bool{}
-	minScore := s.opts.Blocking.EffectiveMinScore()
 	for _, q := range queries {
 		words := features.ExtractText(q.Serialize()).WordTokens
 		var cs []cand
 		for _, sh := range s.shards {
-			for _, c := range sh.ix.QueryTokens(words, s.opts.MaxCandidates, minScore) {
+			for _, c := range sh.ix.QueryTokens(words, s.opts.MaxCandidates, DefaultMinScore) {
 				if id := sh.ix.RecordID(c.Pos); id != q.ID {
 					cs = append(cs, cand{id, c.Score})
 				}
@@ -865,42 +863,5 @@ func TestDeferExtractionPersistent(t *testing.T) {
 	}
 	if b.Stats().Extractions == 0 {
 		t.Fatal("no extraction after resolving new queries on a mapped reopen")
-	}
-}
-
-// TestBlockingOptionsPrecedence pins the Options.Blocking wiring: the
-// store takes its score floor and its shard indexes' stop-token
-// fraction from the one options value — defaults for the zero value,
-// blocking.Float(0) a literal zero — and resolves neither itself.
-func TestBlockingOptionsPrecedence(t *testing.T) {
-	// Six records share "sharedtok" (a stop token at any fraction below
-	// 1) and each owns a rare token whose IDF is log(1+6/1) ≈ 1.95.
-	var recs []entity.Record
-	for i := 0; i < 6; i++ {
-		recs = append(recs, entity.Record{ID: fmt.Sprintf("r%d", i),
-			Attrs: []entity.Attr{{Name: "title", Value: fmt.Sprintf("sharedtok rare%d", i)}}})
-	}
-	cases := []struct {
-		name       string
-		blocking   blocking.IndexOptions
-		query      string
-		candidates int
-	}{
-		{"defaults-rare-token-passes", blocking.IndexOptions{}, "rare3", 1},
-		{"defaults-stop-token-skipped", blocking.IndexOptions{}, "sharedtok", 0},
-		{"stop-filter-off-floor-zero", blocking.IndexOptions{MinScore: blocking.Float(0), StopDocFrac: blocking.Float(1)}, "sharedtok", 6},
-		{"stop-filter-off-default-floor", blocking.IndexOptions{StopDocFrac: blocking.Float(1)}, "sharedtok", 0},
-		{"high-floor", blocking.IndexOptions{MinScore: blocking.Float(2.5)}, "rare3", 0},
-	}
-	withShards(t, 1)
-	for _, tc := range cases {
-		s := New(benchClient{}, Options{Blocking: tc.blocking})
-		if err := s.AddBatch(recs); err != nil {
-			t.Fatal(err)
-		}
-		got := s.blockCandidates("q", tokenize.Words(tc.query))
-		if len(got) != tc.candidates {
-			t.Errorf("%s: %d candidates for %q, want %d", tc.name, len(got), tc.query, tc.candidates)
-		}
 	}
 }

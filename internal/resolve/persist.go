@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"llm4em/internal/blocking"
-	"llm4em/internal/features"
 	"llm4em/internal/llm"
 	"llm4em/internal/persist"
 	"llm4em/internal/telemetry"
@@ -182,7 +181,7 @@ func (s *Store) installMapped(snap *persist.Snapshot) error {
 	opened := make([]*blocking.Index, 0, snap.IndexShards)
 	for i := 0; i < snap.IndexShards; i++ {
 		name := persist.IndexFileName(snap.IndexEpoch, i)
-		ix, err := blocking.OpenMapped(filepath.Join(s.opts.PersistDir, name), s.opts.Blocking)
+		ix, err := s.openIndex(name)
 		if err != nil {
 			for _, o := range opened {
 				o.Close()
@@ -194,12 +193,9 @@ func (s *Store) installMapped(snap *persist.Snapshot) error {
 	s.pstate.indexEpoch = snap.IndexEpoch
 	if snap.IndexShards == len(s.shards) {
 		for i, ix := range opened {
-			ix.SetMetrics(s.blockingMetrics())
-			sh := s.shards[i]
-			sh.ix = ix
-			sh.ext = make([]features.Packed, ix.Len())
-			s.pstate.mappedShards++
+			s.shards[i].install(ix).Close()
 		}
+		s.pstate.mappedShards = len(opened)
 		return nil
 	}
 	for _, ix := range opened {
@@ -212,13 +208,14 @@ func (s *Store) installMapped(snap *persist.Snapshot) error {
 	return nil
 }
 
-// blockingMetrics returns the index instruments of the store's
-// telemetry, disabled without one.
-func (s *Store) blockingMetrics() telemetry.BlockingMetrics {
-	if s.opts.Telemetry == nil {
-		return telemetry.BlockingMetrics{}
+// openIndex maps one index file of the persistence directory, wired
+// to the store's index instruments.
+func (s *Store) openIndex(name string) (*blocking.Index, error) {
+	ix, err := blocking.OpenMapped(filepath.Join(s.opts.PersistDir, name), blocking.IndexOptions{})
+	if err == nil && s.opts.Telemetry != nil {
+		ix.SetMetrics(s.opts.Telemetry.Blocking)
 	}
-	return s.opts.Telemetry.Blocking
+	return ix, err
 }
 
 // replay applies WAL entries on top of the snapshot state, decisions
@@ -237,7 +234,7 @@ func (s *Store) replay(entries []persist.Entry) error {
 				return err
 			}
 			sh := s.shardFor(r.ID)
-			if _, ok := sh.posLocked(r.ID); ok {
+			if _, ok := sh.ix.RecordPos(r.ID); ok {
 				continue // already in the snapshot
 			}
 			sh.insertLocked(r, r.Serialize())
@@ -375,31 +372,20 @@ func (s *Store) checkpointLocked() error {
 }
 
 // serveWritten makes the EMIX file a committed checkpoint wrote each
-// shard's base, so the heap keeps only what was added since: the
-// records that reached a shard after its write, past the file's Len,
-// are re-added to the new tail. Positions are stable — the writer
-// emits base then tail in position order — so every ext slot and
-// stored position survives. The old index is released after the lock;
-// a shard whose file fails to open stays on the heap.
+// shard's base (install), so the heap keeps only what was added since:
+// the records that reached a shard after its write. Positions are
+// stable — the writer emits base then tail in position order. The old
+// index is released after the lock; a shard whose file fails to open
+// stays on the heap.
 func (s *Store) serveWritten(epoch uint64) {
 	for i, sh := range s.shards {
 		name := persist.IndexFileName(epoch, i)
-		ix, err := blocking.OpenMapped(filepath.Join(s.opts.PersistDir, name), s.opts.Blocking)
+		ix, err := s.openIndex(name)
 		if err != nil {
 			s.opts.Telemetry.Warn("resolve: shard stays on the heap, "+name+" did not open", err)
 			continue
 		}
-		ix.SetMetrics(s.blockingMetrics())
-		sh.mu.Lock()
-		old := sh.ix
-		live := make(map[string]int32, old.Len()-ix.Len())
-		for pos := ix.Len(); pos < old.Len(); pos++ {
-			r := old.Record(pos)
-			live[r.ID] = int32(ix.AddSerialized(r, r.Serialize()))
-		}
-		sh.ix, sh.live = ix, live
-		sh.mu.Unlock()
-		old.Close()
+		sh.install(ix).Close()
 	}
 }
 

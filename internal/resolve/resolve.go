@@ -69,8 +69,10 @@ import (
 // value.
 const (
 	DefaultMaxCandidates = 10
-	DefaultMinScore      = blocking.DefaultMinScore
-	DefaultDesign        = "domain-complex-force"
+	// DefaultMinScore is the candidate score floor every shard query
+	// applies; no option changes it.
+	DefaultMinScore = blocking.DefaultMinScore
+	DefaultDesign   = "domain-complex-force"
 	// DefaultSnapshotEvery is the WAL-append count between automatic
 	// snapshot+compaction runs of a persistent store.
 	DefaultSnapshotEvery = 4096
@@ -86,12 +88,6 @@ type Options struct {
 	// MaxCandidates bounds the candidate pairs per Resolve call
 	// (default DefaultMaxCandidates).
 	MaxCandidates int
-	// Blocking configures the shard indexes and the candidate score
-	// floor: MinScore (nil selects DefaultMinScore) and StopDocFrac
-	// (nil selects blocking.DefaultStopDocFrac), where
-	// blocking.Float(0) is a literal zero. The zero value selects the
-	// defaults.
-	Blocking blocking.IndexOptions
 	// Design is the prompt design for escalated pairs (zero value
 	// selects DefaultDesign).
 	Design prompt.Design
@@ -272,10 +268,7 @@ func newStore(client llm.Client, opts Options) *Store {
 	}
 	s.rscratch.New = func() any { return &resolveScratch{} }
 	for i := range s.shards {
-		s.shards[i] = &shard{
-			ix:   blocking.BuildIndex(nil, o.Blocking),
-			live: map[string]int32{},
-		}
+		s.shards[i] = &shard{ix: blocking.BuildIndex(nil, blocking.IndexOptions{})}
 		s.shards[i].ix.SetMetrics(bm)
 	}
 	return s
@@ -541,7 +534,7 @@ func (s *Store) HeapRecords() int {
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		n += len(sh.live)
+		n += sh.ix.TailLen()
 		sh.mu.RUnlock()
 	}
 	return n

@@ -9,17 +9,15 @@ import (
 	"llm4em/internal/features"
 )
 
-// shard is one partition of the record store and its inverted index.
-// Records route to shards by ID hash, so concurrent Adds contend only
-// per shard; Resolves read every shard under its read lock.
+// shard is one partition of the record store and its inverted index,
+// which owns the shard's records: ix.RecordPos finds a stored ID,
+// ix.Record decodes it. Records route to shards by ID hash, so
+// concurrent Adds contend only per shard; Resolves read every shard
+// under its read lock.
 type shard struct {
 	mu sync.RWMutex
+	// ix is assigned at construction and afterwards only by install.
 	ix *blocking.Index
-	// live maps the IDs of the records in ix's heap tail — inserted
-	// since the last checkpoint, or since the store was built or opened
-	// — to their positions. The mapped base is not in it: posLocked asks
-	// the snapshot's on-disk ID hash.
-	live map[string]int32
 	// ext caches each record's feature extraction, packed
 	// (features.Packed), position-aligned with ix, so the cascade
 	// scores candidates without re-extracting (or re-serializing) them
@@ -37,28 +35,40 @@ type shard struct {
 // (or has exclusive access during recovery) and has already rejected
 // duplicates.
 func (sh *shard) insertLocked(r entity.Record, text string) {
-	sh.live[r.ID] = int32(sh.ix.AddSerialized(r, text))
+	sh.ix.AddSerialized(r, text)
 	sh.ext = append(sh.ext, features.Packed{})
 }
 
-// posLocked returns the index position of a stored record ID —
-// inserted live, or part of the mapped base. Caller holds mu.
-func (sh *shard) posLocked(id string) (int, bool) {
-	if pos, ok := sh.live[id]; ok {
-		return int(pos), true
+// install makes ix — an index file's mapping holding a prefix of the
+// shard's records — the shard's index, under the write lock: the
+// records the current index holds past ix.Len() are re-added to ix's
+// tail, and ext grows to cover ix. Positions are stable, so every ext
+// slot survives. It returns the replaced index, for the caller to
+// close once no query can hold it.
+func (sh *shard) install(ix *blocking.Index) *blocking.Index {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	old := sh.ix
+	for pos := ix.Len(); pos < old.Len(); pos++ {
+		r := old.Record(pos)
+		ix.AddSerialized(r, r.Serialize())
 	}
-	return sh.ix.RecordPos(id)
+	sh.ix = ix
+	if n := ix.Len() - len(sh.ext); n > 0 {
+		sh.ext = append(sh.ext, make([]features.Packed, n)...)
+	}
+	return old
 }
 
 // collect queries one shard for blocking candidates and copies the
 // matching records and their cached extractions out under the read
 // lock, appending to dst (a reusable buffer owned by the caller). words
-// is the pre-split query tokenization shared by every shard. A
-// candidate not extracted yet keeps a zero extraction until the score
-// stage needs it (extract).
-func (sh *shard) collect(dst []scored, qid string, words []string, maxCandidates int, minScore float64) []scored {
+// is the pre-split query tokenization shared by every shard; the score
+// floor is DefaultMinScore. A candidate not extracted yet keeps a zero
+// extraction until the score stage needs it (extract).
+func (sh *shard) collect(dst []scored, qid string, words []string, maxCandidates int) []scored {
 	sh.mu.RLock()
-	for _, c := range sh.ix.QueryTokens(words, maxCandidates, minScore) {
+	for _, c := range sh.ix.QueryTokens(words, maxCandidates, DefaultMinScore) {
 		r := sh.ix.Record(c.Pos)
 		if r.ID == qid {
 			continue // re-resolving an added record
@@ -130,20 +140,19 @@ func (s *Store) blockCandidates(qid string, words []string) []scored {
 		sc.perShard = make([][]scored, len(s.shards))
 	}
 	perShard := sc.perShard
-	minScore := s.opts.Blocking.EffectiveMinScore()
 	if len(s.shards) > 1 && s.count.Load() >= fanoutRecords {
 		var wg sync.WaitGroup
 		wg.Add(len(s.shards))
 		for i, sh := range s.shards {
 			go func(i int, sh *shard) {
 				defer wg.Done()
-				perShard[i] = sh.collect(perShard[i][:0], qid, words, s.opts.MaxCandidates, minScore)
+				perShard[i] = sh.collect(perShard[i][:0], qid, words, s.opts.MaxCandidates)
 			}(i, sh)
 		}
 		wg.Wait()
 	} else {
 		for i, sh := range s.shards {
-			perShard[i] = sh.collect(perShard[i][:0], qid, words, s.opts.MaxCandidates, minScore)
+			perShard[i] = sh.collect(perShard[i][:0], qid, words, s.opts.MaxCandidates)
 		}
 	}
 	out := mergeTopK(perShard, s.opts.MaxCandidates)

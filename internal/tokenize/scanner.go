@@ -7,15 +7,15 @@ import (
 
 // Scanner yields the tokens of a string one at a time — maximal
 // lower-cased runs of letters and digits, exactly the split Words
-// applies — without materializing token strings. It is the one
-// tokenizer of the blocking index: Add and Query scan each text once
-// and map every token against the index's base token table, then its
-// Vocab.
+// applies — without materializing token strings. The blocking index's
+// Add scans each text once and maps every token against the index's
+// base token table, then its Vocab; queries arrive as Words, so the two
+// splits must agree (TestScannerMatchesWords).
 //
 // The byte slice Next returns aliases the scanner's scratch buffer and
 // is valid only until the following Next or Reset. A Scanner is
-// single-use state, not safe for concurrent use; pools of query
-// scratch hold one each.
+// single-use state, not safe for concurrent use; an index holds one
+// for its Adds.
 type Scanner struct {
 	s   string
 	i   int

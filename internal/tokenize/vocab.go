@@ -7,12 +7,13 @@ package tokenize
 // slices (postings lists, IDF tables). A Vocab holds no tokenizer:
 // callers split text with a Scanner (or Words) and intern or look up
 // each token, which lets the blocking index probe its base's token
-// table first.
+// table first: Add scans and interns bytes, queries look up the
+// strings of Words.
 //
 // A Vocab is not safe for concurrent mutation: guard IDBytes against
 // concurrent use the same way the owning index guards its postings.
-// The read-only methods (Lookup, LookupBytes, Token, Len) are safe to
-// call concurrently with each other.
+// The read-only methods (Lookup, Token, Len) are safe to call
+// concurrently with each other.
 type Vocab struct {
 	ids  map[string]uint32
 	toks []string
@@ -32,14 +33,6 @@ func (v *Vocab) Token(id uint32) string { return v.toks[id] }
 // Lookup returns the ID of a token without interning it.
 func (v *Vocab) Lookup(tok string) (uint32, bool) {
 	id, ok := v.ids[tok]
-	return id, ok
-}
-
-// LookupBytes is Lookup over a byte-slice token (as a Scanner yields
-// them), probing the map without allocating. Read-only; safe to call
-// concurrently with other readers.
-func (v *Vocab) LookupBytes(tok []byte) (uint32, bool) {
-	id, ok := v.ids[string(tok)] // no-alloc map probe
 	return id, ok
 }
 

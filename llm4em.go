@@ -43,7 +43,6 @@ package llm4em
 import (
 	"context"
 
-	"llm4em/internal/blocking"
 	"llm4em/internal/core"
 	"llm4em/internal/datasets"
 	"llm4em/internal/entity"
@@ -104,8 +103,8 @@ type (
 	// groups. Safe for concurrent use; cmd/emserve exposes it over
 	// HTTP.
 	Store = resolve.Store
-	// StoreOptions configures a Store (candidates, blocking thresholds,
-	// prompt design, cascade, batching, persistence, resilience).
+	// StoreOptions configures a Store (candidates, prompt design,
+	// cascade, batching, persistence, resilience).
 	StoreOptions = resolve.Options
 	// CascadeOptions tunes the cascade matcher's accept/reject
 	// thresholds, LLM/cost budgets, and the prompt strategy for the
@@ -137,15 +136,6 @@ type (
 	// cause (e.g. ErrDuplicateRecordID) through Unwrap.
 	BatchError = resolve.BatchError
 )
-
-// BlockingOptions configures a store's candidate index and score
-// floor (StoreOptions.Blocking); its zero value selects every default.
-// The *float64 thresholds MinScore and StopDocFrac select the default
-// when nil and are taken literally when set, so a pointer to 0
-// requests a literal zero. The index itself has no representation
-// knobs: postings are delta+varint streams and the scorer is chosen by
-// index size.
-type BlockingOptions = blocking.IndexOptions
 
 // NewStore returns an empty online resolution store over the client.
 // The store is in-memory; use OpenStore for a durable one.

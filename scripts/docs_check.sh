@@ -112,8 +112,8 @@ fi
 # facade's exported-name count may only shrink: adding a knob or a
 # name means raising its ceiling here, in the same change, on purpose.
 max_flags=26
-max_options=13
-max_facade=62
+max_options=12
+max_facade=61
 nflags=$(printf '%s\n' "$actual" | wc -l)
 # Exported names of llm4em.go: top-level declarations and the entries
 # of its type, const and var blocks.
