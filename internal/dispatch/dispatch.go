@@ -23,6 +23,13 @@
 // that batch, so a model that ignores the batch format degrades to
 // the unbatched path instead of mis-answering.
 //
+// Grouped compare/select prompts (DoGroupContext) are the other
+// multi-pair prompt: one query's candidates in one round-trip. A batch
+// of two or more pairs and a group share one executor — the
+// round-trip, the strict split of the reply, the per-pair fallback,
+// the usage shares and the cache seeding — and differ only in how the
+// prompt is built and read and in which counters they feed.
+//
 // The paper's evaluations ride the same dispatcher: core.Matcher
 // submits each pair as a batch of one, and core.BatchMatcher submits a
 // whole test split to a dispatcher cutting BatchSize pairs per batched
@@ -80,7 +87,8 @@ type Options struct {
 	FlushInterval time.Duration
 	// Metrics are the telemetry instruments the dispatcher records
 	// into (queue depth, batch sizes, flush reasons, per-pair wait
-	// latency). The zero value disables them.
+	// latency). The zero value disables them; the flush counters are
+	// then the dispatcher's own, since Stats reads them.
 	Metrics telemetry.DispatchMetrics
 }
 
@@ -91,6 +99,9 @@ func (o Options) withDefaults() Options {
 	if o.FlushInterval <= 0 {
 		o.FlushInterval = DefaultFlushInterval
 	}
+	o.Metrics.SizeFlushes = cmp.Or(o.Metrics.SizeFlushes, &telemetry.Counter{})
+	o.Metrics.DeadlineFlushes = cmp.Or(o.Metrics.DeadlineFlushes, &telemetry.Counter{})
+	o.Metrics.DrainFlushes = cmp.Or(o.Metrics.DrainFlushes, &telemetry.Counter{})
 	return o
 }
 
@@ -116,7 +127,8 @@ type Result struct {
 	// Batched reports that a batched prompt decided the pair.
 	Batched bool
 	// BatchID is the sequence number of the batched round-trip (0 when
-	// not batched); pairs sharing a BatchID rode the same request.
+	// not batched, grouped included); pairs sharing a BatchID rode the
+	// same request.
 	BatchID uint64
 	// BatchSize is the number of pairs in that request.
 	BatchSize int
@@ -134,7 +146,8 @@ type Result struct {
 // Stats counts what a Dispatcher did.
 type Stats struct {
 	// Batches is the number of batched round-trips issued (≥2 pairs);
-	// BatchedPairs the pairs they answered.
+	// BatchedPairs the pairs they answered. Grouped prompts count in
+	// none of Batches, BatchedPairs, ParseFallbacks or FallbackPairs.
 	Batches      uint64
 	BatchedPairs uint64
 	// SinglePairCalls counts pairs flushed alone (no batch-mates
@@ -217,10 +230,9 @@ type Dispatcher struct {
 
 	batchSeq atomic.Uint64
 	stats    struct {
-		batches, batchedPairs, singlePairCalls   atomic.Uint64
-		parseFallbacks, fallbackPairs            atomic.Uint64
-		singleFlightHits, cacheHits              atomic.Uint64
-		sizeFlushes, deadlineFlushes, drainFlush atomic.Uint64
+		batches, batchedPairs, singlePairCalls atomic.Uint64
+		parseFallbacks, fallbackPairs          atomic.Uint64
+		singleFlightHits, cacheHits            atomic.Uint64
 	}
 
 	mu         sync.Mutex
@@ -256,9 +268,9 @@ func (d *Dispatcher) Stats() Stats {
 		FallbackPairs:    d.stats.fallbackPairs.Load(),
 		SingleFlightHits: d.stats.singleFlightHits.Load(),
 		CacheHits:        d.stats.cacheHits.Load(),
-		SizeFlushes:      d.stats.sizeFlushes.Load(),
-		DeadlineFlushes:  d.stats.deadlineFlushes.Load(),
-		DrainFlushes:     d.stats.drainFlush.Load(),
+		SizeFlushes:      d.opts.Metrics.SizeFlushes.Value(),
+		DeadlineFlushes:  d.opts.Metrics.DeadlineFlushes.Value(),
+		DrainFlushes:     d.opts.Metrics.DrainFlushes.Value(),
 	}
 }
 
@@ -281,9 +293,9 @@ func (d *Dispatcher) DoAllContext(ctx context.Context, pairs []entity.Pair) ([]R
 		keys[i] = d.buildPair(p)
 	}
 
-	calls := make([]*call, len(pairs))
+	out := make([]Result, len(pairs))
+	calls := make([]*call, len(pairs)) // nil where the cache answered
 	shared := make([]bool, len(pairs))
-	cached := make([]*Result, len(pairs))
 
 	d.mu.Lock()
 	if d.closed {
@@ -292,15 +304,9 @@ func (d *Dispatcher) DoAllContext(ctx context.Context, pairs []entity.Pair) ([]R
 	}
 	for i, p := range pairs {
 		// Layer 1: the per-pair prompt cache (previous unbatched
-		// answers, seeded batched answers).
-		if resp, ok := d.eng.Peek(keys[i]); ok {
-			d.stats.cacheHits.Add(1)
-			cached[i] = &Result{
-				Match:  prompt.ParseAnswer(resp.Content),
-				Answer: resp.Content,
-				Usage:  resp,
-				Cached: true,
-			}
+		// answers, seeded batched and grouped answers).
+		if r, ok := d.peek(keys[i]); ok {
+			out[i] = r
 			continue
 		}
 		// Layer 2: single-flight — an identical pair already pending or
@@ -329,14 +335,11 @@ func (d *Dispatcher) DoAllContext(ctx context.Context, pairs []entity.Pair) ([]R
 	}
 	d.mu.Unlock()
 
-	out := make([]Result, len(pairs))
 	var firstErr error
-	for i := range pairs {
-		if cached[i] != nil {
-			out[i] = *cached[i]
+	for i, c := range calls {
+		if c == nil {
 			continue
 		}
-		c := calls[i]
 		select {
 		case <-c.ready:
 		case <-ctx.Done():
@@ -358,6 +361,17 @@ func (d *Dispatcher) DoAllContext(ctx context.Context, pairs []entity.Pair) ([]R
 		return nil, firstErr
 	}
 	return out, nil
+}
+
+// peek answers a pair from the per-pair prompt cache, counting the
+// hit.
+func (d *Dispatcher) peek(key string) (Result, bool) {
+	resp, ok := d.eng.Peek(key)
+	if !ok {
+		return Result{}, false
+	}
+	d.stats.cacheHits.Add(1)
+	return Result{Match: prompt.ParseAnswer(resp.Content), Answer: resp.Content, Usage: resp, Cached: true}, true
 }
 
 // abandon drops one waiter from each call; a batch left with none is
@@ -384,7 +398,6 @@ func (d *Dispatcher) cutFullLocked() {
 	for len(d.pending) >= d.opts.MaxBatchPairs {
 		batch := d.pending[:d.opts.MaxBatchPairs:d.opts.MaxBatchPairs]
 		d.pending = d.pending[d.opts.MaxBatchPairs:]
-		d.stats.sizeFlushes.Add(1)
 		d.opts.Metrics.SizeFlushes.Inc()
 		d.launchLocked(batch)
 	}
@@ -434,7 +447,6 @@ func (d *Dispatcher) deadlineFlush() {
 		return // Close already drained the queue
 	}
 	if len(d.pending) > 0 {
-		d.stats.deadlineFlushes.Add(1)
 		d.opts.Metrics.DeadlineFlushes.Inc()
 		d.flushAllLocked()
 	}
@@ -452,7 +464,6 @@ func (d *Dispatcher) Close() {
 	if !d.closed {
 		d.closed = true
 		if len(d.pending) > 0 {
-			d.stats.drainFlush.Add(1)
 			d.opts.Metrics.DrainFlushes.Inc()
 			d.flushAllLocked()
 		}
@@ -477,63 +488,78 @@ func (d *Dispatcher) Closed() bool {
 func (d *Dispatcher) execute(b *batch) {
 	defer d.wg.Done()
 	defer b.cancel()
-	batch := b.calls
-	if len(batch) == 1 {
+	defer d.settle(b.calls)
+	if len(b.calls) == 1 {
 		d.stats.singlePairCalls.Add(1)
-		d.completePair(b.ctx, batch[0], false)
-		d.settle(batch)
+		d.completePair(b.ctx, b.calls[0], false)
 		return
 	}
+	d.sendMulti(b.ctx, b.calls, d.buildBatch, prompt.SplitBatchAnswers, b.seq)
+}
 
-	pairs := make([]entity.Pair, len(batch))
-	for i, c := range batch {
+// sendMulti answers calls with one multi-pair prompt: a cut batch of
+// two or more pairs (batchID > 0) or one query's group (batchID 0).
+// build renders the prompt over the calls' pairs; split must read one
+// answer per call out of the reply or report false, and a rejected
+// reply falls back to each call's per-pair prompt. An accepted
+// reply's answers carry an even share of its usage and are seeded
+// into the per-pair prompt cache, so a later identical pair is a
+// cache hit, batched, grouped or not. Only batches count in the batch
+// and fallback stats. The outcome lands in each call's res or err.
+func (d *Dispatcher) sendMulti(ctx context.Context, calls []*call, build func([]entity.Pair) string, split func(string, int) ([]string, bool), batchID uint64) {
+	kind := "group"
+	if batchID > 0 {
+		kind = "batch"
+	}
+	pairs := make([]entity.Pair, len(calls))
+	for i, c := range calls {
 		pairs[i] = c.pair
 	}
-	resp, batchCached, err := d.eng.CompleteContext(b.ctx, d.buildBatch(pairs))
+	resp, cached, err := d.eng.CompleteContext(ctx, build(pairs))
 	if err != nil {
-		werr := fmt.Errorf("dispatch: batch of %d: %w", len(batch), err)
-		for _, c := range batch {
+		werr := fmt.Errorf("dispatch: %s of %d: %w", kind, len(calls), err)
+		for _, c := range calls {
 			c.err = werr
 		}
-		d.settle(batch)
 		return
 	}
 
-	answers, ok := prompt.SplitBatchAnswers(resp.Content, len(batch))
+	answers, ok := split(resp.Content, len(calls))
 	if !ok {
-		// The reply did not contain a clean numbered answer for every
-		// pair — answer the whole batch individually rather than guess
-		// at a partial mapping.
-		d.stats.parseFallbacks.Add(1)
-		d.stats.fallbackPairs.Add(uint64(len(batch)))
-		_ = pipeline.ForEach(len(batch), d.eng.Workers(), func(i int) error {
-			d.completePair(b.ctx, batch[i], true)
+		// The reply did not cleanly answer every pair — answer each
+		// individually rather than guess at a partial mapping.
+		if batchID > 0 {
+			d.stats.parseFallbacks.Add(1)
+			d.stats.fallbackPairs.Add(uint64(len(calls)))
+		}
+		_ = pipeline.ForEach(len(calls), d.eng.Workers(), func(i int) error {
+			d.completePair(ctx, calls[i], true)
 			return nil
 		})
-		d.settle(batch)
 		return
 	}
 
-	d.stats.batches.Add(1)
-	d.stats.batchedPairs.Add(uint64(len(batch)))
-	shares := splitUsage(resp, len(batch))
-	for i, c := range batch {
+	if batchID > 0 {
+		d.stats.batches.Add(1)
+		d.stats.batchedPairs.Add(uint64(len(calls)))
+	}
+	shares := splitUsage(resp, len(calls))
+	for i, c := range calls {
 		c.res = Result{
-			Match:     prompt.ParseAnswer(answers[i]),
-			Answer:    answers[i],
-			Usage:     shares[i],
-			Cached:    batchCached,
-			Batched:   true,
-			BatchID:   b.seq,
-			BatchSize: len(batch),
+			Match:  prompt.ParseAnswer(answers[i]),
+			Answer: answers[i],
+			Usage:  shares[i],
+			Cached: cached,
 		}
-		// Layer the extracted answer onto the per-pair prompt cache:
-		// a later identical pair is a cache hit, batched or not.
+		if batchID > 0 {
+			c.res.Batched, c.res.BatchID, c.res.BatchSize = true, batchID, len(calls)
+		} else {
+			c.res.Grouped, c.res.GroupSize = true, len(calls)
+		}
 		share := shares[i]
 		share.Content = answers[i]
 		d.eng.Seed(c.key, share)
 	}
-	d.settle(batch)
 }
 
 // completePair answers one pair with its ordinary per-pair prompt.

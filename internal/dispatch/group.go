@@ -2,21 +2,18 @@ package dispatch
 
 import (
 	"context"
-	"fmt"
 
 	"llm4em/internal/entity"
-	"llm4em/internal/pipeline"
-	"llm4em/internal/prompt"
 )
 
 // Grouped dispatch: the compare/select strategies ("Match, Compare,
 // or Select?", Wang et al.) answer all of a query's uncertain
 // candidates in one prompt instead of k independent pair verdicts.
-// The group path mirrors the batch path's contract — per-pair cache
-// layering, strict parse, per-pair pairwise fallback — but flushes
-// synchronously: a group is one query's candidate set, already
-// complete when submitted, so there is nothing to wait for, and its
-// one caller's context is the one its client calls run under.
+// A group rides the same multi-pair executor as a batch of two or more
+// pairs (sendMulti), but is sent synchronously: a group is one
+// query's candidate set, already complete when submitted, so there is
+// nothing to wait for, and its one caller's context is the one its
+// client calls run under.
 
 // GroupSpec describes one grouped-prompt formulation: how to render a
 // query's candidate pairs as a single prompt and how to read the
@@ -58,85 +55,43 @@ func (d *Dispatcher) DoGroupContext(ctx context.Context, pairs []entity.Pair, sp
 	defer d.wg.Done()
 
 	out := make([]Result, len(pairs))
-	keys := make([]string, len(pairs))
-	var remaining []int
+	calls := make([]*call, len(pairs)) // nil where the cache answered
+	var group []*call
 	for i, p := range pairs {
-		keys[i] = d.buildPair(p)
-		if resp, ok := d.eng.Peek(keys[i]); ok {
-			d.stats.cacheHits.Add(1)
-			out[i] = Result{
-				Match:  prompt.ParseAnswer(resp.Content),
-				Answer: resp.Content,
-				Usage:  resp,
-				Cached: true,
-			}
+		key := d.buildPair(p)
+		if r, ok := d.peek(key); ok {
+			out[i] = r
 			continue
 		}
-		remaining = append(remaining, i)
+		calls[i] = &call{pair: p, key: key}
+		group = append(group, calls[i])
 	}
-	if len(remaining) == 0 {
+	if len(group) == 0 {
 		return out, nil
 	}
 
-	group := make([]entity.Pair, len(remaining))
-	for j, i := range remaining {
-		group[j] = pairs[i]
-	}
-	resp, groupCached, err := d.eng.CompleteContext(ctx, spec.Build(group))
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: group of %d: %w", len(group), err)
-	}
-
-	verdicts, ok := spec.Parse(resp.Content, len(group))
-	if !ok {
-		// The reply did not cleanly decide every pair — degrade the
-		// whole group to individual per-pair prompts, exactly like a
-		// failed batch parse.
-		errs := make([]error, len(remaining))
-		_ = pipeline.ForEach(len(remaining), d.eng.Workers(), func(j int) error {
-			i := remaining[j]
-			presp, pcached, perr := d.eng.CompleteContext(ctx, keys[i])
-			if perr != nil {
-				errs[j] = fmt.Errorf("dispatch: pair %s: %w", pairs[i].ID, perr)
-				return nil
-			}
-			out[i] = Result{
-				Match:    prompt.ParseAnswer(presp.Content),
-				Answer:   presp.Content,
-				Usage:    presp,
-				Cached:   pcached,
-				FellBack: true,
-			}
-			return nil
-		})
-		for _, e := range errs {
-			if e != nil {
-				return nil, e
+	d.sendMulti(ctx, group, spec.Build, func(reply string, n int) ([]string, bool) {
+		verdicts, ok := spec.Parse(reply, n)
+		if !ok {
+			return nil, false
+		}
+		answers := make([]string, n)
+		for i, v := range verdicts {
+			answers[i] = "No"
+			if v {
+				answers[i] = "Yes"
 			}
 		}
-		return out, nil
-	}
-
-	shares := splitUsage(resp, len(group))
-	for j, i := range remaining {
-		answer := "No"
-		if verdicts[j] {
-			answer = "Yes"
+		return answers, true
+	}, 0)
+	for i, c := range calls {
+		if c == nil {
+			continue
 		}
-		out[i] = Result{
-			Match:     verdicts[j],
-			Answer:    answer,
-			Usage:     shares[j],
-			Cached:    groupCached,
-			Grouped:   true,
-			GroupSize: len(group),
+		if c.err != nil {
+			return nil, c.err
 		}
-		// Seed the per-pair prompt cache with the extracted verdict so
-		// a later identical pair — grouped, batched or pairwise — is a
-		// cache hit.
-		share := shares[j]
-		share.Content = answer
-		d.eng.Seed(keys[i], share)
+		out[i] = c.res
 	}
 	return out, nil
 }

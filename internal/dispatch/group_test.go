@@ -185,9 +185,11 @@ func TestDoGroupSeedsPerPairCache(t *testing.T) {
 
 // TestGroupParseFailureFallsBackPerPair pins the degradation
 // contract: a malformed grouped reply falls back to one pairwise
-// prompt per pair — deterministically, without dropping any pair.
+// prompt per pair — deterministically, without dropping any pair —
+// and, unlike a batch's, counts in none of the dispatcher's batch
+// and fallback stats.
 func TestGroupParseFailureFallsBackPerPair(t *testing.T) {
-	run := func() ([]Result, *groupClient) {
+	run := func() ([]Result, *groupClient, Stats) {
 		client := &groupClient{garbleGroups: true}
 		d := newTestDispatcher(client, Options{})
 		defer d.Close()
@@ -196,10 +198,10 @@ func TestGroupParseFailureFallsBackPerPair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return results, client
+		return results, client, d.Stats()
 	}
 
-	results, client := run()
+	results, client, st := run()
 	if len(results) != 4 {
 		t.Fatalf("fallback dropped pairs: got %d results, want 4", len(results))
 	}
@@ -216,9 +218,12 @@ func TestGroupParseFailureFallsBackPerPair(t *testing.T) {
 	if groups, pairwise := client.groupCalls.Load(), client.pairCalls.Load(); groups != 1 || pairwise != 4 {
 		t.Errorf("client saw %d group + %d pairwise calls, want 1 + 4", groups, pairwise)
 	}
+	if st.ParseFallbacks != 0 || st.FallbackPairs != 0 || st.Batches != 0 || st.BatchedPairs != 0 {
+		t.Errorf("stats %+v: a grouped fallback must not count as a batch or a batch fallback", st)
+	}
 
 	// Deterministic: a rerun produces identical verdicts and flags.
-	again, _ := run()
+	again, _, _ := run()
 	if !reflect.DeepEqual(results, again) {
 		t.Errorf("fallback results differ across reruns:\n%+v\n%+v", results, again)
 	}
@@ -253,7 +258,7 @@ func TestRunGroupMixedCache(t *testing.T) {
 	pairs := groupPairs(3)
 
 	// Answer one pair pairwise first so its key is cached.
-	if _, _, err := d.eng.Complete(testBuildPair(pairs[0])); err != nil {
+	if _, _, err := d.eng.CompleteContext(context.Background(), testBuildPair(pairs[0])); err != nil {
 		t.Fatal(err)
 	}
 	results, err := d.DoGroupContext(context.Background(), pairs, testGroupSpec())

@@ -37,9 +37,6 @@ type cacheEntry struct {
 }
 
 func newPromptCache(capacity int, hits *telemetry.Counter) *promptCache {
-	if hits == nil {
-		hits = &telemetry.Counter{}
-	}
 	return &promptCache{
 		capacity: capacity,
 		hits:     hits,

@@ -11,6 +11,7 @@
 package pipeline
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
 	"runtime"
@@ -54,7 +55,8 @@ type Options struct {
 	Backoff time.Duration
 	// Metrics are the telemetry instruments the engine records into
 	// (call counts, per-attempt latency, retries, cache hits). The
-	// zero value disables them at the cost of nil checks.
+	// zero value disables the latency histogram; the counters are then
+	// the engine's own, since Stats reads them.
 	Metrics telemetry.PipelineMetrics
 }
 
@@ -75,6 +77,9 @@ func (o Options) withDefaults() Options {
 	if o.Backoff <= 0 {
 		o.Backoff = DefaultBackoff
 	}
+	o.Metrics.Calls = cmp.Or(o.Metrics.Calls, &telemetry.Counter{})
+	o.Metrics.Retries = cmp.Or(o.Metrics.Retries, &telemetry.Counter{})
+	o.Metrics.CacheHits = cmp.Or(o.Metrics.CacheHits, &telemetry.Counter{})
 	return o
 }
 
@@ -101,9 +106,6 @@ type Engine struct {
 	opts   Options
 	cache  *promptCache
 
-	clientCalls atomic.Uint64
-	retries     atomic.Uint64
-
 	// sleep is swapped in tests to avoid real backoff waits; rand is
 	// swapped to pin the jitter draw.
 	sleep func(time.Duration)
@@ -128,29 +130,21 @@ func (e *Engine) Workers() int { return e.opts.Workers }
 
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
-	s := Stats{
-		ClientCalls: e.clientCalls.Load(),
-		Retries:     e.retries.Load(),
+	return Stats{
+		ClientCalls: e.opts.Metrics.Calls.Value(),
+		CacheHits:   e.opts.Metrics.CacheHits.Value(),
+		Retries:     e.opts.Metrics.Retries.Value(),
 	}
-	if e.cache != nil {
-		s.CacheHits = e.cache.hits.Value()
-	}
-	return s
 }
 
-// Complete answers one prompt, consulting the cache first. The
-// boolean reports whether the response was served from the cache
-// (or coalesced onto an identical in-flight request) rather than by
-// a fresh client call.
-func (e *Engine) Complete(prompt string) (llm.Response, bool, error) {
-	return e.CompleteContext(context.Background(), prompt)
-}
-
-// CompleteContext is Complete with cancellation: the context bounds
-// the client call, its retries and their backoff sleeps, and passes
-// through to context-aware clients so a deadline cancels in-flight
-// work. Identical concurrent prompts still coalesce onto one call;
-// that call runs under the context of whichever caller started it.
+// CompleteContext answers one prompt, consulting the cache first. The
+// boolean reports whether the response was served from the cache (or
+// coalesced onto an identical in-flight request) rather than by a
+// fresh client call. The context bounds the client call, its retries
+// and their backoff sleeps, and passes through to context-aware
+// clients so a deadline cancels in-flight work. Identical concurrent
+// prompts coalesce onto one call, which runs under the context of
+// whichever caller started it.
 func (e *Engine) CompleteContext(ctx context.Context, prompt string) (llm.Response, bool, error) {
 	if e.cache == nil {
 		resp, err := e.chat(ctx, prompt)
@@ -193,7 +187,6 @@ func (e *Engine) Seed(prompt string, resp llm.Response) {
 // attempt, unless the error carries a RetryAfter hint, which is
 // honoured exactly. The context bounds attempts and sleeps alike.
 func (e *Engine) chat(ctx context.Context, prompt string) (llm.Response, error) {
-	e.clientCalls.Add(1)
 	e.opts.Metrics.Calls.Inc()
 	timed := e.opts.Metrics.CallSeconds != nil
 	backoff := e.opts.Backoff
@@ -218,7 +211,6 @@ func (e *Engine) chat(ctx context.Context, prompt string) (llm.Response, error) 
 		if attempt >= e.opts.MaxRetries || !IsTransient(err) {
 			break
 		}
-		e.retries.Add(1)
 		e.opts.Metrics.Retries.Inc()
 		wait, hinted := RetryAfter(err)
 		if !hinted {

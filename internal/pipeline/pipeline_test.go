@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -80,7 +81,7 @@ func completeAll(e *Engine, prompts []string) ([]llm.Response, []bool, error) {
 	resps := make([]llm.Response, len(prompts))
 	cached := make([]bool, len(prompts))
 	err := ForEach(len(prompts), e.Workers(), func(i int) error {
-		resp, c, err := e.Complete(prompts[i])
+		resp, c, err := e.CompleteContext(context.Background(), prompts[i])
 		if err != nil {
 			return fmt.Errorf("prompt %d: %w", i, err)
 		}
@@ -143,7 +144,7 @@ func TestStreamDeliversAll(t *testing.T) {
 	e := New(&fakeClient{}, Options{Workers: 4})
 	ch := make(chan int, len(prompts))
 	err := ForEach(len(prompts), e.Workers(), func(i int) error {
-		if _, _, err := e.Complete(prompts[i]); err != nil {
+		if _, _, err := e.CompleteContext(context.Background(), prompts[i]); err != nil {
 			return err
 		}
 		ch <- i
@@ -256,7 +257,7 @@ func TestPeekAndSeed(t *testing.T) {
 		t.Fatalf("Peek after Seed = %+v %v", resp, ok)
 	}
 	// A Complete of the seeded prompt is a cache hit: no client call.
-	if _, cached, err := e.Complete("p"); err != nil || !cached {
+	if _, cached, err := e.CompleteContext(context.Background(), "p"); err != nil || !cached {
 		t.Fatalf("Complete(seeded) cached=%v err=%v", cached, err)
 	}
 	if client.calls.Load() != 0 {
@@ -275,7 +276,7 @@ func TestPeekAndSeed(t *testing.T) {
 	es := New(slow, Options{Workers: 2})
 	done := make(chan llm.Response, 1)
 	go func() {
-		resp, _, _ := es.Complete("same thing")
+		resp, _, _ := es.CompleteContext(context.Background(), "same thing")
 		done <- resp
 	}()
 	for slow.calls.Load() == 0 {
@@ -301,7 +302,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	client := &fakeClient{}
 	e := New(client, Options{Workers: 1, CacheSize: 2})
 	for _, p := range []string{"a", "b", "c", "a"} {
-		if _, _, err := e.Complete(p); err != nil {
+		if _, _, err := e.CompleteContext(context.Background(), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,7 +314,7 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Fatalf("cache holds %d entries, capacity 2", n)
 	}
 	// "c" stayed resident.
-	if _, cached, _ := e.Complete("c"); !cached {
+	if _, cached, _ := e.CompleteContext(context.Background(), "c"); !cached {
 		t.Fatal("expected c to still be cached")
 	}
 }
@@ -328,10 +329,10 @@ func TestCacheDoesNotCacheErrors(t *testing.T) {
 		return nil
 	}}
 	e := New(client, Options{Workers: 1})
-	if _, _, err := e.Complete("p"); !errors.Is(err, boom) {
+	if _, _, err := e.CompleteContext(context.Background(), "p"); !errors.Is(err, boom) {
 		t.Fatalf("first call: %v, want boom", err)
 	}
-	if _, _, err := e.Complete("p"); err != nil {
+	if _, _, err := e.CompleteContext(context.Background(), "p"); err != nil {
 		t.Fatalf("second call should recompute after error, got %v", err)
 	}
 	if got := client.calls.Load(); got != 2 {
@@ -348,7 +349,7 @@ func TestRetryTransient(t *testing.T) {
 	}}
 	e := New(client, Options{Workers: 1, MaxRetries: 2, Backoff: time.Microsecond})
 	e.sleep = func(time.Duration) {}
-	resp, _, err := e.Complete("p")
+	resp, _, err := e.CompleteContext(context.Background(), "p")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +367,7 @@ func TestRetryExhausted(t *testing.T) {
 	}}
 	e := New(client, Options{Workers: 1, MaxRetries: 2, Backoff: time.Microsecond})
 	e.sleep = func(time.Duration) {}
-	if _, _, err := e.Complete("p"); !IsTransient(err) {
+	if _, _, err := e.CompleteContext(context.Background(), "p"); !IsTransient(err) {
 		t.Fatalf("want transient error after exhausted retries, got %v", err)
 	}
 	if got := client.calls.Load(); got != 3 {
@@ -379,7 +380,7 @@ func TestNoRetryOnPermanentError(t *testing.T) {
 	client := &fakeClient{fail: func(call int64, prompt string) error { return boom }}
 	e := New(client, Options{Workers: 1, MaxRetries: 5, Backoff: time.Microsecond})
 	e.sleep = func(time.Duration) {}
-	if _, _, err := e.Complete("p"); !errors.Is(err, boom) {
+	if _, _, err := e.CompleteContext(context.Background(), "p"); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want boom", err)
 	}
 	if got := client.calls.Load(); got != 1 {

@@ -50,7 +50,7 @@ func TestBackoffFullJitter(t *testing.T) {
 				draw++
 				return d
 			}
-			if _, _, err := e.Complete("p"); !IsTransient(err) {
+			if _, _, err := e.CompleteContext(context.Background(), "p"); !IsTransient(err) {
 				t.Fatalf("err = %v, want transient after exhausted retries", err)
 			}
 			if len(slept) != len(tc.want) {
@@ -115,7 +115,7 @@ func TestRetryAfterHint(t *testing.T) {
 			var slept []time.Duration
 			e.sleep = func(d time.Duration) { slept = append(slept, d) }
 			e.rand = func() float64 { return 1.0 }
-			if _, _, err := e.Complete("p"); err != nil {
+			if _, _, err := e.CompleteContext(context.Background(), "p"); err != nil {
 				t.Fatalf("Complete: %v", err)
 			}
 			if len(slept) != len(tc.want) {

@@ -7,10 +7,10 @@
 package resilience
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"llm4em/internal/telemetry"
@@ -71,7 +71,7 @@ type BreakerOptions struct {
 	// chaos harness inject a fake for determinism.
 	Clock func() time.Time
 	// Metrics receives breaker state and trip counts; zero value
-	// disabled.
+	// disabled (Trips then reads the breaker's own counter).
 	Metrics telemetry.ResilienceMetrics
 }
 
@@ -85,6 +85,7 @@ func (o BreakerOptions) withDefaults() BreakerOptions {
 	if o.Clock == nil {
 		o.Clock = time.Now
 	}
+	o.Metrics.BreakerTrips = cmp.Or(o.Metrics.BreakerTrips, &telemetry.Counter{})
 	return o
 }
 
@@ -110,8 +111,6 @@ type Breaker struct {
 	prev     bucket
 	openedAt time.Time
 	probed   bool // this half-open period's probe was admitted
-
-	trips atomic.Uint64
 }
 
 // NewBreaker builds a closed breaker.
@@ -213,7 +212,6 @@ func (b *Breaker) tripLocked() {
 	b.setStateLocked(Open)
 	b.openedAt = b.opts.Clock()
 	b.consec = 0
-	b.trips.Add(1)
 	b.opts.Metrics.BreakerTrips.Inc()
 }
 
@@ -239,7 +237,7 @@ func (b *Breaker) State() State {
 }
 
 // Trips returns how many times the breaker has opened.
-func (b *Breaker) Trips() uint64 { return b.trips.Load() }
+func (b *Breaker) Trips() uint64 { return b.opts.Metrics.BreakerTrips.Value() }
 
 // Cooldown returns how long the breaker stays open before it admits a
 // half-open probe: BreakerOptions.Cooldown or its default.

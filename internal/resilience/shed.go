@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"sync/atomic"
@@ -19,7 +20,8 @@ type ShedOptions struct {
 	// Up to four times as many callers wait for a slot; the next one
 	// is shed immediately rather than queued.
 	MaxConcurrent int
-	// Metrics receives the shed counter; zero value disabled.
+	// Metrics receives the shed counter; zero value disabled (Shed
+	// then reads the shedder's own counter).
 	Metrics telemetry.ResilienceMetrics
 }
 
@@ -27,6 +29,7 @@ func (o ShedOptions) withDefaults() ShedOptions {
 	if o.MaxConcurrent <= 0 {
 		o.MaxConcurrent = 64
 	}
+	o.Metrics.Shed = cmp.Or(o.Metrics.Shed, &telemetry.Counter{})
 	return o
 }
 
@@ -42,7 +45,6 @@ type Shedder struct {
 	opts    ShedOptions
 	slots   chan struct{} // buffered; a held token = a running escalation
 	waiting atomic.Int64
-	shed    atomic.Uint64
 }
 
 // NewShedder builds a Shedder.
@@ -66,7 +68,6 @@ func (s *Shedder) Acquire(ctx context.Context) error {
 	}
 	if s.waiting.Add(1) > int64(queuePerSlot*cap(s.slots)) {
 		s.waiting.Add(-1)
-		s.shed.Add(1)
 		s.opts.Metrics.Shed.Inc()
 		return ErrShed
 	}
@@ -89,4 +90,4 @@ func (s *Shedder) InFlight() int { return len(s.slots) }
 func (s *Shedder) Waiting() int { return int(s.waiting.Load()) }
 
 // Shed returns how many acquisitions have been rejected.
-func (s *Shedder) Shed() uint64 { return s.shed.Load() }
+func (s *Shedder) Shed() uint64 { return s.opts.Metrics.Shed.Value() }

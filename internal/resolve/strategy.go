@@ -62,14 +62,7 @@ func (e *escalator) close() {
 // LLM round-trip of the pass (including fallbacks and the reason
 // tier); callers without a deadline pass context.Background().
 func (e *escalator) run(ctx context.Context, pairs []entity.Pair, plan *cascadePlan) (time.Duration, error) {
-	var modelLat time.Duration
-	var err error
-	switch e.opts.strategy() {
-	case prompt.StrategyCompare, prompt.StrategySelect:
-		modelLat, err = e.runGrouped(ctx, pairs, plan)
-	default:
-		modelLat, err = e.runMatch(ctx, pairs, plan)
-	}
+	modelLat, err := e.firstPass(ctx, pairs, plan)
 	if err != nil {
 		return 0, err
 	}
@@ -97,50 +90,67 @@ func (e *escalator) accountUsage(plan *cascadePlan, u *StrategyUsage, promptToke
 	}
 }
 
-// runMatch is the pairwise first pass: each uncertain pair is its own
-// prompt, coalesced into cross-request batches when the dispatcher's
-// batches hold more than one pair.
-func (e *escalator) runMatch(ctx context.Context, pairs []entity.Pair, plan *cascadePlan) (time.Duration, error) {
-	results, err := e.disp.DoAllContext(ctx, pairs)
+// firstPass decides the pairs under the configured strategy. Match
+// submits them as pairwise prompts, which the dispatcher may batch with
+// other callers' pairs; compare and select send one grouped prompt over
+// the query's band. A pair whose batched or grouped reply failed strict
+// parsing was decided by its own pairwise prompt (MethodLLM,
+// MatchUsage). Every fresh multi-pair round-trip counts one call, every
+// fresh singleton or fallback one more.
+func (e *escalator) firstPass(ctx context.Context, pairs []entity.Pair, plan *cascadePlan) (time.Duration, error) {
+	method, usage, fallbacks := MethodLLM, &plan.report.MatchUsage, &plan.report.BatchFallbacks
+	var results []dispatch.Result
+	var err error
+	switch e.opts.strategy() {
+	case prompt.StrategyCompare, prompt.StrategySelect:
+		var spec dispatch.GroupSpec
+		spec, method = e.groupSpec()
+		usage, fallbacks = &plan.report.CompareUsage, &plan.report.GroupFallbacks
+		if method == MethodSelect {
+			usage = &plan.report.SelectUsage
+		}
+		results, err = e.disp.DoGroupContext(ctx, pairs, spec)
+	default:
+		results, err = e.disp.DoAllContext(ctx, pairs)
+	}
 	if err != nil {
 		return 0, err
 	}
+
 	var modelLat time.Duration
-	batchesSeen := map[uint64]bool{}
-	callBatches := map[uint64]bool{}
+	// A pass rides at most one group, whose BatchID is 0.
+	batches, rounds := map[uint64]bool{}, map[uint64]bool{}
 	for i, r := range results {
 		d := &plan.decisions[plan.llm[i]]
-		d.Match = r.Match
-		d.Method = MethodLLM
-		d.Answer = r.Answer
-		d.Cached = r.Cached
-		d.Batched = r.Batched
+		d.Match, d.Method, d.Answer, d.Cached, d.Batched = r.Match, method, r.Answer, r.Cached, r.Batched
+		u := usage
 		plan.report.LLMPairs++
 		if r.Cached {
 			plan.report.CacheHits++
 		}
 		if r.Batched {
 			plan.report.BatchedPairs++
-			if !batchesSeen[r.BatchID] {
-				batchesSeen[r.BatchID] = true
+			if !batches[r.BatchID] {
+				batches[r.BatchID] = true
 				plan.report.Batches++
 			}
 		}
 		if r.FellBack {
-			plan.report.BatchFallbacks++
+			d.Method, u = MethodLLM, &plan.report.MatchUsage
+			*fallbacks++
 		}
 		switch {
 		case r.Cached:
-		case r.Batched:
-			if !callBatches[r.BatchID] {
-				callBatches[r.BatchID] = true
-				plan.report.MatchUsage.Calls++
+		case r.Batched || r.Grouped:
+			if !rounds[r.BatchID] {
+				rounds[r.BatchID] = true
+				u.Calls++
 			}
 		default:
-			plan.report.MatchUsage.Calls++
+			u.Calls++
 		}
 		modelLat += r.Usage.Latency
-		e.accountUsage(plan, &plan.report.MatchUsage, r.Usage.PromptTokens, r.Usage.CompletionTokens)
+		e.accountUsage(plan, u, r.Usage.PromptTokens, r.Usage.CompletionTokens)
 	}
 	return modelLat, nil
 }
@@ -179,58 +189,6 @@ func (e *escalator) groupSpec() (dispatch.GroupSpec, Method) {
 		},
 		Parse: prompt.ParseCompareAnswers,
 	}, MethodCompare
-}
-
-// runGrouped is the compare/select first pass: one grouped prompt
-// answers the query's whole uncertain band, degrading to per-pair
-// pairwise prompts (MethodLLM, MatchUsage) when the grouped reply
-// fails strict parsing.
-func (e *escalator) runGrouped(ctx context.Context, pairs []entity.Pair, plan *cascadePlan) (time.Duration, error) {
-	gspec, method := e.groupSpec()
-	usage := &plan.report.CompareUsage
-	if method == MethodSelect {
-		usage = &plan.report.SelectUsage
-	}
-
-	results, err := e.disp.DoGroupContext(ctx, pairs, gspec)
-	if err != nil {
-		return 0, err
-	}
-
-	var modelLat time.Duration
-	freshGroup := false
-	for i, r := range results {
-		d := &plan.decisions[plan.llm[i]]
-		d.Match = r.Match
-		d.Answer = r.Answer
-		d.Cached = r.Cached
-		plan.report.LLMPairs++
-		if r.Cached {
-			plan.report.CacheHits++
-		}
-		switch {
-		case r.FellBack:
-			// The grouped reply was malformed; an individual pairwise
-			// prompt decided this pair.
-			d.Method = MethodLLM
-			plan.report.GroupFallbacks++
-			if !r.Cached {
-				plan.report.MatchUsage.Calls++
-			}
-			e.accountUsage(plan, &plan.report.MatchUsage, r.Usage.PromptTokens, r.Usage.CompletionTokens)
-		default:
-			d.Method = method
-			if r.Grouped && !r.Cached {
-				freshGroup = true
-			}
-			e.accountUsage(plan, usage, r.Usage.PromptTokens, r.Usage.CompletionTokens)
-		}
-		modelLat += r.Usage.Latency
-	}
-	if freshGroup {
-		usage.Calls++
-	}
-	return modelLat, nil
 }
 
 // runReason is the reason tier: pairs whose first-pass LLM verdict

@@ -10,7 +10,6 @@ import (
 
 	"llm4em/internal/entity"
 	"llm4em/internal/llm"
-	"llm4em/internal/prompt"
 )
 
 // Handwritten returns the handwritten rule set for a domain. The
@@ -87,10 +86,4 @@ func ParseNumbered(reply string) []string {
 		out = append(out, strings.TrimSpace(trimmed[i+1:]))
 	}
 	return out
-}
-
-// Prompt is a convenience that renders a rules-augmented matching
-// prompt for documentation and examples (Figure 3).
-func Prompt(design prompt.Design, domain entity.Domain, ruleSet []string, pair entity.Pair) string {
-	return prompt.Spec{Design: design, Domain: domain, Rules: ruleSet}.Build(pair)
 }

@@ -14,20 +14,20 @@
 #    resolvers, one uncertain pair each) and fails if the
 #    micro-batching dispatcher achieves fewer round-trip savings than
 #    the min_improvement_x recorded in BENCH_dispatch.json.
-# 4. Measures resolve throughput and fails if it regresses more than
-#    HOTPATH_SLACK (default 25%) against the ns/op recorded in
-#    BENCH_hotpath.json. Hardware differences between the baseline
-#    machine and the runner eat into the margin; raise HOTPATH_SLACK
-#    (e.g. HOTPATH_SLACK=2.0) on much slower hosts, and regenerate
-#    BENCH_hotpath.json in the same PR when a change moves the number
-#    intentionally.
-# 5. Measures resolve throughput with the telemetry subsystem enabled
-#    (BenchmarkStoreResolveTelemetry) and compares it against the bare
-#    number just measured on the SAME host: the instrumentation cost
-#    of stage timers, counters and histograms must stay under
-#    TELEMETRY_OVERHEAD (default 1.5 = +50%). Relative to a same-run
-#    measurement, the gate is immune to hardware differences that the
-#    absolute baseline gate needs HOTPATH_SLACK for.
+# 4. Times resolve throughput (BenchmarkStoreResolve, 0.5 s a run) of
+#    the base revision BASE_REF (default HEAD~1; built in a temporary
+#    git worktree, as scripts/bench_compare.sh does) against the
+#    working tree, alternating the two test binaries five times, and
+#    fails if the change's median exceeds the base's median x
+#    HOTPATH_SLACK (default 1.25). Both sides run on the same host in
+#    the same minutes, so host speed cancels out of the ratio; the
+#    figures in BENCH_hotpath.json are records, not a baseline.
+# 5. Times resolve throughput with the telemetry subsystem enabled
+#    (BenchmarkStoreResolveTelemetry) in the same five rounds, each
+#    right after the working tree's bare BenchmarkStoreResolve run, and
+#    fails if its median exceeds the bare median x TELEMETRY_OVERHEAD
+#    (default 1.5 = +50%): the instrumentation cost of stage timers,
+#    counters and histograms.
 # 6. Checks the blocking postings and the scorer cutover: the
 #    deterministic synthetic 100k index must cost at most half of raw
 #    int32 positions (4 B a posting, by arithmetic:
@@ -36,10 +36,12 @@
 #    the size rule picks must not be slower than the cursor path forced
 #    onto the same index (BenchmarkIndexQueryWDC, both on the SAME
 #    host, same run).
-# 7. Measures the mmap restart path (BenchmarkOpenMapped, 100k-record
-#    snapshot) against the absolute open_mapped_100k_ns baseline in
-#    BENCH_index10m.json x restart_slack (INDEX_RESTART_SLACK
-#    overrides; like HOTPATH_SLACK, raise it on much slower hosts).
+# 7. Times the mmap restart path (BenchmarkOpenMapped, 100k-record
+#    snapshot) the way gate 4 times resolves — base revision against
+#    working tree, five alternating runs each — and fails if the
+#    change's median exceeds the base's median x restart_slack from
+#    BENCH_index10m.json (INDEX_RESTART_SLACK overrides). The
+#    open_mapped_100k_ns figure there is a record, not a baseline.
 # 8. Measures a checkpoint of the same 10k-record store carrying the
 #    same delta with 10k and with 100k decisions already journaled
 #    (BenchmarkStoreCheckpoint, both on the SAME host, same run) and
@@ -63,6 +65,74 @@
 set -euo pipefail
 cd "$(dirname "$0")/.." || exit 1
 
+BASE_REF="${BASE_REF:-HEAD~1}"
+if ! git rev-parse -q --verify "$BASE_REF^{commit}" >/dev/null; then
+    # A push that creates a branch reports an all-zero previous head.
+    echo "BASE_REF $BASE_REF is not a commit of this clone; comparing against HEAD~1"
+    BASE_REF=HEAD~1
+fi
+ROUNDS=5
+
+TMP="$(mktemp -d)"
+cleanup() {
+    git worktree remove --force "$TMP/base" >/dev/null 2>&1 || true
+    rm -rf "$TMP"
+}
+trap cleanup EXIT
+
+# build_bins builds the resolve and blocking test binaries of BASE_REF
+# (in a worktree) and of the working tree into $TMP/{base,change}-bin.
+build_bins() {
+    git worktree add --detach "$TMP/base" "$BASE_REF" >/dev/null
+    for side in base change; do
+        local src=.
+        [ "$side" = base ] && src="$TMP/base"
+        mkdir -p "$TMP/$side-bin"
+        for pkg in resolve blocking; do
+            (cd "$src" && go test -c -o "$TMP/$side-bin/$pkg.test" "./internal/$pkg/")
+        done
+    done
+}
+
+# bench_ns SIDE PKG NAME runs benchmark NAME once for 0.5 s from SIDE's
+# test binary of internal/PKG and prints its ns/op (nothing if the run
+# failed, which gate_medians reports).
+bench_ns() {
+    local src=.
+    [ "$1" = base ] && src="$TMP/base"
+    (cd "$src/internal/$2" && "$TMP/$1-bin/$2.test" -test.timeout 10m -test.run '^$' -test.bench "^$3\$" -test.benchtime 0.5s) |
+        awk -v name="$3" '$1 ~ "^" name "(-[0-9]+)?$" {print $3; exit}' || true
+}
+
+# median prints the middle of ROUNDS whitespace-separated figures on
+# stdin, or nothing when a run gave no figure.
+median() {
+    tr ' ' '\n' | grep -v '^$' | sort -g |
+        awk -v n="$ROUNDS" '{v[NR] = $1} END {if (NR == n) print v[int((NR + 1) / 2)]}'
+}
+
+# gate_medians LABEL GOT_RUNS REF_RUNS REF_NAME FACTOR fails when the
+# median of GOT_RUNS exceeds the median of REF_RUNS x FACTOR.
+gate_medians() {
+    local got ref
+    got="$(median <<<"$2")"
+    ref="$(median <<<"$3")"
+    echo "  runs: ${2# } | $4: ${3# }"
+    if [ -z "$got" ] || [ -z "$ref" ]; then
+        echo "FAIL: $1: could not measure $ROUNDS runs a side" >&2
+        exit 1
+    fi
+    awk -v label="$1" -v got="$got" -v ref="$ref" -v refname="$4" -v f="$5" 'BEGIN {
+        limit = ref * f
+        printf "%s: median %.0f ns/op vs %s median %.0f (limit %.0f = %s x %.2f)\n", label, got, refname, ref, limit, refname, f
+        if (got + 0 > limit) {
+            printf "FAIL: %s regressed beyond the %.0f%% margin\n", label, (f - 1) * 100
+            exit 1
+        }
+        printf "OK: %s gate passed\n", label
+    }'
+}
+
 main() {
     echo "== hot-path bench smoke (-benchtime=1x) =="
     go test -run '^$' -bench 'BenchmarkStore' -benchtime=1x ./internal/resolve/
@@ -77,43 +147,19 @@ main() {
     BENCH_REGRESSION=1 go test -count=1 -run 'TestDispatchRoundTrips' -v ./internal/resolve/
 
     echo ""
-    echo "== resolve throughput gate vs BENCH_hotpath.json =="
-    BASE_NS="$(python3 -c "import json; print(json.load(open('BENCH_hotpath.json'))['resolve_10k']['after']['ns_op'])")"
-    SLACK="${HOTPATH_SLACK:-1.25}"
-    GOT_NS="$(go test -run '^$' -bench 'BenchmarkStoreResolve$' -benchtime=0.5s ./internal/resolve/ \
-        | awk '/^BenchmarkStoreResolve/ {print $3; exit}')"
-    if [ -z "$GOT_NS" ]; then
-        echo "FAIL: could not measure BenchmarkStoreResolve" >&2
-        exit 1
-    fi
-    awk -v got="$GOT_NS" -v base="$BASE_NS" -v slack="$SLACK" 'BEGIN {
-        limit = base * slack
-        printf "resolve: %.0f ns/op (baseline %.0f, limit %.0f = baseline x %.2f)\n", got, base, limit, slack
-        if (got + 0 > limit) {
-            printf "FAIL: resolve throughput regressed beyond the %.0f%% margin\n", (slack - 1) * 100
-            exit 1
-        }
-        print "OK: resolve throughput gate passed"
-    }'
+    echo "== building $BASE_REF and working-tree bench binaries =="
+    build_bins
 
     echo ""
-    echo "== telemetry instrumentation-cost gate (relative to bare resolve) =="
-    OVERHEAD="${TELEMETRY_OVERHEAD:-1.5}"
-    TEL_NS="$(go test -run '^$' -bench 'BenchmarkStoreResolveTelemetry$' -benchtime=0.5s ./internal/resolve/ \
-        | awk '/^BenchmarkStoreResolveTelemetry/ {print $3; exit}')"
-    if [ -z "$TEL_NS" ]; then
-        echo "FAIL: could not measure BenchmarkStoreResolveTelemetry" >&2
-        exit 1
-    fi
-    awk -v got="$TEL_NS" -v bare="$GOT_NS" -v overhead="$OVERHEAD" 'BEGIN {
-        limit = bare * overhead
-        printf "resolve+telemetry: %.0f ns/op (bare %.0f, limit %.0f = bare x %.2f)\n", got, bare, limit, overhead
-        if (got + 0 > limit) {
-            printf "FAIL: telemetry instrumentation costs more than %.0f%% on the hot path\n", (overhead - 1) * 100
-            exit 1
-        }
-        print "OK: telemetry instrumentation-cost gate passed"
-    }'
+    echo "== resolve throughput gate ($BASE_REF vs working tree) + telemetry instrumentation-cost gate =="
+    local base_runs="" bare_runs="" tel_runs=""
+    for _ in $(seq "$ROUNDS"); do
+        base_runs="$base_runs $(bench_ns base resolve BenchmarkStoreResolve)"
+        bare_runs="$bare_runs $(bench_ns change resolve BenchmarkStoreResolve)"
+        tel_runs="$tel_runs $(bench_ns change resolve BenchmarkStoreResolveTelemetry)"
+    done
+    gate_medians "resolve throughput" "$bare_runs" "$base_runs" "$BASE_REF" "${HOTPATH_SLACK:-1.25}"
+    gate_medians "resolve+telemetry" "$tel_runs" "$bare_runs" "bare" "${TELEMETRY_OVERHEAD:-1.5}"
 
     echo ""
     echo "== postings compression + scorer cutover gate =="
@@ -135,24 +181,14 @@ main() {
     }'
 
     echo ""
-    echo "== mmap restart gate vs BENCH_index10m.json =="
-    OPEN_BASE="$(python3 -c "import json; print(json.load(open('BENCH_index10m.json'))['gates']['open_mapped_100k_ns'])")"
+    echo "== mmap restart gate ($BASE_REF vs working tree) =="
     RESTART_SLACK="${INDEX_RESTART_SLACK:-$(python3 -c "import json; print(json.load(open('BENCH_index10m.json'))['gates']['restart_slack'])")}"
-    OPEN_NS="$(go test -run '^$' -bench 'BenchmarkOpenMapped$' -benchtime=0.5s ./internal/blocking/ \
-        | awk '/^BenchmarkOpenMapped/ {print $3; exit}')"
-    if [ -z "$OPEN_NS" ]; then
-        echo "FAIL: could not measure BenchmarkOpenMapped" >&2
-        exit 1
-    fi
-    awk -v got="$OPEN_NS" -v base="$OPEN_BASE" -v slack="$RESTART_SLACK" 'BEGIN {
-        limit = base * slack
-        printf "OpenMapped (100k snapshot): %.0f ns/op (baseline %.0f, limit %.0f = baseline x %.2f)\n", got, base, limit, slack
-        if (got + 0 > limit) {
-            print "FAIL: mmap restart regressed beyond the slack margin"
-            exit 1
-        }
-        print "OK: mmap restart gate passed"
-    }'
+    local open_base="" open_change=""
+    for _ in $(seq "$ROUNDS"); do
+        open_base="$open_base $(bench_ns base blocking BenchmarkOpenMapped)"
+        open_change="$open_change $(bench_ns change blocking BenchmarkOpenMapped)"
+    done
+    gate_medians "mmap restart" "$open_change" "$open_base" "$BASE_REF" "$RESTART_SLACK"
 
     echo ""
     echo "== O(delta) checkpoint gate (100k-decision journal relative to 10k) =="
