@@ -104,13 +104,9 @@ func wdcCorpus(tb testing.TB, n int) (records []entity.Record, queries [][]strin
 	return records, queries
 }
 
-// BenchmarkIndexQueryWDC measures benchmark-shaped queries on both
-// sides of the scorer cutover at two sizes: a shard of the 32k-record
-// benchmark store and an index just under denseScoreRecords. default
-// is the path the size rule picks (the dense scan at both sizes),
-// cursor the document-at-a-time path forced onto the same index — the
-// pair behind the table on denseScoreRecords and gate 6 of
-// scripts/bench_regression.sh.
+// BenchmarkIndexQueryWDC measures benchmark-shaped queries at two
+// sizes: a shard of the 32k-record benchmark store and a 256k-record
+// index, the top of the table on the scorer in docs/ARCHITECTURE.md.
 func BenchmarkIndexQueryWDC(b *testing.B) {
 	for _, size := range []struct {
 		name string
@@ -120,17 +116,10 @@ func BenchmarkIndexQueryWDC(b *testing.B) {
 			records, queries := wdcCorpus(b, size.n)
 			ix := BuildIndex(records, IndexOptions{})
 			queries = queries[:256]
-			for _, path := range []string{"default", "cursor"} {
-				b.Run(path, func(b *testing.B) {
-					if path == "cursor" {
-						forceCursorPath(b)
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						_ = ix.QueryTokens(queries[i%len(queries)], 10, 1.0)
-					}
-				})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = ix.QueryTokens(queries[i%len(queries)], 10, 1.0)
 			}
 		})
 	}

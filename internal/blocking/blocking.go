@@ -6,9 +6,8 @@
 // clusterer that turns pairwise decisions into entity groups.
 //
 // The candidate index (Index) has one postings representation —
-// delta+varint streams, postings.go — one size rule that picks between
-// its two scorers (denseScoreRecords in index.go; wand.go is the
-// large-index one), an mmap snapshot format (snapshot.go) and one
+// delta+varint streams, postings.go — one scorer, the term-at-a-time
+// scan of index.go, an mmap snapshot format (snapshot.go) and one
 // options struct, IndexOptions, holding the stop-token fraction.
 // Dedup blocks a whole collection against itself through a throwaway
 // Index.

@@ -174,19 +174,11 @@ func TestAddSerializedMatchesAdd(t *testing.T) {
 	}
 }
 
-// forceCursorPath makes every query of the test take the
-// document-at-a-time scorer an index above denseScoreRecords uses.
-func forceCursorPath(tb testing.TB) {
-	old := denseScoreRecords
-	denseScoreRecords = 0
-	tb.Cleanup(func() { denseScoreRecords = old })
-}
-
-// TestQueryAllocBudget pins the allocation budget of both scorers:
-// over a warm scratch a query allocates exactly its result slice — no
-// per-token, per-cursor or per-map allocation. The scratch is the
-// test's own rather than QueryTokens' pooled one, because sync.Pool drops
-// entries at random under the race detector.
+// TestQueryAllocBudget pins the scorer's allocation budget: over a warm
+// scratch a query allocates exactly its result slice — no per-token or
+// per-map allocation. The scratch is the test's own rather than
+// QueryTokens' pooled one, because sync.Pool drops entries at random
+// under the race detector.
 func TestQueryAllocBudget(t *testing.T) {
 	rng := detrand.New("hotpath-allocs")
 	recs := randomRecords(rng, 200)
@@ -194,35 +186,53 @@ func TestQueryAllocBudget(t *testing.T) {
 	// default fraction; keep them scoring.
 	ix := BuildIndex(recs, IndexOptions{StopDocFrac: Float(1)})
 	text := recs[7].Serialize()
-	for _, side := range []string{"dense", "cursor"} {
-		t.Run(side, func(t *testing.T) {
-			if side == "cursor" {
-				forceCursorPath(t)
-			}
-			sc := &queryScratch{}
-			words := tokenize.Words(text)
-			query := func() []Candidate {
-				ix.tokenIDs(sc, words)
-				return ix.queryIDs(sc, 5, 0)
-			}
-			if len(query()) != 5 { // also warms the scratch
-				t.Fatal("query did not fill its top 5; the budget would be vacuous")
-			}
-			if avg := testing.AllocsPerRun(200, func() { query() }); avg != 1 {
-				t.Fatalf("a query allocates %.1f times, want 1 (the result)", avg)
-			}
-		})
-	}
+	t.Run("dense", func(t *testing.T) {
+		sc := &queryScratch{}
+		words := tokenize.Words(text)
+		query := func() []Candidate {
+			ix.tokenIDs(sc, words)
+			return ix.queryIDs(sc, 5, 0)
+		}
+		if len(query()) != 5 { // also warms the scratch
+			t.Fatal("query did not fill its top 5; the budget would be vacuous")
+		}
+		if avg := testing.AllocsPerRun(200, func() { query() }); avg != 1 {
+			t.Fatalf("a query allocates %.1f times, want 1 (the result)", avg)
+		}
+	})
 }
 
-// TestQueryCutoverMatchesReference pins both sides of the one scorer
-// cutover byte-identical to the reference oracle on every storage
-// mode: with denseScoreRecords at its default (the dense scan) and
-// forced below the collection size (the cursor path a large index
-// takes), fresh, mapped and mapped-with-overlay indexes must rank
-// exactly as referenceQuery for every K — zero is the unbounded cursor
-// merge — and every score floor, on tie-heavy collections large enough
-// to seal posting blocks.
+// sealedTerm reports whether a query scores a token whose postings
+// hold more than one sealed block's worth of entries — and, when
+// spanning is set, whose base segment holds a sealed block and whose
+// tail is non-empty, so the scan decodes a sealed stream and then
+// chains into a heap segment.
+func sealedTerm(ix *Index, text string, spanning bool) bool {
+	sc := &queryScratch{}
+	ix.tokenIDs(sc, tokenize.Words(text))
+	ix.queryIDs(sc, 1, 0) // fills sc.terms with the scoring tokens
+	for _, term := range sc.terms {
+		if int(term.df) <= postingBlock {
+			continue
+		}
+		if !spanning {
+			return true
+		}
+		if segs, n := ix.segments(term.id); n == 2 && segs[0].count > postingBlock {
+			return true
+		}
+	}
+	return false
+}
+
+// TestQueryCutoverMatchesReference pins the scorer byte-identical to
+// the reference oracle on every storage mode: fresh, mapped and
+// mapped-with-overlay indexes must rank exactly as referenceQuery for
+// every K — zero is unbounded — and every score floor, on tie-heavy
+// collections. The 1 200-record rounds seal posting blocks: the test
+// fails unless some scoring token's df exceeds postingBlock on every
+// index, and on the overlay one unless such a token's postings run from
+// a sealed mapped segment into a heap segment.
 func TestQueryCutoverMatchesReference(t *testing.T) {
 	rng := detrand.New("cutover-differential")
 	type round struct {
@@ -232,10 +242,16 @@ func TestQueryCutoverMatchesReference(t *testing.T) {
 		indexes  map[string]*Index
 	}
 	var rounds []round
-	for r := 0; r < 6; r++ {
-		n := []int{8, 90, 700}[r%3]
+	for r := 0; r < 8; r++ {
+		n, minStop := []int{8, 90, 700}[r%3], 0.0
+		if r >= 6 {
+			// At 1 200 records each of randomRecords' ten pool words
+			// sits in about a fifth of the titles, a stop token below a
+			// 0.5 fraction; keep them scoring.
+			n, minStop = 1200, 0.5
+		}
 		recs := randomRecords(rng, n)
-		stopFrac := []float64{0, 0.2, 0.5, 1}[rng.Intn(4)]
+		stopFrac := math.Max([]float64{0, 0.2, 0.5, 1}[rng.Intn(4)], minStop)
 		opts := IndexOptions{StopDocFrac: Float(stopFrac)}
 		open := func(ix *Index) *Index {
 			m, err := OpenMapped(writeTestSnapshot(t, ix), opts)
@@ -259,30 +275,36 @@ func TestQueryCutoverMatchesReference(t *testing.T) {
 		rounds = append(rounds, round{recs, stopFrac, queries,
 			map[string]*Index{"fresh": fresh, "mapped": open(fresh), "overlay": overlay}})
 	}
-	for _, side := range []string{"dense", "cursor"} {
-		t.Run(side, func(t *testing.T) {
-			if side == "cursor" {
-				forceCursorPath(t)
-			}
-			for ri, r := range rounds {
-				for _, text := range r.queries {
-					for _, k := range []int{0, 1, 3, 10, 1000} {
-						for _, minScore := range []float64{0, 0.5, 1} {
-							want := referenceQuery(r.recs, r.stopFrac, text, k, minScore)
-							for label, ix := range r.indexes {
-								got := queryText(ix, text, k, minScore)
-								if len(got) == 0 && len(want) == 0 {
-									continue
-								}
-								if !reflect.DeepEqual(got, want) {
-									t.Fatalf("round %d %s query %q (max=%d min=%v stop=%v):\n got %v\nwant %v",
-										ri, label, text, k, minScore, r.stopFrac, got, want)
-								}
+	t.Run("dense", func(t *testing.T) {
+		sealed := map[string]bool{}
+		for ri, r := range rounds {
+			for _, text := range r.queries {
+				for label, ix := range r.indexes {
+					if sealedTerm(ix, text, label == "overlay") {
+						sealed[label] = true
+					}
+				}
+				for _, k := range []int{0, 1, 3, 10, 1000} {
+					for _, minScore := range []float64{0, 0.5, 1} {
+						want := referenceQuery(r.recs, r.stopFrac, text, k, minScore)
+						for label, ix := range r.indexes {
+							got := queryText(ix, text, k, minScore)
+							if len(got) == 0 && len(want) == 0 {
+								continue
+							}
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("round %d %s query %q (max=%d min=%v stop=%v):\n got %v\nwant %v",
+									ri, label, text, k, minScore, r.stopFrac, got, want)
 							}
 						}
 					}
 				}
 			}
-		})
-	}
+		}
+		for _, label := range []string{"fresh", "mapped", "overlay"} {
+			if !sealed[label] {
+				t.Errorf("%s: no query scored a token with more than %d postings; the sealed-block streams went untested", label, postingBlock)
+			}
+		}
+	})
 }

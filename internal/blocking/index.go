@@ -17,14 +17,11 @@ import (
 //
 // There is one postings representation: token strings map to dense
 // uint32 IDs and each token's ascending record positions are a
-// delta+varint stream with sealed-block skip metadata (postings.go).
-// Per-token IDF weights are cached between queries and results come
-// from top-K heap selection. One size test picks the scorer (see
-// denseScoreRecords): small collections run the exhaustive
-// term-at-a-time scan over a pooled flat accumulator, large ones the
-// document-at-a-time cursor path with WAND pruning (wand.go), whose
-// memory is O(query terms). Both rank byte-identically. QueryTokens,
-// the one query entry point, allocates only the returned slice.
+// delta+varint stream in sealed blocks (postings.go). There is one
+// scorer: the exhaustive term-at-a-time scan over a pooled flat
+// accumulator (queryDense). Per-token IDF weights are cached between
+// queries and results come from top-K heap selection. QueryTokens, the
+// one query entry point, allocates only the returned slice.
 //
 // There is one layout: an immutable base plus one heap tail. The base
 // is the mmap'ed EMIX snapshot of OpenMapped (snapshot.go) — reopening
@@ -109,9 +106,8 @@ type idfSlot struct{ bits, atN uint64 }
 const stopMinDocs = 5
 
 // queryScratch is the reusable per-query state: the token IDs with
-// their dedupe set, the flat score accumulator with its epoch
-// marks (term-at-a-time path), the touched-position list, the top-K
-// heap, and the cursor set of the document-at-a-time path.
+// their dedupe set, the flat score accumulator with its epoch marks,
+// the touched-position list and the top-K heap.
 type queryScratch struct {
 	ids     []uint32
 	set     []uint32
@@ -121,13 +117,10 @@ type queryScratch struct {
 	cur     uint32
 	touched []int32
 	heap    []Candidate
-	cursors []plCursor
-	weights []float64
-	order   []int32
 }
 
 // scoreTerm is one deduplicated, stop-filtered query token with its
-// document frequency — the shared input of both scoring paths.
+// document frequency — the input of the scorer.
 type scoreTerm struct {
 	id uint32
 	df int32
@@ -261,9 +254,6 @@ func (ix *Index) segments(id uint32) (segs [2]segView, n int) {
 	return segs, n
 }
 
-// initCursor points a cursor at the segments of a token.
-func (ix *Index) initCursor(c *plCursor, id uint32) { c.reset(ix.segments(id)) }
-
 // Len returns the number of indexed records.
 func (ix *Index) Len() int { return int(ix.base.nRecords) + len(ix.records) }
 
@@ -320,36 +310,10 @@ func (ix *Index) tokenIDs(sc *queryScratch, tokens []string) {
 	}
 }
 
-// denseScoreRecords is the one cutover between the two scorers: an
-// index of at most this many records runs the exhaustive term-at-a-time
-// scan into flat scores/epoch arrays (queryDense), a larger one runs
-// the document-at-a-time cursor path (queryWAND). Measured with top-10,
-// floor-1.0 queries over datasets.GroupedPairs("wdc") records
-// (the corpus of bench/: 20–30 tokens a query, ≈600 scoring postings
-// on a 4k-record shard), ns/op, go1.24, 2 vCPU, median of 3:
-//
-//	records in the index    queryDense    queryWAND
-//	    4 000 (bench shard)      9 700       41 800
-//	   32 000                   70 400      189 700
-//	  256 000                  721 000      930 000
-//	1 000 000                3 597 000    2 509 000
-//
-// Dense wins at every size below the cap. Above it the cursor path is
-// faster and holds O(query terms) of memory, where the flat arrays cost
-// 12 bytes a record in every pooled scratch for the life of the process
-// (12 MB at 1M, ~120 MB at the 10M target, times the concurrent
-// queries). The hash-map accumulator that used to serve large indexes
-// measured 3.6× slower than the cursor path at 1M and was never the
-// fastest at any size. BenchmarkIndexQueryWDC re-measures both sides
-// at 4k and 256k. A variable only so tests can force either side on a
-// small collection.
-var denseScoreRecords = 1 << 18
-
 // queryIDs scores the postings of sc.ids and selects the ranked
 // result. Read-only on the index, so concurrent queries are safe; sc
-// is owned by this call. Both scorers consume the filtered terms and
-// produce byte-identical rankings (scores are summed in the same token
-// order), which the differential tests pin.
+// is owned by this call. The differential tests pin its rankings to a
+// map-and-sort reference scan.
 func (ix *Index) queryIDs(sc *queryScratch, maxCandidates int, minScore float64) []Candidate {
 	n := ix.Len()
 	nf := float64(n)
@@ -377,17 +341,16 @@ func (ix *Index) queryIDs(sc *queryScratch, maxCandidates int, minScore float64)
 	if maxCandidates <= 0 {
 		maxCandidates = math.MaxInt
 	}
-	if n <= denseScoreRecords {
-		return ix.queryDense(sc, maxCandidates, minScore, stopSkipped)
-	}
-	return ix.queryWAND(sc, maxCandidates, minScore, stopSkipped)
+	return ix.queryDense(sc, maxCandidates, minScore, stopSkipped)
 }
 
 // queryDense is the exhaustive term-at-a-time scorer: every posting of
 // every term in sc.terms is added into a flat per-record accumulator,
 // epoch-marked so nothing is cleared between queries, and the touched
-// records go through the top-K heap. Each segment is decoded inline —
-// the cursor's block state machine costs more than these few additions.
+// records go through the top-K heap. Each segment is decoded inline.
+// The accumulator costs 12 bytes a record (score and epoch) in every
+// pooled scratch; the scorer section of docs/ARCHITECTURE.md gives the
+// measurements behind accepting that.
 func (ix *Index) queryDense(sc *queryScratch, maxCandidates int, minScore float64, stopSkipped uint64) []Candidate {
 	n := ix.Len()
 	if len(sc.scores) < n {

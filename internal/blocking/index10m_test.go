@@ -43,8 +43,8 @@ func TestIndex10M(t *testing.T) {
 	}
 
 	// Query latency at scale (same query set as the 100k benchmark: 2
-	// scoring postings a query, scored by the cursor path above
-	// denseScoreRecords).
+	// scoring postings a query, scored by the dense scan over a
+	// 10M-entry accumulator).
 	queries := make([][]string, 256)
 	for i := range queries {
 		queries[i] = tokenize.Words(records[(i*37)%n].Serialize())

@@ -4,21 +4,20 @@ import "encoding/binary"
 
 // Compressed postings: each token's ascending record positions are
 // delta-encoded as uvarints into one contiguous byte stream, sealed
-// into blocks of postingBlock entries. Every sealed block carries skip
+// into blocks of postingBlock entries. Every sealed block carries
 // metadata — its last position and its end offset in the stream, as
-// little-endian {last u32, end u32}, the bytes the EMIX file stores —
-// so a seeking cursor (the block-max pruning path) jumps over blocks
-// whose last position cannot reach the target without decoding a
-// byte. The stream stays append-friendly: a new position appends one
-// uvarint and, on a block boundary, one metadata entry.
+// little-endian {last u32, end u32}, the bytes the EMIX file stores and
+// OpenMapped validates. The query scan decodes each stream whole and
+// reads no block metadata. The stream stays append-friendly: a new
+// position appends one uvarint and, on a block boundary, one metadata
+// entry.
 //
 // A token's postings span at most two segments: the immutable base's
 // (an mmap'ed snapshot, see snapshot.go; none for a built index) and
 // the heap tail receiving every Add. Both present the same segView.
 
 // postingBlock is the number of postings per sealed block. 128 keeps
-// block metadata under 7% of the stream bytes while skipping decodes
-// in useful chunks.
+// block metadata under 7% of the stream bytes.
 const postingBlock = 128
 
 // postingList is a token's heap tail. The zero value is an empty list;
@@ -49,8 +48,8 @@ func (p *postingList) add(pos, base int32) {
 	}
 }
 
-// segView is one posting segment as the cursor and the dense scan see
-// it: the varint stream plus its sealed-block metadata.
+// segView is one posting segment as the query scan and the snapshot
+// writer see it: the varint stream plus its sealed-block metadata.
 type segView struct {
 	stream  []byte
 	meta    []byte
@@ -59,146 +58,9 @@ type segView struct {
 	lastPos int32 // last position in the segment
 }
 
-func (s *segView) nBlocks() int { return len(s.meta) / 8 }
-
-func (s *segView) blockLast(i int) int32 {
-	return int32(binary.LittleEndian.Uint32(s.meta[i*8:]))
-}
-
-func (s *segView) blockEnd(i int) uint32 {
-	return binary.LittleEndian.Uint32(s.meta[i*8+4:])
-}
-
 // seg views a tail as a segment whose first entry follows base.
 func (p *postingList) seg(base int32) segView {
 	return segView{stream: p.stream, meta: p.meta, count: int(p.df), base: base, lastPos: p.lastPos}
-}
-
-// plCursor iterates one token's postings across its segments in
-// ascending position order, with block-skipping seeks. Zero postings
-// are never constructed into a cursor (callers skip df == 0 tokens).
-type plCursor struct {
-	segs [2]segView
-	nseg int
-
-	seg  int   // current segment
-	blk  int   // current block (nBlocks() = the unsealed tail)
-	brem int   // entries left to decode in the current block
-	idx  int   // entries consumed in the current segment
-	off  int   // byte offset of the next uvarint in the segment stream
-	cur  int32 // current position; valid after the first next()
-	done bool
-
-	// decoded counts postings this cursor decoded; skipped counts
-	// postings jumped over without decoding (whole blocks and whole
-	// segments). Both feed telemetry.
-	decoded uint64
-	skipped uint64
-}
-
-// reset points the cursor before the first entry of the segments.
-func (c *plCursor) reset(segs [2]segView, nseg int) {
-	c.segs = segs
-	c.nseg = nseg
-	c.seg = 0
-	c.enterSegment()
-	c.done = nseg == 0
-	c.decoded = 0
-	c.skipped = 0
-}
-
-// enterSegment initializes the per-segment decode state.
-func (c *plCursor) enterSegment() {
-	c.blk = 0
-	c.idx = 0
-	c.off = 0
-	if c.seg < c.nseg {
-		s := &c.segs[c.seg]
-		c.cur = s.base
-		c.brem = c.blockEntries(s, 0)
-	}
-}
-
-// blockEntries returns how many entries block i holds (sealed blocks
-// are full; the tail holds the remainder).
-func (c *plCursor) blockEntries(s *segView, i int) int {
-	if i < s.nBlocks() {
-		return postingBlock
-	}
-	return s.count - s.nBlocks()*postingBlock
-}
-
-// next advances to the following posting. Returns false when the
-// cursor is exhausted.
-func (c *plCursor) next() bool {
-	for {
-		if c.done {
-			return false
-		}
-		s := &c.segs[c.seg]
-		if c.idx < s.count {
-			if c.brem == 0 {
-				c.blk++
-				c.brem = c.blockEntries(s, c.blk)
-			}
-			d, n := uvarint(s.stream, c.off)
-			c.off += n
-			c.cur += int32(d)
-			c.idx++
-			c.brem--
-			c.decoded++
-			return true
-		}
-		if c.seg+1 >= c.nseg {
-			c.done = true
-			return false
-		}
-		c.seg++
-		c.enterSegment()
-	}
-}
-
-// seek advances the cursor to the first posting >= target, skipping
-// sealed blocks (and whole segments) whose last position is below the
-// target without decoding them. The cursor must be positioned on an
-// entry (next returned true) with cur < target.
-func (c *plCursor) seek(target int32) bool {
-	for {
-		if c.done {
-			return false
-		}
-		s := &c.segs[c.seg]
-		if s.lastPos < target {
-			// The whole remainder of this segment is below the target.
-			c.skipped += uint64(s.count - c.idx)
-			if c.seg+1 >= c.nseg {
-				c.done = true
-				return false
-			}
-			c.seg++
-			c.enterSegment()
-			continue
-		}
-		// Skip sealed blocks that end below the target. brem counts the
-		// undecoded remainder of the current block; a skipped block
-		// contributes all of it.
-		for c.blk < s.nBlocks() && s.blockLast(c.blk) < target {
-			c.skipped += uint64(c.brem)
-			c.cur = s.blockLast(c.blk)
-			c.off = int(s.blockEnd(c.blk))
-			c.idx = (c.blk + 1) * postingBlock
-			c.blk++
-			c.brem = c.blockEntries(s, c.blk)
-		}
-		// Linear decode within the first block that can contain the
-		// target.
-		for c.cur < target {
-			if !c.next() {
-				return false
-			}
-		}
-		return true
-	}
 }
 
 // uvarint decodes one uvarint from b at off, returning the value and

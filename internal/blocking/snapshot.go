@@ -18,7 +18,7 @@ import (
 // a header validation and an mmap, never an ingest replay: token
 // lookup goes through an open-addressing hash section, postings are
 // the same delta+varint streams the live index appends (postings.go)
-// with their sealed-block skip metadata alongside, and records decode
+// with their sealed-block metadata alongside, and records decode
 // lazily per access.
 //
 // Layout (all integers little-endian, every section page-aligned):
@@ -335,10 +335,10 @@ func (ix *Index) tokenOf(id uint32) string {
 
 // postingsForWrite produces one token's full posting stream and block
 // metadata for the snapshot writer. A token with one segment — base
-// only or tail only — is written verbatim; one with both is re-encoded
-// through a cursor, so sealed-block boundaries stay aligned to
-// postingBlock entries and the file is a function of the collection,
-// not of its build history.
+// only or tail only — is written verbatim; one with both is decoded
+// and re-encoded as one list, so sealed-block boundaries stay aligned
+// to postingBlock entries and the file is a function of the
+// collection, not of its build history.
 func (ix *Index) postingsForWrite(id uint32) (stream, meta []byte, df uint32, lastPos int32) {
 	segs, n := ix.segments(id)
 	switch n {
@@ -347,11 +347,16 @@ func (ix *Index) postingsForWrite(id uint32) (stream, meta []byte, df uint32, la
 	case 1:
 		return segs[0].stream, segs[0].meta, uint32(segs[0].count), segs[0].lastPos
 	}
-	var c plCursor
-	c.reset(segs, n)
 	var pl postingList
-	for c.next() {
-		pl.add(c.cur, -1)
+	for i := range segs[:n] {
+		s := &segs[i]
+		pos, off := s.base, 0
+		for range s.count {
+			d, m := uvarint(s.stream, off)
+			off += m
+			pos += int32(d)
+			pl.add(pos, -1)
+		}
 	}
 	return pl.stream, pl.meta, uint32(pl.df), pl.lastPos
 }

@@ -14,7 +14,6 @@ import (
 
 	"llm4em/internal/detrand"
 	"llm4em/internal/entity"
-	"llm4em/internal/telemetry"
 )
 
 // writeTestSnapshot writes ix to a temp EMIX file and returns its path.
@@ -65,35 +64,6 @@ func queryReference(t *testing.T, label string, got *Index, recs []entity.Record
 				}
 			}
 		}
-	}
-}
-
-// TestCompressedPrunedMatchesReferenceScan is the core differential
-// pin of the pruning scorer: block-max WAND over the varint postings
-// must rank byte-identically to the exhaustive reference scan across
-// randomized workloads big enough to seal posting blocks
-// (df >> postingBlock), with tie-heavy scoring, score floors and stop
-// tokens — and must actually have skipped postings undecoded on the
-// way, or the workload pins nothing about pruning.
-func TestCompressedPrunedMatchesReferenceScan(t *testing.T) {
-	forceCursorPath(t)
-	met := telemetry.New(telemetry.Options{}).Blocking
-	rng := detrand.New("compressed-differential")
-	for round := 0; round < 6; round++ {
-		n := []int{30, 300, 1200}[rng.Intn(3)]
-		recs := randomRecords(rng, n)
-		stopFrac := []float64{0, 0.2, 0.5, 1}[rng.Intn(4)]
-		pruned := BuildIndex(recs, IndexOptions{StopDocFrac: Float(stopFrac)})
-		pruned.SetMetrics(met)
-		var queries []string
-		for q := 0; q < 10; q++ {
-			queries = append(queries, recs[rng.Intn(n)].Serialize()+" "+recs[rng.Intn(n)].Serialize())
-		}
-		queries = append(queries, "zzz unknown only")
-		queryReference(t, "pruned-vs-reference", pruned, recs, stopFrac, queries)
-	}
-	if met.PostingsPruned.Value() == 0 {
-		t.Fatal("no posting was pruned: the workload never exercised block skipping")
 	}
 }
 
@@ -335,65 +305,6 @@ func TestSnapshotEmptyIndex(t *testing.T) {
 	mapped.Add(rec("a", "sony camera"))
 	if got := queryText(mapped, "sony camera", 10, 0); len(got) != 1 || got[0].Pos != 0 {
 		t.Fatalf("post-Add mapped Query = %v, want the added record", got)
-	}
-}
-
-// TestCursorSeek unit-tests the block-skipping cursor against a long
-// posting list: seeks land on the first position >= target, skipped
-// entries are counted without being decoded, and iteration after a
-// seek continues exactly.
-func TestCursorSeek(t *testing.T) {
-	var pl postingList
-	var want []int32
-	pos := int32(0)
-	rng := detrand.New("cursor-seek")
-	for i := 0; i < 1000; i++ {
-		pos += int32(1 + rng.Intn(5))
-		pl.add(pos, -1)
-		want = append(want, pos)
-	}
-
-	// Full iteration decodes every posting in order.
-	var c plCursor
-	c.reset([2]segView{pl.seg(-1)}, 1)
-	for i, w := range want {
-		if !c.next() {
-			t.Fatalf("next() exhausted at %d of %d", i, len(want))
-		}
-		if c.cur != w {
-			t.Fatalf("posting %d = %d, want %d", i, c.cur, w)
-		}
-	}
-	if c.next() {
-		t.Fatal("next() past the end returned true")
-	}
-
-	// Seeks from the start to arbitrary targets.
-	for trial := 0; trial < 50; trial++ {
-		target := int32(rng.Intn(int(pos) + 10))
-		c.reset([2]segView{pl.seg(-1)}, 1)
-		c.next()
-		// Expected: first posting >= target.
-		exp := int32(-1)
-		for _, w := range want {
-			if w >= target {
-				exp = w
-				break
-			}
-		}
-		ok := c.seek(target)
-		if exp < 0 {
-			if ok {
-				t.Fatalf("seek(%d) = true at %d, want exhausted", target, c.cur)
-			}
-			continue
-		}
-		if !ok || c.cur != exp {
-			t.Fatalf("seek(%d) landed on %d (ok=%v), want %d", target, c.cur, ok, exp)
-		}
-		if target > want[300] && c.skipped == 0 {
-			t.Fatalf("seek(%d) decoded everything; expected block skips", target)
-		}
 	}
 }
 

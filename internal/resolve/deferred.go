@@ -89,15 +89,14 @@ type resilienceState struct {
 	queued map[pairID]bool
 
 	wake chan struct{}
-	stop chan struct{}
 	done chan struct{}
-	// ctx is cancelled together with stop; re-escalation LLM calls run
-	// under it so a hung backend never blocks Close.
+	// ctx is the re-escalator's one shutdown signal: cancel ends its
+	// loop, and the re-escalation LLM calls run under ctx so a hung
+	// backend never blocks Close.
 	ctx       context.Context
 	cancel    context.CancelFunc
 	started   bool
 	startOnce sync.Once
-	stopOnce  sync.Once
 }
 
 func newResilienceState(o ResilienceOptions, met telemetry.ResilienceMetrics) *resilienceState {
@@ -110,7 +109,6 @@ func newResilienceState(o ResilienceOptions, met telemetry.ResilienceMetrics) *r
 		met:     met,
 		queued:  map[pairID]bool{},
 		wake:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		ctx:     ctx,
 		cancel:  cancel,
@@ -183,12 +181,10 @@ func (s *Store) startResilience() {
 	})
 }
 
-// stopResilience shuts the re-escalator down and waits for it.
+// stopResilience shuts the re-escalator down and waits for it. cancel
+// is idempotent, so a second Close passes straight through.
 func (s *Store) stopResilience() {
-	s.res.stopOnce.Do(func() {
-		close(s.res.stop)
-		s.res.cancel()
-	})
+	s.res.cancel()
 	if s.res.started {
 		<-s.res.done
 	}
@@ -227,7 +223,7 @@ func (s *Store) reescalate() {
 	defer t.Stop()
 	for {
 		select {
-		case <-s.res.stop:
+		case <-s.res.ctx.Done():
 			return
 		case <-t.C:
 		case <-s.res.wake:
@@ -240,10 +236,8 @@ func (s *Store) reescalate() {
 // backend fails again, or the store shuts down.
 func (s *Store) drainDeferred() {
 	for {
-		select {
-		case <-s.res.stop:
+		if s.res.ctx.Err() != nil {
 			return
-		default:
 		}
 		if s.res.breaker.State() == resilience.Open {
 			return

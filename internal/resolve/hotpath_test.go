@@ -2,7 +2,6 @@ package resolve
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -26,56 +25,6 @@ func hotpathStore(t *testing.T, rng *detrand.RNG, n int, opts Options) (*Store, 
 		}
 	}
 	return s, recs
-}
-
-// decisionsKey projects the ranking-relevant parts of a result for
-// comparison: candidate order, blocking scores and probabilities.
-func decisionsKey(r Result) []string {
-	out := make([]string, len(r.Decisions))
-	for i, d := range r.Decisions {
-		out[i] = fmt.Sprintf("%s|%.17g|%.17g|%v|%s", d.CandidateID, d.BlockScore, d.Probability, d.Match, d.Method)
-	}
-	return out
-}
-
-// TestParallelFanoutMatchesSerial is the resolve-level differential
-// test: parallel shard fanout plus heap-based top-K merge must
-// produce byte-identical rankings — same candidates, same order, same
-// scores, including cross-shard ties — as the serial path, which the
-// blocking differential test in turn pins to the old sort-based
-// implementation.
-func TestParallelFanoutMatchesSerial(t *testing.T) {
-	rng := detrand.New("resolve-hotpath")
-	serial, recs := hotpathStore(t, rng, 300, Options{})
-	rng2 := detrand.New("resolve-hotpath")
-	parallel, _ := hotpathStore(t, rng2, 300, Options{})
-
-	resolveSide := func(s *Store, query entity.Record, threshold int64) Result {
-		old := fanoutRecords
-		fanoutRecords = threshold
-		defer func() { fanoutRecords = old }()
-		r, err := s.Resolve(query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	for q := 0; q < 60; q++ {
-		base := recs[rng.Intn(len(recs))]
-		query := entity.Record{
-			ID:    fmt.Sprintf("q%04d", q),
-			Attrs: []entity.Attr{{Name: "title", Value: base.Attrs[0].Value + " extra"}},
-		}
-		rs := resolveSide(serial, query, 1<<62)
-		rp := resolveSide(parallel, query, 1)
-		if !reflect.DeepEqual(decisionsKey(rs), decisionsKey(rp)) {
-			t.Fatalf("query %s: serial %v != parallel %v", query.ID, decisionsKey(rs), decisionsKey(rp))
-		}
-		if rs.EntityID != rp.EntityID || !reflect.DeepEqual(rs.Members, rp.Members) {
-			t.Fatalf("query %s: entity fold diverged: %v/%v vs %v/%v",
-				query.ID, rs.EntityID, rs.Members, rp.EntityID, rp.Members)
-		}
-	}
 }
 
 // TestMergeMatchesSortReference pins the top-K shard merge against

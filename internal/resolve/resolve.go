@@ -206,8 +206,7 @@ type Store struct {
 
 	shards []*shard
 	// count tracks the stored-record total without touching shard
-	// locks; Resolve reads it to decide whether parallel shard fanout
-	// is worth the goroutine overhead.
+	// locks (Len).
 	count atomic.Int64
 	// rscratch pools per-resolve candidate buffers (*resolveScratch).
 	rscratch sync.Pool

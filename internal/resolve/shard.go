@@ -107,14 +107,6 @@ type scored struct {
 	pos   int
 }
 
-// fanoutRecords is the stored-record count from which Resolve queries
-// the index shards from parallel goroutines. Shard queries cost
-// single-digit microseconds on small stores, where the goroutine
-// handoff would dominate; the fanout engages only once per-shard work
-// is large enough to amortize it. A variable only so the
-// serial-vs-parallel differential test can force the parallel side.
-var fanoutRecords int64 = 1 << 20
-
 // resolveScratch pools the per-shard candidate buffers of
 // blockCandidates and the candidate extractions planFresh expands.
 // Only buffers are pooled: the merged result holds value copies, and
@@ -128,32 +120,17 @@ type resolveScratch struct {
 	toks []string
 }
 
-// blockCandidates fans the pre-tokenized query out to every shard and
-// merges the per-shard ranked lists into the global top
-// MaxCandidates. From fanoutRecords stored records on the fanout runs
-// one goroutine per shard; results land in per-shard slots, so the
-// merge — and therefore the final ranking — is deterministic
-// regardless of scheduling.
+// blockCandidates queries every shard in turn with the pre-tokenized
+// query and merges the per-shard ranked lists into the global top
+// MaxCandidates.
 func (s *Store) blockCandidates(qid string, words []string) []scored {
 	sc := s.rscratch.Get().(*resolveScratch)
 	if len(sc.perShard) != len(s.shards) {
 		sc.perShard = make([][]scored, len(s.shards))
 	}
 	perShard := sc.perShard
-	if len(s.shards) > 1 && s.count.Load() >= fanoutRecords {
-		var wg sync.WaitGroup
-		wg.Add(len(s.shards))
-		for i, sh := range s.shards {
-			go func(i int, sh *shard) {
-				defer wg.Done()
-				perShard[i] = sh.collect(perShard[i][:0], qid, words, s.opts.MaxCandidates)
-			}(i, sh)
-		}
-		wg.Wait()
-	} else {
-		for i, sh := range s.shards {
-			perShard[i] = sh.collect(perShard[i][:0], qid, words, s.opts.MaxCandidates)
-		}
+	for i, sh := range s.shards {
+		perShard[i] = sh.collect(perShard[i][:0], qid, words, s.opts.MaxCandidates)
 	}
 	out := mergeTopK(perShard, s.opts.MaxCandidates)
 	s.rscratch.Put(sc)

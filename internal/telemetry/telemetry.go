@@ -34,13 +34,11 @@ type Options struct {
 // (all-nil, nil-safe) set.
 type BlockingMetrics struct {
 	// Queries counts index queries; PostingsScanned the posting-list
-	// entries they iterated; PostingsPruned the entries the block-max
-	// path skipped without decoding; StopTokensSkipped the query tokens
-	// skipped as stop tokens; HeapPushes the candidates offered to the
-	// bounded top-K heap.
+	// entries they iterated; StopTokensSkipped the query tokens skipped
+	// as stop tokens; HeapPushes the candidates offered to the bounded
+	// top-K heap.
 	Queries           *Counter
 	PostingsScanned   *Counter
-	PostingsPruned    *Counter
 	StopTokensSkipped *Counter
 	HeapPushes        *Counter
 }
@@ -211,7 +209,6 @@ func New(opts Options) *Telemetry {
 	t.Blocking = BlockingMetrics{
 		Queries:           reg.Counter("em_blocking_queries_total", "Blocking index queries"),
 		PostingsScanned:   reg.Counter("em_blocking_postings_scanned_total", "Posting-list entries iterated by index queries"),
-		PostingsPruned:    reg.Counter("em_blocking_postings_pruned_total", "Posting-list entries skipped undecoded by block-max pruning"),
 		StopTokensSkipped: reg.Counter("em_blocking_stop_tokens_total", "Query tokens skipped as stop tokens"),
 		HeapPushes:        reg.Counter("em_blocking_heap_pushes_total", "Candidates offered to the bounded top-K heap"),
 	}
