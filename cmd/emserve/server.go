@@ -535,14 +535,26 @@ func (s *server) resolve(w http.ResponseWriter, r *http.Request) {
 			Deferred:    d.Deferred,
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"query_id":  res.Query.ID,
-		"entity_id": res.EntityID,
-		"matched":   res.Matched(),
-		"members":   res.Members,
-		"decisions": decisions,
-		"cost":      fromCost(res.Cost),
+	writeJSON(w, http.StatusOK, resolveJSON{
+		Cost:      fromCost(res.Cost),
+		Decisions: decisions,
+		EntityID:  res.EntityID,
+		Matched:   res.Matched(),
+		Members:   res.Members,
+		QueryID:   res.Query.ID,
 	})
+}
+
+// resolveJSON is the body of POST /v1/resolve. Its fields are declared
+// in sorted key order, the order encoding/json gave the map it
+// replaces, so the body is byte for byte what that map encoded.
+type resolveJSON struct {
+	Cost      costJSON       `json:"cost"`
+	Decisions []decisionJSON `json:"decisions"`
+	EntityID  string         `json:"entity_id"`
+	Matched   bool           `json:"matched"`
+	Members   []string       `json:"members"`
+	QueryID   string         `json:"query_id"`
 }
 
 // entity handles GET /v1/entities/{id}.

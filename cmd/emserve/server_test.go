@@ -147,6 +147,42 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestResolveGoldenBody pins POST /v1/resolve's body byte for byte: a
+// local accept, an LLM decision and a query with no candidate. The
+// bodies are what the handler wrote when it encoded a map[string]any,
+// whose keys encoding/json sorts; resolveJSON must declare its fields
+// in that order to keep them.
+func TestResolveGoldenBody(t *testing.T) {
+	srv := newTestServer(t)
+	if resp, body := postJSON(t, srv.URL+"/v1/records", seedBody); resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/records = %d: %v", resp.StatusCode, body)
+	}
+	queries := []string{
+		`{"id":"q1","attrs":[{"name":"title","value":"Sony DSC-120B Cybershot camera (black)"},{"name":"price","value":"351.00"}]}`,
+		`{"id":"q2","attrs":[{"name":"title","value":"epson workforce 840 printer"}]}`,
+		`{"id":"q3","attrs":[{"name":"title","value":"garden hose"}]}`,
+	}
+	golden := []string{
+		`{"cost":{"candidates":1,"local_accepts":1,"local_rejects":0,"llm_pairs":0,"cache_hits":0,"budget_decided":0,"journal_hits":0,"prompt_tokens":0,"completion_tokens":0,"cents":0,"priced":true,"local_fraction":1,"strategies":{"match":{"calls":0,"pairs":0,"prompt_tokens":0,"completion_tokens":0},"compare":{"calls":0,"pairs":0,"prompt_tokens":0,"completion_tokens":0},"select":{"calls":0,"pairs":0,"prompt_tokens":0,"completion_tokens":0},"reason":{"calls":0,"pairs":0,"prompt_tokens":0,"completion_tokens":0}}},"decisions":[{"candidate_id":"r1","block_score":3.4657359027997265,"probability":0.981943609001853,"match":true,"method":"cascade-accept"}],"entity_id":"q1","matched":true,"members":["q1","r1"],"query_id":"q1"}` + "\n",
+		`{"cost":{"candidates":1,"local_accepts":0,"local_rejects":0,"llm_pairs":1,"cache_hits":0,"budget_decided":0,"journal_hits":0,"prompt_tokens":67,"completion_tokens":126,"cents":0.008565,"priced":true,"local_fraction":0,"strategies":{"match":{"calls":1,"pairs":1,"prompt_tokens":67,"completion_tokens":126},"compare":{"calls":0,"pairs":0,"prompt_tokens":0,"completion_tokens":0},"select":{"calls":0,"pairs":0,"prompt_tokens":0,"completion_tokens":0},"reason":{"calls":0,"pairs":0,"prompt_tokens":0,"completion_tokens":0}}},"decisions":[{"candidate_id":"r3","block_score":2.0794415416798357,"probability":0.7457061758164252,"match":true,"method":"llm","answer":"Yes, the two product descriptions refer to the same real-world entity. Both descriptions mention the brand Epson. The titles are highly similar. Taking all available attributes into account, this is the most plausible interpretation of the two descriptions. The remaining attributes do not provide decisive evidence in either direction. Differences in formatting and word order were disregarded, as they are common between listings from different sources."}],"entity_id":"q2","matched":true,"members":["q2","r3"],"query_id":"q2"}` + "\n",
+		`{"cost":{"candidates":0,"local_accepts":0,"local_rejects":0,"llm_pairs":0,"cache_hits":0,"budget_decided":0,"journal_hits":0,"prompt_tokens":0,"completion_tokens":0,"cents":0,"priced":true,"local_fraction":1,"strategies":{"match":{"calls":0,"pairs":0,"prompt_tokens":0,"completion_tokens":0},"compare":{"calls":0,"pairs":0,"prompt_tokens":0,"completion_tokens":0},"select":{"calls":0,"pairs":0,"prompt_tokens":0,"completion_tokens":0},"reason":{"calls":0,"pairs":0,"prompt_tokens":0,"completion_tokens":0}}},"decisions":[],"entity_id":"q3","matched":false,"members":["q3"],"query_id":"q3"}` + "\n",
+	}
+	for i, q := range queries {
+		resp, err := http.Post(srv.URL+"/v1/resolve", "application/json", strings.NewReader(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || string(got) != golden[i] {
+			t.Errorf("POST /v1/resolve %s = %d\n got %s\nwant %s", q, resp.StatusCode, got, golden[i])
+		}
+	}
+}
+
 // TestAPIVersioning pins the /v1 surface: the prefixed routes are the
 // only ones, and a bare pre-v1 path answers 404.
 func TestAPIVersioning(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"llm4em/internal/entity"
 )
@@ -324,87 +325,157 @@ func bytesEqString(b []byte, s string) bool {
 	return true
 }
 
-// tokenOf returns the token string of an ID across the base and the
-// vocab (snapshot-writer path; allocates for base tokens).
-func (ix *Index) tokenOf(id uint32) string {
-	if b := ix.base.nTokens; id >= b {
-		return ix.vocab.Token(id - b)
+// checkRecordIndex refuses, with ErrSnapshotTorn, a base whose record
+// index is not non-decreasing and inside its record bytes: the
+// rewrite copies both verbatim, so it must not carry rotten framing
+// into a new file. (Open validated only the last entry.)
+func (m *mappedIndex) checkRecordIndex() error {
+	prev := uint64(0)
+	for pos := 0; pos*8 < len(m.recIdx); pos++ {
+		off := binary.LittleEndian.Uint64(m.recIdx[pos*8:])
+		if off < prev || off > uint64(len(m.recBytes)) {
+			return fmt.Errorf("%w: record index entry %d = %d does not frame the %d record bytes", ErrSnapshotTorn, pos, off, len(m.recBytes))
+		}
+		prev = off
 	}
-	return string(ix.base.token(id))
+	return nil
 }
 
-// postingsForWrite produces one token's full posting stream and block
-// metadata for the snapshot writer. A token with one segment — base
-// only or tail only — is written verbatim; one with both is decoded
-// and re-encoded as one list, so sealed-block boundaries stay aligned
-// to postingBlock entries and the file is a function of the
-// collection, not of its build history.
-func (ix *Index) postingsForWrite(id uint32) (stream, meta []byte, df uint32, lastPos int32) {
-	segs, n := ix.segments(id)
-	switch n {
-	case 0:
-		return nil, nil, 0, -1
-	case 1:
-		return segs[0].stream, segs[0].meta, uint32(segs[0].count), segs[0].lastPos
+// writeSegs returns what the snapshot writer writes for a token: its
+// base segment (empty for a token new since the base) and its tail
+// (nil for a base token no Add touched). touched holds the touched base
+// tokens' IDs in ascending order and *t is the walk's place in it, so a
+// pass over the IDs in order probes basePosts only for those.
+func (ix *Index) writeSegs(id uint32, touched []uint32, t *int) (segView, *postingList) {
+	if nb := ix.base.nTokens; id >= nb {
+		return segView{}, &ix.posts[id-nb].postingList
 	}
-	var pl postingList
-	for i := range segs[:n] {
-		s := &segs[i]
-		pos, off := s.base, 0
-		for range s.count {
-			d, m := uvarint(s.stream, off)
-			off += m
-			pos += int32(d)
-			pl.add(pos, -1)
+	var pl *postingList
+	if *t < len(touched) && touched[*t] == id {
+		pl = ix.basePosts[id]
+		*t++
+	}
+	return ix.base.tokenSeg(id), pl
+}
+
+// appendTailMeta appends the sealed-block metadata of a tail that
+// continues a list of k entries and streamOff stream bytes, its deltas
+// chained off position from: every entry whose count in the whole list
+// reaches a multiple of postingBlock seals a block there. It walks only
+// the tail, and places the boundaries one list built in a single pass
+// would have.
+func appendTailMeta(dst []byte, pl *postingList, from int32, k, streamOff int) []byte {
+	pos, off := from, 0
+	for range pl.df {
+		d, m := uvarint(pl.stream, off)
+		off += m
+		pos += int32(d)
+		k++
+		if k%postingBlock == 0 {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(pos))
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(streamOff+off))
 		}
 	}
-	return pl.stream, pl.meta, uint32(pl.df), pl.lastPos
+	return dst
 }
 
 // WriteSnapshot writes the index to path in the EMIX mmap format,
 // atomically (temp file + rename). The written file reopens with
 // OpenMapped, and is the same file BuildIndex over the same collection
-// would write: a token's base and tail merge back into one stream.
+// would write.
+//
+// Over a mapped base the rewrite is a copy plus an O(delta) encode. The
+// base's record bytes and record-index entries go out in one write
+// each, and each base token's stream and block metadata as they are:
+// its tail chains its deltas off the base's last position, so base
+// stream then tail stream is the stream of the one merged list. Only
+// the tails' entries are walked, to place the block boundaries that
+// follow. Token bytes and hashes are read off the map, uncopied. A
+// base whose record index does not frame its record bytes fails the
+// write with ErrSnapshotTorn.
 func (ix *Index) WriteSnapshot(path string) (err error) {
-	nTok := int(ix.base.nTokens) + ix.vocab.Len()
-	n := ix.Len()
-
-	// Per-token pass: table entries plus references to each token's
-	// stream/metadata bytes (aliased where verbatim, rebuilt otherwise).
-	tab := make([]byte, nTok*tokEntrySize)
-	streams := make([][]byte, nTok)
-	metas := make([][]byte, nTok)
-	var tokLen, postsLen, metaLen uint64
-	for id := 0; id < nTok; id++ {
-		stream, meta, df, lastPos := ix.postingsForWrite(uint32(id))
-		streams[id], metas[id] = stream, meta
-		tok := ix.tokenOf(uint32(id))
-		e := tab[id*tokEntrySize:]
-		binary.LittleEndian.PutUint64(e[0:], postsLen)
-		binary.LittleEndian.PutUint32(e[8:], uint32(len(stream)))
-		binary.LittleEndian.PutUint32(e[12:], df)
-		binary.LittleEndian.PutUint32(e[16:], uint32(lastPos))
-		binary.LittleEndian.PutUint32(e[20:], uint32(metaLen/8))
-		binary.LittleEndian.PutUint32(e[24:], uint32(len(meta)/8))
-		binary.LittleEndian.PutUint32(e[28:], uint32(tokLen))
-		binary.LittleEndian.PutUint32(e[32:], uint32(len(tok)))
-		tokLen += uint64(len(tok))
-		postsLen += uint64(len(stream))
-		metaLen += uint64(len(meta))
+	b := ix.base
+	if err := b.checkRecordIndex(); err != nil {
+		return err
 	}
+	nBase := int(b.nTokens)
+	nTok := nBase + ix.vocab.Len()
+	n := ix.Len()
+	touched := make([]uint32, 0, len(ix.basePosts))
+	for id := range ix.basePosts {
+		touched = append(touched, id)
+	}
+	slices.Sort(touched)
 
-	// Token hash: power-of-two, load factor <= 0.5.
+	// Per-token pass: table entries, the token hash (power-of-two, load
+	// factor <= 0.5) and the tails' block metadata, in ID order.
+	tab := make([]byte, nTok*tokEntrySize)
 	hashEntries := uint32(8)
 	for int(hashEntries) < 2*nTok {
 		hashEntries *= 2
 	}
 	tokHash := make([]byte, hashEntries*4)
+	var tailMeta []byte
+	var tokLen, postsLen, metaLen uint64
+	t := 0
 	for id := 0; id < nTok; id++ {
-		i := uint32(fnv64String(ix.tokenOf(uint32(id)))) & (hashEntries - 1)
+		bs, pl := ix.writeSegs(uint32(id), touched, &t)
+		streamLen, df, lastPos, nMeta := len(bs.stream), bs.count, bs.lastPos, len(bs.meta)
+		if pl != nil {
+			k := len(tailMeta)
+			tailMeta = appendTailMeta(tailMeta, pl, ix.overlayBase(uint32(id)), df, streamLen)
+			streamLen += len(pl.stream)
+			df += int(pl.df)
+			lastPos = pl.lastPos
+			nMeta += len(tailMeta) - k
+		}
+		var h uint64
+		var tl int
+		if id < nBase {
+			tok := b.token(uint32(id))
+			h, tl = fnv64(tok), len(tok)
+		} else {
+			tok := ix.vocab.Token(uint32(id - nBase))
+			h, tl = fnv64String(tok), len(tok)
+		}
+		e := tab[id*tokEntrySize:]
+		binary.LittleEndian.PutUint64(e[0:], postsLen)
+		binary.LittleEndian.PutUint32(e[8:], uint32(streamLen))
+		binary.LittleEndian.PutUint32(e[12:], uint32(df))
+		binary.LittleEndian.PutUint32(e[16:], uint32(lastPos))
+		binary.LittleEndian.PutUint32(e[20:], uint32(metaLen/8))
+		binary.LittleEndian.PutUint32(e[24:], uint32(nMeta/8))
+		binary.LittleEndian.PutUint32(e[28:], uint32(tokLen))
+		binary.LittleEndian.PutUint32(e[32:], uint32(tl))
+		tokLen += uint64(tl)
+		postsLen += uint64(streamLen)
+		metaLen += uint64(nMeta)
+		i := uint32(h) & (hashEntries - 1)
 		for binary.LittleEndian.Uint32(tokHash[i*4:]) != 0 {
 			i = (i + 1) & (hashEntries - 1)
 		}
 		binary.LittleEndian.PutUint32(tokHash[i*4:], uint32(id)+1)
+	}
+
+	// Record hash: ascending inserts + linear probing make the lowest
+	// position of a duplicate ID win at lookup.
+	recEntries := uint32(8)
+	for int(recEntries) < 2*n {
+		recEntries *= 2
+	}
+	recHash := make([]byte, recEntries*4)
+	for pos := 0; pos < n; pos++ {
+		var h uint64
+		if pos < int(b.nRecords) {
+			h = fnv64(b.recordID(pos))
+		} else {
+			h = fnv64String(ix.records[pos-int(b.nRecords)].ID)
+		}
+		i := uint32(h) & (recEntries - 1)
+		for binary.LittleEndian.Uint32(recHash[i*4:]) != 0 {
+			i = (i + 1) & (recEntries - 1)
+		}
+		binary.LittleEndian.PutUint32(recHash[i*4:], uint32(pos)+1)
 	}
 
 	tmp := path + ".tmp"
@@ -419,7 +490,10 @@ func (ix *Index) WriteSnapshot(path string) (err error) {
 		}
 	}()
 
-	w := &pageWriter{w: bufio.NewWriterSize(f, 1<<20)}
+	// The buffer only gathers the small per-token and per-record pieces:
+	// bufio passes a write larger than it — the base's sections — to the
+	// file directly.
+	w := &pageWriter{w: bufio.NewWriterSize(f, writeBuffer)}
 	// Header page is written last (record-byte sizes are only known
 	// after streaming); reserve it with a zero page now.
 	w.write(zeroPage[:])
@@ -438,7 +512,11 @@ func (ix *Index) WriteSnapshot(path string) (err error) {
 	}
 	begin(secTokenBytes)
 	for id := 0; id < nTok; id++ {
-		w.writeString(ix.tokenOf(uint32(id)))
+		if id < nBase {
+			w.write(b.token(uint32(id)))
+		} else {
+			w.writeString(ix.vocab.Token(uint32(id - nBase)))
+		}
 	}
 	if err := end(secTokenBytes); err != nil {
 		return err
@@ -449,49 +527,51 @@ func (ix *Index) WriteSnapshot(path string) (err error) {
 		return err
 	}
 	begin(secBlockMeta)
-	for _, m := range metas {
-		w.write(m)
+	t, mo := 0, 0
+	for id := 0; id < nTok; id++ {
+		bs, pl := ix.writeSegs(uint32(id), touched, &t)
+		w.write(bs.meta)
+		if pl != nil {
+			k := mo + int(binary.LittleEndian.Uint32(tab[id*tokEntrySize+24:]))*8 - len(bs.meta)
+			w.write(tailMeta[mo:k])
+			mo = k
+		}
 	}
 	if err := end(secBlockMeta); err != nil {
 		return err
 	}
 	begin(secPostings)
-	for _, s := range streams {
-		w.write(s)
+	t = 0
+	for id := 0; id < nTok; id++ {
+		bs, pl := ix.writeSegs(uint32(id), touched, &t)
+		w.write(bs.stream)
+		if pl != nil {
+			w.write(pl.stream)
+		}
 	}
 	if err := end(secPostings); err != nil {
 		return err
 	}
 
-	// Records: stream the bytes, collect the offsets, and fill the
-	// by-ID hash as positions go by (ascending inserts + linear probing
-	// make the lowest position of a duplicate ID win at lookup).
-	recEntries := uint32(8)
-	for int(recEntries) < 2*n {
-		recEntries *= 2
-	}
-	recHash := make([]byte, recEntries*4)
-	recIdx := make([]byte, 0, (n+1)*8)
-	var scratch []byte
+	// Records: the base's bytes, then the tail's encoded; the base's
+	// index entries, then the tail's offsets.
 	begin(secRecordBytes)
 	recBase := w.off
-	for pos := 0; pos < n; pos++ {
-		recIdx = binary.LittleEndian.AppendUint64(recIdx, w.off-recBase)
-		r := ix.Record(pos)
-		i := uint32(fnv64String(r.ID)) & (recEntries - 1)
-		for binary.LittleEndian.Uint32(recHash[i*4:]) != 0 {
-			i = (i + 1) & (recEntries - 1)
-		}
-		binary.LittleEndian.PutUint32(recHash[i*4:], uint32(pos)+1)
+	w.write(b.recBytes)
+	tailIdx := make([]byte, 0, (len(ix.records)+1)*8)
+	var scratch []byte
+	for _, r := range ix.records {
+		tailIdx = binary.LittleEndian.AppendUint64(tailIdx, w.off-recBase)
 		scratch = appendRecord(scratch[:0], r)
 		w.write(scratch)
 	}
-	recIdx = binary.LittleEndian.AppendUint64(recIdx, w.off-recBase)
+	tailIdx = binary.LittleEndian.AppendUint64(tailIdx, w.off-recBase)
 	if err := end(secRecordBytes); err != nil {
 		return err
 	}
 	begin(secRecordIndex)
-	w.write(recIdx)
+	w.write(b.recIdx[:int(b.nRecords)*8])
+	w.write(tailIdx)
 	if err := end(secRecordIndex); err != nil {
 		return err
 	}
@@ -531,6 +611,10 @@ func (ix *Index) WriteSnapshot(path string) (err error) {
 	syncDir(filepath.Dir(path))
 	return nil
 }
+
+// writeBuffer sizes WriteSnapshot's write buffer, allocated per call
+// and dropped with it.
+const writeBuffer = 64 << 10
 
 // appendRecord encodes one record: uvarint-framed ID, attribute count,
 // then uvarint-framed name/value pairs.

@@ -174,60 +174,134 @@ func TestRecordPosCoversTail(t *testing.T) {
 // had been indexed live, and a re-snapshot of the grown base+tail index
 // (merged streams) must be byte-identical to the snapshot BuildIndex
 // writes over the same collection: the file is a function of the
-// collection, not of its build history.
+// collection, not of its build history. The index is written, mapped,
+// grown and re-written twice, and each growth covers the three ways a
+// token's postings reach the file: base only ("vintage"), tail only
+// ("gadget"), and a base token whose df is not a multiple of the block
+// size and whose tail crosses one or more block boundaries ("deal").
+// A base whose record index does not frame its record bytes is refused
+// by the rewrite, which copies both verbatim.
 func TestMappedOverlayAppend(t *testing.T) {
 	rng := detrand.New("snapshot-overlay")
-	base := randomRecords(rng, 400)
-	extra := randomRecords(rng, 150)
-	for i := range extra {
-		extra[i].ID = "x" + extra[i].ID
-		if i%3 == 0 { // new tokens the snapshot has never seen
-			extra[i].Attrs[0].Value += " novel gadget"
+	all := randomRecords(rng, 400)
+	for i := range all {
+		switch {
+		case i < 100:
+			all[i].Attrs[0].Value += " deal"
+		case i < 110:
+			all[i].Attrs[0].Value += " vintage"
+		}
+	}
+	path := writeTestSnapshot(t, BuildIndex(all, IndexOptions{}))
+	for round := 1; round <= 2; round++ {
+		extra := randomRecords(rng, 150)
+		for i := range extra {
+			extra[i].ID = fmt.Sprintf("x%d-%s", round, extra[i].ID)
+			extra[i].Attrs[0].Value += " deal"
+			if i%3 == 0 { // new tokens the snapshot has never seen
+				extra[i].Attrs[0].Value += fmt.Sprintf(" novel gadget%d", round)
+			}
+		}
+		mapped, err := OpenMapped(path, IndexOptions{})
+		if err != nil {
+			t.Fatalf("round %d: OpenMapped: %v", round, err)
+		}
+		defer mapped.Close()
+		for _, r := range extra {
+			mapped.Add(r)
+		}
+		checkOverlayCoverage(t, mapped, fmt.Sprintf("gadget%d", round))
+		nBase := len(all)
+		all = append(all, extra...)
+		live := BuildIndex(all, IndexOptions{})
+		var queries []string
+		for q := 0; q < 15; q++ {
+			queries = append(queries, all[rng.Intn(len(all))].Serialize()+" novel")
+		}
+		queryBoth(t, fmt.Sprintf("round %d: overlay-vs-live", round), mapped, live, queries)
+
+		// Re-snapshot the grown index: each token's base and tail merge
+		// back into a single stream.
+		path = filepath.Join(t.TempDir(), fmt.Sprintf("index%d.emx", round))
+		if err := mapped.WriteSnapshot(path); err != nil {
+			t.Fatalf("round %d: re-WriteSnapshot: %v", round, err)
+		}
+		mapped2, err := OpenMapped(path, IndexOptions{})
+		if err != nil {
+			t.Fatalf("round %d: OpenMapped(resnapshot): %v", round, err)
+		}
+		defer mapped2.Close()
+		queryBoth(t, fmt.Sprintf("round %d: resnapshot-vs-live", round), mapped2, live, queries)
+		grown, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := os.ReadFile(writeTestSnapshot(t, live))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(grown, built) {
+			t.Fatalf("round %d: snapshot of the mapped index grown by Add differs from BuildIndex's over the same records", round)
+		}
+		if got := mapped2.Record(nBase); !reflect.DeepEqual(got, extra[0]) {
+			t.Fatalf("round %d: resnapshot Record(%d) = %+v, want %+v", round, nBase, got, extra[0])
 		}
 	}
 
-	path := writeTestSnapshot(t, BuildIndex(base, IndexOptions{}))
-	mapped, err := OpenMapped(path, IndexOptions{})
+	good, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("OpenMapped: %v", err)
+		t.Fatal(err)
 	}
-	defer mapped.Close()
-	for _, r := range extra {
-		mapped.Add(r)
+	idx := binary.LittleEndian.Uint64(good[40+secRecordIndex*16:])
+	for name, at := range map[string]uint64{
+		"entry 1 past the record bytes": idx + 8 + 7, // top byte
+		"entry 1 after entry 2":         idx + 8,     // low byte
+	} {
+		bad := append([]byte(nil), good...)
+		bad[at] ^= 0xff
+		damaged := filepath.Join(t.TempDir(), "damaged.emx")
+		if err := os.WriteFile(damaged, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ix, err := OpenMapped(damaged, IndexOptions{})
+		if err != nil {
+			t.Fatalf("%s: OpenMapped: %v (open checks only the last entry)", name, err)
+		}
+		out := filepath.Join(t.TempDir(), "rewrite.emx")
+		if err := ix.WriteSnapshot(out); !errors.Is(err, ErrSnapshotTorn) {
+			t.Errorf("%s: WriteSnapshot = %v, want ErrSnapshotTorn", name, err)
+		}
+		if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: the refused rewrite left %s behind (%v)", name, out, err)
+		}
+		ix.Close()
 	}
-	all := append(append([]entity.Record{}, base...), extra...)
-	live := BuildIndex(all, IndexOptions{})
-	var queries []string
-	for q := 0; q < 15; q++ {
-		queries = append(queries, all[rng.Intn(len(all))].Serialize()+" novel")
-	}
-	queryBoth(t, "overlay-vs-live", mapped, live, queries)
+}
 
-	// Re-snapshot the grown index: each token's base and tail merge back
-	// into a single stream.
-	path2 := filepath.Join(t.TempDir(), "index2.emx")
-	if err := mapped.WriteSnapshot(path2); err != nil {
-		t.Fatalf("re-WriteSnapshot: %v", err)
+// checkOverlayCoverage fails unless the grown mapped index holds every
+// shape of postings the rewrite treats apart: a base token no Add
+// touched, a tail-only token named newTok, and a touched base token
+// whose base df is not a multiple of postingBlock and whose tail
+// crosses at least one block boundary.
+func checkOverlayCoverage(t *testing.T, ix *Index, newTok string) {
+	t.Helper()
+	if id, ok := ix.vocab.Lookup(newTok); !ok || ix.tailOf(ix.base.nTokens+id).df == 0 {
+		t.Errorf("no tail-only token %q", newTok)
 	}
-	mapped2, err := OpenMapped(path2, IndexOptions{})
-	if err != nil {
-		t.Fatalf("OpenMapped(resnapshot): %v", err)
+	baseOnly, crossing := false, false
+	for id := uint32(0); id < ix.base.nTokens; id++ {
+		pl := ix.basePosts[id]
+		if pl == nil {
+			baseOnly = true
+			continue
+		}
+		bdf := int(ix.base.tokenDF(id))
+		if bdf%postingBlock != 0 && (bdf+int(pl.df))/postingBlock > bdf/postingBlock {
+			crossing = true
+		}
 	}
-	defer mapped2.Close()
-	queryBoth(t, "resnapshot-vs-live", mapped2, live, queries)
-	grown, err := os.ReadFile(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	built, err := os.ReadFile(writeTestSnapshot(t, live))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(grown, built) {
-		t.Fatal("snapshot of the mapped index grown by Add differs from BuildIndex's over the same records")
-	}
-	if got := mapped2.Record(len(base)); !reflect.DeepEqual(got, extra[0]) {
-		t.Fatalf("resnapshot Record(%d) = %+v, want %+v", len(base), got, extra[0])
+	if !baseOnly || !crossing {
+		t.Errorf("base-only token present: %v; base token whose tail crosses a block boundary: %v", baseOnly, crossing)
 	}
 }
 

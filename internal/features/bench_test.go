@@ -8,6 +8,16 @@ var benchStrings = [][2]string{
 	{"adobe photoshop elements 5.0 full version 79.99", "photoshop elements 5 upgrade 49.99"},
 }
 
+// benchPairs extracts both sides of every benchStrings pair once, as
+// the resolve store's score stage finds them in its extraction cache.
+func benchPairs() [][2]Extracted {
+	ps := make([][2]Extracted, len(benchStrings))
+	for i, s := range benchStrings {
+		ps[i] = [2]Extracted{ExtractText(s[0]), ExtractText(s[1])}
+	}
+	return ps
+}
+
 // BenchmarkExtractText measures the entity-reading substrate.
 func BenchmarkExtractText(b *testing.B) {
 	b.ReportAllocs()
@@ -16,11 +26,35 @@ func BenchmarkExtractText(b *testing.B) {
 	}
 }
 
-// BenchmarkPairFeatures measures the full pair-feature computation.
+// BenchmarkPairFeatures measures the pair-feature computation over
+// pre-extracted pairs: the serving kernel of the score stage, which
+// reads candidate extractions from the cache instead of re-extracting.
 func BenchmarkPairFeatures(b *testing.B) {
+	ps := benchPairs()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p := &ps[i%len(ps)]
+		_, _ = PairFeatures(p[0], p[1])
+	}
+}
+
+// BenchmarkPairFeaturesText measures extraction of both sides plus the
+// pair features — the offline path of PairFeaturesText.
+func BenchmarkPairFeaturesText(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := benchStrings[i%len(benchStrings)]
 		_, _ = PairFeaturesText(s[0], s[1])
+	}
+}
+
+// TestPairFeaturesAllocs holds the BenchmarkPairFeatures body — one
+// PairFeatures call over cached extractions — to at most 4
+// allocations per pair.
+func TestPairFeaturesAllocs(t *testing.T) {
+	for i, p := range benchPairs() {
+		if avg := testing.AllocsPerRun(200, func() { _, _ = PairFeatures(p[0], p[1]) }); avg > 4 {
+			t.Errorf("PairFeatures(%q, %q) allocates %.1f times, want <= 4", benchStrings[i][0], benchStrings[i][1], avg)
+		}
 	}
 }

@@ -313,13 +313,17 @@ func isPriceToken(t string) bool {
 
 // isYearToken recognizes plausible publication years 1950-2029.
 func isYearToken(t string) bool {
+	// Four ASCII digits first: Atoi on any other four-character word
+	// would allocate its *NumError just to say no.
 	if len(t) != 4 {
 		return false
 	}
-	y, err := strconv.Atoi(t)
-	if err != nil {
-		return false
+	for i := 0; i < 4; i++ {
+		if t[i] < '0' || t[i] > '9' {
+			return false
+		}
 	}
+	y, _ := strconv.Atoi(t)
 	return y >= 1950 && y < 2030
 }
 

@@ -279,3 +279,31 @@ func TestVenueFusedToken(t *testing.T) {
 		}
 	}
 }
+
+// TestSameDigitRun pins the in-place digit comparison of modelSim to
+// the string it replaced: both sides' digits, in order, with every
+// other character dropped, equal and non-empty.
+func TestSameDigitRun(t *testing.T) {
+	digits := func(s string) string {
+		var b []rune
+		for _, r := range s {
+			if r >= '0' && r <= '9' {
+				b = append(b, r)
+			}
+		}
+		return string(b)
+	}
+	ref := func(x, y string) bool { return digits(x) == digits(y) && digits(x) != "" }
+	cases := [][2]string{
+		{"dsc120a", "dsc120b"}, {"dsc120a", "dsc-120"}, {"dsc12", "dsc120"}, {"x", "y"},
+		{"", ""}, {"7", "7"}, {"a1b2", "12"}, {"1é2", "12"}, {"\xff1", "1\xfe"}, {"120", "1200"},
+	}
+	for _, c := range cases {
+		if got, want := sameDigitRun(c[0], c[1]), ref(c[0], c[1]); got != want {
+			t.Errorf("sameDigitRun(%q, %q) = %v, want %v", c[0], c[1], got, want)
+		}
+	}
+	if err := quick.Check(func(x, y string) bool { return sameDigitRun(x, y) == ref(x, y) }, nil); err != nil {
+		t.Fatal(err)
+	}
+}

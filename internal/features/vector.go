@@ -224,7 +224,11 @@ func bestModelSim(as, bs []string) float64 {
 		i, j int
 		s    float64
 	}
-	var cands []cand
+	// Offers carry one to three model tokens; the buffers keep such
+	// alignments on the stack, and append moves longer ones to the heap.
+	var candBuf [16]cand
+	var usedBuf [16]bool
+	cands := candBuf[:0]
 	for i, x := range as {
 		for j, y := range bs {
 			cands = append(cands, cand{i, j, modelSim(x, y)})
@@ -240,8 +244,8 @@ func bestModelSim(as, bs []string) float64 {
 		}
 		cands[l+1] = c
 	}
-	usedA := make([]bool, len(as))
-	usedB := make([]bool, len(bs))
+	used := append(usedBuf[:0], make([]bool, len(as)+len(bs))...)
+	usedA, usedB := used[:len(as)], used[len(as):]
 	worst := 1.0
 	aligned := 0
 	for _, c := range cands {
@@ -268,10 +272,9 @@ func modelSim(x, y string) float64 {
 	if x == y {
 		return 1
 	}
-	dx, dy := digitRun(x), digitRun(y)
 	sx, sy := letterPrefix(x), letterPrefix(y)
 	switch {
-	case sx == sy && dx == dy && dx != "":
+	case sx == sy && sameDigitRun(x, y):
 		return 0.5 // e.g. dsc120a vs dsc120b
 	case sx == sy && sx != "":
 		return 0.2 // same family stem, different number
@@ -280,14 +283,26 @@ func modelSim(x, y string) float64 {
 	}
 }
 
-func digitRun(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		if r >= '0' && r <= '9' {
-			b.WriteRune(r)
+// sameDigitRun reports whether x and y hold the same non-empty run of
+// digits once every other character is dropped ("dsc120a" and
+// "dsc-120b" both hold "120"), comparing in place.
+func sameDigitRun(x, y string) bool {
+	i, j, n := 0, 0, 0
+	for {
+		for i < len(x) && (x[i] < '0' || x[i] > '9') {
+			i++
 		}
+		for j < len(y) && (y[j] < '0' || y[j] > '9') {
+			j++
+		}
+		if i == len(x) || j == len(y) {
+			return i == len(x) && j == len(y) && n > 0
+		}
+		if x[i] != y[j] {
+			return false
+		}
+		i, j, n = i+1, j+1, n+1
 	}
-	return b.String()
 }
 
 func letterPrefix(s string) string {
@@ -305,7 +320,10 @@ func letterPrefix(s string) string {
 // their own unit class. The result is the mean agreement over shared
 // unit classes; ok is false when the sides share no unit class.
 func variantSim(a, b Extracted) (sim float64, ok bool) {
-	ua, ub := variantsByUnit(a.Variants), variantsByUnit(b.Variants)
+	// The maps stay on the stack: variantsByUnit only fills them.
+	ua, ub := map[string]string{}, map[string]string{}
+	variantsByUnit(ua, a.Variants)
+	variantsByUnit(ub, b.Variants)
 	if len(a.Colors) > 0 {
 		ua["color"] = a.Colors[0]
 	}
@@ -329,9 +347,8 @@ func variantSim(a, b Extracted) (sim float64, ok bool) {
 	return total / float64(n), true
 }
 
-// variantsByUnit maps unit class -> value string ("gb" -> "8").
-func variantsByUnit(vs []string) map[string]string {
-	m := map[string]string{}
+// variantsByUnit fills m with unit class -> value string ("gb" -> "8").
+func variantsByUnit(m map[string]string, vs []string) {
 	for _, v := range vs {
 		i := 0
 		for i < len(v) && (v[i] >= '0' && v[i] <= '9' || v[i] == '.' || v[i] == '/' || v[i] == '-') {
@@ -342,7 +359,6 @@ func variantsByUnit(vs []string) map[string]string {
 		}
 		m[v[i:]] = strings.Trim(v[:i], "-./")
 	}
-	return m
 }
 
 // versionSim compares version token lists: exact overlap scores 1,

@@ -60,23 +60,34 @@ func (sh *shard) install(ix *blocking.Index) *blocking.Index {
 	return old
 }
 
-// collect queries one shard for blocking candidates and copies the
-// matching records and their cached extractions out under the read
-// lock, appending to dst (a reusable buffer owned by the caller). words
-// is the pre-split query tokenization shared by every shard; the score
-// floor is DefaultMinScore. A candidate not extracted yet keeps a zero
-// extraction until the score stage needs it (extract).
+// collect queries one shard for blocking candidates and copies their
+// IDs, scores and positions out under the read lock, appending to dst
+// (a reusable buffer owned by the caller). No record is decoded here:
+// the merge ranks by (score, ID), and decode fills only its survivors.
+// words is the pre-split query tokenization shared by every shard; the
+// score floor is DefaultMinScore.
 func (sh *shard) collect(dst []scored, qid string, words []string, maxCandidates int) []scored {
 	sh.mu.RLock()
 	for _, c := range sh.ix.QueryTokens(words, maxCandidates, DefaultMinScore) {
-		r := sh.ix.Record(c.Pos)
-		if r.ID == qid {
+		id := sh.ix.RecordID(c.Pos)
+		if id == qid {
 			continue // re-resolving an added record
 		}
-		dst = append(dst, scored{rec: r, ext: sh.ext[c.Pos], sh: sh, score: c.Score, pos: c.Pos})
+		dst = append(dst, scored{rec: entity.Record{ID: id}, sh: sh, score: c.Score, pos: c.Pos})
 	}
 	sh.mu.RUnlock()
 	return dst
+}
+
+// decode fills a merged candidate's record and cached extraction (zero
+// until the score stage extracts it) under the read lock. Positions
+// are stable across install, so the candidate's position still names
+// its record.
+func (sh *shard) decode(c *scored) {
+	sh.mu.RLock()
+	c.rec = sh.ix.Record(c.pos)
+	c.ext = sh.ext[c.pos]
+	sh.mu.RUnlock()
 }
 
 // extract fills a candidate's extraction the first time a resolve
@@ -98,7 +109,8 @@ func (sh *shard) extract(c *scored) {
 // scored is one blocking candidate copied out of a shard: the record,
 // its cached feature extraction (zero until extracted), the
 // summed-IDF blocking score and the shard and index position it came
-// from.
+// from. Until blockCandidates decodes the merged survivors, rec holds
+// only the ID and ext is zero.
 type scored struct {
 	rec   entity.Record
 	ext   features.Packed
@@ -121,8 +133,8 @@ type resolveScratch struct {
 }
 
 // blockCandidates queries every shard in turn with the pre-tokenized
-// query and merges the per-shard ranked lists into the global top
-// MaxCandidates.
+// query, merges the per-shard ranked lists into the global top
+// MaxCandidates and decodes only those survivors.
 func (s *Store) blockCandidates(qid string, words []string) []scored {
 	sc := s.rscratch.Get().(*resolveScratch)
 	if len(sc.perShard) != len(s.shards) {
@@ -134,6 +146,9 @@ func (s *Store) blockCandidates(qid string, words []string) []scored {
 	}
 	out := mergeTopK(perShard, s.opts.MaxCandidates)
 	s.rscratch.Put(sc)
+	for i := range out {
+		out[i].sh.decode(&out[i])
+	}
 	return out
 }
 

@@ -9,7 +9,8 @@ package textsim
 
 import (
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"llm4em/internal/tokenize"
 )
@@ -162,24 +163,25 @@ func GeneralizedJaccard(a, b []string, sim func(x, y string) float64, threshold 
 	if len(a)*len(b) > maxFuzzyPairs {
 		return exactGeneralizedJaccard(a, b)
 	}
-	type cand struct {
-		i, j int
-		s    float64
-	}
-	var cands []cand
+	sc := gjPool.Get().(*gjScratch)
+	cands := sc.cands[:0]
 	for i, x := range a {
 		for j, y := range b {
 			s := sim(x, y)
 			if s >= threshold {
-				cands = append(cands, cand{i, j, s})
+				cands = append(cands, gjCand{int32(i), int32(j), s})
 			}
 		}
 	}
 	// Greedy matching in decreasing similarity order (stable sort
 	// keeps determinism for equal scores).
-	sort.SliceStable(cands, func(x, y int) bool { return cands[x].s > cands[y].s })
-	usedA := make([]bool, len(a))
-	usedB := make([]bool, len(b))
+	slices.SortStableFunc(cands, gjCandBefore)
+	if cap(sc.used) < len(a)+len(b) {
+		sc.used = make([]bool, len(a)+len(b))
+	}
+	used := sc.used[:len(a)+len(b)]
+	clear(used)
+	usedA, usedB := used[:len(a)], used[len(a):]
 	sum := 0.0
 	matched := 0
 	for _, c := range cands {
@@ -191,8 +193,40 @@ func GeneralizedJaccard(a, b []string, sim func(x, y string) float64, threshold 
 		sum += c.s
 		matched++
 	}
+	sc.cands = cands
+	gjPool.Put(sc)
 	return sum / float64(len(a)+len(b)-matched)
 }
+
+// gjCand is one fuzzy token pair of GeneralizedJaccard: the positions
+// in each list and their secondary similarity.
+type gjCand struct {
+	i, j int32
+	s    float64
+}
+
+// gjCandBefore orders candidates by decreasing similarity; equal ones
+// compare equal, so the stable sort keeps them in scan order.
+func gjCandBefore(x, y gjCand) int {
+	switch {
+	case x.s > y.s:
+		return -1
+	case y.s > x.s:
+		return 1
+	}
+	return 0
+}
+
+// gjScratch is the reusable state of one GeneralizedJaccard call: the
+// candidate list and the used flags of both token lists.
+type gjScratch struct {
+	cands []gjCand
+	used  []bool
+}
+
+// gjPool lends GeneralizedJaccard its scratch, so concurrent callers
+// never share one and repeated calls do not allocate.
+var gjPool = sync.Pool{New: func() any { return new(gjScratch) }}
 
 // maxFuzzyPairs bounds the all-pairs work of GeneralizedJaccard: a
 // 128×128-token comparison is the largest the fuzzy path attempts.
@@ -299,26 +333,29 @@ func CosineStrings(a, b string) float64 {
 // are tens of characters; truncation never fires for them.
 const maxJaroRunes = 64
 
-// truncRunes decodes at most n leading runes of s without scanning
-// the rest — a full []rune conversion of a degenerate token would
-// already be linear in its size on every similarity call.
-func truncRunes(s string, n int) []rune {
-	rs := make([]rune, 0, min(n, len(s)))
+// leadingRunes decodes at most maxJaroRunes leading runes of s into
+// dst without scanning the rest — a full []rune conversion of a
+// degenerate token would already be linear in its size on every
+// similarity call — and returns how many it decoded.
+func leadingRunes(dst *[maxJaroRunes]rune, s string) int {
+	n := 0
 	for _, r := range s {
-		if len(rs) == n {
+		if n == maxJaroRunes {
 			break
 		}
-		rs = append(rs, r)
+		dst[n] = r
+		n++
 	}
-	return rs
+	return n
 }
 
 // Jaro returns the Jaro similarity of a and b. Strings longer than
-// maxJaroRunes are compared by their leading maxJaroRunes runes.
+// maxJaroRunes are compared by their leading maxJaroRunes runes, which
+// is what lets the runes and match flags live in fixed arrays on the
+// stack.
 func Jaro(a, b string) float64 {
-	ra := truncRunes(a, maxJaroRunes)
-	rb := truncRunes(b, maxJaroRunes)
-	la, lb := len(ra), len(rb)
+	var ra, rb [maxJaroRunes]rune
+	la, lb := leadingRunes(&ra, a), leadingRunes(&rb, b)
 	if la == 0 && lb == 0 {
 		return 1
 	}
@@ -329,8 +366,7 @@ func Jaro(a, b string) float64 {
 	if window < 0 {
 		window = 0
 	}
-	matchA := make([]bool, la)
-	matchB := make([]bool, lb)
+	var matchA, matchB [maxJaroRunes]bool
 	matches := 0
 	for i := 0; i < la; i++ {
 		lo := max(0, i-window)

@@ -51,6 +51,12 @@
 #    vocabulary this synthetic corpus grows in step with its records)
 #    against 10.6-12.0x (4.4-7.0 ms -> 52-74 ms) when open walked
 #    every record into the entity graph.
+# 10. Holds the local path's allocations to fixed budgets: allocs/op
+#    of BenchmarkGeneralizedJaccard must be 0, of BenchmarkPairFeatures
+#    (pre-extracted pairs) at most 4, and of
+#    BenchmarkStoreCheckpoint/journal=10k (gate 8's run) at most 1 000.
+#    Allocation counts are deterministic, so unlike the timing gates
+#    this one does not move with the host's speed.
 #
 # With ARTIFACT_DIR set, the full output is teed into
 # $ARTIFACT_DIR/bench_output.txt and the dispatcher gate writes its
@@ -174,7 +180,7 @@ main() {
     echo ""
     echo "== O(delta) checkpoint gate (100k-decision journal relative to 10k) =="
     SCALING=1.5
-    CKPT_OUT="$(go test -run '^$' -bench 'BenchmarkStoreCheckpoint$' -benchtime=20x ./internal/resolve/)"
+    CKPT_OUT="$(go test -run '^$' -bench 'BenchmarkStoreCheckpoint$' -benchtime=20x -benchmem ./internal/resolve/)"
     SMALL_NS="$(printf '%s\n' "$CKPT_OUT" | awk '/^BenchmarkStoreCheckpoint\/journal=10k/ {print $3; exit}')"
     LARGE_NS="$(printf '%s\n' "$CKPT_OUT" | awk '/^BenchmarkStoreCheckpoint\/journal=100k/ {print $3; exit}')"
     if [ -z "$SMALL_NS" ] || [ -z "$LARGE_NS" ]; then
@@ -209,6 +215,34 @@ main() {
         }
         print "OK: store open gate passed"
     }'
+
+    echo ""
+    echo "== local-path allocation gate =="
+    KERNEL_OUT="$(go test -run '^$' -bench '^BenchmarkGeneralizedJaccard$' -benchmem ./internal/textsim/)
+$(go test -run '^$' -bench '^BenchmarkPairFeatures$' -benchmem ./internal/features/)
+$CKPT_OUT"
+    local failed=0
+    while read -r name limit; do
+        local got
+        got="$(printf '%s\n' "$KERNEL_OUT" | awk -v name="$name" '$1 ~ "^" name "(-[0-9]+)?$" {for (i = 2; i <= NF; i++) if ($i == "allocs/op") {print $(i - 1); exit}}')"
+        if [ -z "$got" ]; then
+            echo "FAIL: could not measure allocs/op of $name" >&2
+            failed=1
+        elif [ "$got" -gt "$limit" ]; then
+            echo "FAIL: $name allocates $got times per op, budget $limit"
+            failed=1
+        else
+            echo "$name: $got allocs/op (budget $limit)"
+        fi
+    done <<'BUDGETS'
+BenchmarkGeneralizedJaccard 0
+BenchmarkPairFeatures 4
+BenchmarkStoreCheckpoint/journal=10k 1000
+BUDGETS
+    if [ "$failed" -ne 0 ]; then
+        exit 1
+    fi
+    echo "OK: local-path allocation gate passed"
 }
 
 if [ -n "${ARTIFACT_DIR:-}" ]; then
