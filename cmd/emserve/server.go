@@ -1,17 +1,14 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
 	"runtime/metrics"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -208,8 +205,9 @@ func (s *server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// Wire form of an entity record. Attributes are an ordered list
-// because serialization concatenates values in schema order.
+// Wire form of an entity record, as GET /v1/entities/{id} encodes it
+// (request bodies are parsed by bodyParser). Attributes are an ordered
+// list because serialization concatenates values in schema order.
 type recordJSON struct {
 	ID    string     `json:"id"`
 	Attrs []attrJSON `json:"attrs"`
@@ -229,33 +227,6 @@ const (
 	maxAttrNameBytes  = 256
 	maxAttrValueBytes = 64 << 10
 )
-
-// check rejects a record past a per-record bound.
-func (r recordJSON) check() error {
-	if len(r.ID) > maxIDBytes {
-		return fmt.Errorf("record ID is %d bytes, over the %d-byte ID bound", len(r.ID), maxIDBytes)
-	}
-	if len(r.Attrs) > maxAttrs {
-		return fmt.Errorf("record %q has %d attributes, over the %d-attribute bound", r.ID, len(r.Attrs), maxAttrs)
-	}
-	for _, a := range r.Attrs {
-		if len(a.Name) > maxAttrNameBytes {
-			return fmt.Errorf("record %q: an attribute name is %d bytes, over the %d-byte name bound", r.ID, len(a.Name), maxAttrNameBytes)
-		}
-		if len(a.Value) > maxAttrValueBytes {
-			return fmt.Errorf("record %q: attribute %q is %d bytes, over the %d-byte value bound", r.ID, a.Name, len(a.Value), maxAttrValueBytes)
-		}
-	}
-	return nil
-}
-
-func (r recordJSON) toRecord() llm4em.Record {
-	rec := llm4em.Record{ID: r.ID}
-	for _, a := range r.Attrs {
-		rec.Attrs = append(rec.Attrs, llm4em.Attr{Name: a.Name, Value: a.Value})
-	}
-	return rec
-}
 
 func fromRecord(r llm4em.Record) recordJSON {
 	out := recordJSON{ID: r.ID, Attrs: []attrJSON{}}
@@ -361,18 +332,14 @@ func fromStrategies(c llm4em.CostReport) strategyJSON {
 // record.
 func (s *server) addRecords(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRecordsBody)
-	recs, err := decodeRecordsBody(r)
+	batch, err := decodeRecordsBody(r)
 	if err != nil {
 		writeError(w, bodyErrorStatus(err), err)
 		return
 	}
-	if len(recs) == 0 {
+	if len(batch) == 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("no records in body"))
 		return
-	}
-	batch := make([]llm4em.Record, len(recs))
-	for i, rj := range recs {
-		batch[i] = rj.toRecord()
 	}
 	if err := s.store.AddBatch(batch); err != nil {
 		status := http.StatusBadRequest
@@ -412,89 +379,14 @@ func bodyErrorStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// decodeRecordsBody parses the accepted POST /v1/records body shapes
-// into a record list, every record within the per-record bounds.
-func decodeRecordsBody(r *http.Request) ([]recordJSON, error) {
-	recs, err := parseRecordsBody(r)
-	if err != nil {
-		return nil, err
-	}
-	for _, rec := range recs {
-		if err := rec.check(); err != nil {
-			return nil, err
-		}
-	}
-	return recs, nil
-}
-
-// parseRecordsBody parses the body shapes.
-func parseRecordsBody(r *http.Request) ([]recordJSON, error) {
-	if strings.Contains(r.Header.Get("Content-Type"), "ndjson") {
-		dec := json.NewDecoder(r.Body)
-		var out []recordJSON
-		for {
-			var rec recordJSON
-			if err := dec.Decode(&rec); err == io.EOF {
-				return out, nil
-			} else if err != nil {
-				return nil, fmt.Errorf("decode ndjson record %d: %w", len(out)+1, err)
-			}
-			out = append(out, rec)
-		}
-	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		return nil, fmt.Errorf("read body: %w", err)
-	}
-	trimmed := bytes.TrimLeft(body, " \t\r\n")
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		var out []recordJSON
-		if err := json.Unmarshal(body, &out); err != nil {
-			return nil, fmt.Errorf("decode record array: %w", err)
-		}
-		return out, nil
-	}
-	// An object: either the {"records":[...]} wrapper or one record.
-	var obj struct {
-		Records []recordJSON `json:"records"`
-		ID      string       `json:"id"`
-		Attrs   []attrJSON   `json:"attrs"`
-	}
-	if err := json.Unmarshal(body, &obj); err != nil {
-		return nil, fmt.Errorf("decode body: %w", err)
-	}
-	if obj.Records != nil {
-		return obj.Records, nil
-	}
-	if obj.ID != "" || obj.Attrs != nil {
-		return []recordJSON{{ID: obj.ID, Attrs: obj.Attrs}}, nil
-	}
-	return nil, nil
-}
-
 // resolve handles POST /v1/resolve. The request context carries the
 // trace the instrument middleware attached, so the store's per-stage
 // spans land under this request's X-Request-ID.
 func (s *server) resolve(w http.ResponseWriter, r *http.Request) {
-	var body recordJSON
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResolveBody))
-	err := dec.Decode(&body)
-	if err == nil {
-		// One record per body: anything but whitespace after it is an
-		// error, not a second query to drop silently.
-		if _, err = dec.Token(); err == io.EOF {
-			err = nil
-		} else if err == nil {
-			err = errors.New("trailing data after the record")
-		}
-	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxResolveBody)
+	query, err := decodeResolveBody(r)
 	if err != nil {
-		err = fmt.Errorf("decode body: %w", err)
 		writeError(w, bodyErrorStatus(err), err)
-		return
-	}
-	if err := body.check(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx := r.Context()
@@ -503,7 +395,7 @@ func (s *server) resolve(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.resolveTimeout)
 		defer cancel()
 	}
-	res, err := s.store.ResolveContext(ctx, body.toRecord())
+	res, err := s.store.ResolveContext(ctx, query)
 	if err != nil {
 		// Malformed queries are the caller's fault and shed load asks the
 		// client to back off; anything else is a matching-backend failure.

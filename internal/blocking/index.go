@@ -64,6 +64,8 @@ type Index struct {
 	// basePosts the tail postings of the base tokens an Add touched.
 	posts     []tailToken
 	basePosts map[uint32]*postingList
+	// slab hands out basePosts' lists, tailSlab at a time.
+	slab []postingList
 	// idf holds the base tokens' IDF slots, by ID: zeroed slots at open
 	// (zeroed pages, not a replayed computation), as the snapshot stores
 	// no weights.
@@ -197,11 +199,18 @@ func (ix *Index) tail(id uint32) *postingList {
 	}
 	pl := ix.basePosts[id]
 	if pl == nil {
-		pl = new(postingList)
+		if len(ix.slab) == cap(ix.slab) {
+			ix.slab = make([]postingList, 0, tailSlab)
+		}
+		ix.slab = ix.slab[:len(ix.slab)+1]
+		pl = &ix.slab[len(ix.slab)-1]
 		ix.basePosts[id] = pl
 	}
 	return pl
 }
+
+// tailSlab is the number of base-token tails one allocation holds.
+const tailSlab = 256
 
 // tailOf returns a known token's tail: nil for a base token no Add
 // touched. Every new token got its slot from the Add that interned it.

@@ -2,10 +2,12 @@ package resolve
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"llm4em/internal/datasets"
 	"llm4em/internal/detrand"
 	"llm4em/internal/entity"
 	"llm4em/internal/llm"
@@ -308,5 +310,41 @@ func BenchmarkStoreOpen(b *testing.B) {
 				b.StartTimer()
 			}
 		})
+	}
+}
+
+// BenchmarkStoreBulkLoad measures the preload of a benchmark set-up:
+// 32 000 WDC offers (the B sides of datasets.GroupedPairs) added to an
+// empty persistent store in AddBatch calls of 200, with the default
+// SnapshotEvery, so the load pays the checkpoints it fires. Opening
+// and closing the store are not timed.
+func BenchmarkStoreBulkLoad(b *testing.B) {
+	pairs, err := datasets.GroupedPairs("wdc", "1", 16000, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := make([]entity.Record, len(pairs))
+	for i, p := range pairs {
+		recs[i] = p.B
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		s, err := Open(benchClient{}, Options{PersistDir: b.TempDir()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for batch := range slices.Chunk(recs, 200) {
+			if err := s.AddBatch(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

@@ -1,8 +1,10 @@
 package resolve
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io/fs"
 	"os"
@@ -442,11 +444,13 @@ func TestMappedDamageFailsOpen(t *testing.T) {
 // fails as a whole and leaves the directory as it found it — the
 // decisions since the last one stay in wal.log — while the store keeps
 // serving; once the obstruction is gone, the closing checkpoint commits
-// a store a reopen finds equal.
+// a store a reopen finds equal. The shard files are written
+// concurrently, and a middle one of eight fails: its siblings finish
+// their files before the failure is cleaned up.
 func TestCheckpointIndexWriteFails(t *testing.T) {
 	seed, queries := widgetRecords(16)
 	dir := t.TempDir()
-	withShards(t, 2)
+	withShards(t, 8)
 	opts := Options{Cascade: noCascade()}
 	s, _ := mustOpen(t, dir, opts)
 	resolveAll := func(qs []entity.Record) {
@@ -468,9 +472,9 @@ func TestCheckpointIndexWriteFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	resolveAll(queries[2:4])
-	// os.Create of shard 1's temporary file fails on a directory, and one
+	// os.Create of shard 4's temporary file fails on a directory, and one
 	// that is not empty survives the checkpoint's sweep.
-	block := filepath.Join(dir, persist.IndexFileName(2, 1)+".tmp")
+	block := filepath.Join(dir, persist.IndexFileName(2, 4)+".tmp")
 	if err := os.Mkdir(block, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -500,8 +504,75 @@ func TestCheckpointIndexWriteFails(t *testing.T) {
 	if got := stateOf(b); !reflect.DeepEqual(got, want) {
 		t.Errorf("reopened state differs:\ngot  %+v\nwant %+v", got, want)
 	}
-	if b.Len() != len(seed)+1 || b.Stats().Persist.MappedShards != 2 {
-		t.Errorf("reopen: %d records, %d mapped shards, want %d and 2", b.Len(), b.Stats().Persist.MappedShards, len(seed)+1)
+	if b.Len() != len(seed)+1 || b.Stats().Persist.MappedShards != 8 {
+		t.Errorf("reopen: %d records, %d mapped shards, want %d and 8", b.Len(), b.Stats().Persist.MappedShards, len(seed)+1)
+	}
+	checkJournalClosure(t, dir, b)
+}
+
+// TestCheckpointConcurrentWriters: checkpoints fire every 50 appends
+// while four goroutines add batches and resolve queries, so each
+// checkpoint writes the eight shard files concurrently beside Adds
+// that wait on single shards and resolves that read them all. A reopen
+// holds every acknowledged record, and its groups are the closure of
+// the journaled matches.
+func TestCheckpointConcurrentWriters(t *testing.T) {
+	withShards(t, 8)
+	dir := t.TempDir()
+	opts := Options{Cascade: noCascade(), SnapshotEvery: 50}
+	s, _ := mustOpen(t, dir, opts)
+	const writers, rounds, batch = 4, 12, 5
+	acked := make([][]string, writers)
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				recs := make([]entity.Record, batch)
+				for k := range recs {
+					marker := "sameent"
+					if k%2 == 1 {
+						marker = "other"
+					}
+					recs[k] = rec(fmt.Sprintf("w%d-%d-%d", w, r, k), fmt.Sprintf("alpha beta %s%d%02d widget%d", marker, w, r, k))
+				}
+				if err := s.AddBatch(recs); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				for _, r := range recs {
+					acked[w] = append(acked[w], r.ID)
+				}
+				q := rec(fmt.Sprintf("q%d-%d", w, r), fmt.Sprintf("alpha beta sameent%d%02d widget0", w, r))
+				if _, err := s.ResolveContext(context.Background(), q); err != nil {
+					t.Errorf("writer %d: resolve %s: %v", w, q.ID, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if n := s.Stats().Persist.Snapshots; n < 3 {
+		t.Fatalf("%d checkpoints fired, want at least 3", n)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := mustOpen(t, dir, opts)
+	defer b.Close()
+	for _, ids := range acked {
+		for _, id := range ids {
+			if _, ok := b.Record(id); !ok {
+				t.Errorf("acknowledged record %s is missing after reopen", id)
+			}
+		}
+	}
+	if want := writers * rounds * batch; b.Len() != want {
+		t.Errorf("reopen holds %d records, want %d", b.Len(), want)
 	}
 	checkJournalClosure(t, dir, b)
 }

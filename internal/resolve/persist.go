@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"llm4em/internal/blocking"
@@ -282,10 +283,11 @@ func (s *Store) replay(entries []persist.Entry) error {
 // The ingested records go out as per-shard EMIX index snapshots
 // (records, postings and token table in one mmap-ready file), written
 // for a fresh epoch before snapshot.json commits the binding; then the
-// shards serve them (serveWritten), as the next Open maps them. Each
-// shard's file is written under its read lock, so Adds to that shard
-// wait out its write. A failed index write fails the checkpoint like a
-// failed snapshot.json write: the WAL is not reset, so nothing is lost,
+// shards serve them (serveWritten), as the next Open maps them. The
+// shards' files are written concurrently, each under its shard's read
+// lock, so Adds to a shard wait out its own write. A failed index write
+// fails the checkpoint like a failed snapshot.json write, once every
+// other write has finished: the WAL is not reset, so nothing is lost,
 // and the next cadence retries.
 func (s *Store) checkpointLocked() error {
 	var t0 time.Time
@@ -297,15 +299,13 @@ func (s *Store) checkpointLocked() error {
 		IndexEpoch:  max(s.pstate.indexEpoch, persist.MaxIndexEpoch(dir)) + 1,
 		IndexShards: len(s.shards),
 	}
-	var err error
-	for i, sh := range s.shards {
+	errs := make([]error, len(s.shards))
+	s.eachShard(func(i int, sh *shard) {
 		sh.mu.RLock()
-		err = sh.ix.WriteSnapshot(filepath.Join(dir, persist.IndexFileName(snap.IndexEpoch, i)))
-		sh.mu.RUnlock()
-		if err != nil {
-			break
-		}
-	}
+		defer sh.mu.RUnlock()
+		errs[i] = sh.ix.WriteSnapshot(filepath.Join(dir, persist.IndexFileName(snap.IndexEpoch, i)))
+	})
+	err := errors.Join(errs...)
 	// Only what took part in a resolve: stored records the graph has
 	// not seen are singletons on disk as in memory, by their absence.
 	s.graphMu.Lock()
@@ -374,19 +374,34 @@ func (s *Store) checkpointLocked() error {
 // serveWritten makes the EMIX file a committed checkpoint wrote each
 // shard's base (install), so the heap keeps only what was added since:
 // the records that reached a shard after its write. Positions are
-// stable — the writer emits base then tail in position order. The old
-// index is released after the lock; a shard whose file fails to open
-// stays on the heap.
+// stable — the writer emits base then tail in position order. The
+// shards are mapped and installed concurrently; each old index is
+// released after its lock; a shard whose file fails to open stays on
+// the heap.
 func (s *Store) serveWritten(epoch uint64) {
-	for i, sh := range s.shards {
+	s.eachShard(func(i int, sh *shard) {
 		name := persist.IndexFileName(epoch, i)
 		ix, err := s.openIndex(name)
 		if err != nil {
 			s.opts.Telemetry.Warn("resolve: shard stays on the heap, "+name+" did not open", err)
-			continue
+			return
 		}
 		sh.install(ix).Close()
+	})
+}
+
+// eachShard runs f on every shard, one goroutine each, and returns once
+// all have.
+func (s *Store) eachShard(f func(i int, sh *shard)) {
+	var wg sync.WaitGroup
+	for i, sh := range s.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(i, sh)
+		}()
 	}
+	wg.Wait()
 }
 
 // Checkpoint forces a snapshot+compaction now, independent of the

@@ -53,8 +53,10 @@
 #    every record into the entity graph.
 # 10. Holds the local path's allocations to fixed budgets: allocs/op
 #    of BenchmarkGeneralizedJaccard must be 0, of BenchmarkPairFeatures
-#    (pre-extracted pairs) at most 4, and of
-#    BenchmarkStoreCheckpoint/journal=10k (gate 8's run) at most 1 000.
+#    (pre-extracted pairs) at most 4, of
+#    BenchmarkStoreCheckpoint/journal=10k (gate 8's run) at most 1 000,
+#    and of BenchmarkDecodeRecordsBody (one 200-record NDJSON batch
+#    through emserve's body parser) at most 1 500.
 #    Allocation counts are deterministic, so unlike the timing gates
 #    this one does not move with the host's speed.
 #
@@ -220,6 +222,7 @@ main() {
     echo "== local-path allocation gate =="
     KERNEL_OUT="$(go test -run '^$' -bench '^BenchmarkGeneralizedJaccard$' -benchmem ./internal/textsim/)
 $(go test -run '^$' -bench '^BenchmarkPairFeatures$' -benchmem ./internal/features/)
+$(go test -run '^$' -bench '^BenchmarkDecodeRecordsBody$' -benchmem ./cmd/emserve/)
 $CKPT_OUT"
     local failed=0
     while read -r name limit; do
@@ -238,6 +241,7 @@ $CKPT_OUT"
 BenchmarkGeneralizedJaccard 0
 BenchmarkPairFeatures 4
 BenchmarkStoreCheckpoint/journal=10k 1000
+BenchmarkDecodeRecordsBody 1500
 BUDGETS
     if [ "$failed" -ne 0 ]; then
         exit 1
