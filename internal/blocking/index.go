@@ -24,7 +24,7 @@ import (
 // one query entry point, allocates only the returned slice.
 //
 // There is one layout: an immutable base plus one heap tail. The base
-// is the mmap'ed EMIX snapshot of OpenMapped (snapshot.go) — reopening
+// is the mmap'ed EMIX snapshot of OpenFS (snapshot.go) — reopening
 // at 10M records costs milliseconds, not an ingest replay — or an
 // empty base for BuildIndex. Every Add lands in the tail, whose
 // postings chain onto the base's streams, so every read, write and
@@ -131,7 +131,7 @@ type scoreTerm struct {
 // BuildIndex builds an index over the records with the given options
 // (the zero IndexOptions selects all defaults): an empty base, every
 // record in the tail. To serve an index out of an mmap'ed snapshot
-// instead of rebuilding, see OpenMapped.
+// instead of rebuilding, see OpenFS.
 func BuildIndex(records []entity.Record, opts IndexOptions) *Index {
 	ix := newIndex(emptyBase(), opts)
 	ix.records = make([]entity.Record, 0, len(records))

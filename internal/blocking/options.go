@@ -1,6 +1,6 @@
 package blocking
 
-// IndexOptions configures an index — BuildIndex and OpenMapped consume
+// IndexOptions configures an index — BuildIndex and OpenFS consume
 // it. The zero value selects the default; a set pointer — including
 // Float(0) — is taken literally.
 type IndexOptions struct {

@@ -7,7 +7,7 @@ import "encoding/binary"
 // into blocks of postingBlock entries. Every sealed block carries
 // metadata — its last position and its end offset in the stream, as
 // little-endian {last u32, end u32}, the bytes the EMIX file stores and
-// OpenMapped validates. The query scan decodes each stream whole and
+// OpenFS validates. The query scan decodes each stream whole and
 // reads no block metadata. The stream stays append-friendly: a new
 // position appends one uvarint and, on a block boundary, one metadata
 // entry.

@@ -7,11 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 	"slices"
 
 	"llm4em/internal/entity"
+	"llm4em/internal/persist"
 )
 
 // EMIX v1 — the mmap-friendly index snapshot format. Everything a
@@ -59,7 +58,7 @@ import (
 // MmapSupported reports whether OpenMapped maps (true) or reads into
 // memory (false) an index snapshot on this platform. Either way it
 // serves the same files.
-const MmapSupported = mmapSupported
+const MmapSupported = persist.MmapSupported
 
 // Typed snapshot errors. The resolve store fails Open with them: the
 // index snapshots are the only place its records live.
@@ -379,10 +378,15 @@ func appendTailMeta(dst []byte, pl *postingList, from int32, k, streamOff int) [
 	return dst
 }
 
-// WriteSnapshot writes the index to path in the EMIX mmap format,
-// atomically (temp file + rename). The written file reopens with
-// OpenMapped, and is the same file BuildIndex over the same collection
-// would write.
+// WriteSnapshot is Encode through persist.WriteAtomic on the real
+// filesystem; the file reopens with OpenMapped.
+func (ix *Index) WriteSnapshot(path string) error {
+	return persist.WriteAtomic(persist.OS, path, ix.Encode)
+}
+
+// Encode writes the index in the EMIX format to f, an empty file: the
+// file OpenFS serves, and the same file BuildIndex over the same
+// collection would encode.
 //
 // Over a mapped base the rewrite is a copy plus an O(delta) encode. The
 // base's record bytes and record-index entries go out in one write
@@ -393,7 +397,7 @@ func appendTailMeta(dst []byte, pl *postingList, from int32, k, streamOff int) [
 // follow. Token bytes and hashes are read off the map, uncopied. A
 // base whose record index does not frame its record bytes fails the
 // write with ErrSnapshotTorn.
-func (ix *Index) WriteSnapshot(path string) (err error) {
+func (ix *Index) Encode(f persist.File) error {
 	b := ix.base
 	if err := b.checkRecordIndex(); err != nil {
 		return err
@@ -478,18 +482,6 @@ func (ix *Index) WriteSnapshot(path string) (err error) {
 		binary.LittleEndian.PutUint32(recHash[i*4:], uint32(pos)+1)
 	}
 
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-
 	// The buffer only gathers the small per-token and per-record pieces:
 	// bufio passes a write larger than it — the base's sections — to the
 	// file directly.
@@ -497,19 +489,14 @@ func (ix *Index) WriteSnapshot(path string) (err error) {
 	// Header page is written last (record-byte sizes are only known
 	// after streaming); reserve it with a zero page now.
 	w.write(zeroPage[:])
-	if err := w.flushErr(); err != nil {
-		return err
-	}
 
 	var secs [emixSections][2]uint64 // {off, len}
 	begin := func(i int) { secs[i][0] = w.off }
-	end := func(i int) error { secs[i][1] = w.off - secs[i][0]; return w.pad(emixPage) }
+	end := func(i int) { secs[i][1] = w.off - secs[i][0]; w.pad(emixPage) }
 
 	begin(secTokenTable)
 	w.write(tab)
-	if err := end(secTokenTable); err != nil {
-		return err
-	}
+	end(secTokenTable)
 	begin(secTokenBytes)
 	for id := 0; id < nTok; id++ {
 		if id < nBase {
@@ -518,14 +505,10 @@ func (ix *Index) WriteSnapshot(path string) (err error) {
 			w.writeString(ix.vocab.Token(uint32(id - nBase)))
 		}
 	}
-	if err := end(secTokenBytes); err != nil {
-		return err
-	}
+	end(secTokenBytes)
 	begin(secTokenHash)
 	w.write(tokHash)
-	if err := end(secTokenHash); err != nil {
-		return err
-	}
+	end(secTokenHash)
 	begin(secBlockMeta)
 	t, mo := 0, 0
 	for id := 0; id < nTok; id++ {
@@ -537,9 +520,7 @@ func (ix *Index) WriteSnapshot(path string) (err error) {
 			mo = k
 		}
 	}
-	if err := end(secBlockMeta); err != nil {
-		return err
-	}
+	end(secBlockMeta)
 	begin(secPostings)
 	t = 0
 	for id := 0; id < nTok; id++ {
@@ -549,9 +530,7 @@ func (ix *Index) WriteSnapshot(path string) (err error) {
 			w.write(pl.stream)
 		}
 	}
-	if err := end(secPostings); err != nil {
-		return err
-	}
+	end(secPostings)
 
 	// Records: the base's bytes, then the tail's encoded; the base's
 	// index entries, then the tail's offsets.
@@ -566,21 +545,15 @@ func (ix *Index) WriteSnapshot(path string) (err error) {
 		w.write(scratch)
 	}
 	tailIdx = binary.LittleEndian.AppendUint64(tailIdx, w.off-recBase)
-	if err := end(secRecordBytes); err != nil {
-		return err
-	}
+	end(secRecordBytes)
 	begin(secRecordIndex)
 	w.write(b.recIdx[:int(b.nRecords)*8])
 	w.write(tailIdx)
-	if err := end(secRecordIndex); err != nil {
-		return err
-	}
+	end(secRecordIndex)
 	begin(secRecordHash)
 	w.write(recHash)
-	if err := end(secRecordHash); err != nil {
-		return err
-	}
-	if err := w.flush(); err != nil {
+	end(secRecordHash)
+	if err := w.w.Flush(); err != nil {
 		return err
 	}
 
@@ -596,23 +569,11 @@ func (ix *Index) WriteSnapshot(path string) (err error) {
 		binary.LittleEndian.PutUint64(hdr[48+i*16:], s[1])
 	}
 	binary.LittleEndian.PutUint32(hdr[emixHeaderSize-4:], crc32.ChecksumIEEE(hdr[:emixHeaderSize-4]))
-	if _, err := f.WriteAt(hdr, 0); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	syncDir(filepath.Dir(path))
-	return nil
+	_, err := f.WriteAt(hdr, 0)
+	return err
 }
 
-// writeBuffer sizes WriteSnapshot's write buffer, allocated per call
+// writeBuffer sizes Encode's write buffer, allocated per call
 // and dropped with it.
 const writeBuffer = 64 << 10
 
@@ -632,7 +593,7 @@ func appendRecord(dst []byte, r entity.Record) []byte {
 }
 
 // pageWriter tracks the logical file offset and pads sections to page
-// boundaries. Write errors are deferred to flush/pad (bufio sticks on
+// boundaries. Write errors surface at the final Flush (bufio sticks on
 // the first error), keeping the section-writing code linear.
 type pageWriter struct {
 	w   *bufio.Writer
@@ -651,63 +612,37 @@ func (p *pageWriter) writeString(s string) {
 
 var zeroPage [emixPage]byte
 
-func (p *pageWriter) pad(align uint64) error {
+func (p *pageWriter) pad(align uint64) {
 	if rem := p.off % align; rem != 0 {
 		p.write(zeroPage[:align-rem])
 	}
-	return p.flushErr()
 }
 
-func (p *pageWriter) flushErr() error {
-	// Surface any sticky bufio error without forcing a flush.
-	_, err := p.w.Write(nil)
-	return err
-}
-
-func (p *pageWriter) flush() error { return p.w.Flush() }
-
-// syncDir fsyncs a directory so a rename into it is durable, where it
-// can: some filesystems refuse to fsync a directory, and Windows cannot
-// flush the read-only handle os.Open returns. The rename is atomic
-// either way, so a failure here is not the write's.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-}
-
-// OpenMapped opens an EMIX snapshot written by WriteSnapshot, serving
-// postings, token table and records straight out of the mmap'ed file —
-// no ingest replay, no IDF precomputation (weights materialize lazily
-// per token on first use). Validation is O(vocabulary): magic, version,
-// header CRC, section-size consistency and the token-table sweep; a
-// file that fails it is refused with ErrSnapshotVersion or
-// ErrSnapshotTorn (both wrapped with detail). Where MmapSupported is
-// false the file is read into memory instead. The file is the
-// returned index's base: it accepts Add into its heap tail, allocating
-// nothing per token at open, and must be Closed to release the
-// mapping.
+// OpenMapped is OpenFS on the real filesystem.
 func OpenMapped(path string, opts IndexOptions) (*Index, error) {
-	f, err := os.Open(path)
+	return OpenFS(persist.OS, path, opts)
+}
+
+// OpenFS serves an index straight out of the EMIX file at path, as
+// fsys's Map hands it out: no ingest replay, no IDF precomputation
+// (weights materialize lazily per token on first use). Validation is
+// O(vocabulary): magic, version, header CRC, section-size consistency
+// and the token-table sweep; a file that fails it is released and
+// refused with ErrSnapshotVersion or ErrSnapshotTorn (both wrapped with
+// detail). The file is the index's base: it accepts Add into its heap
+// tail, allocating nothing per token at open, and Close releases it.
+func OpenFS(fsys persist.FS, path string, opts IndexOptions) (*Index, error) {
+	data, release, err := fsys.Map(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
+	if len(data) < emixPage {
+		release()
+		return nil, fmt.Errorf("%w: %d-byte file is shorter than a header page", ErrSnapshotTorn, len(data))
 	}
-	if st.Size() < emixPage {
-		return nil, fmt.Errorf("%w: %d-byte file is shorter than a header page", ErrSnapshotTorn, st.Size())
-	}
-	data, unmap, err := mmapFile(f, int(st.Size()))
+	m, err := parseMapped(data, release)
 	if err != nil {
-		return nil, err
-	}
-	m, err := parseMapped(data, unmap)
-	if err != nil {
-		unmap()
+		release()
 		return nil, err
 	}
 	return newIndex(m, opts), nil

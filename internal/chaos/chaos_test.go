@@ -135,7 +135,7 @@ func TestClientHangHonoursContext(t *testing.T) {
 func seedStore(t *testing.T, dir string, fsys persist.FS, opts resolve.Options) *resolve.Store {
 	t.Helper()
 	opts.PersistDir = dir
-	opts.WALFS = fsys
+	opts.FS = fsys
 	s, err := resolve.Open(&matchClient{}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +292,7 @@ func testWALAppendFault(t *testing.T, faults chaos.FSOptions) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			client := chaos.Wrap(&matchClient{}, chaos.ClientOptions{Seed: 7})
-			opts := resolve.Options{PersistDir: dir, WALFS: chaos.NewFS(faults)}
+			opts := resolve.Options{PersistDir: dir, FS: chaos.NewFS(faults)}
 			if outage {
 				// Every pair reaches the LLM, and its failure degrades.
 				opts.Cascade = noCascade()
@@ -353,7 +353,7 @@ func testWALAppendFault(t *testing.T, faults chaos.FSOptions) {
 			if d, ok := j["q2|r2"]; !ok || !d.Match || d.Deferred {
 				t.Errorf("post-rollback decision q2|r2 not durable: %+v ok=%v", d, ok)
 			}
-			opts.WALFS = nil
+			opts.FS = nil
 			s, err = resolve.Open(client, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -373,7 +373,7 @@ func testWALAppendFault(t *testing.T, faults chaos.FSOptions) {
 func TestAddBatchOneWrite(t *testing.T) {
 	dir := t.TempDir()
 	fsys := chaos.NewFS(chaos.FSOptions{ShortWriteAt: 2})
-	s, err := resolve.Open(&matchClient{}, resolve.Options{PersistDir: dir, WALFS: fsys})
+	s, err := resolve.Open(&matchClient{}, resolve.Options{PersistDir: dir, FS: fsys})
 	if err != nil {
 		t.Fatal(err)
 	}

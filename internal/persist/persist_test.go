@@ -210,7 +210,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("snapshot round trip:\ngot  %+v\nwant %+v", got, s)
 	}
 	// No temporary file lingers.
-	if _, err := os.Stat(filepath.Join(dir, snapshotTmp)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, SnapshotFile+".tmp")); !os.IsNotExist(err) {
 		t.Errorf("snapshot tmp file left behind: %v", err)
 	}
 	// Overwriting is atomic and complete.
@@ -294,7 +294,7 @@ func TestEntryCodecs(t *testing.T) {
 // rest, temporary files of any epoch included.
 func TestIndexFileCleanup(t *testing.T) {
 	dir := t.TempDir()
-	if got := MaxIndexEpoch(dir); got != 0 {
+	if got := MaxIndexEpoch(OS, dir); got != 0 {
 		t.Fatalf("MaxIndexEpoch on empty dir = %d, want 0", got)
 	}
 	for _, name := range []string{
@@ -306,10 +306,10 @@ func TestIndexFileCleanup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := MaxIndexEpoch(dir); got != 12 {
+	if got := MaxIndexEpoch(OS, dir); got != 12 {
 		t.Fatalf("MaxIndexEpoch = %d, want 12", got)
 	}
-	RemoveIndexFiles(dir, 12)
+	RemoveIndexFiles(OS, dir, 12)
 	for name, want := range map[string]bool{
 		IndexFileName(1, 0):           false,
 		IndexFileName(1, 1):           false,
@@ -378,6 +378,7 @@ func TestDecodeAllocatesWhatItConsumes(t *testing.T) {
 // countingFS counts the Write calls of the files it opens and fails
 // the one at failAt (1-based) after writing half its bytes.
 type countingFS struct {
+	FS
 	writes, failAt int
 }
 
@@ -404,7 +405,7 @@ func (f *countingFile) Write(p []byte) (int, error) {
 // back to the previous entry boundary, leaving the log appendable.
 func TestAppendEntriesOneWrite(t *testing.T) {
 	path := walPath(t)
-	fsys := &countingFS{failAt: 2}
+	fsys := &countingFS{FS: OS, failAt: 2}
 	w, _, err := OpenLog(fsys, path, -1)
 	if err != nil {
 		t.Fatal(err)

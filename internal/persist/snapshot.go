@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"strings"
 )
@@ -15,7 +14,6 @@ const (
 	SnapshotFile = "snapshot.json"
 	WALFile      = "wal.log"
 	JournalFile  = "journal.log"
-	snapshotTmp  = "snapshot.json.tmp"
 )
 
 // snapshotVersion guards the on-disk schema; any other version fails
@@ -72,12 +70,12 @@ func IndexFileName(epoch uint64, shard int) string {
 // keep, and every temporary file an interrupted index write left —
 // best-effort cleanup of what no snapshot references. No index write
 // may be in flight: a temporary file is swept whatever its epoch.
-func RemoveIndexFiles(dir string, keep uint64) {
-	matches, _ := filepath.Glob(filepath.Join(dir, "index-*.emx*"))
+func RemoveIndexFiles(fsys FS, dir string, keep uint64) {
+	names, _ := fsys.List(dir)
 	kept := fmt.Sprintf("index-%d-", keep)
-	for _, m := range matches {
-		if base := filepath.Base(m); !strings.HasPrefix(base, kept) || strings.HasSuffix(base, ".tmp") {
-			os.Remove(m)
+	for _, name := range names {
+		if ok, _ := filepath.Match("index-*.emx*", name); ok && (!strings.HasPrefix(name, kept) || strings.HasSuffix(name, ".tmp")) {
+			fsys.Remove(filepath.Join(dir, name))
 		}
 	}
 }
@@ -90,73 +88,56 @@ func RemoveIndexFiles(dir string, keep uint64) {
 // also covers the crashed pass's shard files the new pass does not
 // rewrite (a store reopened with fewer shards) — two generations mixed
 // under one epoch.
-func MaxIndexEpoch(dir string) uint64 {
-	matches, _ := filepath.Glob(filepath.Join(dir, "index-*.emx"))
+func MaxIndexEpoch(fsys FS, dir string) uint64 {
+	names, _ := fsys.List(dir)
 	var max uint64
-	for _, m := range matches {
-		rest := strings.TrimPrefix(filepath.Base(m), "index-")
-		dash := strings.IndexByte(rest, '-')
-		if dash < 0 {
-			continue
-		}
+	for _, name := range names {
 		var e uint64
-		if _, err := fmt.Sscanf(rest[:dash], "%d", &e); err == nil && e > max {
-			max = e
+		if ok, _ := filepath.Match("index-*.emx", name); ok {
+			if _, err := fmt.Sscanf(name, "index-%d-", &e); err == nil && e > max {
+				max = e
+			}
 		}
 	}
 	return max
 }
 
-// WriteSnapshot atomically replaces the snapshot in dir: the state is
-// written to a temporary file, synced, and renamed over the previous
-// snapshot, so a crash at any point leaves either the old or the new
-// snapshot intact — never a partial one. An error means the rename
-// did not happen: the previous snapshot is still the committed one.
+// WriteSnapshot is WriteSnapshotFS on the real filesystem.
 func WriteSnapshot(dir string, s *Snapshot) error {
+	_, err := WriteSnapshotFS(OS, dir, s)
+	return err
+}
+
+// WriteSnapshotFS replaces the snapshot in dir through WriteAtomic and
+// returns its size; after an error the previous one is still committed.
+func WriteSnapshotFS(fsys FS, dir string, s *Snapshot) (int, error) {
 	s.Version = snapshotVersion
 	data, err := json.Marshal(s)
 	if err != nil {
-		return fmt.Errorf("persist: marshal snapshot: %w", err)
+		return 0, fmt.Errorf("persist: marshal snapshot: %w", err)
 	}
-	tmp := filepath.Join(dir, snapshotTmp)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("persist: create snapshot tmp: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("persist: write snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("persist: sync snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("persist: close snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, SnapshotFile)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("persist: install snapshot: %w", err)
-	}
-	syncDir(dir)
-	return nil
+	return len(data), WriteAtomic(fsys, filepath.Join(dir, SnapshotFile), func(f File) error {
+		_, err := f.Write(data)
+		return err
+	})
 }
 
-// ReadSnapshot loads the snapshot from dir. ok is false when no
+// ReadSnapshot is ReadSnapshotFS on the real filesystem.
+func ReadSnapshot(dir string) (s *Snapshot, ok bool, err error) { return ReadSnapshotFS(OS, dir) }
+
+// ReadSnapshotFS loads the snapshot from dir. ok is false when no
 // snapshot exists yet (a fresh or WAL-only directory). A version-1
 // snapshot, or one with its records inline under "records", is
 // refused: opening it would drop what this build no longer reads.
-func ReadSnapshot(dir string) (s *Snapshot, ok bool, err error) {
-	data, err := os.ReadFile(filepath.Join(dir, SnapshotFile))
+func ReadSnapshotFS(fsys FS, dir string) (s *Snapshot, ok bool, err error) {
+	data, release, err := fsys.Map(filepath.Join(dir, SnapshotFile))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, false, nil
 	}
 	if err != nil {
 		return nil, false, fmt.Errorf("persist: read snapshot: %w", err)
 	}
+	defer release()
 	var v struct {
 		Snapshot
 		Records []json.RawMessage `json:"records"`
@@ -169,17 +150,4 @@ func ReadSnapshot(dir string) (s *Snapshot, ok bool, err error) {
 			`with none; see "Upgrading a persistence directory" in docs/OPERATIONS.md`, v.Version, len(v.Records), snapshotVersion)
 	}
 	return &v.Snapshot, true, nil
-}
-
-// syncDir makes a rename durable by syncing the containing directory,
-// where it can. Some filesystems reject fsync on directories, and a
-// directory that cannot be opened (EMFILE, permissions) cannot be
-// synced; the rename itself is still atomic, so degrade silently — an
-// error after the rename would tell the caller the old snapshot still
-// stands when the new one has committed.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }

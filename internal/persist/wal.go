@@ -32,6 +32,10 @@
 // query's decisions back with ReadEntry when it resolves again. A frame
 // damaged since recovery fails that read with ErrJournalTorn.
 //
+// FS is the only way to disk: the logs, snapshot.json and the index
+// files (both through WriteAtomic), the sweeps and the directory syncs.
+// OS is the only code that calls the os package.
+//
 // The package is deliberately single-writer: one process owns a
 // persistence directory at a time.
 package persist
@@ -42,7 +46,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -106,36 +109,6 @@ var ErrWALWrite = errors.New("persist: WAL write failed")
 
 // ErrJournalTorn marks a journal.log lacking bytes its snapshot committed.
 var ErrJournalTorn = errors.New("persist: journal.log is shorter than or corrupt within the committed journal_bytes")
-
-// File is the handle the WAL writes and reads frames back through.
-// *os.File satisfies it; the chaos harness (internal/chaos) substitutes
-// a fault-injecting implementation to test the write path's failure
-// behaviour.
-type File interface {
-	io.Reader
-	io.ReaderAt
-	io.Writer
-	io.Seeker
-	io.Closer
-	Sync() error
-	Truncate(size int64) error
-}
-
-// FS opens WAL files. The OS implementation is the default; tests
-// inject fault-wrapping ones.
-type FS interface {
-	// OpenFile opens path read-write, creating it if absent.
-	OpenFile(path string) (File, error)
-}
-
-type osFS struct{}
-
-func (osFS) OpenFile(path string) (File, error) {
-	return os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-}
-
-// OS is the real-filesystem FS.
-var OS FS = osFS{}
 
 // WAL is an append-only log file. It is not safe for concurrent use;
 // callers serialize access (internal/resolve does).

@@ -101,12 +101,26 @@ func (m *Model) Train(pairs []entity.Pair, datasetKey string, opts Options) {
 	for i := range order {
 		order[i] = i
 	}
+	// Only Ditto's token dropout makes a pair's features differ from
+	// epoch to epoch: RoBERTa's are computed once.
+	var fixed [][]feature
+	if m.variant != Ditto {
+		fixed = make([][]feature, len(pairs))
+		for i, p := range pairs {
+			fixed[i] = m.featurize(p, nil)
+		}
+	}
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
 		lr := opts.LearningRate / (1 + 0.3*float64(epoch))
 		detrand.Shuffle(rng, order)
 		for _, idx := range order {
 			p := pairs[idx]
-			feats := m.featurize(p, rng)
+			var feats []feature
+			if fixed != nil {
+				feats = fixed[idx]
+			} else {
+				feats = m.featurize(p, rng)
+			}
 			prob := m.probability(feats)
 			target, sampleWeight := 0.0, 1.0
 			if p.Match {

@@ -326,7 +326,7 @@ func TestDeferredConvergesToHealthyRun(t *testing.T) {
 		}
 		return m
 	}
-	hj, rj := toMap(committedJournal(t, healthyDir)), toMap(committedJournal(t, recoveredDir))
+	hj, rj := toMap(committedJournal(t, persist.OS, healthyDir)), toMap(committedJournal(t, persist.OS, recoveredDir))
 	if !reflect.DeepEqual(hj, rj) {
 		t.Errorf("journals diverged:\nhealthy:   %v\nrecovered: %v", hj, rj)
 	}
@@ -402,7 +402,7 @@ func TestDeferredQueueSurvivesCrash(t *testing.T) {
 				t.Fatal(err)
 			}
 			var final *persist.DecisionEntry
-			for _, j := range committedJournal(t, dir) {
+			for _, j := range committedJournal(t, persist.OS, dir) {
 				if j.query == "q1" && j.CandidateID == "r1" {
 					final = &j.DecisionEntry
 				}

@@ -107,11 +107,12 @@ func widgetRecords(n int) (seed, queries []entity.Record) {
 	return seed, queries
 }
 
-// TestCheckpointCrashWindows enumerates the states a crash can leave
-// around the five-step checkpoint — and the damage a journal.log can
-// take — and requires every reopen either to equal the uncrashed
-// store in groups, journal, totals and deferred queue, and stay equal
-// through a healing checkpoint, or to fail with the typed error.
+// TestCheckpointCrashWindows covers the damage a journal.log can take
+// beyond what a crash leaves (TestCheckpointCrashSweep enumerates
+// those): bytes beyond the committed length must heal — every reopen
+// equals the uncrashed store in groups, journal, totals and deferred
+// queue, and stays equal through a healing checkpoint — and damage
+// inside it must fail with the typed error.
 //
 // The script: three healthy resolves, checkpoint one; two resolves
 // deferred by an outage and re-decided after it, one more deferred
@@ -198,18 +199,11 @@ func TestCheckpointCrashWindows(t *testing.T) {
 	undecodable := frame(persist.EntryJournal, []byte{0x01, 0xff})
 
 	for name, tc := range map[string]struct {
-		base    string            // directory the crash happened in
-		files   map[string]string // name -> directory to take it from instead
-		journal []byte            // journal.log contents, when not nil
-		rebind  bool              // the snapshot commits exactly journal
-		torn    bool              // reopen must fail with ErrJournalTorn
+		base    string // directory the damage happened in
+		journal []byte // journal.log contents, when not nil
+		rebind  bool   // the snapshot commits exactly journal
+		torn    bool   // reopen must fail with ErrJournalTorn
 	}{
-		// Steps 1-3 ran, the rename did not.
-		"journal extended, snapshot old": {base: before, files: map[string]string{persist.JournalFile: after}},
-		// The crash tore the journal append itself.
-		"journal torn inside the delta, snapshot old": {base: before, journal: journal[:j0+(j1-j0)/2]},
-		// Steps 1-4 ran, the WAL reset did not: every WAL entry is a repeat.
-		"snapshot new, wal not reset": {base: after, files: map[string]string{persist.WALFile: before}},
 		// Bytes beyond the committed length, after either snapshot.
 		"torn tail beyond journal_bytes":       {base: after, journal: append(append([]byte{}, journal...), garbage...)},
 		"whole frames beyond journal_bytes":    {base: after, journal: append(append([]byte{}, journal...), journal[:j0]...)},
@@ -224,9 +218,6 @@ func TestCheckpointCrashWindows(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			copyDir(t, tc.base, dir)
-			for f, from := range tc.files {
-				copyFile(t, filepath.Join(from, f), filepath.Join(dir, f))
-			}
 			if tc.journal != nil {
 				if err := os.WriteFile(filepath.Join(dir, persist.JournalFile), tc.journal, 0o644); err != nil {
 					t.Fatal(err)
@@ -462,7 +453,7 @@ func TestJournalIndexMatchesOracle(t *testing.T) {
 	open := func(dir string, fsys persist.FS) *Store {
 		t.Helper()
 		o := opts
-		o.PersistDir, o.WALFS = dir, fsys
+		o.PersistDir, o.FS = dir, fsys
 		s, err := Open(client, o)
 		if err != nil {
 			t.Fatal(err)

@@ -14,9 +14,11 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"llm4em/internal/blocking"
+	"llm4em/internal/chaos"
 	"llm4em/internal/entity"
 	"llm4em/internal/features"
 	"llm4em/internal/persist"
@@ -166,7 +168,10 @@ func TestMappedCheckpointCycles(t *testing.T) {
 // syncHookFS is the real filesystem with a hook on journal.log's
 // fsync: the checkpoint step that runs after every shard's index file
 // is written and before snapshot.json commits them.
-type syncHookFS struct{ onJournalSync func() }
+type syncHookFS struct {
+	persist.FS
+	onJournalSync func()
+}
 
 func (fs *syncHookFS) OpenFile(path string) (persist.File, error) {
 	f, err := persist.OS.OpenFile(path)
@@ -201,8 +206,8 @@ func TestCheckpointServesMapped(t *testing.T) {
 	if len(seed) < 100 || len(queries) < 60 {
 		t.Fatalf("corpus too small: %d records, %d queries", len(seed), len(queries))
 	}
-	hook := &syncHookFS{}
-	got, _ := mustOpen(t, t.TempDir(), Options{SnapshotEvery: -1, WALFS: hook})
+	hook := &syncHookFS{FS: persist.OS}
+	got, _ := mustOpen(t, t.TempDir(), Options{SnapshotEvery: -1, FS: hook})
 	defer got.Close()
 	want, _ := mustOpen(t, t.TempDir(), Options{SnapshotEvery: -1})
 	defer want.Close()
@@ -321,8 +326,8 @@ func TestCheckpointServesMapped(t *testing.T) {
 func TestCheckpointKeepsShardOnHeap(t *testing.T) {
 	seed, queries := wdcStoreRecords(t, 40)
 	dir := t.TempDir()
-	hook := &syncHookFS{}
-	s, _ := mustOpen(t, dir, Options{SnapshotEvery: -1, WALFS: hook})
+	hook := &syncHookFS{FS: persist.OS}
+	s, _ := mustOpen(t, dir, Options{SnapshotEvery: -1, FS: hook})
 	if err := s.AddBatch(seed); err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +456,16 @@ func TestCheckpointIndexWriteFails(t *testing.T) {
 	seed, queries := widgetRecords(16)
 	dir := t.TempDir()
 	withShards(t, 8)
-	opts := Options{Cascade: noCascade()}
+	// Creating shard 4's temporary file of epoch 2 fails while blocked.
+	var blocked atomic.Bool
+	block := filepath.Join(dir, persist.IndexFileName(2, 4)+".tmp")
+	fsys := chaos.WrapFS(persist.OS, chaos.FSOptions{Fail: func(op chaos.Op, path string) error {
+		if op == chaos.OpCreate && path == block && blocked.Load() {
+			return errors.New("injected create failure")
+		}
+		return nil
+	}})
+	opts := Options{Cascade: noCascade(), FS: fsys}
 	s, _ := mustOpen(t, dir, opts)
 	resolveAll := func(qs []entity.Record) {
 		t.Helper()
@@ -472,15 +486,7 @@ func TestCheckpointIndexWriteFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	resolveAll(queries[2:4])
-	// os.Create of shard 4's temporary file fails on a directory, and one
-	// that is not empty survives the checkpoint's sweep.
-	block := filepath.Join(dir, persist.IndexFileName(2, 4)+".tmp")
-	if err := os.Mkdir(block, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(block, "keep"), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	blocked.Store(true)
 	before := dirFiles(t, dir)
 	if err := s.Checkpoint(); err == nil {
 		t.Fatal("a checkpoint whose index write failed succeeded")
@@ -492,9 +498,7 @@ func TestCheckpointIndexWriteFails(t *testing.T) {
 	if err := s.Add(rec("late", "alpha beta added after the failure")); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.RemoveAll(block); err != nil {
-		t.Fatal(err)
-	}
+	blocked.Store(false)
 	want := stateOf(s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -577,74 +581,39 @@ func TestCheckpointConcurrentWriters(t *testing.T) {
 	checkJournalClosure(t, dir, b)
 }
 
-// TestCheckpointSweepsStrayFiles: what a crash during an index write
-// leaves — shard files of an uncommitted epoch and a temporary file — is
-// gone after the next checkpoint, which leaves only its own generation.
-func TestCheckpointSweepsStrayFiles(t *testing.T) {
-	seed, _ := widgetRecords(8)
-	dir := t.TempDir()
-	withShards(t, 2)
-	s, _ := mustOpen(t, dir, Options{})
-	defer s.Close()
-	if err := s.AddBatch(seed); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Checkpoint(); err != nil { // commits epoch 1
-		t.Fatal(err)
-	}
-	// Epoch 2's write crashed between the renames of shards 0 and 1.
-	for _, name := range []string{persist.IndexFileName(2, 0), persist.IndexFileName(2, 1) + ".tmp"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("partial"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for name := range dirFiles(t, dir) {
-		got = append(got, name)
-	}
-	sort.Strings(got)
-	want := []string{persist.IndexFileName(3, 0), persist.IndexFileName(3, 1), persist.JournalFile, persist.SnapshotFile, persist.WALFile}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("directory after the checkpoint = %v, want %v", got, want)
-	}
-}
-
-// TestCheckpointDirSyncFails: a directory that cannot be opened for the
-// fsync after a rename — fd exhaustion, permissions as here, or a
-// platform that cannot flush a directory — does not fail the
-// checkpoint. The renames have committed, and a failed checkpoint would
-// sweep the index generation the new snapshot.json names.
+// TestCheckpointDirSyncFails: a directory that cannot be synced after
+// a rename — fd exhaustion, permissions, or a platform that cannot
+// flush a directory — does not fail the checkpoint. The renames have
+// committed, and a failed checkpoint would sweep the index generation
+// the new snapshot.json names.
 func TestCheckpointDirSyncFails(t *testing.T) {
 	seed, queries := widgetRecords(8)
 	dir := t.TempDir()
-	t.Cleanup(func() { os.Chmod(dir, 0o700) }) // before TempDir's removal
 	withShards(t, 2)
-	s, _ := mustOpen(t, dir, Options{Cascade: noCascade()})
+	var failing atomic.Bool
+	var failed atomic.Int64
+	fsys := chaos.WrapFS(persist.OS, chaos.FSOptions{Fail: func(op chaos.Op, _ string) error {
+		if op == chaos.OpSyncDir && failing.Load() {
+			failed.Add(1)
+			return errors.New("injected directory sync failure")
+		}
+		return nil
+	}})
+	s, _ := mustOpen(t, dir, Options{Cascade: noCascade(), FS: fsys})
 	if err := s.AddBatch(seed); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Resolve(queries[0]); err != nil {
 		t.Fatal(err)
 	}
-	// Write and search but no read: files are created and renamed, the
-	// directory itself does not open.
-	if err := os.Chmod(dir, 0o300); err != nil {
-		t.Fatal(err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Close()
-		s.Close()
-		t.Skip("directory permissions are not enforced here")
-	}
+	failing.Store(true)
 	err := s.Checkpoint()
-	if cerr := os.Chmod(dir, 0o700); cerr != nil {
-		t.Fatal(cerr)
-	}
+	failing.Store(false)
 	if err != nil {
-		t.Fatalf("Checkpoint with an unopenable directory: %v", err)
+		t.Fatalf("Checkpoint with a failing directory sync: %v", err)
+	}
+	if n := failed.Load(); n == 0 {
+		t.Fatal("the checkpoint synced no directory")
 	}
 	if got := s.Stats().Persist.IndexEpoch; got != 1 {
 		t.Fatalf("committed index epoch %d, want 1", got)

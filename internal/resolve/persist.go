@@ -3,7 +3,6 @@ package resolve
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -38,19 +37,15 @@ func Open(client llm.Client, opts Options) (*Store, error) {
 	// deferred queue, so the drain never races replay's lock-free
 	// state building.
 	s := newStore(client, opts)
-	dir := s.opts.PersistDir
+	dir, fsys := s.opts.PersistDir, s.opts.FS
 	if dir == "" {
 		s.startResilience()
 		return s, nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("resolve: create persist dir: %w", err)
 	}
-	fsys := s.opts.WALFS
-	if fsys == nil {
-		fsys = persist.OS
-	}
-	snap, ok, err := persist.ReadSnapshot(dir)
+	snap, ok, err := persist.ReadSnapshotFS(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -72,6 +67,9 @@ func Open(client llm.Client, opts Options) (*Store, error) {
 		s.closeShards()
 		return nil, err
 	}
+	// Best effort, as in persist.WriteAtomic: a fresh directory's logs
+	// must not vanish with the appends SyncEvery made durable in them.
+	fsys.SyncDir(dir)
 	// Set before recovery: the apply functions journal on a store that
 	// has a WAL, at replay as live.
 	s.wal, s.journal.log = wal, jlog
@@ -212,7 +210,7 @@ func (s *Store) installMapped(snap *persist.Snapshot) error {
 // openIndex maps one index file of the persistence directory, wired
 // to the store's index instruments.
 func (s *Store) openIndex(name string) (*blocking.Index, error) {
-	ix, err := blocking.OpenMapped(filepath.Join(s.opts.PersistDir, name), blocking.IndexOptions{})
+	ix, err := blocking.OpenFS(s.opts.FS, filepath.Join(s.opts.PersistDir, name), blocking.IndexOptions{})
 	if err == nil && s.opts.Telemetry != nil {
 		ix.SetMetrics(s.opts.Telemetry.Blocking)
 	}
@@ -294,16 +292,16 @@ func (s *Store) checkpointLocked() error {
 	if tel := s.opts.Telemetry; tel != nil && tel.Persist.SnapshotSeconds != nil {
 		t0 = time.Now()
 	}
-	dir := s.opts.PersistDir
+	dir, fsys := s.opts.PersistDir, s.opts.FS
 	snap := &persist.Snapshot{
-		IndexEpoch:  max(s.pstate.indexEpoch, persist.MaxIndexEpoch(dir)) + 1,
+		IndexEpoch:  max(s.pstate.indexEpoch, persist.MaxIndexEpoch(fsys, dir)) + 1,
 		IndexShards: len(s.shards),
 	}
 	errs := make([]error, len(s.shards))
 	s.eachShard(func(i int, sh *shard) {
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		errs[i] = sh.ix.WriteSnapshot(filepath.Join(dir, persist.IndexFileName(snap.IndexEpoch, i)))
+		errs[i] = persist.WriteAtomic(fsys, filepath.Join(dir, persist.IndexFileName(snap.IndexEpoch, i)), sh.ix.Encode)
 	})
 	err := errors.Join(errs...)
 	// Only what took part in a resolve: stored records the graph has
@@ -334,21 +332,22 @@ func (s *Store) checkpointLocked() error {
 			j.committed()
 		}
 	}
+	var size int
 	if err == nil {
 		snap.JournalBytes = s.journal.log.Bytes()
-		err = persist.WriteSnapshot(dir, snap)
+		size, err = persist.WriteSnapshotFS(fsys, dir, snap)
 	}
 	if err != nil {
-		// WriteSnapshot fails only before its rename, so snapshot.json
+		// WriteSnapshotFS fails only before its rename, so snapshot.json
 		// still references the previous epoch — drop what this pass wrote
 		// of the new one, keep the referenced generation.
-		persist.RemoveIndexFiles(dir, s.pstate.indexEpoch)
+		persist.RemoveIndexFiles(fsys, dir, s.pstate.indexEpoch)
 		return err
 	}
 	// The rename committed: snap.IndexEpoch is now authoritative and
 	// every other index generation is garbage.
 	s.pstate.indexEpoch = snap.IndexEpoch
-	persist.RemoveIndexFiles(dir, snap.IndexEpoch)
+	persist.RemoveIndexFiles(fsys, dir, snap.IndexEpoch)
 	if !s.pstate.closed {
 		s.serveWritten(snap.IndexEpoch)
 	}
@@ -360,9 +359,7 @@ func (s *Store) checkpointLocked() error {
 			tel.Persist.SnapshotSeconds.ObserveSince(t0)
 		}
 		tel.Persist.Snapshots.Inc()
-		if fi, err := os.Stat(filepath.Join(dir, persist.SnapshotFile)); err == nil {
-			tel.Persist.SnapshotBytes.Set(fi.Size())
-		}
+		tel.Persist.SnapshotBytes.Set(int64(size))
 		tel.Persist.JournalBytes.Set(snap.JournalBytes)
 	}
 	s.pstate.snapshots++

@@ -35,13 +35,13 @@ type journaled struct {
 // committedJournal reads the decisions dir's snapshot commits out of
 // journal.log, in append order: a later entry of a pair supersedes an
 // earlier one.
-func committedJournal(t *testing.T, dir string) []journaled {
+func committedJournal(t *testing.T, fsys persist.FS, dir string) []journaled {
 	t.Helper()
-	snap, ok, err := persist.ReadSnapshot(dir)
+	snap, ok, err := persist.ReadSnapshotFS(fsys, dir)
 	if err != nil || !ok {
 		t.Fatalf("ReadSnapshot: ok=%v err=%v", ok, err)
 	}
-	jl, rec, err := persist.OpenLog(persist.OS, filepath.Join(dir, persist.JournalFile), snap.JournalBytes)
+	jl, rec, err := persist.OpenLog(fsys, filepath.Join(dir, persist.JournalFile), snap.JournalBytes)
 	if err != nil {
 		t.Fatalf("open journal.log: %v", err)
 	}
@@ -73,7 +73,7 @@ func checkJournalClosure(t *testing.T, dir string, s *Store) {
 		}
 	}
 	final := map[pairID]persist.DecisionEntry{}
-	for _, d := range committedJournal(t, dir) {
+	for _, d := range committedJournal(t, s.opts.FS, dir) {
 		final[pairID{query: d.query, candidate: d.CandidateID}] = d.DecisionEntry
 	}
 	uf := blocking.NewUnionFind()

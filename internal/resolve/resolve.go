@@ -127,10 +127,9 @@ type Options struct {
 	// only on snapshot, Flush and Close; 1 makes every append durable
 	// against OS crashes at a heavy throughput cost).
 	SyncEvery int
-	// WALFS is the filesystem the WAL writes through (default the real
-	// one). The chaos harness injects fault-wrapping implementations;
-	// serving code leaves it nil.
-	WALFS persist.FS
+	// FS is the filesystem every file of PersistDir goes through (nil:
+	// persist.OS). Tests inject in-memory or fault-wrapping ones.
+	FS persist.FS
 	// Resilience tunes the fault-tolerance layer every store runs:
 	// circuit breaker around the LLM client, escalation load shedding,
 	// and deferred-decision graceful degradation (see
@@ -161,6 +160,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DispatchFlush <= 0 {
 		o.DispatchFlush = DefaultDispatchFlush
+	}
+	if o.FS == nil {
+		o.FS = persist.OS
 	}
 	return o
 }

@@ -22,6 +22,11 @@
 #    README.md or docs/*.md: every route lives under /v1 and the bare
 #    paths answer 404. An **Upgrading:** paragraph, which names the
 #    removed paths on purpose, is exempt.
+# 8. One way to disk: no non-test file of internal/persist,
+#    internal/blocking or internal/resolve opens, creates, reads,
+#    stats, renames or removes a file, makes a directory, globs or maps
+#    except persist's OS filesystem (internal/persist/osfs*.go); the
+#    rest goes through persist.FS.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -173,8 +178,20 @@ for md in README.md docs/*.md; do
   done < <(awk -v RS= '!/\*\*Upgrading:\*\*/' "$md" | grep -E -- "$bare" || true)
 done
 
+# --- 8. one way to disk ---------------------------------------------
+disk='\bos\.(Open|OpenFile|Create|Remove|RemoveAll|Rename|ReadFile|WriteFile|ReadDir|Stat|Mkdir|MkdirAll)\(|filepath\.Glob\(|syscall\.Mmap\('
+for f in internal/persist/*.go internal/blocking/*.go internal/resolve/*.go; do
+  case "$f" in
+    *_test.go | internal/persist/osfs*.go) continue ;;
+  esac
+  while IFS= read -r hit; do
+    echo "docs_check: $f bypasses persist.FS: $hit" >&2
+    fail=1
+  done < <(grep -nE -- "$disk" "$f" || true)
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "docs_check: FAILED" >&2
   exit 1
 fi
-echo "docs_check: OK (links, emserve flag tables, /v1 routes, examples, knob ratchet, cited tests, no bare routes)"
+echo "docs_check: OK (links, emserve flag tables, /v1 routes, examples, knob ratchet, cited tests, no bare routes, one way to disk)"
