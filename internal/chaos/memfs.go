@@ -42,14 +42,12 @@ func NewMemFS() *MemFS { return &MemFS{dirs: map[string]*memDir{}} }
 func (m *MemFS) Crash() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	fresh := map[*inode]*inode{}
 	for _, d := range m.dirs {
-		d.live = map[string]*inode{}
+		d.live = make(map[string]*inode, len(d.durable))
 		for name, ino := range d.durable {
-			if fresh[ino] == nil {
-				fresh[ino] = &inode{data: slices.Clone(ino.synced), synced: slices.Clone(ino.synced)}
-			}
-			d.live[name], d.durable[name] = fresh[ino], fresh[ino]
+			// synced is replaced, never written in place: share it.
+			ino = &inode{data: slices.Clone(ino.synced), synced: ino.synced}
+			d.live[name], d.durable[name] = ino, ino
 		}
 	}
 }
