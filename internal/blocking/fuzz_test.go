@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"llm4em/internal/entity"
@@ -16,18 +17,30 @@ import (
 // contract: a refusal is ErrSnapshotTorn or ErrSnapshotVersion, and an
 // accepted index answers Len, then Record, RecordID and
 // RecordPos(RecordID(pos)) for every position, and a query of an absent
-// token, without a panic or a hang. Every input's header CRC is fixed
-// up first, so mutations reach the section-table and token-table
-// checks rather than dying at the checksum. Posting streams stay
-// trusted by design (see the format comment in snapshot.go): the query
-// names a token no seed holds, so the target never decodes them.
+// token, without a panic or a hang; every attribute name a Record
+// returns is in the file's names table. The seeds are an empty index,
+// one record, 200 WDC records, and a file whose records mix schemas:
+// WDC records, records with other attribute names, one with no
+// attributes and one that repeats a name. Every input's header CRC is
+// fixed up first, so mutations reach the section-table, names and
+// token-table checks rather than dying at the checksum. Posting
+// streams stay trusted by design (see the format comment in
+// snapshot.go): the query names a token no seed holds, so the target
+// never decodes them.
 //
-// The seeds are 12–90 KB, so minimizing each new interesting input at
+// The seeds are 20–66 KB, so minimizing each new interesting input at
 // the default -fuzzminimizetime (60s) would take up a short run: run it
 // with -fuzzminimizetime 100x.
 func FuzzOpenMapped(f *testing.F) {
 	wdc, _ := wdcCorpus(f, 200)
-	for _, recs := range [][]entity.Record{nil, wdc[:1], wdc} {
+	bib := entity.Schema{Domain: entity.Publication, Attributes: []string{"authors", "title", "venue", "year"}}
+	mixed := append(slices.Clip(wdc[:60]),
+		bib.NewRecord("b1", "j smith", "scalable entity matching", "vldb", "2004"),
+		entity.Record{ID: "bare"},
+		entity.Record{ID: "repeat", Attrs: []entity.Attr{{Name: "title", Value: "sony camera"}, {Name: "note", Value: "boxed"}, {Name: "title", Value: "dsc-120b"}}},
+		bib.NewRecord("b2", "m garcia", "approximate joins", "sigmod", "2007"),
+	)
+	for _, recs := range [][]entity.Record{nil, wdc[:1], wdc, mixed} {
 		path := filepath.Join(f.TempDir(), "seed.emx")
 		if err := BuildIndex(recs, IndexOptions{}).WriteSnapshot(path); err != nil {
 			f.Fatal(err)
@@ -37,6 +50,16 @@ func FuzzOpenMapped(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(b)
+		ix, err := OpenMapped(path, IndexOptions{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		for pos, r := range recs {
+			if got := ix.Record(pos); got.ID != r.ID || !slices.Equal(got.Attrs, r.Attrs) {
+				f.Fatalf("seed of %d records: Record(%d) = %+v, want %+v", len(recs), pos, got, r)
+			}
+		}
+		ix.Close()
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = append([]byte(nil), data...)
@@ -56,7 +79,11 @@ func FuzzOpenMapped(f *testing.F) {
 		}
 		defer ix.Close()
 		for pos := 0; pos < ix.Len(); pos++ {
-			_ = ix.Record(pos)
+			for _, a := range ix.Record(pos).Attrs {
+				if !slices.Contains(ix.base.names, a.Name) {
+					t.Fatalf("Record(%d) has attribute name %q, which the names table %q does not hold", pos, a.Name, ix.base.names)
+				}
+			}
 			_, _ = ix.RecordPos(ix.RecordID(pos))
 		}
 		_ = ix.QueryTokens([]string{"zzzabsenttoken"}, 10, 0)

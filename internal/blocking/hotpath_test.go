@@ -202,23 +202,28 @@ func TestQueryAllocBudget(t *testing.T) {
 	})
 }
 
-// sealedTerm reports whether a query scores a token whose postings
-// hold more than one sealed block's worth of entries — and, when
-// spanning is set, whose base segment holds a sealed block and whose
-// tail is non-empty, so the scan decodes a sealed stream and then
-// chains into a heap segment.
-func sealedTerm(ix *Index, text string, spanning bool) bool {
+// longList is the posting count above which a list counts as long for
+// the differential tests: a stream of that many deltas is decoded far
+// past its first bytes.
+const longList = 128
+
+// longTerm reports whether a query scores a token whose postings hold
+// more than longList entries — and, when spanning is set, whose base
+// segment alone holds that many and whose tail is non-empty, so the
+// scan decodes a long mapped stream and then chains into a heap
+// segment.
+func longTerm(ix *Index, text string, spanning bool) bool {
 	sc := &queryScratch{}
 	ix.tokenIDs(sc, tokenize.Words(text))
 	ix.queryIDs(sc, 1, 0) // fills sc.terms with the scoring tokens
 	for _, term := range sc.terms {
-		if int(term.df) <= postingBlock {
+		if int(term.df) <= longList {
 			continue
 		}
 		if !spanning {
 			return true
 		}
-		if segs, n := ix.segments(term.id); n == 2 && segs[0].count > postingBlock {
+		if segs, n := ix.segments(term.id); n == 2 && segs[0].count > longList {
 			return true
 		}
 	}
@@ -229,10 +234,10 @@ func sealedTerm(ix *Index, text string, spanning bool) bool {
 // the reference oracle on every storage mode: fresh, mapped and
 // mapped-with-overlay indexes must rank exactly as referenceQuery for
 // every K — zero is unbounded — and every score floor, on tie-heavy
-// collections. The 1 200-record rounds seal posting blocks: the test
-// fails unless some scoring token's df exceeds postingBlock on every
+// collections. The 1 200-record rounds grow long posting lists: the
+// test fails unless some scoring token's df exceeds longList on every
 // index, and on the overlay one unless such a token's postings run from
-// a sealed mapped segment into a heap segment.
+// a long mapped segment into a heap segment.
 func TestQueryCutoverMatchesReference(t *testing.T) {
 	rng := detrand.New("cutover-differential")
 	type round struct {
@@ -276,12 +281,12 @@ func TestQueryCutoverMatchesReference(t *testing.T) {
 			map[string]*Index{"fresh": fresh, "mapped": open(fresh), "overlay": overlay}})
 	}
 	t.Run("dense", func(t *testing.T) {
-		sealed := map[string]bool{}
+		long := map[string]bool{}
 		for ri, r := range rounds {
 			for _, text := range r.queries {
 				for label, ix := range r.indexes {
-					if sealedTerm(ix, text, label == "overlay") {
-						sealed[label] = true
+					if longTerm(ix, text, label == "overlay") {
+						long[label] = true
 					}
 				}
 				for _, k := range []int{0, 1, 3, 10, 1000} {
@@ -302,8 +307,8 @@ func TestQueryCutoverMatchesReference(t *testing.T) {
 			}
 		}
 		for _, label := range []string{"fresh", "mapped", "overlay"} {
-			if !sealed[label] {
-				t.Errorf("%s: no query scored a token with more than %d postings; the sealed-block streams went untested", label, postingBlock)
+			if !long[label] {
+				t.Errorf("%s: no query scored a token with more than %d postings; the long streams went untested", label, longList)
 			}
 		}
 	})

@@ -17,11 +17,11 @@ import (
 //
 // There is one postings representation: token strings map to dense
 // uint32 IDs and each token's ascending record positions are a
-// delta+varint stream in sealed blocks (postings.go). There is one
-// scorer: the exhaustive term-at-a-time scan over a pooled flat
-// accumulator (queryDense). Per-token IDF weights are cached between
-// queries and results come from top-K heap selection. QueryTokens, the
-// one query entry point, allocates only the returned slice.
+// delta+varint stream (postings.go). There is one scorer: the
+// exhaustive term-at-a-time scan over a pooled flat accumulator
+// (queryDense). Per-token IDF weights are cached between queries and
+// results come from top-K heap selection. QueryTokens, the one query
+// entry point, allocates only the returned slice.
 //
 // There is one layout: an immutable base plus one heap tail. The base
 // is the mmap'ed EMIX snapshot of OpenFS (snapshot.go) — reopening

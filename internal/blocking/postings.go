@@ -3,22 +3,14 @@ package blocking
 import "encoding/binary"
 
 // Compressed postings: each token's ascending record positions are
-// delta-encoded as uvarints into one contiguous byte stream, sealed
-// into blocks of postingBlock entries. Every sealed block carries
-// metadata — its last position and its end offset in the stream, as
-// little-endian {last u32, end u32}, the bytes the EMIX file stores and
-// OpenFS validates. The query scan decodes each stream whole and
-// reads no block metadata. The stream stays append-friendly: a new
-// position appends one uvarint and, on a block boundary, one metadata
-// entry.
+// delta-encoded as uvarints into one contiguous byte stream, the bytes
+// the EMIX file stores. The query scan decodes each stream whole, so a
+// list carries no skip metadata, and it stays append-friendly: a new
+// position appends one uvarint.
 //
 // A token's postings span at most two segments: the immutable base's
 // (an mmap'ed snapshot, see snapshot.go; none for a built index) and
 // the heap tail receiving every Add. Both present the same segView.
-
-// postingBlock is the number of postings per sealed block. 128 keeps
-// block metadata under 7% of the stream bytes.
-const postingBlock = 128
 
 // postingList is a token's heap tail. The zero value is an empty list;
 // the delta base of the first entry is passed into add, so a tail
@@ -27,8 +19,7 @@ const postingBlock = 128
 type postingList struct {
 	df      int32  // postings in this list (document frequency share)
 	lastPos int32  // last appended position
-	stream  []byte // uvarint deltas: sealed blocks then the unsealed tail
-	meta    []byte // per sealed block: little-endian {last u32, end u32}
+	stream  []byte // uvarint deltas
 }
 
 // add appends one position (strictly greater than the previous). base
@@ -42,17 +33,12 @@ func (p *postingList) add(pos, base int32) {
 	p.stream = binary.AppendUvarint(p.stream, uint64(pos-prev))
 	p.df++
 	p.lastPos = pos
-	if p.df%postingBlock == 0 {
-		p.meta = binary.LittleEndian.AppendUint32(p.meta, uint32(pos))
-		p.meta = binary.LittleEndian.AppendUint32(p.meta, uint32(len(p.stream)))
-	}
 }
 
 // segView is one posting segment as the query scan and the snapshot
-// writer see it: the varint stream plus its sealed-block metadata.
+// writer see it: the varint stream and where its deltas start.
 type segView struct {
 	stream  []byte
-	meta    []byte
 	count   int
 	base    int32 // position preceding the first entry
 	lastPos int32 // last position in the segment
@@ -60,7 +46,7 @@ type segView struct {
 
 // seg views a tail as a segment whose first entry follows base.
 func (p *postingList) seg(base int32) segView {
-	return segView{stream: p.stream, meta: p.meta, count: int(p.df), base: base, lastPos: p.lastPos}
+	return segView{stream: p.stream, count: int(p.df), base: base, lastPos: p.lastPos}
 }
 
 // uvarint decodes one uvarint from b at off, returning the value and

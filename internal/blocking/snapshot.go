@@ -7,53 +7,58 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
+	"math"
 	"slices"
 
 	"llm4em/internal/entity"
 	"llm4em/internal/persist"
 )
 
-// EMIX v1 — the mmap-friendly index snapshot format. Everything a
+// EMIX v2 — the mmap-friendly index snapshot format. Everything a
 // query needs lives in the file at stable offsets, so OpenMapped costs
 // a header validation and an mmap, never an ingest replay: token
 // lookup goes through an open-addressing hash section, postings are
-// the same delta+varint streams the live index appends (postings.go)
-// with their sealed-block metadata alongside, and records decode
-// lazily per access.
+// the same delta+varint streams the live index appends (postings.go),
+// and records decode lazily per access.
 //
 // Layout (all integers little-endian, every section page-aligned):
 //
 //	header page:  "EMIX" | pad u32 | version u64 | nRecords u64 |
-//	              nTokens u64 | nBlocks u64 | 8 x section {off u64, len u64} |
+//	              nTokens u64 | nNames u64 | 8 x section {off u64, len u64} |
 //	              crc32 of the preceding bytes
-//	tokenTable:   nTokens fixed 36-byte entries —
-//	              postOff u64, postLen u32, df u32, lastPos u32,
-//	              blockOff u32 (index into blockMeta), nBlocks u32,
-//	              tokOff u32, tokLen u32
+//	tokenTable:   nTokens+1 fixed 16-byte entries — postOff u32, df u32,
+//	              lastPos u32, tokOff u32 — the last a sentinel holding
+//	              the postings and token-bytes lengths: a token's
+//	              extents end where the next entry's start
 //	tokenBytes:   concatenated token strings in ID order
 //	tokenHash:    power-of-two open-addressing table, u32 = token ID + 1,
 //	              zero empty, keyed by FNV-1a 64 of the token bytes
-//	blockMeta:    8 bytes per sealed block: last position u32, end offset u32
+//	names:        nNames uvarint-framed attribute names, in the order
+//	              the records first use them
 //	postings:     concatenated per-token varint streams
-//	recordBytes:  per record: uvarint-framed ID, attr count, then
-//	              uvarint-framed name/value per attribute
-//	recordIndex:  nRecords+1 u64 offsets into recordBytes
+//	recordBytes:  per record: uvarint-framed ID, attr count, then per
+//	              attribute a uvarint index into names and the
+//	              uvarint-framed value
+//	recordIndex:  nRecords+1 u32 offsets into recordBytes
 //	recordHash:   power-of-two open-addressing table, u32 = position + 1,
 //	              zero empty, keyed by FNV-1a 64 of the record ID —
 //	              by-ID lookup without rebuilding an in-memory map
 //
 // The writer goes to a temp file and renames into place, so a torn
 // write never shadows a good snapshot; validation at open is the O(1)
-// header pass (magic, version, header CRC, section-size consistency)
-// plus one structural sweep of the token table's per-entry offsets,
-// so damaged data pages (bit rot past the rename's atomicity) that
-// would send tokenSeg out of range surface as ErrSnapshotTorn at
-// open, not as a panic at query time. The hash tables and the record
-// index are range-clamped at each probe/decode, and every probe ends
-// after one pass over its table, instead of being swept (keeping the
-// open O(nTokens), which the restart benchmarks gate); only the varint
-// stream bytes stay trusted — validating them would mean decoding every
-// posting, the replay cost the format exists to avoid.
+// header pass (magic, version, header CRC, section-size consistency),
+// the framing of the names section, plus one structural sweep of the
+// token table, whose extents must run forward and end at their
+// sections' ends, so damaged data pages (bit rot past the rename's
+// atomicity) that would send tokenSeg out of range surface as
+// ErrSnapshotTorn at open, not as a panic at query time. The hash
+// tables and the record index are range-clamped at each probe/decode,
+// and every probe ends after one pass over its table, instead of being
+// swept (keeping the open O(nTokens), which the restart benchmarks
+// gate); only the varint stream bytes stay trusted — validating them
+// would mean decoding every posting, the replay cost the format exists
+// to avoid.
 
 // MmapSupported reports whether OpenMapped maps (true) or reads into
 // memory (false) an index snapshot on this platform. Either way it
@@ -73,14 +78,19 @@ var (
 
 const (
 	emixMagic    = "EMIX"
-	emixVersion  = 1
+	emixVersion  = 2
 	emixPage     = 4096
 	emixSections = 8
 	// emixHeaderSize is the used prefix of the header page: magic+pad
 	// (8), three u64 counts after the version (32), the section table,
 	// and the trailing CRC.
 	emixHeaderSize = 8 + 32 + emixSections*16 + 4
-	tokEntrySize   = 36
+	tokEntrySize   = 16
+	// Token-table entry fields, by byte offset.
+	entPostOff = 0
+	entDF      = 4
+	entLastPos = 8
+	entTokOff  = 12
 )
 
 // Section indices in the header table, in file order.
@@ -88,7 +98,7 @@ const (
 	secTokenTable = iota
 	secTokenBytes
 	secTokenHash
-	secBlockMeta
+	secNames
 	secPostings
 	secRecordBytes
 	secRecordIndex
@@ -96,19 +106,20 @@ const (
 )
 
 // mappedIndex is the immutable base of an Index: section slices
-// aliasing an OpenMapped snapshot, plus the counts the header pins, or
-// all empty for BuildIndex (emptyBase). Every probe answers for an
-// empty base as for a snapshot holding nothing.
+// aliasing an OpenMapped snapshot, the counts the header pins and the
+// names copied out at open, or all empty for BuildIndex (emptyBase).
+// Every probe answers for an empty base as for a snapshot holding
+// nothing.
 type mappedIndex struct {
 	unmap    func() error
 	nRecords uint32
 	nTokens  uint32
 	hashMask uint32
 	recMask  uint32
+	names    []string
 	tokTab   []byte
 	tokBytes []byte
 	tokHash  []byte
-	meta     []byte
 	posts    []byte
 	recBytes []byte
 	recIdx   []byte
@@ -121,8 +132,10 @@ func emptyBase() *mappedIndex {
 	return &mappedIndex{unmap: func() error { return nil }}
 }
 
-func (m *mappedIndex) entry(id uint32) []byte {
-	return m.tokTab[int(id)*tokEntrySize : int(id)*tokEntrySize+tokEntrySize]
+// field reads one u32 field of a token-table entry; id may be nTokens,
+// the sentinel.
+func (m *mappedIndex) field(id uint32, off int) uint32 {
+	return binary.LittleEndian.Uint32(m.tokTab[int(id)*tokEntrySize+off:])
 }
 
 // tokenDF returns a token's base document frequency: 0 for an ID the
@@ -131,40 +144,29 @@ func (m *mappedIndex) tokenDF(id uint32) int32 {
 	if id >= m.nTokens {
 		return 0
 	}
-	return int32(binary.LittleEndian.Uint32(m.entry(id)[12:]))
+	return int32(m.field(id, entDF))
 }
 
 func (m *mappedIndex) tokenLastPos(id uint32) int32 {
-	return int32(binary.LittleEndian.Uint32(m.entry(id)[16:]))
+	return int32(m.field(id, entLastPos))
 }
 
 func (m *mappedIndex) token(id uint32) []byte {
-	e := m.entry(id)
-	off := binary.LittleEndian.Uint32(e[28:])
-	n := binary.LittleEndian.Uint32(e[32:])
-	return m.tokBytes[off : off+n]
+	return m.tokBytes[m.field(id, entTokOff):m.field(id+1, entTokOff)]
 }
 
 // tokenSeg wraps a token's base postings as a segment view: stream
-// bytes and block metadata straight off the map, or an empty segment
-// for an ID the base does not hold.
+// bytes straight off the map, or an empty segment for an ID the base
+// does not hold.
 func (m *mappedIndex) tokenSeg(id uint32) segView {
 	if id >= m.nTokens {
 		return segView{}
 	}
-	e := m.entry(id)
-	postOff := binary.LittleEndian.Uint64(e[0:])
-	postLen := binary.LittleEndian.Uint32(e[8:])
-	df := binary.LittleEndian.Uint32(e[12:])
-	lastPos := int32(binary.LittleEndian.Uint32(e[16:]))
-	blockOff := binary.LittleEndian.Uint32(e[20:])
-	nBlocks := binary.LittleEndian.Uint32(e[24:])
 	return segView{
-		stream:  m.posts[postOff : postOff+uint64(postLen)],
-		meta:    m.meta[blockOff*8 : (blockOff+nBlocks)*8],
-		count:   int(df),
+		stream:  m.posts[m.field(id, entPostOff):m.field(id+1, entPostOff)],
+		count:   int(m.field(id, entDF)),
 		base:    -1,
-		lastPos: lastPos,
+		lastPos: int32(m.field(id, entLastPos)),
 	}
 }
 
@@ -211,22 +213,23 @@ func (m *mappedIndex) lookupString(tok string) (uint32, bool) {
 	return 0, false
 }
 
-// record decodes the record at a mapped position. Field strings are
-// copied out of the map, so a returned Record outlives Close. Index
-// offsets that do not frame a slice of the record bytes — data rot in
-// the uncovered record-index pages — decode as an empty record
-// instead of slicing out of range.
+// record decodes the record at a mapped position. IDs and values are
+// copied out of the map and names come from the table copied at open,
+// so a returned Record outlives Close. Index offsets that do not frame
+// a slice of the record bytes — data rot in the uncovered record-index
+// pages — decode as an empty record instead of slicing out of range,
+// and the attributes end at the first one whose name index or value
+// does not frame.
 func (m *mappedIndex) record(pos int) entity.Record {
-	off := binary.LittleEndian.Uint64(m.recIdx[pos*8:])
-	end := binary.LittleEndian.Uint64(m.recIdx[(pos+1)*8:])
-	if off > end || end > uint64(len(m.recBytes)) {
+	off := binary.LittleEndian.Uint32(m.recIdx[pos*4:])
+	end := binary.LittleEndian.Uint32(m.recIdx[(pos+1)*4:])
+	if off > end || int(end) > len(m.recBytes) {
 		return entity.Record{}
 	}
-	b := m.recBytes[off:end]
-	var r entity.Record
-	r.ID, b = readLenPrefixed(b)
+	id, b, ok := frame(m.recBytes[off:end])
+	r := entity.Record{ID: string(id)}
 	nAttrs, n := binary.Uvarint(b)
-	if n <= 0 {
+	if !ok || n <= 0 {
 		return r
 	}
 	b = b[n:]
@@ -238,8 +241,16 @@ func (m *mappedIndex) record(pos int) entity.Record {
 	}
 	r.Attrs = make([]entity.Attr, nAttrs)
 	for i := range r.Attrs {
-		r.Attrs[i].Name, b = readLenPrefixed(b)
-		r.Attrs[i].Value, b = readLenPrefixed(b)
+		name, n := binary.Uvarint(b)
+		var v []byte
+		if ok = n > 0 && name < uint64(len(m.names)); ok {
+			v, b, ok = frame(b[n:])
+		}
+		if !ok {
+			r.Attrs = r.Attrs[:i]
+			break
+		}
+		r.Attrs[i] = entity.Attr{Name: m.names[name], Value: string(v)}
 	}
 	return r
 }
@@ -247,16 +258,12 @@ func (m *mappedIndex) record(pos int) entity.Record {
 // recordID returns the ID bytes of the record at a mapped position,
 // aliasing the map — no record decode, no allocation.
 func (m *mappedIndex) recordID(pos int) []byte {
-	off := binary.LittleEndian.Uint64(m.recIdx[pos*8:])
-	if off > uint64(len(m.recBytes)) {
+	off := binary.LittleEndian.Uint32(m.recIdx[pos*4:])
+	if int(off) > len(m.recBytes) {
 		return nil // rotten index entry: no ID can match
 	}
-	b := m.recBytes[off:]
-	v, n := binary.Uvarint(b)
-	if n <= 0 || v > uint64(len(b)-n) {
-		return nil // rotten framing: no ID can match
-	}
-	return b[n : n+int(v)]
+	id, _, _ := frame(m.recBytes[off:])
+	return id // nil for rotten framing: no ID can match
 }
 
 // recordPos probes the mapped record-ID hash. With duplicate IDs in
@@ -282,16 +289,20 @@ func (m *mappedIndex) recordPos(id string) (int32, bool) {
 	return 0, false
 }
 
-// readLenPrefixed decodes one uvarint-framed string. A frame the
-// remaining bytes cannot hold — rotten data the structural open-time
-// checks cannot see inside record bytes — yields an empty string and
-// no remainder instead of slicing out of range.
-func readLenPrefixed(b []byte) (string, []byte) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 || v > uint64(len(b)-n) {
-		return "", nil
+// frame splits one uvarint-framed byte string off the front of b. ok is
+// false when b cannot hold the frame — rotten data the structural
+// open-time checks cannot see inside record bytes.
+func frame(b []byte) (v, rest []byte, ok bool) {
+	l, n := binary.Uvarint(b)
+	if n <= 0 || l > uint64(len(b)-n) {
+		return nil, nil, false
 	}
-	return string(b[n : n+int(v)]), b[n+int(v):]
+	return b[n : n+int(l)], b[n+int(l):], true
+}
+
+// appendFramed appends s uvarint-framed, as frame reads it.
+func appendFramed(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }
 
 func fnv64(b []byte) uint64 {
@@ -329,10 +340,10 @@ func bytesEqString(b []byte, s string) bool {
 // rewrite copies both verbatim, so it must not carry rotten framing
 // into a new file. (Open validated only the last entry.)
 func (m *mappedIndex) checkRecordIndex() error {
-	prev := uint64(0)
-	for pos := 0; pos*8 < len(m.recIdx); pos++ {
-		off := binary.LittleEndian.Uint64(m.recIdx[pos*8:])
-		if off < prev || off > uint64(len(m.recBytes)) {
+	prev := uint32(0)
+	for pos := 0; pos*4 < len(m.recIdx); pos++ {
+		off := binary.LittleEndian.Uint32(m.recIdx[pos*4:])
+		if off < prev || int(off) > len(m.recBytes) {
 			return fmt.Errorf("%w: record index entry %d = %d does not frame the %d record bytes", ErrSnapshotTorn, pos, off, len(m.recBytes))
 		}
 		prev = off
@@ -357,27 +368,6 @@ func (ix *Index) writeSegs(id uint32, touched []uint32, t *int) (segView, *posti
 	return ix.base.tokenSeg(id), pl
 }
 
-// appendTailMeta appends the sealed-block metadata of a tail that
-// continues a list of k entries and streamOff stream bytes, its deltas
-// chained off position from: every entry whose count in the whole list
-// reaches a multiple of postingBlock seals a block there. It walks only
-// the tail, and places the boundaries one list built in a single pass
-// would have.
-func appendTailMeta(dst []byte, pl *postingList, from int32, k, streamOff int) []byte {
-	pos, off := from, 0
-	for range pl.df {
-		d, m := uvarint(pl.stream, off)
-		off += m
-		pos += int32(d)
-		k++
-		if k%postingBlock == 0 {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(pos))
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(streamOff+off))
-		}
-	}
-	return dst
-}
-
 // WriteSnapshot is Encode through persist.WriteAtomic on the real
 // filesystem; the file reopens with OpenMapped.
 func (ix *Index) WriteSnapshot(path string) error {
@@ -390,13 +380,14 @@ func (ix *Index) WriteSnapshot(path string) error {
 //
 // Over a mapped base the rewrite is a copy plus an O(delta) encode. The
 // base's record bytes and record-index entries go out in one write
-// each, and each base token's stream and block metadata as they are:
-// its tail chains its deltas off the base's last position, so base
-// stream then tail stream is the stream of the one merged list. Only
-// the tails' entries are walked, to place the block boundaries that
-// follow. Token bytes and hashes are read off the map, uncopied. A
-// base whose record index does not frame its record bytes fails the
-// write with ErrSnapshotTorn.
+// each, and each base token's stream as it is: its tail chains its
+// deltas off the base's last position, so base stream then tail stream
+// is the stream of the one merged list. The names section is the
+// base's names, then those the tail's records use first, so base
+// records keep their name indices. Token bytes and hashes are read off
+// the map, uncopied. A base whose record index does not frame its
+// record bytes fails the write with ErrSnapshotTorn, and a section too
+// long for the format's u32 offsets fails it with an error.
 func (ix *Index) Encode(f persist.File) error {
 	b := ix.base
 	if err := b.checkRecordIndex(); err != nil {
@@ -405,81 +396,46 @@ func (ix *Index) Encode(f persist.File) error {
 	nBase := int(b.nTokens)
 	nTok := nBase + ix.vocab.Len()
 	n := ix.Len()
-	touched := make([]uint32, 0, len(ix.basePosts))
-	for id := range ix.basePosts {
-		touched = append(touched, id)
-	}
+	touched := slices.AppendSeq(make([]uint32, 0, len(ix.basePosts)), maps.Keys(ix.basePosts))
 	slices.Sort(touched)
 
-	// Per-token pass: table entries, the token hash (power-of-two, load
-	// factor <= 0.5) and the tails' block metadata, in ID order.
-	tab := make([]byte, nTok*tokEntrySize)
-	hashEntries := uint32(8)
-	for int(hashEntries) < 2*nTok {
-		hashEntries *= 2
-	}
-	tokHash := make([]byte, hashEntries*4)
-	var tailMeta []byte
-	var tokLen, postsLen, metaLen uint64
+	// Per-token pass: table entries and the token hash (power-of-two,
+	// load factor <= 0.5), in ID order, then the sentinel entry.
+	tab := make([]byte, (nTok+1)*tokEntrySize)
+	tokHash := hashTable(nTok)
+	var tokLen, postsLen uint64
 	t := 0
 	for id := 0; id < nTok; id++ {
 		bs, pl := ix.writeSegs(uint32(id), touched, &t)
-		streamLen, df, lastPos, nMeta := len(bs.stream), bs.count, bs.lastPos, len(bs.meta)
+		streamLen, df, lastPos := len(bs.stream), bs.count, bs.lastPos
 		if pl != nil {
-			k := len(tailMeta)
-			tailMeta = appendTailMeta(tailMeta, pl, ix.overlayBase(uint32(id)), df, streamLen)
 			streamLen += len(pl.stream)
 			df += int(pl.df)
 			lastPos = pl.lastPos
-			nMeta += len(tailMeta) - k
 		}
-		var h uint64
-		var tl int
+		putEntry(tab[id*tokEntrySize:], postsLen, uint64(df), uint64(lastPos), tokLen)
+		postsLen += uint64(streamLen)
 		if id < nBase {
 			tok := b.token(uint32(id))
-			h, tl = fnv64(tok), len(tok)
+			tokLen += uint64(len(tok))
+			hashInsert(tokHash, fnv64(tok), uint32(id)+1)
 		} else {
 			tok := ix.vocab.Token(uint32(id - nBase))
-			h, tl = fnv64String(tok), len(tok)
+			tokLen += uint64(len(tok))
+			hashInsert(tokHash, fnv64String(tok), uint32(id)+1)
 		}
-		e := tab[id*tokEntrySize:]
-		binary.LittleEndian.PutUint64(e[0:], postsLen)
-		binary.LittleEndian.PutUint32(e[8:], uint32(streamLen))
-		binary.LittleEndian.PutUint32(e[12:], uint32(df))
-		binary.LittleEndian.PutUint32(e[16:], uint32(lastPos))
-		binary.LittleEndian.PutUint32(e[20:], uint32(metaLen/8))
-		binary.LittleEndian.PutUint32(e[24:], uint32(nMeta/8))
-		binary.LittleEndian.PutUint32(e[28:], uint32(tokLen))
-		binary.LittleEndian.PutUint32(e[32:], uint32(tl))
-		tokLen += uint64(tl)
-		postsLen += uint64(streamLen)
-		metaLen += uint64(nMeta)
-		i := uint32(h) & (hashEntries - 1)
-		for binary.LittleEndian.Uint32(tokHash[i*4:]) != 0 {
-			i = (i + 1) & (hashEntries - 1)
-		}
-		binary.LittleEndian.PutUint32(tokHash[i*4:], uint32(id)+1)
 	}
+	putEntry(tab[nTok*tokEntrySize:], postsLen, 0, 0, tokLen)
 
 	// Record hash: ascending inserts + linear probing make the lowest
 	// position of a duplicate ID win at lookup.
-	recEntries := uint32(8)
-	for int(recEntries) < 2*n {
-		recEntries *= 2
-	}
-	recHash := make([]byte, recEntries*4)
+	recHash := hashTable(n)
 	for pos := 0; pos < n; pos++ {
-		var h uint64
 		if pos < int(b.nRecords) {
-			h = fnv64(b.recordID(pos))
+			hashInsert(recHash, fnv64(b.recordID(pos)), uint32(pos)+1)
 		} else {
-			h = fnv64String(ix.records[pos-int(b.nRecords)].ID)
+			hashInsert(recHash, fnv64String(ix.records[pos-int(b.nRecords)].ID), uint32(pos)+1)
 		}
-		i := uint32(h) & (recEntries - 1)
-		for binary.LittleEndian.Uint32(recHash[i*4:]) != 0 {
-			i = (i + 1) & (recEntries - 1)
-		}
-		binary.LittleEndian.PutUint32(recHash[i*4:], uint32(pos)+1)
 	}
 
 	// The buffer only gathers the small per-token and per-record pieces:
@@ -509,18 +465,14 @@ func (ix *Index) Encode(f persist.File) error {
 	begin(secTokenHash)
 	w.write(tokHash)
 	end(secTokenHash)
-	begin(secBlockMeta)
-	t, mo := 0, 0
-	for id := 0; id < nTok; id++ {
-		bs, pl := ix.writeSegs(uint32(id), touched, &t)
-		w.write(bs.meta)
-		if pl != nil {
-			k := mo + int(binary.LittleEndian.Uint32(tab[id*tokEntrySize+24:]))*8 - len(bs.meta)
-			w.write(tailMeta[mo:k])
-			mo = k
-		}
+	names, nameIdx := ix.nameTable()
+	var scratch []byte
+	begin(secNames)
+	for _, name := range names {
+		scratch = appendFramed(scratch, name)
 	}
-	end(secBlockMeta)
+	w.write(scratch)
+	end(secNames)
 	begin(secPostings)
 	t = 0
 	for id := 0; id < nTok; id++ {
@@ -537,17 +489,19 @@ func (ix *Index) Encode(f persist.File) error {
 	begin(secRecordBytes)
 	recBase := w.off
 	w.write(b.recBytes)
-	tailIdx := make([]byte, 0, (len(ix.records)+1)*8)
-	var scratch []byte
+	tailIdx := make([]byte, 0, (len(ix.records)+1)*4)
 	for _, r := range ix.records {
-		tailIdx = binary.LittleEndian.AppendUint64(tailIdx, w.off-recBase)
-		scratch = appendRecord(scratch[:0], r)
+		tailIdx = binary.LittleEndian.AppendUint32(tailIdx, uint32(w.off-recBase))
+		scratch = appendRecord(scratch[:0], r, nameIdx)
 		w.write(scratch)
 	}
-	tailIdx = binary.LittleEndian.AppendUint64(tailIdx, w.off-recBase)
+	tailIdx = binary.LittleEndian.AppendUint32(tailIdx, uint32(w.off-recBase))
+	if max(postsLen, tokLen, w.off-recBase) > math.MaxUint32 {
+		return fmt.Errorf("blocking: a section passes the 4 GiB that EMIX's u32 offsets address")
+	}
 	end(secRecordBytes)
 	begin(secRecordIndex)
-	w.write(b.recIdx[:int(b.nRecords)*8])
+	w.write(b.recIdx[:int(b.nRecords)*4])
 	w.write(tailIdx)
 	end(secRecordIndex)
 	begin(secRecordHash)
@@ -563,7 +517,7 @@ func (ix *Index) Encode(f persist.File) error {
 	binary.LittleEndian.PutUint64(hdr[8:], emixVersion)
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(n))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(nTok))
-	binary.LittleEndian.PutUint64(hdr[32:], metaLen/8)
+	binary.LittleEndian.PutUint64(hdr[32:], uint64(len(names)))
 	for i, s := range secs {
 		binary.LittleEndian.PutUint64(hdr[40+i*16:], s[0])
 		binary.LittleEndian.PutUint64(hdr[48+i*16:], s[1])
@@ -573,21 +527,68 @@ func (ix *Index) Encode(f persist.File) error {
 	return err
 }
 
+// putEntry fills one token-table entry.
+func putEntry(e []byte, postOff, df, lastPos, tokOff uint64) {
+	binary.LittleEndian.PutUint32(e[entPostOff:], uint32(postOff))
+	binary.LittleEndian.PutUint32(e[entDF:], uint32(df))
+	binary.LittleEndian.PutUint32(e[entLastPos:], uint32(lastPos))
+	binary.LittleEndian.PutUint32(e[entTokOff:], uint32(tokOff))
+}
+
+// hashTable returns an empty open-addressing table for n keys: a power
+// of two of at least 8 u32 slots, load factor <= 0.5.
+func hashTable(n int) []byte {
+	slots := 8
+	for slots < 2*n {
+		slots *= 2
+	}
+	return make([]byte, slots*4)
+}
+
+// hashInsert puts v in the first free slot from h's home slot on.
+func hashInsert(tab []byte, h uint64, v uint32) {
+	mask := uint32(len(tab)/4 - 1)
+	i := uint32(h) & mask
+	for binary.LittleEndian.Uint32(tab[i*4:]) != 0 {
+		i = (i + 1) & mask
+	}
+	binary.LittleEndian.PutUint32(tab[i*4:], v)
+}
+
+// nameTable returns the names the file stores — the base's, then each
+// name the tail's records use first, in record order — and each name's
+// index, the first one for a name the base repeats.
+func (ix *Index) nameTable() ([]string, map[string]uint64) {
+	names := slices.Clip(ix.base.names)
+	idx := make(map[string]uint64, len(names))
+	for i, name := range names {
+		if _, ok := idx[name]; !ok {
+			idx[name] = uint64(i)
+		}
+	}
+	for _, r := range ix.records {
+		for _, a := range r.Attrs {
+			if _, ok := idx[a.Name]; !ok {
+				idx[a.Name] = uint64(len(names))
+				names = append(names, a.Name)
+			}
+		}
+	}
+	return names, idx
+}
+
 // writeBuffer sizes Encode's write buffer, allocated per call
 // and dropped with it.
 const writeBuffer = 64 << 10
 
 // appendRecord encodes one record: uvarint-framed ID, attribute count,
-// then uvarint-framed name/value pairs.
-func appendRecord(dst []byte, r entity.Record) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(r.ID)))
-	dst = append(dst, r.ID...)
+// then per attribute its name's index and its uvarint-framed value.
+func appendRecord(dst []byte, r entity.Record, nameIdx map[string]uint64) []byte {
+	dst = appendFramed(dst, r.ID)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Attrs)))
 	for _, a := range r.Attrs {
-		dst = binary.AppendUvarint(dst, uint64(len(a.Name)))
-		dst = append(dst, a.Name...)
-		dst = binary.AppendUvarint(dst, uint64(len(a.Value)))
-		dst = append(dst, a.Value...)
+		dst = binary.AppendUvarint(dst, nameIdx[a.Name])
+		dst = appendFramed(dst, a.Value)
 	}
 	return dst
 }
@@ -626,11 +627,12 @@ func OpenMapped(path string, opts IndexOptions) (*Index, error) {
 // OpenFS serves an index straight out of the EMIX file at path, as
 // fsys's Map hands it out: no ingest replay, no IDF precomputation
 // (weights materialize lazily per token on first use). Validation is
-// O(vocabulary): magic, version, header CRC, section-size consistency
-// and the token-table sweep; a file that fails it is released and
-// refused with ErrSnapshotVersion or ErrSnapshotTorn (both wrapped with
-// detail). The file is the index's base: it accepts Add into its heap
-// tail, allocating nothing per token at open, and Close releases it.
+// O(vocabulary): magic, version, header CRC, section sizes, the names
+// framing and the token-table sweep; a file that fails it is released
+// and refused with ErrSnapshotVersion or ErrSnapshotTorn (both wrapped
+// with detail). The file is the index's base: it accepts Add into its
+// heap tail, allocating nothing per token at open, and Close releases
+// it.
 func OpenFS(fsys persist.FS, path string, opts IndexOptions) (*Index, error) {
 	data, release, err := fsys.Map(path)
 	if err != nil {
@@ -661,7 +663,11 @@ func parseMapped(data []byte, unmap func() error) (*mappedIndex, error) {
 	}
 	nRecords := binary.LittleEndian.Uint64(data[16:])
 	nTokens := binary.LittleEndian.Uint64(data[24:])
-	nBlocks := binary.LittleEndian.Uint64(data[32:])
+	nNames := binary.LittleEndian.Uint64(data[32:])
+	// Positions are int32 and token IDs uint32 throughout the index.
+	if nRecords > 1<<31-1 || nTokens > 1<<32-1 {
+		return nil, fmt.Errorf("%w: counts overflow (%d records, %d tokens)", ErrSnapshotTorn, nRecords, nTokens)
+	}
 	size := uint64(len(data))
 	var sec [emixSections][]byte
 	for i := 0; i < emixSections; i++ {
@@ -672,13 +678,10 @@ func parseMapped(data []byte, unmap func() error) (*mappedIndex, error) {
 		}
 		sec[i] = data[off : off+n]
 	}
-	if got, want := uint64(len(sec[secTokenTable])), nTokens*tokEntrySize; got != want {
-		return nil, fmt.Errorf("%w: token table holds %d bytes, %d tokens need %d", ErrSnapshotTorn, got, nTokens, want)
+	if got, want := uint64(len(sec[secTokenTable])), (nTokens+1)*tokEntrySize; got != want {
+		return nil, fmt.Errorf("%w: token table holds %d bytes, %d tokens and the sentinel need %d", ErrSnapshotTorn, got, nTokens, want)
 	}
-	if got, want := uint64(len(sec[secBlockMeta])), nBlocks*8; got != want {
-		return nil, fmt.Errorf("%w: block metadata holds %d bytes, %d blocks need %d", ErrSnapshotTorn, got, nBlocks, want)
-	}
-	if got, want := uint64(len(sec[secRecordIndex])), (nRecords+1)*8; got != want {
+	if got, want := uint64(len(sec[secRecordIndex])), (nRecords+1)*4; got != want {
 		return nil, fmt.Errorf("%w: record index holds %d bytes, %d records need %d", ErrSnapshotTorn, got, nRecords, want)
 	}
 	he := len(sec[secTokenHash]) / 4
@@ -689,43 +692,34 @@ func parseMapped(data []byte, unmap func() error) (*mappedIndex, error) {
 	if re < 8 || re&(re-1) != 0 || len(sec[secRecordHash])%4 != 0 {
 		return nil, fmt.Errorf("%w: record hash holds %d entries, want a power of two >= 8", ErrSnapshotTorn, re)
 	}
-	if last := binary.LittleEndian.Uint64(sec[secRecordIndex][nRecords*8:]); last != uint64(len(sec[secRecordBytes])) {
+	if last := binary.LittleEndian.Uint32(sec[secRecordIndex][nRecords*4:]); uint64(last) != uint64(len(sec[secRecordBytes])) {
 		return nil, fmt.Errorf("%w: record index ends at %d, record bytes hold %d", ErrSnapshotTorn, last, len(sec[secRecordBytes]))
 	}
-	// Positions are int32 and token IDs uint32 throughout the index.
-	if nRecords > 1<<31-1 || nTokens > 1<<32-1 {
-		return nil, fmt.Errorf("%w: counts overflow (%d records, %d tokens)", ErrSnapshotTorn, nRecords, nTokens)
+	names, err := parseNames(sec[secNames], nNames)
+	if err != nil {
+		return nil, err
 	}
-	// Per-entry structural validation of the token table. The header
-	// CRC only vouches for the header page; these offsets come from
-	// data pages, and a snapshot whose data rotted (bit damage past the
-	// rename's atomicity) would otherwise slice the map out of range in
-	// tokenSeg at query time — a panic inside serving instead of a
-	// typed error here. One 36-bytes-per-token pass keeps the open
-	// fast (the restart benchmarks gate it); the hash tables and the
-	// record index are instead range-clamped at each probe/decode — a
-	// branch per access, not a scan per open — and the varint stream
-	// bytes themselves stay trusted: validating them would mean
-	// decoding every posting, the replay cost the format exists to
-	// avoid.
-	postSecLen := uint64(len(sec[secPostings]))
-	tokSecLen := uint64(len(sec[secTokenBytes]))
-	for id, tab := uint64(0), sec[secTokenTable]; id < nTokens; id, tab = id+1, tab[tokEntrySize:] {
-		e := tab[:tokEntrySize]
-		postOff := binary.LittleEndian.Uint64(e[0:8])
-		postLen := uint64(binary.LittleEndian.Uint32(e[8:12]))
-		blockOff := uint64(binary.LittleEndian.Uint32(e[20:24]))
-		tokBlocks := uint64(binary.LittleEndian.Uint32(e[24:28]))
-		tokOff := uint64(binary.LittleEndian.Uint32(e[28:32]))
-		tokLen := uint64(binary.LittleEndian.Uint32(e[32:36]))
-		switch {
-		case postOff > postSecLen || postLen > postSecLen-postOff:
-			return nil, fmt.Errorf("%w: token %d postings [%d:+%d] outside the %d-byte section", ErrSnapshotTorn, id, postOff, postLen, postSecLen)
-		case blockOff > nBlocks || tokBlocks > nBlocks-blockOff:
-			return nil, fmt.Errorf("%w: token %d blocks [%d:+%d] outside the %d-block metadata", ErrSnapshotTorn, id, blockOff, tokBlocks, nBlocks)
-		case tokOff > tokSecLen || tokLen > tokSecLen-tokOff:
-			return nil, fmt.Errorf("%w: token %d bytes [%d:+%d] outside the %d-byte section", ErrSnapshotTorn, id, tokOff, tokLen, tokSecLen)
+	// Structural validation of the token table. The header CRC only
+	// vouches for the header page; these offsets come from data pages,
+	// and a snapshot whose data rotted (bit damage past the rename's
+	// atomicity) would otherwise slice the map out of range in tokenSeg
+	// or token at query time — a panic inside serving instead of a
+	// typed error here. A token's extents end where the next entry's
+	// start, so extents that never run backwards and a sentinel at the
+	// sections' ends keep every slice in range. One pass over the
+	// 16-byte entries keeps the open fast (the restart benchmarks gate
+	// it); the rest is range-clamped per access (see the format
+	// comment).
+	var post, tok uint32
+	for id, tab := uint64(0), sec[secTokenTable]; id <= nTokens; id, tab = id+1, tab[tokEntrySize:] {
+		p, k := binary.LittleEndian.Uint32(tab[entPostOff:]), binary.LittleEndian.Uint32(tab[entTokOff:])
+		if p < post || k < tok {
+			return nil, fmt.Errorf("%w: token %d extents start at postings %d, token byte %d, before the previous token's %d, %d", ErrSnapshotTorn, id, p, k, post, tok)
 		}
+		post, tok = p, k
+	}
+	if uint64(post) != uint64(len(sec[secPostings])) || uint64(tok) != uint64(len(sec[secTokenBytes])) {
+		return nil, fmt.Errorf("%w: token table ends at postings %d, token byte %d; the sections hold %d and %d bytes", ErrSnapshotTorn, post, tok, len(sec[secPostings]), len(sec[secTokenBytes]))
 	}
 	return &mappedIndex{
 		unmap:    unmap,
@@ -733,15 +727,35 @@ func parseMapped(data []byte, unmap func() error) (*mappedIndex, error) {
 		nTokens:  uint32(nTokens),
 		hashMask: uint32(he - 1),
 		recMask:  uint32(re - 1),
+		names:    names,
 		tokTab:   sec[secTokenTable],
 		tokBytes: sec[secTokenBytes],
 		tokHash:  sec[secTokenHash],
-		meta:     sec[secBlockMeta],
 		posts:    sec[secPostings],
 		recBytes: sec[secRecordBytes],
 		recIdx:   sec[secRecordIndex],
 		recHash:  sec[secRecordHash],
 	}, nil
+}
+
+// parseNames frames the names section: exactly n names, copied out of
+// the map, so records decoded with them outlive Close.
+func parseNames(b []byte, n uint64) ([]string, error) {
+	if n > uint64(len(b)) { // every name takes at least its length byte
+		return nil, fmt.Errorf("%w: %d names cannot fit a %d-byte names section", ErrSnapshotTorn, n, len(b))
+	}
+	names := make([]string, n)
+	for i := range names {
+		v, rest, ok := frame(b)
+		if !ok {
+			return nil, fmt.Errorf("%w: name %d does not frame", ErrSnapshotTorn, i)
+		}
+		names[i], b = string(v), rest
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%w: %d bytes follow the last of %d names", ErrSnapshotTorn, len(b), n)
+	}
+	return names, nil
 }
 
 // Close releases the mmap of an OpenMapped index; on a built index it
@@ -775,16 +789,16 @@ func (ix *Index) RecordID(pos int) string {
 	return string(ix.base.recordID(pos))
 }
 
-// PostingsBytes reports the bytes the posting lists occupy, skip
-// metadata included — the numerator of the bytes-per-record benchmark
-// the snapshot format is sized by.
+// PostingsBytes reports the bytes the posting lists occupy — the
+// numerator of the bytes-per-record benchmark the snapshot format is
+// sized by.
 func (ix *Index) PostingsBytes() int {
-	total := len(ix.base.posts) + len(ix.base.meta)
+	total := len(ix.base.posts)
 	for i := range ix.posts {
-		total += len(ix.posts[i].stream) + len(ix.posts[i].meta)
+		total += len(ix.posts[i].stream)
 	}
 	for _, pl := range ix.basePosts {
-		total += len(pl.stream) + len(pl.meta)
+		total += len(pl.stream)
 	}
 	return total
 }

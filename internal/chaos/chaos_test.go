@@ -594,3 +594,42 @@ func TestFaultMixStillConverges(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestMemFSCrashKeepsSyncedDirectories: a directory MkdirAll made is an
+// entry of its parent, so Crash drops it, with everything under it,
+// until the parent's SyncDir has run; once that has run, the directory
+// survives with the entries its own SyncDir made durable.
+func TestMemFSCrashKeepsSyncedDirectories(t *testing.T) {
+	mem := chaos.NewMemFS()
+	mk := func(dir string) {
+		t.Helper()
+		if err := mem.MkdirAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		f, err := mem.Create(filepath.Join(dir, "f"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if err := mem.SyncDir(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mk("/kept/sub")
+	mk("/lost/sub")
+	for _, dir := range []string{"/", "/kept"} {
+		if err := mem.SyncDir(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mem.Crash()
+	if names, err := mem.List("/kept/sub"); err != nil || !reflect.DeepEqual(names, []string{"f"}) {
+		t.Errorf("synced directory after the crash: %v, %v; want [f]", names, err)
+	}
+	if names, err := mem.List("/lost/sub"); err == nil {
+		t.Errorf("/lost/sub survived the crash (%v) although /lost was never synced", names)
+	}
+}

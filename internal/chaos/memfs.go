@@ -14,17 +14,21 @@ import (
 // MemFS is an in-memory persist.FS that keeps synced and unsynced
 // state apart, so Crash can drop what an OS crash would: a file's
 // bytes become durable at its File.Sync, and the creates, renames and
-// removes inside a directory at that directory's SyncDir. Directories
-// themselves are durable once made. Safe for concurrent use.
+// removes inside a directory at that directory's SyncDir. A new
+// directory is an entry of its parent like a file: it survives a crash
+// once its parent's SyncDir has run, and the root always does. Safe for
+// concurrent use.
 type MemFS struct {
 	mu   sync.Mutex
 	dirs map[string]*memDir
 }
 
 // memDir is one directory's entries as the running process sees them
-// (live) and as they stood at its last SyncDir (durable).
+// (live) and as they stood at its last SyncDir (durable); linked
+// reports whether its own entry in its parent is durable.
 type memDir struct {
 	live, durable map[string]*inode
+	linked        bool
 }
 
 // inode is one file's bytes as written and as of its last Sync.
@@ -35,13 +39,29 @@ type inode struct {
 // NewMemFS returns an empty in-memory filesystem.
 func NewMemFS() *MemFS { return &MemFS{dirs: map[string]*memDir{}} }
 
-// Crash reduces the filesystem to what survives an OS crash: each
-// directory's entries as of its last SyncDir, each file's bytes as of
-// its last Sync. Handles opened before the crash no longer reach the
-// surviving files.
+// Crash reduces the filesystem to what survives an OS crash: the
+// directories whose entries, and their ancestors', were synced into
+// their parents, each one's entries as of its last SyncDir, each
+// file's bytes as of its last Sync. Handles opened before the crash no
+// longer reach the surviving files.
 func (m *MemFS) Crash() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	var lost []string
+	for path := range m.dirs {
+		for p := path; ; p = filepath.Dir(p) {
+			if !m.dirs[p].linked {
+				lost = append(lost, path)
+				break
+			}
+			if p == filepath.Dir(p) {
+				break
+			}
+		}
+	}
+	for _, path := range lost {
+		delete(m.dirs, path)
+	}
 	for _, d := range m.dirs {
 		d.live = make(map[string]*inode, len(d.durable))
 		for name, ino := range d.durable {
@@ -154,7 +174,7 @@ func (m *MemFS) MkdirAll(dir string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for dir = filepath.Clean(dir); m.dirs[dir] == nil; dir = filepath.Dir(dir) {
-		m.dirs[dir] = &memDir{live: map[string]*inode{}, durable: map[string]*inode{}}
+		m.dirs[dir] = &memDir{live: map[string]*inode{}, durable: map[string]*inode{}, linked: dir == filepath.Dir(dir)}
 	}
 	return nil
 }
@@ -162,11 +182,17 @@ func (m *MemFS) MkdirAll(dir string) error {
 func (m *MemFS) SyncDir(dir string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	d := m.dirs[filepath.Clean(dir)]
+	dir = filepath.Clean(dir)
+	d := m.dirs[dir]
 	if d == nil {
 		return &fs.PathError{Op: "sync", Path: dir, Err: fs.ErrNotExist}
 	}
 	d.durable = maps.Clone(d.live)
+	for path, sub := range m.dirs {
+		if path != dir && filepath.Dir(path) == dir {
+			sub.linked = true
+		}
+	}
 	return nil
 }
 

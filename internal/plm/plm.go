@@ -102,12 +102,16 @@ func (m *Model) Train(pairs []entity.Pair, datasetKey string, opts Options) {
 		order[i] = i
 	}
 	// Only Ditto's token dropout makes a pair's features differ from
-	// epoch to epoch: RoBERTa's are computed once.
+	// epoch to epoch: RoBERTa's are computed once, and Ditto's word lists
+	// once, each epoch redrawing the dropout and the cross features.
 	var fixed [][]feature
-	if m.variant != Ditto {
-		fixed = make([][]feature, len(pairs))
-		for i, p := range pairs {
-			fixed[i] = m.featurize(p, nil)
+	var words [][2][]string
+	for _, p := range pairs {
+		ta, tb := m.words(p)
+		if m.variant == Ditto {
+			words = append(words, [2][]string{ta, tb})
+		} else {
+			fixed = append(fixed, crossFeatures(ta, tb))
 		}
 	}
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
@@ -119,7 +123,12 @@ func (m *Model) Train(pairs []entity.Pair, datasetKey string, opts Options) {
 			if fixed != nil {
 				feats = fixed[idx]
 			} else {
-				feats = m.featurize(p, rng)
+				// Token dropout is Ditto's training-time augmentation,
+				// which regularizes the lexical features toward
+				// corner-case robustness.
+				ta := dropout(words[idx][0], rng, 0.13)
+				tb := dropout(words[idx][1], rng, 0.13)
+				feats = crossFeatures(ta, tb)
 			}
 			prob := m.probability(feats)
 			target, sampleWeight := 0.0, 1.0
@@ -149,7 +158,7 @@ func (m *Model) Predict(p entity.Pair) bool {
 	if !m.trained {
 		panic("plm: Predict called on untrained model")
 	}
-	return m.probability(m.featurize(p, nil)) > m.threshold
+	return m.probability(crossFeatures(m.words(p))) > m.threshold
 }
 
 // FitThreshold tunes the decision threshold to maximize F1 on a
@@ -166,7 +175,7 @@ func (m *Model) FitThreshold(val []entity.Pair) {
 	}
 	all := make([]scored, len(val))
 	for i, p := range val {
-		all[i] = scored{m.probability(m.featurize(p, nil)), p.Match}
+		all[i] = scored{m.probability(crossFeatures(m.words(p))), p.Match}
 	}
 	best, bestT := -1.0, 0.5
 	for i := 1; i < 20; i++ {
@@ -197,23 +206,20 @@ type feature struct {
 	val float32
 }
 
-// featurize renders a pair into hashed lexical cross-features. During
-// training (rng non-nil) the Ditto variant applies data augmentation:
-// random token dropout, which regularizes the lexical features toward
-// corner-case robustness.
-func (m *Model) featurize(p entity.Pair, rng *detrand.RNG) []feature {
+// words returns the word tokens of a pair's two serialized records.
+func (m *Model) words(p entity.Pair) (ta, tb []string) {
 	sa, sb := p.A.Serialize(), p.B.Serialize()
 	if m.variant == Ditto {
 		// Domain-knowledge injection: normalize identifiers and
 		// numbers before tokenization.
 		sa, sb = dkNormalize(sa), dkNormalize(sb)
 	}
-	ta, tb := tokenize.Words(sa), tokenize.Words(sb)
-	if rng != nil && m.variant == Ditto {
-		ta = dropout(ta, rng, 0.13)
-		tb = dropout(tb, rng, 0.13)
-	}
+	return tokenize.Words(sa), tokenize.Words(sb)
+}
 
+// crossFeatures renders a pair's word tokens into hashed lexical
+// cross-features. It only reads ta and tb.
+func crossFeatures(ta, tb []string) []feature {
 	var feats []feature
 	add := func(val float32, parts ...string) {
 		feats = append(feats, feature{idx: detrand.Hash64(parts...) % hashDims, val: val})

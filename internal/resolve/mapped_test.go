@@ -394,7 +394,7 @@ func TestMappedDamageFailsOpen(t *testing.T) {
 	}{
 		"truncated": {blocking.ErrSnapshotTorn, func(t *testing.T, _ string, b []byte) []byte { return b[:64] }},
 		"version-bump": {blocking.ErrSnapshotVersion, func(t *testing.T, _ string, b []byte) []byte {
-			binary.LittleEndian.PutUint64(b[8:], 999)
+			binary.LittleEndian.PutUint64(b[8:], 1) // the format before names and 16-byte token entries
 			binary.LittleEndian.PutUint32(b[end:], crc32.ChecksumIEEE(b[:end]))
 			return b
 		}},
@@ -405,8 +405,8 @@ func TestMappedDamageFailsOpen(t *testing.T) {
 			return nil
 		}},
 		"token-table-out-of-range": {blocking.ErrSnapshotTorn, func(t *testing.T, _ string, b []byte) []byte {
-			tokenTable := binary.LittleEndian.Uint64(b[40:]) // section 0's offset
-			binary.LittleEndian.PutUint64(b[tokenTable:], 1<<60)
+			tokenTable := binary.LittleEndian.Uint64(b[40:])     // section 0's offset
+			binary.LittleEndian.PutUint32(b[tokenTable:], 1<<31) // token 0's postings offset
 			return b
 		}},
 	}

@@ -3,6 +3,7 @@ package resolve
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"sync"
 	"time"
@@ -42,8 +43,21 @@ func Open(client llm.Client, opts Options) (*Store, error) {
 		s.startResilience()
 		return s, nil
 	}
+	// The directories MkdirAll creates are entries of their parents,
+	// and vanish in an OS crash, with everything under them, until those
+	// are synced: best effort, as below.
+	var made []string
+	for d := filepath.Clean(dir); d != filepath.Dir(d); d = filepath.Dir(d) {
+		if _, err := fsys.List(d); !errors.Is(err, fs.ErrNotExist) {
+			break
+		}
+		made = append(made, d)
+	}
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("resolve: create persist dir: %w", err)
+	}
+	for _, d := range made {
+		fsys.SyncDir(filepath.Dir(d))
 	}
 	snap, ok, err := persist.ReadSnapshotFS(fsys, dir)
 	if err != nil {

@@ -236,3 +236,39 @@ func checkCrashed(t *testing.T, mem *chaos.MemFS, where string, before, after du
 		t.Fatalf("%s: directory after the healing checkpoint = %v (%v), want %v", where, files, err, want)
 	}
 }
+
+// TestOpenSyncsCreatedDirectories: Open creates a missing persistence
+// directory with its missing parents, and each of them is an entry of
+// its own parent, so an OS crash drops the lot unless Open syncs those
+// parents. An Add made durable by SyncEvery 1 must survive a crash
+// right after it.
+func TestOpenSyncsCreatedDirectories(t *testing.T) {
+	mem := chaos.NewMemFS()
+	var crashed atomic.Bool // from the crash on, every call of the store's FS fails
+	fsys := chaos.WrapFS(mem, chaos.FSOptions{Fail: func(chaos.Op, string) error {
+		if crashed.Load() {
+			return errors.New("crashed")
+		}
+		return nil
+	}})
+	opts := Options{PersistDir: "/data/em/store", FS: fsys, Cascade: noCascade(), SyncEvery: 1}
+	s, err := Open(&countingClient{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Add(rec("r1", "alpha widget")); err != nil {
+		t.Fatal(err)
+	}
+	crashed.Store(true)
+	mem.Crash()
+	s.Close() // every call fails: this only stops its goroutines
+	opts.FS = mem
+	s, err = Open(&countingClient{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, ok := s.Record("r1"); !ok {
+		t.Fatal("the record SyncEvery 1 made durable did not survive the crash: its directory vanished")
+	}
+}

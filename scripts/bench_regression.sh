@@ -28,9 +28,11 @@
 #    fails if its median exceeds the bare median x TELEMETRY_OVERHEAD
 #    (default 1.5 = +50%): the instrumentation cost of stage timers,
 #    counters and histograms.
-# 6. Checks the blocking postings: the deterministic synthetic 100k
+# 6. Checks the blocking index's size: the deterministic synthetic 100k
 #    index must cost at most half of raw int32 positions (4 B a
-#    posting, by arithmetic: TestPostingsBytesCompression).
+#    posting, by arithmetic: TestPostingsBytesCompression), and the
+#    index file of a deterministic 4 096-record WDC shard must stay
+#    within its bytes-per-record budget (TestEMIXBytesPerRecord).
 # 7. Times the mmap restart path (BenchmarkOpenMapped, 100k-record
 #    snapshot) the way gate 4 times resolves — base revision against
 #    working tree, five alternating runs each — and fails if the
@@ -165,9 +167,9 @@ main() {
     gate_medians "resolve+telemetry" "$tel_runs" "$bare_runs" "bare" "${TELEMETRY_OVERHEAD:-1.5}"
 
     echo ""
-    echo "== postings compression gate =="
-    go test -count=1 -run 'TestPostingsBytesCompression$' -v ./internal/blocking/
-    echo "OK: postings compression gate passed"
+    echo "== postings compression and index file size gate =="
+    go test -count=1 -run 'TestPostingsBytesCompression$|TestEMIXBytesPerRecord$' -v ./internal/blocking/
+    echo "OK: postings compression and index file size gate passed"
 
     echo ""
     echo "== mmap restart gate ($BASE_REF vs working tree) =="
