@@ -285,21 +285,6 @@ func JournalFrame(query string, ds []DecisionEntry) Entry {
 	return Entry{Type: EntryJournal, Payload: c.b}
 }
 
-// JournalQuery parses an EntryJournal payload's header alone: the
-// query ID and the number of decisions the frame announces, checked
-// against the bytes that follow but not decoded.
-func JournalQuery(payload []byte) (query string, n int, err error) {
-	if len(payload) == 0 || payload[0] != binaryV1 {
-		return "", 0, errors.New("persist: decode journal header: unknown payload format")
-	}
-	c := codec{b: payload[1:], decode: true}
-	c.str(&query)
-	if n = c.count(0, 20); c.err != nil {
-		return "", 0, fmt.Errorf("persist: decode journal header: %w", c.err)
-	}
-	return query, n, nil
-}
-
 // DecodeJournal parses an EntryJournal payload.
 func DecodeJournal(payload []byte) (query string, ds []DecisionEntry, err error) {
 	ds, err = decodeEntry("journal", payload, func(c *codec, ds *[]DecisionEntry) {
@@ -307,4 +292,28 @@ func DecodeJournal(payload []byte) (query string, ds []DecisionEntry, err error)
 		c.decisions(ds)
 	})
 	return query, ds, err
+}
+
+// WalkJournal checks an EntryJournal payload as DecodeJournal does
+// without materialising its decisions: it returns the query ID and
+// calls visit with each decision's candidate ID, which aliases payload,
+// and whether the decision is a final match (Match, not Deferred).
+func WalkJournal(payload []byte, visit func(candidate []byte, final bool)) (query string, err error) {
+	_, err = decodeEntry("journal", payload, func(c *codec, _ *struct{}) {
+		c.str(&query)
+		for i, n := 0, c.count(0, 20); i < n && c.err == nil; i++ {
+			candidate := c.take(c.count(0, 1))
+			c.take(16) // block score, probability
+			var flags int
+			if c.int(&flags); flags&^3 != 0 {
+				c.fail()
+			}
+			c.take(c.count(0, 1)) // method
+			c.take(c.count(0, 1)) // answer
+			if c.err == nil {
+				visit(candidate, flags == 1)
+			}
+		}
+	})
+	return query, err
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -190,9 +191,9 @@ var entryCodecs = []struct {
 // announces (a decoded attribute is 16 times wider than its two-byte
 // minimum on the wire, nothing is wider, and growing a slice element
 // by element allocates up to five times its final size in all),
-// decode → encode → decode stable, and trailing bytes rejected. The
-// journal header decoder runs too, and agrees with DecodeJournal on the
-// query ID and the decision count of every payload that decodes whole.
+// decode → encode → decode stable, and trailing bytes rejected.
+// WalkJournal accepts exactly the payloads DecodeJournal does, with the
+// same query ID, candidates and final matches.
 func FuzzDecodeEntries(f *testing.F) {
 	rec, res, red, jou := fuzzEntries()
 	for _, valid := range [][]byte{
@@ -200,6 +201,10 @@ func FuzzDecodeEntries(f *testing.F) {
 		mustEncode(EncodeResolve(res)),
 		mustEncode(EncodeRedecide(red)),
 		mustEncode(encodeJournal(jou)),
+		// The frame of a resolve that decided nothing, and a deferred
+		// match, which is not final.
+		mustEncode(encodeJournal(journalEntry{QueryID: "q0"})),
+		mustEncode(encodeJournal(journalEntry{QueryID: "q2", Decisions: []DecisionEntry{{CandidateID: "r3", Match: true, Deferred: true}}})),
 	} {
 		f.Add(valid)
 		f.Add(valid[:len(valid)/2])                    // truncation
@@ -217,14 +222,18 @@ func FuzzDecodeEntries(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		limit := uint64(128*len(data) + 64<<10)
 		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		q, n, herr := JournalQuery(data)
-		runtime.ReadMemStats(&m1)
-		if got := m1.TotalAlloc - m0.TotalAlloc; got > limit {
-			t.Fatalf("journal header: %d bytes allocated decoding %d", got, len(data))
+		type walked struct {
+			candidate string
+			final     bool
 		}
-		if jq, ds, err := DecodeJournal(data); err == nil && (herr != nil || q != jq || n != len(ds)) {
-			t.Fatalf("journal header = %q, %d, %v; DecodeJournal = %q with %d decisions", q, n, herr, jq, len(ds))
+		var got, want []walked
+		q, werr := WalkJournal(data, func(c []byte, final bool) { got = append(got, walked{string(c), final}) })
+		jq, ds, derr := DecodeJournal(data)
+		for _, d := range ds {
+			want = append(want, walked{d.CandidateID, d.Match && !d.Deferred})
+		}
+		if (werr == nil) != (derr == nil) || derr == nil && (q != jq || !reflect.DeepEqual(got, want)) {
+			t.Fatalf("WalkJournal = %q, %+v, %v; DecodeJournal = %q, %+v, %v", q, got, werr, jq, ds, derr)
 		}
 		for _, c := range entryCodecs {
 			runtime.ReadMemStats(&m0)

@@ -194,7 +194,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("empty dir: ok=%v err=%v", ok, err)
 	}
 	s := &Snapshot{
-		Groups:       [][]string{{"q1", "r1"}, {"r2"}},
 		JournalBytes: 4096,
 		Totals:       ReportEntry{Candidates: 3, LLMPairs: 1, Cents: 0.25},
 		Resolves:     2,
@@ -227,16 +226,21 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // TestSnapshotVersionMismatch: every snapshot.json this build cannot
 // read in full is refused with the upgrade path, never opened without
 // part of its state; the "records": null an older build wrote beside
-// its index files is not such a part.
+// its index files is not such a part. A version-2 file opens with its
+// groups, which version 3 no longer writes.
 func TestSnapshotVersionMismatch(t *testing.T) {
 	for name, tc := range map[string]struct {
-		json string
-		ok   bool
+		json   string
+		ok     bool
+		groups int // V2Groups read back, when ok
 	}{
-		"future version":  {json: `{"version":99}`},
-		"version 1":       {json: `{"version":1,"records":null,"groups":[["q1","r1"]],"journal":[{"query_id":"q1","candidate_id":"r1"}]}`},
-		"inline records":  {json: `{"version":2,"records":[{"record":{"ID":"r1","Attrs":null}}],"journal_bytes":0}`},
-		"records == null": {json: `{"version":2,"records":null,"groups":[["q1","r1"]],"index_epoch":3,"index_shards":8}`, ok: true},
+		"future version":     {json: `{"version":99}`},
+		"version 1":          {json: `{"version":1,"records":null,"groups":[["q1","r1"]],"journal":[{"query_id":"q1","candidate_id":"r1"}]}`},
+		"inline records":     {json: `{"version":2,"records":[{"record":{"ID":"r1","Attrs":null}}],"journal_bytes":0}`},
+		"records == null":    {json: `{"version":2,"records":null,"groups":[["q1","r1"]],"index_epoch":3,"index_shards":8}`, ok: true, groups: 1},
+		"version 2, groups":  {json: `{"version":2,"groups":[["q1","r1"],["q2"]],"journal_bytes":64,"index_epoch":3,"index_shards":8}`, ok: true, groups: 2},
+		"version 3":          {json: `{"version":3,"journal_bytes":64,"totals":{},"resolves":2,"index_epoch":3,"index_shards":8}`, ok: true},
+		"version 3, records": {json: `{"version":3,"records":[{"record":{"ID":"r1","Attrs":null}}],"index_epoch":3,"index_shards":8}`},
 	} {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, SnapshotFile), []byte(tc.json), 0o644); err != nil {
@@ -244,7 +248,7 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 		}
 		s, ok, err := ReadSnapshot(dir)
 		if tc.ok {
-			if err != nil || !ok || s.IndexEpoch != 3 || s.IndexShards != 8 || len(s.Groups) != 1 {
+			if err != nil || !ok || s.IndexEpoch != 3 || s.IndexShards != 8 || len(s.V2Groups) != tc.groups {
 				t.Errorf("%s: ReadSnapshot = %+v, %v, %v", name, s, ok, err)
 			}
 			continue

@@ -16,22 +16,18 @@ const (
 	JournalFile  = "journal.log"
 )
 
-// snapshotVersion guards the on-disk schema; any other version fails
-// loudly.
-const snapshotVersion = 2
+// snapshotVersion is the schema WriteSnapshotFS writes; version 2 also
+// reads, and any other fails loudly.
+const snapshotVersion = 3
 
-// Snapshot is the compacted state of a resolution store: the entity
-// groups, the lifetime cost totals, the deferred queue, and which
-// index files and journal.log prefix hold the records and decisions.
-// Replaying the WAL on top of it must be idempotent — a crash between
-// snapshot rename and WAL reset leaves entries in the log that the
-// snapshot already contains.
+// Snapshot is the commit record of a resolution store: the lifetime
+// cost totals, the deferred queue, and which index files and
+// journal.log prefix hold the records and decisions (whose matches
+// imply the entity groups). Replaying the WAL on top of it must be
+// idempotent — a crash between snapshot rename and WAL reset leaves
+// entries in the log that the snapshot already contains.
 type Snapshot struct {
 	Version int `json:"version"`
-	// Groups are the entity groups as sorted member slices — enough to
-	// rebuild the union-find exactly, since canonical roots are the
-	// smallest members regardless of union order.
-	Groups [][]string `json:"groups"`
 	// JournalBytes is the length of the journal.log prefix this snapshot
 	// commits: every decision journaled before it was cut.
 	JournalBytes int64 `json:"journal_bytes"`
@@ -55,6 +51,9 @@ type Snapshot struct {
 	// be ignored.
 	IndexEpoch  uint64 `json:"index_epoch,omitempty"`
 	IndexShards int    `json:"index_shards,omitempty"`
+	// V2Groups are the sorted entity groups a version-2 file lists,
+	// read for the open that upgrades it; a checkpoint writes none.
+	V2Groups [][]string `json:"groups,omitempty"`
 }
 
 // IndexFileName names one shard's mmap index snapshot within a
@@ -145,9 +144,9 @@ func ReadSnapshotFS(fsys FS, dir string) (s *Snapshot, ok bool, err error) {
 	if err := json.Unmarshal(data, &v); err != nil {
 		return nil, false, fmt.Errorf("persist: decode snapshot: %w", err)
 	}
-	if v.Version != snapshotVersion || len(v.Records) > 0 {
-		return nil, false, fmt.Errorf("persist: snapshot version %d with %d inline records, this build reads version %d "+
-			`with none; see "Upgrading a persistence directory" in docs/OPERATIONS.md`, v.Version, len(v.Records), snapshotVersion)
+	if v.Version < 2 || v.Version > snapshotVersion || len(v.Records) > 0 {
+		return nil, false, fmt.Errorf("persist: snapshot version %d with %d inline records, this build reads versions 2 "+
+			`to %d with none; see "Upgrading a persistence directory" in docs/OPERATIONS.md`, v.Version, len(v.Records), snapshotVersion)
 	}
 	return &v.Snapshot, true, nil
 }

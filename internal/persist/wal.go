@@ -7,12 +7,15 @@
 //
 // Durability layout inside a persistence directory:
 //
-//	snapshot.json      groups, totals, deferred queue, index epoch and
+//	snapshot.json      totals, deferred queue, index epoch and
 //	                   journal_bytes (atomic tmp+rename: the commit point)
 //	journal.log        every decided pair, append-only; only its first
 //	                   journal_bytes bytes are committed
 //	wal.log            entries appended since that snapshot
 //	index-<e>-<n>.emx  the records, written by the blocking layer
+//
+// Nothing else is stored: the entity groups are the closure of the
+// committed journal's matches, which recovery walks (WalkJournal).
 //
 // A checkpoint writes the index files, appends the decisions journaled
 // since the last one to journal.log and fsyncs it, renames
@@ -25,11 +28,11 @@
 // journal already contain. Payloads are the binary layouts of
 // entries.go. The records live only in the index files: a damaged one
 // fails recovery, as a committed journal.log prefix that is not a run
-// of intact frames does.
+// of intact frames that decode does.
 //
 // journal.log is read again after recovery: the store keeps only where
-// each query's frames are (Entry.Offset, JournalQuery) and reads a
-// query's decisions back with ReadEntry when it resolves again. A frame
+// each query's frames are (Entry.Offset) and reads a query's
+// decisions back with ReadEntry when it resolves again. A frame
 // damaged since recovery fails that read with ErrJournalTorn.
 //
 // FS is the only way to disk: the logs, snapshot.json and the index

@@ -220,8 +220,8 @@ func BenchmarkStoreAdd(b *testing.B) {
 
 // benchPersistentStore builds benchStore's records on a persistence
 // directory with the given number of decisions already in journal.log
-// (growJournal's synthetic ones: the journal grows while records,
-// groups and totals stay put) and checkpoints it.
+// (growJournal's synthetic ones: the journal and the groups grow while
+// records and totals stay put) and checkpoints it.
 func benchPersistentStore(b *testing.B, records, journal int) (*Store, Options) {
 	b.Helper()
 	mem, _ := benchStore(b, records)

@@ -107,11 +107,11 @@ func (s *Store) applyResolve(res *Result, fresh []persist.DecisionEntry, counted
 	s.journalDecisions(q, fresh)
 	for _, d := range res.Decisions {
 		if d.Deferred && !d.Journaled {
-			s.res.enqueue(deferredPair{
-				query:       res.Query,
-				candidateID: d.CandidateID,
-				blockScore:  d.BlockScore,
-				probability: d.Probability,
+			s.res.enqueue(persist.DeferredEntry{
+				Query:       res.Query,
+				CandidateID: d.CandidateID,
+				BlockScore:  d.BlockScore,
+				Probability: d.Probability,
 			})
 		}
 	}
@@ -123,9 +123,7 @@ func (s *Store) applyResolve(res *Result, fresh []persist.DecisionEntry, counted
 // already did, and takes the pair off the deferred queue. Caller holds
 // persistMu on a persistent store.
 func (s *Store) applyRedecide(e persist.RedecideEntry, counted bool) {
-	if s.wal != nil {
-		s.journalDecisions(e.QueryID, []persist.DecisionEntry{e.Decision})
-	}
+	s.journalDecisions(e.QueryID, []persist.DecisionEntry{e.Decision})
 	s.graphMu.Lock()
 	if e.Decision.Match {
 		s.graph.Union(e.QueryID, e.Decision.CandidateID)
@@ -139,11 +137,12 @@ func (s *Store) applyRedecide(e persist.RedecideEntry, counted bool) {
 	s.res.remove(pairID{query: e.QueryID, candidate: e.Decision.CandidateID})
 }
 
-// journalDecisions journals a query's decisions: one frame, queued for
-// journal.log, which later lookups read them back from. Caller holds
-// persistMu.
+// journalDecisions journals a query's decisions on a persistent store:
+// one frame, queued for journal.log, which later lookups read them back
+// from and Open folds into the entity graph — so a query's first frame
+// is written even when it decides nothing. Caller holds persistMu.
 func (s *Store) journalDecisions(query string, ds []persist.DecisionEntry) {
-	if len(ds) > 0 {
+	if _, seen := s.journal.newest[query]; s.wal != nil && (len(ds) > 0 || !seen) {
 		s.journal.add(query, ds)
 	}
 }

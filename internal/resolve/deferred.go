@@ -56,17 +56,6 @@ type ResilienceOptions struct {
 	Shed resilience.ShedOptions
 }
 
-// deferredPair is one queued pair awaiting re-escalation. The full
-// query record rides along because re-escalation must rebuild the
-// pair's prompt after the Resolve call (and possibly the process)
-// that deferred it is gone.
-type deferredPair struct {
-	query       entity.Record
-	candidateID string
-	blockScore  float64
-	probability float64
-}
-
 // pairID keys the deferred queue. A struct key keeps arbitrary
 // caller-supplied IDs unambiguous — a string concatenation would
 // collide for IDs containing the separator.
@@ -85,7 +74,7 @@ type resilienceState struct {
 	met     telemetry.ResilienceMetrics
 
 	mu     sync.Mutex
-	queue  []deferredPair
+	queue  []persist.DeferredEntry
 	queued map[pairID]bool
 
 	wake chan struct{}
@@ -117,8 +106,8 @@ func newResilienceState(o ResilienceOptions, met telemetry.ResilienceMetrics) *r
 
 // enqueue adds a pair to the deferred queue unless it is already
 // queued, and wakes the re-escalator.
-func (rs *resilienceState) enqueue(dp deferredPair) {
-	key := pairID{query: dp.query.ID, candidate: dp.candidateID}
+func (rs *resilienceState) enqueue(dp persist.DeferredEntry) {
+	key := pairID{query: dp.Query.ID, candidate: dp.CandidateID}
 	rs.mu.Lock()
 	if rs.queued[key] {
 		rs.mu.Unlock()
@@ -142,7 +131,7 @@ func (rs *resilienceState) enqueue(dp deferredPair) {
 func (rs *resilienceState) remove(key pairID) {
 	rs.mu.Lock()
 	for i, dp := range rs.queue {
-		if dp.query.ID == key.query && dp.candidateID == key.candidate {
+		if dp.Query.ID == key.query && dp.CandidateID == key.candidate {
 			rs.queue = append(rs.queue[:i], rs.queue[i+1:]...)
 			break
 		}
@@ -154,11 +143,11 @@ func (rs *resilienceState) remove(key pairID) {
 }
 
 // head returns the oldest queued pair, if any.
-func (rs *resilienceState) head() (deferredPair, bool) {
+func (rs *resilienceState) head() (persist.DeferredEntry, bool) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	if len(rs.queue) == 0 {
-		return deferredPair{}, false
+		return persist.DeferredEntry{}, false
 	}
 	return rs.queue[0], true
 }
@@ -256,16 +245,16 @@ func (s *Store) drainDeferred() {
 // path and commits the verdict like a resolve (commit.go): WAL append
 // (EntryRedecide), applyRedecide, cadences. Returns false when the LLM
 // call or the append failed and the pair should stay queued.
-func (s *Store) redecide(dp deferredPair) bool {
-	cand, ok := s.Record(dp.candidateID)
+func (s *Store) redecide(dp persist.DeferredEntry) bool {
+	cand, ok := s.Record(dp.CandidateID)
 	if !ok {
 		// The candidate left the store (records are never deleted
 		// today, so this is future-proofing): drop the entry rather
 		// than retrying forever.
-		s.res.remove(pairID{query: dp.query.ID, candidate: dp.candidateID})
+		s.res.remove(pairID{query: dp.Query.ID, candidate: dp.CandidateID})
 		return true
 	}
-	pair := entity.Pair{ID: dp.query.ID + "|" + dp.candidateID, A: dp.query, B: cand}
+	pair := entity.Pair{ID: dp.Query.ID + "|" + dp.CandidateID, A: dp.Query, B: cand}
 	// This is the one path to the model that bypasses a dispatcher, on
 	// purpose: the verdict is the per-pair prompt's own answer, never a
 	// batch position's, which keeps convergence byte-identical.
@@ -274,11 +263,11 @@ func (s *Store) redecide(dp deferredPair) bool {
 		return false
 	}
 	e := persist.RedecideEntry{
-		QueryID: dp.query.ID,
+		QueryID: dp.Query.ID,
 		Decision: persist.DecisionEntry{
-			CandidateID: dp.candidateID,
-			BlockScore:  dp.blockScore,
-			Probability: dp.probability,
+			CandidateID: dp.CandidateID,
+			BlockScore:  dp.BlockScore,
+			Probability: dp.Probability,
 			Match:       prompt.ParseAnswer(resp.Content),
 			Method:      string(MethodLLM),
 			Answer:      resp.Content,

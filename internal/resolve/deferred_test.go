@@ -312,12 +312,11 @@ func TestDeferredConvergesToHealthyRun(t *testing.T) {
 	}
 
 	healthyDir, recoveredDir := t.TempDir(), t.TempDir()
-	healthy := run(healthyDir, false)
+	run(healthyDir, false)
 	recovered := run(recoveredDir, true)
 
-	if !reflect.DeepEqual(healthy.Groups, recovered.Groups) {
-		t.Errorf("groups diverged:\nhealthy:   %v\nrecovered: %v",
-			healthy.Groups, recovered.Groups)
+	if hg, rg := reopenedGroups(t, healthyDir), reopenedGroups(t, recoveredDir); !reflect.DeepEqual(hg, rg) {
+		t.Errorf("groups diverged:\nhealthy:   %v\nrecovered: %v", hg, rg)
 	}
 	toMap := func(js []journaled) map[string]persist.DecisionEntry {
 		m := map[string]persist.DecisionEntry{}
@@ -333,6 +332,18 @@ func TestDeferredConvergesToHealthyRun(t *testing.T) {
 	if len(recovered.Deferred) != 0 {
 		t.Errorf("recovered snapshot still carries %d deferred pairs", len(recovered.Deferred))
 	}
+}
+
+// reopenedGroups opens dir and returns the entity groups the store
+// recovers from it.
+func reopenedGroups(t *testing.T, dir string) [][]string {
+	t.Helper()
+	s, err := Open(&outageClient{}, Options{PersistDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	return s.Snapshot()
 }
 
 // TestDeferredQueueSurvivesCrash resolves during an outage, abandons

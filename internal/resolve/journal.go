@@ -3,6 +3,7 @@ package resolve
 import (
 	"fmt"
 
+	"llm4em/internal/blocking"
 	"llm4em/internal/persist"
 )
 
@@ -35,18 +36,28 @@ type frameRef struct {
 	prev int32  // the query's previous frame, -1 for none
 }
 
-// load indexes journal.log's committed frames at Open. A frame's query
-// ID is all that is decoded, except where a query has more than one
-// frame: those are decoded whole, so that pairs counts their pairs once.
-func (j *journal) load(entries []persist.Entry) error {
+// load indexes journal.log's committed frames at Open and folds each
+// into graph as applyResolve and applyRedecide fold live: the query
+// joins, and each final match (not deferred) unions. Every frame is
+// walked whole, so one that does not decode fails Open.
+func (j *journal) load(entries []persist.Entry, graph *blocking.UnionFind) error {
 	j.newest = make(map[string]int32, len(entries))
 	j.frames = make([]frameRef, 0, len(entries))
+	var matches [][]byte // a frame's final matches, aliasing it
 	for _, e := range entries {
 		if e.Type != persist.EntryJournal {
 			return fmt.Errorf("%w: committed frame at %d has type %d", persist.ErrJournalTorn, e.Offset, e.Type)
 		}
-		q, n, err := persist.JournalQuery(e.Payload)
+		n := 0
+		matches = matches[:0]
+		q, err := persist.WalkJournal(e.Payload, func(c []byte, final bool) {
+			if n++; final {
+				matches = append(matches, c)
+			}
+		})
 		if _, seen := j.newest[q]; err == nil && seen {
+			// The query's earlier frames may have decided some of the
+			// pairs: a redecided deferred pair is journaled twice.
 			var ds []persist.DecisionEntry
 			if _, ds, err = persist.DecodeJournal(e.Payload); err == nil {
 				n, err = j.newPairs(q, ds)
@@ -57,6 +68,10 @@ func (j *journal) load(entries []persist.Entry) error {
 		}
 		j.pairs += uint64(n)
 		j.link(q, frameRef{off: e.Offset, size: uint32(len(e.Payload))})
+		graph.Add(q)
+		for _, c := range matches {
+			graph.Union(q, string(c))
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package resolve
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -20,7 +21,7 @@ type durableState struct {
 	Groups   [][]string
 	Journal  map[pairID]persist.DecisionEntry
 	Totals   Stats
-	Deferred []deferredPair
+	Deferred []persist.DeferredEntry
 }
 
 func stateOf(s *Store) durableState {
@@ -33,7 +34,7 @@ func stateOf(s *Store) durableState {
 		s.res.mu.Unlock()
 		sort.Slice(ds.Deferred, func(i, j int) bool {
 			a, b := ds.Deferred[i], ds.Deferred[j]
-			return a.query.ID+"|"+a.candidateID < b.query.ID+"|"+b.candidateID
+			return a.Query.ID+"|"+a.CandidateID < b.Query.ID+"|"+b.CandidateID
 		})
 	}
 	return ds
@@ -197,6 +198,9 @@ func TestCheckpointCrashWindows(t *testing.T) {
 	}
 	foreign := frame(persist.EntryResolve, persist.JournalFrame("q", []persist.DecisionEntry{{CandidateID: "r"}}).Payload)
 	undecodable := frame(persist.EntryJournal, []byte{0x01, 0xff})
+	// The query ID decodes; the one decision announced, 20 bytes at the
+	// least, claims a 127-byte candidate ID.
+	badDecisions := frame(persist.EntryJournal, append([]byte{0x01, 0x01, 'q', 0x01, 0x7f}, make([]byte, 19)...))
 
 	for name, tc := range map[string]struct {
 		base    string // directory the damage happened in
@@ -214,6 +218,7 @@ func TestCheckpointCrashWindows(t *testing.T) {
 		"bit flip inside journal_bytes":      {base: after, journal: flipped, torn: true},
 		"foreign frame inside journal_bytes": {base: after, journal: foreign, rebind: true, torn: true},
 		"undecodable inside journal_bytes":   {base: after, journal: undecodable, rebind: true, torn: true},
+		"bad decisions inside journal_bytes": {base: after, journal: badDecisions, rebind: true, torn: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -277,9 +282,10 @@ func TestCheckpointCrashWindows(t *testing.T) {
 	}
 }
 
-// growJournal journals n synthetic decisions, ten to a query, the way
-// a resolve does after its WAL append — the journal grows while
-// groups, records and totals stay put.
+// growJournal journals n synthetic decisions, ten to a query, and
+// folds them the way a resolve does: the query joins the entity of its
+// one match, its first candidate. The journal and the groups grow
+// while records and totals stay put.
 func growJournal(s *Store, tag string, n int) {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
@@ -289,7 +295,11 @@ func growJournal(s *Store, tag string, n int) {
 			ds[k] = persist.DecisionEntry{CandidateID: fmt.Sprintf("s%05d", (q*10+k)%10000), BlockScore: 7.5,
 				Probability: 0.5, Match: k == 0, Method: string(MethodLLM), Answer: "No."}
 		}
-		s.journalDecisions(fmt.Sprintf("%s-%06d", tag, q), ds)
+		query := fmt.Sprintf("%s-%06d", tag, q)
+		s.graphMu.Lock()
+		s.graph.Union(query, ds[0].CandidateID)
+		s.graphMu.Unlock()
+		s.journalDecisions(query, ds)
 	}
 }
 
@@ -586,4 +596,160 @@ func TestJournalIndexMatchesOracle(t *testing.T) {
 				res.Query.ID, res.Cost.JournalHits, len(res.Decisions))
 		}
 	}
+}
+
+// TestJournalKeepsQueriesThatResolveAlone pins the entities no match
+// decision names: a query that blocks to no candidate and a stored
+// record re-resolved to stay alone are entities by their journal.log
+// frames alone, empty ones included, so a kill and a reopen keep them,
+// and so does the first checkpoint after an upgrade from a version-2
+// snapshot.json, whose groups list such a query and whose journal
+// holds no frame for it (and one empty group).
+func TestJournalKeepsQueriesThatResolveAlone(t *testing.T) {
+	withShards(t, 2)
+	seed, queries := widgetRecords(4)
+	lone := rec("lone", "zyzzyva quokka")                     // blocks to no candidate
+	alone := rec("r-alone", "xylophone marimba glockenspiel") // stored, and blocks to none
+	check := func(when string, live, got *Store) {
+		t.Helper()
+		for _, id := range []string{lone.ID, alone.ID, queries[0].ID} {
+			want, wok := live.Entity(id)
+			if g, ok := got.Entity(id); ok != wok || !reflect.DeepEqual(g, want) {
+				t.Errorf("%s: Entity(%q) = %v, %v; want %v, %v", when, id, g, ok, want, wok)
+			}
+		}
+		if g, w := got.Snapshot(), live.Snapshot(); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: Snapshot() = %v, want %v", when, g, w)
+		}
+		if g, w := got.GraphIDs(), live.GraphIDs(); g != w {
+			t.Errorf("%s: GraphIDs() = %d, want %d", when, g, w)
+		}
+	}
+	// reopen checkpoints the store, copies its directory as a kill
+	// would leave it and opens the copy.
+	reopen := func(s *Store) *Store {
+		t.Helper()
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		killed := t.TempDir()
+		copyDir(t, s.opts.PersistDir, killed)
+		again, _ := mustOpen(t, killed, Options{Cascade: noCascade()})
+		t.Cleanup(func() { again.Close() })
+		return again
+	}
+
+	dir := t.TempDir()
+	live, _ := mustOpen(t, dir, Options{Cascade: noCascade(), SnapshotEvery: -1})
+	defer live.Close()
+	if err := live.AddBatch(append(seed, alone)); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []entity.Record{lone, alone, queries[0], lone} {
+		res, err := live.Resolve(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.ID != queries[0].ID && (len(res.Decisions) != 0 || len(res.Members) != 1) {
+			t.Fatalf("resolve %s: %d decisions, members %v; want none and itself", q.ID, len(res.Decisions), res.Members)
+		}
+	}
+	if g, ok := live.Entity(queries[0].ID); !ok || len(g) < 2 {
+		t.Fatalf("Entity(%q) = %v, want the query and its matches", queries[0].ID, g)
+	}
+	check("kill and reopen", live, reopen(live))
+
+	// The directory as a version-2 build leaves it: the groups listed,
+	// no frame for a query that decided nothing.
+	v2 := t.TempDir()
+	copyDir(t, dir, v2)
+	snap, _, err := persist.ReadSnapshot(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, jrec, err := persist.OpenWAL(filepath.Join(v2, persist.JournalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames []persist.Entry
+	for _, e := range jrec.Entries {
+		if _, ds, err := persist.DecodeJournal(e.Payload); err != nil || len(ds) > 0 {
+			frames = append(frames, persist.Entry{Type: e.Type, Payload: append([]byte(nil), e.Payload...)})
+		}
+	}
+	if len(frames) == len(jrec.Entries) {
+		t.Fatal("journal.log holds no empty frame")
+	}
+	path := filepath.Join(v2, persist.JournalFile)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	w, _, err := persist.OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(w.AppendEntries(frames), w.Close()); err != nil {
+		t.Fatal(err)
+	}
+	// An empty group, as a damaged or hand-edited file can hold, adds
+	// nothing.
+	snap.Version, snap.V2Groups, snap.JournalBytes = 2, append(live.Snapshot(), []string{}), w.Bytes()
+	data, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(v2, persist.SnapshotFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	upgraded, _ := mustOpen(t, v2, Options{Cascade: noCascade()})
+	defer upgraded.Close()
+	if g, ok := upgraded.Entity(lone.ID); !ok || !reflect.DeepEqual(g, []string{lone.ID}) {
+		t.Fatalf("version-2 open: Entity(%q) = %v, %v", lone.ID, g, ok)
+	}
+	check("upgrade, checkpoint, kill and reopen", upgraded, reopen(upgraded))
+}
+
+// TestJournalImpliesGroups pins snapshot.json as a commit record: with
+// the deferred queue empty it stays under a kilobyte however many
+// groups the resolves formed, and a reopen rebuilds them all from
+// journal.log.
+func TestJournalImpliesGroups(t *testing.T) {
+	withShards(t, 2)
+	seed, queries := widgetRecords(200)
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, Options{Cascade: noCascade(), SnapshotEvery: -1})
+	if err := s.AddBatch(seed); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range queries {
+		if _, err := s.Resolve(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := s.Snapshot()
+	multi := 0
+	for _, g := range want {
+		if len(g) > 1 {
+			multi++
+		}
+	}
+	if multi < 100 || s.Stats().Resilience.DeferredQueue != 0 {
+		t.Fatalf("%d multi-member groups and %d deferred pairs, want at least 100 and none", multi, s.Stats().Resilience.DeferredQueue)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(filepath.Join(dir, persist.SnapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() >= 1024 {
+		t.Errorf("snapshot.json is %d bytes over %d groups, want under 1 KB", fi.Size(), multi)
+	}
+	again, _ := mustOpen(t, dir, Options{Cascade: noCascade()})
+	defer again.Close()
+	if got := again.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("reopened groups differ:\ngot  %v\nwant %v", got, want)
+	}
+	checkJournalClosure(t, dir, again)
 }

@@ -19,16 +19,16 @@ import (
 // PersistDir, Open is New). Opening an existing directory recovers
 // the previous state — ingested records, entity groups, the decision
 // journal and the lifetime cost totals — by loading the last snapshot,
-// indexing the journal.log frames it commits (their decisions stay on
-// disk until their query resolves again) and replaying the write-ahead
-// log on top, without a single LLM call. A torn WAL tail (crash
-// mid-append) is detected, dropped and truncated; replaying entries the
-// snapshot already contains (crash between snapshot and log reset) is
-// idempotent.
+// walking the journal.log frames it commits (their matches rebuild the
+// entity groups; their decisions stay on disk until their query
+// resolves again) and replaying the write-ahead log on top, without a
+// single LLM call. A torn WAL tail (crash mid-append) is detected,
+// dropped and truncated; replaying entries the snapshot already
+// contains (crash between snapshot and log reset) is idempotent.
 // Damaged committed state — an index file the snapshot references that
 // is torn, missing or of another format version, or a short or corrupt
-// committed journal.log prefix — fails Open with a typed error before
-// any file is touched.
+// committed journal.log prefix or a frame in it that does not decode —
+// fails Open with a typed error before any file is touched.
 //
 // Pairs found in the recovered decision journal short-circuit later
 // Resolve calls: the durable decision is reused instead of re-running
@@ -88,7 +88,7 @@ func Open(client llm.Client, opts Options) (*Store, error) {
 	// has a WAL, at replay as live.
 	s.wal, s.journal.log = wal, jlog
 	// The journal first: installSnapshot filters the deferred queue by it.
-	err = s.journal.load(jrec.Entries)
+	err = s.journal.load(jrec.Entries, s.graph)
 	if err == nil {
 		err = s.installSnapshot(snap)
 	}
@@ -133,22 +133,27 @@ type persistState struct {
 }
 
 // installSnapshot loads the rest of a compacted state — the records
-// are in place (installMapped) and the journal is indexed — into a
-// fresh store. Called before the store is shared, so field access needs
-// no locks.
+// are in place (installMapped) and the journal is indexed and folded —
+// into a fresh store. Called before the store is shared, so field
+// access needs no locks.
 func (s *Store) installSnapshot(snap *persist.Snapshot) error {
 	for _, sh := range s.shards {
 		s.count.Add(int64(sh.ix.Len()))
 	}
 	s.pstate.recoveredRecords = s.Len()
-	for _, g := range snap.Groups {
-		// A stored record's singleton group — snapshots of older builds
-		// list every one — is implicit in memory.
+	// A version-2 file lists the groups, which the journal implies but
+	// for a query that resolved to no candidate: that build journaled no
+	// frame for it, so it gets its empty one here. A stored record's
+	// singleton (older builds list every one) is implicit.
+	for _, g := range snap.V2Groups {
 		if len(g) == 1 && s.stored(g[0]) {
 			continue
 		}
 		for _, id := range g {
 			s.graph.Union(g[0], id) // adds g[0] itself first
+		}
+		if len(g) == 1 {
+			s.journalDecisions(g[0], nil)
 		}
 	}
 	// Rebuild the deferred queue from the snapshot's carried query
@@ -163,12 +168,7 @@ func (s *Store) installSnapshot(snap *persist.Snapshot) error {
 		if !ok || !je.Deferred {
 			continue
 		}
-		s.res.enqueue(deferredPair{
-			query:       de.Query,
-			candidateID: de.CandidateID,
-			blockScore:  de.BlockScore,
-			probability: de.Probability,
-		})
+		s.res.enqueue(de)
 	}
 	s.totals = totals{resolves: snap.Resolves, redecided: snap.Redecided, report: snap.Totals}
 	s.pstate.recoveredResolves += snap.Resolves
@@ -182,9 +182,8 @@ func (s *Store) installSnapshot(snap *persist.Snapshot) error {
 // re-serialized, re-extracted or re-indexed at open; extractions
 // materialize lazily as records surface as resolve candidates, and no
 // record is walked into the entity graph, where singleton groups are
-// implicit (non-singleton groups and resolved-query singletons ride
-// snap.Groups as always). A shard-count change re-inserts every mapped
-// record under the new routing (a full rebuild).
+// implicit. A shard-count change re-inserts every mapped record under
+// the new routing (a full rebuild).
 //
 // A torn, missing or version-skewed file fails with an error that wraps
 // blocking.ErrSnapshotTorn, blocking.ErrSnapshotVersion or
@@ -288,6 +287,7 @@ func (s *Store) replay(entries []persist.Entry) error {
 // checkpoint to journal.log, fsync it, write and rename snapshot.json
 // — the single commit point, vouching for that journal.log length —
 // and reset the WAL (docs/ARCHITECTURE.md walks the crash windows).
+// The entity groups are not written: Open folds them from journal.log.
 // Caller holds persistMu, which blocks concurrent appends; any
 // in-memory mutation not yet journaled lands in the snapshot and its
 // late WAL entry replays idempotently.
@@ -318,21 +318,11 @@ func (s *Store) checkpointLocked() error {
 		errs[i] = persist.WriteAtomic(fsys, filepath.Join(dir, persist.IndexFileName(snap.IndexEpoch, i)), sh.ix.Encode)
 	})
 	err := errors.Join(errs...)
-	// Only what took part in a resolve: stored records the graph has
-	// not seen are singletons on disk as in memory, by their absence.
 	s.graphMu.Lock()
-	snap.Groups = s.graph.Groups()
 	snap.Resolves, snap.Redecided, snap.Totals = s.totals.resolves, s.totals.redecided, s.totals.report
 	s.graphMu.Unlock()
 	s.res.mu.Lock()
-	for _, dp := range s.res.queue {
-		snap.Deferred = append(snap.Deferred, persist.DeferredEntry{
-			Query:       dp.query,
-			CandidateID: dp.candidateID,
-			BlockScore:  dp.blockScore,
-			Probability: dp.probability,
-		})
-	}
+	snap.Deferred = append(snap.Deferred, s.res.queue...)
 	s.res.mu.Unlock()
 	// Until the rename below the extension is an uncommitted tail: a
 	// reopen cuts it away, and wal.log still holds its decisions. Once it

@@ -52,7 +52,12 @@
 #    sized, and what still grows is blocking.OpenMapped's sweep of a
 #    vocabulary this synthetic corpus grows in step with its records)
 #    against 10.6-12.0x (4.4-7.0 ms -> 52-74 ms) when open walked
-#    every record into the entity graph.
+#    every record into the entity graph. It then times
+#    BenchmarkStoreOpen/journal=100k (10k records under 100k journaled
+#    decisions) of the base revision against the working tree, in five
+#    alternating runs like gate 4, and fails if the change's median
+#    exceeds twice the base's: open walks every committed journal.log
+#    frame to rebuild the entity groups, so it grows with the journal.
 # 10. Holds the local path's allocations to fixed budgets: allocs/op
 #    of BenchmarkGeneralizedJaccard must be 0, of BenchmarkPairFeatures
 #    (pre-extracted pairs) at most 4, of
@@ -219,6 +224,12 @@ main() {
         }
         print "OK: store open gate passed"
     }'
+    local jopen_base="" jopen_change=""
+    for _ in $(seq "$ROUNDS"); do
+        jopen_base="$jopen_base $(bench_ns base resolve BenchmarkStoreOpen/journal=100k)"
+        jopen_change="$jopen_change $(bench_ns change resolve BenchmarkStoreOpen/journal=100k)"
+    done
+    gate_medians "store open (100k-decision journal)" "$jopen_change" "$jopen_base" "$BASE_REF" 2
 
     echo ""
     echo "== local-path allocation gate =="
