@@ -25,6 +25,14 @@ func NewUnionFind() *UnionFind {
 	}
 }
 
+// Grow sizes an empty forest's ID map for n IDs, so a bulk fold does
+// not rehash it as it grows. A forest that holds IDs is left as it is.
+func (u *UnionFind) Grow(n int) {
+	if len(u.parent) == 0 {
+		u.parent = make(map[string]string, n)
+	}
+}
+
 // Add ensures the ID is present, as a singleton set if it is new, and
 // returns its root.
 func (u *UnionFind) Add(id string) string {

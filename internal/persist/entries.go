@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"llm4em/internal/cost"
 	"llm4em/internal/entity"
@@ -71,8 +72,16 @@ type DeferredEntry struct {
 	Probability float64       `json:"probability"`
 }
 
-// binaryV1 opens every payload.
-const binaryV1 = 0x01
+// Payload formats, the first byte of every payload: both decode, every
+// encoder writes version 2. They differ only in codec.decision.
+const binaryV1, binaryV2 = 0x01, 0x02
+
+// methods and answers are what a version-2 decision codes by index plus
+// one, 0 meaning the string follows: resolve's Method names and the
+// replies of a forced Yes/No prompt. Changing either is a new format.
+var methods = [...]string{"", "cascade-accept", "cascade-reject", "llm", "budget-local",
+	"llm-compare", "llm-select", "llm-reason", "deferred-local"}
+var answers = [...]string{"", "Yes", "No"}
 
 var errPayload = errors.New("malformed binary payload")
 
@@ -85,7 +94,13 @@ var errPayload = errors.New("malformed binary payload")
 type codec struct {
 	b      []byte
 	decode bool
-	err    error
+	skim   bool // decode strings without materialising them
+	v      byte // payload format
+	// prev is the ID the next candidate ID is front-coded against (after),
+	// in scratch while it fits.
+	prev    []byte
+	scratch [48]byte
+	err     error
 }
 
 func (c *codec) fail() { c.err, c.b = errPayload, nil }
@@ -124,9 +139,20 @@ func (c *codec) count(n, min int) int {
 	return n
 }
 
+// byte codes *p, 0–255, as one byte.
+func (c *codec) byte(p *int) {
+	if !c.decode {
+		c.b = append(c.b, byte(*p))
+	} else if b := c.take(1); b != nil {
+		*p = int(b[0])
+	}
+}
+
 func (c *codec) str(p *string) {
 	if n := c.count(len(*p), 1); c.decode {
-		*p = string(c.take(n))
+		if b := c.take(n); !c.skim {
+			*p = string(b)
+		}
 	} else {
 		c.b = append(c.b, *p...)
 	}
@@ -152,29 +178,74 @@ func (c *codec) record(r *entity.Record) {
 	}
 }
 
-// Decision: candidate ID, block score, probability, flags (1 match,
-// 2 deferred), method, answer — at least 20 bytes.
-func (c *codec) decision(d *DecisionEntry) {
-	c.str(&d.CandidateID)
+// Decision: candidate ID, block score, probability, a code holding the
+// flags (1 match, 2 deferred), method, answer. Version 1 writes the
+// code as a uvarint of the flags, and both strings: at least 20 bytes.
+// Version 2 front-codes the candidate ID, one byte saying how many
+// leading bytes (at most 255) it shares with c.prev, and puts the
+// answer's and the method's named codes in bits 2–3 and 4–7 of a code
+// byte: at least 19 bytes. It returns the candidate ID, valid until the
+// next decision.
+func (c *codec) decision(d *DecisionEntry) []byte {
+	shared := 0
+	if c.v == binaryV2 {
+		for !c.decode && shared < min(len(d.CandidateID), len(c.prev), 255) && d.CandidateID[shared] == c.prev[shared] {
+			shared++
+		}
+		if c.byte(&shared); shared > len(c.prev) {
+			c.fail() // more than the previous ID holds
+			return nil
+		}
+	}
+	if !c.decode {
+		rest := d.CandidateID[shared:]
+		c.str(&rest)
+		c.after(d.CandidateID)
+	} else if c.prev = append(c.prev[:shared], c.take(c.count(0, 1))...); !c.skim {
+		d.CandidateID = string(c.prev)
+	}
 	c.f64(&d.BlockScore)
 	c.f64(&d.Probability)
-	var flags int
+	var code int
 	if d.Match {
-		flags |= 1
+		code |= 1
 	}
 	if d.Deferred {
-		flags |= 2
+		code |= 2
 	}
-	if c.int(&flags); flags&^3 != 0 {
-		c.fail() // a bit no field owns
+	if c.v == binaryV1 {
+		if c.int(&code); code&^3 != 0 {
+			c.fail() // a bit no field owns
+		}
+	} else {
+		if !c.decode {
+			code |= (slices.Index(answers[:], d.Answer)+1)<<2 | (slices.Index(methods[:], d.Method)+1)<<4
+		}
+		c.byte(&code)
 	}
-	d.Match, d.Deferred = flags&1 != 0, flags&2 != 0
-	c.str(&d.Method)
-	c.str(&d.Answer)
+	c.named(&d.Method, methods[:], code>>4)
+	c.named(&d.Answer, answers[:], code>>2&3)
+	d.Match, d.Deferred = code&1 != 0, code&2 != 0
+	return c.prev
+}
+
+// after makes id the ID the next candidate ID is front-coded against.
+func (c *codec) after(id string) { c.prev = append(c.scratch[:0], id...) }
+
+// named codes a string by i, its index in table plus one, or as itself
+// after i = 0.
+func (c *codec) named(p *string, table []string, i int) {
+	if i == 0 {
+		c.str(p)
+	} else if i > len(table) {
+		c.fail() // a code no value owns
+	} else if c.decode {
+		*p = table[i-1]
+	}
 }
 
 func (c *codec) decisions(ds *[]DecisionEntry) {
-	for i, n := 0, c.count(len(*ds), 20); i < n && c.err == nil; i++ {
+	for i, n := 0, c.count(len(*ds), 19); i < n && c.err == nil; i++ {
 		if c.decode {
 			*ds = append(*ds, DecisionEntry{})
 		}
@@ -205,6 +276,7 @@ func (c *codec) report(r *ReportEntry) {
 func (c *codec) resolve(e *ResolveEntry) {
 	c.int(&e.Seq)
 	c.record(&e.Query)
+	c.after(e.Query.ID)
 	c.decisions(&e.Decisions)
 	c.report(&e.Report)
 }
@@ -214,6 +286,7 @@ func (c *codec) resolve(e *ResolveEntry) {
 func (c *codec) redecide(e *RedecideEntry) {
 	c.int(&e.Seq)
 	c.str(&e.QueryID)
+	c.after(e.QueryID)
 	c.decision(&e.Decision)
 	c.int(&e.PromptTokens)
 	c.int(&e.CompletionTokens)
@@ -221,14 +294,14 @@ func (c *codec) redecide(e *RedecideEntry) {
 }
 
 // encoder starts a payload of about size bytes.
-func encoder(size int) codec { return codec{b: append(make([]byte, 0, size), binaryV1)} }
+func encoder(size int) codec { return codec{b: append(make([]byte, 0, size), binaryV2), v: binaryV2} }
 
 // decodeEntry parses a payload, rejecting trailing bytes.
 func decodeEntry[T any](what string, payload []byte, walk func(*codec, *T)) (e T, err error) {
-	if len(payload) == 0 || payload[0] != binaryV1 {
+	if len(payload) == 0 || payload[0] != binaryV1 && payload[0] != binaryV2 {
 		err = errors.New("unknown payload format")
 	} else {
-		c := codec{b: payload[1:], decode: true}
+		c := codec{b: payload[1:], decode: true, v: payload[0]}
 		walk(&c, &e)
 		if err = c.err; err == nil && len(c.b) > 0 {
 			err = fmt.Errorf("%d trailing bytes", len(c.b))
@@ -279,8 +352,9 @@ func DecodeRedecide(payload []byte) (RedecideEntry, error) {
 // JournalFrame encodes the decisions journaled for a query as a
 // journal.log entry (query ID, decisions); later frames win pair by pair.
 func JournalFrame(query string, ds []DecisionEntry) Entry {
-	c := encoder(32 + 64*len(ds))
+	c := encoder(32 + 32*len(ds))
 	c.str(&query)
+	c.after(query)
 	c.decisions(&ds)
 	return Entry{Type: EntryJournal, Payload: c.b}
 }
@@ -289,6 +363,7 @@ func JournalFrame(query string, ds []DecisionEntry) Entry {
 func DecodeJournal(payload []byte) (query string, ds []DecisionEntry, err error) {
 	ds, err = decodeEntry("journal", payload, func(c *codec, ds *[]DecisionEntry) {
 		c.str(&query)
+		c.after(query)
 		c.decisions(ds)
 	})
 	return query, ds, err
@@ -296,22 +371,18 @@ func DecodeJournal(payload []byte) (query string, ds []DecisionEntry, err error)
 
 // WalkJournal checks an EntryJournal payload as DecodeJournal does
 // without materialising its decisions: it returns the query ID and
-// calls visit with each decision's candidate ID, which aliases payload,
-// and whether the decision is a final match (Match, not Deferred).
+// calls visit with each decision's candidate ID, valid only during the
+// call, and whether the decision is a final match (Match, not
+// Deferred).
 func WalkJournal(payload []byte, visit func(candidate []byte, final bool)) (query string, err error) {
 	_, err = decodeEntry("journal", payload, func(c *codec, _ *struct{}) {
 		c.str(&query)
-		for i, n := 0, c.count(0, 20); i < n && c.err == nil; i++ {
-			candidate := c.take(c.count(0, 1))
-			c.take(16) // block score, probability
-			var flags int
-			if c.int(&flags); flags&^3 != 0 {
-				c.fail()
-			}
-			c.take(c.count(0, 1)) // method
-			c.take(c.count(0, 1)) // answer
-			if c.err == nil {
-				visit(candidate, flags == 1)
+		c.after(query)
+		c.skim = true
+		var d DecisionEntry
+		for i, n := 0, c.count(0, 19); i < n && c.err == nil; i++ {
+			if id := c.decision(&d); c.err == nil {
+				visit(id, d.Match && !d.Deferred)
 			}
 		}
 	})

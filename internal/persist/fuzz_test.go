@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"llm4em/internal/cost"
@@ -148,40 +150,74 @@ func mustEncode(p []byte, err error) []byte {
 	return p
 }
 
-// entryCodecs pairs each binary payload type's decoder with its
-// encoder, as functions over payload bytes.
-var entryCodecs = []struct {
-	name   string
-	recode func([]byte) ([]byte, error)
-}{
-	{"record", func(p []byte) ([]byte, error) {
-		e, err := DecodeRecord(p)
-		if err != nil {
-			return nil, err
+// entryCodec is one binary payload type as functions over payload
+// bytes: its decoder, its encoder (version 2) and encodeV1, the
+// version-1 layout the codec still reads, driven through the same walk.
+type entryCodec struct {
+	name             string
+	decode           func([]byte) (any, error)
+	encode, encodeV1 func(any) []byte
+}
+
+func codecOf[T any](name string, decode func([]byte) (T, error), encode func(T) ([]byte, error), walk func(*codec, *T)) entryCodec {
+	return entryCodec{
+		name:     name,
+		decode:   func(p []byte) (any, error) { return decode(p) },
+		encode:   func(e any) []byte { return mustEncode(encode(e.(T))) },
+		encodeV1: func(e any) []byte { return encodeV1(walk, e.(T)) },
+	}
+}
+
+var entryCodecs = []entryCodec{
+	codecOf("record", DecodeRecord, EncodeRecord, (*codec).record),
+	codecOf("resolve", DecodeResolve, EncodeResolve, (*codec).resolve),
+	codecOf("redecide", DecodeRedecide, EncodeRedecide, (*codec).redecide),
+	codecOf("journal", decodeJournal, encodeJournal, codeJournal),
+}
+
+func codeJournal(c *codec, e *journalEntry) {
+	c.str(&e.QueryID)
+	c.after(e.QueryID)
+	c.decisions(&e.Decisions)
+}
+
+// encodeV1 writes e in the version-1 layout.
+func encodeV1[T any](walk func(*codec, *T), e T) []byte {
+	c := codec{b: []byte{binaryV1}, v: binaryV1}
+	walk(&c, &e)
+	return c.b
+}
+
+// codedJournal journals one decision for every method and answer code,
+// literal escapes included, and a 400-byte reason answer.
+func codedJournal() journalEntry {
+	e := journalEntry{QueryID: "wdc-q-1042"}
+	for i, m := range append(methods[:], "custom-method") {
+		for k, a := range append(answers[:], "Yes.", strings.Repeat("the brands agree; ", 22)+"Final Answer: Yes") {
+			e.Decisions = append(e.Decisions, DecisionEntry{CandidateID: fmt.Sprintf("wdc-r-%d", 997+7*i+k),
+				BlockScore: float64(i), Probability: float64(k) / 4, Match: k%2 == 0, Method: m, Answer: a, Deferred: i == 8})
 		}
-		return EncodeRecord(e)
-	}},
-	{"resolve", func(p []byte) ([]byte, error) {
-		e, err := DecodeResolve(p)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeResolve(e)
-	}},
-	{"redecide", func(p []byte) ([]byte, error) {
-		e, err := DecodeRedecide(p)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeRedecide(e)
-	}},
-	{"journal", func(p []byte) ([]byte, error) {
-		e, err := decodeJournal(p)
-		if err != nil {
-			return nil, err
-		}
-		return encodeJournal(e)
-	}},
+	}
+	return e
+}
+
+// walkAgrees requires WalkJournal to accept exactly the payloads
+// DecodeJournal does, with the same query ID, candidates and final
+// matches.
+func walkAgrees(t *testing.T, data []byte) {
+	type walked struct {
+		candidate string
+		final     bool
+	}
+	var got, want []walked
+	q, werr := WalkJournal(data, func(c []byte, final bool) { got = append(got, walked{string(c), final}) })
+	jq, ds, derr := DecodeJournal(data)
+	for _, d := range ds {
+		want = append(want, walked{d.CandidateID, d.Match && !d.Deferred})
+	}
+	if (werr == nil) != (derr == nil) || derr == nil && (q != jq || !reflect.DeepEqual(got, want)) {
+		t.Fatalf("WalkJournal = %q, %+v, %v; DecodeJournal = %q, %+v, %v", q, got, werr, jq, ds, derr)
+	}
 }
 
 // FuzzDecodeEntries feeds arbitrary bytes to every binary payload
@@ -189,11 +225,14 @@ var entryCodecs = []struct {
 // could carry — and pins the decoding contract: no panic, allocation
 // in proportion to the payload length however large the counts it
 // announces (a decoded attribute is 16 times wider than its two-byte
-// minimum on the wire, nothing is wider, and growing a slice element
-// by element allocates up to five times its final size in all),
-// decode → encode → decode stable, and trailing bytes rejected.
+// minimum on the wire, a decision 80 bytes wide plus a candidate ID of
+// at most 255 bytes it did not consume against its 19-byte minimum,
+// and growing a slice element by element allocates up to five times
+// its final size in all), decode → encode → decode stable, and trailing
+// bytes rejected. Each accepted entry is written in both formats, the
+// version-1 layout being the oracle, and both must decode to it.
 // WalkJournal accepts exactly the payloads DecodeJournal does, with the
-// same query ID, candidates and final matches.
+// same query ID, candidates and final matches, in either format.
 func FuzzDecodeEntries(f *testing.F) {
 	rec, res, red, jou := fuzzEntries()
 	for _, valid := range [][]byte{
@@ -219,25 +258,25 @@ func FuzzDecodeEntries(f *testing.F) {
 	f.Add(append([]byte{binaryV1}, bytes.Repeat([]byte{0xff}, 11)...))
 	f.Add([]byte{})
 	f.Add([]byte{0x7f, 0x00})
+	// Every method and answer code, both literal escapes and a 400-byte
+	// reason answer, in both formats; the version-1 resolve and redecide
+	// entries; a version-2 empty frame and a 2^35-decision one; shared
+	// past the previous ID, and a method code no value owns.
+	f.Add(mustEncode(encodeJournal(codedJournal())))
+	f.Add(encodeV1(codeJournal, codedJournal()))
+	f.Add(encodeV1((*codec).resolve, res))
+	f.Add(encodeV1((*codec).redecide, red))
+	f.Add([]byte{binaryV2, 2, 'q', '1', 0})
+	f.Add(append([]byte{binaryV2, 1, 'q'}, binary.AppendUvarint(nil, 1<<35)...))
+	f.Add(append(append([]byte{binaryV2, 1, 'q', 1, 2, 0}, make([]byte, 16)...), 0))
+	f.Add(append(append([]byte{binaryV2, 1, 'q', 1, 0, 1, 'r'}, make([]byte, 16)...), 10<<4))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		limit := uint64(128*len(data) + 64<<10)
 		var m0, m1 runtime.MemStats
-		type walked struct {
-			candidate string
-			final     bool
-		}
-		var got, want []walked
-		q, werr := WalkJournal(data, func(c []byte, final bool) { got = append(got, walked{string(c), final}) })
-		jq, ds, derr := DecodeJournal(data)
-		for _, d := range ds {
-			want = append(want, walked{d.CandidateID, d.Match && !d.Deferred})
-		}
-		if (werr == nil) != (derr == nil) || derr == nil && (q != jq || !reflect.DeepEqual(got, want)) {
-			t.Fatalf("WalkJournal = %q, %+v, %v; DecodeJournal = %q, %+v, %v", q, got, werr, jq, ds, derr)
-		}
+		walkAgrees(t, data)
 		for _, c := range entryCodecs {
 			runtime.ReadMemStats(&m0)
-			first, err := c.recode(data)
+			e, err := c.decode(data)
 			runtime.ReadMemStats(&m1)
 			if got := m1.TotalAlloc - m0.TotalAlloc; got > limit {
 				t.Fatalf("%s: %d bytes allocated decoding %d", c.name, got, len(data))
@@ -245,18 +284,25 @@ func FuzzDecodeEntries(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if len(first) > len(data) {
-				t.Fatalf("%s: %d payload bytes re-encode to %d", c.name, len(data), len(first))
+			v1, v2 := c.encodeV1(e), c.encode(e)
+			if own := map[byte][]byte{binaryV1: v1, binaryV2: v2}[data[0]]; len(own) > len(data) {
+				t.Fatalf("%s: %d payload bytes re-encode to %d in their format", c.name, len(data), len(own))
 			}
-			second, err := c.recode(first)
-			if err != nil {
-				t.Fatalf("%s: re-encoded payload does not decode: %v", c.name, err)
-			}
-			if !bytes.Equal(first, second) {
-				t.Fatalf("%s: decode → encode → decode is not stable:\n%x\n%x", c.name, first, second)
-			}
-			if _, err := c.recode(append(append([]byte{}, first...), 0)); err == nil {
-				t.Fatalf("%s: trailing byte accepted", c.name)
+			for _, p := range [][]byte{v1, v2} {
+				// Bytes, not reflect.DeepEqual: a NaN score is equal to itself.
+				got, err := c.decode(p)
+				if err != nil {
+					t.Fatalf("%s: re-encoded version-%d payload does not decode: %v", c.name, p[0], err)
+				}
+				if again := c.encode(got); !bytes.Equal(again, v2) {
+					t.Fatalf("%s: the version-%d payload decodes to another entry:\n%x\n%x", c.name, p[0], v2, again)
+				}
+				if _, err := c.decode(append(append([]byte{}, p...), 0)); err == nil {
+					t.Fatalf("%s: trailing byte accepted", c.name)
+				}
+				if c.name == "journal" {
+					walkAgrees(t, p)
+				}
 			}
 		}
 	})

@@ -350,11 +350,22 @@ func TestBinaryCodecs(t *testing.T) {
 	if got, err := decodeJournal(mustEncode(encodeJournal(jou))); err != nil || !reflect.DeepEqual(got, jou) {
 		t.Errorf("journal codec: %+v err=%v", got, err)
 	}
+	// Version 1 still decodes; version 2 front-codes the candidate ID
+	// and codes the flags, the answer and the method in one byte.
+	if got, err := DecodeResolve(encodeV1((*codec).resolve, res)); err != nil || !bytes.Equal(mustEncode(EncodeResolve(got)), p) {
+		t.Errorf("version-1 resolve entry decodes to %+v, %v", got, err)
+	}
+	want := append(append([]byte{binaryV2, 6, 'w', 'd', 'c', '-', 'q', '1', 1, 4, 2, 'r', '7'}, make([]byte, 16)...), 1|2<<2|4<<4)
+	if got := JournalFrame("wdc-q1", []DecisionEntry{{CandidateID: "wdc-r7", Match: true, Method: "llm", Answer: "Yes"}}).Payload; !bytes.Equal(got, want) {
+		t.Errorf("version-2 journal payload:\n%x, want\n%x", got, want)
+	}
 	for name, bad := range map[string][]byte{
-		"empty":          {},
-		"unknown format": {0x02, 0x00},
-		"JSON":           []byte(`{"query_id":"q1","decisions":[]}`),
-		"unowned flag":   append(append([]byte{binaryV1, 1, 'q', 1, 1, 'r'}, make([]byte, 16)...), 0x04, 0, 0),
+		"empty":                       {},
+		"unknown format":              {0x03, 0x00},
+		"JSON":                        []byte(`{"query_id":"q1","decisions":[]}`),
+		"unowned flag":                append(append([]byte{binaryV1, 1, 'q', 1, 1, 'r'}, make([]byte, 16)...), 0x04, 0, 0),
+		"shared past the previous ID": append(append([]byte{binaryV2, 1, 'q', 1, 2, 0}, make([]byte, 16)...), 0),
+		"unowned method code":         append(append([]byte{binaryV2, 1, 'q', 1, 0, 1, 'r'}, make([]byte, 16)...), 10<<4),
 	} {
 		if _, _, err := DecodeJournal(bad); err == nil {
 			t.Errorf("%s payload accepted", name)

@@ -205,7 +205,12 @@ func scan(f File, limit int64) (Recovery, int64, error) {
 	if _, err := io.ReadFull(f, buf); err != nil {
 		return Recovery{}, 0, fmt.Errorf("persist: read log: %w", err)
 	}
-	var rec Recovery
+	// The length fields alone bound the entries: one allocation holds them.
+	frames := 0
+	for off := 0; len(buf)-off >= headerSize+crcSize; frames++ {
+		off += headerSize + int(binary.LittleEndian.Uint32(buf[off+1:])) + crcSize
+	}
+	rec := Recovery{Entries: make([]Entry, 0, frames)}
 	off := 0
 	for len(buf)-off >= headerSize+crcSize {
 		n := binary.LittleEndian.Uint32(buf[off+1:])

@@ -2,11 +2,18 @@ package resolve
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"llm4em/internal/entity"
 	"llm4em/internal/features"
+	"llm4em/internal/persist"
 )
 
 func TestCascadeOptionEdges(t *testing.T) {
@@ -113,5 +120,52 @@ func TestAddBatchStopsAtError(t *testing.T) {
 	}
 	if s.Len() != 1 {
 		t.Errorf("Len after store-dup batch = %d, want 1", s.Len())
+	}
+}
+
+// TestMethodsJournalCoded finds every Method constant in the package
+// source and requires a journal frame to code it in the decision's code
+// byte, as it codes "": a method the payload format has no code for
+// would be spelled out in every decision journaled with it.
+func TestMethodsJournalCoded(t *testing.T) {
+	size := func(m string) int {
+		return len(persist.JournalFrame("q", []persist.DecisionEntry{{CandidateID: "r", Method: m}}).Payload)
+	}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var found []string
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			spec, ok := n.(*ast.ValueSpec)
+			if !ok {
+				return true
+			}
+			if typ, ok := spec.Type.(*ast.Ident); !ok || typ.Name != "Method" {
+				return true
+			}
+			for i, v := range spec.Values {
+				lit, ok := v.(*ast.BasicLit)
+				m, err := strconv.Unquote(lit.Value)
+				if !ok || err != nil {
+					t.Fatalf("%s: Method constant %s is not a string literal", name, spec.Names[i])
+				}
+				if found = append(found, m); size(m) != size("") {
+					t.Errorf("Method %s = %q is journaled as a literal string", spec.Names[i], m)
+				}
+			}
+			return true
+		})
+	}
+	if len(found) < 8 {
+		t.Errorf("found %d Method constants (%q), want the cascade's 8 at least", len(found), found)
 	}
 }

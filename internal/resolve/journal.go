@@ -43,7 +43,8 @@ type frameRef struct {
 func (j *journal) load(entries []persist.Entry, graph *blocking.UnionFind) error {
 	j.newest = make(map[string]int32, len(entries))
 	j.frames = make([]frameRef, 0, len(entries))
-	var matches [][]byte // a frame's final matches, aliasing it
+	graph.Grow(len(entries))
+	var matches []string // a frame's final matches
 	for _, e := range entries {
 		if e.Type != persist.EntryJournal {
 			return fmt.Errorf("%w: committed frame at %d has type %d", persist.ErrJournalTorn, e.Offset, e.Type)
@@ -52,7 +53,7 @@ func (j *journal) load(entries []persist.Entry, graph *blocking.UnionFind) error
 		matches = matches[:0]
 		q, err := persist.WalkJournal(e.Payload, func(c []byte, final bool) {
 			if n++; final {
-				matches = append(matches, c)
+				matches = append(matches, string(c))
 			}
 		})
 		if _, seen := j.newest[q]; err == nil && seen {
@@ -70,7 +71,7 @@ func (j *journal) load(entries []persist.Entry, graph *blocking.UnionFind) error
 		j.link(q, frameRef{off: e.Offset, size: uint32(len(e.Payload))})
 		graph.Add(q)
 		for _, c := range matches {
-			graph.Union(q, string(c))
+			graph.Union(q, c)
 		}
 	}
 	return nil

@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"llm4em/internal/chaos"
+	"llm4em/internal/datasets"
 	"llm4em/internal/entity"
+	"llm4em/internal/llm"
 	"llm4em/internal/persist"
 )
 
@@ -322,7 +324,7 @@ func TestCheckpointBytesIndependentOfJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := s.Stats().Persist.JournalBytes
-		if want := int64(journaled) * 30; base < want {
+		if want := int64(journaled) * 19; base < want { // a decision's least size
 			t.Fatalf("journal.log is %d bytes after %d decisions, want at least %d", base, journaled, want)
 		}
 		for _, q := range queries {
@@ -752,4 +754,56 @@ func TestJournalImpliesGroups(t *testing.T) {
 		t.Errorf("reopened groups differ:\ngot  %v\nwant %v", got, want)
 	}
 	checkJournalClosure(t, dir, again)
+}
+
+// journalBytesBudget is journal.log's bytes per journaled decision,
+// frames included, on TestJournalBytesPerDecision's resolves: the
+// version-2 payloads measured there, plus 3%. (Version-1 payloads took
+// 50.36 B/decision for the same decisions.)
+const journalBytesBudget = 28.95 * 1.03
+
+// TestJournalBytesPerDecision keeps journal.log's size: a persistent
+// store of the B sides of a seeded datasets.GroupedPairs("wdc") draw,
+// as bench/ serves them, resolves the draw's queries through the
+// simulated GPT-mini with bench/'s batch size and checkpoints; the
+// committed journal.log bytes per journaled decision must stay within
+// journalBytesBudget.
+func TestJournalBytesPerDecision(t *testing.T) {
+	pairs, err := datasets.GroupedPairs("wdc", "1", 400, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := llm.New("GPT-mini")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(model, Options{PersistDir: t.TempDir(), SnapshotEvery: -1, DispatchPairs: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var stored, queries []entity.Record
+	for i, p := range pairs {
+		if stored = append(stored, p.B); i == 0 || pairs[i-1].A.ID != p.A.ID {
+			queries = append(queries, p.A)
+		}
+	}
+	if err := s.AddBatch(stored); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range queries {
+		if _, err := s.Resolve(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats().Persist
+	got := float64(st.JournalBytes) / float64(st.JournalSize)
+	t.Logf("%d queries, %d decisions, %d frames: journal.log %d B, %.2f B/decision (budget %.2f)",
+		len(queries), st.JournalSize, len(s.journal.frames), st.JournalBytes, got, journalBytesBudget)
+	if got > journalBytesBudget {
+		t.Fatalf("journal.log takes %.2f B/decision, over the %.2f budget", got, journalBytesBudget)
+	}
 }

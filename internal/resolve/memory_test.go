@@ -29,10 +29,12 @@ const (
 // The decision journal's memory gates: retained heap bytes per
 // journaled decision, ten to a frame. Committed decisions cost only
 // their frame's index entry; decisions since the last checkpoint also
-// hold their encoded frame until it is appended to journal.log.
+// hold their encoded frame until it is appended to journal.log: 57.8
+// B/decision measured with version-2 payloads (93.0 with version 1),
+// plus 10%.
 const (
 	heapPerDecisionCommitted = 24
-	heapPerDecisionDelta     = 100
+	heapPerDecisionDelta     = 64
 )
 
 // benchCorpusRecords is the stored side of the bench/ corpus: every

@@ -32,7 +32,10 @@
 #    index must cost at most half of raw int32 positions (4 B a
 #    posting, by arithmetic: TestPostingsBytesCompression), and the
 #    index file of a deterministic 4 096-record WDC shard must stay
-#    within its bytes-per-record budget (TestEMIXBytesPerRecord).
+#    within its bytes-per-record budget (TestEMIXBytesPerRecord). The
+#    decision journal's size is checked beside it: journal.log's bytes
+#    per decision after a fixed WDC store's resolves must stay within
+#    its budget (TestJournalBytesPerDecision).
 # 7. Times the mmap restart path (BenchmarkOpenMapped, 100k-record
 #    snapshot) the way gate 4 times resolves — base revision against
 #    working tree, five alternating runs each — and fails if the
@@ -172,9 +175,10 @@ main() {
     gate_medians "resolve+telemetry" "$tel_runs" "$bare_runs" "bare" "${TELEMETRY_OVERHEAD:-1.5}"
 
     echo ""
-    echo "== postings compression and index file size gate =="
+    echo "== postings compression, index file and journal size gate =="
     go test -count=1 -run 'TestPostingsBytesCompression$|TestEMIXBytesPerRecord$' -v ./internal/blocking/
-    echo "OK: postings compression and index file size gate passed"
+    go test -count=1 -run 'TestJournalBytesPerDecision$' -v ./internal/resolve/
+    echo "OK: postings compression, index file and journal size gate passed"
 
     echo ""
     echo "== mmap restart gate ($BASE_REF vs working tree) =="
