@@ -1,6 +1,10 @@
 package blocking
 
-import "sort"
+import (
+	"slices"
+	"sort"
+	"strings"
+)
 
 // UnionFind is an incremental disjoint-set forest over string IDs.
 // The canonical root of every set is its lexicographically smallest
@@ -8,139 +12,155 @@ import "sort"
 // the same pairs in any sequence yields the same roots and the same
 // groups. That determinism is what lets the online resolution store
 // fold concurrently arriving match decisions into entity groups
-// without ordering them first.
+// without ordering them first. Each ID is interned once, as a copy
+// keyed to an int32 slot, so an ID cut from a larger string (a request
+// body, a decoded record) does not keep that string alive.
 //
 // A UnionFind is not safe for concurrent use; callers guard it with a
 // lock (internal/resolve does).
 type UnionFind struct {
-	parent  map[string]string
-	members map[string][]string // root -> member IDs, kept sorted
+	slots   map[string]int32
+	ids     []string          // slot -> ID, append-only
+	parent  []int32           // slot -> parent slot
+	members map[int32][]int32 // root -> member slots sorted by ID; none for a singleton
+	sets    int
 }
 
 // NewUnionFind returns an empty disjoint-set forest.
 func NewUnionFind() *UnionFind {
-	return &UnionFind{
-		parent:  map[string]string{},
-		members: map[string][]string{},
+	return &UnionFind{slots: map[string]int32{}, members: map[int32][]int32{}}
+}
+
+// Grow sizes an empty forest for n IDs, so a bulk fold does not rehash
+// or copy them as it grows. A forest that holds IDs is left as it is.
+func (u *UnionFind) Grow(n int) {
+	if len(u.ids) == 0 {
+		u.slots, u.ids, u.parent = make(map[string]int32, n), make([]string, 0, n), make([]int32, 0, n)
 	}
 }
 
-// Grow sizes an empty forest's ID map for n IDs, so a bulk fold does
-// not rehash it as it grows. A forest that holds IDs is left as it is.
-func (u *UnionFind) Grow(n int) {
-	if len(u.parent) == 0 {
-		u.parent = make(map[string]string, n)
+// slot returns the ID's slot, adding a copy of it if it is new.
+func (u *UnionFind) slot(id string) int32 {
+	if i, ok := u.slots[id]; ok {
+		return i
 	}
+	return u.insert(strings.Clone(id))
+}
+
+// insert adds an ID the forest owns as a singleton.
+func (u *UnionFind) insert(id string) int32 {
+	i := int32(len(u.ids))
+	u.slots[id], u.ids, u.parent, u.sets = i, append(u.ids, id), append(u.parent, i), u.sets+1
+	return i
 }
 
 // Add ensures the ID is present, as a singleton set if it is new, and
 // returns its root.
-func (u *UnionFind) Add(id string) string {
-	if _, ok := u.parent[id]; !ok {
-		u.parent[id] = id
-		u.members[id] = []string{id}
+func (u *UnionFind) Add(id string) string { return u.ids[u.root(u.slot(id))] }
+
+// Intern is Add returning the forest's own copy of the ID, not its root.
+func (u *UnionFind) Intern(id string) string { return u.ids[u.slot(id)] }
+
+// InternBytes is Intern for an ID in a buffer; a known ID costs no allocation.
+func (u *UnionFind) InternBytes(id []byte) string {
+	if i, ok := u.slots[string(id)]; ok {
+		return u.ids[i]
 	}
-	return u.find(id)
+	return u.ids[u.insert(string(id))]
 }
 
 // Find returns the canonical root of the ID's set and whether the ID
 // is known.
 func (u *UnionFind) Find(id string) (string, bool) {
-	if _, ok := u.parent[id]; !ok {
-		return "", false
+	if i, ok := u.slots[id]; ok {
+		return u.ids[u.root(i)], true
 	}
-	return u.find(id), true
+	return "", false
 }
 
-// find resolves the root with iterative path compression.
-func (u *UnionFind) find(id string) string {
-	root := id
-	for u.parent[root] != root {
-		root = u.parent[root]
+// root resolves a slot's root with iterative path compression.
+func (u *UnionFind) root(i int32) int32 {
+	r := i
+	for u.parent[r] != r {
+		r = u.parent[r]
 	}
-	for u.parent[id] != root {
-		id, u.parent[id] = u.parent[id], root
+	for u.parent[i] != r {
+		i, u.parent[i] = u.parent[i], r
 	}
-	return root
+	return r
 }
 
 // Union merges the sets of a and b, adding either ID if it is new, and
 // returns the root of the merged set — the smallest member ID.
 func (u *UnionFind) Union(a, b string) string {
-	ra, rb := u.Add(a), u.Add(b)
+	ra, rb := u.root(u.slot(a)), u.root(u.slot(b))
 	if ra == rb {
-		return ra
+		return u.ids[ra]
 	}
-	if rb < ra {
+	if u.ids[rb] < u.ids[ra] {
 		ra, rb = rb, ra
 	}
 	u.parent[rb] = ra
-	// Merge the two sorted member lists; keeping lists sorted at union
-	// time makes every Members/Groups read copy-only, and reads vastly
-	// outnumber unions on the serving path.
-	u.members[ra] = mergeSorted(u.members[ra], u.members[rb])
+	u.sets--
+	// Sorted at union time, member lists make every Members/Groups read
+	// copy-only; reads vastly outnumber unions on the serving path.
+	m := append(u.list(ra), u.list(rb)...)
+	slices.SortFunc(m, func(x, y int32) int { return strings.Compare(u.ids[x], u.ids[y]) })
+	u.members[ra] = m
 	delete(u.members, rb)
-	return ra
+	return u.ids[ra]
 }
 
-// mergeSorted merges sorted b into sorted a, reusing a's capacity
-// (amortized growth, like plain append): non-overlapping ranges are a
-// straight append, the general case merges backwards in place.
-func mergeSorted(a, b []string) []string {
-	if len(b) == 0 {
-		return a
+// list returns the set's member slots; a singleton's has room for one more.
+func (u *UnionFind) list(r int32) []int32 {
+	if m, ok := u.members[r]; ok {
+		return m
 	}
-	if len(a) == 0 {
-		return append(a, b...)
-	}
-	if a[len(a)-1] <= b[0] {
-		return append(a, b...)
-	}
-	i := len(a) - 1
-	a = append(a, b...)
-	for j, k := len(b)-1, len(a)-1; j >= 0; k-- {
-		if i >= 0 && a[i] > b[j] {
-			a[k] = a[i]
-			i--
-		} else {
-			a[k] = b[j]
-			j--
-		}
-	}
-	return a
+	return append(make([]int32, 0, 2), r)
 }
 
 // Members returns the sorted member IDs of the set containing the ID,
 // or nil if the ID is unknown.
 func (u *UnionFind) Members(id string) []string {
-	root, ok := u.Find(id)
-	if !ok {
-		return nil
+	if i, ok := u.slots[id]; ok {
+		return u.names(u.root(i))
 	}
-	out := make([]string, len(u.members[root]))
-	copy(out, u.members[root])
+	return nil
+}
+
+// names returns the member IDs of the set rooted at r.
+func (u *UnionFind) names(r int32) []string {
+	m := u.list(r)
+	out := make([]string, len(m))
+	for k, i := range m {
+		out[k] = u.ids[i]
+	}
 	return out
 }
 
 // Len returns the number of known IDs.
-func (u *UnionFind) Len() int { return len(u.parent) }
+func (u *UnionFind) Len() int { return len(u.ids) }
+
+// IDs returns the known IDs in the order they were added. IDs are only
+// appended, so the slice stays valid after the caller's lock is released.
+func (u *UnionFind) IDs() []string { return u.ids[:len(u.ids):len(u.ids)] }
 
 // Sets returns the number of disjoint sets.
-func (u *UnionFind) Sets() int { return len(u.members) }
+func (u *UnionFind) Sets() int { return u.sets }
 
 // Groups returns all sets as sorted member slices, ordered by their
 // root (smallest member) for determinism.
 func (u *UnionFind) Groups() [][]string {
-	roots := make([]string, 0, len(u.members))
-	for r := range u.members {
-		roots = append(roots, r)
+	roots := make([]int32, 0, u.sets)
+	for i, p := range u.parent {
+		if p == int32(i) {
+			roots = append(roots, p)
+		}
 	}
-	sort.Strings(roots)
-	out := make([][]string, 0, len(roots))
-	for _, r := range roots {
-		g := make([]string, len(u.members[r]))
-		copy(g, u.members[r]) // member lists are maintained sorted
-		out = append(out, g)
+	sort.Slice(roots, func(x, y int) bool { return u.ids[roots[x]] < u.ids[roots[y]] })
+	out := make([][]string, len(roots))
+	for k, r := range roots {
+		out[k] = u.names(r)
 	}
 	return out
 }

@@ -85,9 +85,8 @@ func (s *Store) commit(res *Result, obs *stageObserver) error {
 // and res.Members with the graph as the fold left it. Caller holds
 // persistMu on a persistent store.
 func (s *Store) applyResolve(res *Result, fresh []persist.DecisionEntry, counted bool) {
-	q := res.Query.ID
 	s.graphMu.Lock()
-	s.graph.Add(q)
+	q := s.graph.Intern(res.Query.ID)
 	for _, d := range res.Decisions {
 		// A deferred match is tentative and stays out of the graph:
 		// union-find merges cannot be undone, so the union waits for the
@@ -123,10 +122,10 @@ func (s *Store) applyResolve(res *Result, fresh []persist.DecisionEntry, counted
 // already did, and takes the pair off the deferred queue. Caller holds
 // persistMu on a persistent store.
 func (s *Store) applyRedecide(e persist.RedecideEntry, counted bool) {
-	s.journalDecisions(e.QueryID, []persist.DecisionEntry{e.Decision})
 	s.graphMu.Lock()
+	q := s.graph.Intern(e.QueryID) // resolved, so already in the graph
 	if e.Decision.Match {
-		s.graph.Union(e.QueryID, e.Decision.CandidateID)
+		s.graph.Union(q, e.Decision.CandidateID)
 	}
 	if counted {
 		s.totals.redecided++
@@ -134,6 +133,7 @@ func (s *Store) applyRedecide(e persist.RedecideEntry, counted bool) {
 			PromptTokens: e.PromptTokens, CompletionTokens: e.CompletionTokens, Cents: e.Cents})
 	}
 	s.graphMu.Unlock()
+	s.journalDecisions(q, []persist.DecisionEntry{e.Decision})
 	s.res.remove(pairID{query: e.QueryID, candidate: e.Decision.CandidateID})
 }
 

@@ -19,7 +19,8 @@ import (
 type journal struct {
 	log *persist.WAL // journal.log, extended by checkpoints only
 	// newest maps a query to its newest frame, which links to the
-	// query's earlier ones.
+	// query's earlier ones. It keys on the graph's copy of the query ID
+	// (blocking.UnionFind.Intern), which pins no request body.
 	newest map[string]int32
 	// frames lists every frame, oldest first. The last len(delta) are
 	// delta's, in order; the others are committed, in log at off.
@@ -53,9 +54,10 @@ func (j *journal) load(entries []persist.Entry, graph *blocking.UnionFind) error
 		matches = matches[:0]
 		q, err := persist.WalkJournal(e.Payload, func(c []byte, final bool) {
 			if n++; final {
-				matches = append(matches, string(c))
+				matches = append(matches, graph.InternBytes(c))
 			}
 		})
+		q = graph.Intern(q)
 		if _, seen := j.newest[q]; err == nil && seen {
 			// The query's earlier frames may have decided some of the
 			// pairs: a redecided deferred pair is journaled twice.
@@ -69,7 +71,6 @@ func (j *journal) load(entries []persist.Entry, graph *blocking.UnionFind) error
 		}
 		j.pairs += uint64(n)
 		j.link(q, frameRef{off: e.Offset, size: uint32(len(e.Payload))})
-		graph.Add(q)
 		for _, c := range matches {
 			graph.Union(q, c)
 		}

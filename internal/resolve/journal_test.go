@@ -297,8 +297,8 @@ func growJournal(s *Store, tag string, n int) {
 			ds[k] = persist.DecisionEntry{CandidateID: fmt.Sprintf("s%05d", (q*10+k)%10000), BlockScore: 7.5,
 				Probability: 0.5, Match: k == 0, Method: string(MethodLLM), Answer: "No."}
 		}
-		query := fmt.Sprintf("%s-%06d", tag, q)
 		s.graphMu.Lock()
+		query := s.graph.Intern(fmt.Sprintf("%s-%06d", tag, q))
 		s.graph.Union(query, ds[0].CandidateID)
 		s.graphMu.Unlock()
 		s.journalDecisions(query, ds)

@@ -3,6 +3,7 @@ package resolve
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"llm4em/internal/datasets"
@@ -36,6 +37,12 @@ const (
 	heapPerDecisionCommitted = 24
 	heapPerDecisionDelta     = 64
 )
+
+// heapPerGraphID is the entity graph's memory gate: retained heap
+// bytes per graph ID, folded as TestGraphHeapPerID folds them. 121 B/ID
+// measured (go1.24, amd64; 123 under -race), plus 10%; 246 while the
+// graph kept string-keyed maps and each query's record string.
+const heapPerGraphID = 133
 
 // benchCorpusRecords is the stored side of the bench/ corpus: every
 // pair's B of a seeded datasets.GroupedPairs("wdc") draw.
@@ -171,5 +178,41 @@ func TestJournalHeapPerDecision(t *testing.T) {
 	check("after a reopen", before, heapPerDecisionCommitted)
 	if got := s.Stats().Persist.JournalSize; got != n {
 		t.Errorf("JournalSize = %d after the reopen, want %d", got, n)
+	}
+}
+
+// TestGraphHeapPerID folds 12 000 resolves into the entity graph the
+// way emserve hands them over and holds what the graph retains per ID
+// under heapPerGraphID. A query's ID is a substring of its ~160-byte
+// record string, as emserve's request parser builds a record, and the
+// string is dropped once the resolve is folded; a candidate ID is a
+// fresh string. 10 000 queries match one of 8 000 candidates and 2 000
+// match none: 20 000 IDs in 10 000 entities, about fresh's mix.
+func TestGraphHeapPerID(t *testing.T) {
+	const queries, matched, candidates = 12000, 10000, 8000
+	s := New(benchClient{}, Options{})
+	defer s.Close()
+	pad := strings.Repeat(" sony dsc-w830 20.1 mp digital camera silver", 4)
+	before := heapAlloc()
+	for i := 0; i < queries; i++ {
+		body := fmt.Sprintf("q%07d title%s", i, pad)[:160]
+		res := &Result{Query: entity.Record{ID: body[:8]}}
+		if i < matched {
+			res.Decisions = []PairDecision{{CandidateID: fmt.Sprintf("offer-%06d", i%candidates), Match: true}}
+		}
+		s.applyResolve(res, nil, true)
+	}
+	after := heapAlloc()
+	ids := s.GraphIDs()
+	if ids != queries+candidates {
+		t.Fatalf("GraphIDs = %d, want %d", ids, queries+candidates)
+	}
+	if got := s.Stats().Entities; got != queries+candidates-matched {
+		t.Errorf("Entities = %d, want %d", got, queries+candidates-matched)
+	}
+	perID := float64(after-before) / float64(ids)
+	t.Logf("heap retained by %d graph IDs: %.1f B/ID (limit %d)", ids, perID, heapPerGraphID)
+	if perID > heapPerGraphID {
+		t.Errorf("the entity graph retains %.1f B/ID, want <= %d", perID, heapPerGraphID)
 	}
 }

@@ -153,7 +153,7 @@ func (s *Store) installSnapshot(snap *persist.Snapshot) error {
 			s.graph.Union(g[0], id) // adds g[0] itself first
 		}
 		if len(g) == 1 {
-			s.journalDecisions(g[0], nil)
+			s.journalDecisions(s.graph.Intern(g[0]), nil)
 		}
 	}
 	// Rebuild the deferred queue from the snapshot's carried query

@@ -4,7 +4,8 @@
 // (blocking.Index) over the records added so far, resolves incoming
 // query records against it, and folds the resulting match decisions
 // into entity groups with an incremental union-find clusterer
-// (blocking.UnionFind).
+// (blocking.UnionFind) that interns each ID once; the decision journal
+// keys on that copy, so a query's ID keeps no request body alive.
 //
 // Candidate pairs are routed through a cascade matcher: a calibrated
 // local scorer (features.Weights over the unified pair feature

@@ -69,18 +69,15 @@ func (s *Store) Stats() Stats {
 		cached += sh.cached
 		sh.mu.RUnlock()
 	}
-	// Entities are the graph's sets plus the stored records outside the
-	// graph; counting the latter walks the graph's IDs, not the records.
+	// Entities are the graph's sets plus the stored records outside it,
+	// counted from the graph's append-only IDs once graphMu is released.
 	s.graphMu.Lock()
-	groups := s.graph.Groups()
+	entities, ids := s.graph.Sets()+records, s.graph.IDs()
 	t := s.totals
 	s.graphMu.Unlock()
-	entities := len(groups) + records
-	for _, g := range groups {
-		for _, id := range g {
-			if s.stored(id) {
-				entities--
-			}
+	for _, id := range ids {
+		if s.stored(id) {
+			entities--
 		}
 	}
 

@@ -35,7 +35,10 @@
 #    within its bytes-per-record budget (TestEMIXBytesPerRecord). The
 #    decision journal's size is checked beside it: journal.log's bytes
 #    per decision after a fixed WDC store's resolves must stay within
-#    its budget (TestJournalBytesPerDecision).
+#    its budget (TestJournalBytesPerDecision), and so is the entity
+#    graph's: the heap it retains per ID, folded from query IDs that
+#    are substrings of dropped record strings, must stay within its
+#    budget (TestGraphHeapPerID).
 # 7. Times the mmap restart path (BenchmarkOpenMapped, 100k-record
 #    snapshot) the way gate 4 times resolves — base revision against
 #    working tree, five alternating runs each — and fails if the
@@ -175,10 +178,10 @@ main() {
     gate_medians "resolve+telemetry" "$tel_runs" "$bare_runs" "bare" "${TELEMETRY_OVERHEAD:-1.5}"
 
     echo ""
-    echo "== postings compression, index file and journal size gate =="
+    echo "== postings compression, index file, journal and graph size gate =="
     go test -count=1 -run 'TestPostingsBytesCompression$|TestEMIXBytesPerRecord$' -v ./internal/blocking/
-    go test -count=1 -run 'TestJournalBytesPerDecision$' -v ./internal/resolve/
-    echo "OK: postings compression, index file and journal size gate passed"
+    go test -count=1 -run 'TestJournalBytesPerDecision$|TestGraphHeapPerID$' -v ./internal/resolve/
+    echo "OK: postings compression, index file, journal and graph size gate passed"
 
     echo ""
     echo "== mmap restart gate ($BASE_REF vs working tree) =="
