@@ -567,11 +567,10 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 			"journal_hits":        st.JournalHits,
 		},
 		"memory": map[string]any{
-			"heap_alloc_bytes":   heapAllocBytes(),
-			"graph_ids":          s.store.GraphIDs(),
-			"heap_records":       s.store.HeapRecords(),
-			"journal_entries":    st.Persist.JournalSize,
-			"extractions_cached": st.Extractions,
+			"heap_alloc_bytes": heapAllocBytes(),
+			"graph_ids":        s.store.GraphIDs(),
+			"heap_records":     s.store.HeapRecords(),
+			"journal_entries":  st.Persist.JournalSize,
 		},
 		"telemetry": s.telemetryJSON(),
 	})

@@ -724,8 +724,8 @@ func TestResolveTrailingData(t *testing.T) {
 // TestStatsMemoryBlock: /v1/stats and /v1/metrics say what the process
 // holds in memory. Three stored records, one resolve that merges q1
 // with r1: the entity graph holds those two IDs only, while r2 — never
-// part of a resolve — still answers as its own entity, and only r1,
-// q1's one blocking candidate, has its extraction cached.
+// part of a resolve — still answers as its own entity, and no
+// candidate's extraction is kept.
 func TestStatsMemoryBlock(t *testing.T) {
 	model, err := llm4em.NewModel(llm4em.GPTMini)
 	if err != nil {
@@ -748,8 +748,11 @@ func TestStatsMemoryBlock(t *testing.T) {
 	if mem == nil {
 		t.Fatalf("stats has no memory block: %v", body)
 	}
-	if mem["graph_ids"].(float64) != 2 || mem["extractions_cached"].(float64) != 1 || mem["journal_entries"].(float64) != 0 || mem["heap_records"].(float64) != 3 {
-		t.Errorf("memory block = %v, want graph_ids 2, extractions_cached 1, journal_entries 0, heap_records 3", mem)
+	if mem["graph_ids"].(float64) != 2 || mem["journal_entries"].(float64) != 0 || mem["heap_records"].(float64) != 3 {
+		t.Errorf("memory block = %v, want graph_ids 2, journal_entries 0, heap_records 3", mem)
+	}
+	if _, ok := mem["extractions_cached"]; ok {
+		t.Errorf("memory block = %v, want no extractions_cached: the store caches no extraction", mem)
 	}
 	if mem["heap_alloc_bytes"].(float64) <= 0 {
 		t.Errorf("memory.heap_alloc_bytes = %v, want > 0", mem["heap_alloc_bytes"])

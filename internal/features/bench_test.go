@@ -9,7 +9,8 @@ var benchStrings = [][2]string{
 }
 
 // benchPairs extracts both sides of every benchStrings pair once, as
-// the resolve store's score stage finds them in its extraction cache.
+// the resolve store's score stage holds them once it has extracted the
+// query and a candidate.
 func benchPairs() [][2]Extracted {
 	ps := make([][2]Extracted, len(benchStrings))
 	for i, s := range benchStrings {
@@ -18,7 +19,8 @@ func benchPairs() [][2]Extracted {
 	return ps
 }
 
-// BenchmarkExtractText measures the entity-reading substrate.
+// BenchmarkExtractText measures the entity-reading substrate, which the
+// resolve store runs on the query and on every candidate it scores.
 func BenchmarkExtractText(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -27,8 +29,7 @@ func BenchmarkExtractText(b *testing.B) {
 }
 
 // BenchmarkPairFeatures measures the pair-feature computation over
-// pre-extracted pairs: the serving kernel of the score stage, which
-// reads candidate extractions from the cache instead of re-extracting.
+// pre-extracted pairs: the serving kernel of the score stage.
 func BenchmarkPairFeatures(b *testing.B) {
 	ps := benchPairs()
 	b.ReportAllocs()
@@ -49,7 +50,7 @@ func BenchmarkPairFeaturesText(b *testing.B) {
 }
 
 // TestPairFeaturesAllocs holds the BenchmarkPairFeatures body — one
-// PairFeatures call over cached extractions — to at most 4
+// PairFeatures call over pre-made extractions — to at most 4
 // allocations per pair.
 func TestPairFeaturesAllocs(t *testing.T) {
 	for i, p := range benchPairs() {

@@ -12,10 +12,12 @@
 package features
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"llm4em/internal/entity"
 	"llm4em/internal/tokenize"
@@ -23,15 +25,12 @@ import (
 )
 
 // Extracted is the structured reading of one serialized entity
-// description. A long-lived cache of candidates keeps its stored form,
-// packed (see Packed): every field but Raw, and Tokens only where
-// TitleTokens is empty.
+// description.
 type Extracted struct {
-	// Raw is the original serialized string. Empty on a stored
-	// extraction that has WordTokens.
+	// Raw is the original serialized string.
 	Raw string
 	// Tokens is the full lower-cased token sequence (model numbers
-	// kept together). Nil on a stored extraction that has TitleTokens.
+	// kept together).
 	Tokens []string
 	// WordTokens is the plain word tokenization of Raw
 	// (tokenize.Words: alphanumeric runs, model numbers split), cached
@@ -78,21 +77,36 @@ type Extracted struct {
 var lex = buildLexicons()
 
 type lexicons struct {
-	brands     map[string]bool // lower-cased single tokens
-	brandPairs map[string]bool // lower-cased two-token brands ("western digital")
-	// brandPairFirst holds the first word of every two-token brand, so
-	// the extractor concatenates a candidate pair only when its first
-	// token can possibly start one.
-	brandPairFirst map[string]bool
+	// roles flags every lower-cased lexicon word with the parts it can
+	// play, so the extractor reads all of a token's with one lookup.
+	roles map[string]wordRole
+	// brandPairs maps each lower-cased two-token brand ("western
+	// digital") to itself, so a lookup keyed by scratch bytes returns
+	// the brand without building its string.
+	brandPairs map[string]string
 	// venuesByTok indexes venue variants by their first word token, so
 	// the extractor probes only the variants whose leading word
 	// actually occurs in the text instead of substring-scanning the
 	// whole lexicon. Each list is sorted longest variant first (ties
 	// alphabetical) to keep longest-match-wins deterministic.
 	venuesByTok map[string][]venueVariant
-	surnames    map[string]bool
-	firstnames  map[string]bool
 }
+
+// wordRole is a set of the parts a lexicon word plays.
+type wordRole uint8
+
+const (
+	// roleBrand marks a one-word brand, or the first word of a longer
+	// one (partial recognition: "western" alone names Western Digital).
+	roleBrand wordRole = 1 << iota
+	// rolePairFirst marks the first word of a two-token brand, so the
+	// extractor builds a candidate pair only when its first token can
+	// possibly start one.
+	rolePairFirst
+	roleColor
+	roleSurname
+	roleFirstName
+)
 
 // venueVariant is one lower-cased venue surface form and its
 // canonical name.
@@ -103,22 +117,18 @@ type venueVariant struct {
 
 func buildLexicons() lexicons {
 	l := lexicons{
-		brands:         map[string]bool{},
-		brandPairs:     map[string]bool{},
-		brandPairFirst: map[string]bool{},
-		venuesByTok:    map[string][]venueVariant{},
-		surnames:       map[string]bool{},
-		firstnames:     map[string]bool{},
+		roles:       map[string]wordRole{},
+		brandPairs:  map[string]string{},
+		venuesByTok: map[string][]venueVariant{},
 	}
 	for _, b := range vocab.AllBrandNames() {
 		lb := strings.ToLower(b)
-		words := strings.Fields(lb)
-		if len(words) >= 2 {
-			l.brandPairs[strings.Join(words, " ")] = true
-			l.brandPairFirst[words[0]] = true
-			l.brands[words[0]] = true // allow partial recognition
+		if words := strings.Fields(lb); len(words) >= 2 {
+			pair := strings.Join(words, " ")
+			l.brandPairs[pair] = pair
+			l.roles[words[0]] |= rolePairFirst | roleBrand
 		} else {
-			l.brands[lb] = true
+			l.roles[lb] |= roleBrand
 		}
 	}
 	for _, v := range vocab.Venues {
@@ -140,11 +150,14 @@ func buildLexicons() lexicons {
 			return vs[i].text < vs[j].text
 		})
 	}
+	for c := range colorWords {
+		l.roles[c] |= roleColor
+	}
 	for _, n := range vocab.LastNames {
-		l.surnames[strings.ToLower(n)] = true
+		l.roles[strings.ToLower(n)] |= roleSurname
 	}
 	for _, n := range vocab.FirstNames {
-		l.firstnames[strings.ToLower(n)] = true
+		l.roles[strings.ToLower(n)] |= roleFirstName
 	}
 	return l
 }
@@ -153,10 +166,38 @@ func buildLexicons() lexicons {
 // salient attributes using only the text and the extractor's world
 // knowledge.
 func ExtractText(s string) Extracted {
+	// Room for both tokenizations, the title and a little evidence of a
+	// typical description, so the lists usually share one allocation.
+	e, _ := ExtractInto(s, make([]string, 0, len(s)/2+8))
+	return e
+}
+
+// Token classes ExtractInto assigns, in the order its classification
+// tests them, and the flag marking a token consumed out of the title.
+const (
+	tokPlain uint8 = iota
+	tokVariant
+	tokColor
+	tokVersion
+	tokModel
+	tokConsumed uint8 = 0x80
+)
+
+// ExtractInto is ExtractText with the result's lists cut from buf,
+// which it appends to and returns for reuse: a caller extracting many
+// descriptions allocates no list once buf has room. Earlier
+// extractions into the same buf stay valid, and the lists are capped
+// at their length, so appending to one never writes into buf. The
+// text is lower-cased once; tokens are substrings of that copy.
+func ExtractInto(s string, buf []string) (Extracted, []string) {
 	e := Extracted{Raw: s}
-	e.Tokens = tokenize.WordsKeepAlnum(s)
-	e.WordTokens = tokenize.Words(s)
 	lower := strings.ToLower(s)
+	base := len(buf)
+	buf = tokenize.AppendWordsKeepAlnum(buf, lower)
+	nTokens := len(buf)
+	buf = tokenize.AppendWords(buf, lower)
+	nWords := len(buf)
+	toks, words := buf[base:nTokens], buf[nTokens:nWords]
 
 	// Venue: longest matching lexicon variant present as a substring.
 	// Instead of substring-scanning the whole lexicon, only variants
@@ -166,106 +207,146 @@ func ExtractText(s string) Extracted {
 	// realistically surfaces. A variant fused mid-token ("xvldb") is
 	// the one substring match the old scan found that this probe does
 	// not.
-	// Each distinct key is probed once: the probe is a pure function
-	// of (lower, key), and degenerate inputs repeat the same token
-	// thousands of times — re-probing would rescan the whole string
-	// per occurrence.
+	// Each key with variants is probed once: the probe is a pure
+	// function of (lower, key), and degenerate inputs repeat the same
+	// token thousands of times — re-probing would rescan the whole
+	// string per occurrence. Only lexicon words are remembered, so the
+	// list stays as short as the lexicon's distinct first words.
 	bestVenueLen := 0
-	probed := map[string]bool{}
-	probe := func(key string) {
-		if key == "" || probed[key] {
-			return
-		}
-		probed[key] = true
-		e.Venue, bestVenueLen = probeVenueKey(lower, key, e.Venue, bestVenueLen)
-	}
-	for _, t := range e.WordTokens {
-		probe(t)
-		if p := letterPrefixOf(t); p != t {
-			probe(p)
-		}
-	}
-
-	// Brand: first lexicon hit in token order; two-token brands first.
-	for i := 0; i+1 < len(e.Tokens); i++ {
-		if !lex.brandPairFirst[e.Tokens[i]] {
-			continue // skip the concatenation for impossible pairs
-		}
-		pair := e.Tokens[i] + " " + e.Tokens[i+1]
-		if lex.brandPairs[pair] {
-			e.Brand = pair
-			break
-		}
-	}
-	if e.Brand == "" {
-		for _, t := range e.Tokens {
-			if lex.brands[t] {
-				e.Brand = t
+	var probedBuf [8]string
+	probed := probedBuf[:0]
+	for _, t := range words {
+		for k, key := range [2]string{t, letterPrefixOf(t)} {
+			if k == 1 && key == t {
 				break
 			}
+			vs := lex.venuesByTok[key]
+			if len(vs) == 0 || slices.Contains(probed, key) {
+				continue
+			}
+			probed = append(probed, key)
+			e.Venue, bestVenueLen = probeVenueKey(lower, vs, e.Venue, bestVenueLen)
 		}
 	}
 
-	// Editions: phrase scan over the raw string.
-	for _, ed := range editionPhrases {
-		if strings.Contains(lower, ed) {
-			e.Editions = append(e.Editions, ed)
-		}
-	}
-
-	consumed := make([]bool, len(e.Tokens))
-	for i, t := range e.Tokens {
+	// Classify every token once, reading its lexicon roles with one
+	// lookup; the evidence lists below are cut from buf one after the
+	// other, each in token order.
+	var classBuf [64]uint8
+	var roleBuf [64]wordRole
+	class, roles := classBuf[:0], roleBuf[:0]
+	for _, t := range toks {
+		r := lex.roles[t]
+		c := tokPlain
 		switch {
 		case isPriceToken(t):
 			if v, err := strconv.ParseFloat(t, 64); err == nil {
 				e.Price, e.HasPrice = v, true
-				consumed[i] = true
+				c = tokConsumed
 			}
 		case isVariantToken(t):
 			// Variant tokens stay in the title as well: they carry
 			// surface similarity in addition to identity evidence.
-			if len(e.Variants) < maxEvidence {
-				e.Variants = append(e.Variants, t)
-			}
-		case colorWords[t]:
-			if len(e.Colors) < maxEvidence {
-				e.Colors = append(e.Colors, t)
-			}
+			c = tokVariant
+		case r&roleColor != 0:
+			c = tokColor
 		case isYearToken(t):
 			if y, err := strconv.Atoi(t); err == nil {
 				e.Year, e.HasYear = y, true
-				consumed[i] = true
+				c = tokConsumed
 			}
 		case isVersionToken(t):
-			if len(e.Versions) < maxEvidence {
-				e.Versions = append(e.Versions, strings.TrimPrefix(t, "v"))
-				consumed[i] = true
-			}
+			c = tokVersion
 		case isModelToken(t):
-			if len(e.Models) < maxEvidence {
-				e.Models = append(e.Models, normalizeModel(t))
-				consumed[i] = true
+			c = tokModel
+		}
+		class, roles = append(class, c), append(roles, r)
+	}
+
+	// Brand: first lexicon hit in token order; two-token brands first.
+	var pairBuf [64]byte
+	for i := 0; i+1 < len(toks); i++ {
+		if roles[i]&rolePairFirst == 0 {
+			continue
+		}
+		pair := append(append(append(pairBuf[:0], toks[i]...), ' '), toks[i+1]...)
+		if b, ok := lex.brandPairs[string(pair)]; ok {
+			e.Brand = b
+			break
+		}
+	}
+	for i := 0; e.Brand == "" && i < len(toks); i++ {
+		if roles[i]&roleBrand != 0 {
+			e.Brand = toks[i]
+		}
+	}
+
+	// Editions: phrase scan over the lower-cased string.
+	editions := len(buf)
+	for _, ed := range editionPhrases {
+		if strings.Contains(lower, ed) {
+			buf = append(buf, ed)
+		}
+	}
+
+	evidence := len(buf)
+	var ends [4]int // ends of the variant, color, version and model lists
+	for k, want := range [4]uint8{tokVariant, tokColor, tokVersion, tokModel} {
+		n := 0
+		for i, c := range class {
+			if c != want || n == maxEvidence {
+				continue
+			}
+			n++
+			switch t := toks[i]; want {
+			case tokVersion:
+				buf = append(buf, strings.TrimPrefix(t, "v"))
+				class[i] |= tokConsumed
+			case tokModel:
+				buf = append(buf, normalizeModel(t))
+				class[i] |= tokConsumed
+			default:
+				buf = append(buf, t)
 			}
 		}
+		ends[k] = len(buf)
 	}
 
 	// Authors: known surnames (optionally preceded by a first name or
 	// an initial). Only meaningful for publication-like strings.
-	for i, t := range e.Tokens {
-		if lex.surnames[t] && !consumed[i] && len(e.Authors) < maxEvidence {
-			e.Authors = append(e.Authors, t)
-			consumed[i] = true
-			if i > 0 && !consumed[i-1] && (lex.firstnames[e.Tokens[i-1]] || len(e.Tokens[i-1]) == 1) {
-				consumed[i-1] = true
+	authors := len(buf)
+	for i, t := range toks {
+		if roles[i]&roleSurname != 0 && class[i]&tokConsumed == 0 && len(buf)-authors < maxEvidence {
+			buf = append(buf, t)
+			class[i] |= tokConsumed
+			if i > 0 && class[i-1]&tokConsumed == 0 && (roles[i-1]&roleFirstName != 0 || len(toks[i-1]) == 1) {
+				class[i-1] |= tokConsumed
 			}
 		}
 	}
 
-	for i, t := range e.Tokens {
-		if !consumed[i] {
-			e.TitleTokens = append(e.TitleTokens, t)
+	title := len(buf)
+	for i, t := range toks {
+		if class[i]&tokConsumed == 0 {
+			buf = append(buf, t)
 		}
 	}
+
+	// Cut every list from buf's final backing array, nil where empty.
+	cut := func(lo, hi int) []string {
+		if lo == hi {
+			return nil
+		}
+		return buf[lo:hi:hi]
+	}
+	e.Tokens, e.WordTokens = cut(base, nTokens), cut(nTokens, nWords)
+	e.Editions = cut(editions, evidence)
+	e.Variants = cut(evidence, ends[0])
+	e.Colors = cut(ends[0], ends[1])
+	e.Versions = cut(ends[1], ends[2])
+	e.Models = cut(ends[2], ends[3])
+	e.Authors = cut(authors, title)
+	e.TitleTokens = cut(title, len(buf))
 
 	// Domain guess: publication signals are venue, year and multiple
 	// author names; product signals are brand, models and price.
@@ -290,7 +371,7 @@ func ExtractText(s string) Extracted {
 	} else {
 		e.Domain = entity.Product
 	}
-	return e
+	return e, buf
 }
 
 // maxEvidence caps each extracted evidence list. No real description
@@ -393,11 +474,11 @@ var editionPhrases = []string{
 	"small box", "retail box", "3-user", "single user",
 }
 
-// probeVenueKey checks the venue variants filed under key against the
-// lower-cased text, keeping whichever of (canon, bestLen) and the
+// probeVenueKey checks the venue variants filed under one key against
+// the lower-cased text, keeping whichever of (canon, bestLen) and the
 // longest contained variant wins.
-func probeVenueKey(lower, key, canon string, bestLen int) (string, int) {
-	for _, v := range lex.venuesByTok[key] {
+func probeVenueKey(lower string, vs []venueVariant, canon string, bestLen int) (string, int) {
+	for _, v := range vs {
 		if len(v.text) <= bestLen {
 			return canon, bestLen // lists are sorted longest first
 		}
@@ -412,7 +493,7 @@ func probeVenueKey(lower, key, canon string, bestLen int) (string, int) {
 // ("vldb2004" -> "vldb"), or "" if the token starts with a digit.
 func letterPrefixOf(t string) string {
 	for i, r := range t {
-		if !unicode.IsLetter(r) {
+		if r < utf8.RuneSelf && (r < 'a' || r > 'z') && (r < 'A' || r > 'Z') || r >= utf8.RuneSelf && !unicode.IsLetter(r) {
 			return t[:i]
 		}
 	}

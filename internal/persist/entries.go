@@ -94,13 +94,16 @@ var errPayload = errors.New("malformed binary payload")
 type codec struct {
 	b      []byte
 	decode bool
-	skim   bool // decode strings without materialising them
-	v      byte // payload format
-	// prev is the ID the next candidate ID is front-coded against (after),
-	// in scratch while it fits.
-	prev    []byte
-	scratch [48]byte
-	err     error
+	// skim decodes strings without materialising them, and candidate
+	// IDs into walked, a buffer of the caller's (WalkJournal).
+	skim bool
+	v    byte // payload format
+	// prev is the ID the next candidate ID is front-coded against
+	// (after): a string the entry already holds, so tracking it copies
+	// nothing, and the codec holds no pointer into itself.
+	prev   string
+	walked []byte
+	err    error
 }
 
 func (c *codec) fail() { c.err, c.b = errPayload, nil }
@@ -184,25 +187,34 @@ func (c *codec) record(r *entity.Record) {
 // Version 2 front-codes the candidate ID, one byte saying how many
 // leading bytes (at most 255) it shares with c.prev, and puts the
 // answer's and the method's named codes in bits 2–3 and 4–7 of a code
-// byte: at least 19 bytes. It returns the candidate ID, valid until the
-// next decision.
-func (c *codec) decision(d *DecisionEntry) []byte {
+// byte: at least 19 bytes. A skimmed candidate ID is left in c.walked,
+// valid until the next decision.
+func (c *codec) decision(d *DecisionEntry) {
 	shared := 0
 	if c.v == binaryV2 {
 		for !c.decode && shared < min(len(d.CandidateID), len(c.prev), 255) && d.CandidateID[shared] == c.prev[shared] {
 			shared++
 		}
-		if c.byte(&shared); shared > len(c.prev) {
+		prev := len(c.prev)
+		if c.skim {
+			prev = len(c.walked)
+		}
+		if c.byte(&shared); shared > prev {
 			c.fail() // more than the previous ID holds
-			return nil
+			return
 		}
 	}
-	if !c.decode {
+	switch {
+	case !c.decode:
 		rest := d.CandidateID[shared:]
 		c.str(&rest)
 		c.after(d.CandidateID)
-	} else if c.prev = append(c.prev[:shared], c.take(c.count(0, 1))...); !c.skim {
-		d.CandidateID = string(c.prev)
+	case c.skim:
+		c.walked = append(c.walked[:shared], c.take(c.count(0, 1))...)
+	default:
+		// One allocation, none when the ID is a prefix of the last.
+		d.CandidateID = c.prev[:shared] + string(c.take(c.count(0, 1)))
+		c.after(d.CandidateID)
 	}
 	c.f64(&d.BlockScore)
 	c.f64(&d.Probability)
@@ -226,11 +238,10 @@ func (c *codec) decision(d *DecisionEntry) []byte {
 	c.named(&d.Method, methods[:], code>>4)
 	c.named(&d.Answer, answers[:], code>>2&3)
 	d.Match, d.Deferred = code&1 != 0, code&2 != 0
-	return c.prev
 }
 
 // after makes id the ID the next candidate ID is front-coded against.
-func (c *codec) after(id string) { c.prev = append(c.scratch[:0], id...) }
+func (c *codec) after(id string) { c.prev = id }
 
 // named codes a string by i, its index in table plus one, or as itself
 // after i = 0.
@@ -296,13 +307,20 @@ func (c *codec) redecide(e *RedecideEntry) {
 // encoder starts a payload of about size bytes.
 func encoder(size int) codec { return codec{b: append(make([]byte, 0, size), binaryV2), v: binaryV2} }
 
-// decodeEntry parses a payload, rejecting trailing bytes.
-func decodeEntry[T any](what string, payload []byte, walk func(*codec, *T)) (e T, err error) {
+// decoder starts decoding payload. The decode functions call the
+// codec's methods directly, not through a func value, so the codec
+// stays on their stack.
+func decoder(payload []byte) (codec, error) {
 	if len(payload) == 0 || payload[0] != binaryV1 && payload[0] != binaryV2 {
-		err = errors.New("unknown payload format")
-	} else {
-		c := codec{b: payload[1:], decode: true, v: payload[0]}
-		walk(&c, &e)
+		return codec{}, errors.New("unknown payload format")
+	}
+	return codec{b: payload[1:], decode: true, v: payload[0]}, nil
+}
+
+// done ends the decode of a what entry begun with decoder's err,
+// rejecting trailing bytes.
+func (c *codec) done(what string, err error) error {
+	if err == nil {
 		if err = c.err; err == nil && len(c.b) > 0 {
 			err = fmt.Errorf("%d trailing bytes", len(c.b))
 		}
@@ -310,7 +328,7 @@ func decodeEntry[T any](what string, payload []byte, walk func(*codec, *T)) (e T
 	if err != nil {
 		err = fmt.Errorf("persist: decode %s entry: %w", what, err)
 	}
-	return e, err
+	return err
 }
 
 // EncodeRecord frames a record for Append.
@@ -321,8 +339,12 @@ func EncodeRecord(r entity.Record) ([]byte, error) {
 }
 
 // DecodeRecord parses an EntryRecord payload.
-func DecodeRecord(payload []byte) (entity.Record, error) {
-	return decodeEntry("record", payload, (*codec).record)
+func DecodeRecord(payload []byte) (r entity.Record, err error) {
+	c, err := decoder(payload)
+	if err == nil {
+		c.record(&r)
+	}
+	return r, c.done("record", err)
 }
 
 // EncodeResolve frames a resolve call for Append.
@@ -333,8 +355,12 @@ func EncodeResolve(e ResolveEntry) ([]byte, error) {
 }
 
 // DecodeResolve parses an EntryResolve payload.
-func DecodeResolve(payload []byte) (ResolveEntry, error) {
-	return decodeEntry("resolve", payload, (*codec).resolve)
+func DecodeResolve(payload []byte) (e ResolveEntry, err error) {
+	c, err := decoder(payload)
+	if err == nil {
+		c.resolve(&e)
+	}
+	return e, c.done("resolve", err)
 }
 
 // EncodeRedecide frames a re-escalated decision for Append.
@@ -345,8 +371,12 @@ func EncodeRedecide(e RedecideEntry) ([]byte, error) {
 }
 
 // DecodeRedecide parses an EntryRedecide payload.
-func DecodeRedecide(payload []byte) (RedecideEntry, error) {
-	return decodeEntry("redecide", payload, (*codec).redecide)
+func DecodeRedecide(payload []byte) (e RedecideEntry, err error) {
+	c, err := decoder(payload)
+	if err == nil {
+		c.redecide(&e)
+	}
+	return e, c.done("redecide", err)
 }
 
 // JournalFrame encodes the decisions journaled for a query as a
@@ -361,30 +391,34 @@ func JournalFrame(query string, ds []DecisionEntry) Entry {
 
 // DecodeJournal parses an EntryJournal payload.
 func DecodeJournal(payload []byte) (query string, ds []DecisionEntry, err error) {
-	ds, err = decodeEntry("journal", payload, func(c *codec, ds *[]DecisionEntry) {
+	c, err := decoder(payload)
+	if err == nil {
 		c.str(&query)
 		c.after(query)
-		c.decisions(ds)
-	})
-	return query, ds, err
+		c.decisions(&ds)
+	}
+	return query, ds, c.done("journal", err)
 }
 
 // WalkJournal checks an EntryJournal payload as DecodeJournal does
-// without materialising its decisions: it returns the query ID and
-// calls visit with each decision's candidate ID, valid only during the
-// call, and whether the decision is a final match (Match, not
-// Deferred).
-func WalkJournal(payload []byte, visit func(candidate []byte, final bool)) (query string, err error) {
-	_, err = decodeEntry("journal", payload, func(c *codec, _ *struct{}) {
-		c.str(&query)
-		c.after(query)
-		c.skim = true
+// without materialising its decisions: it returns the query ID, a
+// subslice of payload, and calls visit with each decision's candidate
+// ID and whether the decision is a final match (Match, not Deferred).
+// A candidate ID is valid only during its visit call: it is
+// front-decoded in buf, which WalkJournal returns, grown if an ID
+// outgrew it, for the caller's next walk.
+func WalkJournal(payload, buf []byte, visit func(candidate []byte, final bool)) (query, grown []byte, err error) {
+	c, err := decoder(payload)
+	c.walked = buf[:0]
+	if err == nil {
+		query = c.take(c.count(0, 1))
+		c.skim, c.walked = true, append(c.walked, query...)
 		var d DecisionEntry
 		for i, n := 0, c.count(0, 19); i < n && c.err == nil; i++ {
-			if id := c.decision(&d); c.err == nil {
-				visit(id, d.Match && !d.Deferred)
+			if c.decision(&d); c.err == nil {
+				visit(c.walked, d.Match && !d.Deferred)
 			}
 		}
-	})
-	return query, err
+	}
+	return query, c.walked, c.done("journal", err)
 }

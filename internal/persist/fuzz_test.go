@@ -210,12 +210,14 @@ func walkAgrees(t *testing.T, data []byte) {
 		final     bool
 	}
 	var got, want []walked
-	q, werr := WalkJournal(data, func(c []byte, final bool) { got = append(got, walked{string(c), final}) })
+	// A used buffer, which the walk may overwrite but not read.
+	buf := []byte("stale-candidate-id")
+	q, _, werr := WalkJournal(data, buf, func(c []byte, final bool) { got = append(got, walked{string(c), final}) })
 	jq, ds, derr := DecodeJournal(data)
 	for _, d := range ds {
 		want = append(want, walked{d.CandidateID, d.Match && !d.Deferred})
 	}
-	if (werr == nil) != (derr == nil) || derr == nil && (q != jq || !reflect.DeepEqual(got, want)) {
+	if (werr == nil) != (derr == nil) || derr == nil && (string(q) != jq || !reflect.DeepEqual(got, want)) {
 		t.Fatalf("WalkJournal = %q, %+v, %v; DecodeJournal = %q, %+v, %v", q, got, werr, jq, ds, derr)
 	}
 }

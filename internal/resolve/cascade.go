@@ -191,10 +191,9 @@ type cascadePlan struct {
 // plan scores each candidate pair with the local scorer and decides
 // which stage answers it. query is the extraction of the serialized
 // query (computed once per Resolve); candExts/candIDs/blockScores
-// describe the candidates in rank order, with extractions served from
-// the store's per-record cache. estimateCents prices one pair's
-// prospective LLM call for the cost budget; nil disables the cost cap
-// (no hosted pricing).
+// describe the candidates in rank order. estimateCents prices one
+// pair's prospective LLM call for the cost budget; nil disables the
+// cost cap (no hosted pricing).
 func (o CascadeOptions) plan(query features.Extracted, candIDs []string, candExts []features.Extracted, blockScores []float64, estimateCents func(i int) float64) cascadePlan {
 	p := cascadePlan{decisions: make([]PairDecision, len(candIDs))}
 	p.report.Candidates = len(candIDs)

@@ -12,8 +12,8 @@ import (
 // and forms a singleton entity until matched. Records with empty or
 // duplicate IDs are rejected. Serialization runs before the shard lock
 // is taken, so concurrent Adds contend only on the map/index insert
-// itself; feature extraction waits until a resolve first scores the
-// record as a candidate (shard.extract).
+// itself. No feature extraction is kept: a resolve extracts the
+// record each time it scores it as a candidate (planFresh).
 func (s *Store) Add(r entity.Record) error {
 	if r.ID == "" {
 		return ErrNoID
@@ -25,7 +25,7 @@ func (s *Store) Add(r entity.Record) error {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrDuplicateID, r.ID)
 	}
-	sh.insertLocked(r, text)
+	sh.ix.AddSerialized(r, text)
 	sh.mu.Unlock()
 	s.count.Add(1)
 
@@ -102,7 +102,7 @@ insert:
 				sh.mu.Unlock()
 				break insert
 			}
-			sh.insertLocked(p.rec, p.text)
+			sh.ix.AddSerialized(p.rec, p.text)
 			inserted = append(inserted, p.rec)
 		}
 		sh.mu.Unlock()

@@ -46,18 +46,20 @@ func (j *journal) load(entries []persist.Entry, graph *blocking.UnionFind) error
 	j.frames = make([]frameRef, 0, len(entries))
 	graph.Grow(len(entries))
 	var matches []string // a frame's final matches
+	var buf []byte       // WalkJournal's candidate IDs
 	for _, e := range entries {
 		if e.Type != persist.EntryJournal {
 			return fmt.Errorf("%w: committed frame at %d has type %d", persist.ErrJournalTorn, e.Offset, e.Type)
 		}
 		n := 0
 		matches = matches[:0]
-		q, err := persist.WalkJournal(e.Payload, func(c []byte, final bool) {
+		qb, grown, err := persist.WalkJournal(e.Payload, buf, func(c []byte, final bool) {
 			if n++; final {
 				matches = append(matches, graph.InternBytes(c))
 			}
 		})
-		q = graph.Intern(q)
+		buf = grown
+		q := graph.InternBytes(qb)
 		if _, seen := j.newest[q]; err == nil && seen {
 			// The query's earlier frames may have decided some of the
 			// pairs: a redecided deferred pair is journaled twice.

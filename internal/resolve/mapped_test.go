@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,7 +19,6 @@ import (
 	"llm4em/internal/blocking"
 	"llm4em/internal/chaos"
 	"llm4em/internal/entity"
-	"llm4em/internal/features"
 	"llm4em/internal/persist"
 	"llm4em/internal/tokenize"
 )
@@ -197,9 +195,9 @@ func (f hookedFile) Sync() error {
 // TestCheckpointServesMapped is the differential test of the swap: a
 // store whose checkpoints make each shard serve the EMIX file it just
 // wrote holds every stored ID at the same position, returns the same
-// records and extraction slots, and blocks and decides a query set
-// exactly like a store that never checkpointed — records that reach a
-// shard between its write and the swap included, and across a second
+// records, and blocks and decides a query set exactly like a store
+// that never checkpointed — records that reach a shard between its
+// write and the swap included, and across a second
 // checkpoint over an already-swapped base.
 func TestCheckpointServesMapped(t *testing.T) {
 	seed, queries := wdcStoreRecords(t, 120)
@@ -286,9 +284,6 @@ func TestCheckpointServesMapped(t *testing.T) {
 				t.Fatalf("%s: Record(%q) = %+v,%v, want %+v", when, r.ID, rec, ok, r)
 			}
 		}
-		if !reflect.DeepEqual(extractionSlots(got), extractionSlots(want)) {
-			t.Fatalf("%s: extraction slots differ", when)
-		}
 		for _, q := range queries {
 			words := tokenize.Words(q.Serialize())
 			g, w := got.blockCandidates(q.ID, words), want.blockCandidates(q.ID, words)
@@ -296,7 +291,7 @@ func TestCheckpointServesMapped(t *testing.T) {
 				t.Fatalf("%s: query %s: %d candidates, want %d", when, q.ID, len(g), len(w))
 			}
 			for i := range g {
-				if !reflect.DeepEqual(g[i].rec, w[i].rec) || g[i].ext != w[i].ext || g[i].score != w[i].score || g[i].pos != w[i].pos {
+				if !reflect.DeepEqual(g[i].rec, w[i].rec) || g[i].score != w[i].score || g[i].pos != w[i].pos {
 					t.Fatalf("%s: query %s candidate %d = %+v, want %+v", when, q.ID, i, g[i], w[i])
 				}
 			}
@@ -671,141 +666,31 @@ func TestMappedReshard(t *testing.T) {
 	}
 }
 
-// prefillExtractions is the oracle of the one extraction path: every
-// stored record's extraction filled up front, as an ingest-time
-// extraction would leave it.
-func prefillExtractions(s *Store) {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for pos, e := range sh.ext {
-			if e.IsZero() {
-				sh.ext[pos] = features.Pack(features.ExtractText(sh.ix.Record(pos).Serialize()))
-				sh.cached++
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// candidateRecords returns the distinct stored records the queries'
-// resolves score, which are the records they extract: per query, the
-// global top MaxCandidates of every shard's blocking candidates (score
-// descending, ties by ID), the query itself left out. It is for a
-// store without a journal, where no candidate is a journal hit. Call it
-// with no resolve in flight.
-func candidateRecords(s *Store, queries []entity.Record) map[string]bool {
-	type cand struct {
-		id    string
-		score float64
-	}
-	ids := map[string]bool{}
-	for _, q := range queries {
-		words := features.ExtractText(q.Serialize()).WordTokens
-		var cs []cand
-		for _, sh := range s.shards {
-			for _, c := range sh.ix.QueryTokens(words, s.opts.MaxCandidates, DefaultMinScore) {
-				if id := sh.ix.RecordID(c.Pos); id != q.ID {
-					cs = append(cs, cand{id, c.Score})
-				}
-			}
-		}
-		sort.Slice(cs, func(i, j int) bool {
-			if cs[i].score != cs[j].score {
-				return cs[i].score > cs[j].score
-			}
-			return cs[i].id < cs[j].id
-		})
-		for _, c := range cs[:min(len(cs), s.opts.MaxCandidates)] {
-			ids[c.id] = true
-		}
-	}
-	return ids
-}
-
-// extractionSlots copies every shard's extraction slots.
-func extractionSlots(s *Store) [][]features.Packed {
-	out := make([][]features.Packed, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.RLock()
-		out[i] = append([]features.Packed(nil), sh.ext...)
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
-// TestLazyExtractionMatchesPrefilled pins the one extraction path: a
-// store that extracts a record the first time a resolve scores it
-// decides and groups exactly like one whose every record was extracted
-// up front, and extracts once each record a resolve scored: the merged
-// top-K candidates, not every shard's. At two candidates a resolve the
-// shards bring up more records than the merge keeps.
-func TestLazyExtractionMatchesPrefilled(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"default", Options{}},
-		{"top-2", Options{MaxCandidates: 2}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			seed, queries := wdcStoreRecords(t, 30)
-			oracle := New(&countingClient{}, tc.opts)
-			lazy := New(&countingClient{}, tc.opts)
-			for _, s := range []*Store{oracle, lazy} {
-				if err := s.AddBatch(seed); err != nil {
-					t.Fatal(err)
-				}
-			}
-			prefillExtractions(oracle)
-			if got := lazy.Stats().Extractions; got != 0 {
-				t.Fatalf("%d extractions after ingest, want 0", got)
-			}
-			for _, q := range queries {
-				a, err := oracle.Resolve(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := lazy.Resolve(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(a.Decisions, b.Decisions) {
-					t.Fatalf("query %s: lazy decisions differ\ngot  %+v\nwant %+v", q.ID, b.Decisions, a.Decisions)
-				}
-			}
-			if !reflect.DeepEqual(oracle.Snapshot(), lazy.Snapshot()) {
-				t.Error("lazily extracting store groups records differently")
-			}
-			touched := candidateRecords(lazy, queries)
-			if got := lazy.Stats().Extractions; got != len(touched) || got == 0 {
-				t.Fatalf("%d extractions, want one per scored candidate record (%d)", got, len(touched))
-			}
-			// A second pass finds every extraction in place: none is redone.
-			before := extractionSlots(lazy)
-			for _, q := range queries {
-				if _, err := lazy.Resolve(q); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if !reflect.DeepEqual(extractionSlots(lazy), before) || lazy.Stats().Extractions != len(touched) {
-				t.Error("re-resolving replaced a cached extraction")
-			}
-		})
-	}
-}
-
-// TestLazyExtractionConcurrent: resolves racing on records that have
-// not been extracted yet converge on one extraction per record, and
-// decide as a serial run does. Run it under -race.
-func TestLazyExtractionConcurrent(t *testing.T) {
+// TestConcurrentResolveMatchesSerial: resolves racing over the same
+// candidates, each extracting them into its own pooled scratch, decide
+// and group exactly as a serial run does. The racing store serves its
+// records from index files, mapped after a checkpoint and reopen, and
+// each query resolves once per goroutine, so most resolves replay the
+// journal beside fresh ones. Run it under -race.
+func TestConcurrentResolveMatchesSerial(t *testing.T) {
 	const goroutines = 8
 	seed, queries := wdcStoreRecords(t, 40)
 	serial := New(&countingClient{}, Options{})
-	conc := New(&countingClient{}, Options{})
-	for _, s := range []*Store{serial, conc} {
-		if err := s.AddBatch(seed); err != nil {
-			t.Fatal(err)
-		}
+	if err := serial.AddBatch(seed); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	a, _ := mustOpen(t, dir, Options{})
+	if err := a.AddBatch(seed); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	conc, _ := mustOpen(t, dir, Options{})
+	defer conc.Close()
+	if h := conc.HeapRecords(); h != 0 {
+		t.Fatalf("HeapRecords = %d after a mapped reopen, want 0", h)
 	}
 	want := map[string][]PairDecision{}
 	for _, q := range queries {
@@ -824,7 +709,7 @@ func TestLazyExtractionConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			// Every goroutine resolves every query, each from its own
-			// starting point, so first candidacies overlap.
+			// starting point, so candidates overlap across resolves.
 			for i := range queries {
 				q := queries[(i+g*len(queries)/goroutines)%len(queries)]
 				res, err := conc.Resolve(q)
@@ -844,64 +729,5 @@ func TestLazyExtractionConcurrent(t *testing.T) {
 	}
 	if !reflect.DeepEqual(conc.Snapshot(), serial.Snapshot()) {
 		t.Error("concurrent store groups records differently")
-	}
-	touched := candidateRecords(conc, queries)
-	if got := conc.Stats().Extractions; got != len(touched) {
-		t.Errorf("%d extractions, want one per candidate record (%d)", got, len(touched))
-	}
-}
-
-// TestDeferExtractionPersistent: extraction on a record's first scoring
-// survives a checkpoint + mapped reopen, where every mapped record
-// starts unextracted. Journal hits extract nothing; the same queries
-// under new IDs extract and decide as before the reopen.
-func TestDeferExtractionPersistent(t *testing.T) {
-	seed, queries := wdcStoreRecords(t, 15)
-	dir := t.TempDir()
-	a, _ := mustOpen(t, dir, Options{})
-	if err := a.AddBatch(seed); err != nil {
-		t.Fatal(err)
-	}
-	control := map[string]Result{}
-	for _, q := range queries {
-		res, err := a.Resolve(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		control[q.ID] = res
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	b, _ := mustOpen(t, dir, Options{})
-	defer b.Close()
-	if got := b.Stats().Extractions; got != 0 {
-		t.Fatalf("%d extractions after a mapped reopen, want 0", got)
-	}
-	for _, q := range queries {
-		res, err := b.Resolve(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(stripReplay(res.Decisions), stripReplay(control[q.ID].Decisions)) {
-			t.Fatalf("query %s: decisions differ after a mapped reopen", q.ID)
-		}
-	}
-	if got := b.Stats().Extractions; got != 0 {
-		t.Fatalf("%d extractions after journal-hit resolves, want 0", got)
-	}
-	for _, q := range queries {
-		want := control[q.ID]
-		q.ID += "-again"
-		res, err := b.Resolve(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(stripReplay(res.Decisions), stripReplay(want.Decisions)) {
-			t.Fatalf("query %s: decisions differ after a mapped reopen", q.ID)
-		}
-	}
-	if b.Stats().Extractions == 0 {
-		t.Fatal("no extraction after resolving new queries on a mapped reopen")
 	}
 }

@@ -179,10 +179,8 @@ func (s *Store) installSnapshot(snap *persist.Snapshot) error {
 // snapshot binds to (IndexEpoch/IndexShards), the only place the
 // stored records live: each shard's index — records included — is
 // mapped into place instead of replaying the ingest, so no record is
-// re-serialized, re-extracted or re-indexed at open; extractions
-// materialize lazily as records surface as resolve candidates, and no
-// record is walked into the entity graph, where singleton groups are
-// implicit. A shard-count change re-inserts every mapped record under
+// re-serialized or re-indexed at open, and no record is walked into
+// the entity graph, where singleton groups are implicit. A shard-count change re-inserts every mapped record under
 // the new routing (a full rebuild).
 //
 // A torn, missing or version-skewed file fails with an error that wraps
@@ -213,7 +211,7 @@ func (s *Store) installMapped(snap *persist.Snapshot) error {
 	for _, ix := range opened {
 		for pos := 0; pos < ix.Len(); pos++ {
 			r := ix.Record(pos)
-			s.shardFor(r.ID).insertLocked(r, r.Serialize())
+			s.shardFor(r.ID).ix.AddSerialized(r, r.Serialize())
 		}
 		ix.Close()
 	}
@@ -249,7 +247,7 @@ func (s *Store) replay(entries []persist.Entry) error {
 			if _, ok := sh.ix.RecordPos(r.ID); ok {
 				continue // already in the snapshot
 			}
-			sh.insertLocked(r, r.Serialize())
+			sh.ix.AddSerialized(r, r.Serialize())
 			s.count.Add(1)
 			s.pstate.recoveredRecords++
 		case persist.EntryResolve:

@@ -88,14 +88,12 @@ func checkJournalClosure(t *testing.T, dir string, s *Store) {
 }
 
 // persistedStats strips the process-lifetime parts of Stats — engine
-// and dispatcher counters, durability bookkeeping and the extractions
-// this process happens to hold (a mapped restart extracts lazily) —
-// leaving exactly the state recovery must reproduce.
+// and dispatcher counters and durability bookkeeping — leaving exactly
+// the state recovery must reproduce.
 func persistedStats(st Stats) Stats {
 	st.Engine = pipeline.Stats{}
 	st.Dispatch = dispatch.Stats{}
 	st.Persist = PersistStats{}
-	st.Extractions = 0
 	return st
 }
 

@@ -411,9 +411,10 @@ func (s *Store) journalLookup(qid string, cands []scored) (decisions []PairDecis
 
 // planFresh is the score stage — the cascade's local half: the scorer
 // decides the confident fresh pairs and plans the uncertain band for the
-// LLM. Candidate extractions come from the shard cache, expanded into
-// pooled scratch; a candidate scored for the first time is extracted
-// here, so only merged, non-journaled candidates are ever extracted.
+// LLM. Each candidate is extracted here from the record its shard
+// decoded, into pooled scratch and outside any lock, so only merged,
+// non-journaled candidates are ever extracted, and no extraction
+// outlives the resolve.
 func (s *Store) planFresh(q entity.Record, qext features.Extracted, cands []scored, fresh []int) cascadePlan {
 	sc := s.rscratch.Get().(*resolveScratch)
 	defer s.rscratch.Put(sc)
@@ -422,11 +423,8 @@ func (s *Store) planFresh(q entity.Record, qext features.Extracted, cands []scor
 	exts, toks := sc.exts[:0], sc.toks[:0]
 	for fi, ci := range fresh {
 		c := &cands[ci]
-		if c.ext.IsZero() {
-			c.sh.extract(c)
-		}
 		var e features.Extracted
-		e, toks = c.ext.Expand(toks)
+		e, toks = features.ExtractInto(c.rec.Serialize(), toks)
 		exts = append(exts, e)
 		ids[fi] = c.rec.ID
 		scores[fi] = c.score

@@ -18,33 +18,13 @@ type shard struct {
 	mu sync.RWMutex
 	// ix is assigned at construction and afterwards only by install.
 	ix *blocking.Index
-	// ext caches each record's feature extraction, packed
-	// (features.Packed), position-aligned with ix, so the cascade
-	// scores candidates without re-extracting (or re-serializing) them
-	// on every Resolve. A slot stays zero until the record is first
-	// scored as a resolve candidate and extract fills it, whether the
-	// record was added, replayed or mapped. Slots are values: read
-	// under the read lock, published once under the write lock, and
-	// never changed after.
-	ext []features.Packed
-	// cached counts the filled slots of ext.
-	cached int
-}
-
-// insertLocked indexes one pre-serialized record. The caller holds mu
-// (or has exclusive access during recovery) and has already rejected
-// duplicates.
-func (sh *shard) insertLocked(r entity.Record, text string) {
-	sh.ix.AddSerialized(r, text)
-	sh.ext = append(sh.ext, features.Packed{})
 }
 
 // install makes ix — an index file's mapping holding a prefix of the
 // shard's records — the shard's index, under the write lock: the
 // records the current index holds past ix.Len() are re-added to ix's
-// tail, and ext grows to cover ix. Positions are stable, so every ext
-// slot survives. It returns the replaced index, for the caller to
-// close once no query can hold it.
+// tail, so positions stay stable. It returns the replaced index, for
+// the caller to close once no query can hold it.
 func (sh *shard) install(ix *blocking.Index) *blocking.Index {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -54,9 +34,6 @@ func (sh *shard) install(ix *blocking.Index) *blocking.Index {
 		ix.AddSerialized(r, r.Serialize())
 	}
 	sh.ix = ix
-	if n := ix.Len() - len(sh.ext); n > 0 {
-		sh.ext = append(sh.ext, make([]features.Packed, n)...)
-	}
 	return old
 }
 
@@ -79,55 +56,35 @@ func (sh *shard) collect(dst []scored, qid string, words []string, maxCandidates
 	return dst
 }
 
-// decode fills a merged candidate's record and cached extraction (zero
-// until the score stage extracts it) under the read lock. Positions
-// are stable across install, so the candidate's position still names
-// its record.
+// decode fills a merged candidate's record under the read lock.
+// Positions are stable across install, so the candidate's position
+// still names its record.
 func (sh *shard) decode(c *scored) {
 	sh.mu.RLock()
 	c.rec = sh.ix.Record(c.pos)
-	c.ext = sh.ext[c.pos]
 	sh.mu.RUnlock()
 }
 
-// extract fills a candidate's extraction the first time a resolve
-// scores it. Extraction (pure, deterministic) runs outside any lock;
-// the result publishes under a brief write lock with a double-check,
-// so concurrent Resolves racing on the same cold record converge on
-// one cached extraction.
-func (sh *shard) extract(c *scored) {
-	p := features.Pack(features.ExtractText(c.rec.Serialize()))
-	sh.mu.Lock()
-	if sh.ext[c.pos].IsZero() {
-		sh.ext[c.pos] = p
-		sh.cached++
-	}
-	c.ext = sh.ext[c.pos]
-	sh.mu.Unlock()
-}
-
 // scored is one blocking candidate copied out of a shard: the record,
-// its cached feature extraction (zero until extracted), the
-// summed-IDF blocking score and the shard and index position it came
-// from. Until blockCandidates decodes the merged survivors, rec holds
-// only the ID and ext is zero.
+// the summed-IDF blocking score and the shard and index position it
+// came from. Until blockCandidates decodes the merged survivors, rec
+// holds only the ID.
 type scored struct {
 	rec   entity.Record
-	ext   features.Packed
 	sh    *shard
 	score float64
 	pos   int
 }
 
 // resolveScratch pools the per-shard candidate buffers of
-// blockCandidates and the candidate extractions planFresh expands.
-// Only buffers are pooled: the merged result holds value copies, and
-// the expansions are dead once the plan is made, so handing the
-// scratch back never aliases a returned candidate or decision.
+// blockCandidates and the candidate extractions planFresh makes. Only
+// buffers are pooled: the merged result holds value copies, and the
+// extractions are dead once the plan is made, so handing the scratch
+// back never aliases a returned candidate or decision.
 type resolveScratch struct {
 	perShard [][]scored
-	// exts holds the expanded extractions of one resolve's fresh
-	// candidates; toks is the arena their token lists are cut from.
+	// exts holds the extractions of one resolve's fresh candidates;
+	// toks is the arena their token lists are cut from.
 	exts []features.Extracted
 	toks []string
 }

@@ -28,11 +28,6 @@ type Stats struct {
 	// number of entity groups, which also counts resolved queries.
 	Records  int
 	Entities int
-	// Extractions is the number of records whose feature extraction is
-	// resident: the stored records a resolve has scored as a candidate
-	// (merged into its top-K and not answered by the journal) since the
-	// store was built or opened.
-	Extractions int
 	// Resolves is the number of Resolve calls served; Redecided the
 	// number of deferred pairs the background re-escalator has since
 	// settled with a real LLM verdict. Both survive restarts.
@@ -63,12 +58,7 @@ func (s *Store) Stats() Stats {
 	// graphMu held — gather it first.
 	ps := s.persistStats()
 
-	records, cached := s.Len(), 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		cached += sh.cached
-		sh.mu.RUnlock()
-	}
+	records := s.Len()
 	// Entities are the graph's sets plus the stored records outside it,
 	// counted from the graph's append-only IDs once graphMu is released.
 	s.graphMu.Lock()
@@ -82,15 +72,14 @@ func (s *Store) Stats() Stats {
 	}
 
 	st := Stats{
-		Records:     records,
-		Entities:    entities,
-		Extractions: cached,
-		Resolves:    t.resolves,
-		Redecided:   t.redecided,
-		Report:      t.report,
-		Engine:      s.esc.eng.Stats(),
-		Dispatch:    s.esc.disp.Stats(),
-		Persist:     ps,
+		Records:   records,
+		Entities:  entities,
+		Resolves:  t.resolves,
+		Redecided: t.redecided,
+		Report:    t.report,
+		Engine:    s.esc.eng.Stats(),
+		Dispatch:  s.esc.disp.Stats(),
+		Persist:   ps,
 		Resilience: ResilienceStats{
 			BreakerState:  s.res.breaker.State().String(),
 			BreakerTrips:  s.res.breaker.Trips(),

@@ -21,59 +21,82 @@ import (
 // Lower-casing first is equivalent to lower-casing per token:
 // unicode.ToLower maps letters to letters and leaves separators
 // untouched.
-func Words(s string) []string {
-	lower := strings.ToLower(s)
-	var tokens []string
+func Words(s string) []string { return AppendWords(nil, strings.ToLower(s)) }
+
+// AppendWords appends the Words tokens of lower, which the caller has
+// already lower-cased with strings.ToLower, to dst: tokens are
+// substrings of lower, and one lower-cased copy can serve several
+// tokenizers.
+func AppendWords(dst []string, lower string) []string {
 	start := -1
 	for i, r := range lower {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+		if r < utf8.RuneSelf && asciiWord[r] || r >= utf8.RuneSelf && isWordRune(r) {
 			if start < 0 {
 				start = i
 			}
 		} else if start >= 0 {
-			tokens = append(tokens, lower[start:i])
+			dst = append(dst, lower[start:i])
 			start = -1
 		}
 	}
 	if start >= 0 {
-		tokens = append(tokens, lower[start:])
+		dst = append(dst, lower[start:])
 	}
-	return tokens
+	return dst
 }
 
 // WordsKeepAlnum splits s into lower-cased tokens, keeping characters
 // of mixed alphanumeric tokens together even across '-' and '/' so
 // that model numbers like "wd-5000aaks" survive as single tokens.
 // Tokens are substrings of one lower-cased copy, as in Words.
-func WordsKeepAlnum(s string) []string {
-	lower := strings.ToLower(s)
-	var tokens []string
+func WordsKeepAlnum(s string) []string { return AppendWordsKeepAlnum(nil, strings.ToLower(s)) }
+
+// AppendWordsKeepAlnum appends the WordsKeepAlnum tokens of lower, as
+// AppendWords does the Words tokens.
+func AppendWordsKeepAlnum(dst []string, lower string) []string {
 	start := -1
-	flush := func(end int) {
-		if start < 0 {
-			return
-		}
-		// Trim trailing joiners left by values such as "model-".
-		if t := strings.Trim(lower[start:end], "-/."); t != "" {
-			tokens = append(tokens, t)
-		}
-		start = -1
-	}
 	for i, r := range lower {
 		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
+		case r < utf8.RuneSelf && asciiWord[r] || r >= utf8.RuneSelf && isWordRune(r):
 			if start < 0 {
 				start = i
 			}
 		case (r == '-' || r == '/' || r == '.') && start >= 0:
 			// Joiner inside a started token: keep scanning.
 		default:
-			flush(i)
+			if start >= 0 {
+				dst = append(dst, trimJoiners(lower[start:i]))
+				start = -1
+			}
 		}
 	}
-	flush(len(lower))
-	return tokens
+	if start >= 0 {
+		dst = append(dst, trimJoiners(lower[start:]))
+	}
+	return dst
 }
+
+// trimJoiners trims the trailing joiners left by values such as
+// "model-". A token starts with a letter or digit, so it never trims
+// to "".
+func trimJoiners(t string) string {
+	for t[len(t)-1] == '-' || t[len(t)-1] == '/' || t[len(t)-1] == '.' {
+		t = t[:len(t)-1]
+	}
+	return t
+}
+
+// isWordRune reports whether r is a letter or a digit. The tokenizers
+// decide ASCII by asciiWord instead, without a call.
+func isWordRune(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
+
+// asciiWord marks the ASCII letters and digits.
+var asciiWord = func() (t [utf8.RuneSelf]bool) {
+	for c := range t {
+		t[c] = isWordRune(rune(c))
+	}
+	return t
+}()
 
 // Set returns the set of tokens in s as a map.
 func Set(tokens []string) map[string]bool {

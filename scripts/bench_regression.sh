@@ -66,10 +66,13 @@
 #    frame to rebuild the entity groups, so it grows with the journal.
 # 10. Holds the local path's allocations to fixed budgets: allocs/op
 #    of BenchmarkGeneralizedJaccard must be 0, of BenchmarkPairFeatures
-#    (pre-extracted pairs) at most 4, of
+#    (pre-extracted pairs) at most 4, of BenchmarkExtractText at most 2
+#    (the extractor runs on every candidate a resolve scores), of
 #    BenchmarkStoreCheckpoint/journal=10k (gate 8's run) at most 1 000,
-#    and of BenchmarkDecodeRecordsBody (one 200-record NDJSON batch
-#    through emserve's body parser) at most 1 500.
+#    of BenchmarkStoreOpen/journal=100k (gate 9's run: 15 393 measured,
+#    plus 5%) at most 16 163, and of BenchmarkDecodeRecordsBody (one
+#    200-record NDJSON batch through emserve's body parser) at most
+#    1 500.
 #    Allocation counts are deterministic, so unlike the timing gates
 #    this one does not move with the host's speed.
 #
@@ -241,7 +244,8 @@ main() {
     echo ""
     echo "== local-path allocation gate =="
     KERNEL_OUT="$(go test -run '^$' -bench '^BenchmarkGeneralizedJaccard$' -benchmem ./internal/textsim/)
-$(go test -run '^$' -bench '^BenchmarkPairFeatures$' -benchmem ./internal/features/)
+$(go test -run '^$' -bench '^BenchmarkPairFeatures$|^BenchmarkExtractText$' -benchmem ./internal/features/)
+$(go test -run '^$' -bench '^BenchmarkStoreOpen$/^journal=100k$' -benchtime=10x -benchmem ./internal/resolve/)
 $(go test -run '^$' -bench '^BenchmarkDecodeRecordsBody$' -benchmem ./cmd/emserve/)
 $CKPT_OUT"
     local failed=0
@@ -260,7 +264,9 @@ $CKPT_OUT"
     done <<'BUDGETS'
 BenchmarkGeneralizedJaccard 0
 BenchmarkPairFeatures 4
+BenchmarkExtractText 2
 BenchmarkStoreCheckpoint/journal=10k 1000
+BenchmarkStoreOpen/journal=100k 16163
 BenchmarkDecodeRecordsBody 1500
 BUDGETS
     if [ "$failed" -ne 0 ]; then
