@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"llm4em/internal/detrand"
@@ -230,23 +231,20 @@ func longTerm(ix *Index, text string, spanning bool) bool {
 	return false
 }
 
-// TestQueryCutoverMatchesReference pins the scorer byte-identical to
-// the reference oracle on every storage mode: fresh, mapped and
-// mapped-with-overlay indexes must rank exactly as referenceQuery for
-// every K — zero is unbounded — and every score floor, on tie-heavy
-// collections. The 1 200-record rounds grow long posting lists: the
-// test fails unless some scoring token's df exceeds longList on every
-// index, and on the overlay one unless such a token's postings run from
-// a long mapped segment into a heap segment.
-func TestQueryCutoverMatchesReference(t *testing.T) {
-	rng := detrand.New("cutover-differential")
-	type round struct {
-		recs     []entity.Record
-		stopFrac float64
-		queries  []string
-		indexes  map[string]*Index
-	}
-	var rounds []round
+// queryRound is one collection of the differential tests with its
+// stop fraction, its queries and an index over it per storage mode.
+type queryRound struct {
+	recs     []entity.Record
+	stopFrac float64
+	queries  []string
+	indexes  map[string]*Index
+}
+
+// queryRounds draws eight tie-heavy collections of 8 to 1 200 records
+// and indexes each three ways: "fresh" built, "mapped" from its
+// snapshot, and "overlay".
+func queryRounds(t *testing.T, rng *detrand.RNG) []queryRound {
+	var rounds []queryRound
 	for r := 0; r < 8; r++ {
 		n, minStop := []int{8, 90, 700}[r%3], 0.0
 		if r >= 6 {
@@ -277,9 +275,22 @@ func TestQueryCutoverMatchesReference(t *testing.T) {
 		for q := 0; q < 4; q++ {
 			queries = append(queries, recs[rng.Intn(n)].Serialize()+" "+recs[rng.Intn(n)].Serialize())
 		}
-		rounds = append(rounds, round{recs, stopFrac, queries,
+		rounds = append(rounds, queryRound{recs, stopFrac, queries,
 			map[string]*Index{"fresh": fresh, "mapped": open(fresh), "overlay": overlay}})
 	}
+	return rounds
+}
+
+// TestQueryCutoverMatchesReference pins the scorer byte-identical to
+// the reference oracle on every storage mode: fresh, mapped and
+// mapped-with-overlay indexes must rank exactly as referenceQuery for
+// every K — zero is unbounded — and every score floor, on tie-heavy
+// collections. The 1 200-record rounds grow long posting lists: the
+// test fails unless some scoring token's df exceeds longList on every
+// index, and on the overlay one unless such a token's postings run from
+// a long mapped segment into a heap segment.
+func TestQueryCutoverMatchesReference(t *testing.T) {
+	rounds := queryRounds(t, detrand.New("cutover-differential"))
 	t.Run("dense", func(t *testing.T) {
 		long := map[string]bool{}
 		for ri, r := range rounds {
@@ -312,4 +323,92 @@ func TestQueryCutoverMatchesReference(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSharedScratchMatchesReference pins the one accumulator that
+// serves every index: queries on the 8- to 1 200-record indexes of
+// every storage mode (built, mapped, mapped plus tail) interleave
+// through a single scratch, so each query runs over the scores and
+// marks that another index's query left, past its own records too, and
+// must still rank exactly as referenceQuery. The epoch is set to wrap
+// on the first of them, so its clear also runs between indexes.
+func TestSharedScratchMatchesReference(t *testing.T) {
+	rounds := queryRounds(t, detrand.New("shared-scratch"))
+	rng := detrand.New("shared-scratch-order")
+	type key struct {
+		round, query, k int
+		minScore        float64
+	}
+	want := map[key][]Candidate{}
+	// Sized first by the largest index, the accumulator must then serve
+	// every smaller one as it is.
+	sc := &queryScratch{}
+	largest := rounds[len(rounds)-1].indexes["fresh"]
+	largest.tokenIDs(sc, tokenize.Words(rounds[len(rounds)-1].queries[1]))
+	largest.queryIDs(sc, 1, 0)
+	size := len(sc.scores)
+	// The first interleaved query, unbounded on the other 1 200-record
+	// collection, wraps the epoch over the marks that one left.
+	sc.cur = math.MaxUint32
+	for step := 0; step < 600; step++ {
+		kq := key{rng.Intn(len(rounds)), rng.Intn(5), []int{0, 1, 3, 10, 1000}[rng.Intn(5)], []float64{0, 0.5, 1}[rng.Intn(3)]}
+		if step == 0 {
+			kq = key{len(rounds) - 2, 1, 0, 0}
+		}
+		r := rounds[kq.round]
+		text := r.queries[kq.query]
+		label := []string{"fresh", "mapped", "overlay"}[rng.Intn(3)]
+		ix := r.indexes[label]
+		ix.tokenIDs(sc, tokenize.Words(text))
+		got := ix.queryIDs(sc, kq.k, kq.minScore)
+		if len(sc.scores) != size {
+			t.Fatalf("step %d: a %d-record index regrew the accumulator from %d to %d", step, ix.Len(), size, len(sc.scores))
+		}
+		w, ok := want[kq]
+		if !ok {
+			w = referenceQuery(r.recs, r.stopFrac, text, kq.k, kq.minScore)
+			want[kq] = w
+		}
+		if (len(got) != 0 || len(w) != 0) && !reflect.DeepEqual(got, w) {
+			t.Fatalf("step %d round %d %s (%d records) query %q (max=%d min=%v):\n got %v\nwant %v",
+				step, kq.round, label, ix.Len(), text, kq.k, kq.minScore, got, w)
+		}
+	}
+}
+
+// TestSharedScratchConcurrent queries several indexes from several
+// goroutines at once through QueryTokens' one scratch pool (meant for
+// -race, which CI runs twenty times): a scratch lent to two queries at
+// once, or handed back while in use, would corrupt a ranking.
+func TestSharedScratchConcurrent(t *testing.T) {
+	rounds := queryRounds(t, detrand.New("shared-scratch-concurrent"))
+	type query struct {
+		ix    *Index
+		words []string
+		want  []Candidate
+	}
+	var queries []query
+	for _, r := range rounds {
+		for _, text := range r.queries {
+			want := referenceQuery(r.recs, r.stopFrac, text, 10, 0)
+			for _, ix := range r.indexes {
+				queries = append(queries, query{ix, tokenize.Words(text), want})
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 3 * len(queries) {
+				q := queries[(g*31+k*7)%len(queries)]
+				if got := q.ix.QueryTokens(q.words, 10, 0); (len(got) != 0 || len(q.want) != 0) && !reflect.DeepEqual(got, q.want) {
+					t.Errorf("goroutine %d, %d records: got %v\nwant %v", g, q.ix.Len(), got, q.want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -3,7 +3,6 @@ package blocking
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"llm4em/internal/entity"
 	"llm4em/internal/telemetry"
@@ -19,7 +18,7 @@ import (
 // uint32 IDs and each token's ascending record positions are a
 // delta+varint stream (postings.go). There is one scorer: the
 // exhaustive term-at-a-time scan over a pooled flat accumulator
-// (queryDense). Per-token IDF weights are cached between queries and
+// (queryDense), which one pool lends to every index's queries, and
 // results come from top-K heap selection. QueryTokens, the one query
 // entry point, allocates only the returned slice.
 //
@@ -59,23 +58,16 @@ type Index struct {
 	vocab   *tokenize.Vocab
 	records []entity.Record
 	ids     map[string]int32
-	// The tail, keyed by touched token: posts holds the tokens new
-	// since the base, by ID - base.nTokens, with their IDF slots;
-	// basePosts the tail postings of the base tokens an Add touched.
-	posts     []tailToken
+	// The tail, keyed by touched token: posts holds the postings of
+	// the tokens new since the base, by ID - base.nTokens; basePosts
+	// those of the base tokens an Add touched.
+	posts     []postingList
 	basePosts map[uint32]*postingList
 	// slab hands out basePosts' lists, tailSlab at a time.
 	slab []postingList
-	// idf holds the base tokens' IDF slots, by ID: zeroed slots at open
-	// (zeroed pages, not a replayed computation), as the snapshot stores
-	// no weights.
-	idf []idfSlot
 	// addScan is the tokenizer of Add (mutation path, so one shared
 	// scanner is safe).
 	addScan tokenize.Scanner
-	// scratch pools per-query state so concurrent queries do not
-	// contend and repeated ones do not allocate.
-	scratch sync.Pool
 	// met instruments the query hot path; the zero value is disabled.
 	// Per-query work is counted into locals and flushed with one
 	// atomic add per counter at the end of the query.
@@ -87,21 +79,6 @@ type Index struct {
 // construction).
 func (ix *Index) SetMetrics(m telemetry.BlockingMetrics) { ix.met = m }
 
-// tailToken is a token new since the base: its postings and its IDF
-// slot.
-type tailToken struct {
-	postingList
-	idf idfSlot
-}
-
-// idfSlot caches math.Float64bits of a token's IDF weight and the
-// record count n it was computed at. Queries fill it through atomics:
-// concurrent fillers write identical values (n and df are fixed while
-// queries run), so the worst case is a redundant Log, never a torn or
-// stale read — a reader only trusts bits after observing the matching
-// atN. IDF materializes lazily per token on first use.
-type idfSlot struct{ bits, atN uint64 }
-
 // stopMinDocs is the absolute document-frequency floor below which a
 // token is never treated as a stop token, so tiny collections keep
 // their vocabulary.
@@ -110,6 +87,12 @@ const stopMinDocs = 5
 // queryScratch is the reusable per-query state: the token IDs with
 // their dedupe set, the flat score accumulator with its epoch marks,
 // the touched-position list and the top-K heap.
+//
+// Every index draws it from queryPool, so a query in flight holds one
+// accumulator whichever index it scores. The resolve store queries its
+// shards one after another, so a resolve holds one accumulator sized
+// to the largest shard, not one per shard. Each query bumps the epoch,
+// so the marks another index's query left are stale.
 type queryScratch struct {
 	ids     []uint32
 	set     []uint32
@@ -119,7 +102,37 @@ type queryScratch struct {
 	cur     uint32
 	touched []int32
 	heap    []Candidate
+	idf     [1 << idfMemoBits]idfMemo
 }
+
+// idfMemo is a remembered IDF weight, log(1 + n/df), with the record
+// count n and document frequency df it was computed at. A weight
+// depends on a token only through its df, so one entry serves every
+// token of that df in any index of n records, and a scratch holds a
+// fixed 1<<idfMemoBits of them however large the indexes it serves.
+type idfMemo struct {
+	n, df int32
+	w     float64
+}
+
+// idfMemoBits sizes a scratch's IDF memo: 4 KB, room for the distinct
+// document frequencies of a query on each of a store's shards.
+const idfMemoBits = 8
+
+// weight returns log(1 + n/df), from the memo when its slot holds the
+// same (n, df). The zero entry never matches: queried tokens have
+// df > 0.
+func (sc *queryScratch) weight(n, df int32) float64 {
+	e := &sc.idf[(uint32(df)*0x9e3779b1+uint32(n)*0x85ebca6b)>>(32-idfMemoBits)]
+	if e.n != n || e.df != df {
+		*e = idfMemo{n, df, math.Log(1 + float64(n)/float64(df))}
+	}
+	return e.w
+}
+
+// queryPool lends every index its query scratch, so concurrent
+// queries do not contend and repeated ones do not allocate.
+var queryPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
 // scoreTerm is one deduplicated, stop-filtered query token with its
 // document frequency — the input of the scorer.
@@ -143,16 +156,13 @@ func BuildIndex(records []entity.Record, opts IndexOptions) *Index {
 
 // newIndex returns an index over base with an empty tail.
 func newIndex(base *mappedIndex, opts IndexOptions) *Index {
-	ix := &Index{
+	return &Index{
 		stopFrac:  opts.stopDocFrac(),
 		base:      base,
 		vocab:     tokenize.NewVocab(),
 		ids:       map[string]int32{},
 		basePosts: map[uint32]*postingList{},
-		idf:       make([]idfSlot, base.nTokens),
 	}
-	ix.scratch.New = func() any { return &queryScratch{} }
-	return ix
 }
 
 // Add appends one record to the index and returns its position.
@@ -195,7 +205,7 @@ func (ix *Index) tail(id uint32) *postingList {
 	b := ix.base.nTokens
 	if id >= b {
 		ix.posts = grow(ix.posts, int(id-b)+1)
-		return &ix.posts[id-b].postingList
+		return &ix.posts[id-b]
 	}
 	pl := ix.basePosts[id]
 	if pl == nil {
@@ -216,7 +226,7 @@ const tailSlab = 256
 // touched. Every new token got its slot from the Add that interned it.
 func (ix *Index) tailOf(id uint32) *postingList {
 	if b := ix.base.nTokens; id >= b {
-		return &ix.posts[id-b].postingList
+		return &ix.posts[id-b]
 	}
 	return ix.basePosts[id]
 }
@@ -298,10 +308,10 @@ func (ix *Index) QueryTokens(tokens []string, maxCandidates int, minScore float6
 	if ix.Len() == 0 || len(tokens) == 0 {
 		return nil
 	}
-	sc := ix.scratch.Get().(*queryScratch)
+	sc := queryPool.Get().(*queryScratch)
 	ix.tokenIDs(sc, tokens)
 	out := ix.queryIDs(sc, maxCandidates, minScore)
-	ix.scratch.Put(sc)
+	queryPool.Put(sc)
 	return out
 }
 
@@ -357,14 +367,18 @@ func (ix *Index) queryIDs(sc *queryScratch, maxCandidates int, minScore float64)
 // every term in sc.terms is added into a flat per-record accumulator,
 // epoch-marked so nothing is cleared between queries, and the touched
 // records go through the top-K heap. Each segment is decoded inline.
-// The accumulator costs 12 bytes a record (score and epoch) in every
-// pooled scratch; the scorer section of docs/ARCHITECTURE.md gives the
-// measurements behind accepting that.
+// The accumulator costs 12 bytes a record (score and epoch) of the
+// largest index the scratch has served; the scorer section of
+// docs/ARCHITECTURE.md gives the measurements behind accepting that.
 func (ix *Index) queryDense(sc *queryScratch, maxCandidates int, minScore float64, stopSkipped uint64) []Candidate {
 	n := ix.Len()
 	if len(sc.scores) < n {
-		sc.scores = append(sc.scores, make([]float64, n-len(sc.scores))...)
-		sc.epoch = append(sc.epoch, make([]uint32, n-len(sc.epoch))...)
+		// No mark outlives its query, so a grown accumulator starts
+		// zeroed instead of copying. The eighth of headroom spares the
+		// next Adds, and a shard a little larger than the last one
+		// queried, another allocation.
+		sc.scores = make([]float64, n+n/8)
+		sc.epoch = make([]uint32, len(sc.scores))
 	}
 	sc.cur++
 	if sc.cur == 0 { // epoch wrap: stale marks would alias
@@ -379,10 +393,9 @@ func (ix *Index) queryDense(sc *queryScratch, maxCandidates int, minScore float6
 	var scanned, heapPushes uint64
 
 	for _, t := range sc.terms {
-		id, df := t.id, int(t.df)
-		scanned += uint64(df)
-		w := ix.idfWeight(id, n, df)
-		segs, ns := ix.segments(id)
+		scanned += uint64(t.df)
+		w := sc.weight(int32(n), t.df)
+		segs, ns := ix.segments(t.id)
 		for i := range segs[:ns] {
 			s := &segs[i]
 			pos, off := s.base, 0
@@ -459,26 +472,6 @@ func rankedCopy(h []Candidate) []Candidate {
 	out := make([]Candidate, len(h))
 	copy(out, h)
 	return out
-}
-
-// idfWeight returns log(1 + n/df) for a token, serving it from the
-// per-token cache when it was computed at the same record count.
-func (ix *Index) idfWeight(id uint32, n, df int) float64 {
-	var slot *idfSlot
-	if b := ix.base.nTokens; id >= b {
-		slot = &ix.posts[id-b].idf
-	} else {
-		slot = &ix.idf[id]
-	}
-	if atomic.LoadUint64(&slot.atN) == uint64(n) {
-		return math.Float64frombits(atomic.LoadUint64(&slot.bits))
-	}
-	w := math.Log(1 + float64(n)/float64(df))
-	// Bits first, count second: a reader that sees the matching count
-	// is guaranteed to read these (identical) bits or newer.
-	atomic.StoreUint64(&slot.bits, math.Float64bits(w))
-	atomic.StoreUint64(&slot.atN, uint64(n))
-	return w
 }
 
 // candidateBefore is the ranking order: score descending, ties broken

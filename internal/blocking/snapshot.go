@@ -358,7 +358,7 @@ func (m *mappedIndex) checkRecordIndex() error {
 // pass over the IDs in order probes basePosts only for those.
 func (ix *Index) writeSegs(id uint32, touched []uint32, t *int) (segView, *postingList) {
 	if nb := ix.base.nTokens; id >= nb {
-		return segView{}, &ix.posts[id-nb].postingList
+		return segView{}, &ix.posts[id-nb]
 	}
 	var pl *postingList
 	if *t < len(touched) && touched[*t] == id {

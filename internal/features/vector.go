@@ -88,7 +88,7 @@ func PairFeatures(a, b Extracted) (Vector, Presence) {
 	if len(tb) == 0 {
 		tb = b.Tokens
 	}
-	v[TitleGenJaccard] = textsim.GeneralizedJaccard(ta, tb, textsim.Jaro, 0.5)
+	v[TitleGenJaccard] = textsim.GeneralizedJaccard(ta, tb)
 	p[TitleGenJaccard] = true
 	v[TitleCosine] = textsim.Cosine(ta, tb)
 	p[TitleCosine] = true

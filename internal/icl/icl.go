@@ -128,7 +128,7 @@ func (s relatedSide) top(queryTokens []string, n int) []entity.Pair {
 	}
 	scoredCands := make([]scored, len(cands))
 	for j, c := range cands {
-		scoredCands[j] = scored{c.i, textsim.GeneralizedJaccard(queryTokens, s.tokens[c.i], textsim.Jaro, 0.5)}
+		scoredCands[j] = scored{c.i, textsim.GeneralizedJaccard(queryTokens, s.tokens[c.i])}
 	}
 	sort.Slice(scoredCands, func(a, b int) bool {
 		if scoredCands[a].s != scoredCands[b].s {

@@ -95,8 +95,11 @@ const (
 	// otherwise ask recovery to allocate gigabytes; anything larger
 	// than this is treated as tail corruption.
 	maxPayload = 1 << 26 // 64 MiB
-	// maxKeptBuffer bounds the frame buffer a WAL keeps between appends.
-	maxKeptBuffer = 1 << 20
+	// maxKeptBuffer bounds the frame buffer a log keeps between
+	// appends: a resolve's WAL frames reuse it, while a checkpoint's
+	// half-megabyte journal.log append is dropped once written rather
+	// than pinned until the next checkpoint.
+	maxKeptBuffer = 64 << 10
 )
 
 // ErrClosed marks operations on a closed WAL.

@@ -14,17 +14,25 @@ import (
 // The store-level memory gates: retained heap bytes per stored record,
 // measured where the benchmark's rss_mb is paid (Store.AddBatch), not
 // at the index. heapPerRecordIngest holds a record after ingest, and
-// again after a resolve scored it, which must add nothing: 254
-// B/record measured (go1.24, amd64; 264 under -race), plus 10%; 287
-// while a 32 B extraction slot per record, and 431 once every record's
-// packed extraction, stayed resident. heapPerRecordCheckpointed holds
-// one a checkpoint wrote to its shard's EMIX file, which the shard
-// then serves from, after one Add of an unseen token per shard: the
-// base vocabulary's IDF slots. 21 B/record measured, plus 10%.
+// again after a resolve scored it, which must add nothing: 235
+// B/record measured (go1.24, amd64; 246 under -race), plus 10%; 254
+// while each new token kept a 16 B IDF slot, 287 while a 32 B
+// extraction slot per record, and 431 once every record's packed
+// extraction, stayed resident. heapPerRecordCheckpointed holds one a
+// checkpoint wrote to its shard's EMIX file, which the shard then
+// serves from, after one Add of an unseen token per shard: 3.2–4.6
+// B/record measured, plus 10%; 21 while each shard kept an IDF slot
+// per base token.
 const (
-	heapPerRecordIngest       = 280
-	heapPerRecordCheckpointed = 24
+	heapPerRecordIngest       = 259
+	heapPerRecordCheckpointed = 5
 )
+
+// firstResolveSlack bounds what a store's first resolve allocates
+// besides its score accumulator: blocking buffers, extractions,
+// features and decisions. 93 500–97 300 B measured (go1.24, amd64,
+// GOMAXPROCS 1–4), plus 10%.
+const firstResolveSlack = 105 << 10
 
 // The decision journal's memory gates: retained heap bytes per
 // journaled decision, ten to a frame. Committed decisions cost only
@@ -128,7 +136,7 @@ func TestStoreHeapPerRecord(t *testing.T) {
 			}
 			after := heapAlloc()
 			perRecord := float64(after-before) / n
-			t.Logf("heap retained by %d AddBatch'ed records: %.0f B/record (limit %d)", n, perRecord, tc.limit)
+			t.Logf("heap retained by %d AddBatch'ed records: %.1f B/record (limit %d)", n, perRecord, tc.limit)
 			if perRecord > float64(tc.limit) {
 				t.Errorf("store retains %.0f B/record, want <= %d", perRecord, tc.limit)
 			}
@@ -243,5 +251,48 @@ func TestGraphHeapPerID(t *testing.T) {
 	t.Logf("heap retained by %d graph IDs: %.1f B/ID (limit %d)", ids, perID, heapPerGraphID)
 	if perID > heapPerGraphID {
 		t.Errorf("the entity graph retains %.1f B/ID, want <= %d", perID, heapPerGraphID)
+	}
+}
+
+// TestFirstResolveAllocatesOneAccumulator holds a resolve's blocking
+// state to one score accumulator: on an 8-shard store of the
+// benchmark's 32 000 records, the first resolve after two GCs, which
+// empty every pool, allocates one accumulator sized to the largest
+// shard (12 B a record plus an eighth of headroom) and the rest of the
+// resolve within firstResolveSlack. A scratch pooled per shard would
+// allocate eight accumulators there.
+func TestFirstResolveAllocatesOneAccumulator(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race, so each shard's query may draw a new scratch")
+	}
+	const n = 32000
+	recs := benchCorpusRecords(t, n)
+	s := New(benchClient{}, Options{})
+	defer s.Close()
+	if err := s.AddBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.shards) != 8 {
+		t.Fatalf("%d shards, want 8", len(s.shards))
+	}
+	largest := 0
+	for _, sh := range s.shards {
+		largest = max(largest, sh.ix.Len())
+	}
+	q := recs[0]
+	q.ID = "probe"
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := s.Resolve(q); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	accumulator := uint64(largest+largest/8) * 12
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("first resolve allocated %d B; one accumulator over the largest shard (%d records) is %d B", alloc, largest, accumulator)
+	if limit := accumulator + firstResolveSlack; alloc > limit {
+		t.Errorf("first resolve allocated %d B, want <= %d: one accumulator of %d B plus %d B", alloc, limit, accumulator, firstResolveSlack)
 	}
 }

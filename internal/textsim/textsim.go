@@ -140,15 +140,19 @@ func Containment(a, b []string) float64 {
 }
 
 // GeneralizedJaccard computes the Generalized Jaccard similarity of
-// the two token lists using sim as the secondary token-level measure
-// and threshold as the minimum secondary similarity for two tokens to
-// be considered a fuzzy match (py_stringmatching uses 0.5 with Jaro,
-// which is what the paper's demonstration selection relies on).
+// the two token lists with Jaro as the secondary token-level measure
+// and gjThreshold as the minimum secondary similarity for two tokens
+// to be considered a fuzzy match — the py_stringmatching configuration
+// the paper's demonstration selection relies on.
 //
 // The measure greedily pairs tokens across the lists in decreasing
 // secondary-similarity order; the score is the sum of matched
 // similarities divided by |A| + |B| − #matched.
-func GeneralizedJaccard(a, b []string, sim func(x, y string) float64, threshold float64) float64 {
+//
+// Each token's runes are decoded once per call, not once per pair.
+// Equal tokens score 1 and tokens that share no character score 0
+// without running Jaro: both are what Jaro returns for them.
+func GeneralizedJaccard(a, b []string) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
@@ -164,11 +168,21 @@ func GeneralizedJaccard(a, b []string, sim func(x, y string) float64, threshold 
 		return exactGeneralizedJaccard(a, b)
 	}
 	sc := gjPool.Get().(*gjScratch)
+	sc.decode(a, b)
+	ta, tb := sc.toks[:len(a)], sc.toks[len(a):]
 	cands := sc.cands[:0]
 	for i, x := range a {
 		for j, y := range b {
-			s := sim(x, y)
-			if s >= threshold {
+			var s float64
+			switch {
+			case x == y:
+				s = 1
+			case ta[i].mask&tb[j].mask == 0:
+				continue
+			default:
+				s = jaro(sc.runes[ta[i].off:ta[i].end], sc.runes[tb[j].off:tb[j].end])
+			}
+			if s >= gjThreshold {
 				cands = append(cands, gjCand{int32(i), int32(j), s})
 			}
 		}
@@ -194,9 +208,20 @@ func GeneralizedJaccard(a, b []string, sim func(x, y string) float64, threshold 
 		matched++
 	}
 	sc.cands = cands
+	if cap(sc.runes) > maxKeptRunes {
+		sc.runes = nil // a dirty-data blob's runes are not kept pooled
+	}
 	gjPool.Put(sc)
 	return sum / float64(len(a)+len(b)-matched)
 }
+
+// gjThreshold is the Jaro similarity from which two tokens count as a
+// fuzzy match.
+const gjThreshold = 0.5
+
+// maxKeptRunes bounds the decoded runes a pooled scratch keeps: a few
+// hundred title tokens' worth.
+const maxKeptRunes = 1 << 14
 
 // gjCand is one fuzzy token pair of GeneralizedJaccard: the positions
 // in each list and their secondary similarity.
@@ -218,10 +243,40 @@ func gjCandBefore(x, y gjCand) int {
 }
 
 // gjScratch is the reusable state of one GeneralizedJaccard call: the
-// candidate list and the used flags of both token lists.
+// decoded tokens of both lists, the candidate list and the used flags.
 type gjScratch struct {
+	toks  []gjToken
+	runes []rune
 	cands []gjCand
 	used  []bool
+}
+
+// gjToken is one decoded token: its leading maxJaroRunes runes, as
+// runes[off:end] of its scratch, and a mask with bit r&63 set for each
+// rune r. Two tokens whose masks do not meet share no rune, so Jaro
+// finds no match between them.
+type gjToken struct {
+	off, end int32
+	mask     uint64
+}
+
+// decode fills sc.toks with the tokens of a, then those of b.
+func (sc *gjScratch) decode(a, b []string) {
+	sc.toks, sc.runes = sc.toks[:0], sc.runes[:0]
+	for _, list := range [2][]string{a, b} {
+		for _, t := range list {
+			tok := gjToken{off: int32(len(sc.runes))}
+			for _, r := range t {
+				if len(sc.runes)-int(tok.off) == maxJaroRunes {
+					break
+				}
+				sc.runes = append(sc.runes, r)
+				tok.mask |= 1 << (uint32(r) & 63)
+			}
+			tok.end = int32(len(sc.runes))
+			sc.toks = append(sc.toks, tok)
+		}
+	}
 }
 
 // gjPool lends GeneralizedJaccard its scratch, so concurrent callers
@@ -251,12 +306,10 @@ func exactGeneralizedJaccard(a, b []string) float64 {
 	return float64(matched) / float64(len(a)+len(b)-matched)
 }
 
-// GeneralizedJaccardStrings applies GeneralizedJaccard with the Jaro
-// secondary measure and threshold 0.5 to the word tokens of a and b,
-// matching the py_stringmatching configuration referenced in the
-// paper.
+// GeneralizedJaccardStrings applies GeneralizedJaccard to the word
+// tokens of a and b.
 func GeneralizedJaccardStrings(a, b string) float64 {
-	return GeneralizedJaccard(tokenize.Words(a), tokenize.Words(b), Jaro, 0.5)
+	return GeneralizedJaccard(tokenize.Words(a), tokenize.Words(b))
 }
 
 // Cosine returns the cosine similarity of the token-frequency vectors
@@ -355,7 +408,12 @@ func leadingRunes(dst *[maxJaroRunes]rune, s string) int {
 // stack.
 func Jaro(a, b string) float64 {
 	var ra, rb [maxJaroRunes]rune
-	la, lb := leadingRunes(&ra, a), leadingRunes(&rb, b)
+	return jaro(ra[:leadingRunes(&ra, a)], rb[:leadingRunes(&rb, b)])
+}
+
+// jaro is Jaro over decoded runes, at most maxJaroRunes of each string.
+func jaro(ra, rb []rune) float64 {
+	la, lb := len(ra), len(rb)
 	if la == 0 && lb == 0 {
 		return 1
 	}

@@ -108,7 +108,7 @@ func TestGeneralizedJaccard(t *testing.T) {
 	// Exact token matches behave like plain Jaccard.
 	a := []string{"apple", "banana"}
 	b := []string{"apple", "cherry"}
-	got := GeneralizedJaccard(a, b, Jaro, 0.5)
+	got := GeneralizedJaccard(a, b)
 	// apple-apple = 1.0; banana-cherry Jaro < threshold in practice?
 	// banana vs cherry share letters; compute defensively: result must
 	// be >= plain Jaccard and <= 1.
@@ -119,13 +119,13 @@ func TestGeneralizedJaccard(t *testing.T) {
 	// Fuzzy match: near-identical tokens should score close to 1.
 	x := []string{"windows", "xp", "professional"}
 	y := []string{"window", "xp", "profesional"}
-	if g := GeneralizedJaccard(x, y, Jaro, 0.5); g < 0.8 {
+	if g := GeneralizedJaccard(x, y); g < 0.8 {
 		t.Errorf("fuzzy GeneralizedJaccard = %v, want > 0.8", g)
 	}
-	if g := GeneralizedJaccard(nil, nil, Jaro, 0.5); !almost(g, 1) {
+	if g := GeneralizedJaccard(nil, nil); !almost(g, 1) {
 		t.Errorf("empty GeneralizedJaccard = %v", g)
 	}
-	if g := GeneralizedJaccard(x, nil, Jaro, 0.5); !almost(g, 0) {
+	if g := GeneralizedJaccard(x, nil); !almost(g, 0) {
 		t.Errorf("one-empty GeneralizedJaccard = %v", g)
 	}
 }
@@ -235,6 +235,6 @@ func BenchmarkGeneralizedJaccard(b *testing.B) {
 	y := tokenize.Words("sony wh1000xm4 wireless noise cancelling headphone black 349.99")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sink = GeneralizedJaccard(x, y, Jaro, 0.5)
+		sink = GeneralizedJaccard(x, y)
 	}
 }

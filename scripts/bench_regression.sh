@@ -65,7 +65,9 @@
 #    exceeds twice the base's: open walks every committed journal.log
 #    frame to rebuild the entity groups, so it grows with the journal.
 # 10. Holds the local path's allocations to fixed budgets: allocs/op
-#    of BenchmarkGeneralizedJaccard must be 0, of BenchmarkPairFeatures
+#    of BenchmarkGeneralizedJaccard must be 0, and of
+#    BenchmarkGeneralizedJaccardWDC (the title kernel over 3 000
+#    WDC-shaped blocker candidates) 0, of BenchmarkPairFeatures
 #    (pre-extracted pairs) at most 4, of BenchmarkExtractText at most 2
 #    (the extractor runs on every candidate a resolve scores), of
 #    BenchmarkStoreCheckpoint/journal=10k (gate 8's run) at most 1 000,
@@ -243,7 +245,7 @@ main() {
 
     echo ""
     echo "== local-path allocation gate =="
-    KERNEL_OUT="$(go test -run '^$' -bench '^BenchmarkGeneralizedJaccard$' -benchmem ./internal/textsim/)
+    KERNEL_OUT="$(go test -run '^$' -bench '^BenchmarkGeneralizedJaccard(WDC)?$' -benchmem ./internal/textsim/)
 $(go test -run '^$' -bench '^BenchmarkPairFeatures$|^BenchmarkExtractText$' -benchmem ./internal/features/)
 $(go test -run '^$' -bench '^BenchmarkStoreOpen$/^journal=100k$' -benchtime=10x -benchmem ./internal/resolve/)
 $(go test -run '^$' -bench '^BenchmarkDecodeRecordsBody$' -benchmem ./cmd/emserve/)
@@ -263,6 +265,7 @@ $CKPT_OUT"
         fi
     done <<'BUDGETS'
 BenchmarkGeneralizedJaccard 0
+BenchmarkGeneralizedJaccardWDC 0
 BenchmarkPairFeatures 4
 BenchmarkExtractText 2
 BenchmarkStoreCheckpoint/journal=10k 1000
