@@ -10,21 +10,21 @@ import (
 
 	"llm4em"
 	"llm4em/internal/chaos"
+	"llm4em/internal/clock"
 	"llm4em/internal/llm"
 	"llm4em/internal/resolve"
 )
 
 // fastResilience trips the breaker on the first failure and retries
-// the deferred queue every half second, so outage tests converge
-// quickly.
-func fastResilience() llm4em.ResilienceOptions {
+// the deferred queue a millisecond of clk later. The clock stands
+// still while the test asserts the degraded mode, so the breaker stays
+// open (not probing half-open) until the test advances it.
+func fastResilience(clk *clock.Manual) llm4em.ResilienceOptions {
 	return llm4em.ResilienceOptions{
 		Breaker: llm4em.BreakerOptions{
 			ConsecutiveFailures: 1,
-			// Long enough that the breaker is still open (not probing
-			// half-open) while the test asserts the degraded mode, short
-			// enough that recovery converges well inside the wait bound.
-			Cooldown: 500 * time.Millisecond,
+			Cooldown:            time.Millisecond,
+			Clock:               clk,
 		},
 	}
 }
@@ -38,7 +38,7 @@ func noCascade() llm4em.CascadeOptions {
 // newResilientServer builds a handler over a store with the given
 // client and resilience configuration, every candidate pair routed to
 // the LLM (noCascade) so outages are guaranteed to matter.
-func newResilientServer(t *testing.T, client llm4em.Client, opts llm4em.StoreOptions) *httptest.Server {
+func newResilientServer(t *testing.T, client llm4em.Client, opts llm4em.StoreOptions) (*httptest.Server, *llm4em.Store) {
 	t.Helper()
 	opts.Domain = llm4em.Product
 	opts.Cascade = noCascade()
@@ -46,22 +46,7 @@ func newResilientServer(t *testing.T, client llm4em.Client, opts llm4em.StoreOpt
 	t.Cleanup(func() { store.Close() })
 	srv := httptest.NewServer(newHandler(handlerConfig{store: store}))
 	t.Cleanup(srv.Close)
-	return srv
-}
-
-// waitStats polls GET /stats until cond approves the resilience
-// block.
-func waitStats(t *testing.T, url string, what string, cond func(map[string]any) bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		_, body := getJSON(t, url+"/v1/stats")
-		if res, ok := body["resilience"].(map[string]any); ok && cond(res) {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
+	return srv, store
 }
 
 // TestServerDegradedModeUnderOutage drives the serving path through a
@@ -74,7 +59,8 @@ func TestServerDegradedModeUnderOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	wrapped := chaos.Wrap(model, chaos.ClientOptions{})
-	srv := newResilientServer(t, wrapped, llm4em.StoreOptions{Resilience: fastResilience()})
+	clk := new(clock.Manual)
+	srv, _ := newResilientServer(t, wrapped, llm4em.StoreOptions{Resilience: fastResilience(clk)})
 
 	resp, body := postJSON(t, srv.URL+"/v1/records", seedBody)
 	if resp.StatusCode != http.StatusOK {
@@ -116,9 +102,11 @@ func TestServerDegradedModeUnderOutage(t *testing.T) {
 	}
 
 	wrapped.SetOutage(false)
-	waitStats(t, srv.URL, "deferred queue drain", func(res map[string]any) bool {
-		return res["deferred_queue"].(float64) == 0 && res["redecided"].(float64) > 0
-	})
+	clk.Advance(time.Millisecond) // the tick past the cooldown drains the queue
+	_, body = getJSON(t, srv.URL+"/v1/stats")
+	if res := body["resilience"].(map[string]any); res["deferred_queue"].(float64) != 0 || res["redecided"].(float64) == 0 {
+		t.Fatalf("stats resilience block a cooldown after the outage: %v", res)
+	}
 	resp, body = getJSON(t, srv.URL+"/v1/readyz")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /readyz after recovery = %d", resp.StatusCode)
@@ -157,7 +145,7 @@ func TestServerShedsWith503(t *testing.T) {
 	opts := llm4em.StoreOptions{Resilience: llm4em.ResilienceOptions{
 		Shed: llm4em.ShedOptions{MaxConcurrent: 1},
 	}}
-	srv := newResilientServer(t, client, opts)
+	srv, store := newResilientServer(t, client, opts)
 
 	resp, body := postJSON(t, srv.URL+"/v1/records", seedBody)
 	if resp.StatusCode != http.StatusOK {
@@ -185,11 +173,15 @@ func TestServerShedsWith503(t *testing.T) {
 			statuses <- resp.StatusCode
 		}(i)
 	}
-	// One escalation holds the slot; the other four wait in the queue.
+	// One escalation holds the slot; wait for the other four to block in
+	// the queue.
 	<-client.entered
-	waitStats(t, srv.URL, "four queued escalations", func(res map[string]any) bool {
-		return res["waiting"].(float64) == held-1
-	})
+	for deadline := time.Now().Add(5 * time.Second); store.Stats().Resilience.Waiting != held-1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d escalations queued for the slot, want %d", store.Stats().Resilience.Waiting, held-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	// Slot and queue full: the next resolve is shed immediately.
 	resp, body = postJSON(t, srv.URL+"/v1/resolve", resolveBody(held+1))

@@ -13,6 +13,7 @@ import (
 
 	"llm4em/internal/blocking"
 	"llm4em/internal/chaos"
+	"llm4em/internal/clock"
 	"llm4em/internal/entity"
 	"llm4em/internal/llm"
 	"llm4em/internal/persist"
@@ -99,13 +100,24 @@ func TestClientOutageAndRetryAfter(t *testing.T) {
 	if inner.calls.Load() != 0 {
 		t.Fatalf("outage call reached the inner client")
 	}
-	if got := c.Injected().Outaged; got != 1 {
+	if got := c.Outaged(); got != 1 {
 		t.Fatalf("Outaged = %d, want 1", got)
 	}
 
 	c.SetOutage(false)
 	if _, err := c.Chat(msgs); err != nil {
 		t.Fatalf("call after outage cleared: %v", err)
+	}
+
+	// A timed outage window runs on the client's clock and clears itself.
+	clk := new(clock.Manual)
+	w := chaos.Wrap(inner, chaos.ClientOptions{Clock: clk})
+	w.OutageFor(time.Second)
+	clk.Advance(time.Second - time.Nanosecond)
+	_, during := w.Chat(msgs)
+	clk.Advance(time.Nanosecond)
+	if _, after := w.Chat(msgs); during == nil || after != nil {
+		t.Fatalf("1ns before the window closes: %v; once closed: %v; want an error, then none", during, after)
 	}
 }
 
@@ -304,11 +316,12 @@ func testWALAppendFault(t *testing.T, faults chaos.FSOptions) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			client := chaos.Wrap(&matchClient{}, chaos.ClientOptions{Seed: 7})
+			clk := new(clock.Manual)
 			opts := resolve.Options{PersistDir: dir, FS: chaos.NewFS(faults)}
 			if outage {
 				// Every pair reaches the LLM, and its failure degrades.
 				opts.Cascade = noCascade()
-				opts.Resilience = chaosResilience()
+				opts.Resilience = chaosResilience(clk)
 			}
 			s, err := resolve.Open(client, opts)
 			if err != nil {
@@ -347,12 +360,9 @@ func testWALAppendFault(t *testing.T, faults chaos.FSOptions) {
 			if _, err := s.Resolve(rec("q2", "gamma delta sameent0002")); err != nil {
 				t.Fatalf("resolve after rollback: %v", err)
 			}
-			deadline := time.Now().Add(5 * time.Second)
-			for s.Stats().Resilience.DeferredQueue != 0 { // q2 met the open breaker
-				if time.Now().After(deadline) {
-					t.Fatalf("deferred queue never drained: %+v", s.Stats().Resilience)
-				}
-				time.Sleep(time.Millisecond)
+			clk.Advance(time.Millisecond) // q2 met the open breaker: the tick past the cooldown re-decides it
+			if st := s.Stats().Resilience; st.DeferredQueue != 0 {
+				t.Fatalf("deferred queue not drained a cooldown on: %+v", st)
 			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
@@ -431,13 +441,14 @@ func TestAddBatchOneWrite(t *testing.T) {
 // --- differential chaos run (tentpole part d) ---
 
 // chaosResilience trips the breaker on the first failure and, with a
-// millisecond cooldown, retries deferred pairs every millisecond, so
-// outage tests converge fast.
-func chaosResilience() resolve.ResilienceOptions {
+// millisecond cooldown, retries deferred pairs a millisecond of clk
+// later, so outage tests converge in one Advance.
+func chaosResilience(clk clock.Clock) resolve.ResilienceOptions {
 	return resolve.ResilienceOptions{
 		Breaker: resilience.BreakerOptions{
 			ConsecutiveFailures: 1,
 			Cooldown:            time.Millisecond,
+			Clock:               clk,
 		},
 	}
 }
@@ -470,12 +481,11 @@ func TestOutageDifferential(t *testing.T) {
 
 	run := func(dir string, outage bool) *persist.Snapshot {
 		wrapped := chaos.Wrap(&matchClient{}, chaos.ClientOptions{Seed: 42})
-		// The breaker's clock stands still until the outage is lifted, so
-		// the 1 ms cooldown cannot lapse (open reads half-open once it
-		// has) before the strict open-state assertion below.
-		var breakerNow atomic.Int64
-		res := chaosResilience()
-		res.Breaker.Clock = func() time.Time { return time.Unix(0, breakerNow.Load()) }
+		// The clock stands still until the outage is lifted, so the 1 ms
+		// cooldown cannot lapse (open reads half-open once it has) before
+		// the strict open-state assertion below.
+		clk := new(clock.Manual)
+		res := chaosResilience(clk)
 		s, err := resolve.Open(wrapped, resolve.Options{
 			Cascade:    noCascade(),
 			PersistDir: dir,
@@ -513,17 +523,13 @@ func TestOutageDifferential(t *testing.T) {
 			if st.DeferredQueue == 0 || st.DeferredPairs == 0 {
 				t.Fatalf("no deferred pairs queued during outage: %+v", st)
 			}
-			if wrapped.Injected().Outaged == 0 {
+			if wrapped.Outaged() == 0 {
 				t.Fatalf("chaos client injected no outage failures")
 			}
 			wrapped.SetOutage(false)
-			breakerNow.Add(int64(res.Breaker.Cooldown))
-			deadline := time.Now().Add(5 * time.Second)
-			for s.Stats().Resilience.DeferredQueue != 0 {
-				if time.Now().After(deadline) {
-					t.Fatalf("deferred queue never drained: %+v", s.Stats().Resilience)
-				}
-				time.Sleep(time.Millisecond)
+			clk.Advance(res.Breaker.Cooldown)
+			if st := s.Stats().Resilience; st.DeferredQueue != 0 {
+				t.Fatalf("deferred queue not drained a cooldown after the outage: %+v", st)
 			}
 			if got := s.Stats().Resilience.Redecided; got == 0 {
 				t.Fatalf("queue drained but nothing re-decided")
@@ -567,7 +573,8 @@ func TestOutageDifferential(t *testing.T) {
 // TestFaultMixStillConverges runs the richer fault mix — transient
 // errors, malformed replies, latency spikes — on top of the
 // resilience layer and checks that every resolve still completes
-// without a surfaced error and the store drains to a steady state.
+// without a surfaced error and the store drains to a steady state. A
+// cooldown passes after each resolve; the spikes are real milliseconds.
 func TestFaultMixStillConverges(t *testing.T) {
 	wrapped := chaos.Wrap(&matchClient{}, chaos.ClientOptions{
 		Seed:          11,
@@ -576,9 +583,11 @@ func TestFaultMixStillConverges(t *testing.T) {
 		LatencyRate:   0.2,
 		LatencySpike:  time.Millisecond,
 	})
+	clk := new(clock.Manual)
+	res := chaosResilience(clk)
 	s := resolve.New(wrapped, resolve.Options{
 		Cascade:    noCascade(),
-		Resilience: chaosResilience(),
+		Resilience: res,
 	})
 	defer s.Close()
 	for i := 0; i < 6; i++ {
@@ -588,21 +597,21 @@ func TestFaultMixStillConverges(t *testing.T) {
 		}
 	}
 	for i := 0; i < 6; i++ {
-		res, err := s.Resolve(rec(fmt.Sprintf("q%02d", i),
+		r, err := s.Resolve(rec(fmt.Sprintf("q%02d", i),
 			fmt.Sprintf("alpha beta sameent%04d", i)))
 		if err != nil {
 			t.Fatalf("resolve under fault mix: %v", err)
 		}
-		if len(res.Decisions) == 0 {
+		if len(r.Decisions) == 0 {
 			t.Fatalf("resolve q%02d produced no decisions", i)
 		}
+		clk.Advance(res.Breaker.Cooldown)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Resilience.DeferredQueue != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("deferred queue never drained: %+v", s.Stats().Resilience)
-		}
-		time.Sleep(time.Millisecond)
+	// Each tick finds the breaker half-open and re-decides pairs until a
+	// fault trips it again; a thousand of them drain the queue.
+	clk.Advance(1000 * res.Breaker.Cooldown)
+	if st := s.Stats().Resilience; st.DeferredQueue != 0 {
+		t.Fatalf("deferred queue not drained: %+v", st)
 	}
 }
 

@@ -10,6 +10,7 @@
 package chaos
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"strconv"
@@ -17,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"llm4em/internal/clock"
 	"llm4em/internal/detrand"
 	"llm4em/internal/llm"
 	"llm4em/internal/pipeline"
@@ -56,6 +58,9 @@ type ClientOptions struct {
 	// transient errors, exercising the pipeline's hint-honouring
 	// backoff path.
 	RetryAfter time.Duration
+	// Clock is the time outage windows, hangs and latency spikes run on
+	// (default clock.Wall).
+	Clock clock.Clock
 }
 
 // Client wraps an inner LLM client with seeded fault injection. It
@@ -69,13 +74,7 @@ type Client struct {
 	mu          sync.Mutex
 	outage      bool
 	outageUntil time.Time
-
-	// Injected-fault counters, for test assertions.
-	failures  atomic.Uint64
-	malformed atomic.Uint64
-	hangs     atomic.Uint64
-	delays    atomic.Uint64
-	outaged   atomic.Uint64
+	outaged     atomic.Uint64 // calls an outage failed
 }
 
 // Wrap returns a fault-injecting client around inner.
@@ -86,6 +85,7 @@ func Wrap(inner llm.Client, o ClientOptions) *Client {
 	if o.LatencyRate > 0 && o.LatencySpike <= 0 {
 		o.LatencySpike = 10 * time.Millisecond
 	}
+	o.Clock = cmp.Or(o.Clock, clock.Wall)
 	return &Client{inner: inner, opts: o}
 }
 
@@ -107,7 +107,7 @@ func (c *Client) SetOutage(on bool) {
 func (c *Client) OutageFor(d time.Duration) {
 	c.mu.Lock()
 	c.outage = false
-	c.outageUntil = time.Now().Add(d)
+	c.outageUntil = c.opts.Clock.Now().Add(d)
 	c.mu.Unlock()
 }
 
@@ -117,31 +117,11 @@ func (c *Client) inOutage() bool {
 	if c.outage {
 		return true
 	}
-	return !c.outageUntil.IsZero() && time.Now().Before(c.outageUntil)
+	return !c.outageUntil.IsZero() && c.opts.Clock.Now().Before(c.outageUntil)
 }
 
-// Calls returns the number of calls the wrapper has seen.
-func (c *Client) Calls() uint64 { return c.calls.Load() }
-
-// InjectedStats reports how many of each fault the wrapper injected.
-type InjectedStats struct {
-	Failures  uint64 // transient errors (fault draw)
-	Malformed uint64 // garbage replies
-	Hangs     uint64 // blocked until cancel/HangMax
-	Delays    uint64 // latency spikes
-	Outaged   uint64 // calls rejected by an outage window
-}
-
-// Injected returns the fault counters.
-func (c *Client) Injected() InjectedStats {
-	return InjectedStats{
-		Failures:  c.failures.Load(),
-		Malformed: c.malformed.Load(),
-		Hangs:     c.hangs.Load(),
-		Delays:    c.delays.Load(),
-		Outaged:   c.outaged.Load(),
-	}
-}
+// Outaged returns how many calls an outage window failed.
+func (c *Client) Outaged() uint64 { return c.outaged.Load() }
 
 // transient builds the injected error, attaching the RetryAfter hint
 // when configured.
@@ -169,29 +149,21 @@ func (c *Client) ChatContext(ctx context.Context, messages []llm.Message) (llm.R
 	u := detrand.Unit("chaos-client", strconv.FormatUint(c.opts.Seed, 10), strconv.FormatUint(n, 10))
 	switch {
 	case u < c.opts.FailRate:
-		c.failures.Add(1)
 		return llm.Response{}, c.transient(fmt.Errorf("chaos: injected failure (call %d)", n))
 	case u < c.opts.FailRate+c.opts.MalformedRate:
-		c.malformed.Add(1)
 		return llm.Response{
 			Content:          fmt.Sprintf("\x00\x7f%%chaos-malformed-%d%%\x00", n),
 			PromptTokens:     1,
 			CompletionTokens: 1,
 		}, nil
 	case u < c.opts.FailRate+c.opts.MalformedRate+c.opts.HangRate:
-		c.hangs.Add(1)
-		select {
-		case <-ctx.Done():
+		if !pipeline.Sleep(ctx, c.opts.Clock, c.opts.HangMax) {
 			return llm.Response{}, ctx.Err()
-		case <-time.After(c.opts.HangMax):
-			return llm.Response{}, c.transient(fmt.Errorf("chaos: hang expired after %v (call %d)", c.opts.HangMax, n))
 		}
+		return llm.Response{}, c.transient(fmt.Errorf("chaos: hang expired after %v (call %d)", c.opts.HangMax, n))
 	case u < c.opts.FailRate+c.opts.MalformedRate+c.opts.HangRate+c.opts.LatencyRate:
-		c.delays.Add(1)
-		select {
-		case <-ctx.Done():
+		if !pipeline.Sleep(ctx, c.opts.Clock, c.opts.LatencySpike) {
 			return llm.Response{}, ctx.Err()
-		case <-time.After(c.opts.LatencySpike):
 		}
 		resp, err := llm.ChatContext(ctx, c.inner, messages)
 		resp.Latency += c.opts.LatencySpike

@@ -83,7 +83,8 @@ type Options struct {
 	// per-pair prompt per round-trip, no flush timer.
 	MaxBatchPairs int
 	// FlushInterval is the longest a pending pair waits for batch-mates
-	// before a partial batch is flushed (default DefaultFlushInterval).
+	// before a partial batch is flushed (default DefaultFlushInterval),
+	// timed on the engine's clock.
 	FlushInterval time.Duration
 	// Metrics are the telemetry instruments the dispatcher records
 	// into (queue depth, batch sizes, flush reasons, per-pair wait
@@ -331,7 +332,7 @@ func (d *Dispatcher) DoAllContext(ctx context.Context, pairs []entity.Pair) ([]R
 	d.opts.Metrics.QueueDepth.Set(int64(len(d.pending)))
 	if len(d.pending) > 0 && !d.timerArmed {
 		d.timerArmed = true
-		time.AfterFunc(d.opts.FlushInterval, d.deadlineFlush)
+		d.eng.Clock().AfterFunc(d.opts.FlushInterval, d.deadlineFlush)
 	}
 	d.mu.Unlock()
 

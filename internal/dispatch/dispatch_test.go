@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"llm4em/internal/clock"
 	"llm4em/internal/entity"
 	"llm4em/internal/llm"
 	"llm4em/internal/pipeline"
@@ -160,51 +161,28 @@ func TestBatchesCoalesceConcurrentCalls(t *testing.T) {
 }
 
 // TestFlushOnCloseWithPendingPairs: Close drains a queue whose
-// deadline is far in the future — the waiting callers still get real
-// answers, not an error.
+// deadline never comes — the clock stands still — and the waiting
+// caller still gets real answers, not an error.
 func TestFlushOnCloseWithPendingPairs(t *testing.T) {
-	client := &testClient{}
-	d := newTestDispatcher(client, Options{MaxBatchPairs: 16, FlushInterval: time.Minute})
-
+	clk := new(clock.Manual)
+	d := New(pipeline.New(&testClient{}, pipeline.Options{Clock: clk}), testBuildPair, testBuildBatch, Options{MaxBatchPairs: 16})
 	const n = 5
-	var wg sync.WaitGroup
-	results := make([]Result, n)
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = doOne(d, pair(i, true))
-		}(i)
+	pairs := make([]entity.Pair, n)
+	for i := range pairs {
+		pairs[i] = pair(i, true)
 	}
-
-	// Wait until all n are actually pending (none can flush: the batch
-	// is not full and the deadline is a minute away).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		d.mu.Lock()
-		pending := len(d.pending)
-		d.mu.Unlock()
-		if pending == n {
-			break
+	done := make(chan []Result, 1)
+	go func() {
+		rs, err := d.DoAllContext(context.Background(), pairs)
+		if err != nil {
+			t.Error(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d pairs pending", pending, n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	start := time.Now()
+		done <- rs
+	}()
+	clk.Next() // the n pairs are queued under the lock that arms the flush timer
 	d.Close()
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("drain took %v — the FlushInterval deadline leaked into Close", elapsed)
-	}
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("pair %d: %v", i, errs[i])
-		}
-		if !results[i].Match {
+	for i, r := range <-done {
+		if !r.Match {
 			t.Errorf("pair %d: Match = false, want true", i)
 		}
 	}
@@ -219,6 +197,39 @@ func TestFlushOnCloseWithPendingPairs(t *testing.T) {
 		t.Errorf("submission after Close: %v, want ErrClosed", err)
 	}
 	d.Close() // idempotent
+}
+
+// TestDeadlineFlushAtFlushInterval: on a manual clock a partial batch
+// is still pending a nanosecond short of FlushInterval, and the
+// nanosecond that completes it deadline-flushes it as one batch.
+func TestDeadlineFlushAtFlushInterval(t *testing.T) {
+	clk := new(clock.Manual)
+	client := &testClient{}
+	d := New(pipeline.New(client, pipeline.Options{Clock: clk}), testBuildPair, testBuildBatch, Options{MaxBatchPairs: 16})
+	defer d.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := d.DoAllContext(context.Background(), []entity.Pair{pair(0, true), pair(1, false), pair(2, true)})
+		done <- err
+	}()
+	// The pairs are queued under the lock that arms the flush timer.
+	if wait := clk.Next(); wait != DefaultFlushInterval {
+		t.Fatalf("flush timer armed for %v, want %v", wait, DefaultFlushInterval)
+	}
+	clk.Advance(DefaultFlushInterval - time.Nanosecond)
+	if st := d.Stats(); st.DeadlineFlushes != 0 || client.calls.Load() != 0 {
+		t.Fatalf("1ns short of the deadline: %+v after %d calls, want nothing flushed", st, client.calls.Load())
+	}
+	clk.Advance(time.Nanosecond)
+	if st := d.Stats(); st.DeadlineFlushes != 1 {
+		t.Fatalf("at the deadline: %d deadline flushes, want 1", st.DeadlineFlushes)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := d.Stats(); st.Batches != 1 || st.BatchedPairs != 3 || st.SizeFlushes != 0 {
+		t.Errorf("stats %+v: want the three pairs in one deadline batch", st)
+	}
 }
 
 // TestDeadlineFlushRacesFullBatch stresses the two flush triggers

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"llm4em/internal/clock"
 	"llm4em/internal/llm"
 	"llm4em/internal/telemetry"
 )
@@ -53,6 +54,9 @@ type Options struct {
 	// [0, cap) so batched retries don't stampede the backend in
 	// lockstep; a RetryAfter hint on the error overrides the draw.
 	Backoff time.Duration
+	// Clock is the time the backoff sleeps run on (default clock.Wall);
+	// a dispatcher over the engine arms its flush timer on it too.
+	Clock clock.Clock
 	// Metrics are the telemetry instruments the engine records into
 	// (call counts, per-attempt latency, retries, cache hits). The
 	// zero value disables the latency histogram; the counters are then
@@ -77,6 +81,7 @@ func (o Options) withDefaults() Options {
 	if o.Backoff <= 0 {
 		o.Backoff = DefaultBackoff
 	}
+	o.Clock = cmp.Or(o.Clock, clock.Wall)
 	o.Metrics.Calls = cmp.Or(o.Metrics.Calls, &telemetry.Counter{})
 	o.Metrics.Retries = cmp.Or(o.Metrics.Retries, &telemetry.Counter{})
 	o.Metrics.CacheHits = cmp.Or(o.Metrics.CacheHits, &telemetry.Counter{})
@@ -106,16 +111,14 @@ type Engine struct {
 	opts   Options
 	cache  *promptCache
 
-	// sleep is swapped in tests to avoid real backoff waits; rand is
-	// swapped to pin the jitter draw.
-	sleep func(time.Duration)
-	rand  func() float64
+	// rand is swapped in tests to pin the jitter draw.
+	rand func() float64
 }
 
 // New returns an engine over the client with the given options.
 func New(client llm.Client, opts Options) *Engine {
 	o := opts.withDefaults()
-	e := &Engine{client: client, opts: o, sleep: time.Sleep, rand: rand.Float64}
+	e := &Engine{client: client, opts: o, rand: rand.Float64}
 	if o.CacheSize > 0 {
 		e.cache = newPromptCache(o.CacheSize, o.Metrics.CacheHits)
 	}
@@ -124,6 +127,9 @@ func New(client llm.Client, opts Options) *Engine {
 
 // Client returns the engine's underlying client.
 func (e *Engine) Client() llm.Client { return e.client }
+
+// Clock returns the clock the engine's timers run on.
+func (e *Engine) Clock() clock.Clock { return e.opts.Clock }
 
 // Workers returns the resolved worker-pool size.
 func (e *Engine) Workers() int { return e.opts.Workers }
@@ -216,7 +222,7 @@ func (e *Engine) chat(ctx context.Context, prompt string) (llm.Response, error) 
 		if !hinted {
 			wait = time.Duration(e.rand() * float64(backoff))
 		}
-		if !e.sleepCtx(ctx, wait) {
+		if !Sleep(ctx, e.opts.Clock, wait) {
 			return llm.Response{}, ctx.Err()
 		}
 		backoff *= 2
@@ -224,21 +230,18 @@ func (e *Engine) chat(ctx context.Context, prompt string) (llm.Response, error) 
 	return llm.Response{}, lastErr
 }
 
-// sleepCtx waits d, returning false if the context expired first. A
-// context without a deadline or cancel function takes the plain sleep
-// path, which tests stub out.
-func (e *Engine) sleepCtx(ctx context.Context, d time.Duration) bool {
+// Sleep waits d on clk and reports whether it did before ctx ended.
+// The engine's retry backoff and the chaos client's faults wait
+// through it.
+func Sleep(ctx context.Context, clk clock.Clock, d time.Duration) bool {
 	if d <= 0 {
 		return ctx.Err() == nil
 	}
-	if ctx.Done() == nil {
-		e.sleep(d)
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	fired := make(chan struct{})
+	stop := clk.AfterFunc(d, func() { close(fired) })
+	defer stop()
 	select {
-	case <-t.C:
+	case <-fired:
 		return true
 	case <-ctx.Done():
 		return false

@@ -348,7 +348,6 @@ func TestRetryTransient(t *testing.T) {
 		return nil
 	}}
 	e := New(client, Options{Workers: 1, MaxRetries: 2, Backoff: time.Microsecond})
-	e.sleep = func(time.Duration) {}
 	resp, _, err := e.CompleteContext(context.Background(), "p")
 	if err != nil {
 		t.Fatal(err)
@@ -366,7 +365,6 @@ func TestRetryExhausted(t *testing.T) {
 		return Transient(errors.New("still down"))
 	}}
 	e := New(client, Options{Workers: 1, MaxRetries: 2, Backoff: time.Microsecond})
-	e.sleep = func(time.Duration) {}
 	if _, _, err := e.CompleteContext(context.Background(), "p"); !IsTransient(err) {
 		t.Fatalf("want transient error after exhausted retries, got %v", err)
 	}
@@ -379,7 +377,6 @@ func TestNoRetryOnPermanentError(t *testing.T) {
 	boom := errors.New("bad request")
 	client := &fakeClient{fail: func(call int64, prompt string) error { return boom }}
 	e := New(client, Options{Workers: 1, MaxRetries: 5, Backoff: time.Microsecond})
-	e.sleep = func(time.Duration) {}
 	if _, _, err := e.CompleteContext(context.Background(), "p"); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want boom", err)
 	}

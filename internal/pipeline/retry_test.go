@@ -3,9 +3,11 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
+	"llm4em/internal/clock"
 	"llm4em/internal/llm"
 )
 
@@ -24,8 +26,8 @@ func TestBackoffFullJitter(t *testing.T) {
 			want:  []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond},
 		},
 		{
-			// A zero draw skips the sleep call entirely — retries still
-			// happen, they just don't wait.
+			// A zero draw arms no timer — retries still happen, they
+			// just don't wait.
 			name:  "zero draw skips the sleep",
 			draws: []float64{0, 0, 0},
 			want:  nil,
@@ -41,28 +43,41 @@ func TestBackoffFullJitter(t *testing.T) {
 			client := &fakeClient{fail: func(call int64, prompt string) error {
 				return Transient(errors.New("down"))
 			}}
-			e := New(client, Options{Workers: 1, MaxRetries: 3, Backoff: 100 * time.Millisecond})
-			var slept []time.Duration
-			e.sleep = func(d time.Duration) { slept = append(slept, d) }
 			draw := 0
-			e.rand = func() float64 {
-				d := tc.draws[draw%len(tc.draws)]
+			slept, err := backoffs(client, 3, func() float64 {
 				draw++
-				return d
-			}
-			if _, _, err := e.CompleteContext(context.Background(), "p"); !IsTransient(err) {
+				return tc.draws[(draw-1)%len(tc.draws)]
+			}, len(tc.want))
+			if !IsTransient(err) {
 				t.Fatalf("err = %v, want transient after exhausted retries", err)
 			}
-			if len(slept) != len(tc.want) {
-				t.Fatalf("slept %d times, want %d (%v)", len(slept), len(tc.want), slept)
-			}
-			for i, want := range tc.want {
-				if slept[i] != want {
-					t.Errorf("sleep %d = %v, want %v", i, slept[i], want)
-				}
+			if !slices.Equal(slept, tc.want) {
+				t.Errorf("slept %v, want %v", slept, tc.want)
 			}
 		})
 	}
+}
+
+// backoffs completes one prompt with up to retries retries of 100 ms
+// Backoff and jitter draws from rand, and returns the call's error and
+// the n backoff sleeps it waits, read off its manual clock as each is
+// armed.
+func backoffs(client llm.Client, retries int, rand func() float64, n int) ([]time.Duration, error) {
+	clk := new(clock.Manual)
+	e := New(client, Options{Workers: 1, MaxRetries: retries, Backoff: 100 * time.Millisecond, Clock: clk})
+	e.rand = rand
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := e.CompleteContext(context.Background(), "p")
+		done <- err
+	}()
+	var slept []time.Duration
+	for range n {
+		d := clk.Next()
+		slept = append(slept, d)
+		clk.Advance(d)
+	}
+	return slept, <-done
 }
 
 // TestRetryAfterHint pins the Retry-After contract: a hinted transient
@@ -111,20 +126,12 @@ func TestRetryAfterHint(t *testing.T) {
 			client := &fakeClient{fail: func(call int64, prompt string) error {
 				return tc.errs[(call-1)%int64(len(tc.errs))]
 			}}
-			e := New(client, Options{Workers: 1, MaxRetries: 5, Backoff: 100 * time.Millisecond})
-			var slept []time.Duration
-			e.sleep = func(d time.Duration) { slept = append(slept, d) }
-			e.rand = func() float64 { return 1.0 }
-			if _, _, err := e.CompleteContext(context.Background(), "p"); err != nil {
+			slept, err := backoffs(client, 5, func() float64 { return 1.0 }, len(tc.want))
+			if err != nil {
 				t.Fatalf("Complete: %v", err)
 			}
-			if len(slept) != len(tc.want) {
-				t.Fatalf("slept %v, want %v", slept, tc.want)
-			}
-			for i, want := range tc.want {
-				if slept[i] != want {
-					t.Errorf("sleep %d = %v, want %v", i, slept[i], want)
-				}
+			if !slices.Equal(slept, tc.want) {
+				t.Errorf("slept %v, want %v", slept, tc.want)
 			}
 		})
 	}

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"llm4em/internal/clock"
 	"llm4em/internal/telemetry"
 )
 
@@ -67,9 +68,9 @@ type BreakerOptions struct {
 	// half-open probe through (default 2s). The probe's failure
 	// re-opens the breaker; its success closes it.
 	Cooldown time.Duration
-	// Clock supplies the current time (default time.Now); tests and the
-	// chaos harness inject a fake for determinism.
-	Clock func() time.Time
+	// Clock is the time the cooldown and the error-rate window run on
+	// (default clock.Wall).
+	Clock clock.Clock
 	// Metrics receives breaker state and trip counts; zero value
 	// disabled (Trips then reads the breaker's own counter).
 	Metrics telemetry.ResilienceMetrics
@@ -82,9 +83,7 @@ func (o BreakerOptions) withDefaults() BreakerOptions {
 	if o.Cooldown <= 0 {
 		o.Cooldown = 2 * time.Second
 	}
-	if o.Clock == nil {
-		o.Clock = time.Now
-	}
+	o.Clock = cmp.Or(o.Clock, clock.Wall)
 	o.Metrics.BreakerTrips = cmp.Or(o.Metrics.BreakerTrips, &telemetry.Counter{})
 	return o
 }
@@ -116,7 +115,7 @@ type Breaker struct {
 // NewBreaker builds a closed breaker.
 func NewBreaker(opts BreakerOptions) *Breaker {
 	b := &Breaker{opts: opts.withDefaults()}
-	b.cur.start = b.opts.Clock()
+	b.cur.start = b.opts.Clock.Now()
 	b.opts.Metrics.BreakerState.Set(int64(Closed))
 	return b
 }
@@ -132,7 +131,7 @@ func (b *Breaker) Allow() bool {
 	case Closed:
 		return true
 	case Open:
-		if b.opts.Clock().Sub(b.openedAt) < b.opts.Cooldown {
+		if b.opts.Clock.Now().Sub(b.openedAt) < b.opts.Cooldown {
 			return false
 		}
 		b.setStateLocked(HalfOpen)
@@ -150,13 +149,15 @@ func (b *Breaker) Allow() bool {
 
 // Report records the outcome of a request previously admitted by
 // Allow. A nil err is a success; context cancellation and deadline
-// errors are ignored entirely.
-func (b *Breaker) Report(err error) {
+// errors are ignored entirely. It reports whether a counted failure
+// left the breaker open, so that a retry would only be rejected.
+func (b *Breaker) Report(err error) (open bool) {
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		return
+		return false
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	defer func() { open = err != nil && b.state == Open }()
 	switch b.state {
 	case HalfOpen:
 		if err != nil {
@@ -165,7 +166,7 @@ func (b *Breaker) Report(err error) {
 		}
 		b.setStateLocked(Closed)
 		b.consec = 0
-		now := b.opts.Clock()
+		now := b.opts.Clock.Now()
 		b.cur = bucket{start: now}
 		b.prev = bucket{}
 	case Closed:
@@ -190,12 +191,13 @@ func (b *Breaker) Report(err error) {
 		// A late result from a request admitted before the trip; the
 		// window restarts when the breaker closes, so drop it.
 	}
+	return
 }
 
 // rotateLocked advances the two half-window buckets past stale time.
 func (b *Breaker) rotateLocked() {
 	const half = window / 2
-	now := b.opts.Clock()
+	now := b.opts.Clock.Now()
 	for now.Sub(b.cur.start) >= half {
 		b.prev = b.cur
 		b.cur = bucket{start: b.cur.start.Add(half)}
@@ -210,7 +212,7 @@ func (b *Breaker) rotateLocked() {
 
 func (b *Breaker) tripLocked() {
 	b.setStateLocked(Open)
-	b.openedAt = b.opts.Clock()
+	b.openedAt = b.opts.Clock.Now()
 	b.consec = 0
 	b.opts.Metrics.BreakerTrips.Inc()
 }
@@ -229,7 +231,7 @@ func (b *Breaker) setStateLocked(s State) {
 func (b *Breaker) State() State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == Open && b.opts.Clock().Sub(b.openedAt) >= b.opts.Cooldown {
+	if b.state == Open && b.opts.Clock.Now().Sub(b.openedAt) >= b.opts.Cooldown {
 		b.setStateLocked(HalfOpen)
 		b.probed = false
 	}

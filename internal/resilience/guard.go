@@ -36,11 +36,15 @@ func (g *GuardedClient) Chat(messages []llm.Message) (llm.Response, error) {
 }
 
 // ChatContext issues one request through the breaker, honouring ctx.
+// A failure that leaves the breaker open fails as ErrOpen at once: the
+// pipeline would only sleep a backoff to have its retry rejected.
 func (g *GuardedClient) ChatContext(ctx context.Context, messages []llm.Message) (llm.Response, error) {
 	if !g.breaker.Allow() {
 		return llm.Response{}, fmt.Errorf("llm %s: %w", g.inner.Name(), ErrOpen)
 	}
 	resp, err := llm.ChatContext(ctx, g.inner, messages)
-	g.breaker.Report(err)
+	if g.breaker.Report(err) {
+		return resp, fmt.Errorf("llm %s: %v: %w", g.inner.Name(), err, ErrOpen)
+	}
 	return resp, err
 }

@@ -4,41 +4,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"llm4em/internal/clock"
 	"llm4em/internal/llm"
 )
-
-// fakeClock is a manually advanced clock for deterministic breaker
-// tests.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{now: time.Unix(1_700_000_000, 0)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}
 
 var errBoom = errors.New("boom")
 
 func TestBreakerConsecutiveFailuresTrip(t *testing.T) {
-	clk := newFakeClock()
-	b := NewBreaker(BreakerOptions{ConsecutiveFailures: 3, Clock: clk.Now})
+	clk := new(clock.Manual)
+	b := NewBreaker(BreakerOptions{ConsecutiveFailures: 3, Clock: clk})
 	for i := 0; i < 2; i++ {
 		if !b.Allow() {
 			t.Fatalf("attempt %d: breaker rejected while closed", i)
@@ -71,8 +50,8 @@ func report(b *Breaker, n int, err error) {
 }
 
 func TestBreakerSuccessResetsConsecutive(t *testing.T) {
-	clk := newFakeClock()
-	b := NewBreaker(BreakerOptions{ConsecutiveFailures: 3, Clock: clk.Now})
+	clk := new(clock.Manual)
+	b := NewBreaker(BreakerOptions{ConsecutiveFailures: 3, Clock: clk})
 	for i := 0; i < 10; i++ {
 		report(b, 2, errBoom)
 		report(b, 1, nil) // breaks the streak
@@ -87,10 +66,10 @@ func TestBreakerSuccessResetsConsecutive(t *testing.T) {
 }
 
 func TestBreakerErrorRateTrip(t *testing.T) {
-	clk := newFakeClock()
+	clk := new(clock.Manual)
 	b := NewBreaker(BreakerOptions{
 		ConsecutiveFailures: 1000, // only the rate can trip
-		Clock:               clk.Now,
+		Clock:               clk,
 	})
 	// Alternate success/failure, one result short of minSamples: still
 	// closed. The rate is only evaluated on failure reports.
@@ -112,10 +91,10 @@ func TestBreakerErrorRateTrip(t *testing.T) {
 }
 
 func TestBreakerErrorRateNeedsMinSamples(t *testing.T) {
-	clk := newFakeClock()
+	clk := new(clock.Manual)
 	b := NewBreaker(BreakerOptions{
 		ConsecutiveFailures: 1000,
-		Clock:               clk.Now,
+		Clock:               clk,
 	})
 	// 100% failure rate but below minSamples, and below the streak rule.
 	report(b, minSamples-1, errBoom)
@@ -125,10 +104,10 @@ func TestBreakerErrorRateNeedsMinSamples(t *testing.T) {
 }
 
 func TestBreakerWindowExpiresOldFailures(t *testing.T) {
-	clk := newFakeClock()
+	clk := new(clock.Manual)
 	b := NewBreaker(BreakerOptions{
 		ConsecutiveFailures: 1000,
-		Clock:               clk.Now,
+		Clock:               clk,
 	})
 	report(b, minSamples-1, errBoom)
 	// Let the failures age out of the rolling window entirely.
@@ -143,11 +122,11 @@ func TestBreakerWindowExpiresOldFailures(t *testing.T) {
 }
 
 func TestBreakerHalfOpenProbeAndRecovery(t *testing.T) {
-	clk := newFakeClock()
+	clk := new(clock.Manual)
 	b := NewBreaker(BreakerOptions{
 		ConsecutiveFailures: 2,
 		Cooldown:            time.Second,
-		Clock:               clk.Now,
+		Clock:               clk,
 	})
 	b.Allow()
 	b.Report(errBoom)
@@ -199,8 +178,8 @@ func TestBreakerHalfOpenProbeAndRecovery(t *testing.T) {
 }
 
 func TestBreakerIgnoresContextErrors(t *testing.T) {
-	clk := newFakeClock()
-	b := NewBreaker(BreakerOptions{ConsecutiveFailures: 2, Clock: clk.Now})
+	clk := new(clock.Manual)
+	b := NewBreaker(BreakerOptions{ConsecutiveFailures: 2, Clock: clk})
 	for i := 0; i < 20; i++ {
 		b.Allow()
 		b.Report(context.Canceled)
@@ -305,14 +284,18 @@ func (c *stubClient) count() int {
 }
 
 func TestGuardedClientFailsFastWhenOpen(t *testing.T) {
-	clk := newFakeClock()
+	clk := new(clock.Manual)
 	stub := &stubClient{err: errBoom}
-	g := Guard(stub, NewBreaker(BreakerOptions{ConsecutiveFailures: 2, Cooldown: time.Second, Clock: clk.Now}))
+	g := Guard(stub, NewBreaker(BreakerOptions{ConsecutiveFailures: 2, Cooldown: time.Second, Clock: clk}))
 
-	for i := 0; i < 2; i++ {
-		if _, err := g.Chat(nil); !errors.Is(err, errBoom) {
-			t.Fatalf("call %d err = %v, want errBoom", i, err)
-		}
+	if _, err := g.Chat(nil); !errors.Is(err, errBoom) {
+		t.Fatalf("first failure err = %v, want errBoom", err)
+	}
+	// The failure that trips the breaker already reports it open, so the
+	// pipeline does not sleep a backoff only to be rejected.
+	_, err := g.Chat(nil)
+	if !errors.Is(err, ErrOpen) || !strings.Contains(err.Error(), errBoom.Error()) {
+		t.Fatalf("tripping failure err = %v, want ErrOpen naming boom", err)
 	}
 	before := stub.count()
 	if _, err := g.Chat(nil); !errors.Is(err, ErrOpen) {

@@ -1,10 +1,11 @@
 package resolve
 
 import (
+	"cmp"
 	"context"
 	"sync"
-	"time"
 
+	"llm4em/internal/clock"
 	"llm4em/internal/cost"
 	"llm4em/internal/entity"
 	"llm4em/internal/persist"
@@ -47,7 +48,9 @@ type ResilienceOptions struct {
 	// goes with the benchmark revision ROADMAP.md plans as item 1.
 	Enabled bool
 	// Breaker tunes the per-backend circuit breaker (zero value
-	// selects the resilience package defaults).
+	// selects the resilience package defaults). Its Clock is the
+	// store's: the re-escalator, the retry backoff and the dispatcher's
+	// flush run on it too.
 	Breaker resilience.BreakerOptions
 	// Shed tunes the escalation load shedder (zero value selects the
 	// resilience package defaults). Shed rejections surface as
@@ -64,48 +67,52 @@ type pairID struct {
 }
 
 // resilienceState is the store-side of the fault-tolerance layer:
-// breaker and shedder handles, the deferred queue, and the background
-// re-escalator's lifecycle. The queue mutex mu is a leaf lock — held
-// only around queue reads and writes, never while taking another
+// breaker and shedder handles, the deferred queue, and the re-escalator,
+// a timer on the store's clock. The queue mutex mu is a leaf lock —
+// held only around queue reads and writes, never while taking another
 // store lock.
 type resilienceState struct {
 	breaker *resilience.Breaker
 	shed    *resilience.Shedder
 	met     telemetry.ResilienceMetrics
+	clock   clock.Clock
 
 	mu     sync.Mutex
 	queue  []persist.DeferredEntry
 	queued map[pairID]bool
 
-	wake chan struct{}
-	done chan struct{}
-	// ctx is the re-escalator's one shutdown signal: cancel ends its
-	// loop, and the re-escalation LLM calls run under ctx so a hung
-	// backend never blocks Close.
-	ctx       context.Context
-	cancel    context.CancelFunc
-	started   bool
-	startOnce sync.Once
+	// tick drains and re-arms itself, kick only drains. drainMu runs
+	// one drain at a time and guards store, set while the re-escalator
+	// runs (so a stopped timer the runtime still holds pins no store),
+	// and stopTick. cancel ends a running drain's LLM call at Close.
+	tick, kick func()
+	drainMu    sync.Mutex
+	store      *Store
+	stopTick   func() bool
+	ctx        context.Context
+	cancel     context.CancelFunc
 }
 
 func newResilienceState(o ResilienceOptions, met telemetry.ResilienceMetrics) *resilienceState {
 	o.Breaker.Metrics = met
+	o.Breaker.Clock = cmp.Or(o.Breaker.Clock, clock.Wall)
 	o.Shed.Metrics = met
 	ctx, cancel := context.WithCancel(context.Background())
-	return &resilienceState{
+	rs := &resilienceState{
 		breaker: resilience.NewBreaker(o.Breaker),
 		shed:    resilience.NewShedder(o.Shed),
 		met:     met,
+		clock:   o.Breaker.Clock,
 		queued:  map[pairID]bool{},
-		wake:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
 		ctx:     ctx,
 		cancel:  cancel,
 	}
+	rs.tick, rs.kick = func() { rs.drain(true) }, func() { rs.drain(false) }
+	return rs
 }
 
 // enqueue adds a pair to the deferred queue unless it is already
-// queued, and wakes the re-escalator.
+// queued, and schedules a drain at once.
 func (rs *resilienceState) enqueue(dp persist.DeferredEntry) {
 	key := pairID{query: dp.Query.ID, candidate: dp.CandidateID}
 	rs.mu.Lock()
@@ -118,10 +125,7 @@ func (rs *resilienceState) enqueue(dp persist.DeferredEntry) {
 	depth := len(rs.queue)
 	rs.mu.Unlock()
 	rs.met.DeferredDepth.Set(int64(depth))
-	select {
-	case rs.wake <- struct{}{}:
-	default:
-	}
+	rs.clock.AfterFunc(0, rs.kick)
 }
 
 // remove drops a pair from the queue after its re-decision committed
@@ -159,23 +163,30 @@ func (rs *resilienceState) depth() int {
 	return len(rs.queue)
 }
 
-// startResilience launches the background re-escalator. New calls it
-// for in-memory stores; Open calls it only after WAL replay has
-// rebuilt the queue, so the drain never races recovery's lock-free
+// startResilience starts the re-escalator, its first tick due at once
+// for the queue recovery rebuilt. New calls it for in-memory stores;
+// Open calls it only after WAL replay has rebuilt the queue: until
+// then a drain returns at once, so none races recovery's lock-free
 // state building.
 func (s *Store) startResilience() {
-	s.res.startOnce.Do(func() {
-		s.res.started = true
-		go s.reescalate()
-	})
+	rs := s.res
+	rs.drainMu.Lock()
+	rs.store = s
+	rs.stopTick = rs.clock.AfterFunc(0, rs.tick)
+	rs.drainMu.Unlock()
 }
 
-// stopResilience shuts the re-escalator down and waits for it. cancel
-// is idempotent, so a second Close passes straight through.
+// stopResilience stops the re-escalator's tick and waits out a running
+// drain; drains scheduled later return at once. Idempotent, so a
+// second Close passes straight through.
 func (s *Store) stopResilience() {
-	s.res.cancel()
-	if s.res.started {
-		<-s.res.done
+	rs := s.res
+	rs.cancel()
+	rs.drainMu.Lock()
+	defer rs.drainMu.Unlock()
+	rs.store = nil
+	if rs.stopTick != nil {
+		rs.stopTick()
 	}
 }
 
@@ -201,28 +212,24 @@ func (s *Store) degrade(plan *cascadePlan) {
 	}
 }
 
-// reescalate is the background drain loop: whenever the breaker is
-// not open it re-sends queued pairs to the LLM, oldest first, and
-// commits each healthy-path verdict. Runs until Close. An enqueue wakes
-// it at once; the tick is there to notice the breaker leaving Open,
-// which takes a cooldown, so it fires once per breaker cooldown.
-func (s *Store) reescalate() {
-	defer close(s.res.done)
-	t := time.NewTicker(s.res.breaker.Cooldown())
-	defer t.Stop()
-	for {
-		select {
-		case <-s.res.ctx.Done():
-			return
-		case <-t.C:
-		case <-s.res.wake:
-		}
-		s.drainDeferred()
+// drain is the re-escalator: one drain at a time, and none before it
+// starts or after Close. A tick re-arms itself one breaker cooldown on,
+// to notice the breaker leaving Open, which takes a cooldown.
+func (rs *resilienceState) drain(tick bool) {
+	rs.drainMu.Lock()
+	defer rs.drainMu.Unlock()
+	if rs.store == nil {
+		return
+	}
+	rs.store.drainDeferred()
+	if tick {
+		rs.stopTick = rs.clock.AfterFunc(rs.breaker.Cooldown(), rs.tick)
 	}
 }
 
-// drainDeferred re-decides queued pairs until the queue is empty, the
-// backend fails again, or the store shuts down.
+// drainDeferred re-decides queued pairs, oldest first, committing each
+// healthy-path verdict, until the queue is empty, the breaker is open,
+// the backend fails again, or the store shuts down.
 func (s *Store) drainDeferred() {
 	for {
 		if s.res.ctx.Err() != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"llm4em/internal/clock"
 	"llm4em/internal/entity"
 	"llm4em/internal/llm"
 	"llm4em/internal/persist"
@@ -39,14 +40,16 @@ func (c *outageClient) Chat(messages []llm.Message) (llm.Response, error) {
 	return llm.Response{Content: answer, PromptTokens: len(prompt) / 4, CompletionTokens: 2}, nil
 }
 
-// resilientOptions is the fast-converging test configuration: trip on
-// the first failure, recover and retry deferred pairs within
-// milliseconds.
-func resilientOptions() ResilienceOptions {
+// resilientOptions is the fast-converging test configuration on clk:
+// trip on the first failure, probe and retry deferred pairs a
+// millisecond later. On a clock.Manual nothing re-decides until the
+// test advances it.
+func resilientOptions(clk clock.Clock) ResilienceOptions {
 	return ResilienceOptions{
 		Breaker: resilience.BreakerOptions{
 			ConsecutiveFailures: 1,
 			Cooldown:            time.Millisecond,
+			Clock:               clk,
 		},
 	}
 }
@@ -55,26 +58,13 @@ func resilientOptions() ResilienceOptions {
 // every candidate pair goes to the LLM.
 func noCascade() CascadeOptions { return CascadeOptions{AcceptAbove: -1, RejectBelow: -1} }
 
-func waitForStore(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
 func TestDegradeAndReescalate(t *testing.T) {
 	client := &outageClient{}
-	// The breaker's clock stands still until the outage is lifted, so the
-	// 1 ms cooldown cannot lapse (open reads half-open once it has)
-	// before the strict open-state assertion below.
-	var breakerNow atomic.Int64
-	ropts := resilientOptions()
-	ropts.Breaker.Clock = func() time.Time { return time.Unix(0, breakerNow.Load()) }
+	// The clock stands still until the outage is lifted, so the 1 ms
+	// cooldown cannot lapse (open reads half-open once it has) before the
+	// strict open-state assertion below.
+	clk := new(clock.Manual)
+	ropts := resilientOptions(clk)
 	s := New(client, Options{
 		Cascade:    noCascade(),
 		Resilience: ropts,
@@ -112,10 +102,12 @@ func TestDegradeAndReescalate(t *testing.T) {
 	}
 
 	client.down.Store(false)
-	breakerNow.Add(int64(ropts.Breaker.Cooldown))
-	waitForStore(t, "deferred queue drain", func() bool {
-		return s.Stats().Resilience.DeferredQueue == 0
-	})
+	// The re-escalator's tick one cooldown on finds the breaker half-open
+	// and drains the queue before Advance returns.
+	clk.Advance(ropts.Breaker.Cooldown)
+	if q := s.Stats().Resilience.DeferredQueue; q != 0 {
+		t.Fatalf("deferred queue = %d after the cooldown, want drained", q)
+	}
 	members, ok := s.Entity("q1")
 	if !ok || len(members) != 2 {
 		t.Fatalf("entity after re-escalation = %v (ok=%v), want {q1,r1}", members, ok)
@@ -134,9 +126,11 @@ func TestDeadlineDegradesWithoutTrippingBreaker(t *testing.T) {
 		t.Run(fmt.Sprintf("dispatch=%d", dispatchPairs), func(t *testing.T) {
 			block := make(chan struct{})
 			defer close(block)
+			// Trip on the first failure, to show the deadline is none. The
+			// dispatcher's flush runs on the wall clock here.
 			s := New(&hangingClient{block: block}, Options{
 				Cascade:       noCascade(),
-				Resilience:    resilientOptions(),
+				Resilience:    ResilienceOptions{Breaker: resilience.BreakerOptions{ConsecutiveFailures: 1}},
 				DispatchPairs: dispatchPairs,
 			})
 			if err := s.Add(rec("r1", "alpha beta sameent0001")); err != nil {
@@ -197,7 +191,7 @@ func TestShedSurfacesAsError(t *testing.T) {
 	enter := make(chan struct{})
 	release := make(chan struct{})
 	client := &gateClient{enter: enter, release: release}
-	opts := resilientOptions()
+	opts := resilientOptions(new(clock.Manual))
 	opts.Shed = resilience.ShedOptions{MaxConcurrent: 1} // one slot queues four waiters
 	s := New(client, Options{
 		Cascade:    noCascade(),
@@ -225,9 +219,13 @@ func TestShedSurfacesAsError(t *testing.T) {
 	for i := 2; i <= held; i++ {
 		go resolveAsync(i)
 	}
-	waitForStore(t, "four resolves to queue", func() bool {
-		return s.Stats().Resilience.Waiting == held-1
-	})
+	// Wait for the four to block in the shedder's queue.
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().Resilience.Waiting != held-1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d resolves queued for the slot, want %d", s.Stats().Resilience.Waiting, held-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	_, err := s.Resolve(query(held + 1))
 	if !errors.Is(err, resilience.ErrShed) {
@@ -278,10 +276,11 @@ func TestDeferredConvergesToHealthyRun(t *testing.T) {
 	}
 	run := func(dir string, outage bool) *persist.Snapshot {
 		client := &outageClient{}
+		clk := new(clock.Manual)
 		s, err := Open(client, Options{
 			Cascade:    noCascade(),
 			PersistDir: dir,
-			Resilience: resilientOptions(),
+			Resilience: resilientOptions(clk),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -297,9 +296,10 @@ func TestDeferredConvergesToHealthyRun(t *testing.T) {
 		}
 		if outage {
 			client.down.Store(false)
-			waitForStore(t, "deferred queue drain", func() bool {
-				return s.Stats().Resilience.DeferredQueue == 0
-			})
+			clk.Advance(time.Millisecond)
+			if q := s.Stats().Resilience.DeferredQueue; q != 0 {
+				t.Fatalf("deferred queue = %d a cooldown after the outage, want drained", q)
+			}
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
@@ -356,11 +356,11 @@ func TestDeferredQueueSurvivesCrash(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		checkpoint bool
-		reopen     ResilienceOptions
+		cooldown   time.Duration // of the reopened store; 0 is the default
 	}{
-		{"resilient", false, resilientOptions()},
-		{"defaults", false, ResilienceOptions{}},
-		{"defaults after checkpoint", true, ResilienceOptions{}},
+		{"resilient", false, time.Millisecond},
+		{"defaults", false, 0},
+		{"defaults after checkpoint", true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -368,7 +368,7 @@ func TestDeferredQueueSurvivesCrash(t *testing.T) {
 			s1, err := Open(client1, Options{
 				Cascade:    noCascade(),
 				PersistDir: dir,
-				Resilience: resilientOptions(),
+				Resilience: resilientOptions(new(clock.Manual)),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -385,25 +385,24 @@ func TestDeferredQueueSurvivesCrash(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// Crash: stop the background goroutine (its client stays down,
-			// so it would otherwise keep probing the shared directory) and
-			// drop the store without Close. The WAL or the snapshot keeps
-			// the deferred entry.
-			s1.stopResilience()
-
+			// Crash: drop the store without Close; its clock never moves
+			// again, so it re-decides nothing. The WAL or the snapshot
+			// keeps the deferred entry.
+			clk := new(clock.Manual)
 			s2, err := Open(&outageClient{}, Options{
 				Cascade:    noCascade(),
 				PersistDir: dir,
-				Resilience: tc.reopen,
+				Resilience: ResilienceOptions{Breaker: resilience.BreakerOptions{Cooldown: tc.cooldown, Clock: clk}},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s2.Close()
-			waitForStore(t, "recovered deferred queue drain", func() bool {
-				st := s2.Stats()
-				return st.Redecided == 1 && st.Resilience.DeferredQueue == 0
-			})
+			// The re-escalator's first tick is due at once.
+			clk.Advance(0)
+			if st := s2.Stats(); st.Redecided != 1 || st.Resilience.DeferredQueue != 0 {
+				t.Fatalf("after the first tick: %d re-decided, %d queued; want 1 and 0", st.Redecided, st.Resilience.DeferredQueue)
+			}
 			members, ok := s2.Entity("q1")
 			if !ok || len(members) != 2 {
 				t.Fatalf("entity after crash recovery = %v (ok=%v), want {q1,r1}", members, ok)

@@ -9,8 +9,10 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"llm4em/internal/chaos"
+	"llm4em/internal/clock"
 	"llm4em/internal/datasets"
 	"llm4em/internal/entity"
 	"llm4em/internal/llm"
@@ -123,7 +125,8 @@ func widgetRecords(n int) (seed, queries []entity.Record) {
 // checkpoint two found it, `after` as it left it.
 func TestCheckpointCrashWindows(t *testing.T) {
 	withShards(t, 2)
-	opts := Options{Cascade: noCascade(), Resilience: resilientOptions()}
+	clk := new(clock.Manual)
+	opts := Options{Cascade: noCascade(), Resilience: resilientOptions(clk)}
 	seed, queries := widgetRecords(12)
 	live, before, after := t.TempDir(), t.TempDir(), t.TempDir()
 	client := &outageClient{}
@@ -150,10 +153,9 @@ func TestCheckpointCrashWindows(t *testing.T) {
 	client.down.Store(true)
 	resolveAll(queries[3:5])
 	client.down.Store(false)
-	waitForStore(t, "deferred queue drain", func() bool { return a.Stats().Resilience.DeferredQueue == 0 })
+	clk.Advance(time.Millisecond) // the tick past the cooldown drains the queue
 	client.down.Store(true)
-	resolveAll(queries[5:6])
-	a.stopResilience() // freeze the queue: one pair or more still deferred
+	resolveAll(queries[5:6]) // the clock stays put: its pairs stay deferred
 	want := stateOf(a)
 	if len(want.Deferred) == 0 || want.Totals.Redecided == 0 {
 		t.Fatalf("script left %d deferred pairs and %d re-decisions, want both", len(want.Deferred), want.Totals.Redecided)
@@ -254,7 +256,6 @@ func TestCheckpointCrashWindows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b.stopResilience()
 			if got := stateOf(b); !reflect.DeepEqual(got, want) {
 				t.Errorf("reopened state differs from the uncrashed store:\ngot  %+v\nwant %+v", got, want)
 			}
@@ -272,7 +273,6 @@ func TestCheckpointCrashWindows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.stopResilience()
 			if got := stateOf(c); !reflect.DeepEqual(got, want) {
 				t.Errorf("state after the healing checkpoint differs:\ngot  %+v\nwant %+v", got, want)
 			}
@@ -461,7 +461,8 @@ func TestJournalIndexMatchesOracle(t *testing.T) {
 	seed, queries := widgetRecords(16)
 	client := &outageClient{}
 	withShards(t, 2)
-	opts := Options{SnapshotEvery: -1, Cascade: noCascade(), Resilience: resilientOptions()}
+	clk := new(clock.Manual)
+	opts := Options{SnapshotEvery: -1, Cascade: noCascade(), Resilience: resilientOptions(clk)}
 	open := func(dir string, fsys persist.FS) *Store {
 		t.Helper()
 		o := opts
@@ -517,7 +518,7 @@ func TestJournalIndexMatchesOracle(t *testing.T) {
 	client.down.Store(true)
 	resolve(s, queries[3])
 	client.down.Store(false)
-	waitForStore(t, "deferred queue drain", func() bool { return s.Stats().Resilience.DeferredQueue == 0 })
+	clk.Advance(time.Millisecond) // the tick past the cooldown drains the queue
 	checkJournalIndex(t, s, live, "outage-defer and redecide")
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)

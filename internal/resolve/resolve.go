@@ -262,7 +262,7 @@ func newStore(client llm.Client, opts Options) *Store {
 	s := &Store{
 		opts: o,
 		res:  res,
-		esc: newEscalator(pipeline.New(client, pipeline.Options{CacheSize: promptCacheSize, Metrics: pm}),
+		esc: newEscalator(pipeline.New(client, pipeline.Options{CacheSize: promptCacheSize, Clock: res.clock, Metrics: pm}),
 			prompt.Spec{Design: o.Design, Domain: o.Domain}, o.Cascade,
 			dispatch.Options{MaxBatchPairs: o.DispatchPairs, FlushInterval: o.DispatchFlush, Metrics: dm}),
 		shards: make([]*shard, indexShards),

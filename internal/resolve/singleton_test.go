@@ -7,8 +7,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"llm4em/internal/blocking"
+	"llm4em/internal/clock"
 	"llm4em/internal/detrand"
 	"llm4em/internal/entity"
 	"llm4em/internal/persist"
@@ -123,8 +125,9 @@ func TestImplicitSingletonsMatchExplicitGraph(t *testing.T) {
 				gs := singletonGroups(rng, 12)
 				dir := t.TempDir()
 				withShards(t, 4)
+				clk := new(clock.Manual)
 				opts := Options{PersistDir: dir, SnapshotEvery: -1,
-					Cascade: noCascade(), Resilience: resilientOptions()}
+					Cascade: noCascade(), Resilience: resilientOptions(clk)}
 				client := &outageClient{}
 				s, err := Open(client, opts)
 				if err != nil {
@@ -156,10 +159,6 @@ func TestImplicitSingletonsMatchExplicitGraph(t *testing.T) {
 						}
 					}
 				}
-				settle := func() {
-					t.Helper()
-					waitForStore(t, "deferred queue drain", func() bool { return s.Stats().Resilience.DeferredQueue == 0 })
-				}
 				// round adds three groups and resolves their queries in a
 				// seeded order; the second query is decided during an outage
 				// and re-decided after it.
@@ -175,7 +174,7 @@ func TestImplicitSingletonsMatchExplicitGraph(t *testing.T) {
 							resolve(gs[i].q)
 							oracle.check(t, s, when+": pairs deferred")
 							client.down.Store(false)
-							settle()
+							clk.Advance(time.Millisecond) // the tick past the cooldown re-decides them
 							continue
 						}
 						resolve(gs[i].q)

@@ -1,7 +1,6 @@
 package resolve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -11,15 +10,10 @@ import (
 	"time"
 
 	"llm4em/internal/chaos"
+	"llm4em/internal/clock"
 	"llm4em/internal/persist"
+	"llm4em/internal/resilience"
 )
-
-// quiesce stops s's background re-escalator and gives the store a live
-// context again, so the caller drives re-decisions itself.
-func quiesce(s *Store) {
-	s.stopResilience()
-	s.res.ctx, s.res.cancel = context.WithCancel(context.Background())
-}
 
 // sweepStep is one operation of the crash sweep's script. closes marks
 // a step after which the store is closed, and changes no state.
@@ -38,17 +32,20 @@ type sweepStep struct {
 func sweepScript(fsys persist.FS) (steps []sweepStep, store func() *Store) {
 	seed, queries := widgetRecords(8)
 	var s *Store
-	var now atomic.Int64 // the breaker's clock: it moves when the script says
-	ropts := resilientOptions()
-	ropts.Breaker.Clock = func() time.Time { return time.Unix(0, now.Load()) }
+	// The clock moves only when the script says. Each open moves it half
+	// a cooldown, past the first tick, so a tick never finds the breaker
+	// half-open: the script re-decides pairs itself.
+	clk := new(clock.Manual)
+	ropts := resilientOptions(clk)
+	cooldown := ropts.Breaker.Cooldown
 	opts := Options{PersistDir: sweepDir, FS: fsys, Cascade: noCascade(), Resilience: ropts, SnapshotEvery: -1, SyncEvery: 1}
 	client := &outageClient{}
 	open := func(shards int) func() error {
 		return func() (err error) {
 			indexShards = shards
-			client.down.Store(true) // nothing re-decides in the background
+			client.down.Store(true) // the first tick re-decides nothing
 			if s, err = Open(client, opts); err == nil {
-				quiesce(s)
+				clk.Advance(cooldown / 2)
 			}
 			return err
 		}
@@ -61,7 +58,9 @@ func sweepScript(fsys persist.FS) (steps []sweepStep, store func() *Store) {
 	}
 	redecide := func() error {
 		client.down.Store(false)
-		now.Add(int64(time.Hour)) // past the cooldown: the breaker probes
+		if s.res.breaker.State() == resilience.Open {
+			clk.Advance(cooldown) // past the cooldown, short of the next tick: the breaker probes
+		}
 		dp, ok := s.res.head()
 		if !ok {
 			return errors.New("no deferred pair to re-decide")
@@ -198,15 +197,16 @@ func checkCrashed(t *testing.T, mem *chaos.MemFS, where string, before, after du
 	t.Helper()
 	indexShards = 2
 	down := &outageClient{}
-	down.down.Store(true) // keeps the deferred queue where the crash left it
-	opts := Options{PersistDir: sweepDir, FS: mem, Cascade: noCascade(), Resilience: resilientOptions(), SnapshotEvery: -1}
+	down.down.Store(true)
+	// The clock never moves, so the deferred queue stays where the crash
+	// left it.
+	opts := Options{PersistDir: sweepDir, FS: mem, Cascade: noCascade(), Resilience: resilientOptions(new(clock.Manual)), SnapshotEvery: -1}
 	reopen := func() (*Store, durableState) {
 		t.Helper()
 		s, err := Open(down, opts)
 		if err != nil {
 			t.Fatalf("%s: reopen: %v", where, err)
 		}
-		s.stopResilience()
 		return s, stateOf(s)
 	}
 	s, got := reopen()
