@@ -1,10 +1,13 @@
-// Command emblock runs the full deduplication pipeline over a record
-// collection: blocking into candidate pairs, LLM matching, and
-// clustering into entities.
+// Command emblock deduplicates a record collection through an
+// in-memory resolution store: each record, in input order, is resolved
+// against the records before it (blocking, the local cascade, the LLM
+// for the uncertain band, folding into entities) and then added, so
+// each unordered pair is decided at most once.
 //
 // The input is a CSV file with a header of "id" followed by attribute
-// columns; the output lists one cluster per line. With -demo, a dirty
-// collection is derived from the WDC Products benchmark instead.
+// columns; IDs must be non-empty and unique. The output lists one
+// cluster per line. With -demo, a dirty collection is derived from the
+// WDC Products benchmark instead.
 //
 // Usage:
 //
@@ -18,9 +21,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"llm4em"
-	"llm4em/internal/blocking"
 	"llm4em/internal/datasets"
 	"llm4em/internal/entity"
 )
@@ -43,9 +46,8 @@ func main() {
 		f, err := os.Open(*in)
 		fail(err)
 		defer f.Close()
-		var err2 error
-		recs, err2 = readRecords(f)
-		fail(err2)
+		recs, err = readRecords(f)
+		fail(err)
 		domain = llm4em.Product
 	default:
 		flag.Usage()
@@ -53,33 +55,42 @@ func main() {
 	}
 	fmt.Printf("collection: %d records\n", len(recs))
 
-	cands := blocking.Dedup(recs, *candidates)
-	fmt.Printf("blocking: %d candidate pairs\n", len(cands))
-
 	client, err := llm4em.NewModel(*model)
 	fail(err)
 	design, err := llm4em.DesignByName(*designName)
 	fail(err)
-	matcher := llm4em.Matcher{Client: client, Design: design, Domain: domain}
-	decisions := make([]bool, len(cands))
-	matches := 0
-	for i, c := range cands {
-		d, err := matcher.MatchPair(c)
-		fail(err)
-		decisions[i] = d.Match
-		if d.Match {
-			matches++
-		}
-	}
-	fmt.Printf("matching: %d duplicates found\n", matches)
-
-	clusters := blocking.Cluster(cands, decisions)
+	store := llm4em.NewStore(client, llm4em.StoreOptions{MaxCandidates: *candidates, Design: design, Domain: domain})
+	defer store.Close()
+	clusters, cost, err := resolveAll(store, recs)
+	fail(err)
+	fmt.Printf("blocking: %d candidate pairs\n", cost.Candidates)
+	fmt.Printf("matching: %d accepted and %d rejected locally, %d sent to the LLM\n",
+		cost.LocalAccepts, cost.LocalRejects, cost.LLMPairs)
 	fmt.Printf("clustering: %d entities\n\n", len(clusters))
 	for _, c := range clusters {
 		if len(c) > 1 {
-			fmt.Println(joinIDs(c))
+			fmt.Println(strings.Join(c, ", "))
 		}
 	}
+}
+
+// resolveAll resolves each record against the records before it and
+// then adds it, and returns the store's entities with the summed cost
+// of the resolves. An empty or repeated ID stops it with
+// llm4em.ErrNoRecordID or llm4em.ErrDuplicateRecordID.
+func resolveAll(store *llm4em.Store, recs []entity.Record) ([][]string, llm4em.CostReport, error) {
+	var cost llm4em.CostReport
+	for _, r := range recs {
+		res, err := store.Resolve(r)
+		if err != nil {
+			return nil, cost, err
+		}
+		cost.Add(res.Cost)
+		if err := store.Add(r); err != nil {
+			return nil, cost, err
+		}
+	}
+	return store.Snapshot(), cost, nil
 }
 
 // demoCollection builds a dirty record collection from the WDC test
@@ -128,17 +139,6 @@ func readRecords(r io.Reader) ([]entity.Record, error) {
 		out = append(out, rec)
 	}
 	return out, nil
-}
-
-func joinIDs(ids []string) string {
-	out := ""
-	for i, id := range ids {
-		if i > 0 {
-			out += ", "
-		}
-		out += id
-	}
-	return out
 }
 
 func fail(err error) {

@@ -1,7 +1,9 @@
 // End-to-end deduplication: the full integration pipeline the paper's
-// introduction motivates — block a dirty offer collection into
-// candidate pairs, match the candidates with an LLM, and cluster the
-// decisions into entities (e.g. for price tracking across vendors).
+// introduction motivates. A dirty offer collection goes through an
+// in-memory resolution store, which blocks each offer into candidate
+// pairs, decides the confident ones with its local scorer, sends the
+// uncertain ones to an LLM and clusters the matches into entities
+// (e.g. for price tracking across vendors).
 package main
 
 import (
@@ -9,7 +11,6 @@ import (
 	"log"
 
 	"llm4em"
-	"llm4em/internal/blocking"
 	"llm4em/internal/datasets"
 	"llm4em/internal/entity"
 )
@@ -34,14 +35,8 @@ func main() {
 	}
 	fmt.Printf("collection: %d offers\n", len(records))
 
-	// 1. Blocking: reduce the quadratic pair space.
-	candidates := blocking.Dedup(records, 5)
-	total := len(records) * (len(records) - 1) / 2
-	fmt.Printf("blocking: %d candidate pairs (%.1f%% of the %d possible)\n",
-		len(candidates), 100*float64(len(candidates))/float64(total), total)
-
-	// 2. Matching: decide each candidate with GPT-mini (the
-	// cost-efficient hosted model).
+	// The store matches with GPT-mini (the cost-efficient hosted model)
+	// and keeps up to 5 blocking candidates per offer.
 	model, err := llm4em.NewModel(llm4em.GPTMini)
 	if err != nil {
 		log.Fatal(err)
@@ -50,23 +45,30 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	matcher := llm4em.Matcher{Client: model, Design: design, Domain: ds.Schema.Domain}
-	decisions := make([]bool, len(candidates))
-	matches := 0
-	for i, c := range candidates {
-		d, err := matcher.MatchPair(c)
+	store := llm4em.NewStore(model, llm4em.StoreOptions{MaxCandidates: 5, Design: design, Domain: ds.Schema.Domain})
+	defer store.Close()
+
+	// Resolve each offer against the offers before it, then add it:
+	// each unordered pair is decided at most once.
+	var cost llm4em.CostReport
+	for _, r := range records {
+		res, err := store.Resolve(r)
 		if err != nil {
 			log.Fatal(err)
 		}
-		decisions[i] = d.Match
-		if d.Match {
-			matches++
+		cost.Add(res.Cost)
+		if err := store.Add(r); err != nil {
+			log.Fatal(err)
 		}
 	}
-	fmt.Printf("matching: %d of %d candidates decided as duplicates\n", matches, len(candidates))
+	total := len(records) * (len(records) - 1) / 2
+	fmt.Printf("blocking: %d candidate pairs (%.1f%% of the %d possible)\n",
+		cost.Candidates, 100*float64(cost.Candidates)/float64(total), total)
+	fmt.Printf("matching: %d accepted and %d rejected locally, %d sent to GPT-mini\n",
+		cost.LocalAccepts, cost.LocalRejects, cost.LLMPairs)
 
-	// 3. Clustering: union-find over the positive decisions.
-	clusters := blocking.Cluster(candidates, decisions)
+	// The store folded every match into its entities as it went.
+	clusters := store.Snapshot()
 	multi := 0
 	var example []string
 	for _, c := range clusters {
@@ -80,12 +82,9 @@ func main() {
 	fmt.Printf("clustering: %d entities, %d with more than one offer\n", len(clusters), multi)
 	if example != nil {
 		fmt.Println("\nexample duplicate cluster:")
-		byID := map[string]entity.Record{}
-		for _, r := range records {
-			byID[r.ID] = r
-		}
 		for _, id := range example {
-			fmt.Printf("  - %s\n", byID[id].Serialize())
+			r, _ := store.Record(id)
+			fmt.Printf("  - %s\n", r.Serialize())
 		}
 	}
 }

@@ -10,33 +10,6 @@ import (
 	"llm4em/internal/tokenize"
 )
 
-// BenchmarkDedup measures candidate generation over a dirty
-// collection.
-func BenchmarkDedup(b *testing.B) {
-	ds := datasets.MustLoad("wdc")
-	var recs []entity.Record
-	seen := map[string]bool{}
-	for _, p := range ds.Test {
-		for _, r := range []entity.Record{p.A, p.B} {
-			if !seen[r.ID] {
-				recs = append(recs, r)
-				seen[r.ID] = true
-			}
-			if len(recs) == 400 {
-				break
-			}
-		}
-		if len(recs) == 400 {
-			break
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Dedup(recs, 5)
-	}
-}
-
 // syntheticRecords generates a deterministic product-offer-like
 // collection: a brand and category word pool shared across records
 // (stop-token pressure) plus a rare per-record model token.

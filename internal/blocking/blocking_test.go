@@ -2,7 +2,6 @@ package blocking
 
 import (
 	"testing"
-	"testing/quick"
 
 	"llm4em/internal/datasets"
 	"llm4em/internal/entity"
@@ -68,28 +67,6 @@ func TestCandidatesFindSharedRareTokens(t *testing.T) {
 	}
 }
 
-func TestDedupNoSelfOrDuplicatePairs(t *testing.T) {
-	records := []entity.Record{
-		rec("a", "sony dsc120b camera"),
-		rec("b", "sony dsc120b camera black"),
-		rec("c", "makita drill"),
-	}
-	pairs := Dedup(records, 0)
-	seen := map[string]bool{}
-	for _, p := range pairs {
-		if p.A.ID == p.B.ID {
-			t.Errorf("self pair %s", p.ID)
-		}
-		if seen[p.ID] {
-			t.Errorf("duplicate pair %s", p.ID)
-		}
-		seen[p.ID] = true
-		if seen[p.B.ID+"|"+p.A.ID] {
-			t.Errorf("both orientations of %s emitted", p.ID)
-		}
-	}
-}
-
 func TestBlockingRecallOnBenchmark(t *testing.T) {
 	// Blocking the two sides of WDC test pairs must retain most gold
 	// matches while pruning the pair space drastically.
@@ -125,78 +102,5 @@ func TestPairRecallEdgeCases(t *testing.T) {
 	cands := []entity.Pair{{A: rec("b", ""), B: rec("a", "")}}
 	if PairRecall(cands, gold) != 1 {
 		t.Error("reversed candidate should count")
-	}
-}
-
-func TestCluster(t *testing.T) {
-	pairs := []entity.Pair{
-		{A: rec("a", ""), B: rec("b", "")},
-		{A: rec("b", ""), B: rec("c", "")},
-		{A: rec("d", ""), B: rec("e", "")},
-		{A: rec("e", ""), B: rec("f", "")},
-	}
-	decisions := []bool{true, true, false, true}
-	clusters := Cluster(pairs, decisions)
-	byFirst := map[string][]string{}
-	for _, c := range clusters {
-		byFirst[c[0]] = c
-	}
-	if got := byFirst["a"]; len(got) != 3 {
-		t.Errorf("cluster a = %v, want a,b,c", got)
-	}
-	if got := byFirst["d"]; len(got) != 1 {
-		t.Errorf("cluster d = %v, want singleton", got)
-	}
-	if got := byFirst["e"]; len(got) != 2 {
-		t.Errorf("cluster e = %v, want e,f", got)
-	}
-}
-
-func TestClusterDeterministic(t *testing.T) {
-	pairs := []entity.Pair{
-		{A: rec("x", ""), B: rec("y", "")},
-		{A: rec("y", ""), B: rec("z", "")},
-	}
-	a := Cluster(pairs, []bool{true, true})
-	b := Cluster(pairs, []bool{true, true})
-	if len(a) != len(b) || len(a) != 1 || len(a[0]) != 3 {
-		t.Fatalf("clusters: %v vs %v", a, b)
-	}
-	for i := range a[0] {
-		if a[0][i] != b[0][i] {
-			t.Error("cluster order not deterministic")
-		}
-	}
-}
-
-func TestClusterIsPartition(t *testing.T) {
-	// Property: clustering yields a partition — every mentioned record
-	// in exactly one cluster.
-	f := func(edges []uint8, decisions []bool) bool {
-		ids := []string{"a", "b", "c", "d", "e", "f"}
-		var pairs []entity.Pair
-		for _, e := range edges {
-			i, j := int(e)%len(ids), int(e/8)%len(ids)
-			if i == j {
-				continue
-			}
-			pairs = append(pairs, entity.Pair{A: rec(ids[i], ""), B: rec(ids[j], "")})
-		}
-		clusters := Cluster(pairs, decisions)
-		seen := map[string]int{}
-		for _, c := range clusters {
-			for _, id := range c {
-				seen[id]++
-			}
-		}
-		for _, n := range seen {
-			if n != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

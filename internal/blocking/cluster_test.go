@@ -6,98 +6,15 @@ import (
 	"slices"
 	"sort"
 	"testing"
-
-	"llm4em/internal/detrand"
-	"llm4em/internal/entity"
 )
-
-func pair(a, b string) entity.Pair {
-	return entity.Pair{ID: a + "|" + b, A: entity.Record{ID: a}, B: entity.Record{ID: b}}
-}
-
-func TestClusterEmptyInput(t *testing.T) {
-	if got := Cluster(nil, nil); len(got) != 0 {
-		t.Errorf("Cluster(nil) = %v", got)
-	}
-	if got := Cluster([]entity.Pair{}, []bool{true, false}); len(got) != 0 {
-		t.Errorf("Cluster with surplus decisions = %v", got)
-	}
-}
-
-func TestClusterMismatchedDecisionsLength(t *testing.T) {
-	pairs := []entity.Pair{pair("a", "b"), pair("c", "d"), pair("e", "f")}
-	// Shorter decisions: pairs beyond the slice count as non-matches.
-	got := Cluster(pairs, []bool{true})
-	want := [][]string{{"a", "b"}, {"c"}, {"d"}, {"e"}, {"f"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("short decisions: got %v, want %v", got, want)
-	}
-	// Longer decisions: the surplus is ignored.
-	got = Cluster(pairs[:1], []bool{true, true, true, true})
-	want = [][]string{{"a", "b"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("surplus decisions: got %v, want %v", got, want)
-	}
-}
-
-func TestClusterSelfPairs(t *testing.T) {
-	pairs := []entity.Pair{pair("a", "a"), pair("a", "b")}
-	got := Cluster(pairs, []bool{true, false})
-	want := [][]string{{"a"}, {"b"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("self-pair: got %v, want %v", got, want)
-	}
-}
-
-func TestClusterTransitiveChain(t *testing.T) {
-	// a-b, b-c, c-d all match: one entity despite no direct a-d pair.
-	pairs := []entity.Pair{pair("a", "b"), pair("b", "c"), pair("c", "d"), pair("x", "y")}
-	got := Cluster(pairs, []bool{true, true, true, false})
-	want := [][]string{{"a", "b", "c", "d"}, {"x"}, {"y"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("chain: got %v, want %v", got, want)
-	}
-}
-
-// TestClusterDeterministicOrdering shuffles pair order and checks the
-// grouping is identical — group membership, member order and group
-// order.
-func TestClusterDeterministicOrdering(t *testing.T) {
-	var pairs []entity.Pair
-	var decisions []bool
-	for i := 0; i < 30; i++ {
-		a, b := fmt.Sprintf("r%02d", i), fmt.Sprintf("r%02d", (i*7)%30)
-		pairs = append(pairs, pair(a, b))
-		decisions = append(decisions, i%3 != 0)
-	}
-	want := Cluster(pairs, decisions)
-	rng := detrand.New("cluster-shuffle")
-	for trial := 0; trial < 5; trial++ {
-		perm := make([]int, len(pairs))
-		for i := range perm {
-			perm[i] = i
-		}
-		for i := len(perm) - 1; i > 0; i-- {
-			j := rng.Intn(i + 1)
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-		shuffledPairs := make([]entity.Pair, len(pairs))
-		shuffledDecisions := make([]bool, len(decisions))
-		for i, p := range perm {
-			shuffledPairs[i] = pairs[p]
-			shuffledDecisions[i] = decisions[p]
-		}
-		got := Cluster(shuffledPairs, shuffledDecisions)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: shuffled clustering differs\ngot:  %v\nwant: %v", trial, got, want)
-		}
-	}
-}
 
 func TestUnionFindBasics(t *testing.T) {
 	u := NewUnionFind()
 	if _, ok := u.Find("a"); ok {
 		t.Error("empty forest knows a")
+	}
+	if g := u.Groups(); len(g) != 0 || u.Len() != 0 || u.Sets() != 0 {
+		t.Errorf("empty forest: Groups %v, Len/Sets %d/%d", g, u.Len(), u.Sets())
 	}
 	if u.Members("a") != nil {
 		t.Error("Members of unknown ID should be nil")

@@ -10,9 +10,9 @@ import (
 )
 
 // Index is an inverted IDF token index over a record collection:
-// build it (or grow it with Add) once and query it many times. Dedup
-// blocks through a throwaway Index; the online resolution store keeps
-// one per shard and amortizes construction.
+// build it (or grow it with Add) once and query it many times. The
+// online resolution store keeps one per shard and amortizes
+// construction.
 //
 // There is one postings representation: token strings map to dense
 // uint32 IDs and each token's ascending record positions are a

@@ -84,8 +84,9 @@ func TestIndexQueryBounds(t *testing.T) {
 // TestLiteralZeroThresholds covers the threshold resolution rule: a
 // nil StopDocFrac selects the default, Float(0) is a literal zero, a
 // negative value clamps to zero — checked on the resolved value and on
-// what an index then returns — and the candidate floor Dedup applies,
-// DefaultMinScore, drops a weak overlap a zero floor keeps.
+// what an index then returns — and the candidate floor the resolve
+// store applies, DefaultMinScore, drops a weak overlap a zero floor
+// keeps.
 func TestLiteralZeroThresholds(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -115,8 +116,16 @@ func TestLiteralZeroThresholds(t *testing.T) {
 	if got := queryText(ix, "uncommonword", 0, 0); len(got) != 4 {
 		t.Errorf("a zero floor kept %d of the 4 weak candidates", len(got))
 	}
-	if got := Dedup(records, 0); len(got) != 0 {
-		t.Errorf("Dedup kept %d weak pairs under DefaultMinScore", len(got))
+	// Blocked the way the store blocks (default options, 10 candidates,
+	// DefaultMinScore), no record finds a partner: each finds at most
+	// itself.
+	dix := BuildIndex(records, IndexOptions{})
+	for pos, r := range records {
+		for _, c := range queryText(dix, r.Serialize(), 10, DefaultMinScore) {
+			if c.Pos != pos {
+				t.Errorf("%s kept the weak partner %s under DefaultMinScore", r.ID, records[c.Pos].ID)
+			}
+		}
 	}
 
 	// Behavioral check for StopDocFrac: with a literal zero, any token

@@ -19,8 +19,8 @@ type IndexOptions struct {
 func Float(v float64) *float64 { return &v }
 
 // DefaultMinScore is the candidate score floor — the minimum summed
-// IDF weight — that Dedup and the resolve store apply (QueryTokens
-// takes the floor per call). DefaultStopDocFrac is what a nil
+// IDF weight — that the resolve store applies (QueryTokens takes the
+// floor per call). DefaultStopDocFrac is what a nil
 // StopDocFrac selects.
 const (
 	DefaultMinScore    = 1.0
