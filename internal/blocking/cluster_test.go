@@ -8,13 +8,18 @@ import (
 	"testing"
 )
 
+// TestClusterEmptyInput: folding no match decisions yields no groups.
+func TestClusterEmptyInput(t *testing.T) {
+	u := NewUnionFind()
+	if g := u.Groups(); len(g) != 0 || u.Len() != 0 || u.Sets() != 0 {
+		t.Errorf("empty forest: Groups %v, Len/Sets %d/%d", g, u.Len(), u.Sets())
+	}
+}
+
 func TestUnionFindBasics(t *testing.T) {
 	u := NewUnionFind()
 	if _, ok := u.Find("a"); ok {
 		t.Error("empty forest knows a")
-	}
-	if g := u.Groups(); len(g) != 0 || u.Len() != 0 || u.Sets() != 0 {
-		t.Errorf("empty forest: Groups %v, Len/Sets %d/%d", g, u.Len(), u.Sets())
 	}
 	if u.Members("a") != nil {
 		t.Error("Members of unknown ID should be nil")
